@@ -6,7 +6,7 @@
 //! | QA101 | error    | `unwrap()`/`expect(`/`panic!`-family on a serve-reachable path |
 //! | QA101 | warning  | indexing `[...]` with a non-literal index on a serve-reachable path |
 //! | QA102 | error    | lock acquisitions violating `audit/lock-order.toml` (in-body and one call-graph hop) |
-//! | QA103 | error    | per-crate forbidden constructs (`Mutex<Quarry>` in serve/cluster, `serde_json` on storage hot paths, nondeterminism in recovery/replay/replication/promotion) |
+//! | QA103 | error    | per-crate forbidden constructs (`Mutex<Quarry>` in serve/cluster, `serde_json` in storage, nondeterminism in recovery/replay/replication/promotion) |
 //! | QA104 | error    | `unsafe { ... }` block without a `// SAFETY:` comment |
 //! | QA105 | warning  | `allow` comment that suppressed nothing |
 //!
@@ -453,16 +453,6 @@ fn qa102_lock_order(
 
 // ---------------------------------------------------------------- QA103
 
-/// Storage modules allowed to touch `serde_json`: the legacy-format
-/// fallbacks (pre-paged snapshots/WAL records) and the error type that
-/// wraps decode failures. Everything else in `crates/storage` is a hot
-/// path and must stay on the binary codec.
-const STORAGE_JSON_ALLOWED: &[&str] = &[
-    "crates/storage/src/structured/recovery.rs",
-    "crates/storage/src/snapshot.rs",
-    "crates/storage/src/error.rs",
-];
-
 /// Idents whose presence in recovery/replay/replication code makes
 /// replay (or a promotion decision) nondeterministic.
 const NONDETERMINISM: &[&str] = &["SystemTime", "thread_rng", "random", "from_entropy"];
@@ -522,7 +512,9 @@ fn qa103_forbidden(file: &SourceFile, out: &mut Vec<Finding>) {
         }
     }
 
-    if file.crate_name == "storage" && !STORAGE_JSON_ALLOWED.contains(&file.path.as_str()) {
+    // Every persisted artefact has one binary format: nothing in
+    // `crates/storage` reads or writes JSON.
+    if file.crate_name == "storage" {
         for i in 0..file.code.len() {
             if !scan(i) {
                 continue;
@@ -533,10 +525,8 @@ fn qa103_forbidden(file: &SourceFile, out: &mut Vec<Finding>) {
                     file,
                     codes::FORBIDDEN,
                     t.span,
-                    "serde_json on a storage hot path".to_string(),
-                    Some(
-                        "hot paths use quarry_storage::codec; JSON lives only in the legacy-fallback modules".to_string(),
-                    ),
+                    "serde_json in crates/storage".to_string(),
+                    Some("storage encodes through quarry_storage::codec only".to_string()),
                     Severity::Error,
                 ));
             }
@@ -549,6 +539,8 @@ fn qa103_forbidden(file: &SourceFile, out: &mut Vec<Finding>) {
     // randomness (wall time on two nodes is not an ordering).
     let replay_code = (file.crate_name == "storage"
         && (file.path.contains("recovery")
+            || file.path.contains("checkpoint")
+            || file.path.contains("overlay")
             || file.path.contains("replication")
             || file.path.ends_with("/wal.rs")))
         || (file.crate_name == "serve" && file.path.contains("replication"))
@@ -754,14 +746,15 @@ mod tests {
     }
 
     #[test]
-    fn qa103_serde_json_respects_the_legacy_allowlist() {
+    fn qa103_serde_json_is_forbidden_anywhere_in_storage() {
         let fs = run(&[
             ("crates/storage/src/pager.rs", "use serde_json::to_vec;"),
             ("crates/storage/src/snapshot.rs", "use serde_json::to_vec;"),
+            ("crates/serve/src/protocol.rs", "use serde_json::to_vec;"),
         ]);
         let q103: Vec<&Finding> = fs.iter().filter(|f| f.code == codes::FORBIDDEN).collect();
-        assert_eq!(q103.len(), 1);
-        assert_eq!(q103[0].path, "crates/storage/src/pager.rs");
+        assert_eq!(q103.len(), 2, "{q103:#?}");
+        assert!(q103.iter().all(|f| f.path.starts_with("crates/storage/")));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shared utilities for the experiment binaries (E1–E12).
+//! Shared utilities for the experiment binaries (E1–E13).
 //!
 //! Each binary in `src/bin/` regenerates one experiment from DESIGN.md's
 //! index, printing the table/series that EXPERIMENTS.md records. Everything

@@ -9,6 +9,7 @@
 //! the log; so can a curious user.
 
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// One DGE event.
@@ -121,7 +122,23 @@ impl fmt::Display for DgeEvent {
     }
 }
 
-/// Append-only DGE event log.
+/// Events [`DgeLog`] retains. Every served read records one, so an
+/// unbounded log grows with the request count; experiments and the
+/// debugger only ever read the recent tail plus the split counters.
+const DGE_LOG_CAPACITY: usize = 4096;
+
+#[derive(Debug, Default)]
+struct DgeRing {
+    /// The newest [`DGE_LOG_CAPACITY`] events, oldest first.
+    tail: VecDeque<DgeEvent>,
+    /// Generation-side events ever recorded (evicted ones included).
+    generation: usize,
+    /// Exploitation-side events ever recorded (evicted ones included).
+    exploitation: usize,
+}
+
+/// Bounded DGE event log: a ring of the newest events plus running
+/// generation/exploitation totals over everything ever recorded.
 ///
 /// Internally synchronized: recording takes `&self`, and clones share the
 /// same underlying log. This is what lets read-only façade surfaces —
@@ -131,7 +148,7 @@ impl fmt::Display for DgeEvent {
 /// the keyword/query hot paths).
 #[derive(Debug, Clone, Default)]
 pub struct DgeLog {
-    events: std::sync::Arc<parking_lot::Mutex<Vec<DgeEvent>>>,
+    events: std::sync::Arc<parking_lot::Mutex<DgeRing>>,
 }
 
 impl DgeLog {
@@ -140,22 +157,31 @@ impl DgeLog {
         DgeLog::default()
     }
 
-    /// Append an event. Safe from any thread; appends interleave in
-    /// arrival order.
+    /// Append an event, evicting the oldest once the ring is full. Safe
+    /// from any thread; appends interleave in arrival order.
     pub fn record(&self, e: DgeEvent) {
-        self.events.lock().push(e);
+        let mut ring = self.events.lock();
+        if e.is_generation() {
+            ring.generation += 1;
+        } else {
+            ring.exploitation += 1;
+        }
+        if ring.tail.len() == DGE_LOG_CAPACITY {
+            ring.tail.pop_front();
+        }
+        ring.tail.push_back(e);
     }
 
-    /// All events recorded so far, in order.
+    /// The retained tail of the log (the newest events), in order.
     pub fn events(&self) -> Vec<DgeEvent> {
-        self.events.lock().clone()
+        self.events.lock().tail.iter().cloned().collect()
     }
 
-    /// Count of generation-side vs. exploitation-side events.
+    /// Count of generation-side vs. exploitation-side events ever
+    /// recorded — exact, however many have left the ring.
     pub fn generation_exploitation_split(&self) -> (usize, usize) {
-        let events = self.events.lock();
-        let gen = events.iter().filter(|e| e.is_generation()).count();
-        (gen, events.len() - gen)
+        let ring = self.events.lock();
+        (ring.generation, ring.exploitation)
     }
 }
 
@@ -171,6 +197,30 @@ mod tests {
         log.record(DgeEvent::Feedback { user: "u1".into(), subject: "match".into() });
         assert_eq!(log.events().len(), 3);
         assert_eq!(log.generation_exploitation_split(), (2, 1));
+    }
+
+    #[test]
+    fn log_is_a_bounded_ring_with_exact_counters() {
+        let log = DgeLog::new();
+        let total = 10 * DGE_LOG_CAPACITY;
+        for i in 0..total {
+            if i % 4 == 0 {
+                log.record(DgeEvent::Ingest { docs: 1, day: i });
+            } else {
+                log.record(DgeEvent::StructuredQuery { rendered: "q".into(), rows: i });
+            }
+        }
+        let events = log.events();
+        assert_eq!(events.len(), DGE_LOG_CAPACITY);
+        assert_eq!(log.generation_exploitation_split(), (total / 4, total - total / 4));
+        // The retained tail is the newest events, oldest first.
+        for (event, i) in events.iter().zip(total - DGE_LOG_CAPACITY..) {
+            match event {
+                DgeEvent::Ingest { day, .. } => assert_eq!(*day, i),
+                DgeEvent::StructuredQuery { rows, .. } => assert_eq!(*rows, i),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
     }
 
     #[test]

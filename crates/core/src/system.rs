@@ -17,9 +17,7 @@ use quarry_lang::exec::{ExecError, TruthOracle};
 use quarry_lang::{
     optimize, parse, ExecContext, ExecStats, Executor, ExtractorRegistry, LogicalPlan,
 };
-use quarry_query::engine::{Query, QueryError, QueryResult};
-use quarry_query::forms::QueryForm;
-use quarry_query::{CandidateQuery, SearchHit};
+use quarry_query::engine::{Query, QueryError};
 use quarry_schema::SchemaRegistry;
 use quarry_storage::{Database, DurabilityMode, SnapshotStore, StorageError, Value};
 use quarry_uncertainty::{LineageGraph, NodeId};
@@ -241,10 +239,8 @@ pub struct CheckStats {
 /// checkpoint) live here and take `&mut self` — a single writer. Reads go
 /// through [`Quarry::snapshot`]: an immutable [`Snapshot`] pinned to one
 /// write-clock LSN, whose query/keyword/explain/stats methods are all
-/// `&self` and never block the writer. The legacy `&mut`-free read
-/// methods on `Quarry` itself remain as deprecated shims that capture a
-/// fresh snapshot per call. Multi-threaded hosts wrap the split in
-/// [`crate::SharedQuarry`].
+/// `&self` and never block the writer. Multi-threaded hosts wrap the split
+/// in [`crate::SharedQuarry`].
 pub struct Quarry {
     /// Versioned raw-page store (storage layer).
     pub snapshots: SnapshotStore,
@@ -475,16 +471,6 @@ impl Quarry {
         report
     }
 
-    /// Statically check a structured query's table and column references
-    /// against the database schemas without executing it.
-    #[deprecated(
-        since = "0.6.0",
-        note = "capture a read session: `quarry.snapshot().check_query(q)`"
-    )]
-    pub fn check_query(&self, q: &Query) -> LintReport {
-        self.snapshot().check_query(q)
-    }
-
     /// Counters and timings of all static checks run so far.
     pub fn check_stats(&self) -> CheckStats {
         *self.shared.check.lock()
@@ -538,48 +524,12 @@ impl Quarry {
         fires
     }
 
-    /// Keyword search: document hits plus suggested structured queries.
-    #[deprecated(
-        since = "0.6.0",
-        note = "capture a read session: `quarry.snapshot().keyword(query, k)`"
-    )]
-    pub fn keyword(&self, query: &str, k: usize) -> (Vec<SearchHit>, Vec<CandidateQuery>) {
-        self.snapshot().keyword(query, k)
-    }
-
-    /// Render the suggested queries for a keyword query as forms.
-    #[deprecated(
-        since = "0.6.0",
-        note = "capture a read session: `quarry.snapshot().suggest_forms(query, k)`"
-    )]
-    pub fn suggest_forms(&self, query: &str, k: usize) -> Vec<QueryForm> {
-        self.snapshot().suggest_forms(query, k)
-    }
-
-    /// Run a structured query, consulting the shared result cache first.
-    /// Executes against a freshly captured snapshot; see
-    /// [`Snapshot::query`] for the cache-consistency argument.
-    #[deprecated(since = "0.6.0", note = "capture a read session: `quarry.snapshot().query(q)`")]
-    pub fn structured(&self, q: &Query) -> Result<QueryResult, QuarryError> {
-        self.snapshot().query(q)
-    }
-
     /// Declare a secondary index on a stored table's column (idempotent,
     /// WAL-logged). Subsequent structured queries with equality or range
     /// predicates on that column route through the index.
     pub fn create_index(&self, table: &str, column: &str) -> Result<(), QuarryError> {
         self.db.create_index(table, column)?;
         Ok(())
-    }
-
-    /// Explain a structured query: the chosen physical plan with access
-    /// paths, pushed predicates, and estimated vs. actual row counts.
-    #[deprecated(
-        since = "0.6.0",
-        note = "capture a read session: `quarry.snapshot().explain_query(q)`"
-    )]
-    pub fn explain_query(&self, q: &Query) -> Result<String, QuarryError> {
-        self.snapshot().explain_query(q)
     }
 
     /// Hit/miss/invalidation counters of the structured-query result cache.
@@ -1105,7 +1055,7 @@ STORE INTO companies KEY name"#,
         assert_eq!(snap.query(&count).unwrap(), before);
         let after = q.snapshot();
         assert!(after.lsn() > snap.lsn());
-        let n = |r: &QueryResult| r.scalar().cloned();
+        let n = |r: &quarry_query::engine::QueryResult| r.scalar().cloned();
         assert_eq!(
             n(&after.query(&count).unwrap()),
             Some(Value::Int(rows.len() as i64 - 1)),
@@ -1146,26 +1096,6 @@ STORE INTO companies KEY name"#,
         let fresh = q.snapshot().query(&count).unwrap();
         assert_eq!(fresh.scalar(), Some(&Value::Int(rows.len() as i64 - 1)));
         assert!(q.query_cache_stats().invalidations >= 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_read_shims_still_serve() {
-        // The pre-snapshot API keeps working (with a deprecation warning)
-        // and returns the same answers as an explicit read session.
-        let (mut q, corpus) = system_with_corpus();
-        q.run_pipeline(CITY_PIPELINE).unwrap();
-        let query =
-            Query::scan("cities").aggregate(None, quarry_query::engine::AggFn::Count, "name");
-        assert_eq!(q.structured(&query).unwrap(), q.snapshot().query(&query).unwrap());
-        let kw = format!("population {}", corpus.truth.cities[0].name);
-        let (hits, cands) = q.keyword(&kw, 5);
-        let (snap_hits, snap_cands) = q.snapshot().keyword(&kw, 5);
-        assert_eq!(hits, snap_hits);
-        assert_eq!(cands.len(), snap_cands.len());
-        assert!(!q.suggest_forms(&kw, 3).is_empty());
-        assert_eq!(q.explain_query(&query).unwrap(), q.snapshot().explain_query(&query).unwrap());
-        assert_eq!(q.check_query(&query).error_count(), 0);
     }
 
     #[test]

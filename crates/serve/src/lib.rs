@@ -15,7 +15,7 @@
 //!   with explicit `Overloaded` rejections, and graceful drain-then-stop
 //!   shutdown driven by a control frame.
 //! - [`client`] — a blocking client with configurable bounded
-//!   reconnect/backoff, used by the tests and the `pr5_loadgen` bench.
+//!   reconnect/backoff, used by the tests and the `quarry_bench` harness.
 //! - [`replication`] — primary→replica WAL shipping: a listener that
 //!   streams committed WAL frames and a client that applies them through
 //!   the storage layer's convergent replay path (`docs/replication.md`).

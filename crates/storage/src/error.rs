@@ -22,8 +22,6 @@ pub enum StorageError {
     TxAborted(String),
     /// Operation used a transaction id that is not active.
     NoSuchTx(u64),
-    /// Serialization failure.
-    Encode(String),
 }
 
 impl fmt::Display for StorageError {
@@ -37,7 +35,6 @@ impl fmt::Display for StorageError {
             StorageError::DuplicateKey(m) => write!(f, "duplicate key: {m}"),
             StorageError::TxAborted(m) => write!(f, "transaction aborted: {m}"),
             StorageError::NoSuchTx(id) => write!(f, "no such transaction: {id}"),
-            StorageError::Encode(m) => write!(f, "encode error: {m}"),
         }
     }
 }
@@ -54,12 +51,6 @@ impl std::error::Error for StorageError {
 impl From<io::Error> for StorageError {
     fn from(e: io::Error) -> Self {
         StorageError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for StorageError {
-    fn from(e: serde_json::Error) -> Self {
-        StorageError::Encode(e.to_string())
     }
 }
 

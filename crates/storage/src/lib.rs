@@ -38,9 +38,8 @@ pub use page::{Page, PageType, PAGE_CAPACITY, PAGE_SIZE};
 pub use pager::{Pager, PoolStats};
 pub use snapshot::{SnapshotStats, SnapshotStore};
 pub use structured::{
-    CheckpointFormat, Column, Database, DbSnapshot, IndexStats, LockManager, LockMode,
-    ReplicaApplier, ReplicaPosition, ReplicationSeed, Row, RowId, ScanAccess, TableSchema,
-    TableView, TxId, WalCodec,
+    Column, Database, DbSnapshot, IndexStats, LockManager, LockMode, ReplicaApplier,
+    ReplicaPosition, ReplicationSeed, Row, RowId, ScanAccess, TableSchema, TableView, TxId,
 };
 pub use value::{DataType, Value};
 pub use wal::{parse_frames, CommitQueue, DurabilityMode, TailPoll, Wal, WalRecord, WalTail};

@@ -27,7 +27,6 @@ use crate::faultfs::{BackendFile, StorageBackend};
 use crate::page::{Page, PageType, NO_PAGE, PAGE_CAPACITY, PAGE_SIZE};
 use crate::Result;
 use std::collections::HashMap;
-use std::io;
 use std::path::Path;
 
 /// Magic prefix of the meta page payload.
@@ -123,7 +122,9 @@ impl Pager {
         })
     }
 
-    /// Open an existing paged file, validating the meta page.
+    /// Open an existing paged file, validating the meta page. A missing
+    /// file surfaces as `Io(NotFound)`; a file that exists but is not a
+    /// valid paged file is always [`StorageError::Corrupt`].
     pub fn open(backend: &dyn StorageBackend, path: &Path, pool_pages: usize) -> Result<Pager> {
         let mut file = backend.open_rw(path)?;
         let len = file.file_len()?;
@@ -169,29 +170,6 @@ impl Pager {
             }
         }
         Ok(Pager { file, pool: BufferPool::new(pool_pages), page_count, free_head, root })
-    }
-
-    /// Quick format probe: does `path` start with a valid paged meta page?
-    /// Used to tell a paged checkpoint from a legacy JSON-WAL one. Missing
-    /// files and short/legacy files answer `false`; only I/O errors that
-    /// are not "file is absent/too short" surface.
-    pub fn is_paged(backend: &dyn StorageBackend, path: &Path) -> io::Result<bool> {
-        let mut file = match backend.open_rw(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(e),
-        };
-        if file.file_len()? < PAGE_SIZE as u64 {
-            return Ok(false);
-        }
-        let mut buf = [0u8; PAGE_SIZE];
-        file.read_at(0, &mut buf)?;
-        match Page::decode(&buf) {
-            Ok(meta) => Ok(meta.ptype == PageType::Meta
-                && meta.payload().len() >= META_LEN
-                && &meta.payload()[0..4] == MAGIC),
-            Err(_) => Ok(false),
-        }
     }
 
     /// Head of the root (directory) chain, [`NO_PAGE`] if unset.
@@ -458,7 +436,6 @@ mod tests {
         pager.flush().unwrap();
         drop(pager);
 
-        assert!(Pager::is_paged(&b, &p).unwrap());
         let mut pager = Pager::open(&b, &p, 8).unwrap();
         assert_eq!(pager.root(), head);
         assert_eq!(read_chain(&mut pager, head).unwrap(), b"alphabeta");
@@ -580,12 +557,12 @@ mod tests {
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         drop(pager);
 
-        // Case 3: zeroed meta page → the file no longer probes as paged.
+        // Case 3: zeroed meta page → Corrupt at open.
         let mut nometa = clean.clone();
         nometa[..PAGE_SIZE].fill(0);
         std::fs::write(&p, &nometa).unwrap();
-        assert!(!Pager::is_paged(&b, &p).unwrap());
-        assert!(Pager::open(&b, &p, 4).is_err());
+        let err = Pager::open(&b, &p, 4).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
 
         // Case 4: a meta page whose root points past the file's last page
         // (valid CRC, bogus reference) → Corrupt at open, not at first use.
@@ -754,10 +731,14 @@ mod tests {
     #[test]
     fn open_rejects_truncated_and_missing_files() {
         let p = tmp("short");
-        assert!(!Pager::is_paged(&RealBackend, &p).unwrap(), "missing file probes false");
+        let err = Pager::open(&RealBackend, &p, 4).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
+            "missing file is NotFound, not Corrupt: {err}"
+        );
         std::fs::write(&p, b"way too short").unwrap();
-        assert!(!Pager::is_paged(&RealBackend, &p).unwrap());
-        assert!(Pager::open(&RealBackend, &p, 4).is_err());
+        let err = Pager::open(&RealBackend, &p, 4).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         std::fs::remove_file(&p).unwrap();
     }
 }

@@ -17,11 +17,10 @@ use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-/// Magic prefix of the binary snapshot image format. A legacy image instead
-/// starts with `{` (a whole-store JSON object) and is still readable.
+/// Magic prefix of the snapshot image format.
 const SNAP_MAGIC: &[u8; 4] = b"QSN1";
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum StoredVersion {
     Full(String),
     Delta(Delta),
@@ -70,7 +69,7 @@ impl SnapshotStats {
 /// assert_eq!(store.get("page", 0).unwrap(), "line one\nline two");
 /// assert!(store.stats().stored_bytes <= store.stats().logical_bytes);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnapshotStore {
     keyframe_interval: usize,
     versions: HashMap<String, Vec<StoredVersion>>,
@@ -245,9 +244,8 @@ impl SnapshotStore {
     }
 
     /// Load a store persisted by [`SnapshotStore::save`]. A missing file is
-    /// an empty store with the given interval (first boot). Legacy images
-    /// (whole-store JSON, starting with `{`) remain readable; they are
-    /// rewritten in the binary format on the next `save`.
+    /// an empty store with the given interval (first boot). The pre-binary
+    /// whole-store JSON image (starting with `{`) is refused by name.
     pub fn load(
         backend: &dyn StorageBackend,
         path: &Path,
@@ -260,14 +258,15 @@ impl SnapshotStore {
             }
             Err(e) => return Err(e.into()),
         };
-        match data.first() {
-            Some(b'{') => serde_json::from_slice(&data)
-                .map_err(|e| StorageError::Corrupt(format!("snapshot deserialize: {e}"))),
-            _ => Self::decode(&data),
-        }
+        Self::decode(&data)
     }
 
     fn decode(data: &[u8]) -> Result<SnapshotStore> {
+        if data.first() == Some(&b'{') {
+            return Err(StorageError::Corrupt(
+                "snapshot image looks like legacy JSON, which is no longer readable".into(),
+            ));
+        }
         if data.len() < SNAP_MAGIC.len() || &data[..SNAP_MAGIC.len()] != SNAP_MAGIC {
             return Err(StorageError::Corrupt("snapshot image: bad magic".into()));
         }
@@ -467,42 +466,6 @@ mod tests {
         assert_eq!(loaded.stats(), s.stats());
         assert_eq!(loaded.get("page", 3).unwrap(), s.get("page", 3).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_json_image_still_loads() {
-        use crate::faultfs::RealBackend;
-        let dir = std::env::temp_dir().join(format!("quarry-snapjson-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
-
-        let mut s = SnapshotStore::new(4);
-        for day in 0..6 {
-            s.put("page", &format!("line a\nline b\nday {day}"));
-        }
-        // Write the pre-binary format: the whole store as one JSON blob.
-        std::fs::write(&path, serde_json::to_vec(&s).unwrap()).unwrap();
-
-        let loaded = SnapshotStore::load(&RealBackend, &path, 4).unwrap();
-        assert_eq!(loaded.stats(), s.stats());
-        assert_eq!(loaded.latest("page"), s.latest("page"));
-        // The next save rewrites it in the binary format.
-        loaded.save(&RealBackend, &path).unwrap();
-        assert_eq!(&std::fs::read(&path).unwrap()[..4], SNAP_MAGIC);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn binary_image_is_smaller_than_json() {
-        let mut s = SnapshotStore::new(4);
-        for day in 0..20 {
-            s.put("page", &format!("line one\nline two\nday {day}\nline four"));
-            s.put("other", &format!("alpha\nbeta\nrev {day}"));
-        }
-        let mut bin = Vec::new();
-        s.encode_into(&mut bin).unwrap();
-        let json = serde_json::to_vec(&s).unwrap();
-        assert!(bin.len() * 2 <= json.len(), "binary {} vs json {} bytes", bin.len(), json.len());
     }
 
     #[test]

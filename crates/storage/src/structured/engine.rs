@@ -7,66 +7,29 @@
 //! fail with [`StorageError::TxAborted`] (wait-die victim); the caller is
 //! expected to `abort()` and retry with a fresh transaction.
 
-use crate::codec;
 use crate::error::StorageError;
 use crate::faultfs::{RealBackend, StorageBackend};
-use crate::page::{PageType, NO_PAGE};
-use crate::pager::{read_chain, ChainWriter, Pager, PoolStats};
+use crate::pager::PoolStats;
 use crate::value::Value;
 use crate::wal::{CommitQueue, DurabilityMode, Wal};
 use crate::Result;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use super::index::SecondaryIndex;
+use super::checkpoint::{self, Recovered};
 use super::lock::{LockManager, LockMode, LockTarget};
-use super::paged::{self, CheckpointImage, TableBase};
-use super::recovery::{LogRecord, WalCodec};
+use super::overlay::{committed_clone, redo, IndexStats, Table, Tables, TxState, Undo};
+use super::paged::{self, CheckpointImage};
+use super::recovery::LogRecord;
+use super::replication::{self, ReplicationSeed};
 use super::table::{Row, RowId, TableSchema};
 use super::view::{DbSnapshot, TableView};
 
-/// Buffer-pool frames used while building or loading a checkpoint image:
-/// bounds peak checkpoint memory to ~256 KiB of pages regardless of table
-/// size.
-const CKPT_POOL_PAGES: usize = 64;
-
 /// Transaction identifier; doubles as the wait-die age (smaller = older).
 pub type TxId = u64;
-
-/// Cardinality statistics of one secondary index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexStats {
-    /// Total (value, row) pairs indexed (= indexed rows).
-    pub entries: usize,
-    /// Number of distinct indexed values.
-    pub distinct: usize,
-}
-
-impl IndexStats {
-    /// Expected rows matched by an equality probe under a uniform
-    /// assumption (at least 1 when the index is non-empty).
-    pub fn eq_estimate(&self) -> usize {
-        self.entries.checked_div(self.distinct).map_or(0, |e| e.max(1))
-    }
-}
-
-/// On-disk layout of checkpoint images written by [`Database::checkpoint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointFormat {
-    /// Sequential heap chains, fully materialized on open: the PR-7
-    /// layout, kept as a measurable baseline and for format-compat
-    /// coverage. Both formats are always *readable*; this only selects
-    /// what the next checkpoint writes.
-    HeapChainV1,
-    /// B-tree row/pk/index trees, faulted in on demand (the default).
-    /// Opening a database stops materializing tables: resident memory is
-    /// bounded by the image's buffer pool, not the corpus.
-    #[default]
-    BTreeV2,
-}
 
 /// How [`Database::select`] reaches a table's rows.
 #[derive(Debug, Clone, Copy)]
@@ -84,329 +47,6 @@ pub enum ScanAccess<'a> {
         /// Inclusive upper bound (`None` = unbounded).
         hi: Option<&'a Value>,
     },
-}
-
-/// One table: a checkpoint-image **base** (immutable, on disk, faulted in
-/// through a bounded buffer pool) plus an in-memory **overlay** of
-/// everything written since that checkpoint. A table with no base (fresh,
-/// in-memory, or loaded from a legacy materializing image) is the old
-/// fully-resident engine: `base = None` and the overlay is the table.
-#[derive(Clone)]
-struct Table {
-    schema: TableSchema,
-    /// Overlay rows: written (or rewritten) since the last checkpoint.
-    heap: HashMap<RowId, Row>,
-    /// Primary-key values → row id, overlay rows only.
-    pk: HashMap<Vec<Value>, RowId>,
-    /// Column name → secondary index over the overlay rows (plus, for an
-    /// index created after the checkpoint, a backfill of the base rows
-    /// until the next checkpoint folds it into a tree).
-    indexes: HashMap<String, SecondaryIndex>,
-    /// The checkpoint image slice this overlay stacks on, if any.
-    base: Option<TableBase>,
-    /// Base row ids deleted or superseded since the checkpoint. A base row
-    /// is live iff its id is neither here nor in `heap`.
-    tombstones: HashSet<RowId>,
-    /// Exact number of live rows across base + overlay.
-    live_rows: u64,
-    next_row: u64,
-    /// Write version: stamped from the database-wide write clock on every
-    /// change to this table's rows (including undo and redo), so two
-    /// observations of the same version imply identical table contents.
-    /// Creation takes a fresh stamp too, so a dropped-and-recreated table
-    /// never aliases versions with its predecessor.
-    version: u64,
-    /// Version of the last change that is *committed*. Strictly trails
-    /// `version` exactly while some active transaction holds uncommitted
-    /// changes to this table — `version != stable_version` is the dirty
-    /// test that routes [`Database::snapshot`] onto its rollback path.
-    /// Commit and abort restamp both fields together (with a fresh clock
-    /// tick), so a stable version, like `version`, never aliases two
-    /// different committed contents.
-    stable_version: u64,
-}
-
-impl Table {
-    fn new(schema: TableSchema, stamp: u64) -> Table {
-        let indexes = schema.indexes.iter().map(|n| (n.clone(), SecondaryIndex::new())).collect();
-        Table {
-            schema,
-            heap: HashMap::new(),
-            pk: HashMap::new(),
-            indexes,
-            base: None,
-            tombstones: HashSet::new(),
-            live_rows: 0,
-            next_row: 0,
-            version: stamp,
-            stable_version: stamp,
-        }
-    }
-
-    /// A lazily-loaded table: empty overlay over a checkpoint base.
-    fn from_base(schema: TableSchema, base: TableBase, stamp: u64) -> Table {
-        let mut t = Table::new(schema, stamp);
-        t.live_rows = base.meta.nrows;
-        t.next_row = base.meta.next_row;
-        t.base = Some(base);
-        t
-    }
-
-    /// Drop the overlay onto a freshly-published checkpoint base (which
-    /// holds identical contents, so versions are untouched).
-    fn reset_to_base(&mut self, base: TableBase) {
-        self.heap = HashMap::new();
-        self.pk = HashMap::new();
-        self.tombstones = HashSet::new();
-        self.indexes =
-            self.schema.indexes.iter().map(|n| (n.clone(), SecondaryIndex::new())).collect();
-        self.live_rows = base.meta.nrows;
-        self.next_row = self.next_row.max(base.meta.next_row);
-        self.base = Some(base);
-    }
-
-    /// The overlay sorted by row id, borrowed — the shape the merge
-    /// helpers in [`paged`] consume.
-    fn sorted_overlay(heap: &HashMap<RowId, Row>) -> Vec<(RowId, &Row)> {
-        let mut v: Vec<(RowId, &Row)> = heap.iter().map(|(id, r)| (*id, r)).collect();
-        v.sort_unstable_by_key(|(id, _)| *id);
-        v
-    }
-
-    fn index_row(&mut self, row_id: RowId, row: &Row) {
-        for (name, ix) in &mut self.indexes {
-            let ci = self.schema.column_index(name).expect("index column exists");
-            ix.insert(row[ci].clone(), row_id);
-        }
-    }
-
-    fn unindex_row(&mut self, row_id: RowId, row: &Row) {
-        for (name, ix) in &mut self.indexes {
-            let ci = self.schema.column_index(name).expect("index column exists");
-            ix.remove(&row[ci], row_id);
-        }
-    }
-
-    /// True when `row_id` could have a row in the base image.
-    fn in_base_range(&self, row_id: RowId) -> bool {
-        self.base.as_ref().is_some_and(|b| row_id.0 < b.meta.next_row)
-    }
-
-    /// The base image's row for `row_id`, ignoring the overlay and
-    /// tombstones.
-    fn base_row(&self, row_id: RowId) -> Result<Option<Row>> {
-        match &self.base {
-            Some(b) if row_id.0 < b.meta.next_row => b.get_row(row_id),
-            _ => Ok(None),
-        }
-    }
-
-    /// Remove `row_id` from the overlay maps; `None` if not overlaid.
-    fn overlay_unhook(&mut self, row_id: RowId) -> Option<Row> {
-        let row = self.heap.remove(&row_id)?;
-        self.pk.remove(&self.schema.key_of(&row));
-        self.unindex_row(row_id, &row);
-        Some(row)
-    }
-
-    /// Install `row` into the overlay maps.
-    fn overlay_hook(&mut self, row_id: RowId, row: Row) {
-        self.pk.insert(self.schema.key_of(&row), row_id);
-        self.index_row(row_id, &row);
-        self.heap.insert(row_id, row);
-        self.next_row = self.next_row.max(row_id.0 + 1);
-    }
-
-    /// The live row under `row_id`: overlay first, then (unless
-    /// tombstoned) the base image.
-    fn effective_row(&self, row_id: RowId) -> Result<Option<Row>> {
-        if let Some(r) = self.heap.get(&row_id) {
-            return Ok(Some(r.clone()));
-        }
-        if self.tombstones.contains(&row_id) {
-            return Ok(None);
-        }
-        self.base_row(row_id)
-    }
-
-    /// The row id holding primary key `key`, if live: overlay pk first;
-    /// a base pk hit counts only if that base row isn't shadowed.
-    fn lookup_pk(&self, key: &[Value]) -> Result<Option<RowId>> {
-        if let Some(id) = self.pk.get(key) {
-            return Ok(Some(*id));
-        }
-        let Some(b) = &self.base else { return Ok(None) };
-        match b.lookup_pk(key)? {
-            Some(id) if !self.heap.contains_key(&id) && !self.tombstones.contains(&id) => {
-                Ok(Some(id))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Remove the live row under `row_id` from wherever it lives and
-    /// return it: overlay rows are unhooked (tombstoning the id if the
-    /// base may also hold it); base rows are tombstoned.
-    fn unhook_effective(&mut self, row_id: RowId) -> Result<Option<Row>> {
-        if let Some(row) = self.overlay_unhook(row_id) {
-            if self.in_base_range(row_id) {
-                self.tombstones.insert(row_id);
-            }
-            return Ok(Some(row));
-        }
-        if self.tombstones.contains(&row_id) {
-            return Ok(None);
-        }
-        match self.base_row(row_id)? {
-            Some(row) => {
-                // A post-checkpoint CREATE INDEX backfills base rows into
-                // the overlay index; those entries die with the row.
-                self.unindex_row(row_id, &row);
-                self.tombstones.insert(row_id);
-                Ok(Some(row))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Candidate row ids for an index probe, merged from the base index
-    /// tree and the overlay index, in (value, row-id) order.
-    fn index_candidates(
-        &self,
-        column: &str,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-    ) -> Result<Vec<RowId>> {
-        let ix = self.indexes.get(column).ok_or_else(|| {
-            StorageError::SchemaViolation(format!("no index on {}.{column}", self.schema.name))
-        })?;
-        let shadowed = |id: RowId| self.heap.contains_key(&id) || self.tombstones.contains(&id);
-        paged::merged_index_ids(self.base.as_ref(), column, ix, &shadowed, lo, hi)
-    }
-
-    /// Cardinality statistics for the index on `column`, if any. With a
-    /// base tree the distinct count is estimated (base distinct + overlay
-    /// distinct, capped at the row count); without one it is exact.
-    fn index_stats(&self, column: &str) -> Option<IndexStats> {
-        let ix = self.indexes.get(column)?;
-        let distinct = match self.base.as_ref().and_then(|b| b.meta.indexes.get(column)) {
-            Some(m) => (m.distinct as usize + ix.distinct_values()).min(self.live_rows as usize),
-            None => ix.distinct_values(),
-        };
-        Some(IndexStats { entries: self.live_rows as usize, distinct })
-    }
-
-    /// Add a secondary index on `column`, backfilled from every live row
-    /// (base included — the backfill lives in the overlay index until the
-    /// next checkpoint folds it into a tree). No-op when the index already
-    /// exists; `Ok(false)` if the column is unknown.
-    fn build_index(&mut self, column: &str) -> Result<bool> {
-        let Some(ci) = self.schema.column_index(column) else { return Ok(false) };
-        if self.indexes.contains_key(column) {
-            return Ok(true);
-        }
-        let mut ix = SecondaryIndex::new();
-        let overlay = Self::sorted_overlay(&self.heap);
-        paged::for_each_live_row(
-            self.base.as_ref(),
-            &overlay,
-            &self.tombstones,
-            &mut |id, row| {
-                ix.insert(row[ci].clone(), id);
-                Ok(())
-            },
-        )?;
-        self.schema.indexes.push(column.to_string());
-        self.indexes.insert(column.to_string(), ix);
-        Ok(true)
-    }
-
-    /// Apply an insert with a predetermined row id (redo path & normal
-    /// path). Convergent under replay: re-inserting a row the base
-    /// already holds keeps `live_rows` exact.
-    fn apply_insert(&mut self, stamp: u64, row_id: RowId, row: Row) -> Result<()> {
-        let prev = self.overlay_unhook(row_id);
-        let was_tombstoned = self.tombstones.remove(&row_id);
-        let was_live = prev.is_some() || (!was_tombstoned && self.base_row(row_id)?.is_some());
-        self.overlay_hook(row_id, row);
-        if !was_live {
-            self.live_rows += 1;
-        }
-        self.version = stamp;
-        Ok(())
-    }
-
-    fn apply_update(&mut self, stamp: u64, row_id: RowId, row: Row) -> Result<Option<Row>> {
-        let Some(old) = self.unhook_effective(row_id)? else { return Ok(None) };
-        self.overlay_hook(row_id, row);
-        self.version = stamp;
-        Ok(Some(old))
-    }
-
-    fn apply_delete(&mut self, stamp: u64, row_id: RowId) -> Result<Option<Row>> {
-        let old = self.unhook_effective(row_id)?;
-        if old.is_some() {
-            self.live_rows -= 1;
-            self.version = stamp;
-        }
-        Ok(old)
-    }
-}
-
-/// Per-transaction bookkeeping: how to undo each change, newest last.
-enum Undo {
-    Insert { table: String, row_id: RowId },
-    Update { table: String, row_id: RowId, old: Row },
-    Delete { table: String, row_id: RowId, old: Row },
-}
-
-impl Undo {
-    fn table(&self) -> &str {
-        match self {
-            Undo::Insert { table, .. }
-            | Undo::Update { table, .. }
-            | Undo::Delete { table, .. } => table,
-        }
-    }
-
-    /// Apply the inverse of the logged change to `t`. Used by both abort
-    /// (the caller restamps versions) and the snapshot rollback path
-    /// (where `t` is a private clone).
-    ///
-    /// Works purely on the overlay, which makes it infallible: every row
-    /// a live transaction wrote sits in the overlay (strict 2PL pins it
-    /// there — no checkpoint can fold it away while the transaction is
-    /// active, since checkpoints require quiescence), so undo never needs
-    /// to read the base image.
-    fn apply_to(&self, t: &mut Table) {
-        match self {
-            Undo::Insert { row_id, .. } => {
-                if t.overlay_unhook(*row_id).is_some() {
-                    t.live_rows -= 1;
-                }
-            }
-            Undo::Update { row_id, old, .. } => {
-                if t.overlay_unhook(*row_id).is_some() {
-                    // If the updated row was a base row its id stays
-                    // tombstoned; the restored overlay copy shadows it.
-                    t.overlay_hook(*row_id, old.clone());
-                }
-            }
-            Undo::Delete { row_id, old, .. } => {
-                let prev = t.overlay_unhook(*row_id);
-                t.tombstones.remove(row_id);
-                t.overlay_hook(*row_id, old.clone());
-                if prev.is_none() {
-                    t.live_rows += 1;
-                }
-            }
-        }
-    }
-}
-
-#[derive(Default)]
-struct TxState {
-    undo: Vec<Undo>,
 }
 
 /// A transactional, WAL-backed, multi-table store.
@@ -434,7 +74,7 @@ struct TxState {
 /// # Ok::<(), quarry_storage::StorageError>(())
 /// ```
 pub struct Database {
-    tables: Mutex<HashMap<String, Table>>,
+    tables: Mutex<Tables>,
     locks: LockManager,
     wal: Mutex<Option<Wal>>,
     /// Storage backend shared by the WAL and the checkpoint files.
@@ -451,16 +91,11 @@ pub struct Database {
     durability: DurabilityMode,
     /// Group-commit queue batching concurrent commit fsyncs (Full mode).
     commit_queue: CommitQueue,
-    /// Wire format for WAL records (binary by default; JSON kept for the
-    /// bench baseline and legacy logs).
-    wal_codec: WalCodec,
     /// The open checkpoint image backing the tables' bases (`None` until
-    /// a B-tree image is loaded or published). Held here so diagnostics
+    /// an image is loaded or published). Held here so diagnostics
     /// can reach the shared buffer pool; the per-table handles live in
     /// each [`Table::base`].
     image: Mutex<Option<Arc<CheckpointImage>>>,
-    /// Layout the next [`Database::checkpoint`] writes.
-    ckpt_format: CheckpointFormat,
     /// Checkpoint epoch: bumped every time the WAL is truncated (a
     /// checkpoint publishing, or a replica reseed). A WAL byte offset is
     /// only meaningful *within* one epoch, so replication handshakes carry
@@ -485,21 +120,9 @@ impl Database {
             views: Mutex::new(HashMap::new()),
             durability: DurabilityMode::Full,
             commit_queue: CommitQueue::new(),
-            wal_codec: WalCodec::BinaryV1,
             image: Mutex::new(None),
-            ckpt_format: CheckpointFormat::default(),
             epoch: AtomicU64::new(0),
         }
-    }
-
-    /// Path of the durable checkpoint image for a WAL at `path`.
-    fn checkpoint_path(path: &Path) -> PathBuf {
-        path.with_extension("ckpt")
-    }
-
-    /// Path of the in-progress checkpoint build for a WAL at `path`.
-    fn checkpoint_tmp_path(path: &Path) -> PathBuf {
-        path.with_extension("ckpt-tmp")
     }
 
     /// Next write-clock stamp.
@@ -514,177 +137,23 @@ impl Database {
 
     /// [`Database::open`] against an explicit storage backend.
     ///
-    /// Recovery order: load the durable checkpoint image first (if one was
-    /// published by [`Database::checkpoint`]), then replay the WAL over it.
-    /// The checkpoint is a paged binary file since the paged engine landed;
-    /// older WAL-format (JSON record) checkpoint images are detected by
-    /// format probe and still replay, so a database written by the previous
-    /// engine opens unchanged. A crash between checkpoint publication (the
-    /// rename) and the log reset leaves a WAL holding history the
-    /// checkpoint already contains; replaying that suffix over the
-    /// checkpoint state is convergent — every record either recreates
-    /// exactly what the checkpoint holds or re-applies a committed change
-    /// idempotently (see docs/durability.md).
+    /// Recovery loads the durable checkpoint image first (if one was
+    /// published by [`Database::checkpoint`]), then replays the WAL over
+    /// it; see `structured::checkpoint` for the order's crash-safety
+    /// argument. Files in a retired format are refused, never guessed at.
     pub fn open_with(backend: Arc<dyn StorageBackend>, path: impl AsRef<Path>) -> Result<Database> {
         let path = path.as_ref();
-        // A stale checkpoint build means we crashed mid-checkpoint, before
-        // the rename: the image is unpublished and must be discarded.
-        let _ = backend.remove_file(&Self::checkpoint_tmp_path(path));
-        let ckpt = Self::checkpoint_path(path);
         let db = Database::in_memory();
-        let mut max_tx = 0u64;
-        if Pager::is_paged(&*backend, &ckpt)? {
-            db.load_checkpoint_image(&*backend, &ckpt)?;
-        } else {
-            // Legacy checkpoint: a WAL-format file of JSON records.
-            let records = Wal::replay_with(&*backend, &ckpt)?;
-            max_tx = max_tx.max(db.apply_records(&records)?);
-        }
-        let records = Wal::replay_with(&*backend, path)?;
-        max_tx = max_tx.max(db.apply_records(&records)?);
-        db.next_tx.store(max_tx + 1, Ordering::SeqCst);
-        *db.wal.lock() = Some(Wal::open_with(Arc::clone(&backend), path)?);
-        Ok(Database { backend, ..db })
-    }
-
-    /// Load a paged binary checkpoint image.
-    ///
-    /// A v2 (B-tree) image loads **lazily**: each table becomes an empty
-    /// overlay over a [`TableBase`], and rows fault in through the
-    /// image's buffer pool on first touch — open-time resident rows are
-    /// zero regardless of corpus size. A v1 (heap-chain) image keeps the
-    /// legacy behavior and materializes every table; the next checkpoint
-    /// migrates it to trees.
-    fn load_checkpoint_image(&self, backend: &dyn StorageBackend, path: &Path) -> Result<()> {
-        let image = Arc::new(CheckpointImage::open(backend, path, CKPT_POOL_PAGES)?);
-        let dir = {
-            let mut pager = image.pager.lock();
-            let root = pager.root();
-            if root == NO_PAGE {
-                return Ok(()); // image of an empty database
-            }
-            read_chain(&mut pager, root)?
-        };
-        if let Some(entries) = paged::decode_directory_v2(&dir)? {
-            let mut tables = self.tables.lock();
-            for e in entries {
-                let stamp = self.stamp();
-                let base = TableBase { image: Arc::clone(&image), meta: Arc::new(e.meta) };
-                let t = Table::from_base(e.schema, base, stamp);
-                tables.insert(t.schema.name.clone(), t);
-            }
-            *self.image.lock() = Some(image);
-            return Ok(());
-        }
-        // Legacy v1 image: schemas + heap-chain heads in the directory,
-        // each chain a run of `(row_id, row)` records.
-        let pos = &mut 0usize;
-        let ntables = codec::read_u64(&dir, pos)? as usize;
-        let mut entries = Vec::with_capacity(ntables);
-        for _ in 0..ntables {
-            let schema = codec::read_schema(&dir, pos)?;
-            let head = u32::try_from(codec::read_u64(&dir, pos)?)
-                .map_err(|_| StorageError::Corrupt("heap head overflows page id".into()))?;
-            let nrows = codec::read_u64(&dir, pos)?;
-            entries.push((schema, head, nrows));
-        }
-        if *pos != dir.len() {
-            return Err(StorageError::Corrupt("checkpoint directory has trailing bytes".into()));
-        }
-        let mut tables = self.tables.lock();
-        for (schema, head, nrows) in entries {
-            let stamp = self.stamp();
-            let mut t = Table::new(schema, stamp);
-            if head != NO_PAGE {
-                let heap = {
-                    let mut pager = image.pager.lock();
-                    read_chain(&mut pager, head)?
-                };
-                let hpos = &mut 0usize;
-                for _ in 0..nrows {
-                    let row_id = RowId(codec::read_u64(&heap, hpos)?);
-                    let row = codec::read_row(&heap, hpos)?;
-                    let stamp = self.stamp();
-                    t.apply_insert(stamp, row_id, row)?;
-                }
-                if *hpos != heap.len() {
-                    return Err(StorageError::Corrupt(format!(
-                        "heap chain of table {} has trailing bytes",
-                        t.schema.name
-                    )));
-                }
-            }
-            t.stable_version = t.version;
-            tables.insert(t.schema.name.clone(), t);
-        }
-        Ok(())
-    }
-
-    /// Replay a decoded record sequence into this database (redo-only) and
-    /// return the highest transaction id seen. Committed sets are computed
-    /// per call, which is safe because no transaction ever spans files:
-    /// checkpoints require quiescence, so the WAL after a checkpoint starts
-    /// at a transaction boundary.
-    fn apply_records(&self, records: &[crate::wal::WalRecord]) -> Result<u64> {
-        let db = self;
-        // Pass 1: committed set.
-        let mut committed = std::collections::HashSet::new();
-        let mut max_tx = 0u64;
-        let mut decoded = Vec::with_capacity(records.len());
-        for r in records {
-            let rec = LogRecord::decode(&r.payload)?;
-            if let Some(tx) = rec.tx() {
-                max_tx = max_tx.max(tx);
-            }
-            if let LogRecord::Commit { tx } = rec {
-                committed.insert(tx);
-            }
-            decoded.push(rec);
-        }
-        // Pass 2: redo DDL and committed DML in log order.
-        {
-            let mut tables = db.tables.lock();
-            for rec in decoded {
-                match rec {
-                    LogRecord::CreateTable { schema } => {
-                        let stamp = db.stamp();
-                        tables.insert(schema.name.clone(), Table::new(schema, stamp));
-                    }
-                    LogRecord::DropTable { table } => {
-                        tables.remove(&table);
-                    }
-                    LogRecord::CreateIndex { table, column } => {
-                        if let Some(t) = tables.get_mut(&table) {
-                            t.build_index(&column)?;
-                        }
-                    }
-                    LogRecord::Insert { tx, table, row_id, row } if committed.contains(&tx) => {
-                        let stamp = db.stamp();
-                        if let Some(t) = tables.get_mut(&table) {
-                            t.apply_insert(stamp, row_id, row)?;
-                        }
-                    }
-                    LogRecord::Update { tx, table, row_id, row } if committed.contains(&tx) => {
-                        let stamp = db.stamp();
-                        if let Some(t) = tables.get_mut(&table) {
-                            t.apply_update(stamp, row_id, row)?;
-                        }
-                    }
-                    LogRecord::Delete { tx, table, row_id } if committed.contains(&tx) => {
-                        let stamp = db.stamp();
-                        if let Some(t) = tables.get_mut(&table) {
-                            t.apply_delete(stamp, row_id)?;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // Everything replayed is committed history.
-            for t in tables.values_mut() {
-                t.stable_version = t.version;
-            }
-        }
-        Ok(max_tx)
+        let Recovered { tables, image, max_tx } =
+            checkpoint::recover(&*backend, path, &|| db.stamp())?;
+        Ok(Database {
+            tables: Mutex::new(tables),
+            image: Mutex::new(image),
+            next_tx: AtomicU64::new(max_tx + 1),
+            wal: Mutex::new(Some(Wal::open_with(Arc::clone(&backend), path)?)),
+            backend,
+            ..db
+        })
     }
 
     /// Set what a commit waits for before returning. Defaults to
@@ -699,29 +168,9 @@ impl Database {
         self.durability
     }
 
-    /// Pick the WAL record wire format (binary by default). Exists so
-    /// benchmarks can measure the legacy JSON encoding on identical
-    /// workloads; decoding always accepts both.
-    pub fn set_wal_codec(&mut self, codec: WalCodec) {
-        self.wal_codec = codec;
-    }
-
-    /// Pick the layout the next [`Database::checkpoint`] writes (B-tree
-    /// by default). Exists so benchmarks can measure the legacy
-    /// heap-chain format on identical workloads; *reading* always accepts
-    /// both formats.
-    pub fn set_checkpoint_format(&mut self, format: CheckpointFormat) {
-        self.ckpt_format = format;
-    }
-
-    /// The configured checkpoint layout.
-    pub fn checkpoint_format(&self) -> CheckpointFormat {
-        self.ckpt_format
-    }
-
     /// Rows resident in a table's in-memory overlay (diagnostics: after a
-    /// B-tree checkpoint or lazy open this is 0 until writes arrive,
-    /// however large the table).
+    /// checkpoint or open this is 0 until writes arrive, however large the
+    /// table).
     pub fn overlay_row_count(&self, table: &str) -> Result<usize> {
         let tables = self.tables.lock();
         tables
@@ -742,13 +191,6 @@ impl Database {
         Some(image.cached_pages())
     }
 
-    /// Disable per-commit fsync (bulk loads; used by benchmarks to isolate
-    /// CPU cost from disk cost). Shorthand for
-    /// [`Database::set_durability`] with `Full` / `Deferred`.
-    pub fn set_sync_commits(&mut self, on: bool) {
-        self.durability = if on { DurabilityMode::Full } else { DurabilityMode::Deferred };
-    }
-
     /// Flush and fsync the WAL now, regardless of durability mode. The
     /// explicit durability point for `Normal`/`Deferred` users (e.g. a
     /// serve-loop drain or a bulk load's final barrier).
@@ -761,7 +203,7 @@ impl Database {
 
     fn log(&self, rec: &LogRecord) -> Result<()> {
         if let Some(wal) = self.wal.lock().as_mut() {
-            wal.append(&rec.encode_with(self.wal_codec)?)?;
+            wal.append(&rec.encode()?)?;
         }
         Ok(())
     }
@@ -774,7 +216,7 @@ impl Database {
         let target = {
             let mut guard = self.wal.lock();
             let Some(wal) = guard.as_mut() else { return Ok(()) };
-            wal.append(&rec.encode_with(self.wal_codec)?)?;
+            wal.append(&rec.encode()?)?;
             match self.durability {
                 DurabilityMode::Full => wal.len(),
                 DurabilityMode::Normal => {
@@ -879,28 +321,13 @@ impl Database {
     /// length. Requires quiescence (no active transactions) and is a no-op
     /// for in-memory databases.
     ///
-    /// The image is a paged binary file (see `docs/storage.md`). In the
-    /// default [`CheckpointFormat::BTreeV2`] layout each table gets three
-    /// B-trees — rows by id, primary keys, and one per secondary index —
-    /// plus a v2 directory of schemas and tree roots, all behind per-page
-    /// CRCs, streamed through a bounded buffer pool so checkpointing never
-    /// materializes the database twice in memory. After publication every
-    /// table's in-memory overlay is dropped onto the fresh image: reads
-    /// fault base pages in on demand from then on. The legacy
-    /// [`CheckpointFormat::HeapChainV1`] layout (sequential heap chains,
-    /// fully materialized on open) is still written on request and always
-    /// readable.
-    ///
-    /// Crash-safe by construction: the image is built in a `.ckpt-tmp`
-    /// side file, fsynced, then atomically renamed to the durable `.ckpt`
-    /// image — the rename is the commit point — and only then is the log
-    /// truncated. A crash before the rename leaves the previous
-    /// checkpoint + full WAL; a crash between rename and truncation leaves
-    /// the new checkpoint + a WAL whose replay over it is convergent (see
-    /// [`Database::open_with`]). Recovery always loads the checkpoint
-    /// first, then replays the WAL. B-tree page splits add no new crash
-    /// windows: every split happens inside the unpublished `.ckpt-tmp`
-    /// build, so a torn multi-page split simply discards that build.
+    /// The image (layout in `docs/storage.md`) is built and atomically
+    /// published by `structured::checkpoint`; only after that commit point
+    /// is the log truncated. A crash before it leaves the previous
+    /// checkpoint + full WAL; a crash between it and the truncation leaves
+    /// the new checkpoint + a WAL whose replay over it is convergent.
+    /// After publication every table's in-memory overlay is dropped onto
+    /// the fresh image: reads fault base pages in on demand from then on.
     pub fn checkpoint(&self) -> Result<()> {
         {
             let active = self.active.lock();
@@ -921,103 +348,17 @@ impl Database {
             return Ok(()); // ephemeral database: nothing to compact
         };
         let path = wal.path().to_path_buf();
-        let ckpt = Self::checkpoint_path(&path);
-        let tmp = Self::checkpoint_tmp_path(&path);
-        let _ = self.backend.remove_file(&tmp); // stale build from an earlier crash
-        let mut names: Vec<String> = tables.keys().cloned().collect();
-        names.sort();
-        // Tree roots of the build, collected so the post-publication swap
-        // can point each table at its slice of the new image.
-        let mut metas: Vec<(String, paged::BaseMeta)> = Vec::new();
-        {
-            let mut pager = Pager::create(&*self.backend, &tmp, CKPT_POOL_PAGES)?;
-            let directory = match self.ckpt_format {
-                CheckpointFormat::BTreeV2 => {
-                    let mut entries = Vec::with_capacity(names.len());
-                    for name in &names {
-                        let t = &tables[name];
-                        let overlay = Table::sorted_overlay(&t.heap);
-                        let meta = paged::build_table_trees(
-                            &mut pager,
-                            &t.schema,
-                            t.base.as_ref(),
-                            &overlay,
-                            &t.tombstones,
-                            t.next_row,
-                        )?;
-                        metas.push((name.clone(), meta.clone()));
-                        entries.push(paged::DirectoryEntry { schema: t.schema.clone(), meta });
-                    }
-                    paged::encode_directory_v2(&entries)?
-                }
-                CheckpointFormat::HeapChainV1 => {
-                    // One heap chain per table, rows in row-id order (a
-                    // deterministic page/op stream for the crash sweeps).
-                    let mut scratch = Vec::new();
-                    let mut directory = Vec::new();
-                    codec::write_u64(&mut directory, names.len() as u64)?;
-                    for name in &names {
-                        let t = &tables[name];
-                        let (head, nrows) = if t.live_rows == 0 {
-                            (NO_PAGE, 0)
-                        } else {
-                            let overlay = Table::sorted_overlay(&t.heap);
-                            let mut chain = ChainWriter::new(&mut pager, PageType::Heap)?;
-                            let mut nrows = 0u64;
-                            paged::for_each_live_row(
-                                t.base.as_ref(),
-                                &overlay,
-                                &t.tombstones,
-                                &mut |id, row| {
-                                    scratch.clear();
-                                    codec::write_u64(&mut scratch, id.0)?;
-                                    codec::write_row(&mut scratch, row)?;
-                                    chain.push_record(&mut pager, &scratch)?;
-                                    nrows += 1;
-                                    Ok(())
-                                },
-                            )?;
-                            let (head, written) = chain.finish(&mut pager)?;
-                            debug_assert_eq!(written, nrows);
-                            (head, nrows)
-                        };
-                        codec::write_schema(&mut directory, &t.schema)?;
-                        codec::write_u64(&mut directory, u64::from(head))?;
-                        codec::write_u64(&mut directory, nrows)?;
-                    }
-                    directory
-                }
-            };
-            let mut dir_chain = ChainWriter::new(&mut pager, PageType::Directory)?;
-            dir_chain.push_record(&mut pager, &directory)?;
-            let (dir_head, _) = dir_chain.finish(&mut pager)?;
-            pager.set_root(dir_head);
-            pager.flush()?;
-        }
-        self.backend.rename(&tmp, &ckpt)?; // commit point
+        let metas = checkpoint::publish(&*self.backend, &path, &tables)?;
         wal.reset()?;
         // Invalidate the group-commit watermark (log offsets restarted at
-        // zero). Safe to do only now: the image published by the rename
-        // already covers everything pre-reset waiters were waiting for.
+        // zero). Safe to do only now: the image just published already
+        // covers everything pre-reset waiters were waiting for.
         self.commit_queue.reset();
         // New epoch: replication offsets into the pre-truncation log are
         // now meaningless, and any tailing replica must renegotiate.
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.ckpt_format == CheckpointFormat::BTreeV2 {
-            // Swap every table onto the fresh image and drop the overlays:
-            // from here on, reads fault base pages in on demand. Contents
-            // are unchanged, so versions (and cached snapshot views, which
-            // keep the old image alive via their own `Arc`s) stay valid.
-            // If the open fails the checkpoint is still durable and the
-            // tables simply stay resident; the error is surfaced.
-            let image = Arc::new(CheckpointImage::open(&*self.backend, &ckpt, CKPT_POOL_PAGES)?);
-            for (name, meta) in metas {
-                if let Some(t) = tables.get_mut(&name) {
-                    t.reset_to_base(TableBase { image: Arc::clone(&image), meta: Arc::new(meta) });
-                }
-            }
-            *self.image.lock() = Some(image);
-        }
+        let image = checkpoint::rebase(&*self.backend, &path, &mut tables, metas)?;
+        *self.image.lock() = Some(image);
         Ok(())
     }
 
@@ -1466,14 +807,7 @@ impl Database {
                 // a fresh stamp can't alias any other content, and the
                 // table will publish a real stable version at the next
                 // commit or abort.
-                let mut tmp = t.clone();
-                for st in active.values() {
-                    for undo in st.undo.iter().rev() {
-                        if undo.table() == name.as_str() {
-                            undo.apply_to(&mut tmp);
-                        }
-                    }
-                }
+                let tmp = committed_clone(name, t, &active);
                 Arc::new(TableView::capture(
                     tmp.schema,
                     &tmp.heap,
@@ -1549,52 +883,14 @@ impl Database {
     /// which is safe, because replaying committed records over state
     /// that already contains them is convergent (the checkpoint-recovery
     /// argument; see docs/durability.md).
-    pub fn seed_state(&self) -> Result<super::replication::ReplicationSeed> {
+    pub fn seed_state(&self) -> Result<ReplicationSeed> {
         let tables = self.tables.lock();
         let active = self.active.lock();
         let epoch = self.epoch.load(Ordering::SeqCst);
         let start_offset = self.wal.lock().as_ref().map(Wal::len).unwrap_or(0);
         let tx = self.next_tx.fetch_add(1, Ordering::SeqCst);
-        let mut names: Vec<String> = tables.keys().cloned().collect();
-        names.sort();
-        let mut records = Vec::new();
-        for name in &names {
-            records.push(LogRecord::CreateTable { schema: tables[name].schema.clone() });
-        }
-        records.push(LogRecord::Begin { tx });
-        for name in &names {
-            let t = &tables[name];
-            let rolled_back;
-            let t = if t.version == t.stable_version {
-                t
-            } else {
-                // Dirty: subtract uncommitted in-flight changes from a
-                // private clone (strict 2PL makes undo entries of
-                // concurrent transactions row-disjoint).
-                let mut tmp = t.clone();
-                for st in active.values() {
-                    for undo in st.undo.iter().rev() {
-                        if undo.table() == name.as_str() {
-                            undo.apply_to(&mut tmp);
-                        }
-                    }
-                }
-                rolled_back = tmp;
-                &rolled_back
-            };
-            let overlay = Table::sorted_overlay(&t.heap);
-            paged::for_each_live_row(t.base.as_ref(), &overlay, &t.tombstones, &mut |id, row| {
-                records.push(LogRecord::Insert {
-                    tx,
-                    table: name.clone(),
-                    row_id: id,
-                    row: row.clone(),
-                });
-                Ok(())
-            })?;
-        }
-        records.push(LogRecord::Commit { tx });
-        Ok(super::replication::ReplicationSeed { epoch, start_offset, records })
+        let records = replication::seed_records(&tables, &active, tx)?;
+        Ok(ReplicationSeed { epoch, start_offset, records })
     }
 
     /// Replication (replica side): append one already-encoded WAL frame
@@ -1610,63 +906,15 @@ impl Database {
     }
 
     /// Replication (replica side): apply the DML records of one
-    /// *committed* transaction in log order. Stamps and stable versions
-    /// move exactly like recovery's redo pass, so the result is
-    /// bit-identical to a local replay of the same records.
+    /// *committed* transaction in log order, through the same redo path
+    /// recovery uses.
     pub fn replicate_apply_commit(&self, records: &[LogRecord]) -> Result<()> {
-        let mut tables = self.tables.lock();
-        for rec in records {
-            match rec {
-                LogRecord::Insert { table, row_id, row, .. } => {
-                    let stamp = self.stamp();
-                    if let Some(t) = tables.get_mut(table) {
-                        t.apply_insert(stamp, *row_id, row.clone())?;
-                    }
-                }
-                LogRecord::Update { table, row_id, row, .. } => {
-                    let stamp = self.stamp();
-                    if let Some(t) = tables.get_mut(table) {
-                        t.apply_update(stamp, *row_id, row.clone())?;
-                    }
-                }
-                LogRecord::Delete { table, row_id, .. } => {
-                    let stamp = self.stamp();
-                    if let Some(t) = tables.get_mut(table) {
-                        t.apply_delete(stamp, *row_id)?;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // The replica holds only committed history: every version it
-        // reaches is immediately stable.
-        for t in tables.values_mut() {
-            t.stable_version = t.version;
-        }
-        Ok(())
+        redo(&mut self.tables.lock(), records.iter().cloned(), &|| self.stamp())
     }
 
     /// Replication (replica side): apply one auto-committed DDL record.
     pub fn replicate_apply_ddl(&self, rec: &LogRecord) -> Result<()> {
-        let mut tables = self.tables.lock();
-        match rec {
-            LogRecord::CreateTable { schema } => {
-                let stamp = self.stamp();
-                tables.insert(schema.name.clone(), Table::new(schema.clone(), stamp));
-            }
-            LogRecord::DropTable { table } => {
-                tables.remove(table);
-            }
-            LogRecord::CreateIndex { table, column } => {
-                if let Some(t) = tables.get_mut(table) {
-                    t.build_index(column)?;
-                    t.version = self.stamp();
-                    t.stable_version = t.version;
-                }
-            }
-            _ => {}
-        }
-        Ok(())
+        redo(&mut self.tables.lock(), [rec.clone()], &|| self.stamp())
     }
 
     /// Replication (replica side): discard every table, cached view, and
@@ -1679,7 +927,7 @@ impl Database {
         tables.clear();
         self.views.lock().clear();
         if let Some(w) = wal.as_mut() {
-            let ckpt = Self::checkpoint_path(w.path());
+            let ckpt = checkpoint::image_path(w.path());
             w.reset()?;
             let _ = self.backend.remove_file(&ckpt);
         }
@@ -1742,28 +990,10 @@ impl std::fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::structured::fixtures::{people_schema, person, tmpwal};
     use crate::structured::table::Column;
     use crate::value::DataType;
-    use std::path::PathBuf;
     use std::sync::Arc;
-
-    fn people_schema() -> TableSchema {
-        TableSchema::new(
-            "people",
-            vec![
-                Column::new("name", DataType::Text),
-                Column::new("age", DataType::Int),
-                Column::nullable("city", DataType::Text),
-            ],
-            &["name"],
-            &["age"],
-        )
-        .unwrap()
-    }
-
-    fn person(name: &str, age: i64, city: &str) -> Row {
-        vec![name.into(), Value::Int(age), city.into()]
-    }
 
     #[test]
     fn insert_get_update_delete_cycle() {
@@ -1902,221 +1132,6 @@ mod tests {
         assert_eq!(rows[0][1], Value::Int((threads * per_thread) as i64));
     }
 
-    fn tmpwal(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("quarry-db-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(format!("{name}-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let _ = std::fs::remove_file(Database::checkpoint_path(&p));
-        let _ = std::fs::remove_file(Database::checkpoint_tmp_path(&p));
-        p
-    }
-
-    #[test]
-    fn durable_database_recovers_committed_work_only() {
-        let p = tmpwal("recovery");
-        {
-            let db = Database::open(&p).unwrap();
-            db.create_table(people_schema()).unwrap();
-            db.insert_autocommit("people", person("committed", 1, "a")).unwrap();
-            let tx = db.begin();
-            db.insert(tx, "people", person("uncommitted", 2, "b")).unwrap();
-            // Crash: drop db without commit.
-        }
-        let db = Database::open(&p).unwrap();
-        let rows = db.scan_autocommit("people").unwrap();
-        assert_eq!(rows, vec![person("committed", 1, "a")]);
-        // The recovered database stays usable and durable.
-        db.insert_autocommit("people", person("after", 3, "c")).unwrap();
-        drop(db);
-        let db = Database::open(&p).unwrap();
-        assert_eq!(db.row_count("people").unwrap(), 2);
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn recovery_replays_updates_and_deletes() {
-        let p = tmpwal("recovery2");
-        {
-            let db = Database::open(&p).unwrap();
-            db.create_table(people_schema()).unwrap();
-            let tx = db.begin();
-            db.insert(tx, "people", person("a", 1, "x")).unwrap();
-            db.insert(tx, "people", person("b", 2, "x")).unwrap();
-            db.commit(tx).unwrap();
-            let tx = db.begin();
-            db.update(tx, "people", &["a".into()], person("a", 10, "y")).unwrap();
-            db.delete(tx, "people", &["b".into()]).unwrap();
-            db.commit(tx).unwrap();
-        }
-        let db = Database::open(&p).unwrap();
-        let rows = db.scan_autocommit("people").unwrap();
-        assert_eq!(rows, vec![person("a", 10, "y")]);
-        // Secondary index rebuilt by redo.
-        let tx = db.begin();
-        assert_eq!(db.index_lookup(tx, "people", "age", &Value::Int(10)).unwrap().len(), 1);
-        db.commit(tx).unwrap();
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_compacts_log_and_preserves_state() {
-        let p = tmpwal("checkpoint");
-        {
-            let db = Database::open(&p).unwrap();
-            db.create_table(people_schema()).unwrap();
-            // History: many inserts, updates, and deletes.
-            for i in 0..50 {
-                db.insert_autocommit("people", person(&format!("p{i}"), i, "x")).unwrap();
-            }
-            for i in 0..50 {
-                let tx = db.begin();
-                if i % 2 == 0 {
-                    db.update(
-                        tx,
-                        "people",
-                        &[format!("p{i}").into()],
-                        person(&format!("p{i}"), i + 100, "y"),
-                    )
-                    .unwrap();
-                } else {
-                    db.delete(tx, "people", &[format!("p{i}").into()]).unwrap();
-                }
-                db.commit(tx).unwrap();
-            }
-            let before = std::fs::metadata(&p).unwrap().len();
-            db.checkpoint().unwrap();
-            let after = std::fs::metadata(&p).unwrap().len();
-            assert!(after < before / 2, "log {before} → {after} should shrink");
-            // The database keeps working after a checkpoint.
-            db.insert_autocommit("people", person("post", 1, "z")).unwrap();
-        }
-        let db = Database::open(&p).unwrap();
-        assert_eq!(db.row_count("people").unwrap(), 26);
-        let tx = db.begin();
-        assert_eq!(db.get(tx, "people", &["p0".into()]).unwrap()[1], Value::Int(100));
-        assert!(db.get(tx, "people", &["p1".into()]).is_err(), "deleted row stays deleted");
-        // Secondary index rebuilt from the snapshot.
-        assert_eq!(db.index_lookup(tx, "people", "age", &Value::Int(100)).unwrap().len(), 1);
-        db.commit(tx).unwrap();
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_survives_crash_at_every_operation() {
-        use crate::faultfs::{CrashPlan, FaultBackend};
-
-        // Reference state: three committed rows, one later update.
-        let build = |db: &Database| {
-            db.create_table(people_schema()).unwrap();
-            for i in 0..3 {
-                db.insert_autocommit("people", person(&format!("p{i}"), i, "x")).unwrap();
-            }
-            let tx = db.begin();
-            db.update(tx, "people", &["p0".into()], person("p0", 100, "y")).unwrap();
-            db.commit(tx).unwrap();
-        };
-        let expected = {
-            let db = Database::in_memory();
-            build(&db);
-            db.scan_autocommit("people").unwrap()
-        };
-
-        // Count the checkpoint's operations with a recording backend.
-        let p = tmpwal("ckpt-crash-rec");
-        let total = {
-            let rec = FaultBackend::recording(RealBackend);
-            let db = Database::open_with(Arc::new(rec.clone()), &p).unwrap();
-            build(&db);
-            let before = rec.op_count();
-            db.checkpoint().unwrap();
-            rec.op_count() - before
-        };
-        assert!(total >= 3, "checkpoint is several ops (build, sync, rename, reset)");
-
-        // Crash the checkpoint at every one of its operations; committed
-        // state must survive every time — including the window between the
-        // rename (publication) and the WAL reset.
-        for k in 1..=total {
-            let p = tmpwal(&format!("ckpt-crash-{k}"));
-            let fb = FaultBackend::recording(RealBackend);
-            let db = Database::open_with(Arc::new(fb.clone()), &p).unwrap();
-            build(&db);
-            let at = fb.op_count() + k;
-            fb.arm(CrashPlan::kill_at(at));
-            assert!(db.checkpoint().is_err(), "crash point {k} must fail the checkpoint");
-            drop(db);
-            let db = Database::open(&p).unwrap();
-            assert_eq!(db.scan_autocommit("people").unwrap(), expected, "crash point {k}");
-            let _ = std::fs::remove_file(&p);
-            let _ = std::fs::remove_file(Database::checkpoint_path(&p));
-            let _ = std::fs::remove_file(Database::checkpoint_tmp_path(&p));
-        }
-        let _ = std::fs::remove_file(&p);
-        let _ = std::fs::remove_file(Database::checkpoint_path(&p));
-    }
-
-    #[test]
-    fn legacy_json_database_opens_and_migrates_on_checkpoint() {
-        let p = tmpwal("legacy-json");
-        let schema = people_schema();
-        // Fabricate a pre-paged-engine database: a WAL-format checkpoint
-        // image and a WAL tail, both holding JSON records.
-        {
-            let mut ck = Wal::open(Database::checkpoint_path(&p)).unwrap();
-            for rec in [
-                LogRecord::Begin { tx: 0 },
-                LogRecord::CreateTable { schema: schema.clone() },
-                LogRecord::Insert {
-                    tx: 0,
-                    table: "people".into(),
-                    row_id: RowId(0),
-                    row: person("old", 50, "past"),
-                },
-                LogRecord::Commit { tx: 0 },
-            ] {
-                ck.append(&rec.encode_with(WalCodec::Json).unwrap()).unwrap();
-            }
-            ck.sync().unwrap();
-            let mut wal = Wal::open(&p).unwrap();
-            for rec in [
-                LogRecord::Begin { tx: 1 },
-                LogRecord::Insert {
-                    tx: 1,
-                    table: "people".into(),
-                    row_id: RowId(1),
-                    row: person("tail", 7, "log"),
-                },
-                LogRecord::Commit { tx: 1 },
-            ] {
-                wal.append(&rec.encode_with(WalCodec::Json).unwrap()).unwrap();
-            }
-            wal.sync().unwrap();
-        }
-        // The legacy database opens; new writes append *binary* records to
-        // the same (JSON-prefixed) log.
-        {
-            let db = Database::open(&p).unwrap();
-            assert_eq!(db.row_count("people").unwrap(), 2);
-            db.insert_autocommit("people", person("new", 1, "now")).unwrap();
-        }
-        // Mixed-format replay works record-by-record.
-        {
-            let db = Database::open(&p).unwrap();
-            assert_eq!(db.row_count("people").unwrap(), 3);
-            // Checkpointing migrates the image to the paged binary format.
-            db.checkpoint().unwrap();
-        }
-        assert!(Pager::is_paged(&RealBackend, &Database::checkpoint_path(&p)).unwrap());
-        let db = Database::open(&p).unwrap();
-        assert_eq!(db.row_count("people").unwrap(), 3);
-        let tx = db.begin();
-        assert_eq!(db.get(tx, "people", &["old".into()]).unwrap()[1], Value::Int(50));
-        db.commit(tx).unwrap();
-        std::fs::remove_file(&p).unwrap();
-        std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
-    }
-
     #[test]
     fn durability_modes_contract() {
         use crate::faultfs::{CrashPlan, FaultBackend, Op};
@@ -2187,18 +1202,6 @@ mod tests {
             assert_eq!(db.row_count("people").unwrap(), 1);
         }
         let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn checkpoint_requires_quiescence_and_is_noop_in_memory() {
-        let db = Database::in_memory();
-        db.create_table(people_schema()).unwrap();
-        db.checkpoint().unwrap(); // no-op, no error
-        let tx = db.begin();
-        db.insert(tx, "people", person("a", 1, "x")).unwrap();
-        assert!(matches!(db.checkpoint(), Err(StorageError::TxAborted(_))));
-        db.commit(tx).unwrap();
-        db.checkpoint().unwrap();
     }
 
     fn snap_rows(db: &Database) -> Vec<Row> {
@@ -2347,207 +1350,6 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(db.snapshot().row_count("people").unwrap(), 200);
-    }
-
-    #[test]
-    fn btree_checkpoint_opens_lazily_and_reads_through_base() {
-        let p = tmpwal("btree-lazy");
-        let n = 300i64;
-        {
-            let db = Database::open(&p).unwrap();
-            db.create_table(people_schema()).unwrap();
-            for i in 0..n {
-                db.insert_autocommit("people", person(&format!("p{i:03}"), i % 10, "x")).unwrap();
-            }
-            db.checkpoint().unwrap();
-            // Post-checkpoint the live table itself is an empty overlay
-            // over the fresh image.
-            assert_eq!(db.overlay_row_count("people").unwrap(), 0);
-            assert_eq!(db.row_count("people").unwrap(), n as usize);
-        }
-        let db = Database::open(&p).unwrap();
-        // Lazy open: nothing materialized.
-        assert_eq!(db.overlay_row_count("people").unwrap(), 0);
-        assert_eq!(db.row_count("people").unwrap(), n as usize);
-        assert!(db.image_pool_stats().is_some());
-
-        // Point lookups, index probes, and scans read through the trees.
-        let tx = db.begin();
-        assert_eq!(db.get(tx, "people", &["p042".into()]).unwrap()[1], Value::Int(2));
-        let by_age = db.index_lookup(tx, "people", "age", &Value::Int(3)).unwrap();
-        assert_eq!(by_age.len(), 30);
-        db.commit(tx).unwrap();
-        let rows = db.scan_autocommit("people").unwrap();
-        assert_eq!(rows.len(), n as usize);
-        assert_eq!(rows[7][0], Value::Text("p007".into()), "row-id order preserved");
-        // Stats follow the merged shape.
-        let st = db.index_stats("people", "age").unwrap().unwrap();
-        assert_eq!(st.entries, n as usize);
-        assert_eq!(st.distinct, 10);
-        std::fs::remove_file(&p).unwrap();
-        std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
-    }
-
-    #[test]
-    fn base_rows_update_delete_and_merge_across_checkpoints() {
-        let p = tmpwal("btree-merge");
-        {
-            let db = Database::open(&p).unwrap();
-            db.create_table(people_schema()).unwrap();
-            for i in 0..50 {
-                db.insert_autocommit("people", person(&format!("p{i:02}"), i, "x")).unwrap();
-            }
-            db.checkpoint().unwrap();
-        }
-        {
-            // Mutate base rows through the overlay: update, delete,
-            // key-change update, fresh insert.
-            let db = Database::open(&p).unwrap();
-            let tx = db.begin();
-            db.update(tx, "people", &["p00".into()], person("p00", 100, "y")).unwrap();
-            db.delete(tx, "people", &["p01".into()]).unwrap();
-            db.update(tx, "people", &["p02".into()], person("renamed", 2, "z")).unwrap();
-            db.insert(tx, "people", person("fresh", 7, "w")).unwrap();
-            db.commit(tx).unwrap();
-            assert_eq!(db.row_count("people").unwrap(), 50);
-            // The old key of a renamed base row is gone; the new one hits.
-            let tx = db.begin();
-            assert!(db.get(tx, "people", &["p02".into()]).is_err());
-            assert_eq!(db.get(tx, "people", &["renamed".into()]).unwrap()[1], Value::Int(2));
-            // Index probe must not surface the shadowed base entry for the
-            // updated row's old value.
-            assert!(db.index_lookup(tx, "people", "age", &Value::Int(0)).unwrap().is_empty());
-            assert_eq!(db.index_lookup(tx, "people", "age", &Value::Int(100)).unwrap().len(), 1);
-            db.commit(tx).unwrap();
-            // Fold the overlay into a second-generation image.
-            db.checkpoint().unwrap();
-            assert_eq!(db.overlay_row_count("people").unwrap(), 0);
-        }
-        let db = Database::open(&p).unwrap();
-        assert_eq!(db.row_count("people").unwrap(), 50);
-        let tx = db.begin();
-        assert_eq!(db.get(tx, "people", &["p00".into()]).unwrap()[1], Value::Int(100));
-        assert!(db.get(tx, "people", &["p01".into()]).is_err(), "deleted base row stays gone");
-        assert_eq!(db.get(tx, "people", &["renamed".into()]).unwrap()[2], Value::Text("z".into()));
-        assert_eq!(db.get(tx, "people", &["fresh".into()]).unwrap()[1], Value::Int(7));
-        db.commit(tx).unwrap();
-        std::fs::remove_file(&p).unwrap();
-        std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
-    }
-
-    #[test]
-    fn create_index_after_checkpoint_backfills_from_base() {
-        let p = tmpwal("btree-backfill");
-        {
-            let db = Database::open(&p).unwrap();
-            db.create_table(people_schema()).unwrap();
-            for i in 0..40 {
-                db.insert_autocommit("people", person(&format!("p{i:02}"), i, "x")).unwrap();
-            }
-            db.checkpoint().unwrap();
-            // New index over a lazily-held table must see base rows.
-            db.create_index("people", "city").unwrap();
-            let tx = db.begin();
-            assert_eq!(
-                db.index_lookup(tx, "people", "city", &Value::Text("x".into())).unwrap().len(),
-                40
-            );
-            db.commit(tx).unwrap();
-            // Deleting a base row drops its backfilled entry too.
-            let tx = db.begin();
-            db.delete(tx, "people", &["p05".into()]).unwrap();
-            db.commit(tx).unwrap();
-            let tx = db.begin();
-            assert_eq!(
-                db.index_lookup(tx, "people", "city", &Value::Text("x".into())).unwrap().len(),
-                39
-            );
-            db.commit(tx).unwrap();
-            db.checkpoint().unwrap();
-        }
-        // The folded index survives recovery as a tree.
-        let db = Database::open(&p).unwrap();
-        let tx = db.begin();
-        assert_eq!(
-            db.index_lookup(tx, "people", "city", &Value::Text("x".into())).unwrap().len(),
-            39
-        );
-        db.commit(tx).unwrap();
-        std::fs::remove_file(&p).unwrap();
-        std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
-    }
-
-    #[test]
-    fn heap_chain_v1_format_knob_writes_materializing_images() {
-        let p = tmpwal("v1-knob");
-        {
-            let mut db = Database::open(&p).unwrap();
-            db.set_checkpoint_format(CheckpointFormat::HeapChainV1);
-            assert_eq!(db.checkpoint_format(), CheckpointFormat::HeapChainV1);
-            db.create_table(people_schema()).unwrap();
-            for i in 0..30 {
-                db.insert_autocommit("people", person(&format!("p{i:02}"), i, "x")).unwrap();
-            }
-            db.checkpoint().unwrap();
-            // V1 keeps tables resident: no base swap.
-            assert_eq!(db.overlay_row_count("people").unwrap(), 30);
-        }
-        // A v1 image materializes fully on open (legacy behavior)...
-        let db = Database::open(&p).unwrap();
-        assert_eq!(db.overlay_row_count("people").unwrap(), 30);
-        assert_eq!(db.row_count("people").unwrap(), 30);
-        // ...and the next default-format checkpoint migrates it to trees.
-        db.checkpoint().unwrap();
-        assert_eq!(db.overlay_row_count("people").unwrap(), 0);
-        drop(db);
-        let db = Database::open(&p).unwrap();
-        assert_eq!(db.overlay_row_count("people").unwrap(), 0);
-        assert_eq!(db.row_count("people").unwrap(), 30);
-        std::fs::remove_file(&p).unwrap();
-        std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
-    }
-
-    #[test]
-    fn snapshots_over_bases_stay_stable_across_checkpoints() {
-        let p = tmpwal("btree-snap");
-        let db = Database::open(&p).unwrap();
-        db.create_table(people_schema()).unwrap();
-        for i in 0..20 {
-            db.insert_autocommit("people", person(&format!("p{i:02}"), i, "x")).unwrap();
-        }
-        db.checkpoint().unwrap();
-        // Snapshot over the lazy table reads through the base.
-        let snap = db.snapshot();
-        assert_eq!(snap.row_count("people").unwrap(), 20);
-        assert_eq!(snap.scan("people").unwrap().len(), 20);
-        // Keep writing and re-checkpoint: the old snapshot keeps reading
-        // the superseded image through its own handle.
-        let tx = db.begin();
-        db.update(tx, "people", &["p00".into()], person("p00", 99, "y")).unwrap();
-        db.commit(tx).unwrap();
-        db.checkpoint().unwrap();
-        let rows = snap.scan("people").unwrap();
-        assert_eq!(rows[0][1], Value::Int(0), "old snapshot sees pre-update state");
-        let fresh = db.snapshot();
-        assert_eq!(fresh.scan("people").unwrap()[0][1], Value::Int(99));
-        // Index access over the snapshot merges base + overlay like the
-        // live engine.
-        let (rows, scanned) = snap
-            .select(
-                "people",
-                ScanAccess::Index {
-                    column: "age",
-                    lo: Some(&Value::Int(5)),
-                    hi: Some(&Value::Int(9)),
-                },
-                &mut |_| true,
-                None,
-            )
-            .unwrap();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(scanned, 5);
-        std::fs::remove_file(&p).unwrap();
-        std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
     }
 
     #[test]

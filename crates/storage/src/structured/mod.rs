@@ -8,23 +8,35 @@
 //! - secondary B-tree indexes maintained on every write ([`index`]);
 //! - strict two-phase locking with intention locks and wait-die deadlock
 //!   avoidance ([`lock`]);
-//! - a write-ahead log and redo recovery that restores exactly the
-//!   committed prefix after a crash ([`recovery`]);
+//! - a write-ahead log ([`recovery`]: the record schema) and redo recovery
+//!   that restores exactly the committed prefix after a crash;
 //! - lock-free MVCC snapshot reads pinned to a write-clock LSN ([`view`]);
 //! - the [`Database`] façade tying them together ([`engine`]).
+//!
+//! Private layers under the façade, each importing only from the ones
+//! before it: `paged` (checkpoint-image reads and tree building) ←
+//! `overlay` (per-table in-memory state, undo, and the one redo path) ←
+//! `checkpoint` (image publication and open-time recovery) and the seed
+//! capture in [`replication`] ← [`engine`] (locks, transactions, the WAL
+//! handle).
 
+mod checkpoint;
 pub mod engine;
+#[cfg(test)]
+mod fixtures;
 pub mod index;
 pub mod lock;
+mod overlay;
 pub(crate) mod paged;
 pub mod recovery;
 pub mod replication;
 pub mod table;
 pub mod view;
 
-pub use engine::{CheckpointFormat, Database, IndexStats, ScanAccess, TxId};
+pub use engine::{Database, ScanAccess, TxId};
 pub use lock::{LockManager, LockMode};
-pub use recovery::{LogRecord, WalCodec};
+pub use overlay::IndexStats;
+pub use recovery::LogRecord;
 pub use replication::{ReplicaApplier, ReplicaPosition, ReplicationSeed};
 pub use table::{Column, Row, RowId, TableSchema};
 pub use view::{DbSnapshot, TableView};

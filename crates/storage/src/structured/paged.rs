@@ -1,26 +1,24 @@
 //! Paged checkpoint images behind the engine: B-tree table bases and the
 //! merged base + overlay read path.
 //!
-//! Since PR 9 a checkpoint image holds three B-trees per table (rows by
-//! row id, primary keys, and one tree per secondary index) instead of a
-//! sequential heap chain. That turns the image from a load-once stream
-//! into a *random-access base*: [`super::engine::Database`] keeps each
+//! A checkpoint image holds three B-trees per table (rows by row id,
+//! primary keys, and one tree per secondary index), which makes it a
+//! *random-access base*: [`super::engine::Database`] keeps each
 //! table as a small in-memory **overlay** (rows written since the last
 //! checkpoint, plus tombstones for deleted base rows) stacked on an
 //! immutable [`TableBase`], and faults base pages through the image's
-//! buffer pool on demand. Opening a database no longer materializes any
-//! rows; resident memory after `open` is bounded by the pool, not the
-//! corpus.
+//! buffer pool on demand. Opening a database materializes no rows;
+//! resident memory after `open` is bounded by the pool, not the corpus.
 //!
 //! Everything here is read-path plumbing shared by the live engine and
 //! the MVCC [`super::view::TableView`]s, so both read worlds merge the
 //! same way: overlay shadows base, tombstones hide base rows, row-id
 //! order everywhere a heap scan used to be.
 //!
-//! The directory format is versioned. A v2 directory starts with a
-//! `u64::MAX` sentinel (impossible as a v1 table count); anything else is
-//! the PR-7 heap-chain layout, which the engine still loads by
-//! materializing — migration to trees happens on the next checkpoint.
+//! The directory format is versioned: a `u64::MAX` sentinel, then the
+//! version. The sentinel is impossible as the table count that opened the
+//! retired v1 (heap-chain) directory, so a v1 image is recognized — and
+//! refused — instead of being misread.
 
 use crate::btree::{self, BTree, KeyOrder};
 use crate::codec;
@@ -38,8 +36,8 @@ use std::sync::Arc;
 use super::index::SecondaryIndex;
 use super::table::{Row, RowId, TableSchema};
 
-/// First varint of a v2 directory. A v1 directory starts with its table
-/// count, which can never be `u64::MAX`.
+/// First varint of a v2 directory. The retired v1 directory started with
+/// its table count, which can never be `u64::MAX`.
 const DIRECTORY_V2_SENTINEL: u64 = u64::MAX;
 /// Directory format version written after the sentinel.
 const DIRECTORY_V2_VERSION: u64 = 2;
@@ -209,12 +207,17 @@ pub(crate) fn encode_directory_v2(entries: &[DirectoryEntry]) -> Result<Vec<u8>>
     Ok(out)
 }
 
-/// Decode a directory if it is v2; `Ok(None)` means the bytes are a v1
-/// (heap-chain) directory and the caller should use the legacy loader.
-pub(crate) fn decode_directory_v2(dir: &[u8]) -> Result<Option<Vec<DirectoryEntry>>> {
+/// Decode a v2 directory. Anything else is refused; bytes that open with
+/// a plausible table count are named as the v1 (heap-chain) layout they
+/// look like.
+pub(crate) fn decode_directory_v2(dir: &[u8]) -> Result<Vec<DirectoryEntry>> {
     let pos = &mut 0usize;
-    if codec::read_u64(dir, pos)? != DIRECTORY_V2_SENTINEL {
-        return Ok(None);
+    let first = codec::read_u64(dir, pos)?;
+    if first != DIRECTORY_V2_SENTINEL {
+        return Err(StorageError::Corrupt(format!(
+            "checkpoint directory lacks the v2 sentinel: it looks like a v1 heap-chain \
+             directory of {first} tables, which is no longer readable"
+        )));
     }
     let version = codec::read_u64(dir, pos)?;
     if version != DIRECTORY_V2_VERSION {
@@ -246,7 +249,7 @@ pub(crate) fn decode_directory_v2(dir: &[u8]) -> Result<Option<Vec<DirectoryEntr
     if *pos != dir.len() {
         return Err(StorageError::Corrupt("checkpoint directory has trailing bytes".into()));
     }
-    Ok(Some(entries))
+    Ok(entries)
 }
 
 // ---------------------------------------------------------------------
@@ -439,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn directory_v2_round_trips_and_v1_is_recognized() {
+    fn directory_v2_round_trips_and_v1_is_refused() {
         let entries = vec![DirectoryEntry {
             schema: schema(),
             meta: BaseMeta {
@@ -451,15 +454,16 @@ mod tests {
             },
         }];
         let bytes = encode_directory_v2(&entries).unwrap();
-        let back = decode_directory_v2(&bytes).unwrap().expect("v2 directory");
+        let back = decode_directory_v2(&bytes).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].meta, entries[0].meta);
         assert_eq!(back[0].schema.name, "t");
 
-        // A v1 directory (plain table count first) is not misdetected.
+        // A v1 directory (plain table count first) is named and refused.
         let mut v1 = Vec::new();
         codec::write_u64(&mut v1, 1).unwrap();
-        assert!(decode_directory_v2(&v1).unwrap().is_none());
+        let err = decode_directory_v2(&v1).unwrap_err();
+        assert!(matches!(&err, StorageError::Corrupt(m) if m.contains("v1 heap-chain")), "{err}");
     }
 
     #[test]

@@ -1,42 +1,26 @@
-//! WAL record schema and redo recovery.
+//! The WAL record schema.
 //!
 //! Records are binary-encoded through [`crate::codec`] (one per WAL
-//! frame), prefixed with a format byte so logs written by older versions —
-//! which used JSON — still replay: `0x01` selects the binary-v1 decoder,
-//! and `0x7B` (ASCII `{`, the first byte of every JSON object) falls back
-//! to serde_json. The two formats may be mixed record-by-record within one
-//! log, which is exactly what happens when a new binary engine appends to
-//! a log begun by an old JSON one.
+//! frame), prefixed with the format byte `0x01` (binary-v1) — the only
+//! format written or read. Logs from before the paged engine held JSON
+//! records; one of those (first byte `{`) is refused by name, like any
+//! other unknown format byte.
 //!
-//! Recovery is redo-only: a first pass finds the committed transaction
-//! set; a second pass reapplies, in log order, the operations of exactly
-//! those transactions. A crash discards all in-memory state, and the redo
-//! pass filters out records of uncommitted transactions, so no undo pass
-//! is needed.
+//! How records are replayed lives in `structured::checkpoint` (recovery)
+//! and `structured::replication` (replicas), both over the single redo
+//! path in `structured::overlay`.
 
 use crate::codec;
 use crate::error::StorageError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 use super::table::{Row, RowId, TableSchema};
 
 /// Format byte opening every binary-v1 record.
 pub const BINARY_V1: u8 = 0x01;
-/// First byte of every legacy JSON record (`{`).
+/// First byte of every pre-paged-engine JSON record (`{`): recognized
+/// only to refuse it by name.
 const JSON_OPEN: u8 = b'{';
-
-/// Which wire format [`LogRecord::encode_with`] emits. Decoding always
-/// accepts both; this knob exists so the storage bench can measure the
-/// legacy JSON path against binary on identical workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalCodec {
-    /// Compact binary (the default).
-    #[default]
-    BinaryV1,
-    /// Legacy serde_json (pre-paged-engine logs).
-    Json,
-}
 
 /// Record kind tags for the binary encoding.
 const K_CREATE_TABLE: u8 = 0;
@@ -50,7 +34,7 @@ const K_COMMIT: u8 = 7;
 const K_ABORT: u8 = 8;
 
 /// Everything the structured store writes to its WAL.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     /// DDL: a table was created (auto-committed).
     CreateTable {
@@ -119,76 +103,67 @@ pub enum LogRecord {
 }
 
 impl LogRecord {
-    /// Serialize for a WAL frame in the default (binary) format.
+    /// Serialize for a WAL frame.
     pub fn encode(&self) -> Result<Vec<u8>> {
-        self.encode_with(WalCodec::BinaryV1)
-    }
-
-    /// Serialize in an explicit format.
-    pub fn encode_with(&self, format: WalCodec) -> Result<Vec<u8>> {
-        match format {
-            WalCodec::Json => serde_json::to_vec(self).map_err(Into::into),
-            WalCodec::BinaryV1 => {
-                let mut out = vec![BINARY_V1];
-                let w = &mut out;
-                match self {
-                    LogRecord::CreateTable { schema } => {
-                        w.push(K_CREATE_TABLE);
-                        codec::write_schema(w, schema)?;
-                    }
-                    LogRecord::DropTable { table } => {
-                        w.push(K_DROP_TABLE);
-                        codec::write_str(w, table)?;
-                    }
-                    LogRecord::CreateIndex { table, column } => {
-                        w.push(K_CREATE_INDEX);
-                        codec::write_str(w, table)?;
-                        codec::write_str(w, column)?;
-                    }
-                    LogRecord::Begin { tx } => {
-                        w.push(K_BEGIN);
-                        codec::write_u64(w, *tx)?;
-                    }
-                    LogRecord::Insert { tx, table, row_id, row } => {
-                        w.push(K_INSERT);
-                        codec::write_u64(w, *tx)?;
-                        codec::write_str(w, table)?;
-                        codec::write_u64(w, row_id.0)?;
-                        codec::write_row(w, row)?;
-                    }
-                    LogRecord::Update { tx, table, row_id, row } => {
-                        w.push(K_UPDATE);
-                        codec::write_u64(w, *tx)?;
-                        codec::write_str(w, table)?;
-                        codec::write_u64(w, row_id.0)?;
-                        codec::write_row(w, row)?;
-                    }
-                    LogRecord::Delete { tx, table, row_id } => {
-                        w.push(K_DELETE);
-                        codec::write_u64(w, *tx)?;
-                        codec::write_str(w, table)?;
-                        codec::write_u64(w, row_id.0)?;
-                    }
-                    LogRecord::Commit { tx } => {
-                        w.push(K_COMMIT);
-                        codec::write_u64(w, *tx)?;
-                    }
-                    LogRecord::Abort { tx } => {
-                        w.push(K_ABORT);
-                        codec::write_u64(w, *tx)?;
-                    }
-                }
-                Ok(out)
+        let mut out = vec![BINARY_V1];
+        let w = &mut out;
+        match self {
+            LogRecord::CreateTable { schema } => {
+                w.push(K_CREATE_TABLE);
+                codec::write_schema(w, schema)?;
+            }
+            LogRecord::DropTable { table } => {
+                w.push(K_DROP_TABLE);
+                codec::write_str(w, table)?;
+            }
+            LogRecord::CreateIndex { table, column } => {
+                w.push(K_CREATE_INDEX);
+                codec::write_str(w, table)?;
+                codec::write_str(w, column)?;
+            }
+            LogRecord::Begin { tx } => {
+                w.push(K_BEGIN);
+                codec::write_u64(w, *tx)?;
+            }
+            LogRecord::Insert { tx, table, row_id, row } => {
+                w.push(K_INSERT);
+                codec::write_u64(w, *tx)?;
+                codec::write_str(w, table)?;
+                codec::write_u64(w, row_id.0)?;
+                codec::write_row(w, row)?;
+            }
+            LogRecord::Update { tx, table, row_id, row } => {
+                w.push(K_UPDATE);
+                codec::write_u64(w, *tx)?;
+                codec::write_str(w, table)?;
+                codec::write_u64(w, row_id.0)?;
+                codec::write_row(w, row)?;
+            }
+            LogRecord::Delete { tx, table, row_id } => {
+                w.push(K_DELETE);
+                codec::write_u64(w, *tx)?;
+                codec::write_str(w, table)?;
+                codec::write_u64(w, row_id.0)?;
+            }
+            LogRecord::Commit { tx } => {
+                w.push(K_COMMIT);
+                codec::write_u64(w, *tx)?;
+            }
+            LogRecord::Abort { tx } => {
+                w.push(K_ABORT);
+                codec::write_u64(w, *tx)?;
             }
         }
+        Ok(out)
     }
 
-    /// Deserialize from a WAL frame payload (either format).
+    /// Deserialize from a WAL frame payload.
     pub fn decode(bytes: &[u8]) -> Result<LogRecord> {
         match bytes.first() {
             Some(&BINARY_V1) => Self::decode_binary(&bytes[1..]),
-            Some(&JSON_OPEN) => serde_json::from_slice(bytes)
-                .map_err(|e| StorageError::Corrupt(format!("undecodable log record: {e}"))),
+            Some(&JSON_OPEN) => Err(StorageError::Corrupt(
+                "log record looks like legacy JSON, which is no longer readable".into(),
+            )),
             Some(&b) => {
                 Err(StorageError::Corrupt(format!("unknown log record format byte {b:#04x}")))
             }
@@ -293,38 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip_both_formats() {
+    fn encode_decode_round_trip() {
         for r in sample_records() {
-            for fmt in [WalCodec::BinaryV1, WalCodec::Json] {
-                let bytes = r.encode_with(fmt).unwrap();
-                assert_eq!(LogRecord::decode(&bytes).unwrap(), r, "{fmt:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json() {
-        for r in sample_records() {
-            let bin = r.encode_with(WalCodec::BinaryV1).unwrap();
-            let json = r.encode_with(WalCodec::Json).unwrap();
-            assert!(bin.len() < json.len(), "{r:?}: binary {} vs json {}", bin.len(), json.len());
-        }
-    }
-
-    #[test]
-    fn formats_may_mix_within_one_log() {
-        // Exactly the situation after an engine upgrade: JSON prefix,
-        // binary suffix, decoded record-by-record.
-        let records = sample_records();
-        let mixed: Vec<Vec<u8>> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.encode_with(if i % 2 == 0 { WalCodec::Json } else { WalCodec::BinaryV1 }).unwrap()
-            })
-            .collect();
-        for (bytes, want) in mixed.iter().zip(&records) {
-            assert_eq!(&LogRecord::decode(bytes).unwrap(), want);
+            let bytes = r.encode().unwrap();
+            assert_eq!(bytes[0], BINARY_V1);
+            assert_eq!(LogRecord::decode(&bytes).unwrap(), r);
         }
     }
 

@@ -7,7 +7,8 @@
 //!
 //! - **Frames apply at commit boundaries.** DML records buffer per
 //!   transaction and apply only when that transaction's `Commit` frame
-//!   arrives, through the same convergent `apply_*` paths recovery uses.
+//!   arrives, through the same redo path recovery uses
+//!   (`structured::overlay`).
 //!   A primary that dies mid-transaction therefore leaves the replica at
 //!   the previous transaction boundary — never a hybrid — which is what
 //!   the failover crash sweep asserts bit-for-bit.
@@ -29,6 +30,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use super::engine::Database;
+use super::overlay::{committed_clone, Table, Tables, TxState};
+use super::paged;
 use super::recovery::LogRecord;
 
 /// A reseed payload captured on the primary: everything a blank replica
@@ -42,6 +45,47 @@ pub struct ReplicationSeed {
     pub start_offset: u64,
     /// Synthetic committed record stream recreating every table.
     pub records: Vec<LogRecord>,
+}
+
+/// The record stream of a reseed: every table's schema, then one
+/// synthetic transaction `tx` inserting every committed row, so replaying
+/// it into an empty database recreates `tables`. Uncommitted changes of
+/// the `active` transactions are rolled back out of the capture exactly
+/// like a snapshot does.
+pub(super) fn seed_records(
+    tables: &Tables,
+    active: &HashMap<u64, TxState>,
+    tx: u64,
+) -> Result<Vec<LogRecord>> {
+    let mut names: Vec<&String> = tables.keys().collect();
+    names.sort();
+    let mut records = Vec::new();
+    for name in &names {
+        records.push(LogRecord::CreateTable { schema: tables[*name].schema.clone() });
+    }
+    records.push(LogRecord::Begin { tx });
+    for name in names {
+        let t = &tables[name];
+        let rolled_back;
+        let t = if t.version == t.stable_version {
+            t
+        } else {
+            rolled_back = committed_clone(name, t, active);
+            &rolled_back
+        };
+        let overlay = Table::sorted_overlay(&t.heap);
+        paged::for_each_live_row(t.base.as_ref(), &overlay, &t.tombstones, &mut |id, row| {
+            records.push(LogRecord::Insert {
+                tx,
+                table: name.clone(),
+                row_id: id,
+                row: row.clone(),
+            });
+            Ok(())
+        })?;
+    }
+    records.push(LogRecord::Commit { tx });
+    Ok(records)
 }
 
 /// How far a replica has gotten, as advertised to the primary.

@@ -23,8 +23,9 @@ use crate::Result;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use super::engine::{IndexStats, ScanAccess};
+use super::engine::ScanAccess;
 use super::index::SecondaryIndex;
+use super::overlay::IndexStats;
 use super::paged::{self, TableBase};
 use super::table::{Row, RowId, TableSchema};
 
