@@ -2,14 +2,13 @@
 //!
 //! (a) Overlapping crawl snapshots → diff store saves space (vs. full copies).
 //! (b) Sequential intermediate data → filestore scan throughput vs. the
-//!     transactional store's scan (which pays locking/typing overheads).
-//! (c) Concurrent user edits → strict 2PL serializes correctly; the
-//!     "no transactions" strawman loses updates.
+//!     transactional store's scan (which pays typing and transaction overheads).
+//! (c) Concurrent user edits → serial transactions (one open at a time)
+//!     keep every update; the "no transactions" strawman loses updates.
 
 use quarry_bench::{banner, f1, timed, Table};
 use quarry_corpus::{Corpus, CorpusConfig, CrawlConfig, CrawlSimulator};
 use quarry_storage::{Column, DataType, Database, FileStore, SnapshotStore, TableSchema, Value};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 fn main() {
@@ -90,7 +89,7 @@ fn part_b_scan_throughput() {
 
     let mut t = Table::new(&["device", "write ms", "scan ms", "records"]);
     t.row(&["filestore (append-only)".into(), f1(w_fs), f1(r_fs), n.to_string()]);
-    t.row(&["structured store (2PL+WAL)".into(), f1(w_db), f1(r_db), rows.to_string()]);
+    t.row(&["structured store (txns+WAL)".into(), f1(w_db), f1(r_db), rows.to_string()]);
     t.print();
     println!("  (scanned {bytes} payload bytes from the filestore)\n");
     let _ = std::fs::remove_dir_all(&dir);
@@ -101,7 +100,8 @@ fn part_c_concurrency() {
     let editors = 4usize;
     let edits_per = 50usize;
 
-    // Strict 2PL: read-modify-write inside one transaction.
+    // Read-modify-write inside one transaction: `begin()` admits one
+    // editor at a time, so nobody reads a counter another is changing.
     let db = Arc::new(Database::in_memory());
     db.create_table(
         TableSchema::new(
@@ -114,32 +114,23 @@ fn part_c_concurrency() {
     )
     .unwrap();
     db.insert_autocommit("page_counters", vec!["Madison".into(), Value::Int(0)]).unwrap();
-    let (_, ms_2pl) = timed(|| {
+    let (_, ms_serial) = timed(|| {
         let mut handles = Vec::new();
         for _ in 0..editors {
             let db = Arc::clone(&db);
             handles.push(std::thread::spawn(move || {
-                let mut done = 0;
-                while done < edits_per {
+                for _ in 0..edits_per {
                     let tx = db.begin();
-                    let res = db.get(tx, "page_counters", &["Madison".into()]).and_then(|row| {
-                        let n = row[1].as_f64().unwrap() as i64;
-                        db.update(
-                            tx,
-                            "page_counters",
-                            &["Madison".into()],
-                            vec!["Madison".into(), Value::Int(n + 1)],
-                        )
-                    });
-                    match res {
-                        Ok(()) => {
-                            db.commit(tx).unwrap();
-                            done += 1;
-                        }
-                        Err(_) => {
-                            let _ = db.abort(tx);
-                        }
-                    }
+                    let row = db.get(tx, "page_counters", &["Madison".into()]).unwrap();
+                    let n = row[1].as_f64().unwrap() as i64;
+                    db.update(
+                        tx,
+                        "page_counters",
+                        &["Madison".into()],
+                        vec!["Madison".into(), Value::Int(n + 1)],
+                    )
+                    .unwrap();
+                    db.commit(tx).unwrap();
                 }
             }));
         }
@@ -147,7 +138,7 @@ fn part_c_concurrency() {
             h.join().unwrap();
         }
     });
-    let final_2pl = db.scan_autocommit("page_counters").unwrap()[0][1].clone();
+    let final_serial = db.scan_autocommit("page_counters").unwrap()[0][1].clone();
 
     // Strawman: each read and write is its own transaction — the lost-update
     // anomaly an RDBMS exists to prevent.
@@ -164,37 +155,30 @@ fn part_c_concurrency() {
     .unwrap();
     db2.insert_autocommit("page_counters", vec!["Madison".into(), Value::Int(0)]).unwrap();
     let barrier = Arc::new(std::sync::Barrier::new(editors));
-    let attempts = Arc::new(AtomicI64::new(0));
     let (_, ms_naive) = timed(|| {
         let mut handles = Vec::new();
         for _ in 0..editors {
             let db = Arc::clone(&db2);
             let barrier = Arc::clone(&barrier);
-            let attempts = Arc::clone(&attempts);
             handles.push(std::thread::spawn(move || {
                 barrier.wait();
                 for _ in 0..edits_per {
                     // Read in one transaction...
                     let tx = db.begin();
-                    let n = match db.get(tx, "page_counters", &["Madison".into()]) {
-                        Ok(row) => row[1].as_f64().unwrap() as i64,
-                        Err(_) => {
-                            let _ = db.abort(tx);
-                            continue;
-                        }
-                    };
-                    let _ = db.commit(tx);
+                    let row = db.get(tx, "page_counters", &["Madison".into()]).unwrap();
+                    let n = row[1].as_f64().unwrap() as i64;
+                    db.commit(tx).unwrap();
                     // ...write in another: the interleaving window.
                     std::thread::yield_now();
                     let tx = db.begin();
-                    let _ = db.update(
+                    db.update(
                         tx,
                         "page_counters",
                         &["Madison".into()],
                         vec!["Madison".into(), Value::Int(n + 1)],
-                    );
-                    let _ = db.commit(tx);
-                    attempts.fetch_add(1, Ordering::Relaxed);
+                    )
+                    .unwrap();
+                    db.commit(tx).unwrap();
                 }
             }));
         }
@@ -208,11 +192,11 @@ fn part_c_concurrency() {
 
     let mut t = Table::new(&["scheme", "expected", "observed", "lost updates", "ms"]);
     t.row(&[
-        "strict 2PL transactions".into(),
+        "serial transactions (single writer)".into(),
         expected.to_string(),
-        final_2pl.to_string(),
+        final_serial.to_string(),
         "0".into(),
-        f1(ms_2pl),
+        f1(ms_serial),
     ]);
     t.row(&[
         "separate read/write txns".into(),
@@ -224,8 +208,8 @@ fn part_c_concurrency() {
     t.print();
     println!(
         "\nexpected shape: deltas ≫ full copies in space; filestore scans faster than the\n\
-         transactional store; 2PL preserves every update ({} editors × {} edits), the\n\
-         strawman loses {:.0}%+ of them.",
+         transactional store; serial transactions keep every update ({} editors × {} edits),\n\
+         the strawman loses {:.0}%+ of them.",
         editors,
         edits_per,
         100.0 * lost as f64 / expected as f64

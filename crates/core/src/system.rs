@@ -112,7 +112,7 @@ impl QuarryConfigBuilder {
     }
 
     /// Commit durability for the structured store's WAL: `Full` fsyncs every
-    /// commit (group-committed), `Normal` flushes without fsync, `Deferred`
+    /// commit, `Normal` flushes without fsync, `Deferred`
     /// leaves commits buffered until the next checkpoint or explicit sync.
     pub fn durability(mut self, mode: DurabilityMode) -> Self {
         self.config.durability = mode;

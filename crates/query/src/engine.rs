@@ -1,7 +1,7 @@
 //! A compositional structured query engine over the structured store.
 //!
 //! Queries are algebraic trees — scan, filter, project, join, aggregate —
-//! executed against a [`Database`] under one read transaction. This is the
+//! executed against one MVCC snapshot of a [`Database`]. This is the
 //! "structured querying" exploitation mode, the one the paper's motivating
 //! example ("find the average March–September temperature in Madison")
 //! needs and keyword search cannot express.
@@ -297,13 +297,10 @@ impl Query {
     /// chosen access paths, pushed predicates, and estimated vs. actual
     /// per-operator row counts.
     pub fn explain(&self, db: &Database) -> Result<String, QueryError> {
-        let cfg = crate::planner::PlannerConfig::default();
-        let (_, trace) = crate::planner::execute_with(db, self, &cfg)?;
-        Ok(format!("PHYSICAL PLAN: {}\n{}", self.display(), trace.render()))
+        self.explain_snapshot(&db.snapshot())
     }
 
-    /// [`Query::explain`] against an immutable snapshot: same plan, same
-    /// rendering, no transaction or lock acquisition.
+    /// [`Query::explain`] against a snapshot the caller already holds.
     pub fn explain_snapshot(&self, snap: &DbSnapshot) -> Result<String, QueryError> {
         let cfg = crate::planner::PlannerConfig::default();
         let (_, trace) = crate::planner::execute_snapshot_with(snap, self, &cfg)?;
@@ -372,9 +369,8 @@ pub fn execute(db: &Database, q: &Query) -> Result<QueryResult, QueryError> {
         .map(|(result, _)| result)
 }
 
-/// [`execute`] against an immutable [`DbSnapshot`]: the lock-free MVCC
-/// read path. Bit-identical results — rows, ordering, and error kinds —
-/// to executing the same query on the live database at the snapshot's LSN.
+/// [`execute`] against a [`DbSnapshot`] the caller already holds, so
+/// several queries can read one consistent state.
 pub fn execute_snapshot(snap: &DbSnapshot, q: &Query) -> Result<QueryResult, QueryError> {
     crate::planner::execute_snapshot_with(snap, q, &crate::planner::PlannerConfig::default())
         .map(|(result, _)| result)
@@ -547,8 +543,8 @@ mod tests {
         let db = db();
         let q = Query::scan("ghost");
         assert!(matches!(execute(&db, &q), Err(QueryError::Storage(_))));
-        // Unknown columns are now caught by static validation before the
-        // read transaction even begins.
+        // Unknown columns are caught by static validation before anything
+        // is read.
         let q = Query::scan("cities").filter(vec![Predicate::Eq("ghost".into(), Value::Null)]);
         match execute(&db, &q) {
             Err(QueryError::Invalid(report)) => {

@@ -36,5 +36,5 @@ pub use planner::{
     execute_snapshot_with, execute_with, plan, AccessPath, OpTrace, PhysPlan, PlannerConfig,
 };
 pub use session::{Mode, Session};
-pub use source::{Catalog, Source};
+pub use source::Catalog;
 pub use translate::{CandidateQuery, Translator};

@@ -12,8 +12,8 @@
 //!    re-checked against the fetched row, so a loose index bound can cost
 //!    time but never correctness.
 //! 2. **Predicate + projection pushdown** — residual predicates and the
-//!    projection column list are pushed into [`Database::select`], which
-//!    evaluates them while rows are still borrowed from the heap. A
+//!    projection column list are pushed into [`DbSnapshot::select`], which
+//!    evaluates them while rows are still borrowed from the snapshot. A
 //!    non-matching row is never cloned, and matching rows only clone the
 //!    projected columns.
 //! 3. **Join-side selection** — the hash join builds its table on whichever
@@ -33,10 +33,9 @@
 //! estimated vs. actual row counts and scan counters, rendered through the
 //! shared [`PlanNode`] tree renderer by `Query::explain`.
 //!
-//! [`Database::select`]: quarry_storage::Database::select
 
 use crate::engine::{compute_agg, Predicate, Query, QueryError, QueryResult};
-use crate::source::{Catalog, LiveTx, Source};
+use crate::source::Catalog;
 use quarry_exec::PlanNode;
 use quarry_storage::{Database, DbSnapshot, Row, ScanAccess, Value};
 use std::collections::HashMap;
@@ -69,7 +68,7 @@ impl PlannerConfig {
 /// How a table access fetches candidate rows.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
-    /// Scan every row under a table-level shared lock.
+    /// Scan every row.
     FullScan,
     /// Probe a secondary index for one value.
     IndexEq {
@@ -221,8 +220,8 @@ impl OpTrace {
 
 /// Lower a query tree to a physical plan. Infallible: planning never
 /// touches data. Reference errors are caught before this runs by the
-/// [`crate::lint`] validator in [`execute_with`]; anything that slips
-/// through (e.g. a table dropped mid-flight) still surfaces at execution,
+/// [`crate::lint`] validator in [`execute_snapshot_with`]; anything that
+/// slips through (e.g. an unknown table) still surfaces at execution,
 /// exactly where the unplanned engine raised it.
 ///
 /// Generic over [`Catalog`]: plans identically from the live [`Database`]
@@ -379,42 +378,27 @@ fn choose_access<C: Catalog>(
     full()
 }
 
-/// Plan and execute under one read transaction, returning the result and
-/// the per-operator trace.
+/// Plan and execute against the committed state of `db` as of now,
+/// returning the result and the per-operator trace.
 pub fn execute_with(
     db: &Database,
     q: &Query,
     cfg: &PlannerConfig,
 ) -> Result<(QueryResult, OpTrace), QueryError> {
-    // Static validation before any transaction: unknown column references
-    // become one span-anchored report instead of a runtime error deep in
-    // an operator. Unknown *tables* (QQ001) deliberately don't gate —
-    // they stay a `StorageError` so dynamic table probing keeps working.
-    let report = crate::lint::check_query(db, q);
-    if crate::lint::gates_execution(&report) {
-        return Err(QueryError::Invalid(report));
-    }
-    let physical = plan(db, q, cfg);
-    let tx = db.begin();
-    let out = exec_plan(&LiveTx { db, tx }, &physical);
-    match &out {
-        Ok(_) => db.commit(tx)?,
-        Err(_) => {
-            let _ = db.abort(tx);
-        }
-    }
-    out
+    execute_snapshot_with(&db.snapshot(), q, cfg)
 }
 
-/// Plan and execute against an immutable [`DbSnapshot`] — the lock-free
-/// MVCC read path. Identical validation, planning, and execution semantics
-/// to [`execute_with`], minus the transaction: a snapshot is already a
-/// stable view, so there is nothing to lock, begin, or commit.
+/// Plan and execute against an immutable [`DbSnapshot`]: a stable view,
+/// so there is nothing to lock, begin, or commit.
 pub fn execute_snapshot_with(
     snap: &DbSnapshot,
     q: &Query,
     cfg: &PlannerConfig,
 ) -> Result<(QueryResult, OpTrace), QueryError> {
+    // Static validation first: unknown column references become one
+    // span-anchored report instead of a runtime error deep in an
+    // operator. Unknown *tables* (QQ001) deliberately don't gate — they
+    // stay a `StorageError` so dynamic table probing keeps working.
     let report = crate::lint::check_query(snap, q);
     if crate::lint::gates_execution(&report) {
         return Err(QueryError::Invalid(report));
@@ -423,7 +407,7 @@ pub fn execute_snapshot_with(
     exec_plan(snap, &physical)
 }
 
-fn exec_plan<S: Source>(src: &S, p: &PhysPlan) -> Result<(QueryResult, OpTrace), QueryError> {
+fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), QueryError> {
     match p {
         PhysPlan::Access { table, path, residual, projection, est_rows } => {
             let schema = src.schema(table)?;
@@ -867,34 +851,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_execution_is_bit_identical_to_live_execution() {
+    fn snapshot_execution_reports_storage_and_lint_errors_and_stays_pinned() {
         let db = db_with_index();
-        db.create_index("facts", "num").unwrap();
         let snap = db.snapshot();
-        let queries = vec![
-            Query::scan("facts"),
-            Query::scan("facts").filter(vec![Predicate::Eq("cat".into(), "c1".into())]),
-            Query::scan("facts")
-                .filter(vec![
-                    Predicate::Ge("num".into(), Value::Int(3)),
-                    Predicate::Lt("num".into(), Value::Int(9)),
-                ])
-                .project(&["id", "cat"]),
-            Query::scan("facts").aggregate(Some("cat"), AggFn::Count, "id"),
-            Query::scan("facts").join(Query::scan("facts"), "cat", "cat").sort("id", true, Some(7)),
-        ];
-        for (cfg_name, cfg) in
-            [("default", PlannerConfig::default()), ("full_scan", PlannerConfig::full_scan())]
-        {
-            for q in &queries {
-                let (live, live_trace) = execute_with(&db, q, &cfg).unwrap();
-                let (snap_r, snap_trace) = execute_snapshot_with(&snap, q, &cfg).unwrap();
-                assert_eq!(live, snap_r, "{cfg_name}: {}", q.display());
-                // Same plan shape, same rows-scanned accounting.
-                assert_eq!(live_trace.render(), snap_trace.render(), "{}", q.display());
-            }
-        }
-        // Error kinds line up on both paths.
         let ghost = Query::scan("ghost");
         assert!(matches!(
             execute_snapshot_with(&snap, &ghost, &PlannerConfig::default()),

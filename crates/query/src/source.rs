@@ -1,20 +1,14 @@
-//! Read-source abstraction: one planner, two execution substrates.
+//! Catalog abstraction: one planner and linter over two metadata sources.
 //!
-//! The planner, linter, and executor only need a handful of read
-//! operations — schema lookup, cardinality estimates, and filtered
-//! scans. [`Catalog`] captures the metadata half and [`Source`] adds row
-//! access, so the same code path runs against either:
-//!
-//! - the live [`Database`] under a read transaction ([`LiveTx`] — strict
-//!   2PL, used by the transactional [`crate::planner::execute_with`]); or
-//! - an immutable [`DbSnapshot`] pinned to one write-clock LSN (lock-free
-//!   MVCC reads, used by [`crate::planner::execute_snapshot_with`]).
-//!
-//! Both substrates expose identical semantics — same row order, same
-//! `(rows, scanned)` accounting, same error kinds — which the
-//! serve-layer differential suite verifies bit-for-bit.
+//! Planning and linting only need schema lookup and cardinality
+//! estimates. [`Catalog`] captures that, so the same code plans against
+//! either the live [`Database`] (what `plan` and `check_query` callers
+//! holding a database pass) or an immutable [`DbSnapshot`] pinned to one
+//! write-clock LSN. Rows are only ever read from a [`DbSnapshot`]: every
+//! query executes against one, so it never opens a transaction and never
+//! waits behind the writer.
 
-use quarry_storage::{Database, DbSnapshot, IndexStats, Row, ScanAccess, TxId, Value};
+use quarry_storage::{Database, DbSnapshot, IndexStats};
 
 /// Schema and statistics metadata the planner and linter read.
 ///
@@ -31,18 +25,6 @@ pub trait Catalog {
     fn indexed_columns(&self, table: &str) -> quarry_storage::Result<Vec<String>>;
     /// Cardinality statistics of one secondary index.
     fn index_stats(&self, table: &str, column: &str) -> quarry_storage::Result<Option<IndexStats>>;
-}
-
-/// A [`Catalog`] that can also produce rows: the executor's substrate.
-pub trait Source: Catalog {
-    /// Filtered, projected read of one table (mirrors `Database::select`).
-    fn select(
-        &self,
-        table: &str,
-        access: ScanAccess<'_>,
-        filter: &mut dyn FnMut(&[Value]) -> bool,
-        projection: Option<&[usize]>,
-    ) -> quarry_storage::Result<(Vec<Row>, usize)>;
 }
 
 impl Catalog for Database {
@@ -78,54 +60,5 @@ impl Catalog for DbSnapshot {
     }
     fn index_stats(&self, table: &str, column: &str) -> quarry_storage::Result<Option<IndexStats>> {
         DbSnapshot::index_stats(self, table, column)
-    }
-}
-
-impl Source for DbSnapshot {
-    fn select(
-        &self,
-        table: &str,
-        access: ScanAccess<'_>,
-        filter: &mut dyn FnMut(&[Value]) -> bool,
-        projection: Option<&[usize]>,
-    ) -> quarry_storage::Result<(Vec<Row>, usize)> {
-        DbSnapshot::select(self, table, access, filter, projection)
-    }
-}
-
-/// The live database viewed through one open read transaction — the
-/// strict-2PL substrate behind [`crate::planner::execute_with`].
-pub(crate) struct LiveTx<'a> {
-    pub(crate) db: &'a Database,
-    pub(crate) tx: TxId,
-}
-
-impl Catalog for LiveTx<'_> {
-    fn schema(&self, table: &str) -> quarry_storage::Result<quarry_storage::TableSchema> {
-        self.db.schema(table)
-    }
-    fn table_names(&self) -> Vec<String> {
-        self.db.table_names()
-    }
-    fn row_count(&self, table: &str) -> quarry_storage::Result<usize> {
-        self.db.row_count(table)
-    }
-    fn indexed_columns(&self, table: &str) -> quarry_storage::Result<Vec<String>> {
-        self.db.indexed_columns(table)
-    }
-    fn index_stats(&self, table: &str, column: &str) -> quarry_storage::Result<Option<IndexStats>> {
-        self.db.index_stats(table, column)
-    }
-}
-
-impl Source for LiveTx<'_> {
-    fn select(
-        &self,
-        table: &str,
-        access: ScanAccess<'_>,
-        filter: &mut dyn FnMut(&[Value]) -> bool,
-        projection: Option<&[usize]>,
-    ) -> quarry_storage::Result<(Vec<Row>, usize)> {
-        self.db.select(self.tx, table, access, filter, projection)
     }
 }

@@ -18,7 +18,8 @@ pub enum StorageError {
     SchemaViolation(String),
     /// Primary-key uniqueness violated.
     DuplicateKey(String),
-    /// Transaction aborted by the concurrency-control policy (wait-die).
+    /// Refused because a transaction is open: a checkpoint requires
+    /// quiescence.
     TxAborted(String),
     /// Operation used a transaction id that is not active.
     NoSuchTx(u64),
@@ -62,8 +63,8 @@ mod tests {
     fn display_is_informative() {
         let e = StorageError::NoSuchTable("cities".into());
         assert!(e.to_string().contains("cities"));
-        let e = StorageError::TxAborted("wait-die".into());
-        assert!(e.to_string().contains("wait-die"));
+        let e = StorageError::TxAborted("checkpoint requires quiescence".into());
+        assert!(e.to_string().contains("quiescence"));
     }
 
     #[test]

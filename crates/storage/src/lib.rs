@@ -9,8 +9,8 @@
 //! - intermediate structured data, read/written sequentially → an
 //!   append-only file store ([`filestore::FileStore`]);
 //! - the final structure, edited concurrently by many users → an RDBMS
-//!   ([`structured::Database`]: typed tables, secondary indexes, strict-2PL
-//!   transactions, WAL-based crash recovery).
+//!   ([`structured::Database`]: typed tables, secondary indexes, serial
+//!   transactions under MVCC snapshot reads, WAL-based crash recovery).
 //!
 //! All three are built from scratch here, on the shared primitives in
 //! [`delta`] (line diffs) and [`wal`] (checksummed log records).
@@ -38,11 +38,11 @@ pub use page::{Page, PageType, PAGE_CAPACITY, PAGE_SIZE};
 pub use pager::{Pager, PoolStats};
 pub use snapshot::{SnapshotStats, SnapshotStore};
 pub use structured::{
-    Column, Database, DbSnapshot, IndexStats, LockManager, LockMode, ReplicaApplier,
-    ReplicaPosition, ReplicationSeed, Row, RowId, ScanAccess, TableSchema, TableView, TxId,
+    Column, Database, DbSnapshot, IndexStats, ReplicaApplier, ReplicaPosition, ReplicationSeed,
+    Row, RowId, ScanAccess, TableSchema, TableView, TxId,
 };
 pub use value::{DataType, Value};
-pub use wal::{parse_frames, CommitQueue, DurabilityMode, TailPoll, Wal, WalRecord, WalTail};
+pub use wal::{parse_frames, DurabilityMode, TailPoll, Wal, WalRecord, WalTail};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -517,6 +517,15 @@ mod tests {
         std::fs::remove_file(image_path(&p)).unwrap();
     }
 
+    /// Renaming a row onto a primary key that only the checkpoint image
+    /// holds must be refused like any other duplicate.
+    fn assert_rename_onto_base_key_is_refused(db: &Database) {
+        let tx = db.begin();
+        let err = db.update(tx, "people", &["p03".into()], person("p04", 3, "x")).unwrap_err();
+        assert!(matches!(err, StorageError::DuplicateKey(_)), "{err}");
+        db.abort(tx).unwrap();
+    }
+
     #[test]
     fn base_rows_update_delete_and_merge_across_checkpoints() {
         let p = tmpwal("btree-merge");
@@ -527,11 +536,13 @@ mod tests {
                 db.insert_autocommit("people", person(&format!("p{i:02}"), i, "x")).unwrap();
             }
             db.checkpoint().unwrap();
+            assert_rename_onto_base_key_is_refused(&db);
         }
         {
             // Mutate base rows through the overlay: update, delete,
             // key-change update, fresh insert.
             let db = Database::open(&p).unwrap();
+            assert_rename_onto_base_key_is_refused(&db);
             let tx = db.begin();
             db.update(tx, "people", &["p00".into()], person("p00", 100, "y")).unwrap();
             db.delete(tx, "people", &["p01".into()]).unwrap();

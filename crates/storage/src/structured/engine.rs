@@ -1,52 +1,86 @@
-//! The [`Database`] engine: tables + locks + WAL, behind a thread-safe API.
+//! The [`Database`] engine: tables + the writer gate + WAL, behind a
+//! thread-safe API.
 //!
-//! Concurrency model: callers `begin()` a transaction, perform operations
-//! (each taking strict-2PL locks that are held to transaction end), then
-//! `commit()` (WAL commit record + fsync) or `abort()` (in-memory undo).
-//! Auto-commit wrappers exist for one-shot operations. Any operation may
-//! fail with [`StorageError::TxAborted`] (wait-die victim); the caller is
-//! expected to `abort()` and retry with a fresh transaction.
+//! Concurrency model: **one transaction is open at a time**. `begin()`
+//! waits until no transaction is open; the caller then performs
+//! operations and `commit()`s (WAL commit record + fsync) or `abort()`s
+//! (in-memory undo), which lets the next `begin()` through. Transactions
+//! are therefore serial, and no operation ever fails for
+//! concurrency-control reasons. Readers that must not wait behind the
+//! writer use [`Database::snapshot`]. The rule that follows: a thread
+//! must not `begin()` again on the same database while it still holds an
+//! open transaction — that second `begin()` would wait forever. See
+//! `docs/concurrency.md` ("Writers").
 
 use crate::error::StorageError;
 use crate::faultfs::{RealBackend, StorageBackend};
 use crate::pager::PoolStats;
 use crate::value::Value;
-use crate::wal::{CommitQueue, DurabilityMode, Wal};
+use crate::wal::{DurabilityMode, Wal};
 use crate::Result;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::checkpoint::{self, Recovered};
-use super::lock::{LockManager, LockMode, LockTarget};
-use super::overlay::{committed_clone, redo, IndexStats, Table, Tables, TxState, Undo};
+use super::overlay::{committed_clone, redo, IndexStats, Table, Tables, Undo};
 use super::paged::{self, CheckpointImage};
 use super::recovery::LogRecord;
 use super::replication::{self, ReplicationSeed};
 use super::table::{Row, RowId, TableSchema};
 use super::view::{DbSnapshot, TableView};
 
-/// Transaction identifier; doubles as the wait-die age (smaller = older).
+/// Transaction identifier.
 pub type TxId = u64;
 
-/// How [`Database::select`] reaches a table's rows.
-#[derive(Debug, Clone, Copy)]
-pub enum ScanAccess<'a> {
-    /// Walk the whole heap in row-id order (table-level shared lock).
-    Full,
-    /// Probe the secondary index on `column` for values in `[lo, hi]`
-    /// (inclusive, either bound optional), then fetch the matching rows in
-    /// row-id order. Errors when the column carries no index.
-    Index {
-        /// Indexed column.
-        column: &'a str,
-        /// Inclusive lower bound (`None` = unbounded).
-        lo: Option<&'a Value>,
-        /// Inclusive upper bound (`None` = unbounded).
-        hi: Option<&'a Value>,
-    },
+/// What the `tables` mutex guards: the table map and the one open
+/// transaction. Keeping both under one mutex is what makes "is a
+/// transaction open, and which tables has it dirtied" a plain field read
+/// for every operation, snapshot and seed capture.
+#[derive(Default)]
+struct State {
+    tables: Tables,
+    /// The open transaction. `Some` from `begin()` until its commit or
+    /// abort has finished logging: this is the writer gate.
+    open: Option<OpenTx>,
+}
+
+struct OpenTx {
+    id: TxId,
+    /// How to undo each change of the transaction, newest last. Empty for
+    /// a transaction that has only read, which therefore logs nothing.
+    undo: Vec<Undo>,
+}
+
+impl State {
+    /// The table map and the undo list of the open transaction, which
+    /// must be `tx`.
+    fn open_tx(&mut self, tx: TxId) -> Result<(&mut Tables, &mut Vec<Undo>)> {
+        match &mut self.open {
+            Some(open) if open.id == tx => Ok((&mut self.tables, &mut open.undo)),
+            _ => Err(StorageError::NoSuchTx(tx)),
+        }
+    }
+
+    /// The open transaction's uncommitted changes, oldest first.
+    fn uncommitted(&self) -> &[Undo] {
+        self.open.as_ref().map_or(&[], |open| &open.undo)
+    }
+
+    fn table(&self, name: &str) -> Result<&Table> {
+        self.tables.get(name).ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
+    }
+}
+
+/// `tables[name]`, mutably.
+fn table_mut<'a>(tables: &'a mut Tables, name: &str) -> Result<&'a mut Table> {
+    tables.get_mut(name).ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
+}
+
+fn not_found(table: &str, key: &[Value]) -> StorageError {
+    StorageError::NotFound(format!("{table} key {key:?}"))
 }
 
 /// A transactional, WAL-backed, multi-table store.
@@ -74,12 +108,12 @@ pub enum ScanAccess<'a> {
 /// # Ok::<(), quarry_storage::StorageError>(())
 /// ```
 pub struct Database {
-    tables: Mutex<Tables>,
-    locks: LockManager,
+    tables: Mutex<State>,
+    /// Signalled when the open transaction closes; `begin()` waits on it.
+    tx_closed: Condvar,
     wal: Mutex<Option<Wal>>,
     /// Storage backend shared by the WAL and the checkpoint files.
     backend: Arc<dyn StorageBackend>,
-    active: Mutex<HashMap<TxId, TxState>>,
     next_tx: AtomicU64,
     /// Monotone clock stamping every table mutation; see [`Table::version`].
     write_clock: AtomicU64,
@@ -89,8 +123,6 @@ pub struct Database {
     views: Mutex<HashMap<String, Arc<TableView>>>,
     /// What a commit waits for before returning (see [`DurabilityMode`]).
     durability: DurabilityMode,
-    /// Group-commit queue batching concurrent commit fsyncs (Full mode).
-    commit_queue: CommitQueue,
     /// The open checkpoint image backing the tables' bases (`None` until
     /// an image is loaded or published). Held here so diagnostics
     /// can reach the shared buffer pool; the per-table handles live in
@@ -110,16 +142,14 @@ impl Database {
     /// An ephemeral in-memory database (no WAL, no durability).
     pub fn in_memory() -> Database {
         Database {
-            tables: Mutex::new(HashMap::new()),
-            locks: LockManager::new(),
+            tables: Mutex::new(State::default()),
+            tx_closed: Condvar::new(),
             wal: Mutex::new(None),
             backend: Arc::new(RealBackend),
-            active: Mutex::new(HashMap::new()),
             next_tx: AtomicU64::new(1),
             write_clock: AtomicU64::new(0),
             views: Mutex::new(HashMap::new()),
             durability: DurabilityMode::Full,
-            commit_queue: CommitQueue::new(),
             image: Mutex::new(None),
             epoch: AtomicU64::new(0),
         }
@@ -147,7 +177,7 @@ impl Database {
         let Recovered { tables, image, max_tx } =
             checkpoint::recover(&*backend, path, &|| db.stamp())?;
         Ok(Database {
-            tables: Mutex::new(tables),
+            tables: Mutex::new(State { tables, open: None }),
             image: Mutex::new(image),
             next_tx: AtomicU64::new(max_tx + 1),
             wal: Mutex::new(Some(Wal::open_with(Arc::clone(&backend), path)?)),
@@ -172,11 +202,7 @@ impl Database {
     /// checkpoint or open this is 0 until writes arrive, however large the
     /// table).
     pub fn overlay_row_count(&self, table: &str) -> Result<usize> {
-        let tables = self.tables.lock();
-        tables
-            .get(table)
-            .map(|t| t.heap.len())
-            .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))
+        Ok(self.tables.lock().table(table)?.heap.len())
     }
 
     /// Buffer-pool counters of the open checkpoint image, if any.
@@ -201,32 +227,31 @@ impl Database {
         Ok(())
     }
 
-    fn log(&self, rec: &LogRecord) -> Result<()> {
+    /// Append (buffered, not flushed) one record of transaction `tx`,
+    /// preceded by the transaction's `Begin` record when `first` — when
+    /// `rec` is its first change, i.e. its undo list is still empty.
+    /// Logging `Begin` here rather than in `begin()` is what keeps a
+    /// transaction that only reads out of the log.
+    fn log_tx(&self, tx: TxId, first: bool, rec: &LogRecord) -> Result<()> {
         if let Some(wal) = self.wal.lock().as_mut() {
+            if first {
+                wal.append(&LogRecord::Begin { tx }.encode()?)?;
+            }
             wal.append(&rec.encode()?)?;
         }
         Ok(())
     }
 
     /// Append `rec` and make it as durable as the configured mode demands.
-    /// In `Full` mode the fsync goes through the group-commit queue:
-    /// concurrent committers that appended before the queue's leader takes
-    /// the WAL lock are covered by the leader's single fsync.
     fn log_durable(&self, rec: &LogRecord) -> Result<()> {
-        let target = {
-            let mut guard = self.wal.lock();
-            let Some(wal) = guard.as_mut() else { return Ok(()) };
-            wal.append(&rec.encode()?)?;
-            match self.durability {
-                DurabilityMode::Full => wal.len(),
-                DurabilityMode::Normal => {
-                    wal.flush()?;
-                    return Ok(());
-                }
-                DurabilityMode::Deferred => return Ok(()),
-            }
-        };
-        self.commit_queue.sync_through(&self.wal, target)
+        let mut guard = self.wal.lock();
+        let Some(wal) = guard.as_mut() else { return Ok(()) };
+        wal.append(&rec.encode()?)?;
+        match self.durability {
+            DurabilityMode::Full => wal.sync(),
+            DurabilityMode::Normal => wal.flush(),
+            DurabilityMode::Deferred => Ok(()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -235,8 +260,8 @@ impl Database {
 
     /// Create a table (auto-committed DDL).
     pub fn create_table(&self, schema: TableSchema) -> Result<()> {
-        let mut tables = self.tables.lock();
-        if tables.contains_key(&schema.name) {
+        let mut st = self.tables.lock();
+        if st.tables.contains_key(&schema.name) {
             return Err(StorageError::SchemaViolation(format!(
                 "table {} already exists",
                 schema.name
@@ -244,7 +269,7 @@ impl Database {
         }
         self.log_durable(&LogRecord::CreateTable { schema: schema.clone() })?;
         let stamp = self.stamp();
-        tables.insert(schema.name.clone(), Table::new(schema, stamp));
+        st.tables.insert(schema.name.clone(), Table::new(schema, stamp));
         Ok(())
     }
 
@@ -255,9 +280,9 @@ impl Database {
     /// maintained by every write and eligible for access-path selection by
     /// the query planner.
     pub fn create_index(&self, table: &str, column: &str) -> Result<()> {
-        let mut tables = self.tables.lock();
-        let t =
-            tables.get_mut(table).ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
+        let mut st = self.tables.lock();
+        let dirty = st.uncommitted().iter().any(|u| u.table() == table);
+        let t = table_mut(&mut st.tables, table)?;
         if t.indexes.contains_key(column) {
             return Ok(());
         }
@@ -272,7 +297,7 @@ impl Database {
         })?;
         t.build_index(column)?;
         t.version = self.stamp();
-        if !Self::touched_by_active(&self.active.lock(), table) {
+        if !dirty {
             t.stable_version = t.version;
         }
         Ok(())
@@ -282,18 +307,13 @@ impl Database {
     /// drop-and-recreate) yields a new version, so equal versions imply
     /// equal contents. This is what keys the result cache upstairs.
     pub fn table_version(&self, table: &str) -> Result<u64> {
-        let tables = self.tables.lock();
-        tables
-            .get(table)
-            .map(|t| t.version)
-            .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))
+        Ok(self.tables.lock().table(table)?.version)
     }
 
     /// Names of the indexed columns of a table, sorted.
     pub fn indexed_columns(&self, table: &str) -> Result<Vec<String>> {
-        let tables = self.tables.lock();
-        let t = tables.get(table).ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-        let mut names: Vec<String> = t.indexes.keys().cloned().collect();
+        let st = self.tables.lock();
+        let mut names: Vec<String> = st.table(table)?.indexes.keys().cloned().collect();
         names.sort();
         Ok(names)
     }
@@ -301,24 +321,23 @@ impl Database {
     /// Cardinality statistics of one secondary index (`None` when the
     /// column carries no index). Feeds the planner's selectivity estimates.
     pub fn index_stats(&self, table: &str, column: &str) -> Result<Option<IndexStats>> {
-        let tables = self.tables.lock();
-        let t = tables.get(table).ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-        Ok(t.index_stats(column))
+        Ok(self.tables.lock().table(table)?.index_stats(column))
     }
 
     /// Drop a table (auto-committed DDL).
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        let mut tables = self.tables.lock();
-        if tables.remove(name).is_none() {
-            return Err(StorageError::NoSuchTable(name.to_string()));
-        }
+        let mut st = self.tables.lock();
+        st.table(name)?;
+        // Log first, like `create_table`: a failed append leaves the
+        // table in place.
         self.log_durable(&LogRecord::DropTable { table: name.to_string() })?;
+        st.tables.remove(name);
         Ok(())
     }
 
     /// Checkpoint: publish a snapshot of current committed state and reset
     /// the WAL, bounding recovery time by live data size instead of history
-    /// length. Requires quiescence (no active transactions) and is a no-op
+    /// length. Requires quiescence (no open transaction) and is a no-op
     /// for in-memory databases.
     ///
     /// The image (layout in `docs/storage.md`) is built and atomically
@@ -329,51 +348,41 @@ impl Database {
     /// After publication every table's in-memory overlay is dropped onto
     /// the fresh image: reads fault base pages in on demand from then on.
     pub fn checkpoint(&self) -> Result<()> {
-        {
-            let active = self.active.lock();
-            if !active.is_empty() {
-                return Err(StorageError::TxAborted(format!(
-                    "checkpoint requires quiescence; {} transactions active",
-                    active.len()
-                )));
-            }
-        }
-        // `tables` before `wal`: the commit path acquires them in that
+        // `tables` before `wal`: the write path acquires them in that
         // order (see audit/lock-order.toml), so taking `wal` first here
         // would be an ABBA inversion. Holding `tables` across the image
         // build also pins exactly the state the checkpoint captures.
-        let mut tables = self.tables.lock();
+        let mut st = self.tables.lock();
+        if let Some(open) = &st.open {
+            return Err(StorageError::TxAborted(format!(
+                "checkpoint requires quiescence; transaction {} is open",
+                open.id
+            )));
+        }
+        let tables = &mut st.tables;
         let mut wal_guard = self.wal.lock();
         let Some(wal) = wal_guard.as_mut() else {
             return Ok(()); // ephemeral database: nothing to compact
         };
         let path = wal.path().to_path_buf();
-        let metas = checkpoint::publish(&*self.backend, &path, &tables)?;
+        let metas = checkpoint::publish(&*self.backend, &path, tables)?;
         wal.reset()?;
-        // Invalidate the group-commit watermark (log offsets restarted at
-        // zero). Safe to do only now: the image just published already
-        // covers everything pre-reset waiters were waiting for.
-        self.commit_queue.reset();
         // New epoch: replication offsets into the pre-truncation log are
         // now meaningless, and any tailing replica must renegotiate.
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        let image = checkpoint::rebase(&*self.backend, &path, &mut tables, metas)?;
+        let image = checkpoint::rebase(&*self.backend, &path, tables, metas)?;
         *self.image.lock() = Some(image);
         Ok(())
     }
 
     /// The schema of a table.
     pub fn schema(&self, table: &str) -> Result<TableSchema> {
-        let tables = self.tables.lock();
-        tables
-            .get(table)
-            .map(|t| t.schema.clone())
-            .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))
+        Ok(self.tables.lock().table(table)?.schema.clone())
     }
 
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.lock().keys().cloned().collect();
+        let mut names: Vec<String> = self.tables.lock().tables.keys().cloned().collect();
         names.sort();
         names
     }
@@ -385,48 +394,24 @@ impl Database {
             schema.validate(row)?;
         }
         let name = schema.name.clone();
-        {
-            let tables = self.tables.lock();
-            if !tables.contains_key(&name) {
-                return Err(StorageError::NoSuchTable(name));
-            }
-        }
         self.drop_table(&name)?;
         self.create_table(schema)?;
-        let tx = self.begin();
-        for row in rows {
-            self.insert(tx, &name, row)?;
-        }
-        self.commit(tx)
+        self.in_tx(|tx| rows.into_iter().try_for_each(|row| self.insert(tx, &name, row).map(drop)))
     }
 
     // ------------------------------------------------------------------
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Start a transaction.
+    /// Start a transaction, waiting while another one is open.
     pub fn begin(&self) -> TxId {
-        let tx = self.next_tx.fetch_add(1, Ordering::SeqCst);
-        // quarry-audit: allow(QA102, reason = "HashMap::insert on the guarded map, not Database::insert; the name-based call graph over-approximates")
-        self.active.lock().insert(tx, TxState::default());
-        // Begin records make logs self-describing; recovery doesn't need them.
-        let _ = self.log(&LogRecord::Begin { tx });
-        tx
-    }
-
-    /// True when any active transaction in `active` holds uncommitted
-    /// changes to `table`. Callers hold the `tables` lock (lock order is
-    /// always tables → active).
-    fn touched_by_active(active: &HashMap<TxId, TxState>, table: &str) -> bool {
-        active.values().any(|st| st.undo.iter().any(|u| u.table() == table))
-    }
-
-    /// Tables touched by `state`, deduplicated.
-    fn touched_tables(state: &TxState) -> Vec<String> {
-        let mut names: Vec<String> = state.undo.iter().map(|u| u.table().to_string()).collect();
-        names.sort();
-        names.dedup();
-        names
+        let mut st = self.tables.lock();
+        while st.open.is_some() {
+            self.tx_closed.wait(&mut st);
+        }
+        let id = self.next_tx.fetch_add(1, Ordering::SeqCst);
+        st.open = Some(OpenTx { id, undo: Vec::new() });
+        id
     }
 
     /// Commit: durable once this returns.
@@ -436,66 +421,58 @@ impl Database {
     /// commit boundaries — a [`Database::snapshot`] taken mid-transaction
     /// sorts strictly before the commit in version order.
     pub fn commit(&self, tx: TxId) -> Result<()> {
-        {
-            let mut tables = self.tables.lock();
-            let mut active = self.active.lock();
-            let state = active.remove(&tx).ok_or(StorageError::NoSuchTx(tx))?;
-            for name in Self::touched_tables(&state) {
-                if let Some(t) = tables.get_mut(&name) {
-                    t.version = self.stamp();
-                    // Another in-flight writer on the same table keeps it
-                    // dirty; its commit/abort will publish a stable stamp.
-                    if !Self::touched_by_active(&active, &name) {
-                        t.stable_version = t.version;
-                    }
-                }
-            }
-        }
-        self.log_durable(&LogRecord::Commit { tx })?;
-        self.locks.release_all(tx);
-        Ok(())
+        self.close_tx(tx, false)
     }
 
     /// Abort: rolls back every in-memory change of `tx`.
     pub fn abort(&self, tx: TxId) -> Result<()> {
+        self.close_tx(tx, true)
+    }
+
+    /// End transaction `tx`, keeping its changes or rolling them back.
+    fn close_tx(&self, tx: TxId, rollback: bool) -> Result<()> {
         {
-            // Take the tables lock *before* removing the transaction from
-            // the active set: a concurrent snapshot must never observe the
-            // not-yet-rolled-back changes as committed state.
-            let mut tables = self.tables.lock();
-            let mut active = self.active.lock();
-            let state = active.remove(&tx).ok_or(StorageError::NoSuchTx(tx))?;
-            for undo in state.undo.iter().rev() {
-                if let Some(t) = tables.get_mut(undo.table()) {
-                    undo.apply_to(t);
-                    t.version = self.stamp();
-                }
+            let mut st = self.tables.lock();
+            let (tables, undo) = st.open_tx(tx)?;
+            let undo = std::mem::take(undo);
+            if undo.is_empty() {
+                // Changed nothing, so logged no `Begin` either: nothing to
+                // stamp, undo or log.
+                st.open = None;
+                self.tx_closed.notify_one();
+                return Ok(());
             }
-            for name in Self::touched_tables(&state) {
-                if let Some(t) = tables.get_mut(&name) {
-                    if !Self::touched_by_active(&active, &name) {
-                        t.stable_version = t.version;
+            if rollback {
+                for u in undo.iter().rev() {
+                    if let Some(t) = tables.get_mut(u.table()) {
+                        u.apply_to(t);
                     }
                 }
             }
+            let mut touched: Vec<&str> = undo.iter().map(Undo::table).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            for name in touched {
+                if let Some(t) = tables.get_mut(name) {
+                    t.version = self.stamp();
+                    t.stable_version = t.version;
+                }
+            }
         }
-        self.log(&LogRecord::Abort { tx })?;
-        self.locks.release_all(tx);
-        Ok(())
-    }
-
-    fn check_active(&self, tx: TxId) -> Result<()> {
-        if self.active.lock().contains_key(&tx) {
-            Ok(())
+        // The transaction stays open, with nothing left to undo, across
+        // the log write, so the next transaction's records follow this
+        // one's `Commit` in the WAL. The `tables` mutex is not held
+        // meanwhile: snapshots never wait for the fsync. The gate opens
+        // whether or not the write succeeded — a failed commit returns
+        // its error, it does not wedge the database.
+        let logged = if rollback {
+            self.log_tx(tx, false, &LogRecord::Abort { tx })
         } else {
-            Err(StorageError::NoSuchTx(tx))
-        }
-    }
-
-    fn push_undo(&self, tx: TxId, undo: Undo) {
-        if let Some(st) = self.active.lock().get_mut(&tx) {
-            st.undo.push(undo);
-        }
+            self.log_durable(&LogRecord::Commit { tx })
+        };
+        self.tables.lock().open = None;
+        self.tx_closed.notify_one();
+        logged
     }
 
     // ------------------------------------------------------------------
@@ -504,118 +481,91 @@ impl Database {
 
     /// Insert a row. Fails on duplicate primary key.
     pub fn insert(&self, tx: TxId, table: &str, row: Row) -> Result<RowId> {
-        self.check_active(tx)?;
-        self.locks.acquire(
-            tx,
-            LockTarget::Table(table.to_string()),
-            LockMode::IntentionExclusive,
-        )?;
-        let mut tables = self.tables.lock();
-        let t =
-            tables.get_mut(table).ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
+        let mut st = self.tables.lock();
+        let (tables, undo) = st.open_tx(tx)?;
+        let t = table_mut(tables, table)?;
         t.schema.validate(&row)?;
         let key = t.schema.key_of(&row);
         if t.lookup_pk(&key)?.is_some() {
             return Err(StorageError::DuplicateKey(format!("{table} key {key:?} already exists")));
         }
         let row_id = RowId(t.next_row);
-        // Lock the new row before publishing it.
-        self.locks.acquire(tx, LockTarget::Row(table.to_string(), row_id), LockMode::Exclusive)?;
-        self.log(&LogRecord::Insert { tx, table: table.to_string(), row_id, row: row.clone() })?;
-        let stamp = self.stamp();
-        t.apply_insert(stamp, row_id, row)?;
-        // Register the undo entry while still holding the tables lock: a
-        // snapshot taken in between must see the table as dirty.
-        self.push_undo(tx, Undo::Insert { table: table.to_string(), row_id });
-        drop(tables);
+        let rec = LogRecord::Insert { tx, table: table.to_string(), row_id, row: row.clone() };
+        self.log_tx(tx, undo.is_empty(), &rec)?;
+        t.apply_insert(self.stamp(), row_id, row)?;
+        undo.push(Undo::Insert { table: table.to_string(), row_id });
         Ok(row_id)
     }
 
-    fn row_id_for_key(&self, table: &str, key: &[Value]) -> Result<RowId> {
-        let tables = self.tables.lock();
-        let t = tables.get(table).ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-        t.lookup_pk(key)?.ok_or_else(|| StorageError::NotFound(format!("{table} key {key:?}")))
+    /// Run `read` over `table` as transaction `tx` sees it: committed
+    /// state plus its own changes.
+    fn read<T>(&self, tx: TxId, table: &str, read: impl FnOnce(&Table) -> Result<T>) -> Result<T> {
+        let st = self.tables.lock();
+        match &st.open {
+            Some(open) if open.id == tx => read(st.table(table)?),
+            _ => Err(StorageError::NoSuchTx(tx)),
+        }
     }
 
-    /// Read one row by primary key (shared-locked until transaction end).
+    /// Read one row by primary key.
     pub fn get(&self, tx: TxId, table: &str, key: &[Value]) -> Result<Row> {
-        self.check_active(tx)?;
-        self.locks.acquire(tx, LockTarget::Table(table.to_string()), LockMode::IntentionShared)?;
-        let row_id = self.row_id_for_key(table, key)?;
-        self.locks.acquire(tx, LockTarget::Row(table.to_string(), row_id), LockMode::Shared)?;
-        let tables = self.tables.lock();
-        let t = tables.get(table).ok_or_else(|| StorageError::NoSuchTable(table.into()))?;
-        t.effective_row(row_id)?
-            .ok_or_else(|| StorageError::NotFound(format!("{table} key {key:?}")))
+        self.read(tx, table, |t| {
+            let row = match t.lookup_pk(key)? {
+                Some(row_id) => t.effective_row(row_id)?,
+                None => None,
+            };
+            row.ok_or_else(|| not_found(table, key))
+        })
     }
 
     /// Replace the row at `key` with `row` (which may change the key).
     pub fn update(&self, tx: TxId, table: &str, key: &[Value], row: Row) -> Result<()> {
-        self.check_active(tx)?;
-        self.locks.acquire(
-            tx,
-            LockTarget::Table(table.to_string()),
-            LockMode::IntentionExclusive,
-        )?;
-        let row_id = self.row_id_for_key(table, key)?;
-        self.locks.acquire(tx, LockTarget::Row(table.to_string(), row_id), LockMode::Exclusive)?;
-        let mut tables = self.tables.lock();
-        let t =
-            tables.get_mut(table).ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
+        let mut st = self.tables.lock();
+        let (tables, undo) = st.open_tx(tx)?;
+        let t = table_mut(tables, table)?;
+        let row_id = t.lookup_pk(key)?.ok_or_else(|| not_found(table, key))?;
         t.schema.validate(&row)?;
         let new_key = t.schema.key_of(&row);
-        if new_key != key && t.pk.contains_key(&new_key) {
+        if new_key != key && t.lookup_pk(&new_key)?.is_some_and(|holder| holder != row_id) {
             return Err(StorageError::DuplicateKey(format!(
                 "{table} key {new_key:?} already exists"
             )));
         }
-        self.log(&LogRecord::Update { tx, table: table.to_string(), row_id, row: row.clone() })?;
-        let stamp = self.stamp();
+        let rec = LogRecord::Update { tx, table: table.to_string(), row_id, row: row.clone() };
+        self.log_tx(tx, undo.is_empty(), &rec)?;
         let old = t
-            .apply_update(stamp, row_id, row)?
+            .apply_update(self.stamp(), row_id, row)?
             .ok_or_else(|| StorageError::NotFound(format!("{table} row {row_id}")))?;
-        self.push_undo(tx, Undo::Update { table: table.to_string(), row_id, old });
-        drop(tables);
+        undo.push(Undo::Update { table: table.to_string(), row_id, old });
         Ok(())
     }
 
     /// Delete the row at `key`.
     pub fn delete(&self, tx: TxId, table: &str, key: &[Value]) -> Result<()> {
-        self.check_active(tx)?;
-        self.locks.acquire(
-            tx,
-            LockTarget::Table(table.to_string()),
-            LockMode::IntentionExclusive,
-        )?;
-        let row_id = self.row_id_for_key(table, key)?;
-        self.locks.acquire(tx, LockTarget::Row(table.to_string(), row_id), LockMode::Exclusive)?;
-        let mut tables = self.tables.lock();
-        let t =
-            tables.get_mut(table).ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-        self.log(&LogRecord::Delete { tx, table: table.to_string(), row_id })?;
-        let stamp = self.stamp();
+        let mut st = self.tables.lock();
+        let (tables, undo) = st.open_tx(tx)?;
+        let t = table_mut(tables, table)?;
+        let row_id = t.lookup_pk(key)?.ok_or_else(|| not_found(table, key))?;
+        let rec = LogRecord::Delete { tx, table: table.to_string(), row_id };
+        self.log_tx(tx, undo.is_empty(), &rec)?;
         let old = t
-            .apply_delete(stamp, row_id)?
+            .apply_delete(self.stamp(), row_id)?
             .ok_or_else(|| StorageError::NotFound(format!("{table} row {row_id}")))?;
-        self.push_undo(tx, Undo::Delete { table: table.to_string(), row_id, old });
-        drop(tables);
+        undo.push(Undo::Delete { table: table.to_string(), row_id, old });
         Ok(())
     }
 
-    /// Scan a whole table (table-level shared lock; serializes against
-    /// writers, including inserts — no phantoms).
+    /// Scan a whole table in row-id order.
     pub fn scan(&self, tx: TxId, table: &str) -> Result<Vec<Row>> {
-        self.check_active(tx)?;
-        self.locks.acquire(tx, LockTarget::Table(table.to_string()), LockMode::Shared)?;
-        let tables = self.tables.lock();
-        let t = tables.get(table).ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-        let overlay = Table::sorted_overlay(&t.heap);
-        let mut out = Vec::with_capacity(t.live_rows as usize);
-        paged::for_each_live_row(t.base.as_ref(), &overlay, &t.tombstones, &mut |_, row| {
-            out.push(row.clone());
-            Ok(())
-        })?;
-        Ok(out)
+        self.read(tx, table, |t| {
+            let overlay = Table::sorted_overlay(&t.heap);
+            let mut out = Vec::with_capacity(t.live_rows as usize);
+            paged::for_each_live_row(t.base.as_ref(), &overlay, &t.tombstones, &mut |_, row| {
+                out.push(row.clone());
+                Ok(())
+            })?;
+            Ok(out)
+        })
     }
 
     /// Equality probe on a secondary index.
@@ -638,121 +588,13 @@ impl Database {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Result<Vec<Row>> {
-        self.check_active(tx)?;
-        self.locks.acquire(tx, LockTarget::Table(table.to_string()), LockMode::IntentionShared)?;
-        // Collect candidate row ids under the table mutex, then shared-lock them.
-        let row_ids: Vec<RowId> = {
-            let tables = self.tables.lock();
-            let t =
-                tables.get(table).ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-            t.index_candidates(column, lo, hi)?
-        };
-        let mut rows = Vec::with_capacity(row_ids.len());
-        for row_id in row_ids {
-            self.locks.acquire(tx, LockTarget::Row(table.to_string(), row_id), LockMode::Shared)?;
-            let tables = self.tables.lock();
-            let t = tables.get(table).ok_or_else(|| StorageError::NoSuchTable(table.into()))?;
-            if let Some(r) = t.effective_row(row_id)? {
-                rows.push(r);
+        self.read(tx, table, |t| {
+            let mut rows = Vec::new();
+            for row_id in t.index_candidates(column, lo, hi)? {
+                rows.extend(t.effective_row(row_id)?);
             }
-        }
-        Ok(rows)
-    }
-
-    /// Filtered, projected read — the query planner's table-access
-    /// primitive, with predicate and projection *pushdown*: `filter` is
-    /// evaluated against each candidate row while it is still borrowed from
-    /// the heap, and only the `projection` columns of accepted rows are
-    /// cloned out. Non-matching rows are never copied at all.
-    ///
-    /// Rows come back in row-id (insertion) order for **both** access
-    /// paths, so an index-routed read is bit-identical — including order —
-    /// to a full scan with the same filter. Returns `(rows, scanned)` where
-    /// `scanned` counts the candidate rows the filter examined.
-    ///
-    /// Locking matches the underlying path: `Full` takes a table-level
-    /// shared lock (serializes against writers, no phantoms);
-    /// `Index` takes intention-shared + per-row shared locks, like
-    /// [`Database::index_range`].
-    pub fn select(
-        &self,
-        tx: TxId,
-        table: &str,
-        access: ScanAccess<'_>,
-        filter: &mut dyn FnMut(&[Value]) -> bool,
-        projection: Option<&[usize]>,
-    ) -> Result<(Vec<Row>, usize)> {
-        self.check_active(tx)?;
-        let materialize = |row: &Row| -> Row {
-            match projection {
-                Some(cols) => cols.iter().map(|&i| row[i].clone()).collect(),
-                None => row.clone(),
-            }
-        };
-        match access {
-            ScanAccess::Full => {
-                self.locks.acquire(tx, LockTarget::Table(table.to_string()), LockMode::Shared)?;
-                let tables = self.tables.lock();
-                let t = tables
-                    .get(table)
-                    .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-                let overlay = Table::sorted_overlay(&t.heap);
-                let mut out = Vec::new();
-                let mut scanned = 0usize;
-                paged::for_each_live_row(
-                    t.base.as_ref(),
-                    &overlay,
-                    &t.tombstones,
-                    &mut |_, row| {
-                        scanned += 1;
-                        if filter(row) {
-                            out.push(materialize(row));
-                        }
-                        Ok(())
-                    },
-                )?;
-                Ok((out, scanned))
-            }
-            ScanAccess::Index { column, lo, hi } => {
-                self.locks.acquire(
-                    tx,
-                    LockTarget::Table(table.to_string()),
-                    LockMode::IntentionShared,
-                )?;
-                let mut row_ids: Vec<RowId> = {
-                    let tables = self.tables.lock();
-                    let t = tables
-                        .get(table)
-                        .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-                    t.index_candidates(column, lo, hi)?
-                };
-                // Row-id order = full-scan order; also canonicalizes the
-                // lock-acquisition order.
-                row_ids.sort_unstable();
-                for row_id in &row_ids {
-                    self.locks.acquire(
-                        tx,
-                        LockTarget::Row(table.to_string(), *row_id),
-                        LockMode::Shared,
-                    )?;
-                }
-                let tables = self.tables.lock();
-                let t = tables
-                    .get(table)
-                    .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-                let mut out = Vec::new();
-                let mut scanned = 0usize;
-                for row_id in &row_ids {
-                    if let Some(row) = t.effective_row(*row_id)? {
-                        scanned += 1;
-                        if filter(&row) {
-                            out.push(materialize(&row));
-                        }
-                    }
-                }
-                Ok((out, scanned))
-            }
-        }
+            Ok(rows)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -763,25 +605,21 @@ impl Database {
     /// state, pinned to the current write-clock LSN.
     ///
     /// Reads against the returned [`DbSnapshot`] take no locks and never
-    /// block (or are blocked by) writers. The snapshot is cheap when the
-    /// database is quiet: per-table views are cached in the engine and
+    /// block (or are blocked by) the writer. The snapshot is cheap when
+    /// the database is quiet: per-table views are cached in the engine and
     /// re-used by `Arc` as long as a table's version is unchanged, so the
     /// steady-state cost is one `Arc` clone per table. Only tables that
-    /// changed since the last snapshot are re-copied; tables with
-    /// uncommitted in-flight changes are rolled back to their committed
-    /// contents via the owning transactions' undo logs (strict 2PL makes
-    /// undo entries of concurrent transactions row-disjoint, so the
-    /// rollback order across transactions is immaterial).
+    /// changed since the last snapshot are re-copied; tables the open
+    /// transaction has changed are rolled back to their committed contents
+    /// via its undo list.
     pub fn snapshot(&self) -> DbSnapshot {
-        let tables = self.tables.lock();
-        let active = self.active.lock();
+        let st = self.tables.lock();
         let mut cache = self.views.lock();
-        cache.retain(|name, _| tables.contains_key(name));
-        let mut out = HashMap::with_capacity(tables.len());
-        for (name, t) in tables.iter() {
+        cache.retain(|name, _| st.tables.contains_key(name));
+        let mut out = HashMap::with_capacity(st.tables.len());
+        for (name, t) in &st.tables {
             let clean = t.version == t.stable_version;
             let view = if clean {
-                // quarry-audit: allow(QA102, reason = "HashMap::get on the view cache, not Database::get; the name-based call graph over-approximates")
                 let hit = cache.get(name).filter(|v| v.version() == t.version).cloned();
                 match hit {
                     Some(v) => v,
@@ -795,19 +633,17 @@ impl Database {
                             t.live_rows,
                             t.version,
                         ));
-                        // quarry-audit: allow(QA102, reason = "HashMap::insert on the view cache, not Database::insert")
                         cache.insert(name.clone(), Arc::clone(&v));
                         v
                     }
                 }
             } else {
-                // Dirty: subtract every active transaction's
-                // uncommitted changes from a private clone. The view
-                // is stamped with a fresh clock tick (never cached):
-                // a fresh stamp can't alias any other content, and the
-                // table will publish a real stable version at the next
-                // commit or abort.
-                let tmp = committed_clone(name, t, &active);
+                // Dirty: subtract the open transaction's uncommitted
+                // changes from a private clone. The view is stamped with
+                // a fresh clock tick (never cached): a fresh stamp can't
+                // alias any other content, and the table will publish a
+                // real stable version at the next commit or abort.
+                let tmp = committed_clone(name, t, st.uncommitted());
                 Arc::new(TableView::capture(
                     tmp.schema,
                     &tmp.heap,
@@ -818,7 +654,6 @@ impl Database {
                     self.stamp(),
                 ))
             };
-            // quarry-audit: allow(QA102, reason = "HashMap::insert on the result map, not Database::insert")
             out.insert(name.clone(), view);
         }
         let lsn = self.write_clock.load(Ordering::SeqCst);
@@ -827,11 +662,7 @@ impl Database {
 
     /// Number of rows in a table (unlocked, diagnostics only).
     pub fn row_count(&self, table: &str) -> Result<usize> {
-        let tables = self.tables.lock();
-        tables
-            .get(table)
-            .map(|t| t.live_rows as usize)
-            .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))
+        Ok(self.tables.lock().table(table)?.live_rows as usize)
     }
 
     // ------------------------------------------------------------------
@@ -876,7 +707,7 @@ impl Database {
     /// Capture a reseed payload: the current epoch, the WAL offset
     /// streaming resumes from, and a synthetic committed record stream
     /// that recreates every table when replayed into an empty database.
-    /// Uncommitted changes of in-flight transactions are rolled back out
+    /// Uncommitted changes of the open transaction are rolled back out
     /// of the capture exactly like [`Database::snapshot`] does. The
     /// offset is read under the same `tables` lock as the records, so
     /// frames at `>= start_offset` may double-cover the seed's tail —
@@ -884,12 +715,11 @@ impl Database {
     /// that already contains them is convergent (the checkpoint-recovery
     /// argument; see docs/durability.md).
     pub fn seed_state(&self) -> Result<ReplicationSeed> {
-        let tables = self.tables.lock();
-        let active = self.active.lock();
+        let st = self.tables.lock();
         let epoch = self.epoch.load(Ordering::SeqCst);
         let start_offset = self.wal.lock().as_ref().map(Wal::len).unwrap_or(0);
         let tx = self.next_tx.fetch_add(1, Ordering::SeqCst);
-        let records = replication::seed_records(&tables, &active, tx)?;
+        let records = replication::seed_records(&st.tables, st.uncommitted(), tx)?;
         Ok(ReplicationSeed { epoch, start_offset, records })
     }
 
@@ -905,16 +735,11 @@ impl Database {
         Ok(())
     }
 
-    /// Replication (replica side): apply the DML records of one
-    /// *committed* transaction in log order, through the same redo path
-    /// recovery uses.
-    pub fn replicate_apply_commit(&self, records: &[LogRecord]) -> Result<()> {
-        redo(&mut self.tables.lock(), records.iter().cloned(), &|| self.stamp())
-    }
-
-    /// Replication (replica side): apply one auto-committed DDL record.
-    pub fn replicate_apply_ddl(&self, rec: &LogRecord) -> Result<()> {
-        redo(&mut self.tables.lock(), [rec.clone()], &|| self.stamp())
+    /// Replication (replica side): apply shipped records in log order —
+    /// the DML of one *committed* transaction, or one auto-committed DDL
+    /// record — through the same redo path recovery uses.
+    pub fn replicate_apply(&self, records: &[LogRecord]) -> Result<()> {
+        redo(&mut self.tables.lock().tables, records.iter().cloned(), &|| self.stamp())
     }
 
     /// Replication (replica side): discard every table, cached view, and
@@ -922,9 +747,9 @@ impl Database {
     /// database is removed too — after a reseed the local log is the only
     /// recovery source until the next local checkpoint.
     pub fn replicate_reset(&self) -> Result<()> {
-        let mut tables = self.tables.lock();
+        let mut st = self.tables.lock();
         let mut wal = self.wal.lock();
-        tables.clear();
+        st.tables.clear();
         self.views.lock().clear();
         if let Some(w) = wal.as_mut() {
             let ckpt = checkpoint::image_path(w.path());
@@ -932,7 +757,6 @@ impl Database {
             let _ = self.backend.remove_file(&ckpt);
         }
         *self.image.lock() = None;
-        self.commit_queue.reset();
         self.epoch.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
@@ -949,13 +773,15 @@ impl Database {
     // Auto-commit conveniences
     // ------------------------------------------------------------------
 
-    /// Insert under a fresh single-operation transaction.
-    pub fn insert_autocommit(&self, table: &str, row: Row) -> Result<RowId> {
+    /// Run `body` in a fresh transaction: committed if it succeeds,
+    /// aborted if it fails — never left open, since an open transaction
+    /// keeps every later `begin()` waiting.
+    fn in_tx<T>(&self, body: impl FnOnce(TxId) -> Result<T>) -> Result<T> {
         let tx = self.begin();
-        match self.insert(tx, table, row) {
-            Ok(id) => {
+        match body(tx) {
+            Ok(out) => {
                 self.commit(tx)?;
-                Ok(id)
+                Ok(out)
             }
             Err(e) => {
                 let _ = self.abort(tx);
@@ -964,20 +790,14 @@ impl Database {
         }
     }
 
+    /// Insert under a fresh single-operation transaction.
+    pub fn insert_autocommit(&self, table: &str, row: Row) -> Result<RowId> {
+        self.in_tx(|tx| self.insert(tx, table, row))
+    }
+
     /// Scan under a fresh single-operation transaction.
     pub fn scan_autocommit(&self, table: &str) -> Result<Vec<Row>> {
-        let tx = self.begin();
-        let out = self.scan(tx, table);
-        match out {
-            Ok(rows) => {
-                self.commit(tx)?;
-                Ok(rows)
-            }
-            Err(e) => {
-                let _ = self.abort(tx);
-                Err(e)
-            }
-        }
+        self.in_tx(|tx| self.scan(tx, table))
     }
 }
 
@@ -990,10 +810,13 @@ impl std::fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultfs::{CrashPlan, FaultBackend, Op};
     use crate::structured::fixtures::{people_schema, person, tmpwal};
     use crate::structured::table::Column;
+    use crate::structured::view::ScanAccess;
     use crate::value::DataType;
-    use std::sync::Arc;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn insert_get_update_delete_cycle() {
@@ -1080,19 +903,29 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_locking_isolates_writers() {
-        let db = Arc::new(Database::in_memory());
+    fn second_begin_waits_for_the_open_transaction() {
+        let db = Database::in_memory();
         db.create_table(people_schema()).unwrap();
         db.insert_autocommit("people", person("shared", 0, "x")).unwrap();
 
-        // Older tx writes the row; younger tx must fail (wait-die) on read.
-        let t_old = db.begin();
-        let t_young = db.begin();
-        db.update(t_old, "people", &["shared".into()], person("shared", 1, "x")).unwrap();
-        let err = db.get(t_young, "people", &["shared".into()]).unwrap_err();
-        assert!(matches!(err, StorageError::TxAborted(_)));
-        db.abort(t_young).unwrap();
-        db.commit(t_old).unwrap();
+        let first = db.begin();
+        let (began_tx, began) = mpsc::channel();
+        std::thread::scope(|s| {
+            let second = s.spawn(|| {
+                let tx = db.begin();
+                began_tx.send(()).unwrap();
+                let row = db.get(tx, "people", &["shared".into()]).unwrap();
+                db.commit(tx).unwrap();
+                row
+            });
+            db.update(first, "people", &["shared".into()], person("shared", 1, "x")).unwrap();
+            // A negative check can only time out: while `first` is open
+            // the other thread's `begin()` must not return.
+            assert!(began.recv_timeout(Duration::from_millis(100)).is_err());
+            db.commit(first).unwrap();
+            began.recv().unwrap();
+            assert_eq!(second.join().unwrap(), person("shared", 1, "x"));
+        });
     }
 
     #[test]
@@ -1106,22 +939,12 @@ mod tests {
         for _ in 0..threads {
             let db = Arc::clone(&db);
             handles.push(std::thread::spawn(move || {
-                let mut done = 0;
-                while done < per_thread {
+                for _ in 0..per_thread {
                     let tx = db.begin();
-                    let res = db.get(tx, "people", &["ctr".into()]).and_then(|row| {
-                        let n = row[1].as_f64().unwrap() as i64;
-                        db.update(tx, "people", &["ctr".into()], person("ctr", n + 1, "x"))
-                    });
-                    match res {
-                        Ok(()) => {
-                            db.commit(tx).unwrap();
-                            done += 1;
-                        }
-                        Err(_) => {
-                            let _ = db.abort(tx);
-                        }
-                    }
+                    let row = db.get(tx, "people", &["ctr".into()]).unwrap();
+                    let n = row[1].as_f64().unwrap() as i64;
+                    db.update(tx, "people", &["ctr".into()], person("ctr", n + 1, "x")).unwrap();
+                    db.commit(tx).unwrap();
                 }
             }));
         }
@@ -1134,8 +957,6 @@ mod tests {
 
     #[test]
     fn durability_modes_contract() {
-        use crate::faultfs::{CrashPlan, FaultBackend, Op};
-
         // Full: one fsync boundary per commit/DDL.
         let p = tmpwal("dur-full");
         {
@@ -1201,6 +1022,56 @@ mod tests {
             let db = Database::open(&p).unwrap();
             assert_eq!(db.row_count("people").unwrap(), 1);
         }
+        let _ = std::fs::remove_file(&p);
+    }
+
+    #[test]
+    fn reads_neither_write_nor_fsync() {
+        let p = tmpwal("read-only");
+        let fb = FaultBackend::recording(RealBackend);
+        let db = Database::open_with(Arc::new(fb.clone()), &p).unwrap();
+        db.create_table(people_schema()).unwrap();
+        db.insert_autocommit("people", person("a", 1, "x")).unwrap();
+
+        let (ops, len) = (fb.op_count(), db.wal_len());
+        for _ in 0..10 {
+            db.scan_autocommit("people").unwrap();
+        }
+        let tx = db.begin();
+        db.get(tx, "people", &["a".into()]).unwrap();
+        db.commit(tx).unwrap();
+        let tx = db.begin();
+        db.abort(tx).unwrap();
+        assert_eq!(fb.op_count(), ops, "a reader reaches the backend: {:?}", fb.ops());
+        assert_eq!(db.wal_len(), len);
+
+        // Writing transactions log as before — Begin, the change, Commit —
+        // and the twelve readers between them took ids but left no record.
+        db.insert_autocommit("people", person("b", 2, "x")).unwrap();
+        let log: Vec<LogRecord> = crate::wal::Wal::replay(&p)
+            .unwrap()
+            .iter()
+            .map(|r| LogRecord::decode(&r.payload).unwrap())
+            .collect();
+        let txs: Vec<Option<TxId>> = log.iter().map(LogRecord::tx).collect();
+        assert_eq!(txs, [None, Some(1), Some(1), Some(1), Some(14), Some(14), Some(14)]);
+        assert!(
+            matches!(log[1], LogRecord::Begin { .. }) && matches!(log[4], LogRecord::Begin { .. })
+        );
+        let _ = std::fs::remove_file(&p);
+    }
+
+    #[test]
+    fn failed_drop_table_keeps_the_table() {
+        let p = tmpwal("drop-fails");
+        let fb = FaultBackend::recording(RealBackend);
+        let db = Database::open_with(Arc::new(fb.clone()), &p).unwrap();
+        db.create_table(people_schema()).unwrap();
+        // The next backend operation is the write of the DropTable record.
+        fb.arm(CrashPlan::kill_at(fb.op_count() + 1));
+        assert!(matches!(db.drop_table("people"), Err(StorageError::Io(_))));
+        assert!(matches!(fb.ops().last(), Some(Op::Write { .. })));
+        assert_eq!(db.table_names(), ["people"]);
         let _ = std::fs::remove_file(&p);
     }
 
@@ -1280,7 +1151,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_excludes_aborted_work_and_matches_select_semantics() {
+    fn snapshot_excludes_aborted_work_and_matches_transactional_reads() {
         let db = Database::in_memory();
         db.create_table(people_schema()).unwrap();
         for i in 0..8 {
@@ -1291,22 +1162,18 @@ mod tests {
         db.abort(tx).unwrap();
 
         let snap = db.snapshot();
-        // Full-path and index-path reads agree with the live engine.
+        // Full-path and index-path reads agree with a transaction's.
+        let (lo, hi) = (Value::Int(2), Value::Int(6));
         let tx = db.begin();
-        for access in [
-            ScanAccess::Full,
-            ScanAccess::Index { column: "age", lo: Some(&Value::Int(2)), hi: Some(&Value::Int(6)) },
-        ] {
-            let mut live_filter = |row: &[Value]| row[1].as_f64().unwrap() as i64 % 2 == 0;
-            let live =
-                db.select(tx, "people", access, &mut live_filter, Some(&[0, 1][..])).unwrap();
-            let mut snap_filter = |row: &[Value]| row[1].as_f64().unwrap() as i64 % 2 == 0;
-            let snapped = snap.select("people", access, &mut snap_filter, Some(&[0, 1])).unwrap();
-            assert_eq!(live, snapped, "access {access:?}");
-        }
+        let scanned = db.scan(tx, "people").unwrap();
+        let ranged = db.index_range(tx, "people", "age", Some(&lo), Some(&hi)).unwrap();
         db.commit(tx).unwrap();
+        assert_eq!(scanned.len(), 8, "the aborted delete left no trace");
+        assert_eq!(snap.scan("people").unwrap(), scanned);
+        let access = ScanAccess::Index { column: "age", lo: Some(&lo), hi: Some(&hi) };
+        assert_eq!(snap.select("people", access, &mut |_| true, None).unwrap(), (ranged, 5));
 
-        // Unknown table / unindexed column give the live error kinds.
+        // Unknown table / unindexed column give the transactional error kinds.
         assert!(matches!(snap.scan("ghost"), Err(StorageError::NoSuchTable(_))));
         let err = snap
             .select(

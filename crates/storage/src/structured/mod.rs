@@ -6,8 +6,8 @@
 //!
 //! - typed, schema-checked tables with primary keys ([`table`]);
 //! - secondary B-tree indexes maintained on every write ([`index`]);
-//! - strict two-phase locking with intention locks and wait-die deadlock
-//!   avoidance ([`lock`]);
+//! - serial transactions: one is open at a time, the next `begin()` waits
+//!   for its commit or abort ([`engine`]);
 //! - a write-ahead log ([`recovery`]: the record schema) and redo recovery
 //!   that restores exactly the committed prefix after a crash;
 //! - lock-free MVCC snapshot reads pinned to a write-clock LSN ([`view`]);
@@ -17,15 +17,14 @@
 //! before it: `paged` (checkpoint-image reads and tree building) ←
 //! `overlay` (per-table in-memory state, undo, and the one redo path) ←
 //! `checkpoint` (image publication and open-time recovery) and the seed
-//! capture in [`replication`] ← [`engine`] (locks, transactions, the WAL
-//! handle).
+//! capture in [`replication`] ← [`engine`] (the writer gate, transactions,
+//! the WAL handle).
 
 mod checkpoint;
 pub mod engine;
 #[cfg(test)]
 mod fixtures;
 pub mod index;
-pub mod lock;
 mod overlay;
 pub(crate) mod paged;
 pub mod recovery;
@@ -33,10 +32,9 @@ pub mod replication;
 pub mod table;
 pub mod view;
 
-pub use engine::{Database, ScanAccess, TxId};
-pub use lock::{LockManager, LockMode};
+pub use engine::{Database, TxId};
 pub use overlay::IndexStats;
 pub use recovery::LogRecord;
 pub use replication::{ReplicaApplier, ReplicaPosition, ReplicationSeed};
 pub use table::{Column, Row, RowId, TableSchema};
-pub use view::{DbSnapshot, TableView};
+pub use view::{DbSnapshot, ScanAccess, TableView};

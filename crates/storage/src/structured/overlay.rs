@@ -4,8 +4,8 @@
 //! backward (abort and snapshot rollback).
 //!
 //! Bottom of the engine's module stack: everything here works on plain
-//! `&mut` table state handed in by the caller. Locks, the WAL and
-//! transaction ids belong to the layers above (`checkpoint` and
+//! `&mut` table state handed in by the caller. The writer gate, the WAL
+//! and transaction ids belong to the layers above (`checkpoint` and
 //! `replication`, then `engine`).
 
 use crate::error::StorageError;
@@ -69,7 +69,7 @@ pub(super) struct Table {
     /// never aliases versions with its predecessor.
     pub(super) version: u64,
     /// Version of the last change that is *committed*. Strictly trails
-    /// `version` exactly while some active transaction holds uncommitted
+    /// `version` exactly while the open transaction holds uncommitted
     /// changes to this table — `version != stable_version` is the dirty
     /// test that routes [`Database::snapshot`] onto its rollback path.
     /// Commit and abort restamp both fields together (with a fresh clock
@@ -310,7 +310,7 @@ impl Table {
     }
 }
 
-/// How to undo one change of an active transaction.
+/// How to undo one change of the open transaction.
 pub(super) enum Undo {
     Insert { table: String, row_id: RowId },
     Update { table: String, row_id: RowId, old: Row },
@@ -331,10 +331,9 @@ impl Undo {
     /// (where `t` is a private clone).
     ///
     /// Works purely on the overlay, which makes it infallible: every row
-    /// a live transaction wrote sits in the overlay (strict 2PL pins it
-    /// there — no checkpoint can fold it away while the transaction is
-    /// active, since checkpoints require quiescence), so undo never needs
-    /// to read the base image.
+    /// the open transaction wrote sits in the overlay (no checkpoint can
+    /// fold it away meanwhile, since checkpoints require quiescence), so
+    /// undo never needs to read the base image.
     pub(super) fn apply_to(&self, t: &mut Table) {
         match self {
             Undo::Insert { row_id, .. } => {
@@ -361,25 +360,13 @@ impl Undo {
     }
 }
 
-/// Per-transaction bookkeeping.
-#[derive(Default)]
-pub(super) struct TxState {
-    /// How to undo each change of the transaction, newest last.
-    pub(super) undo: Vec<Undo>,
-}
-
 /// The committed contents of a dirty table: a private clone of `t` with
-/// every active transaction's uncommitted changes rolled back. Strict 2PL
-/// makes the undo entries of concurrent transactions row-disjoint, so the
-/// rollback order across transactions is immaterial.
-pub(super) fn committed_clone(name: &str, t: &Table, active: &HashMap<u64, TxState>) -> Table {
+/// the open transaction's changes (`uncommitted`, oldest first) rolled
+/// back.
+pub(super) fn committed_clone(name: &str, t: &Table, uncommitted: &[Undo]) -> Table {
     let mut tmp = t.clone();
-    for st in active.values() {
-        for undo in st.undo.iter().rev() {
-            if undo.table() == name {
-                undo.apply_to(&mut tmp);
-            }
-        }
+    for undo in uncommitted.iter().rev().filter(|u| u.table() == name) {
+        undo.apply_to(&mut tmp);
     }
     tmp
 }

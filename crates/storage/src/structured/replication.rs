@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use super::engine::Database;
-use super::overlay::{committed_clone, Table, Tables, TxState};
+use super::overlay::{committed_clone, Table, Tables, Undo};
 use super::paged;
 use super::recovery::LogRecord;
 
@@ -49,12 +49,12 @@ pub struct ReplicationSeed {
 
 /// The record stream of a reseed: every table's schema, then one
 /// synthetic transaction `tx` inserting every committed row, so replaying
-/// it into an empty database recreates `tables`. Uncommitted changes of
-/// the `active` transactions are rolled back out of the capture exactly
+/// it into an empty database recreates `tables`. The open transaction's
+/// changes (`uncommitted`) are rolled back out of the capture exactly
 /// like a snapshot does.
 pub(super) fn seed_records(
     tables: &Tables,
-    active: &HashMap<u64, TxState>,
+    uncommitted: &[Undo],
     tx: u64,
 ) -> Result<Vec<LogRecord>> {
     let mut names: Vec<&String> = tables.keys().collect();
@@ -70,7 +70,7 @@ pub(super) fn seed_records(
         let t = if t.version == t.stable_version {
             t
         } else {
-            rolled_back = committed_clone(name, t, active);
+            rolled_back = committed_clone(name, t, uncommitted);
             &rolled_back
         };
         let overlay = Table::sorted_overlay(&t.heap);
@@ -225,7 +225,7 @@ impl ReplicaApplier {
             }
             LogRecord::Commit { tx } => {
                 let records = self.pending.remove(tx).unwrap_or_default();
-                self.db.replicate_apply_commit(&records)?;
+                self.db.replicate_apply(&records)?;
             }
             LogRecord::Abort { tx } => {
                 self.pending.remove(tx);
@@ -233,7 +233,7 @@ impl ReplicaApplier {
             LogRecord::CreateTable { .. }
             | LogRecord::DropTable { .. }
             | LogRecord::CreateIndex { .. } => {
-                self.db.replicate_apply_ddl(rec)?;
+                self.db.replicate_apply(std::slice::from_ref(rec))?;
             }
         }
         Ok(())
@@ -386,10 +386,12 @@ mod tests {
         insert(&primary, "t", 1, "a");
         insert(&primary, "t", 2, "b");
         pump(&mut applier);
-        // Position check before dump(): dumping the primary scans through
-        // an auto-commit transaction, which itself appends to its WAL.
-        assert_eq!(applier.position().offset, primary.wal_len());
+        // Dumping scans both databases; readers leave nothing in the log
+        // for the replica to see.
         assert_eq!(dump(&primary), dump(&replica));
+        pump(&mut applier);
+        assert_eq!(applier.pending_txs(), 0);
+        assert_eq!(applier.position().offset, primary.wal_len());
 
         // An uncommitted transaction ships but must not apply.
         let open_tx = primary.begin();

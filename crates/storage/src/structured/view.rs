@@ -3,9 +3,10 @@
 //! A [`DbSnapshot`] is the MVCC read half of the engine: an O(1)-to-clone
 //! bundle of `Arc`-shared per-table views pinned to one LSN of the global
 //! write clock. Snapshot reads take **no locks** — they never block
-//! writers, writers never block them, and two snapshots of the same
-//! version share their table views structurally. Writers keep the strict
-//! 2PL + WAL path in [`super::engine::Database`]; see `docs/concurrency.md`.
+//! the writer, the writer never blocks them, and two snapshots of the same
+//! version share their table views structurally. Writes go one
+//! transaction at a time through [`super::engine::Database`]; see
+//! `docs/concurrency.md`.
 //!
 //! Since the B-tree checkpoint engine, a view captures a table the same
 //! way the live engine holds it: a copy of the small in-memory overlay
@@ -23,11 +24,28 @@ use crate::Result;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use super::engine::ScanAccess;
 use super::index::SecondaryIndex;
 use super::overlay::IndexStats;
 use super::paged::{self, TableBase};
 use super::table::{Row, RowId, TableSchema};
+
+/// How [`DbSnapshot::select`] reaches a table's rows.
+#[derive(Debug, Clone, Copy)]
+pub enum ScanAccess<'a> {
+    /// Walk the whole table in row-id order.
+    Full,
+    /// Probe the secondary index on `column` for values in `[lo, hi]`
+    /// (inclusive, either bound optional), then fetch the matching rows in
+    /// row-id order. Errors when the column carries no index.
+    Index {
+        /// Indexed column.
+        column: &'a str,
+        /// Inclusive lower bound (`None` = unbounded).
+        lo: Option<&'a Value>,
+        /// Inclusive upper bound (`None` = unbounded).
+        hi: Option<&'a Value>,
+    },
+}
 
 /// An immutable copy of one table's committed state at a point in time.
 ///
@@ -123,9 +141,16 @@ impl TableView {
         Some(IndexStats { entries: self.live_rows as usize, distinct })
     }
 
-    /// Filtered, projected read mirroring `Database::select` bit for bit:
-    /// same row order (row-id order on both paths), same `(rows, scanned)`
-    /// accounting, same error kinds — but lock-free.
+    /// Filtered, projected read — the query planner's table-access
+    /// primitive, with predicate and projection *pushdown*: `filter` is
+    /// evaluated against each candidate row while it is still borrowed
+    /// from the view, and only the `projection` columns of accepted rows
+    /// are cloned out. Non-matching rows are never copied at all.
+    ///
+    /// Rows come back in row-id (insertion) order for **both** access
+    /// paths, so an index-routed read is bit-identical — including order —
+    /// to a full scan with the same filter. Returns `(rows, scanned)` where
+    /// `scanned` counts the candidate rows the filter examined.
     pub fn select(
         &self,
         access: ScanAccess<'_>,
@@ -271,7 +296,8 @@ impl DbSnapshot {
         Ok(self.table(table)?.row_count())
     }
 
-    /// Filtered, projected, lock-free read (mirrors `Database::select`).
+    /// Filtered, projected, lock-free read of one table; see
+    /// [`TableView::select`].
     pub fn select(
         &self,
         table: &str,

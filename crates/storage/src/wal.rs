@@ -25,9 +25,8 @@
 //! failure (to the extent the disk honors flush commands). `sync_data` is
 //! deliberate: frame data must be on stable storage, but file metadata such
 //! as the modification time need not be, and skipping the metadata journal
-//! write makes the commit fsync cheaper. Callers that need group commit
-//! should batch several `append`s behind one `sync`; the structured engine
-//! syncs once per commit/DDL record, never per operation. The checksum
+//! write makes the commit fsync cheaper. The structured engine syncs once
+//! per commit/DDL record, never per operation. The checksum
 //! framing makes a torn final frame detectable, so a crash *between*
 //! `append` and `sync` never corrupts the clean prefix — replay simply
 //! truncates the tail at the last record whose CRC verifies.
@@ -36,7 +35,6 @@ use crate::error::StorageError;
 use crate::faultfs::{BackendFile, RealBackend, StorageBackend};
 use crate::Result;
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -93,9 +91,8 @@ pub struct WalRecord {
 /// full contract table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
-    /// Every commit flushes *and* fsyncs the log before returning;
-    /// concurrent committers share one fsync through the group-commit
-    /// queue. Survives OS/power failure.
+    /// Every commit flushes *and* fsyncs the log before returning.
+    /// Survives OS/power failure.
     #[default]
     Full,
     /// Every commit flushes the log to the OS but skips the fsync.
@@ -347,116 +344,6 @@ impl std::fmt::Debug for Wal {
     }
 }
 
-// ---------------------------------------------------------------------
-// Group commit
-// ---------------------------------------------------------------------
-
-struct QueueState {
-    /// Bumped by [`CommitQueue::reset`] (log truncated by a checkpoint);
-    /// waiters from an older epoch are already durable via the checkpoint
-    /// image and stop waiting.
-    epoch: u64,
-    /// Log offset known to be on stable storage in the current epoch.
-    synced: u64,
-    /// A leader is inside `Wal::sync` on everyone's behalf.
-    leader: bool,
-}
-
-/// Batches concurrent commit fsyncs behind one `sync` call (group commit).
-///
-/// Each committer appends its records under the WAL lock, notes the
-/// resulting log length as its *target*, then calls
-/// [`CommitQueue::sync_through`]. The first arrival becomes the leader,
-/// takes the WAL lock, and syncs whatever the log holds *at that moment* —
-/// which covers every committer that appended before the leader got the
-/// lock. Followers just wait until `synced` reaches their target; under
-/// concurrency, N commits complete with far fewer than N fsyncs.
-pub struct CommitQueue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-}
-
-impl Default for CommitQueue {
-    fn default() -> CommitQueue {
-        CommitQueue::new()
-    }
-}
-
-impl CommitQueue {
-    /// A fresh queue (epoch 0, nothing synced).
-    pub fn new() -> CommitQueue {
-        CommitQueue {
-            state: Mutex::new(QueueState { epoch: 0, synced: 0, leader: false }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until log offset `target` is durable, becoming the sync
-    /// leader if nobody else is. `wal` is the engine's WAL slot; lock
-    /// order is always wal → state (the state lock is never held while
-    /// acquiring the wal lock).
-    pub fn sync_through(&self, wal: &Mutex<Option<Wal>>, target: u64) -> Result<()> {
-        let entry_epoch;
-        {
-            let mut st = self.state.lock();
-            entry_epoch = st.epoch;
-            loop {
-                if st.epoch != entry_epoch || st.synced >= target {
-                    return Ok(());
-                }
-                if !st.leader {
-                    st.leader = true;
-                    break;
-                }
-                self.cv.wait(&mut st);
-            }
-        }
-        // We are the leader. Sync outside the state lock so followers can
-        // queue up behind the next batch while this one hits the disk.
-        let mut guard = wal.lock();
-        let outcome = match guard.as_mut() {
-            Some(w) => {
-                let covered = w.len();
-                w.sync().map(|()| covered)
-            }
-            // WAL detached (in-memory database): nothing to make durable.
-            None => Ok(target),
-        };
-        // Publish while still holding the wal lock, so a concurrent
-        // checkpoint's truncate-then-reset cannot interleave between our
-        // fsync and the bookkeeping.
-        let mut st = self.state.lock();
-        st.leader = false;
-        let result = match outcome {
-            Ok(covered) => {
-                if st.epoch == entry_epoch && covered > st.synced {
-                    st.synced = covered;
-                }
-                Ok(())
-            }
-            Err(e) => Err(e),
-        };
-        drop(st);
-        drop(guard);
-        self.cv.notify_all();
-        // On error, this committer reports failure; woken followers retry
-        // as leaders and observe the failure themselves.
-        result
-    }
-
-    /// The log was truncated (checkpoint): invalidate outstanding targets.
-    /// Callers must hold the WAL lock, and must only call this *after* the
-    /// checkpoint image is durable — pre-reset waiters are then satisfied
-    /// by the image rather than the log.
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        st.epoch += 1;
-        st.synced = 0;
-        drop(st);
-        self.cv.notify_all();
-    }
-}
-
 /// Fail the build if we forget the error type grows non-Send.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
@@ -679,95 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_batches_fsyncs() {
-        use crate::faultfs::{FaultBackend, Op};
-        let p = tmp("group");
-        let _ = std::fs::remove_file(&p);
-        let fb = FaultBackend::recording(crate::faultfs::RealBackend);
-        let wal = Wal::open_with(Arc::new(fb.clone()), &p).unwrap();
-        let wal = Arc::new(Mutex::new(Some(wal)));
-        let queue = Arc::new(CommitQueue::new());
-
-        let threads = 4;
-        let commits_per_thread = 25;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let wal = Arc::clone(&wal);
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    for i in 0..commits_per_thread {
-                        let target = {
-                            let mut g = wal.lock();
-                            let w = g.as_mut().unwrap();
-                            w.append(format!("t{t}c{i}").as_bytes()).unwrap();
-                            w.len()
-                        };
-                        queue.sync_through(&wal, target).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-
-        // Every record made it to disk...
-        let recs = Wal::replay(&p).unwrap();
-        assert_eq!(recs.len(), threads * commits_per_thread);
-        // ...and the whole run used at most one fsync per commit (usually
-        // far fewer; equality only if no batching ever happened, which the
-        // leader/follower protocol makes unlikely but not impossible).
-        let syncs = fb.ops().iter().filter(|o| matches!(o, Op::Sync { .. })).count();
-        assert!(syncs <= threads * commits_per_thread, "{syncs} syncs");
-        assert!(syncs >= 1);
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn queue_reset_invalidates_the_synced_watermark() {
-        use crate::faultfs::{FaultBackend, Op};
-        let p = tmp("qreset");
-        let _ = std::fs::remove_file(&p);
-        let fb = FaultBackend::recording(crate::faultfs::RealBackend);
-        let w = Wal::open_with(Arc::new(fb.clone()), &p).unwrap();
-        let wal = Mutex::new(Some(w));
-        let queue = CommitQueue::new();
-
-        // Commit a large record: the watermark now covers a big offset.
-        let big_target = {
-            let mut g = wal.lock();
-            let w = g.as_mut().unwrap();
-            w.append(&[1u8; 500]).unwrap();
-            w.len()
-        };
-        queue.sync_through(&wal, big_target).unwrap();
-
-        // Checkpoint: truncate the log and reset the queue (wal lock held,
-        // image assumed durable).
-        {
-            let mut g = wal.lock();
-            g.as_mut().unwrap().reset().unwrap();
-            queue.reset();
-        }
-
-        // A small post-reset commit must trigger a real fsync — the stale
-        // watermark (500+ bytes) must not satisfy its (smaller) target.
-        let syncs_before = fb.ops().iter().filter(|o| matches!(o, Op::Sync { .. })).count();
-        let small_target = {
-            let mut g = wal.lock();
-            let w = g.as_mut().unwrap();
-            w.append(b"post").unwrap();
-            w.len()
-        };
-        assert!(small_target < big_target);
-        queue.sync_through(&wal, small_target).unwrap();
-        let syncs_after = fb.ops().iter().filter(|o| matches!(o, Op::Sync { .. })).count();
-        assert_eq!(syncs_after, syncs_before + 1, "post-reset commit must fsync");
-        assert_eq!(Wal::replay(&p).unwrap().len(), 1);
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
     fn parse_frames_consumes_whole_frames_and_leaves_the_tail() {
         let mut buf = Vec::new();
         for payload in [b"one".as_slice(), b"two"] {
@@ -836,7 +634,12 @@ mod tests {
         fn prop_replay_returns_exactly_what_was_appended(
             payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 0..20)
         ) {
-            let p = tmp(&format!("prop{}", crc32(&payloads.concat())));
+            // One file per case, not per content: the proptest shim also
+            // registers a `#[test]`-annotated property a second time, and
+            // the twin draws the same payloads on another thread.
+            static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let p = tmp(&format!("prop{case}"));
             let _ = std::fs::remove_file(&p);
             {
                 let mut wal = Wal::open(&p).unwrap();

@@ -1,8 +1,9 @@
-//! Concurrency stress: the structured store under a mixed workload must
-//! behave serializably — transfers conserve totals, scans never observe a
-//! torn state, and wait-die always makes progress (no deadlock).
+//! Concurrency stress: transactions on the structured store are serial,
+//! one open at a time — so under a mixed workload transfers conserve
+//! totals, scans never observe a torn state, and no operation ever has to
+//! be retried.
 
-use quarry::storage::{Column, DataType, Database, StorageError, TableSchema, Value};
+use quarry::storage::{Column, DataType, Database, TableSchema, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -48,36 +49,28 @@ fn transfers_conserve_total_under_contention() {
                     continue;
                 }
                 let tx = db.begin();
-                let result = (|| -> Result<(), StorageError> {
-                    let a = db.get(tx, "accounts", &[Value::Int(from as i64)])?;
-                    let b = db.get(tx, "accounts", &[Value::Int(to as i64)])?;
-                    let amount = 7i64;
-                    let fa = a[1].as_f64().unwrap() as i64 - amount;
-                    let fb = b[1].as_f64().unwrap() as i64 + amount;
-                    db.update(
-                        tx,
-                        "accounts",
-                        &[Value::Int(from as i64)],
-                        vec![Value::Int(from as i64), Value::Int(fa)],
-                    )?;
-                    db.update(
-                        tx,
-                        "accounts",
-                        &[Value::Int(to as i64)],
-                        vec![Value::Int(to as i64), Value::Int(fb)],
-                    )?;
-                    Ok(())
-                })();
-                match result {
-                    Ok(()) => {
-                        db.commit(tx).unwrap();
-                        completed += 1;
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        let _ = db.abort(tx); // wait-die victim: retry
-                    }
-                }
+                let a = db.get(tx, "accounts", &[Value::Int(from as i64)]).unwrap();
+                let b = db.get(tx, "accounts", &[Value::Int(to as i64)]).unwrap();
+                let amount = 7i64;
+                let fa = a[1].as_f64().unwrap() as i64 - amount;
+                let fb = b[1].as_f64().unwrap() as i64 + amount;
+                db.update(
+                    tx,
+                    "accounts",
+                    &[Value::Int(from as i64)],
+                    vec![Value::Int(from as i64), Value::Int(fa)],
+                )
+                .unwrap();
+                db.update(
+                    tx,
+                    "accounts",
+                    &[Value::Int(to as i64)],
+                    vec![Value::Int(to as i64), Value::Int(fb)],
+                )
+                .unwrap();
+                db.commit(tx).unwrap();
+                completed += 1;
+                done.fetch_add(1, Ordering::Relaxed);
             }
         }));
     }
@@ -93,13 +86,11 @@ fn transfers_conserve_total_under_contention() {
             let expected = initial * n_accounts as i64;
             while stop.load(Ordering::Relaxed) == 0 {
                 let tx = db.begin();
-                // A wait-die abort as a reader is fine; just retry later.
-                if let Ok(rows) = db.scan(tx, "accounts") {
-                    let total: i64 = rows.iter().map(|r| r[1].as_f64().unwrap() as i64).sum();
-                    assert_eq!(total, expected, "torn read: {rows:?}");
-                    audits.fetch_add(1, Ordering::Relaxed);
-                }
-                let _ = db.abort(tx);
+                let rows = db.scan(tx, "accounts").unwrap();
+                db.abort(tx).unwrap();
+                let total: i64 = rows.iter().map(|r| r[1].as_f64().unwrap() as i64).sum();
+                assert_eq!(total, expected, "torn read: {rows:?}");
+                audits.fetch_add(1, Ordering::Relaxed);
             }
         })
     };
@@ -107,9 +98,8 @@ fn transfers_conserve_total_under_contention() {
     for h in handles {
         h.join().unwrap();
     }
-    // Deterministic rendezvous instead of racing the workers: with every
-    // writer joined the store is quiescent, so the auditor's next scan must
-    // succeed. Wait for one post-quiescence audit before stopping — this
+    // Deterministic rendezvous instead of racing the workers: wait for one
+    // audit after every writer has joined before stopping — this
     // terminates regardless of scheduling, so the "observed at least one
     // snapshot" assertion below cannot flake on a loaded box.
     let baseline = audits.load(Ordering::Relaxed);
@@ -148,19 +138,13 @@ fn mixed_ddl_and_dml_do_not_corrupt() {
         let db = Arc::clone(&db);
         let next = Arc::clone(&next);
         handles.push(std::thread::spawn(move || {
-            let mut mine = 0;
-            while mine < 50 {
+            for _ in 0..50 {
                 let id = next.fetch_add(1, Ordering::SeqCst);
-                // On a wait-die abort the id is burned; retry with a new one.
-                if db
-                    .insert_autocommit(
-                        "log",
-                        vec![Value::Int(id as i64), format!("thread{t}").into()],
-                    )
-                    .is_ok()
-                {
-                    mine += 1;
-                }
+                db.insert_autocommit(
+                    "log",
+                    vec![Value::Int(id as i64), format!("thread{t}").into()],
+                )
+                .unwrap();
             }
         }));
     }
