@@ -5,12 +5,13 @@
 //! doing the three classic optimizations the paper's "database-grade query
 //! processing" story needs:
 //!
-//! 1. **Access-path selection** — equality/range predicates on an indexed
-//!    column route through the storage engine's B-tree secondary indexes
-//!    instead of a full table scan. The index is used strictly as a row-id
-//!    *pre-filter*: every predicate stays in the residual conjunction and is
-//!    re-checked against the fetched row, so a loose index bound can cost
-//!    time but never correctness.
+//! 1. **Access-path selection** — equality predicates binding the whole
+//!    primary key route through the primary-key map, and equality/range
+//!    predicates on an indexed column through the storage engine's B-tree
+//!    secondary indexes, instead of a full table scan. Either is used
+//!    strictly as a row-id *pre-filter*: every predicate stays in the
+//!    residual conjunction and is re-checked against the fetched row, so a
+//!    loose index bound can cost time but never correctness.
 //! 2. **Predicate + projection pushdown** — residual predicates and the
 //!    projection column list are pushed into [`DbSnapshot::select`], which
 //!    evaluates them while rows are still borrowed from the snapshot. A
@@ -43,7 +44,8 @@ use std::collections::HashMap;
 /// Physical-planner toggles (all on by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerConfig {
-    /// Route indexable predicates through secondary indexes.
+    /// Route indexable predicates through the primary-key map and
+    /// secondary indexes.
     pub use_index: bool,
     /// Push residual predicates and projections into row materialization.
     pub pushdown: bool,
@@ -70,6 +72,11 @@ impl PlannerConfig {
 pub enum AccessPath {
     /// Scan every row.
     FullScan,
+    /// Look one row up by its primary key.
+    PkEq {
+        /// A probe value for every primary-key column, in key order.
+        key: Vec<Value>,
+    },
     /// Probe a secondary index for one value.
     IndexEq {
         /// Indexed column.
@@ -93,6 +100,10 @@ impl AccessPath {
     fn describe(&self) -> String {
         match self {
             AccessPath::FullScan => "full scan".to_string(),
+            AccessPath::PkEq { key } => {
+                let key: Vec<String> = key.iter().map(Value::to_string).collect();
+                format!("pk eq({})", key.join(", "))
+            }
             AccessPath::IndexEq { column, value } => format!("index eq({column} = {value})"),
             AccessPath::IndexRange { column, lo, hi } => {
                 let lo = lo.as_ref().map(|v| v.to_string()).unwrap_or_else(|| "-inf".into());
@@ -302,9 +313,11 @@ pub fn plan<C: Catalog>(db: &C, q: &Query, cfg: &PlannerConfig) -> PhysPlan {
 
 /// Pick an access path for `table` given the full residual conjunction.
 ///
-/// Preference order: the equality predicate with the lowest estimated
-/// match count (from index stats), then the first range-constrained
-/// indexed column with all its bounds intersected, then a full scan.
+/// Preference order: a primary-key lookup when equalities bind every key
+/// column (at most one row), then the indexed equality predicate with the
+/// lowest estimated match count (from index stats), then the first
+/// range-constrained indexed column with all its bounds intersected, then
+/// a full scan.
 fn choose_access<C: Catalog>(
     db: &C,
     table: &str,
@@ -314,6 +327,19 @@ fn choose_access<C: Catalog>(
     let full = || (AccessPath::FullScan, db.row_count(table).ok());
     if !cfg.use_index {
         return full();
+    }
+    let eq_value = |column: &str| {
+        residual.iter().find_map(|p| match p {
+            Predicate::Eq(c, v) if c == column => Some(v.clone()),
+            _ => None,
+        })
+    };
+    if let Ok(schema) = db.schema(table) {
+        let key_columns = schema.key.iter().map(|&i| schema.columns.get(i));
+        let key: Option<Vec<Value>> = key_columns.map(|c| eq_value(&c?.name)).collect();
+        if let Some(key) = key {
+            return (AccessPath::PkEq { key }, Some(1));
+        }
     }
     let indexed = db.indexed_columns(table).unwrap_or_default();
     if indexed.is_empty() {
@@ -435,6 +461,7 @@ fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), Q
             };
             let access = match path {
                 AccessPath::FullScan => ScanAccess::Full,
+                AccessPath::PkEq { key } => ScanAccess::Pk { key },
                 AccessPath::IndexEq { column, value } => {
                     ScanAccess::Index { column, lo: Some(value), hi: Some(value) }
                 }
@@ -693,6 +720,43 @@ mod tests {
         assert_eq!(r.rows.len(), 10);
         assert_eq!(trace.total_scanned(), 10, "index pre-filter, not a 100-row scan");
         assert_eq!(trace.est_rows, Some(10), "uniform estimate: 100 entries / 10 distinct");
+    }
+
+    #[test]
+    fn whole_key_equality_routes_through_the_primary_key() {
+        let db = db_with_index();
+        let cfg = PlannerConfig::default();
+        // Preferred over the index probe on `cat`, which estimates 10 rows.
+        let q = Query::scan("facts").filter(vec![
+            Predicate::Eq("cat".into(), "c2".into()),
+            Predicate::Eq("id".into(), Value::Int(42)),
+        ]);
+        match plan(&db, &q, &cfg) {
+            PhysPlan::Access { path: AccessPath::PkEq { key }, residual, est_rows, .. } => {
+                assert_eq!(key, vec![Value::Int(42)]);
+                assert_eq!(residual.len(), 2, "residual keeps the full conjunction");
+                assert_eq!(est_rows, Some(1));
+            }
+            other => panic!("expected a primary-key lookup, got {other:?}"),
+        }
+        let (r, trace) = execute_with(&db, &q, &cfg).unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(42), "c2".into(), Value::Int(42 * 3 % 17)]]);
+        assert_eq!(trace.total_scanned(), 1, "one row fetched, not a 100-row scan");
+        assert!(trace.render().contains("Access[facts via pk eq(42)]"), "{}", trace.render());
+        // A key nobody holds, and a key whose row the residual rejects.
+        let miss = Query::scan("facts").filter(vec![Predicate::Eq("id".into(), Value::Int(999))]);
+        assert_eq!(execute_with(&db, &miss, &cfg).unwrap().1.total_scanned(), 0);
+        let rejected = Query::scan("facts").filter(vec![
+            Predicate::Eq("id".into(), Value::Int(42)),
+            Predicate::Eq("cat".into(), "c3".into()),
+        ]);
+        assert!(execute_with(&db, &rejected, &cfg).unwrap().0.rows.is_empty());
+        // Anything short of equality on every key column is not a lookup.
+        let range = Query::scan("facts").filter(vec![Predicate::Ge("id".into(), Value::Int(42))]);
+        assert!(matches!(
+            plan(&db, &range, &cfg),
+            PhysPlan::Access { path: AccessPath::FullScan, .. }
+        ));
     }
 
     #[test]

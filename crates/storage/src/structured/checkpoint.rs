@@ -41,6 +41,7 @@ use std::sync::Arc;
 use super::overlay::{redo, Table, Tables};
 use super::paged::{self, BaseMeta, CheckpointImage, DirectoryEntry, TableBase};
 use super::recovery::LogRecord;
+use super::table::TableSchema;
 
 /// Buffer-pool frames used while building or reading a checkpoint image:
 /// bounds peak checkpoint memory to ~256 KiB of pages regardless of table
@@ -177,17 +178,16 @@ pub(super) fn publish(
     let mut pager = Pager::create(backend, &tmp, CKPT_POOL_PAGES)?;
     for name in names {
         let t = &tables[name];
-        let overlay = Table::sorted_overlay(&t.heap);
         let meta = paged::build_table_trees(
             &mut pager,
             &t.schema,
             t.base.as_ref(),
-            &overlay,
+            &t.heap,
             &t.tombstones,
             t.next_row,
         )?;
         metas.push((name.clone(), meta.clone()));
-        entries.push(DirectoryEntry { schema: t.schema.clone(), meta });
+        entries.push(DirectoryEntry { schema: TableSchema::clone(&t.schema), meta });
     }
     let directory = paged::encode_directory_v2(&entries)?;
     let mut dir_chain = ChainWriter::new(&mut pager, PageType::Directory)?;
@@ -202,10 +202,10 @@ pub(super) fn publish(
 
 /// Swap every table onto the image [`publish`] just wrote and drop the
 /// overlays: from here on, reads fault base pages in on demand. Contents
-/// are unchanged, so versions (and cached snapshot views, which keep the
-/// old image alive via their own `Arc`s) stay valid. If the open fails
-/// the checkpoint is still durable and the tables simply stay resident;
-/// the error is surfaced.
+/// are unchanged, so versions (and snapshot views, which keep the old
+/// overlay and the old image alive via their own `Arc`s) stay valid. If
+/// the open fails the checkpoint is still durable and the tables simply
+/// stay resident; the error is surfaced.
 pub(super) fn rebase(
     backend: &dyn StorageBackend,
     wal_path: &Path,

@@ -1,17 +1,20 @@
-//! Secondary indexes: ordered value → row-id maps kept in lockstep with the
-//! heap. Equality and range probes both come off the same B-tree.
+//! Secondary indexes: ordered `(value, row id)` entries kept in lockstep
+//! with the overlay rows. Equality and range probes both come off the same
+//! tree, in the `(value, row-id)` order a checkpoint image's index tree
+//! uses.
 
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
 
+use super::pmap::PMap;
 use super::table::RowId;
 
-/// One secondary index over a single column.
+/// One secondary index over a single column. Cloning shares the tree.
 #[derive(Debug, Clone, Default)]
 pub struct SecondaryIndex {
-    map: BTreeMap<Value, BTreeSet<RowId>>,
-    entries: usize,
+    entries: PMap<(Value, RowId), ()>,
+    /// Distinct values among `entries` (the optimizer's selectivity
+    /// model), kept as entries come and go.
+    distinct: usize,
 }
 
 impl SecondaryIndex {
@@ -20,80 +23,78 @@ impl SecondaryIndex {
         Self::default()
     }
 
+    /// Entries from the first one whose value is `>= lo`.
+    fn entries_from(&self, lo: Option<&Value>) -> impl Iterator<Item = &(Value, RowId)> {
+        self.entries.seek(move |(v, _)| lo.is_some_and(|lo| v < lo)).map(|(entry, ())| entry)
+    }
+
+    fn has_value(&self, value: &Value) -> bool {
+        self.entries_from(Some(value)).next().is_some_and(|(v, _)| v == value)
+    }
+
     /// Register `row` under `value`.
     pub fn insert(&mut self, value: Value, row: RowId) {
-        if self.map.entry(value).or_default().insert(row) {
-            self.entries += 1;
+        let new_value = !self.has_value(&value);
+        if self.entries.insert((value, row), ()).is_none() && new_value {
+            self.distinct += 1;
         }
     }
 
     /// Remove `row` from under `value` (no-op if absent).
     pub fn remove(&mut self, value: &Value, row: RowId) {
-        if let Some(set) = self.map.get_mut(value) {
-            if set.remove(&row) {
-                self.entries -= 1;
-            }
-            if set.is_empty() {
-                self.map.remove(value);
-            }
+        if self.entries.remove(&(value.clone(), row)).is_some() && !self.has_value(value) {
+            self.distinct -= 1;
         }
     }
 
     /// Rows whose indexed value equals `value`.
-    pub fn get(&self, value: &Value) -> impl Iterator<Item = RowId> + '_ {
-        self.map.get(value).into_iter().flatten().copied()
+    pub fn get<'a>(&'a self, value: &'a Value) -> impl Iterator<Item = RowId> + 'a {
+        self.range(Some(value), Some(value)).map(|(_, row)| *row)
     }
 
-    /// Rows whose indexed value falls in `[lo, hi]` (either bound optional).
-    /// An inverted window (`lo > hi`) is an empty result, not a panic — the
-    /// planner derives bounds from arbitrary user conjunctions.
-    pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<RowId> {
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            if lo > hi {
-                return Vec::new();
-            }
-        }
-        let lo = lo.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-        let hi = hi.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-        self.map.range((lo, hi)).flat_map(|(_, rows)| rows.iter().copied()).collect()
-    }
-
-    /// Like [`range`](Self::range), but yields `(value, row)` pairs in
-    /// `(value, row-id)` order — the merge key used when combining this
-    /// overlay index with a checkpoint image's index tree.
-    pub fn range_pairs(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<(Value, RowId)> {
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            if lo > hi {
-                return Vec::new();
-            }
-        }
-        let lo = lo.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-        let hi = hi.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-        self.map
-            .range((lo, hi))
-            .flat_map(|(v, rows)| rows.iter().map(move |r| (v.clone(), *r)))
-            .collect()
+    /// `(value, row)` entries whose value falls in `[lo, hi]` (either
+    /// bound optional), in `(value, row-id)` order — the merge key when
+    /// combining this overlay index with a checkpoint image's index tree.
+    /// An inverted window (`lo > hi`) is empty, not a panic — the planner
+    /// derives bounds from arbitrary user conjunctions.
+    pub fn range<'a>(
+        &'a self,
+        lo: Option<&'a Value>,
+        hi: Option<&'a Value>,
+    ) -> impl Iterator<Item = &'a (Value, RowId)> {
+        self.entries_from(lo).take_while(move |(v, _)| hi.is_none_or(|hi| v <= hi))
     }
 
     /// Total (value, row) pairs indexed.
     pub fn len(&self) -> usize {
-        self.entries
+        self.entries.len()
     }
 
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
+        self.len() == 0
     }
 
     /// Distinct indexed values (used by the optimizer's selectivity model).
     pub fn distinct_values(&self) -> usize {
-        self.map.len()
+        self.distinct
+    }
+}
+
+#[cfg(test)]
+impl SecondaryIndex {
+    pub(crate) fn unshared_nodes(&self, other: &SecondaryIndex) -> (usize, usize) {
+        self.entries.unshared_nodes(&other.entries)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rows(ix: &SecondaryIndex, lo: Option<&Value>, hi: Option<&Value>) -> Vec<RowId> {
+        ix.range(lo, hi).map(|(_, row)| *row).collect()
+    }
 
     #[test]
     fn insert_get_remove() {
@@ -113,7 +114,7 @@ mod tests {
         let mut ix = SecondaryIndex::new();
         ix.insert(Value::Int(1), RowId(5));
         ix.insert(Value::Int(1), RowId(5));
-        assert_eq!(ix.len(), 1);
+        assert_eq!((ix.len(), ix.distinct_values()), (1, 1));
     }
 
     #[test]
@@ -129,12 +130,11 @@ mod tests {
         for i in 0..10 {
             ix.insert(Value::Int(i), RowId(i as u64));
         }
-        let rows = ix.range(Some(&Value::Int(3)), Some(&Value::Int(6)));
-        assert_eq!(rows, vec![RowId(3), RowId(4), RowId(5), RowId(6)]);
-        let open = ix.range(Some(&Value::Int(8)), None);
-        assert_eq!(open, vec![RowId(8), RowId(9)]);
-        let all = ix.range(None, None);
-        assert_eq!(all.len(), 10);
+        let got = rows(&ix, Some(&Value::Int(3)), Some(&Value::Int(6)));
+        assert_eq!(got, vec![RowId(3), RowId(4), RowId(5), RowId(6)]);
+        assert_eq!(rows(&ix, Some(&Value::Int(8)), None), vec![RowId(8), RowId(9)]);
+        assert_eq!(rows(&ix, None, None).len(), 10);
+        assert!(rows(&ix, Some(&Value::Int(6)), Some(&Value::Int(3))).is_empty(), "inverted");
     }
 
     #[test]
@@ -143,16 +143,23 @@ mod tests {
         ix.insert(Value::Int(2), RowId(1));
         ix.insert(Value::Float(2.5), RowId(2));
         ix.insert(Value::Int(3), RowId(3));
-        let rows = ix.range(Some(&Value::Float(2.1)), Some(&Value::Int(3)));
-        assert_eq!(rows, vec![RowId(2), RowId(3)]);
+        let got = rows(&ix, Some(&Value::Float(2.1)), Some(&Value::Int(3)));
+        assert_eq!(got, vec![RowId(2), RowId(3)]);
     }
 
     #[test]
-    fn distinct_values_counts_keys() {
+    fn distinct_values_follow_inserts_and_removes() {
         let mut ix = SecondaryIndex::new();
         ix.insert(Value::Int(1), RowId(1));
         ix.insert(Value::Int(1), RowId(2));
         ix.insert(Value::Int(2), RowId(3));
+        // Equal under the value order, so one distinct value.
+        ix.insert(Value::Float(2.0), RowId(4));
         assert_eq!(ix.distinct_values(), 2);
+        ix.remove(&Value::Int(1), RowId(1));
+        assert_eq!(ix.distinct_values(), 2, "row 2 still holds the value");
+        ix.remove(&Value::Int(1), RowId(2));
+        ix.remove(&Value::Int(1), RowId(2));
+        assert_eq!(ix.distinct_values(), 1);
     }
 }

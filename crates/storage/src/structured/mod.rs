@@ -14,11 +14,12 @@
 //! - the [`Database`] façade tying them together ([`engine`]).
 //!
 //! Private layers under the façade, each importing only from the ones
-//! before it: `paged` (checkpoint-image reads and tree building) ←
-//! `overlay` (per-table in-memory state, undo, and the one redo path) ←
-//! `checkpoint` (image publication and open-time recovery) and the seed
-//! capture in [`replication`] ← [`engine`] (the writer gate, transactions,
-//! the WAL handle).
+//! before it: `pmap` (the structurally shared ordered map every overlay
+//! collection is) ← [`index`] ← `paged` (checkpoint-image reads and tree
+//! building) ← `overlay` (per-table in-memory state, undo, and the one
+//! redo path) ← `checkpoint` (image publication and open-time recovery)
+//! and the seed capture in [`replication`] ← [`engine`] (the writer
+//! gate, transactions, the WAL handle).
 
 mod checkpoint;
 pub mod engine;
@@ -27,6 +28,7 @@ mod fixtures;
 pub mod index;
 mod overlay;
 pub(crate) mod paged;
+mod pmap;
 pub mod recovery;
 pub mod replication;
 pub mod table;

@@ -11,10 +11,15 @@
 use crate::error::StorageError;
 use crate::value::Value;
 use crate::Result;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::Arc;
 
 use super::index::SecondaryIndex;
 use super::paged::{self, TableBase};
+use super::pmap::PMap;
 use super::recovery::LogRecord;
 use super::table::{Row, RowId, TableSchema};
 
@@ -43,22 +48,33 @@ impl IndexStats {
 /// everything written since that checkpoint. A table with no base (fresh
 /// or in-memory) is fully resident: `base = None` and the overlay is the
 /// table.
-#[derive(Clone)]
+///
+/// The overlay is four [`PMap`]s, so `clone` is a handful of `Arc` clones
+/// whatever the table holds, and the clone is a frozen copy: it shares
+/// every node with the live table until a write moves the live table off
+/// the nodes it touches. A snapshot view *is* such a clone.
+#[derive(Debug, Clone)]
 pub(super) struct Table {
-    pub(super) schema: TableSchema,
+    pub(super) schema: Arc<TableSchema>,
     /// Overlay rows: written (or rewritten) since the last checkpoint.
-    pub(super) heap: HashMap<RowId, Row>,
-    /// Primary-key values → row id, overlay rows only.
-    pub(super) pk: HashMap<Vec<Value>, RowId>,
-    /// Column name → secondary index over the overlay rows (plus, for an
-    /// index created after the checkpoint, a backfill of the base rows
-    /// until the next checkpoint folds it into a tree).
-    pub(super) indexes: HashMap<String, SecondaryIndex>,
+    pub(super) heap: PMap<RowId, Row>,
+    /// Primary keys of the overlay rows, as `(hash of the key values, row
+    /// id)`: a lookup seeks the hash and confirms against the row, so no
+    /// key is stored twice and comparing entries never leaves the node.
+    pub(super) pk: PMap<(u64, RowId), ()>,
+    /// Hashes `pk`'s keys; cloned with the table, so a view looks keys up
+    /// the way the table filed them.
+    key_hasher: RandomState,
+    /// Secondary indexes over the overlay rows (plus, for an index
+    /// created after the checkpoint, a backfill of the base rows until
+    /// the next checkpoint folds it into a tree): one per name in
+    /// `schema.indexes`, in that order.
+    pub(super) indexes: Vec<SecondaryIndex>,
     /// The checkpoint image slice this overlay stacks on, if any.
     pub(super) base: Option<TableBase>,
     /// Base row ids deleted or superseded since the checkpoint. A base row
     /// is live iff its id is neither here nor in `heap`.
-    pub(super) tombstones: HashSet<RowId>,
+    pub(super) tombstones: PMap<RowId, ()>,
     /// Exact number of live rows across base + overlay.
     pub(super) live_rows: u64,
     pub(super) next_row: u64,
@@ -80,14 +96,14 @@ pub(super) struct Table {
 
 impl Table {
     pub(super) fn new(schema: TableSchema, stamp: u64) -> Table {
-        let indexes = schema.indexes.iter().map(|n| (n.clone(), SecondaryIndex::new())).collect();
         Table {
-            schema,
-            heap: HashMap::new(),
-            pk: HashMap::new(),
-            indexes,
+            indexes: vec![SecondaryIndex::new(); schema.indexes.len()],
+            schema: Arc::new(schema),
+            heap: PMap::new(),
+            pk: PMap::new(),
+            key_hasher: RandomState::new(),
             base: None,
-            tombstones: HashSet::new(),
+            tombstones: PMap::new(),
             live_rows: 0,
             next_row: 0,
             version: stamp,
@@ -107,36 +123,46 @@ impl Table {
     /// Drop the overlay onto a freshly-published checkpoint base (which
     /// holds identical contents, so versions are untouched).
     pub(super) fn reset_to_base(&mut self, base: TableBase) {
-        self.heap = HashMap::new();
-        self.pk = HashMap::new();
-        self.tombstones = HashSet::new();
-        self.indexes =
-            self.schema.indexes.iter().map(|n| (n.clone(), SecondaryIndex::new())).collect();
+        self.heap = PMap::new();
+        self.pk = PMap::new();
+        self.tombstones = PMap::new();
+        self.indexes = vec![SecondaryIndex::new(); self.schema.indexes.len()];
         self.live_rows = base.meta.nrows;
         self.next_row = self.next_row.max(base.meta.next_row);
         self.base = Some(base);
     }
 
-    /// The overlay sorted by row id, borrowed — the shape the merge
-    /// helpers in [`paged`] consume.
-    pub(super) fn sorted_overlay(heap: &HashMap<RowId, Row>) -> Vec<(RowId, &Row)> {
-        let mut v: Vec<(RowId, &Row)> = heap.iter().map(|(id, r)| (*id, r)).collect();
-        v.sort_unstable_by_key(|(id, _)| *id);
-        v
+    /// The overlay index on `column`.
+    pub(super) fn index(&self, column: &str) -> Option<&SecondaryIndex> {
+        let at = self.schema.indexes.iter().position(|name| name == column)?;
+        self.indexes.get(at)
+    }
+
+    /// Names of the indexed columns, sorted.
+    pub(super) fn indexed_columns(&self) -> Vec<String> {
+        let mut names = self.schema.indexes.clone();
+        names.sort();
+        names
+    }
+
+    /// Each index paired with `row`'s value in its column.
+    fn indexed_values<'a>(
+        &'a mut self,
+        row: &'a Row,
+    ) -> impl Iterator<Item = (&'a mut SecondaryIndex, &'a Value)> {
+        let schema = &self.schema;
+        self.indexes.iter_mut().zip(&schema.indexes).filter_map(move |(ix, name)| {
+            let value = schema.column_index(name).and_then(|ci| row.get(ci))?;
+            Some((ix, value))
+        })
     }
 
     fn index_row(&mut self, row_id: RowId, row: &Row) {
-        for (name, ix) in &mut self.indexes {
-            let ci = self.schema.column_index(name).expect("index column exists");
-            ix.insert(row[ci].clone(), row_id);
-        }
+        self.indexed_values(row).for_each(|(ix, value)| ix.insert(value.clone(), row_id));
     }
 
     fn unindex_row(&mut self, row_id: RowId, row: &Row) {
-        for (name, ix) in &mut self.indexes {
-            let ci = self.schema.column_index(name).expect("index column exists");
-            ix.remove(&row[ci], row_id);
-        }
+        self.indexed_values(row).for_each(|(ix, value)| ix.remove(value, row_id));
     }
 
     /// True when `row_id` could have a row in the base image.
@@ -153,47 +179,65 @@ impl Table {
         }
     }
 
+    /// `pk`'s hash of a primary key given as its values in key order.
+    fn key_hash<'a>(&self, key: impl Iterator<Item = &'a Value>) -> u64 {
+        let mut hasher = self.key_hasher.build_hasher();
+        key.for_each(|value| value.hash(&mut hasher));
+        hasher.finish()
+    }
+
+    /// The primary-key values of `row`, in key order, borrowed.
+    fn key_values<'a>(&'a self, row: &'a Row) -> impl Iterator<Item = &'a Value> {
+        self.schema.key.iter().filter_map(|&i| row.get(i))
+    }
+
     /// Remove `row_id` from the overlay maps; `None` if not overlaid.
     fn overlay_unhook(&mut self, row_id: RowId) -> Option<Row> {
         let row = self.heap.remove(&row_id)?;
-        self.pk.remove(&self.schema.key_of(&row));
+        self.pk.remove(&(self.key_hash(self.key_values(&row)), row_id));
         self.unindex_row(row_id, &row);
         Some(row)
     }
 
     /// Install `row` into the overlay maps.
     fn overlay_hook(&mut self, row_id: RowId, row: Row) {
-        self.pk.insert(self.schema.key_of(&row), row_id);
+        self.pk.insert((self.key_hash(self.key_values(&row)), row_id), ());
         self.index_row(row_id, &row);
         self.heap.insert(row_id, row);
         self.next_row = self.next_row.max(row_id.0 + 1);
     }
 
-    /// The live row under `row_id`: overlay first, then (unless
-    /// tombstoned) the base image.
-    pub(super) fn effective_row(&self, row_id: RowId) -> Result<Option<Row>> {
+    /// The live row under `row_id`: overlay first (borrowed), then
+    /// (unless tombstoned) the base image.
+    pub(super) fn effective_row(&self, row_id: RowId) -> Result<Option<Cow<'_, Row>>> {
         if let Some(r) = self.heap.get(&row_id) {
-            return Ok(Some(r.clone()));
+            return Ok(Some(Cow::Borrowed(r)));
         }
-        if self.tombstones.contains(&row_id) {
+        if self.tombstones.contains_key(&row_id) {
             return Ok(None);
         }
-        self.base_row(row_id)
+        Ok(self.base_row(row_id)?.map(Cow::Owned))
+    }
+
+    /// Is base row `id` hidden by the overlay — rewritten or deleted since
+    /// the checkpoint?
+    fn shadowed(&self, id: RowId) -> bool {
+        self.heap.contains_key(&id) || self.tombstones.contains_key(&id)
     }
 
     /// The row id holding primary key `key`, if live: overlay pk first;
     /// a base pk hit counts only if that base row isn't shadowed.
     pub(super) fn lookup_pk(&self, key: &[Value]) -> Result<Option<RowId>> {
-        if let Some(id) = self.pk.get(key) {
-            return Ok(Some(*id));
+        let hash = self.key_hash(key.iter());
+        let mut same_hash =
+            self.pk.seek(|(h, _)| *h < hash).map_while(|((h, id), ())| (*h == hash).then_some(*id));
+        let holds_key =
+            |id: &RowId| self.heap.get(id).is_some_and(|row| self.key_values(row).eq(key));
+        if let Some(id) = same_hash.find(holds_key) {
+            return Ok(Some(id));
         }
         let Some(b) = &self.base else { return Ok(None) };
-        match b.lookup_pk(key)? {
-            Some(id) if !self.heap.contains_key(&id) && !self.tombstones.contains(&id) => {
-                Ok(Some(id))
-            }
-            _ => Ok(None),
-        }
+        Ok(b.lookup_pk(key)?.filter(|id| !self.shadowed(*id)))
     }
 
     /// Remove the live row under `row_id` from wherever it lives and
@@ -202,11 +246,11 @@ impl Table {
     fn unhook_effective(&mut self, row_id: RowId) -> Result<Option<Row>> {
         if let Some(row) = self.overlay_unhook(row_id) {
             if self.in_base_range(row_id) {
-                self.tombstones.insert(row_id);
+                self.tombstones.insert(row_id, ());
             }
             return Ok(Some(row));
         }
-        if self.tombstones.contains(&row_id) {
+        if self.tombstones.contains_key(&row_id) {
             return Ok(None);
         }
         match self.base_row(row_id)? {
@@ -214,11 +258,29 @@ impl Table {
                 // A post-checkpoint CREATE INDEX backfills base rows into
                 // the overlay index; those entries die with the row.
                 self.unindex_row(row_id, &row);
-                self.tombstones.insert(row_id);
+                self.tombstones.insert(row_id, ());
                 Ok(Some(row))
             }
             None => Ok(None),
         }
+    }
+
+    /// Every live row in row-id order, overlay merged over base.
+    pub(super) fn for_each_live_row(
+        &self,
+        f: &mut dyn FnMut(RowId, &Row) -> Result<()>,
+    ) -> Result<()> {
+        paged::for_each_live_row(self.base.as_ref(), &self.heap, &self.tombstones, f)
+    }
+
+    /// All rows in row-id order.
+    pub(super) fn scan(&self) -> Result<Vec<Row>> {
+        let mut out = Vec::with_capacity(self.live_rows as usize);
+        self.for_each_live_row(&mut |_, row| {
+            out.push(row.clone());
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Candidate row ids for an index probe, merged from the base index
@@ -229,10 +291,10 @@ impl Table {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Result<Vec<RowId>> {
-        let ix = self.indexes.get(column).ok_or_else(|| {
+        let ix = self.index(column).ok_or_else(|| {
             StorageError::SchemaViolation(format!("no index on {}.{column}", self.schema.name))
         })?;
-        let shadowed = |id: RowId| self.heap.contains_key(&id) || self.tombstones.contains(&id);
+        let shadowed = |id| self.shadowed(id);
         paged::merged_index_ids(self.base.as_ref(), column, ix, &shadowed, lo, hi)
     }
 
@@ -240,7 +302,7 @@ impl Table {
     /// base tree the distinct count is estimated (base distinct + overlay
     /// distinct, capped at the row count); without one it is exact.
     pub(super) fn index_stats(&self, column: &str) -> Option<IndexStats> {
-        let ix = self.indexes.get(column)?;
+        let ix = self.index(column)?;
         let distinct = match self.base.as_ref().and_then(|b| b.meta.indexes.get(column)) {
             Some(m) => (m.distinct as usize + ix.distinct_values()).min(self.live_rows as usize),
             None => ix.distinct_values(),
@@ -254,22 +316,18 @@ impl Table {
     /// exists; `Ok(false)` if the column is unknown.
     pub(super) fn build_index(&mut self, column: &str) -> Result<bool> {
         let Some(ci) = self.schema.column_index(column) else { return Ok(false) };
-        if self.indexes.contains_key(column) {
+        if self.index(column).is_some() {
             return Ok(true);
         }
         let mut ix = SecondaryIndex::new();
-        let overlay = Self::sorted_overlay(&self.heap);
-        paged::for_each_live_row(
-            self.base.as_ref(),
-            &overlay,
-            &self.tombstones,
-            &mut |id, row| {
-                ix.insert(row[ci].clone(), id);
-                Ok(())
-            },
-        )?;
-        self.schema.indexes.push(column.to_string());
-        self.indexes.insert(column.to_string(), ix);
+        self.for_each_live_row(&mut |id, row| {
+            if let Some(value) = row.get(ci) {
+                ix.insert(value.clone(), id);
+            }
+            Ok(())
+        })?;
+        Arc::make_mut(&mut self.schema).indexes.push(column.to_string());
+        self.indexes.push(ix);
         Ok(true)
     }
 
@@ -278,7 +336,7 @@ impl Table {
     /// already holds keeps `live_rows` exact.
     pub(super) fn apply_insert(&mut self, stamp: u64, row_id: RowId, row: Row) -> Result<()> {
         let prev = self.overlay_unhook(row_id);
-        let was_tombstoned = self.tombstones.remove(&row_id);
+        let was_tombstoned = self.tombstones.remove(&row_id).is_some();
         let was_live = prev.is_some() || (!was_tombstoned && self.base_row(row_id)?.is_some());
         self.overlay_hook(row_id, row);
         if !was_live {
@@ -360,14 +418,17 @@ impl Undo {
     }
 }
 
-/// The committed contents of a dirty table: a private clone of `t` with
-/// the open transaction's changes (`uncommitted`, oldest first) rolled
-/// back.
+/// The committed contents of a dirty table: a clone of `t` with the open
+/// transaction's changes (`uncommitted`, oldest first) rolled back, which
+/// copies the paths those changes touched and shares the rest with `t`.
+/// By definition these are the contents at `t.stable_version`, so that is
+/// the version the clone carries.
 pub(super) fn committed_clone(name: &str, t: &Table, uncommitted: &[Undo]) -> Table {
     let mut tmp = t.clone();
     for undo in uncommitted.iter().rev().filter(|u| u.table() == name) {
         undo.apply_to(&mut tmp);
     }
+    tmp.version = tmp.stable_version;
     tmp
 }
 
@@ -395,8 +456,8 @@ pub(super) fn redo(
             LogRecord::CreateIndex { table, column } => {
                 if let Some(t) = tables.get_mut(&table) {
                     t.build_index(&column)?;
-                    // A new version, so views cached before the index
-                    // existed are not reused.
+                    // A new version: what a version names includes the
+                    // table's set of indexes.
                     t.version = stamp();
                 }
             }
@@ -426,4 +487,21 @@ pub(super) fn redo(
         t.stable_version = t.version;
     }
     Ok(())
+}
+
+#[cfg(test)]
+impl Table {
+    /// `(overlay tree nodes of self that other does not hold, overlay
+    /// tree nodes of self)`, over all four kinds of map.
+    pub(super) fn unshared_nodes(&self, other: &Table) -> (usize, usize) {
+        let mut counts = vec![
+            self.heap.unshared_nodes(&other.heap),
+            self.pk.unshared_nodes(&other.pk),
+            self.tombstones.unshared_nodes(&other.tombstones),
+        ];
+        for (mine, theirs) in self.indexes.iter().zip(&other.indexes) {
+            counts.push(mine.unshared_nodes(theirs));
+        }
+        counts.into_iter().fold((0, 0), |(u, t), (du, dt)| (u + du, t + dt))
+    }
 }

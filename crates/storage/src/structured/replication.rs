@@ -30,9 +30,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use super::engine::Database;
-use super::overlay::{committed_clone, Table, Tables, Undo};
-use super::paged;
+use super::overlay::{committed_clone, Tables, Undo};
 use super::recovery::LogRecord;
+use super::table::TableSchema;
 
 /// A reseed payload captured on the primary: everything a blank replica
 /// needs to reach the primary's committed state and start tailing.
@@ -61,7 +61,8 @@ pub(super) fn seed_records(
     names.sort();
     let mut records = Vec::new();
     for name in &names {
-        records.push(LogRecord::CreateTable { schema: tables[*name].schema.clone() });
+        let schema = TableSchema::clone(&tables[*name].schema);
+        records.push(LogRecord::CreateTable { schema });
     }
     records.push(LogRecord::Begin { tx });
     for name in names {
@@ -73,8 +74,7 @@ pub(super) fn seed_records(
             rolled_back = committed_clone(name, t, uncommitted);
             &rolled_back
         };
-        let overlay = Table::sorted_overlay(&t.heap);
-        paged::for_each_live_row(t.base.as_ref(), &overlay, &t.tombstones, &mut |id, row| {
+        t.for_each_live_row(&mut |id, row| {
             records.push(LogRecord::Insert {
                 tx,
                 table: name.clone(),

@@ -634,12 +634,7 @@ mod tests {
         fn prop_replay_returns_exactly_what_was_appended(
             payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 0..20)
         ) {
-            // One file per case, not per content: the proptest shim also
-            // registers a `#[test]`-annotated property a second time, and
-            // the twin draws the same payloads on another thread.
-            static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let p = tmp(&format!("prop{case}"));
+            let p = tmp("prop");
             let _ = std::fs::remove_file(&p);
             {
                 let mut wal = Wal::open(&p).unwrap();

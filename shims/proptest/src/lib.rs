@@ -324,8 +324,10 @@ macro_rules! prop_assert_ne {
     }};
 }
 
-/// Define property tests; each `fn` becomes a `#[test]` looping over
-/// random cases.
+/// Define property tests; each `fn` becomes a function looping over
+/// random cases and keeps exactly the attributes written on it — as in
+/// real proptest, the `#[test]` that registers it is the caller's to
+/// write.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -341,7 +343,6 @@ macro_rules! proptest {
 macro_rules! __proptest_fns {
     (($cfg:expr); $(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),* $(,)?) $body:block $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let mut runner = $crate::TestRunner::new($cfg);
             runner.run(|rng| {
@@ -380,6 +381,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
+        #[test]
         fn macro_generates_cases(a in 0u32..100, s in "[ab]{2,4}", f in 0.0f64..=1.0) {
             prop_assert!(a < 100);
             prop_assert!((2..=4).contains(&s.len()));
@@ -387,6 +389,7 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&f), "f was {}", f);
         }
 
+        #[test]
         fn tuples_and_maps_compose(pairs in crate::collection::vec((0usize..10, "[xy]"), 0..8)) {
             let total = pairs.len();
             let mapped = crate::collection::vec(0usize..3, 1..4).prop_map(|v| v.len());

@@ -160,3 +160,79 @@ fn mixed_ddl_and_dml_do_not_corrupt() {
     ids.dedup();
     assert_eq!(ids.len(), n);
 }
+
+/// Readers pin snapshots while the writer commits: the writer moves onto
+/// its own copies of the tree nodes a reader still holds, so a held
+/// snapshot — however old, on whatever thread — stays one committed state:
+/// its row count, its scan, an index window and a primary-key probe all
+/// describe the same prefix of the writer's history.
+#[test]
+fn held_snapshots_stay_consistent_while_the_writer_copies_paths() {
+    use quarry::storage::ScanAccess;
+    let db = accounts_db(0, 0);
+    db.create_index("accounts", "balance").unwrap();
+    let commits = 150i64;
+    let per_commit = 20i64;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for c in 0..commits {
+                let tx = db.begin();
+                for i in 0..per_commit {
+                    let id = c * per_commit + i;
+                    db.insert(tx, "accounts", vec![Value::Int(id), Value::Int(id % 50)]).unwrap();
+                }
+                // Rewrite a row every reader may be holding.
+                if c > 0 {
+                    db.update(tx, "accounts", &[Value::Int(0)], vec![Value::Int(0), Value::Int(c)])
+                        .unwrap();
+                }
+                db.commit(tx).unwrap();
+            }
+        });
+        for _ in 0..3 {
+            s.spawn(|| {
+                let mut held = std::collections::VecDeque::new();
+                let mut seen = 0;
+                while seen < (commits * per_commit) as usize {
+                    held.push_back(db.snapshot());
+                    if held.len() > 8 {
+                        held.pop_front();
+                    }
+                    // Check the oldest one still held: it has been written
+                    // past the most.
+                    let snap = held.front().unwrap();
+                    let rows = snap.scan("accounts").unwrap();
+                    assert_eq!(rows.len(), snap.row_count("accounts").unwrap());
+                    assert_eq!(rows.len() as i64 % per_commit, 0, "a torn transaction");
+                    for (i, row) in rows.iter().enumerate() {
+                        assert_eq!(row[0], Value::Int(i as i64), "not a prefix");
+                    }
+                    let (seven, _) = snap
+                        .select(
+                            "accounts",
+                            ScanAccess::Index {
+                                column: "balance",
+                                lo: Some(&Value::Int(7)),
+                                hi: Some(&Value::Int(7)),
+                            },
+                            &mut |_| true,
+                            None,
+                        )
+                        .unwrap();
+                    let expect: Vec<_> =
+                        rows.iter().filter(|r| r[1] == Value::Int(7)).cloned().collect();
+                    assert_eq!(seven, expect, "index and scan disagree inside one snapshot");
+                    if let Some(last) = rows.last() {
+                        let key = [last[0].clone()];
+                        let by_key = snap
+                            .select("accounts", ScanAccess::Pk { key: &key }, &mut |_| true, None)
+                            .unwrap();
+                        assert_eq!(by_key, (vec![last.clone()], 1));
+                    }
+                    seen = rows.len();
+                }
+            });
+        }
+    });
+    assert_eq!(db.snapshot().row_count("accounts").unwrap() as i64, commits * per_commit);
+}

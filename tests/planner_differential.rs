@@ -60,6 +60,15 @@ fn query_shapes() -> Vec<Query> {
         Query::scan("facts").filter(vec![eq("cat", "cat3".into())]),
         // Equality on an unindexed column.
         Query::scan("facts").filter(vec![eq("note", "note 2".into())]),
+        // Equality on the whole primary key: a hit, a miss, a hit the rest
+        // of the conjunction rejects, a float equal to an int key, two
+        // contradicting keys, and one under a projection.
+        Query::scan("facts").filter(vec![eq("id", Value::Int(123))]),
+        Query::scan("facts").filter(vec![eq("id", Value::Int(4000))]),
+        Query::scan("facts").filter(vec![eq("id", Value::Int(123)), eq("cat", "catX".into())]),
+        Query::scan("facts").filter(vec![eq("id", Value::Float(77.0))]),
+        Query::scan("facts").filter(vec![eq("id", Value::Int(5)), eq("id", Value::Int(6))]),
+        Query::scan("facts").filter(vec![eq("id", Value::Int(9))]).project(&["score", "id"]),
         // Inclusive range.
         Query::scan("facts").filter(vec![
             Predicate::Ge("score".into(), Value::Int(20)),
@@ -104,6 +113,11 @@ fn query_shapes() -> Vec<Query> {
         ),
         Query::scan("facts").join(
             Query::scan("facts").filter(vec![eq("cat", "cat4".into())]),
+            "cat",
+            "cat",
+        ),
+        Query::scan("facts").filter(vec![eq("id", Value::Int(40))]).join(
+            Query::scan("facts"),
             "cat",
             "cat",
         ),
@@ -209,4 +223,64 @@ fn cached_results_are_bit_identical_to_fresh_execution() {
     let again = q.snapshot().query(&query).unwrap();
     assert_eq!(again, after_write);
     assert_eq!(q.query_cache_stats().hits, 2);
+}
+
+#[test]
+fn explain_names_the_primary_key_path_and_it_fetches_one_row() {
+    let db = facts_db(400);
+    let q = Query::scan("facts")
+        .filter(vec![Predicate::Eq("id".into(), Value::Int(123))])
+        .project(&["cat"]);
+    let text = q.explain(&db).unwrap();
+    assert!(text.contains("Access[facts via pk eq(123)]"), "{text}");
+    assert!(text.contains("est=1") && text.contains("scanned=1"), "{text}");
+    // The reference configuration still names the scan it is.
+    let (_, trace) = execute_with(&db, &q, &PlannerConfig::full_scan()).unwrap();
+    assert_eq!(trace.total_scanned(), 400);
+    assert!(trace.render().contains("via full scan"), "{}", trace.render());
+}
+
+/// The same differential over a table that is half checkpoint image, half
+/// overlay: a key can live in the image, in the overlay, in both (the
+/// overlay shadows), or be tombstoned, and the key-routed answer must
+/// equal the full scan's for each.
+#[test]
+fn primary_key_routing_over_a_checkpoint_base_is_bit_identical_to_full_scan() {
+    let dir = std::env::temp_dir().join(format!("quarry-pk-diff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("facts.wal");
+    let db = Database::open(&wal).unwrap();
+    let schema = facts_db(0).schema("facts").unwrap();
+    db.create_table(schema).unwrap();
+    let row = |i: i64, score: i64| {
+        vec![Value::Int(i), format!("cat{}", i % 12).into(), Value::Int(score), "note".into()]
+    };
+    let tx = db.begin();
+    for i in 0..200 {
+        db.insert(tx, "facts", row(i, i % 97)).unwrap();
+    }
+    db.commit(tx).unwrap();
+    db.checkpoint().unwrap();
+    let tx = db.begin();
+    for i in 200..260 {
+        db.insert(tx, "facts", row(i, i % 97)).unwrap(); // overlay only
+    }
+    for i in (0..200).step_by(7) {
+        db.update(tx, "facts", &[Value::Int(i)], row(i, 1000 + i)).unwrap(); // shadowed
+    }
+    for i in (3..200).step_by(11) {
+        db.delete(tx, "facts", &[Value::Int(i)]).unwrap(); // tombstoned
+    }
+    db.update(tx, "facts", &[Value::Int(5)], row(5000, 5)).unwrap(); // re-keyed
+    db.commit(tx).unwrap();
+
+    for id in (0..270).chain([5000, 9999]) {
+        let q = Query::scan("facts").filter(vec![Predicate::Eq("id".into(), Value::Int(id))]);
+        let (routed, trace) = execute_with(&db, &q, &PlannerConfig::default()).unwrap();
+        let (full, _) = execute_with(&db, &q, &PlannerConfig::full_scan()).unwrap();
+        assert_eq!(routed, full, "id {id}");
+        assert!(trace.total_scanned() <= 1, "id {id}: {}", trace.render());
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

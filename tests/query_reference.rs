@@ -142,6 +142,26 @@ proptest! {
     }
 
     #[test]
+    fn primary_key_lookup_agrees_with_reference(rows in row_strategy(), needle in 0i64..500) {
+        let db = make_db(&rows);
+        // Half the cases probe a key that exists.
+        let needle = rows.get(needle as usize % rows.len().max(1)).map_or(needle, |r| r.k);
+        let by_key = Predicate::Eq("k".into(), Value::Int(needle));
+        let expect: Vec<Vec<Value>> = rows
+            .iter()
+            .filter(|r| r.k == needle)
+            .map(|r| vec![Value::Int(r.k), r.cat.as_str().into(), Value::Int(r.num)])
+            .collect();
+        let got = execute(&db, &Query::scan("t").filter(vec![by_key.clone()])).unwrap();
+        prop_assert_eq!(&got.rows, &expect);
+        // The rest of the conjunction still applies to the row found.
+        let and_cat = Query::scan("t").filter(vec![by_key, Predicate::Eq("cat".into(), "a".into())]);
+        let expect: Vec<Vec<Value>> =
+            expect.into_iter().filter(|r| r[1] == Value::from("a")).collect();
+        prop_assert_eq!(execute(&db, &and_cat).unwrap().rows, expect);
+    }
+
+    #[test]
     fn join_agrees_with_nested_loop_reference(rows in row_strategy()) {
         let db = make_db(&rows);
         let q = Query::scan("t").join(Query::scan("t"), "cat", "cat");

@@ -54,6 +54,7 @@ proptest! {
     /// capture instant — i.e. exactly the writes committed by its LSN,
     /// none after — and must still equal it after the whole history has
     /// run.
+    #[test]
     fn snapshots_observe_exactly_their_lsn_prefix(
         ops in proptest::collection::vec((0usize..4, 0i64..24, 0i64..1000), 1..40)
     ) {
@@ -141,4 +142,142 @@ fn held_snapshot_survives_checkpoint_and_wal_restart() {
     assert_eq!(snap_dump(snap.db()), pinned, "restart must not move a held snapshot");
     drop(recovered);
     remove_db_files(&wal);
+}
+
+/// One snapshot held across 50 commits, an abort, a `create_index` and a
+/// `checkpoint()` keeps giving its original answer on every access path —
+/// the writer moves off the tree nodes the snapshot holds, never through
+/// them — and holding it leaves no trace: once it is dropped the table
+/// matches a twin that ran the same history with no snapshot at all.
+#[test]
+fn held_snapshot_is_frozen_and_leaves_the_table_like_a_never_snapshotted_twin() {
+    use quarry::storage::{Database, ScanAccess};
+
+    fn history(db: &Database, mut between: impl FnMut(&str)) {
+        let row = |id: i64, val: i64| vec![Value::Int(id), Value::Int(val), Value::Int(id % 5)];
+        let id = |i: i64| [Value::Int(i)];
+        for c in 0..50i64 {
+            let tx = db.begin();
+            for j in 0..4 {
+                db.insert(tx, "items", row(1000 + c * 4 + j, c)).unwrap();
+            }
+            // Rewrite, re-key and delete rows the snapshot holds.
+            db.update(tx, "items", &id(c), row(c, 7)).unwrap();
+            db.update(tx, "items", &id(100 + c), row(5000 + c, c)).unwrap();
+            db.delete(tx, "items", &id(200 + c)).unwrap();
+            db.commit(tx).unwrap();
+        }
+        between("50 commits");
+        let tx = db.begin();
+        db.insert(tx, "items", row(9000, 1)).unwrap();
+        db.delete(tx, "items", &id(250)).unwrap();
+        db.update(tx, "items", &id(251), row(251, 7)).unwrap();
+        between("an open transaction");
+        db.abort(tx).unwrap();
+        between("an abort");
+        db.create_index("items", "tag").unwrap();
+        between("a create_index");
+        db.checkpoint().unwrap();
+        between("a checkpoint");
+        // Writes over the fresh base: shadowing and tombstones.
+        let tx = db.begin();
+        db.update(tx, "items", &id(1), row(1, 8)).unwrap();
+        db.delete(tx, "items", &id(2)).unwrap();
+        db.insert(tx, "items", row(9001, 7)).unwrap();
+        db.commit(tx).unwrap();
+        between("writes over the new base");
+    }
+
+    let open = |name: &str| {
+        let wal = tmpwal(name);
+        let db = Database::open(&wal).unwrap();
+        let columns = ["id", "val", "tag"].map(|c| Column::new(c, DataType::Int)).to_vec();
+        db.create_table(TableSchema::new("items", columns, &["id"], &["val"]).unwrap()).unwrap();
+        let tx = db.begin();
+        for i in 0..300i64 {
+            db.insert(tx, "items", vec![Value::Int(i), Value::Int(i % 10), Value::Int(i % 5)])
+                .unwrap();
+        }
+        db.commit(tx).unwrap();
+        (wal, db)
+    };
+    let (held_wal, held) = open("snapshot-held");
+    let (twin_wal, twin) = open("snapshot-twin");
+
+    // Every access path of the pinned view, in one comparable value.
+    let answers = |snap: &DbSnapshot| {
+        let seven = Value::Int(7);
+        let by_val = ScanAccess::Index { column: "val", lo: Some(&seven), hi: Some(&seven) };
+        let window = ScanAccess::Index { column: "val", lo: Some(&Value::Int(3)), hi: None };
+        let keys: Vec<[Value; 1]> = [0, 100, 200, 250, 1000, 5000].map(|k| [Value::Int(k)]).into();
+        let mut out = vec![snap.scan("items").unwrap()];
+        for access in
+            [by_val, window].into_iter().chain(keys.iter().map(|key| ScanAccess::Pk { key }))
+        {
+            out.push(snap.select("items", access, &mut |_| true, None).unwrap().0);
+        }
+        (out, snap.table_version("items").unwrap(), snap.indexed_columns("items").unwrap())
+    };
+    let snap = held.snapshot();
+    let pinned = answers(&snap);
+    assert_eq!(pinned.0[0].len(), 300);
+    assert_eq!(pinned.0[1].len(), 30, "val = 7 through the index");
+
+    history(&held, |after| assert_eq!(answers(&snap), pinned, "snapshot moved after {after}"));
+    history(&twin, |_| {});
+    assert_ne!(answers(&held.snapshot()).0, pinned.0, "the writer really did move on");
+    drop(snap);
+
+    for db in [&held, &twin] {
+        db.insert_autocommit("items", vec![Value::Int(9002), Value::Int(7), Value::Int(0)])
+            .unwrap();
+    }
+    assert_eq!(dump(&held), dump(&twin));
+    assert_eq!(answers(&held.snapshot()).0, answers(&twin.snapshot()).0);
+    // And so does what each of them recovers to.
+    drop((held, twin));
+    let (held, twin) = (Database::open(&held_wal).unwrap(), Database::open(&twin_wal).unwrap());
+    assert_eq!(dump(&held), dump(&twin));
+    drop((held, twin));
+    remove_db_files(&held_wal);
+    remove_db_files(&twin_wal);
+}
+
+/// A reader cannot move the write clock: sessions opened while a
+/// transaction is open all pin the LSN and the table version of the last
+/// commit, see none of the transaction, and hit the query cache an earlier
+/// session filled — which the parent's per-snapshot version stamp made
+/// impossible.
+#[test]
+fn sessions_during_an_open_transaction_share_lsn_versions_and_cache() {
+    use quarry::query::engine::{Predicate, Query};
+    let q = items_quarry();
+    for i in 0..30 {
+        q.db.insert_autocommit("items", vec![Value::Int(i), Value::Int(i % 3)]).unwrap();
+    }
+    let query = Query::scan("items").filter(vec![Predicate::Eq("val".into(), Value::Int(1))]);
+    let before = q.snapshot();
+    let committed = before.query(&query).unwrap();
+    assert_eq!(committed.rows.len(), 10);
+
+    let tx = q.db.begin();
+    q.db.insert(tx, "items", vec![Value::Int(100), Value::Int(1)]).unwrap();
+    q.db.delete(tx, "items", &[Value::Int(1)]).unwrap();
+    let (a, b) = (q.snapshot(), q.snapshot());
+    assert_eq!(a.lsn(), b.lsn(), "a snapshot ticked the write clock");
+    let version = before.db().table_version("items").unwrap();
+    assert_eq!(a.db().table_version("items").unwrap(), version);
+    assert_eq!(b.db().table_version("items").unwrap(), version);
+    let hits = q.query_cache_stats().hits;
+    assert_eq!(a.query(&query).unwrap(), committed);
+    assert_eq!(b.query(&query).unwrap(), committed);
+    assert_eq!(q.query_cache_stats().hits, hits + 2, "same versions, so the cached answer");
+    assert_eq!(snap_dump(a.db()), snap_dump(before.db()));
+
+    q.db.commit(tx).unwrap();
+    let after = q.snapshot();
+    assert!(after.lsn() > a.lsn());
+    assert_ne!(after.db().table_version("items").unwrap(), version);
+    assert_eq!(after.query(&query).unwrap().rows.len(), 10, "one in, one out");
+    assert_ne!(after.query(&query).unwrap(), committed);
 }
