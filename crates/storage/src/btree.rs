@@ -10,12 +10,25 @@
 //! reachable through the child to its right, so descent takes the child
 //! after the last separator `<=` the probe key.
 //!
-//! Keys and values are ordinary [`crate::codec`] byte strings. Ordering is
-//! *decode-and-compare* under a [`KeyOrder`]: keys are decoded to values
-//! and compared with the documented [`Value`] total order, which keeps the
-//! on-disk trees bit-consistent with the in-memory `SecondaryIndex`
-//! (`BTreeMap<Value, _>`) ordering — no memcomparable encoding, no
-//! Int-vs-Float precision traps.
+//! **A node is its page.** Nothing is decoded into an owned node: reads,
+//! inserts and cursors all work through one borrowed view (`Node`) of
+//! the pool's shared frame. The first visit of a resident page makes a
+//! single validating pass over its payload — entry flags, every inline
+//! run inside the page, every page id inside the id range, no trailing
+//! bytes, and a `count` the payload could actually hold, checked before
+//! anything is allocated for it — and leaves behind a table of `u16`
+//! entry offsets, which the pager caches beside the frame and drops on any
+//! edit (it is derived, never persisted). Searches binary-search that
+//! table comparing key bytes where they lie; an insert shifts bytes
+//! inside the page; a split copies byte ranges into two fresh pages at the
+//! cut `split_index` picks. A [`Cursor`] holds its leaf's frame, so the
+//! pool may evict the page under it.
+//!
+//! Keys and values are ordinary [`crate::codec`] byte strings. Keys are
+//! compared straight off the two encodings under a [`KeyOrder`], by the
+//! documented [`Value`] total order (`codec::compare_values`), which keeps
+//! the on-disk trees bit-consistent with the in-memory `SecondaryIndex`
+//! ordering — no memcomparable encoding, no Int-vs-Float precision traps.
 //!
 //! Oversized keys/values spill into [`PageType::Overflow`] chains (one
 //! chain per blob) so a leaf entry is never larger than ~1.5 KiB and a
@@ -31,6 +44,12 @@
 //! while a mid-node split picks the byte-balanced cut. Either way both
 //! halves are guaranteed to fit, because the largest possible entry is far
 //! smaller than half a page.
+//!
+//! Node payloads (unchanged since the first B-tree image): a leaf is
+//! `count` entries of `flags key value`; an inner node is a child id, then
+//! `count` entries of `flags key child`. Page ids and inline lengths are
+//! uvarints; a key or value is `len bytes` inline, or the head page id of
+//! its overflow chain when the matching flag bit is set.
 
 use crate::codec;
 use crate::error::StorageError;
@@ -38,7 +57,10 @@ use crate::page::{Page, PageType, NO_PAGE, PAGE_CAPACITY};
 use crate::pager::{read_chain, ChainWriter, Pager};
 use crate::value::Value;
 use crate::Result;
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Largest key stored inline in a node; longer keys spill to an overflow
 /// chain.
@@ -46,10 +68,19 @@ const MAX_INLINE_KEY: usize = 512;
 /// Largest value stored inline in a leaf; longer values spill.
 const MAX_INLINE_VAL: usize = 1024;
 
-/// Leaf-entry flag: the key lives in an overflow chain.
+/// Entry flag: the key lives in an overflow chain.
 const FLAG_KEY_SPILLED: u8 = 0b01;
 /// Leaf-entry flag: the value lives in an overflow chain.
 const FLAG_VAL_SPILLED: u8 = 0b10;
+
+/// Fewest bytes an entry can take: flags, then two one-byte uvarints.
+const MIN_ENTRY: usize = 3;
+/// Most bytes a uvarint takes.
+const MAX_UVARINT: usize = 10;
+
+fn corrupt(what: impl Into<String>) -> StorageError {
+    StorageError::Corrupt(what.into())
+}
 
 /// How a tree's keys decode and compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,17 +96,27 @@ pub enum KeyOrder {
     ValueRowId,
 }
 
+/// Compare two `(value, row id)` keys: the order of the values, then of
+/// the row ids.
+fn compare_index_keys(a: &[u8], b: &[u8]) -> Result<(Ordering, Ordering)> {
+    let (apos, bpos) = (&mut 0, &mut 0);
+    let by_value = codec::compare_values(a, apos, b, bpos)?;
+    Ok((by_value, codec::read_u64(a, apos)?.cmp(&codec::read_u64(b, bpos)?)))
+}
+
 impl KeyOrder {
-    /// Compare two encoded keys under this order.
+    /// Compare two encoded keys under this order, without decoding either
+    /// into owned values. A key that does not decode is
+    /// [`StorageError::Corrupt`], whichever side it is on and wherever the
+    /// order was decided.
     pub fn compare(self, a: &[u8], b: &[u8]) -> Result<Ordering> {
         match self {
             KeyOrder::RowId => Ok(decode_row_key(a)?.cmp(&decode_row_key(b)?)),
-            KeyOrder::PkValues => {
-                let ka = codec::read_row(a, &mut 0)?;
-                let kb = codec::read_row(b, &mut 0)?;
-                Ok(ka.cmp(&kb))
+            KeyOrder::PkValues => codec::compare_rows(a, &mut 0, b, &mut 0),
+            KeyOrder::ValueRowId => {
+                let (by_value, by_row) = compare_index_keys(a, b)?;
+                Ok(by_value.then(by_row))
             }
-            KeyOrder::ValueRowId => Ok(decode_index_key(a)?.cmp(&decode_index_key(b)?)),
         }
     }
 
@@ -83,7 +124,7 @@ impl KeyOrder {
     /// wider than exact equality (same indexed value, any row).
     fn same_group(self, a: &[u8], b: &[u8]) -> Result<bool> {
         match self {
-            KeyOrder::ValueRowId => Ok(decode_index_key(a)?.0 == decode_index_key(b)?.0),
+            KeyOrder::ValueRowId => Ok(compare_index_keys(a, b)?.0 == Ordering::Equal),
             _ => Ok(self.compare(a, b)? == Ordering::Equal),
         }
     }
@@ -124,225 +165,185 @@ pub fn decode_index_key(key: &[u8]) -> Result<(Value, u64)> {
     Ok((value, row_id))
 }
 
-/// A key or value: inline bytes, or the head page of an overflow chain.
-#[derive(Debug, Clone)]
-enum Blob {
-    Inline(Vec<u8>),
-    Spilled { head: u32 },
+/// A page id stored as a uvarint.
+fn read_page_id(data: &[u8], pos: &mut usize, what: &str) -> Result<u32> {
+    u32::try_from(codec::read_u64(data, pos)?)
+        .map_err(|_| corrupt(format!("btree {what} exceeds the page-id range")))
 }
 
-impl Blob {
-    fn encoded_len(&self) -> usize {
-        match self {
-            Blob::Inline(b) => uvarint_len(b.len() as u64) + b.len(),
-            Blob::Spilled { head } => uvarint_len(u64::from(*head)),
-        }
-    }
+/// A key or value where it lies in a node: the bytes themselves, or the
+/// head page of the overflow chain that holds them.
+#[derive(Debug, Clone, Copy)]
+enum Stored<'a> {
+    Inline(&'a [u8]),
+    Spilled(u32),
+}
 
-    fn spilled(&self) -> bool {
-        matches!(self, Blob::Spilled { .. })
-    }
-
-    fn write(&self, out: &mut Vec<u8>) -> Result<()> {
-        match self {
-            Blob::Inline(b) => {
-                codec::write_u64(out, b.len() as u64)?;
-                out.extend_from_slice(b);
-            }
-            Blob::Spilled { head } => codec::write_u64(out, u64::from(*head))?,
-        }
-        Ok(())
-    }
-
-    fn read(data: &[u8], pos: &mut usize, spilled: bool) -> Result<Blob> {
+impl<'a> Stored<'a> {
+    /// Parse one at `pos`. An inline run must end inside `data`.
+    fn read(data: &'a [u8], pos: &mut usize, spilled: bool) -> Result<Stored<'a>> {
         if spilled {
-            let head = u32::try_from(codec::read_u64(data, pos)?)
-                .map_err(|_| StorageError::Corrupt("overflow head exceeds page-id range".into()))?;
-            Ok(Blob::Spilled { head })
-        } else {
-            let len = codec::read_u64(data, pos)? as usize;
-            let end = pos
-                .checked_add(len)
-                .filter(|e| *e <= data.len())
-                .ok_or_else(|| StorageError::Corrupt("btree blob overruns its page".into()))?;
-            let bytes = data[*pos..end].to_vec();
-            *pos = end;
-            Ok(Blob::Inline(bytes))
+            return Ok(Stored::Spilled(read_page_id(data, pos, "overflow head")?));
+        }
+        let len = usize::try_from(codec::read_u64(data, pos)?).ok();
+        let bytes = len
+            .and_then(|len| pos.checked_add(len))
+            .and_then(|end| data.get(*pos..end))
+            .ok_or_else(|| corrupt("btree blob overruns its page"))?;
+        *pos += bytes.len();
+        Ok(Stored::Inline(bytes))
+    }
+
+    /// The bytes: borrowed from the page when inline, read from the
+    /// overflow chain when spilled.
+    fn bytes(self, pager: &mut Pager) -> Result<Cow<'a, [u8]>> {
+        match self {
+            Stored::Inline(bytes) => Ok(Cow::Borrowed(bytes)),
+            Stored::Spilled(head) => read_chain(pager, head, PageType::Overflow).map(Cow::Owned),
         }
     }
 }
 
-fn uvarint_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
-}
-
-/// Spill `bytes` to a fresh overflow chain when they exceed `max_inline`.
-fn make_blob(pager: &mut Pager, bytes: &[u8], max_inline: usize) -> Result<Blob> {
+/// Append `bytes` to an entry under construction: inline, or — when longer
+/// than `max_inline` — as the head of a fresh overflow chain. Returns
+/// whether they spilled.
+fn write_stored(
+    pager: &mut Pager,
+    entry: &mut Vec<u8>,
+    bytes: &[u8],
+    max_inline: usize,
+) -> Result<bool> {
     if bytes.len() <= max_inline {
-        return Ok(Blob::Inline(bytes.to_vec()));
+        codec::write_u64(entry, bytes.len() as u64)?;
+        entry.extend_from_slice(bytes);
+        return Ok(false);
     }
     let mut w = ChainWriter::new(pager, PageType::Overflow)?;
     w.push_record(pager, bytes)?;
     let (head, _) = w.finish(pager)?;
-    Ok(Blob::Spilled { head })
+    codec::write_u64(entry, u64::from(head))?;
+    Ok(true)
 }
 
+/// Parse the head of an entry — its flags byte and its key — at `pos`.
+fn read_key<'a>(data: &'a [u8], pos: &mut usize) -> Result<(u8, Stored<'a>)> {
+    let flags = *data.get(*pos).ok_or_else(|| corrupt("btree entry truncated"))?;
+    *pos += 1;
+    Ok((flags, Stored::read(data, pos, flags & FLAG_KEY_SPILLED != 0)?))
+}
+
+/// Split an entry after its key: `(flags + key as stored, what follows)` —
+/// the value of a leaf entry, the child id of an inner one.
+fn split_entry(entry: &[u8]) -> Result<(&[u8], &[u8])> {
+    let mut key_end = 0;
+    read_key(entry, &mut key_end)?;
+    entry.split_at_checked(key_end).ok_or_else(|| corrupt("btree entry truncated"))
+}
+
+/// The validating pass: check everything about a node's payload that a
+/// search or an edit will rely on, and return where its entries lie —
+/// `count + 1` offsets, each entry's start and then the last one's end.
+/// Runs once per pool residency ([`Pager::read_indexed`]).
+fn entry_offsets(page: &Page) -> Result<Arc<[u16]>> {
+    let leaf = match page.ptype {
+        PageType::BtreeLeaf => true,
+        PageType::BtreeInner => false,
+        other => return Err(corrupt(format!("btree descent reached a {other:?} page"))),
+    };
+    let allowed = if leaf { FLAG_KEY_SPILLED | FLAG_VAL_SPILLED } else { FLAG_KEY_SPILLED };
+    let data = page.payload();
+    let count = usize::from(page.count);
+    // Bound `count` by what `len` bytes can hold before sizing anything by
+    // it; the table then fits a fixed buffer and is allocated once, exactly.
+    let mut buffer = [0u16; PAGE_CAPACITY / MIN_ENTRY + 1];
+    let offsets = match buffer.get_mut(..=count) {
+        Some(offsets) if count * MIN_ENTRY <= data.len() => offsets,
+        _ => {
+            let len = data.len();
+            return Err(corrupt(format!("btree node claims {count} entries in {len} bytes")));
+        }
+    };
+    let offset = |pos: usize| u16::try_from(pos).map_err(|_| corrupt("btree offset overflows"));
+    let pos = &mut 0usize;
+    if !leaf {
+        read_page_id(data, pos, "child id")?;
+    }
+    for start in offsets.iter_mut().take(count) {
+        *start = offset(*pos)?;
+        let (flags, _) = read_key(data, pos)?;
+        if flags & !allowed != 0 {
+            return Err(corrupt(format!("unknown btree entry flags {flags:#04x}")));
+        }
+        if leaf {
+            Stored::read(data, pos, flags & FLAG_VAL_SPILLED != 0)?;
+        } else {
+            read_page_id(data, pos, "child id")?;
+        }
+    }
+    if *pos != data.len() {
+        return Err(corrupt("btree node has trailing bytes"));
+    }
+    if let Some(end) = offsets.last_mut() {
+        *end = offset(*pos)?;
+    }
+    Ok(Arc::from(&*offsets))
+}
+
+/// One node, searched and edited where it lies: the pool's shared frame
+/// plus the entry offsets [`entry_offsets`] validated it into. Cloning is
+/// two reference-count bumps.
 #[derive(Debug, Clone)]
-struct LeafEntry {
-    key: Blob,
-    val: Blob,
+struct Node {
+    page: Arc<Page>,
+    offsets: Arc<[u16]>,
 }
 
-impl LeafEntry {
-    fn encoded_len(&self) -> usize {
-        1 + self.key.encoded_len() + self.val.encoded_len()
-    }
-}
-
-#[derive(Debug, Clone)]
-struct LeafNode {
-    entries: Vec<LeafEntry>,
-    /// Right sibling ([`NO_PAGE`] for the rightmost leaf).
-    next: u32,
-}
-
-impl LeafNode {
-    fn encoded_len(&self) -> usize {
-        self.entries.iter().map(LeafEntry::encoded_len).sum()
+impl Node {
+    fn read(pager: &mut Pager, id: u32) -> Result<Node> {
+        let (page, offsets) = pager.read_indexed(id, entry_offsets)?;
+        Ok(Node { page, offsets })
     }
 
-    fn encode(&self) -> Result<Page> {
-        let mut payload = Vec::with_capacity(self.encoded_len());
-        for e in &self.entries {
-            let mut flags = 0u8;
-            if e.key.spilled() {
-                flags |= FLAG_KEY_SPILLED;
-            }
-            if e.val.spilled() {
-                flags |= FLAG_VAL_SPILLED;
-            }
-            payload.push(flags);
-            e.key.write(&mut payload)?;
-            e.val.write(&mut payload)?;
-        }
-        if payload.len() > PAGE_CAPACITY {
-            return Err(StorageError::Corrupt("btree leaf overflows its page".into()));
-        }
-        let mut page = Page::new(PageType::BtreeLeaf);
-        page.count = self.entries.len() as u16;
-        page.next = self.next;
-        page.push(&payload);
-        Ok(page)
+    fn is_leaf(&self) -> bool {
+        self.page.ptype == PageType::BtreeLeaf
     }
 
-    fn decode(page: &Page) -> Result<LeafNode> {
-        if page.ptype != PageType::BtreeLeaf {
-            return Err(StorageError::Corrupt(format!(
-                "expected a btree leaf, found {:?}",
-                page.ptype
-            )));
-        }
-        let data = page.payload();
-        let pos = &mut 0usize;
-        let mut entries = Vec::with_capacity(page.count as usize);
-        for _ in 0..page.count {
-            let flags = *data
-                .get(*pos)
-                .ok_or_else(|| StorageError::Corrupt("btree leaf entry truncated".into()))?;
-            *pos += 1;
-            if flags & !(FLAG_KEY_SPILLED | FLAG_VAL_SPILLED) != 0 {
-                return Err(StorageError::Corrupt(format!(
-                    "unknown btree entry flags {flags:#04x}"
-                )));
-            }
-            let key = Blob::read(data, pos, flags & FLAG_KEY_SPILLED != 0)?;
-            let val = Blob::read(data, pos, flags & FLAG_VAL_SPILLED != 0)?;
-            entries.push(LeafEntry { key, val });
-        }
-        if *pos != data.len() {
-            return Err(StorageError::Corrupt("btree leaf has trailing bytes".into()));
-        }
-        Ok(LeafNode { entries, next: page.next })
-    }
-}
-
-#[derive(Debug, Clone)]
-struct InnerNode {
-    /// `children.len() == keys.len() + 1`.
-    children: Vec<u32>,
-    keys: Vec<Blob>,
-}
-
-impl InnerNode {
-    fn encoded_len(&self) -> usize {
-        let mut n = uvarint_len(u64::from(*self.children.first().unwrap_or(&0)));
-        for (k, c) in self.keys.iter().zip(self.children.iter().skip(1)) {
-            n += 1 + k.encoded_len() + uvarint_len(u64::from(*c));
-        }
-        n
+    /// Entries in the node. An inner node has one more child than that.
+    fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
     }
 
-    fn encode(&self) -> Result<Page> {
-        if self.children.len() != self.keys.len() + 1 {
-            return Err(StorageError::Corrupt("btree inner node arity mismatch".into()));
+    /// Payload range of entries `from..to`.
+    fn span(&self, from: usize, to: usize) -> Result<Range<usize>> {
+        match (self.offsets.get(from), self.offsets.get(to)) {
+            (Some(&start), Some(&end)) if start <= end => Ok(start.into()..end.into()),
+            _ => Err(corrupt(format!("btree entries {from}..{to} out of range"))),
         }
-        let mut payload = Vec::with_capacity(self.encoded_len());
-        let first = self
-            .children
-            .first()
-            .ok_or_else(|| StorageError::Corrupt("btree inner node has no children".into()))?;
-        codec::write_u64(&mut payload, u64::from(*first))?;
-        for (k, c) in self.keys.iter().zip(self.children.iter().skip(1)) {
-            payload.push(if k.spilled() { FLAG_KEY_SPILLED } else { 0 });
-            k.write(&mut payload)?;
-            codec::write_u64(&mut payload, u64::from(*c))?;
-        }
-        if payload.len() > PAGE_CAPACITY {
-            return Err(StorageError::Corrupt("btree inner node overflows its page".into()));
-        }
-        let mut page = Page::new(PageType::BtreeInner);
-        page.count = self.keys.len() as u16;
-        page.push(&payload);
-        Ok(page)
     }
 
-    fn decode(page: &Page) -> Result<InnerNode> {
-        if page.ptype != PageType::BtreeInner {
-            return Err(StorageError::Corrupt(format!(
-                "expected a btree inner node, found {:?}",
-                page.ptype
-            )));
+    fn entry(&self, i: usize) -> Result<&[u8]> {
+        let span = self.span(i, i + 1)?;
+        self.page.payload().get(span).ok_or_else(|| corrupt("btree entry outside its page"))
+    }
+
+    fn key(&self, i: usize) -> Result<Stored<'_>> {
+        Ok(read_key(self.entry(i)?, &mut 0)?.1)
+    }
+
+    /// Key and value of leaf entry `i`.
+    fn key_val(&self, i: usize) -> Result<(Stored<'_>, Stored<'_>)> {
+        let (entry, pos) = (self.entry(i)?, &mut 0);
+        let (flags, key) = read_key(entry, pos)?;
+        Ok((key, Stored::read(entry, pos, flags & FLAG_VAL_SPILLED != 0)?))
+    }
+
+    /// Child `i` of an inner node: the leading child id, or the one that
+    /// closes entry `i - 1`.
+    fn child(&self, i: usize) -> Result<u32> {
+        match i.checked_sub(1) {
+            None => read_page_id(self.page.payload(), &mut 0, "child id"),
+            Some(entry) => read_page_id(split_entry(self.entry(entry)?)?.1, &mut 0, "child id"),
         }
-        let data = page.payload();
-        let pos = &mut 0usize;
-        let read_child = |pos: &mut usize| -> Result<u32> {
-            u32::try_from(codec::read_u64(data, pos)?)
-                .map_err(|_| StorageError::Corrupt("btree child id exceeds page-id range".into()))
-        };
-        let mut children = vec![read_child(pos)?];
-        let mut keys = Vec::with_capacity(page.count as usize);
-        for _ in 0..page.count {
-            let flags = *data
-                .get(*pos)
-                .ok_or_else(|| StorageError::Corrupt("btree inner entry truncated".into()))?;
-            *pos += 1;
-            if flags & !FLAG_KEY_SPILLED != 0 {
-                return Err(StorageError::Corrupt(format!(
-                    "unknown btree inner flags {flags:#04x}"
-                )));
-            }
-            keys.push(Blob::read(data, pos, flags & FLAG_KEY_SPILLED != 0)?);
-            children.push(read_child(pos)?);
-        }
-        if *pos != data.len() {
-            return Err(StorageError::Corrupt("btree inner node has trailing bytes".into()));
-        }
-        Ok(InnerNode { children, keys })
     }
 }
 
@@ -364,13 +365,14 @@ pub struct BTree {
     order: KeyOrder,
 }
 
+/// The inner nodes an insert descended through: `(page id, node, index
+/// of the child taken)`, root first.
+type Path = Vec<(u32, Node, usize)>;
+
 impl BTree {
     /// Create an empty tree: one empty leaf as the root.
     pub fn create(pager: &mut Pager, order: KeyOrder) -> Result<BTree> {
-        let root = pager.allocate(PageType::BtreeLeaf)?;
-        let leaf = LeafNode { entries: Vec::new(), next: NO_PAGE };
-        pager.put_page(root, leaf.encode()?)?;
-        Ok(BTree { root, order })
+        Ok(BTree { root: pager.allocate(PageType::BtreeLeaf)?, order })
     }
 
     /// Re-attach to a tree previously built in `pager`'s file.
@@ -388,28 +390,40 @@ impl BTree {
         self.order
     }
 
-    fn cycle_check(pager: &Pager, depth: &mut u64) -> Result<()> {
-        *depth += 1;
-        if *depth > u64::from(pager.page_count()) {
-            return Err(StorageError::Corrupt("btree descent cycles".into()));
+    /// Walk from page `id` down to a leaf, taking at each inner node the
+    /// child `pick` chooses. Returns the leaf and its page id.
+    fn descend(
+        pager: &mut Pager,
+        mut id: u32,
+        mut pick: impl FnMut(&mut Pager, u32, &Node) -> Result<usize>,
+    ) -> Result<(u32, Node)> {
+        let mut depth = 0u64;
+        loop {
+            depth += 1;
+            if depth > u64::from(pager.page_count()) {
+                return Err(corrupt("btree descent cycles"));
+            }
+            let node = Node::read(pager, id)?;
+            if node.is_leaf() {
+                return Ok((id, node));
+            }
+            let child = pick(pager, id, &node)?;
+            id = node.child(child)?;
         }
-        Ok(())
     }
 
-    fn blob_bytes(pager: &mut Pager, blob: &Blob) -> Result<Vec<u8>> {
-        match blob {
-            Blob::Inline(b) => Ok(b.clone()),
-            Blob::Spilled { head } => read_chain(pager, *head),
-        }
+    /// The leaf `key` belongs in.
+    fn descend_to(&self, pager: &mut Pager, key: &[u8]) -> Result<Node> {
+        Ok(Self::descend(pager, self.root, |pager, _, node| self.child_index(pager, node, key))?.1)
     }
 
     /// Index of the child to descend into: after the last separator
     /// `<= key`.
-    fn child_index(&self, pager: &mut Pager, node: &InnerNode, key: &[u8]) -> Result<usize> {
-        let (mut lo, mut hi) = (0usize, node.keys.len());
+    fn child_index(&self, pager: &mut Pager, node: &Node, key: &[u8]) -> Result<usize> {
+        let (mut lo, mut hi) = (0usize, node.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let sep = Self::blob_bytes(pager, &node.keys[mid])?;
+            let sep = node.key(mid)?.bytes(pager)?;
             if self.order.compare(&sep, key)? == Ordering::Greater {
                 hi = mid;
             } else {
@@ -421,11 +435,11 @@ impl BTree {
 
     /// Position of `key` in a leaf: `(index, exact)` where `index` is the
     /// first entry `>= key`.
-    fn leaf_pos(&self, pager: &mut Pager, node: &LeafNode, key: &[u8]) -> Result<(usize, bool)> {
-        let (mut lo, mut hi) = (0usize, node.entries.len());
+    fn leaf_pos(&self, pager: &mut Pager, leaf: &Node, key: &[u8]) -> Result<(usize, bool)> {
+        let (mut lo, mut hi) = (0usize, leaf.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let probe = Self::blob_bytes(pager, &node.entries[mid].key)?;
+            let probe = leaf.key(mid)?.bytes(pager)?;
             match self.order.compare(&probe, key)? {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Equal => return Ok((mid, true)),
@@ -437,133 +451,141 @@ impl BTree {
 
     /// Point lookup: the value stored under `key`, if present.
     pub fn lookup(&self, pager: &mut Pager, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut id = self.root;
-        let mut depth = 0;
-        loop {
-            Self::cycle_check(pager, &mut depth)?;
-            let page = pager.read_page(id)?;
-            match page.ptype {
-                PageType::BtreeInner => {
-                    let node = InnerNode::decode(&page)?;
-                    let idx = self.child_index(pager, &node, key)?;
-                    id = node.children[idx];
-                }
-                PageType::BtreeLeaf => {
-                    let node = LeafNode::decode(&page)?;
-                    let (pos, exact) = self.leaf_pos(pager, &node, key)?;
-                    return if exact {
-                        Ok(Some(Self::blob_bytes(pager, &node.entries[pos].val)?))
-                    } else {
-                        Ok(None)
-                    };
-                }
-                other => {
-                    return Err(StorageError::Corrupt(format!(
-                        "btree descent reached a {other:?} page"
-                    )));
-                }
-            }
+        let leaf = self.descend_to(pager, key)?;
+        let (pos, exact) = self.leaf_pos(pager, &leaf, key)?;
+        if !exact {
+            return Ok(None);
         }
+        Ok(Some(leaf.key_val(pos)?.1.bytes(pager)?.into_owned()))
     }
 
     /// Insert `key -> val`, splitting full nodes on the way back up.
     /// Inserting an existing key replaces its value. Returns whether the
     /// key opened a new group (see [`KeyOrder::ValueRowId`]).
     pub fn insert(&mut self, pager: &mut Pager, key: &[u8], val: &[u8]) -> Result<InsertOutcome> {
-        // Descend to the leaf, remembering (page id, decoded node, child
-        // index taken) for the split walk back up.
-        let mut path: Vec<(u32, InnerNode, usize)> = Vec::new();
-        let mut id = self.root;
-        let mut depth = 0;
-        let leaf_page = loop {
-            Self::cycle_check(pager, &mut depth)?;
-            let page = pager.read_page(id)?;
-            match page.ptype {
-                PageType::BtreeInner => {
-                    let node = InnerNode::decode(&page)?;
-                    let idx = self.child_index(pager, &node, key)?;
-                    let child = node.children[idx];
-                    path.push((id, node, idx));
-                    id = child;
-                }
-                PageType::BtreeLeaf => break page,
-                other => {
-                    return Err(StorageError::Corrupt(format!(
-                        "btree descent reached a {other:?} page"
-                    )));
-                }
-            }
-        };
-        let mut leaf = LeafNode::decode(&leaf_page)?;
+        let mut path = Path::new();
+        let (id, leaf) = Self::descend(pager, self.root, |pager, id, node| {
+            let child = self.child_index(pager, node, key)?;
+            path.push((id, node.clone(), child));
+            Ok(child)
+        })?;
         let (pos, exact) = self.leaf_pos(pager, &leaf, key)?;
+        let new_group = !exact && self.is_new_group(pager, &leaf, pos, key, &path)?;
+
+        // The entry as it will lie in the leaf. An existing key keeps its
+        // stored form (build-once trees never see one in practice, but
+        // replacing the value is the well-defined behavior if one arrives).
+        let inline = key.len().min(MAX_INLINE_KEY) + val.len().min(MAX_INLINE_VAL);
+        let mut entry = Vec::with_capacity(1 + 2 * MAX_UVARINT + inline);
         if exact {
-            // Build-once trees never see duplicate keys in practice, but
-            // replace is the well-defined behavior if one arrives.
-            leaf.entries[pos].val = make_blob(pager, val, MAX_INLINE_VAL)?;
-            pager.put_page(id, leaf.encode()?)?;
-            return Ok(InsertOutcome { new_group: false });
-        }
-        let new_group = self.is_new_group(pager, &leaf, pos, key, &path)?;
-        let entry = LeafEntry {
-            key: make_blob(pager, key, MAX_INLINE_KEY)?,
-            val: make_blob(pager, val, MAX_INLINE_VAL)?,
-        };
-        leaf.entries.insert(pos, entry);
-        if leaf.encoded_len() <= PAGE_CAPACITY {
-            pager.put_page(id, leaf.encode()?)?;
-            return Ok(InsertOutcome { new_group });
-        }
-
-        // Leaf split: left keeps the page id (so parent links and the left
-        // sibling's `next` stay valid); the separator is the right page's
-        // first key.
-        let cut = split_index(
-            leaf.entries.iter().map(LeafEntry::encoded_len),
-            pos == leaf.entries.len() - 1,
-        );
-        let right_entries = leaf.entries.split_off(cut);
-        let right_id = pager.allocate(PageType::BtreeLeaf)?;
-        let right = LeafNode { entries: right_entries, next: leaf.next };
-        leaf.next = right_id;
-        let mut sep = right.entries[0].key.clone();
-        pager.put_page(right_id, right.encode()?)?;
-        pager.put_page(id, leaf.encode()?)?;
-
-        // Bubble the separator up, splitting inner nodes as needed.
-        let mut promoted_child = right_id;
-        while let Some((node_id, mut node, idx)) = path.pop() {
-            node.keys.insert(idx, sep);
-            node.children.insert(idx + 1, promoted_child);
-            if node.encoded_len() <= PAGE_CAPACITY {
-                pager.put_page(node_id, node.encode()?)?;
-                return Ok(InsertOutcome { new_group });
+            entry.extend_from_slice(split_entry(leaf.entry(pos)?)?.0);
+            entry[0] &= FLAG_KEY_SPILLED;
+        } else {
+            entry.push(0u8);
+            if write_stored(pager, &mut entry, key, MAX_INLINE_KEY)? {
+                entry[0] |= FLAG_KEY_SPILLED;
             }
-            // Inner split: the key at the cut moves *up*, children right of
-            // it move to the new right node.
-            let at_end = idx + 1 == node.keys.len();
-            let cut = split_index(
-                node.keys
-                    .iter()
-                    .zip(node.children.iter().skip(1))
-                    .map(|(k, c)| 1 + k.encoded_len() + uvarint_len(u64::from(*c))),
-                at_end,
-            );
-            let mut right_keys = node.keys.split_off(cut);
-            let right_children = node.children.split_off(cut + 1);
-            sep = right_keys.remove(0);
-            let right = InnerNode { children: right_children, keys: right_keys };
-            let right_id = pager.allocate(PageType::BtreeInner)?;
-            pager.put_page(right_id, right.encode()?)?;
-            pager.put_page(node_id, node.encode()?)?;
-            promoted_child = right_id;
+        }
+        if write_stored(pager, &mut entry, val, MAX_INLINE_VAL)? {
+            entry[0] |= FLAG_VAL_SPILLED;
         }
 
-        // The root itself split: grow the tree by one level.
-        let new_root = pager.allocate(PageType::BtreeInner)?;
-        let root_node = InnerNode { children: vec![self.root, promoted_child], keys: vec![sep] };
-        pager.put_page(new_root, root_node.encode()?)?;
-        self.root = new_root;
+        // Place it, then bubble separators up for as long as nodes split.
+        let mut split = Self::place(pager, id, leaf, pos, exact, &entry)?;
+        while let Some((mut separator, right_id)) = split {
+            let Some((parent_id, parent, child)) = path.pop() else {
+                // The root itself split: grow the tree by one level.
+                let mut payload = Vec::with_capacity(separator.len() + 2 * MAX_UVARINT);
+                codec::write_u64(&mut payload, u64::from(self.root))?;
+                payload.extend_from_slice(&separator);
+                codec::write_u64(&mut payload, u64::from(right_id))?;
+                let mut root = Page::new(PageType::BtreeInner);
+                fill(&mut root, &[&payload])?;
+                root.count = 1;
+                let new_root = pager.allocate(PageType::BtreeInner)?;
+                pager.put_page(new_root, root)?;
+                self.root = new_root;
+                break;
+            };
+            codec::write_u64(&mut separator, u64::from(right_id))?;
+            split = Self::place(pager, parent_id, parent, child, false, &separator)?;
+        }
         Ok(InsertOutcome { new_group })
+    }
+
+    /// Put `entry` into node `id` — before entry `pos`, or in place of it
+    /// when `replace` — by shifting bytes inside the page when the result
+    /// fits, else by splitting the node.
+    ///
+    /// A split copies the entries' byte ranges into two fresh pages at the
+    /// cut [`split_index`] picks. The left half keeps the page id, so parent
+    /// links and the left sibling's `next` stay valid; the right half gets
+    /// a new page. Returned for the parent: the separator — flags and key
+    /// of an inner entry, still lacking its child id — and the right page.
+    /// A leaf's separator is a copy of its right half's first key; an
+    /// inner node's moves *up*, and the child it closed becomes the right
+    /// half's leading child.
+    fn place(
+        pager: &mut Pager,
+        id: u32,
+        node: Node,
+        pos: usize,
+        replace: bool,
+        entry: &[u8],
+    ) -> Result<Option<(Vec<u8>, u32)>> {
+        let old = node.span(pos, pos + usize::from(replace))?;
+        let payload = node.page.payload();
+        if (payload.len() + entry.len()).saturating_sub(old.len()) <= PAGE_CAPACITY {
+            let page = pager.page_mut(id, node.page)?;
+            if !page.splice(old, entry) {
+                return Err(corrupt("btree entry offsets lie outside their page"));
+            }
+            page.count += u16::from(!replace);
+            return Ok(None);
+        }
+
+        let mut items: Vec<&[u8]> = Vec::with_capacity(node.len() + 1);
+        for i in 0..node.len() {
+            if i == pos {
+                items.push(entry);
+                if replace {
+                    continue;
+                }
+            }
+            items.push(node.entry(i)?);
+        }
+        if pos == node.len() {
+            items.push(entry);
+        }
+        let cut = split_index(&items, pos + 1 == items.len());
+        let (lefts, rights) =
+            items.split_at_checked(cut).ok_or_else(|| corrupt("btree split cut out of range"))?;
+        let (separator, first_child) = split_entry(
+            rights.first().ok_or_else(|| corrupt("btree split leaves no right half"))?,
+        )?;
+        let mut separator = separator.to_vec();
+        if let Some(flags) = separator.first_mut() {
+            *flags &= FLAG_KEY_SPILLED;
+        }
+
+        let ptype = node.page.ptype;
+        let right_id = pager.allocate(ptype)?;
+        let (mut left, mut right) = (Page::new(ptype), Page::new(ptype));
+        let rights = if node.is_leaf() {
+            (left.next, right.next) = (right_id, node.page.next);
+            rights
+        } else {
+            let leading_child = payload.get(..node.span(0, 0)?.start);
+            fill(&mut left, &[leading_child.ok_or_else(|| corrupt("btree node lacks a child"))?])?;
+            fill(&mut right, &[first_child])?;
+            rights.get(1..).unwrap_or_default()
+        };
+        fill(&mut left, lefts)?;
+        fill(&mut right, rights)?;
+        (left.count, right.count) = (lefts.len() as u16, rights.len() as u16);
+        pager.put_page(right_id, right)?;
+        pager.put_page(id, left)?;
+        Ok(Some((separator, right_id)))
     }
 
     /// Does the key at insert position `pos` start a new group? Groups are
@@ -574,28 +596,28 @@ impl BTree {
     fn is_new_group(
         &self,
         pager: &mut Pager,
-        leaf: &LeafNode,
+        leaf: &Node,
         pos: usize,
         key: &[u8],
-        path: &[(u32, InnerNode, usize)],
+        path: &Path,
     ) -> Result<bool> {
-        if pos < leaf.entries.len() {
-            let succ = Self::blob_bytes(pager, &leaf.entries[pos].key)?;
+        if pos < leaf.len() {
+            let succ = leaf.key(pos)?.bytes(pager)?;
             if self.order.same_group(&succ, key)? {
                 return Ok(false);
             }
         }
-        if pos > 0 {
-            let pred = Self::blob_bytes(pager, &leaf.entries[pos - 1].key)?;
+        if let Some(before) = pos.checked_sub(1) {
+            let pred = leaf.key(before)?.bytes(pager)?;
             return Ok(!self.order.same_group(&pred, key)?);
         }
         // Position 0: walk to the deepest ancestor where we branched right
         // of the leftmost child; the predecessor is the max of its left
         // neighbor subtree. No such ancestor ⇒ this is the tree's minimum.
-        let Some((_, node, idx)) = path.iter().rev().find(|(_, _, idx)| *idx > 0) else {
+        let Some((_, node, child)) = path.iter().rev().find(|(_, _, child)| *child > 0) else {
             return Ok(true);
         };
-        let Some(pred) = self.subtree_max_key(pager, node.children[idx - 1])? else {
+        let Some(pred) = self.subtree_max_key(pager, node.child(child - 1)?)? else {
             return Ok(true);
         };
         Ok(!self.order.same_group(&pred, key)?)
@@ -603,140 +625,98 @@ impl BTree {
 
     /// The largest key in the subtree rooted at `id` (`None` for an empty
     /// leaf, which only the root of an empty tree can be).
-    fn subtree_max_key(&self, pager: &mut Pager, mut id: u32) -> Result<Option<Vec<u8>>> {
-        let mut depth = 0;
-        loop {
-            Self::cycle_check(pager, &mut depth)?;
-            let page = pager.read_page(id)?;
-            match page.ptype {
-                PageType::BtreeInner => {
-                    let node = InnerNode::decode(&page)?;
-                    id = *node.children.last().ok_or_else(|| {
-                        StorageError::Corrupt("btree inner node has no children".into())
-                    })?;
-                }
-                PageType::BtreeLeaf => {
-                    let node = LeafNode::decode(&page)?;
-                    return match node.entries.last() {
-                        Some(e) => Ok(Some(Self::blob_bytes(pager, &e.key)?)),
-                        None => Ok(None),
-                    };
-                }
-                other => {
-                    return Err(StorageError::Corrupt(format!(
-                        "btree descent reached a {other:?} page"
-                    )));
-                }
-            }
+    fn subtree_max_key(&self, pager: &mut Pager, id: u32) -> Result<Option<Vec<u8>>> {
+        let (_, leaf) = Self::descend(pager, id, |_, _, node| Ok(node.len()))?;
+        match leaf.len().checked_sub(1) {
+            Some(last) => Ok(Some(leaf.key(last)?.bytes(pager)?.into_owned())),
+            None => Ok(None),
         }
     }
 
     /// Cursor over the whole tree, starting at the smallest key.
     pub fn cursor_first(&self, pager: &mut Pager) -> Result<Cursor> {
-        let mut id = self.root;
-        let mut depth = 0;
-        loop {
-            Self::cycle_check(pager, &mut depth)?;
-            let page = pager.read_page(id)?;
-            match page.ptype {
-                PageType::BtreeInner => {
-                    let node = InnerNode::decode(&page)?;
-                    id = *node.children.first().ok_or_else(|| {
-                        StorageError::Corrupt("btree inner node has no children".into())
-                    })?;
-                }
-                PageType::BtreeLeaf => {
-                    return Ok(Cursor { node: LeafNode::decode(&page)?, pos: 0 });
-                }
-                other => {
-                    return Err(StorageError::Corrupt(format!(
-                        "btree descent reached a {other:?} page"
-                    )));
-                }
-            }
-        }
+        let (_, node) = Self::descend(pager, self.root, |_, _, _| Ok(0))?;
+        Ok(Cursor { node, pos: 0, hops: 0 })
     }
 
     /// Cursor positioned at the first entry `>= key`.
     pub fn cursor_seek(&self, pager: &mut Pager, key: &[u8]) -> Result<Cursor> {
-        let mut id = self.root;
-        let mut depth = 0;
-        loop {
-            Self::cycle_check(pager, &mut depth)?;
-            let page = pager.read_page(id)?;
-            match page.ptype {
-                PageType::BtreeInner => {
-                    let node = InnerNode::decode(&page)?;
-                    let idx = self.child_index(pager, &node, key)?;
-                    id = node.children[idx];
-                }
-                PageType::BtreeLeaf => {
-                    let node = LeafNode::decode(&page)?;
-                    let (pos, _) = self.leaf_pos(pager, &node, key)?;
-                    return Ok(Cursor { node, pos });
-                }
-                other => {
-                    return Err(StorageError::Corrupt(format!(
-                        "btree descent reached a {other:?} page"
-                    )));
-                }
-            }
-        }
+        let node = self.descend_to(pager, key)?;
+        let (pos, _) = self.leaf_pos(pager, &node, key)?;
+        Ok(Cursor { node, pos, hops: 0 })
     }
 }
 
-/// Pick a split index over contiguous item sizes: the byte-balanced cut,
-/// or — when the insert landed at the right edge — the cut that leaves
-/// only the last item on the right (sorted bulk loads then fill pages
-/// almost completely). Both sides are guaranteed to fit a page because
-/// every item is far smaller than half of one.
-fn split_index(sizes: impl Iterator<Item = usize>, at_end: bool) -> usize {
-    let sizes: Vec<usize> = sizes.collect();
-    if at_end && sizes.len() >= 2 {
-        return sizes.len() - 1;
+/// Append each of `parts` to a page under construction.
+fn fill(page: &mut Page, parts: &[&[u8]]) -> Result<()> {
+    for part in parts {
+        if page.push(part) != part.len() {
+            return Err(corrupt("btree node overflows its page"));
+        }
     }
-    let total: usize = sizes.iter().sum();
+    Ok(())
+}
+
+/// Pick a split index over contiguous items: the byte-balanced cut, or —
+/// when the insert landed at the right edge — the cut that leaves only the
+/// last item on the right (sorted bulk loads then fill pages almost
+/// completely). Both sides are guaranteed to fit a page because every item
+/// is far smaller than half of one.
+fn split_index(items: &[&[u8]], at_end: bool) -> usize {
+    if at_end && items.len() >= 2 {
+        return items.len() - 1;
+    }
+    let total: usize = items.iter().map(|item| item.len()).sum();
     let mut acc = 0usize;
-    for (i, s) in sizes.iter().enumerate() {
-        acc += s;
-        if acc * 2 >= total && i + 1 < sizes.len() {
+    for (i, item) in items.iter().enumerate() {
+        acc += item.len();
+        if acc * 2 >= total && i + 1 < items.len() {
             return i + 1;
         }
     }
     // Unreachable for >= 2 items; defensively cut before the last.
-    sizes.len().saturating_sub(1).max(1)
+    items.len().saturating_sub(1).max(1)
 }
 
 /// Leaf-level iterator: yields `(key, value)` byte pairs in key order,
-/// following sibling links across leaves.
+/// following sibling links across leaves. It holds the frame of the leaf
+/// it stands on, so it keeps reading that image whatever the pool evicts
+/// or an insert rewrites meanwhile.
 #[derive(Debug)]
 pub struct Cursor {
-    node: LeafNode,
+    node: Node,
     pos: usize,
+    /// Sibling links followed so far; more than the file has pages is a
+    /// cycle.
+    hops: u64,
 }
 
 impl Cursor {
     /// The next entry, or `None` past the last.
     pub fn next(&mut self, pager: &mut Pager) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        let mut hops = 0u64;
         loop {
-            if self.pos < self.node.entries.len() {
-                let e = &self.node.entries[self.pos];
+            if self.pos < self.node.len() {
+                let (key, val) = self.node.key_val(self.pos)?;
+                let entry = (key.bytes(pager)?.into_owned(), val.bytes(pager)?.into_owned());
                 self.pos += 1;
-                let key = BTree::blob_bytes(pager, &e.key)?;
-                let val = BTree::blob_bytes(pager, &e.val)?;
-                return Ok(Some((key, val)));
+                return Ok(Some(entry));
             }
-            if self.node.next == NO_PAGE {
+            let next = self.node.page.next;
+            if next == NO_PAGE {
                 return Ok(None);
             }
-            hops += 1;
-            if hops > u64::from(pager.page_count()) {
-                return Err(StorageError::Corrupt("btree leaf chain cycles".into()));
+            self.hops += 1;
+            if self.hops > u64::from(pager.page_count()) {
+                return Err(corrupt("btree leaf chain cycles"));
             }
-            let page = pager.read_page(self.node.next)?;
-            self.node = LeafNode::decode(&page)?;
-            self.pos = 0;
+            let node = Node::read(pager, next)?;
+            if !node.is_leaf() {
+                return Err(corrupt(format!(
+                    "btree leaf chain reaches page {next}, which is a {:?} page",
+                    node.page.ptype
+                )));
+            }
+            (self.node, self.pos) = (node, 0);
         }
     }
 }
@@ -924,40 +904,341 @@ mod tests {
     mod props {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::{BTreeSet, HashMap};
         use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
         static CASE: AtomicU64 = AtomicU64::new(0);
+
+        /// A cursor kept open across inserts, with what it still owes: every
+        /// key that was in the tree at or after its start when it opened.
+        struct Live {
+            cursor: Cursor,
+            owed: BTreeSet<u64>,
+            last: Option<u64>,
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             /// Any batch of (key, value) pairs — duplicates included — reads
-            /// back exactly like a `BTreeMap` with the same inserts applied.
+            /// back exactly like a `BTreeMap` with the same inserts applied,
+            /// on a pool of two to four frames with two cursors held open
+            /// across the inserts (so frames are evicted, and rewritten,
+            /// under a cursor standing on them), and again after a cold
+            /// reopen.
             #[test]
-            fn prop_tree_matches_btreemap(pairs in proptest::collection::vec((0u64..400, any::<u8>(), 0usize..200), 1..80)) {
+            fn prop_tree_matches_btreemap(
+                pairs in proptest::collection::vec((0u64..400, any::<u8>(), 0usize..200), 1..80),
+                pool in 2usize..=4,
+            ) {
                 let case = CASE.fetch_add(1, AtomicOrdering::SeqCst);
                 let path = tmp(&format!("prop-{case}"));
-                let mut pg = Pager::create(&RealBackend, &path, 2).unwrap();
+                let mut pg = Pager::create(&RealBackend, &path, pool).unwrap();
                 let mut t = BTree::create(&mut pg, KeyOrder::RowId).unwrap();
                 let mut reference = BTreeMap::new();
-                for &(k, fill, len) in &pairs {
+                // Every value a key ever had: a cursor may yield a stale one.
+                let mut history: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
+                let mut live: [Option<Live>; 2] = [None, None];
+                for (step, &(k, fill, len)) in pairs.iter().enumerate() {
                     let val = vec![fill; len];
-                    t.insert(&mut pg, &row_key(k), &val).unwrap();
-                    reference.insert(k, val);
+                    let out = t.insert(&mut pg, &row_key(k), &val).unwrap();
+                    prop_assert_eq!(out.new_group, !reference.contains_key(&k));
+                    reference.insert(k, val.clone());
+                    history.entry(k).or_default().push(val);
+
+                    let probe = pairs[step / 2].0 + (step as u64 % 2);
+                    let got = t.lookup(&mut pg, &row_key(probe)).unwrap();
+                    prop_assert_eq!(got.as_ref(), reference.get(&probe));
+
+                    // Step one of the two cursors; open it where this key
+                    // points if it is not open.
+                    let slot = &mut live[step % 2];
+                    let Some(cur) = slot else {
+                        let start = k / 2;
+                        *slot = Some(Live {
+                            cursor: t.cursor_seek(&mut pg, &row_key(start)).unwrap(),
+                            owed: reference.range(start..).map(|(k, _)| *k).collect(),
+                            last: None,
+                        });
+                        continue;
+                    };
+                    for _ in 0..=(fill % 3) {
+                        let Some((got_k, got_v)) = cur.cursor.next(&mut pg).unwrap() else {
+                            prop_assert!(cur.owed.is_empty(), "cursor ended owing {:?}", cur.owed);
+                            *slot = None;
+                            break;
+                        };
+                        let got_k = decode_row_key(&got_k).unwrap();
+                        prop_assert!(cur.last < Some(got_k), "{got_k} after {:?}", cur.last);
+                        prop_assert!(history[&got_k].contains(&got_v));
+                        cur.owed.remove(&got_k);
+                        prop_assert!(cur.owed.range(..got_k).next().is_none(), "skipped a key");
+                        cur.last = Some(got_k);
+                    }
+                }
+                pg.set_root(t.root());
+                pg.flush().unwrap();
+                drop((pg, live));
+
+                let mut pg = Pager::open(&RealBackend, &path, pool).unwrap();
+                let mut t = BTree::open(pg.root(), KeyOrder::RowId);
+                for k in 0..=400u64 {
+                    let got = t.cursor_seek(&mut pg, &row_key(k)).unwrap().next(&mut pg).unwrap();
+                    let want = reference.range(k..).next();
+                    prop_assert_eq!(got, want.map(|(k, v)| (row_key(*k), v.clone())));
+                }
+                for k in (0..400u64).step_by(7) {
+                    let out = t.insert(&mut pg, &row_key(k), &[7]).unwrap();
+                    prop_assert_eq!(out.new_group, reference.insert(k, vec![7]).is_none());
                 }
                 let mut cur = t.cursor_first(&mut pg).unwrap();
                 for (k, val) in &reference {
-                    let (got_k, got_v) = cur.next(&mut pg).unwrap().expect("entry present");
-                    prop_assert_eq!(decode_row_key(&got_k).unwrap(), *k);
-                    prop_assert_eq!(&got_v, val);
-                }
-                prop_assert!(cur.next(&mut pg).unwrap().is_none());
-                for (k, val) in &reference {
+                    let got = cur.next(&mut pg).unwrap();
+                    prop_assert_eq!(got, Some((row_key(*k), val.clone())));
                     let got = t.lookup(&mut pg, &row_key(*k)).unwrap();
                     prop_assert_eq!(got.as_ref(), Some(val));
                 }
+                prop_assert!(cur.next(&mut pg).unwrap().is_none());
                 std::fs::remove_file(&path).unwrap();
             }
+        }
+    }
+
+    /// A hand-built page.
+    fn page(ptype: PageType, count: u16, next: u32, payload: &[u8]) -> Page {
+        let mut p = Page::new(ptype);
+        (p.count, p.next) = (count, next);
+        assert_eq!(p.push(payload), payload.len());
+        p
+    }
+
+    /// A tree whose pages 1.. are `pages` (page 1 the root), written out and
+    /// reopened cold on a two-frame pool: everything a test reads arrives
+    /// from the file, through the page checksum.
+    fn hand_built(name: &str, pages: Vec<Page>) -> (PathBuf, Pager, BTree) {
+        let (p, mut pg) = pager(name, 2);
+        for page in pages {
+            let id = pg.allocate(page.ptype).unwrap();
+            pg.put_page(id, page).unwrap();
+        }
+        pg.flush().unwrap();
+        drop(pg);
+        let pg = Pager::open(&RealBackend, &p, 2).unwrap();
+        (p, pg, BTree::open(1, KeyOrder::RowId))
+    }
+
+    /// Leaf entry: no flags, key = row id 5, value "v".
+    const ENTRY: &[u8] = &[0, 1, 5, 1, b'v'];
+
+    fn assert_corrupt<T: std::fmt::Debug>(what: &str, got: Result<T>) {
+        assert!(matches!(got, Err(StorageError::Corrupt(_))), "{what}: {got:?}");
+    }
+
+    /// Every way into a node — `lookup`, `cursor_seek`, a scan, `insert` —
+    /// refuses a checksum-valid page whose payload is not a node.
+    #[test]
+    fn hostile_nodes_are_corrupt_never_a_panic() {
+        use PageType::{BtreeInner, BtreeLeaf, Overflow};
+        let mut wide_id = Vec::new();
+        codec::write_u64(&mut wide_id, 1 << 40).unwrap();
+        let cases: Vec<(&str, Vec<Page>)> = vec![
+            ("truncated entry", vec![page(BtreeLeaf, 2, 0, &[ENTRY, &[0]].concat())]),
+            ("unknown flags", vec![page(BtreeLeaf, 1, 0, &[0x04, 1, 5, 1, b'v'])]),
+            ("value flag in an inner node", vec![page(BtreeInner, 1, 0, &[2, 0x02, 1, 5, 2])]),
+            ("key overruns the page", vec![page(BtreeLeaf, 1, 0, &[0, 100, 5, 1, b'v'])]),
+            ("value overruns the page", vec![page(BtreeLeaf, 1, 0, &[0, 1, 5, 100, b'v'])]),
+            ("trailing bytes", vec![page(BtreeLeaf, 1, 0, &[ENTRY, &[0xFF]].concat())]),
+            ("fewer entries than bytes", vec![page(BtreeLeaf, 1, 0, &[ENTRY, ENTRY].concat())]),
+            ("count past what len could hold", vec![page(BtreeLeaf, u16::MAX, 0, ENTRY)]),
+            ("count with no payload at all", vec![page(BtreeLeaf, 1, 0, &[])]),
+            ("inner node without a child", vec![page(BtreeInner, 0, 0, &[])]),
+            ("child id past the file", vec![page(BtreeInner, 0, 0, &[99])]),
+            ("child id past the id range", vec![page(BtreeInner, 0, 0, &wide_id)]),
+            ("overflow head past the id range", {
+                let entry = [&[FLAG_KEY_SPILLED][..], &wide_id, &[1, b'v']].concat();
+                vec![page(BtreeLeaf, 1, 0, &entry)]
+            }),
+            ("descent cycle", vec![page(BtreeInner, 0, 0, &[1])]),
+            (
+                "descent into an overflow page",
+                vec![page(BtreeInner, 0, 0, &[2]), page(Overflow, 0, 0, b"xx")],
+            ),
+        ];
+        for (what, pages) in cases {
+            let (p, mut pg, mut t) = hand_built("hostile", pages);
+            let key = row_key(5);
+            assert_corrupt(what, t.lookup(&mut pg, &key));
+            assert_corrupt(what, t.cursor_seek(&mut pg, &key));
+            assert_corrupt(what, t.cursor_first(&mut pg).and_then(|mut c| c.next(&mut pg)));
+            assert_corrupt(what, t.insert(&mut pg, &key, b"w"));
+            std::fs::remove_file(&p).unwrap();
+        }
+    }
+
+    /// Sibling links are hostile too: a cursor refuses a link into anything
+    /// but a leaf, and a chain that cycles — whether or not its leaves hold
+    /// entries — ends in `Corrupt`, not in an endless scan.
+    #[test]
+    fn hostile_sibling_links_end_a_scan_with_corrupt() {
+        use PageType::{BtreeInner, BtreeLeaf, Overflow};
+        let other = [0, 1, 6, 1, b'w'];
+        let cases: Vec<(&str, Vec<Page>)> = vec![
+            ("empty leaf linked to itself", vec![page(BtreeLeaf, 0, 1, &[])]),
+            (
+                "two full leaves linked in a ring",
+                vec![
+                    page(BtreeInner, 1, 0, &[2, 0, 1, 6, 3]),
+                    page(BtreeLeaf, 1, 3, ENTRY),
+                    page(BtreeLeaf, 1, 2, &other),
+                ],
+            ),
+            (
+                "link into an inner node",
+                vec![page(BtreeLeaf, 1, 2, ENTRY), page(BtreeInner, 0, 0, &[1])],
+            ),
+            (
+                "link into an overflow page",
+                vec![page(BtreeLeaf, 1, 2, ENTRY), page(Overflow, 0, 0, b"x")],
+            ),
+            ("link past the file", vec![page(BtreeLeaf, 1, 77, ENTRY)]),
+        ];
+        for (what, pages) in cases {
+            let (p, mut pg, t) = hand_built("siblings", pages);
+            let mut cur = t.cursor_first(&mut pg).unwrap();
+            let mut outcome = Ok(None);
+            for _ in 0..64 {
+                outcome = cur.next(&mut pg);
+                if !matches!(outcome, Ok(Some(_))) {
+                    break;
+                }
+            }
+            assert_corrupt(what, outcome);
+            std::fs::remove_file(&p).unwrap();
+        }
+    }
+
+    /// Regression: a spilled key or value is read from `Overflow` pages
+    /// only. A head, or a chain link, that points at any other page — all
+    /// checksum-valid — used to be concatenated into the key or the row.
+    #[test]
+    fn overflow_chains_must_stay_in_overflow_pages() {
+        use PageType::{BtreeLeaf, Free, Overflow};
+        let spilled_val = [FLAG_VAL_SPILLED, 1, 5, 2];
+        let spilled_key = [FLAG_KEY_SPILLED, 2, 1, b'v'];
+        let cases: Vec<(&str, Vec<Page>, &str)> = vec![
+            (
+                "value head is a leaf",
+                vec![page(BtreeLeaf, 1, 0, &spilled_val), page(BtreeLeaf, 1, 0, ENTRY)],
+                "page 2, which is a BtreeLeaf page",
+            ),
+            (
+                "key head is a free page",
+                vec![page(BtreeLeaf, 1, 0, &spilled_key), page(Free, 0, 0, &[])],
+                "page 2, which is a Free page",
+            ),
+            (
+                "chain links into a leaf",
+                vec![
+                    page(BtreeLeaf, 1, 0, &spilled_val),
+                    page(Overflow, 1, 3, b"half a val"),
+                    page(BtreeLeaf, 1, 0, ENTRY),
+                ],
+                "page 3, which is a BtreeLeaf page",
+            ),
+        ];
+        for (what, pages, names) in cases {
+            let (p, mut pg, t) = hand_built("chains", pages);
+            for got in [
+                t.lookup(&mut pg, &row_key(5)).map(drop),
+                t.cursor_first(&mut pg).and_then(|mut c| c.next(&mut pg)).map(drop),
+            ] {
+                assert!(
+                    matches!(&got, Err(StorageError::Corrupt(m)) if m.contains(names)),
+                    "{what}: {got:?}"
+                );
+            }
+            std::fs::remove_file(&p).unwrap();
+        }
+    }
+
+    /// Replacing a value with one that no longer fits its leaf splits the
+    /// leaf like any other insert (it used to fail the insert).
+    #[test]
+    fn replacing_a_value_may_split_the_leaf() {
+        let (p, mut pg) = pager("replace-split", 4);
+        let mut t = BTree::create(&mut pg, KeyOrder::RowId).unwrap();
+        for i in 0..9u64 {
+            t.insert(&mut pg, &row_key(i), &[i as u8; 400]).unwrap();
+        }
+        assert_eq!(pg.page_count(), 2, "nine 400-byte rows fill one leaf");
+        for i in [4u64, 8, 0] {
+            assert!(!t.insert(&mut pg, &row_key(i), &[0xAB; 1000]).unwrap().new_group);
+        }
+        assert!(pg.page_count() > 2);
+        let mut cur = t.cursor_first(&mut pg).unwrap();
+        for i in 0..9u64 {
+            let want = if [4, 8, 0].contains(&i) { vec![0xAB; 1000] } else { vec![i as u8; 400] };
+            assert_eq!(cur.next(&mut pg).unwrap(), Some((row_key(i), want)));
+        }
+        assert!(cur.next(&mut pg).unwrap().is_none());
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// Every order compares encoded keys exactly as the decoded keys
+    /// compare, groups index keys by value alone, and refuses a key that
+    /// does not decode — on either side, even where the other bytes
+    /// already decide the order.
+    #[test]
+    fn key_orders_compare_like_their_decoded_keys() {
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Int(-3),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(2.5),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(f64::NAN),
+            Value::Text(String::new()),
+            Value::Text("a".into()),
+            Value::Text("ab".into()),
+        ];
+        for (x, row_x) in values.iter().zip([9u64, 1, 300].into_iter().cycle()) {
+            for (y, row_y) in values.iter().zip([1u64, 300, 9, 70_000].into_iter().cycle()) {
+                let (a, b) = (index_key(x, row_x).unwrap(), index_key(y, row_y).unwrap());
+                let want = (x, row_x).cmp(&(y, row_y));
+                assert_eq!(KeyOrder::ValueRowId.compare(&a, &b).unwrap(), want, "{x:?} {y:?}");
+                assert_eq!(KeyOrder::ValueRowId.same_group(&a, &b).unwrap(), x == y);
+                let (a, b) = (row_key(row_x), row_key(row_y));
+                assert_eq!(KeyOrder::RowId.compare(&a, &b).unwrap(), row_x.cmp(&row_y));
+                let (ka, kb) = (vec![x.clone(), y.clone()], vec![y.clone()]);
+                let (a, b) = (pk_key(&ka).unwrap(), pk_key(&kb).unwrap());
+                assert_eq!(KeyOrder::PkValues.compare(&a, &b).unwrap(), ka.cmp(&kb));
+                assert_eq!(KeyOrder::PkValues.same_group(&a, &b).unwrap(), ka == kb);
+            }
+        }
+        // A key cut short is corrupt on either side, under every order; the
+        // last byte lost belongs to the row id, the text or the second value.
+        let whole = [
+            (KeyOrder::RowId, row_key(70_000), row_key(1)),
+            (
+                KeyOrder::ValueRowId,
+                index_key(&Value::Int(1), 70_000).unwrap(),
+                index_key(&Value::Null, 0).unwrap(),
+            ),
+            (
+                KeyOrder::PkValues,
+                pk_key(&["a".into(), "zz".into()]).unwrap(),
+                pk_key(&["b".into()]).unwrap(),
+            ),
+        ];
+        for (order, key, other) in whole {
+            order.compare(&key, &other).unwrap();
+            let cut = &key[..key.len() - 1];
+            assert_corrupt("cut left", order.compare(cut, &other));
+            assert_corrupt("cut right", order.compare(&other, cut));
+            assert_corrupt("cut group", order.same_group(&other, cut));
         }
     }
 

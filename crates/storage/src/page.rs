@@ -24,10 +24,17 @@
 //! `next`, and readers concatenate payloads before decoding (the
 //! [`crate::codec`] framing is self-delimiting). An all-zero page never
 //! verifies because the CRC of 4092 zero bytes is non-zero.
+//!
+//! Payload bytes past `len` are always zero, in memory and on disk:
+//! [`Page::new`] starts zeroed, [`Page::push`] only appends, and
+//! `Page::splice` — how a B-tree node is edited in place — zeroes
+//! whatever a shrink vacates. An image therefore depends only on what its
+//! pages hold, never on how they came to hold it.
 
 use crate::error::StorageError;
 use crate::wal::crc32;
 use crate::Result;
+use std::ops::Range;
 
 /// Size of every page on disk, header included.
 pub const PAGE_SIZE: usize = 4096;
@@ -88,6 +95,28 @@ impl PageType {
     }
 }
 
+/// The `N` bytes at `at`, for the fixed-offset little-endian fields of page
+/// and meta headers. Infallible: bytes past the end of `buf` read as zero,
+/// so a caller that checked the length loses nothing by it and one that
+/// did not cannot panic.
+fn le_bytes<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    for (o, b) in out.iter_mut().zip(buf.iter().skip(at)) {
+        *o = *b;
+    }
+    out
+}
+
+/// Little-endian `u16` at byte `at` of `buf`.
+pub(crate) fn le_u16(buf: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes(le_bytes(buf, at))
+}
+
+/// Little-endian `u32` at byte `at` of `buf`.
+pub(crate) fn le_u32(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(le_bytes(buf, at))
+}
+
 /// An in-memory page image.
 #[derive(Debug, Clone)]
 pub struct Page {
@@ -139,7 +168,7 @@ impl Page {
                 buf.len()
             )));
         }
-        let stored = u32::from_le_bytes(buf[0..4].try_into().unwrap());
+        let stored = le_u32(buf, 0);
         let actual = crc32(&buf[4..]);
         if stored != actual {
             return Err(StorageError::Corrupt(format!(
@@ -150,12 +179,12 @@ impl Page {
         if buf[5] != 0 || buf[14] != 0 || buf[15] != 0 {
             return Err(StorageError::Corrupt("page reserved bytes are non-zero".into()));
         }
-        let count = u16::from_le_bytes(buf[6..8].try_into().unwrap());
-        let len = u16::from_le_bytes(buf[8..10].try_into().unwrap());
+        let count = le_u16(buf, 6);
+        let len = le_u16(buf, 8);
         if len as usize > PAGE_CAPACITY {
             return Err(StorageError::Corrupt(format!("page payload length {len} > capacity")));
         }
-        let next = u32::from_le_bytes(buf[10..14].try_into().unwrap());
+        let next = le_u32(buf, 10);
         let mut data = Box::new([0u8; PAGE_CAPACITY]);
         data.copy_from_slice(&buf[PAGE_HEADER..]);
         Ok(Page { ptype, count, len, next, data })
@@ -168,6 +197,29 @@ impl Page {
         self.data[self.len as usize..self.len as usize + n].copy_from_slice(&bytes[..n]);
         self.len += n as u16;
         n
+    }
+
+    /// Replace payload bytes `range` with `bytes`, shifting what follows
+    /// and zeroing whatever a shrink vacates. Returns `false`, leaving the
+    /// page as it was, when `range` is not inside the payload or the
+    /// result would not fit.
+    pub(crate) fn splice(&mut self, range: Range<usize>, bytes: &[u8]) -> bool {
+        let len = self.len as usize;
+        if range.start > range.end || range.end > len {
+            return false;
+        }
+        let new_len = len - range.len() + bytes.len();
+        if new_len > PAGE_CAPACITY {
+            return false;
+        }
+        let inserted_end = range.start + bytes.len();
+        self.data.copy_within(range.end..len, inserted_end);
+        self.data[range.start..inserted_end].copy_from_slice(bytes);
+        if new_len < len {
+            self.data[new_len..len].fill(0);
+        }
+        self.len = new_len as u16;
+        true
     }
 }
 
@@ -196,6 +248,33 @@ mod tests {
         assert_eq!(p.push(&big), PAGE_CAPACITY);
         assert_eq!(p.push(b"more"), 0);
         assert_eq!(p.len as usize, PAGE_CAPACITY);
+    }
+
+    #[test]
+    fn splice_inserts_replaces_and_removes_in_place() {
+        let mut p = Page::new(PageType::BtreeLeaf);
+        p.push(b"aaaaDDDDzz");
+        assert!(p.splice(4..4, b"bb")); // insert
+        assert_eq!(p.payload(), b"aaaabbDDDDzz");
+        assert!(p.splice(6..10, b"c")); // replace with something shorter
+        assert_eq!(p.payload(), b"aaaabbczz");
+        assert!(p.splice(0..4, b"")); // remove
+        assert_eq!(p.payload(), b"bbczz");
+        assert!(p.data[5..].iter().all(|b| *b == 0), "vacated bytes are zeroed");
+        // Out-of-payload ranges and overflowing results change nothing.
+        assert!(!p.splice(3..9, b"x"));
+        assert!(!p.splice(5..5, &[1u8; PAGE_CAPACITY]));
+        assert_eq!(p.payload(), b"bbczz");
+        assert!(p.splice(5..5, &[1u8; PAGE_CAPACITY - 5]), "exactly full fits");
+        assert_eq!(p.len as usize, PAGE_CAPACITY);
+    }
+
+    #[test]
+    fn header_reads_are_infallible() {
+        assert_eq!(le_u32(&[0x78, 0x56, 0x34, 0x12, 0xFF], 0), 0x1234_5678);
+        assert_eq!(le_u16(&[0, 0xCD, 0xAB], 1), 0xABCD);
+        assert_eq!(le_u32(&[1, 2], 1), 2, "bytes past the end read as zero");
+        assert_eq!(le_u16(&[], 7), 0);
     }
 
     #[test]

@@ -11,23 +11,38 @@
 //! - **freelist**: freed pages are rewritten as `PageType::Free` whose
 //!   `next` links the list; allocation pops the head before extending the
 //!   file, so a steady-state file stops growing;
-//! - **buffer pool**: a fixed-capacity LRU of decoded pages with
-//!   dirty-page tracking; evicting a dirty frame writes it back, so peak
-//!   memory during a checkpoint build is bounded by the pool, not the
-//!   table size. [`Pager::flush`] writes remaining dirty pages in page-id
-//!   order (a deterministic operation stream for the crash sweeps), then
-//!   the meta page, then syncs.
+//! - **buffer pool**: a fixed-capacity LRU of **shared frames**. A page is
+//!   read, checksummed and decoded once, when it enters the pool;
+//!   [`Pager::read_page`] then hands out the frame itself (`Arc<Page>`),
+//!   so a hit is one hash probe and a reference-count bump, never a copy.
+//!   Whoever holds a frame keeps it alive: evicting a page a B-tree cursor
+//!   still stands on only drops the pool's reference. Edits go through
+//!   `Pager::page_mut`, which marks the frame dirty and works in place
+//!   unless a reader still shares it (then that reader keeps the old
+//!   image). Evicting a dirty frame writes it back, so peak memory during
+//!   a checkpoint build is bounded by the pool, not the table size.
+//!   [`Pager::flush`] writes remaining dirty pages in page-id order (a
+//!   deterministic operation stream for the crash sweeps), then the meta
+//!   page, then syncs.
+//!
+//! A frame can carry one piece of **derived** state: the offset table a
+//! reader builds while validating the page (`Pager::read_indexed`; the
+//! B-tree's entry offsets). It is cached beside the frame, never
+//! persisted, and dropped whenever the page is edited, replaced or
+//! evicted, so it can never describe bytes other than the frame's.
 //!
 //! Records larger than one page span *chains*: [`ChainWriter`] streams
 //! encoded bytes across linked pages, and [`read_chain`] concatenates a
-//! chain's payloads for decoding.
+//! chain's payloads for decoding, refusing any page that is not of the
+//! type the chain was written as.
 
 use crate::error::StorageError;
 use crate::faultfs::{BackendFile, StorageBackend};
-use crate::page::{Page, PageType, NO_PAGE, PAGE_CAPACITY, PAGE_SIZE};
+use crate::page::{le_u32, Page, PageType, NO_PAGE, PAGE_CAPACITY, PAGE_SIZE};
 use crate::Result;
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Magic prefix of the meta page payload.
 const MAGIC: &[u8; 4] = b"QPG1";
@@ -51,35 +66,32 @@ pub struct PoolStats {
 }
 
 struct Frame {
-    page: Page,
+    page: Arc<Page>,
+    /// Offsets derived from `page` by a reader (see
+    /// [`Pager::read_indexed`]); `None` until asked for and after any edit.
+    offsets: Option<Arc<[u16]>>,
     dirty: bool,
     tick: u64,
 }
 
-/// Fixed-capacity LRU cache of decoded pages with dirty tracking.
+/// Fixed-capacity LRU cache of shared page frames with dirty tracking.
 struct BufferPool {
     capacity: usize,
     frames: HashMap<u32, Frame>,
     tick: u64,
-    stats: PoolStats,
 }
 
 impl BufferPool {
     fn new(capacity: usize) -> BufferPool {
-        BufferPool {
-            capacity: capacity.max(1),
-            frames: HashMap::new(),
-            tick: 0,
-            stats: PoolStats::default(),
-        }
+        BufferPool { capacity: capacity.max(1), frames: HashMap::new(), tick: 0 }
     }
 
-    fn touch(&mut self, id: u32) {
+    /// The resident frame of page `id`, now the most recently used.
+    fn touch(&mut self, id: u32) -> Option<&mut Frame> {
+        let frame = self.frames.get_mut(&id)?;
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(f) = self.frames.get_mut(&id) {
-            f.tick = tick;
-        }
+        frame.tick = self.tick;
+        Some(frame)
     }
 
     /// Pick the least-recently-used frame (smallest tick; ties broken by
@@ -93,6 +105,7 @@ impl BufferPool {
 pub struct Pager {
     file: Box<dyn BackendFile>,
     pool: BufferPool,
+    stats: PoolStats,
     page_count: u32,
     free_head: u32,
     root: u32,
@@ -108,6 +121,11 @@ impl std::fmt::Debug for Pager {
     }
 }
 
+fn write_page_image(file: &mut dyn BackendFile, id: u32, page: &Page) -> Result<()> {
+    file.write_at(u64::from(id) * PAGE_SIZE as u64, &page.encode())?;
+    Ok(())
+}
+
 impl Pager {
     /// Create a brand-new paged file (fails if `path` exists). The meta
     /// page is materialized on the first [`Pager::flush`].
@@ -116,6 +134,7 @@ impl Pager {
         Ok(Pager {
             file,
             pool: BufferPool::new(pool_pages),
+            stats: PoolStats::default(),
             page_count: 1, // page 0 = meta
             free_head: NO_PAGE,
             root: NO_PAGE,
@@ -140,25 +159,25 @@ impl Pager {
             return Err(StorageError::Corrupt("page 0 is not a meta page".into()));
         }
         let p = meta.payload();
-        if p.len() < META_LEN || &p[0..4] != MAGIC {
+        if p.len() < META_LEN || !p.starts_with(MAGIC) {
             return Err(StorageError::Corrupt("bad paged-file magic".into()));
         }
         if p[4] != FORMAT_VERSION {
             return Err(StorageError::Corrupt(format!("unknown paged-file version {}", p[4])));
         }
-        let page_size = u32::from_le_bytes(p[5..9].try_into().unwrap());
+        let page_size = le_u32(p, 5);
         if page_size as usize != PAGE_SIZE {
             return Err(StorageError::Corrupt(format!("paged file uses {page_size}-byte pages")));
         }
-        let page_count = u32::from_le_bytes(p[9..13].try_into().unwrap());
+        let page_count = le_u32(p, 9);
         if u64::from(page_count) * PAGE_SIZE as u64 > len || page_count == 0 {
             return Err(StorageError::Corrupt(format!(
                 "meta page claims {page_count} pages but the file holds {} bytes",
                 len
             )));
         }
-        let free_head = u32::from_le_bytes(p[13..17].try_into().unwrap());
-        let root = u32::from_le_bytes(p[17..21].try_into().unwrap());
+        let free_head = le_u32(p, 13);
+        let root = le_u32(p, 17);
         // Page references in the meta page must resolve inside the file;
         // catching a corrupt head here beats a confusing failure on the
         // first allocate/read that chases it.
@@ -169,7 +188,8 @@ impl Pager {
                 )));
             }
         }
-        Ok(Pager { file, pool: BufferPool::new(pool_pages), page_count, free_head, root })
+        let (pool, stats) = (BufferPool::new(pool_pages), PoolStats::default());
+        Ok(Pager { file, pool, stats, page_count, free_head, root })
     }
 
     /// Head of the root (directory) chain, [`NO_PAGE`] if unset.
@@ -189,7 +209,7 @@ impl Pager {
 
     /// Buffer-pool counters.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats
+        self.stats
     }
 
     /// Pages currently resident in the buffer pool (bounded by the pool
@@ -245,74 +265,111 @@ impl Pager {
         Ok(())
     }
 
-    /// Read a page through the pool.
-    pub fn read_page(&mut self, id: u32) -> Result<Page> {
+    fn check_id(&self, id: u32) -> Result<()> {
         if id == 0 || id >= self.page_count {
             return Err(StorageError::Corrupt(format!(
                 "page id {id} out of range (file has {} pages)",
                 self.page_count
             )));
         }
-        if self.pool.frames.contains_key(&id) {
-            self.pool.stats.hits += 1;
-            self.pool.touch(id);
-            return Ok(self.pool.frames[&id].page.clone());
+        Ok(())
+    }
+
+    /// Run `with` on page `id`'s frame, faulting the page in first (read,
+    /// checksum, decode — once per residency) if the pool does not hold it.
+    fn with_frame<T>(&mut self, id: u32, with: impl FnOnce(&mut Frame) -> Result<T>) -> Result<T> {
+        self.check_id(id)?;
+        if let Some(frame) = self.pool.touch(id) {
+            self.stats.hits += 1;
+            return with(frame);
         }
-        self.pool.stats.misses += 1;
+        self.stats.misses += 1;
         let mut buf = [0u8; PAGE_SIZE];
         self.file.read_at(u64::from(id) * PAGE_SIZE as u64, &mut buf)?;
         let page =
             Page::decode(&buf).map_err(|e| StorageError::Corrupt(format!("page {id}: {e}")))?;
-        self.install(id, page.clone(), false)?;
-        Ok(page)
+        with(self.install(id, Arc::new(page), false)?)
+    }
+
+    /// Read a page through the pool. The result *is* the pool's frame, not
+    /// a copy of it; it stays readable after the pool evicts the page.
+    pub fn read_page(&mut self, id: u32) -> Result<Arc<Page>> {
+        self.with_frame(id, |frame| Ok(Arc::clone(&frame.page)))
+    }
+
+    /// Read a page together with the offset table `derive` builds from it.
+    /// `derive` runs once per residency: its result is cached beside the
+    /// frame and handed back until the page is edited or evicted, so it
+    /// is the place to validate the page's contents. The cache does not
+    /// remember who filled it: use one `derive` per kind of page.
+    pub(crate) fn read_indexed(
+        &mut self,
+        id: u32,
+        derive: fn(&Page) -> Result<Arc<[u16]>>,
+    ) -> Result<(Arc<Page>, Arc<[u16]>)> {
+        self.with_frame(id, |frame| {
+            let offsets = match &frame.offsets {
+                Some(offsets) => Arc::clone(offsets),
+                None => Arc::clone(frame.offsets.insert(derive(&frame.page)?)),
+            };
+            Ok((Arc::clone(&frame.page), offsets))
+        })
     }
 
     /// Install a (possibly new) page image in the pool, marked dirty.
     pub fn put_page(&mut self, id: u32, page: Page) -> Result<()> {
-        if id == 0 || id >= self.page_count {
-            return Err(StorageError::Corrupt(format!("page id {id} out of range")));
-        }
-        self.install(id, page, true)
+        self.check_id(id)?;
+        self.install(id, Arc::new(page), true).map(drop)
     }
 
-    fn install(&mut self, id: u32, page: Page, dirty: bool) -> Result<()> {
-        if let Some(f) = self.pool.frames.get_mut(&id) {
-            f.page = page;
-            f.dirty = f.dirty || dirty;
-            self.pool.touch(id);
-            return Ok(());
-        }
-        while self.pool.frames.len() >= self.pool.capacity {
-            let victim = self.pool.victim().expect("pool non-empty");
-            let frame = self.pool.frames.remove(&victim).unwrap();
-            self.pool.stats.evictions += 1;
-            if frame.dirty {
-                self.pool.stats.dirty_writebacks += 1;
-                self.write_page_image(victim, &frame.page)?;
+    /// Edit page `id` in place. `held` is the image the caller last read
+    /// (and has not edited since); it is dropped so that the pool's frame is
+    /// unshared, or re-installed if the page was evicted in the meantime —
+    /// an edit never reads the file. The frame is marked dirty and loses
+    /// its derived offsets. If some other reader still holds the frame, the
+    /// pool edits a private copy and that reader keeps the image it read.
+    pub(crate) fn page_mut(&mut self, id: u32, held: Arc<Page>) -> Result<&mut Page> {
+        self.check_id(id)?;
+        Ok(Arc::make_mut(&mut self.install(id, held, true)?.page))
+    }
+
+    /// Make `page` the image of page `id`, evicting to make room if the
+    /// page is not resident. (Handing a frame back, as `page_mut` does,
+    /// leaves the pool holding the very same frame.) The frame becomes most
+    /// recently used and loses its derived offsets.
+    fn install(&mut self, id: u32, page: Arc<Page>, dirty: bool) -> Result<&mut Frame> {
+        if !self.pool.frames.contains_key(&id) {
+            while self.pool.frames.len() >= self.pool.capacity {
+                let Some(victim) = self.pool.victim() else { break };
+                let Some(frame) = self.pool.frames.remove(&victim) else { break };
+                self.stats.evictions += 1;
+                if frame.dirty {
+                    self.stats.dirty_writebacks += 1;
+                    write_page_image(self.file.as_mut(), victim, &frame.page)?;
+                }
             }
+            let frame = Frame { page: Arc::clone(&page), offsets: None, dirty: false, tick: 0 };
+            self.pool.frames.insert(id, frame);
         }
-        self.pool.tick += 1;
-        let tick = self.pool.tick;
-        self.pool.frames.insert(id, Frame { page, dirty, tick });
-        Ok(())
-    }
-
-    fn write_page_image(&mut self, id: u32, page: &Page) -> Result<()> {
-        let img = page.encode();
-        self.file.write_at(u64::from(id) * PAGE_SIZE as u64, &img)?;
-        Ok(())
+        let frame = self
+            .pool
+            .touch(id)
+            .ok_or_else(|| StorageError::Corrupt(format!("page {id} left the pool mid-install")))?;
+        frame.page = page;
+        frame.offsets = None;
+        frame.dirty |= dirty;
+        Ok(frame)
     }
 
     /// Write every dirty page (in page-id order, for a deterministic op
     /// stream), then the meta page, then sync the file.
     pub fn flush(&mut self) -> Result<()> {
-        let mut dirty: Vec<u32> =
-            self.pool.frames.iter().filter(|(_, f)| f.dirty).map(|(id, _)| *id).collect();
-        dirty.sort_unstable();
-        for id in dirty {
-            let page = self.pool.frames[&id].page.clone();
-            self.write_page_image(id, &page)?;
-            self.pool.frames.get_mut(&id).unwrap().dirty = false;
+        let mut dirty: Vec<(u32, &mut Frame)> =
+            self.pool.frames.iter_mut().filter(|(_, f)| f.dirty).map(|(id, f)| (*id, f)).collect();
+        dirty.sort_unstable_by_key(|(id, _)| *id);
+        for (id, frame) in dirty {
+            write_page_image(self.file.as_mut(), id, &frame.page)?;
+            frame.dirty = false;
         }
         let mut meta = Page::new(PageType::Meta);
         let mut payload = [0u8; META_LEN];
@@ -323,8 +380,7 @@ impl Pager {
         payload[13..17].copy_from_slice(&self.free_head.to_le_bytes());
         payload[17..21].copy_from_slice(&self.root.to_le_bytes());
         meta.push(&payload);
-        let img = meta.encode();
-        self.file.write_at(0, &img)?;
+        write_page_image(self.file.as_mut(), 0, &meta)?;
         self.file.sync_data()?;
         Ok(())
     }
@@ -391,8 +447,11 @@ impl ChainWriter {
     }
 }
 
-/// Concatenated payload of the chain starting at `head`.
-pub fn read_chain(pager: &mut Pager, head: u32) -> Result<Vec<u8>> {
+/// Concatenated payload of the chain of `ptype` pages starting at `head`.
+/// A chain that wanders into a page of any other type — a link into a
+/// B-tree node, a free page, another kind of chain — is
+/// [`StorageError::Corrupt`], however valid that page's checksum.
+pub fn read_chain(pager: &mut Pager, head: u32, ptype: PageType) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     let mut id = head;
     let mut visited: u64 = 0;
@@ -402,6 +461,12 @@ pub fn read_chain(pager: &mut Pager, head: u32) -> Result<Vec<u8>> {
             return Err(StorageError::Corrupt(format!("page chain from {head} contains a cycle")));
         }
         let page = pager.read_page(id)?;
+        if page.ptype != ptype {
+            return Err(StorageError::Corrupt(format!(
+                "{ptype:?} chain from page {head} reaches page {id}, which is a {:?} page",
+                page.ptype
+            )));
+        }
         out.extend_from_slice(page.payload());
         id = page.next;
     }
@@ -438,7 +503,7 @@ mod tests {
 
         let mut pager = Pager::open(&b, &p, 8).unwrap();
         assert_eq!(pager.root(), head);
-        assert_eq!(read_chain(&mut pager, head).unwrap(), b"alphabeta");
+        assert_eq!(read_chain(&mut pager, head, PageType::Heap).unwrap(), b"alphabeta");
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -460,7 +525,7 @@ mod tests {
         let mut want = big.clone();
         want.extend_from_slice(b"tail");
         let root = pager.root();
-        assert_eq!(read_chain(&mut pager, root).unwrap(), want);
+        assert_eq!(read_chain(&mut pager, root, PageType::Heap).unwrap(), want);
         assert!(pager.page_count() >= 5, "meta + 4 chain pages");
         std::fs::remove_file(&p).unwrap();
     }
@@ -523,6 +588,127 @@ mod tests {
         std::fs::remove_file(&p).unwrap();
     }
 
+    /// Derive function for `read_indexed` that counts its runs (this
+    /// thread's; tests run on their own threads).
+    fn counting_derive(page: &Page) -> Result<Arc<[u16]>> {
+        DERIVED.with(|n| n.set(n.get() + 1));
+        Ok(Arc::from([page.len]))
+    }
+
+    thread_local! {
+        static DERIVED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn frames_are_shared_edited_in_place_and_outlive_eviction() {
+        let p = tmp("frames");
+        let mut pager = Pager::create(&RealBackend, &p, 2).unwrap();
+        let ids: Vec<u32> = (0..3).map(|_| pager.allocate(PageType::Heap).unwrap()).collect();
+        for id in &ids {
+            let held = pager.read_page(*id).unwrap();
+            pager.page_mut(*id, held).unwrap().push(format!("page {id}").as_bytes());
+        }
+        pager.flush().unwrap();
+
+        // A hit hands out the pool's frame itself, not a copy of it.
+        let a = pager.read_page(ids[2]).unwrap();
+        let b = pager.read_page(ids[2]).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        drop(b);
+
+        // With no other holder the edit happens in that very frame ...
+        let frame = Arc::as_ptr(&a);
+        pager.page_mut(ids[2], a).unwrap().push(b", edited");
+        let a = pager.read_page(ids[2]).unwrap();
+        assert_eq!(Arc::as_ptr(&a), frame, "an unshared frame is edited where it lies");
+        assert_eq!(a.payload(), b"page 3, edited");
+
+        // ... and with one, the holder keeps the image it read.
+        let held = pager.read_page(ids[2]).unwrap();
+        pager.page_mut(ids[2], held).unwrap().push(b" twice");
+        assert_eq!(a.payload(), b"page 3, edited");
+        assert_eq!(pager.read_page(ids[2]).unwrap().payload(), b"page 3, edited twice");
+
+        // Evicting a page does not take it from whoever holds its frame,
+        // and an edit after the eviction re-installs the held image without
+        // going back to the file.
+        let held = pager.read_page(ids[2]).unwrap();
+        let reads = pager.pool_stats();
+        pager.read_page(ids[0]).unwrap();
+        pager.read_page(ids[1]).unwrap();
+        assert_eq!(pager.pool_stats().evictions, reads.evictions + 2, "page 3 was evicted");
+        assert_eq!(held.payload(), b"page 3, edited twice");
+        let misses = pager.pool_stats().misses;
+        pager.page_mut(ids[2], held).unwrap().push(b", thrice");
+        assert_eq!(pager.pool_stats().misses, misses, "an edit never reads the file");
+        pager.flush().unwrap();
+        drop(pager);
+        let mut pager = Pager::open(&RealBackend, &p, 2).unwrap();
+        assert_eq!(pager.read_page(ids[2]).unwrap().payload(), b"page 3, edited twice, thrice");
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn derived_offsets_live_exactly_as_long_as_the_bytes_they_describe() {
+        let p = tmp("derived");
+        let mut pager = Pager::create(&RealBackend, &p, 2).unwrap();
+        let ids: Vec<u32> = (0..3).map(|_| pager.allocate(PageType::Heap).unwrap()).collect();
+        let derived = || DERIVED.with(|n| n.get());
+        let read = |pager: &mut Pager, id: u32| pager.read_indexed(id, counting_derive).unwrap();
+
+        // Once per residency, however often the page is read.
+        let (_, first) = read(&mut pager, ids[0]);
+        let (page, again) = read(&mut pager, ids[0]);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((derived(), &first[..]), (1, &[0u16][..]));
+        // Dropped by an edit in place ...
+        pager.page_mut(ids[0], page).unwrap().push(b"abc");
+        assert_eq!((&read(&mut pager, ids[0]).1[..], derived()), (&[3u16][..], 2));
+        // ... by a replaced image ...
+        pager.put_page(ids[0], Page::new(PageType::Heap)).unwrap();
+        assert_eq!((&read(&mut pager, ids[0]).1[..], derived()), (&[0u16][..], 3));
+        // ... and by eviction.
+        read(&mut pager, ids[1]);
+        read(&mut pager, ids[2]);
+        assert_eq!(derived(), 5);
+        read(&mut pager, ids[0]);
+        assert_eq!(derived(), 6);
+        // A derive that fails caches nothing and fails the read.
+        fn refuse(_: &Page) -> Result<Arc<[u16]>> {
+            Err(StorageError::Corrupt("not a node".into()))
+        }
+        assert!(matches!(pager.read_indexed(ids[1], refuse), Err(StorageError::Corrupt(_))));
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// Regression: a chain is read from pages of its own type only.
+    #[test]
+    fn read_chain_refuses_pages_of_another_type() {
+        let p = tmp("chaintype");
+        let mut pager = Pager::create(&RealBackend, &p, 4).unwrap();
+        let mut w = ChainWriter::new(&mut pager, PageType::Overflow).unwrap();
+        w.push_record(&mut pager, &vec![1u8; PAGE_CAPACITY + 1]).unwrap();
+        let (head, _) = w.finish(&mut pager).unwrap();
+        assert_eq!(
+            read_chain(&mut pager, head, PageType::Overflow).unwrap().len(),
+            PAGE_CAPACITY + 1
+        );
+        let err = read_chain(&mut pager, head, PageType::Directory).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("page 1, which is a Overflow page")),
+            "{err}"
+        );
+        // The second page of the chain turns into a free page: the walk
+        // stops there instead of appending its payload.
+        pager.free_page(head + 1).unwrap();
+        let err = read_chain(&mut pager, head, PageType::Overflow).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("page 2, which is a Free page")),
+            "{err}"
+        );
+        std::fs::remove_file(&p).unwrap();
+    }
+
     /// Page-level corruption table mirroring `wal::replay_corruption_table`:
     /// a bad page CRC and a zero-filled tail must both surface as Corrupt.
     #[test]
@@ -543,7 +729,7 @@ mod tests {
         bad[2 * PAGE_SIZE + 100] ^= 0x40;
         std::fs::write(&p, &bad).unwrap();
         let mut pager = Pager::open(&b, &p, 4).unwrap();
-        let err = read_chain(&mut pager, head).unwrap_err();
+        let err = read_chain(&mut pager, head, PageType::Heap).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         drop(pager);
 
@@ -553,7 +739,7 @@ mod tests {
         torn[tail_start..].fill(0);
         std::fs::write(&p, &torn).unwrap();
         let mut pager = Pager::open(&b, &p, 4).unwrap();
-        let err = read_chain(&mut pager, head).unwrap_err();
+        let err = read_chain(&mut pager, head, PageType::Heap).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         drop(pager);
 
@@ -716,7 +902,7 @@ mod tests {
 
                     let mut pager = Pager::open(&b, &p, pool).unwrap();
                     let root = pager.root();
-                    let got = read_chain(&mut pager, root).unwrap();
+                    let got = read_chain(&mut pager, root, PageType::Heap).unwrap();
                     let want: Vec<u8> = records.concat();
                     prop_assert_eq!(got, want);
                     let stats = pager.pool_stats();

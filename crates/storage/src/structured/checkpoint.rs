@@ -107,7 +107,7 @@ fn load_image(
         if root == NO_PAGE {
             return Ok(None); // image of an empty database
         }
-        read_chain(&mut pager, root)?
+        read_chain(&mut pager, root, PageType::Directory)?
     };
     for e in paged::decode_directory_v2(&dir)? {
         let base = TableBase { image: Arc::clone(&image), meta: Arc::new(e.meta) };
@@ -332,6 +332,51 @@ mod tests {
         let p = tmpwal("refused");
         assert!(Database::open(&p).unwrap().table_names().is_empty(), "missing files: fresh db");
         let _ = std::fs::remove_file(&p);
+    }
+
+    /// Regression: the directory is read from `Directory` pages only. An
+    /// image whose root chain is made of, or links into, pages of another
+    /// type used to open — as whatever those pages' payloads spelled.
+    #[test]
+    fn directory_chain_must_stay_in_directory_pages() {
+        let rewire = |p: &Path, edit: &dyn Fn(&mut Pager, Vec<u8>)| {
+            checkpointed_people(p);
+            let mut pager = Pager::open(&RealBackend, &image_path(p), 4).unwrap();
+            let root = pager.root();
+            let directory = read_chain(&mut pager, root, PageType::Directory).unwrap();
+            edit(&mut pager, directory);
+            pager.flush().unwrap();
+        };
+        type Case = (&'static str, fn(&mut Pager, Vec<u8>), &'static str);
+        let cases: [Case; 2] = [
+            (
+                "the same directory bytes in an overflow chain",
+                |pager, directory| {
+                    let mut chain = ChainWriter::new(pager, PageType::Overflow).unwrap();
+                    chain.push_record(pager, &directory).unwrap();
+                    let (head, _) = chain.finish(pager).unwrap();
+                    pager.set_root(head);
+                },
+                "which is a Overflow page",
+            ),
+            (
+                "a directory page linked into a B-tree root",
+                |pager, _| {
+                    let root = pager.root();
+                    let held = pager.read_page(root).unwrap();
+                    pager.page_mut(root, held).unwrap().next = 1; // the row tree's first leaf
+                },
+                "reaches page 1, which is a Btree",
+            ),
+        ];
+        for (what, edit, names) in cases {
+            let p = tmpwal("dirchain");
+            rewire(&p, &edit);
+            let err = Database::open(&p).map(drop).expect_err(what);
+            assert!(matches!(&err, StorageError::Corrupt(m) if m.contains(names)), "{what}: {err}");
+            std::fs::remove_file(&p).unwrap();
+            std::fs::remove_file(image_path(&p)).unwrap();
+        }
     }
 
     #[test]

@@ -187,6 +187,48 @@ impl std::hash::Hash for Value {
     }
 }
 
+/// A [`Value`] whose text is borrowed from somewhere else — in practice
+/// from its [`crate::codec`] encoding, so that B-tree keys are ordered
+/// without being decoded into owned values. [`ValueRef::cmp`] is the same
+/// total order as `Value`'s `Ord`, arm for arm; it is a second copy rather
+/// than the one `Value` delegates to because sorts through such a
+/// delegation measured 20–30 % slower. `codec`'s property test and the
+/// test below hold the two to each other.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+}
+
+impl ValueRef<'_> {
+    fn rank(&self) -> u8 {
+        match self {
+            ValueRef::Null => 0,
+            ValueRef::Bool(_) => 1,
+            ValueRef::Int(_) | ValueRef::Float(_) => 2,
+            ValueRef::Text(_) => 3,
+        }
+    }
+
+    /// The total order documented on [`Value`].
+    pub(crate) fn cmp(&self, other: &Self) -> Ordering {
+        use ValueRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(b),
+            (Int(a), Int(b)) => a.cmp(b),
+            (Text(a), Text(b)) => a.cmp(b),
+            (Int(a), Float(b)) => total_f64(*a as f64).cmp(&total_f64(*b)),
+            (Float(a), Int(b)) => total_f64(*a).cmp(&total_f64(*b as f64)),
+            (Float(a), Float(b)) => total_f64(*a).cmp(&total_f64(*b)),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
 /// Total-order key for f64 (IEEE totalOrder trick): orders all floats,
 /// placing -NaN first and +NaN last, with -0.0 < +0.0.
 fn total_f64(f: f64) -> i64 {
@@ -264,6 +306,47 @@ mod tests {
     fn nan_is_ordered_greatest_among_numerics() {
         assert!(Value::Float(f64::NAN) > Value::Float(f64::MAX));
         assert_eq!(Value::Float(f64::NAN), Value::Float(f64::NAN));
+    }
+
+    #[test]
+    fn borrowed_values_order_exactly_like_owned_ones() {
+        fn borrow(v: &Value) -> ValueRef<'_> {
+            match v {
+                Value::Null => ValueRef::Null,
+                Value::Bool(b) => ValueRef::Bool(*b),
+                Value::Int(i) => ValueRef::Int(*i),
+                Value::Float(f) => ValueRef::Float(*f),
+                Value::Text(s) => ValueRef::Text(s),
+            }
+        }
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::Int(0),
+            Value::Int(3),
+            Value::Int(i64::MAX),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(2.5),
+            Value::Float(3.0),
+            Value::Float(9.3e18),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::Text(String::new()),
+            Value::Text("a".into()),
+            Value::Text("ab".into()),
+            Value::Text("é".into()),
+        ];
+        for x in &values {
+            for y in &values {
+                assert_eq!(borrow(x).cmp(&borrow(y)), x.cmp(y), "{x:?} vs {y:?}");
+            }
+        }
     }
 
     #[test]
