@@ -105,10 +105,15 @@ fn read_exact<'d>(data: &'d [u8], pos: &mut usize, n: usize) -> Result<&'d [u8]>
 
 /// Read a length-prefixed string.
 pub fn read_str(data: &[u8], pos: &mut usize) -> Result<String> {
+    Ok(read_str_ref(data, pos)?.to_string())
+}
+
+/// Read a length-prefixed string where it lies in `data`.
+fn read_str_ref<'d>(data: &'d [u8], pos: &mut usize) -> Result<&'d str> {
     let len = read_u64(data, pos)?;
     let len = usize::try_from(len).map_err(|_| corrupt("string length overflows usize"))?;
     let bytes = read_exact(data, pos, len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string is not UTF-8"))
+    std::str::from_utf8(bytes).map_err(|_| corrupt("string is not UTF-8"))
 }
 
 // ---------------------------------------------------------------------
@@ -139,25 +144,10 @@ pub fn write_value<W: Write>(w: &mut W, v: &Value) -> Result<()> {
 
 /// Read one [`Value`].
 pub fn read_value(data: &[u8], pos: &mut usize) -> Result<Value> {
-    let &tag = data.get(*pos).ok_or_else(|| corrupt("truncated value tag"))?;
-    *pos += 1;
-    Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_FALSE => Value::Bool(false),
-        TAG_TRUE => Value::Bool(true),
-        TAG_INT => Value::Int(read_i64(data, pos)?),
-        TAG_FLOAT => {
-            let bytes = read_exact(data, pos, 8)?;
-            Value::Float(f64::from_bits(u64::from_le_bytes(bytes.try_into().unwrap())))
-        }
-        TAG_TEXT => Value::Text(read_str(data, pos)?),
-        other => return Err(corrupt(&format!("unknown value tag {other}"))),
-    })
+    Ok(read_value_ref(data, pos)?.to_value())
 }
 
-/// [`read_value`] without the copy: text stays a `&str` into `data`. Kept
-/// beside it rather than under it — decoding rows through the borrowed
-/// form and copying afterwards measured 8 % slower per row.
+/// Read one value without copying it: text stays a `&str` into `data`.
 fn read_value_ref<'d>(data: &'d [u8], pos: &mut usize) -> Result<ValueRef<'d>> {
     let &tag = data.get(*pos).ok_or_else(|| corrupt("truncated value tag"))?;
     *pos += 1;
@@ -171,12 +161,7 @@ fn read_value_ref<'d>(data: &'d [u8], pos: &mut usize) -> Result<ValueRef<'d>> {
             bits.copy_from_slice(read_exact(data, pos, 8)?);
             ValueRef::Float(f64::from_bits(u64::from_le_bytes(bits)))
         }
-        TAG_TEXT => {
-            let len = read_u64(data, pos)?;
-            let len = usize::try_from(len).map_err(|_| corrupt("string length overflows usize"))?;
-            let bytes = read_exact(data, pos, len)?;
-            ValueRef::Text(std::str::from_utf8(bytes).map_err(|_| corrupt("string is not UTF-8"))?)
-        }
+        TAG_TEXT => ValueRef::Text(read_str_ref(data, pos)?),
         other => return Err(corrupt(&format!("unknown value tag {other}"))),
     })
 }

@@ -322,14 +322,22 @@ impl Pager {
         self.install(id, Arc::new(page), true).map(drop)
     }
 
-    /// Edit page `id` in place. `held` is the image the caller last read
-    /// (and has not edited since); it is dropped so that the pool's frame is
-    /// unshared, or re-installed if the page was evicted in the meantime —
-    /// an edit never reads the file. The frame is marked dirty and loses
-    /// its derived offsets. If some other reader still holds the frame, the
-    /// pool edits a private copy and that reader keeps the image it read.
+    /// Edit page `id` in place. `held` is the image the caller last read.
+    /// While the page is resident `held` must be the pool's own frame: it
+    /// is handed back, so the frame is unshared, and any other image is
+    /// refused as `Corrupt` — the caller planned its edit on bytes the pool
+    /// has since replaced. If the page was evicted in the meantime `held`
+    /// is re-installed — an edit never reads the file. The frame is marked
+    /// dirty and loses its derived offsets. If some other reader still
+    /// holds the frame, the pool edits a private copy and that reader
+    /// keeps the image it read.
     pub(crate) fn page_mut(&mut self, id: u32, held: Arc<Page>) -> Result<&mut Page> {
         self.check_id(id)?;
+        if self.pool.frames.get(&id).is_some_and(|frame| !Arc::ptr_eq(&frame.page, &held)) {
+            return Err(StorageError::Corrupt(format!(
+                "page {id} was replaced in the pool after the image being edited was read"
+            )));
+        }
         Ok(Arc::make_mut(&mut self.install(id, held, true)?.page))
     }
 
@@ -641,10 +649,19 @@ mod tests {
         let misses = pager.pool_stats().misses;
         pager.page_mut(ids[2], held).unwrap().push(b", thrice");
         assert_eq!(pager.pool_stats().misses, misses, "an edit never reads the file");
+
+        // An image the pool has replaced since it was read cannot be edited:
+        // the newer (here dirty) frame stays, untouched.
+        let stale = pager.read_page(ids[2]).unwrap();
+        pager.put_page(ids[2], Page::clone(&stale)).unwrap();
+        let current = pager.read_page(ids[2]).unwrap();
+        let err = pager.page_mut(ids[2], stale).map(drop).unwrap_err();
+        assert!(matches!(&err, StorageError::Corrupt(m) if m.contains("replaced")), "{err}");
+        pager.page_mut(ids[2], current).unwrap().push(b"!");
         pager.flush().unwrap();
         drop(pager);
         let mut pager = Pager::open(&RealBackend, &p, 2).unwrap();
-        assert_eq!(pager.read_page(ids[2]).unwrap().payload(), b"page 3, edited twice, thrice");
+        assert_eq!(pager.read_page(ids[2]).unwrap().payload(), b"page 3, edited twice, thrice!");
         std::fs::remove_file(&p).unwrap();
     }
 
