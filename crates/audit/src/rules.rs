@@ -6,7 +6,7 @@
 //! | QA101 | error    | `unwrap()`/`expect(`/`panic!`-family on a serve-reachable path |
 //! | QA101 | warning  | indexing `[...]` with a non-literal index on a serve-reachable path |
 //! | QA102 | error    | lock acquisitions violating `audit/lock-order.toml` (in-body and one call-graph hop) |
-//! | QA103 | error    | per-crate forbidden constructs (`Mutex<Quarry>` in serve/cluster, `serde_json` in storage, nondeterminism in recovery/replay/replication/promotion) |
+//! | QA103 | error    | per-crate forbidden constructs (`Mutex<Quarry>` in serve/cluster, `serde_json` in storage, cluster and serve outside `protocol.rs`, nondeterminism in recovery/replay/replication/promotion) |
 //! | QA104 | error    | `unsafe { ... }` block without a `// SAFETY:` comment |
 //! | QA105 | warning  | `allow` comment that suppressed nothing |
 //!
@@ -513,8 +513,16 @@ fn qa103_forbidden(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 
     // Every persisted artefact has one binary format: nothing in
-    // `crates/storage` reads or writes JSON.
-    if file.crate_name == "storage" {
+    // `crates/storage` reads or writes JSON. And the wire payload's
+    // encoding has one home: in `crates/serve` and `crates/cluster` only
+    // `protocol.rs` names it, so changing it is a one-module change.
+    let json_hint = match file.crate_name.as_str() {
+        "storage" => Some("storage encodes through quarry_storage::codec only"),
+        "serve" if file.path.ends_with("/protocol.rs") => None,
+        "serve" | "cluster" => Some("encode and decode through quarry_serve::protocol"),
+        _ => None,
+    };
+    if let Some(hint) = json_hint {
         for i in 0..file.code.len() {
             if !scan(i) {
                 continue;
@@ -525,8 +533,8 @@ fn qa103_forbidden(file: &SourceFile, out: &mut Vec<Finding>) {
                     file,
                     codes::FORBIDDEN,
                     t.span,
-                    "serde_json in crates/storage".to_string(),
-                    Some("storage encodes through quarry_storage::codec only".to_string()),
+                    format!("serde_json in crates/{}", file.crate_name),
+                    Some(hint.to_string()),
                     Severity::Error,
                 ));
             }
@@ -746,15 +754,27 @@ mod tests {
     }
 
     #[test]
-    fn qa103_serde_json_is_forbidden_anywhere_in_storage() {
+    fn qa103_serde_json_is_forbidden_in_storage_and_outside_protocol_rs() {
         let fs = run(&[
             ("crates/storage/src/pager.rs", "use serde_json::to_vec;"),
             ("crates/storage/src/snapshot.rs", "use serde_json::to_vec;"),
+            ("crates/serve/src/server.rs", "use serde_json::to_vec;"),
+            ("crates/cluster/src/router.rs", "use serde_json::to_vec;"),
             ("crates/serve/src/protocol.rs", "use serde_json::to_vec;"),
+            ("crates/exec/src/metrics.rs", "use serde_json::to_vec;"),
         ]);
-        let q103: Vec<&Finding> = fs.iter().filter(|f| f.code == codes::FORBIDDEN).collect();
-        assert_eq!(q103.len(), 2, "{q103:#?}");
-        assert!(q103.iter().all(|f| f.path.starts_with("crates/storage/")));
+        let mut q103: Vec<&str> =
+            fs.iter().filter(|f| f.code == codes::FORBIDDEN).map(|f| f.path.as_str()).collect();
+        q103.sort_unstable();
+        assert_eq!(
+            q103,
+            [
+                "crates/cluster/src/router.rs",
+                "crates/serve/src/server.rs",
+                "crates/storage/src/pager.rs",
+                "crates/storage/src/snapshot.rs",
+            ]
+        );
     }
 
     #[test]

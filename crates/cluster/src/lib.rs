@@ -33,4 +33,4 @@ pub mod router;
 
 pub use node::{Cluster, ClusterConfig, Primary, Replica, Shard};
 pub use ring::HashRing;
-pub use router::{Router, RouterConfig};
+pub use router::Router;

@@ -23,7 +23,7 @@
 //! no automatic failover or failback; a single writer per shard is the
 //! split-brain stance.
 
-use crate::router::{Router, RouterConfig};
+use crate::router::Router;
 use quarry_core::{Quarry, QuarryConfig};
 use quarry_serve::replication::{ReplicationClient, ReplicationClientConfig, ReplicationListener};
 use quarry_serve::{Client, ServeConfig, Server};
@@ -45,8 +45,6 @@ pub struct ClusterConfig {
     pub serve: ServeConfig,
     /// Replication retry policy for replicas.
     pub replication: ReplicationClientConfig,
-    /// Router tuning.
-    pub router: RouterConfig,
 }
 
 impl Default for ClusterConfig {
@@ -56,7 +54,6 @@ impl Default for ClusterConfig {
             replicas_per_shard: 1,
             serve: ServeConfig::default(),
             replication: ReplicationClientConfig::default(),
-            router: RouterConfig::default(),
         }
     }
 }
@@ -180,7 +177,7 @@ impl Cluster {
         }
         let addrs: Vec<SocketAddr> =
             shards.iter().filter_map(|s| s.primary.as_ref().map(Primary::serve_addr)).collect();
-        let router = Router::start(addrs, "127.0.0.1:0", cfg.router)?;
+        let router = Router::start(addrs, "127.0.0.1:0")?;
         Ok(Cluster { router, shards })
     }
 

@@ -36,53 +36,31 @@
 //! entry, so [`Router::retarget`] (called on replica promotion) redirects
 //! that shard's traffic without touching in-flight sessions on other
 //! shards.
+//!
+//! The front door is the [`Endpoint`] a shard server runs on, under
+//! [`ServeConfig`]'s defaults, with [`route`] as its handler and a metrics
+//! registry of its own (a shard's `server.requests` counts legs only).
 
 use crate::ring::HashRing;
-use quarry_exec::MetricsSnapshot;
+use quarry_exec::{MetricsRegistry, MetricsSnapshot};
 use quarry_query::engine::{AggFn, Predicate, Query};
 use quarry_serve::client::ClientConfig;
-use quarry_serve::protocol::{
-    read_frame, write_response, ErrorKind, FrameError, Payload, Request, Response, WireCandidate,
-    WireHit, DEFAULT_MAX_FRAME,
-};
-use quarry_serve::{Client, ClientError};
+use quarry_serve::endpoint::{lock, Endpoint};
+use quarry_serve::protocol::{ErrorKind, Payload, Request, Response, WireCandidate, WireHit};
+use quarry_serve::{Client, ClientError, ServeConfig};
 use quarry_storage::{TableSchema, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// See the poison-recovery precedent in `quarry-serve`.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Router tuning knobs.
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Per-frame payload cap on client sessions.
-    pub max_frame: usize,
-    /// Session read timeout (shutdown-poll wakeup, like the server's).
-    pub read_timeout: Duration,
-    /// Retry policy for the router→shard legs.
-    pub shard_client: ClientConfig,
-}
-
-impl Default for RouterConfig {
-    fn default() -> RouterConfig {
-        RouterConfig {
-            max_frame: DEFAULT_MAX_FRAME,
-            read_timeout: Duration::from_millis(25),
-            shard_client: ClientConfig {
-                read_timeout: Duration::from_secs(30),
-                reconnect_attempts: 1,
-                backoff: Duration::from_millis(2),
-            },
-        }
-    }
-}
+/// Client policy of the router→shard legs.
+const SHARD_LEG: ClientConfig = ClientConfig {
+    read_timeout: Duration::from_secs(30),
+    reconnect_attempts: 1,
+    backoff: Duration::from_millis(2),
+};
 
 struct RouterShared {
     ring: HashRing,
@@ -95,9 +73,6 @@ struct RouterShared {
     /// Table name → schema, recorded at `CreateTable`; the source of
     /// key-column positions for partitioning. Leaf lock.
     catalog: Mutex<HashMap<String, TableSchema>>,
-    shutting_down: AtomicBool,
-    addr: SocketAddr,
-    cfg: RouterConfig,
 }
 
 /// A running shard router. Dropping shuts it down; shards are never
@@ -105,58 +80,42 @@ struct RouterShared {
 /// itself only).
 pub struct Router {
     shared: Arc<RouterShared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    sessions: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    metrics: MetricsRegistry,
+    endpoint: Endpoint,
+}
+
+/// `local_addr` and `sessions` are the endpoint's.
+impl std::ops::Deref for Router {
+    type Target = Endpoint;
+
+    fn deref(&self) -> &Endpoint {
+        &self.endpoint
+    }
 }
 
 impl Router {
     /// Bind `addr` and route over `shards` (index order = shard id).
-    pub fn start(
-        shards: Vec<SocketAddr>,
-        addr: impl ToSocketAddrs,
-        cfg: RouterConfig,
-    ) -> io::Result<Router> {
+    pub fn start(shards: Vec<SocketAddr>, addr: impl ToSocketAddrs) -> io::Result<Router> {
         if shards.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "router needs >= 1 shard"));
         }
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let shared = Arc::new(RouterShared {
             ring: HashRing::new(shards.len()),
             conn: shards.iter().map(|_| Mutex::new(None)).collect(),
             topology: Mutex::new(shards),
             catalog: Mutex::new(HashMap::new()),
-            shutting_down: AtomicBool::new(false),
-            addr: local,
-            cfg,
         });
-        let sessions = Arc::new(Mutex::new(Vec::new()));
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_sessions = Arc::clone(&sessions);
-        let accept =
-            std::thread::Builder::new().name("quarry-router-accept".into()).spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_shared.shutting_down.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let shared = Arc::clone(&accept_shared);
-                    let handle = std::thread::Builder::new()
-                        .name("quarry-router-session".into())
-                        .spawn(move || session(&shared, stream));
-                    if let Ok(handle) = handle {
-                        lock(&accept_sessions).push(handle);
-                    }
-                }
-            })?;
-
-        Ok(Router { shared, accept: Some(accept), sessions })
+        let (handler, metrics) = (Arc::clone(&shared), MetricsRegistry::new());
+        let cfg = ServeConfig::default();
+        let endpoint = Endpoint::serve("quarry-router", addr, &cfg, metrics.clone(), move |req| {
+            route(&handler, req)
+        })?;
+        Ok(Router { shared, metrics, endpoint })
     }
 
-    /// The router's bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+    /// The router's own `server.*` counters (the shards keep theirs).
+    pub fn metrics(&self) -> MetricsRegistry {
+        self.metrics.clone()
     }
 
     /// Redirect a shard's traffic to `addr` (a promoted replica). The
@@ -180,140 +139,58 @@ impl Router {
 
     /// Drain sessions and stop. Shards stay up.
     pub fn shutdown(&mut self) {
-        if !self.shared.shutting_down.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.shared.addr);
-        }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let handles: Vec<_> = lock(&self.sessions).drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.endpoint.shutdown();
     }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// One client session against the router: the same frame loop a shard
-/// server runs, with routing instead of local execution.
-fn session(shared: &RouterShared, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_nodelay(true);
-    loop {
-        match read_frame(&mut stream, shared.cfg.max_frame) {
-            Ok((id, payload)) => {
-                let resp = handle(shared, id, &payload);
-                if write_response(&mut stream, &resp).is_err() {
-                    return;
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) if e.is_timeout() => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(FrameError::Closed) => return,
-            Err(e) => {
-                let resp = Response {
-                    id: 0,
-                    server_micros: 0,
-                    lsn: 0,
-                    payload: Payload::Error { kind: ErrorKind::Protocol, message: e.to_string() },
-                };
-                let _ = write_response(&mut stream, &resp);
-                return;
-            }
-        }
-    }
-}
-
-fn handle(shared: &RouterShared, id: u64, payload: &[u8]) -> Response {
-    let req: Request = match serde_json::from_slice(payload) {
-        Ok(r) => r,
-        Err(e) => {
-            return Response {
-                id,
-                server_micros: 0,
-                lsn: 0,
-                payload: Payload::Error {
-                    kind: ErrorKind::Protocol,
-                    message: format!("undecodable request: {e}"),
-                },
-            };
-        }
-    };
-    if req == Request::Shutdown {
-        // Shuts the *router* down; shards are independent processes with
-        // their own lifecycles.
-        shared.shutting_down.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(shared.addr);
-        return Response { id, server_micros: 0, lsn: 0, payload: Payload::Done };
-    }
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return Response { id, server_micros: 0, lsn: 0, payload: Payload::ShuttingDown };
-    }
-    let start = std::time::Instant::now();
-    let (payload, lsn) = route(shared, &req);
-    Response { id, server_micros: start.elapsed().as_micros() as u64, lsn, payload }
 }
 
 fn error(kind: ErrorKind, message: impl Into<String>) -> Payload {
     Payload::Error { kind, message: message.into() }
 }
 
-/// Map a shard-leg failure onto the client-visible payload.
-fn leg_error(shard: usize, e: ClientError) -> Payload {
-    match e {
-        ClientError::Server { kind, message } => Payload::Error { kind, message },
-        ClientError::Overloaded => Payload::Overloaded,
-        ClientError::ShuttingDown => Payload::ShuttingDown,
-        other => error(ErrorKind::Unavailable, format!("shard {shard}: {other}")),
-    }
-}
-
 /// Run one request against one shard through its pooled connection,
 /// reconnecting through the *current* topology entry on a dead leg (so
-/// a retarget takes effect on the first retry).
-fn with_shard(shared: &RouterShared, shard: usize, req: &Request) -> Result<Response, ClientError> {
-    let addr_of = || -> SocketAddr { lock(&shared.topology)[shard] };
+/// a retarget takes effect on the first retry). A leg that gets no reply
+/// is `Unavailable` to the client; a shard's own refusals are replies
+/// ([`Client::request`] hands them back as such).
+fn with_shard(shared: &RouterShared, shard: usize, req: &Request) -> Result<Response, Payload> {
+    let unavailable = |e: ClientError| error(ErrorKind::Unavailable, format!("shard {shard}: {e}"));
     let mut conn = lock(&shared.conn[shard]);
-    for attempt in 0..2 {
-        if conn.is_none() {
-            *conn = Some(Client::connect_with_config(addr_of(), shared.cfg.shard_client)?);
-        }
-        let Some(client) = conn.as_mut() else { break };
+    let mut retried = false;
+    loop {
+        let client = match &mut *conn {
+            Some(client) => client,
+            None => {
+                let addr = lock(&shared.topology)[shard];
+                let client = Client::connect_with_config(addr, SHARD_LEG);
+                conn.insert(client.map_err(|e| unavailable(e.into()))?)
+            }
+        };
         match client.request(req) {
             Ok(resp) => return Ok(resp),
-            Err(e @ (ClientError::Io(_) | ClientError::Frame(_))) => {
+            Err(e) => {
                 // Dead leg: drop the connection; the retry dials the
                 // topology entry as it is *now*.
-                *conn = None;
-                if attempt == 1 {
-                    return Err(e);
+                let dead = matches!(e, ClientError::Io(_) | ClientError::Frame(_));
+                if dead {
+                    *conn = None;
                 }
+                if !dead || retried {
+                    return Err(unavailable(e));
+                }
+                retried = true;
             }
-            Err(e) => return Err(e),
         }
     }
-    Err(ClientError::Io(io::Error::new(io::ErrorKind::NotConnected, "shard unreachable")))
 }
 
-/// Fan a request out to every shard sequentially in shard order.
-fn fan_out(shared: &RouterShared, req: &Request) -> Result<Vec<Response>, (usize, ClientError)> {
-    let mut legs = Vec::with_capacity(shared.conn.len());
-    for shard in 0..shared.conn.len() {
-        legs.push(with_shard(shared, shard, req).map_err(|e| (shard, e))?);
-    }
-    Ok(legs)
+/// Fan a request out to every shard sequentially in shard order; with
+/// the replies comes the highest LSN among them.
+fn fan_out(shared: &RouterShared, req: &Request) -> Result<(Vec<Response>, u64), Payload> {
+    let legs = (0..shared.conn.len())
+        .map(|shard| with_shard(shared, shard, req))
+        .collect::<Result<Vec<_>, _>>()?;
+    let lsn = legs.iter().map(|r| r.lsn).max().unwrap_or(0);
+    Ok((legs, lsn))
 }
 
 fn route(shared: &RouterShared, req: &Request) -> (Payload, u64) {
@@ -334,15 +211,19 @@ fn route(shared: &RouterShared, req: &Request) -> (Payload, u64) {
             (payload, lsn)
         }
         Request::CreateIndex { .. } | Request::Checkpoint => broadcast_done(shared, req),
-        Request::InsertRows { table, rows } => route_write(shared, table, rows, |table, part| {
-            Request::InsertRows { table, rows: part }
-        }),
+        Request::InsertRows { table, rows } => match partition_rows(shared, table, rows) {
+            Ok(parts) => send_partitions(shared, table, parts, |table, part| Request::InsertRows {
+                table,
+                rows: part,
+            }),
+            Err(p) => (p, 0),
+        },
         Request::DeleteRows { table, keys } => {
             // Keys are already in key order; hash them directly.
-            let parts = match partition_keys(shared, keys) {
-                Ok(parts) => parts,
-                Err(p) => return (p, 0),
-            };
+            let mut parts = vec![Vec::new(); shared.conn.len()];
+            for key in keys {
+                parts[shared.ring.shard_for_key(key)].push(key.clone());
+            }
             send_partitions(shared, table, parts, |table, part| Request::DeleteRows {
                 table,
                 keys: part,
@@ -352,24 +233,20 @@ fn route(shared: &RouterShared, req: &Request) -> (Payload, u64) {
         Request::KeywordSearch { k, .. } => route_keyword(shared, req, *k),
         Request::Explain(_) => route_explain(shared, req),
         Request::Stats => route_stats(shared),
+        // The endpoint answers the control frame itself, and it stops the
+        // *router*: shards have their own lifecycles.
         Request::Shutdown => (Payload::Done, 0),
     }
 }
 
 /// Broadcast a DDL/Checkpoint request; every shard must answer `Done`.
 fn broadcast_done(shared: &RouterShared, req: &Request) -> (Payload, u64) {
-    match fan_out(shared, req) {
-        Ok(legs) => {
-            let lsn = legs.iter().map(|r| r.lsn).max().unwrap_or(0);
-            for leg in legs {
-                if !matches!(leg.payload, Payload::Done) {
-                    return (leg.payload, lsn);
-                }
-            }
-            (Payload::Done, lsn)
-        }
-        Err((shard, e)) => (leg_error(shard, e), 0),
-    }
+    let (legs, lsn) = match fan_out(shared, req) {
+        Ok(replies) => replies,
+        Err(p) => return (p, 0),
+    };
+    let refused = legs.into_iter().map(|leg| leg.payload).find(|p| !matches!(p, Payload::Done));
+    (refused.unwrap_or(Payload::Done), lsn)
 }
 
 /// Partition full rows by the table's primary key via the catalog.
@@ -405,30 +282,6 @@ fn partition_rows(
     Ok(parts)
 }
 
-fn partition_keys(
-    shared: &RouterShared,
-    keys: &[Vec<Value>],
-) -> Result<Vec<Vec<Vec<Value>>>, Payload> {
-    let mut parts: Vec<Vec<Vec<Value>>> = vec![Vec::new(); shared.conn.len()];
-    for key in keys {
-        parts[shared.ring.shard_for_key(key)].push(key.clone());
-    }
-    Ok(parts)
-}
-
-fn route_write(
-    shared: &RouterShared,
-    table: &str,
-    rows: &[Vec<Value>],
-    make: impl Fn(String, Vec<Vec<Value>>) -> Request,
-) -> (Payload, u64) {
-    let parts = match partition_rows(shared, table, rows) {
-        Ok(parts) => parts,
-        Err(p) => return (p, 0),
-    };
-    send_partitions(shared, table, parts, make)
-}
-
 /// Send each non-empty partition to its shard in shard order; the reply
 /// carries the max LSN of the shards actually written.
 fn send_partitions(
@@ -449,7 +302,7 @@ fn send_partitions(
                     return (resp.payload, lsn);
                 }
             }
-            Err(e) => return (leg_error(shard, e), lsn),
+            Err(p) => return (p, lsn),
         }
     }
     (Payload::Done, lsn)
@@ -513,14 +366,13 @@ fn route_query(shared: &RouterShared, q: &Query) -> (Payload, u64) {
     if let Some(shard) = point_shard(shared, q) {
         return match with_shard(shared, shard, &Request::Query(q.clone())) {
             Ok(resp) => (resp.payload, resp.lsn),
-            Err(e) => (leg_error(shard, e), 0),
+            Err(p) => (p, 0),
         };
     }
-    let legs = match fan_out(shared, &Request::Query(q.clone())) {
-        Ok(legs) => legs,
-        Err((shard, e)) => return (leg_error(shard, e), 0),
+    let (legs, lsn) = match fan_out(shared, &Request::Query(q.clone())) {
+        Ok(replies) => replies,
+        Err(p) => return (p, 0),
     };
-    let lsn = legs.iter().map(|r| r.lsn).max().unwrap_or(0);
     let mut results = Vec::with_capacity(legs.len());
     for leg in legs {
         match leg.payload {
@@ -680,11 +532,10 @@ fn merge_sorted(
 }
 
 fn route_keyword(shared: &RouterShared, req: &Request, k: usize) -> (Payload, u64) {
-    let legs = match fan_out(shared, req) {
-        Ok(legs) => legs,
-        Err((shard, e)) => return (leg_error(shard, e), 0),
+    let (legs, lsn) = match fan_out(shared, req) {
+        Ok(replies) => replies,
+        Err(p) => return (p, 0),
     };
-    let lsn = legs.iter().map(|r| r.lsn).max().unwrap_or(0);
     let mut hits: Vec<WireHit> = Vec::new();
     let mut candidates: Vec<WireCandidate> = Vec::new();
     for leg in legs {
@@ -725,11 +576,10 @@ fn route_keyword(shared: &RouterShared, req: &Request, k: usize) -> (Payload, u6
 }
 
 fn route_explain(shared: &RouterShared, req: &Request) -> (Payload, u64) {
-    let legs = match fan_out(shared, req) {
-        Ok(legs) => legs,
-        Err((shard, e)) => return (leg_error(shard, e), 0),
+    let (legs, lsn) = match fan_out(shared, req) {
+        Ok(replies) => replies,
+        Err(p) => return (p, 0),
     };
-    let lsn = legs.iter().map(|r| r.lsn).max().unwrap_or(0);
     let mut out = String::new();
     for (shard, leg) in legs.into_iter().enumerate() {
         match leg.payload {
@@ -743,11 +593,10 @@ fn route_explain(shared: &RouterShared, req: &Request) -> (Payload, u64) {
 }
 
 fn route_stats(shared: &RouterShared) -> (Payload, u64) {
-    let legs = match fan_out(shared, &Request::Stats) {
-        Ok(legs) => legs,
-        Err((shard, e)) => return (leg_error(shard, e), 0),
+    let (legs, lsn) = match fan_out(shared, &Request::Stats) {
+        Ok(replies) => replies,
+        Err(p) => return (p, 0),
     };
-    let lsn = legs.iter().map(|r| r.lsn).max().unwrap_or(0);
     let mut merged = MetricsSnapshot::default();
     for (shard, leg) in legs.into_iter().enumerate() {
         match leg.payload {

@@ -8,12 +8,11 @@
 //! feedback) appends an event. Experiments and the semantic debugger read
 //! the log; so can a curious user.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// One DGE event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DgeEvent {
     /// Raw documents entered the system.
     Ingest {

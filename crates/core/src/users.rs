@@ -8,11 +8,10 @@
 
 use quarry_hi::oracle::UserId;
 use quarry_hi::ReputationTracker;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One registered user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserAccount {
     /// Stable id (feeds the HI layer).
     pub id: UserId,
@@ -26,7 +25,7 @@ pub struct UserAccount {
 }
 
 /// The account directory.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UserDirectory {
     by_name: BTreeMap<String, UserAccount>,
     reputation: ReputationTracker,

@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The kinds of damage injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CorruptionKind {
     /// Numeric value pushed outside its learned plausible range
     /// (e.g. temperature 135 °F, population −4).
@@ -30,7 +29,7 @@ impl CorruptionKind {
 }
 
 /// Configuration for one corruption pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorruptionConfig {
     /// RNG seed.
     pub seed: u64,
@@ -39,7 +38,7 @@ pub struct CorruptionConfig {
 }
 
 /// Record of one injected error.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InjectedError {
     /// Row index in the corrupted table.
     pub row: usize,
@@ -54,7 +53,7 @@ pub struct InjectedError {
 }
 
 /// The labels produced by a corruption pass: which cells are bad.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CorruptionLog {
     /// One entry per damaged cell.
     pub errors: Vec<InjectedError>,

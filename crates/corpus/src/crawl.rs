@@ -11,10 +11,9 @@ use crate::generator::Corpus;
 use crate::types::{DocId, DocKind, Document};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Crawl workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrawlConfig {
     /// RNG seed for the edit stream (independent of the corpus seed).
     pub seed: u64,

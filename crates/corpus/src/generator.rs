@@ -7,10 +7,9 @@ use crate::truth::{CityFact, CompanyFact, GroundTruth, PersonFact, PublicationFa
 use crate::types::{DocId, DocKind, Document};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Knobs controlling corpus size and imperfection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// RNG seed; everything downstream is a pure function of this config.
     pub seed: u64,

@@ -7,10 +7,9 @@
 //! (`location` vs `address`), unit/format variants, and typos.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Probabilities of each noise phenomenon, all in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseConfig {
     /// Chance a rendered person mention uses an abbreviated variant.
     pub name_variant: f64,

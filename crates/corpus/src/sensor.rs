@@ -10,10 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Sensor-stream generation knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorConfig {
     /// RNG seed.
     pub seed: u64,
@@ -34,7 +33,7 @@ impl Default for SensorConfig {
 }
 
 /// One sensor sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reading {
     /// Room id.
     pub room: u32,
@@ -48,7 +47,7 @@ pub struct Reading {
 
 /// A ground-truth occupancy interval: someone was in `room` during
 /// `[enter, leave)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occupancy {
     /// Room id.
     pub room: u32,
@@ -59,7 +58,7 @@ pub struct Occupancy {
 }
 
 /// Generated streams plus ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorData {
     /// All readings, ordered by (room, t).
     pub readings: Vec<Reading>,

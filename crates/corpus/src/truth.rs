@@ -4,11 +4,10 @@
 //! here, so extraction and integration accuracy can be scored exactly.
 
 use crate::types::DocId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// True facts about one city page.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityFact {
     /// Document carrying the facts.
     pub doc: DocId,
@@ -40,7 +39,7 @@ impl CityFact {
 }
 
 /// True facts about one person page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersonFact {
     /// Document carrying the facts.
     pub doc: DocId,
@@ -61,7 +60,7 @@ pub struct PersonFact {
 }
 
 /// True facts about one company page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompanyFact {
     /// Document carrying the facts.
     pub doc: DocId,
@@ -76,7 +75,7 @@ pub struct CompanyFact {
 }
 
 /// True facts about one publication page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicationFact {
     /// Document carrying the facts.
     pub doc: DocId,
@@ -91,7 +90,7 @@ pub struct PublicationFact {
 }
 
 /// All ground truth for a corpus, in document order within each table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     /// City facts, one per city page.
     pub cities: Vec<CityFact>,

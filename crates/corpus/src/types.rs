@@ -1,13 +1,12 @@
 //! Core document types shared across the corpus and the rest of Quarry.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identifier of a document within a corpus.
 ///
 /// Identifiers are dense (0..n) so they can double as vector indexes in
 /// downstream components (inverted index posting lists, lineage nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DocId(pub u32);
 
 impl DocId {
@@ -29,7 +28,7 @@ impl fmt::Display for DocId {
 /// Downstream code must *not* rely on this for extraction decisions (a real
 /// system does not know page kinds a priori); it exists for evaluation
 /// stratification only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DocKind {
     /// A city page: infobox with population/temperatures, prose restating them.
     City,
@@ -63,7 +62,7 @@ impl DocKind {
 /// text inside the page (a `{{Infobox ...}}` block of `| key = value` lines)
 /// mirroring MediaWiki markup; prose paragraphs restate a subset of the same
 /// facts in natural-language sentences.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     /// Corpus-unique id.
     pub id: DocId,

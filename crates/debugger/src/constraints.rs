@@ -1,11 +1,10 @@
 //! Constraint kinds and constraint learning.
 
 use quarry_storage::{DataType, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A learned data-quality constraint over one or two attributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Constraint {
     /// Numeric values of `attribute` must fall within `[lo, hi]`.
     NumericRange {
@@ -101,7 +100,7 @@ impl Constraint {
 }
 
 /// Knobs for constraint learning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearnConfig {
     /// Slack added around observed numeric ranges, as a fraction of the
     /// observed spread (paper example: temperatures observed up to ~110

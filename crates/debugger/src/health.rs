@@ -6,11 +6,10 @@
 //! the monitor derives a status and an alert log. Time is injected by the
 //! caller (a tick counter), keeping the module deterministic and testable.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Component status at a point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthStatus {
     /// Heartbeats fresh, metrics in band.
     Healthy,
@@ -21,7 +20,7 @@ pub enum HealthStatus {
 }
 
 /// An alert raised by the monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alert {
     /// Tick when raised.
     pub tick: u64,
@@ -31,7 +30,7 @@ pub struct Alert {
     pub message: String,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Component {
     last_heartbeat: u64,
     /// metric → (lo, hi) band.
@@ -41,7 +40,7 @@ struct Component {
 }
 
 /// The health monitor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HealthMonitor {
     components: BTreeMap<String, Component>,
     heartbeat_timeout: u64,

@@ -2,10 +2,9 @@
 
 use crate::constraints::{learn, Constraint, LearnConfig};
 use quarry_storage::Value;
-use serde::{Deserialize, Serialize};
 
 /// One flagged cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Suspicion {
     /// Row index in the checked batch.
     pub row: usize,
@@ -16,7 +15,7 @@ pub struct Suspicion {
 }
 
 /// A trained semantic debugger for one table shape.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SemanticDebugger {
     columns: Vec<String>,
     constraints: Vec<Constraint>,
@@ -87,7 +86,7 @@ impl SemanticDebugger {
 }
 
 /// Detector quality against labeled corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DebuggerScore {
     /// Fraction of flags that were real errors.
     pub precision: f64,

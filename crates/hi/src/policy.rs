@@ -4,10 +4,8 @@
 //! spending human attention on the decisions the automatic system is *least
 //! sure about* should buy more accuracy per unit than spending it uniformly.
 
-use serde::{Deserialize, Serialize};
-
 /// How to order candidate tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionPolicy {
     /// Uniform-ish order (by a hash of the id — deterministic but unrelated
     /// to informativeness).

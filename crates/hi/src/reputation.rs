@@ -7,11 +7,10 @@
 //! consensus. The posterior mean weights their future votes.
 
 use crate::oracle::UserId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-user Beta posterior.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reliability {
     /// Successes + prior.
     pub alpha: f64,
@@ -32,7 +31,7 @@ impl Reliability {
 }
 
 /// Reputation tracker over a user population.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReputationTracker {
     users: HashMap<UserId, Reliability>,
 }

@@ -4,10 +4,8 @@
 //! principle (§3.3): every kind asks a human to *verify or choose*, never to
 //! author structure from scratch.
 
-use serde::{Deserialize, Serialize};
-
 /// What the user is being asked to do.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuestionKind {
     /// "Do these two records describe the same real-world entity?"
     VerifyMatch {
@@ -40,7 +38,7 @@ pub enum QuestionKind {
 }
 
 /// A user's answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Answer {
     /// Yes/no verdict (for verify/validate questions).
     Bool(bool),
@@ -64,7 +62,7 @@ impl Answer {
 /// would not have it. Simulation code uses it to drive user error models and
 /// to score outcomes — voting and aggregation code must never look at it
 /// (enforced by keeping aggregation functions generic over answers only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Question {
     /// Caller-assigned id (indexes the caller's item list).
     pub id: usize,

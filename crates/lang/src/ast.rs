@@ -1,11 +1,10 @@
 //! QDL abstract syntax.
 
 use quarry_exec::diag::Span;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A full QDL program: one named pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pipeline {
     /// Pipeline name.
     pub name: String,
@@ -17,7 +16,7 @@ pub struct Pipeline {
 }
 
 /// One pipeline step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Step {
     /// Run the named extraction operators.
     Extract {
@@ -51,7 +50,7 @@ pub enum Step {
 }
 
 /// A filter condition over the extraction stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Condition {
     /// `attribute = "x"`.
     AttributeEq(String),
@@ -120,7 +119,7 @@ impl fmt::Display for Pipeline {
 /// Byte-span table for one parsed [`Pipeline`], kept parallel to the AST
 /// rather than embedded in it.
 ///
-/// Keeping spans out of the AST preserves the derived `PartialEq`/serde
+/// Keeping spans out of the AST preserves the derived `PartialEq`
 /// behaviour the print→reparse property tests rely on (two structurally
 /// identical programs compare equal regardless of formatting), and spares
 /// the dozens of hand-built `Pipeline` literals in tests and benches from

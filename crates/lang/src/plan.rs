@@ -15,11 +15,10 @@
 
 use crate::ast::{Condition, Pipeline, Step};
 use crate::registry::ExtractorRegistry;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One logical operator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanOp {
     /// Run extraction operators.
     Extract {
@@ -53,7 +52,7 @@ pub enum PlanOp {
 }
 
 /// An ordered operator list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogicalPlan {
     /// Operators, first executed first.
     pub ops: Vec<PlanOp>,

@@ -1,7 +1,6 @@
 //! Evolution operations: schema transforms with row migration.
 
 use quarry_storage::{Column, DataType, Row, TableSchema, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why an evolution operation was rejected.
@@ -17,7 +16,7 @@ impl fmt::Display for EvolutionError {
 impl std::error::Error for EvolutionError {}
 
 /// A declarative schema-evolution operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EvolutionOp {
     /// Add a column; existing rows get `default`.
     AddColumn {

@@ -7,14 +7,13 @@
 
 use crate::evolution::{apply_all, EvolutionError, EvolutionOp};
 use quarry_storage::{Database, Row, TableSchema};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A schema version number (0 = as registered).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VersionId(pub u32);
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct History {
     /// Version v's schema is `schemas[v]`.
     schemas: Vec<TableSchema>,
@@ -23,7 +22,7 @@ struct History {
 }
 
 /// Versioned schemas for many tables.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SchemaRegistry {
     tables: HashMap<String, History>,
 }

@@ -14,6 +14,7 @@
 //! configuration: they are the server's explicit back-off signal,
 //! surfaced to the caller as typed errors.
 
+use crate::endpoint::dial;
 use crate::protocol::{
     read_response, write_request, ErrorKind, FrameError, Payload, Request, Response, WireCandidate,
     WireExecStats, WireHit, DEFAULT_MAX_FRAME,
@@ -126,16 +127,8 @@ impl Client {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
-        let stream = Client::open(addr, cfg.read_timeout)?;
+        let stream = dial(addr, cfg.read_timeout, cfg.read_timeout)?;
         Ok(Client { addr, stream, next_id: 1, cfg, max_frame: DEFAULT_MAX_FRAME })
-    }
-
-    fn open(addr: SocketAddr, read_timeout: Duration) -> io::Result<TcpStream> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(read_timeout))?;
-        stream.set_write_timeout(Some(read_timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(stream)
     }
 
     /// True when the transport error indicates a dead connection worth
@@ -180,7 +173,7 @@ impl Client {
                         std::thread::sleep(delay);
                     }
                     attempt += 1;
-                    match Client::open(self.addr, self.cfg.read_timeout) {
+                    match dial(self.addr, self.cfg.read_timeout, self.cfg.read_timeout) {
                         Ok(stream) => self.stream = stream,
                         // Connect refused/unreachable: keep burning
                         // attempts against the same dead endpoint.

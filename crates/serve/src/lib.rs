@@ -9,20 +9,23 @@
 //!
 //! - [`protocol`] — length-prefixed binary frames with CRC torn-frame
 //!   detection carrying JSON requests/responses (byte layout documented
-//!   in `docs/serving.md`).
-//! - [`server`] — accept loop, bounded worker set, per-connection
-//!   sessions with timeouts and frame-size limits, admission control
-//!   with explicit `Overloaded` rejections, and graceful drain-then-stop
-//!   shutdown driven by a control frame.
+//!   in `docs/serving.md`); the only module that names the encoding.
+//! - [`endpoint`] — the one listener of the serving tier: accept thread,
+//!   a thread per session under a constant cap, the frame loop, admission
+//!   control with explicit `Overloaded` rejections, and graceful
+//!   drain-then-stop shutdown driven by a control frame.
+//! - [`server`] — that endpoint over the façade: reads on MVCC snapshots,
+//!   writes through the single-writer lock.
 //! - [`client`] — a blocking client with configurable bounded
 //!   reconnect/backoff, used by the tests and the `quarry_bench` harness.
-//! - [`replication`] — primary→replica WAL shipping: a listener that
-//!   streams committed WAL frames and a client that applies them through
+//! - [`replication`] — primary→replica WAL shipping: the same listener
+//!   streaming committed WAL frames and a client that applies them through
 //!   the storage layer's convergent replay path (`docs/replication.md`).
 
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod endpoint;
 pub mod protocol;
 pub mod replication;
 pub mod server;

@@ -391,12 +391,21 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     write_frame(w, resp.id, &encode(resp)?)
 }
 
+fn decode<T: Deserialize>(what: &str, payload: &[u8]) -> io::Result<T> {
+    serde_json::from_slice(payload)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{what}: {e}")))
+}
+
+/// Decode a request frame's payload: the one place a request's bytes
+/// become a [`Request`].
+pub fn decode_request(payload: &[u8]) -> io::Result<Request> {
+    decode("undecodable request", payload)
+}
+
 /// Read one frame and decode its payload as a [`Response`].
 pub fn read_response(r: &mut impl Read, max_frame: usize) -> Result<Response, FrameError> {
     let (_, payload) = read_frame(r, max_frame)?;
-    serde_json::from_slice(&payload).map_err(|e| {
-        FrameError::Io(io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
-    })
+    decode("bad response", &payload).map_err(FrameError::Io)
 }
 
 #[cfg(test)]
@@ -409,7 +418,7 @@ mod tests {
         write_request(&mut buf, 7, req).unwrap();
         let (id, payload) = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(id, 7);
-        serde_json::from_slice(&payload).unwrap()
+        decode_request(&payload).unwrap()
     }
 
     #[test]
@@ -599,7 +608,6 @@ mod tests {
         let mut r = TricklingReader { data: buf, pos: 0, timeouts_between: 20, pending: 0 };
         let (id, payload) = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(id, 9);
-        let req: Request = serde_json::from_slice(&payload).unwrap();
-        assert_eq!(req, Request::Ping);
+        assert_eq!(decode_request(&payload).unwrap(), Request::Ping);
     }
 }

@@ -45,13 +45,15 @@
 //! All decisions here are deterministic functions of the received
 //! frames; timeouts only pace the loops, they never pick outcomes.
 
+use crate::endpoint::{dial, lock, Endpoint, State};
+use crate::protocol::DEFAULT_MAX_FRAME;
 use quarry_storage::wal::frame_crc;
 use quarry_storage::{parse_frames, Database, ReplicaApplier, ReplicaPosition, TailPoll, WalTail};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const TAG_HELLO: u8 = 0xC1;
@@ -67,11 +69,8 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(2);
 /// Sleep when the tail is idle, pacing the poll loop without adding
 /// meaningful replication lag.
 const IDLE_SLEEP: Duration = Duration::from_micros(500);
-
-/// See the poison-recovery precedent in `server.rs`.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// Socket write timeout, both directions.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -109,7 +108,9 @@ fn control_frame(tag: u8, words: &[u64]) -> Vec<u8> {
 /// One [`FrameBuf::poll`] does a single read syscall (blocking up to the
 /// socket timeout) and returns every *complete* frame accumulated so
 /// far; partial frames stay buffered. A CRC failure is fatal — the
-/// stream cannot be resynchronised, exactly like a torn WAL tail.
+/// stream cannot be resynchronised, exactly like a torn WAL tail — and
+/// so is a pending frame whose length prefix claims more than
+/// [`DEFAULT_MAX_FRAME`]: the peer is refused before its bytes are kept.
 struct FrameBuf {
     buf: Vec<u8>,
     chunk: [u8; 16 * 1024],
@@ -131,29 +132,36 @@ impl FrameBuf {
         let (records, consumed) = parse_frames(&self.buf, 0)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("torn frame: {e}")))?;
         self.buf.drain(..consumed);
+        if let Some(&[a, b, c, d]) = self.buf.get(..4) {
+            let len = u32::from_le_bytes([a, b, c, d]) as usize;
+            if len > DEFAULT_MAX_FRAME {
+                let why = format!("frame of {len} bytes exceeds limit {DEFAULT_MAX_FRAME}");
+                return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+            }
+        }
         Ok(records.into_iter().map(|r| r.payload.to_vec()).collect())
     }
 }
 
-/// Latest known state of one replica connection, keyed by ack frames.
+/// Latest known state of one live replica connection, keyed by ack
+/// frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaProgress {
     /// Checkpoint epoch the replica last acked under.
     pub epoch: u64,
     /// Source-WAL offset the replica has applied through.
     pub acked: u64,
-    /// False once the connection has closed.
-    pub connected: bool,
 }
 
+/// Connection id → progress; an entry lives as long as its session.
+type Tracker = Mutex<BTreeMap<u64, ReplicaProgress>>;
+
 /// The primary-side shipping endpoint: accepts replica connections and
-/// streams committed WAL frames to each.
+/// streams committed WAL frames to each. Dropping it stops shipping and
+/// joins every thread.
 pub struct ReplicationListener {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    tracker: Arc<Mutex<HashMap<u64, ReplicaProgress>>>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    listener: Endpoint,
+    tracker: Arc<Tracker>,
 }
 
 impl ReplicationListener {
@@ -161,76 +169,41 @@ impl ReplicationListener {
     /// The database must be file-backed (an in-memory store has no log
     /// to ship; replica sessions are refused with a closed connection).
     pub fn start(db: Arc<Database>, addr: impl ToSocketAddrs) -> io::Result<ReplicationListener> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let tracker = Arc::new(Mutex::new(HashMap::new()));
-        let handlers = Arc::new(Mutex::new(Vec::new()));
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_tracker = Arc::clone(&tracker);
-        let accept_handlers = Arc::clone(&handlers);
-        let accept =
-            std::thread::Builder::new().name("quarry-repl-accept".into()).spawn(move || {
-                let mut next_id = 0u64;
-                for conn in listener.incoming() {
-                    if accept_shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let id = next_id;
-                    next_id += 1;
-                    let db = Arc::clone(&db);
-                    let tracker = Arc::clone(&accept_tracker);
-                    let shutdown = Arc::clone(&accept_shutdown);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("quarry-repl-ship-{id}"))
-                        .spawn(move || {
-                            let _ = serve_replica(&db, stream, &tracker, &shutdown, id);
-                            if let Some(p) = lock(&tracker).get_mut(&id) {
-                                p.connected = false;
-                            }
-                        });
-                    if let Ok(handle) = handle {
-                        lock(&accept_handlers).push(handle);
-                    }
-                }
-            })?;
-
-        Ok(ReplicationListener { addr: local, shutdown, tracker, accept: Some(accept), handlers })
+        let tracker = Arc::new(Tracker::default());
+        let session_tracker = Arc::clone(&tracker);
+        let next_id = AtomicU64::new(0);
+        let listener = Endpoint::listen(
+            "quarry-repl",
+            addr,
+            POLL_TIMEOUT,
+            WRITE_TIMEOUT,
+            move |stream, state| {
+                let id = next_id.fetch_add(1, Ordering::Relaxed);
+                let _ = serve_replica(&db, stream, &session_tracker, state, id);
+                lock(&session_tracker).remove(&id);
+            },
+        )?;
+        Ok(ReplicationListener { listener, tracker })
     }
 
     /// The bound shipping address replicas connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
-    /// Per-connection replica progress, in connection order.
+    /// Progress of every live replica connection, in connection order.
     pub fn progress(&self) -> Vec<ReplicaProgress> {
-        let tracker = lock(&self.tracker);
-        let mut ids: Vec<&u64> = tracker.keys().collect();
-        ids.sort();
-        ids.iter().map(|id| tracker[id]).collect()
+        lock(&self.tracker).values().copied().collect()
     }
 
-    /// Stop accepting and shipping; joins every handler thread.
+    /// Connections with a live session.
+    pub fn sessions(&self) -> usize {
+        self.listener.sessions()
+    }
+
+    /// Stop accepting and shipping; joins every session thread.
     pub fn shutdown(&mut self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr); // wake the accept loop
-        }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let handles: Vec<_> = lock(&self.handlers).drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ReplicationListener {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.listener.shutdown();
     }
 }
 
@@ -257,13 +230,10 @@ fn send_reseed(db: &Database, stream: &mut TcpStream) -> io::Result<(u64, u64)> 
 fn serve_replica(
     db: &Database,
     mut stream: TcpStream,
-    tracker: &Mutex<HashMap<u64, ReplicaProgress>>,
-    shutdown: &AtomicBool,
+    tracker: &Tracker,
+    listener: &State,
     id: u64,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL_TIMEOUT))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_nodelay(true)?;
     let Some(wal_path) = db.wal_path() else {
         return Err(io::Error::new(io::ErrorKind::Unsupported, "in-memory primary has no WAL"));
     };
@@ -271,7 +241,7 @@ fn serve_replica(
 
     // Handshake: wait for hello.
     let hello = loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if listener.draining() {
             return Ok(());
         }
         if let Some(first) = frames.poll(&mut stream)?.into_iter().next() {
@@ -300,10 +270,10 @@ fn serve_replica(
         send_reseed(db, &mut stream)?
     };
     let mut tail = WalTail::new(db.storage_backend(), wal_path, start);
-    lock(tracker).insert(id, ReplicaProgress { epoch: ship_epoch, acked: 0, connected: true });
+    lock(tracker).insert(id, ReplicaProgress { epoch: ship_epoch, acked: 0 });
 
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if listener.draining() {
             return Ok(());
         }
         // Drain acks (also blocks up to POLL_TIMEOUT, pacing the loop).
@@ -311,7 +281,7 @@ fn serve_replica(
             if frame.first() == Some(&TAG_ACK) {
                 let epoch = get_u64(&frame, 1)?;
                 let acked = get_u64(&frame, 9)?;
-                lock(tracker).insert(id, ReplicaProgress { epoch, acked, connected: true });
+                lock(tracker).insert(id, ReplicaProgress { epoch, acked });
             }
         }
         let polled = tail.poll();
@@ -522,10 +492,7 @@ fn client_session(
     stop: &AtomicBool,
     primary: SocketAddr,
 ) -> Result<(), SessionEnd> {
-    let mut stream = TcpStream::connect(primary).map_err(SessionEnd::Transport)?;
-    stream.set_read_timeout(Some(POLL_TIMEOUT)).map_err(SessionEnd::Transport)?;
-    stream.set_write_timeout(Some(Duration::from_secs(5))).map_err(SessionEnd::Transport)?;
-    stream.set_nodelay(true).map_err(SessionEnd::Transport)?;
+    let mut stream = dial(primary, POLL_TIMEOUT, WRITE_TIMEOUT)?;
 
     {
         let a = lock(applier);
@@ -631,7 +598,7 @@ mod tests {
                 let acked = listener
                     .progress()
                     .iter()
-                    .any(|p| p.connected && p.epoch == pos.epoch && p.acked >= db.wal_len());
+                    .any(|p| p.epoch == pos.epoch && p.acked >= db.wal_len());
                 if acked {
                     return;
                 }
@@ -672,7 +639,41 @@ mod tests {
         await_caught_up(&listener, &client, &primary);
         assert_eq!(dump(&primary), dump(&replica));
 
+        // A closed connection leaves the progress map with its session.
         client.stop();
+        for _ in 0..4000 {
+            if listener.progress().is_empty() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(listener.progress(), vec![], "a closed replica is still tracked");
+        assert_eq!(listener.sessions(), 0);
+        listener.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The shipping port bounds a frame before buffering it: a length
+    /// prefix over `DEFAULT_MAX_FRAME` closes the session instead of
+    /// growing its buffer for as long as the peer keeps writing.
+    #[test]
+    fn oversized_length_prefix_closes_the_replication_session() {
+        let dir = tmpdir("bound");
+        let primary = Arc::new(Database::open(dir.join("p.wal")).unwrap());
+        let mut listener = ReplicationListener::start(primary, "127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr()).unwrap();
+        peer.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        peer.write_all(&u32::MAX.to_le_bytes()).unwrap(); // claims a 4 GiB frame
+        peer.write_all(&0u32.to_le_bytes()).unwrap();
+        // The listener never writes before a hello, so a read that ends
+        // in anything but a timeout is the close.
+        let chunk = vec![0u8; 1 << 20];
+        let closed = (0..2).any(|_| {
+            peer.write_all(&chunk).is_err()
+                || !matches!(peer.read(&mut [0u8; 1]), Err(e) if e.kind() == io::ErrorKind::WouldBlock)
+        });
+        assert!(closed, "the listener accepted 2 MiB of a frame it should have refused");
         listener.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -710,7 +711,7 @@ mod tests {
     fn bounded_backoff_gives_up_against_a_dead_primary() {
         let dir = tmpdir("backoff");
         // Reserve an address with no listener behind it.
-        let sock = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sock = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = sock.local_addr().unwrap();
         drop(sock);
         let replica = Arc::new(Database::open(dir.join("r.wal")).unwrap());

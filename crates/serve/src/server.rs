@@ -1,60 +1,26 @@
-//! The serving loop: accept → bounded worker set → per-connection
-//! sessions over the [`Quarry`](quarry_core::Quarry) façade.
+//! The façade behind the endpoint: [`Server`] is an [`Endpoint`] whose
+//! handler executes requests against a [`Quarry`](quarry_core::Quarry).
 //!
-//! ## Concurrency model
-//!
-//! One accept thread hands sockets to a bounded set of worker threads
-//! (sized from [`ExecPool`]'s thread heuristic unless configured); each
-//! worker owns one connection at a time and runs its session to
-//! completion. Request *execution* follows the façade's single-writer /
-//! snapshot-reader split ([`SharedQuarry`]):
-//!
-//! - **Reads** — `Query`, `KeywordSearch`, `Explain`, `Stats` — capture
-//!   an MVCC [`Snapshot`](quarry_core::Snapshot) pinned to the write
-//!   clock's current LSN and execute against it on the worker thread.
-//!   Snapshot capture never takes a lock a writer holds, so reads run
-//!   concurrently with each other *and* with an in-flight write; each
-//!   read observes exactly the committed state at its captured LSN.
-//! - **Writes** — `Qdl`, `Checkpoint` — go through the single-writer
-//!   mutex. Writers serialize among themselves only; a slow pipeline
-//!   does not delay a single read.
-//!
+//! Accepting, sessions, framing, admission, the `Shutdown` control frame
+//! and drain are [`crate::endpoint`]'s. What is left here is *execution*,
+//! which follows the façade's single-writer / snapshot-reader split
+//! ([`SharedQuarry`]): a read captures an MVCC [`Snapshot`] and never
+//! takes a lock a writer holds, so reads run concurrently with each other
+//! *and* with an in-flight write; writes serialize among themselves only.
 //! Each request is therefore equivalent to a serial execution at one
-//! point of the write clock, and `Checkpoint` still gets quiescence of
-//! the *write* surface for free — readers never see a half-applied
-//! checkpoint because they read pinned snapshots.
-//!
-//! ## Admission control
-//!
-//! A request is admitted only while fewer than `max_in_flight` requests
-//! are between admission and reply. Beyond that the server answers
-//! [`Payload::Overloaded`] immediately instead of queueing unboundedly:
-//! under overload clients get a fast, explicit signal to back off, and
-//! latency of admitted work stays bounded — graceful degradation rather
-//! than collapse.
-//!
-//! ## Shutdown
-//!
-//! A [`Request::Shutdown`] control frame (no signal handling) flips an
-//! atomic flag and wakes the accept loop with a loop-back connection.
-//! In-flight requests drain: each is answered before its session closes,
-//! idle sessions notice the flag at their next read-timeout wakeup, and
-//! [`Server::join`] returns the façade only after every thread has
-//! exited — so a post-shutdown caller holds the exact state the last
-//! drained request produced.
+//! point of the write clock, and `Checkpoint` gets quiescence of the
+//! *write* surface for free while readers keep their pinned views.
 
-use crate::protocol::{
-    read_frame, write_response, ErrorKind, FrameError, Payload, Request, Response, WireCandidate,
-    WireHit, DEFAULT_MAX_FRAME,
-};
-use quarry_core::{Quarry, QuarryError, SharedQuarry};
-use quarry_exec::{ExecPool, MetricsRegistry};
+use crate::endpoint::Endpoint;
+use crate::protocol::{ErrorKind, Payload, Request, WireCandidate, WireHit, DEFAULT_MAX_FRAME};
+use quarry_core::{Quarry, QuarryError, SharedQuarry, Snapshot};
+use quarry_exec::MetricsRegistry;
+use quarry_storage::{Database, StorageError, TxId};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::net::ToSocketAddrs;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A hook invoked for each admitted request before it executes.
 pub type RequestHook = Arc<dyn Fn(&Request) + Send + Sync>;
@@ -62,10 +28,6 @@ pub type RequestHook = Arc<dyn Fn(&Request) + Send + Sync>;
 /// Server tuning knobs. `Default` suits tests and local serving.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Worker threads handling connections; `0` sizes from
-    /// [`ExecPool`]'s per-CPU heuristic (at least 4, so a small host
-    /// still serves several sessions concurrently).
-    pub workers: usize,
     /// Requests allowed between admission and reply before new ones are
     /// answered [`Payload::Overloaded`].
     pub max_in_flight: usize,
@@ -89,7 +51,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            workers: 0,
             max_in_flight: 8,
             max_frame: DEFAULT_MAX_FRAME,
             read_timeout: Duration::from_millis(25),
@@ -103,442 +64,209 @@ impl Default for ServeConfig {
 impl std::fmt::Debug for ServeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeConfig")
-            .field("workers", &self.workers)
             .field("max_in_flight", &self.max_in_flight)
             .field("max_frame", &self.max_frame)
             .field("read_timeout", &self.read_timeout)
             .field("write_timeout", &self.write_timeout)
             .field("request_hook", &self.request_hook.as_ref().map(|_| "…"))
+            .field("read_only", &self.read_only)
             .finish()
     }
 }
 
-/// Lock recovering from poisoning; the socket-queue mutex must stay
-/// usable even if a worker thread panicked (the panic already failed its
-/// own request — see the poison-recovery precedent in `quarry_exec`).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The façade is held as a [`SharedQuarry`] — never wrapped in a mutex
-/// of its own — so read requests never contend on a server-side lock
-/// (enforced by the `no_facade_mutex_in_serve` source scan and a CI
-/// grep).
-struct Shared {
+/// The endpoint's handler. The façade is held as a [`SharedQuarry`] —
+/// never wrapped in a mutex of its own — so read requests never contend
+/// on a server-side lock (enforced by the `no_facade_mutex_in_serve`
+/// source scan and audit rule QA103).
+struct Facade {
     quarry: SharedQuarry,
     metrics: MetricsRegistry,
-    in_flight: AtomicUsize,
-    shutting_down: AtomicBool,
     read_only: AtomicBool,
-    cfg: ServeConfig,
-    addr: SocketAddr,
-}
-
-impl Shared {
-    /// Flip the shutdown flag (idempotent) and wake the accept loop with
-    /// a loop-back connection so it observes the flag without signals.
-    fn begin_shutdown(&self) {
-        if !self.shutting_down.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
-
-    fn draining(&self) -> bool {
-        self.shutting_down.load(Ordering::SeqCst)
-    }
+    request_hook: Option<RequestHook>,
 }
 
 /// A running server. Dropping without [`Server::join`] still shuts the
 /// threads down, but `join` is the way to get the façade back.
 pub struct Server {
-    shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    facade: Arc<Facade>,
+    endpoint: Endpoint,
+}
+
+/// `local_addr`, `in_flight`, `sessions` and `begin_shutdown` are the
+/// endpoint's.
+impl std::ops::Deref for Server {
+    type Target = Endpoint;
+
+    fn deref(&self) -> &Endpoint {
+        &self.endpoint
+    }
 }
 
 impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// start serving `quarry` with `cfg`.
     pub fn start(quarry: Quarry, addr: impl ToSocketAddrs, cfg: ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let metrics = quarry.metrics_registry();
-        let workers =
-            if cfg.workers == 0 { ExecPool::new(0).threads().max(4) } else { cfg.workers };
-        let shared = Arc::new(Shared {
+        let facade = Arc::new(Facade {
             quarry: SharedQuarry::new(quarry),
-            metrics,
-            in_flight: AtomicUsize::new(0),
-            shutting_down: AtomicBool::new(false),
+            metrics: metrics.clone(),
             read_only: AtomicBool::new(cfg.read_only),
-            cfg,
-            addr: local,
+            request_hook: cfg.request_hook.clone(),
         });
-
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            let handle = std::thread::Builder::new()
-                .name(format!("quarry-serve-worker-{i}"))
-                .spawn(move || loop {
-                    // Hold the receiver lock only while popping.
-                    let stream = lock(&rx).recv();
-                    match stream {
-                        Ok(stream) => session(&shared, stream),
-                        Err(_) => return, // accept loop gone, queue drained
-                    }
-                })?;
-            worker_handles.push(handle);
-        }
-
-        let accept_shared = Arc::clone(&shared);
-        let accept =
-            std::thread::Builder::new().name("quarry-serve-accept".into()).spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_shared.draining() {
-                        break; // wake-up connection or late client: refuse
-                    }
-                    match conn {
-                        Ok(stream) => {
-                            accept_shared.metrics.incr("server.connections", 1);
-                            if tx.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue, // transient accept failure
-                    }
-                }
-                // Dropping `tx` lets workers drain the queue and exit.
-            })?;
-
-        Ok(Server { shared, accept: Some(accept), workers: worker_handles })
-    }
-
-    /// The bound address (useful with an ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        let handler = Arc::clone(&facade);
+        let endpoint =
+            Endpoint::serve("quarry-serve", addr, &cfg, metrics, move |req| handler.execute(req))?;
+        Ok(Server { facade, endpoint })
     }
 
     /// The registry the server and façade record into.
     pub fn metrics(&self) -> MetricsRegistry {
-        self.shared.metrics.clone()
-    }
-
-    /// Requests currently between admission and reply.
-    pub fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::SeqCst)
+        self.facade.metrics.clone()
     }
 
     /// True while write requests are being rejected with
     /// [`ErrorKind::ReadOnly`].
     pub fn read_only(&self) -> bool {
-        self.shared.read_only.load(Ordering::SeqCst)
+        self.facade.read_only.load(Ordering::SeqCst)
     }
 
     /// Flip read-only mode. Promotion calls `set_read_only(false)` after
     /// the replica's applier has been promoted; requests already past
     /// the check finish under the old mode.
     pub fn set_read_only(&self, read_only: bool) {
-        self.shared.read_only.store(read_only, Ordering::SeqCst);
-    }
-
-    /// Start draining: stop accepting, answer new requests
-    /// [`Payload::ShuttingDown`], let in-flight work finish. Idempotent;
-    /// the same path a [`Request::Shutdown`] frame takes.
-    pub fn begin_shutdown(&self) {
-        self.shared.begin_shutdown();
+        self.facade.read_only.store(read_only, Ordering::SeqCst);
     }
 
     /// Shut down (if not already draining), wait for every thread to
     /// finish, and hand the façade back with all drained work applied.
     pub fn join(self) -> Quarry {
-        let shared = Arc::clone(&self.shared);
+        let facade = Arc::clone(&self.facade);
         drop(self); // Drop shuts down and joins every thread.
-        match Arc::try_unwrap(shared) {
-            Ok(shared) => shared.quarry.into_inner(),
-            // quarry-audit: allow(QA101, reason = "drop(self) joined every worker thread, so no other Arc<Shared> clone can remain")
-            Err(_) => unreachable!("all server threads joined; no other Shared handles exist"),
+        match Arc::try_unwrap(facade) {
+            Ok(facade) => facade.quarry.into_inner(),
+            // quarry-audit: allow(QA101, reason = "drop(self) joined the accept thread, which owned the handler's clone, so no other Arc<Facade> can remain")
+            Err(_) => unreachable!("all server threads joined; no other Facade handles exist"),
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.begin_shutdown();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.endpoint.shutdown();
         // Every request has drained; force buffered commits to stable
         // storage so relaxed durability modes don't lose drained work.
-        let _ = self.shared.quarry.with_writer(|q| q.sync_wal());
+        let _ = self.facade.quarry.with_writer(|q| q.sync_wal());
     }
 }
 
-/// Run one connection's session to completion.
-fn session(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-    loop {
-        match read_frame(&mut stream, shared.cfg.max_frame) {
-            Ok((id, payload)) => {
-                let resp = handle(shared, id, &payload);
-                if write_response(&mut stream, &resp).is_err() {
-                    return;
-                }
-                if shared.draining() {
-                    return; // reply delivered; drain complete for this session
-                }
+impl Facade {
+    /// Invoke the test hook at a request's *execution point* — after a
+    /// read has captured its snapshot, or inside the writer critical
+    /// section for a write — so a hook that parks a request holds exactly
+    /// the resources that request would hold while executing. The
+    /// backpressure tests rely on this to prove a parked read blocks no
+    /// other read and a parked write blocks no read at all.
+    fn run_hook(&self, req: &Request) {
+        if let Some(hook) = &self.request_hook {
+            hook(req);
+        }
+    }
+
+    /// Answer `req` from an MVCC snapshot pinned to the write clock's
+    /// current LSN, which the reply reflects; never touches the writer lock.
+    fn read(
+        &self,
+        req: &Request,
+        answer: impl FnOnce(&Snapshot) -> Result<Payload, QuarryError>,
+    ) -> (Payload, u64) {
+        let snap = self.quarry.snapshot();
+        self.run_hook(req);
+        (answer(&snap).unwrap_or_else(|e| error_payload(&e)), snap.lsn())
+    }
+
+    /// Apply `req` under the single-writer lock — or refuse it on a
+    /// read-only (replica) node, so what is refused and what takes the
+    /// writer are one set. The reply reflects the post-commit LSN.
+    fn write(
+        &self,
+        req: &Request,
+        apply: impl FnOnce(&mut Quarry) -> Result<Payload, QuarryError>,
+    ) -> (Payload, u64) {
+        if self.read_only.load(Ordering::SeqCst) {
+            self.metrics.incr("server.read_only_rejections", 1);
+            let message = "replica is read-only; retry against the shard primary".into();
+            return (Payload::Error { kind: ErrorKind::ReadOnly, message }, 0);
+        }
+        self.quarry.with_writer(|q| {
+            self.run_hook(req);
+            (apply(q).unwrap_or_else(|e| error_payload(&e)), q.db.current_lsn())
+        })
+    }
+
+    /// Execute an admitted request against the façade, returning the
+    /// payload and the write-clock LSN the response reflects.
+    fn execute(&self, req: &Request) -> (Payload, u64) {
+        match req {
+            Request::Ping => {
+                self.run_hook(req);
+                (Payload::Pong, 0)
             }
-            Err(e) if e.is_timeout() => {
-                if shared.draining() {
-                    return;
-                }
+            Request::Query(query) => self.read(req, |snap| {
+                let r = snap.query(query)?;
+                Ok(Payload::Rows { columns: r.columns, rows: r.rows })
+            }),
+            Request::Qdl(src) => {
+                self.write(req, |q| Ok(Payload::PipelineStats((&q.run_pipeline(src)?).into())))
             }
-            Err(FrameError::Closed) => return,
-            Err(e) => {
-                // Malformed frame: the stream cannot be resynchronised.
-                // Best-effort error reply (id 0: the real id is unknown
-                // or untrusted), then drop the connection. The *server*
-                // stays up either way.
-                shared.metrics.incr("server.protocol_errors", 1);
-                let resp = Response {
-                    id: 0,
-                    server_micros: 0,
-                    lsn: 0,
-                    payload: Payload::Error { kind: ErrorKind::Protocol, message: e.to_string() },
-                };
-                let _ = write_response(&mut stream, &resp);
-                return;
+            Request::KeywordSearch { query, k } => self.read(req, |snap| {
+                let (hits, candidates) = snap.keyword(query, *k);
+                let hits = hits.into_iter().map(|h| WireHit { doc: h.doc.0, score: h.score });
+                let candidates = candidates.into_iter().map(|c| WireCandidate {
+                    query: c.query,
+                    score: c.score,
+                    explanation: c.explanation,
+                });
+                Ok(Payload::Hits { hits: hits.collect(), candidates: candidates.collect() })
+            }),
+            Request::Explain(query) => {
+                self.read(req, |snap| Ok(Payload::Plan(snap.explain_query(query)?)))
             }
+            Request::Checkpoint => self.write(req, |q| q.checkpoint().map(|()| Payload::Done)),
+            Request::Stats => self.read(req, |snap| Ok(Payload::Metrics(snap.stats()))),
+            Request::CreateTable(schema) => self.write(req, |q| {
+                q.db.create_table(schema.clone())?;
+                Ok(Payload::Done)
+            }),
+            Request::CreateIndex { table, column } => {
+                self.write(req, |q| q.create_index(table, column).map(|()| Payload::Done))
+            }
+            Request::InsertRows { table, rows } => self.write(req, |q| {
+                in_one_tx(&q.db, |tx| {
+                    rows.iter().try_for_each(|row| q.db.insert(tx, table, row.clone()).map(drop))
+                })
+            }),
+            Request::DeleteRows { table, keys } => self.write(req, |q| {
+                in_one_tx(&q.db, |tx| keys.iter().try_for_each(|key| q.db.delete(tx, table, key)))
+            }),
+            // The endpoint answers the control frame itself.
+            Request::Shutdown => (Payload::Done, 0),
         }
     }
 }
 
-/// Decode, admit, execute, and time one request.
-fn handle(shared: &Shared, id: u64, payload: &[u8]) -> Response {
-    shared.metrics.incr("server.requests", 1);
-    let req: Request = match serde_json::from_slice(payload) {
-        Ok(r) => r,
-        // The frame passed its checksum, so framing is intact and the
-        // connection can keep serving; only this request fails.
-        Err(e) => {
-            shared.metrics.incr("server.protocol_errors", 1);
-            return Response {
-                id,
-                server_micros: 0,
-                lsn: 0,
-                payload: Payload::Error {
-                    kind: ErrorKind::Protocol,
-                    message: format!("undecodable request: {e}"),
-                },
-            };
-        }
-    };
-
-    // Shutdown is a control frame: it must work even under overload, so
-    // it bypasses admission.
-    if req == Request::Shutdown {
-        shared.begin_shutdown();
-        return Response { id, server_micros: 0, lsn: 0, payload: Payload::Done };
-    }
-    if shared.draining() {
-        return Response { id, server_micros: 0, lsn: 0, payload: Payload::ShuttingDown };
-    }
-    if shared.read_only.load(Ordering::SeqCst) && is_write(&req) {
-        shared.metrics.incr("server.read_only_rejections", 1);
-        return Response {
-            id,
-            server_micros: 0,
-            lsn: 0,
-            payload: Payload::Error {
-                kind: ErrorKind::ReadOnly,
-                message: "replica is read-only; retry against the shard primary".into(),
-            },
-        };
-    }
-
-    // Admission: reserve a slot or reject explicitly.
-    let prev = shared.in_flight.fetch_add(1, Ordering::SeqCst);
-    if prev >= shared.cfg.max_in_flight {
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        shared.metrics.incr("server.overloaded", 1);
-        return Response { id, server_micros: 0, lsn: 0, payload: Payload::Overloaded };
-    }
-
-    let start = Instant::now();
-    let (payload, lsn) = execute(shared, &req);
-    let elapsed = start.elapsed();
-    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    shared.metrics.observe("server.request_us", elapsed);
-    if matches!(payload, Payload::Error { .. }) {
-        shared.metrics.incr("server.request_errors", 1);
-    }
-    Response { id, server_micros: elapsed.as_micros() as u64, lsn, payload }
-}
-
-/// True for requests that mutate the store and must be rejected on a
-/// read-only (replica) node. `Shutdown` stays allowed: it is a control
-/// frame, not a data write.
-fn is_write(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Qdl(_)
-            | Request::Checkpoint
-            | Request::CreateTable(_)
-            | Request::CreateIndex { .. }
-            | Request::InsertRows { .. }
-            | Request::DeleteRows { .. }
-    )
-}
-
-/// Invoke the test hook at a request's *execution point* — after a read
-/// has captured its snapshot, or inside the writer critical section for
-/// a write — so a hook that parks a request holds exactly the resources
-/// that request would hold while executing. The backpressure tests rely
-/// on this to prove a parked read blocks no other read and a parked
-/// write blocks no read at all.
-fn run_hook(shared: &Shared, req: &Request) {
-    if let Some(hook) = &shared.cfg.request_hook {
-        hook(req);
-    }
-}
-
-/// Execute an admitted request against the façade, returning the payload
-/// and the write-clock LSN the response reflects: the snapshot LSN for
-/// reads, the post-commit LSN for writes.
-///
-/// Reads capture an MVCC snapshot and never touch the writer lock;
-/// writes serialize through [`SharedQuarry::with_writer`].
-fn execute(shared: &Shared, req: &Request) -> (Payload, u64) {
-    match req {
-        Request::Ping => {
-            run_hook(shared, req);
-            (Payload::Pong, 0)
-        }
-        Request::Query(query) => {
-            let snap = shared.quarry.snapshot();
-            run_hook(shared, req);
-            let payload = match snap.query(query) {
-                Ok(r) => Payload::Rows { columns: r.columns, rows: r.rows },
-                Err(e) => error_payload(&e),
-            };
-            (payload, snap.lsn())
-        }
-        Request::Qdl(src) => shared.quarry.with_writer(|q| {
-            run_hook(shared, req);
-            let payload = match q.run_pipeline(src) {
-                Ok(stats) => Payload::PipelineStats((&stats).into()),
-                Err(e) => error_payload(&e),
-            };
-            (payload, q.db.current_lsn())
-        }),
-        Request::KeywordSearch { query, k } => {
-            let snap = shared.quarry.snapshot();
-            run_hook(shared, req);
-            let (hits, candidates) = snap.keyword(query, *k);
-            let payload = Payload::Hits {
-                hits: hits.into_iter().map(|h| WireHit { doc: h.doc.0, score: h.score }).collect(),
-                candidates: candidates
-                    .into_iter()
-                    .map(|c| WireCandidate {
-                        query: c.query,
-                        score: c.score,
-                        explanation: c.explanation,
-                    })
-                    .collect(),
-            };
-            (payload, snap.lsn())
-        }
-        Request::Explain(query) => {
-            let snap = shared.quarry.snapshot();
-            run_hook(shared, req);
-            let payload = match snap.explain_query(query) {
-                Ok(plan) => Payload::Plan(plan),
-                Err(e) => error_payload(&e),
-            };
-            (payload, snap.lsn())
-        }
-        Request::Checkpoint => shared.quarry.with_writer(|q| {
-            run_hook(shared, req);
-            let payload = match q.checkpoint() {
-                Ok(()) => Payload::Done,
-                Err(e) => error_payload(&e),
-            };
-            (payload, q.db.current_lsn())
-        }),
-        Request::Stats => {
-            let snap = shared.quarry.snapshot();
-            run_hook(shared, req);
-            (Payload::Metrics(snap.stats()), snap.lsn())
-        }
-        Request::CreateTable(schema) => shared.quarry.with_writer(|q| {
-            run_hook(shared, req);
-            let payload = match q.db.create_table(schema.clone()) {
-                Ok(()) => Payload::Done,
-                Err(e) => error_payload(&QuarryError::Storage(e)),
-            };
-            (payload, q.db.current_lsn())
-        }),
-        Request::CreateIndex { table, column } => shared.quarry.with_writer(|q| {
-            run_hook(shared, req);
-            let payload = match q.create_index(table, column) {
-                Ok(()) => Payload::Done,
-                Err(e) => error_payload(&e),
-            };
-            (payload, q.db.current_lsn())
-        }),
-        Request::InsertRows { table, rows } => shared.quarry.with_writer(|q| {
-            run_hook(shared, req);
-            (
-                apply_batch(q, table, rows, |db, tx, table, row| {
-                    db.insert(tx, table, row.clone()).map(|_| ())
-                }),
-                q.db.current_lsn(),
-            )
-        }),
-        Request::DeleteRows { table, keys } => shared.quarry.with_writer(|q| {
-            run_hook(shared, req);
-            (
-                apply_batch(q, table, keys, |db, tx, table, key| db.delete(tx, table, key)),
-                q.db.current_lsn(),
-            )
-        }),
-        // Handled before admission; kept total for defensive completeness.
-        Request::Shutdown => (Payload::Done, 0),
-    }
-}
-
-/// Apply one batch of row operations as a single transaction: all rows
+/// Run one batch of row operations as a single transaction: all rows
 /// commit together or the transaction aborts and the error is returned.
-fn apply_batch(
-    q: &Quarry,
-    table: &str,
-    items: &[Vec<quarry_storage::Value>],
-    op: impl Fn(
-        &quarry_storage::Database,
-        quarry_storage::TxId,
-        &str,
-        &Vec<quarry_storage::Value>,
-    ) -> Result<(), quarry_storage::StorageError>,
-) -> Payload {
-    let tx = q.db.begin();
-    for item in items {
-        if let Err(e) = op(&q.db, tx, table, item) {
-            let _ = q.db.abort(tx);
-            return error_payload(&QuarryError::Storage(e));
-        }
+fn in_one_tx(
+    db: &Database,
+    batch: impl FnOnce(TxId) -> Result<(), StorageError>,
+) -> Result<Payload, QuarryError> {
+    let tx = db.begin();
+    if let Err(e) = batch(tx) {
+        let _ = db.abort(tx);
+        return Err(e.into());
     }
-    match q.db.commit(tx) {
-        Ok(()) => Payload::Done,
-        Err(e) => error_payload(&QuarryError::Storage(e)),
-    }
+    db.commit(tx)?;
+    Ok(Payload::Done)
 }
 
 /// Map a façade error onto the wire, preserving the variant and the

@@ -8,11 +8,10 @@
 //! "mostly-unchanged page" workload in a single pass — the same trade-off
 //! Subversion's xdelta makes.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One instruction of a delta script.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaOp {
     /// Copy `len` lines of the base starting at line `start`.
     Copy {
@@ -26,7 +25,7 @@ pub enum DeltaOp {
 }
 
 /// A delta script transforming one text into another.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Delta {
     /// Ops in application order.
     pub ops: Vec<DeltaOp>,

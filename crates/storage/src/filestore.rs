@@ -86,11 +86,13 @@ impl FileStore {
 
     /// Append one record. Seals the current segment first if it is full.
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        if self.current.is_none() || self.current_len >= self.segment_bytes {
-            self.roll()?;
-        }
-        let w = self.current.as_mut().expect("rolled above");
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
+        let len = u32::try_from(payload.len())
+            .map_err(|_| StorageError::Corrupt("filestore record over 4 GiB".into()))?;
+        let w = match &mut self.current {
+            Some(w) if self.current_len < self.segment_bytes => w,
+            _ => self.roll()?,
+        };
+        w.write_all(&len.to_le_bytes())?;
         w.write_all(&frame_crc(payload).to_le_bytes())?;
         w.write_all(payload)?;
         self.current_len += 8 + payload.len() as u64;
@@ -98,16 +100,16 @@ impl FileStore {
         Ok(())
     }
 
-    fn roll(&mut self) -> Result<()> {
+    /// Seal the current segment, if any, and start the next one.
+    fn roll(&mut self) -> Result<&mut BufWriter<Box<dyn BackendFile>>> {
         if let Some(mut w) = self.current.take() {
             w.flush()?;
         }
         let path = Self::segment_path(&self.dir, self.current_id);
         let file = self.backend.create_new(&path)?;
-        self.current = Some(BufWriter::new(file));
         self.current_len = 0;
         self.current_id += 1;
-        Ok(())
+        Ok(self.current.insert(BufWriter::new(file)))
     }
 
     /// Flush and fsync the active segment.
@@ -168,31 +170,34 @@ pub struct Scan {
 impl Scan {
     fn next_record(&mut self) -> Result<Option<Bytes>> {
         loop {
-            if self.segment.is_none() {
-                let Some(&id) = self.ids.get(self.next_segment) else {
-                    return Ok(None);
-                };
-                self.next_segment += 1;
-                // Segments seal at a few MiB, so reading one whole keeps the
-                // scan simple and lets any backend serve it.
-                let data = self.backend.read(&FileStore::segment_path(&self.dir, id))?;
-                self.segment = Some((data, 0));
-            }
-            let (data, pos) = self.segment.as_mut().expect("set above");
+            let (data, pos) = match &mut self.segment {
+                Some(segment) => segment,
+                None => {
+                    let Some(&id) = self.ids.get(self.next_segment) else {
+                        return Ok(None);
+                    };
+                    self.next_segment += 1;
+                    // Segments seal at a few MiB, so reading one whole keeps
+                    // the scan simple and lets any backend serve it.
+                    let data = self.backend.read(&FileStore::segment_path(&self.dir, id))?;
+                    self.segment.insert((data, 0))
+                }
+            };
             if *pos >= data.len() {
                 self.segment = None; // clean end of segment
                 continue;
             }
-            if *pos + 8 > data.len() {
+            let word = |at: usize| {
+                data.get(at..at + 4).and_then(|b| b.try_into().ok()).map(u32::from_le_bytes)
+            };
+            let (Some(len), Some(crc)) = (word(*pos), word(*pos + 4)) else {
                 // Torn header at the tail of the final segment.
                 self.segment = None;
                 self.next_segment = self.ids.len();
                 return Ok(None);
-            }
-            let len = u32::from_le_bytes(data[*pos..*pos + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(data[*pos + 4..*pos + 8].try_into().unwrap());
+            };
             let start = *pos + 8;
-            let end = match start.checked_add(len) {
+            let end = match start.checked_add(len as usize) {
                 Some(e) if e <= data.len() => e,
                 _ => {
                     // Torn tail of the final segment: end the scan cleanly.

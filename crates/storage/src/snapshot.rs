@@ -12,7 +12,6 @@ use crate::delta::{self, Delta, DeltaOp};
 use crate::error::StorageError;
 use crate::faultfs::StorageBackend;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -36,7 +35,7 @@ impl StoredVersion {
 }
 
 /// Space accounting for the whole store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotStats {
     /// Number of distinct documents tracked.
     pub documents: usize,

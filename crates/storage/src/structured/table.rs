@@ -8,7 +8,7 @@ use std::fmt;
 
 /// Internal identifier of a stored row, unique within its table forever
 /// (never reused after deletion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u64);
 
 impl fmt::Display for RowId {

@@ -9,15 +9,14 @@
 
 use quarry_corpus::DocId;
 use quarry_extract::Span;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Identifier of a lineage node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// What a lineage node represents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeKind {
     /// A span of raw source text.
     Source {
@@ -44,7 +43,7 @@ pub enum NodeKind {
     },
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Node {
     kind: NodeKind,
     /// Nodes this one was derived from.
@@ -55,7 +54,7 @@ struct Node {
 ///
 /// Nodes are immutable once added and inputs must already exist, so the
 /// graph is acyclic by construction.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LineageGraph {
     nodes: Vec<Node>,
 }
@@ -248,13 +247,5 @@ mod tests {
         let t = g.tuple("t", "x", vec![a, b]);
         let anc = g.ancestors(t);
         assert_eq!(anc.len(), 3); // s, a, b — s only once
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let (g, t) = sample();
-        let json = serde_json::to_string(&g).unwrap();
-        let g2: LineageGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g2.explain(t), g.explain(t));
     }
 }

@@ -1,7 +1,11 @@
 //! Helpers shared by the integration suites.
 #![allow(dead_code)] // each test binary uses a subset
 
+use quarry::cluster::{Cluster, ClusterConfig};
+use quarry::exec::MetricsSnapshot;
+use quarry::serve::{ServeConfig, Server};
 use quarry::storage::Database;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
 /// A unique temp WAL path for `name`, with any stale database files from
@@ -36,4 +40,83 @@ pub fn dump(db: &Database) -> String {
         }
     }
     out
+}
+
+/// An endpoint under test: the protocol suites run against a [`Server`]
+/// over an empty façade and against the [`Router`](quarry::cluster::Router)
+/// of a one-shard cluster, which share one accept / session / drain loop.
+pub enum Sut {
+    Server(Server),
+    Router(Cluster),
+}
+
+impl Sut {
+    /// A router over one shard with no replicas, its files under a fresh
+    /// directory named after `name`.
+    pub fn router(name: &str) -> Sut {
+        let dir = std::env::temp_dir()
+            .join("quarry-int-tests")
+            .join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = ClusterConfig { shards: 1, replicas_per_shard: 0, ..Default::default() };
+        Sut::Router(Cluster::start(&dir, cfg).unwrap())
+    }
+
+    /// Both kinds, labelled for assertion messages.
+    pub fn both(name: &str) -> [(&'static str, Sut); 2] {
+        let q = quarry::Quarry::new(quarry::QuarryConfig::default()).unwrap();
+        let server = Server::start(q, "127.0.0.1:0", ServeConfig::default()).unwrap();
+        [("server", Sut::Server(server)), ("router", Sut::router(name))]
+    }
+
+    pub fn addr(&self) -> SocketAddr {
+        match self {
+            Sut::Server(s) => s.local_addr(),
+            Sut::Router(c) => c.router_addr(),
+        }
+    }
+
+    /// The endpoint's own `server.*` counters.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        match self {
+            Sut::Server(s) => s.metrics().snapshot(),
+            Sut::Router(c) => c.router().metrics().snapshot(),
+        }
+    }
+
+    /// Connections with a live session.
+    pub fn sessions(&self) -> usize {
+        match self {
+            Sut::Server(s) => s.sessions(),
+            Sut::Router(c) => c.router().sessions(),
+        }
+    }
+
+    /// Shut down from the owner's handle; a no-op when a `Shutdown` frame
+    /// got there first.
+    pub fn stop(&mut self) {
+        match self {
+            Sut::Server(s) => s.begin_shutdown(),
+            Sut::Router(c) => c.shutdown(),
+        }
+    }
+
+    /// Wait for every thread of the endpoint to exit.
+    pub fn join(self) {
+        match self {
+            Sut::Server(s) => drop(s.join()),
+            Sut::Router(mut c) => c.shutdown(),
+        }
+    }
+}
+
+/// Poll `done` for up to ten seconds: for state another thread settles
+/// just after the event the test caused.
+pub fn eventually(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 }

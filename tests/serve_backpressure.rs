@@ -5,11 +5,15 @@
 
 use quarry::core::{Quarry, QuarryConfig};
 use quarry::query::Query;
-use quarry::serve::{Client, ClientError, Request, ServeConfig, Server};
+use quarry::serve::{Client, ClientError, ErrorKind, Payload, Request, ServeConfig, Server};
+use quarry::storage::{Column, DataType, TableSchema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+mod common;
+use common::Sut;
 
 const PIPELINE: &str = r#"
 PIPELINE towns FROM corpus
@@ -51,7 +55,6 @@ impl Gate {
 fn gated_server(gate: Arc<Gate>, max_in_flight: usize) -> Server {
     let q = Quarry::new(QuarryConfig::default()).unwrap();
     let cfg = ServeConfig {
-        workers: 4,
         max_in_flight,
         request_hook: Some(Arc::new(move |req: &Request| {
             if matches!(req, Request::Qdl(_)) {
@@ -178,7 +181,6 @@ fn a_parked_read_does_not_block_a_second_read() {
     let first = Arc::new(AtomicBool::new(true));
     let q = Quarry::new(QuarryConfig::default()).unwrap();
     let cfg = ServeConfig {
-        workers: 4,
         max_in_flight: 8,
         request_hook: Some(Arc::new({
             let gate = Arc::clone(&gate);
@@ -252,19 +254,146 @@ fn a_parked_write_does_not_block_reads() {
 fn shutdown_is_idempotent_and_in_band() {
     let (gate, _entered) = Gate::new();
     gate.release(); // nothing parked in this test
-    let server = gated_server(gate, 8);
+    for mut sut in [Sut::Server(gated_server(gate, 8)), Sut::router("shutdown-in-band")] {
+        let addr = sut.addr();
+
+        let mut c = Client::connect(addr).unwrap();
+        c.ping().unwrap();
+        c.shutdown().unwrap();
+        // A second shutdown from the owner's handle is a no-op, not a panic.
+        sut.stop();
+        sut.join();
+
+        // After join, the port no longer serves the protocol.
+        if let Ok(mut c2) = Client::connect(addr) {
+            assert!(c2.ping().is_err(), "server still serving after join");
+        }
+    }
+}
+
+/// A request that panics takes down its own connection and nothing else:
+/// its admission slot comes back (the client resends the request once, so
+/// two slots were taken) and every other session keeps serving.
+#[test]
+fn a_panicking_request_gives_its_admission_slot_back() {
+    let q = Quarry::new(QuarryConfig::default()).unwrap();
+    let cfg = ServeConfig {
+        max_in_flight: 2,
+        request_hook: Some(Arc::new(|req: &Request| {
+            if matches!(req, Request::Explain(_)) {
+                panic!("injected: this request panics");
+            }
+        })),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(q, "127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr();
 
-    let mut c = Client::connect(addr).unwrap();
-    c.ping().unwrap();
-    c.shutdown().unwrap();
-    // A second shutdown from the server handle is a no-op, not a panic.
-    server.begin_shutdown();
-    let quarry = server.join();
-    drop(quarry);
+    let mut bystander = Client::connect(addr).unwrap();
+    bystander.ping().unwrap();
 
-    // After join, the port no longer serves the protocol.
-    if let Ok(mut c2) = Client::connect(addr) {
-        assert!(c2.ping().is_err(), "server still serving after join");
+    let mut c = Client::connect(addr).unwrap();
+    let died = c.explain(&Query::scan("ghost"));
+    assert!(
+        matches!(died, Err(ClientError::Io(_) | ClientError::Frame(_))),
+        "a panicking request closes its connection, got {died:?}"
+    );
+    assert_eq!(server.in_flight(), 0, "both attempts gave their slot back");
+
+    Client::connect(addr).unwrap().ping().expect("a fresh client is admitted");
+    bystander.ping().expect("the session open during the panic keeps serving");
+    // join still returns the façade once every thread has exited.
+    drop(server.join());
+}
+
+/// True for the requests that mutate the store. No wildcard arm: a new
+/// `Request` variant does not compile until it is classified here.
+fn takes_the_writer(req: &Request) -> bool {
+    match req {
+        Request::Ping
+        | Request::Query(_)
+        | Request::KeywordSearch { .. }
+        | Request::Explain(_)
+        | Request::Stats
+        | Request::Shutdown => false,
+        Request::Qdl(_)
+        | Request::Checkpoint
+        | Request::CreateTable(_)
+        | Request::CreateIndex { .. }
+        | Request::InsertRows { .. }
+        | Request::DeleteRows { .. } => true,
     }
+}
+
+/// One request of every variant; `Shutdown` last, because it ends the
+/// server it is sent to.
+fn one_of_each() -> Vec<Request> {
+    let schema =
+        TableSchema::new("t", vec![Column::new("id", DataType::Int)], &["id"], &[]).unwrap();
+    vec![
+        Request::Ping,
+        Request::Query(Query::scan("ghost")),
+        Request::KeywordSearch { query: "anything".into(), k: 3 },
+        Request::Explain(Query::scan("ghost")),
+        Request::Stats,
+        Request::Qdl(PIPELINE.into()),
+        Request::Checkpoint,
+        Request::CreateTable(schema),
+        Request::CreateIndex { table: "t".into(), column: "id".into() },
+        Request::InsertRows { table: "t".into(), rows: vec![vec![Value::Int(1)]] },
+        Request::DeleteRows { table: "t".into(), keys: vec![vec![Value::Int(1)]] },
+        Request::Shutdown,
+    ]
+}
+
+/// The read-only refusal and the writer lock are one decision: a replica
+/// refuses a request exactly when a primary would take the writer for it.
+#[test]
+fn read_only_refuses_exactly_the_requests_that_take_the_writer() {
+    // Refused: a read-only server answers `ReadOnly` to the writes only.
+    let q = Quarry::new(QuarryConfig::default()).unwrap();
+    let cfg = ServeConfig { read_only: true, ..ServeConfig::default() };
+    let replica = Server::start(q, "127.0.0.1:0", cfg).unwrap();
+    let mut c = Client::connect(replica.local_addr()).unwrap();
+    for req in one_of_each() {
+        let refused = matches!(
+            c.request(&req).unwrap().payload,
+            Payload::Error { kind: ErrorKind::ReadOnly, .. }
+        );
+        assert_eq!(refused, takes_the_writer(&req), "read-only refusal of {req:?}");
+    }
+    drop(replica.join());
+
+    // Takes the writer: while one write is parked inside the writer's
+    // critical section, a write gets no reply and anything else does.
+    let (gate, entered) = Gate::new();
+    let first = Arc::new(AtomicBool::new(true));
+    let q = Quarry::new(QuarryConfig::default()).unwrap();
+    let cfg = ServeConfig {
+        max_in_flight: 16,
+        request_hook: Some(Arc::new({
+            let gate = Arc::clone(&gate);
+            move |req: &Request| {
+                if matches!(req, Request::Qdl(_)) && first.swap(false, Ordering::SeqCst) {
+                    gate.wait();
+                }
+            }
+        })),
+        ..ServeConfig::default()
+    };
+    let primary = Server::start(q, "127.0.0.1:0", cfg).unwrap();
+    let addr = primary.local_addr();
+    let parked = std::thread::spawn(move || Client::connect(addr).unwrap().qdl(PIPELINE));
+    entered.recv_timeout(Duration::from_secs(10)).unwrap();
+
+    for req in one_of_each() {
+        // Long enough for a request that can reply to have replied.
+        let patience = if takes_the_writer(&req) { 150 } else { 10_000 };
+        let mut c = Client::connect_with(addr, Duration::from_millis(patience)).unwrap();
+        let replied = c.request(&req).is_ok();
+        assert_eq!(replied, !takes_the_writer(&req), "reply to {req:?} while the writer is held");
+    }
+    gate.release();
+    parked.join().unwrap().expect("parked pipeline completes after release");
+    drop(primary.join());
 }

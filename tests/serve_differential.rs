@@ -141,7 +141,7 @@ fn four_concurrent_clients_match_the_facade_bit_for_bit() {
     let server = Server::start(
         served,
         "127.0.0.1:0",
-        ServeConfig { workers: 4, max_in_flight: 64, ..ServeConfig::default() },
+        ServeConfig { max_in_flight: 64, ..ServeConfig::default() },
     )
     .unwrap();
     let addr = server.local_addr();

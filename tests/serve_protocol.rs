@@ -18,6 +18,9 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
+mod common;
+use common::{eventually, Sut};
+
 fn start_server(cfg: ServeConfig) -> Server {
     let q = Quarry::new(QuarryConfig::default()).unwrap();
     Server::start(q, "127.0.0.1:0", cfg).unwrap()
@@ -309,67 +312,100 @@ fn dead_connections_are_retried_up_to_the_configured_bound() {
 
 #[test]
 fn undecodable_payload_fails_the_request_but_keeps_the_connection() {
-    let server = start_server(ServeConfig::default());
-    let addr = server.local_addr();
-    let mut s = raw(addr);
-    // Framing is valid (real crc), only the JSON inside is garbage: the
-    // stream is still in sync, so the error carries the real request id
-    // and the connection keeps serving.
-    write_frame(&mut s, 11, b"{\"NoSuchRequest\":true}").unwrap();
-    let msg = expect_protocol_error(&mut s, 11);
-    assert!(msg.contains("undecodable request"), "got: {msg}");
-    write_request(&mut s, 12, &Request::Ping).unwrap();
-    let resp = read_response(&mut s, DEFAULT_MAX_FRAME).unwrap();
-    assert_eq!(resp.id, 12);
-    assert_eq!(resp.payload, Payload::Pong);
+    for (kind, sut) in Sut::both("undecodable") {
+        let mut s = raw(sut.addr());
+        // Framing is valid (real crc), only the JSON inside is garbage: the
+        // stream is still in sync, so the error carries the real request id
+        // and the connection keeps serving.
+        write_frame(&mut s, 11, b"{\"NoSuchRequest\":true}").unwrap();
+        let msg = expect_protocol_error(&mut s, 11);
+        assert!(msg.contains("undecodable request"), "{kind} got: {msg}");
+        write_request(&mut s, 12, &Request::Ping).unwrap();
+        let resp = read_response(&mut s, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(resp.id, 12, "{kind}");
+        assert_eq!(resp.payload, Payload::Pong, "{kind}");
+    }
 }
 
 #[test]
 fn malformed_frame_suite_leaves_the_server_healthy() {
-    let server = start_server(ServeConfig::default());
-    let addr = server.local_addr();
+    for (kind, sut) in Sut::both("malformed") {
+        let addr = sut.addr();
 
-    // Every frame-level abuse in sequence, each on a fresh connection.
-    let abuses: Vec<Vec<u8>> = vec![
-        b"\x00\x00\x00\x00\x00\x00\x00\x00garbage-garbage-garbage".to_vec(),
-        {
-            let mut f = Vec::new();
-            f.extend_from_slice(&MAGIC);
-            f.extend_from_slice(&2u16.to_le_bytes()); // future version
-            f.extend_from_slice(&[0u8; 16]);
-            f
-        },
-        {
-            let mut f = Vec::new();
-            f.extend_from_slice(&MAGIC);
-            f.extend_from_slice(&VERSION.to_le_bytes());
-            f.extend_from_slice(&1u64.to_le_bytes());
-            f.extend_from_slice(&(u32::MAX / 2).to_le_bytes());
-            f.extend_from_slice(&0u32.to_le_bytes());
-            f
-        },
-        {
-            let mut f = Vec::new();
-            write_request(&mut f, 6, &Request::Checkpoint).unwrap();
-            f[21] ^= 0x5A; // corrupt the stored crc itself
-            f
-        },
-    ];
-    let n_abuses = abuses.len() as u64;
-    for bytes in abuses {
-        let mut s = raw(addr);
-        s.write_all(&bytes).unwrap();
-        let _ = expect_protocol_error(&mut s, 0);
-        assert_alive(addr);
+        // Every frame-level abuse in sequence, each on a fresh connection.
+        let abuses: Vec<Vec<u8>> = vec![
+            b"\x00\x00\x00\x00\x00\x00\x00\x00garbage-garbage-garbage".to_vec(),
+            {
+                let mut f = Vec::new();
+                f.extend_from_slice(&MAGIC);
+                f.extend_from_slice(&2u16.to_le_bytes()); // future version
+                f.extend_from_slice(&[0u8; 16]);
+                f
+            },
+            {
+                let mut f = Vec::new();
+                f.extend_from_slice(&MAGIC);
+                f.extend_from_slice(&VERSION.to_le_bytes());
+                f.extend_from_slice(&1u64.to_le_bytes());
+                f.extend_from_slice(&(u32::MAX / 2).to_le_bytes());
+                f.extend_from_slice(&0u32.to_le_bytes());
+                f
+            },
+            {
+                let mut f = Vec::new();
+                write_request(&mut f, 6, &Request::Checkpoint).unwrap();
+                f[21] ^= 0x5A; // corrupt the stored crc itself
+                f
+            },
+        ];
+        let n_abuses = abuses.len() as u64;
+        for bytes in abuses {
+            let mut s = raw(addr);
+            s.write_all(&bytes).unwrap();
+            let _ = expect_protocol_error(&mut s, 0);
+            assert_alive(addr);
+        }
+
+        // The counter saw every abuse, real requests still flow, and join
+        // hands the façade back intact — no session took the endpoint
+        // down along the way.
+        assert_eq!(sut.metrics().counter("server.protocol_errors"), n_abuses, "{kind}");
+        let mut c = Client::connect(addr).unwrap();
+        c.ping().unwrap();
+        c.shutdown().unwrap();
+        sut.join();
     }
+}
 
-    // The counter saw every abuse, real requests still flow, and join
-    // hands the façade back intact — no worker died along the way.
-    let metrics = server.metrics().snapshot();
-    assert_eq!(metrics.counter("server.protocol_errors"), n_abuses);
-    let mut c = Client::connect(addr).unwrap();
-    c.ping().unwrap();
-    c.shutdown().unwrap();
-    let quarry = server.join();
-    drop(quarry);
+/// A session is a thread of its own, not a slot of a pool: connections
+/// that send nothing cost a new client nothing.
+#[test]
+fn idle_connections_do_not_starve_a_new_client() {
+    for (kind, sut) in Sut::both("idle") {
+        let idle: Vec<TcpStream> = (0..8).map(|_| raw(sut.addr())).collect();
+        let mut c = Client::connect_with(sut.addr(), Duration::from_secs(1)).unwrap();
+        c.ping().unwrap_or_else(|e| panic!("{kind} with 8 idle connections open: {e}"));
+        drop(idle);
+    }
+}
+
+/// Whatever a session held — its thread, its unit of the session cap, its
+/// row in the replication tracker — goes when its connection does.
+#[test]
+fn no_session_state_outlives_its_connection() {
+    let sut = Sut::router("session-state");
+    for _ in 0..50 {
+        let mut c = Client::connect(sut.addr()).unwrap();
+        c.ping().unwrap();
+    }
+    eventually("the router's sessions to end", || sut.sessions() == 0);
+    assert_eq!(sut.metrics().counter("server.connections"), 50);
+
+    let Sut::Router(cluster) = &sut else { unreachable!() };
+    let primary = cluster.shards()[0].primary.as_ref().unwrap();
+    for _ in 0..50 {
+        drop(TcpStream::connect(primary.replication_addr()).unwrap());
+    }
+    eventually("the replication sessions to end", || primary.listener().sessions() == 0);
+    assert!(primary.listener().progress().is_empty());
 }
