@@ -248,15 +248,9 @@ impl Cluster {
                 let pos = r.client.position();
                 pos.epoch == epoch && pos.offset >= len
             });
-            let acked = primary
-                .listener
-                .progress()
-                .iter()
-                .filter(|p| p.epoch == epoch)
-                .filter(|p| p.acked >= len)
-                .count()
-                >= shard.replicas.len();
-            if caught && (shard.replicas.is_empty() || acked) {
+            let progress = primary.listener.progress();
+            let acked = progress.iter().filter(|p| p.epoch == epoch && p.acked >= len).count();
+            if caught && acked >= shard.replicas.len() {
                 return true;
             }
             if Instant::now() >= deadline {

@@ -106,10 +106,14 @@ impl Router {
             catalog: Mutex::new(HashMap::new()),
         });
         let (handler, metrics) = (Arc::clone(&shared), MetricsRegistry::new());
-        let cfg = ServeConfig::default();
-        let endpoint = Endpoint::serve("quarry-router", addr, &cfg, metrics.clone(), move |req| {
-            route(&handler, req)
-        })?;
+        let endpoint = Endpoint::serve(
+            "quarry-router",
+            addr,
+            &ServeConfig::default(),
+            metrics.clone(),
+            |_| None,
+            move |req| route(&handler, req).unwrap_or_else(|unrouted| (unrouted, 0)),
+        )?;
         Ok(Router { shared, metrics, endpoint })
     }
 
@@ -193,41 +197,38 @@ fn fan_out(shared: &RouterShared, req: &Request) -> Result<(Vec<Response>, u64),
     Ok((legs, lsn))
 }
 
-fn route(shared: &RouterShared, req: &Request) -> (Payload, u64) {
+/// A routed reply and the LSN it reflects; `Err` is a reply that reflects
+/// no shard's state (LSN 0).
+type Routed = Result<(Payload, u64), Payload>;
+
+fn route(shared: &RouterShared, req: &Request) -> Routed {
     match req {
-        Request::Ping => (Payload::Pong, 0),
-        Request::Qdl(_) => (
-            error(
-                ErrorKind::Query,
-                "QDL pipelines are node-local; run them against a shard directly",
-            ),
-            0,
-        ),
+        Request::Ping => Ok((Payload::Pong, 0)),
+        Request::Qdl(_) => Err(error(
+            ErrorKind::Query,
+            "QDL pipelines are node-local; run them against a shard directly",
+        )),
         Request::CreateTable(schema) => {
-            let (payload, lsn) = broadcast_done(shared, req);
+            let (payload, lsn) = broadcast_done(shared, req)?;
             if matches!(payload, Payload::Done) {
                 lock(&shared.catalog).insert(schema.name.clone(), schema.clone());
             }
-            (payload, lsn)
+            Ok((payload, lsn))
         }
         Request::CreateIndex { .. } | Request::Checkpoint => broadcast_done(shared, req),
-        Request::InsertRows { table, rows } => match partition_rows(shared, table, rows) {
-            Ok(parts) => send_partitions(shared, table, parts, |table, part| Request::InsertRows {
-                table,
-                rows: part,
-            }),
-            Err(p) => (p, 0),
-        },
+        Request::InsertRows { table, rows } => {
+            let parts = partition_rows(shared, table, rows)?;
+            let make = |table, part| Request::InsertRows { table, rows: part };
+            Ok(send_partitions(shared, table, parts, make))
+        }
         Request::DeleteRows { table, keys } => {
             // Keys are already in key order; hash them directly.
             let mut parts = vec![Vec::new(); shared.conn.len()];
             for key in keys {
                 parts[shared.ring.shard_for_key(key)].push(key.clone());
             }
-            send_partitions(shared, table, parts, |table, part| Request::DeleteRows {
-                table,
-                keys: part,
-            })
+            let make = |table, part| Request::DeleteRows { table, keys: part };
+            Ok(send_partitions(shared, table, parts, make))
         }
         Request::Query(q) => route_query(shared, q),
         Request::KeywordSearch { k, .. } => route_keyword(shared, req, *k),
@@ -235,18 +236,15 @@ fn route(shared: &RouterShared, req: &Request) -> (Payload, u64) {
         Request::Stats => route_stats(shared),
         // The endpoint answers the control frame itself, and it stops the
         // *router*: shards have their own lifecycles.
-        Request::Shutdown => (Payload::Done, 0),
+        Request::Shutdown => Ok((Payload::Done, 0)),
     }
 }
 
 /// Broadcast a DDL/Checkpoint request; every shard must answer `Done`.
-fn broadcast_done(shared: &RouterShared, req: &Request) -> (Payload, u64) {
-    let (legs, lsn) = match fan_out(shared, req) {
-        Ok(replies) => replies,
-        Err(p) => return (p, 0),
-    };
+fn broadcast_done(shared: &RouterShared, req: &Request) -> Routed {
+    let (legs, lsn) = fan_out(shared, req)?;
     let refused = legs.into_iter().map(|leg| leg.payload).find(|p| !matches!(p, Payload::Done));
-    (refused.unwrap_or(Payload::Done), lsn)
+    Ok((refused.unwrap_or(Payload::Done), lsn))
 }
 
 /// Partition full rows by the table's primary key via the catalog.
@@ -255,16 +253,13 @@ fn partition_rows(
     table: &str,
     rows: &[Vec<Value>],
 ) -> Result<Vec<Vec<Vec<Value>>>, Payload> {
-    let key_cols = {
-        let catalog = lock(&shared.catalog);
-        let Some(schema) = catalog.get(table) else {
-            return Err(error(
-                ErrorKind::Query,
-                format!("unknown table {table}: create it through the router first"),
-            ));
-        };
-        schema.key.clone()
-    };
+    let key_cols = lock(&shared.catalog).get(table).map(|schema| schema.key.clone());
+    let key_cols = key_cols.ok_or_else(|| {
+        error(
+            ErrorKind::Query,
+            format!("unknown table {table}: create it through the router first"),
+        )
+    })?;
     let mut parts: Vec<Vec<Vec<Value>>> = vec![Vec::new(); shared.conn.len()];
     for row in rows {
         let mut key = Vec::with_capacity(key_cols.len());
@@ -359,31 +354,24 @@ fn point_shard(shared: &RouterShared, q: &Query) -> Option<usize> {
     Some(shared.ring.shard_for_key(&key))
 }
 
-fn route_query(shared: &RouterShared, q: &Query) -> (Payload, u64) {
-    if let Err(why) = check_distributable(q) {
-        return (error(ErrorKind::Query, why), 0);
-    }
+fn route_query(shared: &RouterShared, q: &Query) -> Routed {
+    check_distributable(q).map_err(|why| error(ErrorKind::Query, why))?;
     if let Some(shard) = point_shard(shared, q) {
-        return match with_shard(shared, shard, &Request::Query(q.clone())) {
-            Ok(resp) => (resp.payload, resp.lsn),
-            Err(p) => (p, 0),
-        };
+        let resp = with_shard(shared, shard, &Request::Query(q.clone()))?;
+        return Ok((resp.payload, resp.lsn));
     }
-    let (legs, lsn) = match fan_out(shared, &Request::Query(q.clone())) {
-        Ok(replies) => replies,
-        Err(p) => return (p, 0),
-    };
+    let (legs, lsn) = fan_out(shared, &Request::Query(q.clone()))?;
     let mut results = Vec::with_capacity(legs.len());
     for leg in legs {
         match leg.payload {
             Payload::Rows { columns, rows } => results.push((columns, rows)),
-            other => return (other, lsn), // first non-row leg wins (shard order)
+            other => return Ok((other, lsn)), // first non-row leg wins (shard order)
         }
     }
-    match merge_results(q, results) {
+    Ok(match merge_results(q, results) {
         Ok((columns, rows)) => (Payload::Rows { columns, rows }, lsn),
         Err(why) => (error(ErrorKind::Query, why), lsn),
-    }
+    })
 }
 
 type Cols = Vec<String>;
@@ -531,11 +519,8 @@ fn merge_sorted(
     Ok(out)
 }
 
-fn route_keyword(shared: &RouterShared, req: &Request, k: usize) -> (Payload, u64) {
-    let (legs, lsn) = match fan_out(shared, req) {
-        Ok(replies) => replies,
-        Err(p) => return (p, 0),
-    };
+fn route_keyword(shared: &RouterShared, req: &Request, k: usize) -> Routed {
+    let (legs, lsn) = fan_out(shared, req)?;
     let mut hits: Vec<WireHit> = Vec::new();
     let mut candidates: Vec<WireCandidate> = Vec::new();
     for leg in legs {
@@ -544,7 +529,7 @@ fn route_keyword(shared: &RouterShared, req: &Request, k: usize) -> (Payload, u6
                 hits.extend(h);
                 candidates.extend(c);
             }
-            other => return (other, lsn),
+            other => return Ok((other, lsn)),
         }
     }
     // Global top-k by (score desc, doc asc). Scores are shard-local
@@ -572,31 +557,25 @@ fn route_keyword(shared: &RouterShared, req: &Request, k: usize) -> (Payload, u6
             .then(a.query.fingerprint().cmp(&b.query.fingerprint()))
     });
     candidates.truncate(k);
-    (Payload::Hits { hits, candidates }, lsn)
+    Ok((Payload::Hits { hits, candidates }, lsn))
 }
 
-fn route_explain(shared: &RouterShared, req: &Request) -> (Payload, u64) {
-    let (legs, lsn) = match fan_out(shared, req) {
-        Ok(replies) => replies,
-        Err(p) => return (p, 0),
-    };
+fn route_explain(shared: &RouterShared, req: &Request) -> Routed {
+    let (legs, lsn) = fan_out(shared, req)?;
     let mut out = String::new();
     for (shard, leg) in legs.into_iter().enumerate() {
         match leg.payload {
             Payload::Plan(plan) => {
                 out.push_str(&format!("=== shard {shard} ===\n{plan}\n"));
             }
-            other => return (other, lsn),
+            other => return Ok((other, lsn)),
         }
     }
-    (Payload::Plan(out), lsn)
+    Ok((Payload::Plan(out), lsn))
 }
 
-fn route_stats(shared: &RouterShared) -> (Payload, u64) {
-    let (legs, lsn) = match fan_out(shared, &Request::Stats) {
-        Ok(replies) => replies,
-        Err(p) => return (p, 0),
-    };
+fn route_stats(shared: &RouterShared) -> Routed {
+    let (legs, lsn) = fan_out(shared, &Request::Stats)?;
     let mut merged = MetricsSnapshot::default();
     for (shard, leg) in legs.into_iter().enumerate() {
         match leg.payload {
@@ -609,8 +588,8 @@ fn route_stats(shared: &RouterShared) -> (Payload, u64) {
                     merged.histograms.insert(format!("shard{shard}.{name}"), h);
                 }
             }
-            other => return (other, lsn),
+            other => return Ok((other, lsn)),
         }
     }
-    (Payload::Metrics(merged), lsn)
+    Ok((Payload::Metrics(merged), lsn))
 }

@@ -2,10 +2,11 @@
 
 use quarry_corpus::DocId;
 use quarry_storage::Value;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A byte range within a document's text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Span {
     /// Inclusive start byte offset.
     pub start: usize,

@@ -208,6 +208,14 @@ impl Client {
         }
     }
 
+    /// Send `req` and expect a bare acknowledgement.
+    fn done(&mut self, req: &Request) -> Result<(), ClientError> {
+        match self.call(req)? {
+            Payload::Done => Ok(()),
+            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+        }
+    }
+
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         match self.call(&Request::Ping)? {
@@ -254,10 +262,7 @@ impl Client {
 
     /// Checkpoint the server's structured store.
     pub fn checkpoint(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Checkpoint)? {
-            Payload::Done => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.done(&Request::Checkpoint)
     }
 
     /// Fetch the server's unified metrics snapshot.
@@ -270,43 +275,26 @@ impl Client {
 
     /// Ask the server to drain and shut down.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Shutdown)? {
-            Payload::Done => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.done(&Request::Shutdown)
     }
 
     /// Create a table in the server's structured store.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<(), ClientError> {
-        match self.call(&Request::CreateTable(schema))? {
-            Payload::Done => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.done(&Request::CreateTable(schema))
     }
 
     /// Create a secondary index.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<(), ClientError> {
-        match self
-            .call(&Request::CreateIndex { table: table.to_string(), column: column.to_string() })?
-        {
-            Payload::Done => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.done(&Request::CreateIndex { table: table.to_string(), column: column.to_string() })
     }
 
     /// Insert a batch of rows as one transaction.
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<(), ClientError> {
-        match self.call(&Request::InsertRows { table: table.to_string(), rows })? {
-            Payload::Done => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.done(&Request::InsertRows { table: table.to_string(), rows })
     }
 
     /// Delete rows by primary key as one transaction.
     pub fn delete_rows(&mut self, table: &str, keys: Vec<Vec<Value>>) -> Result<(), ClientError> {
-        match self.call(&Request::DeleteRows { table: table.to_string(), keys })? {
-            Payload::Done => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.done(&Request::DeleteRows { table: table.to_string(), keys })
     }
 }

@@ -6,15 +6,17 @@
 //! connection *scoped to itself*: a session that ends leaves nothing
 //! behind, and the accept thread exits only after every session has, so
 //! joining it joins them all. At most [`MAX_SESSIONS`] sessions live at
-//! once; a connection beyond that is closed at accept. Shutdown is a flag
-//! plus a loop-back connection that wakes the accept loop — no signals —
-//! and sessions notice the flag at their next read-timeout wakeup.
+//! once; a connection beyond that is closed at accept and counted
+//! ([`State::refused_connections`]). Shutdown is a flag plus a loop-back
+//! connection that wakes the accept loop — no signals — and sessions
+//! notice the flag at their next read-timeout wakeup.
 //!
 //! [`Endpoint::listen`] hands each connection to a session function;
 //! [`Endpoint::serve`] is the session that speaks the request protocol to
 //! a handler from `&Request` to `(Payload, lsn)`, admitting a request
 //! only while fewer than `max_in_flight` are between admission and reply
-//! and answering [`Payload::Overloaded`] at once beyond that.
+//! and answering [`Payload::Overloaded`] at once beyond that. A request
+//! the owner refuses outright (a write on a replica) never asks for a slot.
 
 use crate::protocol::{
     decode_request, read_frame, write_response, ErrorKind, FrameError, Payload, Request, Response,
@@ -76,6 +78,7 @@ pub struct State {
     addr: SocketAddr,
     shutting_down: AtomicBool,
     sessions: AtomicUsize,
+    refused: AtomicUsize,
     in_flight: AtomicUsize,
 }
 
@@ -88,6 +91,11 @@ impl State {
     /// Connections with a live session.
     pub fn sessions(&self) -> usize {
         self.sessions.load(Ordering::SeqCst)
+    }
+
+    /// Connections closed at accept because [`MAX_SESSIONS`] were live.
+    pub fn refused_connections(&self) -> usize {
+        self.refused.load(Ordering::SeqCst)
     }
 
     /// Requests currently between admission and reply.
@@ -142,6 +150,7 @@ impl Endpoint {
             addr: listener.local_addr()?,
             shutting_down: AtomicBool::new(false),
             sessions: AtomicUsize::new(0),
+            refused: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
         });
         let accept_state = Arc::clone(&state);
@@ -159,6 +168,7 @@ impl Endpoint {
                             continue;
                         }
                         let Some(live) = Held::take(&state.sessions, MAX_SESSIONS) else {
+                            state.refused.fetch_add(1, Ordering::SeqCst);
                             continue; // over the cap: `stream` closes here
                         };
                         // A failed spawn drops the closure, and with it
@@ -179,16 +189,18 @@ impl Endpoint {
     }
 
     /// Bind `addr` and answer every admitted request with `handler`,
-    /// under `cfg`'s limits and timeouts, recording into `metrics`.
+    /// under `cfg`'s limits and timeouts, recording into `metrics`. A
+    /// request `refuse` has an answer for is never admitted.
     pub fn serve(
         name: &str,
         addr: impl ToSocketAddrs,
         cfg: &ServeConfig,
         metrics: MetricsRegistry,
+        refuse: impl Fn(&Request) -> Option<Payload> + Send + Sync + 'static,
         handler: impl Fn(&Request) -> (Payload, u64) + Send + Sync + 'static,
     ) -> io::Result<Endpoint> {
         let (max_in_flight, max_frame) = (cfg.max_in_flight, cfg.max_frame);
-        let gate = Gate { handler, metrics, max_in_flight, max_frame };
+        let gate = Gate { refuse, handler, metrics, max_in_flight, max_frame };
         Endpoint::listen(name, addr, cfg.read_timeout, cfg.write_timeout, move |stream, state| {
             gate.session(stream, state)
         })
@@ -223,14 +235,15 @@ fn protocol_error(e: impl ToString) -> Payload {
 }
 
 /// A request-protocol endpoint's handler, limits and accounting.
-struct Gate<H> {
+struct Gate<R, H> {
+    refuse: R,
     handler: H,
     metrics: MetricsRegistry,
     max_in_flight: usize,
     max_frame: usize,
 }
 
-impl<H: Fn(&Request) -> (Payload, u64)> Gate<H> {
+impl<R: Fn(&Request) -> Option<Payload>, H: Fn(&Request) -> (Payload, u64)> Gate<R, H> {
     /// Run one connection's session to completion.
     fn session(&self, mut stream: TcpStream, state: &State) {
         self.metrics.incr("server.connections", 1);
@@ -283,6 +296,9 @@ impl<H: Fn(&Request) -> (Payload, u64)> Gate<H> {
         }
         if state.draining() {
             return refusal(id, Payload::ShuttingDown);
+        }
+        if let Some(refused) = (self.refuse)(&req) {
+            return refusal(id, refused);
         }
         let Some(_slot) = Held::take(&state.in_flight, self.max_in_flight) else {
             self.metrics.incr("server.overloaded", 1);

@@ -113,9 +113,15 @@ impl Server {
             read_only: AtomicBool::new(cfg.read_only),
             request_hook: cfg.request_hook.clone(),
         });
-        let handler = Arc::clone(&facade);
-        let endpoint =
-            Endpoint::serve("quarry-serve", addr, &cfg, metrics, move |req| handler.execute(req))?;
+        let (replica, handler) = (Arc::clone(&facade), Arc::clone(&facade));
+        let endpoint = Endpoint::serve(
+            "quarry-serve",
+            addr,
+            &cfg,
+            metrics,
+            move |req| replica.refuse(req),
+            move |req| handler.execute(req),
+        )?;
         Ok(Server { facade, endpoint })
     }
 
@@ -184,19 +190,24 @@ impl Facade {
         (answer(&snap).unwrap_or_else(|e| error_payload(&e)), snap.lsn())
     }
 
-    /// Apply `req` under the single-writer lock — or refuse it on a
-    /// read-only (replica) node, so what is refused and what takes the
-    /// writer are one set. The reply reflects the post-commit LSN.
+    /// On a read-only (replica) node, the answer to a request that would
+    /// take the writer; it is given before admission, so it costs no slot
+    /// and is neither timed nor counted as a request error.
+    fn refuse(&self, req: &Request) -> Option<Payload> {
+        (self.read_only.load(Ordering::SeqCst) && is_write(req)).then(|| {
+            self.metrics.incr("server.read_only_rejections", 1);
+            let message = "replica is read-only; retry against the shard primary".into();
+            Payload::Error { kind: ErrorKind::ReadOnly, message }
+        })
+    }
+
+    /// Apply `req` under the single-writer lock; the reply reflects the
+    /// post-commit LSN. Every request that comes here is an [`is_write`].
     fn write(
         &self,
         req: &Request,
         apply: impl FnOnce(&mut Quarry) -> Result<Payload, QuarryError>,
     ) -> (Payload, u64) {
-        if self.read_only.load(Ordering::SeqCst) {
-            self.metrics.incr("server.read_only_rejections", 1);
-            let message = "replica is read-only; retry against the shard primary".into();
-            return (Payload::Error { kind: ErrorKind::ReadOnly, message }, 0);
-        }
         self.quarry.with_writer(|q| {
             self.run_hook(req);
             (apply(q).unwrap_or_else(|e| error_payload(&e)), q.db.current_lsn())
@@ -252,6 +263,21 @@ impl Facade {
             Request::Shutdown => (Payload::Done, 0),
         }
     }
+}
+
+/// True for the requests [`Facade::execute`] takes the writer for, which
+/// a read-only (replica) node refuses. `Shutdown` stays allowed: it is a
+/// control frame, not a data write.
+fn is_write(req: &Request) -> bool {
+    matches!(
+        req,
+        Request::Qdl(_)
+            | Request::Checkpoint
+            | Request::CreateTable(_)
+            | Request::CreateIndex { .. }
+            | Request::InsertRows { .. }
+            | Request::DeleteRows { .. }
+    )
 }
 
 /// Run one batch of row operations as a single transaction: all rows

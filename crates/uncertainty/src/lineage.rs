@@ -9,14 +9,15 @@
 
 use quarry_corpus::DocId;
 use quarry_extract::Span;
+use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Identifier of a lineage node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
 /// What a lineage node represents.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NodeKind {
     /// A span of raw source text.
     Source {
@@ -43,7 +44,7 @@ pub enum NodeKind {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Node {
     kind: NodeKind,
     /// Nodes this one was derived from.
@@ -54,7 +55,7 @@ struct Node {
 ///
 /// Nodes are immutable once added and inputs must already exist, so the
 /// graph is acyclic by construction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LineageGraph {
     nodes: Vec<Node>,
 }
@@ -247,5 +248,13 @@ mod tests {
         let t = g.tuple("t", "x", vec![a, b]);
         let anc = g.ancestors(t);
         assert_eq!(anc.len(), 3); // s, a, b — s only once
+    }
+
+    #[test]
+    fn serde_round_trip() {
+        let (g, t) = sample();
+        let json = serde_json::to_string(&g).unwrap();
+        let g2: LineageGraph = serde_json::from_str(&json).unwrap();
+        assert_eq!(g2.explain(t), g.explain(t));
     }
 }

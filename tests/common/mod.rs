@@ -54,12 +54,17 @@ impl Sut {
     /// A router over one shard with no replicas, its files under a fresh
     /// directory named after `name`.
     pub fn router(name: &str) -> Sut {
+        Sut::router_with(name, ServeConfig::default())
+    }
+
+    /// The same, the shard serving under `serve`.
+    pub fn router_with(name: &str, serve: ServeConfig) -> Sut {
         let dir = std::env::temp_dir()
             .join("quarry-int-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let cfg = ClusterConfig { shards: 1, replicas_per_shard: 0, ..Default::default() };
+        let cfg = ClusterConfig { shards: 1, replicas_per_shard: 0, serve, ..Default::default() };
         Sut::Router(Cluster::start(&dir, cfg).unwrap())
     }
 

@@ -13,7 +13,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 mod common;
-use common::Sut;
+use common::{eventually, Sut};
 
 const PIPELINE: &str = r#"
 PIPELINE towns FROM corpus
@@ -271,6 +271,55 @@ fn shutdown_is_idempotent_and_in_band() {
     }
 }
 
+/// The router is the same endpoint, so it has the same admission. Its
+/// requests hold their slot while they wait for a shard's leg, so with
+/// `max_in_flight` of them behind one parked leg the next is answered
+/// `Overloaded` at once instead of queueing, and every slot comes back.
+#[test]
+fn the_router_answers_overloaded_beyond_max_in_flight() {
+    let (gate, entered) = Gate::new();
+    let serve = ServeConfig {
+        request_hook: Some(Arc::new({
+            let gate = Arc::clone(&gate);
+            move |req: &Request| {
+                if matches!(req, Request::Explain(_)) {
+                    gate.wait();
+                }
+            }
+        })),
+        ..ServeConfig::default()
+    };
+    let sut = Sut::router_with("router-overload", serve);
+    let Sut::Router(cluster) = &sut else { unreachable!() };
+    let (addr, router) = (sut.addr(), cluster.router());
+    let limit = ServeConfig::default().max_in_flight;
+
+    // One request parks on the shard, holding the leg to it; the router's
+    // other slots fill with requests waiting for that leg.
+    let parked =
+        std::thread::spawn(move || Client::connect(addr).unwrap().explain(&Query::scan("ghost")));
+    entered.recv_timeout(Duration::from_secs(10)).unwrap();
+    let waiting: Vec<_> = (1..limit)
+        .map(|_| std::thread::spawn(move || Client::connect(addr).unwrap().stats()))
+        .collect();
+    eventually("every router slot to be taken", || router.in_flight() == limit);
+
+    match Client::connect(addr).unwrap().ping() {
+        Err(ClientError::Overloaded) => {}
+        other => panic!("expected Overloaded from the router, got {other:?}"),
+    }
+    assert_eq!(router.metrics().snapshot().counter("server.overloaded"), 1);
+
+    gate.release();
+    let explained = parked.join().unwrap();
+    assert!(matches!(explained, Err(ClientError::Server { .. })), "got {explained:?}");
+    for request in waiting {
+        request.join().unwrap().expect("a request that waited for the leg completes");
+    }
+    assert_eq!(router.in_flight(), 0, "every slot came back");
+    Client::connect(addr).unwrap().ping().expect("the router admits again");
+}
+
 /// A request that panics takes down its own connection and nothing else:
 /// its admission slot comes back (the client resends the request once, so
 /// two slots were taken) and every other session keeps serving.
@@ -362,6 +411,23 @@ fn read_only_refuses_exactly_the_requests_that_take_the_writer() {
         );
         assert_eq!(refused, takes_the_writer(&req), "read-only refusal of {req:?}");
     }
+    assert_eq!(replica.metrics().snapshot().counter("server.read_only_rejections"), 6);
+    drop(replica.join());
+
+    // The refusal comes before admission: a replica with no slot to give
+    // still answers `ReadOnly`, untimed, and counts no request error.
+    let q = Quarry::new(QuarryConfig::default()).unwrap();
+    let cfg = ServeConfig { read_only: true, max_in_flight: 0, ..ServeConfig::default() };
+    let replica = Server::start(q, "127.0.0.1:0", cfg).unwrap();
+    let mut c = Client::connect(replica.local_addr()).unwrap();
+    let resp = c.request(&Request::Checkpoint).unwrap();
+    assert!(matches!(resp.payload, Payload::Error { kind: ErrorKind::ReadOnly, .. }), "{resp:?}");
+    assert_eq!((resp.server_micros, resp.lsn), (0, 0));
+    assert_eq!(c.request(&Request::Ping).unwrap().payload, Payload::Overloaded);
+    let counters = replica.metrics().snapshot();
+    assert_eq!(counters.counter("server.overloaded"), 1);
+    assert_eq!(counters.counter("server.request_errors"), 0);
+    assert_eq!(replica.in_flight(), 0);
     drop(replica.join());
 
     // Takes the writer: while one write is parked inside the writer's

@@ -409,3 +409,36 @@ fn no_session_state_outlives_its_connection() {
     eventually("the replication sessions to end", || primary.listener().sessions() == 0);
     assert!(primary.listener().progress().is_empty());
 }
+
+/// The session cap is a bound on threads, not a queue: the connection
+/// beyond it is closed at accept and counted, and the place a closing
+/// session gives back is taken by the next client.
+#[test]
+fn a_connection_beyond_the_session_cap_is_closed_and_counted() {
+    use quarry::serve::endpoint::MAX_SESSIONS;
+    use std::io::Read;
+    let server = start_server(ServeConfig::default());
+    let addr = server.local_addr();
+    let mut idle = Vec::with_capacity(MAX_SESSIONS);
+    for live in 1..=MAX_SESSIONS {
+        idle.push(raw(addr));
+        // One at a time, so the accept backlog never holds more than one.
+        eventually("the session to start", || server.sessions() == live);
+    }
+
+    let mut refused = raw(addr);
+    match refused.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the connection beyond the cap was not closed: {other:?}"),
+    }
+    eventually("the refusal to be counted", || server.refused_connections() == 1);
+    assert_eq!(server.sessions(), MAX_SESSIONS, "the refused connection never held a session");
+
+    idle.pop();
+    eventually("the closed session to end", || server.sessions() == MAX_SESSIONS - 1);
+    assert_alive(addr);
+    assert_eq!(server.refused_connections(), 1);
+    drop(idle);
+    drop(server.join());
+}
