@@ -6,7 +6,7 @@
 //! | QA101 | error    | `unwrap()`/`expect(`/`panic!`-family on a serve-reachable path |
 //! | QA101 | warning  | indexing `[...]` with a non-literal index on a serve-reachable path |
 //! | QA102 | error    | lock acquisitions violating `audit/lock-order.toml` (in-body and one call-graph hop) |
-//! | QA103 | error    | per-crate forbidden constructs (`Mutex<Quarry>` in serve/cluster, `serde_json` in storage, cluster and serve outside `protocol.rs`, nondeterminism in recovery/replay/replication/promotion) |
+//! | QA103 | error    | per-crate forbidden constructs (`Mutex<Quarry>` in serve/cluster, `serde_json` in storage, cluster and serve outside `protocol.rs`, `frame_crc` outside the two frame codecs, nondeterminism in recovery/replay/replication/promotion) |
 //! | QA104 | error    | `unsafe { ... }` block without a `// SAFETY:` comment |
 //! | QA105 | warning  | `allow` comment that suppressed nothing |
 //!
@@ -541,6 +541,34 @@ fn qa103_forbidden(file: &SourceFile, out: &mut Vec<Finding>) {
         }
     }
 
+    // The `[len][crc][payload]` frame has one codec, in storage's `wal.rs`
+    // (and the wire's `QRYW` header, a different frame, one in serve's
+    // `protocol.rs`). Whoever else names the frame checksum is writing or
+    // parsing the layout a second time.
+    let owns_a_frame = (file.crate_name == "storage" && file.path.ends_with("/wal.rs"))
+        || (file.crate_name == "serve" && file.path.ends_with("/protocol.rs"));
+    if !owns_a_frame {
+        for i in 0..file.code.len() {
+            if !scan(i) {
+                continue;
+            }
+            let Some(t) = file.ct(i) else { continue };
+            if t.is_ident("frame_crc") {
+                out.push(file_finding(
+                    file,
+                    codes::FORBIDDEN,
+                    t.span,
+                    "frame_crc outside the frame codec".to_string(),
+                    Some(
+                        "frames are written and read by quarry_storage::wal::{encode_frame, decode_frame}"
+                            .to_string(),
+                    ),
+                    Severity::Error,
+                ));
+            }
+        }
+    }
+
     // Replication replay and promotion decisions are held to the same
     // standard as recovery: a replica's state must be a pure function of
     // the shipped bytes, and promotion must not consult clocks or
@@ -775,6 +803,21 @@ mod tests {
                 "crates/storage/src/snapshot.rs",
             ]
         );
+    }
+
+    #[test]
+    fn qa103_frame_crc_is_named_by_the_two_frame_codecs_only() {
+        let fs = run(&[
+            ("crates/storage/src/filestore.rs", "use crate::wal::frame_crc;"),
+            ("crates/serve/src/replication.rs", "fn f(p: &[u8]) -> u32 { frame_crc(p) }"),
+            ("crates/storage/src/wal.rs", "pub fn frame_crc(p: &[u8]) -> u32 { 0 }"),
+            ("crates/serve/src/protocol.rs", "use quarry_storage::wal::frame_crc;"),
+            ("crates/storage/src/pager.rs", "// frame_crc, in a comment\nfn f() {}"),
+        ]);
+        let mut q103: Vec<&str> =
+            fs.iter().filter(|f| f.code == codes::FORBIDDEN).map(|f| f.path.as_str()).collect();
+        q103.sort_unstable();
+        assert_eq!(q103, ["crates/serve/src/replication.rs", "crates/storage/src/filestore.rs"]);
     }
 
     #[test]

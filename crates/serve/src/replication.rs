@@ -7,10 +7,11 @@
 //!
 //! ## Wire format
 //!
-//! Both directions reuse the WAL's frame encoding (`[len u32 LE]
-//! [crc u32 LE][payload]`, checksum over length-prefix ‖ payload), so a
-//! shipped data frame is byte-identical to the frame the primary wrote
-//! to its own log. Control messages are payloads whose first byte is a
+//! Both directions carry WAL frames, written and read by the one codec
+//! in `quarry_storage::wal`, so a shipped data frame is byte-identical
+//! to the frame the primary wrote to its own log — the listener writes
+//! each validated run of its log to the socket as it read it. Control
+//! messages are payloads whose first byte is a
 //! tag in `0xC1..=0xC6` — a range no [`LogRecord`] encoding starts with
 //! (binary records start `0x01`, JSON records `0x7B`):
 //!
@@ -47,8 +48,8 @@
 
 use crate::endpoint::{dial, lock, Endpoint, State};
 use crate::protocol::DEFAULT_MAX_FRAME;
-use quarry_storage::wal::frame_crc;
-use quarry_storage::{parse_frames, Database, ReplicaApplier, ReplicaPosition, TailPoll, WalTail};
+use quarry_storage::wal::{encode_frame, FRAME_HEADER};
+use quarry_storage::{Database, FrameBuf, ReplicaApplier, ReplicaPosition, TailPoll, WalTail};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -84,14 +85,15 @@ fn get_u64(b: &[u8], at: usize) -> io::Result<u64> {
     Ok(u64::from_le_bytes(bytes))
 }
 
-/// Write one WAL-format frame.
-fn write_wire_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&frame_crc(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()
+fn invalid(e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// Send `payload` as one frame.
+fn send_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    encode_frame(&mut frame, payload).map_err(invalid)?;
+    stream.write_all(&frame)
 }
 
 fn control_frame(tag: u8, words: &[u64]) -> Vec<u8> {
@@ -103,44 +105,28 @@ fn control_frame(tag: u8, words: &[u64]) -> Vec<u8> {
     payload
 }
 
-/// Incremental WAL-frame reader over a socket with a short read timeout.
-///
-/// One [`FrameBuf::poll`] does a single read syscall (blocking up to the
-/// socket timeout) and returns every *complete* frame accumulated so
-/// far; partial frames stay buffered. A CRC failure is fatal — the
-/// stream cannot be resynchronised, exactly like a torn WAL tail — and
-/// so is a pending frame whose length prefix claims more than
-/// [`DEFAULT_MAX_FRAME`]: the peer is refused before its bytes are kept.
-struct FrameBuf {
-    buf: Vec<u8>,
-    chunk: [u8; 16 * 1024],
+/// Most bytes one socket read takes.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// One read syscall (blocking up to the socket's short read timeout)
+/// into `frames`; the whole frames accumulated so far then come out of
+/// [`next_frame`], partial ones stay buffered. Both ends read with a
+/// [`FrameBuf`] capped at [`DEFAULT_MAX_FRAME`]: a larger frame is refused
+/// on its length prefix, before its bytes are kept.
+fn read_socket(frames: &mut FrameBuf, stream: &mut TcpStream) -> io::Result<()> {
+    let read = |space: &mut [u8]| match stream.read(space) {
+        Ok(0) => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed")),
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => Ok(0),
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
+        other => other,
+    };
+    frames.fill(READ_CHUNK, read).map(drop)
 }
 
-impl FrameBuf {
-    fn new() -> FrameBuf {
-        FrameBuf { buf: Vec::new(), chunk: [0u8; 16 * 1024] }
-    }
-
-    fn poll(&mut self, stream: &mut TcpStream) -> io::Result<Vec<Vec<u8>>> {
-        match stream.read(&mut self.chunk) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed")),
-            Ok(n) => self.buf.extend_from_slice(&self.chunk[..n]),
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        let (records, consumed) = parse_frames(&self.buf, 0)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("torn frame: {e}")))?;
-        self.buf.drain(..consumed);
-        if let Some(&[a, b, c, d]) = self.buf.get(..4) {
-            let len = u32::from_le_bytes([a, b, c, d]) as usize;
-            if len > DEFAULT_MAX_FRAME {
-                let why = format!("frame of {len} bytes exceeds limit {DEFAULT_MAX_FRAME}");
-                return Err(io::Error::new(io::ErrorKind::InvalidData, why));
-            }
-        }
-        Ok(records.into_iter().map(|r| r.payload.to_vec()).collect())
-    }
+/// The next whole frame received. A torn frame is fatal — the stream
+/// cannot be resynchronised, exactly like a torn WAL tail.
+fn next_frame(frames: &mut FrameBuf) -> io::Result<Option<&[u8]>> {
+    frames.next_frame().map_err(invalid)
 }
 
 /// Latest known state of one live replica connection, keyed by ack
@@ -211,17 +197,13 @@ impl ReplicationListener {
 /// Returns the seed's `(epoch, start_offset)` for the tail cursor.
 fn send_reseed(db: &Database, stream: &mut TcpStream) -> io::Result<(u64, u64)> {
     let seed = db.seed_state().map_err(|e| io::Error::other(format!("seed: {e}")))?;
-    write_wire_frame(stream, &control_frame(TAG_RESEED, &[seed.epoch, seed.start_offset]))?;
+    send_frame(stream, &control_frame(TAG_RESEED, &[seed.epoch, seed.start_offset]))?;
     for rec in &seed.records {
-        let bytes = rec
-            .encode()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e}")))?;
-        let mut payload = Vec::with_capacity(1 + bytes.len());
-        payload.push(TAG_SEED);
-        payload.extend_from_slice(&bytes);
-        write_wire_frame(stream, &payload)?;
+        let mut payload = vec![TAG_SEED];
+        payload.extend_from_slice(&rec.encode().map_err(invalid)?);
+        send_frame(stream, &payload)?;
     }
-    write_wire_frame(stream, &control_frame(TAG_SEED_END, &[]))?;
+    send_frame(stream, &control_frame(TAG_SEED_END, &[]))?;
     Ok((seed.epoch, seed.start_offset))
 }
 
@@ -237,23 +219,22 @@ fn serve_replica(
     let Some(wal_path) = db.wal_path() else {
         return Err(io::Error::new(io::ErrorKind::Unsupported, "in-memory primary has no WAL"));
     };
-    let mut frames = FrameBuf::new();
+    let mut frames = FrameBuf::new(DEFAULT_MAX_FRAME);
 
     // Handshake: wait for hello.
-    let hello = loop {
+    let (replica_epoch, replica_offset, fresh) = loop {
         if listener.draining() {
             return Ok(());
         }
-        if let Some(first) = frames.poll(&mut stream)?.into_iter().next() {
-            break first;
+        read_socket(&mut frames, &mut stream)?;
+        if let Some(hello) = next_frame(&mut frames)? {
+            if hello.first() != Some(&TAG_HELLO) {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "expected hello"));
+            }
+            let fresh = hello.get(17).copied().unwrap_or(1) != 0;
+            break (get_u64(hello, 1)?, get_u64(hello, 9)?, fresh);
         }
     };
-    if hello.first() != Some(&TAG_HELLO) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "expected hello"));
-    }
-    let replica_epoch = get_u64(&hello, 1)?;
-    let replica_offset = get_u64(&hello, 9)?;
-    let fresh = hello.get(17).copied().unwrap_or(1) != 0;
 
     // Resume only when the replica's position is still meaningful:
     // matching epoch and an offset inside the current log. Everything
@@ -261,15 +242,14 @@ fn serve_replica(
     let resumable =
         !fresh && replica_epoch == db.checkpoint_epoch() && replica_offset <= db.wal_len();
     let (mut ship_epoch, start) = if resumable {
-        write_wire_frame(
-            &mut stream,
-            &control_frame(TAG_RESUME, &[replica_epoch, replica_offset]),
-        )?;
+        send_frame(&mut stream, &control_frame(TAG_RESUME, &[replica_epoch, replica_offset]))?;
         (replica_epoch, replica_offset)
     } else {
         send_reseed(db, &mut stream)?
     };
-    let mut tail = WalTail::new(db.storage_backend(), wal_path, start);
+    // The tail refuses what the replica's reader would: a frame over the
+    // port's limit ends the session here rather than there.
+    let mut tail = WalTail::new(db.storage_backend(), wal_path, start, DEFAULT_MAX_FRAME);
     lock(tracker).insert(id, ReplicaProgress { epoch: ship_epoch, acked: 0 });
 
     loop {
@@ -277,43 +257,30 @@ fn serve_replica(
             return Ok(());
         }
         // Drain acks (also blocks up to POLL_TIMEOUT, pacing the loop).
-        for frame in frames.poll(&mut stream)? {
+        read_socket(&mut frames, &mut stream)?;
+        while let Some(frame) = next_frame(&mut frames)? {
             if frame.first() == Some(&TAG_ACK) {
-                let epoch = get_u64(&frame, 1)?;
-                let acked = get_u64(&frame, 9)?;
-                lock(tracker).insert(id, ReplicaProgress { epoch, acked });
+                let progress =
+                    ReplicaProgress { epoch: get_u64(frame, 1)?, acked: get_u64(frame, 9)? };
+                lock(tracker).insert(id, progress);
             }
         }
-        let polled = tail.poll();
-        match polled {
-            Ok(TailPoll::Records(records)) => {
-                for rec in &records {
-                    write_wire_frame(&mut stream, &rec.payload)?;
-                }
+        match tail.poll() {
+            // The log's bytes are the stream's bytes: ship the run as read.
+            Ok(TailPoll::Frames(run)) => stream.write_all(run)?,
+            // The log shrank, or the cursor no longer parses, and the
+            // checkpoint epoch moved: the log was truncated. Renegotiate
+            // with a fresh seed.
+            Ok(TailPoll::Truncated) | Err(_) if db.checkpoint_epoch() != ship_epoch => {
+                let (epoch, start) = send_reseed(db, &mut stream)?;
+                tail.seek(start);
+                ship_epoch = epoch;
             }
-            Ok(TailPoll::Idle) => std::thread::sleep(IDLE_SLEEP),
-            // The log shrank or the cursor no longer parses. If the
-            // checkpoint epoch moved the log was truncated: renegotiate
-            // with a fresh seed. If not, a "truncation" is our own
-            // cursor racing the primary's buffered tail — just idle —
-            // and a parse failure with an unmoved epoch is real
-            // corruption, which closes the session.
-            Ok(TailPoll::Truncated) | Err(_) => {
-                let was_error = polled.is_err();
-                let current = db.checkpoint_epoch();
-                if current != ship_epoch {
-                    let (epoch, start) = send_reseed(db, &mut stream)?;
-                    tail.seek(start);
-                    ship_epoch = epoch;
-                } else if was_error {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "wal tail unreadable without truncation",
-                    ));
-                } else {
-                    std::thread::sleep(IDLE_SLEEP);
-                }
-            }
+            // Under an unmoved epoch a parse failure is real corruption,
+            // which closes the session, and a "truncation" is our own
+            // cursor racing the primary's buffered tail: just idle.
+            Err(e) => return Err(invalid(format!("wal tail unreadable without truncation: {e}"))),
+            Ok(TailPoll::Idle | TailPoll::Truncated) => std::thread::sleep(IDLE_SLEEP),
         }
     }
 }
@@ -500,40 +467,35 @@ fn client_session(
         let mut payload = control_frame(TAG_HELLO, &[pos.epoch, pos.offset]);
         payload.push(u8::from(!a.attached()));
         drop(a);
-        write_wire_frame(&mut stream, &payload)?;
+        send_frame(&mut stream, &payload)?;
     }
     lock(status).connected = true;
 
-    let mut frames = FrameBuf::new();
+    let mut frames = FrameBuf::new(DEFAULT_MAX_FRAME);
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let batch = frames.poll(&mut stream)?;
-        if batch.is_empty() {
-            continue; // the poll itself blocked up to POLL_TIMEOUT
-        }
-        // Apply the whole batch under one applier lock so promotion
-        // serializes against it, then ack once.
+        // Apply every whole frame received (the read blocks up to
+        // POLL_TIMEOUT) under one applier lock, taken with the first, so
+        // promotion serializes against the batch; then ack once.
+        read_socket(&mut frames, &mut stream)?;
         let mut ack_now = false;
-        let mut a = lock(applier);
-        for payload in &batch {
+        let mut locked = None;
+        while let Some(payload) = next_frame(&mut frames)? {
+            let a = locked.get_or_insert_with(|| lock(applier));
             let result = match payload.first() {
                 Some(&TAG_RESEED) => {
-                    let epoch = get_u64(payload, 1)?;
-                    let start = get_u64(payload, 9)?;
-                    a.begin_reseed(epoch, start);
+                    a.begin_reseed(get_u64(payload, 1)?, get_u64(payload, 9)?);
                     Ok(())
                 }
-                Some(&TAG_SEED) => a.seed_record(&payload[1..]),
+                Some(&TAG_SEED) => a.seed_record(payload.get(1..).unwrap_or_default()),
                 Some(&TAG_SEED_END) => {
                     ack_now = true;
                     a.finish_reseed()
                 }
                 Some(&TAG_RESUME) => {
-                    let epoch = get_u64(payload, 1)?;
-                    let offset = get_u64(payload, 9)?;
-                    a.resume(epoch, offset);
+                    a.resume(get_u64(payload, 1)?, get_u64(payload, 9)?);
                     ack_now = true;
                     Ok(())
                 }
@@ -546,10 +508,11 @@ fn client_session(
                 return Err(SessionEnd::Apply(format!("apply: {e}")));
             }
         }
+        let Some(a) = locked else { continue };
         let pos = a.position();
         drop(a);
         if ack_now {
-            write_wire_frame(&mut stream, &control_frame(TAG_ACK, &[pos.epoch, pos.offset]))?;
+            send_frame(&mut stream, &control_frame(TAG_ACK, &[pos.epoch, pos.offset]))?;
         }
     }
 }

@@ -416,7 +416,7 @@ mod tests {
 
     /// Corruption table for the codec itself: every case must surface as
     /// `StorageError::Corrupt`, never a panic or a wrong value (mirrors
-    /// `wal::tests::replay_corruption_table`; the page-level cases live in
+    /// `wal::tests::frame_corruption_table`; the page-level cases live in
     /// `pager::tests`).
     #[test]
     fn decode_corruption_table() {

@@ -18,9 +18,6 @@ pub enum StorageError {
     SchemaViolation(String),
     /// Primary-key uniqueness violated.
     DuplicateKey(String),
-    /// Refused because a transaction is open: a checkpoint requires
-    /// quiescence.
-    TxAborted(String),
     /// Operation used a transaction id that is not active.
     NoSuchTx(u64),
 }
@@ -34,7 +31,6 @@ impl fmt::Display for StorageError {
             StorageError::NotFound(m) => write!(f, "not found: {m}"),
             StorageError::SchemaViolation(m) => write!(f, "schema violation: {m}"),
             StorageError::DuplicateKey(m) => write!(f, "duplicate key: {m}"),
-            StorageError::TxAborted(m) => write!(f, "transaction aborted: {m}"),
             StorageError::NoSuchTx(id) => write!(f, "no such transaction: {id}"),
         }
     }
@@ -63,8 +59,8 @@ mod tests {
     fn display_is_informative() {
         let e = StorageError::NoSuchTable("cities".into());
         assert!(e.to_string().contains("cities"));
-        let e = StorageError::TxAborted("checkpoint requires quiescence".into());
-        assert!(e.to_string().contains("quiescence"));
+        let e = StorageError::NoSuchTx(7);
+        assert!(e.to_string().contains('7'));
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! threshold; reads are whole-store sequential scans. No indexes, no updates
 //! — by design.
 //!
-//! Frames reuse the WAL layout (`len`,`crc32`,`payload`, checksum over
-//! length + payload — see [`frame_crc`](crate::wal::frame_crc)) so torn and
-//! zero-filled tails are detected on scan. All file I/O goes through a
-//! [`StorageBackend`] so fault-injection tests cover this store too.
+//! Records are WAL frames, written and read by the one codec in
+//! [`crate::wal`], so torn and zero-filled tails are detected on scan;
+//! what this store adds is its policy for them (see [`Scan`]). All file
+//! I/O goes through a [`StorageBackend`] so fault-injection tests cover
+//! this store too.
 
 use crate::error::StorageError;
 use crate::faultfs::{BackendFile, RealBackend, StorageBackend};
-use crate::wal::frame_crc;
+use crate::wal::{decode_frame, encode_frame, Torn};
 use crate::Result;
-use bytes::Bytes;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -30,6 +30,8 @@ pub struct FileStore {
     current_len: u64,
     current_id: u64,
     records_written: u64,
+    /// Reused frame-assembly buffer.
+    scratch: Vec<u8>,
 }
 
 impl FileStore {
@@ -64,6 +66,7 @@ impl FileStore {
             current_len: 0,
             current_id: next_id,
             records_written: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -86,17 +89,17 @@ impl FileStore {
 
     /// Append one record. Seals the current segment first if it is full.
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        let len = u32::try_from(payload.len())
-            .map_err(|_| StorageError::Corrupt("filestore record over 4 GiB".into()))?;
+        let mut frame = std::mem::take(&mut self.scratch);
+        frame.clear();
+        encode_frame(&mut frame, payload)?;
         let w = match &mut self.current {
             Some(w) if self.current_len < self.segment_bytes => w,
             _ => self.roll()?,
         };
-        w.write_all(&len.to_le_bytes())?;
-        w.write_all(&frame_crc(payload).to_le_bytes())?;
-        w.write_all(payload)?;
-        self.current_len += 8 + payload.len() as u64;
+        w.write_all(&frame)?;
+        self.current_len += frame.len() as u64;
         self.records_written += 1;
+        self.scratch = frame;
         Ok(())
     }
 
@@ -159,6 +162,11 @@ impl std::fmt::Debug for FileStore {
 }
 
 /// Iterator over all records of a [`FileStore`].
+///
+/// Policy over the frame decoder: an incomplete frame is the torn tail of
+/// the final segment and ends the scan cleanly; a frame that is all there
+/// but fails its checksum surfaces as one error, and the scan goes on
+/// behind it.
 pub struct Scan {
     backend: Arc<dyn StorageBackend>,
     dir: PathBuf,
@@ -168,7 +176,7 @@ pub struct Scan {
 }
 
 impl Scan {
-    fn next_record(&mut self) -> Result<Option<Bytes>> {
+    fn next_record(&mut self) -> Result<Option<Vec<u8>>> {
         loop {
             let (data, pos) = match &mut self.segment {
                 Some(segment) => segment,
@@ -183,45 +191,34 @@ impl Scan {
                     self.segment.insert((data, 0))
                 }
             };
-            if *pos >= data.len() {
+            let rest = data.get(*pos..).unwrap_or_default();
+            if rest.is_empty() {
                 self.segment = None; // clean end of segment
                 continue;
             }
-            let word = |at: usize| {
-                data.get(at..at + 4).and_then(|b| b.try_into().ok()).map(u32::from_le_bytes)
-            };
-            let (Some(len), Some(crc)) = (word(*pos), word(*pos + 4)) else {
-                // Torn header at the tail of the final segment.
-                self.segment = None;
-                self.next_segment = self.ids.len();
-                return Ok(None);
-            };
-            let start = *pos + 8;
-            let end = match start.checked_add(len as usize) {
-                Some(e) if e <= data.len() => e,
-                _ => {
-                    // Torn tail of the final segment: end the scan cleanly.
+            // No cap: the segment's own length bounds what a prefix can claim.
+            match decode_frame(rest, usize::MAX) {
+                Ok(Some((payload, consumed))) => {
+                    let record = payload.to_vec();
+                    *pos += consumed;
+                    return Ok(Some(record));
+                }
+                Err(Torn::Checksum { frame }) => {
+                    *pos += frame;
+                    return Err(StorageError::Corrupt("filestore record checksum".into()));
+                }
+                Ok(None) | Err(Torn::Oversized { .. }) => {
                     self.segment = None;
                     self.next_segment = self.ids.len();
                     return Ok(None);
                 }
-            };
-            let payload = &data[start..end];
-            let record = if frame_crc(payload) == crc {
-                Ok(Some(Bytes::copy_from_slice(payload)))
-            } else {
-                Err(StorageError::Corrupt("filestore record checksum".into()))
-            };
-            // Advance past the frame either way so a corrupt record surfaces
-            // once and the scan can continue (or end) behind it.
-            *pos = end;
-            return record;
+            }
         }
     }
 }
 
 impl Iterator for Scan {
-    type Item = Result<Bytes>;
+    type Item = Result<Vec<u8>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_record().transpose()
@@ -247,7 +244,7 @@ mod tests {
             fsr.append(format!("record {i}").as_bytes()).unwrap();
         }
         let got: Vec<String> =
-            fsr.scan().unwrap().map(|r| String::from_utf8(r.unwrap().to_vec()).unwrap()).collect();
+            fsr.scan().unwrap().map(|r| String::from_utf8(r.unwrap()).unwrap()).collect();
         assert_eq!(got.len(), 100);
         assert_eq!(got[0], "record 0");
         assert_eq!(got[99], "record 99");
@@ -277,8 +274,8 @@ mod tests {
         }
         let mut fsr = FileStore::open(&dir).unwrap();
         fsr.append(b"second run").unwrap();
-        let got: Vec<Bytes> = fsr.scan().unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(got, vec![Bytes::from("first run"), Bytes::from("second run")]);
+        let got: Vec<Vec<u8>> = fsr.scan().unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(got, [b"first run".to_vec(), b"second run".to_vec()]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -290,46 +287,8 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn corrupted_record_surfaces_error() {
-        let dir = tmpdir("corrupt");
-        {
-            let mut fsr = FileStore::open(&dir).unwrap();
-            fsr.append(b"good data here").unwrap();
-            fsr.sync().unwrap();
-        }
-        // Flip a payload byte.
-        let seg = FileStore::segment_path(&dir, 0);
-        let mut data = fs::read(&seg).unwrap();
-        let last = data.len() - 1;
-        data[last] ^= 0xFF;
-        fs::write(&seg, &data).unwrap();
-        let mut fsr = FileStore::open(&dir).unwrap();
-        let results: Vec<_> = fsr.scan().unwrap().collect();
-        assert!(results.iter().any(|r| r.is_err()));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_tail_ends_scan_cleanly() {
-        let dir = tmpdir("torn");
-        {
-            let mut fsr = FileStore::open(&dir).unwrap();
-            fsr.append(b"complete").unwrap();
-            fsr.sync().unwrap();
-        }
-        // Append a header promising more bytes than exist.
-        let seg = FileStore::segment_path(&dir, 0);
-        let mut data = fs::read(&seg).unwrap();
-        data.extend_from_slice(&100u32.to_le_bytes());
-        data.extend_from_slice(&0u32.to_le_bytes());
-        data.extend_from_slice(b"short");
-        fs::write(&seg, &data).unwrap();
-        let mut fsr = FileStore::open(&dir).unwrap();
-        let got: Vec<_> = fsr.scan().unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(got, vec![Bytes::from("complete")]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
+    // What a scan makes of damaged segments is a column of the one
+    // corruption table, `wal::tests::frame_corruption_table`.
 
     #[test]
     fn records_written_counter() {

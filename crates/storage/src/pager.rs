@@ -726,7 +726,7 @@ mod tests {
         std::fs::remove_file(&p).unwrap();
     }
 
-    /// Page-level corruption table mirroring `wal::replay_corruption_table`:
+    /// Page-level corruption table mirroring `wal::frame_corruption_table`:
     /// a bad page CRC and a zero-filled tail must both surface as Corrupt.
     #[test]
     fn pager_corruption_table() {

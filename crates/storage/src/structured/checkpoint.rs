@@ -15,9 +15,9 @@
 //! log only after the rename.
 //!
 //! **Recovery** ([`recover`]) loads the published image, if any, then
-//! replays the WAL over it (redo-only: a first pass finds the committed
-//! transaction set, a second reapplies exactly those transactions in log
-//! order). A crash between the rename and the log truncation leaves a WAL
+//! replays the WAL over it (redo-only, one pass: each committed unit is
+//! reapplied as `structured::recovery`'s reader yields it). A crash
+//! between the rename and the log truncation leaves a WAL
 //! whose history the image already contains; replaying that suffix is
 //! convergent — every record either recreates what the image holds or
 //! re-applies a committed change idempotently (see `docs/durability.md`).
@@ -31,16 +31,15 @@ use crate::error::StorageError;
 use crate::faultfs::StorageBackend;
 use crate::page::{PageType, NO_PAGE};
 use crate::pager::{read_chain, ChainWriter, Pager};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::Wal;
 use crate::Result;
-use std::collections::HashSet;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use super::overlay::{redo, Table, Tables};
 use super::paged::{self, BaseMeta, CheckpointImage, DirectoryEntry, TableBase};
-use super::recovery::LogRecord;
+use super::recovery::{LogRecord, UnitReader};
 use super::table::TableSchema;
 
 /// Buffer-pool frames used while building or reading a checkpoint image:
@@ -66,6 +65,8 @@ pub(super) struct Recovered {
     pub(super) image: Option<Arc<CheckpointImage>>,
     /// Highest transaction id seen in the log.
     pub(super) max_tx: u64,
+    /// Where the log's clean prefix ends: the offset to open it at.
+    pub(super) wal_end: u64,
 }
 
 /// Rebuild the committed state of the database whose WAL lives at
@@ -80,8 +81,18 @@ pub(super) fn recover(
     let _ = backend.remove_file(&tmp_path(wal_path));
     let mut tables = Tables::new();
     let image = load_image(backend, &image_path(wal_path), &mut tables, stamp)?;
-    let max_tx = replay(&mut tables, &Wal::replay_with(backend, wal_path)?, stamp)?;
-    Ok(Recovered { tables, image, max_tx })
+    // Redo each committed unit as the log's one scan reaches its end. The
+    // reader holds at most one open unit, which is sound because no unit
+    // spans files either: a checkpoint passes the writer gate, so the log
+    // after it starts at a unit boundary.
+    let mut units = UnitReader::default();
+    let wal_end = Wal::replay_with(backend, wal_path, |payload| {
+        match units.push(LogRecord::decode(payload)?)? {
+            Some(unit) => redo(&mut tables, unit, stamp),
+            None => Ok(()),
+        }
+    })?;
+    Ok(Recovered { tables, image, max_tx: units.max_tx(), wal_end })
 }
 
 /// Load the checkpoint image at `path` **lazily**: each table becomes an
@@ -121,7 +132,7 @@ fn load_image(
 /// engine a checkpoint was a WAL-format file of JSON records; say so when
 /// that is what the file holds, because the remedy differs from damage.
 fn refuse_image(backend: &dyn StorageBackend, path: &Path, why: &str) -> StorageError {
-    let legacy = Wal::replay_with(backend, path).is_ok_and(|records| !records.is_empty());
+    let legacy = Wal::replay_with(backend, path, |_| Ok(())).is_ok_and(|end| end > 0);
     let looks_like = if legacy {
         "a legacy WAL-format (JSON) checkpoint, which is no longer readable"
     } else {
@@ -131,34 +142,6 @@ fn refuse_image(backend: &dyn StorageBackend, path: &Path, why: &str) -> Storage
         "checkpoint {} is not a paged image ({why}); it looks like {looks_like}",
         path.display()
     ))
-}
-
-/// Replay a WAL record sequence into `tables` (redo-only) and return the
-/// highest transaction id seen. Every record is decoded before any is
-/// applied, so an undecodable record fails the open with the tables
-/// untouched. The committed set is computed per call, which is safe
-/// because no transaction ever spans files: checkpoints require
-/// quiescence, so the WAL after a checkpoint starts at a transaction
-/// boundary.
-fn replay(tables: &mut Tables, records: &[WalRecord], stamp: &dyn Fn() -> u64) -> Result<u64> {
-    // Pass 1: committed set.
-    let mut committed = HashSet::new();
-    let mut max_tx = 0u64;
-    let mut decoded = Vec::with_capacity(records.len());
-    for r in records {
-        let rec = LogRecord::decode(&r.payload)?;
-        if let Some(tx) = rec.tx() {
-            max_tx = max_tx.max(tx);
-        }
-        if let LogRecord::Commit { tx } = rec {
-            committed.insert(tx);
-        }
-        decoded.push(rec);
-    }
-    // Pass 2: redo DDL and committed DML in log order.
-    let durable = decoded.into_iter().filter(|r| r.tx().is_none_or(|tx| committed.contains(&tx)));
-    redo(tables, durable, stamp)?;
-    Ok(max_tx)
 }
 
 /// Build a checkpoint image of `tables` and publish it as the durable
@@ -705,15 +688,15 @@ mod tests {
         std::fs::remove_file(image_path(&p)).unwrap();
     }
 
+    // That a checkpoint waits for an open transaction is tested beside the
+    // other writers' waits, in `structured::replication`.
     #[test]
-    fn checkpoint_requires_quiescence_and_is_noop_in_memory() {
+    fn checkpoint_is_noop_in_memory() {
         let db = Database::in_memory();
         db.create_table(people_schema()).unwrap();
         db.checkpoint().unwrap(); // no-op, no error
-        let tx = db.begin();
-        db.insert(tx, "people", person("a", 1, "x")).unwrap();
-        assert!(matches!(db.checkpoint(), Err(StorageError::TxAborted(_))));
-        db.commit(tx).unwrap();
+        db.insert_autocommit("people", person("a", 1, "x")).unwrap();
         db.checkpoint().unwrap();
+        assert_eq!(db.checkpoint_epoch(), 0);
     }
 }

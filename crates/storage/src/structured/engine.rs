@@ -4,13 +4,14 @@
 //! Concurrency model: **one transaction is open at a time**. `begin()`
 //! waits until no transaction is open; the caller then performs
 //! operations and `commit()`s (WAL commit record + fsync) or `abort()`s
-//! (in-memory undo), which lets the next `begin()` through. Transactions
-//! are therefore serial, and no operation ever fails for
+//! (in-memory undo), which lets the next writer through: DDL,
+//! `checkpoint()` and replication wait at the same gate as `begin()`.
+//! Transactions are therefore serial, and no operation ever fails for
 //! concurrency-control reasons. Readers that must not wait behind the
 //! writer use [`Database::snapshot`]. The rule that follows: a thread
-//! must not `begin()` again on the same database while it still holds an
-//! open transaction — that second `begin()` would wait forever. See
-//! `docs/concurrency.md` ("Writers").
+//! must not call anything that waits at the gate on the same database
+//! while it still holds an open transaction — that call would wait
+//! forever. See `docs/concurrency.md` ("Writers").
 
 use crate::error::StorageError;
 use crate::faultfs::{RealBackend, StorageBackend};
@@ -18,7 +19,7 @@ use crate::pager::PoolStats;
 use crate::value::Value;
 use crate::wal::{DurabilityMode, Wal};
 use crate::Result;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,7 +110,7 @@ fn not_found(table: &str, key: &[Value]) -> StorageError {
 /// ```
 pub struct Database {
     tables: Mutex<State>,
-    /// Signalled when the open transaction closes; `begin()` waits on it.
+    /// Signalled when the open transaction closes; the gate waits on it.
     tx_closed: Condvar,
     wal: Mutex<Option<Wal>>,
     /// Storage backend shared by the WAL and the checkpoint files.
@@ -169,13 +170,14 @@ impl Database {
     pub fn open_with(backend: Arc<dyn StorageBackend>, path: impl AsRef<Path>) -> Result<Database> {
         let path = path.as_ref();
         let db = Database::in_memory();
-        let Recovered { tables, image, max_tx } =
+        let Recovered { tables, image, max_tx, wal_end } =
             checkpoint::recover(&*backend, path, &|| db.stamp())?;
         Ok(Database {
             tables: Mutex::new(State { tables, open: None }),
             image: Mutex::new(image),
             next_tx: AtomicU64::new(max_tx + 1),
-            wal: Mutex::new(Some(Wal::open_with(Arc::clone(&backend), path)?)),
+            // Recovery has scanned the log: open it where that scan ended.
+            wal: Mutex::new(Some(Wal::open_at(Arc::clone(&backend), path, wal_end)?)),
             backend,
             ..db
         })
@@ -222,6 +224,21 @@ impl Database {
         Ok(())
     }
 
+    /// The writer gate: the `tables` guard, once no transaction is open.
+    /// Everything that writes enters through this one wait and holds the
+    /// guard until it is done (a transaction: until it is the open one),
+    /// so the log is a sequence of whole, non-interleaved units — which
+    /// is what `recovery::UnitReader` reads. Closing a transaction wakes
+    /// every waiter: one that is not a transaction passes without closing
+    /// anything that would wake the next.
+    fn gate(&self) -> MutexGuard<'_, State> {
+        let mut st = self.tables.lock();
+        while st.open.is_some() {
+            self.tx_closed.wait(&mut st);
+        }
+        st
+    }
+
     /// Append (buffered, not flushed) one record of transaction `tx`,
     /// preceded by the transaction's `Begin` record when `first` — when
     /// `rec` is its first change, i.e. its undo list is still empty.
@@ -255,7 +272,7 @@ impl Database {
 
     /// Create a table (auto-committed DDL).
     pub fn create_table(&self, schema: TableSchema) -> Result<()> {
-        let mut st = self.tables.lock();
+        let mut st = self.gate();
         if st.tables.contains_key(&schema.name) {
             return Err(StorageError::SchemaViolation(format!(
                 "table {} already exists",
@@ -275,8 +292,7 @@ impl Database {
     /// maintained by every write and eligible for access-path selection by
     /// the query planner.
     pub fn create_index(&self, table: &str, column: &str) -> Result<()> {
-        let mut st = self.tables.lock();
-        let dirty = st.uncommitted().iter().any(|u| u.table() == table);
+        let mut st = self.gate();
         let t = table_mut(&mut st.tables, table)?;
         if t.index(column).is_some() {
             return Ok(());
@@ -292,9 +308,7 @@ impl Database {
         })?;
         t.build_index(column)?;
         t.version = self.stamp();
-        if !dirty {
-            t.stable_version = t.version;
-        }
+        t.stable_version = t.version;
         Ok(())
     }
 
@@ -318,7 +332,7 @@ impl Database {
 
     /// Drop a table (auto-committed DDL).
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        let mut st = self.tables.lock();
+        let mut st = self.gate();
         st.table(name)?;
         // Log first, like `create_table`: a failed append leaves the
         // table in place.
@@ -329,8 +343,8 @@ impl Database {
 
     /// Checkpoint: publish a snapshot of current committed state and reset
     /// the WAL, bounding recovery time by live data size instead of history
-    /// length. Requires quiescence (no open transaction) and is a no-op
-    /// for in-memory databases.
+    /// length. Waits at the writer gate, so the image is cut at a unit
+    /// boundary; a no-op for in-memory databases.
     ///
     /// The image (layout in `docs/storage.md`) is built and atomically
     /// published by `structured::checkpoint`; only after that commit point
@@ -344,13 +358,7 @@ impl Database {
         // order (see audit/lock-order.toml), so taking `wal` first here
         // would be an ABBA inversion. Holding `tables` across the image
         // build also pins exactly the state the checkpoint captures.
-        let mut st = self.tables.lock();
-        if let Some(open) = &st.open {
-            return Err(StorageError::TxAborted(format!(
-                "checkpoint requires quiescence; transaction {} is open",
-                open.id
-            )));
-        }
+        let mut st = self.gate();
         let tables = &mut st.tables;
         let mut wal_guard = self.wal.lock();
         let Some(wal) = wal_guard.as_mut() else {
@@ -397,10 +405,7 @@ impl Database {
 
     /// Start a transaction, waiting while another one is open.
     pub fn begin(&self) -> TxId {
-        let mut st = self.tables.lock();
-        while st.open.is_some() {
-            self.tx_closed.wait(&mut st);
-        }
+        let mut st = self.gate();
         let id = self.next_tx.fetch_add(1, Ordering::SeqCst);
         st.open = Some(OpenTx { id, undo: Vec::new() });
         id
@@ -431,7 +436,7 @@ impl Database {
                 // Changed nothing, so logged no `Begin` either: nothing to
                 // stamp, undo or log.
                 st.open = None;
-                self.tx_closed.notify_one();
+                self.tx_closed.notify_all();
                 return Ok(());
             }
             if rollback {
@@ -452,7 +457,7 @@ impl Database {
             }
         }
         // The transaction stays open, with nothing left to undo, across
-        // the log write, so the next transaction's records follow this
+        // the log write, so the next unit's records follow this
         // one's `Commit` in the WAL. The `tables` mutex is not held
         // meanwhile: snapshots never wait for the fsync. The gate opens
         // whether or not the write succeeded — a failed commit returns
@@ -463,7 +468,7 @@ impl Database {
             self.log_durable(&LogRecord::Commit { tx })
         };
         self.tables.lock().open = None;
-        self.tx_closed.notify_one();
+        self.tx_closed.notify_all();
         logged
     }
 
@@ -659,19 +664,16 @@ impl Database {
     /// Capture a reseed payload: the current epoch, the WAL offset
     /// streaming resumes from, and a synthetic committed record stream
     /// that recreates every table when replayed into an empty database.
-    /// Uncommitted changes of the open transaction are rolled back out
-    /// of the capture exactly like [`Database::snapshot`] does. The
-    /// offset is read under the same `tables` lock as the records, so
-    /// frames at `>= start_offset` may double-cover the seed's tail —
-    /// which is safe, because replaying committed records over state
-    /// that already contains them is convergent (the checkpoint-recovery
-    /// argument; see docs/durability.md).
+    /// Waits at the writer gate, so the capture and the offset are both
+    /// cut at a unit boundary: the seed holds every unit below the offset
+    /// and no part of one above it, and the stream from the offset on is
+    /// whole units.
     pub fn seed_state(&self) -> Result<ReplicationSeed> {
-        let st = self.tables.lock();
+        let st = self.gate();
         let epoch = self.epoch.load(Ordering::SeqCst);
-        let start_offset = self.wal.lock().as_ref().map(Wal::len).unwrap_or(0);
+        let start_offset = self.wal_len();
         let tx = self.next_tx.fetch_add(1, Ordering::SeqCst);
-        let records = replication::seed_records(&st.tables, st.uncommitted(), tx)?;
+        let records = replication::seed_records(&st.tables, tx)?;
         Ok(ReplicationSeed { epoch, start_offset, records })
     }
 
@@ -687,11 +689,11 @@ impl Database {
         Ok(())
     }
 
-    /// Replication (replica side): apply shipped records in log order —
-    /// the DML of one *committed* transaction, or one auto-committed DDL
-    /// record — through the same redo path recovery uses.
-    pub fn replicate_apply(&self, records: &[LogRecord]) -> Result<()> {
-        redo(&mut self.tables.lock().tables, records.iter().cloned(), &|| self.stamp())
+    /// Replication (replica side): apply one shipped unit — the changes
+    /// of one *committed* transaction, or one auto-committed DDL record —
+    /// through the same redo path recovery uses.
+    pub fn replicate_apply(&self, unit: Vec<LogRecord>) -> Result<()> {
+        redo(&mut self.gate().tables, unit, &|| self.stamp())
     }
 
     /// Replication (replica side): discard every table and log byte ahead
@@ -699,7 +701,7 @@ impl Database {
     /// removed too — after a reseed the local log is the only recovery
     /// source until the next local checkpoint.
     pub fn replicate_reset(&self) -> Result<()> {
-        let mut st = self.tables.lock();
+        let mut st = self.gate();
         let mut wal = self.wal.lock();
         st.tables.clear();
         if let Some(w) = wal.as_mut() {
@@ -1002,7 +1004,7 @@ mod tests {
         let log: Vec<LogRecord> = crate::wal::Wal::replay(&p)
             .unwrap()
             .iter()
-            .map(|r| LogRecord::decode(&r.payload).unwrap())
+            .map(|r| LogRecord::decode(r).unwrap())
             .collect();
         let txs: Vec<Option<TxId>> = log.iter().map(LogRecord::tx).collect();
         assert_eq!(txs, [None, Some(1), Some(1), Some(1), Some(14), Some(14), Some(14)]);

@@ -1,14 +1,22 @@
-//! The WAL record schema.
+//! What the log holds and which of it is history: the WAL record codec
+//! and the one reader of committed units.
 //!
-//! Records are binary-encoded through [`crate::codec`] (one per WAL
-//! frame), prefixed with the format byte `0x01` (binary-v1) — the only
-//! format written or read. Logs from before the paged engine held JSON
-//! records; one of those (first byte `{`) is refused by name, like any
-//! other unknown format byte.
+//! **Records** ([`LogRecord`]) are binary-encoded through [`crate::codec`]
+//! (one per WAL frame), prefixed with the format byte `0x01` (binary-v1) —
+//! the only format written or read. Logs from before the paged engine held
+//! JSON records; one of those (first byte `{`) is refused by name, like
+//! any other unknown format byte.
 //!
-//! How records are replayed lives in `structured::checkpoint` (recovery)
-//! and `structured::replication` (replicas), both over the single redo
-//! path in `structured::overlay`.
+//! **Committed history** ([`UnitReader`]) is decided here and nowhere
+//! else. Every writer enters the engine through one gate, so a log is a
+//! sequence of whole, non-interleaved *units* — one transaction from its
+//! `Begin` to its `Commit`, or one auto-committed DDL record — possibly
+//! with units a dying writer left unclosed. The reader turns a record
+//! sequence into the units to apply, in log order; open-time recovery
+//! (`structured::checkpoint`) and replicas (`structured::replication`)
+//! both feed it and hand what it yields to the single redo path in
+//! `structured::overlay`. A sequence no gated engine can have written is
+//! refused, never put into some order.
 
 use crate::codec;
 use crate::error::StorageError;
@@ -231,6 +239,69 @@ impl LogRecord {
             | LogRecord::DropTable { .. }
             | LogRecord::CreateIndex { .. } => None,
         }
+    }
+}
+
+/// The streaming reader of committed history: feed it a log's records in
+/// order and it yields each unit to apply as its last record arrives.
+///
+/// - `Begin`, or a DDL record, starts a unit — and discards a unit still
+///   open, whose writer died before closing it. A DDL record is a whole
+///   unit by itself and is yielded at once.
+/// - A change (`Insert`, `Update`, `Delete`) joins the open unit; `Commit`
+///   yields it; `Abort` drops it.
+/// - A change, `Commit` or `Abort` of any transaction but the open one is
+///   [`StorageError::Corrupt`], naming the transaction: the gate cannot
+///   have written it, and guessing an order for it is how a replica comes
+///   to differ from its primary.
+#[derive(Debug, Default)]
+pub struct UnitReader {
+    /// The open unit: its transaction and the changes read so far.
+    open: Option<(u64, Vec<LogRecord>)>,
+    /// Highest transaction id read, committed or not.
+    max_tx: u64,
+}
+
+impl UnitReader {
+    /// Read the next record; the unit it completes, if it completes one.
+    pub fn push(&mut self, rec: LogRecord) -> Result<Option<Vec<LogRecord>>> {
+        let Some(tx) = rec.tx() else {
+            self.open = None;
+            return Ok(Some(vec![rec])); // DDL
+        };
+        self.max_tx = self.max_tx.max(tx);
+        if let LogRecord::Begin { .. } = rec {
+            self.open = Some((tx, Vec::new()));
+            return Ok(None);
+        }
+        let Some((_, changes)) = self.open.as_mut().filter(|(open, _)| *open == tx) else {
+            let open = self.open.as_ref().map(|(open, _)| open);
+            return Err(StorageError::Corrupt(format!(
+                "log holds a record of transaction {tx} outside its unit (open: {open:?})"
+            )));
+        };
+        match rec {
+            LogRecord::Commit { .. } => return Ok(self.open.take().map(|(_, changes)| changes)),
+            LogRecord::Abort { .. } => self.open = None,
+            change => changes.push(change),
+        }
+        Ok(None)
+    }
+
+    /// The floor new transaction ids must clear.
+    pub fn max_tx(&self) -> u64 {
+        self.max_tx
+    }
+
+    /// True while a unit is open (its `Commit` has not been read).
+    pub fn is_open(&self) -> bool {
+        self.open.is_some()
+    }
+
+    /// Drop the open unit: its `Commit` will never arrive (a promotion),
+    /// or the stream restarts elsewhere (a reseed).
+    pub fn discard(&mut self) {
+        self.open = None;
     }
 }
 

@@ -5,10 +5,12 @@
 //! with them. The contract mirrors crash recovery exactly — a replica is
 //! a database permanently running the redo pass:
 //!
-//! - **Frames apply at commit boundaries.** DML records buffer per
-//!   transaction and apply only when that transaction's `Commit` frame
-//!   arrives, through the same redo path recovery uses
-//!   (`structured::overlay`).
+//! - **Frames apply at commit boundaries.** Every shipped record goes
+//!   through the reader recovery uses ([`UnitReader`]): the changes of a
+//!   transaction are held until its `Commit` frame arrives and then
+//!   applied through the same redo path (`structured::overlay`), a DDL
+//!   record is applied at once, and a stream no gated primary can have
+//!   written is refused.
 //!   A primary that dies mid-transaction therefore leaves the replica at
 //!   the previous transaction boundary — never a hybrid — which is what
 //!   the failover crash sweep asserts bit-for-bit.
@@ -16,7 +18,8 @@
 //!   nothing across a truncation, so every handshake carries the
 //!   primary's checkpoint epoch, and any mismatch forces a **reseed**: a
 //!   synthetic committed record stream recreating the primary's current
-//!   tables ([`Database::seed_state`]), applied atomically here.
+//!   tables ([`Database::seed_state`], cut at a unit boundary like
+//!   everything that waits at the writer gate), applied atomically here.
 //! - **Reseeds are all-or-nothing.** Seed records buffer in the applier
 //!   and install in one step when the seed ends; a promotion that lands
 //!   mid-seed sees the pre-reseed state, which is itself a valid
@@ -25,13 +28,13 @@
 //! Everything here is deterministic: no clocks, no randomness — the
 //! applied state is a pure function of the frames received.
 
+use crate::wal::FRAME_HEADER;
 use crate::Result;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use super::engine::Database;
-use super::overlay::{committed_clone, Tables, Undo};
-use super::recovery::LogRecord;
+use super::overlay::Tables;
+use super::recovery::{LogRecord, UnitReader};
 use super::table::TableSchema;
 
 /// A reseed payload captured on the primary: everything a blank replica
@@ -40,23 +43,18 @@ use super::table::TableSchema;
 pub struct ReplicationSeed {
     /// The primary's checkpoint epoch at capture time.
     pub epoch: u64,
-    /// WAL offset streaming resumes from. Frames at `>= start_offset`
-    /// may re-cover the seed's tail; replaying them is convergent.
+    /// WAL offset streaming resumes from: a unit boundary, with every
+    /// unit below it in the seed.
     pub start_offset: u64,
     /// Synthetic committed record stream recreating every table.
     pub records: Vec<LogRecord>,
 }
 
 /// The record stream of a reseed: every table's schema, then one
-/// synthetic transaction `tx` inserting every committed row, so replaying
-/// it into an empty database recreates `tables`. The open transaction's
-/// changes (`uncommitted`) are rolled back out of the capture exactly
-/// like a snapshot does.
-pub(super) fn seed_records(
-    tables: &Tables,
-    uncommitted: &[Undo],
-    tx: u64,
-) -> Result<Vec<LogRecord>> {
+/// synthetic transaction `tx` inserting every row, so replaying it into
+/// an empty database recreates `tables` — which hold committed rows only:
+/// the capture waits at the writer gate.
+pub(super) fn seed_records(tables: &Tables, tx: u64) -> Result<Vec<LogRecord>> {
     let mut names: Vec<&String> = tables.keys().collect();
     names.sort();
     let mut records = Vec::new();
@@ -66,15 +64,7 @@ pub(super) fn seed_records(
     }
     records.push(LogRecord::Begin { tx });
     for name in names {
-        let t = &tables[name];
-        let rolled_back;
-        let t = if t.version == t.stable_version {
-            t
-        } else {
-            rolled_back = committed_clone(name, t, uncommitted);
-            &rolled_back
-        };
-        t.for_each_live_row(&mut |id, row| {
+        tables[name].for_each_live_row(&mut |id, row| {
             records.push(LogRecord::Insert {
                 tx,
                 table: name.clone(),
@@ -105,12 +95,11 @@ pub struct ReplicaPosition {
 /// `applier` entry in `audit/lock-order.toml`).
 pub struct ReplicaApplier {
     db: Arc<Database>,
-    /// DML of transactions whose commit frame has not arrived yet.
-    pending: HashMap<u64, Vec<LogRecord>>,
+    /// Decides what is committed; holds the changes of the one
+    /// transaction whose commit frame has not arrived yet.
+    units: UnitReader,
     /// Position applied through, in source coordinates.
     position: ReplicaPosition,
-    /// Highest transaction id seen in shipped history (promotion floor).
-    max_tx: u64,
     /// True once any stream state exists (a fresh applier must always be
     /// seeded or resumed from offset 0 of a matching epoch).
     attached: bool,
@@ -124,9 +113,8 @@ impl ReplicaApplier {
     pub fn new(db: Arc<Database>) -> ReplicaApplier {
         ReplicaApplier {
             db,
-            pending: HashMap::new(),
+            units: UnitReader::default(),
             position: ReplicaPosition::default(),
-            max_tx: 0,
             attached: false,
             seed: None,
         }
@@ -147,9 +135,9 @@ impl ReplicaApplier {
         self.attached
     }
 
-    /// Transactions currently buffered awaiting their commit frame.
-    pub fn pending_txs(&self) -> usize {
-        self.pending.len()
+    /// True while a shipped transaction awaits its commit frame.
+    pub fn mid_transaction(&self) -> bool {
+        self.units.is_open()
     }
 
     /// Adopt a resume position (the primary confirmed our `(epoch,
@@ -183,13 +171,10 @@ impl ReplicaApplier {
     pub fn finish_reseed(&mut self) -> Result<()> {
         let Some((position, records)) = self.seed.take() else { return Ok(()) };
         self.db.replicate_reset()?;
-        self.pending.clear();
-        for rec in &records {
-            if let Some(tx) = rec.tx() {
-                self.max_tx = self.max_tx.max(tx);
-            }
-            self.db.replicate_append(&rec.encode()?)?;
-            self.route(rec)?;
+        self.units.discard();
+        for rec in records {
+            let payload = rec.encode()?;
+            self.apply(rec, &payload)?;
         }
         self.position = position;
         self.attached = true;
@@ -200,54 +185,30 @@ impl ReplicaApplier {
     /// position by the frame's on-log footprint (`8 + payload.len()`),
     /// mirroring the source log's layout byte for byte.
     pub fn apply_frame(&mut self, payload: &[u8]) -> Result<()> {
-        let rec = LogRecord::decode(payload)?;
-        if let Some(tx) = rec.tx() {
-            self.max_tx = self.max_tx.max(tx);
-        }
+        self.apply(LogRecord::decode(payload)?, payload)?;
+        self.position.offset += (FRAME_HEADER + payload.len()) as u64;
+        Ok(())
+    }
+
+    /// Take one record, whose encoding is `payload`: let the reader place
+    /// it (or refuse it — before it reaches the local log, which stays a
+    /// log recovery accepts), append it to the local log, and apply the
+    /// unit it completes, if it completes one.
+    fn apply(&mut self, rec: LogRecord, payload: &[u8]) -> Result<()> {
+        let unit = self.units.push(rec)?;
         self.db.replicate_append(payload)?;
-        self.route(&rec)?;
-        self.position.offset += 8 + payload.len() as u64;
-        Ok(())
+        unit.map_or(Ok(()), |unit| self.db.replicate_apply(unit))
     }
 
-    /// Route one decoded record: buffer DML per transaction, apply on
-    /// commit, drop on abort, apply DDL immediately (auto-committed at
-    /// the source).
-    fn route(&mut self, rec: &LogRecord) -> Result<()> {
-        match rec {
-            LogRecord::Begin { tx } => {
-                self.pending.insert(*tx, Vec::new());
-            }
-            LogRecord::Insert { tx, .. }
-            | LogRecord::Update { tx, .. }
-            | LogRecord::Delete { tx, .. } => {
-                self.pending.entry(*tx).or_default().push(rec.clone());
-            }
-            LogRecord::Commit { tx } => {
-                let records = self.pending.remove(tx).unwrap_or_default();
-                self.db.replicate_apply(&records)?;
-            }
-            LogRecord::Abort { tx } => {
-                self.pending.remove(tx);
-            }
-            LogRecord::CreateTable { .. }
-            | LogRecord::DropTable { .. }
-            | LogRecord::CreateIndex { .. } => {
-                self.db.replicate_apply(std::slice::from_ref(rec))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Promote: the replica becomes a primary. Buffered DML of
-    /// unfinished transactions is discarded (their commits never
+    /// Promote: the replica becomes a primary. The changes of an
+    /// unfinished transaction are discarded (its commit never
     /// arrived — exactly what redo recovery does), an open reseed is
     /// abandoned, the transaction-id floor moves past shipped history,
     /// and the local log is forced to stable storage.
     pub fn promote(&mut self) -> Result<()> {
         self.seed = None;
-        self.pending.clear();
-        self.db.adopt_tx_floor(self.max_tx);
+        self.units.discard();
+        self.db.adopt_tx_floor(self.units.max_tx());
         self.db.sync_wal()
     }
 }
@@ -256,7 +217,7 @@ impl std::fmt::Debug for ReplicaApplier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicaApplier")
             .field("position", &self.position)
-            .field("pending_txs", &self.pending.len())
+            .field("mid_transaction", &self.units.is_open())
             .field("attached", &self.attached)
             .finish()
     }
@@ -265,10 +226,14 @@ impl std::fmt::Debug for ReplicaApplier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structured::table::{Column, TableSchema};
+    use crate::error::StorageError;
+    use crate::structured::table::{Column, RowId, TableSchema};
     use crate::value::{DataType, Value};
-    use crate::wal::{TailPoll, WalTail};
-    use std::path::PathBuf;
+    use crate::wal::tests::payloads;
+    use crate::wal::{TailPoll, Wal, WalTail};
+    use std::path::{Path, PathBuf};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("quarry-repl-{name}-{}", std::process::id()));
@@ -300,8 +265,43 @@ mod tests {
         out
     }
 
+    fn row(id: i64, val: &str) -> Vec<Value> {
+        vec![Value::Int(id), Value::Text(val.into())]
+    }
+
     fn insert(db: &Database, table: &str, id: i64, val: &str) {
-        db.insert_autocommit(table, vec![Value::Int(id), Value::Text(val.into())]).unwrap();
+        db.insert_autocommit(table, row(id, val)).unwrap();
+    }
+
+    /// A tail over `primary`'s log from `start`.
+    fn tail_of(primary: &Database, start: u64) -> WalTail {
+        WalTail::new(primary.storage_backend(), primary.wal_path().unwrap(), start, 1 << 20)
+    }
+
+    /// Apply everything `tail` has to offer.
+    fn pump(tail: &mut WalTail, applier: &mut ReplicaApplier) {
+        loop {
+            match tail.poll().unwrap() {
+                TailPoll::Frames(run) => {
+                    for payload in payloads(run) {
+                        applier.apply_frame(payload).unwrap();
+                    }
+                }
+                TailPoll::Idle => break,
+                TailPoll::Truncated => panic!("no truncation expected"),
+            }
+        }
+    }
+
+    /// Install `primary`'s current seed; the offset to tail from.
+    fn reseed(applier: &mut ReplicaApplier, primary: &Database) -> u64 {
+        let seed = primary.seed_state().unwrap();
+        applier.begin_reseed(seed.epoch, seed.start_offset);
+        for rec in &seed.records {
+            applier.seed_record(&rec.encode().unwrap()).unwrap();
+        }
+        applier.finish_reseed().unwrap();
+        seed.start_offset
     }
 
     #[test]
@@ -317,14 +317,9 @@ mod tests {
         primary.delete(tx, "t", &[Value::Int(7)]).unwrap();
         primary.commit(tx).unwrap();
 
-        let seed = primary.seed_state().unwrap();
         let replica = Arc::new(Database::open(dir.join("replica.wal")).unwrap());
         let mut applier = ReplicaApplier::new(Arc::clone(&replica));
-        applier.begin_reseed(seed.epoch, seed.start_offset);
-        for rec in &seed.records {
-            applier.seed_record(&rec.encode().unwrap()).unwrap();
-        }
-        applier.finish_reseed().unwrap();
+        reseed(&mut applier, &primary);
         assert_eq!(dump(&primary), dump(&replica));
         // The index arrived through the schema and is live on the replica.
         assert_eq!(replica.indexed_columns("t").unwrap(), vec!["val".to_string()]);
@@ -338,26 +333,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A seed is cut at a unit boundary: capturing one waits at the
+    /// writer gate for the open transaction, so the seed holds all of it
+    /// and the stream from `start_offset` on starts with a whole unit.
+    /// (Cut mid-transaction it would leave the transaction's changes so
+    /// far out, and the stream would deliver the rest without its head.)
     #[test]
-    fn seed_excludes_uncommitted_in_flight_changes() {
-        let dir = tmpdir("seed-dirty");
+    fn a_seed_waits_for_the_open_transaction_and_resumes_at_a_unit_boundary() {
+        let dir = tmpdir("seed-mid-tx");
         let primary = Database::open(dir.join("primary.wal")).unwrap();
         primary.create_table(schema("t")).unwrap();
         insert(&primary, "t", 1, "committed");
         let open_tx = primary.begin();
-        primary.insert(open_tx, "t", vec![Value::Int(2), Value::Text("dirty".into())]).unwrap();
+        primary.insert(open_tx, "t", row(2, "before the seed is asked for")).unwrap();
 
-        let seed = primary.seed_state().unwrap();
         let replica = Arc::new(Database::in_memory());
         let mut applier = ReplicaApplier::new(Arc::clone(&replica));
-        applier.begin_reseed(seed.epoch, seed.start_offset);
-        for rec in &seed.records {
-            applier.seed_record(&rec.encode().unwrap()).unwrap();
-        }
-        applier.finish_reseed().unwrap();
-        assert_eq!(replica.row_count("t").unwrap(), 1, "uncommitted row must not ship");
-        primary.abort(open_tx).unwrap();
+        let (seeded_tx, seeded) = mpsc::channel();
+        let start = std::thread::scope(|s| {
+            let seeding = s.spawn(|| {
+                let start = reseed(&mut applier, &primary);
+                seeded_tx.send(()).unwrap();
+                start
+            });
+            assert!(seeded.recv_timeout(Duration::from_millis(100)).is_err(), "seed did not wait");
+            primary.insert(open_tx, "t", row(3, "after")).unwrap();
+            primary.commit(open_tx).unwrap();
+            seeding.join().unwrap()
+        });
+        assert_eq!(start, primary.wal_len());
+        assert_eq!(replica.row_count("t").unwrap(), 3);
+
+        insert(&primary, "t", 4, "streamed");
+        pump(&mut tail_of(&primary, start), &mut applier);
         assert_eq!(dump(&primary), dump(&replica));
+        assert_eq!(applier.position().offset, primary.wal_len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -365,22 +375,11 @@ mod tests {
     fn tailed_frames_apply_at_commit_boundaries() {
         let dir = tmpdir("tail-apply");
         let primary = Database::open(dir.join("primary.wal")).unwrap();
-        let mut tail = WalTail::new(primary.storage_backend(), primary.wal_path().unwrap(), 0);
+        let mut tail = tail_of(&primary, 0);
         let replica = Arc::new(Database::in_memory());
         let mut applier = ReplicaApplier::new(Arc::clone(&replica));
         applier.resume(primary.checkpoint_epoch(), 0);
-
-        let mut pump = |applier: &mut ReplicaApplier| loop {
-            match tail.poll().unwrap() {
-                TailPoll::Records(recs) => {
-                    for r in &recs {
-                        applier.apply_frame(&r.payload).unwrap();
-                    }
-                }
-                TailPoll::Idle => break,
-                TailPoll::Truncated => panic!("no truncation expected"),
-            }
-        };
+        let mut pump = |applier: &mut ReplicaApplier| pump(&mut tail, applier);
 
         primary.create_table(schema("t")).unwrap();
         insert(&primary, "t", 1, "a");
@@ -390,7 +389,7 @@ mod tests {
         // for the replica to see.
         assert_eq!(dump(&primary), dump(&replica));
         pump(&mut applier);
-        assert_eq!(applier.pending_txs(), 0);
+        assert!(!applier.mid_transaction());
         assert_eq!(applier.position().offset, primary.wal_len());
 
         // An uncommitted transaction ships but must not apply.
@@ -399,7 +398,7 @@ mod tests {
         primary.sync_wal().unwrap();
         pump(&mut applier);
         assert_eq!(replica.row_count("t").unwrap(), 2);
-        assert_eq!(applier.pending_txs(), 1);
+        assert!(applier.mid_transaction());
 
         primary.commit(open_tx).unwrap();
         pump(&mut applier);
@@ -425,12 +424,7 @@ mod tests {
         let replica = Arc::new(Database::in_memory());
         let mut applier = ReplicaApplier::new(Arc::clone(&replica));
         // First seed completes.
-        let seed = primary.seed_state().unwrap();
-        applier.begin_reseed(seed.epoch, seed.start_offset);
-        for rec in &seed.records {
-            applier.seed_record(&rec.encode().unwrap()).unwrap();
-        }
-        applier.finish_reseed().unwrap();
+        reseed(&mut applier, &primary);
         let before = dump(&replica);
 
         // Second seed starts but is interrupted mid-stream by promotion.
@@ -448,13 +442,254 @@ mod tests {
         let dir = tmpdir("ckpt-trunc");
         let primary = Database::open(dir.join("primary.wal")).unwrap();
         let epoch0 = primary.checkpoint_epoch();
-        let mut tail = WalTail::new(primary.storage_backend(), primary.wal_path().unwrap(), 0);
+        let mut tail = tail_of(&primary, 0);
         primary.create_table(schema("t")).unwrap();
         insert(&primary, "t", 1, "a");
-        assert!(matches!(tail.poll().unwrap(), TailPoll::Records(_)));
+        assert!(matches!(tail.poll().unwrap(), TailPoll::Frames(_)));
         primary.checkpoint().unwrap();
         assert_eq!(primary.checkpoint_epoch(), epoch0 + 1);
         assert_eq!(tail.poll().unwrap(), TailPoll::Truncated);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+    /// DDL waits at the writer gate like any writer, so it cannot land
+    /// inside a transaction's unit — where recovery (log order) and a
+    /// replica (commit order) used to disagree about what it did. Here a
+    /// second thread replaces table `t` while a transaction that wrote to
+    /// it is open: the drop waits for the commit, and the primary, its
+    /// reopened log and a replica tailing that log end up the same.
+    #[test]
+    fn ddl_racing_a_transaction_waits_for_it_and_every_copy_agrees() {
+        let dir = tmpdir("ddl-race");
+        let primary = Database::open(dir.join("primary.wal")).unwrap();
+        primary.create_table(schema("t")).unwrap();
+
+        let tx = primary.begin();
+        primary.insert(tx, "t", row(1, "a")).unwrap();
+        let (dropped_tx, dropped) = mpsc::channel();
+        std::thread::scope(|s| {
+            // What `replace_table` issues.
+            s.spawn(|| {
+                primary.drop_table("t").unwrap();
+                dropped_tx.send(()).unwrap();
+                primary.create_table(schema("t")).unwrap();
+            });
+            // A negative check can only time out: while `tx` is open the
+            // other thread's `drop_table` must not return.
+            assert!(dropped.recv_timeout(Duration::from_millis(100)).is_err());
+            primary.commit(tx).unwrap();
+        });
+
+        let replica = Arc::new(Database::in_memory());
+        let mut applier = ReplicaApplier::new(Arc::clone(&replica));
+        applier.resume(primary.checkpoint_epoch(), 0);
+        pump(&mut tail_of(&primary, 0), &mut applier);
+        let live = dump(&primary);
+        assert_eq!(primary.row_count("t").unwrap(), 0, "the insert came first, then the drop");
+        assert_eq!(dump(&replica), live, "replica against the live primary");
+        drop(primary);
+        let reopened = Database::open(dir.join("primary.wal")).unwrap();
+        assert_eq!(dump(&reopened), live, "recovered primary against the live one");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn create_index_and_checkpoint_wait_for_the_open_transaction_then_succeed() {
+        let dir = tmpdir("gate-ddl");
+        let db = Database::open(dir.join("db.wal")).unwrap();
+        db.create_table(schema("t")).unwrap();
+
+        let first = db.begin();
+        db.insert(first, "t", row(1, "a")).unwrap();
+        let (done_tx, done) = mpsc::channel();
+        let (go_tx, go) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let db = &db;
+            s.spawn(move || {
+                db.create_index("t", "val").unwrap();
+                done_tx.send("index").unwrap();
+                go.recv().unwrap();
+                db.checkpoint().unwrap();
+                done_tx.send("checkpoint").unwrap();
+            });
+            assert!(done.recv_timeout(Duration::from_millis(100)).is_err(), "index did not wait");
+            db.commit(first).unwrap();
+            assert_eq!(done.recv().unwrap(), "index");
+
+            let second = db.begin();
+            db.insert(second, "t", row(2, "b")).unwrap();
+            go_tx.send(()).unwrap();
+            assert!(
+                done.recv_timeout(Duration::from_millis(100)).is_err(),
+                "checkpoint did not wait"
+            );
+            assert_eq!(db.checkpoint_epoch(), 0);
+            db.commit(second).unwrap();
+            assert_eq!(done.recv().unwrap(), "checkpoint");
+        });
+        // Both saw the transaction they waited for, whole.
+        assert_eq!(db.checkpoint_epoch(), 1);
+        assert_eq!((db.wal_len(), db.overlay_row_count("t").unwrap()), (0, 0));
+        let tx = db.begin();
+        assert_eq!(db.index_lookup(tx, "t", "val", &Value::Text("a".into())).unwrap().len(), 1);
+        assert_eq!(db.scan(tx, "t").unwrap().len(), 2);
+        db.commit(tx).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One reader decides what is committed, so recovery and a replica
+    /// take the same record sequences and refuse the same ones. Every
+    /// sequence is given to both: as a hand-written WAL to
+    /// `Database::open`, and frame by frame to a `ReplicaApplier`.
+    #[test]
+    fn recovery_and_replica_accept_and_refuse_the_same_logs() {
+        let begin = |tx| LogRecord::Begin { tx };
+        let commit = |tx| LogRecord::Commit { tx };
+        let abort = |tx| LogRecord::Abort { tx };
+        let ins = |tx, id: i64| LogRecord::Insert {
+            tx,
+            table: "t".into(),
+            row_id: RowId(id as u64),
+            row: row(id, "v"),
+        };
+        let index = || LogRecord::CreateIndex { table: "t".into(), column: "val".into() };
+        // Every log starts with the table and one whole transaction.
+        let whole =
+            || vec![LogRecord::CreateTable { schema: schema("t") }, begin(9), ins(9, 9), commit(9)];
+        struct Case {
+            name: &'static str,
+            tail: Vec<LogRecord>,
+            /// The ids in `t` afterwards, or the transaction the refusal names.
+            expect: std::result::Result<&'static [i64], u64>,
+        }
+        let cases = [
+            Case {
+                name: "crash mid-transaction, then Begin",
+                tail: vec![begin(1), ins(1, 1), begin(2), ins(2, 2), commit(2)],
+                expect: Ok(&[2, 9]),
+            },
+            Case {
+                name: "crash mid-transaction, then DDL",
+                tail: vec![begin(1), ins(1, 1), index(), begin(2), ins(2, 2), commit(2)],
+                expect: Ok(&[2, 9]),
+            },
+            Case {
+                name: "abort",
+                tail: vec![begin(1), ins(1, 1), abort(1), begin(2), ins(2, 2), commit(2)],
+                expect: Ok(&[2, 9]),
+            },
+            Case {
+                name: "a transaction that logged nothing at all (2) between two that did",
+                tail: vec![begin(1), ins(1, 1), commit(1), begin(3), ins(3, 3), commit(3)],
+                expect: Ok(&[1, 3, 9]),
+            },
+            Case {
+                name: "Begin logged with the first change, not when the id was taken",
+                tail: vec![
+                    begin(4),
+                    ins(4, 4),
+                    ins(4, 5),
+                    commit(4),
+                    begin(2),
+                    ins(2, 2),
+                    commit(2),
+                ],
+                expect: Ok(&[2, 4, 5, 9]),
+            },
+            Case {
+                name: "crash mid-transaction at the end of the log",
+                tail: vec![begin(1), ins(1, 1)],
+                expect: Ok(&[9]),
+            },
+            Case {
+                name: "two interleaved transactions",
+                tail: vec![
+                    begin(1),
+                    ins(1, 1),
+                    begin(2),
+                    ins(2, 2),
+                    ins(1, 3),
+                    commit(1),
+                    commit(2),
+                ],
+                expect: Err(1),
+            },
+            Case {
+                name: "a change after its unit was discarded",
+                tail: vec![begin(1), ins(1, 1), index(), ins(1, 2), commit(1)],
+                expect: Err(1),
+            },
+            Case {
+                name: "commit of a discarded unit",
+                tail: vec![begin(1), ins(1, 1), begin(2), commit(1)],
+                expect: Err(1),
+            },
+            Case {
+                name: "a change with no unit open at all",
+                tail: vec![ins(1, 1), commit(1)],
+                expect: Err(1),
+            },
+        ];
+        let ids = |db: &Database| -> Vec<i64> {
+            let mut ids: Vec<i64> = db
+                .scan_autocommit("t")
+                .unwrap()
+                .iter()
+                .map(|r| if let Value::Int(id) = r[0] { id } else { panic!("{r:?}") })
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let names = |e: &StorageError, tx: u64| matches!(e, StorageError::Corrupt(m) if m.contains(&format!("transaction {tx}")));
+        for Case { name, tail, expect } in cases {
+            let dir = tmpdir("one-reader");
+            let records: Vec<LogRecord> = whole().into_iter().chain(tail).collect();
+
+            // Consumer 1: open-time recovery over a hand-written WAL.
+            let written = dir.join("written.wal");
+            let mut wal = Wal::open(&written).unwrap();
+            for rec in &records {
+                wal.append(&rec.encode().unwrap()).unwrap();
+            }
+            wal.sync().unwrap();
+            drop(wal);
+            let on_disk =
+                |p: &Path| (std::fs::read(p).ok(), std::fs::read(p.with_extension("ckpt")).ok());
+            let before = on_disk(&written);
+            let opened = Database::open(&written);
+
+            // Consumer 2: a replica, with a log of its own.
+            let replica = Arc::new(Database::open(dir.join("replica.wal")).unwrap());
+            let mut applier = ReplicaApplier::new(Arc::clone(&replica));
+            applier.resume(0, 0);
+            let applied =
+                records.iter().try_for_each(|rec| applier.apply_frame(&rec.encode().unwrap()));
+            applier.promote().unwrap();
+
+            match expect {
+                Ok(want) => {
+                    let opened = opened.unwrap_or_else(|e| panic!("{name}: open refused: {e}"));
+                    applied.unwrap_or_else(|e| panic!("{name}: replica refused: {e}"));
+                    assert_eq!(ids(&opened), want, "{name}: recovery");
+                    assert_eq!(dump(&replica), dump(&opened), "{name}: replica against recovery");
+                }
+                Err(tx) => {
+                    let e = opened.map(drop).expect_err(name);
+                    assert!(names(&e, tx), "{name}: open said: {e}");
+                    // Refusal is clean: nothing was repaired, truncated or replaced.
+                    assert_eq!(on_disk(&written), before, "{name}");
+                    let e = applied.expect_err(name);
+                    assert!(names(&e, tx), "{name}: replica said: {e}");
+                    // The replica stays at the last whole unit.
+                    assert_eq!(ids(&replica), [9], "{name}: replica state");
+                }
+            }
+            // Either way the replica's own log is one recovery accepts,
+            // and holds what the replica holds.
+            let left = dump(&replica);
+            drop(applier);
+            drop(replica);
+            assert_eq!(dump(&Database::open(dir.join("replica.wal")).unwrap()), left, "{name}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

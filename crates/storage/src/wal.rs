@@ -1,15 +1,22 @@
-//! Checksummed write-ahead log.
+//! Checksummed write-ahead log, and the one frame codec.
 //!
 //! Framing: every record is `[len: u32 LE][crc32: u32 LE][payload]`, where
 //! the checksum covers the *length prefix and the payload* (see
 //! [`frame_crc`]). Covering the length matters: `crc32(b"") == 0`, so a
 //! payload-only checksum would let a zero-filled tail (pre-allocated or
 //! partially-written blocks full of `\0`) replay as an endless run of valid
-//! empty records. Replay stops at the first frame whose length runs past
-//! EOF or whose checksum fails — the torn tail of a crashed write — and
-//! reports how many clean records preceded it. The structured store layers
-//! transaction semantics on top (see [`crate::structured::recovery`]); this
-//! module knows only bytes.
+//! empty records.
+//!
+//! The log, the replication stream and the file store all carry this
+//! frame, and only this module knows its layout: [`encode_frame`] writes
+//! one, [`decode_frame`] reads one and answers *complete*, *incomplete* or
+//! *torn*. Callers keep policy only. [`Wal::replay_with`] stops at the
+//! first frame that is not complete — the torn tail of a crashed write —
+//! and reports where the clean prefix ends; [`FrameBuf`] (the replication
+//! socket, and [`WalTail`]) waits on incomplete and fails on torn; the
+//! file store surfaces a torn record once and goes on. The structured
+//! store layers transaction semantics on top (see
+//! [`crate::structured::recovery`]); this module knows only bytes.
 //!
 //! All file I/O goes through a [`StorageBackend`] (see [`crate::faultfs`]),
 //! so tests can inject deterministic crashes; [`Wal::open`] and
@@ -34,8 +41,7 @@
 use crate::error::StorageError;
 use crate::faultfs::{BackendFile, RealBackend, StorageBackend};
 use crate::Result;
-use bytes::Bytes;
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -106,13 +112,58 @@ pub fn frame_crc(payload: &[u8]) -> u32 {
     !crc32_feed(crc32_feed(0xFFFF_FFFF, &len), payload)
 }
 
-/// One replayed record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalRecord {
-    /// Byte offset of the record's frame in the log file.
-    pub offset: u64,
-    /// Record payload.
-    pub payload: Bytes,
+/// Bytes of a frame's header: the length prefix and the checksum.
+pub const FRAME_HEADER: usize = 8;
+
+/// Append the frame for `payload` to `out`: the one place the layout is
+/// written. A payload too long for the length prefix is refused, never
+/// truncated.
+pub fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<()> {
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        StorageError::Corrupt(format!("record of {} bytes does not fit a frame", payload.len()))
+    })?;
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&frame_crc(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Why no further bytes can make the front of a buffer a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Torn {
+    /// The length prefix claims `len` payload bytes, over the caller's `cap`.
+    Oversized { len: usize, cap: usize },
+    /// All `frame` bytes of the frame are there and fail its checksum.
+    Checksum { frame: usize },
+}
+
+impl From<Torn> for StorageError {
+    fn from(torn: Torn) -> StorageError {
+        StorageError::Corrupt(match torn {
+            Torn::Oversized { len, cap } => format!("frame of {len} bytes exceeds limit {cap}"),
+            Torn::Checksum { frame } => format!("frame of {frame} bytes fails its checksum"),
+        })
+    }
+}
+
+/// Decode the frame at the front of `buf`: the one place the layout is
+/// parsed. `Ok(Some((payload, bytes consumed)))` is a whole frame whose
+/// checksum verifies, the payload borrowed from `buf`; `Ok(None)` an
+/// incomplete one, which more bytes may complete; `Err` a torn one. A
+/// length prefix over `cap` is refused before the payload is looked for,
+/// so a streaming caller never buffers towards a frame it would not take.
+pub fn decode_frame(buf: &[u8], cap: usize) -> std::result::Result<Option<(&[u8], usize)>, Torn> {
+    let word = |at: usize| Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?));
+    let Some(len) = word(0).map(|len| len as usize) else { return Ok(None) };
+    if len > cap {
+        return Err(Torn::Oversized { len, cap });
+    }
+    let rest = || Some((word(4)?, buf.get(FRAME_HEADER..FRAME_HEADER.checked_add(len)?)?));
+    let Some((crc, payload)) = rest() else { return Ok(None) };
+    if frame_crc(payload) != crc {
+        return Err(Torn::Checksum { frame: FRAME_HEADER + len });
+    }
+    Ok(Some((payload, FRAME_HEADER + len)))
 }
 
 /// How much durability a commit buys before it returns. Mirrors the
@@ -152,12 +203,21 @@ impl Wal {
 
     /// [`Wal::open`] against an explicit storage backend.
     pub fn open_with(backend: Arc<dyn StorageBackend>, path: impl AsRef<Path>) -> Result<Wal> {
-        let path = path.as_ref().to_path_buf();
-        let records = Self::replay_with(&*backend, &path)?;
-        let clean_end = records.last().map(|r| r.offset + 8 + r.payload.len() as u64).unwrap_or(0);
-        let file = backend.open_append(&path, clean_end)?;
+        let clean_end = Self::replay_with(&*backend, path.as_ref(), |_| Ok(()))?;
+        Self::open_at(backend, path.as_ref(), clean_end)
+    }
+
+    /// Open the log for appending at `clean_end`, the end of the clean
+    /// prefix a replay of it just reported: whoever has scanned the log
+    /// already (recovery) opens it without a second scan.
+    pub(crate) fn open_at(
+        backend: Arc<dyn StorageBackend>,
+        path: &Path,
+        clean_end: u64,
+    ) -> Result<Wal> {
+        let file = backend.open_append(path, clean_end)?;
         Ok(Wal {
-            path,
+            path: path.to_path_buf(),
             backend,
             writer: BufWriter::new(file),
             offset: clean_end,
@@ -170,10 +230,7 @@ impl Wal {
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
         let offset = self.offset;
         self.scratch.clear();
-        self.scratch.reserve(8 + payload.len());
-        self.scratch.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.scratch.extend_from_slice(&frame_crc(payload).to_le_bytes());
-        self.scratch.extend_from_slice(payload);
+        encode_frame(&mut self.scratch, payload)?;
         self.writer.write_all(&self.scratch)?;
         self.offset += self.scratch.len() as u64;
         Ok(offset)
@@ -208,45 +265,42 @@ impl Wal {
         &self.path
     }
 
-    /// Read every clean record from a log file (no `Wal` instance needed).
-    /// A missing file replays as empty. Corruption mid-file ends the replay
-    /// at the last clean record rather than erroring: that is exactly the
-    /// crash-recovery contract.
-    pub fn replay(path: impl AsRef<Path>) -> Result<Vec<WalRecord>> {
-        Self::replay_with(&RealBackend, path)
+    /// Every clean record of a log file, copied out (no `Wal` instance
+    /// needed): [`Wal::replay_with`] for tools and tests.
+    pub fn replay(path: impl AsRef<Path>) -> Result<Vec<Vec<u8>>> {
+        let mut records = Vec::new();
+        Self::replay_with(&RealBackend, path, |payload| {
+            records.push(payload.to_vec());
+            Ok(())
+        })?;
+        Ok(records)
     }
 
-    /// [`Wal::replay`] against an explicit storage backend.
+    /// Read a log file once and hand `each` every clean record's payload,
+    /// borrowed from the buffer the file was read into; returns the
+    /// offset the clean prefix ends at. A missing file replays as empty.
+    /// Damage mid-file ends the replay at the last clean record rather
+    /// than erroring: that is exactly the crash-recovery contract. An
+    /// error from `each` ends it too, and is returned.
     pub fn replay_with(
         backend: &dyn StorageBackend,
         path: impl AsRef<Path>,
-    ) -> Result<Vec<WalRecord>> {
+        mut each: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<u64> {
         let data = match backend.read(path.as_ref()) {
             Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(e.into()),
         };
-        let mut records = Vec::new();
         let mut pos = 0usize;
-        while pos + 8 <= data.len() {
-            // quarry-audit: allow(QA101, reason = "try_into from a 4-byte slice into [u8; 4] cannot fail")
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-            // quarry-audit: allow(QA101, reason = "try_into from a 4-byte slice into [u8; 4] cannot fail")
-            let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
-            let start = pos + 8;
-            let end = match start.checked_add(len) {
-                Some(e) if e <= data.len() => e,
-                _ => break, // torn length / truncated payload
-            };
-            let payload = &data[start..end];
-            if frame_crc(payload) != crc {
-                break; // torn or corrupted payload
-            }
-            records
-                .push(WalRecord { offset: pos as u64, payload: Bytes::copy_from_slice(payload) });
-            pos = end;
+        // No cap: the file's own length bounds what a prefix can claim.
+        while let Ok(Some((payload, consumed))) =
+            decode_frame(data.get(pos..).unwrap_or_default(), usize::MAX)
+        {
+            each(payload)?;
+            pos += consumed;
         }
-        Ok(records)
+        Ok(pos as u64)
     }
 
     /// Truncate the log to zero length (e.g. after a checkpoint).
@@ -263,47 +317,60 @@ impl Wal {
     }
 }
 
-/// Parse every *complete* frame out of `buf`, whose first byte sits at
-/// absolute log offset `base`. Returns the parsed records plus the number
-/// of bytes consumed; an incomplete or torn trailing frame is left
-/// unconsumed so a streaming caller can retry once more bytes arrive.
-/// Unlike [`Wal::replay_with`], a CRC mismatch is an *error* here — a
-/// tail reader only ever sees bytes below the committed watermark, where
-/// corruption means a damaged log, not an in-progress write.
-pub fn parse_frames(buf: &[u8], base: u64) -> Result<(Vec<WalRecord>, usize)> {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos + 8 <= buf.len() {
-        // quarry-audit: allow(QA101, reason = "try_into from a 4-byte slice into [u8; 4] cannot fail")
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        // quarry-audit: allow(QA101, reason = "try_into from a 4-byte slice into [u8; 4] cannot fail")
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        let start = pos + 8;
-        let end = match start.checked_add(len) {
-            Some(e) if e <= buf.len() => e,
-            _ => break, // incomplete trailing frame: wait for more bytes
-        };
-        let payload = &buf[start..end];
-        if frame_crc(payload) != crc {
-            return Err(StorageError::Corrupt(format!(
-                "wal frame at offset {} fails checksum",
-                base + pos as u64
-            )));
-        }
-        records.push(WalRecord {
-            offset: base + pos as u64,
-            payload: Bytes::copy_from_slice(payload),
-        });
-        pos = end;
+/// An incremental frame reader over a byte stream that arrives in pieces:
+/// a socket, or a log file that is still growing. [`FrameBuf::fill`] takes
+/// the next piece and [`FrameBuf::next_frame`] hands out the whole frames
+/// so far; a partial frame stays buffered until the rest of it arrives.
+/// A torn frame is an error and stays one — such a stream cannot be
+/// resynchronised — and since an oversized length prefix is torn on
+/// sight, a caller that stops there never holds more than one frame
+/// under the cap plus one piece.
+pub struct FrameBuf {
+    buf: Vec<u8>,
+    /// Where the bytes not handed out yet start; what lies before is
+    /// dropped by the next `fill`.
+    head: usize,
+    cap: usize,
+}
+
+impl FrameBuf {
+    /// A reader that refuses any frame whose payload exceeds `cap` bytes.
+    pub fn new(cap: usize) -> FrameBuf {
+        FrameBuf { buf: Vec::new(), head: 0, cap }
     }
-    Ok((records, pos))
+
+    /// Let `read` put up to `room` more bytes of the stream straight into
+    /// the buffer; it returns how many it wrote.
+    pub fn fill(
+        &mut self,
+        room: usize,
+        read: impl FnOnce(&mut [u8]) -> io::Result<usize>,
+    ) -> io::Result<usize> {
+        self.buf.drain(..self.head);
+        self.head = 0;
+        let held = self.buf.len();
+        self.buf.resize(held + room, 0);
+        let got = read(self.buf.get_mut(held..).unwrap_or_default());
+        self.buf.truncate(held + got.as_ref().map_or(0, |&n| n.min(room)));
+        got
+    }
+
+    /// The next whole frame's payload, or `None` until more bytes arrive.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>> {
+        let front = self.buf.get(self.head..).unwrap_or_default();
+        let Some((payload, consumed)) = decode_frame(front, self.cap)? else { return Ok(None) };
+        self.head += consumed;
+        Ok(Some(payload))
+    }
 }
 
 /// What one [`WalTail::poll`] observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TailPoll {
-    /// New complete frames past the cursor; the cursor has advanced.
-    Records(Vec<WalRecord>),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TailPoll<'a> {
+    /// New whole frames past the cursor, as the bytes the log holds —
+    /// which are the bytes the replication stream carries, so a shipper
+    /// writes the run as it is. The cursor has advanced past it.
+    Frames(&'a [u8]),
     /// Nothing new (no bytes, or only an incomplete trailing frame).
     Idle,
     /// The log file is shorter than the cursor. Either a checkpoint
@@ -318,23 +385,39 @@ pub enum TailPoll {
 /// A polling cursor over a live WAL file, used by replication to stream
 /// committed frames to replicas.
 ///
-/// The tail reads through the same [`StorageBackend`] as the writer, so
-/// under fault injection it observes exactly the bytes a crash would
-/// leave behind — and, because backend *reads* are not crash points, the
-/// act of tailing never perturbs the recorded operation stream. A torn
-/// or incomplete trailing frame (an append racing the poll, or a commit
-/// not yet flushed) simply reads as [`TailPoll::Idle`]; only complete
-/// CRC-valid frames are handed out.
+/// The tail keeps one read handle on the log and reads only the bytes
+/// between what it has read and the end of the file, so a poll costs what
+/// is new — on an idle log, nothing — however long the log is. It reads
+/// through the same [`StorageBackend`] as the writer, so under fault
+/// injection it observes exactly the bytes a crash would leave behind —
+/// and, because opening and reading are not crash points, the act of
+/// tailing never perturbs the recorded operation stream. An incomplete
+/// trailing frame (an append racing the poll, or a commit not yet
+/// flushed) reads as [`TailPoll::Idle`] and is completed, not re-read, by
+/// a later poll; a torn frame is an error.
 pub struct WalTail {
     backend: Arc<dyn StorageBackend>,
     path: PathBuf,
+    /// Opened by the first poll that finds the file.
+    file: Option<Box<dyn BackendFile>>,
+    /// Log offset of the next frame not handed out yet.
     offset: u64,
+    /// The bytes read past `offset`: a frame the log holds part of.
+    frames: FrameBuf,
 }
 
 impl WalTail {
-    /// A tail over the log at `path`, starting at byte offset `start`.
-    pub fn new(backend: Arc<dyn StorageBackend>, path: impl AsRef<Path>, start: u64) -> WalTail {
-        WalTail { backend, path: path.as_ref().to_path_buf(), offset: start }
+    /// A tail over the log at `path`, starting at byte offset `start` and
+    /// refusing any frame over `cap` payload bytes (what its consumer
+    /// would refuse to receive).
+    pub fn new(
+        backend: Arc<dyn StorageBackend>,
+        path: impl AsRef<Path>,
+        start: u64,
+        cap: usize,
+    ) -> WalTail {
+        let path = path.as_ref().to_path_buf();
+        WalTail { backend, path, file: None, offset: start, frames: FrameBuf::new(cap) }
     }
 
     /// Current cursor position (byte offset of the next unread frame).
@@ -345,25 +428,54 @@ impl WalTail {
     /// Move the cursor (after a truncation / epoch change).
     pub fn seek(&mut self, offset: u64) {
         self.offset = offset;
+        self.frames = FrameBuf::new(self.frames.cap);
     }
 
-    /// Read any complete frames past the cursor. A missing file counts as
+    /// Read any whole frames past the cursor. A missing file counts as
     /// empty (length 0): before the first commit the log may not exist.
-    pub fn poll(&mut self) -> Result<TailPoll> {
-        let data = match self.backend.read(&self.path) {
-            Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e.into()),
-        };
-        if (data.len() as u64) < self.offset {
+    pub fn poll(&mut self) -> Result<TailPoll<'_>> {
+        if self.file.is_none() {
+            match self.backend.open_rw(&self.path) {
+                Ok(file) => self.file = Some(file),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let len = self.file.as_mut().map_or(Ok(0), |file| file.file_len())?;
+        // What has been read: the frames handed out, and part of the next.
+        let read_to = self.offset + (self.frames.buf.len() - self.frames.head) as u64;
+        if len < read_to {
             return Ok(TailPoll::Truncated);
         }
-        let (records, consumed) = parse_frames(&data[self.offset as usize..], self.offset)?;
-        if records.is_empty() {
+        if let Some(file) = self.file.as_mut().filter(|_| len > read_to) {
+            let read = |space: &mut [u8]| file.read_at(read_to, space).map(|()| space.len());
+            match self.frames.fill((len - read_to) as usize, read) {
+                Ok(_) => {}
+                // The file shrank between the length and the read: a
+                // reset under the cursor.
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                    return Ok(TailPoll::Truncated)
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+        // The run is every whole frame now at the front. A torn frame
+        // ends it — or, with no whole frame before it, fails the poll.
+        let mut run = 0;
+        loop {
+            match self.frames.next_frame() {
+                Ok(Some(payload)) => run += FRAME_HEADER + payload.len(),
+                Ok(None) => break,
+                Err(e) if run == 0 => return Err(e),
+                Err(_) => break,
+            }
+        }
+        if run == 0 {
             return Ok(TailPoll::Idle);
         }
-        self.offset += consumed as u64;
-        Ok(TailPoll::Records(records))
+        self.offset += run as u64;
+        let FrameBuf { buf, head, .. } = &self.frames;
+        Ok(TailPoll::Frames(buf.get(head - run..*head).unwrap_or_default()))
     }
 }
 
@@ -380,9 +492,23 @@ const _: fn() = || {
 };
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::faultfs::{FaultBackend, Op};
+    use crate::filestore::FileStore;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// The payloads of a validated run of frames (a [`TailPoll::Frames`]).
+    pub(crate) fn payloads(run: &[u8]) -> Vec<&[u8]> {
+        let (mut out, mut pos) = (Vec::new(), 0);
+        while let Ok(Some((payload, consumed))) = decode_frame(&run[pos..], usize::MAX) {
+            out.push(payload);
+            pos += consumed;
+        }
+        assert_eq!(pos, run.len(), "a run is whole frames and nothing else");
+        out
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("quarry-wal-tests");
@@ -454,8 +580,8 @@ mod tests {
         wal.sync().unwrap();
         let recs = Wal::replay(&p).unwrap();
         assert_eq!(recs.len(), 2);
-        assert_eq!(&recs[0].payload[..], b"one");
-        assert_eq!(&recs[1].payload[..], b"two");
+        assert_eq!(&recs[0][..], b"one");
+        assert_eq!(&recs[1][..], b"two");
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -490,8 +616,8 @@ mod tests {
         wal.append(b"gamma").unwrap();
         wal.sync().unwrap();
         let recs = Wal::replay(&p).unwrap();
-        let payloads: Vec<_> = recs.iter().map(|r| r.payload.clone()).collect();
-        assert_eq!(payloads, vec![Bytes::from("alpha"), Bytes::from("beta"), Bytes::from("gamma")]);
+        let payloads: Vec<&[u8]> = recs.iter().map(Vec::as_slice).collect();
+        assert_eq!(payloads, [b"alpha".as_slice(), b"beta", b"gamma"]);
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -513,7 +639,7 @@ mod tests {
         std::fs::write(&p, &data).unwrap();
         let recs = Wal::replay(&p).unwrap();
         assert_eq!(recs.len(), 1);
-        assert_eq!(&recs[0].payload[..], b"first");
+        assert_eq!(&recs[0][..], b"first");
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -530,30 +656,130 @@ mod tests {
         wal.sync().unwrap();
         let recs = Wal::replay(&p).unwrap();
         assert_eq!(recs.len(), 1);
-        assert_eq!(&recs[0].payload[..], b"y");
+        assert_eq!(&recs[0][..], b"y");
         std::fs::remove_file(&p).unwrap();
     }
 
-    /// Table-driven corruption suite: each case mutates a three-record log
-    /// (`alpha`, `beta`, `gamma`) and states exactly which prefix of
-    /// records must survive replay.
+    /// The frame cap of the streaming readers in the tests below.
+    const CAP: usize = 64;
+
+    /// A payload one byte over [`CAP`].
+    const OVER_CAP: &[u8] = &[7u8; CAP + 1];
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, payload).unwrap();
+        frame
+    }
+
+    /// How a streaming reader's answer ends once it has every byte.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum End {
+        /// Incomplete: it waits for more bytes.
+        Waits,
+        /// Torn: it fails, and keeps failing.
+        Torn,
+    }
+
+    /// Push `pieces` through a [`FrameBuf`], draining it after each; the
+    /// payloads it handed out and how it ended.
+    fn through_frame_buf(pieces: &[&[u8]]) -> (Vec<Vec<u8>>, End) {
+        let mut frames = FrameBuf::new(CAP);
+        let mut got = Vec::new();
+        for piece in pieces {
+            for chunk in piece.chunks(16) {
+                let copy = |space: &mut [u8]| {
+                    space.copy_from_slice(chunk);
+                    Ok(chunk.len())
+                };
+                frames.fill(chunk.len(), copy).unwrap();
+                assert!(frames.buf.len() <= FRAME_HEADER + CAP + 16, "buffer above cap + a read");
+                loop {
+                    match frames.next_frame() {
+                        Ok(Some(payload)) => got.push(payload.to_vec()),
+                        Ok(None) => break,
+                        Err(StorageError::Corrupt(_)) => {
+                            assert!(frames.next_frame().is_err(), "torn is final");
+                            return (got, End::Torn);
+                        }
+                        Err(e) => panic!("{e}"),
+                    }
+                }
+            }
+        }
+        (got, End::Waits)
+    }
+
+    /// Write `pieces` to a log one after the other with a [`WalTail`]
+    /// polling between them; the payloads it handed out, how it ended, and
+    /// where its cursor stopped.
+    fn through_wal_tail(p: &Path, pieces: &[&[u8]]) -> (Vec<Vec<u8>>, End, u64) {
+        let _ = std::fs::remove_file(p);
+        let mut tail = WalTail::new(Arc::new(RealBackend), p, 0, CAP);
+        let mut got = Vec::new();
+        for piece in pieces {
+            let mut f = std::fs::OpenOptions::new().create(true).append(true).open(p).unwrap();
+            f.write_all(piece).unwrap();
+            loop {
+                match tail.poll() {
+                    Ok(TailPoll::Frames(run)) => {
+                        got.extend(payloads(run).iter().map(|p| p.to_vec()))
+                    }
+                    Ok(TailPoll::Idle) => break,
+                    Ok(TailPoll::Truncated) => panic!("nothing truncates this log"),
+                    Err(StorageError::Corrupt(_)) => {
+                        assert!(tail.poll().is_err(), "torn is final");
+                        return (got, End::Torn, tail.offset());
+                    }
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        }
+        (got, End::Waits, tail.offset())
+    }
+
+    /// The one corruption table of the one decoder. Each case damages a
+    /// three-record log (`alpha`, `beta`, `gamma`) and states what each of
+    /// the three caller policies makes of the result:
+    ///
+    /// - **replay** ([`Wal::replay`], then [`Wal::open`]): which prefix of
+    ///   records survives — and the log reopens truncated to exactly that
+    ///   prefix and stays appendable;
+    /// - **stream** ([`FrameBuf`] and [`WalTail`], fed the bytes whole and
+    ///   cut in two at *every* offset, so every header is split across
+    ///   two reads somewhere): how many frames come out, and whether the
+    ///   reader then waits or fails;
+    /// - **scan** (the file store): the records and errors, in order.
     #[test]
-    fn replay_corruption_table() {
+    fn frame_corruption_table() {
         struct Case {
             name: &'static str,
             // Given the clean log bytes and each frame's start offset,
-            // produce the corrupted bytes.
+            // produce the damaged bytes.
             mutate: fn(Vec<u8>, &[usize]) -> Vec<u8>,
-            surviving: &'static [&'static [u8]],
+            replay: &'static [&'static [u8]],
+            // The reader hands out this many of `replay`'s records first.
+            stream: (usize, End),
+            // `None`: one `Corrupt` error.
+            scan: &'static [Option<&'static [u8]>],
         }
         let cases: &[Case] = &[
+            Case {
+                name: "clean log",
+                mutate: |data, _| data,
+                replay: &[b"alpha", b"beta", b"gamma"],
+                stream: (3, End::Waits),
+                scan: &[Some(b"alpha"), Some(b"beta"), Some(b"gamma")],
+            },
             Case {
                 name: "truncated length prefix (2 of 4 length bytes)",
                 mutate: |mut data, frames| {
                     data.truncate(frames[2] + 2);
                     data
                 },
-                surviving: &[b"alpha", b"beta"],
+                replay: &[b"alpha", b"beta"],
+                stream: (2, End::Waits),
+                scan: &[Some(b"alpha"), Some(b"beta")],
             },
             Case {
                 name: "truncated payload (header intact, payload cut short)",
@@ -561,7 +787,9 @@ mod tests {
                     data.truncate(frames[2] + 8 + 2);
                     data
                 },
-                surviving: &[b"alpha", b"beta"],
+                replay: &[b"alpha", b"beta"],
+                stream: (2, End::Waits),
+                scan: &[Some(b"alpha"), Some(b"beta")],
             },
             Case {
                 name: "bad CRC mid-log stops replay at the damage",
@@ -569,7 +797,9 @@ mod tests {
                     data[frames[1] + 8] ^= 0xFF;
                     data
                 },
-                surviving: &[b"alpha"],
+                replay: &[b"alpha"],
+                stream: (1, End::Torn),
+                scan: &[Some(b"alpha"), None, Some(b"gamma")],
             },
             Case {
                 name: "valid records after a torn record are NOT recovered",
@@ -580,7 +810,9 @@ mod tests {
                     assert!(frames[2] < data.len(), "record 2 still present");
                     data
                 },
-                surviving: &[b"alpha"],
+                replay: &[b"alpha"],
+                stream: (1, End::Torn),
+                scan: &[Some(b"alpha"), None, Some(b"gamma")],
             },
             Case {
                 name: "zero-filled tail parses as no records",
@@ -589,16 +821,46 @@ mod tests {
                     data.extend_from_slice(&[0u8; 64]);
                     data
                 },
-                surviving: &[b"alpha"],
+                replay: &[b"alpha"],
+                stream: (1, End::Torn),
+                // Every eight zero bytes are one empty record with a bad sum.
+                scan: &[Some(b"alpha"), None, None, None, None, None, None, None, None],
             },
             Case {
                 name: "entirely zero-filled log parses as empty",
-                mutate: |_, _| vec![0u8; 128],
-                surviving: &[],
+                mutate: |_, _| vec![0u8; 32],
+                replay: &[],
+                stream: (0, End::Torn),
+                scan: &[None, None, None, None],
+            },
+            Case {
+                name: "len = u32::MAX",
+                mutate: |mut data, frames| {
+                    data.truncate(frames[2]);
+                    data.extend_from_slice(&u32::MAX.to_le_bytes());
+                    data.extend_from_slice(&[0u8; 12]);
+                    data
+                },
+                replay: &[b"alpha", b"beta"],
+                stream: (2, End::Torn),
+                scan: &[Some(b"alpha"), Some(b"beta")],
+            },
+            Case {
+                name: "len = cap + 1",
+                mutate: |mut data, frames| {
+                    data.truncate(frames[2]);
+                    data.extend_from_slice(&framed(OVER_CAP));
+                    data
+                },
+                // Whole and sound: only a reader with a cap refuses it.
+                replay: &[b"alpha", b"beta", OVER_CAP],
+                stream: (2, End::Torn),
+                scan: &[Some(b"alpha"), Some(b"beta"), Some(OVER_CAP)],
             },
         ];
 
         for (i, case) in cases.iter().enumerate() {
+            let name = case.name;
             let p = tmp(&format!("table{i}"));
             let _ = std::fs::remove_file(&p);
             let mut frames = Vec::new();
@@ -610,24 +872,70 @@ mod tests {
                 wal.sync().unwrap();
             }
             let clean = std::fs::read(&p).unwrap();
-            std::fs::write(&p, (case.mutate)(clean, &frames)).unwrap();
-            let recs = Wal::replay(&p).unwrap();
-            let got: Vec<&[u8]> = recs.iter().map(|r| &r.payload[..]).collect();
-            assert_eq!(got, case.surviving, "case: {}", case.name);
+            let data = (case.mutate)(clean, &frames);
 
+            // Policy 1: replay stops at the first frame that is not whole.
+            std::fs::write(&p, &data).unwrap();
+            let recs = Wal::replay(&p).unwrap();
+            let got: Vec<&[u8]> = recs.iter().map(Vec::as_slice).collect();
+            assert_eq!(got, case.replay, "replay, case: {name}");
+            let offset: u64 = recs.iter().map(|r| (FRAME_HEADER + r.len()) as u64).sum();
             // Re-opening must agree: the log is truncated to the surviving
             // prefix and stays appendable.
             let mut wal = Wal::open(&p).unwrap();
+            assert_eq!(wal.len(), offset, "clean end, case: {name}");
             wal.append(b"appended-after-recovery").unwrap();
             wal.sync().unwrap();
             drop(wal);
             let recs = Wal::replay(&p).unwrap();
-            let got: Vec<&[u8]> = recs.iter().map(|r| &r.payload[..]).collect();
-            let mut want = case.surviving.to_vec();
+            let got: Vec<&[u8]> = recs.iter().map(Vec::as_slice).collect();
+            let mut want = case.replay.to_vec();
             want.push(b"appended-after-recovery");
-            assert_eq!(got, want, "post-recovery append, case: {}", case.name);
+            assert_eq!(got, want, "post-recovery append, case: {name}");
+
+            // Policy 2: a streaming reader waits on an incomplete frame and
+            // fails on a torn one, wherever the bytes are cut.
+            let (count, end) = case.stream;
+            let want: Vec<Vec<u8>> = case.replay[..count].iter().map(|p| p.to_vec()).collect();
+            let passed: usize = want.iter().map(|p| FRAME_HEADER + p.len()).sum();
+            for cut in 0..=data.len() {
+                let pieces = [&data[..cut], &data[cut..]];
+                assert_eq!(through_frame_buf(&pieces), (want.clone(), end), "{name}, cut {cut}");
+                let tailed = through_wal_tail(&p, &pieces);
+                // The incomplete or torn rest stays unconsumed.
+                assert_eq!(tailed, (want.clone(), end, passed as u64), "{name}, cut {cut}");
+            }
+
+            // Policy 3: the file store surfaces a torn record once and
+            // goes on behind it; an incomplete one ends the scan cleanly.
+            let dir = p.with_extension("fs");
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("seg-00000000.qfs"), &data).unwrap();
+            let scanned: Vec<Option<Vec<u8>>> = FileStore::open(&dir)
+                .unwrap()
+                .scan()
+                .unwrap()
+                .map(|r| match r {
+                    Ok(record) => Some(record),
+                    Err(StorageError::Corrupt(_)) => None,
+                    Err(e) => panic!("{name}: {e}"),
+                })
+                .collect();
+            let want: Vec<Option<Vec<u8>>> =
+                case.scan.iter().map(|r| r.map(<[u8]>::to_vec)).collect();
+            assert_eq!(scanned, want, "scan, case: {name}");
+            std::fs::remove_dir_all(&dir).unwrap();
             std::fs::remove_file(&p).unwrap();
         }
+
+        // An oversized length prefix is refused on its four bytes alone,
+        // before a single byte of the payload it promises has arrived.
+        assert_eq!(
+            decode_frame(&u32::MAX.to_le_bytes(), CAP),
+            Err(Torn::Oversized { len: u32::MAX as usize, cap: CAP })
+        );
+        assert_eq!(decode_frame(&(CAP as u32).to_le_bytes(), CAP), Ok(None));
     }
 
     #[test]
@@ -641,56 +949,123 @@ mod tests {
         assert_ne!(frame_crc(b"abc"), crc32(b"abc"));
     }
 
-    #[test]
-    fn parse_frames_consumes_whole_frames_and_leaves_the_tail() {
-        let mut buf = Vec::new();
-        for payload in [b"one".as_slice(), b"two"] {
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&frame_crc(payload).to_le_bytes());
-            buf.extend_from_slice(payload);
-        }
-        let whole = buf.len();
-        // A half-written third frame: header plus a short payload.
-        buf.extend_from_slice(&10u32.to_le_bytes());
-        buf.extend_from_slice(&frame_crc(b"0123456789").to_le_bytes());
-        buf.extend_from_slice(b"0123");
-        let (records, consumed) = parse_frames(&buf, 100).unwrap();
-        assert_eq!(consumed, whole, "incomplete tail must stay unconsumed");
-        let payloads: Vec<_> = records.iter().map(|r| &r.payload[..]).collect();
-        assert_eq!(payloads, vec![b"one".as_slice(), b"two"]);
-        assert_eq!(records[0].offset, 100);
-        assert_eq!(records[1].offset, 100 + 8 + 3);
-        // Corruption below the committed watermark is an error, not a
-        // silent stop: a tail reader only ever sees committed bytes.
-        let mut bad = buf[..whole].to_vec();
-        bad[8] ^= 0xFF;
-        assert!(matches!(parse_frames(&bad, 0), Err(StorageError::Corrupt(_))));
+    /// The real filesystem with every read counted (test-only:
+    /// `FaultBackend` counts mutating operations, not reads).
+    #[derive(Debug, Clone, Default)]
+    struct ReadCounter {
+        /// Whole-file `read` calls.
+        whole_reads: Arc<AtomicU64>,
+        /// Bytes read, by `read` and through `read_at` alike.
+        bytes: Arc<AtomicU64>,
     }
 
+    struct CountedFile(Box<dyn BackendFile>, Arc<AtomicU64>);
+
+    impl Write for CountedFile {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.0.flush()
+        }
+    }
+
+    impl BackendFile for CountedFile {
+        fn sync_data(&mut self) -> io::Result<()> {
+            self.0.sync_data()
+        }
+        fn truncate(&mut self, len: u64) -> io::Result<()> {
+            self.0.truncate(len)
+        }
+        fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
+            self.0.write_at(offset, buf)
+        }
+        fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+            self.1.fetch_add(buf.len() as u64, Ordering::Relaxed);
+            self.0.read_at(offset, buf)
+        }
+        fn file_len(&mut self) -> io::Result<u64> {
+            self.0.file_len()
+        }
+    }
+
+    impl StorageBackend for ReadCounter {
+        fn open_append(&self, path: &Path, to: u64) -> io::Result<Box<dyn BackendFile>> {
+            RealBackend.open_append(path, to)
+        }
+        fn create_new(&self, path: &Path) -> io::Result<Box<dyn BackendFile>> {
+            RealBackend.create_new(path)
+        }
+        fn open_rw(&self, path: &Path) -> io::Result<Box<dyn BackendFile>> {
+            Ok(Box::new(CountedFile(RealBackend.open_rw(path)?, Arc::clone(&self.bytes))))
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            let data = RealBackend.read(path)?;
+            self.whole_reads.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
+            Ok(data)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealBackend.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            RealBackend.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            RealBackend.create_dir_all(path)
+        }
+        fn list_dir(&self, path: &Path) -> io::Result<Vec<String>> {
+            RealBackend.list_dir(path)
+        }
+    }
+
+    /// A poll costs what is new in the log — nothing, when nothing is —
+    /// however long the log is; and the tail's other answers are as they
+    /// were when every poll read the whole file.
     #[test]
-    fn wal_tail_streams_frames_and_reports_truncation() {
+    fn an_idle_tail_reads_nothing_and_new_frames_cost_their_own_bytes() {
         let p = tmp("tail");
         let _ = std::fs::remove_file(&p);
-        let backend: Arc<dyn StorageBackend> = Arc::new(RealBackend);
-        let mut tail = WalTail::new(Arc::clone(&backend), &p, 0);
+        let reads = ReadCounter::default();
+        let bytes_read = || reads.bytes.load(Ordering::Relaxed);
+        let mut tail = WalTail::new(Arc::new(reads.clone()), &p, 0, CAP);
         // Missing file reads as empty.
         assert_eq!(tail.poll().unwrap(), TailPoll::Idle);
 
         let mut wal = Wal::open(&p).unwrap();
-        wal.append(b"alpha").unwrap();
-        wal.append(b"beta").unwrap();
+        for i in 0..1000 {
+            wal.append(format!("record {i:04}").as_bytes()).unwrap();
+        }
         wal.sync().unwrap();
-        let TailPoll::Records(recs) = tail.poll().unwrap() else { panic!("expected records") };
-        assert_eq!(recs.len(), 2);
+        let mut drained = Vec::new();
+        while let TailPoll::Frames(run) = tail.poll().unwrap() {
+            drained.extend(payloads(run).iter().map(|p| p.to_vec()));
+        }
+        assert_eq!(drained.len(), 1000);
+        assert_eq!(drained[999], b"record 0999");
         assert_eq!(tail.offset(), wal.len());
-        assert_eq!(tail.poll().unwrap(), TailPoll::Idle);
+        assert_eq!(bytes_read(), wal.len(), "the drain read the log once");
 
+        // Idle: a hundred polls of an unchanged log read not one byte.
+        for _ in 0..100 {
+            assert_eq!(tail.poll().unwrap(), TailPoll::Idle);
+        }
+        assert_eq!(bytes_read(), wal.len());
+
+        // k new frames cost exactly their bytes, and arrive as one run.
+        let before = (wal.len(), bytes_read());
+        for payload in [b"alpha".as_slice(), b"beta", b"gamma"] {
+            wal.append(payload).unwrap();
+        }
         // Appended-but-unflushed bytes are invisible; after a flush the
         // tail picks them up from its cursor.
-        wal.append(b"gamma").unwrap();
+        assert_eq!(tail.poll().unwrap(), TailPoll::Idle);
         wal.flush().unwrap();
-        let TailPoll::Records(recs) = tail.poll().unwrap() else { panic!("expected records") };
-        assert_eq!(&recs[0].payload[..], b"gamma");
+        let TailPoll::Frames(run) = tail.poll().unwrap() else { panic!("expected frames") };
+        assert_eq!(payloads(run), [b"alpha".as_slice(), b"beta", b"gamma"]);
+        assert_eq!(run.len() as u64, wal.len() - before.0);
+        assert_eq!(bytes_read() - before.1, wal.len() - before.0);
+        assert_eq!(tail.offset(), wal.len());
 
         // Truncation (a checkpoint) leaves the cursor alone; the caller
         // renegotiates with seek.
@@ -700,8 +1075,63 @@ mod tests {
         tail.seek(0);
         wal.append(b"delta").unwrap();
         wal.sync().unwrap();
-        let TailPoll::Records(recs) = tail.poll().unwrap() else { panic!("expected records") };
-        assert_eq!(&recs[0].payload[..], b"delta");
+        let TailPoll::Frames(run) = tail.poll().unwrap() else { panic!("expected frames") };
+        assert_eq!(payloads(run), [b"delta".as_slice()]);
+        drop(wal);
+
+        // A half-flushed trailing frame is idle, is not read again while
+        // it stays half, and completes without re-reading what came before.
+        let frame = framed(b"epsilon, in two halves");
+        let (first, second) = frame.split_at(11);
+        let mut file = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
+        let before = bytes_read();
+        file.write_all(first).unwrap();
+        for _ in 0..3 {
+            assert_eq!(tail.poll().unwrap(), TailPoll::Idle);
+        }
+        assert_eq!(bytes_read() - before, first.len() as u64);
+        file.write_all(second).unwrap();
+        let TailPoll::Frames(run) = tail.poll().unwrap() else { panic!("expected frames") };
+        assert_eq!(payloads(run), [b"epsilon, in two halves".as_slice()]);
+        assert_eq!(bytes_read() - before, frame.len() as u64);
+        assert_eq!(reads.whole_reads.load(Ordering::Relaxed), 0, "a tail never reads a whole file");
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// Opening a database scans its log once — recovery hands the clean
+    /// end it found to the `Wal` it opens — and still trims a torn tail
+    /// with the one `open_append` it always made.
+    #[test]
+    fn database_open_reads_the_log_once_and_still_trims_a_torn_tail() {
+        use crate::structured::{Column, Database, TableSchema};
+        use crate::value::{DataType, Value};
+        let p = tmp("open-once");
+        let _ = std::fs::remove_file(&p);
+        {
+            let db = Database::open(&p).unwrap();
+            let columns = vec![Column::new("id", DataType::Int)];
+            db.create_table(TableSchema::new("t", columns, &["id"], &[]).unwrap()).unwrap();
+            let tx = db.begin();
+            for i in 0..997 {
+                db.insert(tx, "t", vec![Value::Int(i)]).unwrap();
+            }
+            db.commit(tx).unwrap();
+        }
+        assert_eq!(Wal::replay(&p).unwrap().len(), 1000);
+        let clean = std::fs::metadata(&p).unwrap().len();
+        let mut file = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
+        file.write_all(&framed(b"a frame cut short")[..12]).unwrap();
+
+        let reads = ReadCounter::default();
+        let ops = FaultBackend::recording(reads.clone());
+        let db = Database::open_with(Arc::new(ops.clone()), &p).unwrap();
+        assert_eq!(db.row_count("t").unwrap(), 997);
+        assert_eq!(reads.whole_reads.load(Ordering::Relaxed), 1, "one scan of the log");
+        assert_eq!(reads.bytes.load(Ordering::Relaxed), clean + 12);
+        let trims: Vec<Op> =
+            ops.ops().into_iter().filter(|op| matches!(op, Op::Truncate { .. })).collect();
+        assert_eq!(trims, [Op::Truncate { path: p.clone(), len: clean }]);
+        assert_eq!((db.wal_len(), std::fs::metadata(&p).unwrap().len()), (clean, clean));
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -722,9 +1152,59 @@ mod tests {
             let recs = Wal::replay(&p).unwrap();
             prop_assert_eq!(recs.len(), payloads.len());
             for (r, pl) in recs.iter().zip(&payloads) {
-                prop_assert_eq!(&r.payload[..], &pl[..]);
+                prop_assert_eq!(r, pl);
             }
             std::fs::remove_file(&p).unwrap();
+        }
+
+        /// Frames cut at arbitrary boundaries come out of both streaming
+        /// readers whole and in order; with one bit flipped anywhere, the
+        /// frames before the damage come out and then the reader fails.
+        #[test]
+        fn prop_streaming_readers_yield_the_frames_or_the_clean_prefix_then_torn(
+            frames in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..CAP), 1..12),
+            cuts in proptest::collection::vec(0usize..1000, 0..6),
+            flip in 0usize..100_000,
+        ) {
+            let stream: Vec<u8> = frames.iter().flat_map(|payload| framed(payload)).collect();
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+            cuts.sort_unstable();
+            let pieces = |bytes: &[u8]| -> Vec<Vec<u8>> {
+                let mut bounds = vec![0];
+                bounds.extend(&cuts);
+                bounds.push(bytes.len());
+                bounds.windows(2).map(|w| bytes[w[0]..w[1]].to_vec()).collect()
+            };
+            let p = tmp("prop-stream");
+
+            let whole = pieces(&stream);
+            let whole: Vec<&[u8]> = whole.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(through_frame_buf(&whole), (frames.clone(), End::Waits));
+            prop_assert_eq!(through_wal_tail(&p, &whole), (frames.clone(), End::Waits, stream.len() as u64));
+
+            // One flipped bit lies in exactly one frame, which every
+            // frame before it precedes whole. (A flip in a length prefix
+            // may also read as a frame that never completes: then the
+            // reader waits instead — but never yields a damaged frame.)
+            let mut damaged = stream.clone();
+            let bit = flip % (stream.len() * 8);
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            let mut end_of = 0;
+            let clean = frames.iter().take_while(|payload| {
+                end_of += FRAME_HEADER + payload.len();
+                end_of <= bit / 8
+            });
+            let clean: Vec<Vec<u8>> = clean.cloned().collect();
+            let torn = pieces(&damaged);
+            let torn: Vec<&[u8]> = torn.iter().map(Vec::as_slice).collect();
+            let (got, end) = through_frame_buf(&torn);
+            prop_assert_eq!(&got, &clean);
+            let in_prefix = bit / 8 - clean.iter().map(|p| FRAME_HEADER + p.len()).sum::<usize>() < 4;
+            prop_assert!(end == End::Torn || in_prefix, "a damaged frame was waited on");
+            let (got, tail_end, _) = through_wal_tail(&p, &torn);
+            prop_assert_eq!(&got, &clean);
+            prop_assert_eq!(tail_end, end);
+            let _ = std::fs::remove_file(&p);
         }
     }
 }
