@@ -26,7 +26,6 @@ pub mod dge;
 pub mod feedback;
 pub mod incremental;
 pub mod monitor;
-pub mod qcache;
 pub mod snapshot;
 pub mod system;
 pub mod users;
@@ -35,8 +34,7 @@ pub use dge::{DgeEvent, DgeLog};
 pub use feedback::{Correction, CorrectionStatus, FeedbackQueue};
 pub use incremental::IncrementalManager;
 pub use monitor::{MonitorFire, MonitorSet};
-pub use qcache::{QueryCache, QueryCacheStats};
 pub use quarry_storage::DurabilityMode;
 pub use snapshot::{SharedQuarry, Snapshot};
-pub use system::{CheckStats, Quarry, QuarryConfig, QuarryError};
+pub use system::{Quarry, QuarryConfig, QuarryError};
 pub use users::{UserAccount, UserDirectory};

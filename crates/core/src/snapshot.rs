@@ -16,15 +16,14 @@
 //!   it; nothing there locks the façade to read anymore.
 //!
 //! Shared mutable read-path state (lazily built keyword index and
-//! translator, the query cache, check/metrics counters, the DGE log)
-//! lives behind small internal locks keyed by generation — a snapshot
-//! only ever *reuses* a cached structure whose key matches its own
-//! pinned version, so no reader can observe another LSN's state. See
-//! `docs/concurrency.md` for the full scheme.
+//! translator, the metrics registry, the DGE log) lives behind small
+//! internal locks keyed by generation — a snapshot only ever *reuses* a
+//! cached structure whose key matches its own pinned version, so no
+//! reader can observe another LSN's state. See `docs/concurrency.md` for
+//! the full scheme.
 
 use crate::dge::{DgeEvent, DgeLog};
-use crate::qcache::{QueryCache, QueryCacheStats};
-use crate::system::{CheckStats, Quarry, QuarryError};
+use crate::system::{Quarry, QuarryError};
 use parking_lot::Mutex;
 use quarry_corpus::Document;
 use quarry_exec::{ExecReport, LintReport, MetricsRegistry, MetricsSnapshot};
@@ -50,8 +49,6 @@ pub(crate) struct ReadState {
     /// clock, so a stale vocabulary can never serve a newer snapshot).
     translator: Mutex<Option<(u64, Arc<Translator>)>>,
     pub(crate) dge: DgeLog,
-    pub(crate) qcache: Mutex<QueryCache>,
-    pub(crate) check: Mutex<CheckStats>,
     pub(crate) last_report: Mutex<ExecReport>,
     pub(crate) metrics: MetricsRegistry,
 }
@@ -64,37 +61,25 @@ impl ReadState {
             index: Mutex::new(None),
             translator: Mutex::new(None),
             dge,
-            qcache: Mutex::new(QueryCache::default()),
-            check: Mutex::new(CheckStats::default()),
             last_report: Mutex::new(ExecReport::new()),
             metrics,
         }
     }
 
+    /// Count one static check — [`Quarry::check_program`],
+    /// [`Snapshot::check_query`], or the gate inside
+    /// [`Quarry::run_pipeline`] — under `check.*`.
     pub(crate) fn note_check(&self, report: &LintReport, start: std::time::Instant) {
-        let micros = start.elapsed().as_micros() as u64;
-        let mut cs = self.check.lock();
-        cs.checks += 1;
-        cs.errors += report.error_count() as u64;
-        cs.warnings += report.warning_count() as u64;
-        cs.last_check_micros = micros;
-        cs.total_check_micros += micros;
+        self.metrics.incr("check.checks", 1);
+        self.metrics.incr("check.errors", report.error_count() as u64);
+        self.metrics.incr("check.warnings", report.warning_count() as u64);
+        self.metrics.incr("check.total_micros", start.elapsed().as_micros() as u64);
     }
 
     /// The unified observability snapshot behind both [`Quarry::metrics`]
     /// and [`Snapshot::stats`].
     pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        let cs = *self.check.lock();
-        snap.counters.insert("check.checks".into(), cs.checks);
-        snap.counters.insert("check.errors".into(), cs.errors);
-        snap.counters.insert("check.warnings".into(), cs.warnings);
-        snap.counters.insert("check.total_micros".into(), cs.total_check_micros);
-        let qc = self.qcache.lock().stats();
-        snap.counters.insert("qcache.hits".into(), qc.hits);
-        snap.counters.insert("qcache.misses".into(), qc.misses);
-        snap.counters.insert("qcache.invalidations".into(), qc.invalidations);
-        snap.counters.insert("qcache.entries".into(), qc.entries as u64);
         let report = self.last_report.lock();
         for (name, n) in &report.counters {
             snap.counters.insert(format!("exec.{name}"), *n);
@@ -115,6 +100,13 @@ impl ReadState {
         }
         snap
     }
+}
+
+/// What [`Snapshot::query_cache_stats`] returns; see there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueryCacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
 }
 
 /// An immutable read session pinned to one LSN of the write clock.
@@ -183,50 +175,21 @@ impl Snapshot {
         }
     }
 
-    /// Run a structured query against the pinned view, consulting the
-    /// shared result cache first.
-    ///
-    /// The cache guard is expressed in snapshot versions: the table
-    /// versions keyed on are read off this immutable view in one capture,
-    /// so — unlike the old live-path guard, which had to re-read versions
-    /// after execution to detect a racing writer — a hit can never
-    /// observe a mixed set of versions.
+    /// Run a structured query against the pinned view. An answered query
+    /// is one DGE event; a refused one is counted and leaves none.
     pub fn query(&self, q: &Query) -> Result<QueryResult, QuarryError> {
         let start = std::time::Instant::now();
-        let result = self.query_inner(q);
+        let result = execute_snapshot(&self.db, q);
         self.shared.metrics.observe("facade.query_us", start.elapsed());
         self.shared.metrics.incr("facade.queries", 1);
-        if result.is_err() {
-            self.shared.metrics.incr("facade.query_errors", 1);
-        }
-        result
-    }
-
-    fn query_inner(&self, q: &Query) -> Result<QueryResult, QuarryError> {
-        let fingerprint = q.fingerprint();
-        let versions: Option<Vec<(String, u64)>> = q
-            .tables()
-            .into_iter()
-            .map(|t| self.db.table_version(&t).ok().map(|v| (t, v)))
-            .collect();
-        if let Some(vs) = &versions {
-            if let Some(result) = self.shared.qcache.lock().get(&fingerprint, vs) {
-                self.shared.dge.record(DgeEvent::StructuredQuery {
-                    rendered: q.display(),
-                    rows: result.rows.len(),
-                });
-                return Ok(result);
+        match &result {
+            Ok(r) => {
+                let event = DgeEvent::StructuredQuery { rendered: q.display(), rows: r.rows.len() };
+                self.shared.dge.record(event);
             }
+            Err(_) => self.shared.metrics.incr("facade.query_errors", 1),
         }
-        let result = execute_snapshot(&self.db, q)?;
-        if let Some(vs) = versions {
-            // No post-execution re-check: the snapshot cannot move.
-            self.shared.qcache.lock().put(fingerprint, vs, result.clone());
-        }
-        self.shared
-            .dge
-            .record(DgeEvent::StructuredQuery { rendered: q.display(), rows: result.rows.len() });
-        Ok(result)
+        Ok(result?)
     }
 
     /// Keyword search over the pinned documents: hits plus suggested
@@ -267,9 +230,12 @@ impl Snapshot {
         report
     }
 
-    /// Hit/miss/invalidation counters of the shared query cache.
+    /// Always zero: the façade's query-result cache is gone. Kept for its
+    /// one caller, `quarry_bench/src/layers.rs:243,255` — the benchmark's
+    /// files are frozen for a PR that is not a benchmark PR; it goes with
+    /// `core.qcache_hit_ratio` in the next one that is.
     pub fn query_cache_stats(&self) -> QueryCacheStats {
-        self.shared.qcache.lock().stats()
+        QueryCacheStats::default()
     }
 
     /// The unified observability snapshot (same view as

@@ -3,7 +3,6 @@
 use crate::dge::{DgeEvent, DgeLog};
 use crate::feedback::{Correction, CorrectionStatus, FeedbackQueue};
 use crate::monitor::{MonitorFire, MonitorSet};
-use crate::qcache::QueryCacheStats;
 use crate::snapshot::{ReadState, Snapshot};
 use crate::users::UserDirectory;
 use quarry_corpus::{Corpus, CorpusConfig, CorpusError, DocId, Document};
@@ -29,17 +28,12 @@ use std::sync::Arc;
 /// `Default` for the stock settings).
 #[derive(Debug, Clone)]
 pub struct QuarryConfig {
-    /// Snapshot-store keyframe interval (see
-    /// [`SnapshotStore::new`]).
-    pub keyframe_interval: usize,
     /// Path for the structured store's WAL; `None` = in-memory.
     pub wal_path: Option<std::path::PathBuf>,
     /// Storage backend for the structured store's WAL and checkpoints;
     /// `None` = the real filesystem. Lets tests interpose a
     /// fault-injecting backend (see `quarry_storage::faultfs`).
     pub storage_backend: Option<std::sync::Arc<dyn quarry_storage::StorageBackend>>,
-    /// Health-monitor heartbeat timeout in ticks.
-    pub heartbeat_timeout: u64,
     /// Worker threads for pipeline execution; `0` = one per CPU.
     /// Results are identical at every thread count.
     pub threads: usize,
@@ -51,10 +45,8 @@ pub struct QuarryConfig {
 impl Default for QuarryConfig {
     fn default() -> Self {
         QuarryConfig {
-            keyframe_interval: 16,
             wal_path: None,
             storage_backend: None,
-            heartbeat_timeout: 10,
             threads: 0,
             durability: DurabilityMode::Full,
         }
@@ -75,12 +67,6 @@ pub struct QuarryConfigBuilder {
 }
 
 impl QuarryConfigBuilder {
-    /// Snapshot-store keyframe interval.
-    pub fn keyframe_interval(mut self, interval: usize) -> Self {
-        self.config.keyframe_interval = interval;
-        self
-    }
-
     /// Persist the structured store's WAL at `path`.
     pub fn wal_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.config.wal_path = Some(path.into());
@@ -95,12 +81,6 @@ impl QuarryConfigBuilder {
         backend: std::sync::Arc<dyn quarry_storage::StorageBackend>,
     ) -> Self {
         self.config.storage_backend = Some(backend);
-        self
-    }
-
-    /// Health-monitor heartbeat timeout in ticks.
-    pub fn heartbeat_timeout(mut self, ticks: u64) -> Self {
-        self.config.heartbeat_timeout = ticks;
         self
     }
 
@@ -216,22 +196,12 @@ impl From<IntegrateError> for QuarryError {
     }
 }
 
-/// Counters and timings for the static checks the façade has run —
-/// [`Quarry::check_program`], [`Quarry::check_query`], and the implicit
-/// gate inside [`Quarry::run_pipeline`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckStats {
-    /// Number of checks performed.
-    pub checks: u64,
-    /// Error-severity diagnostics produced, summed over all checks.
-    pub errors: u64,
-    /// Warning-severity diagnostics produced, summed over all checks.
-    pub warnings: u64,
-    /// Wall-clock microseconds of the most recent check.
-    pub last_check_micros: u64,
-    /// Wall-clock microseconds summed over all checks.
-    pub total_check_micros: u64,
-}
+/// Versions between full keyframes of the page store (see
+/// [`SnapshotStore::new`]).
+const KEYFRAME_INTERVAL: usize = 16;
+/// Ticks of silence after which the health monitor calls a component
+/// unresponsive.
+const HEARTBEAT_TIMEOUT: u64 = 10;
 
 /// The end-to-end system: the façade's **write surface**.
 ///
@@ -286,13 +256,13 @@ impl Quarry {
         };
         db.set_durability(config.durability);
         let db = Arc::new(db);
-        let mut health = HealthMonitor::new(config.heartbeat_timeout);
+        let mut health = HealthMonitor::new(HEARTBEAT_TIMEOUT);
         health.register("ingest", [("docs", 0.0, f64::INFINITY)]);
         health.register("pipeline", [("extractions_per_doc", 0.0, 1000.0)]);
         let dge = DgeLog::new();
         let shared = Arc::new(ReadState::new(Arc::clone(&db), dge.clone(), MetricsRegistry::new()));
         Ok(Quarry {
-            snapshots: SnapshotStore::new(config.keyframe_interval),
+            snapshots: SnapshotStore::new(KEYFRAME_INTERVAL),
             db,
             registry: ExtractorRegistry::standard(),
             schemas: SchemaRegistry::new(),
@@ -471,11 +441,6 @@ impl Quarry {
         report
     }
 
-    /// Counters and timings of all static checks run so far.
-    pub fn check_stats(&self) -> CheckStats {
-        *self.shared.check.lock()
-    }
-
     /// Register a standing query; its changes are reported by
     /// [`Quarry::check_monitors`] and automatically after each pipeline run.
     pub fn register_monitor(&mut self, name: &str, query: Query) {
@@ -532,11 +497,6 @@ impl Quarry {
         Ok(())
     }
 
-    /// Hit/miss/invalidation counters of the structured-query result cache.
-    pub fn query_cache_stats(&self) -> QueryCacheStats {
-        self.shared.qcache.lock().stats()
-    }
-
     /// A handle to the façade's shared metrics registry. Clones record
     /// into the same counters and histograms, so other layers (the network
     /// server, background workers) can contribute observations that
@@ -547,10 +507,10 @@ impl Quarry {
 
     /// One unified observability snapshot: the live metrics registry
     /// (request latency histograms, façade counters, anything other layers
-    /// recorded through [`Quarry::metrics_registry`]) merged with the
-    /// previously separate views — [`Quarry::check_stats`] (`check.*`),
-    /// [`Quarry::query_cache_stats`] (`qcache.*`), and the last pipeline
-    /// run's [`ExecReport`] counters and operator timings (`exec.*`).
+    /// recorded through [`Quarry::metrics_registry`], the static checks'
+    /// `check.*` counters) merged with the last pipeline run's
+    /// [`ExecReport`] counters and operator timings (`exec.*`) and the
+    /// page pool's residency (`pool.*`).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics_snapshot()
     }
@@ -870,7 +830,7 @@ STORE INTO broken KEY name"#;
     #[test]
     fn check_apis_report_without_running_and_count_stats() {
         let (mut q, _) = system_with_corpus();
-        assert_eq!(q.check_stats(), CheckStats::default());
+        assert_eq!(q.metrics().counter("check.checks"), 0);
 
         // Syntax errors come back as a QL000 report, not an Err.
         let report = q.check_program("PIPELINE broken FROM");
@@ -895,11 +855,10 @@ STORE INTO broken KEY name"#;
             Err(QuarryError::Query(QueryError::Invalid(_)))
         ));
 
-        let stats = q.check_stats();
+        let stats = q.metrics();
         // check_program ×2 + check_query ×1 + run_pipeline's implicit gate.
-        assert_eq!(stats.checks, 4);
-        assert!(stats.errors >= 2, "{stats:?}");
-        assert!(stats.total_check_micros >= stats.last_check_micros);
+        assert_eq!(stats.counter("check.checks"), 4);
+        assert!(stats.counter("check.errors") >= 2, "{}", stats.render());
     }
 
     #[test]
@@ -987,40 +946,9 @@ STORE INTO companies KEY name"#,
     }
 
     #[test]
-    fn structured_query_cache_hits_and_write_invalidates() {
-        let (mut q, corpus) = system_with_corpus();
+    fn missing_table_is_a_storage_error_and_index_ddl_shows_in_explain() {
+        let (mut q, _) = system_with_corpus();
         q.run_pipeline(CITY_PIPELINE).unwrap();
-        let query =
-            Query::scan("cities").aggregate(None, quarry_query::engine::AggFn::Count, "name");
-
-        let first = q.snapshot().query(&query).unwrap();
-        assert_eq!(q.query_cache_stats().hits, 0);
-        let second = q.snapshot().query(&query).unwrap();
-        assert_eq!(second, first);
-        assert_eq!(q.query_cache_stats().hits, 1, "repeat between writes is a hit");
-
-        // A committed write to the read table invalidates.
-        q.users.register("editor", false).unwrap();
-        for _ in 0..20 {
-            q.users.record_contribution("editor", true).unwrap();
-        }
-        q.submit_correction(
-            "editor",
-            Correction {
-                table: "cities".into(),
-                key: vec![corpus.truth.cities[0].name.as_str().into()],
-                column: "population".into(),
-                value: Value::Int(1),
-            },
-        )
-        .unwrap();
-        let third = q.snapshot().query(&query).unwrap();
-        assert_eq!(third, first, "count unchanged by an update");
-        let stats = q.query_cache_stats();
-        assert_eq!(stats.hits, 1, "post-write lookup must re-execute");
-        assert!(stats.invalidations >= 1, "{stats:?}");
-
-        // Queries on missing tables are uncacheable and error as before.
         assert!(matches!(
             q.snapshot().query(&Query::scan("ghost")),
             Err(QuarryError::Query(QueryError::Storage(_)))
@@ -1067,38 +995,6 @@ STORE INTO companies KEY name"#,
     }
 
     #[test]
-    fn qcache_race_window_is_closed_by_snapshot_versions() {
-        // Regression for the old guard: the live path read table versions
-        // before execution, executed against the *moving* store, and had
-        // to re-read versions afterwards to avoid caching a result that a
-        // concurrent writer had made inconsistent with the captured
-        // versions. A snapshot executes against the captured versions by
-        // construction, so its cache entry can never alias newer data.
-        let (mut q, _) = system_with_corpus();
-        q.run_pipeline(CITY_PIPELINE).unwrap();
-        let count =
-            Query::scan("cities").aggregate(None, quarry_query::engine::AggFn::Count, "name");
-
-        let stale = q.snapshot(); // captured before the write
-        let schema = q.db.schema("cities").unwrap();
-        let rows = q.db.scan_autocommit("cities").unwrap();
-        let tx = q.db.begin();
-        q.db.delete(tx, "cities", &schema.key_of(&rows[0])).unwrap();
-        q.db.commit(tx).unwrap();
-
-        // The stale session executes *after* the write and caches its
-        // result under the OLD versions (this is the old race window:
-        // version capture and execution straddle a committed write).
-        let old_count = stale.query(&count).unwrap();
-        assert_eq!(old_count.scalar(), Some(&Value::Int(rows.len() as i64)));
-
-        // A current session must not be served the stale entry.
-        let fresh = q.snapshot().query(&count).unwrap();
-        assert_eq!(fresh.scalar(), Some(&Value::Int(rows.len() as i64 - 1)));
-        assert!(q.query_cache_stats().invalidations >= 1);
-    }
-
-    #[test]
     fn metrics_unify_facade_instrumentation_views() {
         let (mut q, _) = system_with_corpus();
         q.run_pipeline(CITY_PIPELINE).unwrap();
@@ -1106,7 +1002,7 @@ STORE INTO companies KEY name"#,
             Query::scan("cities").aggregate(None, quarry_query::engine::AggFn::Count, "name");
         let snap = q.snapshot();
         snap.query(&query).unwrap();
-        snap.query(&query).unwrap(); // cache hit
+        snap.query(&query).unwrap();
         snap.keyword("population", 3);
         assert!(snap.query(&Query::scan("ghost")).is_err());
 
@@ -1118,9 +1014,8 @@ STORE INTO companies KEY name"#,
         assert_eq!(snap.counter("facade.keyword_searches"), 1);
         assert_eq!(snap.histogram("facade.query_us").unwrap().count, 3);
         assert_eq!(snap.histogram("facade.pipeline_us").unwrap().count, 1);
-        // Unified views: check gate, query cache, last ExecReport.
+        // Unified views: check gate, last ExecReport.
         assert_eq!(snap.counter("check.checks"), 1, "pipeline gate counted");
-        assert_eq!(snap.counter("qcache.hits"), q.query_cache_stats().hits);
         assert!(
             snap.counters.keys().any(|k| k.starts_with("exec.op.")),
             "last pipeline report operators present: {:?}",

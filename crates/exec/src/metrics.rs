@@ -11,9 +11,8 @@
 //! [`MetricsRegistry::snapshot`] freezes everything into a serializable
 //! [`MetricsSnapshot`]; the serving layer ships that snapshot over the
 //! wire for its `Stats` request, and `Quarry::metrics()` merges it with
-//! the façade's other instrumentation views (`ExecReport`, `CheckStats`,
-//! query-cache counters) so one call answers "what has this system been
-//! doing".
+//! the last pipeline run's `ExecReport` and the page pool's counters so
+//! one call answers "what has this system been doing".
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

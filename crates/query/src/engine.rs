@@ -264,31 +264,9 @@ impl Query {
         }
     }
 
-    /// Every table this query reads, sorted and deduplicated. The result
-    /// cache keys on these tables' write versions.
-    pub fn tables(&self) -> Vec<String> {
-        fn walk(q: &Query, out: &mut Vec<String>) {
-            match q {
-                Query::Scan { table } => out.push(table.clone()),
-                Query::Filter { input, .. }
-                | Query::Project { input, .. }
-                | Query::Aggregate { input, .. }
-                | Query::Sort { input, .. } => walk(input, out),
-                Query::Join { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
-                }
-            }
-        }
-        let mut tables = Vec::new();
-        walk(self, &mut tables);
-        tables.sort();
-        tables.dedup();
-        tables
-    }
-
-    /// A stable text fingerprint of the query tree (cache key component).
-    /// Two structurally identical queries always fingerprint identically.
+    /// A stable text fingerprint of the query tree: two structurally
+    /// identical queries always fingerprint identically. The cluster router
+    /// dedupes and orders keyword candidates by it.
     pub fn fingerprint(&self) -> String {
         format!("{self:?}")
     }

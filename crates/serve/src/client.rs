@@ -105,7 +105,6 @@ pub struct Client {
     stream: TcpStream,
     next_id: u64,
     cfg: ClientConfig,
-    max_frame: usize,
 }
 
 impl Client {
@@ -128,7 +127,7 @@ impl Client {
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
         let stream = dial(addr, cfg.read_timeout, cfg.read_timeout)?;
-        Ok(Client { addr, stream, next_id: 1, cfg, max_frame: DEFAULT_MAX_FRAME })
+        Ok(Client { addr, stream, next_id: 1, cfg })
     }
 
     /// True when the transport error indicates a dead connection worth
@@ -153,7 +152,7 @@ impl Client {
 
     fn exchange(&mut self, id: u64, req: &Request) -> Result<Response, ClientError> {
         write_request(&mut self.stream, id, req)?;
-        read_response(&mut self.stream, self.max_frame).map_err(ClientError::Frame)
+        read_response(&mut self.stream, DEFAULT_MAX_FRAME).map_err(ClientError::Frame)
     }
 
     /// Send `req` and wait for its reply, reconnecting per the

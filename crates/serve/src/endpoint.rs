@@ -20,6 +20,7 @@
 
 use crate::protocol::{
     decode_request, read_frame, write_response, ErrorKind, FrameError, Payload, Request, Response,
+    DEFAULT_MAX_FRAME,
 };
 use crate::server::ServeConfig;
 use quarry_exec::MetricsRegistry;
@@ -32,6 +33,10 @@ use std::time::{Duration, Instant};
 /// Sessions one endpoint keeps alive at a time. A session is a thread,
 /// so the bound is on threads; `max_in_flight` bounds the work.
 pub const MAX_SESSIONS: usize = 256;
+
+/// Write timeout of every accepted connection and of a replica's dialled
+/// one: a session that cannot flush within it drops the connection.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Lock recovering from poisoning: every mutex in the serving tier guards
 /// data that is valid between any two statements, and the panic already
@@ -136,13 +141,12 @@ impl std::ops::Deref for Endpoint {
 
 impl Endpoint {
     /// Bind `addr` and run `session` on a thread of its own for every
-    /// connection, with the given socket timeouts already set. Threads
-    /// are named `{name}-accept` and `{name}-session`.
+    /// connection, with `read_timeout` and [`WRITE_TIMEOUT`] already set.
+    /// Threads are named `{name}-accept` and `{name}-session`.
     pub fn listen(
         name: &str,
         addr: impl ToSocketAddrs,
         read_timeout: Duration,
-        write_timeout: Duration,
         session: impl Fn(TcpStream, &State) + Send + Sync + 'static,
     ) -> io::Result<Endpoint> {
         let listener = TcpListener::bind(addr)?;
@@ -164,7 +168,7 @@ impl Endpoint {
                             break; // the wake-up connection, or a late client
                         }
                         let Ok(stream) = conn else { continue }; // transient accept failure
-                        if set_options(&stream, read_timeout, write_timeout).is_err() {
+                        if set_options(&stream, read_timeout, WRITE_TIMEOUT).is_err() {
                             continue;
                         }
                         let Some(live) = Held::take(&state.sessions, MAX_SESSIONS) else {
@@ -199,9 +203,8 @@ impl Endpoint {
         refuse: impl Fn(&Request) -> Option<Payload> + Send + Sync + 'static,
         handler: impl Fn(&Request) -> (Payload, u64) + Send + Sync + 'static,
     ) -> io::Result<Endpoint> {
-        let (max_in_flight, max_frame) = (cfg.max_in_flight, cfg.max_frame);
-        let gate = Gate { refuse, handler, metrics, max_in_flight, max_frame };
-        Endpoint::listen(name, addr, cfg.read_timeout, cfg.write_timeout, move |stream, state| {
+        let gate = Gate { refuse, handler, metrics, max_in_flight: cfg.max_in_flight };
+        Endpoint::listen(name, addr, cfg.read_timeout, move |stream, state| {
             gate.session(stream, state)
         })
     }
@@ -240,7 +243,6 @@ struct Gate<R, H> {
     handler: H,
     metrics: MetricsRegistry,
     max_in_flight: usize,
-    max_frame: usize,
 }
 
 impl<R: Fn(&Request) -> Option<Payload>, H: Fn(&Request) -> (Payload, u64)> Gate<R, H> {
@@ -248,7 +250,7 @@ impl<R: Fn(&Request) -> Option<Payload>, H: Fn(&Request) -> (Payload, u64)> Gate
     fn session(&self, mut stream: TcpStream, state: &State) {
         self.metrics.incr("server.connections", 1);
         loop {
-            match read_frame(&mut stream, self.max_frame) {
+            match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
                 Ok((id, payload)) => {
                     let resp = self.respond(state, id, &payload);
                     // While draining, the reply delivered is the drain

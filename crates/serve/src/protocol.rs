@@ -55,7 +55,8 @@ pub enum Request {
         /// Maximum hits / candidates to return.
         k: usize,
     },
-    /// Explain a structured query's physical plan without running it.
+    /// Run a structured query and render its physical plan with the row
+    /// counts each operator saw.
     Explain(Query),
     /// Checkpoint the structured store.
     Checkpoint,

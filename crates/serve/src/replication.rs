@@ -46,7 +46,7 @@
 //! All decisions here are deterministic functions of the received
 //! frames; timeouts only pace the loops, they never pick outcomes.
 
-use crate::endpoint::{dial, lock, Endpoint, State};
+use crate::endpoint::{dial, lock, Endpoint, State, WRITE_TIMEOUT};
 use crate::protocol::DEFAULT_MAX_FRAME;
 use quarry_storage::wal::{encode_frame, FRAME_HEADER};
 use quarry_storage::{Database, FrameBuf, ReplicaApplier, ReplicaPosition, TailPoll, WalTail};
@@ -70,8 +70,6 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(2);
 /// Sleep when the tail is idle, pacing the poll loop without adding
 /// meaningful replication lag.
 const IDLE_SLEEP: Duration = Duration::from_micros(500);
-/// Socket write timeout, both directions.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -158,17 +156,12 @@ impl ReplicationListener {
         let tracker = Arc::new(Tracker::default());
         let session_tracker = Arc::clone(&tracker);
         let next_id = AtomicU64::new(0);
-        let listener = Endpoint::listen(
-            "quarry-repl",
-            addr,
-            POLL_TIMEOUT,
-            WRITE_TIMEOUT,
-            move |stream, state| {
+        let listener =
+            Endpoint::listen("quarry-repl", addr, POLL_TIMEOUT, move |stream, state| {
                 let id = next_id.fetch_add(1, Ordering::Relaxed);
                 let _ = serve_replica(&db, stream, &session_tracker, state, id);
                 lock(&session_tracker).remove(&id);
-            },
-        )?;
+            })?;
         Ok(ReplicationListener { listener, tracker })
     }
 

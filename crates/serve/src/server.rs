@@ -12,7 +12,7 @@
 //! *write* surface for free while readers keep their pinned views.
 
 use crate::endpoint::Endpoint;
-use crate::protocol::{ErrorKind, Payload, Request, WireCandidate, WireHit, DEFAULT_MAX_FRAME};
+use crate::protocol::{ErrorKind, Payload, Request, WireCandidate, WireHit};
 use quarry_core::{Quarry, QuarryError, SharedQuarry, Snapshot};
 use quarry_exec::MetricsRegistry;
 use quarry_storage::{Database, StorageError, TxId};
@@ -31,14 +31,9 @@ pub struct ServeConfig {
     /// Requests allowed between admission and reply before new ones are
     /// answered [`Payload::Overloaded`].
     pub max_in_flight: usize,
-    /// Per-frame payload cap in bytes.
-    pub max_frame: usize,
     /// Session read timeout. Timeouts do not close idle connections —
     /// they are wakeups where the session checks the shutdown flag.
     pub read_timeout: Duration,
-    /// Session write timeout; a session that cannot flush a reply within
-    /// it drops the connection.
-    pub write_timeout: Duration,
     /// Test hook invoked after a request is admitted and before it
     /// executes; lets tests hold a request in flight deterministically.
     pub request_hook: Option<RequestHook>,
@@ -52,9 +47,7 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             max_in_flight: 8,
-            max_frame: DEFAULT_MAX_FRAME,
             read_timeout: Duration::from_millis(25),
-            write_timeout: Duration::from_secs(5),
             request_hook: None,
             read_only: false,
         }
@@ -65,9 +58,7 @@ impl std::fmt::Debug for ServeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeConfig")
             .field("max_in_flight", &self.max_in_flight)
-            .field("max_frame", &self.max_frame)
             .field("read_timeout", &self.read_timeout)
-            .field("write_timeout", &self.write_timeout)
             .field("request_hook", &self.request_hook.as_ref().map(|_| "…"))
             .field("read_only", &self.read_only)
             .finish()

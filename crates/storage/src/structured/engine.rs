@@ -312,13 +312,6 @@ impl Database {
         Ok(())
     }
 
-    /// The write version of a table: any change to the table's rows (or a
-    /// drop-and-recreate) yields a new version, so equal versions imply
-    /// equal contents. This is what keys the result cache upstairs.
-    pub fn table_version(&self, table: &str) -> Result<u64> {
-        Ok(self.tables.lock().table(table)?.version)
-    }
-
     /// Names of the indexed columns of a table, sorted.
     pub fn indexed_columns(&self, table: &str) -> Result<Vec<String>> {
         Ok(self.tables.lock().table(table)?.indexed_columns())

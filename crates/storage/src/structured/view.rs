@@ -200,7 +200,9 @@ impl DbSnapshot {
         names
     }
 
-    /// The captured write version of a table; keys the query cache.
+    /// The captured write version of a table: any change to its rows (or
+    /// a drop-and-recreate) yields a new version, so equal versions imply
+    /// equal contents.
     pub fn table_version(&self, table: &str) -> Result<u64> {
         Ok(self.table(table)?.version())
     }

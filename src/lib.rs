@@ -52,7 +52,7 @@ pub use quarry_serve as serve;
 pub use quarry_storage as storage;
 pub use quarry_uncertainty as uncertainty;
 
-pub use quarry_core::{CheckStats, Quarry, QuarryConfig, QuarryError, SharedQuarry, Snapshot};
+pub use quarry_core::{Quarry, QuarryConfig, QuarryError, SharedQuarry, Snapshot};
 pub use quarry_exec::{Diagnostic, ExecPool, ExecReport, LintReport, Severity, Span};
 pub use quarry_extract::{extract_all, Extraction, ExtractorSet};
 pub use quarry_storage::DurabilityMode;

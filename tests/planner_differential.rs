@@ -1,11 +1,11 @@
 //! Differential tests for the physical query planner: for every supported
 //! predicate shape, index-routed execution must return *bit-identical*
 //! rows — including row order — to the forced-full-scan reference
-//! configuration, and the façade's result cache must serve the same bytes
-//! it first computed.
+//! configuration, and a query asked of the façade again must get what the
+//! planner answers on the same pinned view.
 
 use quarry::core::{Quarry, QuarryConfig};
-use quarry::query::engine::{AggFn, Predicate, Query};
+use quarry::query::engine::{execute_snapshot, AggFn, Predicate, Query};
 use quarry::query::planner::{execute_with, PlannerConfig};
 use quarry::storage::{Column, DataType, Database, TableSchema, Value};
 
@@ -210,19 +210,75 @@ fn cached_results_are_bit_identical_to_fresh_execution() {
 
     let query = Query::scan("facts").filter(vec![Predicate::Eq("cat".into(), "cat2".into())]);
     let fresh = q.snapshot().query(&query).unwrap();
-    let cached = q.snapshot().query(&query).unwrap();
-    assert_eq!(cached, fresh, "cache hit must serve identical bytes");
-    assert_eq!(q.query_cache_stats().hits, 1);
+    let repeated = q.snapshot().query(&query).unwrap();
+    assert_eq!(repeated, fresh, "a repeated query must get identical bytes");
 
-    // A write invalidates; a post-write snapshot pins the new table
-    // versions, so its re-executed result reflects the write and becomes
-    // the cached one.
+    // A post-write snapshot pins the new table versions, so its result
+    // reflects the write.
     q.db.insert_autocommit("facts", vec![Value::Int(1000), "cat2".into()]).unwrap();
     let after_write = q.snapshot().query(&query).unwrap();
     assert_eq!(after_write.rows.len(), fresh.rows.len() + 1);
     let again = q.snapshot().query(&query).unwrap();
     assert_eq!(again, after_write);
-    assert_eq!(q.query_cache_stats().hits, 2);
+}
+
+/// The traffic the façade's result cache used to serve: every shape (and
+/// two the planner refuses) asked three times in a row of a durable
+/// façade, and again after inserts, deletes and a checkpoint have moved
+/// the table, must each time get exactly what the planner answers on the
+/// same pinned view.
+#[test]
+fn repeated_facade_queries_equal_the_planner_on_the_same_snapshot() {
+    let dir = std::env::temp_dir().join(format!("quarry-repeat-diff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let q = Quarry::new(QuarryConfig::builder().wal_path(dir.join("facts.wal")).build()).unwrap();
+    let seed = facts_db(300);
+    q.db.create_table(seed.schema("facts").unwrap()).unwrap();
+    let tx = q.db.begin();
+    for row in seed.scan_autocommit("facts").unwrap() {
+        q.db.insert(tx, "facts", row).unwrap();
+    }
+    q.db.commit(tx).unwrap();
+    q.create_index("facts", "cat").unwrap();
+    q.create_index("facts", "score").unwrap();
+
+    let mut queries = query_shapes();
+    queries.push(Query::scan("ghost"));
+    queries.push(Query::scan("facts").project(&["ghost"]));
+    let mut next = 0i64;
+    for pass in 0..2 {
+        for (qi, qy) in queries.iter().enumerate() {
+            for asking in 0..3 {
+                let at = format!("pass {pass} query {qi} asking {asking}: {}", qy.display());
+                let snap = q.snapshot();
+                match (snap.query(qy), execute_snapshot(snap.db(), qy)) {
+                    (Ok(got), Ok(expect)) => {
+                        assert_eq!(got.columns, expect.columns, "{at}");
+                        assert_eq!(got.rows, expect.rows, "{at}");
+                    }
+                    (Err(quarry::QuarryError::Query(got)), Err(expect)) => assert_eq!(
+                        std::mem::discriminant(&got),
+                        std::mem::discriminant(&expect),
+                        "{at}: {got:?} vs {expect:?}"
+                    ),
+                    (got, expect) => panic!("{at}: {got:?} vs {expect:?}"),
+                }
+            }
+            // Move the table before the next query: a new row in, an old one out.
+            let id = 1000 + next;
+            let row = vec![Value::Int(id), "cat3".into(), Value::Int(id % 97), "note 2".into()];
+            q.db.insert_autocommit("facts", row).unwrap();
+            let tx = q.db.begin();
+            q.db.delete(tx, "facts", &[Value::Int(next)]).unwrap();
+            q.db.commit(tx).unwrap();
+            next += 1;
+        }
+        if pass == 0 {
+            q.checkpoint().unwrap();
+        }
+    }
+    drop(q);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
