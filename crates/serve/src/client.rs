@@ -23,7 +23,7 @@ use quarry_exec::MetricsSnapshot;
 use quarry_query::engine::Query;
 use quarry_storage::{TableSchema, Value};
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -102,7 +102,9 @@ impl Default for ClientConfig {
 /// A blocking connection to a Quarry server.
 pub struct Client {
     addr: SocketAddr,
-    stream: TcpStream,
+    /// Replies are read through the buffer (a reply that fits it is one
+    /// `recv`); requests are written to the socket inside it.
+    stream: BufReader<TcpStream>,
     next_id: u64,
     cfg: ClientConfig,
 }
@@ -126,7 +128,7 @@ impl Client {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
-        let stream = dial(addr, cfg.read_timeout, cfg.read_timeout)?;
+        let stream = BufReader::new(dial(addr, cfg.read_timeout, cfg.read_timeout)?);
         Ok(Client { addr, stream, next_id: 1, cfg })
     }
 
@@ -151,7 +153,7 @@ impl Client {
     }
 
     fn exchange(&mut self, id: u64, req: &Request) -> Result<Response, ClientError> {
-        write_request(&mut self.stream, id, req)?;
+        write_request(self.stream.get_mut(), id, req)?;
         read_response(&mut self.stream, DEFAULT_MAX_FRAME).map_err(ClientError::Frame)
     }
 
@@ -173,7 +175,9 @@ impl Client {
                     }
                     attempt += 1;
                     match dial(self.addr, self.cfg.read_timeout, self.cfg.read_timeout) {
-                        Ok(stream) => self.stream = stream,
+                        // The old buffer goes with the old socket: bytes of
+                        // a reply cut short must not prefix the next one.
+                        Ok(stream) => self.stream = BufReader::new(stream),
                         // Connect refused/unreachable: keep burning
                         // attempts against the same dead endpoint.
                         Err(ce) if attempt < self.cfg.reconnect_attempts => {

@@ -24,7 +24,7 @@ use crate::protocol::{
 };
 use crate::server::ServeConfig;
 use quarry_exec::MetricsRegistry;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -247,15 +247,19 @@ struct Gate<R, H> {
 
 impl<R: Fn(&Request) -> Option<Payload>, H: Fn(&Request) -> (Payload, u64)> Gate<R, H> {
     /// Run one connection's session to completion.
-    fn session(&self, mut stream: TcpStream, state: &State) {
+    fn session(&self, stream: TcpStream, state: &State) {
         self.metrics.incr("server.connections", 1);
+        // Reads go through a buffer, so a frame that fits it is one `recv`
+        // (not one for the header and one for the payload); replies are
+        // built whole by `write_frame` and go to the socket as they are.
+        let (mut reader, mut writer) = (BufReader::new(&stream), &stream);
         loop {
-            match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+            match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
                 Ok((id, payload)) => {
                     let resp = self.respond(state, id, &payload);
                     // While draining, the reply delivered is the drain
                     // complete for this session.
-                    if write_response(&mut stream, &resp).is_err() || state.draining() {
+                    if write_response(&mut writer, &resp).is_err() || state.draining() {
                         return;
                     }
                 }
@@ -271,7 +275,7 @@ impl<R: Fn(&Request) -> Option<Payload>, H: Fn(&Request) -> (Payload, u64)> Gate
                     // or untrusted), then drop the connection. The endpoint
                     // stays up either way.
                     self.metrics.incr("server.protocol_errors", 1);
-                    let _ = write_response(&mut stream, &refusal(0, protocol_error(e)));
+                    let _ = write_response(&mut writer, &refusal(0, protocol_error(e)));
                     return;
                 }
             }

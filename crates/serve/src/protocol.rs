@@ -308,23 +308,19 @@ pub fn write_frame(w: &mut impl Write, req_id: u64, payload: &[u8]) -> io::Resul
 /// with it, shutdown drain) forever.
 pub const MID_FRAME_STALL_RETRIES: usize = 240;
 
-/// Read exactly `buf.len()` bytes; distinguishes a clean EOF at the first
-/// byte (`Closed` when `clean_eof`) from one mid-buffer (`Truncated`).
-/// `clean_eof` is passed only for the first byte of a frame, so it also
-/// marks the one place a read timeout is an idle wakeup rather than a
-/// mid-frame stall.
-fn read_exact_or(r: &mut impl Read, buf: &mut [u8], clean_eof: bool) -> Result<(), FrameError> {
+/// Read exactly `buf.len()` bytes. `frame_start` says `buf` begins a
+/// frame, which makes its first byte special in two ways: a clean EOF
+/// there is `Closed` (anywhere later, `Truncated`), and a read timeout
+/// there is an idle wakeup that propagates at once (anywhere later, a
+/// mid-frame stall that is retried).
+fn read_exact_or(r: &mut impl Read, buf: &mut [u8], frame_start: bool) -> Result<(), FrameError> {
     let mut filled = 0;
     let mut stalls = 0;
     while filled < buf.len() {
+        let between_frames = frame_start && filled == 0;
         match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if clean_eof && filled == 0 {
-                    FrameError::Closed
-                } else {
-                    FrameError::Truncated
-                });
-            }
+            Ok(0) if between_frames => return Err(FrameError::Closed),
+            Ok(0) => return Err(FrameError::Truncated),
             Ok(n) => {
                 filled += n;
                 stalls = 0;
@@ -333,7 +329,7 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], clean_eof: bool) -> Result<(
             Err(e)
                 if (e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut)
-                    && !(clean_eof && filled == 0) =>
+                    && !between_frames =>
             {
                 stalls += 1;
                 if stalls > MID_FRAME_STALL_RETRIES {
@@ -347,11 +343,12 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], clean_eof: bool) -> Result<(
 }
 
 /// Read one frame, returning `(request id, payload bytes)`. `max_frame`
-/// bounds the payload allocation.
+/// bounds the payload allocation. The header is asked for in one read and
+/// the payload in another, so through a buffered reader a frame smaller
+/// than the buffer costs one `recv`.
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<(u64, Vec<u8>), FrameError> {
     let mut header = [0u8; HEADER_LEN];
-    read_exact_or(r, &mut header[..1], true)?;
-    read_exact_or(r, &mut header[1..], false)?;
+    read_exact_or(r, &mut header, true)?;
     if header[..4] != MAGIC {
         let mut m = [0u8; 4];
         m.copy_from_slice(&header[..4]);
@@ -413,6 +410,7 @@ pub fn read_response(r: &mut impl Read, max_frame: usize) -> Result<Response, Fr
 mod tests {
     use super::*;
     use quarry_query::Predicate;
+    use std::io::BufReader;
 
     fn round_trip(req: &Request) -> Request {
         let mut buf = Vec::new();
@@ -465,6 +463,172 @@ mod tests {
         write_response(&mut buf, &resp).unwrap();
         let back = read_response(&mut buf.as_slice(), DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(back, resp);
+    }
+
+    /// One frame of every request and response shape, with what JSON makes
+    /// awkward inside: floats at both ends of the range, `Null`, integers
+    /// at the 64-bit limits, every escape the writer produces next to
+    /// multi-byte text, and a 100-row `InsertRows`.
+    fn golden_frames() -> Vec<u8> {
+        use quarry_exec::metrics::HistogramSnapshot;
+        use quarry_query::AggFn;
+        use quarry_storage::{Column, DataType};
+
+        let awkward = "tab\there \"quoted\" back\\slash\nline\r\u{1}\u{1f}\u{7f} café 中 😀 /";
+        let query = Query::scan("cities")
+            .join(Query::scan("states"), "state", "name")
+            .filter(vec![
+                Predicate::Eq("state".into(), "Wisconsin".into()),
+                Predicate::Ge("population".into(), Value::Int(i64::MIN)),
+                Predicate::Lt("area".into(), Value::Float(-0.0)),
+                Predicate::Contains("name".into(), awkward.into()),
+                Predicate::In("id".into(), vec![Value::Null, Value::Bool(true), Value::Int(7)]),
+            ])
+            .aggregate(Some("state"), AggFn::Avg, "population")
+            .sort("population", true, Some(20))
+            .project(&["name", "population"]);
+        let schema = TableSchema::new(
+            "cities",
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("name", DataType::Text),
+                Column { name: "score".into(), dtype: DataType::Float, nullable: true },
+                Column { name: "big".into(), dtype: DataType::Bool, nullable: true },
+            ],
+            &["id"],
+            &["name"],
+        )
+        .unwrap();
+        let rows: Vec<Vec<Value>> = (0..100i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i * 1_000_003 - 50),
+                    Value::Text(format!("city-{i} \"é{i}\"")),
+                    if i % 7 == 0 { Value::Null } else { Value::Float(i as f64 / 7.0) },
+                    Value::Bool(i % 2 == 0),
+                ]
+            })
+            .collect();
+        let requests = [
+            Request::Ping,
+            Request::Query(query.clone()),
+            Request::Qdl(format!("PIPELINE p FROM corpus -- {awkward}")),
+            Request::KeywordSearch { query: awkward.into(), k: usize::MAX },
+            Request::Explain(query.clone()),
+            Request::Checkpoint,
+            Request::Stats,
+            Request::Shutdown,
+            Request::CreateTable(schema),
+            Request::CreateIndex { table: "cities".into(), column: "state".into() },
+            Request::InsertRows { table: "cities".into(), rows: rows.clone() },
+            Request::DeleteRows {
+                table: "cities".into(),
+                keys: vec![vec![Value::Int(1)], vec![Value::Int(-1), Value::Text(String::new())]],
+            },
+        ];
+        let floats = [0.1 + 0.2, 2.0, -0.0, 1e300, -1.5e-300, f64::MIN_POSITIVE, f64::MAX, 1e21];
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counters.insert("server.requests".into(), u64::MAX);
+        metrics.counters.insert("server.connections".into(), 0);
+        metrics.histograms.insert(
+            "server.request_us".into(),
+            HistogramSnapshot {
+                count: 3,
+                sum_us: 600,
+                max_us: 400,
+                p50_us: 100,
+                p95_us: 400,
+                p99_us: 400,
+            },
+        );
+        let payloads = [
+            Payload::Pong,
+            Payload::Rows {
+                columns: vec!["name".into(), awkward.into()],
+                rows: vec![
+                    floats.iter().map(|&f| Value::Float(f)).collect(),
+                    vec![Value::Null, Value::Int(i64::MAX), Value::Text(awkward.into())],
+                    vec![],
+                ],
+            },
+            Payload::Rows { columns: vec![], rows },
+            Payload::PipelineStats(WireExecStats {
+                extractor_runs: 1,
+                cache_hits: 2,
+                extractions: 3,
+                records: 4,
+                entities: 5,
+                rows_stored: u64::MAX,
+            }),
+            Payload::Hits {
+                hits: vec![WireHit { doc: u32::MAX, score: 12.5 }, WireHit { doc: 0, score: 0.0 }],
+                candidates: vec![WireCandidate {
+                    query,
+                    score: 1.0 / 3.0,
+                    explanation: awkward.into(),
+                }],
+            },
+            Payload::Plan(format!("Project\n  Sort\n    {awkward}")),
+            Payload::Done,
+            Payload::Metrics(metrics),
+            Payload::Error { kind: ErrorKind::Protocol, message: awkward.into() },
+            Payload::Error { kind: ErrorKind::ReadOnly, message: String::new() },
+            Payload::Overloaded,
+            Payload::ShuttingDown,
+        ];
+
+        let mut frames = Vec::new();
+        for (id, req) in requests.iter().enumerate() {
+            write_request(&mut frames, id as u64, req).unwrap();
+        }
+        for (i, payload) in payloads.into_iter().enumerate() {
+            let resp = Response {
+                id: u64::MAX - i as u64,
+                server_micros: 1234 * i as u64,
+                lsn: if i % 2 == 0 { 0 } else { u64::MAX },
+                payload,
+            };
+            write_response(&mut frames, &resp).unwrap();
+        }
+        frames
+    }
+
+    /// The wire format is what it was: the frames above encode to the
+    /// bytes in `testdata/wire_frames.bin`, which the encoder of commit
+    /// 39e7af6 wrote, a character and a `format!` at a time. A mismatch is
+    /// a format change, which `quarry_bench` and every deployed peer would
+    /// have to follow.
+    #[test]
+    fn frames_encode_to_the_committed_bytes() {
+        let golden: &[u8] = include_bytes!("../testdata/wire_frames.bin");
+        let frames = golden_frames();
+        let (mut ours, mut theirs) = (frames.as_slice(), golden);
+        let mut n = 0;
+        while !theirs.is_empty() {
+            let want = read_frame(&mut theirs, DEFAULT_MAX_FRAME).unwrap();
+            let got = read_frame(&mut ours, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(got.0, want.0, "id of frame {n}");
+            assert_eq!(
+                String::from_utf8_lossy(&got.1),
+                String::from_utf8_lossy(&want.1),
+                "payload of frame {n}"
+            );
+            n += 1;
+        }
+        assert_eq!(n, 24);
+        assert!(frames == golden, "same payloads, different framing");
+
+        // And every one of them still decodes to what was encoded.
+        let mut rest = golden;
+        for i in 0..n {
+            let (_, payload) = read_frame(&mut rest, DEFAULT_MAX_FRAME).unwrap();
+            let again = if i < 12 {
+                encode(&decode_request(&payload).unwrap()).unwrap()
+            } else {
+                encode(&decode::<Response>("bad response", &payload).unwrap()).unwrap()
+            };
+            assert!(again == payload, "frame {i} does not survive a decode and re-encode");
+        }
     }
 
     #[test]
@@ -562,6 +726,12 @@ mod tests {
             Err(e) => assert!(e.is_timeout(), "expected idle timeout, got {e}"),
             Ok(_) => panic!("empty reader produced a frame"),
         }
+        // The same through the buffer sessions and clients read through.
+        let mut r = BufReader::new(StallingReader { data: vec![], pos: 0 });
+        match read_frame(&mut r, DEFAULT_MAX_FRAME) {
+            Err(e) => assert!(e.is_timeout(), "expected idle timeout, got {e}"),
+            Ok(_) => panic!("empty reader produced a frame"),
+        }
     }
 
     #[test]
@@ -572,8 +742,54 @@ mod tests {
         let mut buf = Vec::new();
         write_request(&mut buf, 1, &Request::Ping).unwrap();
         buf.truncate(buf.len() - 3);
-        let mut r = StallingReader { data: buf, pos: 0 };
+        let mut r = StallingReader { data: buf.clone(), pos: 0 };
         assert!(matches!(read_frame(&mut r, DEFAULT_MAX_FRAME), Err(FrameError::Stalled)));
+        let mut r = BufReader::new(StallingReader { data: buf, pos: 0 });
+        assert!(matches!(read_frame(&mut r, DEFAULT_MAX_FRAME), Err(FrameError::Stalled)));
+    }
+
+    /// Hands over one whole frame per `read`, as a socket does when the
+    /// peer writes a frame and waits for the reply, and counts the reads.
+    struct FrameAtATime {
+        frames: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for FrameAtATime {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(frame) = self.frames.front_mut() else { return Ok(0) };
+            let n = buf.len().min(frame.len());
+            buf[..n].copy_from_slice(&frame[..n]);
+            frame.drain(..n);
+            if frame.is_empty() {
+                self.frames.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_that_fits_the_buffer_costs_one_read() {
+        let mut frame = Vec::new();
+        let req = Request::Qdl("PIPELINE p FROM corpus".into());
+        write_request(&mut frame, 1, &req).unwrap();
+        let three = || FrameAtATime { frames: vec![frame.clone(); 3].into(), reads: 0 };
+
+        let mut buffered = BufReader::new(three());
+        for _ in 0..3 {
+            let (_, payload) = read_frame(&mut buffered, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(decode_request(&payload).unwrap(), req);
+        }
+        assert_eq!(buffered.get_ref().reads, 3);
+        assert!(matches!(read_frame(&mut buffered, DEFAULT_MAX_FRAME), Err(FrameError::Closed)));
+
+        // Unbuffered it is the header, then the payload.
+        let mut bare = three();
+        for _ in 0..3 {
+            read_frame(&mut bare, DEFAULT_MAX_FRAME).unwrap();
+        }
+        assert_eq!(bare.reads, 6);
     }
 
     /// Interleaves each data byte with a burst of timeouts shorter than

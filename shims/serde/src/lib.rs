@@ -5,6 +5,11 @@
 //! (JSON), which is the only one this workspace uses (via `serde_json`).
 //! Derived impls produce serde's externally-tagged enum representation so
 //! the bytes on disk match what the real serde_json would write.
+//!
+//! `from_json` runs on trees parsed from the network, so its errors are
+//! bounded like the parser's (see [`json`]): they name the JSON kind that
+//! was found ([`json::Json::kind`]) or quote a [`clip`]ped name, never the
+//! value itself.
 
 #![forbid(unsafe_code)]
 
@@ -34,6 +39,13 @@ pub mod de {
     pub use crate::Deserialize as DeserializeOwned;
 }
 
+/// The start of a name the input supplied (a variant tag, a map key), as
+/// an error message quotes it: at most 64 bytes, because the name may be
+/// the whole of a 16 MiB payload and the message travels back in a reply.
+pub fn clip(name: &str) -> &str {
+    &name[..name.floor_char_boundary(64)]
+}
+
 // ---------- primitive impls ----------
 
 macro_rules! int_impls {
@@ -49,7 +61,7 @@ macro_rules! int_impls {
                     Json::Int(i) => <$t>::try_from(*i)
                         .map_err(|_| format!("{i} out of range for {}", stringify!($t))),
                     Json::Float(f) if f.fract() == 0.0 => Ok(*f as $t),
-                    other => Err(format!("expected integer, got {other:?}")),
+                    other => Err(format!("expected integer, got {}", other.kind())),
                 }
             }
         }
@@ -70,7 +82,7 @@ macro_rules! float_impls {
                 match v {
                     Json::Float(f) => Ok(*f as $t),
                     Json::Int(i) => Ok(*i as $t),
-                    other => Err(format!("expected number, got {other:?}")),
+                    other => Err(format!("expected number, got {}", other.kind())),
                 }
             }
         }
@@ -89,7 +101,7 @@ impl Deserialize for bool {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v {
             Json::Bool(b) => Ok(*b),
-            other => Err(format!("expected bool, got {other:?}")),
+            other => Err(format!("expected bool, got {}", other.kind())),
         }
     }
 }
@@ -104,7 +116,7 @@ impl Deserialize for String {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v {
             Json::Str(s) => Ok(s.clone()),
-            other => Err(format!("expected string, got {other:?}")),
+            other => Err(format!("expected string, got {}", other.kind())),
         }
     }
 }
@@ -125,7 +137,7 @@ impl Deserialize for char {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v {
             Json::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(format!("expected single-char string, got {other:?}")),
+            other => Err(format!("expected single-char string, got {}", other.kind())),
         }
     }
 }
@@ -142,7 +154,7 @@ impl Deserialize for &'static str {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v {
             Json::Str(s) => Ok(Box::leak(s.clone().into_boxed_str())),
-            other => Err(format!("expected string, got {other:?}")),
+            other => Err(format!("expected string, got {}", other.kind())),
         }
     }
 }
@@ -187,7 +199,7 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v {
             Json::Arr(items) => items.iter().map(T::from_json).collect(),
-            other => Err(format!("expected array, got {other:?}")),
+            other => Err(format!("expected array, got {}", other.kind())),
         }
     }
 }
@@ -220,7 +232,7 @@ macro_rules! tuple_impls {
                         }
                         Ok(out)
                     }
-                    other => Err(format!("expected array (tuple), got {other:?}")),
+                    other => Err(format!("expected array (tuple), got {}", other.kind())),
                 }
             }
         }
@@ -260,7 +272,7 @@ fn key_from_string<K: Deserialize>(s: &str) -> Result<K, String> {
             return Ok(k);
         }
     }
-    Err(format!("cannot rebuild map key from {s:?}"))
+    Err(format!("cannot rebuild map key from {:?}", clip(s)))
 }
 
 impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
@@ -280,7 +292,7 @@ impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
                 .iter()
                 .map(|(k, val)| Ok((key_from_string(k)?, V::from_json(val)?)))
                 .collect(),
-            other => Err(format!("expected object (map), got {other:?}")),
+            other => Err(format!("expected object (map), got {}", other.kind())),
         }
     }
 }
@@ -298,7 +310,7 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
                 .iter()
                 .map(|(k, val)| Ok((key_from_string(k)?, V::from_json(val)?)))
                 .collect(),
-            other => Err(format!("expected object (map), got {other:?}")),
+            other => Err(format!("expected object (map), got {}", other.kind())),
         }
     }
 }
@@ -315,7 +327,7 @@ impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v {
             Json::Arr(items) => items.iter().map(T::from_json).collect(),
-            other => Err(format!("expected array (set), got {other:?}")),
+            other => Err(format!("expected array (set), got {}", other.kind())),
         }
     }
 }
@@ -330,7 +342,7 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v {
             Json::Arr(items) => items.iter().map(T::from_json).collect(),
-            other => Err(format!("expected array (set), got {other:?}")),
+            other => Err(format!("expected array (set), got {}", other.kind())),
         }
     }
 }

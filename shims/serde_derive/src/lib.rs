@@ -355,16 +355,16 @@ impl Item {
                     "match v {{\n\
                        ::serde::json::Json::Str(tag) => match tag.as_str() {{\n\
                          {unit}\n\
-                         other => ::std::result::Result::Err(format!(\"unknown variant {{other:?}} for {name}\")),\n\
+                         other => ::std::result::Result::Err(format!(\"unknown variant {{:?}} for {name}\", ::serde::clip(other))),\n\
                        }},\n\
                        ::serde::json::Json::Obj(entries) if entries.len() == 1 => {{\n\
                          let (tag, inner) = &entries[0];\n\
                          match tag.as_str() {{\n\
                            {data}\n\
-                           other => ::std::result::Result::Err(format!(\"unknown variant {{other:?}} for {name}\")),\n\
+                           other => ::std::result::Result::Err(format!(\"unknown variant {{:?}} for {name}\", ::serde::clip(other))),\n\
                          }}\n\
                        }}\n\
-                       other => ::std::result::Result::Err(format!(\"expected variant encoding for {name}, got {{other:?}}\")),\n\
+                       other => ::std::result::Result::Err(format!(\"expected variant encoding for {name}, got {{}}\", other.kind())),\n\
                      }}",
                     unit = unit_arms.join("\n"),
                     data = data_arms.join("\n"),

@@ -68,4 +68,34 @@ mod tests {
         let r: Result<Vec<u64>, Error> = from_str("{broken");
         assert!(r.is_err());
     }
+
+    /// A value of the wrong shape is named by its JSON kind and a name the
+    /// input chose is clipped, so a message is short however large the
+    /// value: at the parent each of these rendered the whole subtree with
+    /// `{:?}`, four bytes of message for every byte of input.
+    #[test]
+    fn decode_errors_name_the_kind_and_never_render_the_value() {
+        #[derive(Debug, serde::Deserialize)]
+        enum Ask {
+            Ping,
+            Run(String),
+        }
+        let ones = format!("[{}1]", "1,".repeat(500_000));
+        let long = "é".repeat(500_000);
+        let err = |r: Result<Ask, Error>| r.unwrap_err().to_string();
+
+        assert_eq!(err(from_str(&format!("{{\"Run\":{ones}}}"))), "expected string, got array");
+        assert_eq!(err(from_str(&ones)), "expected variant encoding for Ask, got array");
+        let clipped = format!("unknown variant {:?} for Ask", "é".repeat(32));
+        assert_eq!(err(from_str(&format!("\"{long}\""))), clipped);
+        assert_eq!(err(from_str(&format!("{{\"{long}\":1}}"))), clipped);
+        assert_eq!(err(from_str("\"Pong\"")), "unknown variant \"Pong\" for Ask");
+        assert!(matches!(from_str("\"Ping\""), Ok(Ask::Ping)));
+        assert!(matches!(from_str("{\"Run\":\"x\"}"), Ok(Ask::Run(x)) if x == "x"));
+
+        let key: Result<BTreeMap<u32, u32>, Error> = from_str(&format!("{{\"{long}\":1}}"));
+        assert!(key.unwrap_err().to_string().len() < 120);
+        let int: Result<u8, Error> = from_str(&format!("\"{long}\""));
+        assert_eq!(int.unwrap_err().to_string(), "expected integer, got string");
+    }
 }

@@ -366,10 +366,42 @@ fn malformed_frame_suite_leaves_the_server_healthy() {
             assert_alive(addr);
         }
 
+        // Hostile payloads inside sound frames: the checksum holds, so the
+        // stream stays in sync, and what must hold is the decoder — linear
+        // time, a bounded stack, a bounded message. The parent commit
+        // answered the first by overflowing the session thread's stack
+        // (the process aborted), the second after minutes of CPU, and the
+        // third with a 4 MB message, four times the request.
+        let hostile: [(&str, Vec<u8>); 3] = [
+            ("deep nesting", "[".repeat(20_000).into_bytes()),
+            ("huge string", format!("\"{}\"", "a".repeat(4 << 20)).into_bytes()),
+            (
+                "huge wrong-typed array",
+                format!("{{\"Qdl\":[{}1]}}", "1,".repeat(500_000)).into_bytes(),
+            ),
+        ];
+        let n_hostile = hostile.len() as u64;
+        let mut s = raw(addr);
+        for (id, (what, payload)) in (21..).zip(hostile) {
+            let start = std::time::Instant::now();
+            write_frame(&mut s, id, &payload).unwrap();
+            let msg = expect_protocol_error(&mut s, id);
+            let took = start.elapsed();
+            assert!(msg.starts_with("undecodable request"), "{kind}, {what}: {msg}");
+            assert!(msg.len() < 200, "{kind}, {what}: a {}-byte message", msg.len());
+            assert!(took < Duration::from_secs(5), "{kind}, {what}: answered after {took:?}");
+            // Only the request failed: the same connection serves the next.
+            write_request(&mut s, id + 100, &Request::Ping).unwrap();
+            let resp = read_response(&mut s, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!((resp.id, resp.payload), (id + 100, Payload::Pong), "{kind}, {what}");
+            assert_alive(addr);
+        }
+
         // The counter saw every abuse, real requests still flow, and join
         // hands the façade back intact — no session took the endpoint
         // down along the way.
-        assert_eq!(sut.metrics().counter("server.protocol_errors"), n_abuses, "{kind}");
+        let errors = sut.metrics().counter("server.protocol_errors");
+        assert_eq!(errors, n_abuses + n_hostile, "{kind}");
         let mut c = Client::connect(addr).unwrap();
         c.ping().unwrap();
         c.shutdown().unwrap();
