@@ -304,12 +304,22 @@ impl Quarry {
     }
 
     /// Checkpoint the structured store: publish an atomic snapshot of
-    /// committed state and reset the WAL, bounding recovery time. Requires
-    /// quiescence (no open transactions); a no-op for in-memory databases.
-    /// See `docs/durability.md` for the crash-safety argument.
+    /// committed state and reset the WAL, bounding recovery time. Waits for
+    /// the open transaction, if any, and keeps writers (not readers)
+    /// waiting while it runs; a no-op for in-memory databases. See
+    /// `docs/durability.md` for the crash-safety argument. Each call is
+    /// counted (`facade.checkpoints`, failures also under
+    /// `facade.checkpoint_errors`) and timed (`facade.checkpoint_us`) in the
+    /// metrics registry.
     pub fn checkpoint(&self) -> Result<(), QuarryError> {
-        self.db.checkpoint()?;
-        Ok(())
+        let start = std::time::Instant::now();
+        let result = self.db.checkpoint();
+        self.shared.metrics.observe("facade.checkpoint_us", start.elapsed());
+        self.shared.metrics.incr("facade.checkpoints", 1);
+        if result.is_err() {
+            self.shared.metrics.incr("facade.checkpoint_errors", 1);
+        }
+        Ok(result?)
     }
 
     /// Force every buffered WAL commit to stable storage, regardless of the
@@ -1021,6 +1031,12 @@ STORE INTO companies KEY name"#,
             "last pipeline report operators present: {:?}",
             snap.counters.keys().collect::<Vec<_>>()
         );
+        // Checkpoints are counted and timed like queries.
+        q.checkpoint().unwrap();
+        let snap = q.metrics();
+        assert_eq!(snap.counter("facade.checkpoints"), 1);
+        assert_eq!(snap.counter("facade.checkpoint_errors"), 0);
+        assert_eq!(snap.histogram("facade.checkpoint_us").unwrap().count, 1);
         // External layers record through a cloned handle.
         q.metrics_registry().incr("server.requests", 2);
         assert_eq!(q.metrics().counter("server.requests"), 2);

@@ -17,11 +17,13 @@
 //! run inside the page, every page id inside the id range, no trailing
 //! bytes, and a `count` the payload could actually hold, checked before
 //! anything is allocated for it — and leaves behind a table of `u16`
-//! entry offsets, which the pager caches beside the frame and drops on any
-//! edit (it is derived, never persisted). Searches binary-search that
-//! table comparing key bytes where they lie; an insert shifts bytes
-//! inside the page; a split copies byte ranges into two fresh pages at the
-//! cut `split_index` picks. A [`Cursor`] holds its leaf's frame, so the
+//! entry offsets, which the pager caches beside the frame (it is derived,
+//! never persisted). Searches binary-search that table comparing key
+//! bytes where they lie; an insert shifts bytes inside the page and hands
+//! the pager the table shifted to match, so a resident node is validated
+//! once however often it is edited; a split copies byte ranges into two
+//! fresh pages at the cut `split_index` picks, which the next visit
+//! validates like any other new image. A [`Cursor`] holds its leaf's frame, so the
 //! pool may evict the page under it.
 //!
 //! Keys and values are ordinary [`crate::codec`] byte strings. Keys are
@@ -59,6 +61,7 @@ use crate::value::Value;
 use crate::Result;
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::io::Write;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -133,8 +136,14 @@ impl KeyOrder {
 /// Encode a row-tree key.
 pub fn row_key(row_id: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(10);
-    let _ = codec::write_u64(&mut out, row_id); // Vec writes are infallible
+    let _ = write_row_key(&mut out, row_id); // Vec writes are infallible
     out
+}
+
+/// [`row_key`] into `out`, replacing what it held.
+pub(crate) fn write_row_key(out: &mut Vec<u8>, row_id: u64) -> Result<()> {
+    out.clear();
+    codec::write_u64(out, row_id)
 }
 
 /// Decode a row-tree key.
@@ -149,12 +158,25 @@ pub fn pk_key(key: &[Value]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// [`pk_key`] of the values `row` holds in its `key_columns`, into `out`,
+/// replacing what it held and cloning nothing.
+pub(crate) fn write_pk_key(out: &mut Vec<u8>, row: &[Value], key_columns: &[usize]) -> Result<()> {
+    out.clear();
+    codec::write_columns(out, row, key_columns)
+}
+
 /// Encode a secondary-index-tree key: `(indexed value, row id)`.
 pub fn index_key(value: &Value, row_id: u64) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    codec::write_value(&mut out, value)?;
-    codec::write_u64(&mut out, row_id)?;
+    write_index_key(&mut out, value, row_id)?;
     Ok(out)
+}
+
+/// [`index_key`] into `out`, replacing what it held.
+pub(crate) fn write_index_key(out: &mut Vec<u8>, value: &Value, row_id: u64) -> Result<()> {
+    out.clear();
+    codec::write_value(out, value)?;
+    codec::write_u64(out, row_id)
 }
 
 /// Decode a secondary-index-tree key.
@@ -209,13 +231,13 @@ impl<'a> Stored<'a> {
 /// whether they spilled.
 fn write_stored(
     pager: &mut Pager,
-    entry: &mut Vec<u8>,
+    entry: &mut impl Write,
     bytes: &[u8],
     max_inline: usize,
 ) -> Result<bool> {
     if bytes.len() <= max_inline {
         codec::write_u64(entry, bytes.len() as u64)?;
-        entry.extend_from_slice(bytes);
+        entry.write_all(bytes)?;
         return Ok(false);
     }
     let mut w = ChainWriter::new(pager, PageType::Overflow)?;
@@ -240,11 +262,23 @@ fn split_entry(entry: &[u8]) -> Result<(&[u8], &[u8])> {
     entry.split_at_checked(key_end).ok_or_else(|| corrupt("btree entry truncated"))
 }
 
+/// Room on the stack for the offset table of any node: one offset per
+/// entry a page can hold, and the end of the last.
+fn offset_buffer() -> [u16; PAGE_CAPACITY / MIN_ENTRY + 1] {
+    [0; PAGE_CAPACITY / MIN_ENTRY + 1]
+}
+
 /// The validating pass: check everything about a node's payload that a
 /// search or an edit will rely on, and return where its entries lie —
 /// `count + 1` offsets, each entry's start and then the last one's end.
-/// Runs once per pool residency ([`Pager::read_indexed`]).
+/// Runs at most once per pool residency ([`Pager::read_indexed`]).
 fn entry_offsets(page: &Page) -> Result<Arc<[u16]>> {
+    // The table fits a fixed buffer and is allocated once, exactly.
+    Ok(Arc::from(validate_node(page, &mut offset_buffer())?))
+}
+
+/// [`entry_offsets`] into `buffer`.
+fn validate_node<'b>(page: &Page, buffer: &'b mut [u16]) -> Result<&'b [u16]> {
     let leaf = match page.ptype {
         PageType::BtreeLeaf => true,
         PageType::BtreeInner => false,
@@ -254,8 +288,7 @@ fn entry_offsets(page: &Page) -> Result<Arc<[u16]>> {
     let data = page.payload();
     let count = usize::from(page.count);
     // Bound `count` by what `len` bytes can hold before sizing anything by
-    // it; the table then fits a fixed buffer and is allocated once, exactly.
-    let mut buffer = [0u16; PAGE_CAPACITY / MIN_ENTRY + 1];
+    // it.
     let offsets = match buffer.get_mut(..=count) {
         Some(offsets) if count * MIN_ENTRY <= data.len() => offsets,
         _ => {
@@ -285,6 +318,34 @@ fn entry_offsets(page: &Page) -> Result<Arc<[u16]>> {
     }
     if let Some(end) = offsets.last_mut() {
         *end = offset(*pos)?;
+    }
+    Ok(offsets)
+}
+
+/// The offset table of a node once an entry of `entry_len` bytes lies at
+/// index `pos` — in place of the entry there when `replace`, else before
+/// it — worked out from `old`, the table before the edit: the entries up
+/// to `pos` stay where they are and those after the edit move by the
+/// difference in length. The entry is one this module has just built, so
+/// the result equals what [`entry_offsets`] would validate the edited page
+/// into, at the cost of copying a few hundred offsets.
+fn shifted_offsets(old: &[u16], pos: usize, replace: bool, entry_len: usize) -> Result<Arc<[u16]>> {
+    let out_of_range = || corrupt(format!("btree entry {pos} out of range"));
+    let (head, tail) = (old.get(..=pos), old.get(pos + usize::from(replace)..));
+    let (head, tail) = head.zip(tail).ok_or_else(out_of_range)?;
+    let (start, old_end) = head.last().zip(tail.first()).ok_or_else(out_of_range)?;
+    let new_end = usize::from(*start) + entry_len;
+    let mut buffer = offset_buffer();
+    let offsets = buffer
+        .get_mut(..head.len() + tail.len())
+        .ok_or_else(|| corrupt("btree node holds more entries than fit a page"))?;
+    let (new_head, new_tail) = offsets.split_at_mut(head.len());
+    new_head.copy_from_slice(head);
+    for (moved, at) in new_tail.iter_mut().zip(tail) {
+        *moved = (usize::from(*at) + new_end)
+            .checked_sub(usize::from(*old_end))
+            .and_then(|at| u16::try_from(at).ok())
+            .ok_or_else(|| corrupt("btree offset overflows"))?;
     }
     Ok(Arc::from(&*offsets))
 }
@@ -472,26 +533,35 @@ impl BTree {
         let (pos, exact) = self.leaf_pos(pager, &leaf, key)?;
         let new_group = !exact && self.is_new_group(pager, &leaf, pos, key, &path)?;
 
-        // The entry as it will lie in the leaf. An existing key keeps its
-        // stored form (build-once trees never see one in practice, but
-        // replacing the value is the well-defined behavior if one arrives).
-        let inline = key.len().min(MAX_INLINE_KEY) + val.len().min(MAX_INLINE_VAL);
-        let mut entry = Vec::with_capacity(1 + 2 * MAX_UVARINT + inline);
+        // The entry as it will lie in the leaf, assembled on the stack: no
+        // entry is longer than its flags and two blobs at their inline
+        // limits. An existing key keeps its stored form (build-once trees
+        // never see one in practice, but replacing the value is the
+        // well-defined behavior if one arrives).
+        let mut buffer = [0u8; 1 + 2 * MAX_UVARINT + MAX_INLINE_KEY + MAX_INLINE_VAL];
+        let mut entry = std::io::Cursor::new(&mut buffer[..]);
+        let mut flags = 0u8;
         if exact {
-            entry.extend_from_slice(split_entry(leaf.entry(pos)?)?.0);
-            entry[0] &= FLAG_KEY_SPILLED;
+            let stored = split_entry(leaf.entry(pos)?)?.0;
+            flags |= stored.first().map_or(0, |flags| flags & FLAG_KEY_SPILLED);
+            entry.write_all(stored)?;
         } else {
-            entry.push(0u8);
+            entry.write_all(&[0])?;
             if write_stored(pager, &mut entry, key, MAX_INLINE_KEY)? {
-                entry[0] |= FLAG_KEY_SPILLED;
+                flags |= FLAG_KEY_SPILLED;
             }
         }
         if write_stored(pager, &mut entry, val, MAX_INLINE_VAL)? {
-            entry[0] |= FLAG_VAL_SPILLED;
+            flags |= FLAG_VAL_SPILLED;
         }
+        let len = usize::try_from(entry.position()).unwrap_or(usize::MAX);
+        if let Some(first) = buffer.first_mut() {
+            *first = flags;
+        }
+        let entry = buffer.get(..len).ok_or_else(|| corrupt("btree entry overruns its buffer"))?;
 
         // Place it, then bubble separators up for as long as nodes split.
-        let mut split = Self::place(pager, id, leaf, pos, exact, &entry)?;
+        let mut split = Self::place(pager, id, leaf, pos, exact, entry)?;
         while let Some((mut separator, right_id)) = split {
             let Some((parent_id, parent, child)) = path.pop() else {
                 // The root itself split: grow the tree by one level.
@@ -536,11 +606,18 @@ impl BTree {
         let old = node.span(pos, pos + usize::from(replace))?;
         let payload = node.page.payload();
         if (payload.len() + entry.len()).saturating_sub(old.len()) <= PAGE_CAPACITY {
-            let page = pager.page_mut(id, node.page)?;
-            if !page.splice(old, entry) {
+            let offsets = shifted_offsets(&node.offsets, pos, replace, entry.len())?;
+            let edit = pager.page_mut(id, node.page)?;
+            if !edit.page.splice(old, entry) {
                 return Err(corrupt("btree entry offsets lie outside their page"));
             }
-            page.count += u16::from(!replace);
+            edit.page.count += u16::from(!replace);
+            debug_assert_eq!(
+                validate_node(edit.page, &mut offset_buffer()).ok(),
+                Some(&*offsets),
+                "the table carried across an edit is the one a fresh pass finds"
+            );
+            *edit.offsets = Some(offsets);
             return Ok(None);
         }
 
@@ -1182,6 +1259,53 @@ mod tests {
         }
         assert!(cur.next(&mut pg).unwrap().is_none());
         std::fs::remove_file(&p).unwrap();
+    }
+
+    /// An edit in place hands the pager the offset table of the bytes it
+    /// leaves (`shifted_offsets`), and no validating pass follows while the
+    /// page stays resident: so that table must be the one a fresh pass
+    /// over the edited page would build. Checked on every node of every
+    /// insert's path, over appends, scattered inserts, replacements by
+    /// longer and shorter values, and spilled keys and values, under each
+    /// key order, through a pool small enough to evict as it goes.
+    #[test]
+    fn offset_tables_carried_across_edits_equal_a_fresh_validating_pass() {
+        for order in [KeyOrder::RowId, KeyOrder::PkValues, KeyOrder::ValueRowId] {
+            let (p, mut pg) = pager("carried", 12);
+            let mut t = BTree::create(&mut pg, order).unwrap();
+            let mut x = 0x0FF5_E700u64;
+            for step in 0..2500u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                // The first 600 keys ascend; the rest scatter over a domain
+                // small enough to hit keys that are already there.
+                let n = if step < 600 { step } else { (x >> 24) % 900 };
+                let key = match order {
+                    KeyOrder::RowId => row_key(n),
+                    KeyOrder::PkValues if n % 71 == 3 => {
+                        pk_key(&[Value::Text(format!("{n:04}{}", "k".repeat(MAX_INLINE_KEY)))])
+                            .unwrap()
+                    }
+                    KeyOrder::PkValues => pk_key(&[Value::Text(format!("{n:04}"))]).unwrap(),
+                    KeyOrder::ValueRowId => index_key(&Value::Int((n % 40) as i64), n).unwrap(),
+                };
+                let len = if x % 59 == 7 { MAX_INLINE_VAL + 300 } else { (x >> 40) as usize % 60 };
+                t.insert(&mut pg, &key, &vec![step as u8; len]).unwrap();
+
+                let mut id = t.root();
+                loop {
+                    let node = Node::read(&mut pg, id).unwrap();
+                    let fresh = entry_offsets(&node.page).unwrap();
+                    assert_eq!(node.offsets, fresh, "{order:?}, insert {step}, page {id}");
+                    if node.is_leaf() {
+                        break;
+                    }
+                    let child = t.child_index(&mut pg, &node, &key).unwrap();
+                    id = node.child(child).unwrap();
+                }
+            }
+            assert!(pg.pool_stats().evictions > 0 && pg.page_count() > 30, "{order:?}");
+            std::fs::remove_file(&p).unwrap();
+        }
     }
 
     /// Every order compares encoded keys exactly as the decoded keys

@@ -175,6 +175,16 @@ pub fn write_row<W: Write>(w: &mut W, row: &[Value]) -> Result<()> {
     Ok(())
 }
 
+/// Write, as a row, the values `row` holds at `columns`, in that order.
+pub(crate) fn write_columns<W: Write>(w: &mut W, row: &[Value], columns: &[usize]) -> Result<()> {
+    write_u64(w, columns.len() as u64)?;
+    for &column in columns {
+        let value = row.get(column).ok_or_else(|| corrupt("row lacks a column asked of it"))?;
+        write_value(w, value)?;
+    }
+    Ok(())
+}
+
 /// Read a row.
 pub fn read_row(data: &[u8], pos: &mut usize) -> Result<Row> {
     let n = read_u64(data, pos)?;

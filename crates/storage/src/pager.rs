@@ -28,8 +28,10 @@
 //! A frame can carry one piece of **derived** state: the offset table a
 //! reader builds while validating the page (`Pager::read_indexed`; the
 //! B-tree's entry offsets). It is cached beside the frame, never
-//! persisted, and dropped whenever the page is edited, replaced or
-//! evicted, so it can never describe bytes other than the frame's.
+//! persisted, and dropped whenever the page is replaced or evicted. An
+//! edit in place drops it too, unless the editor hands back the table of
+//! the bytes it leaves behind (`Pager::page_mut`), so it can never
+//! describe bytes other than the frame's.
 //!
 //! Records larger than one page span *chains*: [`ChainWriter`] streams
 //! encoded bytes across linked pages, and [`read_chain`] concatenates a
@@ -68,10 +70,20 @@ pub struct PoolStats {
 struct Frame {
     page: Arc<Page>,
     /// Offsets derived from `page` by a reader (see
-    /// [`Pager::read_indexed`]); `None` until asked for and after any edit.
+    /// [`Pager::read_indexed`]) or handed back by its editor (see
+    /// [`Pager::page_mut`]); `None` until then.
     offsets: Option<Arc<[u16]>>,
     dirty: bool,
     tick: u64,
+}
+
+/// A frame being edited in place (see [`Pager::page_mut`]).
+pub(crate) struct FrameMut<'a> {
+    /// The page's bytes, unshared.
+    pub(crate) page: &'a mut Page,
+    /// The frame's derived offsets: `None` on entry. Whatever is here when
+    /// the edit ends must describe `page` as the edit left it.
+    pub(crate) offsets: &'a mut Option<Arc<[u16]>>,
 }
 
 /// Fixed-capacity LRU cache of shared page frames with dirty tracking.
@@ -298,10 +310,11 @@ impl Pager {
     }
 
     /// Read a page together with the offset table `derive` builds from it.
-    /// `derive` runs once per residency: its result is cached beside the
-    /// frame and handed back until the page is edited or evicted, so it
-    /// is the place to validate the page's contents. The cache does not
-    /// remember who filled it: use one `derive` per kind of page.
+    /// `derive` runs at most once per residency: its result is cached
+    /// beside the frame and handed back until the page is evicted or an
+    /// edit leaves no table behind, so it is the place to validate the
+    /// page's contents. The cache does not remember who filled it: use one
+    /// `derive` per kind of page.
     pub(crate) fn read_indexed(
         &mut self,
         id: u32,
@@ -328,17 +341,20 @@ impl Pager {
     /// refused as `Corrupt` — the caller planned its edit on bytes the pool
     /// has since replaced. If the page was evicted in the meantime `held`
     /// is re-installed — an edit never reads the file. The frame is marked
-    /// dirty and loses its derived offsets. If some other reader still
-    /// holds the frame, the pool edits a private copy and that reader
-    /// keeps the image it read.
-    pub(crate) fn page_mut(&mut self, id: u32, held: Arc<Page>) -> Result<&mut Page> {
+    /// dirty and loses its derived offsets; an editor that knows the
+    /// offsets of the bytes it leaves behind puts them into
+    /// [`FrameMut::offsets`], sparing the next visit its validating pass.
+    /// If some other reader still holds the frame, the pool edits a
+    /// private copy and that reader keeps the image it read.
+    pub(crate) fn page_mut(&mut self, id: u32, held: Arc<Page>) -> Result<FrameMut<'_>> {
         self.check_id(id)?;
         if self.pool.frames.get(&id).is_some_and(|frame| !Arc::ptr_eq(&frame.page, &held)) {
             return Err(StorageError::Corrupt(format!(
                 "page {id} was replaced in the pool after the image being edited was read"
             )));
         }
-        Ok(Arc::make_mut(&mut self.install(id, held, true)?.page))
+        let frame = self.install(id, held, true)?;
+        Ok(FrameMut { page: Arc::make_mut(&mut frame.page), offsets: &mut frame.offsets })
     }
 
     /// Make `page` the image of page `id`, evicting to make room if the
@@ -614,7 +630,7 @@ mod tests {
         let ids: Vec<u32> = (0..3).map(|_| pager.allocate(PageType::Heap).unwrap()).collect();
         for id in &ids {
             let held = pager.read_page(*id).unwrap();
-            pager.page_mut(*id, held).unwrap().push(format!("page {id}").as_bytes());
+            pager.page_mut(*id, held).unwrap().page.push(format!("page {id}").as_bytes());
         }
         pager.flush().unwrap();
 
@@ -626,14 +642,14 @@ mod tests {
 
         // With no other holder the edit happens in that very frame ...
         let frame = Arc::as_ptr(&a);
-        pager.page_mut(ids[2], a).unwrap().push(b", edited");
+        pager.page_mut(ids[2], a).unwrap().page.push(b", edited");
         let a = pager.read_page(ids[2]).unwrap();
         assert_eq!(Arc::as_ptr(&a), frame, "an unshared frame is edited where it lies");
         assert_eq!(a.payload(), b"page 3, edited");
 
         // ... and with one, the holder keeps the image it read.
         let held = pager.read_page(ids[2]).unwrap();
-        pager.page_mut(ids[2], held).unwrap().push(b" twice");
+        pager.page_mut(ids[2], held).unwrap().page.push(b" twice");
         assert_eq!(a.payload(), b"page 3, edited");
         assert_eq!(pager.read_page(ids[2]).unwrap().payload(), b"page 3, edited twice");
 
@@ -647,7 +663,7 @@ mod tests {
         assert_eq!(pager.pool_stats().evictions, reads.evictions + 2, "page 3 was evicted");
         assert_eq!(held.payload(), b"page 3, edited twice");
         let misses = pager.pool_stats().misses;
-        pager.page_mut(ids[2], held).unwrap().push(b", thrice");
+        pager.page_mut(ids[2], held).unwrap().page.push(b", thrice");
         assert_eq!(pager.pool_stats().misses, misses, "an edit never reads the file");
 
         // An image the pool has replaced since it was read cannot be edited:
@@ -657,7 +673,7 @@ mod tests {
         let current = pager.read_page(ids[2]).unwrap();
         let err = pager.page_mut(ids[2], stale).map(drop).unwrap_err();
         assert!(matches!(&err, StorageError::Corrupt(m) if m.contains("replaced")), "{err}");
-        pager.page_mut(ids[2], current).unwrap().push(b"!");
+        pager.page_mut(ids[2], current).unwrap().page.push(b"!");
         pager.flush().unwrap();
         drop(pager);
         let mut pager = Pager::open(&RealBackend, &p, 2).unwrap();
@@ -678,10 +694,16 @@ mod tests {
         let (page, again) = read(&mut pager, ids[0]);
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!((derived(), &first[..]), (1, &[0u16][..]));
-        // Dropped by an edit in place ...
-        pager.page_mut(ids[0], page).unwrap().push(b"abc");
-        assert_eq!((&read(&mut pager, ids[0]).1[..], derived()), (&[3u16][..], 2));
-        // ... by a replaced image ...
+        // Dropped by an edit in place that leaves no table behind ...
+        pager.page_mut(ids[0], page).unwrap().page.push(b"abc");
+        let (page, rebuilt) = read(&mut pager, ids[0]);
+        assert_eq!((&rebuilt[..], derived()), (&[3u16][..], 2));
+        // ... and kept, without a second derivation, across one that does.
+        let edit = pager.page_mut(ids[0], page).unwrap();
+        edit.page.push(b"de");
+        *edit.offsets = Some(Arc::from([5u16]));
+        assert_eq!((&read(&mut pager, ids[0]).1[..], derived()), (&[5u16][..], 2));
+        // Dropped by a replaced image ...
         pager.put_page(ids[0], Page::new(PageType::Heap)).unwrap();
         assert_eq!((&read(&mut pager, ids[0]).1[..], derived()), (&[0u16][..], 3));
         // ... and by eviction.

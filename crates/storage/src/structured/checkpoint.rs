@@ -167,6 +167,7 @@ pub(super) fn publish(
             t.base.as_ref(),
             &t.heap,
             &t.tombstones,
+            &t.indexes,
             t.next_row,
         )?;
         metas.push((name.clone(), meta.clone()));
@@ -347,7 +348,7 @@ mod tests {
                 |pager, _| {
                     let root = pager.root();
                     let held = pager.read_page(root).unwrap();
-                    pager.page_mut(root, held).unwrap().next = 1; // the row tree's first leaf
+                    pager.page_mut(root, held).unwrap().page.next = 1; // the row tree's first leaf
                 },
                 "reaches page 1, which is a Btree",
             ),
@@ -686,6 +687,166 @@ mod tests {
         assert_eq!(scanned, 5);
         std::fs::remove_file(&p).unwrap();
         std::fs::remove_file(image_path(&p)).unwrap();
+    }
+
+    mod model {
+        use super::*;
+        use crate::structured::table::Row;
+        use crate::wal::DurabilityMode;
+        use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        const NAMES: u16 = 48;
+        const AGES: i64 = 9;
+
+        fn name(n: u16) -> String {
+            format!("p{:02}", n % NAMES)
+        }
+
+        fn city(v: i64) -> Value {
+            [Value::Null, "x".into(), "y".into(), "z".into()][v as usize % 4].clone()
+        }
+
+        /// `name -> (age, city)`: what the table must hold.
+        type Model = BTreeMap<String, (i64, Value)>;
+
+        fn rows_where(model: &Model, keep: impl Fn(&(i64, Value)) -> bool) -> Vec<Row> {
+            let kept = model.iter().filter(|(_, v)| keep(v));
+            kept.map(|(n, (age, city))| vec![n.as_str().into(), Value::Int(*age), city.clone()])
+                .collect()
+        }
+
+        /// Every read path against the model: each key of the domain by
+        /// primary key, each value by index probe, a full scan, and (when
+        /// the overlay is empty, so that it is exact) each index's
+        /// `distinct`.
+        fn check(db: &Database, model: &Model, city_indexed: bool, folded: bool, when: &str) {
+            let by_name = |mut rows: Vec<Row>| {
+                rows.sort();
+                rows
+            };
+            let tx = db.begin();
+            for n in 0..NAMES {
+                let got = db.get(tx, "people", &[name(n).into()]).ok();
+                let want = rows_where(model, |_| true).into_iter().find(|r| r[0] == name(n).into());
+                assert_eq!(got, want, "{when}: pk {}", name(n));
+            }
+            for age in 0..AGES + 3 {
+                let got = db.index_lookup(tx, "people", "age", &Value::Int(age)).unwrap();
+                assert_eq!(by_name(got), rows_where(model, |v| v.0 == age), "{when}: age {age}");
+            }
+            for v in 0..4 {
+                if city_indexed {
+                    let got = db.index_lookup(tx, "people", "city", &city(v)).unwrap();
+                    let want = rows_where(model, |row| row.1 == city(v));
+                    assert_eq!(by_name(got), want, "{when}: city {:?}", city(v));
+                }
+            }
+            assert_eq!(by_name(db.scan(tx, "people").unwrap()), rows_where(model, |_| true));
+            db.commit(tx).unwrap();
+            assert_eq!(db.row_count("people").unwrap(), model.len(), "{when}");
+            if folded {
+                let ages: BTreeSet<i64> = model.values().map(|v| v.0).collect();
+                let stats = db.index_stats("people", "age").unwrap().unwrap();
+                assert_eq!(stats.distinct, ages.len(), "{when}: distinct ages");
+                if city_indexed {
+                    let cities: BTreeSet<&Value> = model.values().map(|v| &v.1).collect();
+                    let stats = db.index_stats("people", "city").unwrap().unwrap();
+                    assert_eq!(stats.distinct, cities.len(), "{when}: distinct cities");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Random inserts, updates (of values and of keys), deletes and
+            /// a `create_index`, with two to four checkpoints cut through
+            /// them — so images are built from a base *and* an overlay —
+            /// read back like an in-memory model after every checkpoint
+            /// and after a reopen. Every case opens with the four shapes a
+            /// merge must get right: a base row shadowed by an update that
+            /// moves its indexed value, a base row tombstoned, a base row
+            /// renamed, and an index created after the checkpoint (an
+            /// overlay backfill with no base tree under it).
+            #[test]
+            fn prop_checkpointed_tables_read_like_the_model(
+                ops in proptest::collection::vec((0u8..14, 0u16..NAMES, 0i64..AGES), 30..160),
+                cuts in 2usize..=4,
+            ) {
+                let p = tmpwal(&format!("model-{}", CASE.fetch_add(1, Ordering::SeqCst)));
+                let mut db = Database::open(&p).unwrap();
+                db.set_durability(DurabilityMode::Deferred);
+                db.create_table(people_schema()).unwrap();
+                let mut model = Model::new();
+                let put = |db: &Database, model: &mut Model, n: String, age: i64, c: Value| {
+                    let tx = db.begin();
+                    let row = vec![n.as_str().into(), Value::Int(age), c.clone()];
+                    match model.insert(n.clone(), (age, c)) {
+                        Some(_) => db.update(tx, "people", &[n.into()], row).unwrap(),
+                        None => drop(db.insert(tx, "people", row).unwrap()),
+                    }
+                    db.commit(tx).unwrap();
+                };
+                let remove = |db: &Database, model: &mut Model, n: String| {
+                    if model.remove(&n).is_some() {
+                        let tx = db.begin();
+                        db.delete(tx, "people", &[n.into()]).unwrap();
+                        db.commit(tx).unwrap();
+                    }
+                };
+                let rename = |db: &Database, model: &mut Model, from: String, to: String| {
+                    if model.contains_key(&to) {
+                        return;
+                    }
+                    let Some((age, c)) = model.remove(&from) else { return };
+                    let tx = db.begin();
+                    let row = vec![to.as_str().into(), Value::Int(age), c.clone()];
+                    db.update(tx, "people", &[from.into()], row).unwrap();
+                    db.commit(tx).unwrap();
+                    model.insert(to, (age, c));
+                };
+
+                for n in 0..8 {
+                    put(&db, &mut model, name(n), i64::from(n) % 3, city(i64::from(n)));
+                }
+                db.checkpoint().unwrap();
+                check(&db, &model, false, true, "first image");
+                put(&db, &mut model, name(0), AGES + 1, city(2)); // shadowed, value moved
+                remove(&db, &mut model, name(1)); // tombstoned
+                rename(&db, &mut model, name(2), name(NAMES - 1));
+                db.create_index("people", "city").unwrap(); // backfilled, no base tree
+
+                let cut_every = ops.len() / (cuts + 1);
+                for (step, (kind, n, v)) in ops.into_iter().enumerate() {
+                    match kind {
+                        0..=5 => put(&db, &mut model, name(n), v, city(v + i64::from(n))),
+                        6..=9 => remove(&db, &mut model, name(n)),
+                        10..=12 => rename(&db, &mut model, name(n), name(n + 1 + v as u16)),
+                        _ => db.create_index("people", "city").unwrap(),
+                    }
+                    if step % cut_every == cut_every - 1 && step / cut_every < cuts {
+                        check(&db, &model, true, false, &format!("before the cut at {step}"));
+                        db.checkpoint().unwrap();
+                        prop_assert_eq!(db.overlay_row_count("people").unwrap(), 0);
+                        check(&db, &model, true, true, &format!("after the cut at {step}"));
+                    }
+                }
+                check(&db, &model, true, false, "at the end");
+                db.sync_wal().unwrap();
+                drop(db);
+                let db = Database::open(&p).unwrap();
+                check(&db, &model, true, false, "reopened, image and log");
+                db.checkpoint().unwrap();
+                drop(db);
+                let db = Database::open(&p).unwrap();
+                check(&db, &model, true, true, "reopened, image alone");
+                std::fs::remove_file(&p).unwrap();
+                std::fs::remove_file(image_path(&p)).unwrap();
+            }
+        }
     }
 
     // That a checkpoint waits for an open transaction is tested beside the

@@ -346,24 +346,42 @@ impl Database {
     /// the new checkpoint + a WAL whose replay over it is convergent.
     /// After publication every table's in-memory overlay is dropped onto
     /// the fresh image: reads fault base pages in on demand from then on.
+    ///
+    /// It holds the gate the way a transaction that only reads does — as
+    /// the open transaction, which logs nothing — so writers wait for the
+    /// whole of it, while the `tables` mutex, which every
+    /// [`Database::snapshot`] needs, is held only to copy the table map
+    /// before the build and to swap the tables onto the image after it.
     pub fn checkpoint(&self) -> Result<()> {
-        // `tables` before `wal`: the write path acquires them in that
-        // order (see audit/lock-order.toml), so taking `wal` first here
-        // would be an ABBA inversion. Holding `tables` across the image
-        // build also pins exactly the state the checkpoint captures.
-        let mut st = self.gate();
-        let tables = &mut st.tables;
-        let mut wal_guard = self.wal.lock();
-        let Some(wal) = wal_guard.as_mut() else {
+        let tx = self.begin();
+        let published = self.publish_image();
+        // Closing a transaction that changed nothing cannot fail, and it is
+        // what reopens the gate: also after a failed publish.
+        let closed = self.commit(tx);
+        published.and(closed)
+    }
+
+    /// The body of [`Database::checkpoint`], which holds the writer gate.
+    fn publish_image(&self) -> Result<()> {
+        let Some(path) = self.wal_path() else {
             return Ok(()); // ephemeral database: nothing to compact
         };
-        let path = wal.path().to_path_buf();
-        let metas = checkpoint::publish(&*self.backend, &path, tables)?;
-        wal.reset()?;
+        // The gate keeps the tables as they are, so this copy (a few `Arc`s
+        // a table) is what they hold until the swap below.
+        let frozen = self.tables.lock().tables.clone();
+        let metas = checkpoint::publish(&*self.backend, &path, &frozen)?;
+        // `tables` before `wal`: the write path acquires them in that
+        // order (see audit/lock-order.toml), so taking `wal` first here
+        // would be an ABBA inversion.
+        let mut st = self.tables.lock();
+        let mut wal_guard = self.wal.lock();
+        if let Some(wal) = wal_guard.as_mut() {
+            wal.reset()?;
+        }
         // New epoch: replication offsets into the pre-truncation log are
         // now meaningless, and any tailing replica must renegotiate.
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        let image = checkpoint::rebase(&*self.backend, &path, tables, metas)?;
+        let image = checkpoint::rebase(&*self.backend, &path, &mut st.tables, metas)?;
         *self.image.lock() = Some(image);
         Ok(())
     }

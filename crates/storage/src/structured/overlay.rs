@@ -295,7 +295,19 @@ impl Table {
             StorageError::SchemaViolation(format!("no index on {}.{column}", self.schema.name))
         })?;
         let shadowed = |id| self.shadowed(id);
-        paged::merged_index_ids(self.base.as_ref(), column, ix, &shadowed, lo, hi)
+        let mut ids = Vec::new();
+        paged::for_each_index_entry(
+            self.base.as_ref(),
+            column,
+            ix,
+            &shadowed,
+            (lo, hi),
+            &mut |_, id| {
+                ids.push(id);
+                Ok(())
+            },
+        )?;
+        Ok(ids)
     }
 
     /// Cardinality statistics for the index on `column`, if any. With a

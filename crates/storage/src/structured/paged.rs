@@ -10,10 +10,19 @@
 //! buffer pool on demand. Opening a database materializes no rows;
 //! resident memory after `open` is bounded by the pool, not the corpus.
 //!
-//! Everything here is read-path plumbing shared by the live engine and
-//! the MVCC [`super::view::TableView`]s, so both read worlds merge the
-//! same way: overlay shadows base, tombstones hide base rows, row-id
-//! order everywhere a heap scan used to be.
+//! The merges here are shared by the live engine, the MVCC
+//! [`super::view::TableView`]s and the builder of the next image, so all
+//! three see a table the same way: overlay shadows base, tombstones hide
+//! base rows, row-id order everywhere a heap scan used to be.
+//!
+//! **Building an image is a sequence of sorted appends.**
+//! [`build_table_trees`] fills one tree at a time, each from a stream in
+//! that tree's own key order: the merges below already yield rows by id
+//! and index entries by `(value, row id)`, and primary keys come from the
+//! base image's pk tree merged with the overlay's keys, sorted once. Every
+//! insert therefore lands at its tree's right edge, where a split leaves
+//! the full page behind for good: the pool holds one root-to-leaf path,
+//! nothing is read back, and each page is written once.
 //!
 //! The directory format is versioned: a `u64::MAX` sentinel, then the
 //! version. The sentinel is impossible as the table count that opened the
@@ -136,13 +145,6 @@ impl TableBase {
             None => Ok(None),
         }
     }
-}
-
-/// Encode a row as a row-tree value.
-pub(crate) fn encode_base_row(row: &Row) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    codec::write_row(&mut out, row)?;
-    Ok(out)
 }
 
 /// Decode a row-tree value, rejecting trailing bytes.
@@ -294,22 +296,21 @@ pub(crate) fn for_each_live_row(
     overlay.try_for_each(|(id, row)| f(*id, row))
 }
 
-/// Candidate row ids for an index probe over `[lo, hi]` (inclusive,
-/// either bound optional), merged from the base index tree and the
-/// overlay index in **(value, row-id) order**. `shadowed` filters stale
-/// base entries: a base row that was updated or deleted since the
-/// checkpoint is represented by the overlay (or by nothing), never by
-/// its old base index entry.
-pub(crate) fn merged_index_ids(
+/// Stream the `(value, row id)` entries of the index on `column` whose
+/// value lies in `[lo, hi]` (inclusive, either bound optional), merged
+/// from the base index tree and the overlay index in **(value, row-id)
+/// order**. `shadowed` filters stale base entries: a base row that was
+/// updated or deleted since the checkpoint is represented by the overlay
+/// (or by nothing), never by its old base index entry.
+pub(crate) fn for_each_index_entry(
     base: Option<&TableBase>,
     column: &str,
     overlay: &SecondaryIndex,
     shadowed: &dyn Fn(RowId) -> bool,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-) -> Result<Vec<RowId>> {
+    (lo, hi): (Option<&Value>, Option<&Value>),
+    f: &mut dyn FnMut(&Value, RowId) -> Result<()>,
+) -> Result<()> {
     let mut over = overlay.range(lo, hi).peekable();
-    let mut out = Vec::new();
     // Without a base tree for this column (in-memory table, or an index
     // created after the checkpoint and backfilled into the overlay) the
     // overlay is the whole answer.
@@ -327,16 +328,15 @@ pub(crate) fn merged_index_ids(
                 break;
             }
             let id = RowId(rid);
-            while let Some((_, oid)) = over.next_if(|(ov, oid)| (ov, *oid) < (&val, id)) {
-                out.push(*oid);
+            while let Some((ov, oid)) = over.next_if(|(ov, oid)| (ov, *oid) < (&val, id)) {
+                f(ov, *oid)?;
             }
             if !shadowed(id) {
-                out.push(id);
+                f(&val, id)?;
             }
         }
     }
-    out.extend(over.map(|(_, id)| *id));
-    Ok(out)
+    over.try_for_each(|(ov, oid)| f(ov, *oid))
 }
 
 // ---------------------------------------------------------------------
@@ -344,61 +344,124 @@ pub(crate) fn merged_index_ids(
 // ---------------------------------------------------------------------
 
 /// Build one table's trees inside the image under construction and
-/// return their roots. Rows stream in row-id order from the merged
-/// live-row iterator (so the row tree takes the append-optimized split
-/// path), while pk and index keys arrive in row-id order — effectively
-/// random key order — exercising real mid-node splits under the crash
-/// sweeps. Distinct-value counts fall out of the index trees' group
-/// accounting as they build.
+/// return their roots: the row tree, then the primary-key tree, then one
+/// tree per secondary index (`indexes` are the overlay's, one per name in
+/// `schema.indexes`), each filled in its own key order before the next is
+/// begun (see the module doc). Distinct-value counts fall out of the index
+/// trees' group accounting as they build.
 pub(crate) fn build_table_trees(
     pager: &mut Pager,
     schema: &TableSchema,
     base: Option<&TableBase>,
     overlay: &PMap<RowId, Row>,
     tombstones: &PMap<RowId, ()>,
+    indexes: &[SecondaryIndex],
     next_row: u64,
 ) -> Result<BaseMeta> {
+    // Every key and value is encoded into these two, over and over.
+    let (mut key, mut val) = (Vec::new(), Vec::new());
+
     let mut row_tree = BTree::create(pager, KeyOrder::RowId)?;
-    let mut pk_tree = BTree::create(pager, KeyOrder::PkValues)?;
-    let mut ix_cols: Vec<String> = schema.indexes.clone();
-    ix_cols.sort();
-    let mut ix_trees = Vec::with_capacity(ix_cols.len());
-    for col in &ix_cols {
-        let ci = schema.column_index(col).ok_or_else(|| {
-            StorageError::Corrupt(format!("indexed column {col} missing from schema"))
-        })?;
-        ix_trees.push((col.clone(), ci, BTree::create(pager, KeyOrder::ValueRowId)?, 0u64));
-    }
     let mut nrows = 0u64;
-    let mut idbuf = Vec::new();
     for_each_live_row(base, overlay, tombstones, &mut |id, row| {
-        row_tree.insert(pager, &btree::row_key(id.0), &encode_base_row(row)?)?;
-        idbuf.clear();
-        codec::write_u64(&mut idbuf, id.0)?;
-        pk_tree.insert(pager, &btree::pk_key(&schema.key_of(row))?, &idbuf)?;
-        for (col, ci, tree, distinct) in ix_trees.iter_mut() {
-            let value = row.get(*ci).ok_or_else(|| {
-                StorageError::Corrupt(format!("row {id:?} is missing indexed column {col}"))
-            })?;
-            let out = tree.insert(pager, &btree::index_key(value, id.0)?, &[])?;
-            if out.new_group {
-                *distinct += 1;
-            }
-        }
+        btree::write_row_key(&mut key, id.0)?;
+        val.clear();
+        codec::write_row(&mut val, row)?;
+        row_tree.insert(pager, &key, &val)?;
         nrows += 1;
         Ok(())
     })?;
-    let indexes = ix_trees
-        .into_iter()
-        .map(|(col, _, tree, distinct)| (col, IndexMeta { root: tree.root(), distinct }))
-        .collect();
-    Ok(BaseMeta { row_root: row_tree.root(), pk_root: pk_tree.root(), nrows, next_row, indexes })
+
+    let shadowed = |id: RowId| overlay.contains_key(&id) || tombstones.contains_key(&id);
+    let pk_root = build_pk_tree(pager, schema, base, overlay, &shadowed, (&mut key, &mut val))?;
+
+    let mut by_name: Vec<(&String, &SecondaryIndex)> = schema.indexes.iter().zip(indexes).collect();
+    by_name.sort_by_key(|(column, _)| *column);
+    let mut index_metas = HashMap::with_capacity(by_name.len());
+    for (column, overlay_ix) in by_name {
+        let mut tree = BTree::create(pager, KeyOrder::ValueRowId)?;
+        let mut distinct = 0u64;
+        let mut append = |value: &Value, id: RowId| {
+            btree::write_index_key(&mut key, value, id.0)?;
+            distinct += u64::from(tree.insert(pager, &key, &[])?.new_group);
+            Ok(())
+        };
+        for_each_index_entry(base, column, overlay_ix, &shadowed, (None, None), &mut append)?;
+        index_metas.insert(column.clone(), IndexMeta { root: tree.root(), distinct });
+    }
+    Ok(BaseMeta { row_root: row_tree.root(), pk_root, nrows, next_row, indexes: index_metas })
+}
+
+/// The primary-key tree of [`build_table_trees`], filled in key order:
+/// the base image's pk entries that `shadowed` lets through, merged with
+/// the overlay rows' keys. Only references to the overlay rows are sorted
+/// — by the `Value` order of their key columns, which is the tree's — and
+/// each key is encoded when its turn comes.
+fn build_pk_tree(
+    pager: &mut Pager,
+    schema: &TableSchema,
+    base: Option<&TableBase>,
+    overlay: &PMap<RowId, Row>,
+    shadowed: &dyn Fn(RowId) -> bool,
+    (key, val): (&mut Vec<u8>, &mut Vec<u8>),
+) -> Result<u32> {
+    let mut tree = BTree::create(pager, KeyOrder::PkValues)?;
+    let mut fresh: Vec<(RowId, &Row)> = overlay.iter().map(|(id, row)| (*id, row)).collect();
+    fresh.sort_unstable_by(|(_, a), (_, b)| {
+        schema.key.iter().map(|&c| a.get(c)).cmp(schema.key.iter().map(|&c| b.get(c)))
+    });
+    let mut fresh = fresh.into_iter();
+    // The next overlay row to place; `key` holds its encoded key.
+    let mut advance = |key: &mut Vec<u8>| match fresh.next() {
+        Some((id, row)) => btree::write_pk_key(key, row, &schema.key).map(|()| Some(id)),
+        None => Ok(None),
+    };
+    let mut head = advance(key)?;
+
+    let mut base_entries = match base.filter(|b| b.meta.pk_root != NO_PAGE) {
+        Some(b) => {
+            let mut pg = b.image.pager.lock();
+            let cursor = BTree::open(b.meta.pk_root, KeyOrder::PkValues).cursor_first(&mut pg)?;
+            Some((pg, cursor))
+        }
+        None => None,
+    };
+    loop {
+        // The next base entry still live, or `None` once the base is spent.
+        let mut kept = None;
+        if let Some((pg, cursor)) = &mut base_entries {
+            while let Some((k, v)) = cursor.next(pg)? {
+                if !shadowed(decode_row_id(&v)?) {
+                    kept = Some((k, v));
+                    break;
+                }
+            }
+        }
+        while let Some(id) = head {
+            let before_base = match &kept {
+                Some((k, _)) => KeyOrder::PkValues.compare(key, k)? == std::cmp::Ordering::Less,
+                None => true,
+            };
+            if !before_base {
+                break;
+            }
+            val.clear();
+            codec::write_u64(val, id.0)?;
+            tree.insert(pager, key, val)?;
+            head = advance(key)?;
+        }
+        let Some((k, v)) = kept else { break };
+        tree.insert(pager, &k, &v)?;
+    }
+    Ok(tree.root())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultfs::RealBackend;
+    use crate::faultfs::{FaultBackend, Op, RealBackend};
+    use crate::page::{PageType, PAGE_CAPACITY, PAGE_SIZE};
+    use crate::structured::overlay::Table;
     use crate::structured::table::Column;
     use crate::value::DataType;
     use std::path::PathBuf;
@@ -459,7 +522,10 @@ mod tests {
         }
         let meta = {
             let mut pager = Pager::create(&RealBackend, &p, 8).unwrap();
-            let meta = build_table_trees(&mut pager, &sch, None, &heap, &PMap::new(), 500).unwrap();
+            let mut by_n = SecondaryIndex::new();
+            rows.iter().for_each(|(id, row)| by_n.insert(row[1].clone(), *id));
+            let meta = build_table_trees(&mut pager, &sch, None, &heap, &PMap::new(), &[by_n], 500)
+                .unwrap();
             pager.flush().unwrap();
             meta
         };
@@ -501,13 +567,19 @@ mod tests {
         over_ix.insert(Value::Int(99), RowId(10));
         over_ix.insert(Value::Int(1), RowId(700));
         let shadowed = |id: RowId| id == RowId(10) || id == RowId(20);
-        let ids = merged_index_ids(
+        let mut ids = Vec::new();
+        let one = Value::Int(1);
+        for_each_index_entry(
             Some(&base),
             "n",
             &over_ix,
             &shadowed,
-            Some(&Value::Int(1)),
-            Some(&Value::Int(1)),
+            (Some(&one), Some(&one)),
+            &mut |value, id| {
+                assert_eq!(value, &one);
+                ids.push(id);
+                Ok(())
+            },
         )
         .unwrap();
         // Base rows with n == 1 are the ids ≡ 1 (mod 7), none of them
@@ -517,5 +589,128 @@ mod tests {
         assert_eq!(ids.len(), (0..500u64).filter(|i| i % 7 == 1).count() + 1);
 
         std::fs::remove_file(&p).unwrap();
+    }
+
+    /// `t(k Text PK, n Int indexed, s Text indexed)`: 5 000 values of `n`
+    /// and 97 of `s`, both scattered over the row ids, and keys whose order
+    /// is not the row ids' either.
+    fn scattered_row(i: u64) -> Row {
+        vec![
+            Value::Text(format!("k{:07}", i.wrapping_mul(7_919) % 1_000_003)),
+            Value::Int((i.wrapping_mul(31) % 5_000) as i64),
+            Value::Text(format!("s{:02}", i.wrapping_mul(13) % 97)),
+        ]
+    }
+
+    fn scattered_table(rows: u64) -> Table {
+        let columns = vec![
+            Column::new("k", DataType::Text),
+            Column::new("n", DataType::Int),
+            Column::new("s", DataType::Text),
+        ];
+        let schema = TableSchema::new("t", columns, &["k"], &["s", "n"]).unwrap();
+        let mut t = Table::new(schema, 0);
+        (0..rows).for_each(|i| t.apply_insert(0, RowId(i), scattered_row(i)).unwrap());
+        t
+    }
+
+    /// Build `t`'s trees through a pool of `pool` pages, counting what the
+    /// pool and the device saw, and check that the build was nothing but
+    /// sorted appends: no page was read back, every page of the image
+    /// (the meta page among them) was written exactly once, and every leaf
+    /// but the last of each tree was left at least nine tenths full. The
+    /// image is left at the returned path.
+    fn build_counting(t: &Table, pool: usize, name: &str) -> (PathBuf, BaseMeta) {
+        let p = tmp(name);
+        let device = FaultBackend::recording(RealBackend);
+        let mut pager = Pager::create(&device, &p, pool).unwrap();
+        let base = t.base.as_ref();
+        let meta = build_table_trees(
+            &mut pager,
+            &t.schema,
+            base,
+            &t.heap,
+            &t.tombstones,
+            &t.indexes,
+            t.next_row,
+        )
+        .unwrap();
+        pager.flush().unwrap();
+        let (stats, pages) = (pager.pool_stats(), pager.page_count() as usize);
+        let page_writes = |op: &&Op| matches!(op, Op::Write { bytes, .. } if *bytes == PAGE_SIZE);
+        let written = device.ops().iter().filter(page_writes).count();
+        assert_eq!(stats.misses, 0, "pool of {pool}: a sorted append reads nothing back");
+        assert_eq!(written, pages, "pool of {pool}: one write a page; {stats:?}");
+        assert!(pages > 4 * pool, "the image must not fit the pool: {pages} pages");
+
+        let mut roots = vec![meta.row_root, meta.pk_root];
+        roots.extend(meta.indexes.values().map(|ix| ix.root));
+        for root in roots {
+            let mut id = root;
+            let mut leaf = loop {
+                let page = pager.read_page(id).unwrap();
+                if page.ptype == PageType::BtreeLeaf {
+                    break page;
+                }
+                id = codec::read_u64(page.payload(), &mut 0).unwrap() as u32;
+            };
+            let mut entries = 0u64;
+            while leaf.next != NO_PAGE {
+                let fill = usize::from(leaf.len);
+                assert!(fill * 10 >= PAGE_CAPACITY * 9, "tree {root}: a leaf of {fill} bytes");
+                entries += u64::from(leaf.count);
+                leaf = pager.read_page(leaf.next).unwrap();
+            }
+            assert_eq!(entries + u64::from(leaf.count), meta.nrows, "tree {root}");
+        }
+        (p, meta)
+    }
+
+    /// A from-scratch image and, if asked for, its successor: a third of
+    /// the base rows rewritten (moving their `n`), a seventh deleted, and as
+    /// many again added, so all three merges run at size.
+    fn generations(rows: u64, pool: usize, successor: bool) {
+        let mut t = scattered_table(rows);
+        let (first, meta) = build_counting(&t, pool, &format!("gen1-{rows}-{pool}"));
+        assert_eq!((meta.nrows, meta.indexes["s"].distinct), (rows, 97));
+        assert_eq!(meta.indexes["n"].distinct, 5_000);
+        if !successor {
+            return std::fs::remove_file(first).unwrap();
+        }
+
+        let image = Arc::new(CheckpointImage::open(&RealBackend, &first, pool).unwrap());
+        t.reset_to_base(TableBase { image, meta: Arc::new(meta) });
+        for i in (0..rows).step_by(3) {
+            let mut row = scattered_row(i);
+            row[1] = Value::Int(5_000 + (i % 11) as i64);
+            t.apply_update(0, RowId(i), row).unwrap().unwrap();
+        }
+        (1..rows).step_by(7).for_each(|i| drop(t.apply_delete(0, RowId(i)).unwrap()));
+        let live = t.live_rows;
+        (rows..rows + rows / 7)
+            .for_each(|i| t.apply_insert(0, RowId(i), scattered_row(i)).unwrap());
+        let (second, meta) = build_counting(&t, pool, &format!("gen2-{rows}-{pool}"));
+        assert_eq!(meta.nrows, live + rows / 7);
+        assert_eq!(meta.indexes["s"].distinct, 97);
+        std::fs::remove_file(first).unwrap();
+        std::fs::remove_file(second).unwrap();
+    }
+
+    #[test]
+    fn a_build_is_sorted_appends_no_page_read_back_each_written_once() {
+        generations(20_000, 8, true);
+        generations(20_000, 64, false);
+    }
+
+    /// The same counts at ten times the size, with a wall bound generous
+    /// enough for any box: feeding a tree out of key order fails the counts
+    /// at once, and would take minutes where this takes seconds. Release
+    /// only (CI runs it with `--ignored`).
+    #[test]
+    #[ignore = "200 000 rows: run in release"]
+    fn checkpoint_scales_as_sorted_appends_at_200k_rows() {
+        let start = std::time::Instant::now();
+        generations(200_000, 64, true);
+        assert!(start.elapsed() < std::time::Duration::from_secs(120), "{:?}", start.elapsed());
     }
 }

@@ -137,10 +137,12 @@ fn operations_on_resident_nodes_allocate_a_constant_and_a_miss_adds_its_frame() 
         assert!(allocations <= 2, "Cursor::next: {allocations} allocations");
     }
 
-    // Inserts that do not split: the entry, the descent path, and the two
-    // offset tables the edit before dropped — not a function of the ~300
-    // separators in each inner node on the way down.
-    let mut most = 0;
+    // Inserts that do not split: the descent path and the leaf's offset
+    // table, shifted to match the edit (the entry itself is assembled on the
+    // stack) — not a function of the ~300 separators in each inner node on
+    // the way down. The one leaf the cursor above still stands on is edited
+    // as a private copy, which adds its frame and payload.
+    let (mut most, mut copied) = (0, 0);
     for i in (0..ROWS).step_by(5) {
         let key = row_key(BASE + 2 * i + 1);
         let pages = pg.page_count();
@@ -148,8 +150,10 @@ fn operations_on_resident_nodes_allocate_a_constant_and_a_miss_adds_its_frame() 
         assert!(out.new_group);
         assert_eq!(pg.page_count(), pages, "row {i}: the insert must not have split");
         most = most.max(allocations);
+        copied += u32::from(allocations > 2);
     }
     assert!(most <= 4, "a non-splitting insert made {most} allocations");
+    assert!(copied <= 1, "{copied} inserts allocated more than a path and a table");
     assert_eq!(pg.pool_stats().misses, resident, "nothing above went to the file");
 
     // Cold, through a pool the path does not fit in: each miss adds its

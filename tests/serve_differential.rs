@@ -198,8 +198,13 @@ fn four_concurrent_clients_match_the_facade_bit_for_bit() {
         }
     });
 
-    // Drain, reclaim the façade, and compare full logical state.
+    // Drain, reclaim the façade, and compare full logical state. The
+    // eight checkpoints above show in `Stats` first.
     let mut c = Client::connect(addr).unwrap();
+    let stats = c.stats().unwrap();
+    assert_eq!(stats.counter("facade.checkpoints"), 8);
+    assert_eq!(stats.counter("facade.checkpoint_errors"), 0);
+    assert_eq!(stats.histogram("facade.checkpoint_us").unwrap().count, 8);
     c.shutdown().unwrap();
     let served = server.join();
     let served_dump = dump(&served.db);

@@ -8,7 +8,15 @@
 
 use proptest::prelude::*;
 use quarry::core::{Quarry, QuarryConfig};
-use quarry::storage::{Column, DataType, DbSnapshot, TableSchema, Value};
+use quarry::query::engine::{execute_snapshot, Predicate, Query};
+use quarry::storage::{
+    BackendFile, Column, DataType, Database, DbSnapshot, RealBackend, StorageBackend, TableSchema,
+    Value,
+};
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 mod common;
 use common::{dump, remove_db_files, tmpwal};
@@ -278,4 +286,173 @@ fn sessions_during_an_open_transaction_share_lsn_versions_and_cache() {
     assert_eq!(after.query(&query).unwrap().rows.len(), 10, "one in, one out");
     assert_ne!(after.query(&query).unwrap(), committed);
     assert_eq!(a.query(&query).unwrap(), committed, "a held session keeps its answer");
+}
+
+/// A storage backend whose `rename` — a checkpoint's commit point — parks
+/// until the test says how it ends: by then the image is built and the
+/// checkpoint holds the writer gate.
+#[derive(Debug)]
+struct ParkedRename {
+    /// Told each time a rename arrives.
+    arrived: Mutex<mpsc::Sender<()>>,
+    /// `Ok` lets the parked rename through, `Err` fails it.
+    verdict: Mutex<mpsc::Receiver<io::Result<()>>>,
+}
+
+impl StorageBackend for ParkedRename {
+    fn open_append(&self, path: &Path, truncate_to: u64) -> io::Result<Box<dyn BackendFile>> {
+        RealBackend.open_append(path, truncate_to)
+    }
+    fn create_new(&self, path: &Path) -> io::Result<Box<dyn BackendFile>> {
+        RealBackend.create_new(path)
+    }
+    fn open_rw(&self, path: &Path) -> io::Result<Box<dyn BackendFile>> {
+        RealBackend.open_rw(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealBackend.read(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.arrived.lock().unwrap().send(()).expect("the test listens for renames");
+        self.verdict.lock().unwrap().recv().expect("the test rules on every rename")?;
+        RealBackend.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        RealBackend.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        RealBackend.create_dir_all(path)
+    }
+    fn list_dir(&self, path: &Path) -> io::Result<Vec<String>> {
+        RealBackend.list_dir(path)
+    }
+}
+
+/// A façade over a 300-row `items(id PK, val indexed)` on a
+/// [`ParkedRename`] backend, with the two channel ends the test keeps.
+fn parked_quarry(
+    name: &str,
+) -> (PathBuf, Quarry, mpsc::Receiver<()>, mpsc::Sender<io::Result<()>>) {
+    let wal = tmpwal(name);
+    let (arrived, renames) = mpsc::channel();
+    let (rule, verdict) = mpsc::channel();
+    let backend = ParkedRename { arrived: Mutex::new(arrived), verdict: Mutex::new(verdict) };
+    let config = QuarryConfig::builder().wal_path(&wal).storage_backend(Arc::new(backend));
+    let q = Quarry::new(config.build()).unwrap();
+    let columns = vec![Column::new("id", DataType::Int), Column::new("val", DataType::Int)];
+    q.db.create_table(TableSchema::new("items", columns, &["id"], &["val"]).unwrap()).unwrap();
+    let tx = q.db.begin();
+    for i in 0..300 {
+        q.db.insert(tx, "items", vec![Value::Int(i), Value::Int(i % 17)]).unwrap();
+    }
+    q.db.commit(tx).unwrap();
+    (wal, q, renames, rule)
+}
+
+/// While a checkpoint is parked at its rename — image built, gate held —
+/// a snapshot is pinned at once and answers from the state the checkpoint
+/// captured, while a writer waits; once the rename goes through the
+/// database holds the very same state, now on the image.
+#[test]
+fn a_checkpoint_in_flight_stalls_writers_and_no_reader() {
+    let (wal, q, renames, rule) = parked_quarry("parked-checkpoint");
+    let db = Arc::clone(&q.db);
+    let before = dump(&db);
+    let checkpointer = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || db.checkpoint())
+    };
+    renames.recv().unwrap();
+
+    // Readers: three pins on a thread of their own, so that a pin that
+    // does wait for the checkpoint fails this test instead of hanging it;
+    // the quickest counts, so that one scheduling hiccup on a shared box is
+    // not read as a stall.
+    let (pinned_tx, pinned) = mpsc::channel();
+    let reader = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            for _ in 0..3 {
+                let start = Instant::now();
+                let snap = db.snapshot();
+                pinned_tx.send((snap, start.elapsed())).unwrap();
+            }
+        })
+    };
+    let pins: Vec<_> =
+        (0..3).map_while(|_| pinned.recv_timeout(Duration::from_secs(5)).ok()).collect();
+    if pins.len() < 3 {
+        rule.send(Ok(())).unwrap();
+        panic!("snapshot() waits for a checkpoint in flight");
+    }
+    reader.join().unwrap();
+    let (snap, waited) = pins.into_iter().min_by_key(|(_, waited)| *waited).unwrap();
+    assert!(waited < Duration::from_millis(10), "snapshot() waited {waited:?} for a checkpoint");
+    assert_eq!(snap_dump(&snap), before, "the snapshot sees the state being checkpointed");
+    let q = Query::scan("items").filter(vec![Predicate::Eq("val".into(), Value::Int(3))]);
+    assert_eq!(execute_snapshot(&snap, &q).unwrap().rows.len(), 18);
+
+    // Writers: `begin()` is still waiting well after the readers are done.
+    let (began_tx, began) = mpsc::channel();
+    let writer = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            let tx = db.begin();
+            began_tx.send(()).unwrap();
+            db.commit(tx)
+        })
+    };
+    let waiting = began.recv_timeout(Duration::from_millis(200));
+    assert_eq!(waiting, Err(mpsc::RecvTimeoutError::Timeout), "a writer got past a checkpoint");
+
+    rule.send(Ok(())).unwrap();
+    checkpointer.join().unwrap().unwrap();
+    began.recv_timeout(Duration::from_secs(30)).expect("the gate reopens after the checkpoint");
+    writer.join().unwrap().unwrap();
+    assert_eq!((db.checkpoint_epoch(), db.overlay_row_count("items").unwrap()), (1, 0));
+    assert_eq!(dump(&db), before, "the checkpointed state is the state before it");
+    assert_eq!(snap_dump(&snap), before);
+    drop((db, q));
+    assert_eq!(dump(&Database::open(&wal).unwrap()), before, "and so is the recovered one");
+    remove_db_files(&wal);
+}
+
+/// A checkpoint whose publication fails gives the gate back — the next
+/// writer proceeds — truncates nothing, is counted as a failure, and does
+/// not keep a later checkpoint from working.
+#[test]
+fn a_failed_publish_reopens_the_writer_gate() {
+    let (wal, q, renames, rule) = parked_quarry("failed-publish");
+    let before = dump(&q.db);
+    rule.send(Err(io::Error::other("no space left on device"))).unwrap();
+    let err = q.checkpoint().expect_err("the rename failed");
+    assert!(err.to_string().contains("no space left"), "{err}");
+    renames.recv().unwrap();
+    assert_eq!(q.db.checkpoint_epoch(), 0, "nothing was published, so nothing was truncated");
+
+    // On a thread of its own, so that a gate left shut fails the test
+    // instead of hanging it.
+    let (done_tx, done) = mpsc::channel();
+    let writer = {
+        let db = Arc::clone(&q.db);
+        std::thread::spawn(move || {
+            let row = vec![Value::Int(1_000), Value::Int(1)];
+            done_tx.send(db.insert_autocommit("items", row)).unwrap();
+        })
+    };
+    done.recv_timeout(Duration::from_secs(30)).expect("the gate reopened").unwrap();
+    writer.join().unwrap();
+    let after = dump(&q.db);
+    assert_eq!(after.lines().count(), before.lines().count() + 1);
+
+    rule.send(Ok(())).unwrap(); // the next rename goes through
+    q.checkpoint().unwrap();
+    assert_eq!((q.db.checkpoint_epoch(), dump(&q.db)), (1, after.clone()));
+    let stats = q.metrics();
+    assert_eq!(stats.counter("facade.checkpoints"), 2);
+    assert_eq!(stats.counter("facade.checkpoint_errors"), 1);
+    assert_eq!(stats.histogram("facade.checkpoint_us").unwrap().count, 2);
+    drop(q);
+    assert_eq!(dump(&Database::open(&wal).unwrap()), after);
+    remove_db_files(&wal);
 }
