@@ -204,7 +204,7 @@ fn main() {
     let mut table = Table::new(&["schema size", "intents", "hit@1", "hit@3"]);
     for tables in [2usize, 3, 4] {
         let db = build_db(&corpus, tables);
-        let translator = Translator::from_database(&db);
+        let translator = Translator::from_snapshot(&db.snapshot());
         let mut hit1 = 0;
         let mut hit3 = 0;
         let workload = intents(&corpus);

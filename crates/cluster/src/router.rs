@@ -486,26 +486,19 @@ fn merge_sorted(
     let mut heads: Vec<Option<Vec<Value>>> = runs.iter_mut().map(Iterator::next).collect();
     let mut out = Vec::new();
     loop {
-        let mut best: Option<usize> = None;
+        // A shard's rows are outside input: a short one is refused, not indexed.
+        let mut best: Option<(usize, &Value)> = None;
         for (i, head) in heads.iter().enumerate() {
             let Some(row) = head else { continue };
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let ord = row[col]
-                        .cmp(&heads[b].as_ref().map(|r| r[col].clone()).unwrap_or(Value::Null));
-                    if desc {
-                        ord == std::cmp::Ordering::Greater
-                    } else {
-                        ord == std::cmp::Ordering::Less
-                    }
-                }
-            };
-            if better {
-                best = Some(i);
+            let key = row.get(col).ok_or_else(|| {
+                let (k, m) = (row.len(), columns.len());
+                format!("shard {i} sent a row of {k} values under {m} columns")
+            })?;
+            if best.is_none_or(|(_, b)| if desc { key > b } else { key < b }) {
+                best = Some((i, key));
             }
         }
-        let Some(i) = best else { break };
+        let Some((i, _)) = best else { break };
         if let Some(row) = heads[i].take() {
             out.push(row);
         }
@@ -592,4 +585,29 @@ fn route_stats(shared: &RouterShared) -> Routed {
         }
     }
     Ok((Payload::Metrics(merged), lsn))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_short_shard_row_is_refused_not_indexed() {
+        let cols = || vec!["id".to_string(), "score".to_string()];
+        let row = |id: i64, score: i64| vec![Value::Int(id), Value::Int(score)];
+        for desc in [false, true] {
+            let q = Query::scan("t").sort("score", desc, Some(10));
+            let (lo, hi) = if desc { (9, 1) } else { (1, 9) };
+            let good = vec![(cols(), vec![row(1, lo), row(2, hi)]), (cols(), vec![row(3, 5)])];
+            let (_, rows) = merge_results(&q, good).unwrap();
+            assert_eq!(rows, vec![row(1, lo), row(3, 5), row(2, hi)], "desc={desc}");
+            // Shard 1's second row lost its sort column.
+            let short = vec![
+                (cols(), vec![row(1, lo), row(2, hi)]),
+                (cols(), vec![row(3, 5), vec![Value::Int(4)]]),
+            ];
+            let why = merge_results(&q, short).unwrap_err();
+            assert_eq!(why, "shard 1 sent a row of 1 values under 2 columns", "desc={desc}");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! User accounts: authentication stub, reputation, and incentives.
 //!
-//! The user layer "authenticates users, manage[s] incentive schemes for
-//! soliciting user feedback, and manage[s] user reputation (e.g., for mass
+//! The user layer "authenticates users, manage\[s\] incentive schemes for
+//! soliciting user feedback, and manage\[s\] user reputation (e.g., for mass
 //! collaboration)". Accounts pair an identity with a reliability posterior
 //! (from [`quarry_hi::ReputationTracker`]) and an incentive-point balance
 //! credited per accepted contribution.

@@ -3,10 +3,11 @@
 //!
 //! A [`MetricsRegistry`] is a cheap-to-clone handle over shared atomic
 //! state, so every layer of the system — the façade, the network server,
-//! background workers — can record into the *same* registry without locks
-//! on the hot path: counters and histogram buckets are plain
-//! `AtomicU64`s, and the registry's maps are only locked when a name is
-//! seen for the first time (handles are cached by callers after that).
+//! background workers — can record into the *same* registry. Counters and
+//! histogram buckets are plain `AtomicU64`s; every by-name call
+//! ([`MetricsRegistry::incr`], [`MetricsRegistry::observe`], …) holds the
+//! registry's map mutex for one lookup, and allocates only the first time
+//! it sees a name.
 //!
 //! [`MetricsRegistry::snapshot`] freezes everything into a serializable
 //! [`MetricsSnapshot`]; the serving layer ships that snapshot over the
@@ -58,7 +59,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A fixed-bucket latency histogram. All updates are relaxed atomic adds;
 /// percentile extraction happens only at snapshot time.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Histogram {
     /// One counter per bound in [`BUCKET_BOUNDS_US`] plus one overflow.
     buckets: [AtomicU64; BUCKET_BOUNDS_US.len() + 1],
@@ -68,15 +69,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-            max_us: AtomicU64::new(0),
-        }
-    }
-
     /// Record one observation of `us` microseconds.
     pub fn observe_us(&self, us: u64) {
         let idx = BUCKET_BOUNDS_US.partition_point(|&b| b < us);
@@ -197,6 +189,16 @@ struct Inner {
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
+/// The entry for `name`, inserted on first use. A known name costs one
+/// lookup under the map's mutex and no `String`.
+fn by_name<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = lock(map);
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
 /// A cheap-to-clone handle to shared metrics state. Clones record into
 /// the same counters and histograms.
 #[derive(Debug, Clone, Default)]
@@ -210,11 +212,9 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The counter named `name`, created at zero on first use. Callers on
-    /// hot paths should cache the returned handle.
+    /// The counter named `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        let mut map = lock(&self.inner.counters);
-        Arc::clone(map.entry(name.to_string()).or_default())
+        by_name(&self.inner.counters, name)
     }
 
     /// Add `delta` to the counter named `name`.
@@ -224,8 +224,7 @@ impl MetricsRegistry {
 
     /// The histogram named `name`, created empty on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = lock(&self.inner.histograms);
-        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new())))
+        by_name(&self.inner.histograms, name)
     }
 
     /// Record one latency observation into the histogram named `name`.
@@ -262,6 +261,20 @@ mod tests {
         m2.incr("requests", 3);
         assert_eq!(m.snapshot().counter("requests"), 5);
         assert_eq!(m.snapshot().counter("absent"), 0);
+    }
+
+    #[test]
+    fn a_known_name_hands_back_the_same_handle() {
+        let m = MetricsRegistry::new();
+        m.incr("requests", 1);
+        m.observe_us("lat", 7);
+        assert!(Arc::ptr_eq(&m.counter("requests"), &m.counter("requests")));
+        assert!(Arc::ptr_eq(&m.histogram("lat"), &m.histogram("lat")));
+        m.counter("requests").fetch_add(1, Ordering::Relaxed);
+        let snap = m.snapshot();
+        assert_eq!((snap.counters.len(), snap.histograms.len()), (1, 1));
+        assert_eq!(snap.counter("requests"), 2);
+        assert_eq!(snap.histogram("lat").map(|h| h.count), Some(1));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! - [`reputation`] — Beta-posterior reliability tracking per user;
 //! - [`policy`] — which task to spend the next budget unit on (random /
 //!   uncertainty sampling / model-disagreement);
-//! - [`curate`] — the generic HI repair loop: take uncertain automatic
+//! - [`mod@curate`] — the generic HI repair loop: take uncertain automatic
 //!   decisions, spend budget, return curated decisions.
 
 #![forbid(unsafe_code)]

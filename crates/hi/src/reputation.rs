@@ -1,6 +1,6 @@
 //! User reputation: Beta-posterior reliability estimates.
 //!
-//! The blueprint's user layer "manage[s] user reputation (e.g., for mass
+//! The blueprint's user layer "manage\[s\] user reputation (e.g., for mass
 //! collaboration)". Each user's reliability is tracked as a Beta(α, β)
 //! posterior over their probability of answering correctly, updated from
 //! gold questions (known answers) or from agreement with the crowd

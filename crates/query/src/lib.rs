@@ -26,7 +26,6 @@ pub mod index;
 pub mod lint;
 pub mod planner;
 pub mod session;
-pub mod source;
 pub mod translate;
 
 pub use engine::{AggFn, Predicate, Query, QueryError, QueryResult};
@@ -36,5 +35,4 @@ pub use planner::{
     execute_snapshot_with, execute_with, plan, AccessPath, OpTrace, PhysPlan, PlannerConfig,
 };
 pub use session::{Mode, Session};
-pub use source::Catalog;
 pub use translate::{CandidateQuery, Translator};

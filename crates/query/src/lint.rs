@@ -2,9 +2,10 @@
 //!
 //! The same diagnostics framework `quarry-lang` applies to QDL programs,
 //! applied to the structured side: a [`Query`] tree is checked against the
-//! [`Database`]'s table schemas *before* execution, turning what used to be
-//! a runtime `UnknownColumn` error deep inside an operator into a
-//! span-anchored, caret-rendered diagnostic with a did-you-mean suggestion.
+//! table schemas of the [`DbSnapshot`] it will run on *before* execution,
+//! turning what used to be a runtime `UnknownColumn` error deep inside an
+//! operator into a span-anchored, caret-rendered diagnostic with a
+//! did-you-mean suggestion.
 //!
 //! Spans index into the query's SQL-flavored rendering — the validator
 //! re-renders the tree with exactly the same format strings as
@@ -24,9 +25,8 @@
 //!   statically certain to fail with `NotNumeric` on any non-null value.
 
 use crate::engine::{AggFn, Query};
-use crate::source::Catalog;
 use quarry_exec::diag::{closest, Diagnostic, LintReport, Span};
-use quarry_storage::DataType;
+use quarry_storage::{DataType, DbSnapshot};
 
 /// Diagnostic codes for structured-query validation.
 pub mod codes {
@@ -56,13 +56,11 @@ struct Checked {
     diags: Vec<Diagnostic>,
 }
 
-/// Validate a query tree against the database's schemas.
+/// Validate a query tree against the schemas of the snapshot it will run on.
 ///
 /// The returned report's `source` is the query's [`Query::display`]
-/// rendering and every diagnostic's span indexes into it. Generic over
-/// [`Catalog`]: validates identically against the live database or an
-/// immutable snapshot.
-pub fn check_query<C: Catalog>(db: &C, q: &Query) -> LintReport {
+/// rendering and every diagnostic's span indexes into it.
+pub fn check_query(db: &DbSnapshot, q: &Query) -> LintReport {
     let checked = check(db, q);
     LintReport::new("<query>", checked.rendered, checked.diags)
 }
@@ -102,7 +100,7 @@ fn lookup<'a>(columns: &'a Option<Vec<Col>>, name: &str) -> Option<&'a Col> {
     columns.as_ref()?.iter().find(|c| c.name == name)
 }
 
-fn check<C: Catalog>(db: &C, q: &Query) -> Checked {
+fn check(db: &DbSnapshot, q: &Query) -> Checked {
     match q {
         Query::Scan { table } => {
             let rendered = format!("SELECT * FROM {table}");
@@ -349,7 +347,7 @@ mod tests {
             Query::scan("ghost").project(&["x"]),
         ];
         for q in &queries {
-            let report = check_query(&db, q);
+            let report = check_query(&db.snapshot(), q);
             assert_eq!(report.source, q.display(), "validator must re-render display() exactly");
         }
     }
@@ -362,7 +360,7 @@ mod tests {
             .join(Query::scan("temps"), "name", "city")
             .aggregate(Some("state"), AggFn::Avg, "temp")
             .sort("AVG(temp)", true, Some(3));
-        let report = check_query(&db, &q);
+        let report = check_query(&db.snapshot(), &q);
         assert!(report.is_clean(), "expected clean report, got:\n{report}");
         assert_eq!(report.warning_count(), 0);
     }
@@ -370,7 +368,7 @@ mod tests {
     #[test]
     fn unknown_table_is_qq001_with_suggestion() {
         let db = db();
-        let report = check_query(&db, &Query::scan("citis"));
+        let report = check_query(&db.snapshot(), &Query::scan("citis"));
         assert_eq!(report.error_count(), 1);
         let d = &report.diagnostics[0];
         assert_eq!(d.code, codes::UNKNOWN_TABLE);
@@ -387,7 +385,7 @@ mod tests {
             Predicate::Eq("state".into(), "Wisconsin".into()),
             Predicate::Gt("populaton".into(), Value::Int(5)),
         ]);
-        let report = check_query(&db, &q);
+        let report = check_query(&db.snapshot(), &q);
         assert_eq!(report.error_count(), 1);
         let d = &report.diagnostics[0];
         assert_eq!(d.code, codes::UNKNOWN_COLUMN);
@@ -400,22 +398,23 @@ mod tests {
     fn projection_join_group_and_sort_references_are_checked() {
         let db = db();
         // Projection.
-        let report = check_query(&db, &Query::scan("cities").project(&["name", "ghost"]));
+        let report =
+            check_query(&db.snapshot(), &Query::scan("cities").project(&["name", "ghost"]));
         assert_eq!(report.error_count(), 1);
         assert_eq!(covered(&report, &report.diagnostics[0]), "ghost");
         // Join keys, both sides.
         let q = Query::scan("cities").join(Query::scan("temps"), "nme", "cty");
-        let report = check_query(&db, &q);
+        let report = check_query(&db.snapshot(), &q);
         assert_eq!(report.error_count(), 2);
         assert_eq!(covered(&report, &report.diagnostics[0]), "nme");
         assert_eq!(covered(&report, &report.diagnostics[1]), "cty");
         // Group-by and sort key.
         let q = Query::scan("temps").aggregate(Some("citty"), AggFn::Avg, "temp");
-        let report = check_query(&db, &q);
+        let report = check_query(&db.snapshot(), &q);
         assert_eq!(report.error_count(), 1);
         assert_eq!(covered(&report, &report.diagnostics[0]), "citty");
         let q = Query::scan("cities").sort("popluation", true, None);
-        let report = check_query(&db, &q);
+        let report = check_query(&db.snapshot(), &q);
         assert_eq!(report.error_count(), 1);
         assert_eq!(covered(&report, &report.diagnostics[0]), "popluation");
     }
@@ -426,7 +425,7 @@ mod tests {
         let q = Query::scan("cities")
             .project(&["name"])
             .filter(vec![Predicate::Eq("state".into(), "Wisconsin".into())]);
-        let report = check_query(&db, &q);
+        let report = check_query(&db.snapshot(), &q);
         assert_eq!(report.error_count(), 1);
         let d = &report.diagnostics[0];
         assert_eq!(d.code, codes::UNKNOWN_COLUMN);
@@ -441,14 +440,14 @@ mod tests {
         let q = Query::scan("cities")
             .join(Query::scan("cities"), "name", "name")
             .project(&["name", "right.name"]);
-        assert!(check_query(&db, &q).is_clean());
+        assert!(check_query(&db.snapshot(), &q).is_clean());
     }
 
     #[test]
     fn text_aggregate_is_a_warning_not_an_error() {
         let db = db();
         let q = Query::scan("cities").aggregate(None, AggFn::Avg, "name");
-        let report = check_query(&db, &q);
+        let report = check_query(&db.snapshot(), &q);
         assert_eq!(report.error_count(), 0);
         assert_eq!(report.warning_count(), 1);
         let d = &report.diagnostics[0];
@@ -459,7 +458,7 @@ mod tests {
         // MIN/MAX over text are fine; COUNT too.
         for agg in [AggFn::Min, AggFn::Max, AggFn::Count] {
             let q = Query::scan("cities").aggregate(None, agg, "name");
-            assert!(check_query(&db, &q).is_clean());
+            assert!(check_query(&db.snapshot(), &q).is_clean());
         }
     }
 
@@ -469,7 +468,7 @@ mod tests {
         let q = Query::scan("ghost")
             .filter(vec![Predicate::Eq("anything".into(), Value::Null)])
             .project(&["whatever"]);
-        let report = check_query(&db, &q);
+        let report = check_query(&db.snapshot(), &q);
         assert_eq!(report.error_count(), 1, "only QQ001, no phantom QQ002s:\n{report}");
         assert_eq!(report.diagnostics[0].code, codes::UNKNOWN_TABLE);
     }
@@ -481,7 +480,7 @@ mod tests {
             .filter(vec![Predicate::Eq("ghost".into(), Value::Null)])
             .project(&["name"])
             .sort("name", false, Some(1));
-        let report = check_query(&db, &q);
+        let report = check_query(&db.snapshot(), &q);
         assert_eq!(report.error_count(), 1);
         let d = &report.diagnostics[0];
         assert_eq!(covered(&report, d), "ghost");

@@ -36,7 +36,6 @@
 //!
 
 use crate::engine::{compute_agg, Predicate, Query, QueryError, QueryResult};
-use crate::source::Catalog;
 use quarry_exec::PlanNode;
 use quarry_storage::{Database, DbSnapshot, Row, ScanAccess, Value};
 use std::collections::HashMap;
@@ -235,9 +234,10 @@ impl OpTrace {
 /// slips through (e.g. an unknown table) still surfaces at execution,
 /// exactly where the unplanned engine raised it.
 ///
-/// Generic over [`Catalog`]: plans identically from the live [`Database`]
-/// or a [`DbSnapshot`] (whose statistics are frozen at capture time).
-pub fn plan<C: Catalog>(db: &C, q: &Query, cfg: &PlannerConfig) -> PhysPlan {
+/// Schema, index list and statistics all come from the [`DbSnapshot`] the
+/// plan will run on, frozen at its LSN: a plan can only name an index the
+/// pinned view has.
+pub fn plan(db: &DbSnapshot, q: &Query, cfg: &PlannerConfig) -> PhysPlan {
     match q {
         Query::Scan { table } => PhysPlan::Access {
             table: table.clone(),
@@ -318,8 +318,8 @@ pub fn plan<C: Catalog>(db: &C, q: &Query, cfg: &PlannerConfig) -> PhysPlan {
 /// lowest estimated match count (from index stats), then the first
 /// range-constrained indexed column with all its bounds intersected, then
 /// a full scan.
-fn choose_access<C: Catalog>(
-    db: &C,
+fn choose_access(
+    db: &DbSnapshot,
     table: &str,
     residual: &[Predicate],
     cfg: &PlannerConfig,
@@ -708,7 +708,7 @@ mod tests {
     fn eq_predicate_routes_through_index() {
         let db = db_with_index();
         let q = Query::scan("facts").filter(vec![Predicate::Eq("cat".into(), "c3".into())]);
-        let p = plan(&db, &q, &PlannerConfig::default());
+        let p = plan(&db.snapshot(), &q, &PlannerConfig::default());
         match &p {
             PhysPlan::Access { path: AccessPath::IndexEq { column, .. }, residual, .. } => {
                 assert_eq!(column, "cat");
@@ -731,7 +731,7 @@ mod tests {
             Predicate::Eq("cat".into(), "c2".into()),
             Predicate::Eq("id".into(), Value::Int(42)),
         ]);
-        match plan(&db, &q, &cfg) {
+        match plan(&db.snapshot(), &q, &cfg) {
             PhysPlan::Access { path: AccessPath::PkEq { key }, residual, est_rows, .. } => {
                 assert_eq!(key, vec![Value::Int(42)]);
                 assert_eq!(residual.len(), 2, "residual keeps the full conjunction");
@@ -754,7 +754,7 @@ mod tests {
         // Anything short of equality on every key column is not a lookup.
         let range = Query::scan("facts").filter(vec![Predicate::Ge("id".into(), Value::Int(42))]);
         assert!(matches!(
-            plan(&db, &range, &cfg),
+            plan(&db.snapshot(), &range, &cfg),
             PhysPlan::Access { path: AccessPath::FullScan, .. }
         ));
     }
@@ -767,7 +767,7 @@ mod tests {
             Predicate::Gt("num".into(), Value::Int(5)),
             Predicate::Le("num".into(), Value::Int(9)),
         ]);
-        let p = plan(&db, &q, &PlannerConfig::default());
+        let p = plan(&db.snapshot(), &q, &PlannerConfig::default());
         match &p {
             PhysPlan::Access { path: AccessPath::IndexRange { column, lo, hi }, .. } => {
                 assert_eq!(column, "num");
@@ -791,7 +791,7 @@ mod tests {
         let q = Query::scan("facts")
             .filter(vec![Predicate::Eq("cat".into(), "c1".into())])
             .project(&["id"]);
-        match plan(&db, &q, &PlannerConfig::default()) {
+        match plan(&db.snapshot(), &q, &PlannerConfig::default()) {
             PhysPlan::Access { projection, residual, .. } => {
                 assert_eq!(projection, Some(vec!["id".to_string()]));
                 assert_eq!(residual.len(), 1);
@@ -822,7 +822,7 @@ mod tests {
     fn full_scan_config_is_pre_planner_shape() {
         let db = db_with_index();
         let q = Query::scan("facts").filter(vec![Predicate::Eq("cat".into(), "c3".into())]);
-        let p = plan(&db, &q, &PlannerConfig::full_scan());
+        let p = plan(&db.snapshot(), &q, &PlannerConfig::full_scan());
         match &p {
             PhysPlan::Filter { input, .. } => match input.as_ref() {
                 PhysPlan::Access { path: AccessPath::FullScan, residual, projection, .. } => {
@@ -886,7 +886,7 @@ mod tests {
             vec![Predicate::In("cat".into(), vec!["c1".into(), "c2".into()])],
         ] {
             let q = Query::scan("facts").filter(preds);
-            match plan(&db, &q, &PlannerConfig::default()) {
+            match plan(&db.snapshot(), &q, &PlannerConfig::default()) {
                 PhysPlan::Access { path: AccessPath::FullScan, .. } => {}
                 other => panic!("expected full scan, got {other:?}"),
             }
@@ -905,7 +905,7 @@ mod tests {
             Predicate::Eq("num".into(), Value::Int(4)),
             Predicate::Ge("id".into(), Value::Int(0)),
         ]);
-        match plan(&db, &q, &PlannerConfig::default()) {
+        match plan(&db.snapshot(), &q, &PlannerConfig::default()) {
             PhysPlan::Access { path: AccessPath::IndexEq { column, .. }, residual, .. } => {
                 assert_eq!(column, "num");
                 assert_eq!(residual.len(), 3, "every predicate re-checked");
@@ -937,5 +937,25 @@ mod tests {
         let pinned = crate::engine::execute_snapshot(&snap, &count).unwrap();
         assert_eq!(pinned.scalar(), Some(&Value::Int(100)));
         assert_eq!(live.scalar(), Some(&Value::Int(101)));
+        // So does its catalog: an index built after the pin is not one the
+        // old view has, so a plan made from it cannot name it.
+        db.create_index("facts", "num").unwrap();
+        let cfg = PlannerConfig::default();
+        let by_num = Query::scan("facts").filter(vec![Predicate::Eq("num".into(), Value::Int(1))]);
+        assert!(matches!(
+            plan(&snap, &by_num, &cfg),
+            PhysPlan::Access { path: AccessPath::FullScan, .. }
+        ));
+        let (old, old_trace) = execute_snapshot_with(&snap, &by_num, &cfg).unwrap();
+        assert_eq!(old_trace.total_scanned(), 100, "full scan of the pre-DDL rows");
+        assert!(old.rows.iter().all(|r| r[0] != Value::Int(999)));
+        let fresh = db.snapshot();
+        assert!(matches!(
+            plan(&fresh, &by_num, &cfg),
+            PhysPlan::Access { path: AccessPath::IndexEq { .. }, .. }
+        ));
+        let (new, new_trace) = execute_snapshot_with(&fresh, &by_num, &cfg).unwrap();
+        assert_eq!(new.rows.len(), old.rows.len() + 1, "row 999 has num = 1");
+        assert_eq!(new_trace.total_scanned(), new.rows.len());
     }
 }

@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn keyword_to_form_to_structured_journey() {
         let (ix, db) = setup();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let mut s = Session::new(&ix, &tr, &db);
 
         let (hits, forms) = s.keyword("average temperature Madison", 5);
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn fill_and_run_edits_a_field() {
         let (ix, db) = setup();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let mut s = Session::new(&ix, &tr, &db);
         s.keyword("temperature July Madison", 5);
         // Edit the month field (July → January) and re-run.
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn direct_structured_mode() {
         let (ix, db) = setup();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let mut s = Session::new(&ix, &tr, &db);
         let r = s.structured(Query::scan("temps")).unwrap();
         assert_eq!(r.rows.len(), 2);
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn explain_shows_physical_plan() {
         let (ix, db) = setup();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let mut s = Session::new(&ix, &tr, &db);
         let text = s.explain(&Query::scan("temps")).unwrap();
         assert!(text.contains("PHYSICAL PLAN"), "{text}");
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn choosing_a_missing_form_is_none() {
         let (ix, db) = setup();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let mut s = Session::new(&ix, &tr, &db);
         assert!(s.choose_form(0).is_none());
     }

@@ -9,7 +9,7 @@
 //! keyword query they explain.
 
 use crate::engine::{AggFn, Predicate, Query};
-use quarry_storage::{DataType, Database, Value};
+use quarry_storage::{DataType, DbSnapshot, Value};
 use std::collections::{BTreeMap, HashMap};
 
 /// One ranked translation candidate.
@@ -41,39 +41,11 @@ pub struct Translator {
 }
 
 impl Translator {
-    /// Build from a live database: catalog plus a text-value index.
-    pub fn from_database(db: &Database) -> Translator {
-        let mut t = Translator { synonyms: default_synonyms(), ..Default::default() };
-        for table in db.table_names() {
-            let Ok(schema) = db.schema(&table) else { continue };
-            let columns: Vec<(String, DataType)> =
-                schema.columns.iter().map(|c| (c.name.clone(), c.dtype)).collect();
-            if let Ok(rows) = db.scan_autocommit(&table) {
-                for row in &rows {
-                    for (j, v) in row.iter().enumerate() {
-                        if let Some(text) = v.as_text() {
-                            t.values
-                                .entry(text.to_lowercase())
-                                .or_default()
-                                .push((table.clone(), columns[j].0.clone()));
-                        }
-                    }
-                }
-            }
-            t.tables.push(TableInfo { name: table, columns });
-        }
-        for v in t.values.values_mut() {
-            v.sort();
-            v.dedup();
-        }
-        t
-    }
-
-    /// Build from an immutable [`DbSnapshot`] — identical vocabulary to
-    /// [`Translator::from_database`] at the snapshot's LSN (same sorted
-    /// table iteration, same row-id scan order), but lock-free: snapshot
-    /// readers can (re)build translators without touching the live engine.
-    pub fn from_snapshot(snap: &quarry_storage::DbSnapshot) -> Translator {
+    /// Build from an immutable [`DbSnapshot`]: the catalog plus a
+    /// text-value index as of the snapshot's LSN (sorted table iteration,
+    /// row-id scan order). Lock-free: readers can (re)build translators
+    /// without touching the live engine.
+    pub fn from_snapshot(snap: &DbSnapshot) -> Translator {
         let mut t = Translator { synonyms: default_synonyms(), ..Default::default() };
         for table in snap.table_names() {
             let Ok(schema) = snap.schema(&table) else { continue };
@@ -296,7 +268,7 @@ fn default_synonyms() -> BTreeMap<String, String> {
 mod tests {
     use super::*;
     use crate::engine::execute;
-    use quarry_storage::{Column, TableSchema};
+    use quarry_storage::{Column, Database, TableSchema};
 
     fn db() -> Database {
         let db = Database::in_memory();
@@ -340,7 +312,7 @@ mod tests {
     #[test]
     fn paper_keyword_query_translates_to_aggregate() {
         let db = db();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let cands = tr.translate("average temperature Madison", 5);
         assert!(!cands.is_empty());
         let top = &cands[0];
@@ -354,7 +326,7 @@ mod tests {
     #[test]
     fn lookup_query_by_value() {
         let db = db();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let cands = tr.translate("population Madison", 5);
         let top = &cands[0];
         let r = execute(&db, &top.query).unwrap();
@@ -365,7 +337,7 @@ mod tests {
     #[test]
     fn multiple_values_become_in_predicate() {
         let db = db();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let cands = tr.translate("temperature January July Madison", 5);
         let top = &cands[0];
         let rendered = top.query.display();
@@ -377,7 +349,7 @@ mod tests {
     #[test]
     fn max_intent() {
         let db = db();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let cands = tr.translate("warmest temperature Madison", 5);
         let r = execute(&db, &cands[0].query).unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(72)));
@@ -386,7 +358,7 @@ mod tests {
     #[test]
     fn unknown_keywords_produce_no_candidates() {
         let db = db();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         assert!(tr.translate("qwerty zxcvb", 5).is_empty());
         assert!(tr.translate("", 5).is_empty());
     }
@@ -394,7 +366,7 @@ mod tests {
     #[test]
     fn candidates_are_ranked_and_bounded() {
         let db = db();
-        let tr = Translator::from_database(&db);
+        let tr = Translator::from_snapshot(&db.snapshot());
         let cands = tr.translate("average population Wisconsin", 3);
         assert!(cands.len() <= 3);
         for w in cands.windows(2) {

@@ -12,7 +12,7 @@
 //! to the frame the primary wrote to its own log — the listener writes
 //! each validated run of its log to the socket as it read it. Control
 //! messages are payloads whose first byte is a
-//! tag in `0xC1..=0xC6` — a range no [`LogRecord`] encoding starts with
+//! tag in `0xC1..=0xC6` — a range no `LogRecord` encoding starts with
 //! (binary records start `0x01`, JSON records `0x7B`):
 //!
 //! ```text

@@ -7,17 +7,10 @@
 //! requested version by replaying deltas forward from the nearest keyframe —
 //! bounding both space (diff-sized) and read cost (≤ interval replays).
 
-use crate::codec;
-use crate::delta::{self, Delta, DeltaOp};
+use crate::delta::{self, Delta};
 use crate::error::StorageError;
-use crate::faultfs::StorageBackend;
 use crate::Result;
 use std::collections::HashMap;
-use std::io::{BufWriter, Write};
-use std::path::Path;
-
-/// Magic prefix of the snapshot image format.
-const SNAP_MAGIC: &[u8; 4] = b"QSN1";
 
 #[derive(Debug, Clone)]
 enum StoredVersion {
@@ -175,175 +168,6 @@ impl SnapshotStore {
         self.versions.keys().map(String::as_str)
     }
 
-    /// Persist the whole store to `path` atomically: stream the binary image
-    /// through a [`BufWriter`] into a sibling temp file, fsync it, then
-    /// rename over the destination. A crash at any point leaves either the
-    /// previous complete image or the new one — never a torn file (the
-    /// rename is the commit point). Streaming means peak memory is one
-    /// buffer, not a whole serialized copy of the store.
-    pub fn save(&self, backend: &dyn StorageBackend, path: &Path) -> Result<()> {
-        let tmp = path.with_extension("snap-tmp");
-        let _ = backend.remove_file(&tmp); // stale temp from an earlier crash
-        let f = backend.create_new(&tmp)?;
-        let mut w = BufWriter::new(f);
-        self.encode_into(&mut w)?;
-        let mut f =
-            w.into_inner().map_err(|e| StorageError::Io(std::io::Error::other(e.to_string())))?;
-        f.sync_data()?;
-        drop(f);
-        backend.rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Write the binary image: magic, store parameters, then each document's
-    /// version chain (documents sorted by key so the byte stream — and the
-    /// fault-injection op stream — is deterministic).
-    fn encode_into<W: Write>(&self, w: &mut W) -> Result<()> {
-        w.write_all(SNAP_MAGIC)?;
-        codec::write_u64(w, self.keyframe_interval as u64)?;
-        codec::write_u64(w, self.logical_bytes as u64)?;
-        codec::write_u64(w, self.versions.len() as u64)?;
-        let mut keys: Vec<&String> = self.versions.keys().collect();
-        keys.sort();
-        for key in keys {
-            codec::write_str(w, key)?;
-            let chain = &self.versions[key];
-            codec::write_u64(w, chain.len() as u64)?;
-            for sv in chain {
-                match sv {
-                    StoredVersion::Full(text) => {
-                        w.write_all(&[0])?;
-                        codec::write_str(w, text)?;
-                    }
-                    StoredVersion::Delta(d) => {
-                        w.write_all(&[1])?;
-                        codec::write_u64(w, d.ops.len() as u64)?;
-                        for op in &d.ops {
-                            match op {
-                                DeltaOp::Copy { start, len } => {
-                                    w.write_all(&[0])?;
-                                    codec::write_u64(w, u64::from(*start))?;
-                                    codec::write_u64(w, u64::from(*len))?;
-                                }
-                                DeltaOp::Insert(lines) => {
-                                    w.write_all(&[1])?;
-                                    codec::write_u64(w, lines.len() as u64)?;
-                                    for line in lines {
-                                        codec::write_str(w, line)?;
-                                    }
-                                }
-                            }
-                        }
-                        w.write_all(&[u8::from(d.trailing_newline)])?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Load a store persisted by [`SnapshotStore::save`]. A missing file is
-    /// an empty store with the given interval (first boot). The pre-binary
-    /// whole-store JSON image (starting with `{`) is refused by name.
-    pub fn load(
-        backend: &dyn StorageBackend,
-        path: &Path,
-        keyframe_interval: usize,
-    ) -> Result<SnapshotStore> {
-        let data = match backend.read(path) {
-            Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(SnapshotStore::new(keyframe_interval));
-            }
-            Err(e) => return Err(e.into()),
-        };
-        Self::decode(&data)
-    }
-
-    fn decode(data: &[u8]) -> Result<SnapshotStore> {
-        if data.first() == Some(&b'{') {
-            return Err(StorageError::Corrupt(
-                "snapshot image looks like legacy JSON, which is no longer readable".into(),
-            ));
-        }
-        if data.len() < SNAP_MAGIC.len() || &data[..SNAP_MAGIC.len()] != SNAP_MAGIC {
-            return Err(StorageError::Corrupt("snapshot image: bad magic".into()));
-        }
-        let pos = &mut SNAP_MAGIC.len();
-        let keyframe_interval = codec::read_u64(data, pos)? as usize;
-        if keyframe_interval == 0 {
-            return Err(StorageError::Corrupt("snapshot image: zero keyframe interval".into()));
-        }
-        let logical_bytes = codec::read_u64(data, pos)? as usize;
-        let ndocs = codec::read_u64(data, pos)? as usize;
-        let mut versions = HashMap::new();
-        for _ in 0..ndocs {
-            let key = codec::read_str(data, pos)?;
-            let nversions = codec::read_u64(data, pos)? as usize;
-            let mut chain = Vec::with_capacity(nversions.min(1024));
-            for _ in 0..nversions {
-                chain.push(Self::decode_version(data, pos)?);
-            }
-            versions.insert(key, chain);
-        }
-        if *pos != data.len() {
-            return Err(StorageError::Corrupt(format!(
-                "snapshot image: {} trailing bytes",
-                data.len() - *pos
-            )));
-        }
-        let mut store =
-            SnapshotStore { keyframe_interval, versions, latest: HashMap::new(), logical_bytes };
-        // `latest` is derivable, so the image omits it; rebuild each entry by
-        // reconstructing the newest version.
-        let keys: Vec<String> = store.versions.keys().cloned().collect();
-        for key in keys {
-            let last = store.version_count(&key) - 1;
-            let text = store.get(&key, last)?;
-            store.latest.insert(key, text);
-        }
-        Ok(store)
-    }
-
-    fn decode_version(data: &[u8], pos: &mut usize) -> Result<StoredVersion> {
-        let tag = codec::read_u64(data, pos)?;
-        match tag {
-            0 => Ok(StoredVersion::Full(codec::read_str(data, pos)?)),
-            1 => {
-                let nops = codec::read_u64(data, pos)? as usize;
-                let mut ops = Vec::with_capacity(nops.min(1024));
-                for _ in 0..nops {
-                    match codec::read_u64(data, pos)? {
-                        0 => {
-                            let start = u32::try_from(codec::read_u64(data, pos)?)
-                                .map_err(|_| StorageError::Corrupt("delta copy start".into()))?;
-                            let len = u32::try_from(codec::read_u64(data, pos)?)
-                                .map_err(|_| StorageError::Corrupt("delta copy len".into()))?;
-                            ops.push(DeltaOp::Copy { start, len });
-                        }
-                        1 => {
-                            let nlines = codec::read_u64(data, pos)? as usize;
-                            let mut lines = Vec::with_capacity(nlines.min(1024));
-                            for _ in 0..nlines {
-                                lines.push(codec::read_str(data, pos)?);
-                            }
-                            ops.push(DeltaOp::Insert(lines));
-                        }
-                        t => {
-                            return Err(StorageError::Corrupt(format!("delta op tag {t}")));
-                        }
-                    }
-                }
-                let trailing = codec::read_u64(data, pos)?;
-                if trailing > 1 {
-                    return Err(StorageError::Corrupt("trailing-newline flag".into()));
-                }
-                Ok(StoredVersion::Delta(Delta { ops, trailing_newline: trailing == 1 }))
-            }
-            t => Err(StorageError::Corrupt(format!("stored-version tag {t}"))),
-        }
-    }
-
     /// Space accounting.
     pub fn stats(&self) -> SnapshotStats {
         SnapshotStats {
@@ -443,93 +267,6 @@ mod tests {
     #[should_panic(expected = "keyframe interval")]
     fn zero_interval_rejected() {
         SnapshotStore::new(0);
-    }
-
-    #[test]
-    fn save_load_round_trip_and_missing_file_is_empty() {
-        use crate::faultfs::RealBackend;
-        let dir = std::env::temp_dir().join(format!("quarry-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
-        let _ = std::fs::remove_file(&path);
-
-        let empty = SnapshotStore::load(&RealBackend, &path, 8).unwrap();
-        assert_eq!(empty.stats().documents, 0);
-
-        let mut s = SnapshotStore::new(4);
-        for day in 0..6 {
-            s.put("page", &format!("line a\nline b\nday {day}"));
-        }
-        s.save(&RealBackend, &path).unwrap();
-        let loaded = SnapshotStore::load(&RealBackend, &path, 4).unwrap();
-        assert_eq!(loaded.stats(), s.stats());
-        assert_eq!(loaded.get("page", 3).unwrap(), s.get("page", 3).unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_images_are_rejected() {
-        let mut s = SnapshotStore::new(4);
-        for day in 0..6 {
-            s.put("page", &format!("line a\nline b\nday {day}"));
-        }
-        let mut bin = Vec::new();
-        s.encode_into(&mut bin).unwrap();
-
-        // Truncation at any point fails (never a silent partial store).
-        for cut in [3, 7, bin.len() / 2, bin.len() - 1] {
-            assert!(SnapshotStore::decode(&bin[..cut]).is_err(), "cut at {cut}");
-        }
-        // Bad magic.
-        let mut bad = bin.clone();
-        bad[0] ^= 0xff;
-        assert!(matches!(SnapshotStore::decode(&bad), Err(StorageError::Corrupt(_))));
-        // Trailing garbage.
-        let mut long = bin.clone();
-        long.push(0);
-        assert!(matches!(SnapshotStore::decode(&long), Err(StorageError::Corrupt(_))));
-        // The clean image round-trips exactly.
-        let back = SnapshotStore::decode(&bin).unwrap();
-        assert_eq!(back.stats(), s.stats());
-        assert_eq!(back.get("page", 5).unwrap(), s.get("page", 5).unwrap());
-    }
-
-    #[test]
-    fn crashed_save_preserves_previous_image() {
-        use crate::faultfs::{CrashPlan, FaultBackend, RealBackend};
-        let dir = std::env::temp_dir().join(format!("quarry-snapcrash-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
-        let _ = std::fs::remove_file(&path);
-
-        let mut s = SnapshotStore::new(4);
-        s.put("doc", "version zero");
-        s.save(&RealBackend, &path).unwrap();
-
-        // Crash the second save at every one of its operations; the old
-        // image must survive each time (rename is the commit point).
-        s.put("doc", "version one");
-        let total = {
-            let rec = FaultBackend::recording(RealBackend);
-            s.save(&rec, &path).unwrap();
-            rec.op_count()
-        };
-        // Restore the v0 image for the crash runs.
-        let mut v0 = SnapshotStore::new(4);
-        v0.put("doc", "version zero");
-        v0.save(&RealBackend, &path).unwrap();
-        for k in 1..total {
-            let fb = FaultBackend::with_plan(RealBackend, CrashPlan::kill_at(k));
-            assert!(s.save(&fb, &path).is_err(), "crash point {k} must fail the save");
-            let loaded = SnapshotStore::load(&RealBackend, &path, 4).unwrap();
-            assert_eq!(loaded.latest("doc"), Some("version zero"), "crash point {k}");
-        }
-        // The final op (the rename) completing means the new image is live.
-        let fb = FaultBackend::with_plan(RealBackend, CrashPlan::kill_at(total + 1));
-        s.save(&fb, &path).unwrap();
-        let loaded = SnapshotStore::load(&RealBackend, &path, 4).unwrap();
-        assert_eq!(loaded.latest("doc"), Some("version one"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     proptest! {

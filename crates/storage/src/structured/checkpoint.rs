@@ -210,7 +210,6 @@ mod tests {
     use super::*;
     use crate::codec;
     use crate::faultfs::RealBackend;
-    use crate::snapshot::SnapshotStore;
     use crate::structured::fixtures::{people_schema, person, tmpwal};
     use crate::structured::{Database, ScanAccess};
     use crate::value::Value;
@@ -235,13 +234,10 @@ mod tests {
 
     #[test]
     fn foreign_or_damaged_files_are_refused() {
-        fn open_db(p: &Path) -> Result<()> {
-            Database::open(p).map(drop)
-        }
-        // (input, how to fabricate it around the WAL path, how to open
-        // it, what the refusal must say it looks like)
-        type Case = (&'static str, fn(&Path), fn(&Path) -> Result<()>, &'static str);
-        let cases: [Case; 5] = [
+        // (input, how to fabricate it around the WAL path, what the
+        // refusal must say it looks like)
+        type Case = (&'static str, fn(&Path), &'static str);
+        let cases: [Case; 4] = [
             (
                 "flipped meta-page bit",
                 |p| {
@@ -250,7 +246,6 @@ mod tests {
                     bytes[100] ^= 1;
                     std::fs::write(image_path(p), bytes).unwrap();
                 },
-                open_db,
                 "damaged or foreign",
             ),
             (
@@ -259,7 +254,6 @@ mod tests {
                     let begin: &[u8] = br#"{"Begin":{"tx":0}}"#;
                     append_frames(&image_path(p), &[begin, br#"{"Commit":{"tx":0}}"#]);
                 },
-                open_db,
                 "legacy WAL-format (JSON) checkpoint",
             ),
             (
@@ -277,7 +271,6 @@ mod tests {
                     pager.set_root(head);
                     pager.flush().unwrap();
                 },
-                open_db,
                 "v1 heap-chain directory",
             ),
             (
@@ -290,22 +283,15 @@ mod tests {
                     let later = LogRecord::DropTable { table: "people".into() }.encode().unwrap();
                     append_frames(p, &[br#"{"Begin":{"tx":9}}"#, &later]);
                 },
-                open_db,
-                "legacy JSON",
-            ),
-            (
-                "JSON snapshot image",
-                |p| std::fs::write(p, br#"{"keyframe_interval":4,"versions":{}}"#).unwrap(),
-                |p| SnapshotStore::load(&RealBackend, p, 4).map(drop),
                 "legacy JSON",
             ),
         ];
-        for (input, fabricate, open, looks_like) in cases {
+        for (input, fabricate, looks_like) in cases {
             let p = tmpwal("refused");
             fabricate(&p);
             let on_disk = |path: PathBuf| std::fs::read(path).ok();
             let before = (on_disk(p.clone()), on_disk(image_path(&p)));
-            let err = open(&p).expect_err(input);
+            let err = Database::open(&p).map(drop).expect_err(input);
             assert!(
                 matches!(&err, StorageError::Corrupt(m) if m.contains(looks_like)),
                 "{input}: {err}"
@@ -539,7 +525,7 @@ mod tests {
         assert_eq!(rows.len(), n as usize);
         assert_eq!(rows[7][0], Value::Text("p007".into()), "row-id order preserved");
         // Stats follow the merged shape.
-        let st = db.index_stats("people", "age").unwrap().unwrap();
+        let st = db.snapshot().index_stats("people", "age").unwrap().unwrap();
         assert_eq!(st.entries, n as usize);
         assert_eq!(st.distinct, 10);
         std::fs::remove_file(&p).unwrap();
@@ -749,11 +735,11 @@ mod tests {
             assert_eq!(db.row_count("people").unwrap(), model.len(), "{when}");
             if folded {
                 let ages: BTreeSet<i64> = model.values().map(|v| v.0).collect();
-                let stats = db.index_stats("people", "age").unwrap().unwrap();
+                let stats = db.snapshot().index_stats("people", "age").unwrap().unwrap();
                 assert_eq!(stats.distinct, ages.len(), "{when}: distinct ages");
                 if city_indexed {
                     let cities: BTreeSet<&Value> = model.values().map(|v| &v.1).collect();
-                    let stats = db.index_stats("people", "city").unwrap().unwrap();
+                    let stats = db.snapshot().index_stats("people", "city").unwrap().unwrap();
                     assert_eq!(stats.distinct, cities.len(), "{when}: distinct cities");
                 }
             }

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::checkpoint::{self, Recovered};
-use super::overlay::{committed_clone, redo, IndexStats, Table, Tables, Undo};
+use super::overlay::{committed_clone, redo, Table, Tables, Undo};
 use super::paged::CheckpointImage;
 use super::recovery::LogRecord;
 use super::replication::{self, ReplicationSeed};
@@ -310,17 +310,6 @@ impl Database {
         t.version = self.stamp();
         t.stable_version = t.version;
         Ok(())
-    }
-
-    /// Names of the indexed columns of a table, sorted.
-    pub fn indexed_columns(&self, table: &str) -> Result<Vec<String>> {
-        Ok(self.tables.lock().table(table)?.indexed_columns())
-    }
-
-    /// Cardinality statistics of one secondary index (`None` when the
-    /// column carries no index). Feeds the planner's selectivity estimates.
-    pub fn index_stats(&self, table: &str, column: &str) -> Result<Option<IndexStats>> {
-        Ok(self.tables.lock().table(table)?.index_stats(column))
     }
 
     /// Drop a table (auto-committed DDL).
@@ -628,7 +617,9 @@ impl Database {
         DbSnapshot::new(lsn, st.tables.iter().map(view).collect())
     }
 
-    /// Number of rows in a table (unlocked, diagnostics only).
+    /// Number of rows in a table, an open transaction's writes included;
+    /// one short hold of the `tables` mutex (diagnostics only — queries
+    /// count on a [`DbSnapshot`]).
     pub fn row_count(&self, table: &str) -> Result<usize> {
         Ok(self.tables.lock().table(table)?.live_rows as usize)
     }

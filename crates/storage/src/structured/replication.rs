@@ -322,7 +322,7 @@ mod tests {
         reseed(&mut applier, &primary);
         assert_eq!(dump(&primary), dump(&replica));
         // The index arrived through the schema and is live on the replica.
-        assert_eq!(replica.indexed_columns("t").unwrap(), vec!["val".to_string()]);
+        assert_eq!(replica.snapshot().indexed_columns("t").unwrap(), vec!["val".to_string()]);
         assert!(applier.attached());
 
         // Replica's own WAL is a real recovery source: reopen and compare.

@@ -10,7 +10,7 @@
 //! it *is* a clone of the engine's table: the in-memory overlay (rows
 //! written since the last checkpoint, their primary-key and index
 //! entries, tombstones) in structurally shared maps (`pmap`), stacked on
-//! an `Arc`-shared [`TableBase`] slice of the checkpoint image. Capturing
+//! an `Arc`-shared `TableBase` slice of the checkpoint image. Capturing
 //! copies no rows: it is a handful of `Arc` clones however large the
 //! overlay, and a later write moves the *engine* onto fresh copies of the
 //! few tree nodes it touches while the view keeps the old ones. Base rows
@@ -82,16 +82,15 @@ impl TableView {
         self.0.live_rows as usize
     }
 
-    /// Names of the indexed columns, sorted (mirrors
-    /// `Database::indexed_columns`).
+    /// Names of the indexed columns, sorted.
     pub fn indexed_columns(&self) -> Vec<String> {
         self.0.indexed_columns()
     }
 
     /// Cardinality statistics of one secondary index (`None` when the
-    /// column carries no index). Matches `Database::index_stats`: exact
-    /// for in-memory tables, estimated (base + overlay distinct, capped
-    /// at the row count) over a checkpoint base.
+    /// column carries no index). Feeds the planner's selectivity
+    /// estimates: exact for in-memory tables, estimated (base + overlay
+    /// distinct, capped at the row count) over a checkpoint base.
     pub fn index_stats(&self, column: &str) -> Option<IndexStats> {
         self.0.index_stats(column)
     }
@@ -212,7 +211,7 @@ impl DbSnapshot {
         Ok(self.table(table)?.indexed_columns())
     }
 
-    /// Index cardinality statistics (mirrors `Database::index_stats`).
+    /// Cardinality statistics of one secondary index of a table.
     pub fn index_stats(&self, table: &str, column: &str) -> Result<Option<IndexStats>> {
         Ok(self.table(table)?.index_stats(column))
     }

@@ -1,7 +1,7 @@
 //! Uncertainty management and provenance (blueprint Part V).
 //!
 //! IE, II, and HI all make fallible decisions; the blueprint dedicates a
-//! subsystem to "the uncertainty that arise[s] during the IE, II, and HI
+//! subsystem to "the uncertainty that arise\[s\] during the IE, II, and HI
 //! processes" and to "the provenance and explanation for the derived
 //! structured data". Three pieces:
 //!

@@ -34,7 +34,7 @@ pub fn dump(db: &Database) -> String {
     for name in db.table_names() {
         out.push_str(&format!("== {name} ==\n"));
         out.push_str(&format!("schema: {:?}\n", db.schema(&name).unwrap()));
-        out.push_str(&format!("indexes: {:?}\n", db.indexed_columns(&name).unwrap()));
+        out.push_str(&format!("indexes: {:?}\n", db.snapshot().indexed_columns(&name).unwrap()));
         for row in db.scan_autocommit(&name).unwrap() {
             out.push_str(&format!("row: {row:?}\n"));
         }
