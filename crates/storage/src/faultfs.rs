@@ -110,6 +110,12 @@ impl BackendFile for RealFile {
         self.0.write_all(buf)
     }
 
+    #[cfg(unix)]
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(&self.0, buf, offset)
+    }
+
+    #[cfg(not(unix))]
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
         self.0.seek(SeekFrom::Start(offset))?;
         self.0.read_exact(buf)

@@ -185,8 +185,11 @@ impl Page {
             return Err(StorageError::Corrupt(format!("page payload length {len} > capacity")));
         }
         let next = le_u32(buf, 10);
-        let mut data = Box::new([0u8; PAGE_CAPACITY]);
-        data.copy_from_slice(&buf[PAGE_HEADER..]);
+        // One copy into the frame's own allocation, with nothing zeroed
+        // first: the payload is every byte after the header.
+        let data = buf[PAGE_HEADER..].to_vec().into_boxed_slice().try_into().map_err(|_| {
+            StorageError::Corrupt(format!("page payload is not {PAGE_CAPACITY} bytes"))
+        })?;
         Ok(Page { ptype, count, len, next, data })
     }
 

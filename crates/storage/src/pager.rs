@@ -14,7 +14,10 @@
 //! - **buffer pool**: a fixed-capacity LRU of **shared frames**. A page is
 //!   read, checksummed and decoded once, when it enters the pool;
 //!   [`Pager::read_page`] then hands out the frame itself (`Arc<Page>`),
-//!   so a hit is one hash probe and a reference-count bump, never a copy.
+//!   so a hit is one hash probe, a relink at the head of the recency list
+//!   and a reference-count bump, never a copy. A miss is one positioned
+//!   read, one checksum and one copy into the new frame; the victim is the
+//!   list's tail, found without a scan, and its slot is reused in place.
 //!   Whoever holds a frame keeps it alive: evicting a page a B-tree cursor
 //!   still stands on only drops the pool's reference. Edits go through
 //!   `Pager::page_mut`, which marks the frame dirty and works in place
@@ -74,7 +77,6 @@ struct Frame {
     /// [`Pager::page_mut`]); `None` until then.
     offsets: Option<Arc<[u16]>>,
     dirty: bool,
-    tick: u64,
 }
 
 /// A frame being edited in place (see [`Pager::page_mut`]).
@@ -86,30 +88,112 @@ pub(crate) struct FrameMut<'a> {
     pub(crate) offsets: &'a mut Option<Arc<[u16]>>,
 }
 
+/// The end of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One resident page: its frame and its neighbours in recency order.
+struct Slot {
+    id: u32,
+    frame: Frame,
+    /// The next more recently used slot; [`NIL`] at the head.
+    newer: usize,
+    /// The next less recently used slot; [`NIL`] at the tail.
+    older: usize,
+}
+
 /// Fixed-capacity LRU cache of shared page frames with dirty tracking.
+///
+/// Recency is exact and kept as a list threaded through a slab of slots:
+/// using a page relinks its slot at the head, and the victim is the tail.
+/// Slots are never freed — a miss at capacity reuses the victim's slot in
+/// place — so once the pool is full it allocates nothing.
 struct BufferPool {
     capacity: usize,
-    frames: HashMap<u32, Frame>,
-    tick: u64,
+    slots: Vec<Slot>,
+    /// Page id → its slot.
+    index: HashMap<u32, usize>,
+    /// The most recently used slot.
+    head: usize,
+    /// The least recently used slot: the next victim.
+    tail: usize,
 }
 
 impl BufferPool {
     fn new(capacity: usize) -> BufferPool {
-        BufferPool { capacity: capacity.max(1), frames: HashMap::new(), tick: 0 }
+        let capacity = capacity.max(1);
+        BufferPool { capacity, slots: Vec::new(), index: HashMap::new(), head: NIL, tail: NIL }
+    }
+
+    /// The resident frame of page `id`, untouched.
+    fn get(&self, id: u32) -> Option<&Frame> {
+        self.slots.get(*self.index.get(&id)?).map(|slot| &slot.frame)
     }
 
     /// The resident frame of page `id`, now the most recently used.
     fn touch(&mut self, id: u32) -> Option<&mut Frame> {
-        let frame = self.frames.get_mut(&id)?;
-        self.tick += 1;
-        frame.tick = self.tick;
-        Some(frame)
+        let at = *self.index.get(&id)?;
+        if at != self.head {
+            self.unlink(at);
+            self.link_at_head(at);
+        }
+        self.slots.get_mut(at).map(|slot| &mut slot.frame)
     }
 
-    /// Pick the least-recently-used frame (smallest tick; ties broken by
-    /// page id for determinism).
-    fn victim(&self) -> Option<u32> {
-        self.frames.iter().min_by_key(|(id, f)| (f.tick, **id)).map(|(id, _)| *id)
+    /// The frame a miss replaces once the pool is full — the least
+    /// recently used — with its page id; `None` while there is room.
+    fn victim(&mut self) -> Option<(u32, &mut Frame)> {
+        if self.slots.len() < self.capacity {
+            return None;
+        }
+        self.slots.get_mut(self.tail).map(|slot| (slot.id, &mut slot.frame))
+    }
+
+    /// Make `frame` page `id`'s, the most recently used: in a fresh slot
+    /// while there is room, else in the victim's, whose page leaves the
+    /// pool (written back first, if dirty, by the caller). `id` must not
+    /// be resident.
+    fn admit(&mut self, id: u32, frame: Frame) -> Option<&mut Frame> {
+        let at = if self.slots.len() < self.capacity {
+            self.slots.push(Slot { id, frame, newer: NIL, older: NIL });
+            self.slots.len() - 1
+        } else {
+            let at = self.tail;
+            let slot = self.slots.get_mut(at)?;
+            let evicted = std::mem::replace(&mut slot.id, id);
+            slot.frame = frame;
+            self.index.remove(&evicted);
+            self.unlink(at);
+            at
+        };
+        self.index.insert(id, at);
+        self.link_at_head(at);
+        self.slots.get_mut(at).map(|slot| &mut slot.frame)
+    }
+
+    /// Take slot `at` out of the recency list.
+    fn unlink(&mut self, at: usize) {
+        let Some(&Slot { newer, older, .. }) = self.slots.get(at) else { return };
+        match self.slots.get_mut(newer) {
+            Some(slot) => slot.older = older,
+            None => self.head = older,
+        }
+        match self.slots.get_mut(older) {
+            Some(slot) => slot.newer = newer,
+            None => self.tail = newer,
+        }
+    }
+
+    /// Put slot `at`, unlinked, at the head of the recency list.
+    fn link_at_head(&mut self, at: usize) {
+        let head = self.head;
+        match self.slots.get_mut(head) {
+            Some(slot) => slot.newer = at,
+            None => self.tail = at,
+        }
+        if let Some(slot) = self.slots.get_mut(at) {
+            (slot.newer, slot.older) = (NIL, head);
+        }
+        self.head = at;
     }
 }
 
@@ -227,7 +311,7 @@ impl Pager {
     /// Pages currently resident in the buffer pool (bounded by the pool
     /// capacity; benches use this to show open-time memory stays bounded).
     pub fn cached_pages(&self) -> usize {
-        self.pool.frames.len()
+        self.pool.index.len()
     }
 
     /// Bytes the file occupies on disk.
@@ -300,7 +384,7 @@ impl Pager {
         self.file.read_at(u64::from(id) * PAGE_SIZE as u64, &mut buf)?;
         let page =
             Page::decode(&buf).map_err(|e| StorageError::Corrupt(format!("page {id}: {e}")))?;
-        with(self.install(id, Arc::new(page), false)?)
+        with(self.admit(id, Frame { page: Arc::new(page), offsets: None, dirty: false })?)
     }
 
     /// Read a page through the pool. The result *is* the pool's frame, not
@@ -348,7 +432,7 @@ impl Pager {
     /// private copy and that reader keeps the image it read.
     pub(crate) fn page_mut(&mut self, id: u32, held: Arc<Page>) -> Result<FrameMut<'_>> {
         self.check_id(id)?;
-        if self.pool.frames.get(&id).is_some_and(|frame| !Arc::ptr_eq(&frame.page, &held)) {
+        if self.pool.get(id).is_some_and(|frame| !Arc::ptr_eq(&frame.page, &held)) {
             return Err(StorageError::Corrupt(format!(
                 "page {id} was replaced in the pool after the image being edited was read"
             )));
@@ -362,18 +446,8 @@ impl Pager {
     /// leaves the pool holding the very same frame.) The frame becomes most
     /// recently used and loses its derived offsets.
     fn install(&mut self, id: u32, page: Arc<Page>, dirty: bool) -> Result<&mut Frame> {
-        if !self.pool.frames.contains_key(&id) {
-            while self.pool.frames.len() >= self.pool.capacity {
-                let Some(victim) = self.pool.victim() else { break };
-                let Some(frame) = self.pool.frames.remove(&victim) else { break };
-                self.stats.evictions += 1;
-                if frame.dirty {
-                    self.stats.dirty_writebacks += 1;
-                    write_page_image(self.file.as_mut(), victim, &frame.page)?;
-                }
-            }
-            let frame = Frame { page: Arc::clone(&page), offsets: None, dirty: false, tick: 0 };
-            self.pool.frames.insert(id, frame);
+        if !self.pool.index.contains_key(&id) {
+            return self.admit(id, Frame { page, offsets: None, dirty });
         }
         let frame = self
             .pool
@@ -385,11 +459,32 @@ impl Pager {
         Ok(frame)
     }
 
+    /// Give page `id`, which is not resident, `frame` as the most recently
+    /// used. A full pool first evicts its least recently used page, writing
+    /// it back if dirty; the victim keeps its slot if that write fails.
+    fn admit(&mut self, id: u32, frame: Frame) -> Result<&mut Frame> {
+        if let Some((victim, old)) = self.pool.victim() {
+            if old.dirty {
+                write_page_image(self.file.as_mut(), victim, &old.page)?;
+                self.stats.dirty_writebacks += 1;
+            }
+            self.stats.evictions += 1;
+        }
+        self.pool
+            .admit(id, frame)
+            .ok_or_else(|| StorageError::Corrupt(format!("page {id} found no slot in the pool")))
+    }
+
     /// Write every dirty page (in page-id order, for a deterministic op
     /// stream), then the meta page, then sync the file.
     pub fn flush(&mut self) -> Result<()> {
-        let mut dirty: Vec<(u32, &mut Frame)> =
-            self.pool.frames.iter_mut().filter(|(_, f)| f.dirty).map(|(id, f)| (*id, f)).collect();
+        let mut dirty: Vec<(u32, &mut Frame)> = self
+            .pool
+            .slots
+            .iter_mut()
+            .filter(|slot| slot.frame.dirty)
+            .map(|slot| (slot.id, &mut slot.frame))
+            .collect();
         dirty.sort_unstable_by_key(|(id, _)| *id);
         for (id, frame) in dirty {
             write_page_image(self.file.as_mut(), id, &frame.page)?;
@@ -500,7 +595,7 @@ pub fn read_chain(pager: &mut Pager, head: u32, ptype: PageType) -> Result<Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultfs::RealBackend;
+    use crate::faultfs::{FaultBackend, Op, RealBackend};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -609,6 +704,114 @@ mod tests {
         let before = pager.pool_stats().hits;
         let _ = pager.read_page(*ids.last().unwrap()).unwrap();
         assert_eq!(pager.pool_stats().hits, before + 1);
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// The pool's victims, pinned: a scripted mix of reads, replacements
+    /// and edits (one of them of an image held across its eviction) on a
+    /// three-frame pool evicts exactly the least recently used page each
+    /// time. The device log says how many pages each step wrote back and
+    /// the file says which; the hit and miss counts say what stayed.
+    #[test]
+    fn the_pool_evicts_the_least_recently_used_page_and_writes_back_only_dirty_victims() {
+        enum Step {
+            Read(u32),
+            Put(u32),
+            Edit(u32),
+            Hold(u32),
+            EditHeld(u32),
+        }
+        use Step::*;
+        let p = tmp("lru-order");
+        let device = FaultBackend::recording(RealBackend);
+        let mut pager = Pager::create(&device, &p, 3).unwrap();
+        let ids: Vec<u32> = (0..6).map(|_| pager.allocate(PageType::Heap).unwrap()).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 5, 6]);
+        pager.flush().unwrap(); // 4, 5, 6 resident and clean, 6 the most recent
+        let on_disk = || std::fs::read(&p).unwrap();
+        let writes = || device.ops().iter().filter(|op| matches!(op, Op::Write { .. })).count();
+        let start = pager.pool_stats();
+
+        let script = [
+            (Read(1), None),     // evicts 4
+            (Put(2), None),      // evicts 5
+            (Edit(6), None),     // a hit, then dirty
+            (Read(3), None),     // evicts 1
+            (Read(2), None),     // a hit: 2 is now newer than 6
+            (Put(4), Some(6)),   // evicts 6, dirty
+            (Hold(3), None),     // a hit
+            (Read(5), Some(2)),  // evicts 2, dirty
+            (Read(1), Some(4)),  // evicts 4, dirty
+            (Read(6), None),     // evicts 3, whose image is still held
+            (EditHeld(3), None), // re-installs that image without a read: evicts 5
+            (Put(1), None),      // resident: replaced in place
+            (Read(5), None),     // evicts 6
+            (Edit(1), None),     // a hit
+            (Read(2), Some(3)),  // evicts 3, dirty
+            (Put(4), None),      // evicts 5
+        ];
+        let mut held = None;
+        for (n, (step, written_back)) in script.into_iter().enumerate() {
+            let (disk, ops) = (on_disk(), writes());
+            let mark = format!("step {n}");
+            let edited = match step {
+                Read(id) => pager.read_page(id).map(|_| id).unwrap(),
+                Put(id) => {
+                    let mut page = Page::new(PageType::Heap);
+                    page.push(mark.as_bytes());
+                    pager.put_page(id, page).unwrap();
+                    id
+                }
+                Edit(id) => {
+                    let image = pager.read_page(id).unwrap();
+                    pager.page_mut(id, image).unwrap().page.push(mark.as_bytes());
+                    id
+                }
+                Hold(id) => {
+                    held = Some(pager.read_page(id).unwrap());
+                    id
+                }
+                EditHeld(id) => {
+                    let image = held.take().unwrap();
+                    pager.page_mut(id, image).unwrap().page.push(mark.as_bytes());
+                    id
+                }
+            };
+            let after = on_disk();
+            let changed: Vec<u32> = (1..=6u32)
+                .filter(|&page| {
+                    let at = page as usize * PAGE_SIZE..(page as usize + 1) * PAGE_SIZE;
+                    disk.get(at.clone()) != after.get(at)
+                })
+                .collect();
+            assert_eq!(changed, Vec::from_iter(written_back), "{mark} (page {edited})");
+            assert_eq!(writes() - ops, changed.len(), "{mark}: one write a write-back");
+        }
+        let stats = pager.pool_stats();
+        let delta = (
+            stats.hits - start.hits,
+            stats.misses - start.misses,
+            stats.evictions - start.evictions,
+            stats.dirty_writebacks - start.dirty_writebacks,
+        );
+        assert_eq!(delta, (4, 7, 11, 4), "hits, misses, evictions, dirty write-backs");
+        // 1, 2 and 4 are what is left: reading them goes nowhere near the file.
+        for id in [4, 1, 2] {
+            pager.read_page(id).unwrap();
+        }
+        assert_eq!(pager.pool_stats().misses, stats.misses);
+        assert_eq!(pager.cached_pages(), 3);
+
+        // Flushing writes the two dirty survivors, 1 and 4, and every edit
+        // above is on disk in the end.
+        pager.flush().unwrap();
+        drop(pager);
+        let mut pager = Pager::open(&RealBackend, &p, 3).unwrap();
+        let payloads: Vec<Vec<u8>> =
+            ids.iter().map(|id| pager.read_page(*id).unwrap().payload().to_vec()).collect();
+        let want: [&[u8]; 6] =
+            [b"step 11step 13", b"step 1", b"step 10", b"step 15", b"", b"step 2"];
+        assert_eq!(payloads, want.map(<[u8]>::to_vec));
         std::fs::remove_file(&p).unwrap();
     }
 

@@ -29,7 +29,7 @@
 //! retired v1 (heap-chain) directory, so a v1 image is recognized — and
 //! refused — instead of being misread.
 
-use crate::btree::{self, BTree, KeyOrder};
+use crate::btree::{self, BTree, Cursor, KeyOrder};
 use crate::codec;
 use crate::error::StorageError;
 use crate::faultfs::StorageBackend;
@@ -84,6 +84,14 @@ impl CheckpointImage {
     /// Pages currently cached by the pool (bench/diagnostics).
     pub(crate) fn cached_pages(&self) -> usize {
         self.pager.lock().cached_pages()
+    }
+
+    /// `cursor`'s next entry, read under the pager lock for this one step
+    /// only. A merge that hands each entry to a callback steps through
+    /// here, so a checkpoint build inserting into (and writing out) the
+    /// next image never keeps readers of this one waiting.
+    fn step(&self, cursor: &mut Cursor) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        cursor.next(&mut self.pager.lock())
     }
 }
 
@@ -271,26 +279,23 @@ pub(crate) fn for_each_live_row(
     f: &mut dyn FnMut(RowId, &Row) -> Result<()>,
 ) -> Result<()> {
     let mut overlay = overlay.iter().peekable();
-    if let Some(b) = base {
-        if b.meta.row_root != NO_PAGE {
-            let mut pg = b.image.pager.lock();
-            let tree = BTree::open(b.meta.row_root, KeyOrder::RowId);
-            let mut cur = tree.cursor_first(&mut pg)?;
-            while let Some((k, v)) = cur.next(&mut pg)? {
-                let id = RowId(btree::decode_row_key(&k)?);
-                while let Some((oid, row)) = overlay.next_if(|(oid, _)| **oid < id) {
-                    f(*oid, row)?;
-                }
-                if let Some((_, row)) = overlay.next_if(|(oid, _)| **oid == id) {
-                    f(id, row)?; // overlay shadows base
-                    continue;
-                }
-                if tombstones.contains_key(&id) {
-                    continue;
-                }
-                let row = decode_base_row(&v)?;
-                f(id, &row)?;
+    if let Some(b) = base.filter(|b| b.meta.row_root != NO_PAGE) {
+        let tree = BTree::open(b.meta.row_root, KeyOrder::RowId);
+        let mut cur = tree.cursor_first(&mut b.image.pager.lock())?;
+        while let Some((k, v)) = b.image.step(&mut cur)? {
+            let id = RowId(btree::decode_row_key(&k)?);
+            while let Some((oid, row)) = overlay.next_if(|(oid, _)| **oid < id) {
+                f(*oid, row)?;
             }
+            if let Some((_, row)) = overlay.next_if(|(oid, _)| **oid == id) {
+                f(id, row)?; // overlay shadows base
+                continue;
+            }
+            if tombstones.contains_key(&id) {
+                continue;
+            }
+            let row = decode_base_row(&v)?;
+            f(id, &row)?;
         }
     }
     overlay.try_for_each(|(id, row)| f(*id, row))
@@ -316,13 +321,12 @@ pub(crate) fn for_each_index_entry(
     // overlay is the whole answer.
     let base_ix = base.and_then(|b| b.meta.indexes.get(column).map(|m| (b, m)));
     if let Some((b, m)) = base_ix.filter(|(_, m)| m.root != NO_PAGE) {
-        let mut pg = b.image.pager.lock();
         let tree = BTree::open(m.root, KeyOrder::ValueRowId);
         let mut cur = match lo {
-            Some(v) => tree.cursor_seek(&mut pg, &btree::index_key(v, 0)?)?,
-            None => tree.cursor_first(&mut pg)?,
+            Some(v) => tree.cursor_seek(&mut b.image.pager.lock(), &btree::index_key(v, 0)?)?,
+            None => tree.cursor_first(&mut b.image.pager.lock())?,
         };
-        while let Some((k, _)) = cur.next(&mut pg)? {
+        while let Some((k, _)) = b.image.step(&mut cur)? {
             let (val, rid) = btree::decode_index_key(&k)?;
             if hi.is_some_and(|hi| &val > hi) {
                 break;
@@ -420,17 +424,16 @@ fn build_pk_tree(
 
     let mut base_entries = match base.filter(|b| b.meta.pk_root != NO_PAGE) {
         Some(b) => {
-            let mut pg = b.image.pager.lock();
-            let cursor = BTree::open(b.meta.pk_root, KeyOrder::PkValues).cursor_first(&mut pg)?;
-            Some((pg, cursor))
+            let tree = BTree::open(b.meta.pk_root, KeyOrder::PkValues);
+            Some((&b.image, tree.cursor_first(&mut b.image.pager.lock())?))
         }
         None => None,
     };
     loop {
         // The next base entry still live, or `None` once the base is spent.
         let mut kept = None;
-        if let Some((pg, cursor)) = &mut base_entries {
-            while let Some((k, v)) = cursor.next(pg)? {
+        if let Some((image, cursor)) = &mut base_entries {
+            while let Some((k, v)) = image.step(cursor)? {
                 if !shadowed(decode_row_id(&v)?) {
                     kept = Some((k, v));
                     break;

@@ -74,31 +74,115 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
+/// Bytes each of [`crc32_feed`]'s three lanes takes from a block. Three
+/// lanes make a block of 2 046 bytes, so the 4 092 checksummed bytes of a
+/// page are exactly two.
+const LANE: usize = 682;
+
+/// `LANE_SHIFT[k][b]` is the raw state `b << 8k` advanced over `LANE` zero
+/// bytes. Advancing over zeros is linear in the state, so the 32 single-bit
+/// states are advanced one zero byte at a time and every entry is the XOR
+/// of its set bits' results.
+const LANE_SHIFT: [[u32; 256]; 4] = {
+    let mut bits = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        let mut state = 1u32 << i;
+        let mut n = 0;
+        while n < LANE {
+            state = CRC_TABLES[0][(state & 0xFF) as usize] ^ (state >> 8);
+            n += 1;
+        }
+        bits[i] = state;
+        i += 1;
+    }
+    let mut t = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut bit = 0;
+            while bit < 8 {
+                if (b >> bit) & 1 != 0 {
+                    t[k][b] ^= bits[8 * k + bit];
+                }
+                bit += 1;
+            }
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// The raw state `state` advanced over `LANE` zero bytes.
+fn shift_lane(state: u32) -> u32 {
+    let t = &LANE_SHIFT;
+    t[0][(state & 0xFF) as usize]
+        ^ t[1][((state >> 8) & 0xFF) as usize]
+        ^ t[2][((state >> 16) & 0xFF) as usize]
+        ^ t[3][(state >> 24) as usize]
+}
+
+/// One slicing-by-8 step: `state` advanced over the eight bytes of `w`.
+#[inline(always)]
+fn step8(state: u32, w: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let &[b0, b1, b2, b3, b4, b5, b6, b7] = w else { return state };
+    let lo = state ^ u32::from_le_bytes([b0, b1, b2, b3]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][b4 as usize]
+        ^ t[2][b5 as usize]
+        ^ t[1][b6 as usize]
+        ^ t[0][b7 as usize]
+}
+
 /// Advance a raw (un-inverted) CRC state over `data`, eight bytes per step
 /// and the last `len % 8` one at a time.
-fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
+fn crc32_serial(mut state: u32, data: &[u8]) -> u32 {
     let mut words = data.chunks_exact(8);
     for w in &mut words {
-        let &[b0, b1, b2, b3, b4, b5, b6, b7] = w else { continue };
-        let lo = state ^ u32::from_le_bytes([b0, b1, b2, b3]);
-        state = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][b4 as usize]
-            ^ t[2][b5 as usize]
-            ^ t[1][b6 as usize]
-            ^ t[0][b7 as usize];
+        state = step8(state, w);
     }
     for &b in words.remainder() {
-        state = t[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        state = CRC_TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
 }
 
+/// Advance a raw (un-inverted) CRC state over `data`. Whole blocks of
+/// `3 * LANE` bytes go through three independent slicing-by-8 lanes — the
+/// second and third start from zero, so no lane waits on another — which
+/// are then joined: by linearity, the state over `a ‖ b` is `a`'s state
+/// advanced over `b.len()` zeros, XOR `b`'s state from zero. What is left
+/// over takes [`crc32_serial`].
+fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
+    let mut blocks = data.chunks_exact(3 * LANE);
+    for block in &mut blocks {
+        let (a, rest) = block.split_at(LANE);
+        let (b, c) = rest.split_at(LANE);
+        let (mut wa, mut wb, mut wc) = (a.chunks_exact(8), b.chunks_exact(8), c.chunks_exact(8));
+        let (mut sa, mut sb, mut sc) = (state, 0, 0);
+        for ((xa, xb), xc) in (&mut wa).zip(&mut wb).zip(&mut wc) {
+            sa = step8(sa, xa);
+            sb = step8(sb, xb);
+            sc = step8(sc, xc);
+        }
+        sa = crc32_serial(sa, wa.remainder());
+        sb = crc32_serial(sb, wb.remainder());
+        sc = crc32_serial(sc, wc.remainder());
+        state = shift_lane(shift_lane(sa) ^ sb) ^ sc;
+    }
+    crc32_serial(state, blocks.remainder())
+}
+
 /// CRC-32 (IEEE), implemented from scratch: the one checksum routine of
-/// the crate, shared by pages, WAL frames and the wire protocol.
+/// the crate, shared by pages, WAL frames and the wire protocol. Inputs of
+/// 2 046 bytes or more run three slicing-by-8 lanes side by side; shorter
+/// ones, and the tail of longer ones, run one.
 pub fn crc32(data: &[u8]) -> u32 {
     !crc32_feed(0xFFFF_FFFF, data)
 }
@@ -525,21 +609,28 @@ pub(crate) mod tests {
         assert_eq!(frame_crc(b""), 0x2144_DF1C);
     }
 
-    /// The bit-at-a-time definition of the checksum, with no table at all.
-    fn crc32_reference(data: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
+    /// The bit-at-a-time definition of the raw state update, with no table
+    /// at all.
+    fn feed_reference(mut c: u32, data: &[u8]) -> u32 {
         for &b in data {
             c ^= u32::from(b);
             for _ in 0..8 {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             }
         }
-        !c
+        c
+    }
+
+    /// The checksum by that definition.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        !feed_reference(0xFFFF_FFFF, data)
     }
 
     /// Slicing-by-8 takes eight bytes a step and finishes the tail bytewise;
-    /// every length around those boundaries, at every alignment of the
-    /// slice's start, must equal the reference — as must whole pages.
+    /// the lanes take blocks of `3 * LANE` bytes and hand what is left to
+    /// it. Every length around those boundaries, at every alignment of the
+    /// slice's start, must equal the reference — as must whole pages, and
+    /// inputs fed in two parts split anywhere a lane starts or ends.
     #[test]
     fn crc32_slicing_equals_the_bitwise_reference() {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -551,11 +642,23 @@ pub(crate) mod tests {
                 })
                 .collect()
         };
-        let buf = noise(8 + 64);
+        let block = 3 * LANE;
+        let buf = noise(8 + 3 * block + 16);
+        let around_blocks = (1..=3).flat_map(|n| n * block - 16..=n * block + 16);
+        let lengths: Vec<usize> = (0..=64).chain(around_blocks).collect();
         for offset in 0..8 {
-            for len in 0..=64 {
+            // The reference's state after every prefix of the slice, so that
+            // each length costs one lookup rather than a bitwise pass.
+            let mut state = 0xFFFF_FFFF;
+            let prefixes: Vec<u32> = std::iter::once(state)
+                .chain(buf[offset..].iter().map(|b| {
+                    state = feed_reference(state, std::slice::from_ref(b));
+                    state
+                }))
+                .collect();
+            for &len in &lengths {
                 let s = &buf[offset..offset + len];
-                assert_eq!(crc32(s), crc32_reference(s), "offset {offset}, length {len}");
+                assert_eq!(crc32(s), !prefixes[len], "offset {offset}, length {len}");
             }
         }
         for _ in 0..16 {
@@ -563,11 +666,34 @@ pub(crate) mod tests {
             assert_eq!(crc32(&page), crc32_reference(&page));
             assert_eq!(crc32(&page[4..]), crc32_reference(&page[4..]));
         }
-        // Feeding in two parts (as `frame_crc` does) equals feeding at once.
-        let payload = noise(37);
-        let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
-        framed.extend_from_slice(&payload);
-        assert_eq!(frame_crc(&payload), crc32_reference(&framed));
+        // Feeding in two parts (as `frame_crc` does) equals feeding at once,
+        // wherever the first part ends relative to the lanes.
+        let data = &buf[..2 * block + 16];
+        let whole = crc32_reference(data);
+        for split in (0..=6).flat_map(|k| [k * LANE, k * LANE + 4]) {
+            let (head, tail) = data.split_at(split);
+            assert_eq!(!crc32_feed(crc32_feed(0xFFFF_FFFF, head), tail), whole, "split {split}");
+        }
+        for len in [37, block - 4, block, 2 * block - 4, 2 * block + 3] {
+            let payload = &buf[..len];
+            let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
+            framed.extend_from_slice(payload);
+            assert_eq!(frame_crc(payload), crc32_reference(&framed), "payload of {len}");
+        }
+    }
+
+    /// The table that joins the lanes is what advancing over `LANE` zero
+    /// bytes one at a time does to each of the 32 single-bit states (and so,
+    /// by linearity, to every state).
+    #[test]
+    fn crc32_lane_shift_is_feeding_lane_zero_bytes() {
+        let zeros = [0u8; LANE];
+        for bit in 0..32 {
+            let state = 1u32 << bit;
+            assert_eq!(shift_lane(state), feed_reference(state, &zeros), "bit {bit}");
+        }
+        let state = 0xDEAD_BEEF;
+        assert_eq!(shift_lane(state), feed_reference(state, &zeros));
     }
 
     #[test]

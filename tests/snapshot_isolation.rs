@@ -10,11 +10,12 @@ use proptest::prelude::*;
 use quarry::core::{Quarry, QuarryConfig};
 use quarry::query::engine::{execute_snapshot, Predicate, Query};
 use quarry::storage::{
-    BackendFile, Column, DataType, Database, DbSnapshot, RealBackend, StorageBackend, TableSchema,
-    Value,
+    BackendFile, Column, DataType, Database, DbSnapshot, RealBackend, ScanAccess, StorageBackend,
+    TableSchema, Value,
 };
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -159,8 +160,6 @@ fn held_snapshot_survives_checkpoint_and_wal_restart() {
 /// matches a twin that ran the same history with no snapshot at all.
 #[test]
 fn held_snapshot_is_frozen_and_leaves_the_table_like_a_never_snapshotted_twin() {
-    use quarry::storage::{Database, ScanAccess};
-
     fn history(db: &Database, mut between: impl FnMut(&str)) {
         let row = |id: i64, val: i64| vec![Value::Int(id), Value::Int(val), Value::Int(id % 5)];
         let id = |i: i64| [Value::Int(i)];
@@ -454,5 +453,142 @@ fn a_failed_publish_reopens_the_writer_gate() {
     assert_eq!(stats.histogram("facade.checkpoint_us").unwrap().count, 2);
     drop(q);
     assert_eq!(dump(&Database::open(&wal).unwrap()), after);
+    remove_db_files(&wal);
+}
+
+/// A storage backend that parks the first page write to the temp image of
+/// the second checkpoint build — the moment that build's pool first fills
+/// and evicts — until the test lets it go.
+#[derive(Debug)]
+struct ParkedBuildWrite {
+    /// Checkpoint builds started so far.
+    builds: AtomicUsize,
+    /// Told when the write arrives, and then waited on; taken by the
+    /// second build's file.
+    park: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+/// The file of a parked build: its first `write_at` reports and waits.
+struct ParkedFile {
+    inner: Box<dyn BackendFile>,
+    park: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+}
+
+impl io::Write for ParkedFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.inner.write(buf)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl BackendFile for ParkedFile {
+    fn sync_data(&mut self) -> io::Result<()> {
+        self.inner.sync_data()
+    }
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.inner.truncate(len)
+    }
+    fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
+        if let Some((arrived, go)) = self.park.take() {
+            arrived.send(()).expect("the test listens for the parked write");
+            go.recv().expect("the test lets every parked write go");
+        }
+        self.inner.write_at(offset, buf)
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn file_len(&mut self) -> io::Result<u64> {
+        self.inner.file_len()
+    }
+}
+
+impl StorageBackend for ParkedBuildWrite {
+    fn open_append(&self, path: &Path, truncate_to: u64) -> io::Result<Box<dyn BackendFile>> {
+        RealBackend.open_append(path, truncate_to)
+    }
+    fn create_new(&self, path: &Path) -> io::Result<Box<dyn BackendFile>> {
+        let inner = RealBackend.create_new(path)?;
+        let build = path.extension().is_some_and(|ext| ext == "ckpt-tmp");
+        if !build || self.builds.fetch_add(1, Ordering::SeqCst) != 1 {
+            return Ok(inner);
+        }
+        Ok(Box::new(ParkedFile { inner, park: self.park.lock().unwrap().take() }))
+    }
+    fn open_rw(&self, path: &Path) -> io::Result<Box<dyn BackendFile>> {
+        RealBackend.open_rw(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealBackend.read(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        RealBackend.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        RealBackend.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        RealBackend.create_dir_all(path)
+    }
+    fn list_dir(&self, path: &Path) -> io::Result<Vec<String>> {
+        RealBackend.list_dir(path)
+    }
+}
+
+/// A checkpoint build reads its base image a cursor step at a time: while
+/// the second checkpoint is parked on a page write — its 64-page pool full
+/// of a row tree several times that size, the write issued from inside the
+/// merge over the base — a primary-key read of a base row faults that same
+/// image's pages and answers at once.
+#[test]
+fn a_checkpoint_build_parked_on_a_page_write_stalls_no_base_read() {
+    let wal = tmpwal("parked-build-write");
+    let (arrived_tx, arrived) = mpsc::channel();
+    let (go, go_rx) = mpsc::channel();
+    let backend = ParkedBuildWrite {
+        builds: AtomicUsize::new(0),
+        park: Mutex::new(Some((arrived_tx, go_rx))),
+    };
+    let config = QuarryConfig::builder().wal_path(&wal).storage_backend(Arc::new(backend));
+    let q = Quarry::new(config.build()).unwrap();
+    let columns = vec![Column::new("id", DataType::Int), Column::new("note", DataType::Text)];
+    q.db.create_table(TableSchema::new("items", columns, &["id"], &[]).unwrap()).unwrap();
+    let row = |i: i64| vec![Value::Int(i), Value::Text(format!("{i:0>200}"))];
+    let tx = q.db.begin();
+    for i in 0..3_000 {
+        q.db.insert(tx, "items", row(i)).unwrap();
+    }
+    q.db.commit(tx).unwrap();
+    q.checkpoint().unwrap(); // the base: ~150 leaves of rows
+    q.db.insert_autocommit("items", row(3_000)).unwrap();
+    let before = dump(&q.db);
+
+    let db = Arc::clone(&q.db);
+    let checkpointer = std::thread::spawn(move || db.checkpoint());
+    arrived.recv_timeout(Duration::from_secs(60)).expect("the second build writes a page");
+
+    // On a thread of its own, so that a read that waits for the build fails
+    // this test instead of hanging it.
+    let (answered_tx, answered) = mpsc::channel();
+    let reader = {
+        let snap = q.db.snapshot();
+        std::thread::spawn(move || {
+            let key = [Value::Int(1_234)];
+            let found = snap.select("items", ScanAccess::Pk { key: &key }, &mut |_| true, None);
+            answered_tx.send(found.map(|(rows, _)| rows)).unwrap();
+        })
+    };
+    let found = answered.recv_timeout(Duration::from_secs(5));
+    go.send(()).unwrap();
+    let found = found.expect("a base read waited for a checkpoint build parked on a write");
+    assert_eq!(found.unwrap(), vec![row(1_234)]);
+    reader.join().unwrap();
+
+    checkpointer.join().unwrap().unwrap();
+    assert_eq!((q.db.checkpoint_epoch(), dump(&q.db)), (2, before.clone()));
+    drop(q);
+    assert_eq!(dump(&Database::open(&wal).unwrap()), before, "and so is the recovered one");
     remove_db_files(&wal);
 }
