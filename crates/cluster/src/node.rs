@@ -3,10 +3,9 @@
 //! A [`Cluster`] is N shards behind one [`Router`]. Each shard is a
 //! primary `quarry-serve` [`Server`] with a replication listener
 //! streaming its WAL to R read-only [`Replica`]s. Everything runs on
-//! loopback TCP with OS threads — the same laptop-scale simulation
-//! discipline as the MapReduce engine, but exercising the real wire
-//! protocol, the real WAL-shipping transport, and the real promotion
-//! path.
+//! loopback TCP with OS threads — a laptop-scale simulation that still
+//! exercises the real wire protocol, the real WAL-shipping transport,
+//! and the real promotion path.
 //!
 //! Failover choreography (see `docs/replication.md`):
 //!

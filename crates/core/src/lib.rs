@@ -2,8 +2,10 @@
 //!
 //! [`Quarry`] wires every layer together behind one façade:
 //!
-//! - **physical layer** — extraction pipelines fan out over the
-//!   `quarry-cluster` MapReduce engine;
+//! - **physical layer** — extraction pipelines and pair scoring fan out
+//!   over the [`quarry_exec::ExecPool`], which re-executes a failed
+//!   task; `quarry-cluster` serves the result from sharded, replicated
+//!   nodes;
 //! - **storage layer** — raw pages land in a delta-encoded
 //!   [`quarry_storage::SnapshotStore`], the final structure in the
 //!   transactional [`quarry_storage::Database`];

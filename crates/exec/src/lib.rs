@@ -16,10 +16,19 @@
 //!    microseconds per worker per stage; batching amortises it, and the
 //!    pool transparently degrades to an inline loop for small inputs
 //!    where spawning would dominate.
-//! 3. **Observable.** Every stage records an entry in an
+//! 3. **Failed items are re-executed.** The paper's physical layer runs
+//!    IE/II as "Map-Reduce-like processes", which survive a failed task
+//!    by running it again. [`pool::ExecPool::map`] does the same per
+//!    item: a closure that panics is re-run, up to four runs, and only
+//!    a completed run's output is kept. Closures must therefore be
+//!    idempotent. A side-effect counter such as `sim_cache_hits` may
+//!    count a retried item twice, but outputs, and the pipeline's
+//!    `ExecStats` built from them, may not differ.
+//! 4. **Observable.** Every stage records an entry in an
 //!    [`report::ExecReport`]: items, batches, throughput, batch-latency
-//!    spread, and how many batches were stolen rather than executed by
-//!    their home worker. Named counters capture cache behaviour.
+//!    spread, re-executions, and how many batches were stolen rather
+//!    than executed by their home worker. Named counters capture cache
+//!    behaviour.
 
 #![forbid(unsafe_code)]
 

@@ -5,11 +5,13 @@
 //! deque of batch ranges; it pops its own work from the front and, when
 //! empty, steals from the back of a sibling's deque. Results are
 //! collected per batch and reassembled in input order, which makes the
-//! output independent of the schedule.
+//! output independent of the schedule. An item whose closure panics is
+//! re-executed in place (see [`ExecPool::map`]).
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -30,6 +32,60 @@ const DEFAULT_BATCH: usize = 32;
 /// Below this many items a parallel sort is not worth the merge pass.
 const MIN_PARALLEL_SORT: usize = 2048;
 
+/// Runs of one item before its panic fails the stage: the first attempt
+/// and three re-executions, Hadoop's default number of map attempts.
+const MAX_ATTEMPTS: usize = 4;
+
+/// Apply `f` to `items[range]` in order. An item whose closure panics is
+/// run again until it returns or has run [`MAX_ATTEMPTS`] times; the
+/// last panic is then re-raised with its original payload. A failed
+/// attempt returns nothing, so only a completed attempt's output is
+/// kept, and the items before it keep theirs. Returns the outputs and
+/// the number of re-executions.
+///
+/// The inline path and every worker call this one function, so which
+/// items are retried cannot depend on the thread count.
+fn run_items<T, R, F>(items: &[T], range: Range<usize>, f: &F) -> (Vec<R>, usize)
+where
+    F: Fn(usize, &T) -> R,
+{
+    let mut out = Vec::with_capacity(range.len());
+    let mut retries = 0;
+    for (i, item) in range.clone().zip(&items[range]) {
+        let mut attempt = 1;
+        // `f` must be idempotent (see the crate docs), so a run cut short
+        // leaves nothing a re-run could observe but side-effect counters.
+        let value = loop {
+            match panic::catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                Ok(value) => break value,
+                Err(payload) if attempt == MAX_ATTEMPTS => panic::resume_unwind(payload),
+                Err(_) => {
+                    attempt += 1;
+                    retries += 1;
+                }
+            }
+        };
+        out.push(value);
+    }
+    (out, retries)
+}
+
+/// The report of a stage that ran inline on the caller as one batch.
+fn inline_stage(stage: &str, items: usize, retries: usize, elapsed: Duration) -> StageReport {
+    StageReport {
+        stage: stage.to_string(),
+        items,
+        batches: if items == 0 { 0 } else { 1 },
+        threads: 1,
+        stolen_batches: 0,
+        retries,
+        elapsed,
+        min_batch: elapsed,
+        mean_batch: elapsed,
+        max_batch: elapsed,
+    }
+}
+
 /// A configured executor. Cheap to copy; threads are spawned per stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPool {
@@ -45,6 +101,8 @@ struct WorkerLog<R> {
     latencies: Vec<Duration>,
     /// How many of its batches came from another worker's deque.
     stolen: usize,
+    /// Re-executions of items whose closure panicked.
+    retries: usize,
 }
 
 impl ExecPool {
@@ -77,12 +135,19 @@ impl ExecPool {
 
     /// Apply `f` to every item, returning results in input order.
     ///
-    /// Determinism: `f` runs exactly once per index, each batch stores
-    /// its results keyed by its start index, and the final vector is
-    /// assembled by ascending start index. The schedule (which worker
+    /// Determinism: `f` completes exactly once per index, each batch
+    /// stores its results keyed by its start index, and the final vector
+    /// is assembled by ascending start index. The schedule (which worker
     /// ran which batch, and when) therefore cannot influence the output:
     /// `map(..)[i] == f(i, &items[i])` always, exactly as in a
     /// sequential loop.
+    ///
+    /// Re-execution: if `f` panics on an item, that item alone is run
+    /// again, up to four runs in all. Its failed runs leave no output,
+    /// and [`StageReport::retries`] counts them. If the fourth run also
+    /// panics, every worker is joined and the panic is re-raised on the
+    /// caller with its original payload; the pool stays usable. `f` must
+    /// therefore be idempotent.
     pub fn map<T, R, F>(&self, stage: &str, items: &[T], f: F, report: &mut ExecReport) -> Vec<R>
     where
         T: Sync,
@@ -94,19 +159,8 @@ impl ExecPool {
         // batches than workers means most workers would idle.
         if self.threads <= 1 || n <= self.batch_size {
             let start = Instant::now();
-            let out: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-            let elapsed = start.elapsed();
-            report.stages.push(StageReport {
-                stage: stage.to_string(),
-                items: n,
-                batches: if n == 0 { 0 } else { 1 },
-                threads: 1,
-                stolen_batches: 0,
-                elapsed,
-                min_batch: elapsed,
-                mean_batch: elapsed,
-                max_batch: elapsed,
-            });
+            let (out, retries) = run_items(items, 0..n, &f);
+            report.stages.push(inline_stage(stage, n, retries, start.elapsed()));
             return out;
         }
 
@@ -129,8 +183,12 @@ impl ExecPool {
                     let queues = &queues;
                     let f = &f;
                     scope.spawn(move || {
-                        let mut log =
-                            WorkerLog { batches: Vec::new(), latencies: Vec::new(), stolen: 0 };
+                        let mut log = WorkerLog {
+                            batches: Vec::new(),
+                            latencies: Vec::new(),
+                            stolen: 0,
+                            retries: 0,
+                        };
                         loop {
                             // Own work first (front), then steal from a
                             // sibling's opposite end to limit contention.
@@ -148,21 +206,19 @@ impl ExecPool {
                             let Some(range) = grabbed else { break };
                             let t0 = Instant::now();
                             let start = range.start;
-                            let out: Vec<R> = items[range.clone()]
-                                .iter()
-                                .zip(range)
-                                .map(|(t, i)| f(i, t))
-                                .collect();
+                            let (out, retries) = run_items(items, range, f);
                             log.latencies.push(t0.elapsed());
+                            log.retries += retries;
                             log.batches.push((start, out));
                         }
                         log
                     })
                 })
                 .collect();
-            // A panicking closure fails only this stage: re-raise the first
-            // worker's payload on the caller after every thread has joined,
-            // leaving the pool and its queues reusable.
+            // An item that panicked on every attempt fails only this
+            // stage: re-raise the first worker's payload on the caller
+            // after every thread has joined, leaving the pool and its
+            // queues reusable.
             let mut first_panic = None;
             let logs: Vec<WorkerLog<R>> = handles
                 .into_iter()
@@ -181,10 +237,12 @@ impl ExecPool {
         });
 
         let mut stolen = 0usize;
+        let mut retries = 0usize;
         let mut latencies: Vec<Duration> = Vec::with_capacity(batches);
         let mut keyed: Vec<(usize, Vec<R>)> = Vec::with_capacity(batches);
         for log in logs {
             stolen += log.stolen;
+            retries += log.retries;
             latencies.extend(log.latencies);
             keyed.extend(log.batches);
         }
@@ -202,6 +260,7 @@ impl ExecPool {
             batches,
             threads: workers,
             stolen_batches: stolen,
+            retries,
             elapsed,
             min_batch: latencies.iter().min().copied().unwrap_or_default(),
             mean_batch: total.checked_div(latencies.len() as u32).unwrap_or_default(),
@@ -233,18 +292,7 @@ impl ExecPool {
         if self.threads <= 1 || n < MIN_PARALLEL_SORT {
             let start = Instant::now();
             items.sort_by(&cmp);
-            let elapsed = start.elapsed();
-            report.stages.push(StageReport {
-                stage: stage.to_string(),
-                items: n,
-                batches: if n == 0 { 0 } else { 1 },
-                threads: 1,
-                stolen_batches: 0,
-                elapsed,
-                min_batch: elapsed,
-                mean_batch: elapsed,
-                max_batch: elapsed,
-            });
+            report.stages.push(inline_stage(stage, n, 0, start.elapsed()));
             return items;
         }
 
@@ -323,6 +371,7 @@ impl ExecPool {
             batches,
             threads: workers,
             stolen_batches: 0,
+            retries: 0,
             elapsed,
             min_batch: latencies.iter().min().copied().unwrap_or_default(),
             mean_batch: sum.checked_div(batches as u32).unwrap_or_default(),
@@ -341,6 +390,7 @@ impl Default for ExecPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     #[test]
     fn map_matches_sequential_at_every_thread_count() {
@@ -394,21 +444,64 @@ mod tests {
     }
 
     #[test]
+    fn injected_panics_are_re_executed_identically_at_every_width() {
+        // Item i panics on its first `fails[i]` attempts: 0 for most,
+        // up to MAX_ATTEMPTS - 1, drawn from a seeded LCG.
+        let mut state = 26u64;
+        let fails: Vec<usize> = (0..100)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 61) as usize).saturating_sub(4)
+            })
+            .collect();
+        let failures: usize = fails.iter().sum();
+        assert!(failures > 10, "the plan must inject failures: {failures}");
+        let items: Vec<u64> = (0..100).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        for threads in [1, 2, 3, 4, 8] {
+            for batch in [1, 7, 32] {
+                let attempts: Vec<AtomicUsize> =
+                    fails.iter().map(|_| AtomicUsize::new(0)).collect();
+                let pool = ExecPool::new(threads).with_batch_size(batch);
+                let mut report = ExecReport::new();
+                let flaky = |i: usize, x: &u64| {
+                    if attempts[i].fetch_add(1, Relaxed) < fails[i] {
+                        panic!("injected failure");
+                    }
+                    x * 3 + 1
+                };
+                let got = pool.map("flaky", &items, flaky, &mut report);
+                assert_eq!(got, expected, "threads={threads} batch={batch}");
+                let retries = report.stage("flaky").unwrap().retries;
+                assert_eq!(retries, failures, "threads={threads} batch={batch}");
+            }
+        }
+    }
+
+    #[test]
     fn panicking_closure_fails_its_stage_and_pool_stays_reusable() {
         let items: Vec<u64> = (0..500).collect();
         let pool = ExecPool::new(4).with_batch_size(13);
         let mut report = ExecReport::new();
+        let runs = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.map(
                 "boom",
                 &items,
-                |i, x| if i == 137 { panic!("task 137 failed") } else { x * 2 },
+                |i, x| {
+                    if i == 137 {
+                        runs.fetch_add(1, Relaxed);
+                        panic!("task 137 failed")
+                    }
+                    x * 2
+                },
                 &mut report,
             )
         }));
         let payload = result.expect_err("the stage must fail");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "task 137 failed", "caller sees the original panic payload");
+        assert_eq!(runs.load(Relaxed), MAX_ATTEMPTS, "a failing item runs MAX_ATTEMPTS times");
         // One bad task must not take the pool down with it: the next stage
         // over the same pool runs normally.
         let mut report = ExecReport::new();

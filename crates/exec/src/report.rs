@@ -18,6 +18,9 @@ pub struct StageReport {
     /// Batches executed by a worker other than the one they were
     /// initially assigned to — a direct measure of load imbalance.
     pub stolen_batches: usize,
+    /// Items re-executed after their closure panicked, one per extra
+    /// attempt (always 0 for a sort).
+    pub retries: usize,
     /// Wall-clock time for the whole stage.
     pub elapsed: Duration,
     /// Fastest single batch.
@@ -105,16 +108,20 @@ impl ExecReport {
 
 impl fmt::Display for ExecReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "stage                       items batches thr stolen   elapsed    items/s")?;
+        writeln!(
+            f,
+            "stage                       items batches thr stolen retry   elapsed    items/s"
+        )?;
         for s in &self.stages {
             writeln!(
                 f,
-                "{:<27} {:>5} {:>7} {:>3} {:>6} {:>9.3?} {:>10.0}",
+                "{:<27} {:>5} {:>7} {:>3} {:>6} {:>5} {:>9.3?} {:>10.0}",
                 s.stage,
                 s.items,
                 s.batches,
                 s.threads,
                 s.stolen_batches,
+                s.retries,
                 s.elapsed,
                 s.items_per_sec(),
             )?;

@@ -15,8 +15,10 @@
 //! - [`schema`] — schema registry and evolution
 //! - [`debugger`] — the semantic debugger
 //! - [`query`] — keyword search, structured queries, query translation
-//! - [`cluster`] — MapReduce-like parallel execution (physical layer)
-//! - [`exec`] — work-stealing parallel executor for the IE/II hot paths
+//! - [`cluster`] — sharded, replicated serving: router, ring, failover
+//!   (physical layer)
+//! - [`exec`] — work-stealing parallel executor for the IE/II hot paths,
+//!   with per-task re-execution (physical layer)
 //! - [`core`] — the assembled end-to-end system
 //! - [`serve`] — the TCP serving layer: wire protocol, sessions,
 //!   admission control, and a blocking client (see `docs/serving.md`)

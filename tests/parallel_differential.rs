@@ -2,15 +2,30 @@
 //! to its sequential counterpart at every thread count, and the
 //! executor's instrumentation must report what actually ran.
 
+use std::collections::HashSet;
+use std::sync::Mutex;
+
 use quarry::core::{Quarry, QuarryConfig};
-use quarry::corpus::{Corpus, CorpusConfig, NoiseConfig};
+use quarry::corpus::{Corpus, CorpusConfig, DocId, Document, NoiseConfig};
 use quarry::exec::{ExecPool, ExecReport};
 use quarry::extract::pipeline::extract_all_with;
-use quarry::extract::{extract_all, ExtractorSet};
+use quarry::extract::{extract_all, Extraction, ExtractorSet};
 use quarry::integrate::blocking::all_pairs;
 use quarry::integrate::matcher::{decide, MatchConfig, Record};
 use quarry::integrate::{score_pairs, SimCache};
+use quarry::lang::registry::Produces;
 use quarry::storage::Value;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The pipeline both façade-level tests run.
+const SRC: &str = r#"
+PIPELINE people FROM corpus
+EXTRACT infobox, rules
+WHERE attribute IN ("name", "birth_year", "employer", "residence")
+RESOLVE BY name
+STORE INTO people KEY name
+"#;
 
 fn corpus() -> Corpus {
     Corpus::generate(&CorpusConfig {
@@ -74,13 +89,6 @@ fn parallel_pair_scoring_is_bit_identical_to_sequential() {
 #[test]
 fn pipeline_results_identical_across_thread_counts() {
     let c = corpus();
-    const SRC: &str = r#"
-PIPELINE people FROM corpus
-EXTRACT infobox, rules
-WHERE attribute IN ("name", "birth_year", "employer", "residence")
-RESOLVE BY name
-STORE INTO people KEY name
-"#;
     let mut reference: Option<(quarry::lang::ExecStats, Vec<Vec<Value>>)> = None;
     for threads in [1, 2, 4, 8] {
         let mut q = Quarry::new(QuarryConfig::builder().threads(threads).build()).unwrap();
@@ -94,6 +102,48 @@ STORE INTO people KEY name
                 assert_eq!(&rows, ref_rows, "stored rows diverged at threads={threads}");
             }
         }
+    }
+}
+
+/// `infobox`, except that it panics on its first attempt at every
+/// document in `doomed`.
+fn flaky_infobox(doomed: HashSet<DocId>) -> impl Fn(&Document) -> Vec<Extraction> + Send + Sync {
+    let failed = Mutex::new(HashSet::new());
+    move |doc| {
+        if doomed.contains(&doc.id) && failed.lock().unwrap().insert(doc.id) {
+            panic!("injected failure at {}", doc.id);
+        }
+        quarry::extract::infobox::extract(doc)
+    }
+}
+
+#[test]
+fn served_pipeline_re_executes_failed_extractions_exactly() {
+    let c = corpus();
+    // A seeded third of the documents fails its first infobox attempt.
+    let mut rng = StdRng::seed_from_u64(26);
+    let doomed: HashSet<DocId> =
+        c.docs.iter().map(|d| d.id).filter(|_| rng.gen_bool(1.0 / 3.0)).collect();
+    assert!(doomed.len() > 5, "{} doomed documents", doomed.len());
+
+    let run = |threads: usize, flaky: bool| {
+        let mut q = Quarry::new(QuarryConfig::builder().threads(threads).build()).unwrap();
+        if flaky {
+            q.registry.register("infobox", Produces::Any, 1.0, flaky_infobox(doomed.clone()));
+        }
+        q.ingest(c.docs.clone());
+        let stats = q.run_pipeline(SRC).unwrap();
+        let rows = q.db.scan_autocommit("people").unwrap();
+        let retries = q.last_report().stage("exec/extract:infobox").unwrap().retries;
+        (stats, rows, retries)
+    };
+    let (clean_stats, clean_rows, clean_retries) = run(1, false);
+    assert_eq!(clean_retries, 0);
+    for threads in [1, 2, 4, 8] {
+        let (stats, rows, retries) = run(threads, true);
+        assert_eq!(stats, clean_stats, "stats diverged at threads={threads}");
+        assert_eq!(rows, clean_rows, "stored rows diverged at threads={threads}");
+        assert_eq!(retries, doomed.len(), "threads={threads}");
     }
 }
 
