@@ -89,7 +89,7 @@ fn main() {
         table.row(&[n.to_string(), f1(ms_reg), f1(ms_mig), f1(n as f64 / ms_mig.max(0.001))]);
 
         // Round-trip check: split+merge returned the original location text.
-        let migrated = db.scan_autocommit("cities").unwrap();
+        let migrated = db.snapshot().scan("cities").unwrap();
         let schema = db.schema("cities").unwrap();
         let li = schema.column_index("location").unwrap();
         let ni = schema.column_index("name").unwrap();

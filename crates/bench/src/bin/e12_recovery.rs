@@ -57,7 +57,7 @@ fn main() {
         let cut = (t * 982_451_653usize + 12_345) % full.len();
         std::fs::write(&p, &full[..cut]).unwrap();
         let db = Database::open(&p).unwrap();
-        let rows = db.scan_autocommit("facts").unwrap();
+        let rows = db.snapshot().scan("facts").unwrap();
         // Batch integrity: each batch is all-or-nothing.
         let mut per_batch = std::collections::BTreeMap::new();
         for r in &rows {

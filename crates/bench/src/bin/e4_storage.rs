@@ -85,7 +85,7 @@ fn part_b_scan_throughput() {
         }
         db.commit(tx).unwrap();
     });
-    let (rows, r_db) = timed(|| db.scan_autocommit("intermediate").unwrap().len());
+    let (rows, r_db) = timed(|| db.snapshot().scan("intermediate").unwrap().len());
 
     let mut t = Table::new(&["device", "write ms", "scan ms", "records"]);
     t.row(&["filestore (append-only)".into(), f1(w_fs), f1(r_fs), n.to_string()]);
@@ -138,7 +138,7 @@ fn part_c_concurrency() {
             h.join().unwrap();
         }
     });
-    let final_serial = db.scan_autocommit("page_counters").unwrap()[0][1].clone();
+    let final_serial = db.snapshot().scan("page_counters").unwrap()[0][1].clone();
 
     // Strawman: each read and write is its own transaction — the lost-update
     // anomaly an RDBMS exists to prevent.
@@ -186,7 +186,7 @@ fn part_c_concurrency() {
             h.join().unwrap();
         }
     });
-    let final_naive = db2.scan_autocommit("page_counters").unwrap()[0][1].clone();
+    let final_naive = db2.snapshot().scan("page_counters").unwrap()[0][1].clone();
     let expected = (editors * edits_per) as i64;
     let lost = expected - final_naive.as_f64().unwrap_or(0.0) as i64;
 

@@ -21,10 +21,9 @@
 //!   merged correctly from per-shard partials — joins, nested
 //!   aggregates, inner `LIMIT` — are rejected up front rather than
 //!   answered wrong.
-//! - **KeywordSearch** fans out and keeps the global top-k by `(score
-//!   desc, doc asc)`; candidate queries are deduplicated by fingerprint
-//!   keeping the best score. Scores use shard-local statistics (see
-//!   `docs/serving.md`).
+//! - **KeywordSearch** is refused like `Qdl`: a shard scores with its own
+//!   corpus statistics, so merged scores would not be the single-node
+//!   ranking (see `docs/serving.md`).
 //! - **Stats** merges every shard's metrics under a `shardN.` prefix,
 //!   including each shard's reported LSN as `shardN.lsn` — the
 //!   per-shard snapshot vector a client needs for a well-defined view.
@@ -46,7 +45,7 @@ use quarry_exec::{MetricsRegistry, MetricsSnapshot};
 use quarry_query::engine::{AggFn, Predicate, Query};
 use quarry_serve::client::ClientConfig;
 use quarry_serve::endpoint::{lock, Endpoint};
-use quarry_serve::protocol::{ErrorKind, Payload, Request, Response, WireCandidate, WireHit};
+use quarry_serve::protocol::{ErrorKind, Payload, Request, Response};
 use quarry_serve::{Client, ClientError, ServeConfig};
 use quarry_storage::{TableSchema, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -153,9 +152,10 @@ fn error(kind: ErrorKind, message: impl Into<String>) -> Payload {
 
 /// Run one request against one shard through its pooled connection,
 /// reconnecting through the *current* topology entry on a dead leg (so
-/// a retarget takes effect on the first retry). A leg that gets no reply
-/// is `Unavailable` to the client; a shard's own refusals are replies
-/// ([`Client::request`] hands them back as such).
+/// a retarget takes effect on the first retry). Only a read is retried:
+/// a write is sent at most once ([`Request::is_write`]). A leg that gets
+/// no reply is `Unavailable` to the client; a shard's own refusals are
+/// replies ([`Client::request`] hands them back as such).
 fn with_shard(shared: &RouterShared, shard: usize, req: &Request) -> Result<Response, Payload> {
     let unavailable = |e: ClientError| error(ErrorKind::Unavailable, format!("shard {shard}: {e}"));
     let mut conn = lock(&shared.conn[shard]);
@@ -178,7 +178,7 @@ fn with_shard(shared: &RouterShared, shard: usize, req: &Request) -> Result<Resp
                 if dead {
                     *conn = None;
                 }
-                if !dead || retried {
+                if !dead || retried || req.is_write() {
                     return Err(unavailable(e));
                 }
                 retried = true;
@@ -231,7 +231,11 @@ fn route(shared: &RouterShared, req: &Request) -> Routed {
             Ok(send_partitions(shared, table, parts, make))
         }
         Request::Query(q) => route_query(shared, q),
-        Request::KeywordSearch { k, .. } => route_keyword(shared, req, *k),
+        Request::KeywordSearch { .. } => Err(error(
+            ErrorKind::Query,
+            "keyword scores need corpus-wide statistics no shard holds; \
+             search a shard directly",
+        )),
         Request::Explain(_) => route_explain(shared, req),
         Request::Stats => route_stats(shared),
         // The endpoint answers the control frame itself, and it stops the
@@ -510,47 +514,6 @@ fn merge_sorted(
         }
     }
     Ok(out)
-}
-
-fn route_keyword(shared: &RouterShared, req: &Request, k: usize) -> Routed {
-    let (legs, lsn) = fan_out(shared, req)?;
-    let mut hits: Vec<WireHit> = Vec::new();
-    let mut candidates: Vec<WireCandidate> = Vec::new();
-    for leg in legs {
-        match leg.payload {
-            Payload::Hits { hits: h, candidates: c } => {
-                hits.extend(h);
-                candidates.extend(c);
-            }
-            other => return Ok((other, lsn)),
-        }
-    }
-    // Global top-k by (score desc, doc asc). Scores are shard-local
-    // BM25 (per-shard idf) — deterministic, but not single-node-equal.
-    hits.sort_by(|a, b| {
-        b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal).then(a.doc.cmp(&b.doc))
-    });
-    hits.truncate(k);
-    // Dedup candidates by fingerprint, keeping the best score.
-    let mut best: BTreeMap<String, WireCandidate> = BTreeMap::new();
-    for c in candidates {
-        let key = c.query.fingerprint();
-        match best.get(&key) {
-            Some(prev) if prev.score >= c.score => {}
-            _ => {
-                best.insert(key, c);
-            }
-        }
-    }
-    let mut candidates: Vec<WireCandidate> = best.into_values().collect();
-    candidates.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.query.fingerprint().cmp(&b.query.fingerprint()))
-    });
-    candidates.truncate(k);
-    Ok((Payload::Hits { hits, candidates }, lsn))
 }
 
 fn route_explain(shared: &RouterShared, req: &Request) -> Routed {

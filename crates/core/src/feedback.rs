@@ -188,7 +188,7 @@ mod tests {
         let (db, mut users, mut q) = setup();
         let status = q.submit(&mut users, &db, "trusted", correction()).unwrap();
         assert_eq!(status, CorrectionStatus::Applied);
-        let rows = db.scan_autocommit("cities").unwrap();
+        let rows = db.snapshot().scan("cities").unwrap();
         assert_eq!(rows[0][1], Value::Int(250_000));
         // Points were paid.
         assert!(users.authenticate("trusted").unwrap().points > 0);
@@ -212,7 +212,7 @@ mod tests {
             }
         }
         assert!(applied, "enough small voices add up");
-        assert_eq!(db.scan_autocommit("cities").unwrap()[0][1], Value::Int(250_000));
+        assert_eq!(db.snapshot().scan("cities").unwrap()[0][1], Value::Int(250_000));
     }
 
     #[test]

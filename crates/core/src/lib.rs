@@ -36,7 +36,6 @@ pub use dge::{DgeEvent, DgeLog};
 pub use feedback::{Correction, CorrectionStatus, FeedbackQueue};
 pub use incremental::IncrementalManager;
 pub use monitor::{MonitorFire, MonitorSet};
-pub use quarry_storage::DurabilityMode;
 pub use snapshot::{SharedQuarry, Snapshot};
 pub use system::{Quarry, QuarryConfig, QuarryError};
 pub use users::{UserAccount, UserDirectory};

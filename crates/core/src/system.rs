@@ -18,7 +18,7 @@ use quarry_lang::{
 };
 use quarry_query::engine::{Query, QueryError};
 use quarry_schema::SchemaRegistry;
-use quarry_storage::{Database, DurabilityMode, SnapshotStore, StorageError, Value};
+use quarry_storage::{Database, ScanAccess, SnapshotStore, StorageError, Value};
 use quarry_uncertainty::{LineageGraph, NodeId};
 use std::collections::HashMap;
 use std::fmt;
@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 /// Quarry configuration. Construct with [`QuarryConfig::builder`] (or
 /// `Default` for the stock settings).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QuarryConfig {
     /// Path for the structured store's WAL; `None` = in-memory.
     pub wal_path: Option<std::path::PathBuf>,
@@ -37,20 +37,6 @@ pub struct QuarryConfig {
     /// Worker threads for pipeline execution; `0` = one per CPU.
     /// Results are identical at every thread count.
     pub threads: usize,
-    /// Commit durability for the structured store's WAL (see
-    /// [`DurabilityMode`]). Only meaningful together with `wal_path`.
-    pub durability: DurabilityMode,
-}
-
-impl Default for QuarryConfig {
-    fn default() -> Self {
-        QuarryConfig {
-            wal_path: None,
-            storage_backend: None,
-            threads: 0,
-            durability: DurabilityMode::Full,
-        }
-    }
 }
 
 impl QuarryConfig {
@@ -88,14 +74,6 @@ impl QuarryConfigBuilder {
     /// `1` = run inline).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Commit durability for the structured store's WAL: `Full` fsyncs every
-    /// commit, `Normal` flushes without fsync, `Deferred`
-    /// leaves commits buffered until the next checkpoint or explicit sync.
-    pub fn durability(mut self, mode: DurabilityMode) -> Self {
-        self.config.durability = mode;
         self
     }
 
@@ -249,13 +227,11 @@ pub struct Quarry {
 impl Quarry {
     /// Bring up a system.
     pub fn new(config: QuarryConfig) -> Result<Quarry, QuarryError> {
-        let mut db = match (&config.wal_path, &config.storage_backend) {
+        let db = Arc::new(match (&config.wal_path, &config.storage_backend) {
             (Some(p), Some(backend)) => Database::open_with(std::sync::Arc::clone(backend), p)?,
             (Some(p), None) => Database::open(p)?,
             (None, _) => Database::in_memory(),
-        };
-        db.set_durability(config.durability);
-        let db = Arc::new(db);
+        });
         let mut health = HealthMonitor::new(HEARTBEAT_TIMEOUT);
         health.register("ingest", [("docs", 0.0, f64::INFINITY)]);
         health.register("pipeline", [("extractions_per_doc", 0.0, 1000.0)]);
@@ -320,16 +296,6 @@ impl Quarry {
             self.shared.metrics.incr("facade.checkpoint_errors", 1);
         }
         Ok(result?)
-    }
-
-    /// Force every buffered WAL commit to stable storage, regardless of the
-    /// configured [`DurabilityMode`]. Under `Normal`/`Deferred` this is the
-    /// hook a graceful shutdown uses so drained work survives a subsequent
-    /// power loss; under `Full` it is a cheap no-op (everything already
-    /// synced). A no-op for in-memory databases.
-    pub fn sync_wal(&self) -> Result<(), QuarryError> {
-        self.db.sync_wal()?;
-        Ok(())
     }
 
     /// Generate a synthetic corpus from a validated configuration and
@@ -529,8 +495,8 @@ impl Quarry {
     /// learned from the table itself, so only minority-violating cells
     /// (outliers, FD breaks, type intruders) get flagged.
     pub fn audit_table(&mut self, table: &str) -> Result<Vec<Suspicion>, QuarryError> {
-        let schema = self.db.schema(table)?;
-        let rows = self.db.scan_autocommit(table)?;
+        let snap = self.db.snapshot();
+        let (schema, rows) = (snap.schema(table)?, snap.scan(table)?);
         let columns: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
         let serialized: Vec<Vec<String>> = rows
             .iter()
@@ -548,8 +514,8 @@ impl Quarry {
     /// re-associating rows with the cached extractions that support them.
     /// Returns the lineage node per row (row key rendering → node).
     pub fn record_lineage(&mut self, table: &str) -> Result<Vec<(String, NodeId)>, QuarryError> {
-        let schema = self.db.schema(table)?;
-        let rows = self.db.scan_autocommit(table)?;
+        let snap = self.db.snapshot();
+        let (schema, rows) = (snap.schema(table)?, snap.scan(table)?);
         let mut out = Vec::with_capacity(rows.len());
         // Index cached extractions by (attribute, value) for fast lookup.
         let mut support: HashMap<(&str, &Value), Vec<&Extraction>> = HashMap::new();
@@ -595,11 +561,13 @@ impl Quarry {
     /// the "browsing" exploitation mode of §3.2).
     pub fn browse(&self, table: &str, key: &[Value]) -> Result<String, QuarryError> {
         use std::fmt::Write as _;
-        let schema = self.db.schema(table)?;
-        let tx = self.db.begin();
-        let row = self.db.get(tx, table, key);
-        self.db.commit(tx)?;
-        let row = row?;
+        let snap = self.db.snapshot();
+        let schema = snap.schema(table)?;
+        let (found, _) = snap.select(table, ScanAccess::Pk { key }, &mut |_| true, None)?;
+        let row = found
+            .into_iter()
+            .next()
+            .ok_or_else(|| StorageError::NotFound(format!("{table} key {key:?}")))?;
         let mut card = String::new();
         let _ = writeln!(
             card,
@@ -613,12 +581,12 @@ impl Quarry {
         }
         // Value links: other tables mentioning any of this row's text values.
         let texts: Vec<&str> = row.iter().filter_map(Value::as_text).collect();
-        for other in self.db.table_names() {
+        for other in snap.table_names() {
             if other == table {
                 continue;
             }
-            let Ok(other_schema) = self.db.schema(&other) else { continue };
-            let Ok(rows) = self.db.scan_autocommit(&other) else { continue };
+            let Ok(other_schema) = snap.schema(&other) else { continue };
+            let Ok(rows) = snap.scan(&other) else { continue };
             let mut links = 0usize;
             for orow in &rows {
                 if orow.iter().filter_map(Value::as_text).any(|t| texts.contains(&t)) {
@@ -736,7 +704,7 @@ STORE INTO cities KEY name
         let (mut q, _) = system_with_corpus();
         q.run_pipeline(CITY_PIPELINE).unwrap();
         // Plant an impossible population on one row.
-        let rows = q.db.scan_autocommit("cities").unwrap();
+        let rows = q.db.snapshot().scan("cities").unwrap();
         let schema = q.db.schema("cities").unwrap();
         let pi = schema.column_index("population").unwrap();
         let mut victim = rows[0].clone();
@@ -983,7 +951,7 @@ STORE INTO companies KEY name"#,
 
         // Writer deletes a row after the capture.
         let schema = q.db.schema("cities").unwrap();
-        let rows = q.db.scan_autocommit("cities").unwrap();
+        let rows = q.db.snapshot().scan("cities").unwrap();
         let key = schema.key_of(&rows[0]);
         let tx = q.db.begin();
         q.db.delete(tx, "cities", &key).unwrap();

@@ -583,7 +583,7 @@ STORE INTO cities KEY name"#,
         );
         assert!(stats.rows_stored > 0);
         assert!(stats.extractions > 0);
-        let rows = db.scan_autocommit("cities").unwrap();
+        let rows = db.snapshot().scan("cities").unwrap();
         assert_eq!(rows.len(), stats.rows_stored);
         // Stored city names include real ground-truth cities.
         let schema = db.schema("cities").unwrap();

@@ -120,7 +120,7 @@ impl SchemaRegistry {
         if latest == current {
             return Ok(latest);
         }
-        let rows = db.scan_autocommit(table).map_err(|e| EvolutionError(e.to_string()))?;
+        let rows = db.snapshot().scan(table).map_err(|e| EvolutionError(e.to_string()))?;
         let migrated = self.migrate(table, current, latest, &rows)?;
         let target = self.schema(table, latest).expect("latest exists").clone();
         db.replace_table(target, migrated).map_err(|e| EvolutionError(e.to_string()))?;
@@ -235,7 +235,7 @@ mod tests {
 
         let v = reg.migrate_database(&db, "cities", VersionId(0)).unwrap();
         assert_eq!(v, VersionId(1));
-        let rows = db.scan_autocommit("cities").unwrap();
+        let rows = db.snapshot().scan("cities").unwrap();
         assert_eq!(rows[0].len(), 3);
         assert_eq!(rows[0][2], Value::Int(1846));
         // Idempotent when already current.

@@ -1,15 +1,16 @@
 //! A small blocking client for the Quarry wire protocol.
 //!
 //! [`Client::request`] sends one frame and waits for the matching reply.
-//! If the connection died since the last exchange (server restart, idle
-//! drop), the client transparently reconnects and resends, governed by
-//! [`ClientConfig`]: `reconnect_attempts` bounds how many fresh
-//! connections one request may consume and `backoff` is the base delay
-//! before each (doubling per attempt). The default is a single immediate
-//! reconnect — the original hardcoded policy — which is safe because
-//! every protocol request is either read-only or idempotent (QDL
-//! pipelines re-run to the same stored rows; `InsertRows`/`DeleteRows`
-//! re-apply to the same keys). Rejections ([`Payload::Overloaded`],
+//! If the connection dies under a request (server restart, idle drop),
+//! the client reconnects, governed by [`ClientConfig`]:
+//! `reconnect_attempts` bounds how many fresh connections one request may
+//! consume and `backoff` is the base delay before each (doubling per
+//! attempt). The default is a single immediate reconnect. A read is
+//! resent on the fresh connection. A write ([`Request::is_write`]) is
+//! sent at most once: its reply may have been lost after it committed,
+//! and a resent `InsertRows` would answer `DuplicateKey` for rows that
+//! are there. It fails with the transport error, and the fresh connection
+//! serves the next request. Rejections ([`Payload::Overloaded`],
 //! [`Payload::ShuttingDown`]) are **never** retried regardless of
 //! configuration: they are the server's explicit back-off signal,
 //! surfaced to the caller as typed errors.
@@ -158,35 +159,37 @@ impl Client {
     }
 
     /// Send `req` and wait for its reply, reconnecting per the
-    /// configured policy if the connection has died since the last
-    /// exchange. Server rejections pass straight through — only
-    /// transport deaths are retried.
+    /// configured policy if the connection dies under it; only a read is
+    /// resent (see the module docs). Server rejections pass straight
+    /// through — only transport deaths are retried.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         let mut attempt = 0u32;
         let resp = loop {
-            match self.exchange(id, req) {
+            let lost = match self.exchange(id, req) {
                 Ok(resp) => break resp,
-                Err(e) if Client::is_disconnect(&e) && attempt < self.cfg.reconnect_attempts => {
-                    let delay = self.cfg.backoff * 2u32.saturating_pow(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    attempt += 1;
-                    match dial(self.addr, self.cfg.read_timeout, self.cfg.read_timeout) {
-                        // The old buffer goes with the old socket: bytes of
-                        // a reply cut short must not prefix the next one.
-                        Ok(stream) => self.stream = BufReader::new(stream),
-                        // Connect refused/unreachable: keep burning
-                        // attempts against the same dead endpoint.
-                        Err(ce) if attempt < self.cfg.reconnect_attempts => {
-                            let _ = ce;
-                        }
-                        Err(ce) => return Err(ClientError::Io(ce)),
-                    }
-                }
+                Err(e) if Client::is_disconnect(&e) && attempt < self.cfg.reconnect_attempts => e,
                 Err(e) => return Err(e),
+            };
+            let delay = self.cfg.backoff * 2u32.saturating_pow(attempt);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            attempt += 1;
+            match dial(self.addr, self.cfg.read_timeout, self.cfg.read_timeout) {
+                // The old buffer goes with the old socket: bytes of a reply
+                // cut short must not prefix the next one.
+                Ok(stream) => self.stream = BufReader::new(stream),
+                // Connect refused/unreachable: keep burning attempts
+                // against the same dead endpoint.
+                Err(_) if attempt < self.cfg.reconnect_attempts => {}
+                Err(ce) => return Err(ClientError::Io(ce)),
+            }
+            // At most once (module docs); the next request goes out on
+            // whatever connection the dial above left.
+            if req.is_write() {
+                return Err(lost);
             }
         };
         // A protocol-error reply carries id 0 (the server could not

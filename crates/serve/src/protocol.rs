@@ -89,6 +89,30 @@ pub enum Request {
     },
 }
 
+impl Request {
+    /// True for the requests a server takes the writer for. A read-only
+    /// (replica) node refuses them, and a client sends each at most once:
+    /// a reply lost with its connection may belong to a committed write,
+    /// and a resend would answer `DuplicateKey` or `NotFound` for work
+    /// that was done. `Shutdown` is a control frame, not a data write.
+    pub fn is_write(&self) -> bool {
+        match self {
+            Request::Qdl(_)
+            | Request::Checkpoint
+            | Request::CreateTable(_)
+            | Request::CreateIndex { .. }
+            | Request::InsertRows { .. }
+            | Request::DeleteRows { .. } => true,
+            Request::Ping
+            | Request::Query(_)
+            | Request::KeywordSearch { .. }
+            | Request::Explain(_)
+            | Request::Stats
+            | Request::Shutdown => false,
+        }
+    }
+}
+
 /// Mirror of `quarry_lang::ExecStats` with wire-stable integer widths.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct WireExecStats {

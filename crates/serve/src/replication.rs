@@ -537,7 +537,7 @@ mod tests {
         let mut out = String::new();
         for name in db.table_names() {
             out.push_str(&format!("{:?}\n", db.schema(&name).unwrap()));
-            for row in db.scan_autocommit(&name).unwrap() {
+            for row in db.snapshot().scan(&name).unwrap() {
                 out.push_str(&format!("{row:?}\n"));
             }
         }

@@ -150,9 +150,9 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.endpoint.shutdown();
-        // Every request has drained; force buffered commits to stable
-        // storage so relaxed durability modes don't lose drained work.
-        let _ = self.facade.quarry.with_writer(|q| q.sync_wal());
+        // Every request has drained. Commits are synced already; a
+        // replica's shipped frames are only flushed, so sync them too.
+        let _ = self.facade.quarry.with_writer(|q| q.db.sync_wal());
     }
 }
 
@@ -185,7 +185,7 @@ impl Facade {
     /// take the writer; it is given before admission, so it costs no slot
     /// and is neither timed nor counted as a request error.
     fn refuse(&self, req: &Request) -> Option<Payload> {
-        (self.read_only.load(Ordering::SeqCst) && is_write(req)).then(|| {
+        (self.read_only.load(Ordering::SeqCst) && req.is_write()).then(|| {
             self.metrics.incr("server.read_only_rejections", 1);
             let message = "replica is read-only; retry against the shard primary".into();
             Payload::Error { kind: ErrorKind::ReadOnly, message }
@@ -193,7 +193,8 @@ impl Facade {
     }
 
     /// Apply `req` under the single-writer lock; the reply reflects the
-    /// post-commit LSN. Every request that comes here is an [`is_write`].
+    /// post-commit LSN. Every request that comes here is a
+    /// [`Request::is_write`].
     fn write(
         &self,
         req: &Request,
@@ -254,21 +255,6 @@ impl Facade {
             Request::Shutdown => (Payload::Done, 0),
         }
     }
-}
-
-/// True for the requests [`Facade::execute`] takes the writer for, which
-/// a read-only (replica) node refuses. `Shutdown` stays allowed: it is a
-/// control frame, not a data write.
-fn is_write(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Qdl(_)
-            | Request::Checkpoint
-            | Request::CreateTable(_)
-            | Request::CreateIndex { .. }
-            | Request::InsertRows { .. }
-            | Request::DeleteRows { .. }
-    )
 }
 
 /// Run one batch of row operations as a single transaction: all rows

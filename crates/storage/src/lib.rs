@@ -42,7 +42,7 @@ pub use structured::{
     Row, RowId, ScanAccess, TableSchema, TableView, TxId,
 };
 pub use value::{DataType, Value};
-pub use wal::{DurabilityMode, FrameBuf, TailPoll, Wal, WalTail};
+pub use wal::{FrameBuf, TailPoll, Wal, WalTail};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, StorageError>;

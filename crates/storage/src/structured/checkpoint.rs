@@ -210,7 +210,7 @@ mod tests {
     use super::*;
     use crate::codec;
     use crate::faultfs::RealBackend;
-    use crate::structured::fixtures::{people_schema, person, tmpwal};
+    use crate::structured::fixtures::{index_rows, people_schema, person, tmpwal};
     use crate::structured::{Database, ScanAccess};
     use crate::value::Value;
 
@@ -361,7 +361,7 @@ mod tests {
             // Crash: drop db without commit.
         }
         let db = Database::open(&p).unwrap();
-        let rows = db.scan_autocommit("people").unwrap();
+        let rows = db.snapshot().scan("people").unwrap();
         assert_eq!(rows, vec![person("committed", 1, "a")]);
         // The recovered database stays usable and durable.
         db.insert_autocommit("people", person("after", 3, "c")).unwrap();
@@ -387,12 +387,10 @@ mod tests {
             db.commit(tx).unwrap();
         }
         let db = Database::open(&p).unwrap();
-        let rows = db.scan_autocommit("people").unwrap();
+        let rows = db.snapshot().scan("people").unwrap();
         assert_eq!(rows, vec![person("a", 10, "y")]);
         // Secondary index rebuilt by redo.
-        let tx = db.begin();
-        assert_eq!(db.index_lookup(tx, "people", "age", &Value::Int(10)).unwrap().len(), 1);
-        db.commit(tx).unwrap();
+        assert_eq!(index_rows(&db, "people", "age", &Value::Int(10)).len(), 1);
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -433,9 +431,9 @@ mod tests {
         let tx = db.begin();
         assert_eq!(db.get(tx, "people", &["p0".into()]).unwrap()[1], Value::Int(100));
         assert!(db.get(tx, "people", &["p1".into()]).is_err(), "deleted row stays deleted");
-        // Secondary index rebuilt from the snapshot.
-        assert_eq!(db.index_lookup(tx, "people", "age", &Value::Int(100)).unwrap().len(), 1);
         db.commit(tx).unwrap();
+        // Secondary index rebuilt from the snapshot.
+        assert_eq!(index_rows(&db, "people", "age", &Value::Int(100)).len(), 1);
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -456,7 +454,7 @@ mod tests {
         let expected = {
             let db = Database::in_memory();
             build(&db);
-            db.scan_autocommit("people").unwrap()
+            db.snapshot().scan("people").unwrap()
         };
 
         // Count the checkpoint's operations with a recording backend.
@@ -484,7 +482,7 @@ mod tests {
             assert!(db.checkpoint().is_err(), "crash point {k} must fail the checkpoint");
             drop(db);
             let db = Database::open(&p).unwrap();
-            assert_eq!(db.scan_autocommit("people").unwrap(), expected, "crash point {k}");
+            assert_eq!(db.snapshot().scan("people").unwrap(), expected, "crash point {k}");
             let _ = std::fs::remove_file(&p);
             let _ = std::fs::remove_file(image_path(&p));
             let _ = std::fs::remove_file(tmp_path(&p));
@@ -518,10 +516,10 @@ mod tests {
         // Point lookups, index probes, and scans read through the trees.
         let tx = db.begin();
         assert_eq!(db.get(tx, "people", &["p042".into()]).unwrap()[1], Value::Int(2));
-        let by_age = db.index_lookup(tx, "people", "age", &Value::Int(3)).unwrap();
-        assert_eq!(by_age.len(), 30);
         db.commit(tx).unwrap();
-        let rows = db.scan_autocommit("people").unwrap();
+        let by_age = index_rows(&db, "people", "age", &Value::Int(3));
+        assert_eq!(by_age.len(), 30);
+        let rows = db.snapshot().scan("people").unwrap();
         assert_eq!(rows.len(), n as usize);
         assert_eq!(rows[7][0], Value::Text("p007".into()), "row-id order preserved");
         // Stats follow the merged shape.
@@ -569,11 +567,11 @@ mod tests {
             let tx = db.begin();
             assert!(db.get(tx, "people", &["p02".into()]).is_err());
             assert_eq!(db.get(tx, "people", &["renamed".into()]).unwrap()[1], Value::Int(2));
+            db.commit(tx).unwrap();
             // Index probe must not surface the shadowed base entry for the
             // updated row's old value.
-            assert!(db.index_lookup(tx, "people", "age", &Value::Int(0)).unwrap().is_empty());
-            assert_eq!(db.index_lookup(tx, "people", "age", &Value::Int(100)).unwrap().len(), 1);
-            db.commit(tx).unwrap();
+            assert!(index_rows(&db, "people", "age", &Value::Int(0)).is_empty());
+            assert_eq!(index_rows(&db, "people", "age", &Value::Int(100)).len(), 1);
             // Fold the overlay into a second-generation image.
             db.checkpoint().unwrap();
             assert_eq!(db.overlay_row_count("people").unwrap(), 0);
@@ -602,32 +600,17 @@ mod tests {
             db.checkpoint().unwrap();
             // New index over a lazily-held table must see base rows.
             db.create_index("people", "city").unwrap();
-            let tx = db.begin();
-            assert_eq!(
-                db.index_lookup(tx, "people", "city", &Value::Text("x".into())).unwrap().len(),
-                40
-            );
-            db.commit(tx).unwrap();
+            assert_eq!(index_rows(&db, "people", "city", &Value::Text("x".into())).len(), 40);
             // Deleting a base row drops its backfilled entry too.
             let tx = db.begin();
             db.delete(tx, "people", &["p05".into()]).unwrap();
             db.commit(tx).unwrap();
-            let tx = db.begin();
-            assert_eq!(
-                db.index_lookup(tx, "people", "city", &Value::Text("x".into())).unwrap().len(),
-                39
-            );
-            db.commit(tx).unwrap();
+            assert_eq!(index_rows(&db, "people", "city", &Value::Text("x".into())).len(), 39);
             db.checkpoint().unwrap();
         }
         // The folded index survives recovery as a tree.
         let db = Database::open(&p).unwrap();
-        let tx = db.begin();
-        assert_eq!(
-            db.index_lookup(tx, "people", "city", &Value::Text("x".into())).unwrap().len(),
-            39
-        );
-        db.commit(tx).unwrap();
+        assert_eq!(index_rows(&db, "people", "city", &Value::Text("x".into())).len(), 39);
         std::fs::remove_file(&p).unwrap();
         std::fs::remove_file(image_path(&p)).unwrap();
     }
@@ -678,7 +661,6 @@ mod tests {
     mod model {
         use super::*;
         use crate::structured::table::Row;
-        use crate::wal::DurabilityMode;
         use proptest::prelude::*;
         use std::collections::{BTreeMap, BTreeSet};
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -719,19 +701,20 @@ mod tests {
                 let want = rows_where(model, |_| true).into_iter().find(|r| r[0] == name(n).into());
                 assert_eq!(got, want, "{when}: pk {}", name(n));
             }
+            db.commit(tx).unwrap();
             for age in 0..AGES + 3 {
-                let got = db.index_lookup(tx, "people", "age", &Value::Int(age)).unwrap();
+                let got = index_rows(db, "people", "age", &Value::Int(age));
                 assert_eq!(by_name(got), rows_where(model, |v| v.0 == age), "{when}: age {age}");
             }
             for v in 0..4 {
                 if city_indexed {
-                    let got = db.index_lookup(tx, "people", "city", &city(v)).unwrap();
+                    let got = index_rows(db, "people", "city", &city(v));
                     let want = rows_where(model, |row| row.1 == city(v));
                     assert_eq!(by_name(got), want, "{when}: city {:?}", city(v));
                 }
             }
-            assert_eq!(by_name(db.scan(tx, "people").unwrap()), rows_where(model, |_| true));
-            db.commit(tx).unwrap();
+            let scanned = db.snapshot().scan("people").unwrap();
+            assert_eq!(by_name(scanned), rows_where(model, |_| true));
             assert_eq!(db.row_count("people").unwrap(), model.len(), "{when}");
             if folded {
                 let ages: BTreeSet<i64> = model.values().map(|v| v.0).collect();
@@ -763,8 +746,7 @@ mod tests {
                 cuts in 2usize..=4,
             ) {
                 let p = tmpwal(&format!("model-{}", CASE.fetch_add(1, Ordering::SeqCst)));
-                let mut db = Database::open(&p).unwrap();
-                db.set_durability(DurabilityMode::Deferred);
+                let db = Database::open(&p).unwrap();
                 db.create_table(people_schema()).unwrap();
                 let mut model = Model::new();
                 let put = |db: &Database, model: &mut Model, n: String, age: i64, c: Value| {
@@ -821,7 +803,6 @@ mod tests {
                     }
                 }
                 check(&db, &model, true, false, "at the end");
-                db.sync_wal().unwrap();
                 drop(db);
                 let db = Database::open(&p).unwrap();
                 check(&db, &model, true, false, "reopened, image and log");

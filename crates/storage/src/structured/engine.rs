@@ -7,17 +7,18 @@
 //! (in-memory undo), which lets the next writer through: DDL,
 //! `checkpoint()` and replication wait at the same gate as `begin()`.
 //! Transactions are therefore serial, and no operation ever fails for
-//! concurrency-control reasons. Readers that must not wait behind the
-//! writer use [`Database::snapshot`]. The rule that follows: a thread
-//! must not call anything that waits at the gate on the same database
-//! while it still holds an open transaction — that call would wait
-//! forever. See `docs/concurrency.md` ("Writers").
+//! concurrency-control reasons. Writes pass the gate; reads pin a
+//! [`Database::snapshot`] and never wait at it (inside a transaction,
+//! [`Database::get`] reads its own changes). The rule that follows: a
+//! thread must not start a write, DDL or a checkpoint on the same
+//! database while it still holds an open transaction — that call would
+//! wait forever. See `docs/concurrency.md` ("Writers").
 
 use crate::error::StorageError;
 use crate::faultfs::{RealBackend, StorageBackend};
 use crate::pager::PoolStats;
 use crate::value::Value;
-use crate::wal::{DurabilityMode, Wal};
+use crate::wal::Wal;
 use crate::Result;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
@@ -104,7 +105,7 @@ fn not_found(table: &str, key: &[Value]) -> StorageError {
 /// db.insert(tx, "cities", vec!["Madison".into(), Value::Int(250_000)])?;
 /// db.commit(tx)?;
 ///
-/// let rows = db.scan_autocommit("cities")?;
+/// let rows = db.snapshot().scan("cities")?;
 /// assert_eq!(rows[0][1], Value::Int(250_000));
 /// # Ok::<(), quarry_storage::StorageError>(())
 /// ```
@@ -118,8 +119,6 @@ pub struct Database {
     next_tx: AtomicU64,
     /// Monotone clock stamping every table mutation; see [`Table::version`].
     write_clock: AtomicU64,
-    /// What a commit waits for before returning (see [`DurabilityMode`]).
-    durability: DurabilityMode,
     /// The open checkpoint image backing the tables' bases (`None` until
     /// an image is loaded or published). Held here so diagnostics
     /// can reach the shared buffer pool; the per-table handles live in
@@ -145,7 +144,6 @@ impl Database {
             backend: Arc::new(RealBackend),
             next_tx: AtomicU64::new(1),
             write_clock: AtomicU64::new(0),
-            durability: DurabilityMode::Full,
             image: Mutex::new(None),
             epoch: AtomicU64::new(0),
         }
@@ -183,18 +181,6 @@ impl Database {
         })
     }
 
-    /// Set what a commit waits for before returning. Defaults to
-    /// [`DurabilityMode::Full`]. Takes `&mut self`, so the mode is fixed
-    /// before the database is shared.
-    pub fn set_durability(&mut self, mode: DurabilityMode) {
-        self.durability = mode;
-    }
-
-    /// The configured durability mode.
-    pub fn durability(&self) -> DurabilityMode {
-        self.durability
-    }
-
     /// Rows resident in a table's in-memory overlay (diagnostics: after a
     /// checkpoint or open this is 0 until writes arrive, however large the
     /// table).
@@ -214,9 +200,10 @@ impl Database {
         Some(image.cached_pages())
     }
 
-    /// Flush and fsync the WAL now, regardless of durability mode. The
-    /// explicit durability point for `Normal`/`Deferred` users (e.g. a
-    /// serve-loop drain or a bulk load's final barrier).
+    /// Flush and fsync the WAL now. A commit already syncs its own
+    /// records; what this reaches is a replica's log, whose shipped frames
+    /// [`Database::replicate_append`] flushes but does not fsync. Promotion
+    /// and a server's drain call it.
     pub fn sync_wal(&self) -> Result<()> {
         if let Some(wal) = self.wal.lock().as_mut() {
             wal.sync()?;
@@ -254,16 +241,13 @@ impl Database {
         Ok(())
     }
 
-    /// Append `rec` and make it as durable as the configured mode demands.
+    /// Append `rec`, then flush and fsync the log: a commit or DDL record
+    /// is on stable storage, with everything before it, once this returns.
     fn log_durable(&self, rec: &LogRecord) -> Result<()> {
         let mut guard = self.wal.lock();
         let Some(wal) = guard.as_mut() else { return Ok(()) };
         wal.append(&rec.encode()?)?;
-        match self.durability {
-            DurabilityMode::Full => wal.sync(),
-            DurabilityMode::Normal => wal.flush(),
-            DurabilityMode::Deferred => Ok(()),
-        }
+        wal.sync()
     }
 
     // ------------------------------------------------------------------
@@ -494,25 +478,21 @@ impl Database {
         Ok(row_id)
     }
 
-    /// Run `read` over `table` as transaction `tx` sees it: committed
-    /// state plus its own changes.
-    fn read<T>(&self, tx: TxId, table: &str, read: impl FnOnce(&Table) -> Result<T>) -> Result<T> {
-        let st = self.tables.lock();
-        match &st.open {
-            Some(open) if open.id == tx => read(st.table(table)?),
-            _ => Err(StorageError::NoSuchTx(tx)),
-        }
-    }
-
-    /// Read one row by primary key.
+    /// Read one row by primary key as transaction `tx` sees it: committed
+    /// state plus its own changes. The one read inside a transaction, for
+    /// read-modify-write; every other read goes through
+    /// [`Database::snapshot`].
     pub fn get(&self, tx: TxId, table: &str, key: &[Value]) -> Result<Row> {
-        self.read(tx, table, |t| {
-            let row = match t.lookup_pk(key)? {
-                Some(row_id) => t.effective_row(row_id)?,
-                None => None,
-            };
-            row.map(Cow::into_owned).ok_or_else(|| not_found(table, key))
-        })
+        let st = self.tables.lock();
+        if st.open.as_ref().is_none_or(|open| open.id != tx) {
+            return Err(StorageError::NoSuchTx(tx));
+        }
+        let t = st.table(table)?;
+        let row = match t.lookup_pk(key)? {
+            Some(row_id) => t.effective_row(row_id)?,
+            None => None,
+        };
+        row.map(Cow::into_owned).ok_or_else(|| not_found(table, key))
     }
 
     /// Replace the row at `key` with `row` (which may change the key).
@@ -550,40 +530,6 @@ impl Database {
             .ok_or_else(|| StorageError::NotFound(format!("{table} row {row_id}")))?;
         undo.push(Undo::Delete { table: table.to_string(), row_id, old });
         Ok(())
-    }
-
-    /// Scan a whole table in row-id order.
-    pub fn scan(&self, tx: TxId, table: &str) -> Result<Vec<Row>> {
-        self.read(tx, table, Table::scan)
-    }
-
-    /// Equality probe on a secondary index.
-    pub fn index_lookup(
-        &self,
-        tx: TxId,
-        table: &str,
-        column: &str,
-        value: &Value,
-    ) -> Result<Vec<Row>> {
-        self.index_range(tx, table, column, Some(value), Some(value))
-    }
-
-    /// Range probe (inclusive bounds) on a secondary index.
-    pub fn index_range(
-        &self,
-        tx: TxId,
-        table: &str,
-        column: &str,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-    ) -> Result<Vec<Row>> {
-        self.read(tx, table, |t| {
-            let mut rows = Vec::new();
-            for row_id in t.index_candidates(column, lo, hi)? {
-                rows.extend(t.effective_row(row_id)?.map(Cow::into_owned));
-            }
-            Ok(rows)
-        })
     }
 
     // ------------------------------------------------------------------
@@ -636,9 +582,10 @@ impl Database {
     }
 
     /// Current WAL append offset in bytes (0 for in-memory databases).
-    /// At a transaction boundary under `Full`/`Normal` durability this
-    /// equals the flushed file length, which makes it the primary-side
-    /// target of the replication ack barrier (`docs/replication.md`).
+    /// Once a commit or DDL statement returns this equals the synced file
+    /// length, which makes it the primary-side target of the replication
+    /// ack barrier (`docs/replication.md`). An abort's record is only
+    /// buffered until the next sync.
     pub fn wal_len(&self) -> u64 {
         self.wal.lock().as_ref().map(Wal::len).unwrap_or(0)
     }
@@ -749,11 +696,6 @@ impl Database {
     pub fn insert_autocommit(&self, table: &str, row: Row) -> Result<RowId> {
         self.in_tx(|tx| self.insert(tx, table, row))
     }
-
-    /// Scan under a fresh single-operation transaction.
-    pub fn scan_autocommit(&self, table: &str) -> Result<Vec<Row>> {
-        self.in_tx(|tx| self.scan(tx, table))
-    }
 }
 
 impl std::fmt::Debug for Database {
@@ -766,7 +708,7 @@ impl std::fmt::Debug for Database {
 mod tests {
     use super::*;
     use crate::faultfs::{CrashPlan, FaultBackend, Op};
-    use crate::structured::fixtures::{people_schema, person, tmpwal};
+    use crate::structured::fixtures::{index_rows, people_schema, person, tmpwal};
     use crate::structured::table::Column;
     use crate::structured::view::ScanAccess;
     use crate::value::DataType;
@@ -808,30 +750,26 @@ mod tests {
         db.delete(tx, "people", &["keep".into()]).unwrap();
         db.abort(tx).unwrap();
 
-        let rows = db.scan_autocommit("people").unwrap();
+        let rows = snap_rows(&db);
         assert_eq!(rows, vec![person("keep", 1, "a")]);
         // Index state rolled back too.
-        let tx = db.begin();
-        let by_age = db.index_lookup(tx, "people", "age", &Value::Int(1)).unwrap();
+        let by_age = index_rows(&db, "people", "age", &Value::Int(1));
         assert_eq!(by_age.len(), 1);
-        let by_age99 = db.index_lookup(tx, "people", "age", &Value::Int(99)).unwrap();
+        let by_age99 = index_rows(&db, "people", "age", &Value::Int(99));
         assert!(by_age99.is_empty());
-        db.commit(tx).unwrap();
     }
 
     #[test]
-    fn index_range_probe() {
+    fn index_probe_takes_inclusive_bounds() {
         let db = Database::in_memory();
         db.create_table(people_schema()).unwrap();
         for i in 0..20 {
             db.insert_autocommit("people", person(&format!("p{i}"), i, "c")).unwrap();
         }
-        let tx = db.begin();
-        let rows = db
-            .index_range(tx, "people", "age", Some(&Value::Int(5)), Some(&Value::Int(8)))
-            .unwrap();
+        let (lo, hi) = (Value::Int(5), Value::Int(8));
+        let access = ScanAccess::Index { column: "age", lo: Some(&lo), hi: Some(&hi) };
+        let (rows, _) = db.snapshot().select("people", access, &mut |_| true, None).unwrap();
         assert_eq!(rows.len(), 4);
-        db.commit(tx).unwrap();
     }
 
     #[test]
@@ -841,7 +779,7 @@ mod tests {
         for name in ["c", "a", "b"] {
             db.insert_autocommit("people", person(name, 1, "x")).unwrap();
         }
-        let rows = db.scan_autocommit("people").unwrap();
+        let rows = snap_rows(&db);
         let names: Vec<_> = rows.iter().map(|r| r[0].to_string()).collect();
         assert_eq!(names, vec!["c", "a", "b"], "scan returns insertion order");
     }
@@ -906,13 +844,13 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let rows = db.scan_autocommit("people").unwrap();
+        let rows = snap_rows(&db);
         assert_eq!(rows[0][1], Value::Int((threads * per_thread) as i64));
     }
 
     #[test]
-    fn durability_modes_contract() {
-        // Full: one fsync boundary per commit/DDL.
+    fn durability_contract() {
+        // One fsync boundary per commit/DDL.
         let p = tmpwal("dur-full");
         {
             let fb = FaultBackend::recording(RealBackend);
@@ -921,61 +859,6 @@ mod tests {
             db.insert_autocommit("people", person("a", 1, "x")).unwrap();
             let syncs = fb.ops().iter().filter(|o| matches!(o, Op::Sync { .. })).count();
             assert_eq!(syncs, 2, "create_table + autocommit insert");
-        }
-        let _ = std::fs::remove_file(&p);
-
-        // Normal: commits flush to the OS (durable in the fault model's
-        // flushed-is-durable terms) but never fsync.
-        let p = tmpwal("dur-normal");
-        {
-            let fb = FaultBackend::recording(RealBackend);
-            let mut db = Database::open_with(Arc::new(fb.clone()), &p).unwrap();
-            db.set_durability(DurabilityMode::Normal);
-            db.create_table(people_schema()).unwrap();
-            db.insert_autocommit("people", person("a", 1, "x")).unwrap();
-            assert!(!fb.ops().iter().any(|o| matches!(o, Op::Sync { .. })));
-            // Power loss: everything already flushed survives.
-            fb.arm(CrashPlan::kill_at(fb.op_count() + 1));
-            drop(db);
-        }
-        {
-            let db = Database::open(&p).unwrap();
-            assert_eq!(db.row_count("people").unwrap(), 1);
-        }
-        let _ = std::fs::remove_file(&p);
-
-        // Deferred: commits only buffer; a crash loses them...
-        let p = tmpwal("dur-deferred");
-        {
-            let fb = FaultBackend::recording(RealBackend);
-            let mut db = Database::open_with(Arc::new(fb.clone()), &p).unwrap();
-            db.set_durability(DurabilityMode::Deferred);
-            db.create_table(people_schema()).unwrap();
-            db.insert_autocommit("people", person("a", 1, "x")).unwrap();
-            fb.arm(CrashPlan::kill_at(fb.op_count() + 1));
-            drop(db); // buffered frames die with the process-model
-        }
-        {
-            let db = Database::open(&p).unwrap();
-            assert!(db.row_count("people").is_err(), "deferred work was lost");
-        }
-        let _ = std::fs::remove_file(&p);
-
-        // ...unless an explicit sync_wal() intervenes.
-        let p = tmpwal("dur-deferred-sync");
-        {
-            let fb = FaultBackend::recording(RealBackend);
-            let mut db = Database::open_with(Arc::new(fb.clone()), &p).unwrap();
-            db.set_durability(DurabilityMode::Deferred);
-            db.create_table(people_schema()).unwrap();
-            db.insert_autocommit("people", person("a", 1, "x")).unwrap();
-            db.sync_wal().unwrap();
-            fb.arm(CrashPlan::kill_at(fb.op_count() + 1));
-            drop(db);
-        }
-        {
-            let db = Database::open(&p).unwrap();
-            assert_eq!(db.row_count("people").unwrap(), 1);
         }
         let _ = std::fs::remove_file(&p);
     }
@@ -990,7 +873,10 @@ mod tests {
 
         let (ops, len) = (fb.op_count(), db.wal_len());
         for _ in 0..10 {
-            db.scan_autocommit("people").unwrap();
+            snap_rows(&db);
+            let tx = db.begin();
+            db.get(tx, "people", &["a".into()]).unwrap();
+            db.commit(tx).unwrap();
         }
         let tx = db.begin();
         db.get(tx, "people", &["a".into()]).unwrap();
@@ -1161,15 +1047,17 @@ mod tests {
         // Full-path and index-path reads agree with a transaction's.
         let (lo, hi) = (Value::Int(2), Value::Int(6));
         let tx = db.begin();
-        let scanned = db.scan(tx, "people").unwrap();
-        let ranged = db.index_range(tx, "people", "age", Some(&lo), Some(&hi)).unwrap();
+        let scanned: Vec<Row> =
+            (0..8).map(|i| db.get(tx, "people", &[format!("p{i}").into()]).unwrap()).collect();
         db.commit(tx).unwrap();
+        let ranged: Vec<Row> =
+            scanned.iter().filter(|row| lo <= row[1] && row[1] <= hi).cloned().collect();
         assert_eq!(scanned.len(), 8, "the aborted delete left no trace");
         assert_eq!(snap.scan("people").unwrap(), scanned);
         let access = ScanAccess::Index { column: "age", lo: Some(&lo), hi: Some(&hi) };
         assert_eq!(snap.select("people", access, &mut |_| true, None).unwrap(), (ranged, 5));
 
-        // Unknown table / unindexed column give the transactional error kinds.
+        // An unknown table and an unindexed column are refused by kind.
         assert!(matches!(snap.scan("ghost"), Err(StorageError::NoSuchTable(_))));
         let err = snap
             .select(
@@ -1313,7 +1201,7 @@ mod tests {
         )
         .unwrap();
         db.replace_table(new_schema, vec![vec!["a".into(), Value::Int(1)]]).unwrap();
-        let rows = db.scan_autocommit("people").unwrap();
+        let rows = snap_rows(&db);
         assert_eq!(rows, vec![vec![Value::Text("a".into()), Value::Int(1)]]);
     }
 }

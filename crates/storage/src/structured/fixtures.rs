@@ -4,7 +4,9 @@ use crate::value::{DataType, Value};
 use std::path::PathBuf;
 
 use super::checkpoint::{image_path, tmp_path};
+use super::engine::Database;
 use super::table::{Column, Row, TableSchema};
+use super::view::ScanAccess;
 
 /// `people(name PK, age indexed, city nullable)`.
 pub(super) fn people_schema() -> TableSchema {
@@ -23,6 +25,13 @@ pub(super) fn people_schema() -> TableSchema {
 
 pub(super) fn person(name: &str, age: i64, city: &str) -> Row {
     vec![name.into(), Value::Int(age), city.into()]
+}
+
+/// The committed rows of `table` whose indexed `column` equals `value`,
+/// read through the index of a fresh snapshot.
+pub(super) fn index_rows(db: &Database, table: &str, column: &str, value: &Value) -> Vec<Row> {
+    let access = ScanAccess::Index { column, lo: Some(value), hi: Some(value) };
+    db.snapshot().select(table, access, &mut |_| true, None).unwrap().0
 }
 
 /// A fresh WAL path unique to `name` and this process, with any files a

@@ -228,6 +228,7 @@ mod tests {
     use super::*;
     use crate::error::StorageError;
     use crate::structured::table::{Column, RowId, TableSchema};
+    use crate::structured::view::ScanAccess;
     use crate::value::{DataType, Value};
     use crate::wal::tests::payloads;
     use crate::wal::{TailPoll, Wal, WalTail};
@@ -258,7 +259,7 @@ mod tests {
         let mut out = String::new();
         for name in db.table_names() {
             out.push_str(&format!("{:?}\n", db.schema(&name).unwrap()));
-            for row in db.scan_autocommit(&name).unwrap() {
+            for row in db.snapshot().scan(&name).unwrap() {
                 out.push_str(&format!("{row:?}\n"));
             }
         }
@@ -529,10 +530,11 @@ mod tests {
         // Both saw the transaction they waited for, whole.
         assert_eq!(db.checkpoint_epoch(), 1);
         assert_eq!((db.wal_len(), db.overlay_row_count("t").unwrap()), (0, 0));
-        let tx = db.begin();
-        assert_eq!(db.index_lookup(tx, "t", "val", &Value::Text("a".into())).unwrap().len(), 1);
-        assert_eq!(db.scan(tx, "t").unwrap().len(), 2);
-        db.commit(tx).unwrap();
+        let snap = db.snapshot();
+        let a = Value::Text("a".into());
+        let access = ScanAccess::Index { column: "val", lo: Some(&a), hi: Some(&a) };
+        assert_eq!(snap.select("t", access, &mut |_| true, None).unwrap().0.len(), 1);
+        assert_eq!(snap.scan("t").unwrap().len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -631,7 +633,8 @@ mod tests {
         ];
         let ids = |db: &Database| -> Vec<i64> {
             let mut ids: Vec<i64> = db
-                .scan_autocommit("t")
+                .snapshot()
+                .scan("t")
                 .unwrap()
                 .iter()
                 .map(|r| if let Value::Int(id) = r[0] { id } else { panic!("{r:?}") })

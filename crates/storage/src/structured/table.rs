@@ -199,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn column_index_lookup() {
+    fn column_position_by_name() {
         let s = schema();
         assert_eq!(s.column_index("area"), Some(2));
         assert_eq!(s.column_index("nope"), None);

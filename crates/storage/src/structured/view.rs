@@ -152,7 +152,7 @@ impl TableView {
         Ok((out, scanned))
     }
 
-    /// All rows in row-id order (mirrors `Database::scan`).
+    /// All rows in row-id order.
     pub fn scan(&self) -> Result<Vec<Row>> {
         self.0.scan()
     }
@@ -161,9 +161,8 @@ impl TableView {
 /// A consistent, immutable snapshot of every table's **committed** state,
 /// pinned to one LSN of the database's write clock.
 ///
-/// Cloning is O(tables): only tree roots are copied. Every read method
-/// mirrors its `Database` counterpart — same results, same ordering, same
-/// error kinds — so query plans execute identically over either.
+/// Cloning is O(tables): only tree roots are copied. Every row read
+/// outside a transaction is read through one.
 #[derive(Debug, Clone)]
 pub struct DbSnapshot {
     lsn: u64,
@@ -233,7 +232,7 @@ impl DbSnapshot {
         self.table(table)?.select(access, filter, projection)
     }
 
-    /// All rows of a table in row-id order (mirrors `Database::scan`).
+    /// All rows of a table in row-id order.
     pub fn scan(&self, table: &str) -> Result<Vec<Row>> {
         self.table(table)?.scan()
     }

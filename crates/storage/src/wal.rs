@@ -250,23 +250,6 @@ pub fn decode_frame(buf: &[u8], cap: usize) -> std::result::Result<Option<(&[u8]
     Ok(Some((payload, FRAME_HEADER + len)))
 }
 
-/// How much durability a commit buys before it returns. Mirrors the
-/// classic FULL / NORMAL / DEFERRED ladder (see `docs/storage.md` for the
-/// full contract table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DurabilityMode {
-    /// Every commit flushes *and* fsyncs the log before returning.
-    /// Survives OS/power failure.
-    #[default]
-    Full,
-    /// Every commit flushes the log to the OS but skips the fsync.
-    /// Survives process death; an OS/power failure may lose the tail.
-    Normal,
-    /// Commits only buffer in the process. Fastest; a crash may lose
-    /// everything since the last explicit sync/checkpoint.
-    Deferred,
-}
-
 /// An append-only log file.
 pub struct Wal {
     path: PathBuf,
@@ -320,8 +303,9 @@ impl Wal {
         Ok(offset)
     }
 
-    /// Flush buffered frames to the OS *without* an fsync (the
-    /// [`DurabilityMode::Normal`] commit boundary).
+    /// Flush buffered frames to the OS *without* an fsync: what a replica
+    /// does with each shipped frame, so that the next [`Wal::sync`] (at
+    /// promotion or a drain) is what makes them durable.
     pub fn flush(&mut self) -> Result<()> {
         self.writer.flush()?;
         Ok(())

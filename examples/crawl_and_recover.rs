@@ -65,7 +65,7 @@ fn main() {
     }
 
     let db = Database::open(&wal).expect("recover");
-    let rows = db.scan_autocommit("cities").expect("scan");
+    let rows = db.snapshot().scan("cities").expect("scan");
     println!("\nafter crash + recovery: {} rows (committed batch only)", rows.len());
     assert_eq!(rows.len(), 10, "exactly the committed prefix survives");
     println!("recovery restored exactly the committed prefix — no more, no less");

@@ -57,4 +57,3 @@ pub use quarry_uncertainty as uncertainty;
 pub use quarry_core::{Quarry, QuarryConfig, QuarryError, SharedQuarry, Snapshot};
 pub use quarry_exec::{Diagnostic, ExecPool, ExecReport, LintReport, Severity, Span};
 pub use quarry_extract::{extract_all, Extraction, ExtractorSet};
-pub use quarry_storage::DurabilityMode;

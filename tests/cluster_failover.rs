@@ -20,8 +20,7 @@
 use quarry::serve::replication::{ReplicationClient, ReplicationClientConfig};
 use quarry::serve::ReplicationListener;
 use quarry::storage::{
-    Column, CrashPlan, DataType, Database, DurabilityMode, FaultBackend, Op, RealBackend,
-    TableSchema, Value,
+    Column, CrashPlan, DataType, Database, FaultBackend, Op, RealBackend, TableSchema, Value,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,8 +149,7 @@ fn run_failover_case(k: u64, tear: Option<usize>, steps: &[Step], states: &[Stri
             // Crashed inside open: nothing was ever served or shipped.
             dump(&replica)
         }
-        Ok(mut db) => {
-            db.set_durability(DurabilityMode::Full);
+        Ok(db) => {
             let db = Arc::new(db);
             let mut listener = ReplicationListener::start(Arc::clone(&db), "127.0.0.1:0").unwrap();
             let mut client = ReplicationClient::start(
@@ -212,8 +210,7 @@ fn promoted_replica_recovers_to_a_step_boundary_at_every_crash_point() {
     // mutating backend ops, so the op stream is identical either way).
     let p = tmpwal("failover-record");
     let rec = FaultBackend::recording(RealBackend);
-    let mut db = Database::open_with(Arc::new(rec.clone()), &p).unwrap();
-    db.set_durability(DurabilityMode::Full);
+    let db = Database::open_with(Arc::new(rec.clone()), &p).unwrap();
     let mut cum = vec![rec.op_count()];
     for step in &steps {
         step(&db).unwrap();

@@ -142,6 +142,14 @@ fn sharded_cluster_answers_distributable_queries_bit_identically() {
         rc.query(&inner_limit),
         Err(quarry::serve::ClientError::Server { kind: ErrorKind::Query, .. })
     ));
+    // Keyword scores come from each shard's own corpus statistics, so a
+    // merged ranking is not the single-node one: refused, like QDL.
+    match rc.keyword("madison", 5) {
+        Err(quarry::serve::ClientError::Server { kind: ErrorKind::Query, message }) => {
+            assert!(message.contains("keyword"), "got: {message}");
+        }
+        other => panic!("keyword search through the router should be refused, got {other:?}"),
+    }
 
     // Deletes partition by key exactly like inserts.
     let victims: Vec<Vec<Value>> = (0..30i64).map(|i| vec![Value::Int(i * 2)]).collect();

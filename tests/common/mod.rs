@@ -35,7 +35,7 @@ pub fn dump(db: &Database) -> String {
         out.push_str(&format!("== {name} ==\n"));
         out.push_str(&format!("schema: {:?}\n", db.schema(&name).unwrap()));
         out.push_str(&format!("indexes: {:?}\n", db.snapshot().indexed_columns(&name).unwrap()));
-        for row in db.scan_autocommit(&name).unwrap() {
+        for row in db.snapshot().scan(&name).unwrap() {
             out.push_str(&format!("row: {row:?}\n"));
         }
     }

@@ -85,9 +85,7 @@ fn transfers_conserve_total_under_contention() {
         std::thread::spawn(move || {
             let expected = initial * n_accounts as i64;
             while stop.load(Ordering::Relaxed) == 0 {
-                let tx = db.begin();
-                let rows = db.scan(tx, "accounts").unwrap();
-                db.abort(tx).unwrap();
+                let rows = db.snapshot().scan("accounts").unwrap();
                 let total: i64 = rows.iter().map(|r| r[1].as_f64().unwrap() as i64).sum();
                 assert_eq!(total, expected, "torn read: {rows:?}");
                 audits.fetch_add(1, Ordering::Relaxed);
@@ -114,7 +112,7 @@ fn transfers_conserve_total_under_contention() {
         "the auditor must have observed at least one snapshot"
     );
 
-    let rows = db.scan_autocommit("accounts").unwrap();
+    let rows = db.snapshot().scan("accounts").unwrap();
     let total: i64 = rows.iter().map(|r| r[1].as_f64().unwrap() as i64).sum();
     assert_eq!(total, initial * n_accounts as i64);
 }
@@ -151,7 +149,7 @@ fn mixed_ddl_and_dml_do_not_corrupt() {
     for h in handles {
         h.join().unwrap();
     }
-    let rows = db.scan_autocommit("log").unwrap();
+    let rows = db.snapshot().scan("log").unwrap();
     assert_eq!(rows.len(), 200);
     // Primary keys unique.
     let mut ids: Vec<i64> = rows.iter().map(|r| r[0].as_f64().unwrap() as i64).collect();

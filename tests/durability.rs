@@ -4,7 +4,7 @@
 use quarry::corpus::{Corpus, CorpusConfig, CrawlConfig, CrawlSimulator};
 use quarry::schema::{EvolutionOp, SchemaRegistry, VersionId};
 use quarry::storage::{
-    Column, CrashPlan, DataType, Database, DurabilityMode, FaultBackend, Op, RealBackend,
+    Column, CrashPlan, DataType, Database, FaultBackend, Op, RealBackend, ScanAccess,
     SnapshotStore, TableSchema, Value,
 };
 use std::sync::Arc;
@@ -55,14 +55,15 @@ fn crash_recovery_preserves_committed_pipeline_output() {
         // Crash before commit.
     }
     let db = Database::open(&p).unwrap();
-    let rows = db.scan_autocommit("cities").unwrap();
+    let snap = db.snapshot();
+    let rows = snap.scan("cities").unwrap();
     assert_eq!(rows.len(), 2);
     assert!(rows.iter().all(|r| r[0] != Value::Text("Ghost".into())));
     // The secondary index works post-recovery.
-    let tx = db.begin();
-    let hits = db.index_lookup(tx, "cities", "population", &Value::Int(9_500)).unwrap();
+    let pop = Value::Int(9_500);
+    let access = ScanAccess::Index { column: "population", lo: Some(&pop), hi: Some(&pop) };
+    let (hits, _) = snap.select("cities", access, &mut |_| true, None).unwrap();
     assert_eq!(hits.len(), 1);
-    db.commit(tx).unwrap();
     std::fs::remove_file(&p).unwrap();
 }
 
@@ -102,7 +103,7 @@ fn schema_evolution_survives_recovery() {
     let db = Database::open(&p).unwrap();
     let schema = db.schema("people").unwrap();
     assert_eq!(schema.columns.len(), 2);
-    let rows = db.scan_autocommit("people").unwrap();
+    let rows = db.snapshot().scan("people").unwrap();
     assert_eq!(
         rows,
         vec![vec![Value::Text("David Smith".into()), Value::Text("Acme Systems".into()),]]
@@ -158,12 +159,7 @@ fn wal_grows_with_work_and_recovery_is_complete_after_many_batches() {
 //
 // `QUARRY_CRASH_POINTS=n` bounds the sweep to n evenly-spread crash points
 // (CI smoke); the checkpoint publication rename and the WAL reset right
-// after it are always included. `QUARRY_DURABILITY=full|normal` selects the
-// commit durability the sweep runs under — both modes promise the same
-// recovery floor in the fault model (flushed bytes survive), with `normal`
-// simply skipping the per-commit fsync. `deferred` is deliberately not
-// accepted: it trades the floor away, so the differential's invariant does
-// not hold for it (its contract is covered by the engine's unit tests).
+// after it are always included.
 //
 // Two workloads run through the same sweep: the original mixed DML one,
 // and a split-heavy one whose multi-kilobyte text rows force the B-tree
@@ -172,17 +168,6 @@ fn wal_grows_with_work_and_recovery_is_complete_after_many_batches() {
 // in the middle of multi-page split writes.
 
 type Step = fn(&Database) -> quarry::storage::Result<()>;
-
-fn durability_from_env() -> DurabilityMode {
-    match std::env::var("QUARRY_DURABILITY") {
-        Err(_) => DurabilityMode::Full,
-        Ok(v) => match v.as_str() {
-            "full" => DurabilityMode::Full,
-            "normal" => DurabilityMode::Normal,
-            other => panic!("QUARRY_DURABILITY must be full|normal, got {other:?}"),
-        },
-    }
-}
 
 fn people_schema() -> TableSchema {
     TableSchema::new(
@@ -399,8 +384,7 @@ fn run_crash_case(
     let p = tmpwal(&format!("recdiff-{label}"));
     let plan = CrashPlan { crash_at: k, tear_bytes: tear };
     let fb = FaultBackend::with_plan(RealBackend, plan);
-    if let Ok(mut db) = Database::open_with(Arc::new(fb.clone()), &p) {
-        db.set_durability(durability_from_env());
+    if let Ok(db) = Database::open_with(Arc::new(fb.clone()), &p) {
         for step in steps {
             if step(&db).is_err() {
                 break;
@@ -451,15 +435,13 @@ fn differential_sweep(steps: &[Step], label: &str) {
     // cumulative operation count.
     let p = tmpwal(&format!("recdiff-{label}-record"));
     let rec = FaultBackend::recording(RealBackend);
-    let mut db = Database::open_with(Arc::new(rec.clone()), &p).unwrap();
-    db.set_durability(durability_from_env());
+    let db = Database::open_with(Arc::new(rec.clone()), &p).unwrap();
     let mut cum = vec![rec.op_count()];
     for step in steps {
         step(&db).unwrap();
         cum.push(rec.op_count());
     }
-    // Capture the stream before dumping: dump() itself runs (read-only)
-    // transactions whose commit records would otherwise pad the count.
+    // Capture the stream before dumping, so it is the workload's alone.
     let ops = rec.ops();
     let total = rec.op_count();
     assert_eq!(ops.len() as u64, total);

@@ -94,7 +94,7 @@ fn pipeline_results_identical_across_thread_counts() {
         let mut q = Quarry::new(QuarryConfig::builder().threads(threads).build()).unwrap();
         q.ingest(c.docs.clone());
         let stats = q.run_pipeline(SRC).unwrap();
-        let rows = q.db.scan_autocommit("people").unwrap();
+        let rows = q.db.snapshot().scan("people").unwrap();
         match &reference {
             None => reference = Some((stats, rows)),
             Some((ref_stats, ref_rows)) => {
@@ -133,7 +133,7 @@ fn served_pipeline_re_executes_failed_extractions_exactly() {
         }
         q.ingest(c.docs.clone());
         let stats = q.run_pipeline(SRC).unwrap();
-        let rows = q.db.scan_autocommit("people").unwrap();
+        let rows = q.db.snapshot().scan("people").unwrap();
         let retries = q.last_report().stage("exec/extract:infobox").unwrap().retries;
         (stats, rows, retries)
     };

@@ -235,7 +235,7 @@ fn repeated_facade_queries_equal_the_planner_on_the_same_snapshot() {
     let seed = facts_db(300);
     q.db.create_table(seed.schema("facts").unwrap()).unwrap();
     let tx = q.db.begin();
-    for row in seed.scan_autocommit("facts").unwrap() {
+    for row in seed.snapshot().scan("facts").unwrap() {
         q.db.insert(tx, "facts", row).unwrap();
     }
     q.db.commit(tx).unwrap();

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use quarry::query::engine::{execute, AggFn, Predicate, Query};
-use quarry::storage::{Column, DataType, Database, TableSchema, Value};
+use quarry::storage::{Column, DataType, Database, ScanAccess, TableSchema, Value};
 
 #[derive(Debug, Clone)]
 struct TestRow {
@@ -129,9 +129,9 @@ proptest! {
     #[test]
     fn index_probe_agrees_with_scan_filter(rows in row_strategy(), needle in -50i64..50) {
         let db = make_db(&rows);
-        let tx = db.begin();
-        let via_index = db.index_lookup(tx, "t", "num", &Value::Int(needle)).unwrap();
-        db.commit(tx).unwrap();
+        let needle_value = Value::Int(needle);
+        let access = ScanAccess::Index { column: "num", lo: Some(&needle_value), hi: Some(&needle_value) };
+        let (via_index, _) = db.snapshot().select("t", access, &mut |_| true, None).unwrap();
         let q = Query::scan("t").filter(vec![Predicate::Eq("num".into(), Value::Int(needle))]);
         let via_filter = execute(&db, &q).unwrap();
         let norm = |mut v: Vec<Vec<Value>>| {

@@ -355,25 +355,6 @@ fn a_panicking_request_gives_its_admission_slot_back() {
     drop(server.join());
 }
 
-/// True for the requests that mutate the store. No wildcard arm: a new
-/// `Request` variant does not compile until it is classified here.
-fn takes_the_writer(req: &Request) -> bool {
-    match req {
-        Request::Ping
-        | Request::Query(_)
-        | Request::KeywordSearch { .. }
-        | Request::Explain(_)
-        | Request::Stats
-        | Request::Shutdown => false,
-        Request::Qdl(_)
-        | Request::Checkpoint
-        | Request::CreateTable(_)
-        | Request::CreateIndex { .. }
-        | Request::InsertRows { .. }
-        | Request::DeleteRows { .. } => true,
-    }
-}
-
 /// One request of every variant; `Shutdown` last, because it ends the
 /// server it is sent to.
 fn one_of_each() -> Vec<Request> {
@@ -409,7 +390,7 @@ fn read_only_refuses_exactly_the_requests_that_take_the_writer() {
             c.request(&req).unwrap().payload,
             Payload::Error { kind: ErrorKind::ReadOnly, .. }
         );
-        assert_eq!(refused, takes_the_writer(&req), "read-only refusal of {req:?}");
+        assert_eq!(refused, req.is_write(), "read-only refusal of {req:?}");
     }
     assert_eq!(replica.metrics().snapshot().counter("server.read_only_rejections"), 6);
     drop(replica.join());
@@ -454,10 +435,10 @@ fn read_only_refuses_exactly_the_requests_that_take_the_writer() {
 
     for req in one_of_each() {
         // Long enough for a request that can reply to have replied.
-        let patience = if takes_the_writer(&req) { 150 } else { 10_000 };
+        let patience = if req.is_write() { 150 } else { 10_000 };
         let mut c = Client::connect_with(addr, Duration::from_millis(patience)).unwrap();
         let replied = c.request(&req).is_ok();
-        assert_eq!(replied, !takes_the_writer(&req), "reply to {req:?} while the writer is held");
+        assert_eq!(replied, !req.is_write(), "reply to {req:?} while the writer is held");
     }
     gate.release();
     parked.join().unwrap().expect("parked pipeline completes after release");

@@ -311,6 +311,27 @@ fn dead_connections_are_retried_up_to_the_configured_bound() {
 }
 
 #[test]
+fn a_write_whose_connection_dies_is_not_resent() {
+    use quarry::serve::ClientConfig;
+    use quarry::storage::Value;
+    // The hangup may have come after the insert committed: a resend would
+    // answer `DuplicateKey` for rows that are there. However many
+    // reconnects a read may use, the write surfaces the dead connection.
+    let fake = ScriptedServer::start(vec![ScriptStep::Hangup, ScriptStep::Reply(Payload::Done)]);
+    let mut c = Client::connect_with_config(
+        fake.addr,
+        ClientConfig {
+            read_timeout: Duration::from_secs(5),
+            reconnect_attempts: 2,
+            backoff: Duration::from_millis(1),
+        },
+    )
+    .unwrap();
+    assert!(c.insert_rows("t", vec![vec![Value::Int(1)]]).is_err());
+    assert_eq!(fake.requests(), 1, "the write was sent again");
+}
+
+#[test]
 fn undecodable_payload_fails_the_request_but_keeps_the_connection() {
     for (kind, sut) in Sut::both("undecodable") {
         let mut s = raw(sut.addr());

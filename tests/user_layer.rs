@@ -5,7 +5,9 @@ use quarry::core::{Correction, CorrectionStatus, Quarry, QuarryConfig};
 use quarry::corpus::{Corpus, CorpusConfig, NoiseConfig};
 use quarry::query::engine::AggFn;
 use quarry::query::Query;
-use quarry::storage::Value;
+use quarry::storage::{Column, DataType, TableSchema, Value};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 const PIPELINE: &str = r#"
 PIPELINE cities FROM corpus
@@ -125,4 +127,54 @@ fn untrusted_corrections_stay_pending() {
     q.db.commit(tx).unwrap();
     let pi = q.db.schema("cities").unwrap().column_index("population").unwrap();
     assert_ne!(row[pi], Value::Int(1));
+}
+
+/// Browsing and auditing read a snapshot: neither waits for a transaction
+/// another thread holds open, and neither sees what it has not committed.
+#[test]
+fn browse_and_audit_do_not_wait_for_an_open_transaction() {
+    let (mut q, corpus) = boot();
+    let name = corpus.truth.cities[0].name.as_str();
+    let key = [Value::from(name)];
+    let notes = TableSchema::new(
+        "notes",
+        vec![Column::new("id", DataType::Int), Column::new("city", DataType::Text)],
+        &["id"],
+        &[],
+    )
+    .unwrap();
+    q.db.create_table(notes).unwrap();
+    let (card, flags) = (q.browse("cities", &key).unwrap(), q.audit_table("cities").unwrap());
+
+    // The open transaction links a note to the browsed city and adds a
+    // city: both would show in the card and the audit once committed.
+    let mut city = q.db.snapshot().scan("cities").unwrap()[0].clone();
+    city[q.db.schema("cities").unwrap().key[0]] = "Atlantis".into();
+    let db = Arc::clone(&q.db);
+    let (held_tx, held) = mpsc::channel();
+    let (release_tx, release) = mpsc::channel::<()>();
+    let (read_tx, read) = mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let tx = db.begin();
+            db.insert(tx, "notes", vec![Value::Int(1), name.into()]).unwrap();
+            db.insert(tx, "cities", city).unwrap();
+            held_tx.send(()).unwrap();
+            let _ = release.recv();
+            db.commit(tx).unwrap();
+        });
+        held.recv().unwrap();
+        let (reader, key) = (&mut q, &key);
+        s.spawn(move || {
+            let _ = read_tx.send((reader.browse("cities", key), reader.audit_table("cities")));
+        });
+        let answered = read.recv_timeout(Duration::from_secs(5));
+        // Release the writer before asserting, so a failure cannot hang.
+        release_tx.send(()).unwrap();
+        let (browsed, audited) = answered.expect("a read waited for the open transaction");
+        assert_eq!(browsed.unwrap(), card);
+        assert_eq!(audited.unwrap(), flags);
+    });
+    let committed = q.browse("cities", &key).unwrap();
+    assert!(committed.contains("related in notes"), "{committed}");
 }
