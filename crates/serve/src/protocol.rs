@@ -310,17 +310,35 @@ impl FrameError {
     }
 }
 
-/// Serialize `payload` into one frame and write it.
-pub fn write_frame(w: &mut impl Write, req_id: u64, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+/// Write one frame under `req_id` whose payload `fill` appends: the one
+/// place the layout is written. The header is reserved first and its
+/// length and checksum patched in once the payload stands behind it, so a
+/// frame is one buffer, filled once and written once.
+fn write_framed(
+    w: &mut impl Write,
+    req_id: u64,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    // Room for a small request or reply; a large one grows by doubling.
+    let mut frame = Vec::with_capacity(256);
     frame.extend_from_slice(&MAGIC);
     frame.extend_from_slice(&VERSION.to_le_bytes());
     frame.extend_from_slice(&req_id.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&frame_crc(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
+    frame.resize(HEADER_LEN, 0);
+    fill(&mut frame);
+    let payload = &frame[HEADER_LEN..];
+    let len = u32::try_from(payload.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload over 4 GiB"))?;
+    let crc = frame_crc(payload);
+    frame[14..18].copy_from_slice(&len.to_le_bytes());
+    frame[18..22].copy_from_slice(&crc.to_le_bytes());
     w.write_all(&frame)?;
     w.flush()
+}
+
+/// Write `payload`, already encoded, as one frame.
+pub fn write_frame(w: &mut impl Write, req_id: u64, payload: &[u8]) -> io::Result<()> {
+    write_framed(w, req_id, |frame| frame.extend_from_slice(payload))
 }
 
 /// Consecutive read timeouts tolerated *inside* a frame before the
@@ -398,19 +416,15 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<(u64, Vec<u8>),
     Ok((req_id, payload))
 }
 
-fn encode<T: Serialize>(value: &T) -> io::Result<Vec<u8>> {
-    serde_json::to_vec(value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e}")))
-}
-
-/// Serialize a request and write it as one frame under `req_id`.
+/// Serialize a request straight into one frame under `req_id` and write it.
 pub fn write_request(w: &mut impl Write, req_id: u64, req: &Request) -> io::Result<()> {
-    write_frame(w, req_id, &encode(req)?)
+    write_framed(w, req_id, |frame| req.serialize(frame))
 }
 
-/// Serialize a response and write it as one frame under its own id.
+/// Serialize a response straight into one frame under its own id and
+/// write it.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    write_frame(w, resp.id, &encode(resp)?)
+    write_framed(w, resp.id, |frame| resp.serialize(frame))
 }
 
 fn decode<T: Deserialize>(what: &str, payload: &[u8]) -> io::Result<T> {
@@ -647,12 +661,21 @@ mod tests {
         for i in 0..n {
             let (_, payload) = read_frame(&mut rest, DEFAULT_MAX_FRAME).unwrap();
             let again = if i < 12 {
-                encode(&decode_request(&payload).unwrap()).unwrap()
+                serde_json::to_vec(&decode_request(&payload).unwrap())
             } else {
-                encode(&decode::<Response>("bad response", &payload).unwrap()).unwrap()
+                serde_json::to_vec(&decode::<Response>("bad response", &payload).unwrap())
             };
-            assert!(again == payload, "frame {i} does not survive a decode and re-encode");
+            assert!(again.unwrap() == payload, "frame {i} does not survive a decode and re-encode");
         }
+    }
+
+    /// A version-1 peer that predates `lsn` still parses, with the field at
+    /// its default.
+    #[test]
+    fn a_response_without_lsn_decodes_with_lsn_zero() {
+        let payload = br#"{"id":1,"server_micros":0,"payload":"Pong"}"#;
+        let resp: Response = decode("bad response", payload).unwrap();
+        assert_eq!(resp, Response { id: 1, server_micros: 0, lsn: 0, payload: Payload::Pong });
     }
 
     #[test]

@@ -1,28 +1,38 @@
-//! The JSON tree, writer, and parser backing the serde shim.
+//! The JSON reader and writer behind the serde shim, and [`Json`], the one
+//! type that holds any JSON value.
 //!
-//! The parser reads input that may be hostile (it is the wire decoder of
+//! There is no tree in between: a type reads itself from a [`Reader`] over
+//! the borrowed input and writes itself into the caller's buffer. `Json` is
+//! one more type that does both, for callers that want a document to walk:
+//! [`parse`] is its `Deserialize`, [`to_string`] its `Serialize`.
+//!
+//! The reader reads input that may be hostile (it is the wire decoder of
 //! `quarry-serve`), so it promises three things whatever the bytes are:
 //!
 //! - **Linear time.** Every input byte is looked at a bounded number of
-//!   times: a string is copied one run at a time (up to the next `"` or
+//!   times: a string is taken one run at a time (up to the next `"` or
 //!   `\`), never one character at a time against the rest of the input.
 //! - **Bounded stack.** Arrays and objects nest at most [`MAX_DEPTH`]
-//!   deep; beyond that the input is refused, not followed.
+//!   deep, counted on every path, a value skipped under an unknown key
+//!   included; beyond that the input is refused, not followed.
 //! - **Bounded messages.** An error names an offset or a JSON kind
-//!   ([`Json::kind`]), never the offending text, so it stays short
+//!   ([`Reader::mismatch`]), never the offending text, so it stays short
 //!   however large the input was.
 //!
 //! The writer is the mirror image: clean runs of a string are pushed
 //! whole, and a number is formatted into the output, not into a string
 //! of its own first.
 
-use std::fmt::Write as _;
+use crate::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::io::Write as _;
+use std::num::ParseIntError;
 
 /// An owned JSON value.
 ///
 /// Integers keep exact `i128` representation (covering the full `u64` and
-/// `i64` ranges) so WAL records round-trip losslessly; floats use `f64`
-/// with shortest-round-trip formatting.
+/// `i64` ranges) so values round-trip losslessly; floats use `f64` with
+/// shortest-round-trip formatting.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -66,8 +76,7 @@ impl Json {
         }
     }
 
-    /// The name of this value's JSON type: what a decode error says it got
-    /// instead of rendering the value, which may be megabytes.
+    /// The name of this value's JSON type, as a decode error names it.
     pub fn kind(&self) -> &'static str {
         match self {
             Json::Null => "null",
@@ -86,222 +95,492 @@ impl Json {
     }
 }
 
-/// Render a JSON tree to a compact string.
-pub fn to_string(v: &Json) -> String {
-    let mut out = String::new();
-    write_json(v, &mut out);
-    out
-}
-
-fn write_json(v: &Json, out: &mut String) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
-        Json::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Json::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` is shortest-round-trip; ensure a fraction or
-                // exponent survives so the parser reads a Float back.
-                let start = out.len();
-                let _ = write!(out, "{f:?}");
-                if !out[start..].contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
+impl Serialize for Json {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        match self {
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => b.serialize(out),
+            Json::Int(i) => write_int(out, *i),
+            Json::Float(f) => write_f64(out, *f),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => items.serialize(out),
+            Json::Obj(entries) => {
+                out.push(b'{');
+                for (i, (k, v)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(b',');
+                    }
+                    write_str(out, k);
+                    out.push(b':');
+                    v.serialize(out);
                 }
-            } else {
-                // serde_json refuses non-finite; a shim can pick null.
-                out.push_str("null");
+                out.push(b'}');
             }
-        }
-        Json::Str(s) => write_escaped(s, out),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(entries) => {
-            out.push('{');
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(k, out);
-                out.push(':');
-                write_json(val, out);
-            }
-            out.push('}');
         }
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    // Everything escaped is one ASCII byte, so the runs between escapes
-    // start and end on character boundaries and are pushed whole.
-    let mut clean = 0;
-    for (i, &c) in s.as_bytes().iter().enumerate() {
-        let escape = match c {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        out.push_str(&s[clean..i]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{c:04x}");
-        } else {
-            out.push_str(escape);
-        }
-        clean = i + 1;
+impl Deserialize for Json {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Json, String> {
+        Ok(match r.peek()? {
+            b'n' => r.null().map(|_| Json::Null)?,
+            b't' | b'f' => Json::Bool(r.bool()?),
+            b'"' => Json::Str(r.str()?.into_owned()),
+            b'[' => Json::Arr(Vec::deserialize(r)?),
+            b'{' => {
+                let mut entries = Vec::new();
+                r.object(|r, k| Json::deserialize(r).map(|v| entries.push((k.into_owned(), v))))?;
+                Json::Obj(entries)
+            }
+            _ => match r.number("number")? {
+                Number::Int(i) => Json::Int(i),
+                Number::Float(f) => Json::Float(f),
+            },
+        })
     }
-    out.push_str(&s[clean..]);
-    out.push('"');
 }
 
-/// Arrays and objects nested deeper than this are refused. The parser
-/// recurses once per level, so without a bound a few kilobytes of `[`
-/// overflow the stack of whichever thread decodes them. The deepest value
-/// this workspace encodes is a `Request` carrying a query tree, two levels
-/// an operator: the cap is some sixty operators nested in one query.
-pub const MAX_DEPTH: usize = 128;
+/// Render a value as compact JSON text.
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut out = Vec::new();
+    value.serialize(&mut out);
+    String::from_utf8(out).expect("the writer emits UTF-8")
+}
 
-/// Parse a JSON string into a tree.
-pub fn parse(input: &str) -> Result<Json, String> {
-    let mut pos = 0usize;
-    let value = parse_value(input, &mut pos, 0)?;
-    skip_ws(input.as_bytes(), &mut pos);
-    if pos != input.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
+/// Read one `T` from `text`, which must hold that value and nothing else
+/// but whitespace.
+pub fn from_str<T: Deserialize>(text: &str) -> Result<T, String> {
+    let mut r = Reader::new(text);
+    let value = T::deserialize(&mut r)?;
+    r.end()?;
     Ok(value)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Parse JSON text into a [`Json`] document.
+pub fn parse(input: &str) -> Result<Json, String> {
+    from_str(input)
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at offset {pos}", c as char))
-    }
-}
+// ---------- writer ----------
 
-/// Parse the value at `pos`, itself `depth` arrays and objects deep.
-fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
-    let b = s.as_bytes();
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(s, pos).map(Json::Str),
-        Some(b'[' | b'{') if depth == MAX_DEPTH => {
-            Err(format!("nested deeper than {MAX_DEPTH} at offset {pos}"))
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(s, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut entries = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(entries));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(s, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, b':')?;
-                let value = parse_value(s, pos, depth + 1)?;
-                entries.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(entries));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(s, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at offset {pos}", *c as char)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at offset {pos}"))
-    }
-}
-
-fn parse_number(s: &str, pos: &mut usize) -> Result<Json, String> {
-    let b = s.as_bytes();
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut float = false;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    // The token is ASCII, so it is sliced out of the already-valid input
-    // as it stands. A token that does not parse may be megabytes of
-    // digits: the error gives its offset, not its text.
-    let text = &s[start..*pos];
-    let parsed = if float {
-        text.parse::<f64>().map(Json::Float).map_err(|e| e.to_string())
-    } else {
-        text.parse::<i128>().map(Json::Int).map_err(|e| e.to_string())
+/// Append `n` in decimal.
+#[inline]
+pub(crate) fn write_int(out: &mut Vec<u8>, n: i128) {
+    let Ok(mut rest) = u64::try_from(n.unsigned_abs()) else {
+        let _ = write!(out, "{n}");
+        return;
     };
-    parsed.map_err(|e| format!("bad number at offset {start}: {e}"))
+    if n < 0 {
+        out.push(b'-');
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append `f` so that it reads back as the same float.
+#[inline]
+pub(crate) fn write_f64(out: &mut Vec<u8>, f: f64) {
+    if f.is_finite() {
+        // `{:?}` is shortest-round-trip; ensure a fraction or exponent
+        // survives so the reader reads a float back.
+        let start = out.len();
+        let _ = write!(out, "{f:?}");
+        if !out[start..].iter().any(|c| matches!(c, b'.' | b'e' | b'E')) {
+            out.extend_from_slice(b".0");
+        }
+    } else {
+        // serde_json refuses non-finite; a shim can pick null.
+        out.extend_from_slice(b"null");
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string.
+#[inline]
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    // Everything escaped is one ASCII byte, so the runs between escapes
+    // are whole characters and are pushed as they stand.
+    let bytes = s.as_bytes();
+    let mut clean = 0;
+    for (i, &c) in bytes.iter().enumerate() {
+        let escape: &[u8] = match c {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => b"",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[clean..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{c:04x}");
+        } else {
+            out.extend_from_slice(escape);
+        }
+        clean = i + 1;
+    }
+    out.extend_from_slice(&bytes[clean..]);
+    out.push(b'"');
+}
+
+// ---------- reader ----------
+
+/// Arrays and objects nested deeper than this are refused. A value is
+/// read by recursion, once per level, so without a bound a few kilobytes
+/// of `[` overflow the stack of whichever thread decodes them. The deepest
+/// value this workspace encodes is a `Request` carrying a query tree, two
+/// levels an operator: the cap is some sixty operators nested in one query.
+pub const MAX_DEPTH: usize = 128;
+
+/// A number as the input wrote it: one with no fraction or exponent is an
+/// integer, kept exact.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// No `.`, `e`, `E`, `+` or inner `-`.
+    Int(i128),
+    /// Anything else that parses as an `f64`.
+    Float(f64),
+}
+
+/// A pull reader over borrowed JSON text: each read takes the next value,
+/// skipping the whitespace before it. A read that finds a value of another
+/// kind consumes nothing and answers [`Reader::mismatch`].
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader { text, pos: 0, depth: 0 }
+    }
+
+    /// Refuse anything but whitespace after the value read.
+    pub fn end(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing bytes at offset {}", self.pos))
+        }
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        let b = self.text.as_bytes();
+        while self.pos < b.len() && matches!(b[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+    }
+
+    /// The first byte of the next value, not consumed.
+    #[inline]
+    pub fn peek(&mut self) -> Result<u8, String> {
+        self.skip_ws();
+        self.text.as_bytes().get(self.pos).copied().ok_or_else(|| "unexpected end of input".into())
+    }
+
+    fn unexpected(&self, c: u8) -> String {
+        format!("unexpected byte {:?} at offset {}", c as char, self.pos)
+    }
+
+    /// The JSON kind of the next value, judged from how it starts.
+    fn kind(&mut self) -> Result<&'static str, String> {
+        Ok(match self.peek()? {
+            b'n' => "null",
+            b't' | b'f' => "bool",
+            b'"' => "string",
+            b'[' => "array",
+            b'{' => "object",
+            b'-' | b'0'..=b'9' if self.number_token().1 => "float",
+            b'-' | b'0'..=b'9' => "integer",
+            c => return Err(self.unexpected(c)),
+        })
+    }
+
+    /// The error for a next value that is not what the caller `expected`,
+    /// such as "expected integer, got string". Input that starts no value
+    /// at all gets its syntax error instead.
+    pub fn mismatch(&mut self, expected: &str) -> String {
+        match self.kind() {
+            Ok(kind) => format!("expected {expected}, got {kind}"),
+            Err(e) => e,
+        }
+    }
+
+    #[inline]
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err(format!("invalid literal at offset {}", self.pos))
+        }
+    }
+
+    /// Read a `null` if one is next; `Ok(false)`, reading nothing, if not.
+    #[inline]
+    pub fn null(&mut self) -> Result<bool, String> {
+        if self.peek()? != b'n' {
+            return Ok(false);
+        }
+        self.literal("null").map(|()| true)
+    }
+
+    /// Read `true` or `false`.
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool, String> {
+        match self.peek()? {
+            b't' => self.literal("true").map(|()| true),
+            b'f' => self.literal("false").map(|()| false),
+            _ => Err(self.mismatch("bool")),
+        }
+    }
+
+    /// The end of the number token at `pos`, and whether it is a float.
+    #[inline]
+    fn number_token(&self) -> (usize, bool) {
+        let b = self.text.as_bytes();
+        let mut end = self.pos;
+        if b.get(end) == Some(&b'-') {
+            end += 1;
+        }
+        let mut float = false;
+        while let Some(&c) = b.get(end) {
+            match c {
+                b'0'..=b'9' => end += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    float = true;
+                    end += 1;
+                }
+                _ => break,
+            }
+        }
+        (end, float)
+    }
+
+    /// Read a number, parsed where it lies; anything else is a mismatch
+    /// with `expected`.
+    #[inline]
+    pub fn number(&mut self, expected: &str) -> Result<Number, String> {
+        if !matches!(self.peek()?, b'-' | b'0'..=b'9') {
+            return Err(self.mismatch(expected));
+        }
+        let start = self.pos;
+        let (end, float) = self.number_token();
+        self.pos = end;
+        // The token is ASCII, so it is sliced out of the already-valid input
+        // as it stands. A token that does not parse may be megabytes of
+        // digits: the error gives its offset, not its text.
+        let text = &self.text[start..end];
+        let parsed = if float {
+            text.parse().map(Number::Float).map_err(|e| e.to_string())
+        } else {
+            parse_int(text).map(Number::Int).map_err(|e| e.to_string())
+        };
+        parsed.map_err(|e| format!("bad number at offset {start}: {e}"))
+    }
+
+    /// Read a string. It is borrowed from the input unless it holds an
+    /// escape, so matching a key or a variant tag allocates nothing.
+    #[inline]
+    pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        if self.peek()? != b'"' {
+            return Err(self.mismatch("string"));
+        }
+        self.pos += 1;
+        let (text, b) = (self.text, self.text.as_bytes());
+        let mut unescaped: Option<String> = None;
+        loop {
+            // A run ends at a `"` or a `\`. Both are ASCII, so the run is a
+            // whole number of characters of an input that is already valid
+            // UTF-8: it is taken as it stands, and each byte is seen once.
+            let run = b[self.pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .ok_or_else(|| "unterminated string".to_string())?;
+            let clean = &text[self.pos..self.pos + run];
+            self.pos += run;
+            if b[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match unescaped {
+                    None => Cow::Borrowed(clean),
+                    Some(mut out) => {
+                        out.push_str(clean);
+                        Cow::Owned(out)
+                    }
+                });
+            }
+            // The string unescaped is no longer than it is written, so one
+            // allocation holds it.
+            let out =
+                unescaped.get_or_insert_with(|| String::with_capacity(run + raw_len(b, self.pos)));
+            out.push_str(clean);
+            self.pos += 1;
+            match b.get(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let mut code = hex4(b, self.pos + 1)?;
+                    self.pos += 4;
+                    // Surrogate pair.
+                    if (0xD800..0xDC00).contains(&code) && b[self.pos + 1..].starts_with(b"\\u") {
+                        let low = hex4(b, self.pos + 3)?;
+                        if (0xDC00..0xE000).contains(&low) {
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            self.pos += 6;
+                        }
+                    }
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                }
+                _ => return Err(format!("bad escape at offset {}", self.pos)),
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Enter the array or object `open` begins, if it is next.
+    #[inline]
+    fn open(&mut self, open: u8) -> Result<bool, String> {
+        if self.peek()? != open {
+            return Ok(false);
+        }
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nested deeper than {MAX_DEPTH} at offset {}", self.pos));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(true)
+    }
+
+    /// Leave the open array or object if `close` is next.
+    #[inline]
+    fn close(&mut self, close: u8) -> bool {
+        self.skip_ws();
+        let closed = self.text.as_bytes().get(self.pos) == Some(&close);
+        if closed {
+            self.pos += 1;
+            self.depth -= 1;
+        }
+        closed
+    }
+
+    /// After an item or an entry: `true` if a `,` announces another, `false`
+    /// if `close` ends the array or object.
+    #[inline]
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        if self.close(close) {
+            return Ok(false);
+        }
+        if self.text.as_bytes().get(self.pos) == Some(&b',') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        Err(format!("expected ',' or '{}' at offset {}", close as char, self.pos))
+    }
+
+    /// Read an array, handing `each` the reader at every item. `Ok(false)`,
+    /// reading nothing, if the next value is not an array.
+    #[inline]
+    pub fn array(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        if !self.open(b'[')? {
+            return Ok(false);
+        }
+        if !self.close(b']') {
+            loop {
+                each(self)?;
+                if !self.more(b']')? {
+                    break;
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Read an object, handing `each` every key and the reader at its
+    /// value. `Ok(false)`, reading nothing, if the next value is not an
+    /// object.
+    #[inline]
+    pub fn object(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        if !self.open(b'{')? {
+            return Ok(false);
+        }
+        if !self.close(b'}') {
+            loop {
+                let key = self.str()?;
+                self.skip_ws();
+                if self.text.as_bytes().get(self.pos) != Some(&b':') {
+                    return Err(format!("expected ':' at offset {}", self.pos));
+                }
+                self.pos += 1;
+                each(self, key)?;
+                if !self.more(b'}')? {
+                    break;
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Read past the next value, holding it to the same rules as any other
+    /// (what is skipped is still JSON, and still at most [`MAX_DEPTH`]
+    /// deep), and drop it.
+    pub fn skip(&mut self) -> Result<(), String> {
+        Json::deserialize(self).map(drop)
+    }
+}
+
+/// Bytes from `at`, inside a string, to its closing quote (or the end of
+/// the input): an escaped character is stepped over, whatever it is.
+fn raw_len(b: &[u8], start: usize) -> usize {
+    let mut at = start;
+    while let Some(run) =
+        b.get(at..).and_then(|rest| rest.iter().position(|&c| c == b'"' || c == b'\\'))
+    {
+        at += run;
+        if b[at] == b'"' {
+            return at - start;
+        }
+        at += 2;
+    }
+    b.len().saturating_sub(start)
+}
+
+/// `text.parse::<i128>()` for an integer token, without its cost when the
+/// token is short enough that any digits fit an `i64`.
+#[inline]
+fn parse_int(text: &str) -> Result<i128, ParseIntError> {
+    let digits = text.strip_prefix('-').unwrap_or(text);
+    if !(1..=18).contains(&digits.len()) {
+        return text.parse();
+    }
+    let n = digits.bytes().fold(0i64, |n, d| n * 10 + i64::from(d - b'0'));
+    Ok(i128::from(if digits.len() < text.len() { -n } else { n }))
 }
 
 /// The four hex digits of a `\u` escape at `at`. Digits only:
@@ -312,53 +591,6 @@ fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
         .iter()
         .try_fold(0u32, |code, &c| Some(code * 16 + (c as char).to_digit(16)?))
         .ok_or_else(|| format!("bad \\u escape at offset {at}"))
-}
-
-fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
-    let b = s.as_bytes();
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        // A run ends at a `"` or a `\`. Both are ASCII, so the run is a
-        // whole number of characters of an input that is already valid
-        // UTF-8: it is copied as it stands, and each byte is seen once.
-        let run = b[*pos..]
-            .iter()
-            .position(|&c| c == b'"' || c == b'\\')
-            .ok_or_else(|| "unterminated string".to_string())?;
-        out.push_str(&s[*pos..*pos + run]);
-        *pos += run;
-        if b[*pos] == b'"' {
-            *pos += 1;
-            return Ok(out);
-        }
-        *pos += 1;
-        match b.get(*pos) {
-            Some(b'"') => out.push('"'),
-            Some(b'\\') => out.push('\\'),
-            Some(b'/') => out.push('/'),
-            Some(b'n') => out.push('\n'),
-            Some(b'r') => out.push('\r'),
-            Some(b't') => out.push('\t'),
-            Some(b'b') => out.push('\u{8}'),
-            Some(b'f') => out.push('\u{c}'),
-            Some(b'u') => {
-                let mut code = hex4(b, *pos + 1)?;
-                *pos += 4;
-                // Surrogate pair.
-                if (0xD800..0xDC00).contains(&code) && b[*pos + 1..].starts_with(b"\\u") {
-                    let low = hex4(b, *pos + 3)?;
-                    if (0xDC00..0xE000).contains(&low) {
-                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                        *pos += 6;
-                    }
-                }
-                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-            }
-            _ => return Err(format!("bad escape at offset {pos}")),
-        }
-        *pos += 1;
-    }
 }
 
 #[cfg(test)]
@@ -440,8 +672,7 @@ mod tests {
     #[test]
     fn string_escape_table() {
         let ok = |src: &str| {
-            let mut pos = 0;
-            parse_string(src, &mut pos).unwrap_or_else(|e| panic!("{src}: {e}"))
+            Reader::new(src).str().unwrap_or_else(|e| panic!("{src}: {e}")).into_owned()
         };
         assert_eq!(ok(r#""\u0041\u00e9\u4E2d""#), "Aé中");
         assert_eq!(ok(r#""\"\\\/\n\r\t\b\f""#), "\"\\/\n\r\t\u{8}\u{c}");
@@ -477,16 +708,19 @@ mod tests {
             "",
             "abc\"",
         ] {
-            assert!(parse_string(bad, &mut 0).is_err(), "{bad} was accepted");
+            assert!(Reader::new(bad).str().is_err(), "{bad} was accepted");
         }
     }
 
-    /// The scanner of the parent commit, unchanged: it takes one character
-    /// at a time, validating the whole rest of the input to find it, which
-    /// is quadratic but plainly right. The differential below holds the
-    /// run-copying scanner to it.
+    /// The scanner as it once was: it takes one character at a time,
+    /// validating the whole rest of the input to find it, which is
+    /// quadratic but plainly right. The differential below holds the
+    /// run-taking scanner to it.
     fn parse_string_oracle(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
+        if b.get(*pos) != Some(&b'"') {
+            return Err("expected '\"'".to_string());
+        }
+        *pos += 1;
         let mut out = String::new();
         loop {
             match b.get(*pos) {
@@ -597,8 +831,10 @@ mod tests {
         ) {
             let mut src = String::from("\"");
             src.extend(picks.iter().map(|&i| FRAGMENTS[i]));
-            let (mut pos, mut oracle_pos) = (0, 0);
-            let got = parse_string(&src, &mut pos);
+            let mut oracle_pos = 0;
+            let mut reader = Reader::new(&src);
+            let got = reader.str().map(Cow::into_owned);
+            let pos = reader.pos;
             let want = parse_string_oracle(src.as_bytes(), &mut oracle_pos);
             match (&got, &want) {
                 (Ok(got), Ok(want)) => {

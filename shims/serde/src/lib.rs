@@ -1,14 +1,17 @@
-//! Offline shim for `serde` — `Serialize`/`Deserialize` as traits over an
-//! owned JSON tree ([`json::Json`]), plus the derive macros.
+//! Offline shim for `serde` — `Serialize`/`Deserialize` as traits that
+//! write JSON straight into a byte buffer and read it straight out of a
+//! [`json::Reader`], plus the derive macros.
 //!
 //! This is *not* the serde data model: there is exactly one data format
 //! (JSON), which is the only one this workspace uses (via `serde_json`).
 //! Derived impls produce serde's externally-tagged enum representation so
-//! the bytes on disk match what the real serde_json would write.
+//! the bytes match what the real serde_json would write. No value passes
+//! through a tree on either side: a decode allocates only for the strings
+//! and vectors the value itself owns.
 //!
-//! `from_json` runs on trees parsed from the network, so its errors are
-//! bounded like the parser's (see [`json`]): they name the JSON kind that
-//! was found ([`json::Json::kind`]) or quote a [`clip`]ped name, never the
+//! Decoding runs on bytes from the network, so its errors are bounded like
+//! the reader's (see [`json`]): they name the JSON kind that was found
+//! ([`json::Reader::mismatch`]) or quote a [`clip`]ped name, never the
 //! value itself.
 
 #![forbid(unsafe_code)]
@@ -17,26 +20,77 @@ pub mod json;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use json::Json;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::Hash;
+use json::Reader;
+use std::collections::BTreeMap;
 
-/// Serialize into a JSON tree.
+/// Serialize as JSON.
 pub trait Serialize {
-    /// The JSON representation of `self`.
-    fn to_json(&self) -> Json;
+    /// Append the JSON text of `self` to `out`.
+    fn serialize(&self, out: &mut Vec<u8>);
 }
 
-/// Deserialize from a JSON tree.
+/// Deserialize from JSON.
 pub trait Deserialize: Sized {
-    /// Rebuild from JSON; `Err` carries a human-readable reason.
-    fn from_json(v: &Json) -> Result<Self, String>;
+    /// Read one value from `r`; `Err` carries a human-readable reason.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String>;
 }
 
-/// `serde::de` namespace stub: the owned-deserialization marker alias.
+/// What derived impls call: the pieces of reading a struct or an enum
+/// that do not depend on its fields.
 pub mod de {
-    /// In this shim every `Deserialize` is owned.
-    pub use crate::Deserialize as DeserializeOwned;
+    use super::{clip, Deserialize};
+    use crate::json::Reader;
+
+    /// Read a struct field's value into `slot`. A key that appears twice
+    /// keeps its first value; the second is checked as JSON and dropped.
+    pub fn field<T: Deserialize>(slot: &mut Option<T>, r: &mut Reader<'_>) -> Result<(), String> {
+        match slot {
+            None => T::deserialize(r).map(|v| *slot = Some(v)),
+            Some(_) => r.skip(),
+        }
+    }
+
+    /// The error for a field that is absent (or a struct that is not an
+    /// object at all).
+    pub fn missing(field: &str, owner: &str) -> String {
+        format!("missing field {field} for {owner}")
+    }
+
+    /// Read an externally tagged enum: a unit variant is its name as a
+    /// string, any other variant an object of exactly one entry from its
+    /// name to its content. `unit` maps a name to its unit variant; `data`
+    /// reads the content of the named variant, or answers `Ok(None)`,
+    /// reading nothing, for a name that is not one of them.
+    pub fn variant<'a, T>(
+        r: &mut Reader<'a>,
+        owner: &str,
+        unit: impl FnOnce(&str) -> Option<T>,
+        mut data: impl FnMut(&mut Reader<'a>, &str) -> Result<Option<T>, String>,
+    ) -> Result<T, String> {
+        let unknown = |tag: &str| format!("unknown variant {:?} for {owner}", clip(tag));
+        let several = || format!("expected variant encoding for {owner}, got object");
+        if r.peek()? == b'"' {
+            let tag = r.str()?;
+            return unit(&tag).ok_or_else(|| unknown(&tag));
+        }
+        let mut found = None;
+        let object = r.object(|r, tag| {
+            if found.is_some() {
+                return Err(several());
+            }
+            let value = data(r, &tag)?;
+            if value.is_none() {
+                r.skip()?;
+            }
+            found = Some(value.ok_or_else(|| unknown(&tag)));
+            Ok(())
+        })?;
+        match found {
+            Some(result) => result,
+            None if object => Err(several()),
+            None => Err(r.mismatch(&format!("variant encoding for {owner}"))),
+        }
+    }
 }
 
 /// The start of a name the input supplied (a variant tag, a map key), as
@@ -51,298 +105,151 @@ pub fn clip(name: &str) -> &str {
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_json(&self) -> Json {
-                Json::Int(*self as i128)
+            #[inline]
+            fn serialize(&self, out: &mut Vec<u8>) {
+                json::write_int(out, *self as i128);
             }
         }
         impl Deserialize for $t {
-            fn from_json(v: &Json) -> Result<Self, String> {
-                match v {
-                    Json::Int(i) => <$t>::try_from(*i)
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+                match r.number("integer")? {
+                    json::Number::Int(i) => <$t>::try_from(i)
                         .map_err(|_| format!("{i} out of range for {}", stringify!($t))),
-                    Json::Float(f) if f.fract() == 0.0 => Ok(*f as $t),
-                    other => Err(format!("expected integer, got {}", other.kind())),
+                    json::Number::Float(f) if f.fract() == 0.0 => Ok(f as $t),
+                    json::Number::Float(_) => Err("expected integer, got float".to_string()),
                 }
             }
         }
     )*};
 }
 
-int_impls!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+int_impls!(u8, u32, u64, usize, i64);
 
-macro_rules! float_impls {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_json(&self) -> Json {
-                Json::Float(*self as f64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_json(v: &Json) -> Result<Self, String> {
-                match v {
-                    Json::Float(f) => Ok(*f as $t),
-                    Json::Int(i) => Ok(*i as $t),
-                    other => Err(format!("expected number, got {}", other.kind())),
-                }
-            }
-        }
-    )*};
+impl Serialize for f64 {
+    #[inline]
+    fn serialize(&self, out: &mut Vec<u8>) {
+        json::write_f64(out, *self);
+    }
 }
 
-float_impls!(f32, f64);
+impl Deserialize for f64 {
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(match r.number("number")? {
+            json::Number::Float(f) => f,
+            json::Number::Int(i) => i as f64,
+        })
+    }
+}
 
 impl Serialize for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    #[inline]
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if *self { b"true" } else { b"false" });
     }
 }
 
 impl Deserialize for bool {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!("expected bool, got {}", other.kind())),
-        }
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.bool()
     }
 }
 
 impl Serialize for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    #[inline]
+    fn serialize(&self, out: &mut Vec<u8>) {
+        json::write_str(out, self);
     }
 }
 
 impl Deserialize for String {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Str(s) => Ok(s.clone()),
-            other => Err(format!("expected string, got {}", other.kind())),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(format!("expected single-char string, got {}", other.kind())),
-        }
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
-    }
-}
-
-/// `&'static str` deserializes by leaking — acceptable for a test shim,
-/// and required because `Extraction.extractor` is a `&'static str` field.
-impl Deserialize for &'static str {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Str(s) => Ok(Box::leak(s.clone().into_boxed_str())),
-            other => Err(format!("expected string, got {}", other.kind())),
-        }
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.str().map(String::from)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_json(&self) -> Json {
+    fn serialize(&self, out: &mut Vec<u8>) {
         match self {
-            Some(x) => x.to_json(),
-            None => Json::Null,
+            Some(x) => x.serialize(out),
+            None => out.extend_from_slice(b"null"),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
+    fn serialize(&self, out: &mut Vec<u8>) {
+        (**self).serialize(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        T::from_json(v).map(Box::new)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        T::deserialize(r).map(Box::new)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(Serialize::to_json).collect())
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            item.serialize(out);
+        }
+        out.push(b']');
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Arr(items) => items.iter().map(T::from_json).collect(),
-            other => Err(format!("expected array, got {}", other.kind())),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        let mut items = Vec::new();
+        if r.array(|r| T::deserialize(r).map(|item| items.push(item)))? {
+            Ok(items)
+        } else {
+            Err(r.mismatch("array"))
         }
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(Serialize::to_json).collect())
-    }
-}
-
-macro_rules! tuple_impls {
-    ($(($($n:tt $t:ident),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_json(&self) -> Json {
-                Json::Arr(vec![$(self.$n.to_json()),+])
+/// A map is an object, so its keys are strings. A key that appears twice
+/// keeps its last value, as inserting the entries in order would.
+impl<V: Serialize> Serialize for BTreeMap<String, V> {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.push(b'{');
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
             }
+            json::write_str(out, k);
+            out.push(b':');
+            v.serialize(out);
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_json(v: &Json) -> Result<Self, String> {
-                match v {
-                    Json::Arr(items) => {
-                        let mut it = items.iter();
-                        let out = ($(
-                            $t::from_json(
-                                it.next().ok_or_else(|| "tuple too short".to_string())?
-                            )?,
-                        )+);
-                        if it.next().is_some() {
-                            return Err("tuple too long".to_string());
-                        }
-                        Ok(out)
-                    }
-                    other => Err(format!("expected array (tuple), got {}", other.kind())),
-                }
-            }
-        }
-    )*};
-}
-
-tuple_impls! {
-    (0 A)
-    (0 A, 1 B)
-    (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-    (0 A, 1 B, 2 C, 3 D, 4 E)
-}
-
-// ---------- map / set impls ----------
-
-fn key_to_string<K: Serialize>(k: &K) -> String {
-    match k.to_json() {
-        Json::Str(s) => s,
-        Json::Int(i) => i.to_string(),
-        Json::Bool(b) => b.to_string(),
-        other => panic!("unsupported JSON map key: {other:?}"),
+        out.push(b'}');
     }
 }
 
-fn key_from_string<K: Deserialize>(s: &str) -> Result<K, String> {
-    if let Ok(k) = K::from_json(&Json::Str(s.to_string())) {
-        return Ok(k);
-    }
-    if let Ok(i) = s.parse::<i128>() {
-        if let Ok(k) = K::from_json(&Json::Int(i)) {
-            return Ok(k);
-        }
-    }
-    if let Ok(b) = s.parse::<bool>() {
-        if let Ok(k) = K::from_json(&Json::Bool(b)) {
-            return Ok(k);
-        }
-    }
-    Err(format!("cannot rebuild map key from {:?}", clip(s)))
-}
-
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_json(&self) -> Json {
-        // Deterministic output: sort by rendered key.
-        let mut entries: Vec<(String, Json)> =
-            self.iter().map(|(k, v)| (key_to_string(k), v.to_json())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Json::Obj(entries)
-    }
-}
-
-impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Obj(entries) => entries
-                .iter()
-                .map(|(k, val)| Ok((key_from_string(k)?, V::from_json(val)?)))
-                .collect(),
-            other => Err(format!("expected object (map), got {}", other.kind())),
-        }
-    }
-}
-
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_json(&self) -> Json {
-        Json::Obj(self.iter().map(|(k, v)| (key_to_string(k), v.to_json())).collect())
-    }
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Obj(entries) => entries
-                .iter()
-                .map(|(k, val)| Ok((key_from_string(k)?, V::from_json(val)?)))
-                .collect(),
-            other => Err(format!("expected object (map), got {}", other.kind())),
-        }
-    }
-}
-
-impl<T: Serialize, S> Serialize for HashSet<T, S> {
-    fn to_json(&self) -> Json {
-        let mut items: Vec<Json> = self.iter().map(Serialize::to_json).collect();
-        items.sort_by_key(json::to_string);
-        Json::Arr(items)
-    }
-}
-
-impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Arr(items) => items.iter().map(T::from_json).collect(),
-            other => Err(format!("expected array (set), got {}", other.kind())),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(Serialize::to_json).collect())
-    }
-}
-
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Arr(items) => items.iter().map(T::from_json).collect(),
-            other => Err(format!("expected array (set), got {}", other.kind())),
+impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        let mut map = BTreeMap::new();
+        if r.object(|r, k| V::deserialize(r).map(|v| drop(map.insert(k.into_owned(), v))))? {
+            Ok(map)
+        } else {
+            Err(r.mismatch("object (map)"))
         }
     }
 }

@@ -4,7 +4,13 @@
 //! Supports the shapes this workspace uses: non-generic structs (named,
 //! tuple, unit) and enums (unit / newtype / tuple / struct variants),
 //! generating serde's externally-tagged JSON representation against the
-//! `serde` shim's `to_json`/`from_json` traits.
+//! `serde` shim's streaming traits: `serialize` appends literal key text
+//! and each field's own encoding to the output, `deserialize` matches keys
+//! and tags as borrowed strings from a `json::Reader`.
+//!
+//! The one attribute understood is `#[serde(default)]` on a named field:
+//! an absent key decodes as `Default::default()`. Any other `#[serde(..)]`
+//! is a compile error rather than a silently different format.
 
 #![forbid(unsafe_code)]
 
@@ -26,10 +32,16 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 // ---------- item model ----------
 
+struct Field {
+    name: String,
+    /// `#[serde(default)]`: absent on decode means `Default::default()`.
+    default: bool,
+}
+
 enum Shape {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
 }
 
 struct Variant {
@@ -71,18 +83,44 @@ impl Cursor {
         t
     }
 
-    fn skip_attributes(&mut self) {
-        while matches!(self.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
-            self.pos += 1; // '#'
-            if matches!(self.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '!') {
+    fn at_punct(&self, c: char) -> bool {
+        matches!(self.peek(), Some(TokenTree::Punct(p)) if p.as_char() == c)
+    }
+
+    /// Skip the attributes in front of an item, variant or field, and
+    /// answer whether one of them was `#[serde(default)]`.
+    fn attributes(&mut self) -> bool {
+        let mut default = false;
+        while self.at_punct('#') {
+            self.pos += 1;
+            if self.at_punct('!') {
                 self.pos += 1;
             }
-            match self.peek() {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
-                    self.pos += 1;
+            let Some(TokenTree::Group(g)) = self.bump() else {
+                panic!("malformed attribute");
+            };
+            let mut inside = g.stream().into_iter();
+            if matches!(inside.next(), Some(TokenTree::Ident(i)) if i.to_string() == "serde") {
+                match (inside.next(), inside.next()) {
+                    (Some(TokenTree::Group(args)), None)
+                        if args.stream().to_string() == "default" =>
+                    {
+                        default = true
+                    }
+                    _ => panic!(
+                        "unsupported attribute #[{}]: the serde shim knows only #[serde(default)]",
+                        g.stream()
+                    ),
                 }
-                other => panic!("malformed attribute near {other:?}"),
             }
+        }
+        default
+    }
+
+    /// Skip attributes that may not carry `#[serde(default)]`.
+    fn plain_attributes(&mut self, what: &str) {
+        if self.attributes() {
+            panic!("#[serde(default)] applies to named fields, not to {what}");
         }
     }
 
@@ -109,52 +147,50 @@ impl Cursor {
         let mut angle_depth = 0i32;
         while let Some(t) = self.peek() {
             match t {
-                TokenTree::Punct(p) if p.as_char() == '<' => {
-                    angle_depth += 1;
-                    self.pos += 1;
-                }
-                TokenTree::Punct(p) if p.as_char() == '>' => {
-                    angle_depth -= 1;
-                    self.pos += 1;
-                }
+                TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
+                TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
                 TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => break,
-                _ => self.pos += 1,
+                _ => {}
             }
+            self.pos += 1;
+        }
+    }
+
+    /// Step over the comma that separates fields or variants, if any.
+    fn separator(&mut self) {
+        if self.at_punct(',') {
+            self.pos += 1;
         }
     }
 }
 
-fn parse_named_fields(group: TokenStream) -> Vec<String> {
+fn parse_named_fields(group: TokenStream) -> Vec<Field> {
     let mut c = Cursor::new(group);
-    let mut names = Vec::new();
+    let mut fields = Vec::new();
     while c.peek().is_some() {
-        c.skip_attributes();
+        let default = c.attributes();
         c.skip_visibility();
-        names.push(c.expect_ident());
+        let name = c.expect_ident();
         match c.bump() {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => panic!("expected ':' after field name, found {other:?}"),
         }
         c.skip_type();
-        // Separator comma (if any).
-        if matches!(c.peek(), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-            c.pos += 1;
-        }
+        c.separator();
+        fields.push(Field { name, default });
     }
-    names
+    fields
 }
 
 fn count_tuple_fields(group: TokenStream) -> usize {
     let mut c = Cursor::new(group);
     let mut count = 0usize;
     while c.peek().is_some() {
-        c.skip_attributes();
+        c.plain_attributes("tuple fields");
         c.skip_visibility();
         c.skip_type();
+        c.separator();
         count += 1;
-        if matches!(c.peek(), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-            c.pos += 1;
-        }
     }
     count
 }
@@ -163,7 +199,7 @@ fn parse_variants(group: TokenStream) -> Vec<Variant> {
     let mut c = Cursor::new(group);
     let mut variants = Vec::new();
     while c.peek().is_some() {
-        c.skip_attributes();
+        c.plain_attributes("variants");
         let name = c.expect_ident();
         let shape = match c.peek() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
@@ -179,18 +215,12 @@ fn parse_variants(group: TokenStream) -> Vec<Variant> {
             _ => Shape::Unit,
         };
         // Optional discriminant `= expr` (plain enums), then comma.
-        if matches!(c.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '=') {
-            c.pos += 1;
-            while let Some(t) = c.peek() {
-                if matches!(t, TokenTree::Punct(p) if p.as_char() == ',') {
-                    break;
-                }
+        if c.at_punct('=') {
+            while c.peek().is_some() && !c.at_punct(',') {
                 c.pos += 1;
             }
         }
-        if matches!(c.peek(), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-            c.pos += 1;
-        }
+        c.separator();
         variants.push(Variant { name, shape });
     }
     variants
@@ -199,11 +229,11 @@ fn parse_variants(group: TokenStream) -> Vec<Variant> {
 impl Item {
     fn parse(input: TokenStream) -> Item {
         let mut c = Cursor::new(input);
-        c.skip_attributes();
+        c.plain_attributes("items");
         c.skip_visibility();
         let kind = c.expect_ident();
         let name = c.expect_ident();
-        if matches!(c.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
+        if c.at_punct('<') {
             panic!("serde shim derive does not support generic type {name}");
         }
         let body = match kind.as_str() {
@@ -233,46 +263,42 @@ impl Item {
     fn serialize_impl(&self) -> String {
         let name = &self.name;
         let body = match &self.body {
-            Body::Struct(Shape::Unit) => "::serde::json::Json::Null".to_string(),
-            Body::Struct(Shape::Tuple(1)) => "::serde::Serialize::to_json(&self.0)".to_string(),
+            Body::Struct(Shape::Unit) => put("null"),
+            Body::Struct(Shape::Tuple(1)) => "::serde::Serialize::serialize(&self.0, out);".into(),
             Body::Struct(Shape::Tuple(n)) => {
-                let items: Vec<String> =
-                    (0..*n).map(|i| format!("::serde::Serialize::to_json(&self.{i})")).collect();
-                format!("::serde::json::Json::Arr(vec![{}])", items.join(", "))
+                write_tuple(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>())
             }
             Body::Struct(Shape::Named(fields)) => {
-                obj_literal(fields.iter().map(|f| (f.clone(), format!("&self.{f}"))))
+                write_object(fields.iter().map(|f| (f.name.as_str(), format!("&self.{}", f.name))))
             }
             Body::Enum(variants) => {
                 let arms: Vec<String> = variants
                     .iter()
                     .map(|v| {
                         let vn = &v.name;
+                        let open = put(&format!("{{\"{vn}\":"));
                         match &v.shape {
-                            Shape::Unit => format!(
-                                "{name}::{vn} => ::serde::json::Json::Str(::std::string::String::from(\"{vn}\")),"
-                            ),
-                            Shape::Tuple(1) => format!(
-                                "{name}::{vn}(x0) => ::serde::json::Json::Obj(vec![(::std::string::String::from(\"{vn}\"), ::serde::Serialize::to_json(x0))]),"
-                            ),
+                            Shape::Unit => format!("{name}::{vn} => {{ {} }}", put(&format!("\"{vn}\""))),
                             Shape::Tuple(n) => {
                                 let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
-                                let items: Vec<String> = (0..*n)
-                                    .map(|i| format!("::serde::Serialize::to_json(x{i})"))
-                                    .collect();
+                                let content = match n {
+                                    1 => "::serde::Serialize::serialize(x0, out);".to_string(),
+                                    _ => write_tuple(&binds),
+                                };
                                 format!(
-                                    "{name}::{vn}({b}) => ::serde::json::Json::Obj(vec![(::std::string::String::from(\"{vn}\"), ::serde::json::Json::Arr(vec![{i}]))]),",
-                                    b = binds.join(", "),
-                                    i = items.join(", ")
+                                    "{name}::{vn}({}) => {{ {open} {content} out.push(b'}}'); }}",
+                                    binds.join(", ")
                                 )
                             }
                             Shape::Named(fields) => {
-                                let binds = fields.join(", ");
-                                let inner = obj_literal(
-                                    fields.iter().map(|f| (f.clone(), f.clone())),
+                                let binds: Vec<String> =
+                                    fields.iter().map(|f| format!("{0}: field_{0}", f.name)).collect();
+                                let content = write_object(
+                                    fields.iter().map(|f| (f.name.as_str(), format!("field_{}", f.name))),
                                 );
                                 format!(
-                                    "{name}::{vn} {{ {binds} }} => ::serde::json::Json::Obj(vec![(::std::string::String::from(\"{vn}\"), {inner})]),"
+                                    "{name}::{vn} {{ {} }} => {{ {open} {content} out.push(b'}}'); }}",
+                                    binds.join(", ")
                                 )
                             }
                         }
@@ -284,7 +310,7 @@ impl Item {
         format!(
             "#[automatically_derived]\n\
              impl ::serde::Serialize for {name} {{\n\
-                 fn to_json(&self) -> ::serde::json::Json {{ {body} }}\n\
+                 fn serialize(&self, out: &mut ::std::vec::Vec<u8>) {{ {body} }}\n\
              }}"
         )
     }
@@ -292,89 +318,52 @@ impl Item {
     fn deserialize_impl(&self) -> String {
         let name = &self.name;
         let body = match &self.body {
-            Body::Struct(Shape::Unit) => format!("::std::result::Result::Ok({name})"),
-            Body::Struct(Shape::Tuple(1)) => {
-                format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_json(v)?))")
+            Body::Struct(shape) => {
+                format!("::std::result::Result::Ok({})", read_shape(name, shape))
             }
-            Body::Struct(Shape::Tuple(n)) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Deserialize::from_json(&arr[{i}])?"))
-                    .collect();
-                format!(
-                    "let arr = v.as_arr().ok_or_else(|| ::std::string::String::from(\"expected array for {name}\"))?;\n\
-                     if arr.len() != {n} {{ return ::std::result::Result::Err(::std::string::String::from(\"wrong arity for {name}\")); }}\n\
-                     ::std::result::Result::Ok({name}({items}))",
-                    items = items.join(", ")
-                )
-            }
-            Body::Struct(Shape::Named(fields)) => format!(
-                "::std::result::Result::Ok({name} {{ {} }})",
-                named_field_builders(name, "v", fields).join(", ")
-            ),
             Body::Enum(variants) => {
                 let unit_arms: Vec<String> = variants
                     .iter()
                     .filter(|v| matches!(v.shape, Shape::Unit))
                     .map(|v| {
-                        format!("\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),", vn = v.name)
+                        format!(
+                            "\"{vn}\" => ::std::option::Option::Some({name}::{vn}),",
+                            vn = v.name
+                        )
                     })
                     .collect();
                 let data_arms: Vec<String> = variants
                     .iter()
-                    .filter_map(|v| {
-                        let vn = &v.name;
-                        match &v.shape {
-                            Shape::Unit => None,
-                            Shape::Tuple(1) => Some(format!(
-                                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_json(inner)?)),"
-                            )),
-                            Shape::Tuple(n) => {
-                                let items: Vec<String> = (0..*n)
-                                    .map(|i| {
-                                        format!("::serde::Deserialize::from_json(&arr[{i}])?")
-                                    })
-                                    .collect();
-                                Some(format!(
-                                    "\"{vn}\" => {{\n\
-                                       let arr = inner.as_arr().ok_or_else(|| ::std::string::String::from(\"expected array for {name}::{vn}\"))?;\n\
-                                       if arr.len() != {n} {{ return ::std::result::Result::Err(::std::string::String::from(\"wrong arity for {name}::{vn}\")); }}\n\
-                                       ::std::result::Result::Ok({name}::{vn}({items}))\n\
-                                     }}",
-                                    items = items.join(", ")
-                                ))
-                            }
-                            Shape::Named(fields) => Some(format!(
-                                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn} {{ {} }}),",
-                                named_field_builders(&format!("{name}::{vn}"), "inner", fields)
-                                    .join(", ")
-                            )),
-                        }
+                    .filter(|v| !matches!(v.shape, Shape::Unit))
+                    .map(|v| {
+                        let owner = format!("{name}::{}", v.name);
+                        format!("\"{}\" => {},", v.name, read_shape(&owner, &v.shape))
                     })
                     .collect();
+                let data = if data_arms.is_empty() {
+                    "|_, _| ::std::result::Result::Ok(::std::option::Option::None)".to_string()
+                } else {
+                    format!(
+                        "|r, tag| ::std::result::Result::Ok(::std::option::Option::Some(match tag {{\n\
+                           {}\n\
+                           _ => return ::std::result::Result::Ok(::std::option::Option::None),\n\
+                         }}))",
+                        data_arms.join("\n")
+                    )
+                };
                 format!(
-                    "match v {{\n\
-                       ::serde::json::Json::Str(tag) => match tag.as_str() {{\n\
-                         {unit}\n\
-                         other => ::std::result::Result::Err(format!(\"unknown variant {{:?}} for {name}\", ::serde::clip(other))),\n\
-                       }},\n\
-                       ::serde::json::Json::Obj(entries) if entries.len() == 1 => {{\n\
-                         let (tag, inner) = &entries[0];\n\
-                         match tag.as_str() {{\n\
-                           {data}\n\
-                           other => ::std::result::Result::Err(format!(\"unknown variant {{:?}} for {name}\", ::serde::clip(other))),\n\
-                         }}\n\
-                       }}\n\
-                       other => ::std::result::Result::Err(format!(\"expected variant encoding for {name}, got {{}}\", other.kind())),\n\
-                     }}",
-                    unit = unit_arms.join("\n"),
-                    data = data_arms.join("\n"),
+                    "::serde::de::variant(r, \"{name}\",\n\
+                       |tag| match tag {{ {} _ => ::std::option::Option::None }},\n\
+                       {data},\n\
+                     )",
+                    unit_arms.join(" "),
                 )
             }
         };
         format!(
             "#[automatically_derived]\n\
              impl ::serde::Deserialize for {name} {{\n\
-                 fn from_json(v: &::serde::json::Json) -> ::std::result::Result<Self, ::std::string::String> {{\n\
+                 fn deserialize(r: &mut ::serde::json::Reader<'_>) -> ::std::result::Result<Self, ::std::string::String> {{\n\
                      {body}\n\
                  }}\n\
              }}"
@@ -382,29 +371,108 @@ impl Item {
     }
 }
 
-/// `Json::Obj(vec![("f", to_json(expr)), ...])`
-fn obj_literal(fields: impl Iterator<Item = (String, String)>) -> String {
-    let entries: Vec<String> = fields
-        .map(|(name, expr)| {
-            format!(
-                "(::std::string::String::from(\"{name}\"), ::serde::Serialize::to_json({expr}))"
-            )
-        })
-        .collect();
-    format!("::serde::json::Json::Obj(vec![{}])", entries.join(", "))
+/// `out.extend_from_slice(<text>)`: literal JSON, escaped for a Rust string.
+fn put(text: &str) -> String {
+    format!("out.extend_from_slice({text:?}.as_bytes());")
 }
 
-/// `f: match src.get("f") { Some(x) => from_json(x)?, None => Err }` per field.
-fn named_field_builders(owner: &str, src: &str, fields: &[String]) -> Vec<String> {
-    fields
-        .iter()
-        .map(|f| {
+/// `[a,b,...]` from the expressions `items`.
+fn write_tuple(items: &[String]) -> String {
+    let parts: Vec<String> =
+        items.iter().map(|x| format!("::serde::Serialize::serialize({x}, out);")).collect();
+    format!("out.push(b'['); {} out.push(b']');", parts.join(" out.push(b',');"))
+}
+
+/// `{"f":..,...}` from `(field name, expression)` pairs; the key text and
+/// its punctuation go out as one literal per field.
+fn write_object<'a>(fields: impl Iterator<Item = (&'a str, String)>) -> String {
+    let mut code = String::new();
+    let mut sep = '{';
+    for (f, expr) in fields {
+        code += &put(&format!("{sep}\"{f}\":"));
+        code += &format!(" ::serde::Serialize::serialize({expr}, out); ");
+        sep = ',';
+    }
+    if sep == '{' {
+        code += &put("{");
+    }
+    code + "out.push(b'}');"
+}
+
+/// An expression reading the tuple or named content of `owner` (a struct,
+/// or `Enum::Variant`) from `r`, built as `owner`; it returns early with
+/// the decode error. A newtype is its one field's encoding.
+fn read_shape(owner: &str, shape: &Shape) -> String {
+    match shape {
+        // A unit struct is written as `null` and was read from anything.
+        Shape::Unit => format!("{{ r.skip()?; {owner} }}"),
+        Shape::Tuple(1) => format!("{owner}(::serde::Deserialize::deserialize(r)?)"),
+        Shape::Tuple(n) => {
+            let slots: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
+            let lets: String = slots
+                .iter()
+                .map(|x| format!("let mut {x} = ::std::option::Option::None; "))
+                .collect();
+            let arms: String = slots
+                .iter()
+                .enumerate()
+                .map(|(i, x)| format!("{i} => ::serde::de::field(&mut {x}, r), "))
+                .collect();
+            let somes: Vec<String> =
+                slots.iter().map(|x| format!("::std::option::Option::Some({x})")).collect();
+            let arity = format!("::std::string::String::from(\"wrong arity for {owner}\")");
             format!(
-                "{f}: match {src}.get(\"{f}\") {{\n\
-                   ::std::option::Option::Some(x) => ::serde::Deserialize::from_json(x)?,\n\
-                   ::std::option::Option::None => return ::std::result::Result::Err(::std::string::String::from(\"missing field {f} for {owner}\")),\n\
-                 }}"
+                "{{\n\
+                   {lets} let mut at = 0usize;\n\
+                   let array = r.array(|r| {{ at += 1; match at - 1 {{ {arms} _ => ::std::result::Result::Err({arity}) }} }})?;\n\
+                   if !array {{ return ::std::result::Result::Err(::std::string::String::from(\"expected array for {owner}\")); }}\n\
+                   match ({list}) {{\n\
+                     ({somes}) => {owner}({list}),\n\
+                     _ => return ::std::result::Result::Err({arity}),\n\
+                   }}\n\
+                 }}",
+                list = slots.join(", "),
+                somes = somes.join(", "),
             )
-        })
-        .collect()
+        }
+        Shape::Named(fields) => {
+            let Some(first) = fields.first() else {
+                return format!("{{ r.skip()?; {owner} {{}} }}");
+            };
+            let slot = |f: &Field| format!("field_{}", f.name);
+            let lets: String = fields
+                .iter()
+                .map(|f| format!("let mut {} = ::std::option::Option::None; ", slot(f)))
+                .collect();
+            let arms: String = fields
+                .iter()
+                .map(|f| format!("\"{}\" => ::serde::de::field(&mut {}, r), ", f.name, slot(f)))
+                .collect();
+            let inits: Vec<String> = fields
+                .iter()
+                .map(|f| {
+                    let take = if f.default {
+                        ".unwrap_or_default()".to_string()
+                    } else {
+                        format!(
+                            ".ok_or_else(|| ::serde::de::missing(\"{}\", \"{owner}\"))?",
+                            f.name
+                        )
+                    };
+                    format!("{}: {}{take}", f.name, slot(f))
+                })
+                .collect();
+            format!(
+                "{{\n\
+                   {lets}\n\
+                   if !r.object(|r, key| match &*key {{ {arms} _ => r.skip() }})? {{\n\
+                     return ::std::result::Result::Err(::serde::de::missing(\"{first}\", \"{owner}\"));\n\
+                   }}\n\
+                   {owner} {{ {inits} }}\n\
+                 }}",
+                first = first.name,
+                inits = inits.join(", "),
+            )
+        }
+    }
 }
