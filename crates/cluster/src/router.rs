@@ -201,42 +201,44 @@ fn fan_out(shared: &RouterShared, req: &Request) -> Result<(Vec<Response>, u64),
 /// no shard's state (LSN 0).
 type Routed = Result<(Payload, u64), Payload>;
 
-fn route(shared: &RouterShared, req: &Request) -> Routed {
+/// Route one request, which the router owns: a batch's rows and keys move
+/// into their shards' parts.
+fn route(shared: &RouterShared, req: Request) -> Routed {
     match req {
         Request::Ping => Ok((Payload::Pong, 0)),
         Request::Qdl(_) => Err(error(
             ErrorKind::Query,
             "QDL pipelines are node-local; run them against a shard directly",
         )),
-        Request::CreateTable(schema) => {
-            let (payload, lsn) = broadcast_done(shared, req)?;
+        Request::CreateTable(ref schema) => {
+            let (payload, lsn) = broadcast_done(shared, &req)?;
             if matches!(payload, Payload::Done) {
                 lock(&shared.catalog).insert(schema.name.clone(), schema.clone());
             }
             Ok((payload, lsn))
         }
-        Request::CreateIndex { .. } | Request::Checkpoint => broadcast_done(shared, req),
+        Request::CreateIndex { .. } | Request::Checkpoint => broadcast_done(shared, &req),
         Request::InsertRows { table, rows } => {
-            let parts = partition_rows(shared, table, rows)?;
+            let parts = partition_rows(shared, &table, rows)?;
             let make = |table, part| Request::InsertRows { table, rows: part };
-            Ok(send_partitions(shared, table, parts, make))
+            Ok(send_partitions(shared, &table, parts, make))
         }
         Request::DeleteRows { table, keys } => {
             // Keys are already in key order; hash them directly.
             let mut parts = vec![Vec::new(); shared.conn.len()];
             for key in keys {
-                parts[shared.ring.shard_for_key(key)].push(key.clone());
+                parts[shared.ring.shard_for_key(&key)].push(key);
             }
             let make = |table, part| Request::DeleteRows { table, keys: part };
-            Ok(send_partitions(shared, table, parts, make))
+            Ok(send_partitions(shared, &table, parts, make))
         }
-        Request::Query(q) => route_query(shared, q),
+        Request::Query(ref q) => route_query(shared, q),
         Request::KeywordSearch { .. } => Err(error(
             ErrorKind::Query,
             "keyword scores need corpus-wide statistics no shard holds; \
              search a shard directly",
         )),
-        Request::Explain(_) => route_explain(shared, req),
+        Request::Explain(_) => route_explain(shared, &req),
         Request::Stats => route_stats(shared),
         // The endpoint answers the control frame itself, and it stops the
         // *router*: shards have their own lifecycles.
@@ -251,11 +253,12 @@ fn broadcast_done(shared: &RouterShared, req: &Request) -> Routed {
     Ok((refused.unwrap_or(Payload::Done), lsn))
 }
 
-/// Partition full rows by the table's primary key via the catalog.
+/// Partition full rows by the table's primary key via the catalog, moving
+/// each into its shard's part.
 fn partition_rows(
     shared: &RouterShared,
     table: &str,
-    rows: &[Vec<Value>],
+    rows: Vec<Vec<Value>>,
 ) -> Result<Vec<Vec<Vec<Value>>>, Payload> {
     let key_cols = lock(&shared.catalog).get(table).map(|schema| schema.key.clone());
     let key_cols = key_cols.ok_or_else(|| {
@@ -276,7 +279,7 @@ fn partition_rows(
             };
             key.push(v.clone());
         }
-        parts[shared.ring.shard_for_key(&key)].push(row.clone());
+        parts[shared.ring.shard_for_key(&key)].push(row);
     }
     Ok(parts)
 }

@@ -13,10 +13,12 @@
 //!
 //! [`Endpoint::listen`] hands each connection to a session function;
 //! [`Endpoint::serve`] is the session that speaks the request protocol to
-//! a handler from `&Request` to `(Payload, lsn)`, admitting a request
-//! only while fewer than `max_in_flight` are between admission and reply
-//! and answering [`Payload::Overloaded`] at once beyond that. A request
-//! the owner refuses outright (a write on a replica) never asks for a slot.
+//! a handler from `Request` to `(Payload, lsn)` — the handler owns the
+//! decoded request, so the rows it carries move on without a copy —
+//! admitting a request only while fewer than `max_in_flight` are between
+//! admission and reply and answering [`Payload::Overloaded`] at once
+//! beyond that. A request the owner refuses outright (a write on a
+//! replica) never asks for a slot.
 
 use crate::protocol::{
     decode_request, read_frame, write_response, ErrorKind, FrameError, Payload, Request, Response,
@@ -193,15 +195,15 @@ impl Endpoint {
     }
 
     /// Bind `addr` and answer every admitted request with `handler`,
-    /// under `cfg`'s limits and timeouts, recording into `metrics`. A
-    /// request `refuse` has an answer for is never admitted.
+    /// which owns it, under `cfg`'s limits and timeouts, recording into
+    /// `metrics`. A request `refuse` has an answer for is never admitted.
     pub fn serve(
         name: &str,
         addr: impl ToSocketAddrs,
         cfg: &ServeConfig,
         metrics: MetricsRegistry,
         refuse: impl Fn(&Request) -> Option<Payload> + Send + Sync + 'static,
-        handler: impl Fn(&Request) -> (Payload, u64) + Send + Sync + 'static,
+        handler: impl Fn(Request) -> (Payload, u64) + Send + Sync + 'static,
     ) -> io::Result<Endpoint> {
         let gate = Gate { refuse, handler, metrics, max_in_flight: cfg.max_in_flight };
         Endpoint::listen(name, addr, cfg.read_timeout, move |stream, state| {
@@ -245,7 +247,7 @@ struct Gate<R, H> {
     max_in_flight: usize,
 }
 
-impl<R: Fn(&Request) -> Option<Payload>, H: Fn(&Request) -> (Payload, u64)> Gate<R, H> {
+impl<R: Fn(&Request) -> Option<Payload>, H: Fn(Request) -> (Payload, u64)> Gate<R, H> {
     /// Run one connection's session to completion.
     fn session(&self, stream: TcpStream, state: &State) {
         self.metrics.incr("server.connections", 1);
@@ -311,7 +313,7 @@ impl<R: Fn(&Request) -> Option<Payload>, H: Fn(&Request) -> (Payload, u64)> Gate
             return refusal(id, Payload::Overloaded);
         };
         let start = Instant::now();
-        let (payload, lsn) = (self.handler)(&req);
+        let (payload, lsn) = (self.handler)(req);
         let elapsed = start.elapsed();
         self.metrics.observe("server.request_us", elapsed);
         if matches!(payload, Payload::Error { .. }) {

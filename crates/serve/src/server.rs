@@ -159,10 +159,10 @@ impl Drop for Server {
 impl Facade {
     /// Invoke the test hook at a request's *execution point* — after a
     /// read has captured its snapshot, or inside the writer critical
-    /// section for a write — so a hook that parks a request holds exactly
-    /// the resources that request would hold while executing. The
-    /// backpressure tests rely on this to prove a parked read blocks no
-    /// other read and a parked write blocks no read at all.
+    /// section for a write, before its rows move — so a hook that parks a
+    /// request holds exactly the resources that request would hold while
+    /// executing. The backpressure tests rely on this to prove a parked
+    /// read blocks no other read and a parked write blocks no read at all.
     fn run_hook(&self, req: &Request) {
         if let Some(hook) = &self.request_hook {
             hook(req);
@@ -192,36 +192,29 @@ impl Facade {
         })
     }
 
-    /// Apply `req` under the single-writer lock; the reply reflects the
-    /// post-commit LSN. Every request that comes here is a
-    /// [`Request::is_write`].
-    fn write(
-        &self,
-        req: &Request,
-        apply: impl FnOnce(&mut Quarry) -> Result<Payload, QuarryError>,
-    ) -> (Payload, u64) {
+    /// Apply `req` under the single-writer lock, after the hook has seen
+    /// it whole; the reply reflects the post-commit LSN. Every request
+    /// that comes here is a [`Request::is_write`].
+    fn write(&self, req: Request) -> (Payload, u64) {
         self.quarry.with_writer(|q| {
-            self.run_hook(req);
-            (apply(q).unwrap_or_else(|e| error_payload(&e)), q.db.current_lsn())
+            self.run_hook(&req);
+            (apply_write(q, req).unwrap_or_else(|e| error_payload(&e)), q.db.current_lsn())
         })
     }
 
     /// Execute an admitted request against the façade, returning the
     /// payload and the write-clock LSN the response reflects.
-    fn execute(&self, req: &Request) -> (Payload, u64) {
-        match req {
+    fn execute(&self, req: Request) -> (Payload, u64) {
+        match &req {
             Request::Ping => {
-                self.run_hook(req);
+                self.run_hook(&req);
                 (Payload::Pong, 0)
             }
-            Request::Query(query) => self.read(req, |snap| {
+            Request::Query(query) => self.read(&req, |snap| {
                 let r = snap.query(query)?;
                 Ok(Payload::Rows { columns: r.columns, rows: r.rows })
             }),
-            Request::Qdl(src) => {
-                self.write(req, |q| Ok(Payload::PipelineStats((&q.run_pipeline(src)?).into())))
-            }
-            Request::KeywordSearch { query, k } => self.read(req, |snap| {
+            Request::KeywordSearch { query, k } => self.read(&req, |snap| {
                 let (hits, candidates) = snap.keyword(query, *k);
                 let hits = hits.into_iter().map(|h| WireHit { doc: h.doc.0, score: h.score });
                 let candidates = candidates.into_iter().map(|c| WireCandidate {
@@ -232,27 +225,48 @@ impl Facade {
                 Ok(Payload::Hits { hits: hits.collect(), candidates: candidates.collect() })
             }),
             Request::Explain(query) => {
-                self.read(req, |snap| Ok(Payload::Plan(snap.explain_query(query)?)))
+                self.read(&req, |snap| Ok(Payload::Plan(snap.explain_query(query)?)))
             }
-            Request::Checkpoint => self.write(req, |q| q.checkpoint().map(|()| Payload::Done)),
-            Request::Stats => self.read(req, |snap| Ok(Payload::Metrics(snap.stats()))),
-            Request::CreateTable(schema) => self.write(req, |q| {
-                q.db.create_table(schema.clone())?;
-                Ok(Payload::Done)
-            }),
-            Request::CreateIndex { table, column } => {
-                self.write(req, |q| q.create_index(table, column).map(|()| Payload::Done))
-            }
-            Request::InsertRows { table, rows } => self.write(req, |q| {
-                in_one_tx(&q.db, |tx| {
-                    rows.iter().try_for_each(|row| q.db.insert(tx, table, row.clone()).map(drop))
-                })
-            }),
-            Request::DeleteRows { table, keys } => self.write(req, |q| {
-                in_one_tx(&q.db, |tx| keys.iter().try_for_each(|key| q.db.delete(tx, table, key)))
-            }),
+            Request::Stats => self.read(&req, |snap| Ok(Payload::Metrics(snap.stats()))),
+            Request::Qdl(_)
+            | Request::Checkpoint
+            | Request::CreateTable(_)
+            | Request::CreateIndex { .. }
+            | Request::InsertRows { .. }
+            | Request::DeleteRows { .. } => self.write(req),
             // The endpoint answers the control frame itself.
             Request::Shutdown => (Payload::Done, 0),
+        }
+    }
+}
+
+/// Apply the write `req`, whose parts move into the store: the rows of an
+/// `InsertRows` become the overlay's without a copy.
+fn apply_write(q: &mut Quarry, req: Request) -> Result<Payload, QuarryError> {
+    match req {
+        Request::Qdl(src) => Ok(Payload::PipelineStats((&q.run_pipeline(&src)?).into())),
+        Request::Checkpoint => q.checkpoint().map(|()| Payload::Done),
+        Request::CreateTable(schema) => {
+            q.db.create_table(schema)?;
+            Ok(Payload::Done)
+        }
+        Request::CreateIndex { table, column } => {
+            q.create_index(&table, &column).map(|()| Payload::Done)
+        }
+        Request::InsertRows { table, rows } => in_one_tx(&q.db, |tx| {
+            rows.into_iter().try_for_each(|row| q.db.insert(tx, &table, row).map(drop))
+        }),
+        Request::DeleteRows { table, keys } => {
+            in_one_tx(&q.db, |tx| keys.iter().try_for_each(|key| q.db.delete(tx, &table, key)))
+        }
+        // `Facade::execute` answers these from a snapshot, never here.
+        Request::Ping
+        | Request::Query(_)
+        | Request::KeywordSearch { .. }
+        | Request::Explain(_)
+        | Request::Stats
+        | Request::Shutdown => {
+            Ok(Payload::Error { kind: ErrorKind::Protocol, message: "not a write".into() })
         }
     }
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use super::checkpoint::{self, Recovered};
 use super::overlay::{committed_clone, redo, Table, Tables, Undo};
 use super::paged::CheckpointImage;
-use super::recovery::LogRecord;
+use super::recovery::{self, LogRecord};
 use super::replication::{self, ReplicationSeed};
 use super::table::{Row, RowId, TableSchema};
 use super::view::{DbSnapshot, TableView};
@@ -227,16 +227,23 @@ impl Database {
     }
 
     /// Append (buffered, not flushed) one record of transaction `tx`,
+    /// which `record` writes straight into the log's frame buffer,
     /// preceded by the transaction's `Begin` record when `first` — when
-    /// `rec` is its first change, i.e. its undo list is still empty.
+    /// the record is its first change, i.e. its undo list is still empty.
     /// Logging `Begin` here rather than in `begin()` is what keeps a
-    /// transaction that only reads out of the log.
-    fn log_tx(&self, tx: TxId, first: bool, rec: &LogRecord) -> Result<()> {
+    /// transaction that only reads out of the log. An in-memory database
+    /// writes nothing.
+    fn log_tx(
+        &self,
+        tx: TxId,
+        first: bool,
+        record: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+    ) -> Result<()> {
         if let Some(wal) = self.wal.lock().as_mut() {
             if first {
-                wal.append(&LogRecord::Begin { tx }.encode()?)?;
+                wal.append_with(|w| LogRecord::Begin { tx }.encode_into(w))?;
             }
-            wal.append(&rec.encode()?)?;
+            wal.append_with(record)?;
         }
         Ok(())
     }
@@ -246,7 +253,7 @@ impl Database {
     fn log_durable(&self, rec: &LogRecord) -> Result<()> {
         let mut guard = self.wal.lock();
         let Some(wal) = guard.as_mut() else { return Ok(()) };
-        wal.append(&rec.encode()?)?;
+        wal.append_with(|w| rec.encode_into(w))?;
         wal.sync()
     }
 
@@ -447,7 +454,7 @@ impl Database {
         // whether or not the write succeeded — a failed commit returns
         // its error, it does not wedge the database.
         let logged = if rollback {
-            self.log_tx(tx, false, &LogRecord::Abort { tx })
+            self.log_tx(tx, false, |w| LogRecord::Abort { tx }.encode_into(w))
         } else {
             self.log_durable(&LogRecord::Commit { tx })
         };
@@ -461,20 +468,25 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Insert a row. Fails on duplicate primary key.
+    ///
+    /// The row is moved, never copied: its log record is written from it
+    /// in place, and then it is the overlay's. Its key is hashed once, for
+    /// the duplicate probe and the key's entry alike, and probed as the
+    /// row's own values. A refused row logs nothing.
     pub fn insert(&self, tx: TxId, table: &str, row: Row) -> Result<RowId> {
         let mut st = self.tables.lock();
         let (tables, undo) = st.open_tx(tx)?;
         let t = table_mut(tables, table)?;
         t.schema.validate(&row)?;
-        let key = t.schema.key_of(&row);
-        if t.lookup_pk(&key)?.is_some() {
+        let hash = t.pk_hash(&row);
+        if t.key_holder_of(hash, &row)?.is_some() {
+            let key = t.schema.key_of(&row);
             return Err(StorageError::DuplicateKey(format!("{table} key {key:?} already exists")));
         }
         let row_id = RowId(t.next_row);
-        let rec = LogRecord::Insert { tx, table: table.to_string(), row_id, row: row.clone() };
-        self.log_tx(tx, undo.is_empty(), &rec)?;
-        t.apply_insert(self.stamp(), row_id, row)?;
-        undo.push(Undo::Insert { table: table.to_string(), row_id });
+        self.log_tx(tx, undo.is_empty(), |w| recovery::write_insert(w, tx, table, row_id, &row))?;
+        t.apply_insert(self.stamp(), row_id, hash, row)?;
+        undo.push(Undo::Insert { table: Arc::clone(&t.schema), row_id });
         Ok(row_id)
     }
 
@@ -502,18 +514,17 @@ impl Database {
         let t = table_mut(tables, table)?;
         let row_id = t.lookup_pk(key)?.ok_or_else(|| not_found(table, key))?;
         t.schema.validate(&row)?;
-        let new_key = t.schema.key_of(&row);
-        if new_key != key && t.lookup_pk(&new_key)?.is_some_and(|holder| holder != row_id) {
+        if t.key_holder_of(t.pk_hash(&row), &row)?.is_some_and(|holder| holder != row_id) {
+            let new_key = t.schema.key_of(&row);
             return Err(StorageError::DuplicateKey(format!(
                 "{table} key {new_key:?} already exists"
             )));
         }
-        let rec = LogRecord::Update { tx, table: table.to_string(), row_id, row: row.clone() };
-        self.log_tx(tx, undo.is_empty(), &rec)?;
+        self.log_tx(tx, undo.is_empty(), |w| recovery::write_update(w, tx, table, row_id, &row))?;
         let old = t
             .apply_update(self.stamp(), row_id, row)?
             .ok_or_else(|| StorageError::NotFound(format!("{table} row {row_id}")))?;
-        undo.push(Undo::Update { table: table.to_string(), row_id, old });
+        undo.push(Undo::Update { table: Arc::clone(&t.schema), row_id, old });
         Ok(())
     }
 
@@ -523,12 +534,11 @@ impl Database {
         let (tables, undo) = st.open_tx(tx)?;
         let t = table_mut(tables, table)?;
         let row_id = t.lookup_pk(key)?.ok_or_else(|| not_found(table, key))?;
-        let rec = LogRecord::Delete { tx, table: table.to_string(), row_id };
-        self.log_tx(tx, undo.is_empty(), &rec)?;
+        self.log_tx(tx, undo.is_empty(), |w| recovery::write_delete(w, tx, table, row_id))?;
         let old = t
             .apply_delete(self.stamp(), row_id)?
             .ok_or_else(|| StorageError::NotFound(format!("{table} row {row_id}")))?;
-        undo.push(Undo::Delete { table: table.to_string(), row_id, old });
+        undo.push(Undo::Delete { table: Arc::clone(&t.schema), row_id, old });
         Ok(())
     }
 

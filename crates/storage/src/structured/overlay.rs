@@ -8,6 +8,7 @@
 //! and transaction ids belong to the layers above (`checkpoint` and
 //! `replication`, then `engine`).
 
+use crate::btree;
 use crate::error::StorageError;
 use crate::value::Value;
 use crate::Result;
@@ -158,7 +159,7 @@ impl Table {
     }
 
     fn index_row(&mut self, row_id: RowId, row: &Row) {
-        self.indexed_values(row).for_each(|(ix, value)| ix.insert(value.clone(), row_id));
+        self.indexed_values(row).for_each(|(ix, value)| ix.insert(value, row_id));
     }
 
     fn unindex_row(&mut self, row_id: RowId, row: &Row) {
@@ -186,22 +187,29 @@ impl Table {
         hasher.finish()
     }
 
+    /// `pk`'s hash of `row`'s primary key: computed once a write, for the
+    /// duplicate probe and the `pk` entry alike.
+    pub(super) fn pk_hash(&self, row: &Row) -> u64 {
+        self.key_hash(self.key_values(row))
+    }
+
     /// The primary-key values of `row`, in key order, borrowed.
-    fn key_values<'a>(&'a self, row: &'a Row) -> impl Iterator<Item = &'a Value> {
+    fn key_values<'a>(&'a self, row: &'a Row) -> impl Iterator<Item = &'a Value> + Clone {
         self.schema.key.iter().filter_map(|&i| row.get(i))
     }
 
     /// Remove `row_id` from the overlay maps; `None` if not overlaid.
     fn overlay_unhook(&mut self, row_id: RowId) -> Option<Row> {
         let row = self.heap.remove(&row_id)?;
-        self.pk.remove(&(self.key_hash(self.key_values(&row)), row_id));
+        self.pk.remove(&(self.pk_hash(&row), row_id));
         self.unindex_row(row_id, &row);
         Some(row)
     }
 
-    /// Install `row` into the overlay maps.
-    fn overlay_hook(&mut self, row_id: RowId, row: Row) {
-        self.pk.insert((self.key_hash(self.key_values(&row)), row_id), ());
+    /// Install `row`, whose key's [`Table::pk_hash`] is `hash`, into the
+    /// overlay maps.
+    fn overlay_hook(&mut self, row_id: RowId, hash: u64, row: Row) {
+        self.pk.insert((hash, row_id), ());
         self.index_row(row_id, &row);
         self.heap.insert(row_id, row);
         self.next_row = self.next_row.max(row_id.0 + 1);
@@ -225,19 +233,42 @@ impl Table {
         self.heap.contains_key(&id) || self.tombstones.contains_key(&id)
     }
 
-    /// The row id holding primary key `key`, if live: overlay pk first;
-    /// a base pk hit counts only if that base row isn't shadowed.
+    /// The row id holding primary key `key`, if live.
     pub(super) fn lookup_pk(&self, key: &[Value]) -> Result<Option<RowId>> {
-        let hash = self.key_hash(key.iter());
+        self.key_holder(self.key_hash(key.iter()), key.iter(), || btree::pk_key(key))
+    }
+
+    /// The row id already holding `row`'s primary key, if live; `hash` is
+    /// the key's [`Table::pk_hash`]. The key is compared as the row's own
+    /// values: nothing is copied to probe with.
+    pub(super) fn key_holder_of(&self, hash: u64, row: &Row) -> Result<Option<RowId>> {
+        self.key_holder(hash, self.key_values(row), || {
+            let mut key = Vec::new();
+            btree::write_pk_key(&mut key, row, &self.schema.key)?;
+            Ok(key)
+        })
+    }
+
+    /// The row id holding the primary key whose values `key` yields, in
+    /// key order, and whose `pk` hash is `hash`, if live: overlay pk
+    /// first; a base pk hit counts only if that base row isn't shadowed.
+    /// `encoded` is the key as the base's tree files it, built only when
+    /// the base is asked.
+    fn key_holder<'k>(
+        &self,
+        hash: u64,
+        key: impl Iterator<Item = &'k Value> + Clone,
+        encoded: impl FnOnce() -> Result<Vec<u8>>,
+    ) -> Result<Option<RowId>> {
         let mut same_hash =
             self.pk.seek(|(h, _)| *h < hash).map_while(|((h, id), ())| (*h == hash).then_some(*id));
         let holds_key =
-            |id: &RowId| self.heap.get(id).is_some_and(|row| self.key_values(row).eq(key));
+            |id: &RowId| self.heap.get(id).is_some_and(|row| self.key_values(row).eq(key.clone()));
         if let Some(id) = same_hash.find(holds_key) {
             return Ok(Some(id));
         }
         let Some(b) = &self.base else { return Ok(None) };
-        Ok(b.lookup_pk(key)?.filter(|id| !self.shadowed(*id)))
+        Ok(b.lookup_pk(&encoded()?)?.filter(|id| !self.shadowed(*id)))
     }
 
     /// Remove the live row under `row_id` from wherever it lives and
@@ -334,7 +365,7 @@ impl Table {
         let mut ix = SecondaryIndex::new();
         self.for_each_live_row(&mut |id, row| {
             if let Some(value) = row.get(ci) {
-                ix.insert(value.clone(), id);
+                ix.insert(value, id);
             }
             Ok(())
         })?;
@@ -344,13 +375,24 @@ impl Table {
     }
 
     /// Apply an insert with a predetermined row id (redo path & normal
-    /// path). Convergent under replay: re-inserting a row the base
-    /// already holds keeps `live_rows` exact.
-    pub(super) fn apply_insert(&mut self, stamp: u64, row_id: RowId, row: Row) -> Result<()> {
-        let prev = self.overlay_unhook(row_id);
-        let was_tombstoned = self.tombstones.remove(&row_id).is_some();
-        let was_live = prev.is_some() || (!was_tombstoned && self.base_row(row_id)?.is_some());
-        self.overlay_hook(row_id, row);
+    /// path); `hash` is the row key's [`Table::pk_hash`]. Convergent under
+    /// replay: re-inserting a row the base already holds keeps `live_rows`
+    /// exact. An id at or past `next_row` — every id a writer assigns, and
+    /// redo past the high-water mark — is in none of the overlay, the
+    /// tombstones and the base, so it skips the probes for one.
+    pub(super) fn apply_insert(
+        &mut self,
+        stamp: u64,
+        row_id: RowId,
+        hash: u64,
+        row: Row,
+    ) -> Result<()> {
+        let was_live = row_id.0 < self.next_row && {
+            let prev = self.overlay_unhook(row_id);
+            let was_tombstoned = self.tombstones.remove(&row_id).is_some();
+            prev.is_some() || (!was_tombstoned && self.base_row(row_id)?.is_some())
+        };
+        self.overlay_hook(row_id, hash, row);
         if !was_live {
             self.live_rows += 1;
         }
@@ -365,7 +407,7 @@ impl Table {
         row: Row,
     ) -> Result<Option<Row>> {
         let Some(old) = self.unhook_effective(row_id)? else { return Ok(None) };
-        self.overlay_hook(row_id, row);
+        self.overlay_hook(row_id, self.pk_hash(&row), row);
         self.version = stamp;
         Ok(Some(old))
     }
@@ -380,11 +422,13 @@ impl Table {
     }
 }
 
-/// How to undo one change of the open transaction.
+/// How to undo one change of the open transaction. An entry names its
+/// table by the schema the table holds — one more reference to it, not a
+/// copy of the name.
 pub(super) enum Undo {
-    Insert { table: String, row_id: RowId },
-    Update { table: String, row_id: RowId, old: Row },
-    Delete { table: String, row_id: RowId, old: Row },
+    Insert { table: Arc<TableSchema>, row_id: RowId },
+    Update { table: Arc<TableSchema>, row_id: RowId, old: Row },
+    Delete { table: Arc<TableSchema>, row_id: RowId, old: Row },
 }
 
 impl Undo {
@@ -392,7 +436,7 @@ impl Undo {
         match self {
             Undo::Insert { table, .. }
             | Undo::Update { table, .. }
-            | Undo::Delete { table, .. } => table,
+            | Undo::Delete { table, .. } => &table.name,
         }
     }
 
@@ -415,13 +459,13 @@ impl Undo {
                 if t.overlay_unhook(*row_id).is_some() {
                     // If the updated row was a base row its id stays
                     // tombstoned; the restored overlay copy shadows it.
-                    t.overlay_hook(*row_id, old.clone());
+                    t.overlay_hook(*row_id, t.pk_hash(old), old.clone());
                 }
             }
             Undo::Delete { row_id, old, .. } => {
                 let prev = t.overlay_unhook(*row_id);
                 t.tombstones.remove(row_id);
-                t.overlay_hook(*row_id, old.clone());
+                t.overlay_hook(*row_id, t.pk_hash(old), old.clone());
                 if prev.is_none() {
                     t.live_rows += 1;
                 }
@@ -476,7 +520,7 @@ pub(super) fn redo(
             LogRecord::Insert { table, row_id, row, .. } => {
                 let stamp = stamp();
                 if let Some(t) = tables.get_mut(&table) {
-                    t.apply_insert(stamp, row_id, row)?;
+                    t.apply_insert(stamp, row_id, t.pk_hash(&row), row)?;
                 }
             }
             LogRecord::Update { table, row_id, row, .. } => {

@@ -141,14 +141,15 @@ impl TableBase {
         }
     }
 
-    /// Point lookup in the primary-key tree.
-    pub(crate) fn lookup_pk(&self, key: &[Value]) -> Result<Option<RowId>> {
+    /// Point lookup in the primary-key tree of a key encoded as by
+    /// [`btree::pk_key`].
+    pub(crate) fn lookup_pk(&self, key: &[u8]) -> Result<Option<RowId>> {
         if self.meta.pk_root == NO_PAGE {
             return Ok(None);
         }
         let mut pg = self.image.pager.lock();
         let tree = BTree::open(self.meta.pk_root, KeyOrder::PkValues);
-        match tree.lookup(&mut pg, &btree::pk_key(key)?)? {
+        match tree.lookup(&mut pg, key)? {
             Some(bytes) => Ok(Some(decode_row_id(&bytes)?)),
             None => Ok(None),
         }
@@ -526,7 +527,7 @@ mod tests {
         let meta = {
             let mut pager = Pager::create(&RealBackend, &p, 8).unwrap();
             let mut by_n = SecondaryIndex::new();
-            rows.iter().for_each(|(id, row)| by_n.insert(row[1].clone(), *id));
+            rows.iter().for_each(|(id, row)| by_n.insert(&row[1], *id));
             let meta = build_table_trees(&mut pager, &sch, None, &heap, &PMap::new(), &[by_n], 500)
                 .unwrap();
             pager.flush().unwrap();
@@ -540,8 +541,9 @@ mod tests {
         // Point reads.
         assert_eq!(base.get_row(RowId(123)).unwrap().unwrap(), rows[123].1);
         assert!(base.get_row(RowId(999)).unwrap().is_none());
-        assert_eq!(base.lookup_pk(&[Value::Text("k0042".into())]).unwrap(), Some(RowId(42)));
-        assert_eq!(base.lookup_pk(&[Value::Text("nope".into())]).unwrap(), None);
+        let pk = |k: &str| btree::pk_key(&[Value::Text(k.into())]).unwrap();
+        assert_eq!(base.lookup_pk(&pk("k0042")).unwrap(), Some(RowId(42)));
+        assert_eq!(base.lookup_pk(&pk("nope")).unwrap(), None);
 
         // Merged scan with an overlay shadowing one row, adding one, and a
         // tombstone deleting another.
@@ -567,8 +569,8 @@ mod tests {
         // Merged index probe: base entries minus shadowed/tombstoned plus
         // overlay entries, in (value, row-id) order.
         let mut over_ix = SecondaryIndex::new();
-        over_ix.insert(Value::Int(99), RowId(10));
-        over_ix.insert(Value::Int(1), RowId(700));
+        over_ix.insert(&Value::Int(99), RowId(10));
+        over_ix.insert(&Value::Int(1), RowId(700));
         let shadowed = |id: RowId| id == RowId(10) || id == RowId(20);
         let mut ids = Vec::new();
         let one = Value::Int(1);
@@ -613,8 +615,14 @@ mod tests {
         ];
         let schema = TableSchema::new("t", columns, &["k"], &["s", "n"]).unwrap();
         let mut t = Table::new(schema, 0);
-        (0..rows).for_each(|i| t.apply_insert(0, RowId(i), scattered_row(i)).unwrap());
+        (0..rows).for_each(|i| insert_scattered(&mut t, i));
         t
+    }
+
+    /// Insert row `i` of [`scattered_row`] under row id `i`.
+    fn insert_scattered(t: &mut Table, i: u64) {
+        let row = scattered_row(i);
+        t.apply_insert(0, RowId(i), t.pk_hash(&row), row).unwrap();
     }
 
     /// Build `t`'s trees through a pool of `pool` pages, counting what the
@@ -690,8 +698,7 @@ mod tests {
         }
         (1..rows).step_by(7).for_each(|i| drop(t.apply_delete(0, RowId(i)).unwrap()));
         let live = t.live_rows;
-        (rows..rows + rows / 7)
-            .for_each(|i| t.apply_insert(0, RowId(i), scattered_row(i)).unwrap());
+        (rows..rows + rows / 7).for_each(|i| insert_scattered(&mut t, i));
         let (second, meta) = build_counting(&t, pool, &format!("gen2-{rows}-{pool}"));
         assert_eq!(meta.nrows, live + rows / 7);
         assert_eq!(meta.indexes["s"].distinct, 97);

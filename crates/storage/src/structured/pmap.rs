@@ -121,7 +121,23 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
 
     /// Insert or replace; returns the value replaced.
     pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let (old, split) = insert_into(&mut self.root, key, value, true);
+        self.insert_beside(key, value, |_, _| false).0
+    }
+
+    /// [`PMap::insert`], which also says, in the same descent, whether
+    /// `alike(neighbour, key)` holds for a key next to `key` in key order:
+    /// `Some(answer)` when `key`'s leaf settles it — a neighbour there is
+    /// alike, or `key` has one on each side (or none, at an end of the
+    /// map) and neither is — and `None` when `key` is first or last in its
+    /// leaf and the neighbour that may be alike is in the leaf next door.
+    /// Meaningless when `key` was present (the value was replaced).
+    pub(crate) fn insert_beside(
+        &mut self,
+        key: K,
+        value: V,
+        alike: impl Fn(&K, &K) -> bool,
+    ) -> (Option<V>, Option<bool>) {
+        let (old, split, beside) = insert_into(&mut self.root, key, value, (true, true), &alike);
         if let Some((sep, right)) = split {
             let left = Arc::clone(&self.root);
             self.root = Arc::new(Node::Inner(Inner { seps: vec![sep], kids: vec![left, right] }));
@@ -129,7 +145,7 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         if old.is_none() {
             self.len += 1;
         }
-        old
+        (old, beside)
     }
 
     /// Remove `key`; returns its value. Removing an absent key touches
@@ -221,47 +237,63 @@ fn leaf_from<K, V>(
 /// right sibling.
 type Split<K, V> = Option<(K, Arc<Node<K, V>>)>;
 
-/// Insert under `node`, which is on the tree's right edge if `edge`;
-/// returns the replaced value and, when `node` split, what the parent is
-/// to adopt.
+/// Insert under `node`, which is on the tree's left and right edges as
+/// `edges` says; returns the replaced value, what the parent is to adopt
+/// when `node` split, and what the leaf said of `alike` (as for
+/// [`PMap::insert_beside`]).
 fn insert_into<K: Ord + Clone, V: Clone>(
     node: &mut Arc<Node<K, V>>,
     key: K,
     value: V,
-    edge: bool,
-) -> (Option<V>, Split<K, V>) {
+    edges: (bool, bool),
+    alike: &impl Fn(&K, &K) -> bool,
+) -> (Option<V>, Split<K, V>, Option<bool>) {
     let node = Arc::make_mut(node);
     // Did the tree grow at its right end?
-    let (old, appended) = match node {
+    let (old, appended, beside) = match node {
         Node::Leaf(entries) => match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => return (entries.get_mut(i).map(|e| std::mem::replace(&mut e.1, value)), None),
+            Ok(i) => {
+                let old = entries.get_mut(i).map(|e| std::mem::replace(&mut e.1, value));
+                return (old, None, None);
+            }
             Err(i) => {
+                // A side with no neighbour in the leaf is settled only at
+                // an end of the map, where it has none at all.
+                let side = |at: Option<usize>, edge: bool| match at.and_then(|j| entries.get(j)) {
+                    Some((k, _)) => Some(alike(k, &key)),
+                    None => edge.then_some(false),
+                };
+                let beside = match (side(i.checked_sub(1), edges.0), side(Some(i), edges.1)) {
+                    (Some(true), _) | (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                };
                 reserve_node(entries);
                 entries.insert(i, (key, value));
-                (None, edge && i + 1 == entries.len())
+                (None, edges.1 && i + 1 == entries.len(), beside)
             }
         },
         Node::Inner(inner) => {
             let i = inner.child_for(&key);
-            let edge = edge && i + 1 == inner.kids.len();
-            let Some(kid) = inner.kids.get_mut(i) else { return (None, None) };
-            let (old, split) = insert_into(kid, key, value, edge);
-            let Some((sep, right)) = split else { return (old, None) };
+            let edges = (edges.0 && i == 0, edges.1 && i + 1 == inner.kids.len());
+            let Some(kid) = inner.kids.get_mut(i) else { return (None, None, None) };
+            let (old, split, beside) = insert_into(kid, key, value, edges, alike);
+            let Some((sep, right)) = split else { return (old, None, beside) };
             reserve_node(&mut inner.seps);
             reserve_node(&mut inner.kids);
             inner.seps.insert(i, sep);
             inner.kids.insert(i + 1, right);
-            (old, edge)
+            (old, edges.1, beside)
         }
     };
     if node.len() <= MAX {
-        return (old, None);
+        return (old, None, beside);
     }
     // Keys that arrive in ascending order (row ids do) keep landing at the
     // tree's right end: splitting there, not in the middle, leaves full
     // nodes behind instead of half-empty ones nothing will ever fill.
     let at = if appended { node.len() - 1 } else { node.len() / 2 };
-    (old, split(node, at))
+    (old, split(node, at), beside)
 }
 
 /// Make room in a node's buffer for one more than a node holds, all at
@@ -542,6 +574,38 @@ mod tests {
         drop(before);
         m.insert(6, 600);
         check(&m);
+    }
+
+    /// What `insert_beside` settles is what the key's neighbours in the
+    /// whole map say, and it leaves unsettled only keys on a leaf edge.
+    #[test]
+    fn insert_beside_reports_the_neighbours_the_leaf_holds() {
+        let alike = |a: &u32, b: &u32| a / 8 == b / 8;
+        let mut m = PMap::new();
+        let mut model = std::collections::BTreeSet::new();
+        let (mut settled, mut unsettled) = (0, 0);
+        // Scrambled, then ascending: inserts land inside leaves, on their
+        // edges, and at the map's right end.
+        let keys = (0..6000u32).map(|i| i * 7919 % 6000 * 2).chain((12_000..12_500).step_by(3));
+        for key in keys {
+            let (old, beside) = m.insert_beside(key, (), alike);
+            assert_eq!(old, None);
+            let before = model.range(..key).next_back();
+            let after = model.range(key..).next();
+            let truth =
+                before.is_some_and(|k| alike(k, &key)) || after.is_some_and(|k| alike(k, &key));
+            model.insert(key);
+            match beside {
+                Some(answer) => {
+                    assert_eq!(answer, truth, "key {key}");
+                    settled += 1;
+                }
+                None => unsettled += 1,
+            }
+        }
+        check(&m);
+        assert_eq!(m.insert_beside(4, (), alike), (Some(()), None), "a present key is replaced");
+        assert!(unsettled * 10 < settled, "{unsettled} unsettled against {settled} settled");
     }
 
     /// One step of the model property.

@@ -3,9 +3,11 @@
 //!
 //! **Records** ([`LogRecord`]) are binary-encoded through [`crate::codec`]
 //! (one per WAL frame), prefixed with the format byte `0x01` (binary-v1) —
-//! the only format written or read. Logs from before the paged engine held
-//! JSON records; one of those (first byte `{`) is refused by name, like
-//! any other unknown format byte.
+//! the only format written or read. Each kind has one encoder; the row
+//! changes' encoders take borrowed parts, so the engine logs a change from
+//! the row it is about to store, without building a record. Logs from
+//! before the paged engine held JSON records; one of those (first byte
+//! `{`) is refused by name, like any other unknown format byte.
 //!
 //! **Committed history** ([`UnitReader`]) is decided here and nowhere
 //! else. Every writer enters the engine through one gate, so a log is a
@@ -20,6 +22,7 @@
 
 use crate::codec;
 use crate::error::StorageError;
+use crate::value::Value;
 use crate::Result;
 
 use super::table::{Row, RowId, TableSchema};
@@ -110,59 +113,94 @@ pub enum LogRecord {
     },
 }
 
+/// Write the format byte and `kind`: how every record starts.
+fn write_head(w: &mut Vec<u8>, kind: u8) {
+    w.extend_from_slice(&[BINARY_V1, kind]);
+}
+
+/// Write a `Begin`, `Commit` or `Abort` record (`kind`) of `tx`.
+fn write_mark(w: &mut Vec<u8>, kind: u8, tx: u64) -> Result<()> {
+    write_head(w, kind);
+    codec::write_u64(w, tx)
+}
+
+/// Write what every row change starts with; an `Insert` or `Update` goes
+/// on with the row.
+fn write_change(w: &mut Vec<u8>, kind: u8, tx: u64, table: &str, row_id: RowId) -> Result<()> {
+    write_head(w, kind);
+    codec::write_u64(w, tx)?;
+    codec::write_str(w, table)?;
+    codec::write_u64(w, row_id.0)
+}
+
+/// Write the `Insert` record of `row` from its borrowed parts: the one
+/// encoder of the kind. The engine logs with it straight into the WAL's
+/// frame buffer; [`LogRecord::encode`] is its owned-record caller.
+pub(crate) fn write_insert(
+    w: &mut Vec<u8>,
+    tx: u64,
+    table: &str,
+    row_id: RowId,
+    row: &[Value],
+) -> Result<()> {
+    write_change(w, K_INSERT, tx, table, row_id)?;
+    codec::write_row(w, row)
+}
+
+/// Write the `Update` record of `row`; as [`write_insert`].
+pub(crate) fn write_update(
+    w: &mut Vec<u8>,
+    tx: u64,
+    table: &str,
+    row_id: RowId,
+    row: &[Value],
+) -> Result<()> {
+    write_change(w, K_UPDATE, tx, table, row_id)?;
+    codec::write_row(w, row)
+}
+
+/// Write the `Delete` record of `row_id`; as [`write_insert`].
+pub(crate) fn write_delete(w: &mut Vec<u8>, tx: u64, table: &str, row_id: RowId) -> Result<()> {
+    write_change(w, K_DELETE, tx, table, row_id)
+}
+
 impl LogRecord {
     /// Serialize for a WAL frame.
     pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut out = vec![BINARY_V1];
-        let w = &mut out;
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Append the record's bytes to `w` — a WAL frame buffer, through
+    /// [`crate::wal::Wal::append_with`]. A row change goes through the
+    /// writer the engine logs it with, so each kind has one encoder.
+    pub fn encode_into(&self, w: &mut Vec<u8>) -> Result<()> {
         match self {
             LogRecord::CreateTable { schema } => {
-                w.push(K_CREATE_TABLE);
-                codec::write_schema(w, schema)?;
+                write_head(w, K_CREATE_TABLE);
+                codec::write_schema(w, schema)
             }
             LogRecord::DropTable { table } => {
-                w.push(K_DROP_TABLE);
-                codec::write_str(w, table)?;
+                write_head(w, K_DROP_TABLE);
+                codec::write_str(w, table)
             }
             LogRecord::CreateIndex { table, column } => {
-                w.push(K_CREATE_INDEX);
+                write_head(w, K_CREATE_INDEX);
                 codec::write_str(w, table)?;
-                codec::write_str(w, column)?;
+                codec::write_str(w, column)
             }
-            LogRecord::Begin { tx } => {
-                w.push(K_BEGIN);
-                codec::write_u64(w, *tx)?;
-            }
+            LogRecord::Begin { tx } => write_mark(w, K_BEGIN, *tx),
             LogRecord::Insert { tx, table, row_id, row } => {
-                w.push(K_INSERT);
-                codec::write_u64(w, *tx)?;
-                codec::write_str(w, table)?;
-                codec::write_u64(w, row_id.0)?;
-                codec::write_row(w, row)?;
+                write_insert(w, *tx, table, *row_id, row)
             }
             LogRecord::Update { tx, table, row_id, row } => {
-                w.push(K_UPDATE);
-                codec::write_u64(w, *tx)?;
-                codec::write_str(w, table)?;
-                codec::write_u64(w, row_id.0)?;
-                codec::write_row(w, row)?;
+                write_update(w, *tx, table, *row_id, row)
             }
-            LogRecord::Delete { tx, table, row_id } => {
-                w.push(K_DELETE);
-                codec::write_u64(w, *tx)?;
-                codec::write_str(w, table)?;
-                codec::write_u64(w, row_id.0)?;
-            }
-            LogRecord::Commit { tx } => {
-                w.push(K_COMMIT);
-                codec::write_u64(w, *tx)?;
-            }
-            LogRecord::Abort { tx } => {
-                w.push(K_ABORT);
-                codec::write_u64(w, *tx)?;
-            }
+            LogRecord::Delete { tx, table, row_id } => write_delete(w, *tx, table, *row_id),
+            LogRecord::Commit { tx } => write_mark(w, K_COMMIT, *tx),
+            LogRecord::Abort { tx } => write_mark(w, K_ABORT, *tx),
         }
-        Ok(out)
     }
 
     /// Deserialize from a WAL frame payload.

@@ -8,8 +8,11 @@
 //! empty records.
 //!
 //! The log, the replication stream and the file store all carry this
-//! frame, and only this module knows its layout: [`encode_frame`] writes
-//! one, [`decode_frame`] reads one and answers *complete*, *incomplete* or
+//! frame, and only this module knows its layout: [`write_frame`] writes
+//! one around a payload its caller writes in place ([`Wal::append_with`]
+//! is how the engine logs a record straight from the row it is about to
+//! store; [`Wal::append`] and [`encode_frame`] copy in an encoded one),
+//! and [`decode_frame`] reads one and answers *complete*, *incomplete* or
 //! *torn*. Callers keep policy only. [`Wal::replay_with`] stops at the
 //! first frame that is not complete — the torn tail of a crashed write —
 //! and reports where the clean prefix ends; [`FrameBuf`] (the replication
@@ -199,17 +202,39 @@ pub fn frame_crc(payload: &[u8]) -> u32 {
 /// Bytes of a frame's header: the length prefix and the checksum.
 pub const FRAME_HEADER: usize = 8;
 
-/// Append the frame for `payload` to `out`: the one place the layout is
-/// written. A payload too long for the length prefix is refused, never
-/// truncated.
+/// Append to `out` the frame whose payload `fill` appends: the one place
+/// the layout is written. The header is reserved first and its length and
+/// checksum patched in once the payload stands behind it, so a payload is
+/// written once, where the frame holds it. A payload too long for the
+/// length prefix is refused, never truncated; on any error `out` is left
+/// as it was.
+pub fn write_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    let framed = fill(out).and_then(|()| {
+        let payload = out.get(start + FRAME_HEADER..).unwrap_or_default();
+        let len = u32::try_from(payload.len()).map_err(|_| {
+            StorageError::Corrupt(format!("record of {} bytes does not fit a frame", payload.len()))
+        })?;
+        let crc = frame_crc(payload);
+        if let Some(header) = out.get_mut(start..start + FRAME_HEADER) {
+            header[..4].copy_from_slice(&len.to_le_bytes());
+            header[4..].copy_from_slice(&crc.to_le_bytes());
+        }
+        Ok(())
+    });
+    if framed.is_err() {
+        out.truncate(start);
+    }
+    framed
+}
+
+/// Append the frame for an already encoded `payload` to `out`.
 pub fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<()> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        StorageError::Corrupt(format!("record of {} bytes does not fit a frame", payload.len()))
-    })?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&frame_crc(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(())
+    write_frame(out, |frame| {
+        frame.extend_from_slice(payload);
+        Ok(())
+    })
 }
 
 /// Why no further bytes can make the front of a buffer a frame.
@@ -256,8 +281,8 @@ pub struct Wal {
     backend: Arc<dyn StorageBackend>,
     writer: BufWriter<Box<dyn BackendFile>>,
     offset: u64,
-    /// Reused frame-assembly buffer so `append` allocates nothing in
-    /// steady state.
+    /// The frame buffer each record is written into before it joins the
+    /// writer; reused, so an append allocates nothing in steady state.
     scratch: Vec<u8>,
 }
 
@@ -292,15 +317,25 @@ impl Wal {
         })
     }
 
-    /// Append one record; returns its frame offset. Data is buffered — call
-    /// [`Wal::sync`] to force it to the OS/file.
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
+    /// Append one record whose payload `fill` writes straight into the
+    /// log's frame buffer ([`write_frame`]); returns its frame offset. A
+    /// record `fill` fails to write appends nothing. Data is buffered —
+    /// call [`Wal::sync`] to force it to the OS/file.
+    pub fn append_with(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<u64> {
         let offset = self.offset;
         self.scratch.clear();
-        encode_frame(&mut self.scratch, payload)?;
+        write_frame(&mut self.scratch, fill)?;
         self.writer.write_all(&self.scratch)?;
         self.offset += self.scratch.len() as u64;
         Ok(offset)
+    }
+
+    /// Append one already encoded record; returns its frame offset.
+    pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
+        self.append_with(|frame| {
+            frame.extend_from_slice(payload);
+            Ok(())
+        })
     }
 
     /// Flush buffered frames to the OS *without* an fsync: what a replica
@@ -692,6 +727,44 @@ pub(crate) mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(&recs[0][..], b"one");
         assert_eq!(&recs[1][..], b"two");
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// A payload written in place frames to the bytes of the same payload
+    /// copied in, and a fill that fails leaves neither the buffer nor the
+    /// log any different.
+    #[test]
+    fn a_frame_filled_in_place_is_the_frame_of_its_payload() {
+        let mut out = b"before".to_vec();
+        write_frame(&mut out, |w| {
+            w.extend_from_slice(b"in place");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(out, [b"before".as_slice(), &framed(b"in place")].concat());
+        let refused = write_frame(&mut out, |w| {
+            w.extend_from_slice(b"half a record");
+            Err(StorageError::Corrupt("refused".into()))
+        });
+        assert!(refused.is_err());
+        assert_eq!(out, [b"before".as_slice(), &framed(b"in place")].concat());
+
+        let p = tmp("fill");
+        let _ = std::fs::remove_file(&p);
+        let mut wal = Wal::open(&p).unwrap();
+        wal.append(b"one").unwrap();
+        let failed = wal.append_with(|w| {
+            w.push(7);
+            Err(StorageError::Corrupt("refused".into()))
+        });
+        assert!(failed.is_err());
+        let offset = wal.append_with(|w| {
+            w.extend_from_slice(b"two");
+            Ok(())
+        });
+        assert_eq!(offset.unwrap(), (FRAME_HEADER + 3) as u64);
+        wal.sync().unwrap();
+        assert_eq!(Wal::replay(&p).unwrap(), [b"one".to_vec(), b"two".to_vec()]);
         std::fs::remove_file(&p).unwrap();
     }
 

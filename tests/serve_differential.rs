@@ -9,11 +9,13 @@
 //! interleave. A mid-soak `Checkpoint` plus a full server restart from
 //! the WAL must recover a logically identical database.
 
+use quarry::cluster::{Cluster, ClusterConfig};
 use quarry::core::{Quarry, QuarryConfig, QuarryError, SharedQuarry};
 use quarry::query::engine::{AggFn, Query};
 use quarry::query::Predicate;
+use quarry::serve::protocol::ErrorKind;
 use quarry::serve::{Client, ClientError, ServeConfig, Server};
-use quarry::storage::{Column, DataType, TableSchema, Value};
+use quarry::storage::{Column, DataType, Database, TableSchema, Value};
 use quarry_corpus::{Corpus, CorpusConfig, NoiseConfig};
 use std::time::Duration;
 
@@ -225,6 +227,80 @@ fn four_concurrent_clients_match_the_facade_bit_for_bit() {
     c.shutdown().unwrap();
     drop(server);
     remove_db_files(&wal);
+}
+
+fn reading(id: i64) -> Vec<Value> {
+    vec![Value::Int(id), format!("station-{}", id % 7).into(), Value::Int(id * 31 % 200)]
+}
+
+/// Through `client`: create `readings`, commit 50 rows, then send a
+/// 100-row batch whose 60th row repeats committed key 5. The batch must be
+/// refused with the exact message the engine has always given, and leave
+/// no row of it visible. Returns the table as it was before the batch.
+fn refuse_a_batch(kind: &str, client: &mut Client) -> Vec<Vec<Value>> {
+    let columns = vec![
+        Column::new("id", DataType::Int),
+        Column::new("station", DataType::Text),
+        Column::new("value", DataType::Int),
+    ];
+    client.create_table(TableSchema::new("readings", columns, &["id"], &[]).unwrap()).unwrap();
+    client.create_index("readings", "value").unwrap();
+    client.insert_rows("readings", (0..50).map(reading).collect()).unwrap();
+    let scan = Query::scan("readings");
+    let (_, before) = client.query(&scan).unwrap();
+    assert_eq!(before.len(), 50, "{kind}");
+
+    let mut batch: Vec<Vec<Value>> = (1000..1100).map(reading).collect();
+    batch[59] = reading(5);
+    match client.insert_rows("readings", batch) {
+        Err(ClientError::Server { kind: ErrorKind::Storage, message }) => assert_eq!(
+            message, "storage error: duplicate key: readings key [Int(5)] already exists",
+            "{kind}"
+        ),
+        other => panic!("{kind}: the batch was not refused: {other:?}"),
+    }
+    assert_eq!(client.query(&scan).unwrap().1, before, "{kind}: a refused row is visible");
+    // The index holds none of the batch either.
+    let by_value =
+        scan.clone().filter(vec![Predicate::Eq("value".into(), Value::Int(1000 * 31 % 200))]);
+    let (_, indexed) = client.query(&by_value).unwrap();
+    assert!(indexed.iter().all(|row| row[0] < Value::Int(1000)), "{kind}: {indexed:?}");
+    before
+}
+
+/// A refused batch, end to end, on a server and through a router: the
+/// error is word for word the engine's, nothing of the batch is visible,
+/// and the reopened log recovers the table as it was before the batch.
+#[test]
+fn a_refused_batch_leaves_nothing_behind_on_a_server_or_a_router() {
+    let wal = tmpwal("refused-batch");
+    let q = Quarry::new(QuarryConfig::builder().wal_path(&wal).build()).unwrap();
+    let server = Server::start(q, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let before = refuse_a_batch("server", &mut client);
+    drop(client);
+    drop(server.join());
+    let reopened = Database::open(&wal).unwrap();
+    assert_eq!(reopened.snapshot().scan("readings").unwrap(), before, "server, reopened");
+    drop(reopened);
+    remove_db_files(&wal);
+
+    let dir = std::env::temp_dir()
+        .join("quarry-int-tests")
+        .join(format!("refused-batch-router-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = ClusterConfig { shards: 1, replicas_per_shard: 0, ..Default::default() };
+    let mut cluster = Cluster::start(&dir, cfg).unwrap();
+    let mut client = cluster.client().unwrap();
+    let before = refuse_a_batch("router", &mut client);
+    drop(client);
+    cluster.shutdown();
+    drop(cluster);
+    let reopened = Database::open(dir.join("shard0-primary.wal")).unwrap();
+    assert_eq!(reopened.snapshot().scan("readings").unwrap(), before, "router, reopened");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The MVCC contract under a live writer, checked differentially: every
