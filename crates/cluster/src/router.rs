@@ -19,8 +19,8 @@
 //!   compare; `AVG` is rejected as non-distributable), anything else
 //!   concatenates rows in shard order. Queries whose shape cannot be
 //!   merged correctly from per-shard partials — joins, nested
-//!   aggregates, inner `LIMIT` — are rejected up front rather than
-//!   answered wrong.
+//!   aggregates, a `Sort` below the top (an inner `ORDER BY`, with or
+//!   without `LIMIT`) — are rejected up front rather than answered wrong.
 //! - **KeywordSearch** is refused like `Qdl`: a shard scores with its own
 //!   corpus statistics, so merged scores would not be the single-node
 //!   ranking (see `docs/serving.md`).
@@ -330,8 +330,11 @@ fn check_distributable(q: &Query) -> Result<(), String> {
                 walk(input, false)
             }
             Query::Sort { input, limit, .. } => {
-                if !top && limit.is_some() {
-                    return Err("an inner LIMIT is not distributable across shards".into());
+                if !top {
+                    // Merged rows come back in shard order below the top,
+                    // and an inner LIMIT would cut each shard's rows.
+                    let what = if limit.is_some() { "an inner LIMIT" } else { "an inner ORDER BY" };
+                    return Err(format!("{what} is not distributable across shards"));
                 }
                 walk(input, false)
             }

@@ -136,7 +136,7 @@ impl Snapshot {
     }
 
     /// The write-clock LSN this session is pinned to: the session sees
-    /// every write committed at capture time and nothing stamped later.
+    /// every unit committed at capture time and nothing committed later.
     pub fn lsn(&self) -> u64 {
         self.db.lsn()
     }

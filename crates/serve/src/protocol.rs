@@ -243,9 +243,13 @@ pub struct Response {
     pub server_micros: u64,
     /// The shard's write-clock LSN this response reflects: the snapshot
     /// LSN for reads, the post-commit LSN for writes, zero for replies
-    /// that never touched the store. Routers forward it so a client's
-    /// per-shard snapshot view is well-defined. Defaulted on decode so
-    /// version-1 peers without the field still parse.
+    /// that never touched the store. An LSN counts the units — a
+    /// transaction that changed something, a DDL statement — the shard
+    /// has committed since it opened, so 0 is also the state it opened
+    /// with, and two replies of one shard process with the same LSN
+    /// reflect the same committed state. Routers forward it so a
+    /// client's per-shard snapshot view is well-defined. Defaulted on
+    /// decode so version-1 peers without the field still parse.
     #[serde(default)]
     pub lsn: u64,
     /// The outcome.

@@ -71,16 +71,12 @@ pub(super) struct Recovered {
 
 /// Rebuild the committed state of the database whose WAL lives at
 /// `wal_path`: checkpoint image first, then the WAL suffix over it.
-pub(super) fn recover(
-    backend: &dyn StorageBackend,
-    wal_path: &Path,
-    stamp: &dyn Fn() -> u64,
-) -> Result<Recovered> {
+pub(super) fn recover(backend: &dyn StorageBackend, wal_path: &Path) -> Result<Recovered> {
     // A stale checkpoint build means we crashed mid-checkpoint, before
     // the rename: the image is unpublished and must be discarded.
     let _ = backend.remove_file(&tmp_path(wal_path));
     let mut tables = Tables::new();
-    let image = load_image(backend, &image_path(wal_path), &mut tables, stamp)?;
+    let image = load_image(backend, &image_path(wal_path), &mut tables)?;
     // Redo each committed unit as the log's one scan reaches its end. The
     // reader holds at most one open unit, which is sound because no unit
     // spans files either: a checkpoint passes the writer gate, so the log
@@ -88,7 +84,7 @@ pub(super) fn recover(
     let mut units = UnitReader::default();
     let wal_end = Wal::replay_with(backend, wal_path, |payload| {
         match units.push(LogRecord::decode(payload)?)? {
-            Some(unit) => redo(&mut tables, unit, stamp),
+            Some(unit) => redo(&mut tables, unit),
             None => Ok(()),
         }
     })?;
@@ -103,7 +99,6 @@ fn load_image(
     backend: &dyn StorageBackend,
     path: &Path,
     tables: &mut Tables,
-    stamp: &dyn Fn() -> u64,
 ) -> Result<Option<Arc<CheckpointImage>>> {
     let image = match CheckpointImage::open(backend, path, CKPT_POOL_PAGES) {
         Ok(image) => Arc::new(image),
@@ -122,7 +117,7 @@ fn load_image(
     };
     for e in paged::decode_directory_v2(&dir)? {
         let base = TableBase { image: Arc::clone(&image), meta: Arc::new(e.meta) };
-        let t = Table::from_base(e.schema, base, stamp());
+        let t = Table::from_base(e.schema, base);
         tables.insert(t.schema.name.clone(), t);
     }
     Ok(Some(image))
@@ -186,8 +181,8 @@ pub(super) fn publish(
 
 /// Swap every table onto the image [`publish`] just wrote and drop the
 /// overlays: from here on, reads fault base pages in on demand. Contents
-/// are unchanged, so versions (and snapshot views, which keep the old
-/// overlay and the old image alive via their own `Arc`s) stay valid. If
+/// are unchanged, so the LSN stays where it is, and snapshot views keep
+/// the old overlay and the old image alive via their own `Arc`s. If
 /// the open fails the checkpoint is still durable and the tables simply
 /// stay resident; the error is surfaced.
 pub(super) fn rebase(

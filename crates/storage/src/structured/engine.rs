@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::checkpoint::{self, Recovered};
-use super::overlay::{committed_clone, redo, Table, Tables, Undo};
+use super::overlay::{redo, roll_back, Table, Tables, Undo};
 use super::paged::CheckpointImage;
 use super::recovery::{self, LogRecord};
 use super::replication::{self, ReplicationSeed};
@@ -37,16 +37,20 @@ use super::view::{DbSnapshot, TableView};
 /// Transaction identifier.
 pub type TxId = u64;
 
-/// What the `tables` mutex guards: the table map and the one open
-/// transaction. Keeping both under one mutex is what makes "is a
-/// transaction open, and which tables has it dirtied" a plain field read
-/// for every operation, snapshot and seed capture.
+/// What the `tables` mutex guards: the table map, the one open
+/// transaction and the write clock. Keeping them under one mutex is what
+/// makes "is a transaction open, and what has it changed" a plain field
+/// read for every operation, snapshot and seed capture, and pairs every
+/// LSN a snapshot reads with exactly one committed state.
 #[derive(Default)]
 struct State {
     tables: Tables,
     /// The open transaction. `Some` from `begin()` until its commit or
     /// abort has finished logging: this is the writer gate.
     open: Option<OpenTx>,
+    /// The write clock: units committed since open (see
+    /// [`State::commit_unit`]). It is the LSN a snapshot pins.
+    write_clock: u64,
 }
 
 struct OpenTx {
@@ -73,6 +77,18 @@ impl State {
 
     fn table(&self, name: &str) -> Result<&Table> {
         self.tables.get(name).ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
+    }
+
+    /// Advance the write clock by one unit, at the moment committed
+    /// content changed: a transaction that changed something committing,
+    /// a DDL statement, a unit a replica redoes, a reseed's reset. Never
+    /// per row, nor for an abort, a read, a checkpoint's rebase (the
+    /// content is the same) or open-time recovery (the recovered state is
+    /// LSN 0). The one place the clock moves, and always under the
+    /// `tables` mutex, like the snapshot that reads it: equal LSNs name
+    /// equal committed states.
+    fn commit_unit(&mut self) {
+        self.write_clock += 1;
     }
 }
 
@@ -117,8 +133,6 @@ pub struct Database {
     /// Storage backend shared by the WAL and the checkpoint files.
     backend: Arc<dyn StorageBackend>,
     next_tx: AtomicU64,
-    /// Monotone clock stamping every table mutation; see [`Table::version`].
-    write_clock: AtomicU64,
     /// The open checkpoint image backing the tables' bases (`None` until
     /// an image is loaded or published). Held here so diagnostics
     /// can reach the shared buffer pool; the per-table handles live in
@@ -143,15 +157,9 @@ impl Database {
             wal: Mutex::new(None),
             backend: Arc::new(RealBackend),
             next_tx: AtomicU64::new(1),
-            write_clock: AtomicU64::new(0),
             image: Mutex::new(None),
             epoch: AtomicU64::new(0),
         }
-    }
-
-    /// Next write-clock stamp.
-    fn stamp(&self) -> u64 {
-        self.write_clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Open (or recover) a durable database whose WAL lives at `path`.
@@ -167,17 +175,15 @@ impl Database {
     /// argument. Files in a retired format are refused, never guessed at.
     pub fn open_with(backend: Arc<dyn StorageBackend>, path: impl AsRef<Path>) -> Result<Database> {
         let path = path.as_ref();
-        let db = Database::in_memory();
-        let Recovered { tables, image, max_tx, wal_end } =
-            checkpoint::recover(&*backend, path, &|| db.stamp())?;
+        let Recovered { tables, image, max_tx, wal_end } = checkpoint::recover(&*backend, path)?;
         Ok(Database {
-            tables: Mutex::new(State { tables, open: None }),
+            tables: Mutex::new(State { tables, ..State::default() }),
             image: Mutex::new(image),
             next_tx: AtomicU64::new(max_tx + 1),
             // Recovery has scanned the log: open it where that scan ended.
             wal: Mutex::new(Some(Wal::open_at(Arc::clone(&backend), path, wal_end)?)),
             backend,
-            ..db
+            ..Database::in_memory()
         })
     }
 
@@ -271,8 +277,8 @@ impl Database {
             )));
         }
         self.log_durable(&LogRecord::CreateTable { schema: schema.clone() })?;
-        let stamp = self.stamp();
-        st.tables.insert(schema.name.clone(), Table::new(schema, stamp));
+        st.tables.insert(schema.name.clone(), Table::new(schema));
+        st.commit_unit();
         Ok(())
     }
 
@@ -298,8 +304,7 @@ impl Database {
             column: column.to_string(),
         })?;
         t.build_index(column)?;
-        t.version = self.stamp();
-        t.stable_version = t.version;
+        st.commit_unit();
         Ok(())
     }
 
@@ -311,6 +316,7 @@ impl Database {
         // table in place.
         self.log_durable(&LogRecord::DropTable { table: name.to_string() })?;
         st.tables.remove(name);
+        st.commit_unit();
         Ok(())
     }
 
@@ -404,10 +410,11 @@ impl Database {
 
     /// Commit: durable once this returns.
     ///
-    /// Every touched table takes a fresh *post-commit* stamp on both its
-    /// version fields, so the committed-content version only changes at
-    /// commit boundaries — a [`Database::snapshot`] taken mid-transaction
-    /// sorts strictly before the commit in version order.
+    /// A transaction that changed something moves the write clock by one,
+    /// at the moment its changes become the committed state (before the
+    /// fsync, under the `tables` mutex); one that only read moves it not
+    /// at all. A [`Database::snapshot`] taken while the transaction was
+    /// open pins the LSN of the last commit before it.
     pub fn commit(&self, tx: TxId) -> Result<()> {
         self.close_tx(tx, false)
     }
@@ -425,26 +432,15 @@ impl Database {
             let undo = std::mem::take(undo);
             if undo.is_empty() {
                 // Changed nothing, so logged no `Begin` either: nothing to
-                // stamp, undo or log.
+                // count, undo or log.
                 st.open = None;
                 self.tx_closed.notify_all();
                 return Ok(());
             }
             if rollback {
-                for u in undo.iter().rev() {
-                    if let Some(t) = tables.get_mut(u.table()) {
-                        u.apply_to(t);
-                    }
-                }
-            }
-            let mut touched: Vec<&str> = undo.iter().map(Undo::table).collect();
-            touched.sort_unstable();
-            touched.dedup();
-            for name in touched {
-                if let Some(t) = tables.get_mut(name) {
-                    t.version = self.stamp();
-                    t.stable_version = t.version;
-                }
+                roll_back(tables, &undo);
+            } else {
+                st.commit_unit();
             }
         }
         // The transaction stays open, with nothing left to undo, across
@@ -485,7 +481,7 @@ impl Database {
         }
         let row_id = RowId(t.next_row);
         self.log_tx(tx, undo.is_empty(), |w| recovery::write_insert(w, tx, table, row_id, &row))?;
-        t.apply_insert(self.stamp(), row_id, hash, row)?;
+        t.apply_insert(row_id, hash, row)?;
         undo.push(Undo::Insert { table: Arc::clone(&t.schema), row_id });
         Ok(row_id)
     }
@@ -522,7 +518,7 @@ impl Database {
         }
         self.log_tx(tx, undo.is_empty(), |w| recovery::write_update(w, tx, table, row_id, &row))?;
         let old = t
-            .apply_update(self.stamp(), row_id, row)?
+            .apply_update(row_id, row)?
             .ok_or_else(|| StorageError::NotFound(format!("{table} row {row_id}")))?;
         undo.push(Undo::Update { table: Arc::clone(&t.schema), row_id, old });
         Ok(())
@@ -536,7 +532,7 @@ impl Database {
         let row_id = t.lookup_pk(key)?.ok_or_else(|| not_found(table, key))?;
         self.log_tx(tx, undo.is_empty(), |w| recovery::write_delete(w, tx, table, row_id))?;
         let old = t
-            .apply_delete(self.stamp(), row_id)?
+            .apply_delete(row_id)?
             .ok_or_else(|| StorageError::NotFound(format!("{table} row {row_id}")))?;
         undo.push(Undo::Delete { table: Arc::clone(&t.schema), row_id, old });
         Ok(())
@@ -547,30 +543,29 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Capture a consistent, immutable snapshot of all **committed**
-    /// state, pinned to the current write-clock LSN.
+    /// state, pinned to the current write-clock LSN: the number of units
+    /// committed since open.
     ///
     /// Reads against the returned [`DbSnapshot`] take no locks and never
     /// block (or are blocked by) the writer. Capturing copies no rows: a
     /// view is a clone of the engine's table, which shares the overlay's
     /// trees, so the cost is a handful of `Arc` clones per table however
-    /// much the tables hold or have changed. A table the open transaction
-    /// has changed is additionally rolled back to its committed contents
-    /// through the undo list — on the clone, at the cost of the paths the
-    /// transaction touched — and published under its committed version.
-    /// A snapshot therefore never moves the write clock: two of them with
-    /// no write in between carry the same LSN and the same versions.
+    /// much the tables hold or have changed. The tables the open
+    /// transaction's undo list names are additionally rolled back to their
+    /// committed contents through it — on the clone, at the cost of the
+    /// paths the transaction touched. A snapshot taken mid-transaction
+    /// therefore holds, and is pinned to, the last commit's state, and a
+    /// snapshot never moves the write clock: two of them with no commit in
+    /// between carry the same LSN and the same contents.
     pub fn snapshot(&self) -> DbSnapshot {
         let st = self.tables.lock();
-        let view = |(name, t): (&String, &Table)| {
-            let committed = if t.version == t.stable_version {
-                t.clone()
-            } else {
-                committed_clone(name, t, st.uncommitted())
-            };
-            (name.clone(), TableView::new(committed))
-        };
-        let lsn = self.write_clock.load(Ordering::SeqCst);
-        DbSnapshot::new(lsn, st.tables.iter().map(view).collect())
+        let (lsn, mut tables) = (st.write_clock, st.tables.clone());
+        roll_back(&mut tables, st.uncommitted());
+        drop(st);
+        DbSnapshot::new(
+            lsn,
+            tables.into_iter().map(|(name, t)| (name, TableView::new(t))).collect(),
+        )
     }
 
     /// Number of rows in a table, an open transaction's writes included;
@@ -615,9 +610,9 @@ impl Database {
     }
 
     /// The current write-clock value — the LSN a snapshot taken *now*
-    /// would pin to.
+    /// would pin to: the units committed since open.
     pub fn current_lsn(&self) -> u64 {
-        self.write_clock.load(Ordering::SeqCst)
+        self.tables.lock().write_clock
     }
 
     /// Capture a reseed payload: the current epoch, the WAL offset
@@ -650,9 +645,15 @@ impl Database {
 
     /// Replication (replica side): apply one shipped unit — the changes
     /// of one *committed* transaction, or one auto-committed DDL record —
-    /// through the same redo path recovery uses.
+    /// through the same redo path recovery uses. The unit moves the write
+    /// clock by one, like a commit or a DDL statement on a primary — also
+    /// when the redo fails part-way, having changed the tables all the
+    /// same.
     pub fn replicate_apply(&self, unit: Vec<LogRecord>) -> Result<()> {
-        redo(&mut self.gate().tables, unit, &|| self.stamp())
+        let mut st = self.gate();
+        let redone = redo(&mut st.tables, unit);
+        st.commit_unit();
+        redone
     }
 
     /// Replication (replica side): discard every table and log byte ahead
@@ -663,6 +664,7 @@ impl Database {
         let mut st = self.gate();
         let mut wal = self.wal.lock();
         st.tables.clear();
+        st.commit_unit();
         if let Some(w) = wal.as_mut() {
             let ckpt = checkpoint::image_path(w.path());
             w.reset()?;
@@ -989,15 +991,12 @@ mod tests {
         let s2 = db.snapshot();
         let (v1, v2) = (s1.table("people").unwrap(), s2.table("people").unwrap());
         assert!(v1.shares_overlay_with(v2), "unchanged tables share their trees");
-        assert_eq!(v1.version(), v2.version());
+        assert_eq!((s1.lsn(), s1.scan("people").unwrap()), (s2.lsn(), s2.scan("people").unwrap()));
         db.insert_autocommit("people", person("b", 2, "x")).unwrap();
         let s3 = db.snapshot();
         assert!(!v1.shares_overlay_with(s3.table("people").unwrap()));
-        assert_ne!(
-            s1.table_version("people").unwrap(),
-            s3.table_version("people").unwrap(),
-            "changed contents imply a new version"
-        );
+        assert_eq!(s3.lsn(), s1.lsn() + 1, "changed contents imply a new LSN");
+        assert_eq!(s3.scan("people").unwrap(), [person("a", 1, "x"), person("b", 2, "x")]);
     }
 
     #[test]
@@ -1016,12 +1015,9 @@ mod tests {
         db.delete(tx, "people", &["p0007".into()]).unwrap();
         let (clock, s1, s2) = (db.current_lsn(), db.snapshot(), db.snapshot());
         assert_eq!(db.current_lsn(), clock, "a reader ticked the write clock");
-        assert_eq!(s1.lsn(), s2.lsn());
-        // The rolled-back contents are the contents at the committed
-        // version, and are published under it.
-        let version = committed.table_version("people").unwrap();
-        assert_eq!(s1.table_version("people").unwrap(), version);
-        assert_eq!(s2.table_version("people").unwrap(), version);
+        // The rolled-back contents are the last commit's contents, and are
+        // pinned to its LSN.
+        assert_eq!((s1.lsn(), s2.lsn()), (committed.lsn(), committed.lsn()));
         for s in [&s1, &s2] {
             assert_eq!(s.scan("people").unwrap(), committed.scan("people").unwrap());
             assert!(s
@@ -1037,9 +1033,65 @@ mod tests {
 
         db.commit(tx).unwrap();
         let after = db.snapshot();
-        assert!(after.lsn() > s1.lsn(), "the commit, not the readers, moved the LSN");
-        assert_ne!(after.table_version("people").unwrap(), version);
+        assert_eq!(after.lsn(), s1.lsn() + 1, "the commit, not the readers, moved the LSN");
+        assert_ne!(after.scan("people").unwrap(), committed.scan("people").unwrap());
         assert_eq!(after.row_count("people").unwrap(), 2000);
+    }
+
+    /// The LSN counts committed units: a commit that changed something
+    /// moves it by one however many rows it wrote; an abort, a reader, a
+    /// checkpoint and a no-op `create_index` leave it; each DDL statement
+    /// moves it by one. So equal LSNs name equal committed states.
+    #[test]
+    fn the_write_clock_counts_committed_units() {
+        let p = tmpwal("write-clock");
+        let db = Database::open(&p).unwrap();
+        assert_eq!(db.current_lsn(), 0, "the opened state is LSN 0");
+        db.create_table(people_schema()).unwrap();
+        assert_eq!(db.current_lsn(), 1);
+
+        let tx = db.begin();
+        for i in 0..100 {
+            db.insert(tx, "people", person(&format!("p{i:03}"), i, "x")).unwrap();
+        }
+        // A snapshot taken mid-transaction pins the last commit's LSN and
+        // content; the transaction's own rows move nothing yet.
+        let mid = db.snapshot();
+        assert_eq!((mid.lsn(), mid.row_count("people").unwrap()), (1, 0));
+        assert_eq!(db.current_lsn(), 1);
+        db.commit(tx).unwrap();
+        assert_eq!(db.current_lsn(), 2, "a 100-row commit adds 1");
+        let committed = db.snapshot();
+
+        let tx = db.begin();
+        db.insert(tx, "people", person("gone", 1, "y")).unwrap();
+        db.delete(tx, "people", &["p000".into()]).unwrap();
+        db.abort(tx).unwrap();
+        assert_eq!(db.current_lsn(), 2, "an abort adds 0");
+
+        let tx = db.begin();
+        db.get(tx, "people", &["p001".into()]).unwrap();
+        db.commit(tx).unwrap();
+        assert_eq!(db.current_lsn(), 2, "a transaction that only read adds 0");
+        let again = db.snapshot();
+        assert_eq!(again.lsn(), committed.lsn());
+        assert_eq!(again.scan("people").unwrap(), committed.scan("people").unwrap());
+
+        db.create_index("people", "city").unwrap();
+        assert_eq!(db.current_lsn(), 3, "create_index adds 1");
+        db.create_index("people", "city").unwrap();
+        assert_eq!(db.current_lsn(), 3, "a no-op create_index adds 0");
+        db.checkpoint().unwrap();
+        assert_eq!(db.current_lsn(), 3, "checkpoint adds 0");
+        assert_eq!(db.snapshot().scan("people").unwrap(), committed.scan("people").unwrap());
+        db.drop_table("people").unwrap();
+        assert_eq!(db.current_lsn(), 4, "drop_table adds 1");
+
+        // Recovery rebuilds the state and calls it LSN 0.
+        drop(db);
+        assert_eq!(Database::open(&p).unwrap().current_lsn(), 0);
+        let _ = std::fs::remove_file(&p);
+        let _ = std::fs::remove_file(p.with_extension("ckpt"));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! backward (abort and snapshot rollback).
 //!
 //! Bottom of the engine's module stack: everything here works on plain
-//! `&mut` table state handed in by the caller. The writer gate, the WAL
-//! and transaction ids belong to the layers above (`checkpoint` and
-//! `replication`, then `engine`).
+//! `&mut` table state handed in by the caller. The writer gate, the WAL,
+//! transaction ids and the write clock belong to the layers above
+//! (`checkpoint` and `replication`, then `engine`). A table carries no
+//! version: which committed state it holds is named by the engine's LSN,
+//! which counts committed units, not the changes applied here.
 
 use crate::btree;
 use crate::error::StorageError;
@@ -79,24 +81,10 @@ pub(super) struct Table {
     /// Exact number of live rows across base + overlay.
     pub(super) live_rows: u64,
     pub(super) next_row: u64,
-    /// Write version: stamped from the database-wide write clock on every
-    /// change to this table's rows (including undo and redo), so two
-    /// observations of the same version imply identical table contents.
-    /// Creation takes a fresh stamp too, so a dropped-and-recreated table
-    /// never aliases versions with its predecessor.
-    pub(super) version: u64,
-    /// Version of the last change that is *committed*. Strictly trails
-    /// `version` exactly while the open transaction holds uncommitted
-    /// changes to this table — `version != stable_version` is the dirty
-    /// test that routes [`Database::snapshot`] onto its rollback path.
-    /// Commit and abort restamp both fields together (with a fresh clock
-    /// tick), so a stable version, like `version`, never aliases two
-    /// different committed contents.
-    pub(super) stable_version: u64,
 }
 
 impl Table {
-    pub(super) fn new(schema: TableSchema, stamp: u64) -> Table {
+    pub(super) fn new(schema: TableSchema) -> Table {
         Table {
             indexes: vec![SecondaryIndex::new(); schema.indexes.len()],
             schema: Arc::new(schema),
@@ -107,22 +95,20 @@ impl Table {
             tombstones: PMap::new(),
             live_rows: 0,
             next_row: 0,
-            version: stamp,
-            stable_version: stamp,
         }
     }
 
     /// A lazily-loaded table: empty overlay over a checkpoint base.
-    pub(super) fn from_base(schema: TableSchema, base: TableBase, stamp: u64) -> Table {
-        let mut t = Table::new(schema, stamp);
+    pub(super) fn from_base(schema: TableSchema, base: TableBase) -> Table {
+        let mut t = Table::new(schema);
         t.live_rows = base.meta.nrows;
         t.next_row = base.meta.next_row;
         t.base = Some(base);
         t
     }
 
-    /// Drop the overlay onto a freshly-published checkpoint base (which
-    /// holds identical contents, so versions are untouched).
+    /// Drop the overlay onto a freshly-published checkpoint base, which
+    /// holds identical contents.
     pub(super) fn reset_to_base(&mut self, base: TableBase) {
         self.heap = PMap::new();
         self.pk = PMap::new();
@@ -380,13 +366,7 @@ impl Table {
     /// exact. An id at or past `next_row` — every id a writer assigns, and
     /// redo past the high-water mark — is in none of the overlay, the
     /// tombstones and the base, so it skips the probes for one.
-    pub(super) fn apply_insert(
-        &mut self,
-        stamp: u64,
-        row_id: RowId,
-        hash: u64,
-        row: Row,
-    ) -> Result<()> {
+    pub(super) fn apply_insert(&mut self, row_id: RowId, hash: u64, row: Row) -> Result<()> {
         let was_live = row_id.0 < self.next_row && {
             let prev = self.overlay_unhook(row_id);
             let was_tombstoned = self.tombstones.remove(&row_id).is_some();
@@ -396,27 +376,19 @@ impl Table {
         if !was_live {
             self.live_rows += 1;
         }
-        self.version = stamp;
         Ok(())
     }
 
-    pub(super) fn apply_update(
-        &mut self,
-        stamp: u64,
-        row_id: RowId,
-        row: Row,
-    ) -> Result<Option<Row>> {
+    pub(super) fn apply_update(&mut self, row_id: RowId, row: Row) -> Result<Option<Row>> {
         let Some(old) = self.unhook_effective(row_id)? else { return Ok(None) };
         self.overlay_hook(row_id, self.pk_hash(&row), row);
-        self.version = stamp;
         Ok(Some(old))
     }
 
-    pub(super) fn apply_delete(&mut self, stamp: u64, row_id: RowId) -> Result<Option<Row>> {
+    pub(super) fn apply_delete(&mut self, row_id: RowId) -> Result<Option<Row>> {
         let old = self.unhook_effective(row_id)?;
         if old.is_some() {
             self.live_rows -= 1;
-            self.version = stamp;
         }
         Ok(old)
     }
@@ -440,9 +412,8 @@ impl Undo {
         }
     }
 
-    /// Apply the inverse of the logged change to `t`. Used by both abort
-    /// (the caller restamps versions) and the snapshot rollback path
-    /// (where `t` is a private clone).
+    /// Apply the inverse of the logged change to `t`, through
+    /// [`roll_back`].
     ///
     /// Works purely on the overlay, which makes it infallible: every row
     /// the open transaction wrote sits in the overlay (no checkpoint can
@@ -474,18 +445,16 @@ impl Undo {
     }
 }
 
-/// The committed contents of a dirty table: a clone of `t` with the open
-/// transaction's changes (`uncommitted`, oldest first) rolled back, which
-/// copies the paths those changes touched and shares the rest with `t`.
-/// By definition these are the contents at `t.stable_version`, so that is
-/// the version the clone carries.
-pub(super) fn committed_clone(name: &str, t: &Table, uncommitted: &[Undo]) -> Table {
-    let mut tmp = t.clone();
-    for undo in uncommitted.iter().rev().filter(|u| u.table() == name) {
-        undo.apply_to(&mut tmp);
+/// Undo the changes `undo` lists (oldest first) on `tables`, newest
+/// first: an abort does it to the live tables, a snapshot to its clone of
+/// them. On a clone it copies the paths those changes touched and shares
+/// the rest with the live tables.
+pub(super) fn roll_back(tables: &mut Tables, undo: &[Undo]) {
+    for u in undo.iter().rev() {
+        if let Some(t) = tables.get_mut(u.table()) {
+            u.apply_to(t);
+        }
     }
-    tmp.version = tmp.stable_version;
-    tmp
 }
 
 /// Redo `records` into `tables` in log order: the one forward-apply path,
@@ -494,17 +463,15 @@ pub(super) fn committed_clone(name: &str, t: &Table, uncommitted: &[Undo]) -> Ta
 /// the same records. Callers pass DDL and the DML of **committed**
 /// transactions only; transaction-control records are ignored. Every
 /// apply is convergent, so replaying history the tables already contain
-/// is harmless. `stamp` draws from the database write clock.
+/// is harmless.
 pub(super) fn redo(
     tables: &mut Tables,
     records: impl IntoIterator<Item = LogRecord>,
-    stamp: &dyn Fn() -> u64,
 ) -> Result<()> {
     for rec in records {
         match rec {
             LogRecord::CreateTable { schema } => {
-                let stamp = stamp();
-                tables.insert(schema.name.clone(), Table::new(schema, stamp));
+                tables.insert(schema.name.clone(), Table::new(schema));
             }
             LogRecord::DropTable { table } => {
                 tables.remove(&table);
@@ -512,35 +479,25 @@ pub(super) fn redo(
             LogRecord::CreateIndex { table, column } => {
                 if let Some(t) = tables.get_mut(&table) {
                     t.build_index(&column)?;
-                    // A new version: what a version names includes the
-                    // table's set of indexes.
-                    t.version = stamp();
                 }
             }
             LogRecord::Insert { table, row_id, row, .. } => {
-                let stamp = stamp();
                 if let Some(t) = tables.get_mut(&table) {
-                    t.apply_insert(stamp, row_id, t.pk_hash(&row), row)?;
+                    t.apply_insert(row_id, t.pk_hash(&row), row)?;
                 }
             }
             LogRecord::Update { table, row_id, row, .. } => {
-                let stamp = stamp();
                 if let Some(t) = tables.get_mut(&table) {
-                    t.apply_update(stamp, row_id, row)?;
+                    t.apply_update(row_id, row)?;
                 }
             }
             LogRecord::Delete { table, row_id, .. } => {
-                let stamp = stamp();
                 if let Some(t) = tables.get_mut(&table) {
-                    t.apply_delete(stamp, row_id)?;
+                    t.apply_delete(row_id)?;
                 }
             }
             LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => {}
         }
-    }
-    // Everything redone is committed history.
-    for t in tables.values_mut() {
-        t.stable_version = t.version;
     }
     Ok(())
 }

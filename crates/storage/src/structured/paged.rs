@@ -614,7 +614,7 @@ mod tests {
             Column::new("s", DataType::Text),
         ];
         let schema = TableSchema::new("t", columns, &["k"], &["s", "n"]).unwrap();
-        let mut t = Table::new(schema, 0);
+        let mut t = Table::new(schema);
         (0..rows).for_each(|i| insert_scattered(&mut t, i));
         t
     }
@@ -622,7 +622,7 @@ mod tests {
     /// Insert row `i` of [`scattered_row`] under row id `i`.
     fn insert_scattered(t: &mut Table, i: u64) {
         let row = scattered_row(i);
-        t.apply_insert(0, RowId(i), t.pk_hash(&row), row).unwrap();
+        t.apply_insert(RowId(i), t.pk_hash(&row), row).unwrap();
     }
 
     /// Build `t`'s trees through a pool of `pool` pages, counting what the
@@ -694,9 +694,9 @@ mod tests {
         for i in (0..rows).step_by(3) {
             let mut row = scattered_row(i);
             row[1] = Value::Int(5_000 + (i % 11) as i64);
-            t.apply_update(0, RowId(i), row).unwrap().unwrap();
+            t.apply_update(RowId(i), row).unwrap().unwrap();
         }
-        (1..rows).step_by(7).for_each(|i| drop(t.apply_delete(0, RowId(i)).unwrap()));
+        (1..rows).step_by(7).for_each(|i| drop(t.apply_delete(RowId(i)).unwrap()));
         let live = t.live_rows;
         (rows..rows + rows / 7).for_each(|i| insert_scattered(&mut t, i));
         let (second, meta) = build_counting(&t, pool, &format!("gen2-{rows}-{pool}"));

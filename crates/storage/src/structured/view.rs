@@ -1,10 +1,12 @@
 //! Immutable point-in-time views: [`TableView`] and [`DbSnapshot`].
 //!
 //! A [`DbSnapshot`] is the MVCC read half of the engine: a bundle of
-//! per-table views pinned to one LSN of the global write clock. Snapshot
-//! reads take **no locks** — they never block the writer, the writer
-//! never blocks them. Writes go one transaction at a time through
-//! [`super::engine::Database`]; see `docs/concurrency.md`.
+//! per-table views pinned to one LSN of the database's write clock, which
+//! counts committed units, so one LSN names one committed state and the
+//! views carry no version of their own. Snapshot reads take **no locks**
+//! — they never block the writer, the writer never blocks them. Writes go
+//! one transaction at a time through [`super::engine::Database`]; see
+//! `docs/concurrency.md`.
 //!
 //! A view holds a table exactly the way the live engine holds it, because
 //! it *is* a clone of the engine's table: the in-memory overlay (rows
@@ -64,12 +66,6 @@ impl TableView {
     /// Freeze `table`, which holds committed contents only.
     pub(super) fn new(table: Table) -> TableView {
         TableView(table)
-    }
-
-    /// The captured write version; equal versions imply identical
-    /// contents (see `Table::version` in the engine).
-    pub fn version(&self) -> u64 {
-        self.0.version
     }
 
     /// The captured schema.
@@ -174,9 +170,12 @@ impl DbSnapshot {
         DbSnapshot { lsn, tables }
     }
 
-    /// The write-clock value this snapshot is pinned to: the snapshot
-    /// holds every write stamped `<= lsn` that had committed at capture
-    /// time, and no write stamped later.
+    /// The write-clock value this snapshot is pinned to: the number of
+    /// units (transactions that changed something, DDL statements) the
+    /// database had committed since it was opened, whose result is
+    /// exactly what the snapshot holds. 0 is the state the database
+    /// opened with, and two snapshots of one database with the same LSN
+    /// hold the same contents.
     pub fn lsn(&self) -> u64 {
         self.lsn
     }
@@ -196,13 +195,6 @@ impl DbSnapshot {
         let mut names: Vec<String> = self.tables.keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// The captured write version of a table: any change to its rows (or
-    /// a drop-and-recreate) yields a new version, so equal versions imply
-    /// equal contents.
-    pub fn table_version(&self, table: &str) -> Result<u64> {
-        Ok(self.table(table)?.version())
     }
 
     /// Names of the indexed columns of a table, sorted.

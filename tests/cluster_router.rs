@@ -142,6 +142,15 @@ fn sharded_cluster_answers_distributable_queries_bit_identically() {
         rc.query(&inner_limit),
         Err(quarry::serve::ClientError::Server { kind: ErrorKind::Query, .. })
     ));
+    // Only a top-level sort is merged: an inner one, LIMIT or not, would
+    // come back in shard order.
+    let inner_order = Query::scan("people").sort("id", false, None).project(&["id"]);
+    match rc.query(&inner_order) {
+        Err(quarry::serve::ClientError::Server { kind: ErrorKind::Query, message }) => {
+            assert!(message.contains("ORDER BY"), "got: {message}");
+        }
+        other => panic!("an inner ORDER BY through the router should be rejected, got {other:?}"),
+    }
     // Keyword scores come from each shard's own corpus statistics, so a
     // merged ranking is not the single-node one: refused, like QDL.
     match rc.keyword("madison", 5) {

@@ -213,7 +213,7 @@ fn cached_results_are_bit_identical_to_fresh_execution() {
     let repeated = q.snapshot().query(&query).unwrap();
     assert_eq!(repeated, fresh, "a repeated query must get identical bytes");
 
-    // A post-write snapshot pins the new table versions, so its result
+    // A post-write snapshot pins the commit's new LSN, so its result
     // reflects the write.
     q.db.insert_autocommit("facts", vec![Value::Int(1000), "cat2".into()]).unwrap();
     let after_write = q.snapshot().query(&query).unwrap();

@@ -223,7 +223,7 @@ fn held_snapshot_is_frozen_and_leaves_the_table_like_a_never_snapshotted_twin() 
         {
             out.push(snap.select("items", access, &mut |_| true, None).unwrap().0);
         }
-        (out, snap.table_version("items").unwrap(), snap.indexed_columns("items").unwrap())
+        (out, snap.lsn(), snap.indexed_columns("items").unwrap())
     };
     let snap = held.snapshot();
     let pinned = answers(&snap);
@@ -240,7 +240,9 @@ fn held_snapshot_is_frozen_and_leaves_the_table_like_a_never_snapshotted_twin() 
             .unwrap();
     }
     assert_eq!(dump(&held), dump(&twin));
-    assert_eq!(answers(&held.snapshot()).0, answers(&twin.snapshot()).0);
+    // The same committed history, so the same LSN: holding a snapshot
+    // moved neither the clock nor the contents it names.
+    assert_eq!(answers(&held.snapshot()), answers(&twin.snapshot()));
     // And so does what each of them recovers to.
     drop((held, twin));
     let (held, twin) = (Database::open(&held_wal).unwrap(), Database::open(&twin_wal).unwrap());
@@ -251,11 +253,11 @@ fn held_snapshot_is_frozen_and_leaves_the_table_like_a_never_snapshotted_twin() 
 }
 
 /// A reader cannot move the write clock: sessions opened while a
-/// transaction is open all pin the LSN and the table version of the last
-/// commit, see none of the transaction, and answer as the session before
-/// it did.
+/// transaction is open all pin the LSN of the last commit, see none of
+/// the transaction, and answer as the session before it did; the commit
+/// moves the LSN by one.
 #[test]
-fn sessions_during_an_open_transaction_share_lsn_versions_and_cache() {
+fn sessions_during_an_open_transaction_pin_the_last_commits_lsn_and_answers() {
     use quarry::query::engine::{Predicate, Query};
     let q = items_quarry();
     for i in 0..30 {
@@ -270,18 +272,16 @@ fn sessions_during_an_open_transaction_share_lsn_versions_and_cache() {
     q.db.insert(tx, "items", vec![Value::Int(100), Value::Int(1)]).unwrap();
     q.db.delete(tx, "items", &[Value::Int(1)]).unwrap();
     let (a, b) = (q.snapshot(), q.snapshot());
-    assert_eq!(a.lsn(), b.lsn(), "a snapshot ticked the write clock");
-    let version = before.db().table_version("items").unwrap();
-    assert_eq!(a.db().table_version("items").unwrap(), version);
-    assert_eq!(b.db().table_version("items").unwrap(), version);
+    assert_eq!(a.lsn(), before.lsn(), "the open transaction moved the LSN");
+    assert_eq!(b.lsn(), before.lsn(), "a snapshot ticked the write clock");
     assert_eq!(a.query(&query).unwrap(), committed);
     assert_eq!(b.query(&query).unwrap(), committed);
     assert_eq!(snap_dump(a.db()), snap_dump(before.db()));
 
     q.db.commit(tx).unwrap();
     let after = q.snapshot();
-    assert!(after.lsn() > a.lsn());
-    assert_ne!(after.db().table_version("items").unwrap(), version);
+    assert_eq!(after.lsn(), a.lsn() + 1, "one commit, one unit");
+    assert_ne!(snap_dump(after.db()), snap_dump(a.db()));
     assert_eq!(after.query(&query).unwrap().rows.len(), 10, "one in, one out");
     assert_ne!(after.query(&query).unwrap(), committed);
     assert_eq!(a.query(&query).unwrap(), committed, "a held session keeps its answer");

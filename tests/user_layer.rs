@@ -1,7 +1,7 @@
 //! User-layer integration through the façade: forms, browsing, monitors,
 //! corrections, and the incentive loop working together.
 
-use quarry::core::{Correction, CorrectionStatus, Quarry, QuarryConfig};
+use quarry::core::{Correction, CorrectionStatus, Quarry, QuarryConfig, Snapshot};
 use quarry::corpus::{Corpus, CorpusConfig, NoiseConfig};
 use quarry::query::engine::AggFn;
 use quarry::query::Query;
@@ -177,4 +177,33 @@ fn browse_and_audit_do_not_wait_for_an_open_transaction() {
     });
     let committed = q.browse("cities", &key).unwrap();
     assert!(committed.contains("related in notes"), "{committed}");
+}
+
+/// The keyword-to-structured translator is cached by snapshot LSN, so a
+/// table dropped since the last suggestion must move the LSN: otherwise
+/// the cached vocabulary keeps offering a query over the dropped table,
+/// and running it fails with `NoSuchTable`.
+#[test]
+fn a_dropped_table_is_not_suggested() {
+    let q = Quarry::new(QuarryConfig::builder().build()).unwrap();
+    let cities = TableSchema::new(
+        "cities",
+        vec![Column::new("name", DataType::Text), Column::new("population", DataType::Int)],
+        &["name"],
+        &[],
+    )
+    .unwrap();
+    q.db.create_table(cities).unwrap();
+    q.db.insert_autocommit("cities", vec!["Madison".into(), Value::Int(250_000)]).unwrap();
+    let over_cities = |snap: &Snapshot| {
+        let (_, candidates) = snap.keyword("population madison", 5);
+        candidates.iter().any(|c| c.query.display().contains("FROM cities"))
+    };
+    let before = q.snapshot();
+    assert!(over_cities(&before), "the live table is suggested");
+
+    q.db.drop_table("cities").unwrap();
+    let after = q.snapshot();
+    assert!(after.lsn() > before.lsn(), "DROP TABLE moved no LSN");
+    assert!(!over_cities(&after), "a dropped table is still suggested");
 }
