@@ -59,7 +59,7 @@ pub struct SourceFile {
 impl SourceFile {
     /// Lex and index one source file. `path` uses forward slashes.
     pub fn parse(path: &str, src: &str) -> SourceFile {
-        let tokens = crate::lexer::lex(src);
+        let tokens = crate::lexer::tokenize(src);
         let code: Vec<usize> =
             tokens.iter().enumerate().filter(|(_, t)| !t.is_comment()).map(|(i, _)| i).collect();
         let mut file = SourceFile {

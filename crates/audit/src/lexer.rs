@@ -73,7 +73,7 @@ impl Token {
 }
 
 /// Tokenize `src` into a full stream, comments included.
-pub fn lex(src: &str) -> Vec<Token> {
+pub fn tokenize(src: &str) -> Vec<Token> {
     Lexer { src: src.as_bytes(), pos: 0, out: Vec::new() }.run(src)
 }
 
@@ -300,7 +300,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
+        tokenize(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn comments_survive_with_text() {
-        let toks = lex("// SAFETY: fine\n/* block /* nested */ done */ fn f() {}");
+        let toks = tokenize("// SAFETY: fine\n/* block /* nested */ done */ fn f() {}");
         assert_eq!(toks[0].kind, TokKind::LineComment);
         assert!(toks[0].text.contains("SAFETY:"));
         assert_eq!(toks[1].kind, TokKind::BlockComment);
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn unterminated_constructs_do_not_hang_or_panic() {
         for src in ["\"open", "/* open", "r#\"open", "'", "b\"open"] {
-            let toks = lex(src);
+            let toks = tokenize(src);
             assert!(!toks.is_empty(), "no tokens for {src:?}");
         }
     }
@@ -360,7 +360,7 @@ mod tests {
     #[test]
     fn spans_cover_the_source_exactly() {
         let src = "fn main() { x.lock(); } // tail";
-        for t in lex(src) {
+        for t in tokenize(src) {
             assert_eq!(&src[t.span.start..t.span.end], t.text);
         }
     }

@@ -9,7 +9,7 @@
 
 use quarry_bench::{banner, f3, Table};
 use quarry_corpus::{Corpus, CorpusConfig, NoiseConfig};
-use quarry_lang::{optimize, parse, ExecContext, Executor, ExtractorRegistry, LogicalPlan};
+use quarry_lang::{compile, optimize, ExecContext, Executor, ExtractorRegistry};
 use quarry_query::engine::{execute, AggFn, Predicate, Query};
 use quarry_query::InvertedIndex;
 use quarry_storage::{Database, Value};
@@ -53,7 +53,7 @@ fn main() {
         "PIPELINE cities FROM corpus\nEXTRACT infobox, rules\nWHERE attribute IN (\"name\", \"state\", \"population\", {})\nRESOLVE BY name\nSTORE INTO cities KEY name",
         month_attrs.join(", ")
     );
-    let plan = optimize(&LogicalPlan::from_pipeline(&parse(&src).unwrap()), &registry);
+    let plan = optimize(&compile("e1", &src, &registry, None).unwrap(), &registry);
     let mut ctx = ExecContext::new(&corpus.docs, &registry, &db);
     let stats = Executor::run(&plan, &mut ctx).expect("pipeline");
     println!("structure: {} extractions → {} rows\n", stats.extractions, stats.rows_stored);

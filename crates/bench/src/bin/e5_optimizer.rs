@@ -1,16 +1,17 @@
 //! E5 — §4 processing layer: declarative programs are "parsed, reformulated,
 //! optimized, then executed", and the optimization pays.
 //!
-//! One QDL program, four optimizer configurations (the DESIGN.md ablation):
-//! none, +filter placement, +extractor pruning, +cost ordering; plus the
-//! materialization-reuse case (a second program over the same corpus).
+//! One QDL program, three optimizer configurations (the DESIGN.md
+//! ablation): filters placed only, +extractor pruning, +cost ordering;
+//! plus the materialization-reuse case (a second program over the same
+//! corpus).
 //! Swept over corpus size. The result table must be identical under every
 //! configuration — optimization may only change cost, never answers.
 
 use quarry_bench::{banner, f1, timed, Table};
 use quarry_corpus::{Corpus, CorpusConfig};
 use quarry_lang::plan::{optimize_with, OptimizerConfig};
-use quarry_lang::{parse, ExecContext, ExtractorRegistry, LogicalPlan};
+use quarry_lang::{compile, ExecContext, ExtractorRegistry};
 use quarry_storage::Database;
 
 const SRC: &str = r#"
@@ -30,32 +31,17 @@ fn main() {
     );
     // The written program is naive: WHERE after RESOLVE, expensive
     // extractors listed, temperature/author rules that the filter makes
-    // useless. Filter placement is required for executability, so it is on
-    // in every configuration; the ablation is over pruning and ordering.
+    // useless. Compiling places the filters, which executability requires;
+    // the ablation is over pruning and ordering.
     let configs: [(&str, OptimizerConfig); 3] = [
         (
             "baseline (filters placed only)",
-            OptimizerConfig {
-                filter_placement: true,
-                extractor_pruning: false,
-                cost_ordering: false,
-            },
+            OptimizerConfig { extractor_pruning: false, cost_ordering: false },
         ),
-        (
-            "+ extractor pruning",
-            OptimizerConfig {
-                filter_placement: true,
-                extractor_pruning: true,
-                cost_ordering: false,
-            },
-        ),
+        ("+ extractor pruning", OptimizerConfig { extractor_pruning: true, cost_ordering: false }),
         (
             "+ cost ordering (full)",
-            OptimizerConfig {
-                filter_placement: true,
-                extractor_pruning: true,
-                cost_ordering: true,
-            },
+            OptimizerConfig { extractor_pruning: true, cost_ordering: true },
         ),
     ];
 
@@ -64,7 +50,7 @@ fn main() {
             Corpus::generate(&CorpusConfig { seed: 5, n_cities, ..CorpusConfig::default() });
         println!("corpus: {n_cities} cities, {} docs", corpus.docs.len());
         let registry = ExtractorRegistry::standard();
-        let naive = LogicalPlan::from_pipeline(&parse(SRC).unwrap());
+        let naive = compile("e5", SRC, &registry, None).unwrap();
 
         let mut table = Table::new(&["configuration", "cost units", "wall ms", "rows"]);
         let mut reference_rows: Option<usize> = None;
@@ -86,11 +72,14 @@ fn main() {
         let mut ctx = ExecContext::new(&corpus.docs, &registry2, &db);
         let full = optimize_with(&naive, &registry2, configs[2].1);
         let _ = quarry_lang::Executor::run(&full, &mut ctx).unwrap();
-        let second = parse(
+        let second = compile(
+            "e5",
             "PIPELINE founded FROM corpus\nEXTRACT infobox\nWHERE attribute IN (\"name\", \"founded\")\nRESOLVE BY name\nSTORE INTO founded_at KEY name",
+            &registry2,
+            None,
         )
         .unwrap();
-        let second = optimize_with(&LogicalPlan::from_pipeline(&second), &registry2, configs[2].1);
+        let second = optimize_with(&second, &registry2, configs[2].1);
         let (stats, ms) = timed(|| quarry_lang::Executor::run(&second, &mut ctx).unwrap());
         table.row(&[
             "2nd pipeline (cache reuse)".into(),

@@ -10,8 +10,8 @@
 //! re-running an already-run extractor free. E3 plots the resulting
 //! incremental-vs-one-shot crossover.
 
-use quarry_lang::exec::ExecError;
-use quarry_lang::{optimize, parse, ExecContext, ExecStats, Executor, LogicalPlan};
+use crate::system::QuarryError;
+use quarry_lang::{compile, optimize, ExecContext, ExecStats, Executor};
 use std::collections::BTreeSet;
 
 /// Tracks materialized attributes for one entity table.
@@ -56,24 +56,22 @@ impl IncrementalManager {
     /// The generated pipeline always requests the *cumulative* attribute
     /// set (so the rebuilt table keeps earlier columns); the cache in `ctx`
     /// turns previously-run extractors into free hits, leaving only the
-    /// marginal work.
+    /// marginal work. It is compiled before anything changes: a refused
+    /// pipeline leaves the manager and the table as they were.
     pub fn ensure(
         &mut self,
         attrs: &[&str],
         extractors: &[&str],
         ctx: &mut ExecContext<'_>,
-    ) -> Result<Option<ExecStats>, ExecError> {
-        let new: Vec<&str> =
-            attrs.iter().copied().filter(|a| !self.materialized.contains(*a)).collect();
-        if new.is_empty() {
+    ) -> Result<Option<ExecStats>, QuarryError> {
+        if self.covers(attrs) {
             return Ok(None);
         }
-        for a in &new {
-            self.materialized.insert(a.to_string());
-        }
-        self.materialized.insert(self.key.clone());
+        let mut materialized = self.materialized.clone();
+        materialized.extend(attrs.iter().map(|a| a.to_string()));
+        materialized.insert(self.key.clone());
 
-        let attr_list: Vec<String> = self.materialized.iter().map(|a| format!("\"{a}\"")).collect();
+        let attr_list: Vec<String> = materialized.iter().map(|a| format!("\"{a}\"")).collect();
         let src = format!(
             "PIPELINE incremental_{table}\nFROM corpus\nEXTRACT {ex}\nWHERE attribute IN ({attrs})\nRESOLVE BY {key}\nSTORE INTO {table} KEY {key}",
             table = self.table,
@@ -81,11 +79,11 @@ impl IncrementalManager {
             attrs = attr_list.join(", "),
             key = self.key,
         );
-        let pipeline = parse(&src).map_err(|e| ExecError::InvalidPlan(e.to_string()))?;
-        let plan = optimize(&LogicalPlan::from_pipeline(&pipeline), ctx.registry);
+        let program = optimize(&compile("<incremental>", &src, ctx.registry, None)?, ctx.registry);
         // Rebuild the table from scratch under the wider schema.
         let _ = ctx.db.drop_table(&self.table);
-        let stats = Executor::run(&plan, ctx)?;
+        let stats = Executor::run(&program, ctx)?;
+        self.materialized = materialized;
         self.total_cost += stats.cost_units;
         self.runs += 1;
         Ok(Some(stats))
@@ -141,6 +139,30 @@ mod tests {
         let schema = db.schema("cities").unwrap();
         assert!(schema.column_index("population").is_some());
         assert!(schema.column_index("state").is_some());
+    }
+
+    #[test]
+    fn a_refused_ensure_leaves_the_manager_and_the_table_unchanged() {
+        let c = corpus();
+        let reg = ExtractorRegistry::standard();
+        let db = Database::in_memory();
+        let mut ctx = ExecContext::new(&c.docs, &reg, &db);
+        let mut mgr = IncrementalManager::new("cities", "name");
+        mgr.ensure(&["population"], &["infobox", "rules"], &mut ctx).unwrap();
+        let rows = db.row_count("cities").ok();
+        let before: Vec<String> = mgr.materialized().map(str::to_string).collect();
+
+        let err = mgr.ensure(&["state"], &["infobox", "warp_drive"], &mut ctx).unwrap_err();
+        assert!(err.to_string().contains("unknown extractor: warp_drive"), "{err}");
+        assert_eq!(db.row_count("cities").ok(), rows, "a refused ensure dropped the table");
+        assert!(!mgr.covers(&["state"]), "a refused ensure marked `state` materialized");
+        assert_eq!(mgr.materialized().collect::<Vec<_>>(), before);
+        assert_eq!(mgr.runs, 1);
+
+        // A correct retry runs and widens the table.
+        let s = mgr.ensure(&["state"], &["infobox"], &mut ctx).unwrap().expect("the retry runs");
+        assert!(s.rows_stored > 0);
+        assert!(db.schema("cities").unwrap().column_index("state").is_some());
     }
 
     #[test]

@@ -67,8 +67,9 @@ impl ReadState {
     }
 
     /// Count one static check — [`Quarry::check_program`],
-    /// [`Snapshot::check_query`], or the gate inside
-    /// [`Quarry::run_pipeline`] — under `check.*`.
+    /// [`Snapshot::check_query`], or the compile inside
+    /// [`Quarry::run_pipeline`] (one per pipeline of a
+    /// [`Quarry::run_script`]) — under `check.*`.
     pub(crate) fn note_check(&self, report: &LintReport, start: std::time::Instant) {
         self.metrics.incr("check.checks", 1);
         self.metrics.incr("check.errors", report.error_count() as u64);

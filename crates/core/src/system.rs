@@ -7,14 +7,14 @@ use crate::snapshot::{ReadState, Snapshot};
 use crate::users::UserDirectory;
 use quarry_corpus::{Corpus, CorpusConfig, CorpusError, DocId, Document};
 use quarry_debugger::{HealthMonitor, LearnConfig, SemanticDebugger, Suspicion};
-use quarry_exec::diag::Severity;
 use quarry_exec::{ExecPool, ExecReport, LintReport, MetricsRegistry, MetricsSnapshot};
 use quarry_extract::Extraction;
 use quarry_hi::Crowd;
 use quarry_integrate::IntegrateError;
 use quarry_lang::exec::{ExecError, TruthOracle};
 use quarry_lang::{
-    optimize, parse, ExecContext, ExecStats, Executor, ExtractorRegistry, LogicalPlan,
+    compile, compile_script, optimize, CheckedProgram, CompileError, ExecContext, ExecStats,
+    Executor, ExtractorRegistry,
 };
 use quarry_query::engine::{Query, QueryError};
 use quarry_schema::SchemaRegistry;
@@ -156,9 +156,18 @@ impl From<ExecError> for QuarryError {
     }
 }
 
-impl From<quarry_lang::parser::ParseError> for QuarryError {
-    fn from(e: quarry_lang::parser::ParseError) -> Self {
-        QuarryError::Parse(e)
+/// A refused program answers as the façade always has: a syntax error is
+/// `Parse`, an unknown extractor and no other error is
+/// `Pipeline(UnknownExtractor)`, and any other error diagnostic is `Lint`.
+impl From<CompileError> for QuarryError {
+    fn from(e: CompileError) -> Self {
+        match e {
+            CompileError::Parse(e) => QuarryError::Parse(e),
+            CompileError::UnknownExtractor { name, .. } => {
+                QuarryError::Pipeline(ExecError::UnknownExtractor(name))
+            }
+            CompileError::Lint(report) => QuarryError::Lint(report),
+        }
     }
 }
 
@@ -218,7 +227,6 @@ pub struct Quarry {
     crowd: Option<Crowd>,
     truth: Option<TruthOracle>,
     pool: ExecPool,
-    last_report: ExecReport,
     shared: Arc<ReadState>,
     day: usize,
     tick: u64,
@@ -253,7 +261,6 @@ impl Quarry {
             crowd: None,
             truth: None,
             pool: ExecPool::new(config.threads),
-            last_report: ExecReport::new(),
             shared,
             day: 0,
             tick: 0,
@@ -275,8 +282,8 @@ impl Quarry {
     /// Instrumentation from the most recent pipeline run: per-stage
     /// throughput and batch latencies, per-extractor timings, and
     /// similarity-cache counters.
-    pub fn last_report(&self) -> &ExecReport {
-        &self.last_report
+    pub fn last_report(&self) -> ExecReport {
+        self.shared.last_report.lock().clone()
     }
 
     /// Checkpoint the structured store: publish an atomic snapshot of
@@ -342,13 +349,48 @@ impl Quarry {
 
     /// Run a QDL program over the current working set.
     ///
-    /// The program is statically analyzed first; error-severity
-    /// diagnostics (other than unknown extractors, which stay the
-    /// executor's structured [`ExecError::UnknownExtractor`]) reject it as
-    /// [`QuarryError::Lint`] before any document is read.
+    /// The program is [compiled](quarry_lang::compile()) first, and a
+    /// refused one never reads a document: a syntax error is
+    /// [`QuarryError::Parse`], unknown extractors with no other error are
+    /// [`ExecError::UnknownExtractor`], and any other error diagnostic is
+    /// [`QuarryError::Lint`].
     pub fn run_pipeline(&mut self, src: &str) -> Result<ExecStats, QuarryError> {
+        self.metered(|q| {
+            let start = std::time::Instant::now();
+            let compiled = compile("<program>", src, &q.registry, Some(&q.schemas));
+            match &compiled {
+                Ok(program) => q.shared.note_check(program.report(), start),
+                Err(e) => e.report().into_iter().for_each(|r| q.shared.note_check(r, start)),
+            }
+            q.execute(&compiled?)
+        })
+    }
+
+    /// Run every pipeline of a multi-pipeline QDL script, in order, and
+    /// return per-pipeline stats. The script is compiled whole first, so
+    /// a refused pipeline anywhere runs none of them; a pipeline that
+    /// fails while running stops the ones after it.
+    pub fn run_script(&mut self, src: &str) -> Result<Vec<(String, ExecStats)>, QuarryError> {
         let start = std::time::Instant::now();
-        let result = self.run_pipeline_inner(src);
+        let compiled = compile_script("<script>", src, &self.registry, Some(&self.schemas));
+        match &compiled {
+            Ok(programs) => programs.iter().for_each(|p| self.shared.note_check(p.report(), start)),
+            Err(e) => e.report().into_iter().for_each(|r| self.shared.note_check(r, start)),
+        }
+        compiled?
+            .iter()
+            .map(|p| Ok((p.name().to_string(), self.metered(|q| q.execute(p))?)))
+            .collect()
+    }
+
+    /// Count and time one pipeline run under `facade.pipeline_*`.
+    fn metered(
+        &mut self,
+        run: impl FnOnce(&mut Quarry) -> Result<ExecStats, QuarryError>,
+    ) -> Result<ExecStats, QuarryError> {
+        let start = std::time::Instant::now();
+        self.tick += 1;
+        let result = run(self);
         self.shared.metrics.observe("facade.pipeline_us", start.elapsed());
         self.shared.metrics.incr("facade.pipeline_runs", 1);
         if result.is_err() {
@@ -357,17 +399,8 @@ impl Quarry {
         result
     }
 
-    fn run_pipeline_inner(&mut self, src: &str) -> Result<ExecStats, QuarryError> {
-        self.tick += 1;
-        let pipeline = parse(src)?;
-        let report = self.check_program(src);
-        let gates = report.diagnostics.iter().any(|d| {
-            d.severity == Severity::Error && d.code != quarry_lang::lint::codes::UNKNOWN_EXTRACTOR
-        });
-        if gates {
-            return Err(QuarryError::Lint(report));
-        }
-        let plan = optimize(&LogicalPlan::from_pipeline(&pipeline), &self.registry);
+    fn execute(&mut self, program: &CheckedProgram) -> Result<ExecStats, QuarryError> {
+        let program = optimize(program, &self.registry);
         let mut ctx = ExecContext {
             docs: &self.docs,
             registry: &self.registry,
@@ -378,14 +411,13 @@ impl Quarry {
             pool: self.pool,
             report: ExecReport::new(),
         };
-        let result = Executor::run(&plan, &mut ctx);
+        let result = Executor::run(&program, &mut ctx);
         self.crowd = ctx.crowd.take();
         self.cache = std::mem::take(&mut ctx.cache);
-        self.last_report = std::mem::take(&mut ctx.report);
-        *self.shared.last_report.lock() = self.last_report.clone();
+        *self.shared.last_report.lock() = std::mem::take(&mut ctx.report);
         let stats = result?;
         self.dge.record(DgeEvent::PipelineRun {
-            name: pipeline.name.clone(),
+            name: program.name().to_string(),
             extractions: stats.extractions,
             entities: stats.entities,
             questions: stats.questions_asked,
@@ -399,9 +431,7 @@ impl Quarry {
         // The translator cache is keyed by snapshot LSN, so the stored
         // structure this run produced invalidates it automatically.
         // Generation moved the data: standing queries may have new answers.
-        for fire in self.check_monitors() {
-            let _ = fire;
-        }
+        self.check_monitors();
         Ok(stats)
     }
 
@@ -421,18 +451,6 @@ impl Quarry {
     /// [`Quarry::check_monitors`] and automatically after each pipeline run.
     pub fn register_monitor(&mut self, name: &str, query: Query) {
         self.monitors.register(name, query);
-    }
-
-    /// Run every pipeline in a multi-pipeline QDL script, in order.
-    /// Returns per-pipeline stats; stops at the first failure.
-    pub fn run_script(&mut self, src: &str) -> Result<Vec<(String, ExecStats)>, QuarryError> {
-        let mut out = Vec::new();
-        for chunk in split_script(src) {
-            let name = parse(&chunk)?.name;
-            let stats = self.run_pipeline(&chunk)?;
-            out.push((name, stats));
-        }
-        Ok(out)
     }
 
     /// A user proposes a correction to a stored cell (ordinary-user data
@@ -617,28 +635,6 @@ impl Quarry {
             .filter_map(|c| self.health.status(self.tick, c).map(|s| (c.to_string(), s)))
             .collect()
     }
-}
-
-/// Split a multi-pipeline script at each `PIPELINE` keyword (comments
-/// stripped line-wise first so a commented-out pipeline stays dormant).
-fn split_script(src: &str) -> Vec<String> {
-    let cleaned: String =
-        src.lines().map(|l| l.split("--").next().unwrap_or("")).collect::<Vec<_>>().join("\n");
-    let mut chunks = Vec::new();
-    let mut current = String::new();
-    for line in cleaned.lines() {
-        if line.trim_start().to_ascii_uppercase().starts_with("PIPELINE")
-            && !current.trim().is_empty()
-        {
-            chunks.push(std::mem::take(&mut current));
-        }
-        current.push_str(line);
-        current.push('\n');
-    }
-    if !current.trim().is_empty() {
-        chunks.push(current);
-    }
-    chunks
 }
 
 #[cfg(test)]

@@ -179,20 +179,6 @@ pub enum StepSpans {
     },
 }
 
-impl StepSpans {
-    /// The step's leading keyword span — the anchor used when a diagnostic
-    /// is about the step as a whole.
-    pub fn keyword(&self) -> Span {
-        match self {
-            StepSpans::Extract { keyword, .. }
-            | StepSpans::Where { keyword, .. }
-            | StepSpans::Resolve { keyword, .. }
-            | StepSpans::Curate { keyword, .. }
-            | StepSpans::Store { keyword, .. } => *keyword,
-        }
-    }
-}
-
 /// Spans for one [`Condition`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConditionSpans {

@@ -1,6 +1,6 @@
 //! The QDL executor.
 //!
-//! Runs a [`LogicalPlan`] over a document set: extraction (with a
+//! Runs a [`CheckedProgram`]'s plan over a document set: extraction (with a
 //! materialization cache keyed by (doc, operator)), stream filtering,
 //! entity resolution (blocking + pairwise matching + union-find), human
 //! curation of the matcher's uncertain band, and storage into the
@@ -8,7 +8,8 @@
 //! numbers E3/E5 plot.
 
 use crate::ast::Condition;
-use crate::plan::{LogicalPlan, PlanOp};
+use crate::compile::CheckedProgram;
+use crate::plan::PlanOp;
 use crate::registry::ExtractorRegistry;
 use quarry_corpus::{DocId, Document};
 use quarry_exec::{ExecPool, ExecReport};
@@ -31,9 +32,6 @@ pub enum ExecError {
     UnknownExtractor(String),
     /// Step sequence invalid (e.g. `STORE` before `RESOLVE`).
     InvalidPlan(String),
-    /// Static analysis found error-severity diagnostics; the plan was
-    /// refused before any document was read.
-    Rejected(quarry_exec::LintReport),
     /// Storage failure.
     Storage(StorageError),
 }
@@ -43,14 +41,6 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::UnknownExtractor(e) => write!(f, "unknown extractor: {e}"),
             ExecError::InvalidPlan(m) => write!(f, "invalid plan: {m}"),
-            ExecError::Rejected(report) => {
-                write!(
-                    f,
-                    "plan rejected by static analysis ({} error(s)):\n{}",
-                    report.error_count(),
-                    report.render()
-                )
-            }
             ExecError::Storage(e) => write!(f, "storage: {e}"),
         }
     }
@@ -106,12 +96,6 @@ impl<'a> ExecContext<'a> {
             report: ExecReport::new(),
         }
     }
-
-    /// Run the data-parallel stages on `pool` instead of inline.
-    pub fn with_pool(mut self, pool: ExecPool) -> Self {
-        self.pool = pool;
-        self
-    }
 }
 
 /// Per-run execution statistics.
@@ -165,34 +149,17 @@ enum State {
 pub struct Executor;
 
 impl Executor {
-    /// Run a plan to completion; returns statistics.
-    ///
-    /// The plan is statically checked first — an unknown extractor or an
-    /// error-severity lint diagnostic ([`crate::lint`]) rejects it before
-    /// a single document is read or a single extractor is invoked.
-    pub fn run(plan: &LogicalPlan, ctx: &mut ExecContext<'_>) -> Result<ExecStats, ExecError> {
-        // Gate 1: every referenced operator must exist. Checked upfront so
-        // the failure arrives before (not midway through) extraction.
-        for op in &plan.ops {
-            let PlanOp::Extract { extractors } = op else { continue };
-            for name in extractors {
-                if ctx.registry.get(name).is_none() {
-                    return Err(ExecError::UnknownExtractor(name.clone()));
-                }
-            }
-        }
-        // Gate 2: the static analyzer's error-severity codes (QL002–QL005)
-        // reject the plan outright; warnings pass through.
-        if let Some(report) = crate::lint::analyze_plan(plan, ctx.registry, None) {
-            if !report.is_clean() {
-                return Err(ExecError::Rejected(report));
-            }
-        }
-
+    /// Run a checked program to completion; returns statistics. Only
+    /// [`crate::compile()`] makes a [`CheckedProgram`], so every program
+    /// that gets here has passed static analysis.
+    pub fn run(
+        program: &CheckedProgram,
+        ctx: &mut ExecContext<'_>,
+    ) -> Result<ExecStats, ExecError> {
         let mut stats = ExecStats::default();
         let mut state = State::Stream(Vec::new());
 
-        for op in &plan.ops {
+        for op in &program.plan.ops {
             match op {
                 PlanOp::Extract { extractors } => {
                     let State::Stream(stream) = &mut state else {
@@ -547,8 +514,8 @@ fn store_entities(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
-    use crate::plan::{optimize, LogicalPlan};
+    use crate::compile::{compile, CompileError};
+    use crate::plan::optimize;
     use quarry_corpus::{Corpus, CorpusConfig, NoiseConfig};
     use quarry_hi::oracle::panel;
 
@@ -560,10 +527,13 @@ mod tests {
         })
     }
 
+    fn checked(src: &str, reg: &ExtractorRegistry) -> Result<CheckedProgram, CompileError> {
+        compile("test.qdl", src, reg, None)
+    }
+
     fn run_src(src: &str, corpus: &Corpus, db: &Database) -> ExecStats {
         let reg = ExtractorRegistry::standard();
-        let plan = LogicalPlan::from_pipeline(&parse(src).unwrap());
-        let plan = optimize(&plan, &reg);
+        let plan = optimize(&checked(src, &reg).unwrap(), &reg);
         let mut ctx = ExecContext::new(&corpus.docs, &reg, db);
         Executor::run(&plan, &mut ctx).unwrap()
     }
@@ -612,10 +582,11 @@ STORE INTO cities KEY name"#,
         docs.push(docs[0].clone());
         let db = Database::in_memory();
         let reg = ExtractorRegistry::standard();
-        let plan = LogicalPlan::from_pipeline(
-            &parse("PIPELINE p FROM corpus EXTRACT infobox RESOLVE BY name STORE INTO t KEY name")
-                .unwrap(),
-        );
+        let plan = checked(
+            "PIPELINE p FROM corpus EXTRACT infobox RESOLVE BY name STORE INTO t KEY name",
+            &reg,
+        )
+        .unwrap();
         let plan = optimize(&plan, &reg);
         let mut ctx = ExecContext::new(&docs, &reg, &db);
         let stats = Executor::run(&plan, &mut ctx).unwrap();
@@ -643,10 +614,11 @@ STORE INTO pops KEY population"#,
         let c = corpus();
         let db = Database::in_memory();
         let reg = ExtractorRegistry::standard();
-        let plan = LogicalPlan::from_pipeline(
-            &parse("PIPELINE p FROM corpus EXTRACT infobox RESOLVE BY name STORE INTO t KEY name")
-                .unwrap(),
-        );
+        let plan = checked(
+            "PIPELINE p FROM corpus EXTRACT infobox RESOLVE BY name STORE INTO t KEY name",
+            &reg,
+        )
+        .unwrap();
         let mut ctx = ExecContext::new(&c.docs, &reg, &db);
         let s1 = Executor::run(&plan, &mut ctx).unwrap();
         assert_eq!(s1.cache_hits, 0);
@@ -694,7 +666,7 @@ WHERE attribute IN ("name", "birth_year", "employer", "residence")
 RESOLVE BY name
 CURATE BUDGET 500 VOTES 1
 STORE INTO people KEY name"#;
-        let plan = optimize(&LogicalPlan::from_pipeline(&parse(src).unwrap()), &reg);
+        let plan = optimize(&checked(src, &reg).unwrap(), &reg);
 
         let db = Database::in_memory();
         let mut ctx = ExecContext::new(&c.docs, &reg, &db);
@@ -710,18 +682,15 @@ STORE INTO people KEY name"#;
         let c = corpus();
         let db = Database::in_memory();
         let reg = ExtractorRegistry::standard();
-        let bad = LogicalPlan::from_pipeline(
-            &parse("PIPELINE p FROM corpus EXTRACT infobox STORE INTO t KEY name").unwrap(),
-        );
+        let bad =
+            checked("PIPELINE p FROM corpus EXTRACT infobox STORE INTO t KEY name", &reg).unwrap();
         let mut ctx = ExecContext::new(&c.docs, &reg, &db);
         assert!(matches!(Executor::run(&bad, &mut ctx), Err(ExecError::InvalidPlan(_))));
-        let unknown = LogicalPlan::from_pipeline(
-            &parse(
-                "PIPELINE p FROM corpus EXTRACT warp_drive RESOLVE BY name STORE INTO t KEY name",
-            )
-            .unwrap(),
+        let unknown = checked(
+            "PIPELINE p FROM corpus EXTRACT warp_drive RESOLVE BY name STORE INTO t KEY name",
+            &reg,
         );
-        assert!(matches!(Executor::run(&unknown, &mut ctx), Err(ExecError::UnknownExtractor(_))));
+        assert!(matches!(unknown, Err(CompileError::UnknownExtractor { .. })));
     }
 
     #[test]
@@ -730,37 +699,37 @@ STORE INTO people KEY name"#;
         let db = Database::in_memory();
         let reg = ExtractorRegistry::standard();
         // QL005: the resolve key is filtered out — every record would drop.
-        let plan = LogicalPlan::from_pipeline(
-            &parse(
-                r#"PIPELINE p FROM corpus
+        let err = checked(
+            r#"PIPELINE p FROM corpus
 EXTRACT infobox
 WHERE attribute IN ("population", "state")
 RESOLVE BY name
 STORE INTO cities KEY name"#,
-            )
-            .unwrap(),
-        );
-        let mut ctx = ExecContext::new(&c.docs, &reg, &db);
-        let err = Executor::run(&plan, &mut ctx).unwrap_err();
-        let ExecError::Rejected(report) = &err else { panic!("expected Rejected, got {err}") };
+            &reg,
+        )
+        .unwrap_err();
+        let CompileError::Lint(report) = &err else { panic!("expected Lint, got {err}") };
         assert!(report.error_count() > 0);
         assert!(report.diagnostics.iter().any(|d| d.code == "QL005"), "{report:#?}");
-        // Rejection is pre-execution: no extractor ran, nothing was cached,
-        // no parallel stage was recorded, nothing was stored.
+        // Refusal is pre-execution: there is no program to run, so no
+        // extractor ran, nothing was cached, no parallel stage was
+        // recorded, nothing was stored.
+        let ctx = ExecContext::new(&c.docs, &reg, &db);
         assert!(ctx.cache.is_empty(), "extraction cache must stay untouched");
         assert!(ctx.report.stages.is_empty(), "no execution stage may have run");
         assert!(db.schema("cities").is_err(), "no table may have been created");
 
-        // Unknown extractors are likewise caught upfront, with the
-        // long-standing error variant.
-        let unknown = LogicalPlan::from_pipeline(
-            &parse(
-                "PIPELINE p FROM corpus EXTRACT infobox, warp_drive RESOLVE BY name STORE INTO t KEY name",
-            )
-            .unwrap(),
+        // Unknown extractors are likewise refused upfront, under their own
+        // variant.
+        let unknown = checked(
+            "PIPELINE p FROM corpus EXTRACT infobox, warp_drive RESOLVE BY name STORE INTO t KEY name",
+            &reg,
         );
-        let mut ctx = ExecContext::new(&c.docs, &reg, &db);
-        assert!(matches!(Executor::run(&unknown, &mut ctx), Err(ExecError::UnknownExtractor(_))));
+        let Err(CompileError::UnknownExtractor { name, .. }) = &unknown else {
+            panic!("expected UnknownExtractor, got {unknown:?}")
+        };
+        assert_eq!(name, "warp_drive");
+        let ctx = ExecContext::new(&c.docs, &reg, &db);
         assert!(ctx.cache.is_empty(), "infobox must not have run before the unknown-name check");
     }
 
@@ -773,24 +742,15 @@ EXTRACT infobox, rules, rule:monthly-temperature, rule:lead-author
 RESOLVE BY name
 WHERE attribute IN ("name", "state", "population")
 STORE INTO cities KEY name"#;
-        let naive = LogicalPlan::from_pipeline(&parse(src).unwrap());
+        let naive = checked(src, &reg).unwrap();
         let opt = optimize(&naive, &reg);
 
+        // The written order (WHERE after RESOLVE) is not what runs: lowering
+        // places the filter, so the naive baseline is the compiled program
+        // without pruning, which is what "unoptimized" means for E5.
         let db1 = Database::in_memory();
         let mut ctx1 = ExecContext::new(&c.docs, &reg, &db1);
-        // Naive order (WHERE after RESOLVE) is invalid at execution time —
-        // the naive baseline instead runs with filters in place but without
-        // pruning, which is what "unoptimized" means for E5.
-        let naive_runnable = crate::plan::optimize_with(
-            &naive,
-            &reg,
-            crate::plan::OptimizerConfig {
-                filter_placement: true,
-                extractor_pruning: false,
-                cost_ordering: false,
-            },
-        );
-        let s_naive = Executor::run(&naive_runnable, &mut ctx1).unwrap();
+        let s_naive = Executor::run(&naive, &mut ctx1).unwrap();
 
         let db2 = Database::in_memory();
         let mut ctx2 = ExecContext::new(&c.docs, &reg, &db2);

@@ -1,5 +1,6 @@
 //! QDL lexer.
 
+use crate::parser::ParseError;
 use quarry_exec::diag::{line_col_of, Span};
 use std::fmt;
 
@@ -50,37 +51,12 @@ pub struct SpannedToken {
     pub span: Span,
 }
 
-/// Lexing error with byte position and resolved line/column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
-    /// Byte offset of the offending character.
-    pub at: usize,
-    /// 1-based line of the offending character.
-    pub line: usize,
-    /// 1-based column of the offending character.
-    pub col: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lex error at {}:{}: {}", self.line, self.col, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
-
-/// Tokenize a QDL program. `--` starts a comment to end of line.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    Ok(lex_spanned(src)?.into_iter().map(|st| st.tok).collect())
-}
-
-/// Tokenize a QDL program, keeping each token's byte span.
-pub fn lex_spanned(src: &str) -> Result<Vec<SpannedToken>, LexError> {
+/// Tokenize a QDL program, keeping each token's byte span. `--` starts a
+/// comment to end of line.
+pub fn lex_spanned(src: &str) -> Result<Vec<SpannedToken>, ParseError> {
     let err = |at: usize, message: String| {
         let (line, col) = line_col_of(src, at);
-        LexError { at, line, col, message }
+        ParseError { message, span: Span::point(at), line, col }
     };
     let mut out = Vec::new();
     let bytes = src.as_bytes();
@@ -172,6 +148,10 @@ pub fn lex_spanned(src: &str) -> Result<Vec<SpannedToken>, LexError> {
 mod tests {
     use super::*;
 
+    fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
+        Ok(lex_spanned(src)?.into_iter().map(|st| st.tok).collect())
+    }
+
     #[test]
     fn lexes_a_full_program() {
         let toks = lex("PIPELINE p\nFROM corpus -- comment\nEXTRACT infobox, prose-rule\nWHERE confidence >= 0.6").unwrap();
@@ -202,7 +182,7 @@ mod tests {
     #[test]
     fn errors_carry_positions() {
         let err = lex("abc \"unterminated").unwrap_err();
-        assert_eq!(err.at, 4);
+        assert_eq!(err.span, Span::point(4));
         assert_eq!((err.line, err.col), (1, 5));
         let err = lex("abc @").unwrap_err();
         assert!(err.message.contains('@'));
@@ -212,7 +192,7 @@ mod tests {
     fn lex_error_display_has_line_and_column() {
         let err = lex("PIPELINE p\nFROM @corpus").unwrap_err();
         assert_eq!((err.line, err.col), (2, 6));
-        assert_eq!(err.to_string(), "lex error at 2:6: unexpected character '@'");
+        assert_eq!(err.to_string(), "parse error at 2:6: unexpected character '@'");
     }
 
     #[test]

@@ -20,18 +20,20 @@
 //! - [`registry`] — the operator library: named extractors with declared
 //!   output-attribute signatures and per-document costs;
 //! - [`lint`] — the static semantic analyzer: span-anchored QL001–QL008
-//!   diagnostics against the registry and schema registry, checked before
-//!   any document is read;
+//!   diagnostics against the registry and schema registry;
+//! - [`compile`](mod@compile) — the one place a program is checked: one
+//!   parse, one [`analyze`], lowering with `WHERE` placed, into the
+//!   [`CheckedProgram`] that is all the executor runs;
 //! - [`plan`] — logical plans and the rule-based optimizer (extractor
-//!   pruning against WHERE clauses, selection placement, materialization
-//!   reuse), plus `EXPLAIN` rendering;
-//! - [`exec`] — the executor: runs a plan over documents, resolves
-//!   entities, routes uncertain decisions to an HI oracle, and stores the
-//!   result into the structured store, reporting per-step statistics.
+//!   pruning against WHERE clauses, cost ordering), plus `EXPLAIN`;
+//! - [`exec`] — the executor: runs a checked program over documents,
+//!   resolves entities, routes uncertain decisions to an HI oracle, and
+//!   stores the result, reporting per-step statistics.
 
 #![forbid(unsafe_code)]
 
 pub mod ast;
+pub mod compile;
 pub mod exec;
 pub mod lexer;
 pub mod lint;
@@ -40,6 +42,7 @@ pub mod plan;
 pub mod registry;
 
 pub use ast::{Condition, Pipeline, ProgramSpans, Step};
+pub use compile::{compile, compile_script, CheckedProgram, CompileError};
 pub use exec::{ExecContext, ExecStats, Executor};
 pub use lint::{analyze, lint_source};
 pub use parser::{parse, parse_spanned};

@@ -11,7 +11,7 @@
 //! [`ProgramSpans`] table) against the [`ExtractorRegistry`] — and
 //! optionally a [`SchemaRegistry`] — and emits span-anchored
 //! [`Diagnostic`]s with the stable codes below. Errors block execution
-//! (the [`crate::exec::Executor`] refuses them); warnings do not.
+//! ([`compile`] refuses them); warnings do not.
 //!
 //! | code | severity | meaning |
 //! |------|----------|---------|
@@ -26,8 +26,8 @@
 //! | QL008 | error | STORE key conflicts with the registered schema |
 
 use crate::ast::{Condition, Pipeline, ProgramSpans, Step, StepSpans};
-use crate::parser::{parse_spanned, ParseError};
-use crate::plan::{LogicalPlan, PlanOp};
+use crate::compile::{compile, CompileError};
+use crate::parser::ParseError;
 use crate::registry::{ExtractorRegistry, Produces};
 use quarry_exec::diag::{closest, Diagnostic, LintReport, Span};
 use quarry_schema::SchemaRegistry;
@@ -57,7 +57,8 @@ pub mod codes {
 /// Analyze a parsed pipeline. `spans` must come from the same
 /// `parse_spanned` call that produced `pipeline` (indices line up 1:1).
 /// Pass `schemas` to also check `STORE` targets against registered schema
-/// versions (QL008). Diagnostics are returned in source order.
+/// versions (QL008). [`LintReport::new`] sorts the diagnostics into
+/// source order.
 pub fn analyze(
     pipeline: &Pipeline,
     spans: &ProgramSpans,
@@ -96,6 +97,20 @@ pub fn analyze(
         }
     }
 
+    // ── QL002 operands: skipped when an unknown extractor is selected
+    //    (its signature is unknowable — QL001 already fired) or nothing
+    //    is extracted. ────────────────────────────────────────────────
+    let check_producible = !unknown_selected && !selected.is_empty();
+    let declared: Vec<&str> = selected
+        .iter()
+        .filter_map(|(n, _)| registry.get(n))
+        .filter_map(|r| match &r.produces {
+            Produces::Set(set) => Some(set.iter().map(String::as_str)),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+
     // ── Attribute allow-list (mirrors LogicalPlan::attribute_allowlist,
     //    tracking which condition emptied the intersection for QL004) ──
     let mut allow: Option<Vec<String>> = None;
@@ -109,6 +124,24 @@ pub fn analyze(
         };
         for (cond, csp) in conditions.iter().zip(cond_spans) {
             if let Some(attrs) = cond.attribute_set() {
+                // QL002: the filter admits attributes nothing selected can
+                // produce.
+                for (attr, &span) in attrs.iter().zip(&csp.values).filter(|_| check_producible) {
+                    let producible = selected.iter().any(|(n, _)| {
+                        registry.get(n).is_some_and(|r| r.produces.intersects(&[attr]))
+                    });
+                    if !producible {
+                        let mut d = Diagnostic::error(
+                            codes::UNPRODUCIBLE_ATTRIBUTE,
+                            span,
+                            format!("no selected extractor can produce attribute \"{attr}\""),
+                        );
+                        if let Some(suggest) = closest(attr, declared.iter().copied()) {
+                            d = d.with_help(format!("did you mean \"{suggest}\"?"));
+                        }
+                        diags.push(d);
+                    }
+                }
                 let set: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
                 allow = Some(match allow.take() {
                     None => set,
@@ -166,57 +199,11 @@ pub fn analyze(
             .with_help("attribute conditions AND together; their sets must overlap"),
         );
     }
-    let allow_empty = allow.as_ref().is_some_and(|a| a.is_empty());
-
-    // ── QL002: filter admits attributes nothing selected can produce.
-    //    Skipped when an unknown extractor is selected (its signature is
-    //    unknowable — QL001 already fired) or nothing is extracted. ────
-    if !unknown_selected && !selected.is_empty() {
-        let declared: Vec<&str> = selected
-            .iter()
-            .filter_map(|(n, _)| registry.get(n))
-            .filter_map(|r| match &r.produces {
-                Produces::Set(set) => Some(set.iter().map(String::as_str)),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        for (step, sp) in pipeline.steps.iter().zip(&spans.steps) {
-            let (Step::Where { conditions }, StepSpans::Where { conditions: cond_spans, .. }) =
-                (step, sp)
-            else {
-                continue;
-            };
-            for (cond, csp) in conditions.iter().zip(cond_spans) {
-                let attrs: Vec<&String> = match cond {
-                    Condition::AttributeEq(a) => vec![a],
-                    Condition::AttributeIn(list) => list.iter().collect(),
-                    _ => continue,
-                };
-                for (attr, &span) in attrs.iter().zip(&csp.values) {
-                    let producible = selected.iter().any(|(n, _)| {
-                        registry.get(n).is_some_and(|r| r.produces.intersects(&[attr.as_str()]))
-                    });
-                    if !producible {
-                        let mut d = Diagnostic::error(
-                            codes::UNPRODUCIBLE_ATTRIBUTE,
-                            span,
-                            format!("no selected extractor can produce attribute \"{attr}\""),
-                        );
-                        if let Some(suggest) = closest(attr, declared.iter().copied()) {
-                            d = d.with_help(format!("did you mean \"{suggest}\"?"));
-                        }
-                        diags.push(d);
-                    }
-                }
-            }
-        }
-    }
 
     // ── QL005 + QL006 (both meaningless once the allow-list is empty —
     //    QL004 already explains why nothing flows) ────────────────────
-    let mut resolve_key: Option<&str> = None;
     if let Some(allow) = allow.as_ref().filter(|a| !a.is_empty()) {
+        let mut resolve_key: Option<&str> = None;
         let allow_refs: Vec<&str> = allow.iter().map(String::as_str).collect();
         for (name, span) in &selected {
             if let Some(reg) = registry.get(name) {
@@ -276,14 +263,7 @@ pub fn analyze(
                 _ => {}
             }
         }
-    } else if !allow_empty {
-        // Unrestricted stream: remember the resolve key for QL008 below.
-        resolve_key = pipeline.steps.iter().find_map(|s| match s {
-            Step::Resolve { key } => Some(key.as_str()),
-            _ => None,
-        });
     }
-    let _ = resolve_key;
 
     // ── QL007: curation sanity ──────────────────────────────────────
     for (step, sp) in pipeline.steps.iter().zip(&spans.steps) {
@@ -363,50 +343,23 @@ pub fn analyze(
     diags
 }
 
-/// Lint QDL source end-to-end: lex + parse (failures become a single
-/// QL000 diagnostic), then [`analyze`]. Always returns a report — syntax
-/// errors never escape as `Err`, so callers can render uniformly.
+/// Lint QDL source end-to-end through [`compile`], the same check a run
+/// gets: a lex or parse failure becomes a single QL000 diagnostic, and
+/// anything else is what [`analyze`] found. Always returns a report, so
+/// callers can render uniformly.
 pub fn lint_source(
     origin: &str,
     src: &str,
     registry: &ExtractorRegistry,
     schemas: Option<&SchemaRegistry>,
 ) -> LintReport {
-    match parse_spanned(src) {
-        Ok((pipeline, spans)) => {
-            LintReport::new(origin, src, analyze(&pipeline, &spans, registry, schemas))
-        }
-        Err(ParseError { message, span, .. }) => {
+    match compile(origin, src, registry, schemas) {
+        Ok(program) => program.report,
+        Err(CompileError::Parse(ParseError { message, span, .. })) => {
             LintReport::new(origin, src, vec![Diagnostic::error(codes::SYNTAX, span, message)])
         }
+        Err(CompileError::UnknownExtractor { report, .. } | CompileError::Lint(report)) => report,
     }
-}
-
-/// Lint a lowered [`LogicalPlan`] by reconstructing its pipeline form,
-/// printing it, and linting the printed text (printing is lossless, so
-/// spans land on real source). Returns `None` when the plan's printed
-/// form does not re-parse (e.g. exotic float literals) — callers should
-/// treat that as "no static verdict", not as clean or broken.
-pub fn analyze_plan(
-    plan: &LogicalPlan,
-    registry: &ExtractorRegistry,
-    schemas: Option<&SchemaRegistry>,
-) -> Option<LintReport> {
-    let steps: Vec<Step> = plan
-        .ops
-        .iter()
-        .map(|op| match op {
-            PlanOp::Extract { extractors } => Step::Extract { extractors: extractors.clone() },
-            PlanOp::Filter { conditions } => Step::Where { conditions: conditions.clone() },
-            PlanOp::Resolve { key } => Step::Resolve { key: key.clone() },
-            PlanOp::Curate { budget, votes } => Step::Curate { budget: *budget, votes: *votes },
-            PlanOp::Store { table, key } => Step::Store { table: table.clone(), key: key.clone() },
-        })
-        .collect();
-    let pipeline = Pipeline { name: "plan".into(), source: "corpus".into(), steps };
-    let src = pipeline.to_string();
-    let (reparsed, spans) = parse_spanned(&src).ok()?;
-    Some(LintReport::new("<plan>", &src, analyze(&reparsed, &spans, registry, schemas)))
 }
 
 #[cfg(test)]
@@ -658,33 +611,6 @@ RESOLVE BY name"#,
         let mut sorted = starts.clone();
         sorted.sort_unstable();
         assert_eq!(starts, sorted);
-    }
-
-    #[test]
-    fn analyze_plan_flags_lowered_plans() {
-        let reg = ExtractorRegistry::standard();
-        let plan = LogicalPlan {
-            ops: vec![
-                PlanOp::Extract { extractors: vec!["infobox".into()] },
-                PlanOp::Filter {
-                    conditions: vec![Condition::AttributeIn(vec!["population".into()])],
-                },
-                PlanOp::Resolve { key: "name".into() },
-                PlanOp::Store { table: "t".into(), key: vec!["name".into()] },
-            ],
-        };
-        let report = analyze_plan(&plan, &reg, None).unwrap();
-        assert!(!report.is_clean());
-        assert_eq!(report.diagnostics[0].code, codes::KEY_NOT_PROJECTED);
-        // And a clean plan stays clean.
-        let plan = LogicalPlan {
-            ops: vec![
-                PlanOp::Extract { extractors: vec!["infobox".into()] },
-                PlanOp::Resolve { key: "name".into() },
-                PlanOp::Store { table: "t".into(), key: vec!["name".into()] },
-            ],
-        };
-        assert!(analyze_plan(&plan, &reg, None).unwrap().diagnostics.is_empty());
     }
 
     #[test]

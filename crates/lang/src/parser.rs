@@ -10,7 +10,7 @@ pub const STEP_KEYWORDS: [&str; 5] = ["EXTRACT", "WHERE", "RESOLVE", "CURATE", "
 /// Valid condition fields, listed in "unknown condition field" errors.
 pub const CONDITION_FIELDS: [&str; 3] = ["attribute", "confidence", "extractor"];
 
-/// Parse error, anchored to the byte span of the offending token.
+/// Lex or parse error, anchored to the byte span of the offending token.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
     /// What went wrong.
@@ -39,6 +39,10 @@ struct Parser<'s> {
 }
 
 impl<'s> Parser<'s> {
+    fn new(src: &'s str) -> Result<Parser<'s>, ParseError> {
+        Ok(Parser { src, tokens: lex_spanned(src)?, pos: 0 })
+    }
+
     fn err(&self, span: Span, message: String) -> ParseError {
         let (line, col) = line_col_of(self.src, span.start);
         ParseError { message, span, line, col }
@@ -134,7 +138,8 @@ impl<'s> Parser<'s> {
         let (source, source_span) = self.ident()?;
         let mut steps = Vec::new();
         let mut step_spans = Vec::new();
-        while let Some(tok) = self.peek() {
+        // Where a step could begin, `PIPELINE` begins the next program.
+        while let Some(tok) = self.peek().filter(|_| !self.peek_keyword("PIPELINE")) {
             let Token::Ident(kw) = tok else {
                 let (span, found) = (self.here(), self.describe());
                 return Err(self.err(span, format!("expected step keyword, found {found}")));
@@ -293,17 +298,22 @@ pub fn parse(src: &str) -> Result<Pipeline, ParseError> {
 /// Parse a QDL program, also returning the byte-span table used by the
 /// static analyzer and diagnostics renderer.
 pub fn parse_spanned(src: &str) -> Result<(Pipeline, ProgramSpans), ParseError> {
-    let tokens = lex_spanned(src).map_err(|e| ParseError {
-        message: e.message.clone(),
-        span: Span::point(e.at),
-        line: e.line,
-        col: e.col,
-    })?;
-    let mut p = Parser { src, tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let out = p.pipeline()?;
     if p.pos != p.tokens.len() {
         let (span, found) = (p.here(), p.describe());
         return Err(p.err(span, format!("trailing tokens after program: {found}")));
+    }
+    Ok(out)
+}
+
+/// Parse a script: zero or more programs, one after another. Each span
+/// indexes the whole script, so diagnostics carry its real positions.
+pub(crate) fn parse_script(src: &str) -> Result<Vec<(Pipeline, ProgramSpans)>, ParseError> {
+    let mut p = Parser::new(src)?;
+    let mut out = Vec::new();
+    while p.pos != p.tokens.len() {
+        out.push(p.pipeline()?);
     }
     Ok(out)
 }
@@ -455,6 +465,23 @@ STORE INTO cities KEY name
         let err = parse("PIPELINE p FROM corpus RESOLVE").unwrap_err();
         assert_eq!(err.span, Span::point("PIPELINE p FROM corpus RESOLVE".len()));
         assert!(err.message.contains("end of input"), "{err}");
+    }
+
+    #[test]
+    fn a_script_splits_where_a_step_could_begin() {
+        let src = "-- two programs\nPIPELINE a FROM corpus EXTRACT infobox\n\
+                   PIPELINE pipeline FROM corpus RESOLVE BY pipeline\n";
+        let programs = parse_script(src).unwrap();
+        let names: Vec<&str> = programs.iter().map(|(p, _)| p.name.as_str()).collect();
+        assert_eq!(names, ["a", "pipeline"]);
+        // Spans index the whole script.
+        let spans = &programs[1].1;
+        assert_eq!(&src[spans.name.start..spans.name.end], "pipeline");
+        assert_eq!(line_col_of(src, spans.name.start), (3, 10));
+        // One program is not a script.
+        let err = parse_spanned(src).unwrap_err();
+        assert!(err.message.contains("trailing tokens"), "{err}");
+        assert!(parse_script("-- nothing\n").unwrap().is_empty());
     }
 
     proptest! {

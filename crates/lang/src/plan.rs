@@ -1,19 +1,19 @@
 //! Logical plans and the rule-based optimizer.
 //!
-//! A parsed pipeline lowers to a [`LogicalPlan`] — the same step sequence,
-//! normalized. The optimizer then applies three rewrite rules, each
+//! [`crate::compile()`] lowers a checked pipeline to a [`LogicalPlan`]: the
+//! same step sequence, with every `WHERE` merged into one filter placed
+//! directly after the `EXTRACT` ops (filters only reference extraction
+//! fields, so filtering before entity resolution and curation is both
+//! legal and cheaper). The optimizer then applies two rewrite rules, each
 //! ablatable independently (experiment E5):
 //!
-//! 1. **Filter placement** — extraction-stream filters move directly after
-//!    the `Extract` op (they only reference extraction fields, so filtering
-//!    before entity resolution and curation is both legal and cheaper);
-//!    adjacent filters merge.
-//! 2. **Extractor pruning** — an extractor whose declared signature cannot
+//! 1. **Extractor pruning** — an extractor whose declared signature cannot
 //!    produce any attribute admitted by the filters is removed.
-//! 3. **Cost ordering** — surviving extractors run cheapest-first (stable
+//! 2. **Cost ordering** — surviving extractors run cheapest-first (stable
 //!    and deterministic; matters when a downstream consumer short-circuits).
 
 use crate::ast::{Condition, Pipeline, Step};
+use crate::compile::CheckedProgram;
 use crate::registry::ExtractorRegistry;
 use std::fmt;
 
@@ -59,21 +59,31 @@ pub struct LogicalPlan {
 }
 
 impl LogicalPlan {
-    /// Lower a parsed pipeline to a plan (1:1, unoptimized).
-    pub fn from_pipeline(p: &Pipeline) -> LogicalPlan {
-        let ops = p
-            .steps
-            .iter()
-            .map(|s| match s {
+    /// Lower a parsed pipeline to a plan: its steps in order, with every
+    /// `WHERE` merged into one filter right after the leading `EXTRACT`s.
+    pub(crate) fn from_pipeline(p: &Pipeline) -> LogicalPlan {
+        let (mut ops, mut conditions) = (Vec::new(), Vec::new());
+        for s in &p.steps {
+            ops.push(match s {
                 Step::Extract { extractors } => PlanOp::Extract { extractors: extractors.clone() },
-                Step::Where { conditions } => PlanOp::Filter { conditions: conditions.clone() },
+                Step::Where { conditions: cs } => {
+                    conditions.extend(cs.iter().cloned());
+                    continue;
+                }
                 Step::Resolve { key } => PlanOp::Resolve { key: key.clone() },
                 Step::Curate { budget, votes } => PlanOp::Curate { budget: *budget, votes: *votes },
                 Step::Store { table, key } => {
                     PlanOp::Store { table: table.clone(), key: key.clone() }
                 }
-            })
-            .collect();
+            });
+        }
+        if !conditions.is_empty() {
+            let at = ops
+                .iter()
+                .position(|op| !matches!(op, PlanOp::Extract { .. }))
+                .unwrap_or(ops.len());
+            ops.insert(at, PlanOp::Filter { conditions });
+        }
         LogicalPlan { ops }
     }
 
@@ -149,88 +159,57 @@ impl fmt::Display for PlanOp {
 /// Optimizer toggles (all on by default; E5 ablates them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizerConfig {
-    /// Rule 1: move/merge filters directly after extraction.
-    pub filter_placement: bool,
-    /// Rule 2: drop extractors that cannot satisfy the filters.
+    /// Rule 1: drop extractors that cannot satisfy the filters.
     pub extractor_pruning: bool,
-    /// Rule 3: order extractors by ascending cost.
+    /// Rule 2: order extractors by ascending cost.
     pub cost_ordering: bool,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        OptimizerConfig { filter_placement: true, extractor_pruning: true, cost_ordering: true }
+        OptimizerConfig { extractor_pruning: true, cost_ordering: true }
     }
 }
 
-/// Optimize a plan under the default configuration.
-pub fn optimize(plan: &LogicalPlan, registry: &ExtractorRegistry) -> LogicalPlan {
-    optimize_with(plan, registry, OptimizerConfig::default())
+/// Optimize a program under the default configuration.
+pub fn optimize(program: &CheckedProgram, registry: &ExtractorRegistry) -> CheckedProgram {
+    optimize_with(program, registry, OptimizerConfig::default())
 }
 
-/// Optimize with explicit toggles.
+/// Optimize with explicit toggles. The result answers what `program`
+/// answers, so it stays checked.
 pub fn optimize_with(
-    plan: &LogicalPlan,
+    program: &CheckedProgram,
     registry: &ExtractorRegistry,
     cfg: OptimizerConfig,
-) -> LogicalPlan {
-    let mut ops = plan.ops.clone();
-
-    if cfg.filter_placement {
-        // Collect every filter, merge, and reinsert right after Extract.
-        let mut conditions = Vec::new();
-        ops.retain(|op| match op {
-            PlanOp::Filter { conditions: cs } => {
-                conditions.extend(cs.clone());
-                false
-            }
-            _ => true,
-        });
-        if !conditions.is_empty() {
-            let at = ops
-                .iter()
-                .position(|op| !matches!(op, PlanOp::Extract { .. }))
-                .unwrap_or(ops.len());
-            ops.insert(at, PlanOp::Filter { conditions });
+) -> CheckedProgram {
+    let allow = program.plan.attribute_allowlist().filter(|_| cfg.extractor_pruning);
+    let allow: Option<Vec<&str>> = allow.as_ref().map(|a| a.iter().map(String::as_str).collect());
+    let mut out = program.clone();
+    for op in &mut out.plan.ops {
+        let PlanOp::Extract { extractors } = op else { continue };
+        if let Some(allow) = &allow {
+            extractors.retain(|e| registry.get(e).is_none_or(|r| r.produces.intersects(allow)));
+        }
+        if cfg.cost_ordering {
+            extractors.sort_by(|a, b| {
+                let ca = registry.get(a).map_or(1.0, |r| r.cost);
+                let cb = registry.get(b).map_or(1.0, |r| r.cost);
+                ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
+            });
         }
     }
-
-    if cfg.extractor_pruning {
-        let allow = LogicalPlan { ops: ops.clone() }.attribute_allowlist();
-        if let Some(allow) = allow {
-            let allow_refs: Vec<&str> = allow.iter().map(String::as_str).collect();
-            for op in &mut ops {
-                if let PlanOp::Extract { extractors } = op {
-                    extractors.retain(|e| {
-                        registry.get(e).is_none_or(|r| r.produces.intersects(&allow_refs))
-                    });
-                }
-            }
-        }
-    }
-
-    if cfg.cost_ordering {
-        for op in &mut ops {
-            if let PlanOp::Extract { extractors } = op {
-                extractors.sort_by(|a, b| {
-                    let ca = registry.get(a).map_or(1.0, |r| r.cost);
-                    let cb = registry.get(b).map_or(1.0, |r| r.cost);
-                    ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
-                });
-            }
-        }
-    }
-
-    LogicalPlan { ops }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::compile::compile;
+    use crate::registry::Produces;
 
-    fn plan(src: &str) -> LogicalPlan {
-        LogicalPlan::from_pipeline(&parse(src).unwrap())
+    fn plan(src: &str) -> CheckedProgram {
+        compile("test.qdl", src, &ExtractorRegistry::standard(), None).unwrap()
     }
 
     const SRC: &str = r#"
@@ -242,19 +221,21 @@ STORE INTO cities KEY name
 "#;
 
     #[test]
-    fn lowering_preserves_step_order() {
+    fn lowering_places_the_filter_after_extract() {
         let p = plan(SRC);
-        assert_eq!(p.ops.len(), 4);
-        assert!(matches!(p.ops[0], PlanOp::Extract { .. }));
-        assert!(matches!(p.ops[2], PlanOp::Filter { .. }));
+        assert_eq!(p.plan().ops.len(), 4);
+        assert!(matches!(p.plan().ops[0], PlanOp::Extract { .. }));
+        assert!(matches!(p.plan().ops[1], PlanOp::Filter { .. }));
     }
 
     #[test]
     fn filter_moves_before_resolve() {
         let reg = ExtractorRegistry::standard();
         let opt = optimize(&plan(SRC), &reg);
-        let filter_pos = opt.ops.iter().position(|o| matches!(o, PlanOp::Filter { .. })).unwrap();
-        let resolve_pos = opt.ops.iter().position(|o| matches!(o, PlanOp::Resolve { .. })).unwrap();
+        let filter_pos =
+            opt.plan().ops.iter().position(|o| matches!(o, PlanOp::Filter { .. })).unwrap();
+        let resolve_pos =
+            opt.plan().ops.iter().position(|o| matches!(o, PlanOp::Resolve { .. })).unwrap();
         assert!(filter_pos < resolve_pos, "{opt:?}");
     }
 
@@ -267,7 +248,7 @@ WHERE attribute = "population""#;
         let reg = ExtractorRegistry::standard();
         let opt = optimize(&plan(src), &reg);
         let filters: Vec<_> =
-            opt.ops.iter().filter(|o| matches!(o, PlanOp::Filter { .. })).collect();
+            opt.plan().ops.iter().filter(|o| matches!(o, PlanOp::Filter { .. })).collect();
         assert_eq!(filters.len(), 1);
         if let PlanOp::Filter { conditions } = filters[0] {
             assert_eq!(conditions.len(), 2);
@@ -283,7 +264,7 @@ EXTRACT infobox, rule:monthly-temperature, rule:lead-author
 WHERE attribute = "author""#;
         let reg = ExtractorRegistry::standard();
         let opt = optimize(&plan(src), &reg);
-        if let PlanOp::Extract { extractors } = &opt.ops[0] {
+        if let PlanOp::Extract { extractors } = &opt.plan().ops[0] {
             assert!(extractors.contains(&"infobox".to_string()));
             assert!(extractors.contains(&"rule:lead-author".to_string()));
             assert!(!extractors.contains(&"rule:monthly-temperature".to_string()));
@@ -297,7 +278,7 @@ WHERE attribute = "author""#;
         let src = "PIPELINE p FROM corpus EXTRACT rules, infobox";
         let reg = ExtractorRegistry::standard();
         let opt = optimize(&plan(src), &reg);
-        if let PlanOp::Extract { extractors } = &opt.ops[0] {
+        if let PlanOp::Extract { extractors } = &opt.plan().ops[0] {
             assert_eq!(extractors[0], "infobox", "cost 1 before cost 5");
         } else {
             panic!();
@@ -309,17 +290,13 @@ WHERE attribute = "author""#;
         let reg = ExtractorRegistry::standard();
         let naive = plan(SRC);
         let opt = optimize(&naive, &reg);
-        assert!(opt.estimated_cost(&reg, 100) < naive.estimated_cost(&reg, 100));
+        assert!(opt.plan().estimated_cost(&reg, 100) < naive.plan().estimated_cost(&reg, 100));
     }
 
     #[test]
     fn toggles_disable_rules() {
         let reg = ExtractorRegistry::standard();
-        let none = OptimizerConfig {
-            filter_placement: false,
-            extractor_pruning: false,
-            cost_ordering: false,
-        };
+        let none = OptimizerConfig { extractor_pruning: false, cost_ordering: false };
         let p = plan(SRC);
         assert_eq!(optimize_with(&p, &reg, none), p, "all-off is identity");
     }
@@ -329,15 +306,15 @@ WHERE attribute = "author""#;
         let src = r#"PIPELINE p FROM corpus
 EXTRACT infobox
 WHERE attribute IN ("a", "b") AND attribute = "b""#;
-        assert_eq!(plan(src).attribute_allowlist(), Some(vec!["b".to_string()]));
+        assert_eq!(plan(src).plan().attribute_allowlist(), Some(vec!["b".to_string()]));
         let src2 = "PIPELINE p FROM corpus EXTRACT infobox WHERE confidence >= 0.5";
-        assert_eq!(plan(src2).attribute_allowlist(), None);
+        assert_eq!(plan(src2).plan().attribute_allowlist(), None);
     }
 
     #[test]
     fn explain_renders() {
         let reg = ExtractorRegistry::standard();
-        let text = optimize(&plan(SRC), &reg).explain(&reg, 50);
+        let text = optimize(&plan(SRC), &reg).plan().explain(&reg, 50);
         assert!(text.contains("PLAN"));
         assert!(text.contains("Resolve[by name]"));
         assert!(text.contains("est. cost"));
@@ -345,13 +322,17 @@ WHERE attribute IN ("a", "b") AND attribute = "b""#;
 
     #[test]
     fn unknown_extractors_survive_pruning() {
-        // Pruning must not silently drop operators it knows nothing about.
+        // Pruning must not silently drop operators it knows nothing about:
+        // checked against a registry that has one, optimized against one
+        // that does not.
         let src = r#"PIPELINE p FROM corpus
 EXTRACT mystery_op
 WHERE attribute = "x""#;
-        let reg = ExtractorRegistry::standard();
-        let opt = optimize(&plan(src), &reg);
-        if let PlanOp::Extract { extractors } = &opt.ops[0] {
+        let mut known = ExtractorRegistry::standard();
+        known.register("mystery_op", Produces::Set(vec!["x".into()]), 1.0, |_| Vec::new());
+        let program = compile("test.qdl", src, &known, None).unwrap();
+        let opt = optimize(&program, &ExtractorRegistry::standard());
+        if let PlanOp::Extract { extractors } = &opt.plan().ops[0] {
             assert_eq!(extractors, &vec!["mystery_op".to_string()]);
         } else {
             panic!();

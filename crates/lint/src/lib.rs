@@ -17,7 +17,7 @@
 pub use quarry_exec::diag::{
     closest, line_col_of, Diagnostic, LintReport, Severity, SourceMap, Span,
 };
-pub use quarry_lang::lint::{analyze, analyze_plan, codes as qdl_codes, lint_source};
+pub use quarry_lang::lint::{analyze, codes as qdl_codes, lint_source};
 pub use quarry_query::lint::{check_query, codes as query_codes};
 
 use quarry_lang::ExtractorRegistry;
