@@ -450,10 +450,9 @@ fn merge_aggregate(
                 let [key, val] = row.as_slice() else {
                     return Err("grouped aggregate row is not [key, value]".into());
                 };
-                match groups.remove(key) {
-                    Some(acc) => {
-                        groups.insert(key.clone(), combine(acc, val)?);
-                    }
+                // One lookup per partial; a key is cloned only for a new group.
+                match groups.get_mut(key) {
+                    Some(acc) => *acc = combine(std::mem::replace(acc, Value::Null), val)?,
                     None => {
                         groups.insert(key.clone(), val.clone());
                     }

@@ -354,29 +354,6 @@ pub fn execute_snapshot(snap: &DbSnapshot, q: &Query) -> Result<QueryResult, Que
         .map(|(result, _)| result)
 }
 
-pub(crate) fn compute_agg(agg: AggFn, vals: &[&Value], over: &str) -> Result<Value, QueryError> {
-    let non_null: Vec<&&Value> = vals.iter().filter(|v| !v.is_null()).collect();
-    match agg {
-        AggFn::Count => Ok(Value::Int(non_null.len() as i64)),
-        AggFn::Min => Ok(non_null.iter().min().map(|v| (**v).clone()).unwrap_or(Value::Null)),
-        AggFn::Max => Ok(non_null.iter().max().map(|v| (**v).clone()).unwrap_or(Value::Null)),
-        AggFn::Sum | AggFn::Avg => {
-            let nums: Vec<f64> = non_null
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| QueryError::NotNumeric(over.to_string())))
-                .collect::<Result<_, _>>()?;
-            if nums.is_empty() {
-                return Ok(Value::Null);
-            }
-            let sum: f64 = nums.iter().sum();
-            Ok(match agg {
-                AggFn::Sum => Value::Float(sum),
-                _ => Value::Float(sum / nums.len() as f64),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

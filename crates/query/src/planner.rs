@@ -13,10 +13,14 @@
 //!    residual conjunction and is re-checked against the fetched row, so a
 //!    loose index bound can cost time but never correctness.
 //! 2. **Predicate + projection pushdown** — residual predicates and the
-//!    projection column list are pushed into [`DbSnapshot::select`], which
-//!    evaluates them while rows are still borrowed from the snapshot. A
-//!    non-matching row is never cloned, and matching rows only clone the
-//!    projected columns.
+//!    projection column list are pushed into the table access, which
+//!    walks [`DbSnapshot::for_each_row`] and checks the residual while
+//!    each row is still borrowed from the snapshot. A non-matching row is
+//!    never cloned. What a matching row costs depends on its consumer:
+//!    an `Aggregate` directly above the access folds the borrowed row,
+//!    cloning a group key when it opens a group; a `Sort` with a limit
+//!    clones a row only while it can still make the top k; any other
+//!    consumer gets the projected columns cloned out.
 //! 3. **Join-side selection** — the hash join builds its table on whichever
 //!    input materialized fewer rows and probes with the larger, while
 //!    emitting output in exactly the order the fixed-side join would have.
@@ -28,16 +32,20 @@
 //! against. Row order is part of the contract: for any config, results are
 //! bit-identical to the full-scan pipeline, because both access paths
 //! return rows in row-id order and the build-side swap preserves
-//! probe-order output.
+//! probe-order output. Streaming rows into their consumer is not one of
+//! the toggles: with pushdown off, a query's predicates stay in a `Filter`
+//! between the access and the operator, which then folds that filter's
+//! materialized rows through the same code.
 //!
 //! [`execute_with`] returns the result *plus* an [`OpTrace`]: per-operator
 //! estimated vs. actual row counts and scan counters, rendered through the
 //! shared [`PlanNode`] tree renderer by `Query::explain`.
 //!
 
-use crate::engine::{compute_agg, Predicate, Query, QueryError, QueryResult};
+use crate::engine::{AggFn, Predicate, Query, QueryError, QueryResult};
 use quarry_exec::PlanNode;
 use quarry_storage::{Database, DbSnapshot, Row, ScanAccess, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Physical-planner toggles (all on by default).
@@ -306,7 +314,7 @@ pub fn plan(db: &DbSnapshot, q: &Query, cfg: &PlannerConfig) -> PhysPlan {
             input: Box::new(plan(db, input, cfg)),
             by: by.clone(),
             desc: *desc,
-            limit: limit.map(|l| l),
+            limit: *limit,
         },
     }
 }
@@ -433,63 +441,219 @@ pub fn execute_snapshot_with(
     exec_plan(snap, &physical)
 }
 
+/// An operator's input, opened but not yet read: the columns it yields,
+/// and where each sits in the rows [`Rows::for_each`] hands over.
+struct Input<'p> {
+    /// Output column names.
+    columns: Vec<String>,
+    /// Position of each output column in a handed-over row; `None` when
+    /// handed-over rows are laid out as `columns` already.
+    layout: Option<Vec<usize>>,
+    rows: Rows<'p>,
+}
+
+/// Where an [`Input`]'s rows come from.
+enum Rows<'p> {
+    /// A table access, run when read: each candidate row is checked
+    /// against the residual while it is borrowed from the snapshot, and
+    /// only the rows that pass reach the consumer.
+    Access {
+        table: &'p str,
+        scan: ScanAccess<'p>,
+        /// Each residual predicate with the table column it tests.
+        residual: Vec<(&'p Predicate, usize)>,
+        label: String,
+        est_rows: Option<usize>,
+    },
+    /// Any other operator, already executed.
+    Done(Vec<Row>, OpTrace),
+}
+
+impl<'p> Input<'p> {
+    /// Resolve a table access against `src`'s schema without reading it;
+    /// execute any other plan.
+    fn open(src: &DbSnapshot, p: &'p PhysPlan) -> Result<Input<'p>, QueryError> {
+        let PhysPlan::Access { table, path, residual, projection, est_rows } = p else {
+            let (r, trace) = exec_plan(src, p)?;
+            return Ok(Input { columns: r.columns, layout: None, rows: Rows::Done(r.rows, trace) });
+        };
+        let schema = src.table(table)?.schema();
+        let cols: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
+        let position = |name: &str| {
+            cols.iter()
+                .position(|c| c == name)
+                .ok_or_else(|| QueryError::UnknownColumn(name.to_string()))
+        };
+        let tested = residual
+            .iter()
+            .map(|pr| Ok((pr, position(pr.column())?)))
+            .collect::<Result<_, QueryError>>()?;
+        let layout = match projection {
+            Some(pcols) => Some(pcols.iter().map(|c| position(c)).collect::<Result<_, _>>()?),
+            None => None,
+        };
+        let scan = match path {
+            AccessPath::FullScan => ScanAccess::Full,
+            AccessPath::PkEq { key } => ScanAccess::Pk { key },
+            AccessPath::IndexEq { column, value } => {
+                ScanAccess::Index { column, lo: Some(value), hi: Some(value) }
+            }
+            AccessPath::IndexRange { column, lo, hi } => {
+                ScanAccess::Index { column, lo: lo.as_ref(), hi: hi.as_ref() }
+            }
+        };
+        let mut label = format!("Access[{table} via {}]", path.describe());
+        if !residual.is_empty() {
+            let preds: Vec<String> = residual.iter().map(Predicate::display).collect();
+            label.push_str(&format!(" where {}", preds.join(" AND ")));
+        }
+        if let Some(pcols) = projection {
+            label.push_str(&format!(" -> [{}]", pcols.join(", ")));
+        }
+        let columns = projection.clone().unwrap_or(cols);
+        let rows = Rows::Access { table, scan, residual: tested, label, est_rows: *est_rows };
+        Ok(Input { columns, layout, rows })
+    }
+
+    /// Where column `name` sits: `(in a handed-over row, in an output
+    /// row)`.
+    fn column(&self, name: &str) -> Result<(usize, usize), QueryError> {
+        let out = self
+            .columns
+            .iter()
+            .position(|c| c == name)
+            .ok_or_else(|| QueryError::UnknownColumn(name.to_string()))?;
+        Ok((self.layout.as_ref().map_or(out, |l| l[out]), out))
+    }
+
+    /// Read every row into the result — through [`DbSnapshot::select`],
+    /// the materializing sink, for a table access.
+    fn collect(self, src: &DbSnapshot) -> Result<(QueryResult, OpTrace), QueryError> {
+        let Input { columns, layout, rows } = self;
+        let (rows, trace) = match rows {
+            Rows::Done(rows, trace) => (rows, trace),
+            Rows::Access { table, scan, residual, label, est_rows } => {
+                let mut passes = |row: &[Value]| passes(&residual, row);
+                let (rows, scanned) = src.select(table, scan, &mut passes, layout.as_deref())?;
+                let trace = access_trace(label, est_rows, rows.len(), scanned);
+                (rows, trace)
+            }
+        };
+        Ok((QueryResult { columns, rows }, trace))
+    }
+}
+
+/// Whether a candidate row satisfies every residual predicate.
+fn passes(residual: &[(&Predicate, usize)], row: &[Value]) -> bool {
+    residual.iter().all(|(pr, i)| pr.eval(&row[*i]))
+}
+
+/// An access's trace: `rows=` counts the rows it fed its consumer.
+fn access_trace(label: String, est_rows: Option<usize>, rows: usize, scanned: usize) -> OpTrace {
+    OpTrace { label, est_rows, actual_rows: rows, scanned: Some(scanned), children: Vec::new() }
+}
+
+/// A handed-over row as an output row: the lent columns cloned, an owned
+/// row moved.
+fn output(layout: &Option<Vec<usize>>, row: Cow<'_, [Value]>) -> Row {
+    match layout {
+        Some(cols) => cols.iter().map(|&i| row[i].clone()).collect(),
+        None => row.into_owned(),
+    }
+}
+
+impl Rows<'_> {
+    /// Hand every row to `f` in order — lent by a table access, moved out
+    /// of an executed result — and return the input's trace.
+    fn for_each(
+        self,
+        src: &DbSnapshot,
+        f: &mut dyn FnMut(Cow<'_, [Value]>),
+    ) -> Result<OpTrace, QueryError> {
+        match self {
+            Rows::Done(rows, trace) => {
+                rows.into_iter().for_each(|row| f(Cow::Owned(row)));
+                Ok(trace)
+            }
+            Rows::Access { table, scan, residual, label, est_rows } => {
+                let mut passed = 0usize;
+                let scanned = src.for_each_row(table, scan, &mut |row| {
+                    if passes(&residual, row) {
+                        passed += 1;
+                        f(Cow::Borrowed(row));
+                    }
+                    Ok(())
+                })?;
+                Ok(access_trace(label, est_rows, passed, scanned))
+            }
+        }
+    }
+}
+
+/// One group's aggregate, folded from its values in arrival order.
+struct Fold {
+    /// Non-NULL values seen.
+    count: usize,
+    /// Their running sum (`SUM`/`AVG`).
+    sum: f64,
+    /// The `MIN` or `MAX` so far.
+    best: Option<Value>,
+    /// A non-NULL value that is not a number reached a `SUM`/`AVG`.
+    not_numeric: bool,
+}
+
+impl Fold {
+    fn new() -> Fold {
+        // `Iterator::sum`'s own start value, so that the sum of an all
+        // `-0.0` group keeps its sign exactly as summing a list would.
+        let sum = std::iter::empty::<f64>().sum();
+        Fold { count: 0, sum, best: None, not_numeric: false }
+    }
+
+    /// Fold one value in. NULLs are skipped; `MIN` keeps the first of
+    /// equal minima and `MAX` the last of equal maxima, as
+    /// `Iterator::min` / `max` do.
+    fn add(&mut self, agg: AggFn, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        self.count += 1;
+        match agg {
+            AggFn::Count => {}
+            AggFn::Sum | AggFn::Avg => match v.as_f64() {
+                Some(x) => self.sum += x,
+                None => self.not_numeric = true,
+            },
+            AggFn::Min => {
+                if self.best.as_ref().is_none_or(|b| v < b) {
+                    self.best = Some(v.clone());
+                }
+            }
+            AggFn::Max => {
+                if self.best.as_ref().is_none_or(|b| v >= b) {
+                    self.best = Some(v.clone());
+                }
+            }
+        }
+    }
+
+    fn finish(self, agg: AggFn, over: &str) -> Result<Value, QueryError> {
+        Ok(match agg {
+            AggFn::Count => Value::Int(self.count as i64),
+            AggFn::Min | AggFn::Max => self.best.unwrap_or(Value::Null),
+            AggFn::Sum | AggFn::Avg if self.not_numeric => {
+                return Err(QueryError::NotNumeric(over.to_string()))
+            }
+            AggFn::Sum | AggFn::Avg if self.count == 0 => Value::Null,
+            AggFn::Sum => Value::Float(self.sum),
+            AggFn::Avg => Value::Float(self.sum / self.count as f64),
+        })
+    }
+}
+
 fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), QueryError> {
     match p {
-        PhysPlan::Access { table, path, residual, projection, est_rows } => {
-            let schema = src.schema(table)?;
-            let cols: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
-            let residual_idx: Vec<usize> = residual
-                .iter()
-                .map(|pr| {
-                    cols.iter()
-                        .position(|c| c == pr.column())
-                        .ok_or_else(|| QueryError::UnknownColumn(pr.column().to_string()))
-                })
-                .collect::<Result<_, _>>()?;
-            let proj_idx: Option<Vec<usize>> = match projection {
-                Some(pcols) => Some(
-                    pcols
-                        .iter()
-                        .map(|c| {
-                            cols.iter()
-                                .position(|x| x == c)
-                                .ok_or_else(|| QueryError::UnknownColumn(c.clone()))
-                        })
-                        .collect::<Result<_, _>>()?,
-                ),
-                None => None,
-            };
-            let access = match path {
-                AccessPath::FullScan => ScanAccess::Full,
-                AccessPath::PkEq { key } => ScanAccess::Pk { key },
-                AccessPath::IndexEq { column, value } => {
-                    ScanAccess::Index { column, lo: Some(value), hi: Some(value) }
-                }
-                AccessPath::IndexRange { column, lo, hi } => {
-                    ScanAccess::Index { column, lo: lo.as_ref(), hi: hi.as_ref() }
-                }
-            };
-            let mut pass =
-                |row: &[Value]| residual.iter().zip(&residual_idx).all(|(pr, &i)| pr.eval(&row[i]));
-            let (rows, scanned) = src.select(table, access, &mut pass, proj_idx.as_deref())?;
-            let columns = projection.clone().unwrap_or(cols);
-            let mut label = format!("Access[{table} via {}]", path.describe());
-            if !residual.is_empty() {
-                let preds: Vec<String> = residual.iter().map(Predicate::display).collect();
-                label.push_str(&format!(" where {}", preds.join(" AND ")));
-            }
-            if let Some(pcols) = projection {
-                label.push_str(&format!(" -> [{}]", pcols.join(", ")));
-            }
-            let trace = OpTrace {
-                label,
-                est_rows: *est_rows,
-                actual_rows: rows.len(),
-                scanned: Some(scanned),
-                children: Vec::new(),
-            };
-            Ok((QueryResult { columns, rows }, trace))
-        }
+        PhysPlan::Access { .. } => Input::open(src, p)?.collect(src),
         PhysPlan::Filter { input, predicates } => {
             let (mut r, child) = exec_plan(src, input)?;
             let idx: Vec<usize> = predicates
@@ -598,32 +762,39 @@ fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), Q
             Ok((QueryResult { columns, rows }, trace))
         }
         PhysPlan::Aggregate { input, group_by, agg, over } => {
-            let (r, child) = exec_plan(src, input)?;
-            let oi = r.column_index(over).ok_or_else(|| QueryError::UnknownColumn(over.clone()))?;
+            let input = Input::open(src, input)?;
+            let (oi, _) = input.column(over)?;
             let gi = match group_by {
-                Some(g) => {
-                    Some(r.column_index(g).ok_or_else(|| QueryError::UnknownColumn(g.clone()))?)
-                }
+                Some(g) => Some(input.column(g)?.0),
                 None => None,
             };
-            // Group rows (BTreeMap gives deterministic output order).
-            let mut groups: std::collections::BTreeMap<Value, Vec<&Value>> =
-                std::collections::BTreeMap::new();
-            for row in &r.rows {
-                let key = gi.map(|i| row[i].clone()).unwrap_or(Value::Null);
-                groups.entry(key).or_default().push(&row[oi]);
-            }
-            if groups.is_empty() && gi.is_none() {
-                groups.insert(Value::Null, Vec::new());
-            }
-            let mut rows = Vec::new();
-            for (key, vals) in groups {
-                let agg_val = compute_agg(*agg, &vals, over)?;
-                match gi {
-                    Some(_) => rows.push(vec![key, agg_val]),
-                    None => rows.push(vec![agg_val]),
+            // A group's key is the first of its equal keys to arrive, and
+            // is cloned only then.
+            let mut groups: HashMap<Value, Fold> = HashMap::new();
+            let mut all = Fold::new();
+            let child = input.rows.for_each(src, &mut |row| match gi {
+                None => all.add(*agg, &row[oi]),
+                Some(gi) => match groups.get_mut(&row[gi]) {
+                    Some(fold) => fold.add(*agg, &row[oi]),
+                    None => {
+                        let mut fold = Fold::new();
+                        fold.add(*agg, &row[oi]);
+                        groups.insert(row[gi].clone(), fold);
+                    }
+                },
+            })?;
+            let rows = match gi {
+                None => vec![vec![all.finish(*agg, over)?]],
+                Some(_) => {
+                    let mut groups: Vec<(Value, Fold)> = groups.into_iter().collect();
+                    // Distinct keys: the unstable sort is the key order.
+                    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                    groups
+                        .into_iter()
+                        .map(|(key, fold)| Ok(vec![key, fold.finish(*agg, over)?]))
+                        .collect::<Result<_, QueryError>>()?
                 }
-            }
+            };
             let out_col = format!("{}({over})", agg.name());
             let columns = match group_by {
                 Some(g) => vec![g.clone(), out_col],
@@ -640,30 +811,47 @@ fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), Q
             Ok((QueryResult { columns, rows }, trace))
         }
         PhysPlan::Sort { input, by, desc, limit } => {
-            let (mut r, child) = exec_plan(src, input)?;
-            let i = r.column_index(by).ok_or_else(|| QueryError::UnknownColumn(by.clone()))?;
-            // Stable sort: equal keys keep input order.
-            r.rows.sort_by(|a, b| {
-                let ord = a[i].cmp(&b[i]);
-                if *desc {
-                    ord.reverse()
-                } else {
-                    ord
+            let input = Input::open(src, input)?;
+            let (key, out_key) = input.column(by)?;
+            let Input { columns, layout, rows } = input;
+            let rank = |a: &Value, b: &Value| if *desc { b.cmp(a) } else { a.cmp(b) };
+            // The k best rows ranked by (key, arrival): a stable sort
+            // truncated to k, ties included. `kept` takes every row that
+            // can still make it — cloned from an access, moved from an
+            // executed input — in arrival order, so a stable sort of it
+            // ranks ties by arrival too; at 2k rows it is cut back to the
+            // k best, whose last is the bar. A later row that does not
+            // rank strictly before the bar has k rows ahead of it already
+            // and is never cloned. That is O(n log k) whatever order rows
+            // arrive in; without a limit every row is kept and sorted once.
+            let k = limit.unwrap_or(usize::MAX);
+            let cut = |kept: &mut Vec<Row>| {
+                kept.sort_by(|a, b| rank(&a[out_key], &b[out_key]));
+                kept.truncate(k);
+            };
+            let mut kept: Vec<Row> = Vec::new();
+            let mut barred = false;
+            let child = rows.for_each(src, &mut |row| {
+                if k == 0 || (barred && rank(&row[key], &kept[k - 1][out_key]).is_ge()) {
+                    return;
                 }
-            });
-            if let Some(l) = limit {
-                r.rows.truncate(*l);
-            }
+                kept.push(output(&layout, row));
+                if kept.len() == k.saturating_mul(2) {
+                    cut(&mut kept);
+                    barred = true;
+                }
+            })?;
+            cut(&mut kept);
             let dir = if *desc { " desc" } else { "" };
             let lim = limit.map(|l| format!(" limit {l}")).unwrap_or_default();
             let trace = OpTrace {
                 label: format!("Sort[{by}{dir}{lim}]"),
                 est_rows: None,
-                actual_rows: r.rows.len(),
+                actual_rows: kept.len(),
                 scanned: None,
                 children: vec![child],
             };
-            Ok((r, trace))
+            Ok((QueryResult { columns, rows: kept }, trace))
         }
     }
 }

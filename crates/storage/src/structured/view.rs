@@ -30,7 +30,8 @@ use std::collections::HashMap;
 use super::overlay::{IndexStats, Table};
 use super::table::{Row, TableSchema};
 
-/// How [`DbSnapshot::select`] reaches a table's rows.
+/// How [`DbSnapshot::for_each_row`] and [`DbSnapshot::select`] reach a
+/// table's rows.
 #[derive(Debug, Clone, Copy)]
 pub enum ScanAccess<'a> {
     /// Walk the whole table in row-id order.
@@ -57,7 +58,7 @@ pub enum ScanAccess<'a> {
 /// One table's committed state at a point in time, immutable.
 ///
 /// The overlay row map and the base row tree are both keyed by row id, so
-/// every access path of [`TableView::select`] produces rows in exactly the
+/// every access path of [`TableView::for_each_row`] produces rows in exactly the
 /// same order as the live engine: row-id (insertion) order.
 #[derive(Debug, Clone)]
 pub struct TableView(Table);
@@ -91,60 +92,72 @@ impl TableView {
         self.0.index_stats(column)
     }
 
-    /// Filtered, projected read — the query planner's table-access
-    /// primitive, with predicate and projection *pushdown*: `filter` is
-    /// evaluated against each candidate row while it is still borrowed
-    /// from the view, and only the `projection` columns of accepted rows
-    /// are cloned out. Non-matching rows are never copied at all.
+    /// Hand every candidate row `access` reaches to `f`, borrowed, and
+    /// return how many there were — the query planner's table-access
+    /// primitive. Nothing is copied for the caller: an overlay row is lent
+    /// from the view, and a base row is lent from the copy decoded to read
+    /// it, which is dropped once `f` returns, so `f` must clone whatever
+    /// it keeps.
     ///
-    /// Rows come back in row-id (insertion) order for **every** access
-    /// path, so an index- or key-routed read is bit-identical — including
-    /// order — to a full scan with the same filter. Returns `(rows,
-    /// scanned)` where `scanned` counts the candidate rows the filter
-    /// examined.
-    pub fn select(
+    /// Rows arrive in row-id (insertion) order for **every** access path,
+    /// so an index- or key-routed read is bit-identical — including order
+    /// — to a full scan. The first error, from the read or from `f`, stops
+    /// the walk and is returned.
+    pub fn for_each_row(
         &self,
         access: ScanAccess<'_>,
-        filter: &mut dyn FnMut(&[Value]) -> bool,
-        projection: Option<&[usize]>,
-    ) -> Result<(Vec<Row>, usize)> {
-        let materialize = |row: &Row| -> Row {
-            match projection {
-                Some(cols) => cols.iter().map(|&i| row[i].clone()).collect(),
-                None => row.clone(),
-            }
-        };
-        let mut out = Vec::new();
-        let mut scanned = 0usize;
-        let mut examine = |row: &Row| {
-            scanned += 1;
-            if filter(row) {
-                out.push(materialize(row));
-            }
+        f: &mut dyn FnMut(&Row) -> Result<()>,
+    ) -> Result<usize> {
+        let mut visited = 0usize;
+        let mut visit = |row: &Row| {
+            visited += 1;
+            f(row)
         };
         match access {
-            ScanAccess::Full => self.0.for_each_live_row(&mut |_, row| {
-                examine(row);
-                Ok(())
-            })?,
+            ScanAccess::Full => self.0.for_each_live_row(&mut |_, row| visit(row))?,
             ScanAccess::Index { column, lo, hi } => {
                 let mut row_ids = self.0.index_candidates(column, lo, hi)?;
                 // Row-id order = full-scan order.
                 row_ids.sort_unstable();
                 for row_id in row_ids {
                     if let Some(row) = self.0.effective_row(row_id)? {
-                        examine(&row);
+                        visit(&row)?;
                     }
                 }
             }
             ScanAccess::Pk { key } => {
                 if let Some(row_id) = self.0.lookup_pk(key)? {
                     if let Some(row) = self.0.effective_row(row_id)? {
-                        examine(&row);
+                        visit(&row)?;
                     }
                 }
             }
         }
+        Ok(visited)
+    }
+
+    /// Filtered, projected, materialized read: [`TableView::for_each_row`]
+    /// with a sink that evaluates `filter` against each borrowed candidate
+    /// and clones only the `projection` columns of the rows it accepts.
+    /// Returns `(rows, scanned)` where `scanned` counts the candidate rows
+    /// the filter examined; rows come in row-id order for every access
+    /// path.
+    pub fn select(
+        &self,
+        access: ScanAccess<'_>,
+        filter: &mut dyn FnMut(&[Value]) -> bool,
+        projection: Option<&[usize]>,
+    ) -> Result<(Vec<Row>, usize)> {
+        let mut out = Vec::new();
+        let scanned = self.for_each_row(access, &mut |row| {
+            if filter(row) {
+                out.push(match projection {
+                    Some(cols) => cols.iter().map(|&i| row[i].clone()).collect(),
+                    None => row.clone(),
+                });
+            }
+            Ok(())
+        })?;
         Ok((out, scanned))
     }
 
@@ -210,6 +223,17 @@ impl DbSnapshot {
     /// Number of rows in a table (mirrors `Database::row_count`).
     pub fn row_count(&self, table: &str) -> Result<usize> {
         Ok(self.table(table)?.row_count())
+    }
+
+    /// Lock-free walk over one table's rows, handed over borrowed; see
+    /// [`TableView::for_each_row`].
+    pub fn for_each_row(
+        &self,
+        table: &str,
+        access: ScanAccess<'_>,
+        f: &mut dyn FnMut(&Row) -> Result<()>,
+    ) -> Result<usize> {
+        self.table(table)?.for_each_row(access, f)
     }
 
     /// Filtered, projected, lock-free read of one table; see

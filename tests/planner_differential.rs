@@ -53,7 +53,7 @@ fn facts_db(rows: usize) -> Database {
 /// projections, joins, aggregates, and sorts.
 fn query_shapes() -> Vec<Query> {
     let eq = |c: &str, v: Value| Predicate::Eq(c.into(), v);
-    vec![
+    let mut shapes = vec![
         // No predicate.
         Query::scan("facts"),
         // Equality on an indexed column.
@@ -132,12 +132,79 @@ fn query_shapes() -> Vec<Query> {
             true,
             Some(7),
         ),
-    ]
+    ];
+    // Every aggregate, with and without a group, over a routed window and
+    // over the whole table.
+    let window = || {
+        Query::scan("facts").filter(vec![
+            Predicate::Ge("score".into(), Value::Int(20)),
+            Predicate::Le("score".into(), Value::Int(60)),
+        ])
+    };
+    for agg in [AggFn::Count, AggFn::Sum, AggFn::Avg, AggFn::Min, AggFn::Max] {
+        for group_by in [None, Some("cat")] {
+            shapes.push(window().aggregate(group_by, agg, "score"));
+            shapes.push(Query::scan("facts").aggregate(group_by, agg, "id"));
+        }
+    }
+    // Sorts: unlimited on a tied column, limited on the tied `cat` both
+    // ways, a limit of 0, a limit past the row count, and one above a
+    // pushed projection.
+    shapes.extend([
+        window().sort("score", false, None),
+        window().sort("cat", false, Some(15)),
+        window().sort("cat", true, Some(15)),
+        Query::scan("facts").sort("cat", false, Some(40)),
+        window().sort("score", true, Some(0)),
+        window().sort("score", true, Some(100_000)),
+        window().project(&["cat", "score"]).sort("cat", true, Some(9)),
+    ]);
+    shapes
 }
 
 #[test]
 fn index_routed_execution_is_bit_identical_to_full_scan() {
-    let db = facts_db(400);
+    assert_every_shape_matches_the_reference(&facts_db(400));
+}
+
+/// [`query_shapes`] over a table that is a checkpoint image moved by
+/// overlay edits: rows arrive from the image, from the overlay, and
+/// shadowed or tombstoned, under every access path and operator.
+#[test]
+fn every_shape_over_a_checkpoint_base_is_bit_identical_to_full_scan() {
+    let dir = std::env::temp_dir().join(format!("quarry-base-diff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = Database::open(dir.join("facts.wal")).unwrap();
+    let seed = facts_db(400);
+    db.create_table(seed.schema("facts").unwrap()).unwrap();
+    let tx = db.begin();
+    for row in seed.snapshot().scan("facts").unwrap() {
+        db.insert(tx, "facts", row).unwrap();
+    }
+    db.commit(tx).unwrap();
+    db.create_index("facts", "cat").unwrap();
+    db.create_index("facts", "score").unwrap();
+    db.checkpoint().unwrap();
+    let tx = db.begin();
+    for i in (0..400i64).step_by(7) {
+        let row = vec![Value::Int(i), "cat3".into(), Value::Int((i * 5) % 97), "note 4".into()];
+        db.update(tx, "facts", &[Value::Int(i)], row).unwrap();
+    }
+    for i in (3..400i64).step_by(11) {
+        db.delete(tx, "facts", &[Value::Int(i)]).unwrap();
+    }
+    for i in 400..460i64 {
+        let row =
+            vec![Value::Int(i), format!("cat{}", i % 12).into(), Value::Int(i % 97), "n".into()];
+        db.insert(tx, "facts", row).unwrap();
+    }
+    db.commit(tx).unwrap();
+    assert_every_shape_matches_the_reference(&db);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn assert_every_shape_matches_the_reference(db: &Database) {
     let reference = PlannerConfig::full_scan();
     // Each toggle alone, and everything on: all must match the reference.
     let configs = [
@@ -147,9 +214,9 @@ fn index_routed_execution_is_bit_identical_to_full_scan() {
         PlannerConfig { join_side_selection: true, ..PlannerConfig::full_scan() },
     ];
     for (qi, q) in query_shapes().iter().enumerate() {
-        let (expect, _) = execute_with(&db, q, &reference).unwrap();
+        let (expect, _) = execute_with(db, q, &reference).unwrap();
         for cfg in &configs {
-            let (got, _) = execute_with(&db, q, cfg).unwrap();
+            let (got, _) = execute_with(db, q, cfg).unwrap();
             assert_eq!(got.columns, expect.columns, "columns diverged: query {qi} cfg {cfg:?}");
             assert_eq!(
                 got.rows,
