@@ -6,18 +6,16 @@
 //! example ("find the average March–September temperature in Madison")
 //! needs and keyword search cannot express.
 
-use quarry_exec::diag::LintReport;
+use quarry_exec::diag::{LintReport, Span};
 use quarry_storage::{Database, DbSnapshot, Row, StorageError, Value};
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Query-evaluation error.
 #[derive(Debug)]
 pub enum QueryError {
     /// Underlying storage failure.
     Storage(StorageError),
-    /// Reference to an unknown column.
-    UnknownColumn(String),
     /// Aggregation over a non-numeric column.
     NotNumeric(String),
     /// The query failed static validation before execution — the report
@@ -30,7 +28,6 @@ impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             QueryError::Storage(e) => write!(f, "storage: {e}"),
-            QueryError::UnknownColumn(c) => write!(f, "unknown column: {c}"),
             QueryError::NotNumeric(c) => write!(f, "column {c} is not numeric"),
             QueryError::Invalid(report) => write!(
                 f,
@@ -144,6 +141,12 @@ impl AggFn {
             AggFn::Min => "MIN",
             AggFn::Max => "MAX",
         }
+    }
+
+    /// The column an aggregate over `over` outputs, `AVG(temp)`: how a
+    /// result names it and how a query renders it.
+    pub fn column(&self, over: &str) -> String {
+        format!("{}({over})", self.name())
     }
 }
 
@@ -287,30 +290,124 @@ impl Query {
 
     /// Render as an SQL-flavored one-liner (forms, explanations, logs).
     pub fn display(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, &mut 0, &mut |_, _| {});
+        out
+    }
+
+    /// The one SQL writer: write the rendering into `out`, handing `name`
+    /// the [`Site`] and span of each table and column name as it is
+    /// written; `node` is the number the next node takes.
+    /// [`Query::display`] drops the spans, and a [`crate::lint`] report
+    /// anchors its diagnostics on them.
+    pub(crate) fn render(
+        &self,
+        out: &mut String,
+        node: &mut usize,
+        name: &mut dyn FnMut(Site, Span),
+    ) {
+        let at = *node;
+        *node += 1;
         match self {
-            Query::Scan { table } => format!("SELECT * FROM {table}"),
+            Query::Scan { table } => {
+                write_select(out, |out| out.push('*'));
+                write_name(out, name, (at, 0), table);
+            }
             Query::Filter { input, predicates } => {
-                let preds: Vec<String> = predicates.iter().map(Predicate::display).collect();
-                format!("{} WHERE {}", input.display(), preds.join(" AND "))
+                input.render(out, node, name);
+                out.push_str(" WHERE ");
+                write_conjunction(out, predicates, &mut |slot, span| name((at, slot), span));
             }
             Query::Project { input, columns } => {
-                format!("SELECT {} FROM ({})", columns.join(", "), input.display())
+                write_select(out, |out| {
+                    for (slot, column) in columns.iter().enumerate() {
+                        if slot > 0 {
+                            out.push_str(", ");
+                        }
+                        write_name(out, name, (at, slot), column);
+                    }
+                });
+                input.render_nested(out, node, name);
             }
-            Query::Join { left, right, left_col, right_col } => format!(
-                "({}) JOIN ({}) ON {left_col} = {right_col}",
-                left.display(),
-                right.display()
-            ),
+            Query::Join { left, right, left_col, right_col } => {
+                left.render_nested(out, node, name);
+                out.push_str(" JOIN ");
+                right.render_nested(out, node, name);
+                out.push_str(" ON ");
+                write_name(out, name, (at, 0), left_col);
+                out.push_str(" = ");
+                write_name(out, name, (at, 1), right_col);
+            }
             Query::Aggregate { input, group_by, agg, over } => {
-                let g = group_by.as_ref().map(|g| format!(" GROUP BY {g}")).unwrap_or_default();
-                format!("SELECT {}({over}) FROM ({}){g}", agg.name(), input.display())
+                write_select(out, |out| {
+                    // The aggregated column sits inside `AGG(...)`.
+                    let start = out.len() + agg.name().len() + 1;
+                    name((at, 0), Span::new(start, start + over.len()));
+                    out.push_str(&agg.column(over));
+                });
+                input.render_nested(out, node, name);
+                if let Some(g) = group_by {
+                    out.push_str(" GROUP BY ");
+                    write_name(out, name, (at, 1), g);
+                }
             }
             Query::Sort { input, by, desc, limit } => {
-                let dir = if *desc { " DESC" } else { "" };
-                let lim = limit.map(|l| format!(" LIMIT {l}")).unwrap_or_default();
-                format!("{} ORDER BY {by}{dir}{lim}", input.display())
+                input.render(out, node, name);
+                out.push_str(" ORDER BY ");
+                write_name(out, name, (at, 0), by);
+                if *desc {
+                    out.push_str(" DESC");
+                }
+                if let Some(l) = limit {
+                    let _ = write!(out, " LIMIT {l}");
+                }
             }
         }
+    }
+
+    /// [`Query::render`] in parentheses: a subquery.
+    fn render_nested(&self, out: &mut String, node: &mut usize, name: &mut dyn FnMut(Site, Span)) {
+        out.push('(');
+        self.render(out, node, name);
+        out.push(')');
+    }
+}
+
+/// Where a table or column name sits in a query tree: its node, numbered
+/// in pre-order from 0, and its slot there — a predicate's or a projected
+/// column's index; 0 for a table, an aggregated column or a join's left
+/// key; 1 for a join's right key or a grouping column.
+pub(crate) type Site = (usize, usize);
+
+/// Write `text`, the name at `site`, handing its span to `name`.
+fn write_name(out: &mut String, name: &mut dyn FnMut(Site, Span), site: Site, text: &str) {
+    name(site, Span::new(out.len(), out.len() + text.len()));
+    out.push_str(text);
+}
+
+/// `SELECT <list> FROM `: the head of a scan, a projection and an
+/// aggregate.
+fn write_select(out: &mut String, list: impl FnOnce(&mut String)) {
+    out.push_str("SELECT ");
+    list(out);
+    out.push_str(" FROM ");
+}
+
+/// Write `predicates` joined by `AND` — a rendering's `WHERE` clause, an
+/// `EXPLAIN` line's predicate list — handing `name` each one's index and
+/// the span of its column.
+pub(crate) fn write_conjunction<'p>(
+    out: &mut String,
+    predicates: impl IntoIterator<Item = &'p Predicate>,
+    name: &mut dyn FnMut(usize, Span),
+) {
+    for (slot, p) in predicates.into_iter().enumerate() {
+        if slot > 0 {
+            out.push_str(" AND ");
+        }
+        // Every predicate's rendering starts with its column name.
+        name(slot, Span::new(out.len(), out.len() + p.column().len()));
+        out.push_str(&p.display());
     }
 }
 
@@ -324,11 +421,6 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Position of a column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
     /// The single scalar of a 1×1 result, if it is one.
     pub fn scalar(&self) -> Option<&Value> {
         match (&self.rows[..], self.columns.len()) {

@@ -10,13 +10,20 @@
 //!   the baseline E1 compares structured querying against);
 //! - [`engine`] — a compositional structured query engine (scan / filter /
 //!   project / join / group-aggregate) over the structured store;
+//! - [`planner`] — the binding walk that checks a query's names against
+//!   the snapshot it runs on, resolves each to a row position, and lowers
+//!   the tree to an index-aware physical plan, and the executor that runs
+//!   it;
 //! - [`translate`] — keyword → structured translation: "guess and show the
 //!   user several structured queries", ranked (E8);
 //! - [`forms`] — rendering candidate queries as fillable forms, the
 //!   recognition-not-generation interface of §3.3;
-//! - [`lint`] — static validation of query trees against table schemas
-//!   (QQ001–QQ003), run before execution with span-anchored diagnostics;
-//! - [`session`] — an exploration session that records mode transitions.
+//! - [`lint`] — the binder's diagnostics (QQ001–QQ003), span-anchored on
+//!   the query's rendering; QQ002 refuses a query before it runs.
+//!
+//! A session that moves between the modes is `quarry_core::Snapshot`:
+//! keyword search with suggested forms, structured queries and `EXPLAIN`
+//! against one pinned view.
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +32,6 @@ pub mod forms;
 pub mod index;
 pub mod lint;
 pub mod planner;
-pub mod session;
 pub mod translate;
 
 pub use engine::{AggFn, Predicate, Query, QueryError, QueryResult};
@@ -34,5 +40,4 @@ pub use lint::check_query;
 pub use planner::{
     execute_snapshot_with, execute_with, plan, AccessPath, OpTrace, PhysPlan, PlannerConfig,
 };
-pub use session::{Mode, Session};
 pub use translate::{CandidateQuery, Translator};

@@ -1,17 +1,20 @@
-//! Static validation of structured queries against the database schema.
+//! Binding: a structured query's names, checked and resolved once against
+//! the snapshot it will run on.
 //!
-//! The same diagnostics framework `quarry-lang` applies to QDL programs,
-//! applied to the structured side: a [`Query`] tree is checked against the
-//! table schemas of the [`DbSnapshot`] it will run on *before* execution,
-//! turning what used to be a runtime `UnknownColumn` error deep inside an
-//! operator into a span-anchored, caret-rendered diagnostic with a
-//! did-you-mean suggestion.
+//! [`crate::planner::plan`] lowers a [`Query`] tree in one walk that binds
+//! it: at each table and column name the walk asks the `Binder` here. A
+//! scanned table is borrowed from the snapshot, schema and all, as its
+//! [`TableView`]; a column name becomes its position in the rows its
+//! operator reads — the position the executor indexes rows by, so
+//! execution looks no name up — or a diagnostic. [`check_query`] runs the
+//! same walk and reports what it found; the planner refuses a query whose
+//! findings gate execution.
 //!
-//! Spans index into the query's SQL-flavored rendering — the validator
-//! re-renders the tree with exactly the same format strings as
-//! [`Query::display`], byte for byte, recording where each table and
-//! column reference lands. The report's `source` is therefore always equal
-//! to `q.display()` (asserted by test).
+//! Binding renders nothing. A finding records where in the tree its name
+//! sits, and a report renders the query once, through the writer behind
+//! [`Query::display`], which hands over the span of each name as it writes
+//! it. The report's `source` is therefore always `q.display()`, and every
+//! span indexes into it.
 //!
 //! Codes:
 //!
@@ -20,13 +23,16 @@
 //!   callers that probe tables dynamically.
 //! - **QQ002** (error) — unknown column reference in a filter predicate,
 //!   projection list, join key, aggregate, grouping, or sort key. Gates
-//!   execution in [`crate::planner::execute_with`].
+//!   execution: [`crate::planner::plan`] refuses the query with
+//!   `QueryError::Invalid` before any row is read.
 //! - **QQ003** (warning) — `SUM`/`AVG` over a column declared `Text`:
 //!   statically certain to fail with `NotNumeric` on any non-null value.
 
-use crate::engine::{AggFn, Query};
-use quarry_exec::diag::{closest, Diagnostic, LintReport, Span};
-use quarry_storage::{DataType, DbSnapshot};
+use crate::engine::{AggFn, Query, Site};
+use crate::planner::{bind, PlannerConfig};
+use quarry_exec::diag::{closest, Diagnostic, LintReport, Severity, Span};
+use quarry_storage::{DataType, DbSnapshot, TableView};
+use std::borrow::Cow;
 
 /// Diagnostic codes for structured-query validation.
 pub mod codes {
@@ -38,246 +44,137 @@ pub mod codes {
     pub const TEXT_AGGREGATE: &str = "QQ003";
 }
 
-/// One output column the validator can see flowing out of a subtree.
-#[derive(Debug, Clone)]
-struct Col {
-    name: String,
+/// One column flowing out of a subtree.
+pub(crate) struct Col<'a> {
+    pub(crate) name: Cow<'a, str>,
     /// Declared type, when traceable back to a scanned schema column.
-    dtype: Option<DataType>,
+    pub(crate) dtype: Option<DataType>,
 }
 
-/// The result of checking one subtree: its rendering (identical to
-/// `Query::display()`), the diagnostics found inside it (spans relative to
-/// `rendered`), and the columns it outputs (`None` when unknowable because
-/// a scanned table does not exist).
-struct Checked {
-    rendered: String,
-    columns: Option<Vec<Col>>,
-    diags: Vec<Diagnostic>,
+/// The columns a subtree outputs, in row order; `None` when a table it
+/// scans does not exist.
+pub(crate) type Cols<'a> = Option<Vec<Col<'a>>>;
+
+/// The state of one binding walk over a query tree.
+pub(crate) struct Binder<'a> {
+    snap: &'a DbSnapshot,
+    /// The number the next node takes: nodes count in the pre-order
+    /// [`Query::render`] numbers them in.
+    next: usize,
+    /// Findings, each with the site of the name its span is to cover.
+    diags: Vec<(Site, Diagnostic)>,
 }
 
-/// Validate a query tree against the schemas of the snapshot it will run on.
+impl<'a> Binder<'a> {
+    pub(crate) fn new(snap: &'a DbSnapshot) -> Binder<'a> {
+        Binder { snap, next: 0, diags: Vec::new() }
+    }
+
+    /// Enter the next node: its number.
+    pub(crate) fn node(&mut self) -> usize {
+        self.next += 1;
+        self.next - 1
+    }
+
+    /// The table a scan names, borrowed from the snapshot; QQ001 when the
+    /// snapshot has none.
+    pub(crate) fn table(&mut self, site: Site, table: &str) -> Option<&'a TableView> {
+        let view = self.snap.table(table).ok();
+        if view.is_none() {
+            let d = error(codes::UNKNOWN_TABLE, format!("unknown table `{table}`"));
+            let tables = self.snap.table_names();
+            let d = match closest(table, tables.iter().map(String::as_str)) {
+                Some(s) => d.with_help(format!("did you mean `{s}`?")),
+                None => d,
+            };
+            self.diags.push((site, d));
+        }
+        view
+    }
+
+    /// Where column `name` sits in rows laid out as `columns`, with its
+    /// declared type; QQ002 when no column has that name. Over unknown
+    /// columns a name is not checked — the missing table is reported
+    /// already — and binds to 0: a plan over a missing table fails when it
+    /// reads that table, before it indexes any row.
+    pub(crate) fn column(
+        &mut self,
+        site: Site,
+        name: &str,
+        columns: &Cols<'_>,
+    ) -> (usize, Option<DataType>) {
+        let Some(cols) = columns else { return (0, None) };
+        if let Some((at, c)) = cols.iter().enumerate().find(|(_, c)| c.name == name) {
+            return (at, c.dtype);
+        }
+        let names: Vec<&str> = cols.iter().map(|c| c.name.as_ref()).collect();
+        let d = error(codes::UNKNOWN_COLUMN, format!("unknown column `{name}`"));
+        let d = match closest(name, names.iter().copied()) {
+            Some(s) => d.with_help(format!("did you mean `{s}`?")),
+            None if names.is_empty() => d,
+            None => d.with_help(format!("available columns: {}", names.join(", "))),
+        };
+        self.diags.push((site, d));
+        (0, None)
+    }
+
+    /// QQ003 when a `SUM` or `AVG` reads a column declared `Text`.
+    pub(crate) fn aggregate(
+        &mut self,
+        site: Site,
+        agg: AggFn,
+        over: &str,
+        dtype: Option<DataType>,
+    ) {
+        if matches!(agg, AggFn::Sum | AggFn::Avg) && dtype == Some(DataType::Text) {
+            let message = format!("{} over `{over}`, which is declared Text", agg.name());
+            let d = Diagnostic::warning(codes::TEXT_AGGREGATE, Span::point(0), message).with_help(
+                "SUM/AVG need a numeric column; this fails at runtime on any non-null value",
+            );
+            self.diags.push((site, d));
+        }
+    }
+
+    /// Whether a finding stops execution.
+    pub(crate) fn gates(&self) -> bool {
+        gates_execution(self.diags.iter().map(|(_, d)| d))
+    }
+
+    /// The findings as a report over `q`'s rendering, each anchored on the
+    /// span of its name (the report orders them by span).
+    pub(crate) fn report(self, q: &Query) -> LintReport {
+        let mut diags = self.diags;
+        let mut source = String::new();
+        q.render(&mut source, &mut 0, &mut |site, span| {
+            for (_, d) in diags.iter_mut().filter(|(s, _)| *s == site) {
+                d.span = span;
+            }
+        });
+        LintReport::new("<query>", source, diags.into_iter().map(|(_, d)| d).collect())
+    }
+}
+
+/// An error whose span the report fills in.
+fn error(code: &'static str, message: String) -> Diagnostic {
+    Diagnostic::error(code, Span::point(0), message)
+}
+
+/// Validate a query tree against the schemas of the snapshot it will run
+/// on: the planner's binding walk, reported.
 ///
 /// The returned report's `source` is the query's [`Query::display`]
 /// rendering and every diagnostic's span indexes into it.
 pub fn check_query(db: &DbSnapshot, q: &Query) -> LintReport {
-    let checked = check(db, q);
-    LintReport::new("<query>", checked.rendered, checked.diags)
+    let mut binder = Binder::new(db);
+    bind(&mut binder, q, &PlannerConfig::default());
+    binder.report(q)
 }
 
-/// True when the report contains an error-severity diagnostic that should
-/// stop execution (everything except QQ001, which stays a storage error so
-/// dynamic table probing keeps its existing failure mode).
-pub(crate) fn gates_execution(report: &LintReport) -> bool {
-    report
-        .diagnostics
-        .iter()
-        .any(|d| d.severity == quarry_exec::diag::Severity::Error && d.code != codes::UNKNOWN_TABLE)
-}
-
-fn unknown_column(col: &str, span: Span, available: &[Col]) -> Diagnostic {
-    let names: Vec<&str> = available.iter().map(|c| c.name.as_str()).collect();
-    let d = Diagnostic::error(codes::UNKNOWN_COLUMN, span, format!("unknown column `{col}`"));
-    match closest(col, names.iter().copied()) {
-        Some(s) => d.with_help(format!("did you mean `{s}`?")),
-        None if names.is_empty() => d,
-        None => d.with_help(format!("available columns: {}", names.join(", "))),
-    }
-}
-
-/// Check `col` against the (possibly unknown) column set, pushing a QQ002
-/// onto `diags` when it is missing. `span` covers the reference in the
-/// rendering being built.
-fn check_col(col: &str, span: Span, columns: &Option<Vec<Col>>, diags: &mut Vec<Diagnostic>) {
-    if let Some(cols) = columns {
-        if !cols.iter().any(|c| c.name == col) {
-            diags.push(unknown_column(col, span, cols));
-        }
-    }
-}
-
-fn lookup<'a>(columns: &'a Option<Vec<Col>>, name: &str) -> Option<&'a Col> {
-    columns.as_ref()?.iter().find(|c| c.name == name)
-}
-
-fn check(db: &DbSnapshot, q: &Query) -> Checked {
-    match q {
-        Query::Scan { table } => {
-            let rendered = format!("SELECT * FROM {table}");
-            let span = Span::new("SELECT * FROM ".len(), rendered.len());
-            match db.schema(table) {
-                Ok(schema) => Checked {
-                    rendered,
-                    columns: Some(
-                        schema
-                            .columns
-                            .iter()
-                            .map(|c| Col { name: c.name.clone(), dtype: Some(c.dtype) })
-                            .collect(),
-                    ),
-                    diags: Vec::new(),
-                },
-                Err(_) => {
-                    let tables = db.table_names();
-                    let d = Diagnostic::error(
-                        codes::UNKNOWN_TABLE,
-                        span,
-                        format!("unknown table `{table}`"),
-                    );
-                    let d = match closest(table, tables.iter().map(String::as_str)) {
-                        Some(s) => d.with_help(format!("did you mean `{s}`?")),
-                        None => d,
-                    };
-                    Checked { rendered, columns: None, diags: vec![d] }
-                }
-            }
-        }
-        Query::Filter { input, predicates } => {
-            let child = check(db, input);
-            let mut rendered = child.rendered;
-            let mut diags = child.diags;
-            rendered.push_str(" WHERE ");
-            for (i, p) in predicates.iter().enumerate() {
-                if i > 0 {
-                    rendered.push_str(" AND ");
-                }
-                // Every predicate's display starts with its column name.
-                let col = p.column();
-                let at = Span::new(rendered.len(), rendered.len() + col.len());
-                check_col(col, at, &child.columns, &mut diags);
-                rendered.push_str(&p.display());
-            }
-            Checked { rendered, columns: child.columns, diags }
-        }
-        Query::Project { input, columns } => {
-            let child = check(db, input);
-            let mut rendered = String::from("SELECT ");
-            let mut diags = Vec::new();
-            let mut out = Vec::new();
-            for (i, col) in columns.iter().enumerate() {
-                if i > 0 {
-                    rendered.push_str(", ");
-                }
-                let at = Span::new(rendered.len(), rendered.len() + col.len());
-                check_col(col, at, &child.columns, &mut diags);
-                out.push(Col {
-                    name: col.clone(),
-                    dtype: lookup(&child.columns, col).and_then(|c| c.dtype),
-                });
-                rendered.push_str(col);
-            }
-            rendered.push_str(" FROM (");
-            let shift = rendered.len();
-            diags.extend(child.diags.into_iter().map(|d| d.shifted(shift)));
-            rendered.push_str(&child.rendered);
-            rendered.push(')');
-            // The projection's names are the output regardless of whether
-            // the input could be resolved; unknown ones were already
-            // reported above, so downstream checks don't cascade.
-            Checked { rendered, columns: Some(out), diags }
-        }
-        Query::Join { left, right, left_col, right_col } => {
-            let l = check(db, left);
-            let r = check(db, right);
-            let mut rendered = String::from("(");
-            let mut diags: Vec<Diagnostic> = l.diags.iter().map(|d| d.clone().shifted(1)).collect();
-            rendered.push_str(&l.rendered);
-            rendered.push_str(") JOIN (");
-            let rshift = rendered.len();
-            diags.extend(r.diags.into_iter().map(|d| d.shifted(rshift)));
-            rendered.push_str(&r.rendered);
-            rendered.push_str(") ON ");
-            let lat = Span::new(rendered.len(), rendered.len() + left_col.len());
-            check_col(left_col, lat, &l.columns, &mut diags);
-            rendered.push_str(left_col);
-            rendered.push_str(" = ");
-            let rat = Span::new(rendered.len(), rendered.len() + right_col.len());
-            check_col(right_col, rat, &r.columns, &mut diags);
-            rendered.push_str(right_col);
-            // Output mirrors the executor: left columns, then right ones
-            // with a `right.` prefix on name collision.
-            let columns = match (l.columns, r.columns) {
-                (Some(lc), Some(rc)) => {
-                    let mut cols = lc.clone();
-                    for c in rc {
-                        if lc.iter().any(|l| l.name == c.name) {
-                            cols.push(Col { name: format!("right.{}", c.name), dtype: c.dtype });
-                        } else {
-                            cols.push(c);
-                        }
-                    }
-                    Some(cols)
-                }
-                _ => None,
-            };
-            Checked { rendered, columns, diags }
-        }
-        Query::Aggregate { input, group_by, agg, over } => {
-            let child = check(db, input);
-            let mut rendered = format!("SELECT {}(", agg.name());
-            let mut diags = Vec::new();
-            let at = Span::new(rendered.len(), rendered.len() + over.len());
-            check_col(over, at, &child.columns, &mut diags);
-            if matches!(agg, AggFn::Sum | AggFn::Avg) {
-                if let Some(col) = lookup(&child.columns, over) {
-                    if col.dtype == Some(DataType::Text) {
-                        diags.push(
-                            Diagnostic::warning(
-                                codes::TEXT_AGGREGATE,
-                                at,
-                                format!("{} over `{over}`, which is declared Text", agg.name()),
-                            )
-                            .with_help(
-                                "SUM/AVG need a numeric column; this fails at runtime on any \
-                                 non-null value",
-                            ),
-                        );
-                    }
-                }
-            }
-            rendered.push_str(over);
-            rendered.push_str(") FROM (");
-            let shift = rendered.len();
-            diags.extend(child.diags.into_iter().map(|d| d.shifted(shift)));
-            rendered.push_str(&child.rendered);
-            rendered.push(')');
-            let mut out = Vec::new();
-            if let Some(g) = group_by {
-                rendered.push_str(" GROUP BY ");
-                let gat = Span::new(rendered.len(), rendered.len() + g.len());
-                check_col(g, gat, &child.columns, &mut diags);
-                rendered.push_str(g);
-                out.push(Col {
-                    name: g.clone(),
-                    dtype: lookup(&child.columns, g).and_then(|c| c.dtype),
-                });
-            }
-            let agg_dtype = match agg {
-                AggFn::Count => Some(DataType::Int),
-                AggFn::Sum | AggFn::Avg => Some(DataType::Float),
-                // MIN/MAX carry the input column's type through.
-                AggFn::Min | AggFn::Max => lookup(&child.columns, over).and_then(|c| c.dtype),
-            };
-            out.push(Col { name: format!("{}({over})", agg.name()), dtype: agg_dtype });
-            Checked { rendered, columns: Some(out), diags }
-        }
-        Query::Sort { input, by, desc, limit } => {
-            let child = check(db, input);
-            let mut rendered = child.rendered;
-            let mut diags = child.diags;
-            rendered.push_str(" ORDER BY ");
-            let at = Span::new(rendered.len(), rendered.len() + by.len());
-            check_col(by, at, &child.columns, &mut diags);
-            rendered.push_str(by);
-            if *desc {
-                rendered.push_str(" DESC");
-            }
-            if let Some(l) = limit {
-                rendered.push_str(&format!(" LIMIT {l}"));
-            }
-            Checked { rendered, columns: child.columns, diags }
-        }
-    }
+/// True when a diagnostic should stop execution: an error other than
+/// QQ001, which stays a storage error so dynamic table probing keeps its
+/// existing failure mode.
+pub(crate) fn gates_execution<'d>(diags: impl IntoIterator<Item = &'d Diagnostic>) -> bool {
+    diags.into_iter().any(|d| d.severity == Severity::Error && d.code != codes::UNKNOWN_TABLE)
 }
 
 #[cfg(test)]
@@ -375,7 +272,7 @@ mod tests {
         assert_eq!(covered(&report, d), "citis");
         assert_eq!(d.help.as_deref(), Some("did you mean `cities`?"));
         // QQ001 alone does not gate execution (storage keeps that error).
-        assert!(!gates_execution(&report));
+        assert!(!gates_execution(&report.diagnostics));
     }
 
     #[test]
@@ -391,7 +288,7 @@ mod tests {
         assert_eq!(d.code, codes::UNKNOWN_COLUMN);
         assert_eq!(covered(&report, d), "populaton");
         assert_eq!(d.help.as_deref(), Some("did you mean `population`?"));
-        assert!(gates_execution(&report));
+        assert!(gates_execution(&report.diagnostics));
     }
 
     #[test]
@@ -454,7 +351,7 @@ mod tests {
         assert_eq!(d.code, codes::TEXT_AGGREGATE);
         assert_eq!(d.severity, Severity::Warning);
         assert_eq!(covered(&report, d), "name");
-        assert!(!gates_execution(&report));
+        assert!(!gates_execution(&report.diagnostics));
         // MIN/MAX over text are fine; COUNT too.
         for agg in [AggFn::Min, AggFn::Max, AggFn::Count] {
             let q = Query::scan("cities").aggregate(None, agg, "name");

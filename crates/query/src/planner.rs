@@ -1,9 +1,18 @@
-//! Index-aware physical query planning.
+//! Binding and index-aware physical query planning.
 //!
 //! [`crate::engine`] defines *what* a query means; this module decides *how*
-//! to run it. Between `Query` and execution sits a small physical planner
-//! doing the three classic optimizations the paper's "database-grade query
-//! processing" story needs:
+//! to run it. [`plan`] lowers a `Query` tree to a [`PhysPlan`] in one walk,
+//! and that walk is the query's binder: at each table and column name it
+//! asks [`crate::lint`], which borrows the scanned table from the snapshot
+//! and turns the name into its position in the rows its operator reads —
+//! or into a QQ001–QQ003 diagnostic. A query whose diagnostics gate
+//! execution is refused with `QueryError::Invalid` before any row is read;
+//! otherwise the plan carries the positions, and the executor indexes rows
+//! by them and looks no name up. [`crate::lint::check_query`] runs the same
+//! walk and reports what it found.
+//!
+//! The walk makes the three classic optimizations the paper's
+//! "database-grade query processing" story needs:
 //!
 //! 1. **Access-path selection** — equality predicates binding the whole
 //!    primary key route through the primary-key map, and equality/range
@@ -14,7 +23,7 @@
 //!    loose index bound can cost time but never correctness.
 //! 2. **Predicate + projection pushdown** — residual predicates and the
 //!    projection column list are pushed into the table access, which
-//!    walks [`DbSnapshot::for_each_row`] and checks the residual while
+//!    walks [`TableView::for_each_row`] and checks the residual while
 //!    each row is still borrowed from the snapshot. A non-matching row is
 //!    never cloned. What a matching row costs depends on its consumer:
 //!    an `Aggregate` directly above the access folds the borrowed row,
@@ -42,9 +51,12 @@
 //! shared [`PlanNode`] tree renderer by `Query::explain`.
 //!
 
-use crate::engine::{AggFn, Predicate, Query, QueryError, QueryResult};
+use crate::engine::{write_conjunction, AggFn, Predicate, Query, QueryError, QueryResult};
+use crate::lint::{Binder, Col, Cols};
 use quarry_exec::PlanNode;
-use quarry_storage::{Database, DbSnapshot, Row, ScanAccess, Value};
+use quarry_storage::{
+    DataType, Database, DbSnapshot, Row, ScanAccess, StorageError, TableView, Value,
+};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -121,48 +133,62 @@ impl AccessPath {
     }
 }
 
-/// A physical operator tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PhysPlan {
+/// A bound column reference: its name, and its position in the rows its
+/// operator reads.
+pub type Bound<'a> = (&'a str, usize);
+
+/// A bound predicate, with the position of the value it tests.
+pub type Test<'a> = (&'a Predicate, usize);
+
+/// A physical operator tree over one snapshot, every column reference
+/// bound.
+#[derive(Debug, Clone)]
+pub enum PhysPlan<'a> {
     /// Table access: path choice plus pushed-down residual filter and
     /// projection. The residual always carries the *complete* predicate
     /// conjunction — the access path only narrows which rows get checked.
     Access {
         /// Table name.
-        table: String,
+        table: &'a str,
+        /// The table as the snapshot holds it; `None` when it holds none,
+        /// which fails the access when it runs.
+        view: Option<&'a TableView>,
         /// Chosen access path.
         path: AccessPath,
-        /// Pushed-down predicates, re-checked per fetched row.
-        residual: Vec<Predicate>,
+        /// Pushed-down predicates over table rows, re-checked per fetched
+        /// row.
+        residual: Vec<Test<'a>>,
         /// Pushed-down projection (column names), if any.
         projection: Option<Vec<String>>,
+        /// Where each projected column sits in a table row.
+        layout: Option<Vec<usize>>,
         /// Planner's row estimate for this access, if stats were available.
         est_rows: Option<usize>,
     },
     /// Residual filter that could not be pushed into an access.
     Filter {
         /// Input plan.
-        input: Box<PhysPlan>,
+        input: Box<PhysPlan<'a>>,
         /// Conjunctive predicates.
-        predicates: Vec<Predicate>,
+        predicates: Vec<Test<'a>>,
     },
     /// Projection that could not be pushed into an access.
     Project {
         /// Input plan.
-        input: Box<PhysPlan>,
+        input: Box<PhysPlan<'a>>,
         /// Columns to keep, in order.
-        columns: Vec<String>,
+        columns: Vec<Bound<'a>>,
     },
     /// Hash equi-join.
     HashJoin {
         /// Left input.
-        left: Box<PhysPlan>,
+        left: Box<PhysPlan<'a>>,
         /// Right input.
-        right: Box<PhysPlan>,
+        right: Box<PhysPlan<'a>>,
         /// Join column on the left.
-        left_col: String,
+        left_col: Bound<'a>,
         /// Join column on the right.
-        right_col: String,
+        right_col: Bound<'a>,
         /// Pick the build side by materialized size (else always build
         /// on the right, the historical fixed side).
         select_build_side: bool,
@@ -170,20 +196,20 @@ pub enum PhysPlan {
     /// Group + aggregate.
     Aggregate {
         /// Input plan.
-        input: Box<PhysPlan>,
+        input: Box<PhysPlan<'a>>,
         /// Optional grouping column.
-        group_by: Option<String>,
+        group_by: Option<Bound<'a>>,
         /// Aggregate function.
-        agg: crate::engine::AggFn,
+        agg: AggFn,
         /// Aggregated column.
-        over: String,
+        over: Bound<'a>,
     },
     /// Order by + optional limit.
     Sort {
         /// Input plan.
-        input: Box<PhysPlan>,
+        input: Box<PhysPlan<'a>>,
         /// Ordering column.
-        by: String,
+        by: Bound<'a>,
         /// Descending when true.
         desc: bool,
         /// Optional row cap.
@@ -236,136 +262,195 @@ impl OpTrace {
     }
 }
 
-/// Lower a query tree to a physical plan. Infallible: planning never
-/// touches data. Reference errors are caught before this runs by the
-/// [`crate::lint`] validator in [`execute_snapshot_with`]; anything that
-/// slips through (e.g. an unknown table) still surfaces at execution,
-/// exactly where the unplanned engine raised it.
+/// Bind `q` against the snapshot it will run on and lower it to a
+/// physical plan. Planning reads no row. A query the binder's diagnostics
+/// gate (QQ002) is refused with `QueryError::Invalid`; an unknown table
+/// (QQ001) is not, and fails the access that reads it with the storage
+/// error the unplanned engine raised.
 ///
 /// Schema, index list and statistics all come from the [`DbSnapshot`] the
 /// plan will run on, frozen at its LSN: a plan can only name an index the
 /// pinned view has.
-pub fn plan(db: &DbSnapshot, q: &Query, cfg: &PlannerConfig) -> PhysPlan {
+pub fn plan<'a>(
+    snap: &'a DbSnapshot,
+    q: &'a Query,
+    cfg: &PlannerConfig,
+) -> Result<PhysPlan<'a>, QueryError> {
+    bound(snap, q, cfg).map(|(plan, _)| plan)
+}
+
+/// [`plan`], with the columns the plan outputs.
+fn bound<'a>(
+    snap: &'a DbSnapshot,
+    q: &'a Query,
+    cfg: &PlannerConfig,
+) -> Result<(PhysPlan<'a>, Cols<'a>), QueryError> {
+    let mut binder = Binder::new(snap);
+    let bound = bind(&mut binder, q, cfg);
+    if binder.gates() {
+        return Err(QueryError::Invalid(binder.report(q)));
+    }
+    Ok(bound)
+}
+
+/// The binding walk: lower `q` under `cfg`, binding each name through `b`.
+/// Returns the plan and the columns it outputs, `None` when a table it
+/// scans does not exist.
+pub(crate) fn bind<'a>(
+    b: &mut Binder<'a>,
+    q: &'a Query,
+    cfg: &PlannerConfig,
+) -> (PhysPlan<'a>, Cols<'a>) {
+    let n = b.node();
     match q {
-        Query::Scan { table } => PhysPlan::Access {
-            table: table.clone(),
-            path: AccessPath::FullScan,
-            residual: Vec::new(),
-            projection: None,
-            est_rows: db.row_count(table).ok(),
-        },
-        Query::Filter { input, predicates } => match plan(db, input, cfg) {
-            // Pushdown: merge into the access and (re)pick its path from
-            // the full conjunction. Only legal while no projection has
-            // been pushed — predicates must validate against the table's
-            // schema columns, not the projected set.
-            PhysPlan::Access { table, residual: mut res, projection: None, .. } if cfg.pushdown => {
-                res.extend(predicates.iter().cloned());
-                let (path, est_rows) = choose_access(db, &table, &res, cfg);
-                PhysPlan::Access { table, path, residual: res, projection: None, est_rows }
-            }
-            // No pushdown, but access-path selection may still apply: the
-            // filter stays above and re-checks everything.
-            PhysPlan::Access { table, residual, projection: None, path: _, est_rows: _ }
-                if cfg.use_index && residual.is_empty() =>
+        Query::Scan { table } => {
+            let view = b.table((n, 0), table);
+            let cols = view.map(|v| {
+                let columns = &v.schema().columns;
+                columns.iter().map(|c| Col { name: Cow::Borrowed(&c.name), dtype: Some(c.dtype) })
+            });
+            let est_rows = view.map(TableView::row_count);
+            let path = AccessPath::FullScan;
+            let (residual, projection, layout) = (Vec::new(), None, None);
+            let plan =
+                PhysPlan::Access { table, view, path, residual, projection, layout, est_rows };
+            (plan, cols.map(Iterator::collect))
+        }
+        Query::Filter { input, predicates } => {
+            let (mut input, cols) = bind(b, input, cfg);
+            let tests: Vec<Test> = predicates
+                .iter()
+                .enumerate()
+                .map(|(slot, p)| (p, b.column((n, slot), p.column(), &cols).0))
+                .collect();
+            // Only an access with no projection yet: the predicates are
+            // bound against the table's columns, not a projected set.
+            if let PhysPlan::Access { view, path, residual, projection: None, est_rows, .. } =
+                &mut input
             {
-                let (path, est_rows) = choose_access(db, &table, predicates, cfg);
-                PhysPlan::Filter {
-                    input: Box::new(PhysPlan::Access {
-                        table,
-                        path,
-                        residual,
-                        projection: None,
-                        est_rows,
-                    }),
-                    predicates: predicates.clone(),
+                // Pushdown: merge into the access and (re)pick its path
+                // from the full conjunction.
+                if cfg.pushdown {
+                    residual.extend(tests);
+                    (*path, *est_rows) = choose_access(*view, residual, cfg);
+                    return (input, cols);
+                }
+                // No pushdown, but access-path selection may still apply:
+                // the filter stays above and re-checks everything.
+                if cfg.use_index && residual.is_empty() {
+                    (*path, *est_rows) = choose_access(*view, &tests, cfg);
                 }
             }
-            other => PhysPlan::Filter { input: Box::new(other), predicates: predicates.clone() },
-        },
-        Query::Project { input, columns } => match plan(db, input, cfg) {
-            PhysPlan::Access { table, path, residual, projection: None, est_rows }
-                if cfg.pushdown =>
-            {
-                PhysPlan::Access {
-                    table,
-                    path,
-                    residual,
-                    projection: Some(columns.clone()),
-                    est_rows,
+            (PhysPlan::Filter { input: Box::new(input), predicates: tests }, cols)
+        }
+        Query::Project { input, columns } => {
+            let (mut input, cols) = bind(b, input, cfg);
+            let (mut out, mut at) = (Vec::new(), Vec::new());
+            for (slot, c) in columns.iter().enumerate() {
+                let (i, dtype) = b.column((n, slot), c, &cols);
+                out.push(Col { name: Cow::Borrowed(c), dtype });
+                at.push(i);
+            }
+            // The projection's names are the output whether or not its
+            // input could be bound; unknown ones were reported above, so
+            // nothing downstream cascades.
+            let out = Some(out);
+            if let PhysPlan::Access { projection: projection @ None, layout, .. } = &mut input {
+                if cfg.pushdown {
+                    (*projection, *layout) = (Some(columns.clone()), Some(at));
+                    return (input, out);
                 }
             }
-            other => PhysPlan::Project { input: Box::new(other), columns: columns.clone() },
-        },
-        Query::Join { left, right, left_col, right_col } => PhysPlan::HashJoin {
-            left: Box::new(plan(db, left, cfg)),
-            right: Box::new(plan(db, right, cfg)),
-            left_col: left_col.clone(),
-            right_col: right_col.clone(),
-            select_build_side: cfg.join_side_selection,
-        },
-        Query::Aggregate { input, group_by, agg, over } => PhysPlan::Aggregate {
-            input: Box::new(plan(db, input, cfg)),
-            group_by: group_by.clone(),
-            agg: *agg,
-            over: over.clone(),
-        },
-        Query::Sort { input, by, desc, limit } => PhysPlan::Sort {
-            input: Box::new(plan(db, input, cfg)),
-            by: by.clone(),
-            desc: *desc,
-            limit: *limit,
-        },
+            let columns = columns.iter().map(String::as_str).zip(at).collect();
+            (PhysPlan::Project { input: Box::new(input), columns }, out)
+        }
+        Query::Join { left, right, left_col, right_col } => {
+            let (left, lcols) = bind(b, left, cfg);
+            let (right, rcols) = bind(b, right, cfg);
+            let left_col = (left_col.as_str(), b.column((n, 0), left_col, &lcols).0);
+            let right_col = (right_col.as_str(), b.column((n, 1), right_col, &rcols).0);
+            // Left columns, then right ones, prefixed `right.` where a left
+            // column has the same name.
+            let cols = lcols.zip(rcols).map(|(mut cols, rcols)| {
+                let left = cols.len();
+                for c in rcols {
+                    let clash = cols[..left].iter().any(|l| l.name == c.name);
+                    let name = if clash { Cow::Owned(format!("right.{}", c.name)) } else { c.name };
+                    cols.push(Col { name, ..c });
+                }
+                cols
+            });
+            let (left, right) = (Box::new(left), Box::new(right));
+            let select_build_side = cfg.join_side_selection;
+            (PhysPlan::HashJoin { left, right, left_col, right_col, select_build_side }, cols)
+        }
+        Query::Aggregate { input, group_by, agg, over } => {
+            let (input, cols) = bind(b, input, cfg);
+            let (at, dtype) = b.column((n, 0), over, &cols);
+            b.aggregate((n, 0), *agg, over, dtype);
+            let group = group_by.as_deref().map(|g| (g, b.column((n, 1), g, &cols)));
+            let agg_dtype = match agg {
+                AggFn::Count => Some(DataType::Int),
+                AggFn::Sum | AggFn::Avg => Some(DataType::Float),
+                // MIN/MAX carry the input column's type through.
+                AggFn::Min | AggFn::Max => dtype,
+            };
+            let out = group
+                .map(|(g, (_, dtype))| Col { name: Cow::Borrowed(g), dtype })
+                .into_iter()
+                .chain([Col { name: Cow::Owned(agg.column(over)), dtype: agg_dtype }])
+                .collect();
+            let group_by = group.map(|(g, (at, _))| (g, at));
+            let plan = PhysPlan::Aggregate {
+                input: Box::new(input),
+                group_by,
+                agg: *agg,
+                over: (over, at),
+            };
+            (plan, Some(out))
+        }
+        Query::Sort { input, by, desc, limit } => {
+            let (input, cols) = bind(b, input, cfg);
+            let by = (by.as_str(), b.column((n, 0), by, &cols).0);
+            (PhysPlan::Sort { input: Box::new(input), by, desc: *desc, limit: *limit }, cols)
+        }
     }
 }
 
-/// Pick an access path for `table` given the full residual conjunction.
+/// Pick an access path for the table `view` given the full residual
+/// conjunction.
 ///
 /// Preference order: a primary-key lookup when equalities bind every key
 /// column (at most one row), then the indexed equality predicate with the
 /// lowest estimated match count (from index stats), then the first
 /// range-constrained indexed column with all its bounds intersected, then
 /// a full scan.
-fn choose_access(
-    db: &DbSnapshot,
-    table: &str,
-    residual: &[Predicate],
+fn choose_access<'a>(
+    view: Option<&'a TableView>,
+    residual: &[Test<'a>],
     cfg: &PlannerConfig,
 ) -> (AccessPath, Option<usize>) {
-    let full = || (AccessPath::FullScan, db.row_count(table).ok());
-    if !cfg.use_index {
-        return full();
-    }
-    let eq_value = |column: &str| {
-        residual.iter().find_map(|p| match p {
-            Predicate::Eq(c, v) if c == column => Some(v.clone()),
+    let full = (AccessPath::FullScan, view.map(TableView::row_count));
+    let Some(view) = view.filter(|_| cfg.use_index) else { return full };
+    let schema = view.schema();
+    // The value the first equality on the table column at `i` binds it to.
+    let eq_value = |i: usize| {
+        residual.iter().find_map(|&(p, at)| match p {
+            Predicate::Eq(_, v) if at == i => Some(v.clone()),
             _ => None,
         })
     };
-    if let Ok(schema) = db.schema(table) {
-        let key_columns = schema.key.iter().map(|&i| schema.columns.get(i));
-        let key: Option<Vec<Value>> = key_columns.map(|c| eq_value(&c?.name)).collect();
-        if let Some(key) = key {
-            return (AccessPath::PkEq { key }, Some(1));
-        }
+    if let Some(key) = schema.key.iter().map(|&i| eq_value(i)).collect() {
+        return (AccessPath::PkEq { key }, Some(1));
     }
-    let indexed = db.indexed_columns(table).unwrap_or_default();
-    if indexed.is_empty() {
-        return full();
-    }
-    let is_indexed = |c: &str| indexed.iter().any(|ic| ic == c);
+    let is_indexed = |c: &str| schema.indexes.iter().any(|ic| ic == c);
 
     // Equality probes first: cheapest estimate wins, first wins ties.
     let mut best_eq: Option<(&str, &Value, usize)> = None;
-    for p in residual {
+    for &(p, _) in residual {
         if let Predicate::Eq(c, v) = p {
             if is_indexed(c) {
-                let est = db
-                    .index_stats(table, c)
-                    .ok()
-                    .flatten()
-                    .map(|s| s.eq_estimate())
-                    .unwrap_or(usize::MAX);
+                let est = view.index_stats(c).map(|s| s.eq_estimate()).unwrap_or(usize::MAX);
                 if best_eq.is_none_or(|(_, _, prev)| est < prev) {
                     best_eq = Some((c, v, est));
                 }
@@ -380,7 +465,7 @@ fn choose_access(
     // Range window on the first indexed column a range predicate names.
     // Strict bounds use the inclusive index window; the residual's strict
     // comparison discards boundary rows afterwards.
-    let range_col = residual.iter().find_map(|p| match p {
+    let range_col = residual.iter().find_map(|&(p, _)| match p {
         Predicate::Ge(c, _) | Predicate::Gt(c, _) | Predicate::Le(c, _) | Predicate::Lt(c, _)
             if is_indexed(c) =>
         {
@@ -391,25 +476,23 @@ fn choose_access(
     if let Some(col) = range_col {
         let lo = residual
             .iter()
-            .filter_map(|p| match p {
+            .filter_map(|(p, _)| match p {
                 Predicate::Ge(c, v) | Predicate::Gt(c, v) if c == col => Some(v),
                 _ => None,
             })
             .max();
         let hi = residual
             .iter()
-            .filter_map(|p| match p {
+            .filter_map(|(p, _)| match p {
                 Predicate::Le(c, v) | Predicate::Lt(c, v) if c == col => Some(v),
                 _ => None,
             })
             .min();
-        let est = db.index_stats(table, col).ok().flatten().map(|s| s.entries);
-        return (
-            AccessPath::IndexRange { column: col.to_string(), lo: lo.cloned(), hi: hi.cloned() },
-            est,
-        );
+        let est = view.index_stats(col).map(|s| s.entries);
+        let (column, lo, hi) = (col.to_string(), lo.cloned(), hi.cloned());
+        return (AccessPath::IndexRange { column, lo, hi }, est);
     }
-    full()
+    full
 }
 
 /// Plan and execute against the committed state of `db` as of now,
@@ -429,39 +512,25 @@ pub fn execute_snapshot_with(
     q: &Query,
     cfg: &PlannerConfig,
 ) -> Result<(QueryResult, OpTrace), QueryError> {
-    // Static validation first: unknown column references become one
-    // span-anchored report instead of a runtime error deep in an
-    // operator. Unknown *tables* (QQ001) deliberately don't gate — they
-    // stay a `StorageError` so dynamic table probing keeps working.
-    let report = crate::lint::check_query(snap, q);
-    if crate::lint::gates_execution(&report) {
-        return Err(QueryError::Invalid(report));
-    }
-    let physical = plan(snap, q, cfg);
-    exec_plan(snap, &physical)
+    let (plan, columns) = bound(snap, q, cfg)?;
+    let (rows, trace) = exec_plan(&plan)?;
+    // Columns are unknown only over a missing table, whose access failed.
+    let columns = columns.into_iter().flatten().map(|c| c.name.into_owned()).collect();
+    Ok((QueryResult { columns, rows }, trace))
 }
 
-/// An operator's input, opened but not yet read: the columns it yields,
-/// and where each sits in the rows [`Rows::for_each`] hands over.
-struct Input<'p> {
-    /// Output column names.
-    columns: Vec<String>,
-    /// Position of each output column in a handed-over row; `None` when
-    /// handed-over rows are laid out as `columns` already.
-    layout: Option<Vec<usize>>,
-    rows: Rows<'p>,
-}
-
-/// Where an [`Input`]'s rows come from.
+/// An operator's input rows, not yet read.
 enum Rows<'p> {
     /// A table access, run when read: each candidate row is checked
     /// against the residual while it is borrowed from the snapshot, and
     /// only the rows that pass reach the consumer.
     Access {
-        table: &'p str,
+        view: &'p TableView,
         scan: ScanAccess<'p>,
-        /// Each residual predicate with the table column it tests.
-        residual: Vec<(&'p Predicate, usize)>,
+        residual: &'p [Test<'p>],
+        /// Where each output column sits in a table row, when the access
+        /// projects.
+        layout: Option<&'p [usize]>,
         label: String,
         est_rows: Option<usize>,
     },
@@ -469,29 +538,16 @@ enum Rows<'p> {
     Done(Vec<Row>, OpTrace),
 }
 
-impl<'p> Input<'p> {
-    /// Resolve a table access against `src`'s schema without reading it;
-    /// execute any other plan.
-    fn open(src: &DbSnapshot, p: &'p PhysPlan) -> Result<Input<'p>, QueryError> {
-        let PhysPlan::Access { table, path, residual, projection, est_rows } = p else {
-            let (r, trace) = exec_plan(src, p)?;
-            return Ok(Input { columns: r.columns, layout: None, rows: Rows::Done(r.rows, trace) });
+impl<'p> Rows<'p> {
+    /// The rows of `p`: a table access is set up to run when read, any
+    /// other plan is executed.
+    fn of(p: &'p PhysPlan<'p>) -> Result<Rows<'p>, QueryError> {
+        let PhysPlan::Access { table, view, path, residual, projection, layout, est_rows } = p
+        else {
+            let (rows, trace) = exec_plan(p)?;
+            return Ok(Rows::Done(rows, trace));
         };
-        let schema = src.table(table)?.schema();
-        let cols: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
-        let position = |name: &str| {
-            cols.iter()
-                .position(|c| c == name)
-                .ok_or_else(|| QueryError::UnknownColumn(name.to_string()))
-        };
-        let tested = residual
-            .iter()
-            .map(|pr| Ok((pr, position(pr.column())?)))
-            .collect::<Result<_, QueryError>>()?;
-        let layout = match projection {
-            Some(pcols) => Some(pcols.iter().map(|c| position(c)).collect::<Result<_, _>>()?),
-            None => None,
-        };
+        let view = view.ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
         let scan = match path {
             AccessPath::FullScan => ScanAccess::Full,
             AccessPath::PkEq { key } => ScanAccess::Pk { key },
@@ -504,48 +560,70 @@ impl<'p> Input<'p> {
         };
         let mut label = format!("Access[{table} via {}]", path.describe());
         if !residual.is_empty() {
-            let preds: Vec<String> = residual.iter().map(Predicate::display).collect();
-            label.push_str(&format!(" where {}", preds.join(" AND ")));
+            label.push_str(" where ");
+            write_conjunction(&mut label, residual.iter().map(|&(p, _)| p), &mut |_, _| {});
         }
         if let Some(pcols) = projection {
             label.push_str(&format!(" -> [{}]", pcols.join(", ")));
         }
-        let columns = projection.clone().unwrap_or(cols);
-        let rows = Rows::Access { table, scan, residual: tested, label, est_rows: *est_rows };
-        Ok(Input { columns, layout, rows })
+        let layout = layout.as_deref();
+        Ok(Rows::Access { view, scan, residual, layout, label, est_rows: *est_rows })
     }
 
-    /// Where column `name` sits: `(in a handed-over row, in an output
-    /// row)`.
-    fn column(&self, name: &str) -> Result<(usize, usize), QueryError> {
-        let out = self
-            .columns
-            .iter()
-            .position(|c| c == name)
-            .ok_or_else(|| QueryError::UnknownColumn(name.to_string()))?;
-        Ok((self.layout.as_ref().map_or(out, |l| l[out]), out))
+    /// Where each output column sits in a handed-over row; `None` when
+    /// handed-over rows are laid out as the output already.
+    fn layout(&self) -> Option<&'p [usize]> {
+        match self {
+            Rows::Access { layout, .. } => *layout,
+            Rows::Done(..) => None,
+        }
     }
 
-    /// Read every row into the result — through [`DbSnapshot::select`],
-    /// the materializing sink, for a table access.
-    fn collect(self, src: &DbSnapshot) -> Result<(QueryResult, OpTrace), QueryError> {
-        let Input { columns, layout, rows } = self;
-        let (rows, trace) = match rows {
-            Rows::Done(rows, trace) => (rows, trace),
-            Rows::Access { table, scan, residual, label, est_rows } => {
-                let mut passes = |row: &[Value]| passes(&residual, row);
-                let (rows, scanned) = src.select(table, scan, &mut passes, layout.as_deref())?;
+    /// Where output column `at` sits in a handed-over row.
+    fn lent(&self, at: usize) -> usize {
+        self.layout().map_or(at, |layout| layout[at])
+    }
+
+    /// Read every row — through [`TableView::select`], the materializing
+    /// sink, for a table access.
+    fn collect(self) -> Result<(Vec<Row>, OpTrace), QueryError> {
+        match self {
+            Rows::Done(rows, trace) => Ok((rows, trace)),
+            Rows::Access { view, scan, residual, layout, label, est_rows } => {
+                let (rows, scanned) =
+                    view.select(scan, &mut |row| passes(residual, row), layout)?;
                 let trace = access_trace(label, est_rows, rows.len(), scanned);
-                (rows, trace)
+                Ok((rows, trace))
             }
-        };
-        Ok((QueryResult { columns, rows }, trace))
+        }
+    }
+
+    /// Hand every row to `f` in order — lent by a table access, moved out
+    /// of an executed result — and return the input's trace.
+    fn for_each(self, f: &mut dyn FnMut(Cow<'_, [Value]>)) -> Result<OpTrace, QueryError> {
+        match self {
+            Rows::Done(rows, trace) => {
+                rows.into_iter().for_each(|row| f(Cow::Owned(row)));
+                Ok(trace)
+            }
+            Rows::Access { view, scan, residual, label, est_rows, .. } => {
+                let mut passed = 0usize;
+                let scanned = view.for_each_row(scan, &mut |row| {
+                    if passes(residual, row) {
+                        passed += 1;
+                        f(Cow::Borrowed(row));
+                    }
+                    Ok(())
+                })?;
+                Ok(access_trace(label, est_rows, passed, scanned))
+            }
+        }
     }
 }
 
-/// Whether a candidate row satisfies every residual predicate.
-fn passes(residual: &[(&Predicate, usize)], row: &[Value]) -> bool {
-    residual.iter().all(|(pr, i)| pr.eval(&row[*i]))
+/// Whether a row satisfies every predicate.
+fn passes(predicates: &[Test<'_>], row: &[Value]) -> bool {
+    predicates.iter().all(|(p, i)| p.eval(&row[*i]))
 }
 
 /// An access's trace: `rows=` counts the rows it fed its consumer.
@@ -555,38 +633,10 @@ fn access_trace(label: String, est_rows: Option<usize>, rows: usize, scanned: us
 
 /// A handed-over row as an output row: the lent columns cloned, an owned
 /// row moved.
-fn output(layout: &Option<Vec<usize>>, row: Cow<'_, [Value]>) -> Row {
+fn output(layout: Option<&[usize]>, row: Cow<'_, [Value]>) -> Row {
     match layout {
         Some(cols) => cols.iter().map(|&i| row[i].clone()).collect(),
         None => row.into_owned(),
-    }
-}
-
-impl Rows<'_> {
-    /// Hand every row to `f` in order — lent by a table access, moved out
-    /// of an executed result — and return the input's trace.
-    fn for_each(
-        self,
-        src: &DbSnapshot,
-        f: &mut dyn FnMut(Cow<'_, [Value]>),
-    ) -> Result<OpTrace, QueryError> {
-        match self {
-            Rows::Done(rows, trace) => {
-                rows.into_iter().for_each(|row| f(Cow::Owned(row)));
-                Ok(trace)
-            }
-            Rows::Access { table, scan, residual, label, est_rows } => {
-                let mut passed = 0usize;
-                let scanned = src.for_each_row(table, scan, &mut |row| {
-                    if passes(&residual, row) {
-                        passed += 1;
-                        f(Cow::Borrowed(row));
-                    }
-                    Ok(())
-                })?;
-                Ok(access_trace(label, est_rows, passed, scanned))
-            }
-        }
     }
 }
 
@@ -651,86 +701,60 @@ impl Fold {
     }
 }
 
-fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), QueryError> {
-    match p {
-        PhysPlan::Access { .. } => Input::open(src, p)?.collect(src),
+/// Run a bound plan: its rows, and its trace.
+fn exec_plan(p: &PhysPlan<'_>) -> Result<(Vec<Row>, OpTrace), QueryError> {
+    let (rows, label, children) = match p {
+        PhysPlan::Access { .. } => return Rows::of(p)?.collect(),
         PhysPlan::Filter { input, predicates } => {
-            let (mut r, child) = exec_plan(src, input)?;
-            let idx: Vec<usize> = predicates
-                .iter()
-                .map(|pr| {
-                    r.column_index(pr.column())
-                        .ok_or_else(|| QueryError::UnknownColumn(pr.column().to_string()))
-                })
-                .collect::<Result<_, _>>()?;
-            r.rows.retain(|row| predicates.iter().zip(&idx).all(|(pr, &i)| pr.eval(&row[i])));
-            let preds: Vec<String> = predicates.iter().map(Predicate::display).collect();
-            let trace = OpTrace {
-                label: format!("Filter[{}]", preds.join(" AND ")),
-                est_rows: None,
-                actual_rows: r.rows.len(),
-                scanned: None,
-                children: vec![child],
-            };
-            Ok((r, trace))
+            let (mut rows, child) = exec_plan(input)?;
+            rows.retain(|row| passes(predicates, row));
+            let mut label = String::from("Filter[");
+            write_conjunction(&mut label, predicates.iter().map(|&(p, _)| p), &mut |_, _| {});
+            label.push(']');
+            (rows, label, vec![child])
         }
         PhysPlan::Project { input, columns } => {
-            let (r, child) = exec_plan(src, input)?;
-            let idx: Vec<usize> = columns
-                .iter()
-                .map(|c| r.column_index(c).ok_or_else(|| QueryError::UnknownColumn(c.clone())))
-                .collect::<Result<_, _>>()?;
-            let rows: Vec<Row> =
-                r.rows.iter().map(|row| idx.iter().map(|&i| row[i].clone()).collect()).collect();
-            let trace = OpTrace {
-                label: format!("Project[{}]", columns.join(", ")),
-                est_rows: None,
-                actual_rows: rows.len(),
-                scanned: None,
-                children: vec![child],
-            };
-            Ok((QueryResult { columns: columns.clone(), rows }, trace))
+            let (rows, child) = exec_plan(input)?;
+            let rows =
+                rows.iter().map(|row| columns.iter().map(|&(_, i)| row[i].clone()).collect());
+            let names: Vec<&str> = columns.iter().map(|&(c, _)| c).collect();
+            (rows.collect(), format!("Project[{}]", names.join(", ")), vec![child])
         }
         PhysPlan::HashJoin { left, right, left_col, right_col, select_build_side } => {
-            let (l, ltrace) = exec_plan(src, left)?;
-            let (r, rtrace) = exec_plan(src, right)?;
-            let li = l
-                .column_index(left_col)
-                .ok_or_else(|| QueryError::UnknownColumn(left_col.clone()))?;
-            let ri = r
-                .column_index(right_col)
-                .ok_or_else(|| QueryError::UnknownColumn(right_col.clone()))?;
-            let build_left = *select_build_side && l.rows.len() < r.rows.len();
+            let (l, ltrace) = exec_plan(left)?;
+            let (r, rtrace) = exec_plan(right)?;
+            let (li, ri) = (left_col.1, right_col.1);
+            let build_left = *select_build_side && l.len() < r.len();
             let mut rows = Vec::new();
             if build_left {
                 // Build on the (smaller) left, probe with the right —
                 // but still emit left-major, right-minor order, exactly
                 // like the fixed-side join below.
                 let mut table: HashMap<&Value, Vec<usize>> = HashMap::new();
-                for (i, lrow) in l.rows.iter().enumerate() {
+                for (i, lrow) in l.iter().enumerate() {
                     table.entry(&lrow[li]).or_default().push(i);
                 }
-                let mut matches_per_left: Vec<Vec<usize>> = vec![Vec::new(); l.rows.len()];
-                for (j, rrow) in r.rows.iter().enumerate() {
+                let mut matches_per_left: Vec<Vec<usize>> = vec![Vec::new(); l.len()];
+                for (j, rrow) in r.iter().enumerate() {
                     if let Some(lids) = table.get(&rrow[ri]) {
                         for &i in lids {
                             matches_per_left[i].push(j);
                         }
                     }
                 }
-                for (lrow, matches) in l.rows.iter().zip(&matches_per_left) {
+                for (lrow, matches) in l.iter().zip(&matches_per_left) {
                     for &j in matches {
                         let mut joined = lrow.clone();
-                        joined.extend(r.rows[j].iter().cloned());
+                        joined.extend(r[j].iter().cloned());
                         rows.push(joined);
                     }
                 }
             } else {
                 let mut table: HashMap<&Value, Vec<&Row>> = HashMap::new();
-                for rrow in &r.rows {
+                for rrow in &r {
                     table.entry(&rrow[ri]).or_default().push(rrow);
                 }
-                for lrow in &l.rows {
+                for lrow in &l {
                     if let Some(matches) = table.get(&lrow[li]) {
                         for rrow in matches {
                             let mut joined = lrow.clone();
@@ -740,39 +764,19 @@ fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), Q
                     }
                 }
             }
-            let mut columns = l.columns.clone();
-            // Disambiguate collision by prefixing the right side.
-            for c in &r.columns {
-                if l.columns.contains(c) {
-                    columns.push(format!("right.{c}"));
-                } else {
-                    columns.push(c.clone());
-                }
-            }
-            let trace = OpTrace {
-                label: format!(
-                    "HashJoin[{left_col} = {right_col}, build={}]",
-                    if build_left { "left" } else { "right" }
-                ),
-                est_rows: None,
-                actual_rows: rows.len(),
-                scanned: None,
-                children: vec![ltrace, rtrace],
-            };
-            Ok((QueryResult { columns, rows }, trace))
+            let build = if build_left { "left" } else { "right" };
+            let label = format!("HashJoin[{} = {}, build={build}]", left_col.0, right_col.0);
+            (rows, label, vec![ltrace, rtrace])
         }
-        PhysPlan::Aggregate { input, group_by, agg, over } => {
-            let input = Input::open(src, input)?;
-            let (oi, _) = input.column(over)?;
-            let gi = match group_by {
-                Some(g) => Some(input.column(g)?.0),
-                None => None,
-            };
+        PhysPlan::Aggregate { input, group_by, agg, over: (over, at) } => {
+            let input = Rows::of(input)?;
+            let oi = input.lent(*at);
+            let gi = group_by.map(|(_, at)| input.lent(at));
             // A group's key is the first of its equal keys to arrive, and
             // is cloned only then.
             let mut groups: HashMap<Value, Fold> = HashMap::new();
             let mut all = Fold::new();
-            let child = input.rows.for_each(src, &mut |row| match gi {
+            let child = input.for_each(&mut |row| match gi {
                 None => all.add(*agg, &row[oi]),
                 Some(gi) => match groups.get_mut(&row[gi]) {
                     Some(fold) => fold.add(*agg, &row[oi]),
@@ -795,25 +799,12 @@ fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), Q
                         .collect::<Result<_, QueryError>>()?
                 }
             };
-            let out_col = format!("{}({over})", agg.name());
-            let columns = match group_by {
-                Some(g) => vec![g.clone(), out_col],
-                None => vec![out_col],
-            };
-            let g = group_by.as_ref().map(|g| format!(" group by {g}")).unwrap_or_default();
-            let trace = OpTrace {
-                label: format!("Aggregate[{}({over}){g}]", agg.name()),
-                est_rows: None,
-                actual_rows: rows.len(),
-                scanned: None,
-                children: vec![child],
-            };
-            Ok((QueryResult { columns, rows }, trace))
+            let g = group_by.map(|(g, _)| format!(" group by {g}")).unwrap_or_default();
+            (rows, format!("Aggregate[{}{g}]", agg.column(over)), vec![child])
         }
-        PhysPlan::Sort { input, by, desc, limit } => {
-            let input = Input::open(src, input)?;
-            let (key, out_key) = input.column(by)?;
-            let Input { columns, layout, rows } = input;
+        PhysPlan::Sort { input, by: (by, out_key), desc, limit } => {
+            let input = Rows::of(input)?;
+            let (key, layout) = (input.lent(*out_key), input.layout());
             let rank = |a: &Value, b: &Value| if *desc { b.cmp(a) } else { a.cmp(b) };
             // The k best rows ranked by (key, arrival): a stable sort
             // truncated to k, ties included. `kept` takes every row that
@@ -826,16 +817,16 @@ fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), Q
             // arrive in; without a limit every row is kept and sorted once.
             let k = limit.unwrap_or(usize::MAX);
             let cut = |kept: &mut Vec<Row>| {
-                kept.sort_by(|a, b| rank(&a[out_key], &b[out_key]));
+                kept.sort_by(|a, b| rank(&a[*out_key], &b[*out_key]));
                 kept.truncate(k);
             };
             let mut kept: Vec<Row> = Vec::new();
             let mut barred = false;
-            let child = rows.for_each(src, &mut |row| {
-                if k == 0 || (barred && rank(&row[key], &kept[k - 1][out_key]).is_ge()) {
+            let child = input.for_each(&mut |row| {
+                if k == 0 || (barred && rank(&row[key], &kept[k - 1][*out_key]).is_ge()) {
                     return;
                 }
-                kept.push(output(&layout, row));
+                kept.push(output(layout, row));
                 if kept.len() == k.saturating_mul(2) {
                     cut(&mut kept);
                     barred = true;
@@ -844,16 +835,11 @@ fn exec_plan(src: &DbSnapshot, p: &PhysPlan) -> Result<(QueryResult, OpTrace), Q
             cut(&mut kept);
             let dir = if *desc { " desc" } else { "" };
             let lim = limit.map(|l| format!(" limit {l}")).unwrap_or_default();
-            let trace = OpTrace {
-                label: format!("Sort[{by}{dir}{lim}]"),
-                est_rows: None,
-                actual_rows: kept.len(),
-                scanned: None,
-                children: vec![child],
-            };
-            Ok((QueryResult { columns, rows: kept }, trace))
+            (kept, format!("Sort[{by}{dir}{lim}]"), vec![child])
         }
-    }
+    };
+    let actual_rows = rows.len();
+    Ok((rows, OpTrace { label, est_rows: None, actual_rows, scanned: None, children }))
 }
 
 #[cfg(test)]
@@ -896,7 +882,8 @@ mod tests {
     fn eq_predicate_routes_through_index() {
         let db = db_with_index();
         let q = Query::scan("facts").filter(vec![Predicate::Eq("cat".into(), "c3".into())]);
-        let p = plan(&db.snapshot(), &q, &PlannerConfig::default());
+        let snap = db.snapshot();
+        let p = plan(&snap, &q, &PlannerConfig::default()).unwrap();
         match &p {
             PhysPlan::Access { path: AccessPath::IndexEq { column, .. }, residual, .. } => {
                 assert_eq!(column, "cat");
@@ -919,7 +906,7 @@ mod tests {
             Predicate::Eq("cat".into(), "c2".into()),
             Predicate::Eq("id".into(), Value::Int(42)),
         ]);
-        match plan(&db.snapshot(), &q, &cfg) {
+        match plan(&db.snapshot(), &q, &cfg).unwrap() {
             PhysPlan::Access { path: AccessPath::PkEq { key }, residual, est_rows, .. } => {
                 assert_eq!(key, vec![Value::Int(42)]);
                 assert_eq!(residual.len(), 2, "residual keeps the full conjunction");
@@ -942,7 +929,7 @@ mod tests {
         // Anything short of equality on every key column is not a lookup.
         let range = Query::scan("facts").filter(vec![Predicate::Ge("id".into(), Value::Int(42))]);
         assert!(matches!(
-            plan(&db.snapshot(), &range, &cfg),
+            plan(&db.snapshot(), &range, &cfg).unwrap(),
             PhysPlan::Access { path: AccessPath::FullScan, .. }
         ));
     }
@@ -955,7 +942,8 @@ mod tests {
             Predicate::Gt("num".into(), Value::Int(5)),
             Predicate::Le("num".into(), Value::Int(9)),
         ]);
-        let p = plan(&db.snapshot(), &q, &PlannerConfig::default());
+        let snap = db.snapshot();
+        let p = plan(&snap, &q, &PlannerConfig::default()).unwrap();
         match &p {
             PhysPlan::Access { path: AccessPath::IndexRange { column, lo, hi }, .. } => {
                 assert_eq!(column, "num");
@@ -979,7 +967,7 @@ mod tests {
         let q = Query::scan("facts")
             .filter(vec![Predicate::Eq("cat".into(), "c1".into())])
             .project(&["id"]);
-        match plan(&db.snapshot(), &q, &PlannerConfig::default()) {
+        match plan(&db.snapshot(), &q, &PlannerConfig::default()).unwrap() {
             PhysPlan::Access { projection, residual, .. } => {
                 assert_eq!(projection, Some(vec!["id".to_string()]));
                 assert_eq!(residual.len(), 1);
@@ -992,8 +980,7 @@ mod tests {
     fn filter_above_projection_is_not_pushed_into_access() {
         let db = db_with_index();
         // `cat` is projected away, so the outer filter must still error —
-        // now as a pre-execution diagnostic rather than a runtime
-        // `UnknownColumn` from inside the operator.
+        // as a diagnostic of the binding walk, before any row is read.
         let q = Query::scan("facts")
             .project(&["id"])
             .filter(vec![Predicate::Eq("cat".into(), "c1".into())]);
@@ -1010,7 +997,8 @@ mod tests {
     fn full_scan_config_is_pre_planner_shape() {
         let db = db_with_index();
         let q = Query::scan("facts").filter(vec![Predicate::Eq("cat".into(), "c3".into())]);
-        let p = plan(&db.snapshot(), &q, &PlannerConfig::full_scan());
+        let snap = db.snapshot();
+        let p = plan(&snap, &q, &PlannerConfig::full_scan()).unwrap();
         match &p {
             PhysPlan::Filter { input, .. } => match input.as_ref() {
                 PhysPlan::Access { path: AccessPath::FullScan, residual, projection, .. } => {
@@ -1074,7 +1062,7 @@ mod tests {
             vec![Predicate::In("cat".into(), vec!["c1".into(), "c2".into()])],
         ] {
             let q = Query::scan("facts").filter(preds);
-            match plan(&db.snapshot(), &q, &PlannerConfig::default()) {
+            match plan(&db.snapshot(), &q, &PlannerConfig::default()).unwrap() {
                 PhysPlan::Access { path: AccessPath::FullScan, .. } => {}
                 other => panic!("expected full scan, got {other:?}"),
             }
@@ -1093,7 +1081,7 @@ mod tests {
             Predicate::Eq("num".into(), Value::Int(4)),
             Predicate::Ge("id".into(), Value::Int(0)),
         ]);
-        match plan(&db.snapshot(), &q, &PlannerConfig::default()) {
+        match plan(&db.snapshot(), &q, &PlannerConfig::default()).unwrap() {
             PhysPlan::Access { path: AccessPath::IndexEq { column, .. }, residual, .. } => {
                 assert_eq!(column, "num");
                 assert_eq!(residual.len(), 3, "every predicate re-checked");
@@ -1131,7 +1119,7 @@ mod tests {
         let cfg = PlannerConfig::default();
         let by_num = Query::scan("facts").filter(vec![Predicate::Eq("num".into(), Value::Int(1))]);
         assert!(matches!(
-            plan(&snap, &by_num, &cfg),
+            plan(&snap, &by_num, &cfg).unwrap(),
             PhysPlan::Access { path: AccessPath::FullScan, .. }
         ));
         let (old, old_trace) = execute_snapshot_with(&snap, &by_num, &cfg).unwrap();
@@ -1139,7 +1127,7 @@ mod tests {
         assert!(old.rows.iter().all(|r| r[0] != Value::Int(999)));
         let fresh = db.snapshot();
         assert!(matches!(
-            plan(&fresh, &by_num, &cfg),
+            plan(&fresh, &by_num, &cfg).unwrap(),
             PhysPlan::Access { path: AccessPath::IndexEq { .. }, .. }
         ));
         let (new, new_trace) = execute_snapshot_with(&fresh, &by_num, &cfg).unwrap();

@@ -22,6 +22,7 @@ use crate::wal::Wal;
 use crate::Result;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -386,10 +387,23 @@ impl Database {
 
     /// Replace a table's schema and rows wholesale (schema-evolution
     /// migration path; auto-committed, logged as drop + create + inserts).
+    ///
+    /// Whatever the inserts would refuse — a row the schema rejects, two
+    /// rows with one key — is refused before the drop, leaving the table
+    /// and the LSN as they were. The replacement is still three units, so
+    /// a crash between them can leave the table dropped or empty.
     pub fn replace_table(&self, schema: TableSchema, rows: Vec<Row>) -> Result<()> {
+        let mut keys = HashSet::with_capacity(rows.len());
         for row in &rows {
             schema.validate(row)?;
+            if !keys.insert(schema.key.iter().map(|&i| &row[i]).collect::<Vec<_>>()) {
+                let (table, key) = (&schema.name, schema.key_of(row));
+                return Err(StorageError::DuplicateKey(format!(
+                    "{table} key {key:?} already exists"
+                )));
+            }
         }
+        drop(keys);
         let name = schema.name.clone();
         self.drop_table(&name)?;
         self.create_table(schema)?;
@@ -1265,5 +1279,21 @@ mod tests {
         db.replace_table(new_schema, vec![vec!["a".into(), Value::Int(1)]]).unwrap();
         let rows = snap_rows(&db);
         assert_eq!(rows, vec![vec![Value::Text("a".into()), Value::Int(1)]]);
+    }
+
+    #[test]
+    fn a_refused_replace_table_leaves_the_table_and_the_lsn_alone() {
+        let db = Database::in_memory();
+        db.create_table(people_schema()).unwrap();
+        db.insert_autocommit("people", person("a", 1, "x")).unwrap();
+        assert_eq!(db.snapshot().lsn(), 2);
+        let twice = vec![person("b", 2, "y"), person("b", 3, "z")];
+        let err = db.replace_table(people_schema(), twice).unwrap_err();
+        assert!(matches!(err, StorageError::DuplicateKey(_)), "{err}");
+        let bad_row = vec![person("c", 4, "w"), vec!["d".into()]];
+        let err = db.replace_table(people_schema(), bad_row).unwrap_err();
+        assert!(matches!(err, StorageError::SchemaViolation(_)), "{err}");
+        assert_eq!(snap_rows(&db), vec![person("a", 1, "x")]);
+        assert_eq!(db.snapshot().lsn(), 2);
     }
 }

@@ -4,10 +4,15 @@
 //! configuration, and a query asked of the façade again must get what the
 //! planner answers on the same pinned view.
 
+use proptest::prelude::*;
+use proptest::{TestRng, TestRunner};
 use quarry::core::{Quarry, QuarryConfig};
-use quarry::query::engine::{execute_snapshot, AggFn, Predicate, Query};
-use quarry::query::planner::{execute_with, PlannerConfig};
+use quarry::query::engine::{execute_snapshot, AggFn, Predicate, Query, QueryError};
+use quarry::query::lint::{check_query, codes as query_codes};
+use quarry::query::planner::{execute_snapshot_with, execute_with, PlannerConfig};
 use quarry::storage::{Column, DataType, Database, TableSchema, Value};
+use quarry::Severity;
+use rand::Rng;
 
 /// A deterministic facts table with indexes on `cat` (12 distinct values)
 /// and `score` (dense ints), plus an unindexed `note` column.
@@ -406,4 +411,111 @@ fn primary_key_routing_over_a_checkpoint_base_is_bit_identical_to_full_scan() {
     }
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `facts`' columns, which a random query mostly names.
+const COLUMNS: [&str; 4] = ["id", "cat", "score", "note"];
+
+/// The other names a random query draws from: those joins and aggregates
+/// output, and misspellings.
+const OTHER_NAMES: [&str; 8] =
+    ["right.cat", "right.id", "COUNT(id)", "MAX(score)", "scroe", "cta", "right.nte", "SUM(note)"];
+
+fn name(rng: &mut TestRng) -> String {
+    let names: &[&str] = if rng.gen_range(0..10) < 8 { &COLUMNS } else { &OTHER_NAMES };
+    names[rng.gen_range(0..names.len())].to_string()
+}
+
+fn value(rng: &mut TestRng) -> Value {
+    match rng.gen_range(0..4) {
+        0 => Value::Int(rng.gen_range(0..100)),
+        1 => Value::Float(rng.gen_range(0..100) as f64),
+        2 => format!("cat{}", rng.gen_range(0..12)).into(),
+        _ => Value::Null,
+    }
+}
+
+fn predicate(rng: &mut TestRng) -> Predicate {
+    let (c, v) = (name(rng), value(rng));
+    match rng.gen_range(0..8) {
+        0 => Predicate::Eq(c, v),
+        1 => Predicate::Ne(c, v),
+        2 => Predicate::Lt(c, v),
+        3 => Predicate::Le(c, v),
+        4 => Predicate::Gt(c, v),
+        5 => Predicate::Ge(c, v),
+        6 => Predicate::Contains(c, "cat1".into()),
+        _ => Predicate::In(c, vec![v, value(rng)]),
+    }
+}
+
+/// A query tree of at most `depth` operators above its scans, over
+/// `facts` and, now and then, a table that does not exist.
+fn random_query(rng: &mut TestRng, depth: usize) -> Query {
+    let op = if depth == 0 { 0 } else { rng.gen_range(0..7) };
+    let input = |rng: &mut TestRng| random_query(rng, depth.saturating_sub(1));
+    match op {
+        0 => Query::scan(if rng.gen_range(0..10) == 0 { "fatcs" } else { "facts" }),
+        1 | 2 => {
+            let predicates = (0..rng.gen_range(1..3)).map(|_| predicate(rng)).collect();
+            input(rng).filter(predicates)
+        }
+        3 => {
+            let columns: Vec<String> = (0..rng.gen_range(1..4)).map(|_| name(rng)).collect();
+            let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+            input(rng).project(&columns)
+        }
+        4 => {
+            let (left, right) = (input(rng), input(rng));
+            left.join(right, &name(rng), &name(rng))
+        }
+        5 => {
+            let aggs = [AggFn::Count, AggFn::Sum, AggFn::Avg, AggFn::Min, AggFn::Max];
+            let agg = aggs[rng.gen_range(0..aggs.len())];
+            let group = (rng.gen_range(0..2) == 0).then(|| name(rng));
+            input(rng).aggregate(group.as_deref(), agg, &name(rng))
+        }
+        _ => {
+            let limit = (rng.gen_range(0..2) == 0).then(|| rng.gen_range(0..30));
+            input(rng).sort(&name(rng), rng.gen_range(0..2) == 0, limit)
+        }
+    }
+}
+
+/// The binder over generated trees: whatever the names, nothing panics;
+/// the planner refuses a query exactly when `check_query` finds an error
+/// that gates (anything but QQ001); the report is over `q.display()`; and
+/// the default and full-scan configurations agree on rows, or on the
+/// error's kind and message.
+#[test]
+fn binding_decides_like_the_check_and_both_configurations_agree() {
+    let db = facts_db(60);
+    let snap = db.snapshot();
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(400));
+    runner.run(|rng| {
+        let q = random_query(rng, 3);
+        let report = check_query(&snap, &q);
+        prop_assert_eq!(&report.source, &q.display());
+        let gates = report
+            .diagnostics
+            .iter()
+            .any(|d| d.severity == Severity::Error && d.code != query_codes::UNKNOWN_TABLE);
+        let planned = execute_snapshot_with(&snap, &q, &PlannerConfig::default());
+        let reference = execute_snapshot_with(&snap, &q, &PlannerConfig::full_scan());
+        let refused = matches!(planned, Err(QueryError::Invalid(_)));
+        prop_assert_eq!(refused, gates, "{}\n{report}", q.display());
+        match (planned, reference) {
+            (Ok((got, _)), Ok((expect, _))) => prop_assert_eq!(got, expect, "{}", q.display()),
+            (Err(got), Err(expect)) => {
+                let kinds = (std::mem::discriminant(&got), std::mem::discriminant(&expect));
+                prop_assert_eq!(kinds.0, kinds.1, "{}", q.display());
+                prop_assert_eq!(got.to_string(), expect.to_string(), "{}", q.display());
+            }
+            (got, expect) => {
+                let (got, expect) = (got.map(|r| r.0), expect.map(|r| r.0));
+                return Err(TestCaseError::fail(format!("{}: {got:?} vs {expect:?}", q.display())));
+            }
+        }
+        Ok(())
+    });
 }
