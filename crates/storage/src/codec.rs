@@ -33,6 +33,9 @@ const TAG_INT: u8 = 3;
 const TAG_FLOAT: u8 = 4;
 const TAG_TEXT: u8 = 5;
 
+/// A `Corrupt` error, named for the codec. Cold, like every refusal of a
+/// decoder that reads mostly valid bytes.
+#[cold]
 fn corrupt(what: &str) -> StorageError {
     StorageError::Corrupt(format!("binary codec: {what}"))
 }
@@ -54,20 +57,43 @@ pub fn write_u64<W: Write>(w: &mut W, mut v: u64) -> Result<()> {
     }
 }
 
-/// Read an unsigned LEB128 varint, advancing `pos`.
+/// Read an unsigned LEB128 varint, advancing `pos` past every byte it
+/// reads — on an error too, up to the byte that decided it. At most 10
+/// bytes: the 10th carries bit 63 alone, so it must be 0 or 1. This runs
+/// two or three times for every entry of a B-tree node the pool reads, so
+/// a one-byte varint — nearly every length in a node — is decided by one
+/// test inlined into the caller, and a longer one by a plain loop over
+/// the bytes, free of iterator adaptors.
+#[inline]
 pub fn read_u64(data: &[u8], pos: &mut usize) -> Result<u64> {
+    match data.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(byte))
+        }
+        _ => read_long_u64(data, pos),
+    }
+}
+
+/// [`read_u64`] past its one-byte case. Out of line, so that the case
+/// every caller hits most is all that inlines into it.
+#[inline(never)]
+fn read_long_u64(data: &[u8], pos: &mut usize) -> Result<u64> {
     let mut out: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let &byte = data.get(*pos).ok_or_else(|| corrupt("truncated varint"))?;
+    let mut shift = 0;
+    while shift < 64 {
+        let Some(&byte) = data.get(*pos) else {
+            return Err(corrupt("truncated varint"));
+        };
         *pos += 1;
         out |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            // Bits past the 64th must be zero in the final (10th) byte.
+        if byte < 0x80 {
             if shift == 63 && byte > 1 {
                 return Err(corrupt("varint overflows u64"));
             }
             return Ok(out);
         }
+        shift += 7;
     }
     Err(corrupt("varint longer than 10 bytes"))
 }
@@ -465,6 +491,108 @@ mod tests {
         write_u64(&mut buf, u64::MAX).unwrap();
         let mut pos = 0;
         assert!(matches!(read_row(&buf, &mut pos), Err(StorageError::Corrupt(_))));
+    }
+
+    /// The varint reader as it was, over a `step_by` iterator: the oracle
+    /// for [`read_u64`]'s plain loop.
+    fn read_u64_oracle(data: &[u8], pos: &mut usize) -> Result<u64> {
+        let mut out: u64 = 0;
+        for shift in (0..64).step_by(7) {
+            let &byte = data.get(*pos).ok_or_else(|| corrupt("truncated varint"))?;
+            *pos += 1;
+            out |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                if shift == 63 && byte > 1 {
+                    return Err(corrupt("varint overflows u64"));
+                }
+                return Ok(out);
+            }
+        }
+        Err(corrupt("varint longer than 10 bytes"))
+    }
+
+    /// Both readers on `data` from `start`: the value or the error's text,
+    /// and where each left `pos`.
+    fn varint_verdicts(
+        data: &[u8],
+        start: usize,
+    ) -> [(std::result::Result<u64, String>, usize); 2] {
+        [read_u64, read_u64_oracle].map(|read| {
+            let mut pos = start;
+            (read(data, &mut pos).map_err(|e| e.to_string()), pos)
+        })
+    }
+
+    #[track_caller]
+    fn assert_same_varint_verdict(data: &[u8], start: usize) {
+        let [got, want] = varint_verdicts(data, start);
+        assert_eq!(got, want, "{data:02x?} from {start}");
+    }
+
+    /// Every length from 1 to 10 bytes, each with every final byte and
+    /// with continuation bytes of several shapes (so non-minimal encodings
+    /// like `80 00` are in), each also cut short at every byte; a 10th byte
+    /// of 2..=0x7F; a run of 11 continuation bytes; and a trailing byte
+    /// after each varint, which neither reader may consume.
+    #[test]
+    fn the_varint_loop_reads_every_encoding_like_the_iterator_it_replaced() {
+        let mut cases = 0;
+        for len in 1..=10usize {
+            for lead in [0x80u8, 0x81, 0xC3, 0xFF] {
+                for last in 0..=0x7Fu8 {
+                    let mut bytes = vec![lead; len - 1];
+                    bytes.push(last);
+                    bytes.push(0x05);
+                    for cut in 0..=bytes.len() {
+                        assert_same_varint_verdict(&bytes[..cut], 0);
+                        cases += 1;
+                    }
+                    assert_same_varint_verdict(&[&[0x01][..], &bytes].concat(), 1);
+                }
+            }
+        }
+        for tenth in 2..=0x7Fu8 {
+            let mut bytes = vec![0xFF; 9];
+            bytes.push(tenth);
+            assert_same_varint_verdict(&bytes, 0);
+            let [(got, pos), _] = varint_verdicts(&bytes, 0);
+            assert_eq!(
+                (got, pos),
+                (Err("corrupt data: binary codec: varint overflows u64".into()), 10)
+            );
+        }
+        for run in [&[0x80u8; 11][..], &[0xFF; 11], &[0x80; 12]] {
+            assert_same_varint_verdict(run, 0);
+            let [(got, pos), _] = varint_verdicts(run, 0);
+            assert_eq!(
+                (got, pos),
+                (Err("corrupt data: binary codec: varint longer than 10 bytes".into()), 10)
+            );
+        }
+        assert_same_varint_verdict(&[], 0);
+        assert_same_varint_verdict(&[0x01], 1);
+        assert_same_varint_verdict(&[0x01], 7);
+        assert_eq!(cases, 4 * 128 * (3..=12).sum::<usize>());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Random bytes from a random start: the same value or the same
+        /// error text, and the same `pos`, for the loop and the oracle.
+        #[test]
+        fn prop_the_varint_loop_agrees_with_the_iterator_on_random_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..24),
+            high in proptest::collection::vec(0x80u8..=0xFF, 0..12),
+            start in 0usize..26,
+        ) {
+            // Random bytes rarely hold long varints; a run of continuation
+            // bytes in front makes them common.
+            for data in [&bytes, &[&high[..], &bytes].concat()] {
+                let [got, want] = varint_verdicts(data, start.min(data.len() + 1));
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     proptest! {

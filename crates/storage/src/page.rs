@@ -29,7 +29,15 @@
 //! [`Page::new`] starts zeroed, [`Page::push`] only appends, and
 //! `Page::splice` — how a B-tree node is edited in place — zeroes
 //! whatever a shrink vacates. An image therefore depends only on what its
-//! pages hold, never on how they came to hold it.
+//! pages hold, never on how they came to hold it. A read holds every page
+//! to this too: one whose tail is not zero is `Corrupt`, however valid its
+//! checksum, since a later shrink would write its stale bytes back.
+//!
+//! A [`Page`] has room for the whole on-disk image, header bytes included,
+//! so the pager reads a page straight into the frame that will hold it and
+//! verifies it there (`Page::load`); [`Page::decode`] does the same from
+//! a buffer. Once verified, the header lives in the page's fields alone
+//! and its bytes in the image are zero.
 
 use crate::error::StorageError;
 use crate::wal::crc32;
@@ -130,37 +138,48 @@ pub struct Page {
     /// Next page in this chain (heap chain, directory chain, or freelist);
     /// [`NO_PAGE`] terminates.
     pub next: u32,
-    /// Payload, `PAGE_CAPACITY` bytes; only `len` of them are meaningful.
-    pub data: Box<[u8; PAGE_CAPACITY]>,
+    /// Room for the whole page as it lies on disk, so that a read lands in
+    /// it directly: [`PAGE_HEADER`] header bytes, then the payload, of
+    /// which only `len` bytes are meaningful. The fields above are the
+    /// header; the header bytes here hold a read only while `Page::load`
+    /// verifies it, and are zero at every other time ([`Page::encode`]
+    /// writes the fields into its copy).
+    image: Box<[u8; PAGE_SIZE]>,
 }
 
 impl Page {
     /// A fresh, empty page of the given type.
     pub fn new(ptype: PageType) -> Page {
-        Page { ptype, count: 0, len: 0, next: NO_PAGE, data: Box::new([0u8; PAGE_CAPACITY]) }
+        Page { ptype, count: 0, len: 0, next: NO_PAGE, image: Box::new([0u8; PAGE_SIZE]) }
     }
 
     /// Payload bytes currently in use.
     pub fn payload(&self) -> &[u8] {
-        &self.data[..self.len as usize]
+        &self.image[PAGE_HEADER..PAGE_HEADER + self.len as usize]
+    }
+
+    /// All [`PAGE_CAPACITY`] payload bytes, used or not.
+    fn data_mut(&mut self) -> &mut [u8] {
+        &mut self.image[PAGE_HEADER..]
     }
 
     /// Serialize into a `PAGE_SIZE` image, computing the checksum.
     pub fn encode(&self) -> [u8; PAGE_SIZE] {
-        let mut buf = [0u8; PAGE_SIZE];
+        // The image's header bytes are zero: only the fields are written.
+        let mut buf = *self.image;
         buf[4] = self.ptype.tag();
         // buf[5] (flags) stays 0.
         buf[6..8].copy_from_slice(&self.count.to_le_bytes());
         buf[8..10].copy_from_slice(&self.len.to_le_bytes());
         buf[10..14].copy_from_slice(&self.next.to_le_bytes());
         // buf[14..16] (reserved) stays 0.
-        buf[PAGE_HEADER..].copy_from_slice(&self.data[..]);
         let crc = crc32(&buf[4..]);
         buf[0..4].copy_from_slice(&crc.to_le_bytes());
         buf
     }
 
-    /// Parse and verify a `PAGE_SIZE` image.
+    /// Parse and verify a `PAGE_SIZE` image (see `Page::load` for what
+    /// is checked).
     pub fn decode(buf: &[u8]) -> Result<Page> {
         if buf.len() != PAGE_SIZE {
             return Err(StorageError::Corrupt(format!(
@@ -168,36 +187,73 @@ impl Page {
                 buf.len()
             )));
         }
-        let stored = le_u32(buf, 0);
-        let actual = crc32(&buf[4..]);
-        if stored != actual {
-            return Err(StorageError::Corrupt(format!(
-                "page checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
-        let ptype = PageType::from_tag(buf[4])?;
-        if buf[5] != 0 || buf[14] != 0 || buf[15] != 0 {
-            return Err(StorageError::Corrupt("page reserved bytes are non-zero".into()));
-        }
-        let count = le_u16(buf, 6);
-        let len = le_u16(buf, 8);
-        if len as usize > PAGE_CAPACITY {
-            return Err(StorageError::Corrupt(format!("page payload length {len} > capacity")));
-        }
-        let next = le_u32(buf, 10);
-        // One copy into the frame's own allocation, with nothing zeroed
-        // first: the payload is every byte after the header.
-        let data = buf[PAGE_HEADER..].to_vec().into_boxed_slice().try_into().map_err(|_| {
-            StorageError::Corrupt(format!("page payload is not {PAGE_CAPACITY} bytes"))
+        let mut page = Page::new(PageType::Free);
+        page.load(|image| {
+            image.copy_from_slice(buf);
+            Ok(())
         })?;
-        Ok(Page { ptype, count, len, next, data })
+        Ok(page)
+    }
+
+    /// Fill this page's own bytes with `read`, which writes one whole
+    /// `PAGE_SIZE` image or fails, and verify the image where it lies: the
+    /// checksum, a known type, zero flags and reserved bytes, a `len`
+    /// within [`PAGE_CAPACITY`], and zero payload bytes past `len` — the
+    /// invariant every writer keeps, so an image that breaks it is damaged
+    /// whatever its checksum says. A failed read is returned as it is
+    /// ([`StorageError::Io`]), a failed check as
+    /// [`StorageError::Corrupt`], and either leaves an empty `Free` page
+    /// with every byte zero, as [`Page::new`] makes — never a page whose
+    /// fields and bytes disagree.
+    pub(crate) fn load(
+        &mut self,
+        read: impl FnOnce(&mut [u8]) -> std::io::Result<()>,
+    ) -> Result<()> {
+        let header = read(&mut self.image[..]).map_err(StorageError::from).and_then(|()| {
+            let buf = &self.image[..];
+            let stored = le_u32(buf, 0);
+            let actual = crc32(&buf[4..]);
+            if stored != actual {
+                return Err(StorageError::Corrupt(format!(
+                    "page checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
+                )));
+            }
+            let ptype = PageType::from_tag(buf[4])?;
+            if buf[5] != 0 || buf[14] != 0 || buf[15] != 0 {
+                return Err(StorageError::Corrupt("page reserved bytes are non-zero".into()));
+            }
+            let len = le_u16(buf, 8);
+            let Some(tail) = buf.get(PAGE_HEADER + len as usize..) else {
+                return Err(StorageError::Corrupt(format!("page payload length {len} > capacity")));
+            };
+            // An OR over the tail, not a search for the first non-zero
+            // byte: it vectorizes, and a valid page reads to the end anyway.
+            if tail.iter().fold(0, |acc, b| acc | b) != 0 {
+                return Err(StorageError::Corrupt(format!(
+                    "page payload bytes past its length {len} are not zero"
+                )));
+            }
+            Ok((ptype, le_u16(buf, 6), len, le_u32(buf, 10)))
+        });
+        match header {
+            Ok(header) => {
+                (self.ptype, self.count, self.len, self.next) = header;
+                self.image[..PAGE_HEADER].fill(0);
+                Ok(())
+            }
+            Err(e) => {
+                (self.ptype, self.count, self.len, self.next) = (PageType::Free, 0, 0, NO_PAGE);
+                self.image.fill(0);
+                Err(e)
+            }
+        }
     }
 
     /// Append payload bytes; returns how many fit.
     pub fn push(&mut self, bytes: &[u8]) -> usize {
-        let room = PAGE_CAPACITY - self.len as usize;
-        let n = room.min(bytes.len());
-        self.data[self.len as usize..self.len as usize + n].copy_from_slice(&bytes[..n]);
+        let len = self.len as usize;
+        let n = (PAGE_CAPACITY - len).min(bytes.len());
+        self.data_mut()[len..len + n].copy_from_slice(&bytes[..n]);
         self.len += n as u16;
         n
     }
@@ -216,10 +272,11 @@ impl Page {
             return false;
         }
         let inserted_end = range.start + bytes.len();
-        self.data.copy_within(range.end..len, inserted_end);
-        self.data[range.start..inserted_end].copy_from_slice(bytes);
+        let data = self.data_mut();
+        data.copy_within(range.end..len, inserted_end);
+        data[range.start..inserted_end].copy_from_slice(bytes);
         if new_len < len {
-            self.data[new_len..len].fill(0);
+            data[new_len..len].fill(0);
         }
         self.len = new_len as u16;
         true
@@ -263,7 +320,7 @@ mod tests {
         assert_eq!(p.payload(), b"aaaabbczz");
         assert!(p.splice(0..4, b"")); // remove
         assert_eq!(p.payload(), b"bbczz");
-        assert!(p.data[5..].iter().all(|b| *b == 0), "vacated bytes are zeroed");
+        assert!(p.encode()[PAGE_HEADER + 5..].iter().all(|b| *b == 0), "vacated bytes are zeroed");
         // Out-of-payload ranges and overflowing results change nothing.
         assert!(!p.splice(3..9, b"x"));
         assert!(!p.splice(5..5, &[1u8; PAGE_CAPACITY]));
@@ -286,6 +343,67 @@ mod tests {
         let mut bad = img;
         bad[100] ^= 0x01; // flip one payload bit
         assert!(matches!(Page::decode(&bad), Err(StorageError::Corrupt(_))));
+    }
+
+    /// Payload bytes past `len` are zero on every page a writer makes, so
+    /// a page whose tail is not is refused however valid its checksum: a
+    /// later `splice` that shrank it would zero only what it vacated and
+    /// write the rest back, and the image would depend on its history.
+    #[test]
+    fn bytes_past_the_payload_length_are_corrupt() {
+        let mut p = Page::new(PageType::BtreeLeaf);
+        p.push(b"0123456789");
+        for at in [PAGE_HEADER + 10, PAGE_HEADER + 11, PAGE_SIZE - 1] {
+            let mut img = p.encode();
+            img[at] = 0xAB;
+            let crc = crc32(&img[4..]);
+            img[0..4].copy_from_slice(&crc.to_le_bytes());
+            let err = Page::decode(&img).map(|q| q.len).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corrupt(m) if m.contains("past its length 10")),
+                "byte {at}: {err}"
+            );
+        }
+        // The last payload byte of a full page is payload, not tail.
+        let mut full = Page::new(PageType::Heap);
+        full.push(&[0xAB; PAGE_CAPACITY]);
+        assert_eq!(Page::decode(&full.encode()).unwrap().payload(), &[0xAB; PAGE_CAPACITY][..]);
+    }
+
+    /// A load leaves no second copy of the header: a verified one lives
+    /// in the fields with the image's header bytes zero, and a failed
+    /// read or check leaves the page empty, as `Page::new` makes it.
+    #[test]
+    fn a_load_leaves_the_header_in_the_fields_alone() {
+        let mut p = Page::new(PageType::Heap);
+        p.count = 2;
+        p.next = 9;
+        p.push(b"payload");
+        let img = p.encode();
+        let mut q = Page::new(PageType::Free);
+        q.load(|image| {
+            image.copy_from_slice(&img);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((q.ptype, q.count, q.len, q.next), (PageType::Heap, 2, 7, 9));
+        assert_eq!(q.image[..PAGE_HEADER], [0; PAGE_HEADER]);
+        assert_eq!(q.encode(), img);
+
+        let mut bad = img;
+        bad[PAGE_HEADER] ^= 1;
+        let err = q.load(|image| {
+            image.copy_from_slice(&bad);
+            Ok(())
+        });
+        assert!(matches!(err, Err(StorageError::Corrupt(_))), "{err:?}");
+        let failed = q.load(|image| {
+            image[..100].fill(0xAB);
+            Err(std::io::ErrorKind::UnexpectedEof.into())
+        });
+        assert!(matches!(failed, Err(StorageError::Io(_))), "{failed:?}");
+        assert_eq!((q.ptype, q.count, q.len, q.next), (PageType::Free, 0, 0, NO_PAGE));
+        assert!(q.image.iter().all(|b| *b == 0), "a failed load leaves no bytes behind");
     }
 
     #[test]

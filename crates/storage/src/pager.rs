@@ -16,10 +16,16 @@
 //!   [`Pager::read_page`] then hands out the frame itself (`Arc<Page>`),
 //!   so a hit is one hash probe, a relink at the head of the recency list
 //!   and a reference-count bump, never a copy. A miss is one positioned
-//!   read, one checksum and one copy into the new frame; the victim is the
-//!   list's tail, found without a scan, and its slot is reused in place.
-//!   Whoever holds a frame keeps it alive: evicting a page a B-tree cursor
-//!   still stands on only drops the pool's reference. Edits go through
+//!   read straight into the bytes of the frame it lands in, and one
+//!   checksum over them where they lie — no buffer between, no copy, and
+//!   once the pool is full no allocation: the page a victim leaves behind,
+//!   when no reader holds it, is kept as the pool's spare, and the next
+//!   miss reads into it. (Not into the victim's own frame: a read that
+//!   fails part-way would have destroyed a page the pool still holds.) The
+//!   victim is the list's tail, found without a scan, and its slot is
+//!   reused in place. Whoever holds a frame keeps it alive: evicting a
+//!   page a B-tree cursor still stands on only drops the pool's reference,
+//!   and that page is never the spare. Edits go through
 //!   `Pager::page_mut`, which marks the frame dirty and works in place
 //!   unless a reader still shares it (then that reader keeps the old
 //!   image). Evicting a dirty frame writes it back, so peak memory during
@@ -106,10 +112,15 @@ struct Slot {
 /// Recency is exact and kept as a list threaded through a slab of slots:
 /// using a page relinks its slot at the head, and the victim is the tail.
 /// Slots are never freed — a miss at capacity reuses the victim's slot in
-/// place — so once the pool is full it allocates nothing.
+/// place — and neither are pages no reader holds: an evicted page that
+/// nobody shares becomes the pool's spare, which the next miss reads into.
+/// So once the pool is full a miss allocates nothing.
 struct BufferPool {
     capacity: usize,
     slots: Vec<Slot>,
+    /// An unshared page no slot holds — the last victim's — for the next
+    /// miss to read over.
+    spare: Option<Arc<Page>>,
     /// Page id → its slot.
     index: HashMap<u32, usize>,
     /// The most recently used slot.
@@ -121,7 +132,8 @@ struct BufferPool {
 impl BufferPool {
     fn new(capacity: usize) -> BufferPool {
         let capacity = capacity.max(1);
-        BufferPool { capacity, slots: Vec::new(), index: HashMap::new(), head: NIL, tail: NIL }
+        let (slots, index) = (Vec::new(), HashMap::new());
+        BufferPool { capacity, slots, spare: None, index, head: NIL, tail: NIL }
     }
 
     /// The resident frame of page `id`, untouched.
@@ -150,8 +162,8 @@ impl BufferPool {
 
     /// Make `frame` page `id`'s, the most recently used: in a fresh slot
     /// while there is room, else in the victim's, whose page leaves the
-    /// pool (written back first, if dirty, by the caller). `id` must not
-    /// be resident.
+    /// pool (written back first, if dirty, by the caller) and becomes the
+    /// spare unless a reader still holds it. `id` must not be resident.
     fn admit(&mut self, id: u32, frame: Frame) -> Option<&mut Frame> {
         let at = if self.slots.len() < self.capacity {
             self.slots.push(Slot { id, frame, newer: NIL, older: NIL });
@@ -160,7 +172,10 @@ impl BufferPool {
             let at = self.tail;
             let slot = self.slots.get_mut(at)?;
             let evicted = std::mem::replace(&mut slot.id, id);
-            slot.frame = frame;
+            let mut victim = std::mem::replace(&mut slot.frame, frame).page;
+            if Arc::get_mut(&mut victim).is_some() {
+                self.spare = Some(victim);
+            }
             self.index.remove(&evicted);
             self.unlink(at);
             at
@@ -371,8 +386,8 @@ impl Pager {
         Ok(())
     }
 
-    /// Run `with` on page `id`'s frame, faulting the page in first (read,
-    /// checksum, decode — once per residency) if the pool does not hold it.
+    /// Run `with` on page `id`'s frame, faulting the page in first (read
+    /// and verify — once per residency) if the pool does not hold it.
     fn with_frame<T>(&mut self, id: u32, with: impl FnOnce(&mut Frame) -> Result<T>) -> Result<T> {
         self.check_id(id)?;
         if let Some(frame) = self.pool.touch(id) {
@@ -380,11 +395,29 @@ impl Pager {
             return with(frame);
         }
         self.stats.misses += 1;
-        let mut buf = [0u8; PAGE_SIZE];
-        self.file.read_at(u64::from(id) * PAGE_SIZE as u64, &mut buf)?;
-        let page =
-            Page::decode(&buf).map_err(|e| StorageError::Corrupt(format!("page {id}: {e}")))?;
-        with(self.admit(id, Frame { page: Arc::new(page), offsets: None, dirty: false })?)
+        let page = self.load(id)?;
+        with(self.admit(id, Frame { page, offsets: None, dirty: false })?)
+    }
+
+    /// Read page `id` from the file into a page of its own — the pool's
+    /// spare if it has one, else a new allocation — and verify it where it
+    /// lies. The pool is untouched: a read or a check that fails leaves
+    /// the spare an empty page (see `Page::load`), which no slot holds.
+    fn load(&mut self, id: u32) -> Result<Arc<Page>> {
+        let mut page =
+            self.pool.spare.take().unwrap_or_else(|| Arc::new(Page::new(PageType::Free)));
+        let (file, offset) = (self.file.as_mut(), u64::from(id) * PAGE_SIZE as u64);
+        // The spare is unshared, so this never clones.
+        match Arc::make_mut(&mut page).load(|image| file.read_at(offset, image)) {
+            Ok(()) => Ok(page),
+            Err(e) => {
+                self.pool.spare = Some(page);
+                Err(match e {
+                    StorageError::Corrupt(_) => StorageError::Corrupt(format!("page {id}: {e}")),
+                    e => e,
+                })
+            }
+        }
     }
 
     /// Read a page through the pool. The result *is* the pool's frame, not
@@ -923,6 +956,64 @@ mod tests {
         std::fs::remove_file(&p).unwrap();
     }
 
+    /// A miss reads into the page an earlier victim left spare, never into
+    /// a frame the pool still holds: a read that fails part-way — here a
+    /// page cut short by a truncation under the open pager, so part of it
+    /// lands before the error — and a page that fails its checksum leave
+    /// every resident page as it is on disk, the victim included, and the
+    /// next miss reads into the spare in full.
+    #[test]
+    fn a_failed_miss_leaves_no_frame_holding_bytes_other_than_its_pages() {
+        let p = tmp("failed-miss");
+        let mut pager = Pager::create(&RealBackend, &p, 2).unwrap();
+        let ids: Vec<u32> = (0..5).map(|_| pager.allocate(PageType::Heap).unwrap()).collect();
+        for &id in &ids {
+            let mut page = Page::new(PageType::Heap);
+            page.push(&vec![id as u8; 100 * id as usize]);
+            pager.put_page(id, page).unwrap();
+        }
+        pager.flush().unwrap();
+        drop(pager);
+        let on_disk = |id: u32| {
+            let image = std::fs::read(&p).unwrap();
+            let at = id as usize * PAGE_SIZE;
+            Page::decode(&image[at..at + PAGE_SIZE]).unwrap().payload().to_vec()
+        };
+        let want: Vec<Vec<u8>> = ids.iter().map(|&id| on_disk(id)).collect();
+
+        let mut pager = Pager::open(&RealBackend, &p, 2).unwrap();
+        for &id in &ids[..3] {
+            pager.read_page(id).unwrap(); // 1 is evicted: its page is the spare
+        }
+        let last = *ids.last().unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
+        file.set_len(u64::from(last) * PAGE_SIZE as u64 + 1_000).unwrap();
+        let stats = pager.pool_stats();
+        let err = pager.read_page(last).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
+        assert_eq!(pager.pool_stats().evictions, stats.evictions, "a failed miss evicts nothing");
+
+        // Page 4 fails its checksum on disk.
+        let mut image = std::fs::read(&p).unwrap();
+        image[4 * PAGE_SIZE + 40] ^= 0x10;
+        std::fs::write(&p, &image).unwrap();
+        let err = pager.read_page(4).unwrap_err();
+        assert!(matches!(&err, StorageError::Corrupt(m) if m.starts_with("page 4: ")), "{err}");
+
+        // The victim, 2, and the page beside it are still resident, and 1
+        // comes back through the spare the two failures read into.
+        for id in [2, 3, 1] {
+            let read = pager.read_page(id).unwrap();
+            assert_eq!(read.payload(), &want[id as usize - 1][..], "page {id}");
+        }
+        let (hits, misses) = (pager.pool_stats().hits, pager.pool_stats().misses);
+        assert_eq!((hits, misses), (stats.hits + 2, stats.misses + 3), "two failed misses, then 1");
+        std::fs::remove_file(&p).unwrap();
+    }
+
     /// Regression: a chain is read from pages of its own type only.
     #[test]
     fn read_chain_refuses_pages_of_another_type() {
@@ -949,6 +1040,16 @@ mod tests {
             "{err}"
         );
         std::fs::remove_file(&p).unwrap();
+    }
+
+    /// The meta page of the paged file `image` with the `u32` at payload
+    /// offset `at` set to `value`, checksummed.
+    fn with_meta_field(image: &[u8], at: usize, value: u32) -> [u8; PAGE_SIZE] {
+        let mut payload = Page::decode(&image[..PAGE_SIZE]).unwrap().payload().to_vec();
+        payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let mut meta = Page::new(PageType::Meta);
+        meta.push(&payload);
+        meta.encode()
     }
 
     /// Page-level corruption table mirroring `wal::frame_corruption_table`:
@@ -995,9 +1096,8 @@ mod tests {
         // Case 4: a meta page whose root points past the file's last page
         // (valid CRC, bogus reference) → Corrupt at open, not at first use.
         let mut badroot = clean;
-        let mut meta = Page::decode(&badroot[..PAGE_SIZE]).unwrap();
-        meta.data[17..21].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
-        badroot[..PAGE_SIZE].copy_from_slice(&meta.encode());
+        let meta = with_meta_field(&badroot, 17, 0xFFFF_FFFF);
+        badroot[..PAGE_SIZE].copy_from_slice(&meta);
         std::fs::write(&p, &badroot).unwrap();
         let err = Pager::open(&b, &p, 4).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
@@ -1056,10 +1156,9 @@ mod tests {
             drop(pager);
 
             let mut bytes = std::fs::read(&p).unwrap();
-            let mut meta = Page::decode(&bytes[..PAGE_SIZE]).unwrap();
             // Point free_head (offset 13) or root (offset 17) out of range.
-            meta.data[field_off..field_off + 4].copy_from_slice(&9999u32.to_le_bytes());
-            bytes[..PAGE_SIZE].copy_from_slice(&meta.encode());
+            let meta = with_meta_field(&bytes, field_off, 9999);
+            bytes[..PAGE_SIZE].copy_from_slice(&meta);
             std::fs::write(&p, &bytes).unwrap();
 
             let err = Pager::open(&b, &p, 4).unwrap_err();
