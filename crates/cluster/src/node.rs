@@ -16,7 +16,7 @@
 //!    transactions whose commits never arrived), flips its server
 //!    writable, and retargets the router at it;
 //! 3. traffic to that shard resumes on the next request — the router
-//!    reconnects through the updated topology entry.
+//!    dials the updated topology entry.
 //!
 //! Promotion is operator-driven (here: test- or bench-driven). There is
 //! no automatic failover or failback; a single writer per shard is the
@@ -24,7 +24,7 @@
 
 use crate::router::Router;
 use quarry_core::{Quarry, QuarryConfig};
-use quarry_serve::replication::{ReplicationClient, ReplicationClientConfig, ReplicationListener};
+use quarry_serve::replication::{ReplicationClient, ReplicationListener};
 use quarry_serve::{Client, ServeConfig, Server};
 use quarry_storage::Database;
 use std::io;
@@ -42,18 +42,11 @@ pub struct ClusterConfig {
     pub replicas_per_shard: usize,
     /// Serving config for every node (read-only is forced on replicas).
     pub serve: ServeConfig,
-    /// Replication retry policy for replicas.
-    pub replication: ReplicationClientConfig,
 }
 
 impl Default for ClusterConfig {
     fn default() -> ClusterConfig {
-        ClusterConfig {
-            shards: 3,
-            replicas_per_shard: 1,
-            serve: ServeConfig::default(),
-            replication: ReplicationClientConfig::default(),
-        }
+        ClusterConfig { shards: 3, replicas_per_shard: 1, serve: ServeConfig::default() }
     }
 }
 
@@ -143,13 +136,12 @@ fn spawn_replica(
     idx: usize,
     primary_repl: SocketAddr,
     serve: &ServeConfig,
-    replication: ReplicationClientConfig,
 ) -> io::Result<Replica> {
     let quarry = make_quarry(&dir.join(format!("shard{shard}-replica{idx}.wal")))?;
     let db = Arc::clone(&quarry.db);
     let cfg = ServeConfig { read_only: true, ..serve.clone() };
     let server = Server::start(quarry, "127.0.0.1:0", cfg)?;
-    let client = ReplicationClient::start(Arc::clone(&db), primary_repl, replication);
+    let client = ReplicationClient::start(Arc::clone(&db), primary_repl);
     Ok(Replica { server, client, db })
 }
 
@@ -170,7 +162,7 @@ impl Cluster {
             let repl_addr = primary.replication_addr();
             let mut replicas = Vec::with_capacity(cfg.replicas_per_shard);
             for r in 0..cfg.replicas_per_shard {
-                replicas.push(spawn_replica(dir, s, r, repl_addr, &cfg.serve, cfg.replication)?);
+                replicas.push(spawn_replica(dir, s, r, repl_addr, &cfg.serve)?);
             }
             shards.push(Shard { primary: Some(primary), replicas });
         }
@@ -225,9 +217,9 @@ impl Cluster {
         replica.client.promote().map_err(|e| io::Error::other(format!("promote: {e}")))?;
         replica.server.set_read_only(false);
         self.router.retarget(s, replica.serve_addr());
-        // The promoted node becomes the shard's primary. It has no
-        // replication listener yet — chaining new replicas off a
-        // promoted primary is future work (docs/replication.md).
+        // The promoted node becomes the shard's primary, with a listener
+        // of its own for new replicas; re-chaining the shard's remaining
+        // replicas onto it is future work (docs/replication.md).
         let listener = ReplicationListener::start(Arc::clone(&replica.db), "127.0.0.1:0")?;
         shard.primary = Some(Primary { server: replica.server, listener, db: replica.db });
         Ok(())

@@ -31,10 +31,11 @@
 //! Every merged [`Response`] carries the **maximum** shard LSN it
 //! reflects; point responses carry the owning shard's LSN unchanged.
 //!
-//! On a dead shard the router reconnects through the current topology
-//! entry, so [`Router::retarget`] (called on replica promotion) redirects
-//! that shard's traffic without touching in-flight sessions on other
-//! shards.
+//! Each shard's leg is one pooled [`Client`], under the client's one
+//! reconnect rule, dialled through the current topology entry whenever
+//! its slot is empty. [`Router::retarget`] (called on replica promotion)
+//! empties the slot, which redirects that shard's traffic without
+//! touching in-flight sessions on other shards.
 //!
 //! The front door is the [`Endpoint`] a shard server runs on, under
 //! [`ServeConfig`]'s defaults, with [`route`] as its handler and a metrics
@@ -43,7 +44,6 @@
 use crate::ring::HashRing;
 use quarry_exec::{MetricsRegistry, MetricsSnapshot};
 use quarry_query::engine::{AggFn, Predicate, Query};
-use quarry_serve::client::ClientConfig;
 use quarry_serve::endpoint::{lock, Endpoint};
 use quarry_serve::protocol::{ErrorKind, Payload, Request, Response};
 use quarry_serve::{Client, ClientError, ServeConfig};
@@ -52,22 +52,15 @@ use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-/// Client policy of the router→shard legs.
-const SHARD_LEG: ClientConfig = ClientConfig {
-    read_timeout: Duration::from_secs(30),
-    reconnect_attempts: 1,
-    backoff: Duration::from_millis(2),
-};
 
 struct RouterShared {
     ring: HashRing,
     /// Shard index → address currently serving that shard. Rewritten by
     /// [`Router::retarget`] on promotion.
     topology: Mutex<Vec<SocketAddr>>,
-    /// One lazily-(re)connected client per shard. Locked per leg, never
-    /// two at once; fan-out walks shards in index order.
+    /// One lazily dialled client per shard, emptied only by
+    /// [`Router::retarget`]. Locked per leg, never two at once; fan-out
+    /// walks shards in index order.
     conn: Vec<Mutex<Option<Client>>>,
     /// Table name → schema, recorded at `CreateTable`; the source of
     /// key-column positions for partitioning. Leaf lock.
@@ -108,7 +101,7 @@ impl Router {
         let endpoint = Endpoint::serve(
             "quarry-router",
             addr,
-            &ServeConfig::default(),
+            ServeConfig::default().read_timeout,
             metrics.clone(),
             |_| None,
             move |req| route(&handler, req).unwrap_or_else(|unrouted| (unrouted, 0)),
@@ -122,7 +115,7 @@ impl Router {
     }
 
     /// Redirect a shard's traffic to `addr` (a promoted replica). The
-    /// stale connection is dropped so the next leg reconnects there.
+    /// stale client is dropped so the next leg dials there.
     pub fn retarget(&self, shard: usize, addr: SocketAddr) {
         {
             let mut topology = lock(&self.shared.topology);
@@ -150,41 +143,21 @@ fn error(kind: ErrorKind, message: impl Into<String>) -> Payload {
     Payload::Error { kind, message: message.into() }
 }
 
-/// Run one request against one shard through its pooled connection,
-/// reconnecting through the *current* topology entry on a dead leg (so
-/// a retarget takes effect on the first retry). Only a read is retried:
-/// a write is sent at most once ([`Request::is_write`]). A leg that gets
-/// no reply is `Unavailable` to the client; a shard's own refusals are
-/// replies ([`Client::request`] hands them back as such).
+/// Run one request against one shard over its pooled connection, dialled
+/// through the *current* topology entry when the slot is empty. The leg
+/// gets one [`Client::request`]: a leg that gets no reply is `Unavailable`
+/// to the client, and a shard's own refusals are replies.
 fn with_shard(shared: &RouterShared, shard: usize, req: &Request) -> Result<Response, Payload> {
     let unavailable = |e: ClientError| error(ErrorKind::Unavailable, format!("shard {shard}: {e}"));
     let mut conn = lock(&shared.conn[shard]);
-    let mut retried = false;
-    loop {
-        let client = match &mut *conn {
-            Some(client) => client,
-            None => {
-                let addr = lock(&shared.topology)[shard];
-                let client = Client::connect_with_config(addr, SHARD_LEG);
-                conn.insert(client.map_err(|e| unavailable(e.into()))?)
-            }
-        };
-        match client.request(req) {
-            Ok(resp) => return Ok(resp),
-            Err(e) => {
-                // Dead leg: drop the connection; the retry dials the
-                // topology entry as it is *now*.
-                let dead = matches!(e, ClientError::Io(_) | ClientError::Frame(_));
-                if dead {
-                    *conn = None;
-                }
-                if !dead || retried || req.is_write() {
-                    return Err(unavailable(e));
-                }
-                retried = true;
-            }
+    let client = match &mut *conn {
+        Some(client) => client,
+        None => {
+            let addr = lock(&shared.topology)[shard];
+            conn.insert(Client::connect(addr).map_err(|e| unavailable(e.into()))?)
         }
-    }
+    };
+    client.request(req).map_err(unavailable)
 }
 
 /// Fan a request out to every shard sequentially in shard order; with

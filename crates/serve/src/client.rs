@@ -1,19 +1,21 @@
 //! A small blocking client for the Quarry wire protocol.
 //!
 //! [`Client::request`] sends one frame and waits for the matching reply.
-//! If the connection dies under a request (server restart, idle drop),
-//! the client reconnects, governed by [`ClientConfig`]:
-//! `reconnect_attempts` bounds how many fresh connections one request may
-//! consume and `backoff` is the base delay before each (doubling per
-//! attempt). The default is a single immediate reconnect. A read is
-//! resent on the fresh connection. A write ([`Request::is_write`]) is
-//! sent at most once: its reply may have been lost after it committed,
-//! and a resent `InsertRows` would answer `DuplicateKey` for rows that
-//! are there. It fails with the transport error, and the fresh connection
-//! serves the next request. Rejections ([`Payload::Overloaded`],
-//! [`Payload::ShuttingDown`]) are **never** retried regardless of
-//! configuration: they are the server's explicit back-off signal,
-//! surfaced to the caller as typed errors.
+//! One rule, fixed in code, decides what follows a failed exchange:
+//!
+//! - Any failure — a transport error, a read timeout, a reply that does
+//!   not decode, a reply carrying another request's id — drops the
+//!   connection, and the next request dials afresh. A late reply is
+//!   never read as the answer to a later request.
+//! - A read whose connection died under it (`is_disconnect`: a server
+//!   restart, an idle drop) is re-dialled and re-sent once, at once. A
+//!   write ([`Request::is_write`]) is never re-sent: its reply may have
+//!   been lost after it committed, and a resent `InsertRows` would answer
+//!   `DuplicateKey` for rows that are there. It fails with the transport
+//!   error, and the next request dials.
+//! - A refusal ([`Payload::Overloaded`], [`Payload::ShuttingDown`]) is a
+//!   reply, so it is never retried: it is the server's explicit back-off
+//!   signal, surfaced to the caller as a typed error.
 
 use crate::endpoint::dial;
 use crate::protocol::{
@@ -31,7 +33,7 @@ use std::time::Duration;
 /// Any failure a client call can surface.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Connection or transport failure (after the one reconnect attempt).
+    /// Connection or transport failure.
     Io(io::Error),
     /// The reply frame was malformed.
     Frame(FrameError),
@@ -73,125 +75,76 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// Retry policy for a [`Client`]: how it behaves when the transport dies
-/// under a request. Server rejections are never retried whatever these
-/// values say — only dead connections are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientConfig {
-    /// Reply/write timeout per exchange.
-    pub read_timeout: Duration,
-    /// Fresh connections a single request may consume after its original
-    /// one dies. Zero disables reconnection entirely.
-    pub reconnect_attempts: u32,
-    /// Base delay before each reconnect attempt; doubles per attempt
-    /// (`backoff`, `2·backoff`, `4·backoff`, …). Zero reconnects
-    /// immediately.
-    pub backoff: Duration,
-}
-
-impl Default for ClientConfig {
-    /// The historical policy: one immediate reconnect, 30-second replies.
-    fn default() -> ClientConfig {
-        ClientConfig {
-            read_timeout: Duration::from_secs(30),
-            reconnect_attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
 /// A blocking connection to a Quarry server.
 pub struct Client {
     addr: SocketAddr,
-    /// Replies are read through the buffer (a reply that fits it is one
-    /// `recv`); requests are written to the socket inside it.
-    stream: BufReader<TcpStream>,
+    /// Reply and write timeout of every exchange.
+    read_timeout: Duration,
+    /// `None` after a failed exchange, until the next request dials; the
+    /// buffer goes with its socket, so no byte of a failed reply prefixes
+    /// the next. Replies are read through the buffer (a reply that fits it
+    /// is one `recv`); requests are written to the socket inside it.
+    stream: Option<BufReader<TcpStream>>,
     next_id: u64,
-    cfg: ClientConfig,
+}
+
+/// True when `e` says the connection died under the exchange — the one
+/// failure a read is re-sent for — as opposed to a timeout, a refused
+/// dial or a reply that broke the protocol.
+fn is_disconnect(e: &ClientError) -> bool {
+    match e {
+        ClientError::Io(e) => matches!(
+            e.kind(),
+            io::ErrorKind::BrokenPipe
+                | io::ErrorKind::ConnectionReset
+                | io::ErrorKind::ConnectionAborted
+                | io::ErrorKind::NotConnected
+                | io::ErrorKind::UnexpectedEof
+        ),
+        ClientError::Frame(FrameError::Closed | FrameError::Truncated) => true,
+        ClientError::Frame(FrameError::Io(e)) => {
+            !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+        }
+        _ => false,
+    }
 }
 
 impl Client {
-    /// Connect with the default policy (30-second reply timeout, one
-    /// immediate reconnect).
+    /// Connect with a 30-second reply timeout.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Client::connect_with_config(addr, ClientConfig::default())
+        Client::connect_with(addr, Duration::from_secs(30))
     }
 
-    /// Connect with an explicit reply timeout and the default reconnect
-    /// policy.
+    /// Connect with an explicit reply timeout.
     pub fn connect_with(addr: impl ToSocketAddrs, read_timeout: Duration) -> io::Result<Client> {
-        Client::connect_with_config(addr, ClientConfig { read_timeout, ..ClientConfig::default() })
-    }
-
-    /// Connect with a full retry policy.
-    pub fn connect_with_config(addr: impl ToSocketAddrs, cfg: ClientConfig) -> io::Result<Client> {
         let addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
-        let stream = BufReader::new(dial(addr, cfg.read_timeout, cfg.read_timeout)?);
-        Ok(Client { addr, stream, next_id: 1, cfg })
+        let stream = Some(BufReader::new(dial(addr, read_timeout, read_timeout)?));
+        Ok(Client { addr, read_timeout, stream, next_id: 1 })
     }
 
-    /// True when the transport error indicates a dead connection worth
-    /// one reconnect (as opposed to a timeout or a protocol violation).
-    fn is_disconnect(e: &ClientError) -> bool {
-        match e {
-            ClientError::Io(e) => matches!(
-                e.kind(),
-                io::ErrorKind::BrokenPipe
-                    | io::ErrorKind::ConnectionReset
-                    | io::ErrorKind::ConnectionAborted
-                    | io::ErrorKind::NotConnected
-                    | io::ErrorKind::UnexpectedEof
-            ),
-            ClientError::Frame(FrameError::Closed | FrameError::Truncated) => true,
-            ClientError::Frame(FrameError::Io(e)) => {
-                !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-            }
-            _ => false,
-        }
-    }
-
+    /// One exchange, on a fresh connection if the last one failed. Any
+    /// failure drops the connection (module docs).
     fn exchange(&mut self, id: u64, req: &Request) -> Result<Response, ClientError> {
-        write_request(self.stream.get_mut(), id, req)?;
-        read_response(&mut self.stream, DEFAULT_MAX_FRAME).map_err(ClientError::Frame)
+        let result = self.try_exchange(id, req);
+        if result.is_err() {
+            self.stream = None;
+        }
+        result
     }
 
-    /// Send `req` and wait for its reply, reconnecting per the
-    /// configured policy if the connection dies under it; only a read is
-    /// resent (see the module docs). Server rejections pass straight
-    /// through — only transport deaths are retried.
-    pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut attempt = 0u32;
-        let resp = loop {
-            let lost = match self.exchange(id, req) {
-                Ok(resp) => break resp,
-                Err(e) if Client::is_disconnect(&e) && attempt < self.cfg.reconnect_attempts => e,
-                Err(e) => return Err(e),
-            };
-            let delay = self.cfg.backoff * 2u32.saturating_pow(attempt);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-            attempt += 1;
-            match dial(self.addr, self.cfg.read_timeout, self.cfg.read_timeout) {
-                // The old buffer goes with the old socket: bytes of a reply
-                // cut short must not prefix the next one.
-                Ok(stream) => self.stream = BufReader::new(stream),
-                // Connect refused/unreachable: keep burning attempts
-                // against the same dead endpoint.
-                Err(_) if attempt < self.cfg.reconnect_attempts => {}
-                Err(ce) => return Err(ClientError::Io(ce)),
-            }
-            // At most once (module docs); the next request goes out on
-            // whatever connection the dial above left.
-            if req.is_write() {
-                return Err(lost);
+    fn try_exchange(&mut self, id: u64, req: &Request) -> Result<Response, ClientError> {
+        let stream = match &mut self.stream {
+            Some(stream) => stream,
+            None => {
+                let fresh = dial(self.addr, self.read_timeout, self.read_timeout)?;
+                self.stream.insert(BufReader::new(fresh))
             }
         };
+        write_request(stream.get_mut(), id, req)?;
+        let resp = read_response(stream, DEFAULT_MAX_FRAME).map_err(ClientError::Frame)?;
         // A protocol-error reply carries id 0 (the server could not
         // trust the request id); accept it so the cause surfaces.
         if resp.id != id && resp.id != 0 {
@@ -201,6 +154,18 @@ impl Client {
             )));
         }
         Ok(resp)
+    }
+
+    /// Send `req` and wait for its reply; a read whose connection died is
+    /// re-sent once on a fresh one (module docs). Server rejections pass
+    /// straight through.
+    pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        match self.exchange(id, req) {
+            Err(e) if is_disconnect(&e) && !req.is_write() => self.exchange(id, req),
+            done => done,
+        }
     }
 
     /// Send `req` and map rejection payloads onto typed errors, handing

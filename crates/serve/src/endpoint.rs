@@ -15,7 +15,7 @@
 //! [`Endpoint::serve`] is the session that speaks the request protocol to
 //! a handler from `Request` to `(Payload, lsn)` — the handler owns the
 //! decoded request, so the rows it carries move on without a copy —
-//! admitting a request only while fewer than `max_in_flight` are between
+//! admitting a request only while fewer than [`MAX_IN_FLIGHT`] are between
 //! admission and reply and answering [`Payload::Overloaded`] at once
 //! beyond that. A request the owner refuses outright (a write on a
 //! replica) never asks for a slot.
@@ -24,7 +24,6 @@ use crate::protocol::{
     decode_request, read_frame, write_response, ErrorKind, FrameError, Payload, Request, Response,
     DEFAULT_MAX_FRAME,
 };
-use crate::server::ServeConfig;
 use quarry_exec::MetricsRegistry;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -33,8 +32,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Sessions one endpoint keeps alive at a time. A session is a thread,
-/// so the bound is on threads; `max_in_flight` bounds the work.
+/// so the bound is on threads; [`MAX_IN_FLIGHT`] bounds the work.
 pub const MAX_SESSIONS: usize = 256;
+
+/// Requests one endpoint allows between admission and reply; a request
+/// beyond them is answered [`Payload::Overloaded`] at once.
+pub const MAX_IN_FLIGHT: usize = 8;
 
 /// Write timeout of every accepted connection and of a replica's dialled
 /// one: a session that cannot flush within it drops the connection.
@@ -195,20 +198,19 @@ impl Endpoint {
     }
 
     /// Bind `addr` and answer every admitted request with `handler`,
-    /// which owns it, under `cfg`'s limits and timeouts, recording into
-    /// `metrics`. A request `refuse` has an answer for is never admitted.
+    /// which owns it, under [`MAX_IN_FLIGHT`] and a session read timeout
+    /// of `read_timeout`, recording into `metrics`. A request `refuse`
+    /// has an answer for is never admitted.
     pub fn serve(
         name: &str,
         addr: impl ToSocketAddrs,
-        cfg: &ServeConfig,
+        read_timeout: Duration,
         metrics: MetricsRegistry,
         refuse: impl Fn(&Request) -> Option<Payload> + Send + Sync + 'static,
         handler: impl Fn(Request) -> (Payload, u64) + Send + Sync + 'static,
     ) -> io::Result<Endpoint> {
-        let gate = Gate { refuse, handler, metrics, max_in_flight: cfg.max_in_flight };
-        Endpoint::listen(name, addr, cfg.read_timeout, move |stream, state| {
-            gate.session(stream, state)
-        })
+        let gate = Gate { refuse, handler, metrics };
+        Endpoint::listen(name, addr, read_timeout, move |stream, state| gate.session(stream, state))
     }
 
     /// Begin shutdown if nobody has and wait for the accept thread, which
@@ -244,7 +246,6 @@ struct Gate<R, H> {
     refuse: R,
     handler: H,
     metrics: MetricsRegistry,
-    max_in_flight: usize,
 }
 
 impl<R: Fn(&Request) -> Option<Payload>, H: Fn(Request) -> (Payload, u64)> Gate<R, H> {
@@ -308,7 +309,7 @@ impl<R: Fn(&Request) -> Option<Payload>, H: Fn(Request) -> (Payload, u64)> Gate<
         if let Some(refused) = (self.refuse)(&req) {
             return refusal(id, refused);
         }
-        let Some(_slot) = Held::take(&state.in_flight, self.max_in_flight) else {
+        let Some(_slot) = Held::take(&state.in_flight, MAX_IN_FLIGHT) else {
             self.metrics.incr("server.overloaded", 1);
             return refusal(id, Payload::Overloaded);
         };

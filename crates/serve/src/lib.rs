@@ -16,8 +16,10 @@
 //!   drain-then-stop shutdown driven by a control frame.
 //! - [`server`] — that endpoint over the façade: reads on MVCC snapshots,
 //!   writes through the single-writer lock.
-//! - [`client`] — a blocking client with configurable bounded
-//!   reconnect/backoff, used by the tests and the `quarry_bench` harness.
+//! - [`client`] — a blocking client under one reconnect rule: a failed
+//!   exchange drops the connection, and only a read whose connection died
+//!   is re-sent, once; used by the tests, the router's shard legs and the
+//!   `quarry_bench` harness.
 //! - [`replication`] — primary→replica WAL shipping: the same listener
 //!   streaming committed WAL frames and a client that applies them through
 //!   the storage layer's convergent replay path (`docs/replication.md`).
@@ -30,11 +32,9 @@ pub mod protocol;
 pub mod replication;
 pub mod server;
 
-pub use client::{Client, ClientConfig, ClientError};
+pub use client::{Client, ClientError};
 pub use protocol::{
     ErrorKind, FrameError, Payload, Request, Response, WireCandidate, WireExecStats, WireHit,
 };
-pub use replication::{
-    ReplicaProgress, ReplicaStatus, ReplicationClient, ReplicationClientConfig, ReplicationListener,
-};
+pub use replication::{ReplicaProgress, ReplicaStatus, ReplicationClient, ReplicationListener};
 pub use server::{RequestHook, ServeConfig, Server};

@@ -278,28 +278,22 @@ fn serve_replica(
     }
 }
 
-/// Retry policy for a [`ReplicationClient`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicationClientConfig {
-    /// Consecutive failed connection attempts before the client gives up
-    /// (the replica keeps serving reads; promotion stays possible).
-    pub reconnect_attempts: u32,
-    /// Base delay before each reconnect; doubles per consecutive failure.
-    pub backoff: Duration,
-}
-
-impl Default for ReplicationClientConfig {
-    fn default() -> ReplicationClientConfig {
-        ReplicationClientConfig { reconnect_attempts: 10, backoff: Duration::from_millis(5) }
-    }
-}
+/// Consecutive failed sessions a [`ReplicationClient`] retries before it
+/// gives up (the replica keeps serving reads; promotion stays possible).
+/// A session the primary answered — `resume` or `reseed` — clears the
+/// count.
+const RECONNECT_ATTEMPTS: u32 = 10;
+/// Delay before the first retry; it doubles per consecutive failure, so
+/// the whole budget waits 5 · (2¹⁰ − 1) ms ≈ 5.1 s.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Observable state of the shipping client.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaStatus {
     /// True while a session with the primary is live.
     pub connected: bool,
-    /// Completed reconnections over the client's lifetime.
+    /// Sessions lost to the transport over the client's lifetime,
+    /// failed dials included.
     pub reconnects: u64,
     /// True once the retry budget is exhausted or apply failed; the
     /// shipping thread has exited.
@@ -320,11 +314,7 @@ pub struct ReplicationClient {
 impl ReplicationClient {
     /// Start shipping `primary`'s WAL into `db`. The applier is the only
     /// writer to `db` until [`ReplicationClient::promote`].
-    pub fn start(
-        db: Arc<Database>,
-        primary: SocketAddr,
-        cfg: ReplicationClientConfig,
-    ) -> ReplicationClient {
+    pub fn start(db: Arc<Database>, primary: SocketAddr) -> ReplicationClient {
         let applier = Arc::new(Mutex::new(ReplicaApplier::new(db)));
         let status = Arc::new(Mutex::new(ReplicaStatus::default()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -334,7 +324,7 @@ impl ReplicationClient {
         let t_stop = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
             .name("quarry-repl-apply".into())
-            .spawn(move || run_client(&t_applier, &t_status, &t_stop, primary, cfg))
+            .spawn(move || run_client(&t_applier, &t_status, &t_stop, primary))
             .ok();
         ReplicationClient { applier, status, stop, thread }
     }
@@ -385,18 +375,18 @@ fn run_client(
     status: &Mutex<ReplicaStatus>,
     stop: &AtomicBool,
     primary: SocketAddr,
-    cfg: ReplicationClientConfig,
 ) {
+    // Consecutive failures: the session clears it once the primary answers.
     let mut failures = 0u32;
     while !stop.load(Ordering::SeqCst) {
         if failures > 0 {
-            if failures > cfg.reconnect_attempts {
+            if failures > RECONNECT_ATTEMPTS {
                 let mut st = lock(status);
                 st.gave_up = true;
                 st.connected = false;
                 return;
             }
-            let delay = cfg.backoff * 2u32.saturating_pow(failures - 1);
+            let delay = RECONNECT_BACKOFF * 2u32.saturating_pow(failures - 1);
             // Sleep in small slices so stop() stays responsive.
             let mut remaining = delay;
             while !remaining.is_zero() && !stop.load(Ordering::SeqCst) {
@@ -408,7 +398,7 @@ fn run_client(
                 return;
             }
         }
-        match client_session(applier, status, stop, primary) {
+        match client_session(applier, status, stop, primary, &mut failures) {
             // Clean stop.
             Ok(()) => return,
             Err(SessionEnd::Transport(e)) => {
@@ -445,12 +435,14 @@ impl From<io::Error> for SessionEnd {
 }
 
 /// One connected session: hello, then apply-and-ack until the stream
-/// ends or `stop` is set.
+/// ends or `stop` is set. The primary's answer to the hello clears
+/// `failures`.
 fn client_session(
     applier: &Mutex<ReplicaApplier>,
     status: &Mutex<ReplicaStatus>,
     stop: &AtomicBool,
     primary: SocketAddr,
+    failures: &mut u32,
 ) -> Result<(), SessionEnd> {
     let mut stream = dial(primary, POLL_TIMEOUT, WRITE_TIMEOUT)?;
 
@@ -479,6 +471,7 @@ fn client_session(
             let a = locked.get_or_insert_with(|| lock(applier));
             let result = match payload.first() {
                 Some(&TAG_RESEED) => {
+                    *failures = 0;
                     a.begin_reseed(get_u64(payload, 1)?, get_u64(payload, 9)?);
                     Ok(())
                 }
@@ -488,6 +481,7 @@ fn client_session(
                     a.finish_reseed()
                 }
                 Some(&TAG_RESUME) => {
+                    *failures = 0;
                     a.resume(get_u64(payload, 1)?, get_u64(payload, 9)?);
                     ack_now = true;
                     Ok(())
@@ -548,6 +542,8 @@ mod tests {
     /// current log under the same epoch.
     fn await_caught_up(listener: &ReplicationListener, client: &ReplicationClient, db: &Database) {
         for _ in 0..4000 {
+            let status = client.status();
+            assert!(!status.gave_up, "replica gave up: {status:?}");
             let pos = client.position();
             if pos.epoch == db.checkpoint_epoch() && pos.offset >= db.wal_len() {
                 // And the primary has seen the ack.
@@ -573,11 +569,7 @@ mod tests {
 
         let mut listener = ReplicationListener::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
         let replica = Arc::new(Database::open(dir.join("r.wal")).unwrap());
-        let mut client = ReplicationClient::start(
-            Arc::clone(&replica),
-            listener.local_addr(),
-            ReplicationClientConfig::default(),
-        );
+        let mut client = ReplicationClient::start(Arc::clone(&replica), listener.local_addr());
 
         // Seed covers pre-connection history.
         await_caught_up(&listener, &client, &primary);
@@ -646,11 +638,7 @@ mod tests {
         }
         let mut listener = ReplicationListener::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
         let replica = Arc::new(Database::open(dir.join("r.wal")).unwrap());
-        let mut client = ReplicationClient::start(
-            Arc::clone(&replica),
-            listener.local_addr(),
-            ReplicationClientConfig::default(),
-        );
+        let mut client = ReplicationClient::start(Arc::clone(&replica), listener.local_addr());
         await_caught_up(&listener, &client, &primary);
         let expected = dump(&primary);
         listener.shutdown(); // primary "dies"
@@ -671,23 +659,54 @@ mod tests {
         let addr = sock.local_addr().unwrap();
         drop(sock);
         let replica = Arc::new(Database::open(dir.join("r.wal")).unwrap());
-        let mut client = ReplicationClient::start(
-            Arc::clone(&replica),
-            addr,
-            ReplicationClientConfig { reconnect_attempts: 2, backoff: Duration::from_millis(1) },
-        );
-        for _ in 0..4000 {
-            if client.status().gave_up {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        let mut client = ReplicationClient::start(Arc::clone(&replica), addr);
+        // The whole budget's backoff, plus as long again for the dials.
+        let backoff = RECONNECT_BACKOFF * (2u32.pow(RECONNECT_ATTEMPTS) - 1);
+        let deadline = std::time::Instant::now() + 2 * backoff;
+        while !client.status().gave_up && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
         }
         let status = client.status();
-        assert!(status.gave_up, "client should exhaust its retry budget");
+        assert!(status.gave_up, "client should exhaust its retry budget: {status:?}");
         assert!(!status.connected);
+        // Every failed dial is a lost session: the first, then each retry.
+        assert_eq!(status.reconnects, u64::from(RECONNECT_ATTEMPTS) + 1, "{status:?}");
         // A gave-up replica still promotes (to its last boundary: empty).
         client.promote().unwrap();
         assert!(replica.table_names().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The budget counts consecutive failures: a session the primary
+    /// answered clears it, so a replica outlives any number of blips it
+    /// recovers from, while a primary that stays down still runs it out.
+    #[test]
+    fn a_session_the_primary_answers_clears_the_retry_budget() {
+        let dir = tmpdir("blips");
+        let primary = Arc::new(Database::open(dir.join("p.wal")).unwrap());
+        primary.create_table(schema()).unwrap();
+        let mut listener = ReplicationListener::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        let replica = Arc::new(Database::open(dir.join("r.wal")).unwrap());
+        let client = ReplicationClient::start(Arc::clone(&replica), addr);
+        await_caught_up(&listener, &client, &primary);
+        // Each restart of the shipping port costs the replica at least one
+        // failed session, so more restarts than the budget would exhaust a
+        // count that never clears.
+        for blip in 1..=i64::from(RECONNECT_ATTEMPTS) + 2 {
+            listener.shutdown();
+            listener = ReplicationListener::start(Arc::clone(&primary), addr).unwrap();
+            primary
+                .insert_autocommit("t", vec![Value::Int(blip), Value::Text("x".into())])
+                .unwrap();
+            await_caught_up(&listener, &client, &primary);
+        }
+        let status = client.status();
+        assert!(!status.gave_up, "{status:?}");
+        assert!(status.reconnects > u64::from(RECONNECT_ATTEMPTS), "{status:?}");
+        assert_eq!(dump(&primary), dump(&replica));
+        drop(client);
+        listener.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,7 +17,7 @@
 //! points — the checkpoint-publication ops, the reseed-critical window,
 //! are always included.
 
-use quarry::serve::replication::{ReplicationClient, ReplicationClientConfig};
+use quarry::serve::replication::ReplicationClient;
 use quarry::serve::ReplicationListener;
 use quarry::storage::{
     Column, CrashPlan, DataType, Database, FaultBackend, Op, RealBackend, TableSchema, Value,
@@ -152,14 +152,7 @@ fn run_failover_case(k: u64, tear: Option<usize>, steps: &[Step], states: &[Stri
         Ok(db) => {
             let db = Arc::new(db);
             let mut listener = ReplicationListener::start(Arc::clone(&db), "127.0.0.1:0").unwrap();
-            let mut client = ReplicationClient::start(
-                Arc::clone(&replica),
-                listener.local_addr(),
-                ReplicationClientConfig {
-                    reconnect_attempts: 3,
-                    backoff: Duration::from_millis(1),
-                },
-            );
+            let mut client = ReplicationClient::start(Arc::clone(&replica), listener.local_addr());
             for step in steps {
                 // The explicit sync makes every buffered byte visible to
                 // the tail, so the barrier below can require full catch-up.

@@ -64,7 +64,7 @@ impl Sut {
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let cfg = ClusterConfig { shards: 1, replicas_per_shard: 0, serve, ..Default::default() };
+        let cfg = ClusterConfig { shards: 1, replicas_per_shard: 0, serve };
         Sut::Router(Cluster::start(&dir, cfg).unwrap())
     }
 

@@ -5,7 +5,10 @@
 
 use quarry::core::{Quarry, QuarryConfig};
 use quarry::query::Query;
-use quarry::serve::{Client, ClientError, ErrorKind, Payload, Request, ServeConfig, Server};
+use quarry::serve::endpoint::MAX_IN_FLIGHT;
+use quarry::serve::{
+    Client, ClientError, ErrorKind, Payload, Request, ServeConfig, Server, WireExecStats,
+};
 use quarry::storage::{Column, DataType, TableSchema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -52,10 +55,9 @@ impl Gate {
 
 /// Server over an empty corpus whose hook parks every `Qdl` request on
 /// `gate` (other request kinds pass straight through).
-fn gated_server(gate: Arc<Gate>, max_in_flight: usize) -> Server {
+fn gated_server(gate: Arc<Gate>) -> Server {
     let q = Quarry::new(QuarryConfig::default()).unwrap();
     let cfg = ServeConfig {
-        max_in_flight,
         request_hook: Some(Arc::new(move |req: &Request| {
             if matches!(req, Request::Qdl(_)) {
                 gate.wait();
@@ -66,19 +68,38 @@ fn gated_server(gate: Arc<Gate>, max_in_flight: usize) -> Server {
     Server::start(q, "127.0.0.1:0", cfg).unwrap()
 }
 
+type Parked = Vec<std::thread::JoinHandle<Result<WireExecStats, ClientError>>>;
+
+/// Take every admission slot of `server`: one `Qdl` parks on the gate
+/// inside the writer's critical section and the others wait for the
+/// writer, each holding its slot.
+fn fill_slots(server: &Server, entered: &mpsc::Receiver<()>) -> Parked {
+    let addr = server.local_addr();
+    let parked = (0..MAX_IN_FLIGHT)
+        .map(|_| std::thread::spawn(move || Client::connect(addr).unwrap().qdl(PIPELINE)))
+        .collect();
+    entered.recv_timeout(Duration::from_secs(10)).unwrap();
+    eventually("every admission slot to be taken", || server.in_flight() == MAX_IN_FLIGHT);
+    parked
+}
+
+/// Wait for every request `fill_slots` parked, each of which completes
+/// once the gate is released.
+fn drain(parked: Parked) {
+    for request in parked {
+        request.join().unwrap().expect("a parked request completes");
+    }
+}
+
 #[test]
 fn second_request_is_rejected_overloaded_not_queued() {
     let (gate, entered) = Gate::new();
-    let server = gated_server(Arc::clone(&gate), 1);
+    let server = gated_server(Arc::clone(&gate));
     let addr = server.local_addr();
 
-    // First request occupies the single admission slot…
-    let slow = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
-        c.qdl(PIPELINE)
-    });
-    entered.recv_timeout(Duration::from_secs(10)).unwrap();
-    assert_eq!(server.in_flight(), 1);
+    // Parked requests occupy every admission slot…
+    let slow = fill_slots(&server, &entered);
+    assert_eq!(server.in_flight(), MAX_IN_FLIGHT);
 
     // …so an independent client is rejected immediately — an explicit
     // Overloaded, not an unbounded queue or a hang.
@@ -89,9 +110,9 @@ fn second_request_is_rejected_overloaded_not_queued() {
     }
     assert_eq!(server.metrics().snapshot().counter("server.overloaded"), 1);
 
-    // Releasing the slot restores service for the same client.
+    // Releasing the slots restores service for the same client.
     gate.release();
-    slow.join().unwrap().unwrap();
+    drain(slow);
     c2.ping().unwrap();
     assert_eq!(server.in_flight(), 0);
 }
@@ -101,14 +122,10 @@ fn rejection_latency_is_bounded_while_a_request_is_stuck() {
     // Overload rejections must not wait on the stuck request: they are
     // answered before execution, off the admission counter alone.
     let (gate, entered) = Gate::new();
-    let server = gated_server(Arc::clone(&gate), 1);
+    let server = gated_server(Arc::clone(&gate));
     let addr = server.local_addr();
 
-    let slow = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
-        c.qdl(PIPELINE)
-    });
-    entered.recv_timeout(Duration::from_secs(10)).unwrap();
+    let slow = fill_slots(&server, &entered);
 
     let mut rejected = 0;
     let start = std::time::Instant::now();
@@ -119,19 +136,19 @@ fn rejection_latency_is_bounded_while_a_request_is_stuck() {
         }
     }
     let elapsed = start.elapsed();
-    assert_eq!(rejected, 5, "all pings rejected while slot is held");
+    assert_eq!(rejected, 5, "all pings rejected while the slots are held");
     // Generous bound: five connect+reject round trips over loopback while
-    // the one admitted request stays parked the whole time.
+    // the admitted requests stay parked the whole time.
     assert!(elapsed < Duration::from_secs(5), "rejections took {elapsed:?}");
 
     gate.release();
-    slow.join().unwrap().unwrap();
+    drain(slow);
 }
 
 #[test]
 fn graceful_shutdown_drains_the_in_flight_request() {
     let (gate, entered) = Gate::new();
-    let server = gated_server(Arc::clone(&gate), 8);
+    let server = gated_server(Arc::clone(&gate));
     let addr = server.local_addr();
 
     // Park a pipeline in flight.
@@ -181,7 +198,6 @@ fn a_parked_read_does_not_block_a_second_read() {
     let first = Arc::new(AtomicBool::new(true));
     let q = Quarry::new(QuarryConfig::default()).unwrap();
     let cfg = ServeConfig {
-        max_in_flight: 8,
         request_hook: Some(Arc::new({
             let gate = Arc::clone(&gate);
             let first = Arc::clone(&first);
@@ -227,7 +243,7 @@ fn a_parked_read_does_not_block_a_second_read() {
 #[test]
 fn a_parked_write_does_not_block_reads() {
     let (gate, entered) = Gate::new();
-    let server = gated_server(Arc::clone(&gate), 8);
+    let server = gated_server(Arc::clone(&gate));
     let addr = server.local_addr();
 
     // Park a pipeline inside the writer critical section.
@@ -254,7 +270,7 @@ fn a_parked_write_does_not_block_reads() {
 fn shutdown_is_idempotent_and_in_band() {
     let (gate, _entered) = Gate::new();
     gate.release(); // nothing parked in this test
-    for mut sut in [Sut::Server(gated_server(gate, 8)), Sut::router("shutdown-in-band")] {
+    for mut sut in [Sut::Server(gated_server(gate)), Sut::router("shutdown-in-band")] {
         let addr = sut.addr();
 
         let mut c = Client::connect(addr).unwrap();
@@ -273,7 +289,7 @@ fn shutdown_is_idempotent_and_in_band() {
 
 /// The router is the same endpoint, so it has the same admission. Its
 /// requests hold their slot while they wait for a shard's leg, so with
-/// `max_in_flight` of them behind one parked leg the next is answered
+/// `MAX_IN_FLIGHT` of them behind one parked leg the next is answered
 /// `Overloaded` at once instead of queueing, and every slot comes back.
 #[test]
 fn the_router_answers_overloaded_beyond_max_in_flight() {
@@ -292,17 +308,16 @@ fn the_router_answers_overloaded_beyond_max_in_flight() {
     let sut = Sut::router_with("router-overload", serve);
     let Sut::Router(cluster) = &sut else { unreachable!() };
     let (addr, router) = (sut.addr(), cluster.router());
-    let limit = ServeConfig::default().max_in_flight;
 
     // One request parks on the shard, holding the leg to it; the router's
     // other slots fill with requests waiting for that leg.
     let parked =
         std::thread::spawn(move || Client::connect(addr).unwrap().explain(&Query::scan("ghost")));
     entered.recv_timeout(Duration::from_secs(10)).unwrap();
-    let waiting: Vec<_> = (1..limit)
+    let waiting: Vec<_> = (1..MAX_IN_FLIGHT)
         .map(|_| std::thread::spawn(move || Client::connect(addr).unwrap().stats()))
         .collect();
-    eventually("every router slot to be taken", || router.in_flight() == limit);
+    eventually("every router slot to be taken", || router.in_flight() == MAX_IN_FLIGHT);
 
     match Client::connect(addr).unwrap().ping() {
         Err(ClientError::Overloaded) => {}
@@ -321,13 +336,12 @@ fn the_router_answers_overloaded_beyond_max_in_flight() {
 }
 
 /// A request that panics takes down its own connection and nothing else:
-/// its admission slot comes back (the client resends the request once, so
+/// its admission slot comes back (the client resends the read once, so
 /// two slots were taken) and every other session keeps serving.
 #[test]
 fn a_panicking_request_gives_its_admission_slot_back() {
     let q = Quarry::new(QuarryConfig::default()).unwrap();
     let cfg = ServeConfig {
-        max_in_flight: 2,
         request_hook: Some(Arc::new(|req: &Request| {
             if matches!(req, Request::Explain(_)) {
                 panic!("injected: this request panics");
@@ -341,13 +355,17 @@ fn a_panicking_request_gives_its_admission_slot_back() {
     let mut bystander = Client::connect(addr).unwrap();
     bystander.ping().unwrap();
 
+    // Between them these panics take every slot once: a leaked slot
+    // would leave the fresh client below with none.
     let mut c = Client::connect(addr).unwrap();
-    let died = c.explain(&Query::scan("ghost"));
-    assert!(
-        matches!(died, Err(ClientError::Io(_) | ClientError::Frame(_))),
-        "a panicking request closes its connection, got {died:?}"
-    );
-    assert_eq!(server.in_flight(), 0, "both attempts gave their slot back");
+    for _ in 0..MAX_IN_FLIGHT / 2 {
+        let died = c.explain(&Query::scan("ghost"));
+        assert!(
+            matches!(died, Err(ClientError::Io(_) | ClientError::Frame(_))),
+            "a panicking request closes its connection, got {died:?}"
+        );
+        assert_eq!(server.in_flight(), 0, "both attempts gave their slot back");
+    }
 
     Client::connect(addr).unwrap().ping().expect("a fresh client is admitted");
     bystander.ping().expect("the session open during the panic keeps serving");
@@ -396,11 +414,33 @@ fn read_only_refuses_exactly_the_requests_that_take_the_writer() {
     drop(replica.join());
 
     // The refusal comes before admission: a replica with no slot to give
-    // still answers `ReadOnly`, untimed, and counts no request error.
+    // — reads parked at their snapshot hold every one — still answers
+    // `ReadOnly`, untimed, and counts no request error.
+    let (gate, entered) = Gate::new();
     let q = Quarry::new(QuarryConfig::default()).unwrap();
-    let cfg = ServeConfig { read_only: true, max_in_flight: 0, ..ServeConfig::default() };
+    let cfg = ServeConfig {
+        read_only: true,
+        request_hook: Some(Arc::new({
+            let gate = Arc::clone(&gate);
+            move |req: &Request| {
+                if matches!(req, Request::Query(_)) {
+                    gate.wait();
+                }
+            }
+        })),
+        ..ServeConfig::default()
+    };
     let replica = Server::start(q, "127.0.0.1:0", cfg).unwrap();
-    let mut c = Client::connect(replica.local_addr()).unwrap();
+    let addr = replica.local_addr();
+    let parked: Vec<_> = (0..MAX_IN_FLIGHT)
+        .map(|_| {
+            std::thread::spawn(move || Client::connect(addr).unwrap().query(&Query::scan("ghost")))
+        })
+        .collect();
+    for _ in 0..MAX_IN_FLIGHT {
+        entered.recv_timeout(Duration::from_secs(10)).unwrap();
+    }
+    let mut c = Client::connect(addr).unwrap();
     let resp = c.request(&Request::Checkpoint).unwrap();
     assert!(matches!(resp.payload, Payload::Error { kind: ErrorKind::ReadOnly, .. }), "{resp:?}");
     assert_eq!((resp.server_micros, resp.lsn), (0, 0));
@@ -408,6 +448,11 @@ fn read_only_refuses_exactly_the_requests_that_take_the_writer() {
     let counters = replica.metrics().snapshot();
     assert_eq!(counters.counter("server.overloaded"), 1);
     assert_eq!(counters.counter("server.request_errors"), 0);
+    gate.release();
+    for read in parked {
+        let answered = read.join().unwrap();
+        assert!(matches!(answered, Err(ClientError::Server { .. })), "got {answered:?}");
+    }
     assert_eq!(replica.in_flight(), 0);
     drop(replica.join());
 
@@ -417,7 +462,6 @@ fn read_only_refuses_exactly_the_requests_that_take_the_writer() {
     let first = Arc::new(AtomicBool::new(true));
     let q = Quarry::new(QuarryConfig::default()).unwrap();
     let cfg = ServeConfig {
-        max_in_flight: 16,
         request_hook: Some(Arc::new({
             let gate = Arc::clone(&gate);
             move |req: &Request| {

@@ -140,12 +140,7 @@ fn four_concurrent_clients_match_the_facade_bit_for_bit() {
     let wal = tmpwal("serve-differential");
     let mut served = Quarry::new(QuarryConfig::builder().wal_path(&wal).build()).unwrap();
     served.ingest(corpus.docs.clone());
-    let server = Server::start(
-        served,
-        "127.0.0.1:0",
-        ServeConfig { max_in_flight: 64, ..ServeConfig::default() },
-    )
-    .unwrap();
+    let server = Server::start(served, "127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.local_addr();
 
     // Soak: four threads, same workload, with a mid-soak checkpoint.

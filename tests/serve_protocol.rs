@@ -247,26 +247,18 @@ impl Drop for ScriptedServer {
 
 #[test]
 fn overloaded_and_shutting_down_are_never_retried() {
-    use quarry::serve::{ClientConfig, ClientError};
+    use quarry::serve::ClientError;
     type Check = fn(&ClientError) -> bool;
-    // Even with a generous retry budget, server *rejections* must pass
-    // through untouched — retrying them would turn backpressure into
-    // more pressure, and a draining server into a hammered one.
+    // Server *rejections* pass through untouched — retrying them would
+    // turn backpressure into more pressure, and a draining server into a
+    // hammered one.
     let cases: [(Payload, Check); 2] = [
         (Payload::Overloaded, |e| matches!(e, ClientError::Overloaded)),
         (Payload::ShuttingDown, |e| matches!(e, ClientError::ShuttingDown)),
     ];
     for (step, check) in cases {
         let fake = ScriptedServer::start(vec![ScriptStep::Reply(step)]);
-        let mut c = Client::connect_with_config(
-            fake.addr,
-            ClientConfig {
-                read_timeout: Duration::from_secs(5),
-                reconnect_attempts: 5,
-                backoff: Duration::from_millis(1),
-            },
-        )
-        .unwrap();
+        let mut c = Client::connect_with(fake.addr, Duration::from_secs(5)).unwrap();
         let err = c.ping().unwrap_err();
         assert!(check(&err), "rejection surfaced as the wrong error: {err:?}");
         assert_eq!(fake.requests(), 1, "a server rejection was re-sent");
@@ -274,61 +266,67 @@ fn overloaded_and_shutting_down_are_never_retried() {
 }
 
 #[test]
-fn dead_connections_are_retried_up_to_the_configured_bound() {
-    use quarry::serve::ClientConfig;
-    // Two hangups then an answer: a client allowed 2 reconnects succeeds
-    // and the server saw exactly three sends.
+fn a_dead_connection_is_redialled_once_for_a_read() {
+    // One hangup then an answer: the read is re-sent once on a fresh
+    // connection and succeeds; the server saw exactly two sends.
+    let fake = ScriptedServer::start(vec![ScriptStep::Hangup, ScriptStep::Reply(Payload::Pong)]);
+    let mut c = Client::connect_with(fake.addr, Duration::from_secs(5)).unwrap();
+    c.ping().unwrap();
+    assert_eq!(fake.requests(), 2);
+
+    // Two hangups then an answer: the re-sent read dies too, and that is
+    // final — the bound is one re-send, whatever follows.
     let fake = ScriptedServer::start(vec![
         ScriptStep::Hangup,
         ScriptStep::Hangup,
         ScriptStep::Reply(Payload::Pong),
     ]);
-    let mut c = Client::connect_with_config(
-        fake.addr,
-        ClientConfig {
-            read_timeout: Duration::from_secs(5),
-            reconnect_attempts: 2,
-            backoff: Duration::from_millis(1),
-        },
-    )
-    .unwrap();
-    c.ping().unwrap();
-    assert_eq!(fake.requests(), 3);
-
-    // Same script, zero reconnects allowed: the first hangup is final.
-    let fake = ScriptedServer::start(vec![ScriptStep::Hangup, ScriptStep::Reply(Payload::Pong)]);
-    let mut c = Client::connect_with_config(
-        fake.addr,
-        ClientConfig {
-            read_timeout: Duration::from_secs(5),
-            reconnect_attempts: 0,
-            backoff: Duration::ZERO,
-        },
-    )
-    .unwrap();
+    let mut c = Client::connect_with(fake.addr, Duration::from_secs(5)).unwrap();
     assert!(c.ping().is_err());
-    assert_eq!(fake.requests(), 1);
+    assert_eq!(fake.requests(), 2);
 }
 
 #[test]
 fn a_write_whose_connection_dies_is_not_resent() {
-    use quarry::serve::ClientConfig;
     use quarry::storage::Value;
     // The hangup may have come after the insert committed: a resend would
-    // answer `DuplicateKey` for rows that are there. However many
-    // reconnects a read may use, the write surfaces the dead connection.
+    // answer `DuplicateKey` for rows that are there. Where a read would be
+    // re-sent, the write surfaces the dead connection.
     let fake = ScriptedServer::start(vec![ScriptStep::Hangup, ScriptStep::Reply(Payload::Done)]);
-    let mut c = Client::connect_with_config(
-        fake.addr,
-        ClientConfig {
-            read_timeout: Duration::from_secs(5),
-            reconnect_attempts: 2,
-            backoff: Duration::from_millis(1),
-        },
-    )
-    .unwrap();
+    let mut c = Client::connect_with(fake.addr, Duration::from_secs(5)).unwrap();
     assert!(c.insert_rows("t", vec![vec![Value::Int(1)]]).is_err());
     assert_eq!(fake.requests(), 1, "the write was sent again");
+}
+
+/// A request that timed out leaves its late reply in the socket; the
+/// client drops that connection, so no later request reads it. Before,
+/// each later request read the previous one's reply ("response id 1 for
+/// request 2", and so on for good). The router's shard legs were safe
+/// only because `with_shard` threw a failed client away; a leg now keeps
+/// its client, and relies on this.
+#[test]
+fn a_timed_out_request_does_not_desynchronise_the_next() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let (first, returned) = (Arc::new(AtomicBool::new(true)), Arc::new(AtomicBool::new(false)));
+    let hook = {
+        let (first, returned) = (Arc::clone(&first), Arc::clone(&returned));
+        move |_: &Request| {
+            if first.swap(false, Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(400));
+                returned.store(true, Ordering::SeqCst);
+            }
+        }
+    };
+    let server =
+        start_server(ServeConfig { request_hook: Some(Arc::new(hook)), ..Default::default() });
+    let mut c = Client::connect_with(server.local_addr(), Duration::from_millis(100)).unwrap();
+    assert!(c.ping().is_err(), "the first ping outlives its timeout");
+    eventually("the slow request to be answered", || returned.load(Ordering::SeqCst));
+    for n in [2, 3] {
+        let pong = c.ping();
+        assert!(pong.is_ok(), "ping {n}: {pong:?}");
+    }
 }
 
 #[test]
