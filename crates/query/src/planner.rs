@@ -27,7 +27,11 @@
 //!    each row is still borrowed from the snapshot. A non-matching row is
 //!    never cloned. What a matching row costs depends on its consumer:
 //!    an `Aggregate` directly above the access folds the borrowed row,
-//!    cloning a group key when it opens a group; a `Sort` with a limit
+//!    cloning a group key when it opens a group; a `Sort` on the column
+//!    the access probes an index on has the access walk that index in
+//!    key order instead ([`TableView::for_each_in_key_order`], see
+//!    [`ScanOrder::Key`]), so the rows arrive ranked and the walk stops
+//!    once the limit's k rows have passed; any other `Sort` with a limit
 //!    clones a row only while it can still make the top k; any other
 //!    consumer gets the projected columns cloned out.
 //! 3. **Join-side selection** — the hash join builds its table on whichever
@@ -41,10 +45,15 @@
 //! against. Row order is part of the contract: for any config, results are
 //! bit-identical to the full-scan pipeline, because both access paths
 //! return rows in row-id order and the build-side swap preserves
-//! probe-order output. Streaming rows into their consumer is not one of
-//! the toggles: with pushdown off, a query's predicates stay in a `Filter`
-//! between the access and the operator, which then folds that filter's
-//! materialized rows through the same code.
+//! probe-order output. The one access that returns rows in another order,
+//! a key-order walk under a `Sort` on its index column, returns them in
+//! the order a stable sort of the row-id order would — by the indexed
+//! value, equal values in row-id order — so the sorted result is the
+//! same, ties included. Streaming rows into their consumer, and walking
+//! in key order, are not toggles: with pushdown off, a query's
+//! predicates stay in a `Filter` between the access and the operator,
+//! which then folds that filter's materialized rows through the same
+//! code.
 //!
 //! [`execute_with`] returns the result *plus* an [`OpTrace`]: per-operator
 //! estimated vs. actual row counts and scan counters, rendered through the
@@ -59,6 +68,7 @@ use quarry_storage::{
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Physical-planner toggles (all on by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,6 +126,16 @@ pub enum AccessPath {
 }
 
 impl AccessPath {
+    /// The column whose secondary index the path probes, if it does.
+    fn index_column(&self) -> Option<&str> {
+        match self {
+            AccessPath::IndexEq { column, .. } | AccessPath::IndexRange { column, .. } => {
+                Some(column)
+            }
+            AccessPath::FullScan | AccessPath::PkEq { .. } => None,
+        }
+    }
+
     fn describe(&self) -> String {
         match self {
             AccessPath::FullScan => "full scan".to_string(),
@@ -131,6 +151,25 @@ impl AccessPath {
             }
         }
     }
+}
+
+/// The order a table access hands its rows over in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanOrder {
+    /// Row-id (insertion) order, a full scan's: every access's, except
+    /// one a `Sort` on its index column sits directly above.
+    RowId,
+    /// The probed index's key order — ascending, or from the highest value
+    /// down with `desc` — with equal values in row-id order: a stable sort
+    /// of the row-id order by the index column, so the `Sort` above has
+    /// nothing left to do. The walk stops once `limit` rows have passed
+    /// the residual.
+    Key {
+        /// Highest value first.
+        desc: bool,
+        /// Rows to hand over at most.
+        limit: Option<usize>,
+    },
 }
 
 /// A bound column reference: its name, and its position in the rows its
@@ -162,6 +201,8 @@ pub enum PhysPlan<'a> {
         projection: Option<Vec<String>>,
         /// Where each projected column sits in a table row.
         layout: Option<Vec<usize>>,
+        /// The order rows are handed over in.
+        order: ScanOrder,
         /// Planner's row estimate for this access, if stats were available.
         est_rows: Option<usize>,
     },
@@ -310,10 +351,18 @@ pub(crate) fn bind<'a>(
                 columns.iter().map(|c| Col { name: Cow::Borrowed(&c.name), dtype: Some(c.dtype) })
             });
             let est_rows = view.map(TableView::row_count);
-            let path = AccessPath::FullScan;
+            let (path, order) = (AccessPath::FullScan, ScanOrder::RowId);
             let (residual, projection, layout) = (Vec::new(), None, None);
-            let plan =
-                PhysPlan::Access { table, view, path, residual, projection, layout, est_rows };
+            let plan = PhysPlan::Access {
+                table,
+                view,
+                path,
+                residual,
+                projection,
+                layout,
+                order,
+                est_rows,
+            };
             (plan, cols.map(Iterator::collect))
         }
         Query::Filter { input, predicates } => {
@@ -410,8 +459,17 @@ pub(crate) fn bind<'a>(
             (plan, Some(out))
         }
         Query::Sort { input, by, desc, limit } => {
-            let (input, cols) = bind(b, input, cfg);
+            let (mut input, cols) = bind(b, input, cfg);
             let by = (by.as_str(), b.column((n, 0), by, &cols).0);
+            // Sorting on the column the access probes an index on: the
+            // access walks that index in key order instead, so its rows
+            // arrive ranked and it stops at the limit. The access's output
+            // names are table column names, so the name decides.
+            if let PhysPlan::Access { path, order, .. } = &mut input {
+                if path.index_column() == Some(by.0) {
+                    *order = ScanOrder::Key { desc: *desc, limit: *limit };
+                }
+            }
             (PhysPlan::Sort { input: Box::new(input), by, desc: *desc, limit: *limit }, cols)
         }
     }
@@ -527,6 +585,7 @@ enum Rows<'p> {
     Access {
         view: &'p TableView,
         scan: ScanAccess<'p>,
+        order: ScanOrder,
         residual: &'p [Test<'p>],
         /// Where each output column sits in a table row, when the access
         /// projects.
@@ -542,7 +601,8 @@ impl<'p> Rows<'p> {
     /// The rows of `p`: a table access is set up to run when read, any
     /// other plan is executed.
     fn of(p: &'p PhysPlan<'p>) -> Result<Rows<'p>, QueryError> {
-        let PhysPlan::Access { table, view, path, residual, projection, layout, est_rows } = p
+        let PhysPlan::Access { table, view, path, residual, projection, layout, order, est_rows } =
+            p
         else {
             let (rows, trace) = exec_plan(p)?;
             return Ok(Rows::Done(rows, trace));
@@ -558,7 +618,17 @@ impl<'p> Rows<'p> {
                 ScanAccess::Index { column, lo: lo.as_ref(), hi: hi.as_ref() }
             }
         };
-        let mut label = format!("Access[{table} via {}]", path.describe());
+        let mut label = format!("Access[{table} via {}", path.describe());
+        if let ScanOrder::Key { desc, limit } = order {
+            label.push_str(" in key order");
+            if *desc {
+                label.push_str(" desc");
+            }
+            if let Some(k) = limit {
+                label.push_str(&format!(", first {k}"));
+            }
+        }
+        label.push(']');
         if !residual.is_empty() {
             label.push_str(" where ");
             write_conjunction(&mut label, residual.iter().map(|&(p, _)| p), &mut |_, _| {});
@@ -566,8 +636,14 @@ impl<'p> Rows<'p> {
         if let Some(pcols) = projection {
             label.push_str(&format!(" -> [{}]", pcols.join(", ")));
         }
-        let layout = layout.as_deref();
-        Ok(Rows::Access { view, scan, residual, layout, label, est_rows: *est_rows })
+        let (layout, order, est_rows) = (layout.as_deref(), *order, *est_rows);
+        Ok(Rows::Access { view, scan, order, residual, layout, label, est_rows })
+    }
+
+    /// Whether the rows arrive ranked by a `Sort` above, and already cut
+    /// at its limit: a table access walking its index in key order.
+    fn ranked(&self) -> bool {
+        matches!(self, Rows::Access { order: ScanOrder::Key { .. }, .. })
     }
 
     /// Where each output column sits in a handed-over row; `None` when
@@ -584,18 +660,16 @@ impl<'p> Rows<'p> {
         self.layout().map_or(at, |layout| layout[at])
     }
 
-    /// Read every row — through [`TableView::select`], the materializing
-    /// sink, for a table access.
+    /// Read every row: a table access's output columns are cloned out of
+    /// each row that passes.
     fn collect(self) -> Result<(Vec<Row>, OpTrace), QueryError> {
-        match self {
-            Rows::Done(rows, trace) => Ok((rows, trace)),
-            Rows::Access { view, scan, residual, layout, label, est_rows } => {
-                let (rows, scanned) =
-                    view.select(scan, &mut |row| passes(residual, row), layout)?;
-                let trace = access_trace(label, est_rows, rows.len(), scanned);
-                Ok((rows, trace))
-            }
+        if let Rows::Done(rows, trace) = self {
+            return Ok((rows, trace));
         }
+        let layout = self.layout();
+        let mut rows = Vec::new();
+        let trace = self.for_each(&mut |row| rows.push(output(layout, row)))?;
+        Ok((rows, trace))
     }
 
     /// Hand every row to `f` in order — lent by a table access, moved out
@@ -606,15 +680,34 @@ impl<'p> Rows<'p> {
                 rows.into_iter().for_each(|row| f(Cow::Owned(row)));
                 Ok(trace)
             }
-            Rows::Access { view, scan, residual, label, est_rows, .. } => {
+            Rows::Access { view, scan, order, residual, label, est_rows, .. } => {
                 let mut passed = 0usize;
-                let scanned = view.for_each_row(scan, &mut |row| {
+                let mut visit = |row: &Row| {
                     if passes(residual, row) {
                         passed += 1;
                         f(Cow::Borrowed(row));
                     }
-                    Ok(())
-                })?;
+                    passed
+                };
+                let scanned = match (order, scan) {
+                    // Nothing to hand over, so nothing to fetch.
+                    (ScanOrder::Key { limit: Some(0), .. }, _) => 0,
+                    (ScanOrder::Key { desc, limit }, ScanAccess::Index { column, lo, hi }) => {
+                        let limit = limit.unwrap_or(usize::MAX);
+                        view.for_each_in_key_order(column, (lo, hi), desc, &mut |row| {
+                            let done = visit(row) == limit;
+                            Ok(if done {
+                                ControlFlow::Break(())
+                            } else {
+                                ControlFlow::Continue(())
+                            })
+                        })?
+                    }
+                    _ => view.for_each_row(scan, &mut |row| {
+                        visit(row);
+                        Ok(())
+                    })?,
+                };
                 Ok(access_trace(label, est_rows, passed, scanned))
             }
         }
@@ -699,6 +792,46 @@ impl Fold {
             AggFn::Avg => Value::Float(self.sum / self.count as f64),
         })
     }
+}
+
+/// The `limit` best rows of `input` ranked by the value at output
+/// position `out_key` — a stable sort truncated to the limit, ties
+/// included — and the input's trace.
+///
+/// `kept` takes every row that can still make it — cloned from an access,
+/// moved from an executed input — in arrival order, so a stable sort of it
+/// ranks ties by arrival too; at 2k rows it is cut back to the k best,
+/// whose last is the bar. A later row that does not rank strictly before
+/// the bar has k rows ahead of it already and is never cloned. That is
+/// O(n log k) whatever order rows arrive in; without a limit every row is
+/// kept and sorted once.
+fn top_k(
+    input: Rows<'_>,
+    out_key: usize,
+    desc: bool,
+    limit: Option<usize>,
+) -> Result<(Vec<Row>, OpTrace), QueryError> {
+    let (key, layout) = (input.lent(out_key), input.layout());
+    let rank = |a: &Value, b: &Value| if desc { b.cmp(a) } else { a.cmp(b) };
+    let k = limit.unwrap_or(usize::MAX);
+    let cut = |kept: &mut Vec<Row>| {
+        kept.sort_by(|a, b| rank(&a[out_key], &b[out_key]));
+        kept.truncate(k);
+    };
+    let mut kept: Vec<Row> = Vec::new();
+    let mut barred = false;
+    let child = input.for_each(&mut |row| {
+        if k == 0 || (barred && rank(&row[key], &kept[k - 1][out_key]).is_ge()) {
+            return;
+        }
+        kept.push(output(layout, row));
+        if kept.len() == k.saturating_mul(2) {
+            cut(&mut kept);
+            barred = true;
+        }
+    })?;
+    cut(&mut kept);
+    Ok((kept, child))
 }
 
 /// Run a bound plan: its rows, and its trace.
@@ -804,35 +937,13 @@ fn exec_plan(p: &PhysPlan<'_>) -> Result<(Vec<Row>, OpTrace), QueryError> {
         }
         PhysPlan::Sort { input, by: (by, out_key), desc, limit } => {
             let input = Rows::of(input)?;
-            let (key, layout) = (input.lent(*out_key), input.layout());
-            let rank = |a: &Value, b: &Value| if *desc { b.cmp(a) } else { a.cmp(b) };
-            // The k best rows ranked by (key, arrival): a stable sort
-            // truncated to k, ties included. `kept` takes every row that
-            // can still make it — cloned from an access, moved from an
-            // executed input — in arrival order, so a stable sort of it
-            // ranks ties by arrival too; at 2k rows it is cut back to the
-            // k best, whose last is the bar. A later row that does not
-            // rank strictly before the bar has k rows ahead of it already
-            // and is never cloned. That is O(n log k) whatever order rows
-            // arrive in; without a limit every row is kept and sorted once.
-            let k = limit.unwrap_or(usize::MAX);
-            let cut = |kept: &mut Vec<Row>| {
-                kept.sort_by(|a, b| rank(&a[*out_key], &b[*out_key]));
-                kept.truncate(k);
+            // An access walking its index in key order hands over exactly
+            // the rows a stable sort truncated to the limit keeps, in order.
+            let (kept, child) = if input.ranked() {
+                input.collect()?
+            } else {
+                top_k(input, *out_key, *desc, *limit)?
             };
-            let mut kept: Vec<Row> = Vec::new();
-            let mut barred = false;
-            let child = input.for_each(&mut |row| {
-                if k == 0 || (barred && rank(&row[key], &kept[k - 1][*out_key]).is_ge()) {
-                    return;
-                }
-                kept.push(output(layout, row));
-                if kept.len() == k.saturating_mul(2) {
-                    cut(&mut kept);
-                    barred = true;
-                }
-            })?;
-            cut(&mut kept);
             let dir = if *desc { " desc" } else { "" };
             let lim = limit.map(|l| format!(" limit {l}")).unwrap_or_default();
             (kept, format!("Sort[{by}{dir}{lim}]"), vec![child])
@@ -959,6 +1070,37 @@ mod tests {
             let n = r[2].as_f64().unwrap() as i64;
             n > 5 && n <= 9
         }));
+    }
+
+    #[test]
+    fn a_sort_on_the_probed_column_walks_the_index_in_key_order() {
+        let db = db_with_index();
+        db.create_index("facts", "num").unwrap();
+        let snap = db.snapshot();
+        let window = || Query::scan("facts").filter(vec![Predicate::Ge("num".into(), 4.into())]);
+        let order_of = |q: &Query, cfg: &PlannerConfig| match plan(&snap, q, cfg).unwrap() {
+            PhysPlan::Sort { input, .. } => match *input {
+                PhysPlan::Access { order, .. } => Some(order),
+                _ => None,
+            },
+            other => panic!("expected a sort, got {other:?}"),
+        };
+        let cfg = PlannerConfig::default();
+        let key = |desc, limit| Some(ScanOrder::Key { desc, limit });
+        assert_eq!(order_of(&window().sort("num", true, Some(3)), &cfg), key(true, Some(3)));
+        assert_eq!(order_of(&window().sort("num", false, None), &cfg), key(false, None));
+        let probe = Query::scan("facts").filter(vec![Predicate::Eq("cat".into(), "c1".into())]);
+        assert_eq!(order_of(&probe.sort("cat", true, Some(2)), &cfg), key(true, Some(2)));
+        let projected = window().project(&["id", "num"]).sort("num", true, Some(3));
+        assert_eq!(order_of(&projected, &cfg), key(true, Some(3)));
+        // Another sort column, no index path, or no pushdown: row-id order.
+        assert_eq!(order_of(&window().sort("id", true, Some(3)), &cfg), Some(ScanOrder::RowId));
+        let full = Query::scan("facts").sort("num", true, Some(3));
+        assert_eq!(order_of(&full, &cfg), Some(ScanOrder::RowId));
+        let unpushed = PlannerConfig { pushdown: false, ..cfg };
+        assert_eq!(order_of(&window().sort("num", true, Some(3)), &unpushed), None);
+        let q = window().sort("num", true, Some(3));
+        assert_eq!(order_of(&q, &PlannerConfig::full_scan()), None);
     }
 
     #[test]

@@ -222,6 +222,34 @@ fn col(name: &str) -> usize {
     COLUMNS.iter().position(|c| *c == name).unwrap()
 }
 
+/// Inputs a sort on `x` walks the index on `x` for in key order, each with
+/// the rows it passes: an equality probe (every row a tie, `Int(1)` and
+/// `Float(1.0)` alike), strict bounds, and the window with a residual on
+/// `id` that rejects the lowest ids — in both directions the head of each
+/// run of equal values.
+fn key_order_inputs(table: &[Row]) -> Vec<(Query, Vec<Row>)> {
+    let passing = |keep: &dyn Fn(&Row) -> bool| table.iter().filter(|r| keep(r)).cloned().collect();
+    let (lo, hi) = (Value::Int(-1), Value::Float(1.0));
+    vec![
+        (
+            Query::scan("t").filter(vec![Predicate::Eq("x".into(), Value::Int(1))]),
+            passing(&|r| r[2] == Value::Int(1)),
+        ),
+        (
+            Query::scan("t").filter(vec![
+                Predicate::Gt("x".into(), lo.clone()),
+                Predicate::Lt("x".into(), hi.clone()),
+            ]),
+            passing(&|r| r[2] > lo && r[2] < hi),
+        ),
+        (
+            Query::scan("t")
+                .filter([window(), vec![Predicate::Ge("id".into(), Value::Int(4))]].concat()),
+            passing(&|r| in_window(r) && r[0] >= Value::Int(4)),
+        ),
+    ]
+}
+
 /// Every aggregate and sort shape the operators have, each over the whole
 /// table and over the window, with what the oracles answer for it given
 /// the table's rows in row-id order.
@@ -245,6 +273,20 @@ fn shapes(table: &[Row]) -> Vec<(Query, Result<Vec<Row>, QueryError>)> {
                     let q = input.clone().sort(by, desc, limit);
                     out.push((q, Ok(oracle_sort(rows.to_vec(), col(by), desc, limit))));
                 }
+            }
+        }
+    }
+    // The key-order walk: over the inputs above, and under a pushed
+    // projection that keeps the sort column, first.
+    let mut inputs: Vec<(Query, Vec<Row>, usize)> =
+        key_order_inputs(table).into_iter().map(|(q, rows)| (q, rows, col("x"))).collect();
+    let projected = windowed.iter().map(|r| vec![r[2].clone(), r[0].clone()]).collect();
+    inputs.push((Query::scan("t").filter(window()).project(&["x", "id"]), projected, 0));
+    for (input, rows, by) in inputs {
+        for desc in [false, true] {
+            for limit in [None, Some(0), Some(1), Some(3)] {
+                let q = input.clone().sort("x", desc, limit);
+                out.push((q, Ok(oracle_sort(rows.clone(), by, desc, limit))));
             }
         }
     }
@@ -383,6 +425,20 @@ fn the_oracles_choices_are_kept() {
     assert_eq!(ids(&Query::scan("t").sort("x", true, None)), [0, 1, 2, 3, 9, 4, 5, 6, 7, 8]);
     assert!(ids(&Query::scan("t").sort("x", true, Some(0))).is_empty());
     assert_eq!(ids(&Query::scan("t").sort("t", false, Some(99))).len(), rows.len());
+    // A sort on the probed index's column walks the index in key order:
+    // equal values (`Int(1)` and `Float(1.0)` alike) in row-id order either
+    // way, and no row fetched past the limit.
+    let ones = || Query::scan("t").filter(vec![Predicate::Eq("x".into(), Value::Int(1))]);
+    for desc in [false, true] {
+        let q = ones().sort("x", desc, Some(3));
+        assert_eq!(ids(&q), [0, 1, 2]);
+        let trace = execute_with(&db, &q, &PlannerConfig::default()).unwrap().1.render();
+        assert!(trace.contains("via index eq(x = 1) in key order"), "{trace}");
+        assert!(trace.contains("scanned=3, rows=3"), "{trace}");
+    }
+    let windowed = || Query::scan("t").filter(window());
+    assert_eq!(ids(&windowed().sort("x", true, None)), [0, 1, 2, 3, 9, 4, 5]);
+    assert_eq!(ids(&windowed().sort("x", false, Some(4))), [4, 5, 0, 1]);
 }
 
 /// `ORDER BY id DESC LIMIT k` over rows inserted in ascending `id` — the

@@ -300,31 +300,21 @@ impl Table {
         Ok(out)
     }
 
-    /// Candidate row ids for an index probe, merged from the base index
-    /// tree and the overlay index, in (value, row-id) order.
-    pub(super) fn index_candidates(
+    /// Hand the `(value, row id)` entries of the index on `column` whose
+    /// value lies in `[lo, hi]` to `f`, merged from the base index tree and
+    /// the overlay index in (value, row-id) order; see
+    /// [`paged::for_each_index_entry`].
+    pub(super) fn for_each_index_entry(
         &self,
         column: &str,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-    ) -> Result<Vec<RowId>> {
+        (lo, hi): (Option<&Value>, Option<&Value>),
+        f: &mut dyn FnMut(&Value, RowId) -> Result<()>,
+    ) -> Result<()> {
         let ix = self.index(column).ok_or_else(|| {
             StorageError::SchemaViolation(format!("no index on {}.{column}", self.schema.name))
         })?;
         let shadowed = |id| self.shadowed(id);
-        let mut ids = Vec::new();
-        paged::for_each_index_entry(
-            self.base.as_ref(),
-            column,
-            ix,
-            &shadowed,
-            (lo, hi),
-            &mut |_, id| {
-                ids.push(id);
-                Ok(())
-            },
-        )?;
-        Ok(ids)
+        paged::for_each_index_entry(self.base.as_ref(), column, ix, &shadowed, (lo, hi), f)
     }
 
     /// Cardinality statistics for the index on `column`, if any. With a

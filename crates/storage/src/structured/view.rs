@@ -26,6 +26,7 @@ use crate::error::StorageError;
 use crate::value::Value;
 use crate::Result;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use super::overlay::{IndexStats, Table};
 use super::table::{Row, TableSchema};
@@ -38,7 +39,9 @@ pub enum ScanAccess<'a> {
     Full,
     /// Probe the secondary index on `column` for values in `[lo, hi]`
     /// (inclusive, either bound optional), then fetch the matching rows in
-    /// row-id order. Errors when the column carries no index.
+    /// row-id order. Errors when the column carries no index. The same
+    /// window fetched in the index's own key order, and stopped early, is
+    /// [`TableView::for_each_in_key_order`].
     Index {
         /// Indexed column.
         column: &'a str,
@@ -59,7 +62,9 @@ pub enum ScanAccess<'a> {
 ///
 /// The overlay row map and the base row tree are both keyed by row id, so
 /// every access path of [`TableView::for_each_row`] produces rows in exactly the
-/// same order as the live engine: row-id (insertion) order.
+/// same order as the live engine: row-id (insertion) order. The one walk in
+/// another order is [`TableView::for_each_in_key_order`], which hands an
+/// index window over ranked by the indexed value.
 #[derive(Debug, Clone)]
 pub struct TableView(Table);
 
@@ -99,10 +104,11 @@ impl TableView {
     /// it, which is dropped once `f` returns, so `f` must clone whatever
     /// it keeps.
     ///
-    /// Rows arrive in row-id (insertion) order for **every** access path,
-    /// so an index- or key-routed read is bit-identical — including order
-    /// — to a full scan. The first error, from the read or from `f`, stops
-    /// the walk and is returned.
+    /// Rows arrive in row-id (insertion) order for every access path, so
+    /// an index- or key-routed read is bit-identical — including order —
+    /// to a full scan (a walk that wants the index's key order instead is
+    /// [`TableView::for_each_in_key_order`]). The first error, from the
+    /// read or from `f`, stops the walk and is returned.
     pub fn for_each_row(
         &self,
         access: ScanAccess<'_>,
@@ -116,7 +122,11 @@ impl TableView {
         match access {
             ScanAccess::Full => self.0.for_each_live_row(&mut |_, row| visit(row))?,
             ScanAccess::Index { column, lo, hi } => {
-                let mut row_ids = self.0.index_candidates(column, lo, hi)?;
+                let mut row_ids = Vec::new();
+                self.0.for_each_index_entry(column, (lo, hi), &mut |_, id| {
+                    row_ids.push(id);
+                    Ok(())
+                })?;
                 // Row-id order = full-scan order.
                 row_ids.sort_unstable();
                 for row_id in row_ids {
@@ -134,6 +144,58 @@ impl TableView {
             }
         }
         Ok(visited)
+    }
+
+    /// Hand the rows whose `column` value lies in `[lo, hi]` (inclusive,
+    /// either bound optional) to `f`, borrowed as by
+    /// [`TableView::for_each_row`], in the index's **key order**: ascending,
+    /// or with `desc` from the highest value down. Rows with equal values
+    /// arrive in row-id order either way, so the sequence is exactly a
+    /// stable sort of the row-id walk by that column — the first `k` rows
+    /// are its top `k`, ties included. `f` returns
+    /// [`ControlFlow::Break`] to stop the walk: rows past it are never
+    /// fetched. Returns how many rows were fetched. Errors when the column
+    /// carries no index.
+    ///
+    /// The window's entries come off the one base-plus-overlay index merge
+    /// in (value, row-id) order, and their row ids are collected and
+    /// put in walking order before the first row is fetched.
+    pub fn for_each_in_key_order(
+        &self,
+        column: &str,
+        (lo, hi): (Option<&Value>, Option<&Value>),
+        desc: bool,
+        f: &mut dyn FnMut(&Row) -> Result<ControlFlow<()>>,
+    ) -> Result<usize> {
+        let mut row_ids = Vec::new();
+        // Descending, each run of equal values is reversed once it is
+        // complete, so that reversing the whole window at the end puts the
+        // runs highest first with each still in row-id order.
+        let mut run_start = 0;
+        let mut last: Option<Value> = None;
+        self.0.for_each_index_entry(column, (lo, hi), &mut |value, id| {
+            if desc && last.as_ref() != Some(value) {
+                row_ids[run_start..].reverse();
+                run_start = row_ids.len();
+                last = Some(value.clone());
+            }
+            row_ids.push(id);
+            Ok(())
+        })?;
+        if desc {
+            row_ids[run_start..].reverse();
+            row_ids.reverse();
+        }
+        let mut fetched = 0usize;
+        for row_id in row_ids {
+            if let Some(row) = self.0.effective_row(row_id)? {
+                fetched += 1;
+                if f(&row)?.is_break() {
+                    break;
+                }
+            }
+        }
+        Ok(fetched)
     }
 
     /// Filtered, projected, materialized read: [`TableView::for_each_row`]

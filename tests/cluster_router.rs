@@ -101,6 +101,27 @@ fn sharded_cluster_answers_distributable_queries_bit_identically() {
     let q = Query::scan("people").sort("score", true, Some(10));
     assert_same("top10-score", &mut rc, &mut sc, &q);
 
+    // Top-k over a window on an indexed, tie-free column: each shard walks
+    // its index on `score` in key order and stops at the limit, and the
+    // merge of those ranked legs is the single node's answer, descending
+    // and ascending, with limits inside and past the window.
+    for c in [&mut rc, &mut sc] {
+        c.create_index("people", "score").unwrap();
+    }
+    let window = || {
+        Query::scan("people").filter(vec![
+            Predicate::Ge("score".into(), Value::Int(1050)),
+            Predicate::Le("score".into(), Value::Int(1300)),
+        ])
+    };
+    for (desc, k) in [(true, 5), (false, 4), (true, 100)] {
+        let q = window().sort("score", desc, Some(k));
+        let (_, top) = assert_same(&format!("window-top{k}-desc={desc}"), &mut rc, &mut sc, &q);
+        assert_eq!(top.len(), k.min(35), "scores 1 056 to 1 294");
+        let plans = rc.explain(&q).unwrap();
+        assert_eq!(plans.matches("in key order").count(), 3, "{plans}");
+    }
+
     // Aggregates, global and grouped: COUNT sums counts, SUM sums exact
     // integer-valued floats, MIN/MAX compare.
     for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {

@@ -164,6 +164,39 @@ fn query_shapes() -> Vec<Query> {
         window().sort("score", true, Some(100_000)),
         window().project(&["cat", "score"]).sort("cat", true, Some(9)),
     ]);
+    // Sorts on the routed index's own column, which walk the index in key
+    // order and stop at the limit: limits that cut inside a run of equal
+    // scores both ways, an equality probe (every row a tie), strict
+    // bounds, a residual on another column that rejects rows at the head
+    // of the order, and pushed projections that keep the sort column.
+    let strict = || {
+        Query::scan("facts").filter(vec![
+            Predicate::Gt("score".into(), Value::Int(20)),
+            Predicate::Lt("score".into(), Value::Int(40)),
+        ])
+    };
+    let headless = || {
+        Query::scan("facts").filter(vec![
+            Predicate::Ge("score".into(), Value::Int(20)),
+            Predicate::Le("score".into(), Value::Int(60)),
+            Predicate::Ge("id".into(), Value::Int(150)),
+        ])
+    };
+    let tied = || Query::scan("facts").filter(vec![eq("score", Value::Int(42))]);
+    for desc in [false, true] {
+        shapes.extend([
+            window().sort("score", desc, Some(10)),
+            window().sort("score", desc, Some(6)),
+            window().sort("score", desc, None),
+            tied().sort("score", desc, Some(2)),
+            tied().sort("score", desc, None),
+            strict().sort("score", desc, Some(7)),
+            strict().sort("score", desc, None),
+            headless().sort("score", desc, Some(9)),
+            window().project(&["score", "id"]).sort("score", desc, Some(12)),
+            window().project(&["cat", "score"]).sort("score", desc, Some(5)),
+        ]);
+    }
     shapes
 }
 
@@ -366,6 +399,87 @@ fn explain_names_the_primary_key_path_and_it_fetches_one_row() {
     let (_, trace) = execute_with(&db, &q, &PlannerConfig::full_scan()).unwrap();
     assert_eq!(trace.total_scanned(), 400);
     assert!(trace.render().contains("via full scan"), "{}", trace.render());
+}
+
+/// The sort the benchmark's shards run — a window on an indexed column,
+/// ordered by that column, descending, limited — walks the index in key
+/// order and fetches exactly the rows it returns; the ascending one too.
+/// Without this pin the differentials above would pass as well if the
+/// planner never took the key-order walk.
+#[test]
+fn a_top_k_on_the_routed_index_column_fetches_only_its_k_rows() {
+    let db = facts_db(400);
+    let top = |desc: bool| {
+        Query::scan("facts")
+            .filter(vec![
+                Predicate::Ge("score".into(), Value::Int(20)),
+                Predicate::Le("score".into(), Value::Int(60)),
+            ])
+            .sort("score", desc, Some(20))
+    };
+    for (desc, order) in [(true, "in key order desc, first 20"), (false, "in key order, first 20")]
+    {
+        let q = top(desc);
+        let text = q.explain(&db).unwrap();
+        let access = format!("Access[facts via index range(score in [20, 60]) {order}]");
+        assert!(text.contains(&access), "{text}");
+        assert!(text.contains("scanned=20, rows=20"), "{text}");
+        let (routed, trace) = execute_with(&db, &q, &PlannerConfig::default()).unwrap();
+        let (full, full_trace) = execute_with(&db, &q, &PlannerConfig::full_scan()).unwrap();
+        assert_eq!(routed, full);
+        assert_eq!((trace.total_scanned(), full_trace.total_scanned()), (20, 400));
+    }
+}
+
+/// A sort on any other column than the routed index's keeps the row-id
+/// walk: it fetches the whole window and ranks it itself.
+#[test]
+fn a_sort_on_another_column_keeps_the_row_id_walk() {
+    let db = facts_db(400);
+    let cfg = PlannerConfig::default();
+    let window =
+        || Query::scan("facts").filter(vec![Predicate::Ge("score".into(), Value::Int(80))]);
+    let q = window().sort("id", true, Some(7));
+    let text = q.explain(&db).unwrap();
+    assert!(text.contains("Access[facts via index range(score in [80, +inf])]"), "{text}");
+    assert!(!text.contains("key order"), "{text}");
+    let (routed, trace) = execute_with(&db, &q, &cfg).unwrap();
+    let in_window = execute_with(&db, &window(), &cfg).unwrap().0.rows.len();
+    assert_eq!(trace.total_scanned(), in_window);
+    assert_eq!(routed, execute_with(&db, &q, &PlannerConfig::full_scan()).unwrap().0);
+}
+
+/// The limits of the key-order shapes above do cut inside runs of equal
+/// scores, where only the row-id order of a stable sort decides which
+/// rows make it: ascending and descending alike.
+#[test]
+fn key_order_limits_cut_inside_runs_of_equal_values() {
+    let db = facts_db(400);
+    let window = || {
+        Query::scan("facts").filter(vec![
+            Predicate::Ge("score".into(), Value::Int(20)),
+            Predicate::Le("score".into(), Value::Int(60)),
+        ])
+    };
+    for desc in [false, true] {
+        let all =
+            execute_with(&db, &window().sort("score", desc, None), &PlannerConfig::full_scan())
+                .unwrap()
+                .0
+                .rows;
+        for k in [6, 10] {
+            assert_eq!(all[k - 1][2], all[k][2], "limit {k} desc={desc} falls between runs");
+            let cut = execute_with(
+                &db,
+                &window().sort("score", desc, Some(k)),
+                &PlannerConfig::default(),
+            )
+            .unwrap()
+            .0
+            .rows;
+            assert_eq!(cut, all[..k], "limit {k} desc={desc}");
+        }
+    }
 }
 
 /// The same differential over a table that is half checkpoint image, half
