@@ -12,6 +12,7 @@
 
 use crate::system::QuarryError;
 use quarry_lang::{compile, optimize, ExecContext, ExecStats, Executor};
+use quarry_storage::StorageError;
 use std::collections::BTreeSet;
 
 /// Tracks materialized attributes for one entity table.
@@ -80,8 +81,13 @@ impl IncrementalManager {
             key = self.key,
         );
         let program = optimize(&compile("<incremental>", &src, ctx.registry, None)?, ctx.registry);
-        // Rebuild the table from scratch under the wider schema.
-        let _ = ctx.db.drop_table(&self.table);
+        // Rebuild the table from scratch under the wider schema. A drop
+        // that fails for any reason but an absent table is this call's
+        // error, not the re-run's refused STORE.
+        match ctx.db.drop_table(&self.table) {
+            Ok(()) | Err(StorageError::NoSuchTable(_)) => {}
+            Err(e) => return Err(e.into()),
+        }
         let stats = Executor::run(&program, ctx)?;
         self.materialized = materialized;
         self.total_cost += stats.cost_units;

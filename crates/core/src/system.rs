@@ -17,7 +17,6 @@ use quarry_lang::{
     Executor, ExtractorRegistry,
 };
 use quarry_query::engine::{Query, QueryError};
-use quarry_schema::SchemaRegistry;
 use quarry_storage::{Database, ScanAccess, SnapshotStore, StorageError, Value};
 use quarry_uncertainty::{LineageGraph, NodeId};
 use std::collections::HashMap;
@@ -206,8 +205,6 @@ pub struct Quarry {
     pub db: Arc<Database>,
     /// Operator library (processing layer).
     pub registry: ExtractorRegistry,
-    /// Schema version registry (processing layer, Part IV).
-    pub schemas: SchemaRegistry,
     /// Provenance graph (processing layer, Part V).
     pub lineage: LineageGraph,
     /// System health (processing layer, Part VI).
@@ -249,7 +246,6 @@ impl Quarry {
             snapshots: SnapshotStore::new(KEYFRAME_INTERVAL),
             db,
             registry: ExtractorRegistry::standard(),
-            schemas: SchemaRegistry::new(),
             lineage: LineageGraph::new(),
             health,
             users: UserDirectory::new(),
@@ -353,11 +349,13 @@ impl Quarry {
     /// refused one never reads a document: a syntax error is
     /// [`QuarryError::Parse`], unknown extractors with no other error are
     /// [`ExecError::UnknownExtractor`], and any other error diagnostic is
-    /// [`QuarryError::Lint`].
+    /// [`QuarryError::Lint`]. The program is checked against the tables
+    /// of a snapshot of [`Quarry::db`], so a `STORE` whose key disagrees
+    /// with its existing table is refused (QL008).
     pub fn run_pipeline(&mut self, src: &str) -> Result<ExecStats, QuarryError> {
         self.metered(|q| {
             let start = std::time::Instant::now();
-            let compiled = compile("<program>", src, &q.registry, Some(&q.schemas));
+            let compiled = compile("<program>", src, &q.registry, Some(&q.db.snapshot()));
             match &compiled {
                 Ok(program) => q.shared.note_check(program.report(), start),
                 Err(e) => e.report().into_iter().for_each(|r| q.shared.note_check(r, start)),
@@ -372,7 +370,7 @@ impl Quarry {
     /// fails while running stops the ones after it.
     pub fn run_script(&mut self, src: &str) -> Result<Vec<(String, ExecStats)>, QuarryError> {
         let start = std::time::Instant::now();
-        let compiled = compile_script("<script>", src, &self.registry, Some(&self.schemas));
+        let compiled = compile_script("<script>", src, &self.registry, Some(&self.db.snapshot()));
         match &compiled {
             Ok(programs) => programs.iter().for_each(|p| self.shared.note_check(p.report(), start)),
             Err(e) => e.report().into_iter().for_each(|r| self.shared.note_check(r, start)),
@@ -436,13 +434,18 @@ impl Quarry {
     }
 
     /// Statically check a QDL program against the operator library and
-    /// schema registry without running it. Syntax errors come back as a
-    /// QL000 diagnostic in the report rather than an `Err`, so callers
-    /// can render every outcome uniformly.
+    /// the tables of a snapshot of [`Quarry::db`] without running it: the
+    /// check [`Quarry::run_pipeline`] makes. Syntax errors come back as a
+    /// QL000 diagnostic in the report rather than an `Err`, so callers can
+    /// render every outcome uniformly.
     pub fn check_program(&self, src: &str) -> LintReport {
         let start = std::time::Instant::now();
-        let report =
-            quarry_lang::lint::lint_source("<program>", src, &self.registry, Some(&self.schemas));
+        let report = quarry_lang::lint::lint_source(
+            "<program>",
+            src,
+            &self.registry,
+            Some(&self.db.snapshot()),
+        );
         self.shared.note_check(&report, start);
         report
     }

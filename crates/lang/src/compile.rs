@@ -10,7 +10,7 @@ use crate::parser::{parse_script, parse_spanned, ParseError};
 use crate::plan::LogicalPlan;
 use crate::registry::ExtractorRegistry;
 use quarry_exec::diag::{LintReport, Severity};
-use quarry_schema::SchemaRegistry;
+use quarry_storage::DbSnapshot;
 use std::fmt;
 
 /// A program that parsed and passed static analysis, lowered to a plan.
@@ -81,16 +81,16 @@ impl fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 /// Compile one program against the operator library and, optionally, the
-/// schema registry (QL008). `origin` names the source in diagnostics.
+/// tables of a database snapshot (QL008). `origin` names the source in
+/// diagnostics.
 pub fn compile(
     origin: &str,
     src: &str,
     registry: &ExtractorRegistry,
-    schemas: Option<&SchemaRegistry>,
+    tables: Option<&DbSnapshot>,
 ) -> Result<CheckedProgram, CompileError> {
     let (pipeline, spans) = parse_spanned(src).map_err(CompileError::Parse)?;
-    let report =
-        clean(LintReport::new(origin, src, analyze(&pipeline, &spans, registry, schemas)))?;
+    let report = clean(LintReport::new(origin, src, analyze(&pipeline, &spans, registry, tables)))?;
     Ok(lower(pipeline, report))
 }
 
@@ -100,12 +100,12 @@ pub fn compile_script(
     origin: &str,
     src: &str,
     registry: &ExtractorRegistry,
-    schemas: Option<&SchemaRegistry>,
+    tables: Option<&DbSnapshot>,
 ) -> Result<Vec<CheckedProgram>, CompileError> {
     let mut programs = Vec::new();
     let mut diagnostics = Vec::new();
     for (pipeline, spans) in parse_script(src).map_err(CompileError::Parse)? {
-        let found = analyze(&pipeline, &spans, registry, schemas);
+        let found = analyze(&pipeline, &spans, registry, tables);
         diagnostics.extend(found.iter().cloned());
         programs.push((pipeline, LintReport::new(origin, src, found)));
     }

@@ -433,6 +433,12 @@ fn infer_type(values: &[&Value]) -> DataType {
     }
 }
 
+/// Upsert the merged entities into `table`, created from the attributes
+/// they carry if the database does not hold it yet. An existing table
+/// keeps its schema: a `STORE` whose columns or key differ from it is
+/// refused before anything is written. A row the table's types reject
+/// (after the coercions below) is skipped, but a `STORE` that keeps none
+/// of its entities is an error; any other failure aborts the transaction.
 fn store_entities(
     db: &Database,
     table: &str,
@@ -461,54 +467,106 @@ fn store_entities(
         e.fields.get(col).map(|(v, _)| v.clone()).unwrap_or(Value::Null)
     };
 
-    let mut columns = Vec::new();
-    for k in key_cols {
-        columns.push(Column::new(k, DataType::Text));
+    let (schema, exists) = match db.schema(table) {
+        Ok(schema) => {
+            fits(&schema, key_cols, &attrs)?;
+            (schema, true)
+        }
+        Err(StorageError::NoSuchTable(_)) => {
+            let mut columns: Vec<Column> =
+                key_cols.iter().map(|k| Column::new(k, DataType::Text)).collect();
+            for a in &attrs {
+                let sample: Vec<&Value> =
+                    entities.iter().filter_map(|e| e.fields.get(a).map(|(v, _)| v)).collect();
+                columns.push(Column::nullable(a, infer_type(&sample)));
+            }
+            let key_refs: Vec<&str> = key_cols.iter().map(String::as_str).collect();
+            (TableSchema::new(table, columns, &key_refs, &[])?, false)
+        }
+        Err(e) => return Err(e.into()),
+    };
+
+    let rows: Vec<Vec<Value>> = entities
+        .iter()
+        .map(|e| {
+            schema
+                .columns
+                .iter()
+                .map(|c| {
+                    let v = value_of(e, &c.name);
+                    // Coerce to the column's type where needed.
+                    match (&v, c.dtype) {
+                        (Value::Int(i), DataType::Float) => Value::Float(*i as f64),
+                        (Value::Null, _) => Value::Null,
+                        (other, DataType::Text) if other.as_text().is_none() => {
+                            Value::Text(other.to_string())
+                        }
+                        _ => v,
+                    }
+                })
+                .collect()
+        })
+        // A type-conflicted entity is skipped rather than poison the batch.
+        .filter(|row| schema.validate(row).is_ok())
+        .collect();
+    if rows.is_empty() && !entities.is_empty() {
+        return Err(ExecError::Storage(StorageError::SchemaViolation(format!(
+            "STORE INTO {table}: none of {} entities fits the table's column types",
+            entities.len()
+        ))));
     }
-    for a in &attrs {
-        let sample: Vec<&Value> =
-            entities.iter().filter_map(|e| e.fields.get(a).map(|(v, _)| v)).collect();
-        columns.push(Column::nullable(a, infer_type(&sample)));
-    }
-    let key_refs: Vec<&str> = key_cols.iter().map(String::as_str).collect();
-    let schema =
-        TableSchema::new(table, columns.clone(), &key_refs, &[]).map_err(ExecError::Storage)?;
-    if db.schema(table).is_err() {
+    if !exists {
         db.create_table(schema.clone())?;
     }
 
     let tx = db.begin();
-    let mut stored = 0usize;
-    for e in entities {
-        let row: Vec<Value> = columns
-            .iter()
-            .map(|c| {
-                let v = value_of(e, &c.name);
-                // Coerce to the inferred column type where needed.
-                match (&v, c.dtype) {
-                    (Value::Int(i), DataType::Float) => Value::Float(*i as f64),
-                    (Value::Null, _) => Value::Null,
-                    (other, DataType::Text) if other.as_text().is_none() => {
-                        Value::Text(other.to_string())
-                    }
-                    _ => v,
-                }
-            })
-            .collect();
-        if schema.validate(&row).is_err() {
-            continue; // a type-conflicted entity: skip rather than poison the batch
-        }
+    let stored = rows.len();
+    let written = rows.into_iter().try_for_each(|row| {
         let key_vals = schema.key_of(&row);
-        let result = match db.get(tx, table, &key_vals) {
+        match db.get(tx, table, &key_vals) {
             Ok(_) => db.update(tx, table, &key_vals, row),
-            Err(_) => db.insert(tx, table, row).map(|_| ()),
-        };
-        if result.is_ok() {
-            stored += 1;
+            Err(StorageError::NotFound(_)) => db.insert(tx, table, row).map(drop),
+            Err(e) => Err(e),
         }
+    });
+    if let Err(e) = written {
+        // The write's error is the one to report, not the abort's.
+        let _ = db.abort(tx);
+        return Err(e.into());
     }
     db.commit(tx)?;
     Ok(stored)
+}
+
+/// Refuse a `STORE` into an existing table whose columns or key it does
+/// not share, naming what differs.
+fn fits(schema: &TableSchema, key_cols: &[String], attrs: &[String]) -> Result<(), ExecError> {
+    let has = |name: &str| schema.column_index(name).is_some();
+    let writes = |name: &str| key_cols.iter().chain(attrs).any(|c| c == name);
+    let missing: Vec<&str> =
+        schema.columns.iter().map(|c| c.name.as_str()).filter(|c| !writes(c)).collect();
+    let extra: Vec<&str> =
+        key_cols.iter().chain(attrs).map(String::as_str).filter(|c| !has(c)).collect();
+    let key: Vec<&str> =
+        schema.key.iter().filter_map(|&i| schema.columns.get(i)).map(|c| c.name.as_str()).collect();
+    let mut wrong = Vec::new();
+    if !missing.is_empty() {
+        wrong.push(format!("missing column(s) {}", missing.join(", ")));
+    }
+    if !extra.is_empty() {
+        wrong.push(format!("extra column(s) {}", extra.join(", ")));
+    }
+    if key != key_cols {
+        wrong.push(format!("key ({}), the table's is ({})", key_cols.join(", "), key.join(", ")));
+    }
+    if wrong.is_empty() {
+        return Ok(());
+    }
+    Err(ExecError::Storage(StorageError::SchemaViolation(format!(
+        "STORE INTO {} does not fit the existing table: {}",
+        schema.name,
+        wrong.join("; ")
+    ))))
 }
 
 #[cfg(test)]
@@ -569,6 +627,47 @@ STORE INTO cities KEY name"#,
             Err(ExecError::InvalidPlan(msg)) => assert!(msg.contains("KEY"), "{msg}"),
             other => panic!("expected InvalidPlan, got {other:?}"),
         }
+    }
+
+    fn entity(key: &str, fields: &[(&str, Value)]) -> DocRecord {
+        let fields = fields.iter().map(|(a, v)| (a.to_string(), (v.clone(), 1.0))).collect();
+        DocRecord { doc: DocId(0), key: key.into(), fields }
+    }
+
+    #[test]
+    fn a_store_that_cannot_apply_is_refused_and_writes_nothing() {
+        let db = Database::in_memory();
+        let keys = |ks: &[&str]| ks.iter().map(|k| k.to_string()).collect::<Vec<_>>();
+        let madison = entity("Madison", &[("population", Value::Int(250_000))]);
+        assert_eq!(store_entities(&db, "cities", &keys(&["name"]), "name", &[madison]).unwrap(), 1);
+        let lsn = db.snapshot().lsn();
+
+        // Other columns than the table's: refused, naming each difference.
+        let wider = entity("Oakton", &[("founded", Value::Int(1900))]);
+        let err = store_entities(&db, "cities", &keys(&["name"]), "name", &[wider]).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("missing column(s) population"), "{msg}");
+        assert!(msg.contains("extra column(s) founded"), "{msg}");
+        // Same columns, another key: refused too.
+        let rekeyed = entity("Oakton", &[("population", Value::Int(9_500))]);
+        let err = store_entities(&db, "cities", &keys(&["population", "name"]), "name", &[rekeyed])
+            .unwrap_err();
+        assert!(err.to_string().contains("the table's is (name)"), "{err}");
+
+        // Every row fails the table's types: an error, not `Ok(0)`.
+        let text = entity("Oakton", &[("population", Value::Text("many".into()))]);
+        let err = store_entities(&db, "cities", &keys(&["name"]), "name", &[text]).unwrap_err();
+        assert!(err.to_string().contains("none of 1 entities"), "{err}");
+        // ...and for a table it would create, the table is not created.
+        let no_state = entity("Oakton", &[]);
+        assert!(
+            store_entities(&db, "towns", &keys(&["name", "state"]), "name", &[no_state]).is_err()
+        );
+        assert!(db.schema("towns").is_err());
+
+        let snap = db.snapshot();
+        assert_eq!(snap.lsn(), lsn);
+        assert_eq!(snap.scan("cities").unwrap(), vec![vec!["Madison".into(), Value::Int(250_000)]]);
     }
 
     #[test]

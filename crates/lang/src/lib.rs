@@ -20,7 +20,7 @@
 //! - [`registry`] — the operator library: named extractors with declared
 //!   output-attribute signatures and per-document costs;
 //! - [`lint`] — the static semantic analyzer: span-anchored QL001–QL008
-//!   diagnostics against the registry and schema registry;
+//!   diagnostics against the registry and the database's tables;
 //! - [`compile`](mod@compile) — the one place a program is checked: one
 //!   parse, one [`analyze`], lowering with `WHERE` placed, into the
 //!   [`CheckedProgram`] that is all the executor runs;

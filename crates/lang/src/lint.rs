@@ -9,7 +9,7 @@
 //!
 //! [`analyze`] walks a parsed [`Pipeline`] (with its
 //! [`ProgramSpans`] table) against the [`ExtractorRegistry`] — and
-//! optionally a [`SchemaRegistry`] — and emits span-anchored
+//! optionally the tables of a [`DbSnapshot`] — and emits span-anchored
 //! [`Diagnostic`]s with the stable codes below. Errors block execution
 //! ([`compile`] refuses them); warnings do not.
 //!
@@ -23,14 +23,14 @@
 //! | QL005 | error | RESOLVE/STORE key not among projected attributes |
 //! | QL006 | warning | extractor fully pruned by WHERE (dead) |
 //! | QL007 | warning | CURATE budget/votes cannot do useful work |
-//! | QL008 | error | STORE key conflicts with the registered schema |
+//! | QL008 | error | STORE key conflicts with the table's schema in the database |
 
 use crate::ast::{Condition, Pipeline, ProgramSpans, Step, StepSpans};
 use crate::compile::{compile, CompileError};
 use crate::parser::ParseError;
 use crate::registry::{ExtractorRegistry, Produces};
 use quarry_exec::diag::{closest, Diagnostic, LintReport, Span};
-use quarry_schema::SchemaRegistry;
+use quarry_storage::DbSnapshot;
 
 /// Stable diagnostic codes emitted by the QDL analyzer.
 pub mod codes {
@@ -50,20 +50,20 @@ pub mod codes {
     pub const DEAD_EXTRACTOR: &str = "QL006";
     /// `CURATE` budget/votes combination that cannot do useful work.
     pub const CURATE_SANITY: &str = "QL007";
-    /// Declared `STORE` key conflicts with the registered schema version.
+    /// Declared `STORE` key conflicts with the table's schema in the database.
     pub const SCHEMA_CONFLICT: &str = "QL008";
 }
 
 /// Analyze a parsed pipeline. `spans` must come from the same
 /// `parse_spanned` call that produced `pipeline` (indices line up 1:1).
-/// Pass `schemas` to also check `STORE` targets against registered schema
-/// versions (QL008). [`LintReport::new`] sorts the diagnostics into
-/// source order.
+/// Pass `tables` to also check `STORE` targets against the schemas of the
+/// tables that snapshot holds (QL008). [`LintReport::new`] sorts the
+/// diagnostics into source order.
 pub fn analyze(
     pipeline: &Pipeline,
     spans: &ProgramSpans,
     registry: &ExtractorRegistry,
-    schemas: Option<&SchemaRegistry>,
+    tables: Option<&DbSnapshot>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
@@ -308,33 +308,31 @@ pub fn analyze(
         }
     }
 
-    // ── QL008: schema-evolution conflicts ───────────────────────────
-    if let Some(schemas) = schemas {
+    // ── QL008: STORE key against the table's schema in the database ──
+    if let Some(tables) = tables {
         for (step, sp) in pipeline.steps.iter().zip(&spans.steps) {
             let (Step::Store { table, key }, StepSpans::Store { table: table_span, .. }) =
                 (step, sp)
             else {
                 continue;
             };
-            let Some(latest) = schemas.latest(table) else { continue };
-            let Some(schema) = schemas.schema(table, latest) else { continue };
-            let registered: Vec<&str> =
+            let Ok(view) = tables.table(table) else { continue };
+            let schema = view.schema();
+            let existing: Vec<&str> =
                 schema.key.iter().map(|&i| schema.columns[i].name.as_str()).collect();
             let declared: Vec<&str> = key.iter().map(String::as_str).collect();
-            if registered != declared {
+            if existing != declared {
                 diags.push(
                     Diagnostic::error(
                         codes::SCHEMA_CONFLICT,
                         *table_span,
                         format!(
-                            "table `{table}` is registered at schema version v{} \
-                             with key ({}), but the pipeline stores with key ({})",
-                            latest.0,
-                            registered.join(", "),
+                            "table `{table}` has key ({}), but the pipeline stores with key ({})",
+                            existing.join(", "),
                             declared.join(", ")
                         ),
                     )
-                    .with_help("match the registered key, or evolve the schema before storing"),
+                    .with_help("match the table's key, or store into another table"),
                 );
             }
         }
@@ -351,9 +349,9 @@ pub fn lint_source(
     origin: &str,
     src: &str,
     registry: &ExtractorRegistry,
-    schemas: Option<&SchemaRegistry>,
+    tables: Option<&DbSnapshot>,
 ) -> LintReport {
-    match compile(origin, src, registry, schemas) {
+    match compile(origin, src, registry, tables) {
         Ok(program) => program.report,
         Err(CompileError::Parse(ParseError { message, span, .. })) => {
             LintReport::new(origin, src, vec![Diagnostic::error(codes::SYNTAX, span, message)])
@@ -366,7 +364,7 @@ pub fn lint_source(
 mod tests {
     use super::*;
     use quarry_exec::diag::Severity;
-    use quarry_storage::{Column, DataType, TableSchema};
+    use quarry_storage::{Column, DataType, Database, TableSchema};
 
     fn lint(src: &str) -> LintReport {
         lint_source("test.qdl", src, &ExtractorRegistry::standard(), None)
@@ -560,26 +558,26 @@ CURATE BUDGET 0 VOTES 9"#,
 
     #[test]
     fn ql008_schema_key_conflict() {
-        let mut schemas = SchemaRegistry::new();
-        schemas
-            .register(
-                TableSchema::new(
-                    "cities",
-                    vec![
-                        Column::new("city_id", DataType::Text),
-                        Column::nullable("name", DataType::Text),
-                    ],
-                    &["city_id"],
-                    &[],
-                )
-                .unwrap(),
+        let db = Database::in_memory();
+        db.create_table(
+            TableSchema::new(
+                "cities",
+                vec![
+                    Column::new("city_id", DataType::Text),
+                    Column::nullable("name", DataType::Text),
+                ],
+                &["city_id"],
+                &[],
             )
-            .unwrap();
+            .unwrap(),
+        )
+        .unwrap();
+        let snap = db.snapshot();
         let src = r#"PIPELINE p FROM corpus
 EXTRACT infobox
 RESOLVE BY name
 STORE INTO cities KEY name"#;
-        let report = lint_source("test.qdl", src, &ExtractorRegistry::standard(), Some(&schemas));
+        let report = lint_source("test.qdl", src, &ExtractorRegistry::standard(), Some(&snap));
         let d = only(&report, codes::SCHEMA_CONFLICT);
         assert_eq!(d.severity, Severity::Error);
         assert_eq!(covered(&report, d), "cities");
@@ -590,7 +588,12 @@ STORE INTO cities KEY name"#;
 EXTRACT infobox
 RESOLVE BY city_id
 STORE INTO cities KEY city_id"#;
-        let report = lint_source("test.qdl", ok, &ExtractorRegistry::standard(), Some(&schemas));
+        let report = lint_source("test.qdl", ok, &ExtractorRegistry::standard(), Some(&snap));
+        assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
+
+        // A table the database does not hold yet: nothing to conflict with.
+        let fresh = src.replace("INTO cities", "INTO towns");
+        let report = lint_source("test.qdl", &fresh, &ExtractorRegistry::standard(), Some(&snap));
         assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
     }
 

@@ -55,7 +55,7 @@ fn run() -> Result<usize, String> {
     for file in &files {
         let src = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
         let origin = file.display().to_string();
-        let report = check_file_source(&origin, &src, None);
+        let report = check_file_source(&origin, &src);
         let negative = origin.ends_with(".bad.qdl");
         if negative {
             let missing: Vec<String> = expected_codes(&src)

@@ -21,12 +21,13 @@ pub use quarry_lang::lint::{analyze, codes as qdl_codes, lint_source};
 pub use quarry_query::lint::{check_query, codes as query_codes};
 
 use quarry_lang::ExtractorRegistry;
-use quarry_schema::SchemaRegistry;
 
-/// Lint one QDL source file against the standard extractor registry (and
-/// optionally a schema registry), under the file's own name.
-pub fn check_file_source(origin: &str, src: &str, schemas: Option<&SchemaRegistry>) -> LintReport {
-    lint_source(origin, src, &ExtractorRegistry::standard(), schemas)
+/// Lint one QDL source file against the standard extractor registry, under
+/// the file's own name. A file has no database behind it, so QL008 (a
+/// `STORE` key against its table's schema) is checked only when a program
+/// runs through the façade.
+pub fn check_file_source(origin: &str, src: &str) -> LintReport {
+    lint_source(origin, src, &ExtractorRegistry::standard(), None)
 }
 
 /// The `-- expect: QL001, QL005` annotations of a `.bad.qdl` example:
@@ -53,11 +54,8 @@ mod tests {
 
     #[test]
     fn check_file_source_runs_the_qdl_analyzer() {
-        let report = check_file_source(
-            "t.qdl",
-            "PIPELINE p FROM corpus\nEXTRACT infobx\nRESOLVE BY name",
-            None,
-        );
+        let report =
+            check_file_source("t.qdl", "PIPELINE p FROM corpus\nEXTRACT infobx\nRESOLVE BY name");
         assert_eq!(report.error_count(), 1);
         assert_eq!(report.diagnostics[0].code, qdl_codes::UNKNOWN_EXTRACTOR);
         assert_eq!(report.origin, "t.qdl");

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 fn golden(example: &str, golden_name: &str) {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(root.join("../../examples/qdl").join(example)).unwrap();
-    let report = check_file_source(example, &src, None);
+    let report = check_file_source(example, &src);
     let got = report.render();
     let golden_path = root.join("tests/golden").join(golden_name);
     if std::env::var("GOLDEN_REGEN").is_ok() {

@@ -1,6 +1,7 @@
-//! Evolution operations: schema transforms with row migration.
+//! Evolution operations: schema transforms with row migration, and
+//! [`migrate_table`], which applies them to a live table.
 
-use quarry_storage::{Column, DataType, Row, TableSchema, Value};
+use quarry_storage::{Column, DataType, Database, Row, TableSchema, Value};
 use std::fmt;
 
 /// Why an evolution operation was rejected.
@@ -331,6 +332,24 @@ pub fn apply_all(
     Ok((schema, rows))
 }
 
+/// Evolve a live table: read its schema and rows from one snapshot of
+/// `db`, run `ops` over them with [`apply_all`], and swap the result in
+/// with [`Database::replace_table`]. The starting schema is the one the
+/// database holds, so there is no version for a caller to get wrong. An
+/// op the table refuses leaves the table, its rows and the LSN as they
+/// were.
+pub fn migrate_table(
+    db: &Database,
+    table: &str,
+    ops: &[EvolutionOp],
+) -> Result<(), EvolutionError> {
+    let storage = |e: quarry_storage::StorageError| EvolutionError(e.to_string());
+    let snap = db.snapshot();
+    let view = snap.table(table).map_err(storage)?;
+    let (schema, rows) = apply_all(view.schema(), &view.scan().map_err(storage)?, ops)?;
+    db.replace_table(schema, rows).map_err(storage)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,5 +520,49 @@ mod tests {
         ] {
             assert!(op.apply(&s, &r).is_err(), "{op:?}");
         }
+    }
+
+    #[test]
+    fn migrate_table_replays_onto_a_live_table() {
+        let (s, r) = base();
+        let db = Database::in_memory();
+        db.create_table(s).unwrap();
+        for row in r {
+            db.insert_autocommit("cities", row).unwrap();
+        }
+        let founded = EvolutionOp::AddColumn {
+            column: Column::new("founded", DataType::Int),
+            default: Value::Int(1846),
+        };
+        migrate_table(&db, "cities", &[founded]).unwrap();
+        let snap = db.snapshot();
+        assert_eq!(snap.schema("cities").unwrap().column_index("founded"), Some(3));
+        let rows = snap.scan("cities").unwrap();
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|row| row[3] == Value::Int(1846)));
+        // The population index came through the replacement.
+        assert_eq!(snap.indexed_columns("cities").unwrap(), vec!["population".to_string()]);
+    }
+
+    #[test]
+    fn an_invalid_migration_leaves_the_table_rows_and_lsn_alone() {
+        let (s, r) = base();
+        let db = Database::in_memory();
+        db.create_table(s.clone()).unwrap();
+        for row in r.clone() {
+            db.insert_autocommit("cities", row).unwrap();
+        }
+        let lsn = db.snapshot().lsn();
+        // The second op is refused: the first must not land either.
+        let ops = [
+            EvolutionOp::RenameColumn { from: "population".into(), to: "residents".into() },
+            EvolutionOp::DropColumn { name: "name".into() },
+        ];
+        assert!(migrate_table(&db, "cities", &ops).is_err());
+        assert!(migrate_table(&db, "ghost", &ops[..1]).is_err(), "no such table");
+        let snap = db.snapshot();
+        assert_eq!(snap.schema("cities").unwrap(), s);
+        assert_eq!(snap.scan("cities").unwrap(), r);
+        assert_eq!(snap.lsn(), lsn);
     }
 }

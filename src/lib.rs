@@ -12,7 +12,7 @@
 //! - [`hi`] — human-intervention simulation: oracles, crowds, reputation
 //! - [`uncertainty`] — probabilities, lineage, explanations
 //! - [`lang`] — the declarative IE+II+HI language and its optimizer
-//! - [`schema`] — schema registry and evolution
+//! - [`schema`] — schema evolution and live-table migration
 //! - [`debugger`] — the semantic debugger
 //! - [`query`] — keyword search, structured queries, query translation
 //! - [`cluster`] — sharded, replicated serving: router, ring, failover

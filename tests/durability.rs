@@ -2,7 +2,7 @@
 //! recovery, and schema evolution over the recovered store.
 
 use quarry::corpus::{Corpus, CorpusConfig, CrawlConfig, CrawlSimulator};
-use quarry::schema::{EvolutionOp, SchemaRegistry, VersionId};
+use quarry::schema::{migrate_table, EvolutionOp};
 use quarry::storage::{
     Column, CrashPlan, DataType, Database, FaultBackend, Op, RealBackend, ScanAccess,
     SnapshotStore, TableSchema, Value,
@@ -73,22 +73,15 @@ fn schema_evolution_survives_recovery() {
     let base =
         TableSchema::new("people", vec![Column::new("name", DataType::Text)], &["name"], &[])
             .unwrap();
-    let mut registry = SchemaRegistry::new();
-    registry.register(base.clone()).unwrap();
-    registry
-        .evolve(
-            "people",
-            EvolutionOp::AddColumn {
-                column: Column::nullable("employer", DataType::Text),
-                default: Value::Null,
-            },
-        )
-        .unwrap();
+    let employer = EvolutionOp::AddColumn {
+        column: Column::nullable("employer", DataType::Text),
+        default: Value::Null,
+    };
     {
         let db = Database::open(&p).unwrap();
         db.create_table(base).unwrap();
         db.insert_autocommit("people", vec!["David Smith".into()]).unwrap();
-        registry.migrate_database(&db, "people", VersionId(0)).unwrap();
+        migrate_table(&db, "people", &[employer]).unwrap();
         let tx = db.begin();
         db.update(
             tx,

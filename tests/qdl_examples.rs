@@ -58,7 +58,7 @@ fn the_checker_and_the_facade_agree_on_every_example() {
                 assert!(named.contains(&code.as_str()), "{name}: {code} missing from {err}");
             }
             refused += 1;
-        } else if check_file_source(&name, &src, None).is_clean() {
+        } else if check_file_source(&name, &src).is_clean() {
             let stats = q.run_script(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(stats.len(), 1, "{name}");
             ran += 1;

@@ -94,6 +94,41 @@ fn stable_stats(
     (extractions, records, entities, rows_stored)
 }
 
+/// A `STORE` keyed unlike its existing table is refused over the wire
+/// exactly as by the façade: a QL008 error reply, not pipeline stats, and
+/// the table as it was.
+#[test]
+fn a_store_keyed_unlike_its_table_is_refused_over_the_wire() {
+    const REKEYED: &str = r#"
+PIPELINE by_state FROM corpus
+EXTRACT infobox, rules
+WHERE attribute IN ("name", "state", "population")
+RESOLVE BY state
+STORE INTO cities KEY state
+"#;
+    let corpus = corpus();
+    let mut served = Quarry::new(QuarryConfig::default()).unwrap();
+    served.ingest(corpus.docs.clone());
+    let server = Server::start(served, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut c = Client::connect_with(server.local_addr(), Duration::from_secs(60)).unwrap();
+    c.qdl(PIPELINE).unwrap();
+    let scan = Query::scan("cities");
+    let before = client_outcome(&mut c, &scan);
+    let refused = match c.qdl(REKEYED) {
+        Err(ClientError::Server { kind, message }) => format!("err:{kind:?}:{message}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    };
+    assert_eq!(client_outcome(&mut c, &scan), before);
+    drop(server.join());
+
+    let mut direct = Quarry::new(QuarryConfig::default()).unwrap();
+    direct.ingest(corpus.docs.clone());
+    direct.run_pipeline(PIPELINE).unwrap();
+    let expected = facade_error(&direct.run_pipeline(REKEYED).unwrap_err());
+    assert!(expected.starts_with("err:Lint:") && expected.contains("QL008"), "{expected}");
+    assert_eq!(refused, expected);
+}
+
 #[test]
 fn four_concurrent_clients_match_the_facade_bit_for_bit() {
     let corpus = corpus();

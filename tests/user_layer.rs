@@ -1,7 +1,7 @@
 //! User-layer integration through the façade: forms, browsing, monitors,
 //! corrections, and the incentive loop working together.
 
-use quarry::core::{Correction, CorrectionStatus, Quarry, QuarryConfig, Snapshot};
+use quarry::core::{Correction, CorrectionStatus, Quarry, QuarryConfig, QuarryError, Snapshot};
 use quarry::corpus::{Corpus, CorpusConfig, NoiseConfig};
 use quarry::query::engine::AggFn;
 use quarry::query::Query;
@@ -13,6 +13,24 @@ const PIPELINE: &str = r#"
 PIPELINE cities FROM corpus
 EXTRACT infobox, rules
 WHERE attribute IN ("name", "state", "population")
+RESOLVE BY name
+STORE INTO cities KEY name
+"#;
+
+/// `boot`'s table is keyed by `name`; this program stores it by `state`.
+const REKEYED: &str = r#"
+PIPELINE by_state FROM corpus
+EXTRACT infobox, rules
+WHERE attribute IN ("name", "state", "population")
+RESOLVE BY state
+STORE INTO cities KEY state
+"#;
+
+/// `boot`'s pipeline with one attribute its table has no column for.
+const WIDENED: &str = r#"
+PIPELINE cities FROM corpus
+EXTRACT infobox, rules
+WHERE attribute IN ("name", "state", "population", "founded")
 RESOLVE BY name
 STORE INTO cities KEY name
 "#;
@@ -206,4 +224,45 @@ fn a_dropped_table_is_not_suggested() {
     let after = q.snapshot();
     assert!(after.lsn() > before.lsn(), "DROP TABLE moved no LSN");
     assert!(!over_cities(&after), "a dropped table is still suggested");
+}
+
+/// What a refused `STORE` must leave alone: the table's rows and the LSN.
+fn stored(q: &Quarry) -> (Vec<Vec<Value>>, u64) {
+    let snap = q.db.snapshot();
+    (snap.scan("cities").unwrap(), snap.lsn())
+}
+
+/// QL008 reads the table's key from the database itself, so the check a
+/// run makes refuses a `STORE` keyed otherwise before any document is read.
+#[test]
+fn a_store_keyed_unlike_its_table_is_refused_by_the_check() {
+    let (mut q, _) = boot();
+    let before = stored(&q);
+    assert!(!before.0.is_empty());
+    let report = q.check_program(REKEYED);
+    let d = report.diagnostics.iter().find(|d| d.code == "QL008").expect("QL008 fires");
+    assert_eq!(&report.source[d.span.start..d.span.end], "cities");
+    assert!(d.message.contains("(name)") && d.message.contains("(state)"), "{}", d.message);
+    match q.run_pipeline(REKEYED) {
+        Err(QuarryError::Lint(report)) => {
+            assert!(report.diagnostics.iter().any(|d| d.code == "QL008"))
+        }
+        other => panic!("expected a Lint refusal, got {other:?}"),
+    }
+    assert_eq!(stored(&q), before);
+}
+
+/// A `STORE` with a column its table lacks cannot apply: it is refused
+/// with the column named, and nothing is written.
+#[test]
+fn a_store_wider_than_its_table_is_refused() {
+    let (mut q, _) = boot();
+    let before = stored(&q);
+    assert!(q.check_program(WIDENED).is_clean(), "same key: the check passes it");
+    let err = q.run_pipeline(WIDENED).unwrap_err();
+    assert!(err.to_string().contains("extra column(s) founded"), "{err}");
+    assert_eq!(stored(&q), before);
+    // The table's own program still applies, as an upsert of every row.
+    let again = q.run_pipeline(PIPELINE).unwrap();
+    assert_eq!(again.rows_stored, before.0.len());
 }
