@@ -35,17 +35,21 @@
 //! Oversized keys/values spill into [`PageType::Overflow`] chains (one
 //! chain per blob) so a leaf entry is never larger than ~1.5 KiB and a
 //! page always holds at least two entries. Trees here are *build-once*:
-//! checkpoint construction inserts but never deletes, so overflow chains
-//! referenced by both a leaf and a copied separator are safe to alias —
-//! nothing in an image is ever freed until the whole file is replaced by
-//! the next checkpoint.
+//! a checkpoint builds each tree bottom-up from a sorted stream
+//! ([`Builder`]) and nothing ever deletes, so overflow chains referenced
+//! by both a leaf and a copied separator are safe to alias — nothing in an
+//! image is ever freed until the whole file is replaced by the next
+//! checkpoint.
 //!
 //! Inserting into a full node splits it. A split at the node's right edge
-//! (the append path: row ids arrive ascending) keeps everything but the
-//! new entry in the left page, yielding ~full pages for sorted loads,
-//! while a mid-node split picks the byte-balanced cut. Either way both
-//! halves are guaranteed to fit, because the largest possible entry is far
-//! smaller than half a page.
+//! (the append path: keys arrive ascending) keeps everything but the new
+//! entry in the left page, yielding ~full pages for sorted loads, while a
+//! mid-node split picks the byte-balanced cut. Either way both halves are
+//! guaranteed to fit, because the largest possible entry is far smaller
+//! than half a page. [`Builder`] cuts its pages where right-edge splits
+//! would, so its file is the one [`BTree::insert`] leaves fed the same
+//! sorted stream, byte for byte; `insert` stays as that oracle and for
+//! trees fed in any order.
 //!
 //! Node payloads (unchanged since the first B-tree image): a leaf is
 //! `count` entries of `flags key value`; an inner node is a child id, then
@@ -228,27 +232,58 @@ impl<'a> Stored<'a> {
             Stored::Spilled(head) => read_chain(pager, head, PageType::Overflow).map(Cow::Owned),
         }
     }
+
+    /// `bytes` as an entry stores them: inline, or — when longer than
+    /// `max_inline` — in a fresh overflow chain, written here.
+    fn spill(pager: &mut Pager, bytes: &'a [u8], max_inline: usize) -> Result<Stored<'a>> {
+        if bytes.len() <= max_inline {
+            return Ok(Stored::Inline(bytes));
+        }
+        let mut w = ChainWriter::new(pager, PageType::Overflow)?;
+        w.push_record(pager, bytes)?;
+        Ok(Stored::Spilled(w.finish(pager)?.0))
+    }
+
+    /// `flag` if spilled, else no flag.
+    fn flag(self, flag: u8) -> u8 {
+        match self {
+            Stored::Inline(_) => 0,
+            Stored::Spilled(_) => flag,
+        }
+    }
+
+    /// Bytes [`Stored::write`] appends.
+    fn len(self) -> usize {
+        match self {
+            Stored::Inline(bytes) => codec::u64_len(bytes.len() as u64) + bytes.len(),
+            Stored::Spilled(head) => codec::u64_len(head.into()),
+        }
+    }
+
+    /// Append it to an entry under construction: `len bytes`, or the
+    /// chain's head page id.
+    fn write(self, entry: &mut impl Write) -> Result<()> {
+        match self {
+            Stored::Inline(bytes) => {
+                codec::write_u64(entry, bytes.len() as u64)?;
+                Ok(entry.write_all(bytes)?)
+            }
+            Stored::Spilled(head) => codec::write_u64(entry, head.into()),
+        }
+    }
 }
 
-/// Append `bytes` to an entry under construction: inline, or — when longer
-/// than `max_inline` — as the head of a fresh overflow chain. Returns
-/// whether they spilled.
+/// Append `bytes` to an entry under construction as [`Stored::spill`]
+/// stores them. Returns whether they spilled.
 fn write_stored(
     pager: &mut Pager,
     entry: &mut impl Write,
     bytes: &[u8],
     max_inline: usize,
 ) -> Result<bool> {
-    if bytes.len() <= max_inline {
-        codec::write_u64(entry, bytes.len() as u64)?;
-        entry.write_all(bytes)?;
-        return Ok(false);
-    }
-    let mut w = ChainWriter::new(pager, PageType::Overflow)?;
-    w.push_record(pager, bytes)?;
-    let (head, _) = w.finish(pager)?;
-    codec::write_u64(entry, u64::from(head))?;
-    Ok(true)
+    let stored = Stored::spill(pager, bytes, max_inline)?;
+    stored.write(entry)?;
+    Ok(matches!(stored, Stored::Spilled(_)))
 }
 
 /// Parse the head of an entry — its flags byte and its key — at `pos`.
@@ -467,7 +502,8 @@ impl Node {
 
 /// Did an insert open a new key group? (Exact for every order; only
 /// interesting for [`KeyOrder::ValueRowId`], where it counts distinct
-/// indexed values during a checkpoint build.)
+/// indexed values — as [`Builder::push`]'s answer does during a
+/// checkpoint build.)
 #[derive(Debug, Clone, Copy)]
 pub struct InsertOutcome {
     /// No pre-existing entry shares the inserted key's group.
@@ -622,13 +658,9 @@ impl BTree {
         while let Some((mut separator, right_id)) = split {
             let Some((parent_id, parent, child)) = path.pop() else {
                 // The root itself split: grow the tree by one level.
-                let mut payload = Vec::with_capacity(separator.len() + 2 * MAX_UVARINT);
-                codec::write_u64(&mut payload, u64::from(self.root))?;
-                payload.extend_from_slice(&separator);
-                codec::write_u64(&mut payload, u64::from(right_id))?;
                 let mut root = Page::new(PageType::BtreeInner);
-                fill(&mut root, &[&payload])?;
-                root.count = 1;
+                codec::write_u64(&mut root, u64::from(self.root))?;
+                append_child(&mut root, &separator, right_id)?;
                 let new_root = pager.allocate(PageType::BtreeInner)?;
                 pager.put_page(new_root, root)?;
                 self.root = new_root;
@@ -778,6 +810,139 @@ impl BTree {
         let (pos, _) = self.leaf_pos(pager, &node, key)?;
         Ok(Cursor { node, pos, hops: 0 })
     }
+}
+
+/// A tree built bottom-up from entries in strictly ascending key order:
+/// the file [`BTree::insert`] leaves behind fed the same stream, byte for
+/// byte and page id for page id, without its descents, searches, offset
+/// tables or page edits.
+///
+/// An in-order insert only ever lands at the tree's right edge, and a
+/// right-edge split keeps every entry but the new one in the left page. So
+/// the builder owns each level's right-edge page, leaf first, outside the
+/// pool, and appends each entry's bytes to the leaf's once. When the next
+/// entry does not fit, the full page goes to the pool — once, finished —
+/// and the entry opens a page of its own, whose key is the separator
+/// handed up, exactly as a split there would cut. Page ids, overflow chains
+/// and new roots are taken in the order an insert takes them; ids come from
+/// [`Pager::reserve`], so the pool never holds an empty stand-in for a page
+/// still being filled, and a build writes each page once and reads none
+/// back. A key that does not sort strictly after the one before it is
+/// [`StorageError::Corrupt`].
+#[derive(Debug)]
+pub struct Builder {
+    order: KeyOrder,
+    /// The leaf under construction and its page id.
+    leaf: (u32, Page),
+    /// Each inner level's page under construction with its id, lowest
+    /// first; the last is the root, if there is one.
+    inner: Vec<(u32, Page)>,
+    /// The last key pushed, once one was.
+    last: Option<Vec<u8>>,
+    /// The separator on its way up: flags and key as stored.
+    separator: Vec<u8>,
+}
+
+impl Builder {
+    /// Start an empty tree: its root leaf takes the next page id, as
+    /// [`BTree::create`]'s does.
+    pub fn new(pager: &mut Pager, order: KeyOrder) -> Result<Builder> {
+        let leaf = (pager.reserve()?, Page::new(PageType::BtreeLeaf));
+        Ok(Builder { order, leaf, inner: Vec::new(), last: None, separator: Vec::new() })
+    }
+
+    /// Append `key -> val`. Returns whether the key opened a new group,
+    /// as [`BTree::insert`]'s `new_group` does.
+    pub fn push(&mut self, pager: &mut Pager, key: &[u8], val: &[u8]) -> Result<bool> {
+        let new_group = self.follow(key)?;
+        let key = Stored::spill(pager, key, MAX_INLINE_KEY)?;
+        let val = Stored::spill(pager, val, MAX_INLINE_VAL)?;
+        let flags = key.flag(FLAG_KEY_SPILLED) | val.flag(FLAG_VAL_SPILLED);
+        let (id, leaf) = &mut self.leaf;
+        if !leaf.has_room(1 + key.len() + val.len()) {
+            let right = pager.reserve()?;
+            let left = std::mem::replace(id, right);
+            let mut full = std::mem::replace(leaf, Page::new(PageType::BtreeLeaf));
+            full.next = right;
+            pager.put_page(left, full)?;
+            self.separator.clear();
+            self.separator.push(flags & FLAG_KEY_SPILLED);
+            key.write(&mut self.separator)?;
+            self.raise(pager, left, right)?;
+        }
+        let leaf = &mut self.leaf.1;
+        leaf.write_all(&[flags])?;
+        key.write(leaf)?;
+        val.write(leaf)?;
+        leaf.count += 1;
+        Ok(new_group)
+    }
+
+    /// Check that `key` sorts strictly after the last key pushed and keep
+    /// it as the last; return whether it opens a new group.
+    fn follow(&mut self, key: &[u8]) -> Result<bool> {
+        let Some(last) = &mut self.last else {
+            self.last = Some(key.to_vec());
+            return Ok(true);
+        };
+        let (order, new_group) = match self.order {
+            KeyOrder::ValueRowId => {
+                let (by_value, by_row) = compare_index_keys(last, key)?;
+                (by_value.then(by_row), by_value != Ordering::Equal)
+            }
+            order => (order.compare(last, key)?, true),
+        };
+        if order != Ordering::Less {
+            return Err(corrupt("btree build: a key does not sort after the key before it"));
+        }
+        last.clear();
+        last.extend_from_slice(key);
+        Ok(new_group)
+    }
+
+    /// Hand the level above the leaves `separator` and `right`, the page
+    /// that now follows page `left`. A level with no room for them passes
+    /// its full page to the pool and goes on in a fresh one, led by
+    /// `right`, while the separator moves up a level; past the root they
+    /// make a new root over `left` and `right`.
+    fn raise(&mut self, pager: &mut Pager, mut left: u32, mut right: u32) -> Result<()> {
+        let separator = &self.separator;
+        for (id, page) in &mut self.inner {
+            if page.has_room(separator.len() + codec::u64_len(right.into())) {
+                return append_child(page, separator, right);
+            }
+            let fresh = pager.reserve()?;
+            let mut led = Page::new(PageType::BtreeInner);
+            codec::write_u64(&mut led, right.into())?;
+            let full = std::mem::replace(page, led);
+            (left, right) = (std::mem::replace(id, fresh), fresh);
+            pager.put_page(left, full)?;
+        }
+        let mut root = Page::new(PageType::BtreeInner);
+        codec::write_u64(&mut root, left.into())?;
+        append_child(&mut root, separator, right)?;
+        self.inner.push((pager.reserve()?, root));
+        Ok(())
+    }
+
+    /// Hand every page still under construction to the pool and return
+    /// the tree.
+    pub fn finish(self, pager: &mut Pager) -> Result<BTree> {
+        let root = self.inner.last().map_or(self.leaf.0, |(id, _)| *id);
+        for (id, page) in std::iter::once(self.leaf).chain(self.inner) {
+            pager.put_page(id, page)?;
+        }
+        Ok(BTree { root, order: self.order })
+    }
+}
+
+/// Append an inner entry — a separator, then the child it leads to — to
+/// the inner page under construction.
+fn append_child(page: &mut Page, separator: &[u8], child: u32) -> Result<()> {
+    page.write_all(separator)?;
+    codec::write_u64(page, child.into())?;
+    page.count += 1;
+    Ok(())
 }
 
 /// Append each of `parts` to a page under construction.

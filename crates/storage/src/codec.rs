@@ -57,6 +57,11 @@ pub fn write_u64<W: Write>(w: &mut W, mut v: u64) -> Result<()> {
     }
 }
 
+/// Bytes [`write_u64`] writes for `v`.
+pub(crate) fn u64_len(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// Read an unsigned LEB128 varint, advancing `pos` past every byte it
 /// reads — on an error too, up to the byte that decided it. At most 10
 /// bytes: the 10th carries bit 63 alone, so it must be 0 or 1. This runs
@@ -381,6 +386,7 @@ mod tests {
             let mut pos = 0;
             assert_eq!(read_u64(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
+            assert_eq!(u64_len(v), buf.len(), "{v}");
         }
         for v in [0i64, -1, 1, i64::MIN, i64::MAX, -300, 300] {
             let mut buf = Vec::new();

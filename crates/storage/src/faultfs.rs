@@ -159,15 +159,14 @@ impl StorageBackend for RealBackend {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)?;
-        // Make the rename itself durable: fsync the parent directory so the
-        // new directory entry survives power loss (best effort — not every
-        // filesystem lets you open a directory for syncing).
-        if let Some(parent) = to.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_data();
-            }
+        // Make the rename itself durable — it is a checkpoint's commit
+        // point, and the caller truncates the log next: fsync the directory
+        // holding the new entry, so it survives power loss.
+        let synced = File::open(parent_dir(to)).and_then(|dir| dir.sync_data());
+        match synced {
+            Err(e) if cannot_sync_directories(&e) => Ok(()),
+            synced => synced,
         }
-        Ok(())
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
@@ -185,6 +184,22 @@ impl StorageBackend for RealBackend {
         }
         Ok(names)
     }
+}
+
+/// The directory holding `path`: its parent, or `.` for a bare file name
+/// (whose parent is the empty path, which names no directory to open).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    }
+}
+
+/// Does `e`, from opening or syncing a directory, say only that this
+/// filesystem does not sync directories (`EINVAL`, or no support at all)?
+/// Any other failure means the directory entry may not be durable.
+fn cannot_sync_directories(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::InvalidInput | io::ErrorKind::Unsupported)
 }
 
 // ---------------------------------------------------------------------
@@ -622,6 +637,32 @@ mod tests {
         drop(f);
         assert_eq!(std::fs::read(&p).unwrap(), b"a123XY6789");
         std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn a_rename_syncs_the_directory_it_lands_in() {
+        assert_eq!(parent_dir(Path::new("node.ckpt")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("data/node.ckpt")), Path::new("data"));
+        assert_eq!(parent_dir(Path::new("/node.ckpt")), Path::new("/"));
+
+        // Only "this filesystem does not sync directories" is let pass.
+        let einval = io::Error::from_raw_os_error(22);
+        assert_eq!(einval.kind(), io::ErrorKind::InvalidInput);
+        for tolerated in [einval, io::ErrorKind::Unsupported.into()] {
+            assert!(cannot_sync_directories(&tolerated), "{tolerated}");
+        }
+        let eio = io::Error::from_raw_os_error(5);
+        let kinds = [io::ErrorKind::NotFound, io::ErrorKind::PermissionDenied];
+        for failed in kinds.map(io::Error::from).into_iter().chain([eio]) {
+            assert!(!cannot_sync_directories(&failed), "{failed}");
+        }
+
+        // A rename into a directory that can be synced succeeds.
+        let (a, b) = (tmp("sync-src"), tmp("sync-dst"));
+        std::fs::write(&a, b"x").unwrap();
+        RealBackend.rename(&a, &b).unwrap();
+        assert!(b.exists() && !a.exists());
+        std::fs::remove_file(&b).unwrap();
     }
 
     #[test]

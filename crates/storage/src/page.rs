@@ -258,6 +258,11 @@ impl Page {
         n
     }
 
+    /// Could `n` more payload bytes be appended?
+    pub(crate) fn has_room(&self, n: usize) -> bool {
+        usize::from(self.len) + n <= PAGE_CAPACITY
+    }
+
     /// Replace payload bytes `range` with `bytes`, shifting what follows
     /// and zeroing whatever a shrink vacates. Returns `false`, leaving the
     /// page as it was, when `range` is not inside the payload or the
@@ -280,6 +285,19 @@ impl Page {
         }
         self.len = new_len as u16;
         true
+    }
+}
+
+/// Writing appends to the payload, as [`Page::push`] does: a write takes
+/// what fits, so `write_all` past [`PAGE_CAPACITY`] fails with
+/// `WriteZero`.
+impl std::io::Write for Page {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        Ok(self.push(bytes))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

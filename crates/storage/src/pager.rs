@@ -335,7 +335,21 @@ impl Pager {
     }
 
     /// Allocate a page: pop the freelist head if any, else extend the file.
+    /// The pool holds an empty page of type `ptype` under the new id until
+    /// the caller replaces it.
     pub fn allocate(&mut self, ptype: PageType) -> Result<u32> {
+        let id = self.reserve()?;
+        self.put_page(id, Page::new(ptype))?;
+        Ok(id)
+    }
+
+    /// Allocate a page id as [`Pager::allocate`] does, but install no
+    /// image: the caller owns the page until it hands it over with
+    /// [`Pager::put_page`], which it must do before the next flush. A
+    /// writer that fills a page while others pass through the pool takes
+    /// its ids here, so the pool never holds, nor writes back, an empty
+    /// stand-in for a page still being filled.
+    pub fn reserve(&mut self) -> Result<u32> {
         let id = if self.free_head != NO_PAGE {
             let id = self.free_head;
             let free_page = self.read_page(id)?;
@@ -352,7 +366,6 @@ impl Pager {
             self.page_count += 1;
             id
         };
-        self.put_page(id, Page::new(ptype))?;
         Ok(id)
     }
 
@@ -541,7 +554,11 @@ impl Pager {
 /// Streams encoded record bytes across a chain of linked pages.
 ///
 /// Records may span page boundaries; the reader reassembles the chain's
-/// payload before decoding, so no per-record slotting is needed.
+/// payload before decoding, so no per-record slotting is needed. Each
+/// page reaches the pool once, when it is full or the chain finishes (its
+/// id comes from [`Pager::reserve`]), so a chain is written page by page,
+/// each page once; a writer dropped unfinished leaves its last page
+/// unwritten.
 pub struct ChainWriter {
     head: u32,
     current_id: u32,
@@ -553,7 +570,7 @@ pub struct ChainWriter {
 impl ChainWriter {
     /// Start a chain with one freshly allocated page.
     pub fn new(pager: &mut Pager, ptype: PageType) -> Result<ChainWriter> {
-        let head = pager.allocate(ptype)?;
+        let head = pager.reserve()?;
         Ok(ChainWriter { head, current_id: head, current: Page::new(ptype), ptype, records: 0 })
     }
 
@@ -584,7 +601,7 @@ impl ChainWriter {
 
     /// Link a fresh page after the current one and make it current.
     fn spill(&mut self, pager: &mut Pager) -> Result<()> {
-        let next_id = pager.allocate(self.ptype)?;
+        let next_id = pager.reserve()?;
         self.current.next = next_id;
         let full = std::mem::replace(&mut self.current, Page::new(self.ptype));
         pager.put_page(self.current_id, full)?;

@@ -9,10 +9,11 @@
 //!
 //! **Publication** ([`publish`]) builds the image in a `.ckpt-tmp` side
 //! file through a bounded buffer pool, fsyncs it, and renames it over the
-//! durable `.ckpt` — the rename is the commit point. Page splits add no
-//! crash windows: they all happen inside the unpublished build, so a torn
-//! multi-page split just discards that build. The caller truncates the
-//! log only after the rename.
+//! durable `.ckpt` — the rename is the commit point. The trees' page
+//! writes add no crash windows: they all happen inside the unpublished
+//! build, so a torn write just discards that build, and a build refused
+//! part-way (a stream out of key order is `Corrupt`) never reaches the
+//! rename. The caller truncates the log only after the rename.
 //!
 //! **Recovery** ([`recover`]) loads the published image, if any, then
 //! replays the WAL over it (redo-only, one pass: each committed unit is

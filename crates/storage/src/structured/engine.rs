@@ -942,6 +942,48 @@ mod tests {
         let _ = std::fs::remove_file(&p);
     }
 
+    /// The tree builder refuses a stream out of key order, and a checkpoint
+    /// it refuses fails before its commit point: two overlay rows forced
+    /// under one primary key (past the write path's duplicate check) make
+    /// the pk tree's stream repeat a key, and the checkpoint leaves no
+    /// rename, the WAL and the LSN as they were, the previous image in
+    /// place, and the writer gate open.
+    #[test]
+    fn a_checkpoint_fed_a_repeated_key_fails_before_its_commit_point() {
+        let p = tmpwal("ckpt-refused");
+        let fb = FaultBackend::recording(RealBackend);
+        let db = Database::open_with(Arc::new(fb.clone()), &p).unwrap();
+        db.create_table(people_schema()).unwrap();
+        for i in 0..40 {
+            db.insert_autocommit("people", person(&format!("p{i:02}"), i, "x")).unwrap();
+        }
+        db.checkpoint().unwrap();
+        db.insert_autocommit("people", person("twice", 1, "x")).unwrap();
+        {
+            let mut st = db.tables.lock();
+            let t = st.tables.get_mut("people").unwrap();
+            let row = person("twice", 2, "y");
+            t.apply_insert(RowId(t.next_row), t.pk_hash(&row), row).unwrap();
+        }
+        let image = checkpoint::image_path(&p);
+        let (lsn, log, published) =
+            (db.snapshot().lsn(), std::fs::read(&p).unwrap(), std::fs::read(&image).unwrap());
+        let ops = fb.op_count() as usize;
+
+        let err = db.checkpoint().unwrap_err();
+        assert!(matches!(&err, StorageError::Corrupt(m) if m.contains("sort")), "{err}");
+        let after = fb.ops().split_off(ops);
+        let moved = after.iter().find(|op| matches!(op, Op::Rename { .. } | Op::Truncate { .. }));
+        assert_eq!(moved, None, "the failed checkpoint reached past its build: {after:?}");
+        assert_eq!(db.snapshot().lsn(), lsn);
+        assert!(std::fs::read(&p).unwrap() == log, "the WAL changed");
+        assert!(std::fs::read(&image).unwrap() == published, "the published image changed");
+        db.insert_autocommit("people", person("after", 3, "z")).unwrap();
+        let _ = std::fs::remove_file(&p);
+        let _ = std::fs::remove_file(&image);
+        let _ = std::fs::remove_file(checkpoint::tmp_path(&p));
+    }
+
     fn snap_rows(db: &Database) -> Vec<Row> {
         db.snapshot().scan("people").unwrap()
     }

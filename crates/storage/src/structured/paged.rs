@@ -19,17 +19,20 @@
 //! [`build_table_trees`] fills one tree at a time, each from a stream in
 //! that tree's own key order: the merges below already yield rows by id
 //! and index entries by `(value, row id)`, and primary keys come from the
-//! base image's pk tree merged with the overlay's keys, sorted once. Every
-//! insert therefore lands at its tree's right edge, where a split leaves
-//! the full page behind for good: the pool holds one root-to-leaf path,
-//! nothing is read back, and each page is written once.
+//! base image's pk tree merged with the overlay's keys, sorted once. Each
+//! stream feeds a [`Builder`], which appends every entry to the page under
+//! construction at its level's right edge and hands a page to the pool
+//! once, full: nothing is searched or read back, each page is written
+//! once, and the file is the one in-order `BTree::insert`s would leave. A
+//! stream out of key order fails the build as `Corrupt`, before anything
+//! is published.
 //!
 //! The directory format is versioned: a `u64::MAX` sentinel, then the
 //! version. The sentinel is impossible as the table count that opened the
 //! retired v1 (heap-chain) directory, so a v1 image is recognized — and
 //! refused — instead of being misread.
 
-use crate::btree::{self, BTree, Cursor, KeyOrder};
+use crate::btree::{self, BTree, Builder, Cursor, KeyOrder};
 use crate::codec;
 use crate::error::StorageError;
 use crate::faultfs::StorageBackend;
@@ -88,7 +91,7 @@ impl CheckpointImage {
 
     /// `cursor`'s next entry, read under the pager lock for this one step
     /// only. A merge that hands each entry to a callback steps through
-    /// here, so a checkpoint build inserting into (and writing out) the
+    /// here, so a checkpoint build pushing into (and writing out) the
     /// next image never keeps readers of this one waiting.
     fn step(&self, cursor: &mut Cursor) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         cursor.next(&mut self.pager.lock())
@@ -351,9 +354,9 @@ pub(crate) fn for_each_index_entry(
 /// Build one table's trees inside the image under construction and
 /// return their roots: the row tree, then the primary-key tree, then one
 /// tree per secondary index (`indexes` are the overlay's, one per name in
-/// `schema.indexes`), each filled in its own key order before the next is
-/// begun (see the module doc). Distinct-value counts fall out of the index
-/// trees' group accounting as they build.
+/// `schema.indexes`), each streamed in its own key order through a
+/// [`Builder`] before the next is begun (see the module doc).
+/// Distinct-value counts are the groups the index trees' builders open.
 pub(crate) fn build_table_trees(
     pager: &mut Pager,
     schema: &TableSchema,
@@ -366,16 +369,17 @@ pub(crate) fn build_table_trees(
     // Every key and value is encoded into these two, over and over.
     let (mut key, mut val) = (Vec::new(), Vec::new());
 
-    let mut row_tree = BTree::create(pager, KeyOrder::RowId)?;
+    let mut row_tree = Builder::new(pager, KeyOrder::RowId)?;
     let mut nrows = 0u64;
     for_each_live_row(base, overlay, tombstones, &mut |id, row| {
         btree::write_row_key(&mut key, id.0)?;
         val.clear();
         codec::write_row(&mut val, row)?;
-        row_tree.insert(pager, &key, &val)?;
+        row_tree.push(pager, &key, &val)?;
         nrows += 1;
         Ok(())
     })?;
+    let row_root = row_tree.finish(pager)?.root();
 
     let shadowed = |id: RowId| overlay.contains_key(&id) || tombstones.contains_key(&id);
     let pk_root = build_pk_tree(pager, schema, base, overlay, &shadowed, (&mut key, &mut val))?;
@@ -384,17 +388,18 @@ pub(crate) fn build_table_trees(
     by_name.sort_by_key(|(column, _)| *column);
     let mut index_metas = HashMap::with_capacity(by_name.len());
     for (column, overlay_ix) in by_name {
-        let mut tree = BTree::create(pager, KeyOrder::ValueRowId)?;
+        let mut tree = Builder::new(pager, KeyOrder::ValueRowId)?;
         let mut distinct = 0u64;
         let mut append = |value: &Value, id: RowId| {
             btree::write_index_key(&mut key, value, id.0)?;
-            distinct += u64::from(tree.insert(pager, &key, &[])?.new_group);
+            distinct += u64::from(tree.push(pager, &key, &[])?);
             Ok(())
         };
         for_each_index_entry(base, column, overlay_ix, &shadowed, (None, None), &mut append)?;
-        index_metas.insert(column.clone(), IndexMeta { root: tree.root(), distinct });
+        let root = tree.finish(pager)?.root();
+        index_metas.insert(column.clone(), IndexMeta { root, distinct });
     }
-    Ok(BaseMeta { row_root: row_tree.root(), pk_root, nrows, next_row, indexes: index_metas })
+    Ok(BaseMeta { row_root, pk_root, nrows, next_row, indexes: index_metas })
 }
 
 /// The primary-key tree of [`build_table_trees`], filled in key order:
@@ -410,7 +415,7 @@ fn build_pk_tree(
     shadowed: &dyn Fn(RowId) -> bool,
     (key, val): (&mut Vec<u8>, &mut Vec<u8>),
 ) -> Result<u32> {
-    let mut tree = BTree::create(pager, KeyOrder::PkValues)?;
+    let mut tree = Builder::new(pager, KeyOrder::PkValues)?;
     let mut fresh: Vec<(RowId, &Row)> = overlay.iter().map(|(id, row)| (*id, row)).collect();
     fresh.sort_unstable_by(|(_, a), (_, b)| {
         schema.key.iter().map(|&c| a.get(c)).cmp(schema.key.iter().map(|&c| b.get(c)))
@@ -451,13 +456,13 @@ fn build_pk_tree(
             }
             val.clear();
             codec::write_u64(val, id.0)?;
-            tree.insert(pager, key, val)?;
+            tree.push(pager, key, val)?;
             head = advance(key)?;
         }
         let Some((k, v)) = kept else { break };
-        tree.insert(pager, &k, &v)?;
+        tree.push(pager, &k, &v)?;
     }
-    Ok(tree.root())
+    Ok(tree.finish(pager)?.root())
 }
 
 #[cfg(test)]
@@ -627,11 +632,14 @@ mod tests {
 
     /// Build `t`'s trees through a pool of `pool` pages, counting what the
     /// pool and the device saw, and check that the build was nothing but
-    /// sorted appends: no page was read back, every page of the image
-    /// (the meta page among them) was written exactly once, and every leaf
-    /// but the last of each tree was left at least nine tenths full. The
-    /// image is left at the returned path.
-    fn build_counting(t: &Table, pool: usize, name: &str) -> (PathBuf, BaseMeta) {
+    /// sorted appends: no page was read back, the pool served at most one
+    /// hit a page (an insert-fed build makes one a tree level an entry),
+    /// every page of the image (the meta page among them) was written
+    /// exactly once, and every leaf but the last of each tree was left at
+    /// least nine tenths full. If asked, check the image against the one
+    /// `BTree::insert` builds from the same streams. The image is left at
+    /// the returned path.
+    fn build_counting(t: &Table, pool: usize, name: &str, oracle: bool) -> (PathBuf, BaseMeta) {
         let p = tmp(name);
         let device = FaultBackend::recording(RealBackend);
         let mut pager = Pager::create(&device, &p, pool).unwrap();
@@ -651,6 +659,7 @@ mod tests {
         let page_writes = |op: &&Op| matches!(op, Op::Write { bytes, .. } if *bytes == PAGE_SIZE);
         let written = device.ops().iter().filter(page_writes).count();
         assert_eq!(stats.misses, 0, "pool of {pool}: a sorted append reads nothing back");
+        assert!(stats.hits <= pages as u64, "pool of {pool}: {stats:?} for {pages} pages");
         assert_eq!(written, pages, "pool of {pool}: one write a page; {stats:?}");
         assert!(pages > 4 * pool, "the image must not fit the pool: {pages} pages");
 
@@ -674,15 +683,63 @@ mod tests {
             }
             assert_eq!(entries + u64::from(leaf.count), meta.nrows, "tree {root}");
         }
+        drop(pager);
+        if oracle {
+            assert_insert_fed_image(&p, &meta, pool);
+        }
         (p, meta)
+    }
+
+    /// The image at `path` is byte for byte the file `BTree::insert` leaves
+    /// fed the same streams: each tree's entries, read back in key order,
+    /// inserted in the build's own order — rows, primary keys, then the
+    /// indexes by name — into a fresh file under the same roots, with the
+    /// same distinct-value counts.
+    fn assert_insert_fed_image(path: &Path, meta: &BaseMeta, pool: usize) {
+        let mut image = Pager::open(&RealBackend, path, pool).unwrap();
+        let oracle_path = path.with_extension("inserted");
+        let _ = std::fs::remove_file(&oracle_path);
+        let mut oracle = Pager::create(&RealBackend, &oracle_path, pool).unwrap();
+        let mut names: Vec<&String> = meta.indexes.keys().collect();
+        names.sort();
+        let mut trees = vec![(meta.row_root, KeyOrder::RowId), (meta.pk_root, KeyOrder::PkValues)];
+        trees.extend(names.iter().map(|name| (meta.indexes[*name].root, KeyOrder::ValueRowId)));
+        let mut groups = Vec::new();
+        for (root, order) in trees {
+            let mut tree = BTree::create(&mut oracle, order).unwrap();
+            let mut cursor = BTree::open(root, order).cursor_first(&mut image).unwrap();
+            let mut distinct = 0u64;
+            while let Some((key, val)) = cursor.next(&mut image).unwrap() {
+                distinct += u64::from(tree.insert(&mut oracle, &key, &val).unwrap().new_group);
+            }
+            assert_eq!(tree.root(), root, "{order:?} tree root");
+            groups.push(distinct);
+        }
+        let indexed = names.iter().map(|name| meta.indexes[*name].distinct);
+        assert!(groups.iter().skip(2).copied().eq(indexed), "distinct values {groups:?}");
+        oracle.flush().unwrap();
+        drop((image, oracle));
+        let (built, inserted) =
+            (std::fs::read(path).unwrap(), std::fs::read(&oracle_path).unwrap());
+        std::fs::remove_file(&oracle_path).unwrap();
+        assert_eq!(built.len(), inserted.len(), "image length");
+        let page =
+            built.chunks(PAGE_SIZE).zip(inserted.chunks(PAGE_SIZE)).position(|(a, b)| a != b);
+        assert_eq!(page, None, "the first page on which the images differ");
     }
 
     /// A from-scratch image and, if asked for, its successor: a third of
     /// the base rows rewritten (moving their `n`), a seventh deleted, and as
     /// many again added, so all three merges run at size.
     fn generations(rows: u64, pool: usize, successor: bool) {
+        generations_checked(rows, pool, successor, false);
+    }
+
+    /// [`generations`], each image also checked against its insert-fed
+    /// build when `oracle`.
+    fn generations_checked(rows: u64, pool: usize, successor: bool, oracle: bool) {
         let mut t = scattered_table(rows);
-        let (first, meta) = build_counting(&t, pool, &format!("gen1-{rows}-{pool}"));
+        let (first, meta) = build_counting(&t, pool, &format!("gen1-{rows}-{pool}"), oracle);
         assert_eq!((meta.nrows, meta.indexes["s"].distinct), (rows, 97));
         assert_eq!(meta.indexes["n"].distinct, 5_000);
         if !successor {
@@ -699,7 +756,7 @@ mod tests {
         (1..rows).step_by(7).for_each(|i| drop(t.apply_delete(RowId(i)).unwrap()));
         let live = t.live_rows;
         (rows..rows + rows / 7).for_each(|i| insert_scattered(&mut t, i));
-        let (second, meta) = build_counting(&t, pool, &format!("gen2-{rows}-{pool}"));
+        let (second, meta) = build_counting(&t, pool, &format!("gen2-{rows}-{pool}"), oracle);
         assert_eq!(meta.nrows, live + rows / 7);
         assert_eq!(meta.indexes["s"].distinct, 97);
         std::fs::remove_file(first).unwrap();
@@ -710,6 +767,15 @@ mod tests {
     fn a_build_is_sorted_appends_no_page_read_back_each_written_once() {
         generations(20_000, 8, true);
         generations(20_000, 64, false);
+    }
+
+    /// The builder's image is the one `BTree::insert` leaves fed the same
+    /// streams, from scratch and as a successor over a base and an overlay
+    /// (the insert-fed oracle costs seconds in a debug build, so this runs
+    /// it on a smaller table).
+    #[test]
+    fn a_build_is_the_image_an_insert_fed_build_leaves() {
+        generations_checked(6_000, 8, true, true);
     }
 
     /// The same counts at ten times the size, with a wall bound generous

@@ -12,7 +12,7 @@
 //! Its own test binary because of the `#[global_allocator]`, and outside
 //! the crate because the library forbids `unsafe`.
 
-use quarry_storage::btree::row_key;
+use quarry_storage::btree::{row_key, Builder};
 use quarry_storage::page::{Page, PageType};
 use quarry_storage::{codec, BTree, KeyOrder, Pager, RealBackend, StorageError};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -206,5 +206,33 @@ fn a_bogus_count_is_refused_before_anything_is_sized_by_it() {
         assert!(matches!(got, Err(StorageError::Corrupt(_))), "{got:?}");
         assert!(bytes < 1_024, "{bytes} bytes allocated on the way to refusing the node");
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A bulk build owes its pages, not its entries: each page it fills is one
+/// allocation for the page and one for the frame the pool takes it in
+/// (plus the pool's slab and map while they grow), and appending an entry
+/// allocates nothing.
+#[test]
+fn a_build_allocates_per_page_and_nothing_per_entry() {
+    let path = tmp("build");
+    let mut pg = Pager::create(&RealBackend, &path, 8).unwrap();
+    let mut builder = Builder::new(&mut pg, KeyOrder::RowId).unwrap();
+    let entries = 10_000u64;
+    let keys: Vec<Vec<u8>> = (0..entries).map(row_key).collect();
+    // The last-key buffer's first allocation.
+    builder.push(&mut pg, &keys[0], b"first").unwrap();
+    let (tree, allocations, _) = counted(|| {
+        for (i, key) in keys.iter().enumerate().skip(1) {
+            builder.push(&mut pg, key, &[i as u8; 24]).unwrap();
+        }
+        builder.finish(&mut pg).unwrap()
+    });
+    let pages = u64::from(pg.page_count());
+    assert!(height(&mut pg, tree.root()) >= 2 && pages > 50, "{pages} pages");
+    assert!(
+        allocations <= 2 * pages + 16,
+        "{allocations} allocations building {entries} entries into {pages} pages"
+    );
     std::fs::remove_file(&path).unwrap();
 }
