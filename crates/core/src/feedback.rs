@@ -7,9 +7,14 @@
 //! once support clears a threshold. Accepted contributions pay incentive
 //! points and raise the contributor's reputation; rejected ones lower it —
 //! the flywheel the user layer's "incentive schemes" sentence describes.
+//!
+//! An applied correction records its cell's source as the user's
+//! ([`Source::User`]) in the same transaction, and `STORE` never
+//! overwrites such a cell: the next pipeline run keeps the correction.
 
 use crate::users::UserDirectory;
-use quarry_storage::{Database, StorageError, Value};
+use quarry_lang::provenance::{self, Cell, Source};
+use quarry_storage::{is_system_table, Database, StorageError, Value};
 use std::collections::BTreeMap;
 
 /// A proposed cell correction.
@@ -111,10 +116,10 @@ impl FeedbackQueue {
             return Ok(CorrectionStatus::Pending { missing: self.required_weight - total });
         }
 
-        // Threshold reached: apply.
+        // Threshold reached: apply, on behalf of whoever proposed it.
         let proposal = self.proposals.remove(&pk).expect("present");
-        let c = &proposal.correction;
-        let outcome = apply(db, c);
+        let proposer = proposal.supporters.first().map_or(user, |(u, _)| u.as_str());
+        let outcome = apply(db, &proposal.correction, proposer);
         let accepted = outcome.is_ok();
         for (supporter, _) in &proposal.supporters {
             let _ = users.record_contribution(supporter, accepted);
@@ -126,24 +131,31 @@ impl FeedbackQueue {
     }
 }
 
-fn apply(db: &Database, c: &Correction) -> Result<(), StorageError> {
+/// Apply `c`, proposed by `user`: the cell and its [`Source::User`]
+/// provenance are written in one transaction, so a crash leaves both or
+/// neither. `_provenance` is created first if absent, as its own unit. A
+/// system table takes no corrections.
+pub fn apply(db: &Database, c: &Correction, user: &str) -> Result<(), StorageError> {
+    if is_system_table(&c.table) {
+        return Err(StorageError::SchemaViolation(format!("{} is a system table", c.table)));
+    }
     let schema = db.schema(&c.table)?;
     let ci = schema
         .column_index(&c.column)
         .ok_or_else(|| StorageError::SchemaViolation(format!("no column {}", c.column)))?;
+    provenance::ensure(db)?;
+    let source = Source::User { user: user.to_string(), proposal: proposal_key(c) };
     let tx = db.begin();
     let result = (|| {
         let mut row = db.get(tx, &c.table, &c.key)?;
         row[ci] = c.value.clone();
-        db.update(tx, &c.table, &c.key, row)
+        let key = provenance::key_text(&schema.key_of(&row));
+        db.update(tx, &c.table, &c.key, row)?;
+        let cell = Cell { table: &c.table, key: &key, column: &c.column };
+        provenance::set(db, tx, cell, Some(&source))
     })();
-    match result {
-        Ok(()) => db.commit(tx),
-        Err(e) => {
-            let _ = db.abort(tx);
-            Err(e)
-        }
-    }
+    result.inspect_err(|_| drop(db.abort(tx)))?;
+    db.commit(tx)
 }
 
 #[cfg(test)]
@@ -213,6 +225,24 @@ mod tests {
         }
         assert!(applied, "enough small voices add up");
         assert_eq!(db.snapshot().scan("cities").unwrap()[0][1], Value::Int(250_000));
+        // The cell's source names the proposer, not the last supporter.
+        let explained = provenance::explain(&db.snapshot(), "cities", &["Madison".into()]).unwrap();
+        let proposal = "cities[Madison].population=250000".to_string();
+        let user = Source::User { user: "u0".into(), proposal };
+        assert_eq!(explained.cells[1].source, Some(user));
+        assert_eq!(explained.cells[0].source, None, "no STORE wrote the key cell");
+    }
+
+    #[test]
+    fn a_system_table_takes_no_corrections() {
+        let (db, mut users, mut q) = setup();
+        let mut c = correction();
+        c.table = provenance::TABLE.into();
+        let status = q.submit(&mut users, &db, "trusted", c).unwrap();
+        assert!(
+            matches!(status, CorrectionStatus::Rejected { reason } if reason.contains("system"))
+        );
+        assert!(db.schema(provenance::TABLE).is_err(), "nothing was written");
     }
 
     #[test]

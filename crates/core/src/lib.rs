@@ -11,8 +11,9 @@
 //!   transactional [`quarry_storage::Database`];
 //! - **processing layer** — QDL programs ([`quarry_lang`]) run IE
 //!   ([`quarry_extract`]) + II ([`quarry_integrate`]) + HI ([`quarry_hi`]),
-//!   watched by the semantic debugger ([`quarry_debugger`]) and recorded in
-//!   the provenance graph ([`quarry_uncertainty`]);
+//!   watched by the semantic debugger ([`quarry_debugger`]); every stored
+//!   cell's source is recorded beside it in the `_provenance` system table
+//!   ([`quarry_lang::provenance`]) and read back by [`Snapshot::explain`];
 //! - **user layer** — keyword search, query translation, forms, and
 //!   sessions ([`quarry_query`]), plus user accounts with reputations and
 //!   incentive points ([`users`]).

@@ -7,9 +7,10 @@
 //! - [`Quarry::snapshot`] captures a [`Snapshot`]: an immutable view of
 //!   the structured store pinned to one write-clock LSN (see
 //!   [`DbSnapshot`]) plus the working document set. Every exploitation
-//!   mode — structured query, keyword search, forms, explain, static
-//!   checks, stats — is a `&self` method on it, and snapshots never block
-//!   writers or each other.
+//!   mode — structured query, keyword search, forms, query plans, static
+//!   checks, stats — and the explanation of a stored row, read from the
+//!   `_provenance` table at the snapshot's LSN, is a `&self` method on it,
+//!   and snapshots never block writers or each other.
 //! - [`SharedQuarry`] packages the split for multi-threaded hosts: a
 //!   single-writer mutex around the [`Quarry`] write surface next to a
 //!   lock-free snapshot factory for readers. `quarry-serve` is built on
@@ -27,10 +28,11 @@ use crate::system::{Quarry, QuarryError};
 use parking_lot::Mutex;
 use quarry_corpus::Document;
 use quarry_exec::{ExecReport, LintReport, MetricsRegistry, MetricsSnapshot};
+use quarry_lang::provenance::{self, Explanation};
 use quarry_query::engine::{execute_snapshot, Query, QueryResult};
 use quarry_query::forms::QueryForm;
 use quarry_query::{CandidateQuery, InvertedIndex, SearchHit, Translator};
-use quarry_storage::{Database, DbSnapshot};
+use quarry_storage::{Database, DbSnapshot, Value};
 use std::sync::Arc;
 
 /// Read-path state shared between the writer ([`Quarry`]) and every
@@ -221,6 +223,16 @@ impl Snapshot {
     /// plan and rendering as the live path at this LSN.
     pub fn explain_query(&self, q: &Query) -> Result<String, QuarryError> {
         Ok(q.explain_snapshot(&self.db)?)
+    }
+
+    /// Explain the stored row of `table` keyed `key`: each non-null cell
+    /// with the source `_provenance` recorded for it at this snapshot's LSN
+    /// — the extraction `STORE` picked (document, span, the text read
+    /// there, extractor, confidence) or the user whose correction applied.
+    /// Written with the data, so the answer outlives a new crawl and a
+    /// restart.
+    pub fn explain(&self, table: &str, key: &[Value]) -> Result<Explanation, QuarryError> {
+        Ok(provenance::explain(&self.db, table, key)?)
     }
 
     /// Statically check a structured query against the pinned schemas.

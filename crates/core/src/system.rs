@@ -17,8 +17,7 @@ use quarry_lang::{
     Executor, ExtractorRegistry,
 };
 use quarry_query::engine::{Query, QueryError};
-use quarry_storage::{Database, ScanAccess, SnapshotStore, StorageError, Value};
-use quarry_uncertainty::{LineageGraph, NodeId};
+use quarry_storage::{is_system_table, Database, ScanAccess, SnapshotStore, StorageError, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -205,8 +204,6 @@ pub struct Quarry {
     pub db: Arc<Database>,
     /// Operator library (processing layer).
     pub registry: ExtractorRegistry,
-    /// Provenance graph (processing layer, Part V).
-    pub lineage: LineageGraph,
     /// System health (processing layer, Part VI).
     pub health: HealthMonitor,
     /// User accounts (user layer).
@@ -246,7 +243,6 @@ impl Quarry {
             snapshots: SnapshotStore::new(KEYFRAME_INTERVAL),
             db,
             registry: ExtractorRegistry::standard(),
-            lineage: LineageGraph::new(),
             health,
             users: UserDirectory::new(),
             dge,
@@ -531,52 +527,6 @@ impl Quarry {
         Ok(flags)
     }
 
-    /// Build tuple-level provenance for every row of a stored table by
-    /// re-associating rows with the cached extractions that support them.
-    /// Returns the lineage node per row (row key rendering → node).
-    pub fn record_lineage(&mut self, table: &str) -> Result<Vec<(String, NodeId)>, QuarryError> {
-        let snap = self.db.snapshot();
-        let (schema, rows) = (snap.schema(table)?, snap.scan(table)?);
-        let mut out = Vec::with_capacity(rows.len());
-        // Index cached extractions by (attribute, value) for fast lookup.
-        let mut support: HashMap<(&str, &Value), Vec<&Extraction>> = HashMap::new();
-        for exts in self.cache.values() {
-            for e in exts {
-                support.entry((e.attribute.as_str(), &e.value)).or_default().push(e);
-            }
-        }
-        for row in &rows {
-            let mut inputs = Vec::new();
-            for (c, v) in schema.columns.iter().zip(row) {
-                if v.is_null() {
-                    continue;
-                }
-                if let Some(witnesses) = support.get(&(c.name.as_str(), v)) {
-                    for e in witnesses.iter().take(2) {
-                        let doc_text = self
-                            .docs
-                            .iter()
-                            .find(|d| d.id == e.doc)
-                            .map(|d| e.span.slice(&d.text))
-                            .unwrap_or(&e.raw);
-                        let src = self.lineage.source(e.doc, e.span, doc_text);
-                        let op = self.lineage.operator(e.extractor, e.confidence, vec![src]);
-                        inputs.push(op);
-                    }
-                }
-            }
-            let display: Vec<String> = row.iter().map(Value::to_string).collect();
-            let node = self.lineage.tuple(table, &display.join(", "), inputs);
-            out.push((display.join(", "), node));
-        }
-        Ok(out)
-    }
-
-    /// Explain one derived tuple (by lineage node).
-    pub fn explain(&self, node: NodeId) -> String {
-        self.lineage.explain(node)
-    }
-
     /// Browse an entity: render its card — fields, plus rows of *other*
     /// tables that share one of its text values (cheap value-join links,
     /// the "browsing" exploitation mode of §3.2).
@@ -600,10 +550,11 @@ impl Quarry {
                 let _ = writeln!(card, "│ {} = {v}", c.name);
             }
         }
-        // Value links: other tables mentioning any of this row's text values.
+        // Value links: other data tables mentioning any of this row's text
+        // values (a system table is about the data, not part of it).
         let texts: Vec<&str> = row.iter().filter_map(Value::as_text).collect();
         for other in snap.table_names() {
-            if other == table {
+            if other == table || is_system_table(&other) {
                 continue;
             }
             let Ok(other_schema) = snap.schema(&other) else { continue };
@@ -644,6 +595,7 @@ impl Quarry {
 mod tests {
     use super::*;
     use quarry_corpus::{Corpus, CorpusConfig, NoiseConfig};
+    use quarry_lang::provenance::Source;
 
     fn system_with_corpus() -> (Quarry, Corpus) {
         let corpus = Corpus::generate(&CorpusConfig {
@@ -722,15 +674,26 @@ STORE INTO cities KEY name
 
     #[test]
     fn lineage_traces_rows_to_source_spans() {
-        let (mut q, _) = system_with_corpus();
+        let (mut q, corpus) = system_with_corpus();
         q.run_pipeline(CITY_PIPELINE).unwrap();
-        let nodes = q.record_lineage("cities").unwrap();
-        assert!(!nodes.is_empty());
-        // At least one stored tuple must trace back to raw text.
-        let traced = nodes.iter().filter(|(_, n)| !q.lineage.source_spans(*n).is_empty()).count();
-        assert!(traced > 0, "no tuple traced to a source span");
-        let text = q.explain(nodes[0].1);
-        assert!(text.contains("tuple in cities"));
+        let snap = q.snapshot();
+        let rows = snap.db().scan("cities").unwrap();
+        assert!(!rows.is_empty());
+        // Every non-null cell of every stored row traces to the raw text
+        // it was read from.
+        for row in &rows {
+            let explained = snap.explain("cities", &row[..1]).unwrap();
+            assert_eq!(explained.cells.len(), row.iter().filter(|v| !v.is_null()).count());
+            for cell in &explained.cells {
+                let Some(Source::Extracted { doc, span, raw, .. }) = &cell.source else {
+                    panic!("{explained}")
+                };
+                assert_eq!(&corpus.docs[doc.index()].text[span.start..span.end], raw);
+            }
+        }
+        let text = snap.explain("cities", &rows[0][..1]).unwrap().to_string();
+        assert!(text.starts_with("row of cities: "), "{text}");
+        assert!(text.contains("via infobox"), "{text}");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Core document types shared across the corpus and the rest of Quarry.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identifier of a document within a corpus.
 ///
 /// Identifiers are dense (0..n) so they can double as vector indexes in
-/// downstream components (inverted index posting lists, lineage nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// downstream components (inverted index posting lists).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DocId(pub u32);
 
 impl DocId {

@@ -2,11 +2,10 @@
 
 use quarry_corpus::DocId;
 use quarry_storage::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A byte range within a document's text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Span {
     /// Inclusive start byte offset.
     pub start: usize,

@@ -4,12 +4,13 @@
 //! materialization cache keyed by (doc, operator)), stream filtering,
 //! entity resolution (blocking + pairwise matching + union-find), human
 //! curation of the matcher's uncertain band, and storage into the
-//! structured store. Every step reports counters in [`ExecStats`] — the
-//! numbers E3/E5 plot.
+//! structured store, each cell with its source in [`crate::provenance`].
+//! Every step reports counters in [`ExecStats`] — the numbers E3/E5 plot.
 
 use crate::ast::Condition;
 use crate::compile::CheckedProgram;
 use crate::plan::PlanOp;
+use crate::provenance::{self, Cell, Source};
 use crate::registry::ExtractorRegistry;
 use quarry_corpus::{DocId, Document};
 use quarry_exec::{ExecPool, ExecReport};
@@ -19,7 +20,9 @@ use quarry_integrate::blocking;
 use quarry_integrate::matcher::{MatchConfig, MatchDecision, Record};
 use quarry_integrate::parallel::{score_pairs, SimCache};
 use quarry_integrate::UnionFind;
-use quarry_storage::{Column, DataType, Database, StorageError, TableSchema, Value};
+use quarry_storage::{
+    is_system_table, Column, DataType, Database, Row, StorageError, TableSchema, TxId, Value,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -123,16 +126,22 @@ pub struct ExecStats {
     pub entities: usize,
     /// Rows written to the store.
     pub rows_stored: usize,
+    /// Cells of those rows a user corrected, which `STORE` left as they
+    /// were.
+    pub cells_kept: usize,
     /// Cost units consumed by extraction (registry cost × runs).
     pub cost_units: f64,
 }
 
-/// A per-document record mid-resolution.
+/// A per-document record mid-resolution: per attribute, the extraction
+/// resolution picked, which is the stored cell's source.
 #[derive(Debug, Clone)]
 struct DocRecord {
-    doc: DocId,
+    /// The resolution key's value, rendered.
     key: String,
-    fields: BTreeMap<String, (Value, f64)>,
+    /// The extraction `key` came from; its document is the record's.
+    key_source: Extraction,
+    fields: BTreeMap<String, Extraction>,
 }
 
 enum State {
@@ -274,7 +283,7 @@ impl Executor {
                                 left: render_record(a),
                                 right: render_record(b),
                             },
-                            truth: Answer::Bool(truth(a.doc, b.doc)),
+                            truth: Answer::Bool(truth(a.key_source.doc, b.key_source.doc)),
                         };
                         let outcome = crowd.ask_majority(&q, *votes as usize);
                         spent += outcome.cost;
@@ -292,7 +301,8 @@ impl Executor {
                     };
                     let entities = merge_clusters(records, uf);
                     stats.entities = entities.len();
-                    stats.rows_stored = store_entities(ctx.db, table, key, key_attr, &entities)?;
+                    (stats.rows_stored, stats.cells_kept) =
+                        store_entities(ctx.db, table, key, key_attr, &entities)?;
                 }
             }
         }
@@ -309,20 +319,28 @@ fn eval_condition(c: &Condition, e: &Extraction) -> bool {
     }
 }
 
-fn build_doc_records(stream: &[Extraction], key: &str) -> Vec<DocRecord> {
-    let mut per_doc: BTreeMap<DocId, BTreeMap<String, (Value, f64)>> = BTreeMap::new();
-    for e in stream {
-        let slot = per_doc.entry(e.doc).or_default();
-        let entry = slot.entry(e.attribute.clone()).or_insert((e.value.clone(), e.confidence));
-        if e.confidence > entry.1 {
-            *entry = (e.value.clone(), e.confidence);
+/// Keep `e` in `fields` if it is the attribute's first or most confident
+/// extraction so far (the first one seen wins a tie).
+fn pick(fields: &mut BTreeMap<String, Extraction>, e: &Extraction) {
+    match fields.get_mut(&e.attribute) {
+        Some(best) if e.confidence > best.confidence => *best = e.clone(),
+        Some(_) => {}
+        None => {
+            fields.insert(e.attribute.clone(), e.clone());
         }
     }
+}
+
+fn build_doc_records(stream: &[Extraction], key: &str) -> Vec<DocRecord> {
+    let mut per_doc: BTreeMap<DocId, BTreeMap<String, Extraction>> = BTreeMap::new();
+    for e in stream {
+        pick(per_doc.entry(e.doc).or_default(), e);
+    }
     per_doc
-        .into_iter()
-        .filter_map(|(doc, fields)| {
-            let key_val = fields.get(key)?.0.to_string();
-            Some(DocRecord { doc, key: key_val, fields })
+        .into_values()
+        .filter_map(|fields| {
+            let key_source = fields.get(key)?.clone();
+            Some(DocRecord { key: key_source.value.to_string(), key_source, fields })
         })
         .collect()
 }
@@ -342,7 +360,7 @@ fn match_records(
         records,
         |i, r| {
             let mut fields: BTreeMap<String, Value> =
-                r.fields.iter().map(|(k, (v, _))| (k.clone(), v.clone())).collect();
+                r.fields.iter().map(|(k, e)| (k.clone(), e.value.clone())).collect();
             fields.insert(key.to_string(), Value::Text(r.key.clone()));
             Record { id: i, fields }
         },
@@ -383,38 +401,26 @@ fn match_records(
 }
 
 fn render_record(r: &DocRecord) -> String {
-    let fields: Vec<String> = r.fields.iter().map(|(k, (v, _))| format!("{k}={v}")).collect();
+    let fields: Vec<String> = r.fields.iter().map(|(k, e)| format!("{k}={}", e.value)).collect();
     format!("{} [{}]", r.key, fields.join(", "))
 }
 
 /// Merge union-find clusters into canonical entities: per attribute, the
-/// highest-confidence value wins; the longest key string is the canonical
-/// name (abbreviations lose to full forms).
+/// highest-confidence extraction wins; the longest key string is the
+/// canonical name (abbreviations lose to full forms).
 fn merge_clusters(records: &[DocRecord], uf: &mut UnionFind) -> Vec<DocRecord> {
-    let mut clusters: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..records.len() {
-        clusters.entry(uf.find(i)).or_default().push(i);
+    let mut clusters: BTreeMap<usize, Vec<&DocRecord>> = BTreeMap::new();
+    for (i, r) in records.iter().enumerate() {
+        clusters.entry(uf.find(i)).or_default().push(r);
     }
     clusters
         .into_values()
-        .map(|members| {
-            let mut fields: BTreeMap<String, (Value, f64)> = BTreeMap::new();
-            let mut key = String::new();
-            let mut doc = records[members[0]].doc;
-            for &m in &members {
-                let r = &records[m];
-                if r.key.len() > key.len() {
-                    key = r.key.clone();
-                    doc = r.doc;
-                }
-                for (attr, (v, conf)) in &r.fields {
-                    let entry = fields.entry(attr.clone()).or_insert((v.clone(), *conf));
-                    if *conf > entry.1 {
-                        *entry = (v.clone(), *conf);
-                    }
-                }
-            }
-            DocRecord { doc, key, fields }
+        .filter_map(|members| {
+            // The first of the longest keys names the entity.
+            let named = members.iter().rev().max_by_key(|r| r.key.len())?;
+            let mut fields = BTreeMap::new();
+            members.iter().flat_map(|r| r.fields.values()).for_each(|e| pick(&mut fields, e));
+            Some(DocRecord { key: named.key.clone(), key_source: named.key_source.clone(), fields })
         })
         .collect()
 }
@@ -434,18 +440,26 @@ fn infer_type(values: &[&Value]) -> DataType {
 }
 
 /// Upsert the merged entities into `table`, created from the attributes
-/// they carry if the database does not hold it yet. An existing table
-/// keeps its schema: a `STORE` whose columns or key differ from it is
-/// refused before anything is written. A row the table's types reject
-/// (after the coercions below) is skipped, but a `STORE` that keeps none
-/// of its entities is an error; any other failure aborts the transaction.
+/// they carry if the database does not hold it yet, and record each
+/// non-null cell's source in `_provenance` in the same transaction. An
+/// existing table keeps its schema: a `STORE` whose columns or key differ
+/// from it, or into a system table, is refused before anything is written.
+/// A cell a user corrected keeps its value and source. A row the table's
+/// types reject (after the coercions below) is skipped, but a `STORE` that
+/// keeps none of its entities is an error; any other failure aborts the
+/// transaction. Returns the rows stored and the user cells kept.
 fn store_entities(
     db: &Database,
     table: &str,
     key_cols: &[String],
     key_attr: &str,
     entities: &[DocRecord],
-) -> Result<usize, ExecError> {
+) -> Result<(usize, usize), ExecError> {
+    if is_system_table(table) {
+        return Err(ExecError::InvalidPlan(format!(
+            "STORE INTO {table}: names beginning with `_` are reserved for system tables"
+        )));
+    }
     // Column set: declared keys first, then every other attribute sorted.
     let mut attrs: Vec<String> = entities
         .iter()
@@ -460,11 +474,25 @@ fn store_entities(
     let Some(first_key) = key_cols.first() else {
         return Err(ExecError::InvalidPlan("STORE requires at least one KEY column".into()));
     };
-    let value_of = |e: &DocRecord, col: &str| -> Value {
-        if col == key_attr || col == first_key {
-            return Value::Text(e.key.clone());
-        }
-        e.fields.get(col).map(|(v, _)| v.clone()).unwrap_or(Value::Null)
+    // A cell's value, coerced to its column's type, and its source: the
+    // key columns hold the entity's name, every other column its attribute
+    // of that name.
+    let cell = |e: &DocRecord, c: &Column| -> (Value, Option<Source>) {
+        let (v, x) = if c.name == key_attr || c.name == *first_key {
+            (Value::Text(e.key.clone()), Some(&e.key_source))
+        } else {
+            let x = e.fields.get(&c.name);
+            (x.map_or(Value::Null, |x| x.value.clone()), x)
+        };
+        let v = match (v, c.dtype) {
+            (Value::Int(i), DataType::Float) => Value::Float(i as f64),
+            (v, DataType::Text) if !v.is_null() && v.as_text().is_none() => {
+                Value::Text(v.to_string())
+            }
+            (v, _) => v,
+        };
+        let source = if v.is_null() { None } else { x.map(Source::extracted) };
+        (v, source)
     };
 
     let (schema, exists) = match db.schema(table) {
@@ -477,7 +505,7 @@ fn store_entities(
                 key_cols.iter().map(|k| Column::new(k, DataType::Text)).collect();
             for a in &attrs {
                 let sample: Vec<&Value> =
-                    entities.iter().filter_map(|e| e.fields.get(a).map(|(v, _)| v)).collect();
+                    entities.iter().filter_map(|e| e.fields.get(a).map(|x| &x.value)).collect();
                 columns.push(Column::nullable(a, infer_type(&sample)));
             }
             let key_refs: Vec<&str> = key_cols.iter().map(String::as_str).collect();
@@ -486,28 +514,11 @@ fn store_entities(
         Err(e) => return Err(e.into()),
     };
 
-    let rows: Vec<Vec<Value>> = entities
+    let rows: Vec<(Row, Vec<Option<Source>>)> = entities
         .iter()
-        .map(|e| {
-            schema
-                .columns
-                .iter()
-                .map(|c| {
-                    let v = value_of(e, &c.name);
-                    // Coerce to the column's type where needed.
-                    match (&v, c.dtype) {
-                        (Value::Int(i), DataType::Float) => Value::Float(*i as f64),
-                        (Value::Null, _) => Value::Null,
-                        (other, DataType::Text) if other.as_text().is_none() => {
-                            Value::Text(other.to_string())
-                        }
-                        _ => v,
-                    }
-                })
-                .collect()
-        })
+        .map(|e| schema.columns.iter().map(|c| cell(e, c)).unzip())
         // A type-conflicted entity is skipped rather than poison the batch.
-        .filter(|row| schema.validate(row).is_ok())
+        .filter(|(row, _)| schema.validate(row).is_ok())
         .collect();
     if rows.is_empty() && !entities.is_empty() {
         return Err(ExecError::Storage(StorageError::SchemaViolation(format!(
@@ -518,24 +529,61 @@ fn store_entities(
     if !exists {
         db.create_table(schema.clone())?;
     }
+    provenance::ensure(db)?;
 
     let tx = db.begin();
     let stored = rows.len();
-    let written = rows.into_iter().try_for_each(|row| {
-        let key_vals = schema.key_of(&row);
-        match db.get(tx, table, &key_vals) {
-            Ok(_) => db.update(tx, table, &key_vals, row),
-            Err(StorageError::NotFound(_)) => db.insert(tx, table, row).map(drop),
-            Err(e) => Err(e),
+    let written = (|| -> Result<usize, StorageError> {
+        if !exists {
+            provenance::forget_table(db, tx, table)?;
         }
-    });
-    if let Err(e) = written {
-        // The write's error is the one to report, not the abort's.
-        let _ = db.abort(tx);
-        return Err(e.into());
-    }
+        rows.into_iter().try_fold(0, |kept, (row, sources)| {
+            Ok(kept + write_row(db, tx, &schema, row, sources)?)
+        })
+    })();
+    // The write's error is the one to report, not the abort's.
+    let kept = written.inspect_err(|_| drop(db.abort(tx)))?;
     db.commit(tx)?;
-    Ok(stored)
+    Ok((stored, kept))
+}
+
+/// Upsert `row` into `schema`'s table inside `tx`, each cell with its
+/// source in `sources` (`None` for a null cell). A cell whose recorded
+/// source is a user's keeps its stored value and source. Returns the
+/// number of cells kept.
+fn write_row(
+    db: &Database,
+    tx: TxId,
+    schema: &TableSchema,
+    mut row: Row,
+    sources: Vec<Option<Source>>,
+) -> Result<usize, StorageError> {
+    let table = schema.name.as_str();
+    let key = schema.key_of(&row);
+    let key_text = provenance::key_text(&key);
+    let stored = match db.get(tx, table, &key) {
+        Ok(stored) => Some(stored),
+        Err(StorageError::NotFound(_)) => None,
+        Err(e) => return Err(e),
+    };
+    let mut kept = 0;
+    let cells = schema.columns.iter().zip(row.iter_mut()).zip(sources).enumerate();
+    for (i, ((column, value), source)) in cells {
+        let cell = Cell { table, key: &key_text, column: &column.name };
+        let recorded = provenance::get(db, tx, cell)?;
+        let user_value = stored.as_ref().and_then(|stored| stored.get(i));
+        if let (Some(Source::User { .. }), Some(user_value)) = (&recorded, user_value) {
+            *value = user_value.clone();
+            kept += 1;
+        } else if source.is_some() || recorded.is_some() {
+            provenance::set(db, tx, cell, source.as_ref())?;
+        }
+    }
+    match stored {
+        Some(_) => db.update(tx, table, &key, row)?,
+        None => drop(db.insert(tx, table, row)?),
+    }
+    Ok(kept)
 }
 
 /// Refuse a `STORE` into an existing table whose columns or key it does
@@ -629,9 +677,90 @@ STORE INTO cities KEY name"#,
         }
     }
 
+    fn extraction(attribute: &str, value: Value) -> Extraction {
+        let raw = value.to_string();
+        let span = quarry_extract::Span::new(0, raw.len());
+        let (doc, confidence, extractor) = (DocId(0), 1.0, "test");
+        Extraction { doc, attribute: attribute.into(), raw, value, span, confidence, extractor }
+    }
+
     fn entity(key: &str, fields: &[(&str, Value)]) -> DocRecord {
-        let fields = fields.iter().map(|(a, v)| (a.to_string(), (v.clone(), 1.0))).collect();
-        DocRecord { doc: DocId(0), key: key.into(), fields }
+        let fields =
+            fields.iter().map(|(a, v)| (a.to_string(), extraction(a, v.clone()))).collect();
+        DocRecord { key: key.into(), key_source: extraction("name", key.into()), fields }
+    }
+
+    fn names(ks: &[&str]) -> Vec<String> {
+        ks.iter().map(|k| k.to_string()).collect()
+    }
+
+    /// The sources `_provenance` holds for `table`'s row `key`.
+    fn sources(db: &Database, table: &str, key: &str) -> Vec<(String, Source)> {
+        let explained = provenance::explain(&db.snapshot(), table, &[key.into()]).unwrap();
+        explained.cells.into_iter().filter_map(|c| Some((c.column, c.source?))).collect()
+    }
+
+    #[test]
+    fn store_records_each_non_null_cell_and_keeps_a_user_cell() {
+        let db = Database::in_memory();
+        let madison = |pop: i64| {
+            entity("Madison", &[("population", Value::Int(pop)), ("state", Value::Null)])
+        };
+        assert_eq!(
+            store_entities(&db, "cities", &names(&["name"]), "name", &[madison(1)]).unwrap(),
+            (1, 0)
+        );
+        let recorded = sources(&db, "cities", "Madison");
+        let columns: Vec<&str> = recorded.iter().map(|(c, _)| c.as_str()).collect();
+        assert_eq!(columns, ["name", "population"], "one source per non-null cell");
+        assert_eq!(recorded[1].1, Source::extracted(&extraction("population", Value::Int(1))));
+
+        // A user corrects the population.
+        let user = Source::User { user: "editor".into(), proposal: "p".into() };
+        let tx = db.begin();
+        let cell = Cell { table: "cities", key: "Madison", column: "population" };
+        provenance::set(&db, tx, cell, Some(&user)).unwrap();
+        db.update(
+            tx,
+            "cities",
+            &["Madison".into()],
+            vec!["Madison".into(), Value::Int(7), Value::Null],
+        )
+        .unwrap();
+        db.commit(tx).unwrap();
+
+        // The next STORE keeps the corrected cell and counts it.
+        assert_eq!(
+            store_entities(&db, "cities", &names(&["name"]), "name", &[madison(2)]).unwrap(),
+            (1, 1)
+        );
+        let row = db.snapshot().scan("cities").unwrap();
+        assert_eq!(row, vec![vec!["Madison".into(), Value::Int(7), Value::Null]]);
+        assert_eq!(sources(&db, "cities", "Madison")[1].1, user);
+
+        // A table created afresh does not inherit the dropped one's sources.
+        db.drop_table("cities").unwrap();
+        assert_eq!(
+            store_entities(&db, "cities", &names(&["name"]), "name", &[madison(3)]).unwrap(),
+            (1, 0)
+        );
+        let recorded = sources(&db, "cities", "Madison");
+        assert_eq!(recorded[1].1, Source::extracted(&extraction("population", Value::Int(3))));
+        assert_eq!(db.snapshot().scan("cities").unwrap()[0][1], Value::Int(3));
+    }
+
+    #[test]
+    fn a_store_into_a_system_table_is_refused() {
+        let db = Database::in_memory();
+        let madison = [entity("Madison", &[("population", Value::Int(1))])];
+        for table in [provenance::TABLE, "_cities"] {
+            let err = store_entities(&db, table, &names(&["name"]), "name", &madison);
+            assert!(
+                matches!(&err, Err(ExecError::InvalidPlan(m)) if m.contains("reserved")),
+                "{err:?}"
+            );
+        }
+        assert!(db.table_names().is_empty());
     }
 
     #[test]
@@ -639,7 +768,10 @@ STORE INTO cities KEY name"#,
         let db = Database::in_memory();
         let keys = |ks: &[&str]| ks.iter().map(|k| k.to_string()).collect::<Vec<_>>();
         let madison = entity("Madison", &[("population", Value::Int(250_000))]);
-        assert_eq!(store_entities(&db, "cities", &keys(&["name"]), "name", &[madison]).unwrap(), 1);
+        assert_eq!(
+            store_entities(&db, "cities", &keys(&["name"]), "name", &[madison]).unwrap(),
+            (1, 0)
+        );
         let lsn = db.snapshot().lsn();
 
         // Other columns than the table's: refused, naming each difference.

@@ -28,7 +28,9 @@
 //!   pruning against WHERE clauses, cost ordering), plus `EXPLAIN`;
 //! - [`exec`] — the executor: runs a checked program over documents,
 //!   resolves entities, routes uncertain decisions to an HI oracle, and
-//!   stores the result, reporting per-step statistics.
+//!   stores the result, reporting per-step statistics;
+//! - [`provenance`] — the `_provenance` system table: each stored cell's
+//!   source, written in the transaction that writes the cell.
 
 #![forbid(unsafe_code)]
 
@@ -39,6 +41,7 @@ pub mod lexer;
 pub mod lint;
 pub mod parser;
 pub mod plan;
+pub mod provenance;
 pub mod registry;
 
 pub use ast::{Condition, Pipeline, ProgramSpans, Step};

@@ -9,7 +9,7 @@
 //! keyword query they explain.
 
 use crate::engine::{AggFn, Predicate, Query};
-use quarry_storage::{DataType, DbSnapshot, Value};
+use quarry_storage::{is_system_table, DataType, DbSnapshot, Value};
 use std::collections::{BTreeMap, HashMap};
 
 /// One ranked translation candidate.
@@ -43,11 +43,12 @@ pub struct Translator {
 impl Translator {
     /// Build from an immutable [`DbSnapshot`]: the catalog plus a
     /// text-value index as of the snapshot's LSN (sorted table iteration,
-    /// row-id scan order). Lock-free: readers can (re)build translators
-    /// without touching the live engine.
+    /// row-id scan order). System tables are not data and are never
+    /// proposed. Lock-free: readers can (re)build translators without
+    /// touching the live engine.
     pub fn from_snapshot(snap: &DbSnapshot) -> Translator {
         let mut t = Translator { synonyms: default_synonyms(), ..Default::default() };
-        for table in snap.table_names() {
+        for table in snap.table_names().into_iter().filter(|t| !is_system_table(t)) {
             let Ok(schema) = snap.schema(&table) else { continue };
             let columns: Vec<(String, DataType)> =
                 schema.columns.iter().map(|c| (c.name.clone(), c.dtype)).collect();
@@ -321,6 +322,20 @@ mod tests {
         let avg = r.scalar().and_then(Value::as_f64).expect("scalar avg");
         assert!((avg - (20.0 + 72.0 + 62.0) / 3.0).abs() < 1e-9, "{avg}");
         assert!(top.explanation.contains("AVG"));
+    }
+
+    #[test]
+    fn a_system_table_is_never_proposed() {
+        let db = db();
+        let cols =
+            vec![Column::new("table", DataType::Text), Column::new("column", DataType::Text)];
+        db.create_table(TableSchema::new("_notes", cols, &["table", "column"], &[]).unwrap())
+            .unwrap();
+        db.insert_autocommit("_notes", vec!["cities".into(), "population".into()]).unwrap();
+        let tr = Translator::from_snapshot(&db.snapshot());
+        let cands = tr.translate("population cities Madison", 10);
+        assert!(!cands.is_empty());
+        assert!(cands.iter().all(|c| !c.query.display().contains("_notes")), "{cands:?}");
     }
 
     #[test]

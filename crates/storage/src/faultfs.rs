@@ -128,12 +128,20 @@ impl BackendFile for RealFile {
 
 impl StorageBackend for RealBackend {
     fn open_append(&self, path: &Path, truncate_to: u64) -> io::Result<Box<dyn BackendFile>> {
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false) // length is managed explicitly below
-            .read(true)
-            .write(true)
-            .open(path)?;
+        // Length is managed explicitly below, so an existing file is opened
+        // as it is; a file this call creates gets its directory entry made
+        // durable, or every commit later written to it could vanish with
+        // the entry on power loss.
+        let mut options = OpenOptions::new();
+        options.read(true).write(true);
+        let file = match options.clone().create_new(true).open(path) {
+            Ok(file) => {
+                sync_parent_dir(path)?;
+                file
+            }
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => options.open(path)?,
+            Err(e) => return Err(e),
+        };
         let mut f = RealFile(file);
         f.truncate(truncate_to)?;
         Ok(Box::new(f))
@@ -160,13 +168,8 @@ impl StorageBackend for RealBackend {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)?;
         // Make the rename itself durable — it is a checkpoint's commit
-        // point, and the caller truncates the log next: fsync the directory
-        // holding the new entry, so it survives power loss.
-        let synced = File::open(parent_dir(to)).and_then(|dir| dir.sync_data());
-        match synced {
-            Err(e) if cannot_sync_directories(&e) => Ok(()),
-            synced => synced,
-        }
+        // point, and the caller truncates the log next.
+        sync_parent_dir(to)
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
@@ -192,6 +195,16 @@ fn parent_dir(path: &Path) -> &Path {
     match path.parent() {
         Some(parent) if !parent.as_os_str().is_empty() => parent,
         _ => Path::new("."),
+    }
+}
+
+/// Fsync the directory holding `path`, so a new entry there (a created
+/// file, a rename's target) survives power loss. A filesystem that does
+/// not sync directories at all is let pass; any other failure is returned.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    match File::open(parent_dir(path)).and_then(|dir| dir.sync_data()) {
+        Err(e) if cannot_sync_directories(&e) => Ok(()),
+        synced => synced,
     }
 }
 
@@ -663,6 +676,27 @@ mod tests {
         RealBackend.rename(&a, &b).unwrap();
         assert!(b.exists() && !a.exists());
         std::fs::remove_file(&b).unwrap();
+    }
+
+    #[test]
+    fn a_created_log_file_syncs_its_directory() {
+        // A missing directory is a failure, not "cannot sync directories".
+        let lost = Path::new("/nonexistent-quarry-dir/wal.log");
+        assert_eq!(sync_parent_dir(lost).unwrap_err().kind(), io::ErrorKind::NotFound);
+
+        // Creation syncs the directory and opens an empty file; opening it
+        // again keeps its bytes up to `truncate_to` and drops the rest.
+        let p = tmp("created-log");
+        let _ = std::fs::remove_file(&p);
+        let mut f = RealBackend.open_append(&p, 0).unwrap();
+        assert_eq!(f.file_len().unwrap(), 0);
+        f.write_all(b"0123456789").unwrap();
+        drop(f);
+        let mut f = RealBackend.open_append(&p, 4).unwrap();
+        assert_eq!(f.file_len().unwrap(), 4);
+        drop(f);
+        assert_eq!(std::fs::read(&p).unwrap(), b"0123");
+        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub use page::{Page, PageType, PAGE_CAPACITY, PAGE_SIZE};
 pub use pager::{Pager, PoolStats};
 pub use snapshot::{SnapshotStats, SnapshotStore};
 pub use structured::{
-    Column, Database, DbSnapshot, IndexStats, ReplicaApplier, ReplicaPosition, ReplicationSeed,
-    Row, RowId, ScanAccess, TableSchema, TableView, TxId,
+    is_system_table, Column, Database, DbSnapshot, IndexStats, ReplicaApplier, ReplicaPosition,
+    ReplicationSeed, Row, RowId, ScanAccess, TableSchema, TableView, TxId,
 };
 pub use value::{DataType, Value};
 pub use wal::{FrameBuf, TailPoll, Wal, WalTail};

@@ -38,5 +38,5 @@ pub use engine::{Database, TxId};
 pub use overlay::IndexStats;
 pub use recovery::LogRecord;
 pub use replication::{ReplicaApplier, ReplicaPosition, ReplicationSeed};
-pub use table::{Column, Row, RowId, TableSchema};
+pub use table::{is_system_table, Column, Row, RowId, TableSchema};
 pub use view::{DbSnapshot, ScanAccess, TableView};

@@ -43,6 +43,14 @@ impl Column {
     }
 }
 
+/// Is `name` a system table's? Names beginning with `_` are reserved for
+/// the tables the system keeps about the data (such as cell provenance):
+/// they are stored, logged and replicated like any other, but not offered
+/// to users as data.
+pub fn is_system_table(name: &str) -> bool {
+    name.starts_with('_')
+}
+
 /// A table schema: named, typed columns plus a primary key.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableSchema {

@@ -10,7 +10,7 @@
 //! - [`extract`] — information-extraction operators (processing layer, IE)
 //! - [`integrate`] — information-integration operators (processing layer, II)
 //! - [`hi`] — human-intervention simulation: oracles, crowds, reputation
-//! - [`uncertainty`] — probabilities, lineage, explanations
+//! - [`uncertainty`] — confidence combination and calibration
 //! - [`lang`] — the declarative IE+II+HI language and its optimizer
 //! - [`schema`] — schema evolution and live-table migration
 //! - [`debugger`] — the semantic debugger

@@ -1,7 +1,10 @@
 //! Durability integration: crawl snapshots, WAL-backed structure, crash
 //! recovery, and schema evolution over the recovered store.
 
-use quarry::corpus::{Corpus, CorpusConfig, CrawlConfig, CrawlSimulator};
+use quarry::core::feedback::{self, Correction};
+use quarry::core::{Quarry, QuarryConfig};
+use quarry::corpus::{Corpus, CorpusConfig, CrawlConfig, CrawlSimulator, NoiseConfig};
+use quarry::lang::provenance::{self, Cell, Source};
 use quarry::schema::{migrate_table, EvolutionOp};
 use quarry::storage::{
     Column, CrashPlan, DataType, Database, FaultBackend, Op, RealBackend, ScanAccess,
@@ -102,6 +105,46 @@ fn schema_evolution_survives_recovery() {
         vec![vec![Value::Text("David Smith".into()), Value::Text("Acme Systems".into()),]]
     );
     std::fs::remove_file(&p).unwrap();
+}
+
+/// An explanation is read from `_provenance`, which is on the log: it is
+/// the same after a second day's crawl replaces the working set and after
+/// a restart, when no page of the first day is left in memory.
+#[test]
+fn explanations_outlive_ingest_and_restart() {
+    let p = tmpwal("explain-restart");
+    let corpus =
+        Corpus::generate(&CorpusConfig { noise: NoiseConfig::none(), ..CorpusConfig::tiny(3) });
+    let days = CrawlSimulator::new(
+        &corpus,
+        CrawlConfig { seed: 4, days: 2, churn: 0.5, new_page_rate: 1.0 },
+    )
+    .run();
+    let open = || Quarry::new(QuarryConfig::builder().wal_path(&p).build()).unwrap();
+    let key = [Value::from(corpus.truth.cities[0].name.as_str())];
+    let mut q = open();
+    q.ingest(days[0].docs.clone());
+    q.run_pipeline(
+        r#"PIPELINE cities FROM corpus
+EXTRACT infobox, rules
+WHERE attribute IN ("name", "state", "population")
+RESOLVE BY name
+STORE INTO cities KEY name"#,
+    )
+    .unwrap();
+    let stored = q.snapshot().explain("cities", &key).unwrap();
+    assert!(stored.cells.len() >= 2, "{stored}");
+    assert!(stored.cells.iter().all(|c| c.source.is_some()), "{stored}");
+
+    q.ingest(days[1].docs.clone());
+    assert_ne!(q.docs(), &days[0].docs[..], "the second day changed the pages");
+    assert_eq!(q.snapshot().explain("cities", &key).unwrap(), stored, "after ingest");
+    drop(q);
+    let q = open();
+    assert!(q.docs().is_empty());
+    assert_eq!(q.snapshot().explain("cities", &key).unwrap(), stored, "after restart");
+    drop(q);
+    remove_db_files(&p);
 }
 
 #[test]
@@ -268,6 +311,63 @@ fn workload_steps() -> Vec<Step> {
             db.insert(tx, "people", person("emmy", 53, "bryn mawr"))?;
             db.commit(tx)
         },
+    ]
+}
+
+fn cities_schema() -> TableSchema {
+    TableSchema::new(
+        "cities",
+        vec![Column::new("name", DataType::Text), Column::nullable("population", DataType::Int)],
+        &["name"],
+        &[],
+    )
+    .unwrap()
+}
+
+/// A `STORE`-like unit: the row and each cell's extracted source.
+fn store_city(db: &Database, name: &str, population: i64) -> quarry::storage::Result<()> {
+    let tx = db.begin();
+    db.insert(tx, "cities", vec![name.into(), Value::Int(population)])?;
+    for (column, raw) in [("name", name.to_string()), ("population", population.to_string())] {
+        let source = Source::Extracted {
+            doc: quarry::corpus::DocId(7),
+            span: quarry::extract::Span::new(0, raw.len()),
+            extractor: "infobox".into(),
+            confidence: 0.95,
+            raw,
+        };
+        provenance::set(db, tx, Cell { table: "cities", key: name, column }, Some(&source))?;
+    }
+    db.commit(tx)
+}
+
+/// A correction applied through the function `FeedbackQueue` applies
+/// corrections with.
+fn correct(db: &Database, name: &str, population: i64, user: &str) -> quarry::storage::Result<()> {
+    let c = Correction {
+        table: "cities".into(),
+        key: vec![name.into()],
+        column: "population".into(),
+        value: Value::Int(population),
+    };
+    feedback::apply(db, &c, user)
+}
+
+/// The correction workload: a table, `_provenance`, stored rows with their
+/// sources, and corrections before and after a checkpoint, so a crash
+/// inside a correction's unit must leave its cell and its `User` source
+/// both written or neither.
+fn correction_steps() -> Vec<Step> {
+    vec![
+        |db| db.create_table(cities_schema()),
+        provenance::ensure,
+        |db| store_city(db, "Madison", 1_566_035),
+        |db| store_city(db, "Oakton", 9_500),
+        |db| correct(db, "Madison", 777_777, "editor"),
+        |db| db.checkpoint(),
+        |db| correct(db, "Oakton", 9_600, "editor"),
+        |db| correct(db, "Madison", 250_000, "curator"),
+        |db| store_city(db, "Fairview", 31_000),
     ]
 }
 
@@ -499,6 +599,14 @@ fn differential_sweep(steps: &[Step], label: &str) {
 #[test]
 fn recovery_differential() {
     differential_sweep(&workload_steps(), "base");
+}
+
+/// Same invariant, over corrections: a recovered database never holds a
+/// corrected cell without its `User` source, or the source without the
+/// cell.
+#[test]
+fn recovery_differential_corrections() {
+    differential_sweep(&correction_steps(), "corrections");
 }
 
 /// Same invariant, split-heavy workload: every crash point — including

@@ -126,13 +126,18 @@ STORE INTO people KEY name"#,
 fn lineage_and_audit_complete_the_loop() {
     let (mut q, _) = boot(4);
     q.run_pipeline(PIPELINE).unwrap();
-    // Provenance: every row gets a lineage node; most trace to raw spans.
-    let nodes = q.record_lineage("cities").unwrap();
-    let traced = nodes.iter().filter(|(_, n)| !q.lineage.source_spans(*n).is_empty()).count();
-    assert!(traced * 2 >= nodes.len(), "{traced}/{} rows traced", nodes.len());
+    // Provenance: every stored cell is explained by the source STORE
+    // recorded for it, read back at the snapshot's LSN.
+    let snap = q.snapshot();
+    let rows = snap.db().scan("cities").unwrap();
+    for row in &rows {
+        let explained = snap.explain("cities", &row[..1]).unwrap();
+        assert_eq!(explained.cells.len(), row.iter().filter(|v| !v.is_null()).count());
+        assert!(explained.cells.iter().all(|c| c.source.is_some()), "{explained}");
+    }
     // Debugger: clean table → few or no flags.
     let flags = q.audit_table("cities").unwrap();
-    assert!(flags.len() <= nodes.len() / 5, "{} flags on clean data", flags.len());
+    assert!(flags.len() <= rows.len() / 5, "{} flags on clean data", flags.len());
     // Health: all green after activity.
     assert!(q.health_check().iter().all(|(_, s)| *s == quarry::debugger::HealthStatus::Healthy));
 }

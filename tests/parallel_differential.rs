@@ -105,6 +105,29 @@ fn pipeline_results_identical_across_thread_counts() {
     }
 }
 
+/// Every stored table, `_provenance` included, is identical at every
+/// thread count: resolution picks each cell's source the same way however
+/// the extraction and pair scoring were spread over workers.
+#[test]
+fn every_stored_table_is_identical_across_thread_counts() {
+    let c = corpus();
+    let tables = |threads: usize| {
+        let mut q = Quarry::new(QuarryConfig::builder().threads(threads).build()).unwrap();
+        q.ingest(c.docs.clone());
+        q.run_pipeline(SRC).unwrap();
+        let snap = q.db.snapshot();
+        let names = snap.table_names();
+        assert_eq!(names, ["_provenance", "people"]);
+        // Compared as `Debug` text, so a float must match to the bit.
+        names.iter().map(|t| format!("{:?}", snap.scan(t).unwrap())).collect::<Vec<_>>()
+    };
+    let reference = tables(1);
+    assert_ne!(reference[0], "[]", "STORE recorded its cells' sources");
+    for threads in [2, 4, 8] {
+        assert!(tables(threads) == reference, "stored tables diverged at threads={threads}");
+    }
+}
+
 /// `infobox`, except that it panics on its first attempt at every
 /// document in `doomed`.
 fn flaky_infobox(doomed: HashSet<DocId>) -> impl Fn(&Document) -> Vec<Extraction> + Send + Sync {

@@ -3,6 +3,7 @@
 
 use quarry::core::{Correction, CorrectionStatus, Quarry, QuarryConfig, QuarryError, Snapshot};
 use quarry::corpus::{Corpus, CorpusConfig, NoiseConfig};
+use quarry::lang::provenance::Source;
 use quarry::query::engine::AggFn;
 use quarry::query::Query;
 use quarry::storage::{Column, DataType, TableSchema, Value};
@@ -86,6 +87,64 @@ fn browse_card_reflects_corrections() {
     let lb = q.users.leaderboard();
     assert_eq!(lb[0].0, "editor");
     assert!(lb[0].1 > 0);
+}
+
+/// The next automatic run keeps an applied correction: `STORE` leaves a
+/// cell whose source is a user's as it is and counts it, and the cell's
+/// explanation names the user.
+#[test]
+fn a_correction_survives_the_next_run() {
+    let (mut q, corpus) = boot();
+    let city = &corpus.truth.cities[0];
+    let key = [Value::from(city.name.as_str())];
+    let rows = q.db.row_count("cities").unwrap();
+    q.users.register("editor", false).unwrap();
+    for _ in 0..20 {
+        q.users.record_contribution("editor", true).unwrap();
+    }
+    let correction = Correction {
+        table: "cities".into(),
+        key: key.to_vec(),
+        column: "population".into(),
+        value: Value::Int(777_777),
+    };
+    assert_eq!(q.submit_correction("editor", correction).unwrap(), CorrectionStatus::Applied);
+
+    let again = q.run_pipeline(PIPELINE).unwrap();
+    assert_eq!(again.cells_kept, 1);
+    assert_eq!(again.rows_stored, rows);
+    let card = q.browse("cities", &key).unwrap();
+    assert!(card.contains("population = 777777"), "{card}");
+    let explained = q.snapshot().explain("cities", &key).unwrap();
+    let population = explained.cells.iter().find(|c| c.column == "population").unwrap();
+    assert_eq!(population.value, Value::Int(777_777));
+    let proposal = format!("cities[{}].population=777777", city.name);
+    assert_eq!(population.source, Some(Source::User { user: "editor".into(), proposal }));
+}
+
+/// On a noise-free corpus every extracted source is exact: its page
+/// mentions the row's key, and its span slices to the text recorded.
+#[test]
+fn every_extracted_source_is_exact() {
+    let (q, corpus) = boot();
+    let snap = q.snapshot();
+    let rows = snap.db().scan("cities").unwrap();
+    let mut extracted = 0;
+    for row in &rows {
+        let explained = snap.explain("cities", &row[..1]).unwrap();
+        let name = row[0].to_string();
+        for cell in &explained.cells {
+            let Some(Source::Extracted { doc, span, raw, .. }) = &cell.source else {
+                panic!("{explained}")
+            };
+            let text = &corpus.docs[doc.index()].text;
+            assert!(text.contains(&name), "{doc} does not mention {name}: {explained}");
+            assert_eq!(text.get(span.start..span.end), Some(raw.as_str()), "{explained}");
+            extracted += 1;
+        }
+    }
+    assert_eq!(extracted, snap.db().row_count("_provenance").unwrap());
+    assert!(extracted > rows.len(), "{extracted} sources for {} rows", rows.len());
 }
 
 #[test]
