@@ -211,7 +211,7 @@ fn add_provenance(db: &Database) {
                 raw,
             };
             let cell = Cell { table: "cities", key: &key, column: &column.name };
-            provenance::set(db, tx, cell, Some(&source)).unwrap();
+            provenance::set(db, tx, cell, &source).unwrap();
         }
     }
     db.commit(tx).unwrap();

@@ -134,7 +134,9 @@ impl FeedbackQueue {
 /// Apply `c`, proposed by `user`: the cell and its [`Source::User`]
 /// provenance are written in one transaction, so a crash leaves both or
 /// neither. `_provenance` is created first if absent, as its own unit. A
-/// system table takes no corrections.
+/// system table takes no corrections, and neither does a key column: a
+/// row's sources are filed under its key, so re-keying a row would leave
+/// its other cells' sources behind.
 pub fn apply(db: &Database, c: &Correction, user: &str) -> Result<(), StorageError> {
     if is_system_table(&c.table) {
         return Err(StorageError::SchemaViolation(format!("{} is a system table", c.table)));
@@ -143,6 +145,10 @@ pub fn apply(db: &Database, c: &Correction, user: &str) -> Result<(), StorageErr
     let ci = schema
         .column_index(&c.column)
         .ok_or_else(|| StorageError::SchemaViolation(format!("no column {}", c.column)))?;
+    if schema.key.contains(&ci) {
+        let msg = format!("{} is a key column of {}", c.column, c.table);
+        return Err(StorageError::SchemaViolation(msg));
+    }
     provenance::ensure(db)?;
     let source = Source::User { user: user.to_string(), proposal: proposal_key(c) };
     let tx = db.begin();
@@ -152,7 +158,7 @@ pub fn apply(db: &Database, c: &Correction, user: &str) -> Result<(), StorageErr
         let key = provenance::key_text(&schema.key_of(&row));
         db.update(tx, &c.table, &c.key, row)?;
         let cell = Cell { table: &c.table, key: &key, column: &c.column };
-        provenance::set(db, tx, cell, Some(&source))
+        provenance::set(db, tx, cell, &source)
     })();
     result.inspect_err(|_| drop(db.abort(tx)))?;
     db.commit(tx)
@@ -242,6 +248,18 @@ mod tests {
         assert!(
             matches!(status, CorrectionStatus::Rejected { reason } if reason.contains("system"))
         );
+        assert!(db.schema(provenance::TABLE).is_err(), "nothing was written");
+    }
+
+    #[test]
+    fn a_key_column_takes_no_corrections() {
+        let (db, mut users, mut q) = setup();
+        let mut c = correction();
+        (c.column, c.value) = ("name".into(), "Madisson".into());
+        let status = q.submit(&mut users, &db, "trusted", c).unwrap();
+        assert!(matches!(status, CorrectionStatus::Rejected { reason } if reason.contains("key")));
+        let rows = db.snapshot().scan("cities").unwrap();
+        assert_eq!(rows, vec![vec![Value::from("Madison"), Value::Int(99)]]);
         assert!(db.schema(provenance::TABLE).is_err(), "nothing was written");
     }
 

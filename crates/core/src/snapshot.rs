@@ -226,11 +226,8 @@ impl Snapshot {
     }
 
     /// Explain the stored row of `table` keyed `key`: each non-null cell
-    /// with the source `_provenance` recorded for it at this snapshot's LSN
-    /// — the extraction `STORE` picked (document, span, the text read
-    /// there, extractor, confidence) or the user whose correction applied.
-    /// Written with the data, so the answer outlives a new crawl and a
-    /// restart.
+    /// with the source `_provenance` holds for it at this snapshot's LSN
+    /// (see [`provenance::explain`]).
     pub fn explain(&self, table: &str, key: &[Value]) -> Result<Explanation, QuarryError> {
         Ok(provenance::explain(&self.db, table, key)?)
     }

@@ -575,8 +575,8 @@ fn write_row(
         if let (Some(Source::User { .. }), Some(user_value)) = (&recorded, user_value) {
             *value = user_value.clone();
             kept += 1;
-        } else if source.is_some() || recorded.is_some() {
-            provenance::set(db, tx, cell, source.as_ref())?;
+        } else {
+            provenance::replace(db, tx, cell, recorded.is_some(), source.as_ref())?;
         }
     }
     match stored {
@@ -719,7 +719,7 @@ STORE INTO cities KEY name"#,
         let user = Source::User { user: "editor".into(), proposal: "p".into() };
         let tx = db.begin();
         let cell = Cell { table: "cities", key: "Madison", column: "population" };
-        provenance::set(&db, tx, cell, Some(&user)).unwrap();
+        provenance::set(&db, tx, cell, &user).unwrap();
         db.update(
             tx,
             "cities",

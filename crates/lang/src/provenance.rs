@@ -141,25 +141,24 @@ fn encode(cell: Cell<'_>, source: &Source) -> Row {
 
 fn decode(row: &[Value]) -> Result<Source> {
     use Value::{Float, Int, Null, Text};
-    let source = match row {
-        [_, _, _, Int(doc), Int(start), Int(end), Text(extractor), Float(confidence), Text(raw), Null, Null] => {
-            match (u32::try_from(*doc), usize::try_from(*start), usize::try_from(*end)) {
-                (Ok(doc), Ok(start), Ok(end)) if start <= end => Some(Source::Extracted {
-                    doc: DocId(doc),
-                    span: Span { start, end },
-                    extractor: extractor.clone(),
-                    confidence: *confidence,
-                    raw: raw.clone(),
-                }),
-                _ => None,
+    let index = |n: &i64| usize::try_from(*n).ok();
+    match row.get(3..).unwrap_or_default() {
+        [Int(doc), Int(start), Int(end), Text(extractor), Float(confidence), Text(raw), Null, Null] => {
+            match (u32::try_from(*doc), index(start), index(end)) {
+                (Ok(doc), Some(start), Some(end)) if start <= end => {
+                    let (doc, span, confidence) = (DocId(doc), Span { start, end }, *confidence);
+                    let (extractor, raw) = (extractor.clone(), raw.clone());
+                    return Ok(Source::Extracted { doc, span, extractor, confidence, raw });
+                }
+                _ => {}
             }
         }
-        [_, _, _, Null, Null, Null, Null, Null, Null, Text(user), Text(proposal)] => {
-            Some(Source::User { user: user.clone(), proposal: proposal.clone() })
+        [Null, Null, Null, Null, Null, Null, Text(user), Text(proposal)] => {
+            return Ok(Source::User { user: user.clone(), proposal: proposal.clone() });
         }
-        _ => None,
-    };
-    source.ok_or_else(|| StorageError::SchemaViolation(format!("malformed {TABLE} row {row:?}")))
+        _ => {}
+    }
+    Err(StorageError::SchemaViolation(format!("malformed {TABLE} row {row:?}")))
 }
 
 /// The source recorded for `cell`, as transaction `tx` sees it; `None`
@@ -172,19 +171,29 @@ pub fn get(db: &Database, tx: TxId, cell: Cell<'_>) -> Result<Option<Source>> {
     }
 }
 
-/// Record `source` for `cell` inside `tx`, replacing what was there;
-/// `None` removes the cell's row. `_provenance` must exist ([`ensure`]).
-pub fn set(db: &Database, tx: TxId, cell: Cell<'_>, source: Option<&Source>) -> Result<()> {
-    let written = match source {
-        Some(source) => match db.update(tx, TABLE, &cell.pk(), encode(cell, source)) {
-            Err(StorageError::NotFound(_)) => db.insert(tx, TABLE, encode(cell, source)).map(drop),
-            updated => updated,
-        },
-        None => db.delete(tx, TABLE, &cell.pk()),
-    };
-    match written {
-        Err(StorageError::NotFound(_)) if source.is_none() => Ok(()),
-        written => written,
+/// Record `source` for `cell` inside `tx`, replacing what was there, for
+/// a caller that has not read the cell's source ([`replace`] is for one
+/// that has). `_provenance` must exist ([`ensure`]).
+pub fn set(db: &Database, tx: TxId, cell: Cell<'_>, source: &Source) -> Result<()> {
+    let recorded = get(db, tx, cell)?;
+    replace(db, tx, cell, recorded.is_some(), Some(source))
+}
+
+/// Replace `cell`'s source inside `tx` by `source` (`None` removes it),
+/// where `recorded` says whether [`get`] found a source for the cell in
+/// `tx`: the row is inserted, updated or deleted without a second look.
+pub fn replace(
+    db: &Database,
+    tx: TxId,
+    cell: Cell<'_>,
+    recorded: bool,
+    source: Option<&Source>,
+) -> Result<()> {
+    match (recorded, source) {
+        (false, None) => Ok(()),
+        (false, Some(source)) => db.insert(tx, TABLE, encode(cell, source)).map(drop),
+        (true, Some(source)) => db.update(tx, TABLE, &cell.pk(), encode(cell, source)),
+        (true, None) => db.delete(tx, TABLE, &cell.pk()),
     }
 }
 
@@ -227,10 +236,8 @@ impl fmt::Display for Explanation {
         let key: Vec<String> = self.key.iter().map(Value::to_string).collect();
         write!(f, "row of {}: {}", self.table, key.join(", "))?;
         for CellSource { column, value, source } in &self.cells {
-            match source {
-                Some(source) => write!(f, "\n  {column} = {value} <- {source}")?,
-                None => write!(f, "\n  {column} = {value} <- no recorded source")?,
-            }
+            let source = source.as_ref().map_or("no recorded source".into(), Source::to_string);
+            write!(f, "\n  {column} = {value} <- {source}")?;
         }
         Ok(())
     }

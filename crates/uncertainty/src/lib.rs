@@ -1,10 +1,12 @@
-//! Uncertainty measurement (blueprint Part V).
+//! Uncertainty management (blueprint Part V).
 //!
 //! IE, II, and HI all make fallible decisions; the blueprint dedicates a
 //! subsystem to "the uncertainty that arise\[s\] during the IE, II, and HI
-//! processes". This crate holds [`prob`]: a calibration meter (Brier
-//! score, expected calibration error, reliability bins) that E9 uses to
-//! check whether extractor confidences are honest probabilities.
+//! processes". This crate holds [`prob`]: confidence combination rules
+//! (noisy-or for independent supporting evidence, products for
+//! conjunctions, weighted fusion) and a calibration meter (Brier score,
+//! expected calibration error, reliability bins) that E9 uses to check
+//! whether extractor confidences are honest probabilities.
 //!
 //! Part V's other half, "the provenance and explanation for the derived
 //! structured data", is not computed here: each stored cell's source is
@@ -15,4 +17,4 @@
 
 pub mod prob;
 
-pub use prob::{brier_score, CalibrationReport};
+pub use prob::{brier_score, noisy_or, CalibrationReport};

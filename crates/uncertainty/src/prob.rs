@@ -1,4 +1,35 @@
-//! Calibration measurement: are confidences honest probabilities?
+//! Probability combination and calibration measurement.
+
+/// Noisy-or combination: probability that at least one of several
+/// independent witnesses is right. Used when multiple extractors find the
+/// same fact.
+pub fn noisy_or(probs: &[f64]) -> f64 {
+    let mut miss = 1.0;
+    for &p in probs {
+        assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
+        miss *= 1.0 - p;
+    }
+    1.0 - miss
+}
+
+/// Conjunction of independent events (a derivation needs all inputs right).
+pub fn all_of(probs: &[f64]) -> f64 {
+    probs
+        .iter()
+        .inspect(|p| {
+            assert!((0.0..=1.0).contains(*p), "probability {p} out of range");
+        })
+        .product()
+}
+
+/// Weighted fusion of correlated estimates (weights need not sum to 1).
+pub fn weighted(pairs: &[(f64, f64)]) -> f64 {
+    let wsum: f64 = pairs.iter().map(|(_, w)| w).sum();
+    if wsum == 0.0 {
+        return 0.0;
+    }
+    pairs.iter().map(|(p, w)| p * w).sum::<f64>() / wsum
+}
 
 /// Brier score of probabilistic predictions against boolean outcomes:
 /// mean squared error, 0 = perfect, 0.25 = uninformed coin.
@@ -78,6 +109,35 @@ impl CalibrationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn noisy_or_basics() {
+        assert_eq!(noisy_or(&[]), 0.0);
+        assert!((noisy_or(&[0.5, 0.5]) - 0.75).abs() < 1e-12);
+        assert_eq!(noisy_or(&[1.0, 0.1]), 1.0);
+        assert_eq!(noisy_or(&[0.0, 0.0]), 0.0);
+    }
+
+    #[test]
+    fn all_of_basics() {
+        assert_eq!(all_of(&[]), 1.0);
+        assert!((all_of(&[0.9, 0.9]) - 0.81).abs() < 1e-12);
+        assert_eq!(all_of(&[0.5, 0.0]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn invalid_probability_panics() {
+        noisy_or(&[1.5]);
+    }
+
+    #[test]
+    fn weighted_fusion() {
+        assert!((weighted(&[(1.0, 1.0), (0.0, 1.0)]) - 0.5).abs() < 1e-12);
+        assert!((weighted(&[(1.0, 3.0), (0.0, 1.0)]) - 0.75).abs() < 1e-12);
+        assert_eq!(weighted(&[]), 0.0);
+    }
 
     #[test]
     fn brier_extremes() {
@@ -116,5 +176,22 @@ mod tests {
         let r = CalibrationReport::from_predictions(&preds, 4);
         assert_eq!(r.bins.iter().map(|b| b.count).sum::<usize>(), 3);
         assert_eq!(r.bins.len(), 4);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_noisy_or_bounds_and_monotone(ps in proptest::collection::vec(0.0f64..=1.0, 0..8), extra in 0.0f64..=1.0) {
+            let base = noisy_or(&ps);
+            prop_assert!((0.0..=1.0 + 1e-12).contains(&base));
+            let mut more = ps.clone();
+            more.push(extra);
+            prop_assert!(noisy_or(&more) >= base - 1e-12);
+        }
+
+        #[test]
+        fn prop_all_of_never_exceeds_min(ps in proptest::collection::vec(0.0f64..=1.0, 1..8)) {
+            let m = ps.iter().copied().fold(1.0f64, f64::min);
+            prop_assert!(all_of(&ps) <= m + 1e-12);
+        }
     }
 }

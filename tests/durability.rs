@@ -336,7 +336,7 @@ fn store_city(db: &Database, name: &str, population: i64) -> quarry::storage::Re
             confidence: 0.95,
             raw,
         };
-        provenance::set(db, tx, Cell { table: "cities", key: name, column }, Some(&source))?;
+        provenance::set(db, tx, Cell { table: "cities", key: name, column }, &source)?;
     }
     db.commit(tx)
 }
