@@ -49,7 +49,7 @@
 use crate::endpoint::{dial, lock, Endpoint, State, WRITE_TIMEOUT};
 use crate::protocol::DEFAULT_MAX_FRAME;
 use quarry_storage::wal::{encode_frame, FRAME_HEADER};
-use quarry_storage::{Database, FrameBuf, ReplicaApplier, ReplicaPosition, TailPoll, WalTail};
+use quarry_storage::{Database, FrameBuf, ReplicaApplier, ReplicaPosition, TailPoll};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -209,9 +209,10 @@ fn serve_replica(
     listener: &State,
     id: u64,
 ) -> io::Result<()> {
-    let Some(wal_path) = db.wal_path() else {
-        return Err(io::Error::new(io::ErrorKind::Unsupported, "in-memory primary has no WAL"));
-    };
+    let no_wal = || io::Error::new(io::ErrorKind::Unsupported, "in-memory primary has no WAL");
+    if db.wal_path().is_none() {
+        return Err(no_wal());
+    }
     let mut frames = FrameBuf::new(DEFAULT_MAX_FRAME);
 
     // Handshake: wait for hello.
@@ -240,9 +241,10 @@ fn serve_replica(
     } else {
         send_reseed(db, &mut stream)?
     };
-    // The tail refuses what the replica's reader would: a frame over the
-    // port's limit ends the session here rather than there.
-    let mut tail = WalTail::new(db.storage_backend(), wal_path, start, DEFAULT_MAX_FRAME);
+    // The tail ships only what a sync made durable, and refuses what the
+    // replica's reader would: a frame over the port's limit ends the
+    // session here rather than there.
+    let mut tail = db.wal_tail(start, DEFAULT_MAX_FRAME).ok_or_else(no_wal)?;
     lock(tracker).insert(id, ReplicaProgress { epoch: ship_epoch, acked: 0 });
 
     loop {
@@ -598,6 +600,55 @@ mod tests {
         assert_eq!(listener.progress(), vec![], "a closed replica is still tracked");
         assert_eq!(listener.sessions(), 0);
         listener.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The port takes every frame the engine writes: a batch's run is
+    /// sealed at the run budget, plus one row, which is far below it.
+    #[test]
+    fn the_run_budget_is_far_below_the_ports_frame_limit() {
+        assert!(16 * quarry_storage::structured::RUN_BUDGET <= DEFAULT_MAX_FRAME);
+    }
+
+    /// A batch over the run budget ships as several frames, and the
+    /// replica ends bit-identical to its primary — its own log holding the
+    /// same runs, and recovering the same rows.
+    #[test]
+    fn a_batch_over_the_run_budget_ships_as_its_runs() {
+        use quarry_storage::structured::LogRecord;
+        let dir = tmpdir("runs");
+        let primary = Arc::new(Database::open(dir.join("p.wal")).unwrap());
+        primary.create_table(schema()).unwrap();
+        let mut listener = ReplicationListener::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+        let replica = Arc::new(Database::open(dir.join("r.wal")).unwrap());
+        let mut client = ReplicationClient::start(Arc::clone(&replica), listener.local_addr());
+        await_caught_up(&listener, &client, &primary);
+
+        let rows = (0..4_000).map(|i| vec![Value::Int(i), Value::Text(format!("{i:0>60}"))]);
+        let tx = primary.begin();
+        primary.insert_rows(tx, "t", rows).unwrap();
+        primary.commit(tx).unwrap();
+        await_caught_up(&listener, &client, &primary);
+        let live = dump(&primary);
+        assert_eq!(dump(&replica), live);
+
+        let runs = |wal: &str| -> Vec<usize> {
+            let payloads = quarry_storage::Wal::replay(dir.join(wal)).unwrap();
+            let runs = payloads.iter().filter_map(|payload| match LogRecord::decode(payload) {
+                Ok(LogRecord::InsertRun { rows, .. }) => Some(rows.len()),
+                _ => None,
+            });
+            runs.collect()
+        };
+        let shipped = runs("r.wal");
+        assert!(shipped.len() >= 3, "{} runs", shipped.len());
+        assert_eq!(shipped.iter().sum::<usize>(), 4_000);
+        assert_eq!(shipped, runs("p.wal"));
+
+        client.stop();
+        listener.shutdown();
+        drop((client, replica));
+        assert_eq!(dump(&Database::open(dir.join("r.wal")).unwrap()), live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

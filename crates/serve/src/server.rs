@@ -237,7 +237,8 @@ impl Facade {
 }
 
 /// Apply the write `req`, whose parts move into the store: the rows of an
-/// `InsertRows` become the overlay's without a copy.
+/// `InsertRows` are one batch, logged as one run, and become the overlay's
+/// without a copy.
 fn apply_write(q: &mut Quarry, req: Request) -> Result<Payload, QuarryError> {
     match req {
         Request::Qdl(src) => Ok(Payload::PipelineStats((&q.run_pipeline(&src)?).into())),
@@ -249,9 +250,9 @@ fn apply_write(q: &mut Quarry, req: Request) -> Result<Payload, QuarryError> {
         Request::CreateIndex { table, column } => {
             q.create_index(&table, &column).map(|()| Payload::Done)
         }
-        Request::InsertRows { table, rows } => in_one_tx(&q.db, |tx| {
-            rows.into_iter().try_for_each(|row| q.db.insert(tx, &table, row).map(drop))
-        }),
+        Request::InsertRows { table, rows } => {
+            in_one_tx(&q.db, |tx| q.db.insert_rows(tx, &table, rows).map(drop))
+        }
         Request::DeleteRows { table, keys } => {
             in_one_tx(&q.db, |tx| keys.iter().try_for_each(|key| q.db.delete(tx, &table, key)))
         }

@@ -20,6 +20,9 @@ pub enum StorageError {
     DuplicateKey(String),
     /// Operation used a transaction id that is not active.
     NoSuchTx(u64),
+    /// The log failed a write or a sync earlier (the message says which)
+    /// and takes no more writes until the database is opened again.
+    LogFailed(String),
 }
 
 impl fmt::Display for StorageError {
@@ -32,6 +35,9 @@ impl fmt::Display for StorageError {
             StorageError::SchemaViolation(m) => write!(f, "schema violation: {m}"),
             StorageError::DuplicateKey(m) => write!(f, "duplicate key: {m}"),
             StorageError::NoSuchTx(id) => write!(f, "no such transaction: {id}"),
+            StorageError::LogFailed(m) => {
+                write!(f, "log failed ({m}); no writes until the database is reopened")
+            }
         }
     }
 }

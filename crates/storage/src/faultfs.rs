@@ -280,7 +280,8 @@ impl Op {
     }
 }
 
-/// Where (and how) a [`FaultBackend`] kills its process-model.
+/// Where (and how) a [`FaultBackend`] kills its process-model — or, for
+/// [`CrashPlan::fail_sync`], fails one operation and lets it live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
     /// 1-based index of the mutating operation at which to crash: that
@@ -289,18 +290,29 @@ pub struct CrashPlan {
     /// For a crashing `Write`, how many leading bytes of that write reach
     /// the file before the failure — a torn write. `None` tears at 0.
     pub tear_bytes: Option<usize>,
+    /// The process-model survives: only the operation at `crash_at` fails,
+    /// and every later one proceeds.
+    pub survives: bool,
 }
 
 impl CrashPlan {
     /// Crash cleanly before the `n`-th mutating operation takes effect.
     pub fn kill_at(n: u64) -> CrashPlan {
-        CrashPlan { crash_at: n, tear_bytes: None }
+        CrashPlan { crash_at: n, tear_bytes: None, survives: false }
     }
 
     /// Crash at the `n`-th operation, persisting the first `bytes` bytes
     /// if that operation is a write.
     pub fn tear_at(n: u64, bytes: usize) -> CrashPlan {
-        CrashPlan { crash_at: n, tear_bytes: Some(bytes) }
+        CrashPlan { crash_at: n, tear_bytes: Some(bytes), survives: false }
+    }
+
+    /// Fail the `n`-th operation — a sync, as the caller picks it — and
+    /// let the process live: the sync does not happen and returns an
+    /// error, and every operation after it proceeds. What the disk does
+    /// when an `fsync` reports an error.
+    pub fn fail_sync(n: u64) -> CrashPlan {
+        CrashPlan { crash_at: n, tear_bytes: None, survives: true }
     }
 }
 
@@ -325,13 +337,13 @@ impl FaultState {
     /// it proceeds, tears, or fails because the process-model is dead.
     fn admit(&mut self, op: Op) -> io::Result<Admission> {
         if self.crashed {
-            return Err(crash_error(self.ops));
+            return Err(crash_error(self));
         }
         self.ops += 1;
         self.log.push(op);
         if let Some(plan) = self.plan {
             if self.ops == plan.crash_at {
-                self.crashed = true;
+                self.crashed = !plan.survives;
                 return Ok(Admission::Tear(plan.tear_bytes.unwrap_or(0)));
             }
         }
@@ -340,15 +352,22 @@ impl FaultState {
 
     fn check_alive(&self) -> io::Result<()> {
         if self.crashed {
-            Err(crash_error(self.ops))
+            Err(crash_error(self))
         } else {
             Ok(())
         }
     }
 }
 
-fn crash_error(op: u64) -> io::Error {
-    io::Error::other(format!("faultfs: simulated crash (power failure after operation {op})"))
+/// The error of an operation the plan failed: a crash, or one the
+/// process survives.
+fn crash_error(st: &FaultState) -> io::Error {
+    let op = st.ops;
+    if st.crashed {
+        io::Error::other(format!("faultfs: simulated crash (power failure after operation {op})"))
+    } else {
+        io::Error::other(format!("faultfs: simulated failure of operation {op}"))
+    }
 }
 
 /// A backend that wraps another, records the mutating-operation stream,
@@ -410,7 +429,8 @@ impl FaultBackend {
         self.state().ops
     }
 
-    /// True once the planned crash point has fired.
+    /// True once the planned crash point has fired (never for a plan the
+    /// process survives).
     pub fn crashed(&self) -> bool {
         self.state().crashed
     }
@@ -446,7 +466,7 @@ impl Write for FaultFile {
                 let keep = keep.min(buf.len());
                 self.inner.write_all(&buf[..keep])?;
                 let _ = self.inner.flush();
-                Err(crash_error(self.state().ops))
+                Err(crash_error(&self.state()))
             }
         }
     }
@@ -464,7 +484,7 @@ impl BackendFile for FaultFile {
         let admission = self.state().admit(Op::Sync { path: self.path.clone() })?;
         match admission {
             Admission::Proceed => self.inner.sync_data(),
-            Admission::Tear(_) => Err(crash_error(self.state().ops)),
+            Admission::Tear(_) => Err(crash_error(&self.state())),
         }
     }
 
@@ -472,7 +492,7 @@ impl BackendFile for FaultFile {
         let admission = self.state().admit(Op::Truncate { path: self.path.clone(), len })?;
         match admission {
             Admission::Proceed => self.inner.truncate(len),
-            Admission::Tear(_) => Err(crash_error(self.state().ops)),
+            Admission::Tear(_) => Err(crash_error(&self.state())),
         }
     }
 
@@ -488,7 +508,7 @@ impl BackendFile for FaultFile {
                 if keep > 0 {
                     self.inner.write_at(offset, &buf[..keep])?;
                 }
-                Err(crash_error(self.state().ops))
+                Err(crash_error(&self.state()))
             }
         }
     }
@@ -509,7 +529,7 @@ impl StorageBackend for FaultBackend {
         let admission =
             self.state().admit(Op::Truncate { path: path.to_path_buf(), len: truncate_to })?;
         if let Admission::Tear(_) = admission {
-            return Err(crash_error(self.state().ops));
+            return Err(crash_error(&self.state()));
         }
         let inner = self.inner.open_append(path, truncate_to)?;
         Ok(Box::new(FaultFile { path: path.to_path_buf(), inner, state: Arc::clone(&self.state) }))
@@ -518,7 +538,7 @@ impl StorageBackend for FaultBackend {
     fn create_new(&self, path: &Path) -> io::Result<Box<dyn BackendFile>> {
         let admission = self.state().admit(Op::Create { path: path.to_path_buf() })?;
         if let Admission::Tear(_) = admission {
-            return Err(crash_error(self.state().ops));
+            return Err(crash_error(&self.state()));
         }
         let inner = self.inner.create_new(path)?;
         Ok(Box::new(FaultFile { path: path.to_path_buf(), inner, state: Arc::clone(&self.state) }))
@@ -544,7 +564,7 @@ impl StorageBackend for FaultBackend {
             self.state().admit(Op::Rename { from: from.to_path_buf(), to: to.to_path_buf() })?;
         match admission {
             Admission::Proceed => self.inner.rename(from, to),
-            Admission::Tear(_) => Err(crash_error(self.state().ops)),
+            Admission::Tear(_) => Err(crash_error(&self.state())),
         }
     }
 
@@ -552,7 +572,7 @@ impl StorageBackend for FaultBackend {
         let admission = self.state().admit(Op::Remove { path: path.to_path_buf() })?;
         match admission {
             Admission::Proceed => self.inner.remove_file(path),
-            Admission::Tear(_) => Err(crash_error(self.state().ops)),
+            Admission::Tear(_) => Err(crash_error(&self.state())),
         }
     }
 
@@ -560,7 +580,7 @@ impl StorageBackend for FaultBackend {
         let admission = self.state().admit(Op::CreateDir { path: path.to_path_buf() })?;
         match admission {
             Admission::Proceed => self.inner.create_dir_all(path),
-            Admission::Tear(_) => Err(crash_error(self.state().ops)),
+            Admission::Tear(_) => Err(crash_error(&self.state())),
         }
     }
 
@@ -611,6 +631,23 @@ mod tests {
         assert!(b.read(&p).is_err(), "reads die with the process too");
         // Nothing of the crashing write reached the file.
         assert_eq!(std::fs::read(&p).unwrap(), b"");
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn a_failed_sync_fails_alone_and_the_process_lives() {
+        let p = tmp("fail-sync");
+        let _ = std::fs::remove_file(&p);
+        let b = FaultBackend::with_plan(RealBackend, CrashPlan::fail_sync(3));
+        let mut f = b.open_append(&p, 0).unwrap(); // op 1
+        f.write_all(b"kept").unwrap(); // op 2
+        let err = f.sync_data().unwrap_err(); // op 3: fails
+        assert!(err.to_string().contains("failure of operation 3"), "{err}");
+        assert!(!b.crashed());
+        f.write_all(b", and more").unwrap(); // op 4
+        f.sync_data().unwrap(); // op 5
+        assert_eq!(b.op_count(), 5);
+        assert_eq!(b.read(&p).unwrap(), b"kept, and more");
         std::fs::remove_file(&p).unwrap();
     }
 

@@ -18,7 +18,7 @@ use crate::error::StorageError;
 use crate::faultfs::{RealBackend, StorageBackend};
 use crate::pager::PoolStats;
 use crate::value::Value;
-use crate::wal::Wal;
+use crate::wal::{Wal, WalTail};
 use crate::Result;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use super::checkpoint::{self, Recovered};
 use super::overlay::{redo, roll_back, Table, Tables, Undo};
 use super::paged::CheckpointImage;
-use super::recovery::{self, LogRecord};
+use super::recovery::{self, LogRecord, RunWriter};
 use super::replication::{self, ReplicationSeed};
 use super::table::{Row, RowId, TableSchema};
 use super::view::{DbSnapshot, TableView};
@@ -350,7 +350,7 @@ impl Database {
 
     /// The body of [`Database::checkpoint`], which holds the writer gate.
     fn publish_image(&self) -> Result<()> {
-        let Some(path) = self.wal_path() else {
+        let Some(path) = self.writable_wal_path()? else {
             return Ok(()); // ephemeral database: nothing to compact
         };
         // The gate keeps the tables as they are, so this copy (a few `Arc`s
@@ -373,6 +373,16 @@ impl Database {
         Ok(())
     }
 
+    /// The log's path (`None` for an in-memory database), once it is known
+    /// to take writes: a log stopped by a failed write takes no reset, so a
+    /// checkpoint fails before it builds anything.
+    fn writable_wal_path(&self) -> Result<Option<PathBuf>> {
+        let guard = self.wal.lock();
+        let Some(wal) = guard.as_ref() else { return Ok(None) };
+        wal.check()?;
+        Ok(Some(wal.path().to_path_buf()))
+    }
+
     /// The schema of a table.
     pub fn schema(&self, table: &str) -> Result<TableSchema> {
         Ok(TableSchema::clone(&self.tables.lock().table(table)?.schema))
@@ -386,7 +396,8 @@ impl Database {
     }
 
     /// Replace a table's schema and rows wholesale (schema-evolution
-    /// migration path; auto-committed, logged as drop + create + inserts).
+    /// migration path; auto-committed, logged as drop + create + one
+    /// transaction whose rows are one batch, [`Database::insert_rows`]).
     ///
     /// Whatever the inserts would refuse — a row the schema rejects, two
     /// rows with one key — is refused before the drop, leaving the table
@@ -407,7 +418,7 @@ impl Database {
         let name = schema.name.clone();
         self.drop_table(&name)?;
         self.create_table(schema)?;
-        self.in_tx(|tx| rows.into_iter().try_for_each(|row| self.insert(tx, &name, row).map(drop)))
+        self.in_tx(|tx| self.insert_rows(tx, &name, rows).map(drop))
     }
 
     // ------------------------------------------------------------------
@@ -422,13 +433,16 @@ impl Database {
         id
     }
 
-    /// Commit: durable once this returns.
+    /// Commit: durable once this returns, and visible only then.
     ///
-    /// A transaction that changed something moves the write clock by one,
-    /// at the moment its changes become the committed state (before the
-    /// fsync, under the `tables` mutex); one that only read moves it not
-    /// at all. A [`Database::snapshot`] taken while the transaction was
-    /// open pins the LSN of the last commit before it.
+    /// A transaction that changed something moves the write clock by one
+    /// once its `Commit` record is synced — the commit point — under the
+    /// `tables` mutex; one that only read moves it not at all. Until then
+    /// its changes stay on the undo list, so a [`Database::snapshot`]
+    /// taken while the transaction was open, its fsync included, pins the
+    /// LSN and contents of the last commit before it. A failed log write
+    /// or sync rolls the transaction back and returns the error; the log
+    /// then takes no more writes until the database is reopened.
     pub fn commit(&self, tx: TxId) -> Result<()> {
         self.close_tx(tx, false)
     }
@@ -443,7 +457,6 @@ impl Database {
         {
             let mut st = self.tables.lock();
             let (tables, undo) = st.open_tx(tx)?;
-            let undo = std::mem::take(undo);
             if undo.is_empty() {
                 // Changed nothing, so logged no `Begin` either: nothing to
                 // count, undo or log.
@@ -452,23 +465,29 @@ impl Database {
                 return Ok(());
             }
             if rollback {
-                roll_back(tables, &undo);
-            } else {
-                st.commit_unit();
+                roll_back(tables, &std::mem::take(undo));
             }
         }
-        // The transaction stays open, with nothing left to undo, across
-        // the log write, so the next unit's records follow this
-        // one's `Commit` in the WAL. The `tables` mutex is not held
-        // meanwhile: snapshots never wait for the fsync. The gate opens
-        // whether or not the write succeeded — a failed commit returns
-        // its error, it does not wedge the database.
+        // The transaction stays open across the log write, so the next
+        // unit's records follow this one's `Commit` in the WAL; a commit
+        // keeps its undo list meanwhile, so snapshots — which never wait
+        // for the fsync: the `tables` mutex is not held — still roll it
+        // back. The gate opens whether or not the write succeeded: a
+        // failed commit is rolled back and returns its error, it does not
+        // wedge the database.
         let logged = if rollback {
             self.log_tx(tx, false, |w| LogRecord::Abort { tx }.encode_into(w))
         } else {
             self.log_durable(&LogRecord::Commit { tx })
         };
-        self.tables.lock().open = None;
+        let mut st = self.tables.lock();
+        let undo = st.open.take().map(|open| open.undo).unwrap_or_default();
+        match logged {
+            Ok(()) if !rollback => st.commit_unit(),
+            Ok(()) => {}
+            Err(_) => roll_back(&mut st.tables, &undo),
+        }
+        drop(st);
         self.tx_closed.notify_all();
         logged
     }
@@ -477,27 +496,54 @@ impl Database {
     // DML
     // ------------------------------------------------------------------
 
-    /// Insert a row. Fails on duplicate primary key.
-    ///
-    /// The row is moved, never copied: its log record is written from it
-    /// in place, and then it is the overlay's. Its key is hashed once, for
-    /// the duplicate probe and the key's entry alike, and probed as the
-    /// row's own values. A refused row logs nothing.
+    /// Insert a row: [`Database::insert_rows`] with a batch of one, which
+    /// logs it as one `Insert` record. Fails on duplicate primary key.
     pub fn insert(&self, tx: TxId, table: &str, row: Row) -> Result<RowId> {
+        self.insert_rows(tx, table, [row])
+    }
+
+    /// Insert a batch of rows into `table` as part of `tx`; returns the
+    /// row id of the first, the rest following it one by one.
+    ///
+    /// One hold of the `tables` mutex and the log, one table lookup, and
+    /// one log record per run of rows ([`recovery::RUN_BUDGET`] bytes at
+    /// most, plus a row): each row's frame header, transaction, table and
+    /// row id are written once a run, not once a row. Each row is moved,
+    /// never copied — its bytes are written into the log's buffer from it
+    /// in place, and then it is the overlay's — and its key is hashed
+    /// once, for the duplicate probe and the key's entry alike, and probed
+    /// as the row's own values.
+    ///
+    /// All or nothing within the transaction: a refused row (schema, or a
+    /// key the table or the batch already holds) rolls back the rows this
+    /// call applied and logs nothing of the batch, and the transaction
+    /// stays open.
+    pub fn insert_rows(
+        &self,
+        tx: TxId,
+        table: &str,
+        rows: impl IntoIterator<Item = Row>,
+    ) -> Result<RowId> {
         let mut st = self.tables.lock();
         let (tables, undo) = st.open_tx(tx)?;
         let t = table_mut(tables, table)?;
-        t.schema.validate(&row)?;
-        let hash = t.pk_hash(&row);
-        if t.key_holder_of(hash, &row)?.is_some() {
-            let key = t.schema.key_of(&row);
-            return Err(StorageError::DuplicateKey(format!("{table} key {key:?} already exists")));
+        let (first, applied) = (t.next_row, undo.len());
+        let inserted = match self.wal.lock().as_mut() {
+            None => rows.into_iter().try_for_each(|row| insert_row(t, undo, row, |_, _| Ok(()))),
+            Some(wal) => wal.append_frames(|frames| {
+                let mut run = RunWriter::new(tx, table, applied == 0);
+                rows.into_iter().try_for_each(|row| {
+                    insert_row(t, undo, row, |row_id, row| run.push(frames, row_id, row))
+                })?;
+                run.finish(frames)
+            }),
+        };
+        if let Err(e) = inserted {
+            undo.drain(applied..).rev().for_each(|u| u.apply_to(t));
+            t.next_row = first;
+            return Err(e);
         }
-        let row_id = RowId(t.next_row);
-        self.log_tx(tx, undo.is_empty(), |w| recovery::write_insert(w, tx, table, row_id, &row))?;
-        t.apply_insert(row_id, hash, row)?;
-        undo.push(Undo::Insert { table: Arc::clone(&t.schema), row_id });
-        Ok(row_id)
+        Ok(RowId(first))
     }
 
     /// Read one row by primary key as transaction `tx` sees it: committed
@@ -607,6 +653,13 @@ impl Database {
     /// buffered until the next sync.
     pub fn wal_len(&self) -> u64 {
         self.wal.lock().as_ref().map(Wal::len).unwrap_or(0)
+    }
+
+    /// A tail over the WAL from byte offset `start`, refusing frames over
+    /// `cap` payload bytes, that reads only what a sync has made durable
+    /// (`None` for in-memory databases): what replication ships.
+    pub fn wal_tail(&self, start: u64, cap: usize) -> Option<WalTail> {
+        self.wal.lock().as_ref().map(|wal| wal.tail(start, cap))
     }
 
     /// Path of the WAL file (`None` for in-memory databases).
@@ -722,6 +775,28 @@ impl Database {
     pub fn insert_autocommit(&self, table: &str, row: Row) -> Result<RowId> {
         self.in_tx(|tx| self.insert(tx, table, row))
     }
+}
+
+/// One row of [`Database::insert_rows`]: validate `row`, refuse a key `t`
+/// already holds, let `log` write it under the row id it gets, apply it,
+/// and file its undo.
+fn insert_row(
+    t: &mut Table,
+    undo: &mut Vec<Undo>,
+    row: Row,
+    log: impl FnOnce(RowId, &Row) -> Result<()>,
+) -> Result<()> {
+    t.schema.validate(&row)?;
+    let hash = t.pk_hash(&row);
+    if t.key_holder_of(hash, &row)?.is_some() {
+        let (table, key) = (&t.schema.name, t.schema.key_of(&row));
+        return Err(StorageError::DuplicateKey(format!("{table} key {key:?} already exists")));
+    }
+    let row_id = RowId(t.next_row);
+    log(row_id, &row)?;
+    t.apply_insert(row_id, hash, row)?;
+    undo.push(Undo::Insert { table: Arc::clone(&t.schema), row_id });
+    Ok(())
 }
 
 impl std::fmt::Debug for Database {
@@ -939,6 +1014,85 @@ mod tests {
         assert!(matches!(db.drop_table("people"), Err(StorageError::Io(_))));
         assert!(matches!(fb.ops().last(), Some(Op::Write { .. })));
         assert_eq!(db.table_names(), ["people"]);
+        let _ = std::fs::remove_file(&p);
+    }
+
+    /// A batch is all or nothing inside its transaction: one refused row —
+    /// a key the table holds, or one the batch itself repeats — takes back
+    /// the rows before it, logs nothing, and leaves the transaction open;
+    /// the next batch gets the row ids the refused one would have had.
+    #[test]
+    fn a_refused_batch_takes_back_its_rows_and_logs_nothing() {
+        let p = tmpwal("refused-batch");
+        let db = Database::open(&p).unwrap();
+        db.create_table(people_schema()).unwrap();
+        let tx = db.begin();
+        let first = db.insert_rows(tx, "people", [person("a", 1, "x"), person("b", 2, "y")]);
+        assert_eq!(first.unwrap(), RowId(0));
+        let (len, rows) = (db.wal_len(), db.row_count("people").unwrap());
+        for refused in [
+            vec![person("c", 3, "z"), person("a", 9, "x"), person("d", 4, "w")],
+            vec![person("c", 3, "z"), person("c", 5, "v")],
+        ] {
+            let err = db.insert_rows(tx, "people", refused).unwrap_err();
+            assert!(matches!(err, StorageError::DuplicateKey(_)), "{err}");
+            assert_eq!((db.wal_len(), db.row_count("people").unwrap()), (len, rows));
+            assert!(matches!(db.get(tx, "people", &["c".into()]), Err(StorageError::NotFound(_))));
+        }
+        let bad_row = vec![person("c", 3, "z"), vec!["short".into()]];
+        assert!(matches!(
+            db.insert_rows(tx, "people", bad_row),
+            Err(StorageError::SchemaViolation(_))
+        ));
+        assert_eq!(db.insert_rows(tx, "people", [person("c", 3, "z")]).unwrap(), RowId(2));
+        db.commit(tx).unwrap();
+        let want = vec![person("a", 1, "x"), person("b", 2, "y"), person("c", 3, "z")];
+        assert_eq!(snap_rows(&db), want);
+        let by_age = index_rows(&db, "people", "age", &Value::Int(9));
+        assert!(by_age.is_empty(), "a refused row's index entry stayed");
+        drop(db);
+        assert_eq!(snap_rows(&Database::open(&p).unwrap()), want);
+        let _ = std::fs::remove_file(&p);
+    }
+
+    /// A commit whose sync fails is rolled back: the snapshot and the LSN
+    /// stay at the commit before it. The log stops: every later write is
+    /// refused by name, the tail ships nothing past the last sync, and a
+    /// reopen finds the state before the failed commit.
+    #[test]
+    fn a_failed_commit_sync_rolls_back_and_stops_the_log() {
+        let p = tmpwal("failed-sync");
+        let fb = FaultBackend::recording(RealBackend);
+        let db = Database::open_with(Arc::new(fb.clone()), &p).unwrap();
+        db.create_table(people_schema()).unwrap();
+        db.insert_autocommit("people", person("a", 1, "x")).unwrap();
+        let (before, lsn, durable) = (snap_rows(&db), db.current_lsn(), db.wal_len());
+
+        let tx = db.begin();
+        db.insert_rows(tx, "people", [person("b", 2, "y"), person("c", 3, "z")]).unwrap();
+        // The commit writes its frames out, then syncs: fail the sync.
+        fb.arm(CrashPlan::fail_sync(fb.op_count() + 2));
+        assert!(matches!(db.commit(tx), Err(StorageError::Io(_))));
+        assert!(!fb.crashed());
+        let snap = db.snapshot();
+        assert_eq!((snap.lsn(), snap.scan("people").unwrap()), (lsn, before.clone()));
+        assert_eq!((db.current_lsn(), db.wal_len()), (lsn, durable));
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), durable, "the file was cut back");
+
+        let stopped = |r: Result<()>| matches!(r, Err(StorageError::LogFailed(_)));
+        assert!(stopped(db.insert_autocommit("people", person("d", 4, "w")).map(drop)));
+        assert!(stopped(db.create_index("people", "city")));
+        assert!(stopped(db.drop_table("people")));
+        assert!(stopped(db.checkpoint()));
+        assert!(stopped(db.sync_wal()));
+        assert_eq!((db.snapshot().lsn(), snap_rows(&db)), (lsn, before.clone()));
+        let mut tail = db.wal_tail(0, 1 << 20).unwrap();
+        let crate::wal::TailPoll::Frames(run) = tail.poll().unwrap() else { panic!("no frames") };
+        assert_eq!(run.len() as u64, durable);
+        assert_eq!(tail.poll().unwrap(), crate::wal::TailPoll::Idle);
+
+        drop(db);
+        assert_eq!(snap_rows(&Database::open(&p).unwrap()), before);
         let _ = std::fs::remove_file(&p);
     }
 

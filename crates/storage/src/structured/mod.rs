@@ -36,7 +36,7 @@ pub mod view;
 
 pub use engine::{Database, TxId};
 pub use overlay::IndexStats;
-pub use recovery::LogRecord;
+pub use recovery::{LogRecord, RUN_BUDGET};
 pub use replication::{ReplicaApplier, ReplicaPosition, ReplicationSeed};
 pub use table::{is_system_table, Column, Row, RowId, TableSchema};
 pub use view::{DbSnapshot, ScanAccess, TableView};

@@ -476,6 +476,13 @@ pub(super) fn redo(
                     t.apply_insert(row_id, t.pk_hash(&row), row)?;
                 }
             }
+            LogRecord::InsertRun { table, first_row_id, rows, .. } => {
+                if let Some(t) = tables.get_mut(&table) {
+                    for (row_id, row) in (first_row_id.0..).map(RowId).zip(rows) {
+                        t.apply_insert(row_id, t.pk_hash(&row), row)?;
+                    }
+                }
+            }
             LogRecord::Update { table, row_id, row, .. } => {
                 if let Some(t) = tables.get_mut(&table) {
                     t.apply_update(row_id, row)?;

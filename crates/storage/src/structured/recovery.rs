@@ -3,11 +3,16 @@
 //!
 //! **Records** ([`LogRecord`]) are binary-encoded through [`crate::codec`]
 //! (one per WAL frame), prefixed with the format byte `0x01` (binary-v1) —
-//! the only format written or read. Each kind has one encoder; the row
-//! changes' encoders take borrowed parts, so the engine logs a change from
-//! the row it is about to store, without building a record. Logs from
-//! before the paged engine held JSON records; one of those (first byte
-//! `{`) is refused by name, like any other unknown format byte.
+//! the only format written or read. Each kind has one layout, and a row
+//! change's is written from borrowed parts — a head (`write_change`), then
+//! its row — so the engine logs a change from the row it is about to
+//! store, without building a record. A batch of inserts is logged by
+//! `RunWriter` as `InsertRun` records — the transaction, table and first
+//! row id once, then the rows — each sealed at [`RUN_BUDGET`] payload
+//! bytes; a run of one row is sealed as an `Insert`, the bytes
+//! [`LogRecord::encode`] writes for one. Logs from before the paged
+//! engine held JSON records; one of those (first byte `{`) is refused by
+//! name, like any other unknown format byte.
 //!
 //! **Committed history** ([`UnitReader`]) is decided here and nowhere
 //! else. Every writer enters the engine through one gate, so a log is a
@@ -23,6 +28,7 @@
 use crate::codec;
 use crate::error::StorageError;
 use crate::value::Value;
+use crate::wal::{Frames, FRAME_HEADER};
 use crate::Result;
 
 use super::table::{Row, RowId, TableSchema};
@@ -43,6 +49,13 @@ const K_UPDATE: u8 = 5;
 const K_DELETE: u8 = 6;
 const K_COMMIT: u8 = 7;
 const K_ABORT: u8 = 8;
+const K_INSERT_RUN: u8 = 9;
+
+/// Payload bytes at which `RunWriter` seals a run and starts the next:
+/// a batch's frame holds at most this plus one row, so a replica's
+/// shipping port, whose frame limit is far above it, takes every frame
+/// the engine writes.
+pub const RUN_BUDGET: usize = 64 * 1024;
 
 /// Everything the structured store writes to its WAL.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +93,18 @@ pub enum LogRecord {
         row_id: RowId,
         /// The inserted row.
         row: Row,
+    },
+    /// Rows inserted by `tx` in one batch, under consecutive row ids
+    /// from `first_row_id` (a batch of one row is logged as an `Insert`).
+    InsertRun {
+        /// Transaction id.
+        tx: u64,
+        /// Target table.
+        table: String,
+        /// Heap row id of the first row; row `i` has `first_row_id + i`.
+        first_row_id: RowId,
+        /// The inserted rows, at least one.
+        rows: Vec<Row>,
     },
     /// A full-row update by `tx`.
     Update {
@@ -133,21 +158,29 @@ fn write_change(w: &mut Vec<u8>, kind: u8, tx: u64, table: &str, row_id: RowId) 
     codec::write_u64(w, row_id.0)
 }
 
-/// Write the `Insert` record of `row` from its borrowed parts: the one
-/// encoder of the kind. The engine logs with it straight into the WAL's
-/// frame buffer; [`LogRecord::encode`] is its owned-record caller.
-pub(crate) fn write_insert(
-    w: &mut Vec<u8>,
-    tx: u64,
-    table: &str,
-    row_id: RowId,
-    row: &[Value],
-) -> Result<()> {
+/// Write the `Insert` record of `row` from its borrowed parts, for
+/// [`LogRecord::encode`]: the bytes [`RunWriter`] writes for a run of one
+/// row.
+fn write_insert(w: &mut Vec<u8>, tx: u64, table: &str, row_id: RowId, row: &[Value]) -> Result<()> {
     write_change(w, K_INSERT, tx, table, row_id)?;
     codec::write_row(w, row)
 }
 
-/// Write the `Update` record of `row`; as [`write_insert`].
+/// Write the `InsertRun` record of `rows`; as [`write_insert`].
+fn write_insert_run(
+    w: &mut Vec<u8>,
+    tx: u64,
+    table: &str,
+    first_row_id: RowId,
+    rows: &[Row],
+) -> Result<()> {
+    write_change(w, K_INSERT_RUN, tx, table, first_row_id)?;
+    rows.iter().try_for_each(|row| codec::write_row(w, row))
+}
+
+/// Write the `Update` record of `row` from its borrowed parts: the one
+/// encoder of the kind. The engine logs with it straight into the WAL's
+/// frame buffer; [`LogRecord::encode`] is its owned-record caller.
 pub(crate) fn write_update(
     w: &mut Vec<u8>,
     tx: u64,
@@ -159,7 +192,7 @@ pub(crate) fn write_update(
     codec::write_row(w, row)
 }
 
-/// Write the `Delete` record of `row_id`; as [`write_insert`].
+/// Write the `Delete` record of `row_id`; as [`write_update`].
 pub(crate) fn write_delete(w: &mut Vec<u8>, tx: u64, table: &str, row_id: RowId) -> Result<()> {
     write_change(w, K_DELETE, tx, table, row_id)
 }
@@ -193,6 +226,9 @@ impl LogRecord {
             LogRecord::Begin { tx } => write_mark(w, K_BEGIN, *tx),
             LogRecord::Insert { tx, table, row_id, row } => {
                 write_insert(w, *tx, table, *row_id, row)
+            }
+            LogRecord::InsertRun { tx, table, first_row_id, rows } => {
+                write_insert_run(w, *tx, table, *first_row_id, rows)
             }
             LogRecord::Update { tx, table, row_id, row } => {
                 write_update(w, *tx, table, *row_id, row)
@@ -237,6 +273,7 @@ impl LogRecord {
                 row_id: RowId(codec::read_u64(data, pos)?),
                 row: codec::read_row(data, pos)?,
             },
+            K_INSERT_RUN => Self::decode_run(data, pos)?,
             K_UPDATE => LogRecord::Update {
                 tx: codec::read_u64(data, pos)?,
                 table: codec::read_str(data, pos)?,
@@ -263,12 +300,40 @@ impl LogRecord {
         Ok(rec)
     }
 
+    /// An `InsertRun`'s fields, read from `pos`; its rows run to the end of
+    /// `data`. A run of no rows, a row of no values (what a stray zero
+    /// byte after the last row reads as) and row ids past `u64` are
+    /// refused: no engine writes them.
+    fn decode_run(data: &[u8], pos: &mut usize) -> Result<LogRecord> {
+        let (tx, table) = (codec::read_u64(data, pos)?, codec::read_str(data, pos)?);
+        let first = codec::read_u64(data, pos)?;
+        let mut rows = Vec::new();
+        while *pos < data.len() {
+            let row = codec::read_row(data, pos)?;
+            if row.is_empty() {
+                return Err(StorageError::Corrupt("insert run holds a row of no values".into()));
+            }
+            rows.push(row);
+        }
+        if rows.is_empty() {
+            return Err(StorageError::Corrupt("insert run of no rows".into()));
+        }
+        if first.checked_add(rows.len() as u64).is_none() {
+            return Err(StorageError::Corrupt(format!(
+                "insert run of {} rows from row id {first} overflows the row ids",
+                rows.len()
+            )));
+        }
+        Ok(LogRecord::InsertRun { tx, table, first_row_id: RowId(first), rows })
+    }
+
     /// The transaction this record belongs to, if any (DDL records are
     /// auto-committed and carry no transaction).
     pub fn tx(&self) -> Option<u64> {
         match self {
             LogRecord::Begin { tx }
             | LogRecord::Insert { tx, .. }
+            | LogRecord::InsertRun { tx, .. }
             | LogRecord::Update { tx, .. }
             | LogRecord::Delete { tx, .. }
             | LogRecord::Commit { tx }
@@ -280,14 +345,81 @@ impl LogRecord {
     }
 }
 
+/// Logs a batch of inserts of transaction `tx` into table `table` as runs,
+/// straight from the rows the engine is about to store: [`RunWriter::push`]
+/// each row under the id it gets, then [`RunWriter::finish`]. Rows with
+/// consecutive ids share a run until its payload reaches [`RUN_BUDGET`];
+/// a run that ends up with one row is sealed as an `Insert`, byte for
+/// byte the record a single insert writes.
+pub(crate) struct RunWriter<'a> {
+    tx: u64,
+    table: &'a str,
+    /// Log the transaction's `Begin` before the first row.
+    begin: bool,
+    /// The run being written: where its frame starts, its first row id and
+    /// the rows it holds.
+    open: Option<(usize, u64, u64)>,
+}
+
+impl<'a> RunWriter<'a> {
+    /// A writer for a batch; `begin` when the batch is its transaction's
+    /// first change, whose `Begin` then precedes the first row. A batch
+    /// that pushes no row writes nothing.
+    pub(crate) fn new(tx: u64, table: &'a str, begin: bool) -> RunWriter<'a> {
+        RunWriter { tx, table, begin, open: None }
+    }
+
+    /// Write `row`, which the table files under `row_id`.
+    pub(crate) fn push(
+        &mut self,
+        frames: &mut Frames<'_>,
+        row_id: RowId,
+        row: &[Value],
+    ) -> Result<()> {
+        if std::mem::take(&mut self.begin) {
+            let start = frames.open();
+            write_mark(frames.buf(), K_BEGIN, self.tx)?;
+            frames.seal(start)?;
+        }
+        let (start, first, rows) = match self.open {
+            Some((start, first, rows)) if first + rows == row_id.0 => (start, first, rows),
+            _ => {
+                self.finish(frames)?;
+                let start = frames.open();
+                write_change(frames.buf(), K_INSERT_RUN, self.tx, self.table, row_id)?;
+                (start, row_id.0, 0)
+            }
+        };
+        codec::write_row(frames.buf(), row)?;
+        self.open = Some((start, first, rows + 1));
+        if frames.payload_len(start) >= RUN_BUDGET {
+            self.finish(frames)?;
+        }
+        Ok(())
+    }
+
+    /// Seal the open run, if any: the last of the batch, or one that
+    /// reached the budget.
+    pub(crate) fn finish(&mut self, frames: &mut Frames<'_>) -> Result<()> {
+        let Some((start, _, rows)) = self.open.take() else { return Ok(()) };
+        if rows == 1 {
+            // Past the frame header: the format byte, then the kind.
+            if let Some(kind) = frames.buf().get_mut(start + FRAME_HEADER + 1) {
+                *kind = K_INSERT;
+            }
+        }
+        frames.seal(start)
+    }
+}
+
 /// The streaming reader of committed history: feed it a log's records in
 /// order and it yields each unit to apply as its last record arrives.
 ///
 /// - `Begin`, or a DDL record, starts a unit — and discards a unit still
 ///   open, whose writer died before closing it. A DDL record is a whole
 ///   unit by itself and is yielded at once.
-/// - A change (`Insert`, `Update`, `Delete`) joins the open unit; `Commit`
-///   yields it; `Abort` drops it.
+/// - A change (`Insert`, `InsertRun`, `Update`, `Delete`) joins the open
+///   unit; `Commit` yields it; `Abort` drops it.
 /// - A change, `Commit` or `Abort` of any transaction but the open one is
 ///   [`StorageError::Corrupt`], naming the transaction: the gate cannot
 ///   have written it, and guessing an order for it is how a replica comes
@@ -365,6 +497,12 @@ mod tests {
                 row: vec![Value::Float(2.5)],
             },
             LogRecord::Delete { tx: 1, table: "t".into(), row_id: RowId(3) },
+            LogRecord::InsertRun {
+                tx: 1,
+                table: "t".into(),
+                first_row_id: RowId(4),
+                rows: vec![vec![Value::Int(4)], vec![Value::Text("é".into()), Value::Null]],
+            },
             LogRecord::Commit { tx: 1 },
             LogRecord::Abort { tx: 2 },
             LogRecord::CreateTable {
@@ -416,5 +554,117 @@ mod tests {
         let mut padded = full;
         padded.push(0);
         assert!(matches!(LogRecord::decode(&padded), Err(StorageError::Corrupt(_))));
+    }
+
+    fn run(first_row_id: u64, rows: Vec<Row>) -> Vec<u8> {
+        let (tx, table) = (7, "tab".into());
+        LogRecord::InsertRun { tx, table, first_row_id: RowId(first_row_id), rows }
+            .encode()
+            .unwrap()
+    }
+
+    /// A run's rows run to the end of its payload, so a hostile one can
+    /// only be told by what it holds: every damaged or impossible run is
+    /// `Corrupt`, and none panics.
+    #[test]
+    fn a_hostile_insert_run_decodes_to_corrupt() {
+        let rows = || vec![vec![Value::Int(1), Value::Text("ab".into())], vec![Value::Int(2)]];
+        let full = run(10, rows());
+        assert!(matches!(LogRecord::decode(&full), Ok(LogRecord::InsertRun { .. })));
+        let corrupt = |bytes: &[u8], what: &str| {
+            let got = std::panic::catch_unwind(|| LogRecord::decode(bytes));
+            assert!(matches!(got, Ok(Err(StorageError::Corrupt(_)))), "{what}: {got:?}");
+        };
+        // Empty: the head and no row at all.
+        let head = full.len() - rows().iter().map(|r| encoded_row(r).len()).sum::<usize>();
+        corrupt(&full[..head], "a run of no rows");
+        // Every cut inside the rows is a truncated row.
+        for cut in head + 1..full.len() {
+            if cut != head + encoded_row(&rows()[0]).len() {
+                corrupt(&full[..cut], &format!("cut at {cut}"));
+            }
+        }
+        // Trailing bytes: a stray zero (a row of no values) or a row cut short.
+        for tail in [&[0u8][..], &[1], &[2, 0]] {
+            corrupt(&[&full[..], tail].concat(), &format!("trailing {tail:?}"));
+        }
+        // Row ids past `u64::MAX`: the last row's id would not fit.
+        corrupt(&run(u64::MAX - 1, rows()), "first + 2 overflows");
+        assert!(LogRecord::decode(&run(u64::MAX - 2, rows())).is_ok(), "first + 2 is u64::MAX");
+        // Any single byte flipped or dropped decodes to something or is
+        // refused, and never panics.
+        for at in 0..full.len() {
+            for damaged in [
+                [&full[..at], &[full[at] ^ 0xFF], &full[at + 1..]].concat(),
+                [&full[..at], &full[at + 1..]].concat(),
+            ] {
+                assert!(std::panic::catch_unwind(|| LogRecord::decode(&damaged)).is_ok(), "{at}");
+            }
+        }
+    }
+
+    fn encoded_row(row: &[Value]) -> Vec<u8> {
+        let mut out = Vec::new();
+        codec::write_row(&mut out, row).unwrap();
+        out
+    }
+
+    /// Frames as [`RunWriter`] leaves them in a log buffer, decoded.
+    fn written(batch: &[(u64, Row)]) -> Vec<(usize, LogRecord)> {
+        let p = std::env::temp_dir().join(format!("quarry-runs-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&p);
+        let mut wal = crate::wal::Wal::open(&p).unwrap();
+        wal.append_frames(|frames| {
+            let mut run = RunWriter::new(3, "t", true);
+            batch.iter().try_for_each(|(id, row)| run.push(frames, RowId(*id), row))?;
+            run.finish(frames)
+        })
+        .unwrap();
+        wal.sync().unwrap();
+        let out = crate::wal::Wal::replay(&p)
+            .unwrap()
+            .iter()
+            .map(|payload| (payload.len(), LogRecord::decode(payload).unwrap()))
+            .collect();
+        let _ = std::fs::remove_file(&p);
+        out
+    }
+
+    /// One row is an `Insert`, byte for byte; consecutive ids share a run;
+    /// a gap in the ids or the budget starts the next.
+    #[test]
+    fn a_run_writer_logs_begin_then_runs_sealed_at_the_budget() {
+        let row = |i: u64| vec![Value::Int(i as i64), Value::Text("x".repeat(100))];
+        let one = written(&[(5, row(5))]);
+        let insert = LogRecord::Insert { tx: 3, table: "t".into(), row_id: RowId(5), row: row(5) };
+        assert_eq!(
+            one.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
+            [LogRecord::Begin { tx: 3 }, insert.clone()]
+        );
+        assert_eq!(one[1].0, insert.encode().unwrap().len());
+
+        let gap: Vec<(u64, Row)> = [1, 2, 3, 7, 8].map(|i| (i, row(i))).to_vec();
+        let kinds: Vec<(u64, usize)> = written(&gap)
+            .into_iter()
+            .filter_map(|(_, rec)| match rec {
+                LogRecord::InsertRun { first_row_id, rows, .. } => {
+                    Some((first_row_id.0, rows.len()))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds, [(1, 3), (7, 2)]);
+
+        let many: Vec<(u64, Row)> = (0..2_000).map(|i| (i, row(i))).collect();
+        let runs = written(&many);
+        assert!(runs.len() > 3, "{} frames", runs.len());
+        let mut next = 0;
+        for (bytes, rec) in &runs[1..] {
+            let LogRecord::InsertRun { first_row_id, rows, .. } = rec else { panic!("{rec:?}") };
+            assert_eq!(first_row_id.0, next);
+            assert!(*bytes < RUN_BUDGET + 120, "a run of {bytes} bytes");
+            next += rows.len() as u64;
+        }
+        assert_eq!(next, 2_000);
     }
 }

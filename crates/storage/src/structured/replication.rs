@@ -274,9 +274,10 @@ mod tests {
         db.insert_autocommit(table, row(id, val)).unwrap();
     }
 
-    /// A tail over `primary`'s log from `start`.
+    /// A tail over `primary`'s log from `start`, as replication ships it:
+    /// what a sync made durable.
     fn tail_of(primary: &Database, start: u64) -> WalTail {
-        WalTail::new(primary.storage_backend(), primary.wal_path().unwrap(), start, 1 << 20)
+        primary.wal_tail(start, 1 << 20).unwrap()
     }
 
     /// Apply everything `tail` has to offer.

@@ -28,8 +28,8 @@
 //! # Durability contract
 //!
 //! [`Wal::append`] only buffers: after it returns, the frame may live
-//! entirely in the process's `BufWriter` and is lost on a crash.
-//! [`Wal::sync`] is the durability boundary — it flushes the buffer to the
+//! entirely in the log's buffer and is lost on a crash.
+//! [`Wal::sync`] is the durability boundary — it writes the buffer to the
 //! file *and* calls `File::sync_data`, so once `sync` returns, every
 //! previously appended frame survives both process death and OS/power
 //! failure (to the extent the disk honors flush commands). `sync_data` is
@@ -39,13 +39,17 @@
 //! per commit/DDL record, never per operation. The checksum
 //! framing makes a torn final frame detectable, so a crash *between*
 //! `append` and `sync` never corrupts the clean prefix — replay simply
-//! truncates the tail at the last record whose CRC verifies.
+//! truncates the tail at the last record whose CRC verifies. A failed
+//! write or sync stops the log instead (see [`Wal`]): it cuts the file
+//! back to the last sync and takes no more writes, and the tail the log
+//! makes for replication never reads past the last sync.
 
 use crate::error::StorageError;
 use crate::faultfs::{BackendFile, RealBackend, StorageBackend};
 use crate::Result;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Slicing-by-8 tables for the reflected IEEE polynomial, built at compile
@@ -202,27 +206,38 @@ pub fn frame_crc(payload: &[u8]) -> u32 {
 /// Bytes of a frame's header: the length prefix and the checksum.
 pub const FRAME_HEADER: usize = 8;
 
-/// Append to `out` the frame whose payload `fill` appends: the one place
-/// the layout is written. The header is reserved first and its length and
-/// checksum patched in once the payload stands behind it, so a payload is
-/// written once, where the frame holds it. A payload too long for the
-/// length prefix is refused, never truncated; on any error `out` is left
-/// as it was.
-pub fn write_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+/// Reserve a frame's header at the end of `out`, for a payload written
+/// after it; returns where the frame starts, which [`seal_frame`] takes.
+fn open_frame(out: &mut Vec<u8>) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0; FRAME_HEADER]);
-    let framed = fill(out).and_then(|()| {
-        let payload = out.get(start + FRAME_HEADER..).unwrap_or_default();
-        let len = u32::try_from(payload.len()).map_err(|_| {
-            StorageError::Corrupt(format!("record of {} bytes does not fit a frame", payload.len()))
-        })?;
-        let crc = frame_crc(payload);
-        if let Some(header) = out.get_mut(start..start + FRAME_HEADER) {
-            header[..4].copy_from_slice(&len.to_le_bytes());
-            header[4..].copy_from_slice(&crc.to_le_bytes());
-        }
-        Ok(())
-    });
+    start
+}
+
+/// Patch the length and checksum of the frame [`open_frame`] started at
+/// `start` into its header, over the payload that now stands behind it. A
+/// payload too long for the length prefix is refused, never truncated.
+fn seal_frame(out: &mut [u8], start: usize) -> Result<()> {
+    let payload = out.get(start + FRAME_HEADER..).unwrap_or_default();
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        StorageError::Corrupt(format!("record of {} bytes does not fit a frame", payload.len()))
+    })?;
+    let crc = frame_crc(payload);
+    if let Some(header) = out.get_mut(start..start + FRAME_HEADER) {
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&crc.to_le_bytes());
+    }
+    Ok(())
+}
+
+/// Append to `out` the frame whose payload `fill` appends: the one place
+/// the layout is written (`Frames` writes several with the same two
+/// steps). The header is reserved first and its length and checksum
+/// patched in once the payload stands behind it, so a payload is written
+/// once, where the frame holds it. On any error `out` is left as it was.
+pub fn write_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+    let start = open_frame(out);
+    let framed = fill(out).and_then(|()| seal_frame(out, start));
     if framed.is_err() {
         out.truncate(start);
     }
@@ -275,15 +290,68 @@ pub fn decode_frame(buf: &[u8], cap: usize) -> std::result::Result<Option<(&[u8]
     Ok(Some((payload, FRAME_HEADER + len)))
 }
 
+/// Bytes of whole frames [`Wal`] buffers before it writes them to the file
+/// (what a `BufWriter` holds by default).
+const WRITE_BUF: usize = 8 * 1024;
+
 /// An append-only log file.
+///
+/// It stops at its first failed write, sync or seal: what the file holds
+/// past the last sync is cut off (so a reopen cannot find it either), and
+/// every later write, sync or reset answers [`StorageError::LogFailed`]
+/// until the log is opened again. The kernel may have dropped the pages a
+/// failed sync was writing, so nothing after it can be trusted to be on
+/// disk — the lesson PostgreSQL learned about fsync.
 pub struct Wal {
     path: PathBuf,
     backend: Arc<dyn StorageBackend>,
-    writer: BufWriter<Box<dyn BackendFile>>,
-    offset: u64,
-    /// The frame buffer each record is written into before it joins the
-    /// writer; reused, so an append allocates nothing in steady state.
-    scratch: Vec<u8>,
+    file: Box<dyn BackendFile>,
+    /// Whole frames appended since the last write to the file; reused, so
+    /// an append allocates nothing in steady state.
+    buf: Vec<u8>,
+    /// Log offset of `buf`'s first byte: the bytes the file holds.
+    written: u64,
+    /// Log offset the last sync made durable, shared with every
+    /// [`Wal::tail`], which reads no further: stored (`Release`) only after
+    /// the bytes below it are written and synced, loaded (`Acquire`) by a
+    /// tail before it reads them.
+    durable: Arc<AtomicU64>,
+    /// What stopped the log, once something has.
+    failed: Option<String>,
+}
+
+/// The log's buffer, lent to [`Wal::append_frames`] for a batch of frames
+/// whose payloads are written piece by piece: [`Frames::open`] a frame,
+/// write its payload into [`Frames::buf`], then [`Frames::seal`] it.
+pub(crate) struct Frames<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Set by a seal that failed: the log stops.
+    seal_failed: bool,
+}
+
+impl Frames<'_> {
+    /// Start a frame at the end of the buffer; returns where it starts.
+    pub(crate) fn open(&mut self) -> usize {
+        open_frame(self.buf)
+    }
+
+    /// The buffer the open frame's payload is appended to.
+    pub(crate) fn buf(&mut self) -> &mut Vec<u8> {
+        self.buf
+    }
+
+    /// Payload bytes written so far behind the frame started at `start`.
+    pub(crate) fn payload_len(&self, start: usize) -> usize {
+        self.buf.len().saturating_sub(start + FRAME_HEADER)
+    }
+
+    /// Finish the frame started at `start`, whose payload is everything
+    /// after its header.
+    pub(crate) fn seal(&mut self, start: usize) -> Result<()> {
+        let sealed = seal_frame(self.buf, start);
+        self.seal_failed |= sealed.is_err();
+        sealed
+    }
 }
 
 impl Wal {
@@ -311,22 +379,66 @@ impl Wal {
         Ok(Wal {
             path: path.to_path_buf(),
             backend,
-            writer: BufWriter::new(file),
-            offset: clean_end,
-            scratch: Vec::new(),
+            file,
+            buf: Vec::new(),
+            written: clean_end,
+            durable: Arc::new(AtomicU64::new(clean_end)),
+            failed: None,
         })
     }
 
+    /// `Err` once the log has stopped (see [`Wal`]).
+    pub(crate) fn check(&self) -> Result<()> {
+        match &self.failed {
+            Some(why) => Err(StorageError::LogFailed(why.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Stop the log after `e`, a failed write, sync or seal: drop what is
+    /// buffered, cut the file back to its durable end — best effort, and
+    /// synced, so neither a reopen nor a tail finds what followed — and
+    /// refuse every later write. Returns `e`.
+    fn fail(&mut self, e: StorageError) -> StorageError {
+        self.failed = Some(e.to_string());
+        self.buf.clear();
+        self.written = self.durable.load(Ordering::Acquire);
+        let _ = self.file.truncate(self.written).and_then(|()| self.file.sync_data());
+        e
+    }
+
+    /// Write the buffered frames to the file.
+    fn write_out(&mut self) -> Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        match self.file.write_all(&self.buf).and_then(|()| self.file.flush()) {
+            Ok(()) => {
+                self.written += self.buf.len() as u64;
+                self.buf.clear();
+                Ok(())
+            }
+            Err(e) => Err(self.fail(e.into())),
+        }
+    }
+
+    /// Write the buffer out once it holds [`WRITE_BUF`] bytes.
+    fn write_out_full(&mut self) -> Result<()> {
+        if self.buf.len() >= WRITE_BUF {
+            self.write_out()?;
+        }
+        Ok(())
+    }
+
     /// Append one record whose payload `fill` writes straight into the
-    /// log's frame buffer ([`write_frame`]); returns its frame offset. A
-    /// record `fill` fails to write appends nothing. Data is buffered —
-    /// call [`Wal::sync`] to force it to the OS/file.
+    /// log's buffer ([`write_frame`]); returns its frame offset. A record
+    /// `fill` fails to write appends nothing. Data is buffered — call
+    /// [`Wal::sync`] to force it to the OS/file.
     pub fn append_with(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<u64> {
-        let offset = self.offset;
-        self.scratch.clear();
-        write_frame(&mut self.scratch, fill)?;
-        self.writer.write_all(&self.scratch)?;
-        self.offset += self.scratch.len() as u64;
+        self.check()?;
+        let offset = self.len();
+        write_frame(&mut self.buf, fill)?;
+        self.write_out_full()?;
         Ok(offset)
     }
 
@@ -338,29 +450,61 @@ impl Wal {
         })
     }
 
-    /// Flush buffered frames to the OS *without* an fsync: what a replica
+    /// Append the frames `fill` writes through [`Frames`], all or none:
+    /// the buffer is not written out while `fill` runs, and an error from
+    /// it takes back every frame it wrote. A failed seal stops the log;
+    /// any other error (a refused record) leaves it as it was.
+    pub(crate) fn append_frames<T>(
+        &mut self,
+        fill: impl FnOnce(&mut Frames<'_>) -> Result<T>,
+    ) -> Result<T> {
+        self.check()?;
+        let mark = self.buf.len();
+        let mut frames = Frames { buf: &mut self.buf, seal_failed: false };
+        let filled = fill(&mut frames);
+        let seal_failed = frames.seal_failed;
+        match filled {
+            Ok(out) => {
+                self.write_out_full()?;
+                Ok(out)
+            }
+            Err(e) if seal_failed => Err(self.fail(e)),
+            Err(e) => {
+                self.buf.truncate(mark);
+                Err(e)
+            }
+        }
+    }
+
+    /// Write buffered frames to the OS *without* an fsync: what a replica
     /// does with each shipped frame, so that the next [`Wal::sync`] (at
     /// promotion or a drain) is what makes them durable.
     pub fn flush(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        Ok(())
+        self.check()?;
+        self.write_out()
     }
 
-    /// Flush buffered frames and fsync the file.
+    /// Write buffered frames and fsync the file: everything appended is
+    /// durable, and visible to the log's replication tails, once this
+    /// returns.
     pub fn sync(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        self.writer.get_mut().sync_data()?;
+        self.check()?;
+        self.write_out()?;
+        if let Err(e) = self.file.sync_data() {
+            return Err(self.fail(e.into()));
+        }
+        self.durable.store(self.written, Ordering::Release);
         Ok(())
     }
 
     /// Current append offset (= file length after sync).
     pub fn len(&self) -> u64 {
-        self.offset
+        self.written + self.buf.len() as u64
     }
 
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.offset == 0
+        self.len() == 0
     }
 
     /// Path of the log file.
@@ -408,15 +552,38 @@ impl Wal {
 
     /// Truncate the log to zero length (e.g. after a checkpoint).
     pub fn reset(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        self.writer.get_mut().truncate(0)?;
-        self.offset = 0;
+        self.check()?;
+        self.buf.clear();
+        if let Err(e) = self.file.truncate(0) {
+            return Err(self.fail(e.into()));
+        }
+        self.written = 0;
+        self.durable.store(0, Ordering::Release);
         Ok(())
     }
 
     /// The storage backend this log writes through.
     pub fn backend(&self) -> Arc<dyn StorageBackend> {
         Arc::clone(&self.backend)
+    }
+
+    /// A [`WalTail`] over this log from `start` (see [`WalTail::new`])
+    /// that reads no further than the last sync: a frame is shipped only
+    /// once it is durable, and a stopped log ships nothing more.
+    pub(crate) fn tail(&self, start: u64, cap: usize) -> WalTail {
+        let mut tail = WalTail::new(Arc::clone(&self.backend), &self.path, start, cap);
+        tail.durable = Some(Arc::clone(&self.durable));
+        tail
+    }
+}
+
+impl Drop for Wal {
+    /// Buffered frames reach the file when the log is closed, as a
+    /// `BufWriter`'s do; a stopped log writes nothing more.
+    fn drop(&mut self) {
+        if self.failed.is_none() {
+            let _ = self.write_out();
+        }
     }
 }
 
@@ -507,6 +674,9 @@ pub struct WalTail {
     offset: u64,
     /// The bytes read past `offset`: a frame the log holds part of.
     frames: FrameBuf,
+    /// The writer's durable end, for a tail made by [`Wal::tail`]: no
+    /// byte past it is read.
+    durable: Option<Arc<AtomicU64>>,
 }
 
 impl WalTail {
@@ -520,7 +690,14 @@ impl WalTail {
         cap: usize,
     ) -> WalTail {
         let path = path.as_ref().to_path_buf();
-        WalTail { backend, path, file: None, offset: start, frames: FrameBuf::new(cap) }
+        WalTail {
+            backend,
+            path,
+            file: None,
+            offset: start,
+            frames: FrameBuf::new(cap),
+            durable: None,
+        }
     }
 
     /// Current cursor position (byte offset of the next unread frame).
@@ -545,6 +722,7 @@ impl WalTail {
             }
         }
         let len = self.file.as_mut().map_or(Ok(0), |file| file.file_len())?;
+        let len = self.durable.as_ref().map_or(len, |end| len.min(end.load(Ordering::Acquire)));
         // What has been read: the frames handed out, and part of the next.
         let read_to = self.offset + (self.frames.buf.len() - self.frames.head) as u64;
         if len < read_to {
@@ -584,7 +762,7 @@ impl WalTail {
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wal").field("path", &self.path).field("offset", &self.offset).finish()
+        f.debug_struct("Wal").field("path", &self.path).field("offset", &self.len()).finish()
     }
 }
 

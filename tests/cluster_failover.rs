@@ -139,7 +139,7 @@ fn run_failover_case(k: u64, tear: Option<usize>, steps: &[Step], states: &[Stri
     let pp = tmpwal(&format!("failover-primary-{k}-{}", tear.is_some()));
     let rp = tmpwal(&format!("failover-replica-{k}-{}", tear.is_some()));
 
-    let plan = CrashPlan { crash_at: k, tear_bytes: tear };
+    let plan = CrashPlan { crash_at: k, tear_bytes: tear, survives: false };
     let fb = FaultBackend::with_plan(RealBackend, plan);
     let opened = Database::open_with(Arc::new(fb.clone()), &pp);
 

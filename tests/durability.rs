@@ -6,10 +6,12 @@ use quarry::core::{Quarry, QuarryConfig};
 use quarry::corpus::{Corpus, CorpusConfig, CrawlConfig, CrawlSimulator, NoiseConfig};
 use quarry::lang::provenance::{self, Cell, Source};
 use quarry::schema::{migrate_table, EvolutionOp};
+use quarry::storage::structured::{LogRecord, RUN_BUDGET};
 use quarry::storage::{
-    Column, CrashPlan, DataType, Database, FaultBackend, Op, RealBackend, ScanAccess,
-    SnapshotStore, TableSchema, Value,
+    Column, CrashPlan, DataType, Database, FaultBackend, Op, RealBackend, Row, ScanAccess,
+    SnapshotStore, StorageError, TableSchema, TxId, Value, Wal,
 };
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 mod common;
@@ -197,6 +199,9 @@ fn wal_grows_with_work_and_recovery_is_complete_after_many_batches() {
 // (CI smoke); the checkpoint publication rename and the WAL reset right
 // after it are always included.
 //
+// A third sweep fails one sync at a time and lets the process live (see
+// `recovery_differential_failed_syncs`).
+//
 // Two workloads run through the same sweep: the original mixed DML one,
 // and a split-heavy one whose multi-kilobyte text rows force the B-tree
 // checkpoint builder through overflow chains, oversized index keys, and
@@ -233,6 +238,30 @@ fn person(name: &str, age: i64, city: &str) -> Vec<Value> {
     vec![name.into(), Value::Int(age), city.into()]
 }
 
+/// Run `body` in a transaction: committed if it succeeds, aborted if it
+/// fails, so a step that fails leaves the writer gate open behind it.
+fn in_tx(
+    db: &Database,
+    body: impl FnOnce(TxId) -> quarry::storage::Result<()>,
+) -> quarry::storage::Result<()> {
+    let tx = db.begin();
+    match body(tx) {
+        Ok(()) => db.commit(tx),
+        Err(e) => {
+            let _ = db.abort(tx);
+            Err(e)
+        }
+    }
+}
+
+/// Rows of the batch larger than one run: each row carries a city name of
+/// about a hundred bytes, so the batch is several times [`RUN_BUDGET`].
+const BULK: i64 = 1_500;
+
+fn bulk_rows() -> Vec<Row> {
+    (0..BULK).map(|i| person(&format!("bulk-{i:04}"), i % 90, &"somewhere ".repeat(10))).collect()
+}
+
 /// The recorded workload: each step is one atomic unit (one committed
 /// transaction, one auto-committed DDL statement, or one checkpoint), so
 /// every step boundary is a legal recovery target.
@@ -240,77 +269,104 @@ fn workload_steps() -> Vec<Step> {
     vec![
         |db| db.create_table(people_schema()),
         |db| {
-            let tx = db.begin();
-            db.insert(tx, "people", person("ada", 36, "london"))?;
-            db.insert(tx, "people", person("alan", 41, "cambridge"))?;
-            db.insert(tx, "people", person("grace", 37, "arlington"))?;
-            db.commit(tx)
+            in_tx(db, |tx| {
+                db.insert(tx, "people", person("ada", 36, "london"))?;
+                db.insert(tx, "people", person("alan", 41, "cambridge"))?;
+                db.insert(tx, "people", person("grace", 37, "arlington"))?;
+                Ok(())
+            })
         },
         |db| {
-            let tx = db.begin();
-            db.insert(tx, "people", person("edsger", 40, "austin"))?;
-            db.insert(tx, "people", person("barbara", 52, "cambridge"))?;
-            db.commit(tx)
+            in_tx(db, |tx| {
+                db.insert(tx, "people", person("edsger", 40, "austin"))?;
+                db.insert(tx, "people", person("barbara", 52, "cambridge"))?;
+                Ok(())
+            })
         },
-        |db| {
-            let tx = db.begin();
-            db.update(tx, "people", &["ada".into()], person("ada", 37, "london"))?;
-            db.commit(tx)
-        },
-        |db| {
-            let tx = db.begin();
-            db.delete(tx, "people", &["alan".into()])?;
-            db.commit(tx)
-        },
+        |db| in_tx(db, |tx| db.update(tx, "people", &["ada".into()], person("ada", 37, "london"))),
+        |db| in_tx(db, |tx| db.delete(tx, "people", &["alan".into()])),
         |db| db.create_index("people", "city"),
         |db| {
             // An aborted transaction: logical state unchanged, log grows.
             let tx = db.begin();
-            db.insert(tx, "people", person("ghost", 1, "nowhere"))?;
-            db.abort(tx)
+            let inserted = db.insert(tx, "people", person("ghost", 1, "nowhere"));
+            db.abort(tx)?;
+            inserted.map(drop)
         },
         |db| {
-            let tx = db.begin();
-            db.insert(tx, "people", person("kurt", 71, "princeton"))?;
-            db.insert(tx, "people", person("alonzo", 92, "princeton"))?;
-            db.commit(tx)
+            in_tx(db, |tx| {
+                db.insert(tx, "people", person("kurt", 71, "princeton"))?;
+                db.insert(tx, "people", person("alonzo", 92, "princeton"))?;
+                Ok(())
+            })
+        },
+        // A batch: one run.
+        |db| {
+            in_tx(db, |tx| {
+                let batch =
+                    [("hedy", 38, "vienna"), ("ida", 60, "bristol"), ("claude", 32, "ann arbor")];
+                db.insert_rows(tx, "people", batch.map(|(n, a, c)| person(n, a, c))).map(drop)
+            })
+        },
+        // A batch refused at its second row leaves nothing behind, and
+        // the transaction goes on to commit another.
+        |db| {
+            in_tx(db, |tx| {
+                let refused = [("margaret", 33, "boston"), ("ada", 1, "taken"), ("never", 2, "x")];
+                match db.insert_rows(tx, "people", refused.map(|(n, a, c)| person(n, a, c))) {
+                    Err(StorageError::DuplicateKey(_)) => {}
+                    Err(e) => return Err(e),
+                    Ok(_) => panic!("a batch holding a taken key was accepted"),
+                }
+                let batch = [("margaret", 33, "boston"), ("katherine", 44, "hampton")];
+                db.insert_rows(tx, "people", batch.map(|(n, a, c)| person(n, a, c))).map(drop)
+            })
         },
         |db| db.checkpoint(),
         |db| {
-            let tx = db.begin();
-            db.insert(tx, "people", person("john", 53, "princeton"))?;
-            db.commit(tx)
+            in_tx(db, |tx| {
+                db.insert(tx, "people", person("john", 53, "princeton"))?;
+                Ok(())
+            })
         },
         |db| {
-            let tx = db.begin();
-            db.update(tx, "people", &["grace".into()], person("grace", 85, "arlington"))?;
-            db.delete(tx, "people", &["edsger".into()])?;
-            db.commit(tx)
+            in_tx(db, |tx| {
+                db.update(tx, "people", &["grace".into()], person("grace", 85, "arlington"))?;
+                db.delete(tx, "people", &["edsger".into()])?;
+                Ok(())
+            })
         },
         |db| db.create_table(events_schema()),
         |db| {
-            let tx = db.begin();
-            db.insert(tx, "events", vec![Value::Int(1), "login".into()])?;
-            db.insert(tx, "events", vec![Value::Int(2), "edit".into()])?;
-            db.commit(tx)
+            in_tx(db, |tx| {
+                db.insert(tx, "events", vec![Value::Int(1), "login".into()])?;
+                db.insert(tx, "events", vec![Value::Int(2), "edit".into()])?;
+                Ok(())
+            })
         },
         |db| db.checkpoint(),
         |db| {
-            let tx = db.begin();
-            db.insert(tx, "events", vec![Value::Int(3), "logout".into()])?;
-            db.commit(tx)
+            in_tx(db, |tx| {
+                db.insert(tx, "events", vec![Value::Int(3), "logout".into()])?;
+                Ok(())
+            })
         },
         |db| {
-            let tx = db.begin();
-            db.delete(tx, "events", &[Value::Int(1)])?;
-            db.update(tx, "people", &["kurt".into()], person("kurt", 72, "princeton"))?;
-            db.commit(tx)
+            in_tx(db, |tx| {
+                db.delete(tx, "events", &[Value::Int(1)])?;
+                db.update(tx, "people", &["kurt".into()], person("kurt", 72, "princeton"))?;
+                Ok(())
+            })
         },
         |db| {
-            let tx = db.begin();
-            db.insert(tx, "people", person("emmy", 53, "bryn mawr"))?;
-            db.commit(tx)
+            in_tx(db, |tx| {
+                db.insert(tx, "people", person("emmy", 53, "bryn mawr"))?;
+                Ok(())
+            })
         },
+        // A batch over the run budget: several runs, one unit.
+        |db| in_tx(db, |tx| db.insert_rows(tx, "people", bulk_rows()).map(drop)),
+        |db| in_tx(db, |tx| db.delete(tx, "people", &["bulk-0007".into()])),
     ]
 }
 
@@ -475,7 +531,7 @@ fn run_crash_case(
     label: &str,
 ) {
     let p = tmpwal(&format!("recdiff-{label}"));
-    let plan = CrashPlan { crash_at: k, tear_bytes: tear };
+    let plan = CrashPlan { crash_at: k, tear_bytes: tear, survives: false };
     let fb = FaultBackend::with_plan(RealBackend, plan);
     if let Ok(db) = Database::open_with(Arc::new(fb.clone()), &p) {
         for step in steps {
@@ -510,22 +566,29 @@ fn run_crash_case(
     );
 }
 
-/// The full differential: record the workload's op stream, then sweep
-/// kill and torn-write crashes across it. `label` keeps the scratch files
-/// of concurrently-running sweeps apart.
-fn differential_sweep(steps: &[Step], label: &str) {
-    // Reference states: the workload replayed on an in-memory database,
-    // dumped after every step prefix (checkpoint is a no-op there, which is
-    // correct — it does not change logical state).
+/// Reference states: the workload replayed on an in-memory database,
+/// dumped after every step prefix (checkpoint is a no-op there, which is
+/// correct — it does not change logical state).
+fn reference_states(steps: &[Step]) -> Vec<String> {
     let reference = Database::in_memory();
     let mut states = vec![dump(&reference)];
     for step in steps {
         step(&reference).unwrap();
         states.push(dump(&reference));
     }
+    states
+}
 
-    // Recording run: capture the full operation stream and each step's
-    // cumulative operation count.
+/// The recording run: the workload's full operation stream, each step's
+/// cumulative operation count (`cum[0]` is opening the database), and the
+/// path its log was at, which the stream names. `inspect` sees the log
+/// before the files are removed.
+fn record(
+    steps: &[Step],
+    states: &[String],
+    label: &str,
+    inspect: impl FnOnce(&Path),
+) -> (Vec<Op>, Vec<u64>, PathBuf) {
     let p = tmpwal(&format!("recdiff-{label}-record"));
     let rec = FaultBackend::recording(RealBackend);
     let db = Database::open_with(Arc::new(rec.clone()), &p).unwrap();
@@ -541,7 +604,19 @@ fn differential_sweep(steps: &[Step], label: &str) {
     assert_eq!(total, *cum.last().unwrap());
     assert_eq!(dump(&db), *states.last().unwrap(), "fault-free run must match the reference");
     drop(db);
+    inspect(&p);
     remove_db_files(&p);
+    (ops, cum, p)
+}
+
+/// The full differential: record the workload's op stream, then sweep
+/// kill and torn-write crashes across it. `label` keeps the scratch files
+/// of concurrently-running sweeps apart; `inspect` is shown the recording
+/// run's log.
+fn differential_sweep(steps: &[Step], label: &str, inspect: impl FnOnce(&Path)) {
+    let states = reference_states(steps);
+    let (ops, cum, _) = record(steps, &states, label, inspect);
+    let total = *cum.last().unwrap();
 
     // The two checkpoint publications (renames) and the WAL resets right
     // after them are the crash points the atomic-checkpoint design exists
@@ -598,7 +673,86 @@ fn differential_sweep(steps: &[Step], label: &str) {
 
 #[test]
 fn recovery_differential() {
-    differential_sweep(&workload_steps(), "base");
+    differential_sweep(&workload_steps(), "base", |log| {
+        // The bulk batch, in the log since the last checkpoint, is one
+        // unit of several runs, each within the budget plus one row.
+        let runs: Vec<(usize, usize)> = Wal::replay(log)
+            .unwrap()
+            .iter()
+            .filter_map(|payload| match LogRecord::decode(payload).unwrap() {
+                LogRecord::InsertRun { rows, .. } => Some((payload.len(), rows.len())),
+                _ => None,
+            })
+            .collect();
+        assert!(runs.len() >= 3, "the bulk batch made {} runs: {runs:?}", runs.len());
+        assert_eq!(runs.iter().map(|&(_, rows)| rows as i64).sum::<i64>(), BULK);
+        assert!(runs.iter().all(|&(bytes, _)| bytes < RUN_BUDGET + 200), "{runs:?}");
+    });
+}
+
+/// The failed-sync sweep over the same workload: for every sync it makes,
+/// a run whose backend fails that one sync and lets the process live.
+///
+/// - A failed sync of the log stops the writer at its step: that step and
+///   every later one fail, and a write that reaches the log is refused
+///   with `LogFailed`; the live database, a snapshot after each step and
+///   the database reopened from its files all hold the pre-step state, at
+///   the pre-step LSN.
+/// - A failed sync of a checkpoint image fails that checkpoint only: the
+///   workload goes on, and the live and the reopened database end at the
+///   final state.
+#[test]
+fn recovery_differential_failed_syncs() {
+    let steps = workload_steps();
+    let states = reference_states(&steps);
+    let (ops, cum, log) = record(&steps, &states, "failsync", |_| {});
+    let syncs: Vec<(u64, bool)> = (1..)
+        .zip(&ops)
+        .filter_map(|(k, op)| match op {
+            Op::Sync { path } => Some((k, *path == log)),
+            _ => None,
+        })
+        .collect();
+    assert!(syncs.iter().any(|&(_, of_log)| of_log), "the workload syncs its log");
+    assert!(syncs.iter().any(|&(_, of_log)| !of_log), "the workload syncs an image");
+
+    for (k, of_log) in syncs {
+        // The step whose sync fails (`cum[0]` is the open).
+        let s = cum.iter().position(|&c| c >= k).unwrap();
+        let label = format!("failsync op {k} (step {s}, {})", if of_log { "log" } else { "image" });
+        let p = tmpwal(&format!("recdiff-failsync-{k}"));
+        let fb = FaultBackend::with_plan(RealBackend, CrashPlan::fail_sync(k));
+        let db = Database::open_with(Arc::new(fb.clone()), &p).unwrap();
+        let mut lsn = db.current_lsn();
+        for (i, step) in steps.iter().enumerate() {
+            let n = i + 1;
+            let done = step(&db);
+            let (snap, live) = (db.snapshot(), dump(&db));
+            if of_log && n >= s {
+                assert!(done.is_err(), "{label}: step {n} succeeded");
+                assert_eq!(live, states[s - 1], "{label}: live after step {n}");
+                assert_eq!(snap.lsn(), lsn, "{label}: a snapshot after step {n}");
+            } else {
+                assert_eq!(done.is_err(), n == s, "{label}: step {n}: {done:?}");
+                assert_eq!(live, states[n], "{label}: live after step {n}");
+                lsn = snap.lsn();
+            }
+        }
+        assert!(!fb.crashed(), "{label}: the process lives");
+        let probe = [Column::new("id", DataType::Int)];
+        let probe =
+            db.create_table(TableSchema::new("probe", probe.to_vec(), &["id"], &[]).unwrap());
+        if of_log {
+            assert!(matches!(probe, Err(StorageError::LogFailed(_))), "{label}: {probe:?}");
+        } else {
+            probe.unwrap();
+            db.drop_table("probe").unwrap();
+        }
+        drop(db);
+        let want = if of_log { &states[s - 1] } else { states.last().unwrap() };
+        assert_eq!(dump(&Database::open(&p).unwrap()), *want, "{label}: reopened");
+        remove_db_files(&p);
+    }
 }
 
 /// Same invariant, over corrections: a recovered database never holds a
@@ -606,7 +760,7 @@ fn recovery_differential() {
 /// cell.
 #[test]
 fn recovery_differential_corrections() {
-    differential_sweep(&correction_steps(), "corrections");
+    differential_sweep(&correction_steps(), "corrections", |_| {});
 }
 
 /// Same invariant, split-heavy workload: every crash point — including
@@ -615,5 +769,5 @@ fn recovery_differential_corrections() {
 /// step boundary at or above the durability floor.
 #[test]
 fn recovery_differential_split_heavy() {
-    differential_sweep(&split_heavy_steps(), "split");
+    differential_sweep(&split_heavy_steps(), "split", |_| {});
 }

@@ -11,7 +11,7 @@ use quarry::core::{Quarry, QuarryConfig};
 use quarry::query::engine::{execute_snapshot, Predicate, Query};
 use quarry::storage::{
     BackendFile, Column, DataType, Database, DbSnapshot, RealBackend, ScanAccess, StorageBackend,
-    TableSchema, Value,
+    TableSchema, TailPoll, Value,
 };
 use std::io;
 use std::path::{Path, PathBuf};
@@ -590,5 +590,130 @@ fn a_checkpoint_build_parked_on_a_page_write_stalls_no_base_read() {
     assert_eq!((q.db.checkpoint_epoch(), dump(&q.db)), (2, before.clone()));
     drop(q);
     assert_eq!(dump(&Database::open(&wal).unwrap()), before, "and so is the recovered one");
+    remove_db_files(&wal);
+}
+
+/// The slot a [`ParkedSync`] parks on: told when a sync arrives, then
+/// waited on. Taken by the first sync after the test fills it.
+type SyncPark = Arc<Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>>;
+
+/// A storage backend whose log file parks a `sync_data` once the test
+/// fills [`SyncPark`]: a commit held at its commit point.
+#[derive(Debug)]
+struct ParkedSync {
+    park: SyncPark,
+}
+
+struct ParkedSyncFile {
+    inner: Box<dyn BackendFile>,
+    park: SyncPark,
+}
+
+impl io::Write for ParkedSyncFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.inner.write(buf)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl BackendFile for ParkedSyncFile {
+    fn sync_data(&mut self) -> io::Result<()> {
+        if let Some((arrived, go)) = self.park.lock().unwrap().take() {
+            arrived.send(()).expect("the test listens for the parked sync");
+            go.recv().expect("the test lets the parked sync go");
+        }
+        self.inner.sync_data()
+    }
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.inner.truncate(len)
+    }
+    fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
+        self.inner.write_at(offset, buf)
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn file_len(&mut self) -> io::Result<u64> {
+        self.inner.file_len()
+    }
+}
+
+impl StorageBackend for ParkedSync {
+    fn open_append(&self, path: &Path, truncate_to: u64) -> io::Result<Box<dyn BackendFile>> {
+        let inner = RealBackend.open_append(path, truncate_to)?;
+        Ok(Box::new(ParkedSyncFile { inner, park: Arc::clone(&self.park) }))
+    }
+    fn create_new(&self, path: &Path) -> io::Result<Box<dyn BackendFile>> {
+        RealBackend.create_new(path)
+    }
+    fn open_rw(&self, path: &Path) -> io::Result<Box<dyn BackendFile>> {
+        RealBackend.open_rw(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealBackend.read(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        RealBackend.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        RealBackend.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        RealBackend.create_dir_all(path)
+    }
+    fn list_dir(&self, path: &Path) -> io::Result<Vec<String>> {
+        RealBackend.list_dir(path)
+    }
+}
+
+/// A commit is visible only once it is durable: while its `sync_data` is
+/// parked, a snapshot pins the previous commit's LSN and content, the
+/// write clock has not moved, and a replication tail finds nothing to
+/// ship, though the commit's frames are in the file; once the sync
+/// returns, the commit moves all three, and the snapshot pinned meanwhile
+/// keeps what it saw.
+#[test]
+fn a_snapshot_pinned_during_a_commits_sync_sees_the_commit_before_it() {
+    let wal = tmpwal("parked-sync");
+    let park = SyncPark::default();
+    let backend = ParkedSync { park: Arc::clone(&park) };
+    let db = Arc::new(Database::open_with(Arc::new(backend), &wal).unwrap());
+    let columns = vec![Column::new("id", DataType::Int), Column::new("val", DataType::Int)];
+    db.create_table(TableSchema::new("items", columns, &["id"], &["val"]).unwrap()).unwrap();
+    db.insert_autocommit("items", vec![Value::Int(1), Value::Int(10)]).unwrap();
+    let committed = db.snapshot();
+    let (lsn, before) = (committed.lsn(), snap_dump(&committed));
+    let mut tail = db.wal_tail(db.wal_len(), 1 << 20).unwrap();
+
+    let (arrived_tx, arrived) = mpsc::channel();
+    let (go, go_rx) = mpsc::channel();
+    *park.lock().unwrap() = Some((arrived_tx, go_rx));
+    let writer = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            let tx = db.begin();
+            let rows = [2, 3].map(|i| vec![Value::Int(i), Value::Int(i * 10)]);
+            db.insert_rows(tx, "items", rows).unwrap();
+            db.commit(tx)
+        })
+    };
+    arrived.recv_timeout(Duration::from_secs(60)).expect("the commit syncs its log");
+    let during = db.snapshot();
+    let seen = (during.lsn(), snap_dump(&during), db.current_lsn());
+    let shipped = tail.poll().unwrap() != TailPoll::Idle;
+    let written = std::fs::metadata(&wal).unwrap().len();
+    go.send(()).unwrap();
+    writer.join().unwrap().unwrap();
+    assert_eq!(seen, (lsn, before.clone(), lsn), "a commit showed before its sync returned");
+    assert!(!shipped, "a tail shipped frames before their sync returned");
+    assert_eq!(written, db.wal_len(), "the commit's frames were written before its sync");
+    assert!(matches!(tail.poll().unwrap(), TailPoll::Frames(_)), "the synced commit ships");
+
+    let after = db.snapshot();
+    assert_eq!((after.lsn(), after.row_count("items").unwrap()), (lsn + 1, 3));
+    assert_eq!(snap_dump(&during), before, "the snapshot pinned during the sync moved");
+    drop((committed, during, after, db));
     remove_db_files(&wal);
 }
