@@ -503,7 +503,8 @@ fn qa103_forbidden(file: &SourceFile, out: &mut Vec<Finding>) {
                     "`Mutex<Quarry>` in crates/serve: the facade mutex serializes every request"
                         .to_string(),
                     Some(
-                        "reads go through SharedQuarry::snapshot(); writes through with_writer"
+                        "reads go through SharedQuarry::snapshot(), store writes through \
+                         SharedQuarry::db(), and only a Qdl through with_writer"
                             .to_string(),
                     ),
                     Severity::Error,

@@ -151,17 +151,14 @@ pub fn apply(db: &Database, c: &Correction, user: &str) -> Result<(), StorageErr
     }
     provenance::ensure(db)?;
     let source = Source::User { user: user.to_string(), proposal: proposal_key(c) };
-    let tx = db.begin();
-    let result = (|| {
+    db.in_tx(|tx| {
         let mut row = db.get(tx, &c.table, &c.key)?;
         row[ci] = c.value.clone();
         let key = provenance::key_text(&schema.key_of(&row));
         db.update(tx, &c.table, &c.key, row)?;
         let cell = Cell { table: &c.table, key: &key, column: &c.column };
         provenance::set(db, tx, cell, &source)
-    })();
-    result.inspect_err(|_| drop(db.abort(tx)))?;
-    db.commit(tx)
+    })
 }
 
 #[cfg(test)]

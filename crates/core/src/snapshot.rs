@@ -1,9 +1,5 @@
 //! MVCC read sessions over the façade: [`Snapshot`] and [`SharedQuarry`].
 //!
-//! The serve path used to funnel every request — including pure reads —
-//! through one `Mutex<Quarry>` because the read methods took `&mut self`.
-//! This module is the read half of the redesigned API:
-//!
 //! - [`Quarry::snapshot`] captures a [`Snapshot`]: an immutable view of
 //!   the structured store pinned to one write-clock LSN (see
 //!   [`DbSnapshot`]) plus the working document set. Every exploitation
@@ -12,9 +8,9 @@
 //!   `_provenance` table at the snapshot's LSN, is a `&self` method on it,
 //!   and snapshots never block writers or each other.
 //! - [`SharedQuarry`] packages the split for multi-threaded hosts: a
-//!   single-writer mutex around the [`Quarry`] write surface next to a
-//!   lock-free snapshot factory for readers. `quarry-serve` is built on
-//!   it; nothing there locks the façade to read anymore.
+//!   single-writer mutex around the [`Quarry`] write surface, the store
+//!   itself for writes that need nothing else, and a lock-free snapshot
+//!   factory for readers. `quarry-serve` is built on it.
 //!
 //! Shared mutable read-path state (lazily built keyword index and
 //! translator, the metrics registry, the DGE log) lives behind small
@@ -77,6 +73,18 @@ impl ReadState {
         self.metrics.incr("check.errors", report.error_count() as u64);
         self.metrics.incr("check.warnings", report.warning_count() as u64);
         self.metrics.incr("check.total_micros", start.elapsed().as_micros() as u64);
+    }
+
+    /// [`Quarry::checkpoint`]: the one place a checkpoint is counted and timed.
+    pub(crate) fn checkpoint(&self) -> Result<(), QuarryError> {
+        let start = std::time::Instant::now();
+        let result = self.db.checkpoint();
+        self.metrics.observe("facade.checkpoint_us", start.elapsed());
+        self.metrics.incr("facade.checkpoints", 1);
+        if result.is_err() {
+            self.metrics.incr("facade.checkpoint_errors", 1);
+        }
+        Ok(result?)
     }
 
     /// The unified observability snapshot behind both [`Quarry::metrics`]
@@ -261,7 +269,9 @@ impl Snapshot {
 ///
 /// This type is how `quarry-serve` holds the system — reads
 /// ([`SharedQuarry::snapshot`]) never acquire the writer lock, so a slow
-/// (or parked) write request cannot block them, and vice versa.
+/// (or parked) write request cannot block them, and vice versa. A store
+/// write ([`SharedQuarry::db`], [`SharedQuarry::checkpoint`]) takes no lock
+/// here either: it waits at the database's writer gate.
 pub struct SharedQuarry {
     writer: Mutex<Quarry>,
     shared: Arc<ReadState>,
@@ -285,9 +295,14 @@ impl SharedQuarry {
         f(&mut self.writer.lock())
     }
 
-    /// A clone of the shared metrics registry (for host-layer counters).
-    pub fn metrics_registry(&self) -> MetricsRegistry {
-        self.shared.metrics.clone()
+    /// The structured store, without the writer lock.
+    pub fn db(&self) -> &Database {
+        &self.shared.db
+    }
+
+    /// [`Quarry::checkpoint`], without the writer lock.
+    pub fn checkpoint(&self) -> Result<(), QuarryError> {
+        self.shared.checkpoint()
     }
 
     /// Unwrap the writer (e.g. at server shutdown).

@@ -287,14 +287,7 @@ impl Quarry {
     /// `facade.checkpoint_errors`) and timed (`facade.checkpoint_us`) in the
     /// metrics registry.
     pub fn checkpoint(&self) -> Result<(), QuarryError> {
-        let start = std::time::Instant::now();
-        let result = self.db.checkpoint();
-        self.shared.metrics.observe("facade.checkpoint_us", start.elapsed());
-        self.shared.metrics.incr("facade.checkpoints", 1);
-        if result.is_err() {
-            self.shared.metrics.incr("facade.checkpoint_errors", 1);
-        }
-        Ok(result?)
+        self.shared.checkpoint()
     }
 
     /// Generate a synthetic corpus from a validated configuration and

@@ -531,19 +531,15 @@ fn store_entities(
     }
     provenance::ensure(db)?;
 
-    let tx = db.begin();
     let stored = rows.len();
-    let written = (|| -> Result<usize, StorageError> {
+    let kept = db.in_tx(|tx| {
         if !exists {
             provenance::forget_table(db, tx, table)?;
         }
         rows.into_iter().try_fold(0, |kept, (row, sources)| {
             Ok(kept + write_row(db, tx, &schema, row, sources)?)
         })
-    })();
-    // The write's error is the one to report, not the abort's.
-    let kept = written.inspect_err(|_| drop(db.abort(tx)))?;
-    db.commit(tx)?;
+    })?;
     Ok((stored, kept))
 }
 

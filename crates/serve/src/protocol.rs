@@ -90,7 +90,7 @@ pub enum Request {
 }
 
 impl Request {
-    /// True for the requests a server takes the writer for. A read-only
+    /// True for the writes: a pipeline or a store write. A read-only
     /// (replica) node refuses them, and a client sends each at most once:
     /// a reply lost with its connection may belong to a committed write,
     /// and a resend would answer `DuplicateKey` or `NotFound` for work
@@ -242,9 +242,10 @@ pub struct Response {
     /// serialization; zero for rejections that never executed).
     pub server_micros: u64,
     /// The shard's write-clock LSN this response reflects: the snapshot
-    /// LSN for reads, the post-commit LSN for writes, zero for replies
-    /// that never touched the store. An LSN counts the units — a
-    /// transaction that changed something, a DDL statement — the shard
+    /// LSN for reads; for writes, the LSN read after the last commit, which
+    /// is that commit's unless another write committed in between; zero
+    /// for replies that never touched the store. An LSN counts the units —
+    /// a transaction that changed something, a DDL statement — the shard
     /// has committed since it opened, so 0 is also the state it opened
     /// with, and two replies of one shard process with the same LSN
     /// reflect the same committed state. Routers forward it so a

@@ -6,16 +6,17 @@
 //! which follows the façade's single-writer / snapshot-reader split
 //! ([`SharedQuarry`]): a read captures an MVCC [`Snapshot`] and never
 //! takes a lock a writer holds, so reads run concurrently with each other
-//! *and* with an in-flight write; writes serialize among themselves only.
-//! Each request is therefore equivalent to a serial execution at one
-//! point of the write clock, and `Checkpoint` gets quiescence of the
-//! *write* surface for free while readers keep their pinned views.
+//! *and* with an in-flight write. Only a `Qdl` takes the façade's writer
+//! lock; a store write goes straight to the database and serializes at
+//! its writer gate, one unit at a time, so a running pipeline holds up
+//! the next pipeline and no store write. Each request is therefore
+//! equivalent to a serial execution at one point of the write clock.
 
 use crate::endpoint::Endpoint;
 use crate::protocol::{ErrorKind, Payload, Request, WireCandidate, WireHit};
 use quarry_core::{Quarry, QuarryError, SharedQuarry, Snapshot};
 use quarry_exec::MetricsRegistry;
-use quarry_storage::{Database, StorageError, TxId};
+use quarry_storage::{is_system_table, StorageError};
 use std::io;
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -148,17 +149,17 @@ impl Drop for Server {
         self.endpoint.shutdown();
         // Every request has drained. Commits are synced already; a
         // replica's shipped frames are only flushed, so sync them too.
-        let _ = self.facade.quarry.with_writer(|q| q.db.sync_wal());
+        let _ = self.facade.quarry.db().sync_wal();
     }
 }
 
 impl Facade {
     /// Invoke the test hook at a request's *execution point* — after a
-    /// read has captured its snapshot, or inside the writer critical
-    /// section for a write, before its rows move — so a hook that parks a
-    /// request holds exactly the resources that request would hold while
-    /// executing. The backpressure tests rely on this to prove a parked
-    /// read blocks no other read and a parked write blocks no read at all.
+    /// read has captured its snapshot, inside the writer critical section
+    /// for a `Qdl`, before the gate for a store write — so a parked request
+    /// holds exactly what it would hold while executing. The backpressure
+    /// tests rely on this to prove a parked read blocks no other read, a
+    /// parked write no read, and a parked `Qdl` no store write.
     fn run_hook(&self, req: &Request) {
         if let Some(hook) = &self.request_hook {
             hook(req);
@@ -177,9 +178,9 @@ impl Facade {
         (answer(&snap).unwrap_or_else(|e| error_payload(&e)), snap.lsn())
     }
 
-    /// On a read-only (replica) node, the answer to a request that would
-    /// take the writer; it is given before admission, so it costs no slot
-    /// and is neither timed nor counted as a request error.
+    /// On a read-only (replica) node, the answer to a write; it is given
+    /// before admission, so it costs no slot and is neither timed nor
+    /// counted as a request error.
     fn refuse(&self, req: &Request) -> Option<Payload> {
         (self.read_only.load(Ordering::SeqCst) && req.is_write()).then(|| {
             self.metrics.incr("server.read_only_rejections", 1);
@@ -188,14 +189,22 @@ impl Facade {
         })
     }
 
-    /// Apply `req` under the single-writer lock, after the hook has seen
-    /// it whole; the reply reflects the post-commit LSN. Every request
-    /// that comes here is a [`Request::is_write`].
+    /// Answer a write `req` after the hook has seen it whole, with the LSN
+    /// read after its last commit. A `Qdl` runs under the writer lock and
+    /// the hook sees it there; every other write goes straight to the
+    /// store, whose gate serializes it with every other unit.
     fn write(&self, req: Request) -> (Payload, u64) {
-        self.quarry.with_writer(|q| {
-            self.run_hook(&req);
-            (apply_write(q, req).unwrap_or_else(|e| error_payload(&e)), q.db.current_lsn())
-        })
+        let result = match &req {
+            Request::Qdl(src) => self.quarry.with_writer(|q| {
+                self.run_hook(&req);
+                q.run_pipeline(src).map(|stats| Payload::PipelineStats((&stats).into()))
+            }),
+            _ => {
+                self.run_hook(&req);
+                apply_write(&self.quarry, req)
+            }
+        };
+        (result.unwrap_or_else(|e| error_payload(&e)), self.quarry.db().current_lsn())
     }
 
     /// Execute an admitted request against the façade, returning the
@@ -236,50 +245,38 @@ impl Facade {
     }
 }
 
-/// Apply the write `req`, whose parts move into the store: the rows of an
-/// `InsertRows` are one batch, logged as one run, and become the overlay's
-/// without a copy.
-fn apply_write(q: &mut Quarry, req: Request) -> Result<Payload, QuarryError> {
+/// Apply the store write `req`, whose parts move into the store: the rows
+/// of an `InsertRows` are one batch, logged as one run, and become the
+/// overlay's without a copy. A system table takes no write from a client.
+fn apply_write(quarry: &SharedQuarry, req: Request) -> Result<Payload, QuarryError> {
+    let db = quarry.db();
+    let unreserved = |table: &str| match is_system_table(table) {
+        true => Err(StorageError::SchemaViolation(format!("{table} is a system table"))),
+        false => Ok(()),
+    };
     match req {
-        Request::Qdl(src) => Ok(Payload::PipelineStats((&q.run_pipeline(&src)?).into())),
-        Request::Checkpoint => q.checkpoint().map(|()| Payload::Done),
+        Request::Checkpoint => quarry.checkpoint()?,
         Request::CreateTable(schema) => {
-            q.db.create_table(schema)?;
-            Ok(Payload::Done)
+            unreserved(&schema.name)?;
+            db.create_table(schema)?;
         }
         Request::CreateIndex { table, column } => {
-            q.create_index(&table, &column).map(|()| Payload::Done)
+            unreserved(&table)?;
+            db.create_index(&table, &column)?;
         }
         Request::InsertRows { table, rows } => {
-            in_one_tx(&q.db, |tx| q.db.insert_rows(tx, &table, rows).map(drop))
+            unreserved(&table)?;
+            db.in_tx(|tx| db.insert_rows(tx, &table, rows))?;
         }
         Request::DeleteRows { table, keys } => {
-            in_one_tx(&q.db, |tx| keys.iter().try_for_each(|key| q.db.delete(tx, &table, key)))
+            unreserved(&table)?;
+            db.in_tx(|tx| keys.iter().try_for_each(|key| db.delete(tx, &table, key)))?;
         }
-        // `Facade::execute` answers these from a snapshot, never here.
-        Request::Ping
-        | Request::Query(_)
-        | Request::KeywordSearch { .. }
-        | Request::Explain(_)
-        | Request::Stats
-        | Request::Shutdown => {
-            Ok(Payload::Error { kind: ErrorKind::Protocol, message: "not a write".into() })
+        // `Facade::write` runs a pipeline; `Facade::execute` answers reads.
+        _ => {
+            return Ok(Payload::Error { kind: ErrorKind::Protocol, message: "not a write".into() })
         }
     }
-}
-
-/// Run one batch of row operations as a single transaction: all rows
-/// commit together or the transaction aborts and the error is returned.
-fn in_one_tx(
-    db: &Database,
-    batch: impl FnOnce(TxId) -> Result<(), StorageError>,
-) -> Result<Payload, QuarryError> {
-    let tx = db.begin();
-    if let Err(e) = batch(tx) {
-        let _ = db.abort(tx);
-        return Err(e.into());
-    }
-    db.commit(tx)?;
     Ok(Payload::Done)
 }
 
@@ -302,7 +299,8 @@ fn error_payload(e: &QuarryError) -> Payload {
 #[cfg(test)]
 mod tests {
     /// The serve path must never wrap the façade in a mutex again: reads
-    /// go through snapshots, writes through `SharedQuarry::with_writer`.
+    /// go through snapshots, store writes to the database's gate, and
+    /// only a `Qdl` through `SharedQuarry::with_writer`.
     /// Scan this crate's sources for the banned token (assembled from
     /// parts so this test doesn't match itself); audit rule QA103 holds
     /// the whole workspace to the same ban.

@@ -754,10 +754,10 @@ impl Database {
     // Auto-commit conveniences
     // ------------------------------------------------------------------
 
-    /// Run `body` in a fresh transaction: committed if it succeeds,
-    /// aborted if it fails — never left open, since an open transaction
-    /// keeps every later `begin()` waiting.
-    fn in_tx<T>(&self, body: impl FnOnce(TxId) -> Result<T>) -> Result<T> {
+    /// Run `body` in a fresh transaction: committed if it succeeds, aborted
+    /// if it fails (the body's error is returned, not the abort's) — never
+    /// left open, since an open transaction keeps every `begin()` waiting.
+    pub fn in_tx<T>(&self, body: impl FnOnce(TxId) -> Result<T>) -> Result<T> {
         let tx = self.begin();
         match body(tx) {
             Ok(out) => {

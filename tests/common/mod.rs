@@ -30,8 +30,13 @@ pub fn remove_db_files(p: &Path) {
 /// rows (in row-id order), and indexed columns. Two equal dumps mean
 /// logically identical databases.
 pub fn dump(db: &Database) -> String {
+    dump_where(db, |_| true)
+}
+
+/// [`dump`] of the tables whose names `keep` accepts.
+pub fn dump_where(db: &Database, keep: impl Fn(&str) -> bool) -> String {
     let mut out = String::new();
-    for name in db.table_names() {
+    for name in db.table_names().into_iter().filter(|name| keep(name)) {
         out.push_str(&format!("== {name} ==\n"));
         out.push_str(&format!("schema: {:?}\n", db.schema(&name).unwrap()));
         out.push_str(&format!("indexes: {:?}\n", db.snapshot().indexed_columns(&name).unwrap()));

@@ -394,8 +394,9 @@ fn one_of_each() -> Vec<Request> {
     ]
 }
 
-/// The read-only refusal and the writer lock are one decision: a replica
-/// refuses a request exactly when a primary would take the writer for it.
+/// A replica refuses exactly the requests that write — the pipeline that
+/// takes the writer and the store writes that take the database's gate —
+/// and it refuses them before admission.
 #[test]
 fn read_only_refuses_exactly_the_requests_that_take_the_writer() {
     // Refused: a read-only server answers `ReadOnly` to the writes only.
@@ -455,36 +456,67 @@ fn read_only_refuses_exactly_the_requests_that_take_the_writer() {
     }
     assert_eq!(replica.in_flight(), 0);
     drop(replica.join());
+}
 
-    // Takes the writer: while one write is parked inside the writer's
-    // critical section, a write gets no reply and anything else does.
+/// Opens its gate when dropped, so a failed assertion lets what the gate
+/// parked finish instead of hanging the server's drain.
+struct Opens(Arc<Gate>);
+
+impl Drop for Opens {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+/// A pipeline parked inside the writer's critical section holds the
+/// façade's writer lock and nothing of the store's: every other request
+/// is answered meanwhile — each store write succeeds, and a row it
+/// inserted is visible to a read — while a second pipeline waits for the
+/// first.
+#[test]
+fn a_parked_pipeline_blocks_no_store_write() {
     let (gate, entered) = Gate::new();
-    let first = Arc::new(AtomicBool::new(true));
-    let q = Quarry::new(QuarryConfig::default()).unwrap();
-    let cfg = ServeConfig {
-        request_hook: Some(Arc::new({
-            let gate = Arc::clone(&gate);
-            move |req: &Request| {
-                if matches!(req, Request::Qdl(_)) && first.swap(false, Ordering::SeqCst) {
-                    gate.wait();
-                }
-            }
-        })),
-        ..ServeConfig::default()
-    };
-    let primary = Server::start(q, "127.0.0.1:0", cfg).unwrap();
-    let addr = primary.local_addr();
+    let server = gated_server(Arc::clone(&gate));
+    let _opens = Opens(Arc::clone(&gate));
+    let addr = server.local_addr();
     let parked = std::thread::spawn(move || Client::connect(addr).unwrap().qdl(PIPELINE));
     entered.recv_timeout(Duration::from_secs(10)).unwrap();
 
+    // Every other request is answered meanwhile, within a patience ample
+    // for a request that waits for nothing; each store write succeeds, and
+    // the row inserted is visible to a read.
+    let mut c = Client::connect_with(addr, Duration::from_secs(5)).unwrap();
     for req in one_of_each() {
-        // Long enough for a request that can reply to have replied.
-        let patience = if req.is_write() { 150 } else { 10_000 };
-        let mut c = Client::connect_with(addr, Duration::from_millis(patience)).unwrap();
-        let replied = c.request(&req).is_ok();
-        assert_eq!(replied, !req.is_write(), "reply to {req:?} while the writer is held");
+        if matches!(req, Request::Qdl(_) | Request::Shutdown) {
+            continue;
+        }
+        let reply = c.request(&req).map(|resp| resp.payload);
+        assert!(reply.is_ok(), "no reply to {req:?} while a pipeline is parked: {reply:?}");
+        if req.is_write() {
+            assert_eq!(reply.unwrap(), Payload::Done, "{req:?}");
+        }
+        if matches!(req, Request::InsertRows { .. }) {
+            assert_eq!(c.query(&Query::scan("t")).unwrap().1, vec![vec![Value::Int(1)]]);
+        }
     }
+    let checkpoints = server.metrics().snapshot().counter("facade.checkpoints");
+    assert_eq!(checkpoints, 1, "a wire checkpoint is counted as the façade's");
+
+    // A second pipeline is admitted and waits for the writer: it neither
+    // replies nor reaches its execution point while the first is parked.
+    let (done, finished) = mpsc::channel();
+    let second = std::thread::spawn(move || {
+        let stats = Client::connect(addr).unwrap().qdl(PIPELINE);
+        done.send(()).unwrap();
+        stats
+    });
+    eventually("the second pipeline to be admitted", || server.in_flight() == 2);
+    assert!(finished.recv_timeout(Duration::from_millis(150)).is_err(), "second pipeline replied");
+    assert!(entered.try_recv().is_err(), "second pipeline ran beside the parked one");
+
     gate.release();
-    parked.join().unwrap().expect("parked pipeline completes after release");
-    drop(primary.join());
+    parked.join().unwrap().expect("the parked pipeline completes after release");
+    second.join().unwrap().expect("the second pipeline completes after release");
+    entered.recv_timeout(Duration::from_secs(10)).expect("the second pipeline ran after");
+    drop(server.join());
 }

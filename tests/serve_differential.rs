@@ -20,7 +20,7 @@ use quarry_corpus::{Corpus, CorpusConfig, NoiseConfig};
 use std::time::Duration;
 
 mod common;
-use common::{dump, remove_db_files, tmpwal};
+use common::{dump, dump_where, remove_db_files, tmpwal};
 
 const PIPELINE: &str = r#"
 PIPELINE cities FROM corpus
@@ -401,4 +401,102 @@ fn concurrent_readers_serially_replay_at_their_captured_lsn() {
     }
     // Sanity: the final state holds every write.
     assert_eq!(count(&shared.snapshot()), WRITES);
+}
+
+/// E9's pipeline, run over the wire while three clients insert batches
+/// into a table of their own, equals a serial run: a store write waits at
+/// the database's gate and not for the pipeline, and the pipeline's
+/// `STORE` interleaves with the batches unit by unit. Every acknowledged
+/// row is present; the pipeline's table and `_provenance` equal a solo
+/// run's; and the reopened log recovers the served state.
+#[test]
+fn a_pipeline_beside_three_writers_equals_a_solo_run() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    const E9: &str = r#"
+PIPELINE cities FROM corpus
+EXTRACT infobox, rules
+WHERE attribute IN ("name", "state", "population", "founded", "july_temp")
+RESOLVE BY name
+STORE INTO cities KEY name
+"#;
+    const BATCH: i64 = 20;
+    let corpus =
+        Corpus::generate(&CorpusConfig { seed: 9, n_cities: 150, ..CorpusConfig::default() });
+    let pipeline_tables = |name: &str| name != "readings";
+
+    let mut solo = Quarry::new(QuarryConfig::default()).unwrap();
+    solo.ingest(corpus.docs.clone());
+    let solo_stats = solo.run_pipeline(E9).unwrap();
+    let expected = dump_where(&solo.db, pipeline_tables);
+
+    let wal = tmpwal("pipeline-beside-writers");
+    let mut served = Quarry::new(QuarryConfig::builder().wal_path(&wal).build()).unwrap();
+    served.ingest(corpus.docs.clone());
+    let server = Server::start(served, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let columns = vec![
+        Column::new("id", DataType::Int),
+        Column::new("station", DataType::Text),
+        Column::new("value", DataType::Int),
+    ];
+    let mut c = Client::connect(addr).unwrap();
+    c.create_table(TableSchema::new("readings", columns, &["id"], &[]).unwrap()).unwrap();
+
+    // Each writer sends batches until the pipeline has answered, and at
+    // least five; it notes how many it had acknowledged before that.
+    let (start, done) = (Barrier::new(4), AtomicBool::new(false));
+    let (stats, acknowledged, beside) = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..3)
+            .map(|w| {
+                let (start, done) = (&start, &done);
+                scope.spawn(move || {
+                    let mut c = Client::connect_with(addr, Duration::from_secs(60)).unwrap();
+                    let (mut rows, mut beside) = (Vec::new(), 0);
+                    start.wait();
+                    for b in 0.. {
+                        let running = !done.load(Ordering::SeqCst);
+                        if !running && b >= 5 {
+                            break;
+                        }
+                        let first = w * 1_000_000 + b * BATCH;
+                        let batch: Vec<_> = (first..first + BATCH).map(reading).collect();
+                        c.insert_rows("readings", batch.clone()).unwrap();
+                        beside += usize::from(running && !done.load(Ordering::SeqCst));
+                        rows.extend(batch);
+                    }
+                    (rows, beside)
+                })
+            })
+            .collect();
+        let mut c = Client::connect_with(addr, Duration::from_secs(120)).unwrap();
+        start.wait();
+        let stats = c.qdl(E9).unwrap();
+        done.store(true, Ordering::SeqCst);
+        let (mut rows, mut beside) = (Vec::new(), 0);
+        for writer in writers {
+            let (acked, n) = writer.join().unwrap();
+            rows.extend(acked);
+            beside += n;
+        }
+        (stats, rows, beside)
+    });
+    assert!(beside > 0, "no batch was acknowledged while the pipeline ran");
+    assert_eq!(stats.rows_stored, solo_stats.rows_stored as u64);
+    drop(c);
+    let served = server.join();
+
+    let mut stored = served.db.snapshot().scan("readings").unwrap();
+    let mut acknowledged = acknowledged;
+    stored.sort();
+    acknowledged.sort();
+    assert_eq!(stored, acknowledged, "every acknowledged row, and nothing else");
+    assert_eq!(dump_where(&served.db, pipeline_tables), expected, "the pipeline's tables");
+    let served_dump = dump(&served.db);
+    drop(served);
+
+    let reopened = Database::open(&wal).unwrap();
+    assert_eq!(dump(&reopened), served_dump, "the reopened log");
+    drop(reopened);
+    remove_db_files(&wal);
 }

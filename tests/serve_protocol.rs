@@ -329,6 +329,66 @@ fn a_timed_out_request_does_not_desynchronise_the_next() {
     }
 }
 
+/// A client writes no system table. On a server whose `_provenance`
+/// holds a user's correction, and through a router, every `CreateTable`,
+/// `CreateIndex`, `InsertRows` and `DeleteRows` naming a `_` table is
+/// refused with a storage error and writes nothing: no forged source, no
+/// deleted correction, no `_provenance` of another schema, and no schema
+/// in the router's catalog (its later insert finds no such table).
+#[test]
+fn a_system_table_takes_no_write_over_the_wire() {
+    use quarry::lang::provenance::{self, Cell, Source, TABLE};
+    use quarry::query::Query;
+    use quarry::storage::{Column, DataType, TableSchema, Value};
+
+    let q = Quarry::new(QuarryConfig::default()).unwrap();
+    provenance::ensure(&q.db).unwrap();
+    let cell = Cell { table: "cities", key: "Madison", column: "population" };
+    let user = Source::User { user: "ann".into(), proposal: "p1".into() };
+    let tx = q.db.begin();
+    provenance::set(&q.db, tx, cell, &user).unwrap();
+    q.db.commit(tx).unwrap();
+    let server = Server::start(q, "127.0.0.1:0", ServeConfig::default()).unwrap();
+
+    let text = |s: &str| Value::Text(s.into());
+    let mut forged = vec![text("cities"), text("Madison"), text("state")];
+    forged.extend([Value::Null, Value::Null, Value::Null, Value::Null, Value::Null, Value::Null]);
+    forged.extend([text("mallory"), text("forged")]);
+    let recorded = vec![text("cities"), text("Madison"), text("population")];
+    let one_int = |name: &str| {
+        TableSchema::new(name, vec![Column::new("id", DataType::Int)], &["id"], &[]).unwrap()
+    };
+    let writes = [
+        Request::CreateTable(one_int(TABLE)),
+        Request::CreateTable(one_int("_mine")),
+        Request::CreateIndex { table: TABLE.into(), column: "user".into() },
+        Request::InsertRows { table: TABLE.into(), rows: vec![forged] },
+        Request::InsertRows { table: "_mine".into(), rows: vec![vec![Value::Int(1)]] },
+        Request::DeleteRows { table: TABLE.into(), keys: vec![recorded] },
+    ];
+    let scan = Request::Query(Query::scan(TABLE));
+    for (kind, sut) in [("server", Sut::Server(server)), ("router", Sut::router("system-table"))] {
+        let mut c = Client::connect(sut.addr()).unwrap();
+        let before = c.request(&scan).unwrap();
+        if kind == "server" {
+            assert!(matches!(&before.payload, Payload::Rows { rows, .. } if rows.len() == 1));
+        }
+        for req in &writes {
+            let (want, says) = match (kind, req) {
+                ("router", Request::InsertRows { .. }) => (ErrorKind::Query, "unknown table"),
+                _ => (ErrorKind::Storage, "is a system table"),
+            };
+            match c.request(req).unwrap().payload {
+                Payload::Error { kind: got, message } if got == want && message.contains(says) => {}
+                other => panic!("{kind}: {req:?} was answered {other:?}"),
+            }
+        }
+        let after = c.request(&scan).unwrap();
+        assert_eq!((after.payload, after.lsn), (before.payload, before.lsn), "{kind}");
+        sut.join();
+    }
+}
+
 #[test]
 fn undecodable_payload_fails_the_request_but_keeps_the_connection() {
     for (kind, sut) in Sut::both("undecodable") {
