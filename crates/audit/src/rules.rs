@@ -6,7 +6,7 @@
 //! | QA101 | error    | `unwrap()`/`expect(`/`panic!`-family on a serve-reachable path |
 //! | QA101 | warning  | indexing `[...]` with a non-literal index on a serve-reachable path |
 //! | QA102 | error    | lock acquisitions violating `audit/lock-order.toml` (in-body and one call-graph hop) |
-//! | QA103 | error    | per-crate forbidden constructs (`Mutex<Quarry>` in serve/cluster, `serde_json` in storage, cluster and serve outside `protocol.rs`, `frame_crc` outside the two frame codecs, nondeterminism in recovery/replay/replication/promotion) |
+//! | QA103 | error    | per-crate forbidden constructs (`Mutex<Quarry>` in serve/cluster, `serde_json` in storage, cluster and serve outside `protocol.rs`, `frame_crc` outside the two frame codecs, `std::arch`/`core::arch` outside `crates/crc`, nondeterminism in recovery/replay/replication/promotion) |
 //! | QA104 | error    | `unsafe { ... }` block without a `// SAFETY:` comment |
 //! | QA105 | warning  | `allow` comment that suppressed nothing |
 //!
@@ -570,6 +570,31 @@ fn qa103_forbidden(file: &SourceFile, out: &mut Vec<Finding>) {
         }
     }
 
+    // Platform intrinsics stay in one crate. The CRC kernel needs
+    // `std::arch`, and calling a `#[target_feature]` function needs
+    // `unsafe`: both live in `crates/crc`, behind one audited call, and
+    // every other crate reaches them through `quarry_crc`. Test code is no
+    // exception.
+    if file.crate_name != "crc" {
+        for i in 0..file.code.len() {
+            let Some(t) = file.ct(i) else { continue };
+            if let Some(arch) = arch_path(file, i) {
+                out.push(file_finding(
+                    file,
+                    codes::FORBIDDEN,
+                    t.span.to(arch),
+                    format!("`{}::arch` outside crates/crc", t.text),
+                    Some(
+                        "platform intrinsics live in quarry-crc, behind its one audited `unsafe` \
+                         call; checksum through quarry_crc::{crc32, update}"
+                            .to_string(),
+                    ),
+                    Severity::Error,
+                ));
+            }
+        }
+    }
+
     // Replication replay and promotion decisions are held to the same
     // standard as recovery: a replica's state must be a pure function of
     // the shipped bytes, and promotion must not consult clocks or
@@ -605,6 +630,42 @@ fn qa103_forbidden(file: &SourceFile, out: &mut Vec<Finding>) {
             }
         }
     }
+}
+
+/// The span of `arch` when code token `i` starts a `std::arch` or
+/// `core::arch` path, directly or as a member of a `use std::{..}` group.
+fn arch_path(file: &SourceFile, i: usize) -> Option<Span> {
+    let t = file.ct(i)?;
+    let rooted = (t.is_ident("std") || t.is_ident("core"))
+        && file.ct(i + 1)?.is_punct(':')
+        && file.ct(i + 2)?.is_punct(':');
+    if !rooted {
+        return None;
+    }
+    let next = file.ct(i + 3)?;
+    if next.is_ident("arch") {
+        return Some(next.span);
+    }
+    if !next.is_punct('{') {
+        return None;
+    }
+    // A member of the group: `arch` right after its `{` or a `,` at depth 1.
+    let (mut depth, mut j) = (1usize, i + 4);
+    while depth > 0 {
+        let u = file.ct(j)?;
+        if u.is_punct('{') {
+            depth += 1;
+        } else if u.is_punct('}') {
+            depth -= 1;
+        } else if depth == 1
+            && u.is_ident("arch")
+            && file.ct(j - 1).is_some_and(|p| p.is_punct('{') || p.is_punct(','))
+        {
+            return Some(u.span);
+        }
+        j += 1;
+    }
+    None
 }
 
 // ---------------------------------------------------------------- QA104
@@ -819,6 +880,39 @@ mod tests {
             fs.iter().filter(|f| f.code == codes::FORBIDDEN).map(|f| f.path.as_str()).collect();
         q103.sort_unstable();
         assert_eq!(q103, ["crates/serve/src/replication.rs", "crates/storage/src/filestore.rs"]);
+    }
+
+    #[test]
+    fn qa103_platform_intrinsics_stay_in_the_crc_crate() {
+        let fs = run(&[
+            ("crates/storage/src/wal.rs", "use std::arch::x86_64::_mm_xor_si128;"),
+            ("crates/serve/src/protocol.rs", "use core::{mem, arch::x86_64::__m128i};"),
+            (
+                "crates/storage/src/page.rs",
+                "#[cfg(test)]\nmod tests { fn t() { let v = std::arch::x86_64::_mm_setzero_si128(); } }",
+            ),
+            ("crates/crc/src/clmul.rs", "use std::arch::x86_64::{__m128i, _mm_xor_si128};"),
+            (
+                "crates/exec/src/pool.rs",
+                "// std::arch, in a comment\nconst S: &str = \"core::arch\";\n\
+                 fn f() -> bool { std::is_x86_feature_detected!(\"sse2\") && crate::arch::ok() }\n\
+                 use std::{mem, sync::{arch, Arc}};",
+            ),
+        ]);
+        let mut q103: Vec<&str> =
+            fs.iter().filter(|f| f.code == codes::FORBIDDEN).map(|f| f.path.as_str()).collect();
+        q103.sort_unstable();
+        // The crc crate may name it; a comment, a string, a feature check,
+        // a crate's own `arch` module and a nested group's member may not
+        // fire; a test region is no exception.
+        assert_eq!(
+            q103,
+            [
+                "crates/serve/src/protocol.rs",
+                "crates/storage/src/page.rs",
+                "crates/storage/src/wal.rs"
+            ]
+        );
     }
 
     #[test]

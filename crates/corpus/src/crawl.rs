@@ -111,12 +111,9 @@ impl CrawlSimulator {
                 }
                 // Tweak one digit of some number in the page (a value update).
                 1 => {
-                    // SAFETY: the only writes below replace an ASCII digit
-                    // byte with another ASCII digit, so the buffer remains
-                    // valid UTF-8.
-                    let bytes = unsafe { doc.text.as_bytes_mut() };
-                    let digit_positions: Vec<usize> = bytes
-                        .iter()
+                    let digit_positions: Vec<usize> = doc
+                        .text
+                        .bytes()
                         .enumerate()
                         .filter(|(_, b)| b.is_ascii_digit())
                         .map(|(p, _)| p)
@@ -124,7 +121,10 @@ impl CrawlSimulator {
                     if let Some(&p) =
                         digit_positions.get(self.rng.gen_range(0..digit_positions.len().max(1)))
                     {
-                        bytes[p] = b'0' + self.rng.gen_range(0..10u8);
+                        // An ASCII digit is one byte, so `p..p + 1` is a
+                        // whole character.
+                        let digit = char::from(b'0' + self.rng.gen_range(0..10u8));
+                        doc.text.replace_range(p..p + 1, digit.encode_utf8(&mut [0; 4]));
                     }
                 }
                 // Delete the final sentence (vandalism revert / trim).

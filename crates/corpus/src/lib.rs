@@ -22,6 +22,8 @@
 //! assert!(doc.text.contains("Infobox"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod corruption;
 pub mod crawl;
 pub mod generator;

@@ -607,7 +607,7 @@ mod tests {
     /// sealed at the run budget, plus one row, which is far below it.
     #[test]
     fn the_run_budget_is_far_below_the_ports_frame_limit() {
-        assert!(16 * quarry_storage::structured::RUN_BUDGET <= DEFAULT_MAX_FRAME);
+        const { assert!(16 * quarry_storage::structured::RUN_BUDGET <= DEFAULT_MAX_FRAME) };
     }
 
     /// A batch over the run budget ships as several frames, and the

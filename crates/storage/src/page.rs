@@ -363,6 +363,38 @@ mod tests {
         assert!(matches!(Page::decode(&bad), Err(StorageError::Corrupt(_))));
     }
 
+    /// A CRC catches every single-bit error, so each of a page image's
+    /// 32 768 bits — the stored checksum's own included — flipped alone
+    /// fails the load at the checksum, whatever computes it.
+    #[test]
+    fn every_single_bit_flip_is_corrupt() {
+        let mut p = Page::new(PageType::BtreeLeaf);
+        p.count = 5;
+        p.next = 42;
+        let payload: Vec<u8> =
+            (0..3000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        p.push(&payload);
+        let img = p.encode();
+        let mut q = Page::new(PageType::Free);
+        for bit in 0..PAGE_SIZE * 8 {
+            let err = q.load(|image| {
+                image.copy_from_slice(&img);
+                image[bit / 8] ^= 1 << (bit % 8);
+                Ok(())
+            });
+            assert!(
+                matches!(&err, Err(StorageError::Corrupt(m)) if m.contains("checksum mismatch")),
+                "bit {bit}: {err:?}"
+            );
+        }
+        q.load(|image| {
+            image.copy_from_slice(&img);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(q.payload(), &payload[..]);
+    }
+
     /// Payload bytes past `len` are zero on every page a writer makes, so
     /// a page whose tail is not is refused however valid its checksum: a
     /// later `splice` that shrank it would zero only what it vacated and
