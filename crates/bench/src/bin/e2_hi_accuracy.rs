@@ -82,7 +82,11 @@ fn main() {
     let its = items(&corpus);
     let auto: Vec<bool> = its.iter().map(|i| i.auto_decision).collect();
     let f1_auto = er_f1(&corpus, &auto);
-    let uncertain = its.iter().filter(|i| (0.55..0.8).contains(&i.auto_score)).count();
+    // The matcher's uncertain band: what `decide` neither matches nor
+    // rejects.
+    let cfg = MatchConfig::default();
+    let band = cfg.nonmatch_threshold..cfg.match_threshold;
+    let uncertain = its.iter().filter(|i| band.contains(&i.auto_score)).count();
     println!(
         "pairs: {}   uncertain band: {}   automatic pairwise F1: {:.3}\n",
         its.len(),
@@ -95,7 +99,7 @@ fn main() {
     // matches (ambiguous "D. Smith"-style initials with coincidental field
     // agreement), so verifying positives first pays off fastest — the
     // policy comparison is the ablation DESIGN.md calls for.
-    let reviewable = its.iter().filter(|i| i.auto_score >= 0.55).count();
+    let reviewable = its.iter().filter(|i| i.auto_score >= band.start).count();
     let mut t =
         Table::new(&["budget (questions)", "random", "uncertainty-first", "verify-positives"]);
     for frac in [0.0, 0.05, 0.1, 0.25, 0.5, 1.0] {

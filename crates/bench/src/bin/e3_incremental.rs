@@ -55,6 +55,9 @@ fn main() {
     let s = oneshot.ensure(&ALL_ATTRS, &extractors, &mut ctx).unwrap().unwrap();
     let oneshot_cost = s.cost_units;
     println!("one-shot cost (all {} attributes): {:.0} units\n", ALL_ATTRS.len(), oneshot_cost);
+    // The run is seeded, so its costs are exact: a change that moves one
+    // (extraction, the optimizer, the materialization cache) fails here.
+    assert_eq!(oneshot_cost, 2808.0, "one-shot cost moved");
 
     // A workload that needs attributes gradually; repeats are free.
     let workload: Vec<(&str, Vec<&str>)> = vec![
@@ -87,12 +90,14 @@ fn main() {
     let mut ctx2 = ExecContext::new(&corpus.docs, &registry2, &db2);
     let mut mgr = IncrementalManager::new("cities", "name");
     let mut table = Table::new(&["query", "new attrs", "marginal cost", "cumulative", "one-shot"]);
+    let mut marginals = Vec::new();
     for (label, attrs) in &workload {
         let new: Vec<&str> = attrs.iter().copied().filter(|a| !mgr.covers(&[a])).collect();
         let marginal = match mgr.ensure(attrs, &extractors, &mut ctx2).unwrap() {
             Some(s) => s.cost_units,
             None => 0.0,
         };
+        marginals.push(marginal);
         table.row(&[
             label.to_string(),
             new.len().to_string(),
@@ -102,6 +107,15 @@ fn main() {
         ]);
     }
     table.print();
+    assert_eq!(
+        marginals,
+        [2184.0, 0.0, 312.0, 312.0, 0.0, 0.0, 0.0, 0.0],
+        "marginal costs moved (repeats must be free)"
+    );
+    assert_eq!(
+        mgr.total_cost, oneshot_cost,
+        "a workload that touches every attribute costs one-shot"
+    );
 
     println!(
         "\ncrossover: after the workload touched {}/{} attributes, incremental had spent \

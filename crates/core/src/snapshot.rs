@@ -12,12 +12,13 @@
 //!   itself for writes that need nothing else, and a lock-free snapshot
 //!   factory for readers. `quarry-serve` is built on it.
 //!
-//! Shared mutable read-path state (lazily built keyword index and
-//! translator, the metrics registry, the DGE log) lives behind small
-//! internal locks keyed by generation — a snapshot only ever *reuses* a
-//! cached structure whose key matches its own pinned version, so no
-//! reader can observe another LSN's state. See `docs/concurrency.md` for
-//! the full scheme.
+//! What one crawl snapshot derives — its documents, keyword index and
+//! extraction cache — is one immutable `WorkingSet`, published whole by
+//! [`Quarry::ingest`]: a snapshot holds the one it was captured with, so
+//! it reads nothing derived from other documents. The rest of the shared
+//! read-path state (the LSN-keyed translator, the metrics registry, the
+//! DGE log) lives behind small internal locks. See `docs/concurrency.md`
+//! for the full scheme.
 
 use crate::dge::{DgeEvent, DgeLog};
 use crate::system::{Quarry, QuarryError};
@@ -25,11 +26,29 @@ use parking_lot::Mutex;
 use quarry_corpus::Document;
 use quarry_exec::{ExecReport, LintReport, MetricsRegistry, MetricsSnapshot};
 use quarry_lang::provenance::{self, Explanation};
+use quarry_lang::ExtractionCache;
 use quarry_query::engine::{execute_snapshot, Query, QueryResult};
 use quarry_query::forms::QueryForm;
 use quarry_query::{CandidateQuery, InvertedIndex, SearchHit, Translator};
 use quarry_storage::{Database, DbSnapshot, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Everything derived from one crawl snapshot, valid for exactly that
+/// snapshot: its documents, their keyword index (built on the first
+/// keyword search) and their extraction cache. [`Quarry::ingest`]
+/// publishes a new one whole, and the old one is dropped with the last
+/// snapshot or run that holds it.
+pub(crate) struct WorkingSet {
+    pub(crate) docs: Vec<Document>,
+    index: OnceLock<InvertedIndex>,
+    pub(crate) cache: Arc<ExtractionCache>,
+}
+
+impl WorkingSet {
+    pub(crate) fn new(docs: Vec<Document>) -> WorkingSet {
+        WorkingSet { docs, index: OnceLock::new(), cache: Arc::default() }
+    }
+}
 
 /// Read-path state shared between the writer ([`Quarry`]) and every
 /// [`Snapshot`]. All interior locks are leaves — nothing is held while
@@ -37,11 +56,9 @@ use std::sync::Arc;
 /// takes the writer's lock.
 pub(crate) struct ReadState {
     pub(crate) db: Arc<Database>,
-    /// (generation, published working set); the writer replaces the pair
-    /// wholesale on ingest, so a capture is one lock + two copies.
-    pub(crate) docs: Mutex<(u64, Arc<Vec<Document>>)>,
-    /// Keyword index, lazily built and keyed by docs generation.
-    index: Mutex<Option<(u64, Arc<InvertedIndex>)>>,
+    /// The published working set; the writer replaces it on ingest, so a
+    /// capture is one lock + one `Arc` clone.
+    pub(crate) docs: Mutex<Arc<WorkingSet>>,
     /// Keyword→structured translator, lazily built and keyed by the
     /// snapshot LSN it was derived from (any committed write moves the
     /// clock, so a stale vocabulary can never serve a newer snapshot).
@@ -55,8 +72,7 @@ impl ReadState {
     pub(crate) fn new(db: Arc<Database>, dge: DgeLog, metrics: MetricsRegistry) -> ReadState {
         ReadState {
             db,
-            docs: Mutex::new((0, Arc::new(Vec::new()))),
-            index: Mutex::new(None),
+            docs: Mutex::new(Arc::new(WorkingSet::new(Vec::new()))),
             translator: Mutex::new(None),
             dge,
             last_report: Mutex::new(ExecReport::new()),
@@ -131,19 +147,15 @@ pub struct QueryCacheStats {
 /// at the captured LSN.
 pub struct Snapshot {
     db: DbSnapshot,
-    docs_gen: u64,
-    docs: Arc<Vec<Document>>,
+    working: Arc<WorkingSet>,
     shared: Arc<ReadState>,
 }
 
 impl Snapshot {
     pub(crate) fn capture(shared: &Arc<ReadState>) -> Snapshot {
         let db = shared.db.snapshot();
-        let (docs_gen, docs) = {
-            let guard = shared.docs.lock();
-            (guard.0, Arc::clone(&guard.1))
-        };
-        Snapshot { db, docs_gen, docs, shared: Arc::clone(shared) }
+        let working = Arc::clone(&shared.docs.lock());
+        Snapshot { db, working, shared: Arc::clone(shared) }
     }
 
     /// The write-clock LSN this session is pinned to: the session sees
@@ -159,19 +171,17 @@ impl Snapshot {
 
     /// The pinned working document set.
     pub fn docs(&self) -> &[Document] {
-        &self.docs
+        &self.working.docs
     }
 
-    fn index(&self) -> Arc<InvertedIndex> {
-        let mut slot = self.shared.index.lock();
-        match &*slot {
-            Some((gen, ix)) if *gen == self.docs_gen => Arc::clone(ix),
-            _ => {
-                let ix = Arc::new(InvertedIndex::build(self.docs.iter()));
-                *slot = Some((self.docs_gen, Arc::clone(&ix)));
-                ix
-            }
-        }
+    /// The pinned documents' keyword index, built by the first call on
+    /// any snapshot of this working set (counted under
+    /// `facade.keyword_index_builds`).
+    fn index(&self) -> &InvertedIndex {
+        self.working.index.get_or_init(|| {
+            self.shared.metrics.incr("facade.keyword_index_builds", 1);
+            InvertedIndex::build(self.working.docs.iter())
+        })
     }
 
     fn translator(&self) -> Arc<Translator> {
@@ -205,8 +215,8 @@ impl Snapshot {
 
     /// Keyword search over the pinned documents: hits plus suggested
     /// structured queries. Read-only — the DGE side channel is internally
-    /// synchronized, and the index/translator come from shared
-    /// generation-keyed caches.
+    /// synchronized, the index is the working set's own and the
+    /// translator comes from a shared LSN-keyed slot.
     pub fn keyword(&self, query: &str, k: usize) -> (Vec<SearchHit>, Vec<CandidateQuery>) {
         let start = std::time::Instant::now();
         let hits = self.index().search(query, k);

@@ -3,12 +3,11 @@
 use crate::dge::{DgeEvent, DgeLog};
 use crate::feedback::{Correction, CorrectionStatus, FeedbackQueue};
 use crate::monitor::{MonitorFire, MonitorSet};
-use crate::snapshot::{ReadState, Snapshot};
+use crate::snapshot::{ReadState, Snapshot, WorkingSet};
 use crate::users::UserDirectory;
-use quarry_corpus::{Corpus, CorpusConfig, CorpusError, DocId, Document};
+use quarry_corpus::{Corpus, CorpusConfig, CorpusError, Document};
 use quarry_debugger::{HealthMonitor, LearnConfig, SemanticDebugger, Suspicion};
 use quarry_exec::{ExecPool, ExecReport, LintReport, MetricsRegistry, MetricsSnapshot};
-use quarry_extract::Extraction;
 use quarry_hi::Crowd;
 use quarry_integrate::IntegrateError;
 use quarry_lang::exec::{ExecError, TruthOracle};
@@ -18,7 +17,6 @@ use quarry_lang::{
 };
 use quarry_query::engine::{Query, QueryError};
 use quarry_storage::{is_system_table, Database, ScanAccess, SnapshotStore, StorageError, Value};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -216,8 +214,7 @@ pub struct Quarry {
     pub feedback: FeedbackQueue,
     /// Writer-local handle to the working set (also published to
     /// [`ReadState`] for snapshot capture).
-    docs: Arc<Vec<Document>>,
-    cache: HashMap<(DocId, String), Vec<Extraction>>,
+    working: Arc<WorkingSet>,
     crowd: Option<Crowd>,
     truth: Option<TruthOracle>,
     pool: ExecPool,
@@ -239,6 +236,7 @@ impl Quarry {
         health.register("pipeline", [("extractions_per_doc", 0.0, 1000.0)]);
         let dge = DgeLog::new();
         let shared = Arc::new(ReadState::new(Arc::clone(&db), dge.clone(), MetricsRegistry::new()));
+        let working = Arc::clone(&shared.docs.lock());
         Ok(Quarry {
             snapshots: SnapshotStore::new(KEYFRAME_INTERVAL),
             db,
@@ -248,8 +246,7 @@ impl Quarry {
             dge,
             monitors: MonitorSet::new(),
             feedback: FeedbackQueue::new(2.0),
-            docs: Arc::new(Vec::new()),
-            cache: HashMap::new(),
+            working,
             crowd: None,
             truth: None,
             pool: ExecPool::new(config.threads),
@@ -308,28 +305,21 @@ impl Quarry {
 
     /// The current working document set.
     pub fn docs(&self) -> &[Document] {
-        &self.docs
+        &self.working.docs
     }
 
     /// Ingest one crawl snapshot: pages are versioned in the snapshot
-    /// store, the working set replaced, and the keyword index invalidated.
+    /// store, and a new working set — with an empty extraction cache and
+    /// no keyword index yet — replaces the old one.
     pub fn ingest(&mut self, docs: Vec<Document>) {
         self.tick += 1;
         self.snapshots.put_snapshot(docs.iter().map(|d| (d.title.as_str(), d.text.as_str())));
         self.dge.record(DgeEvent::Ingest { docs: docs.len(), day: self.day });
         self.health.heartbeat(self.tick, "ingest", [("docs", docs.len() as f64)]);
         self.day += 1;
-        self.docs = Arc::new(docs);
-        // Publish the new working set under a bumped generation: snapshots
-        // captured from here on see the new docs, and the shared keyword
-        // index (keyed by generation) rebuilds lazily on next use.
-        {
-            let mut published = self.shared.docs.lock();
-            published.0 += 1;
-            published.1 = Arc::clone(&self.docs);
-        }
-        // Page content changed: cached extractions are stale.
-        self.cache.clear();
+        // Snapshots captured before keep the old set, index and cache too.
+        self.working = Arc::new(WorkingSet::new(docs));
+        *self.shared.docs.lock() = Arc::clone(&self.working);
     }
 
     /// Run a QDL program over the current working set.
@@ -389,18 +379,17 @@ impl Quarry {
     fn execute(&mut self, program: &CheckedProgram) -> Result<ExecStats, QuarryError> {
         let program = optimize(program, &self.registry);
         let mut ctx = ExecContext {
-            docs: &self.docs,
+            docs: &self.working.docs,
             registry: &self.registry,
             db: &self.db,
             crowd: self.crowd.take(),
             truth: self.truth.clone(),
-            cache: std::mem::take(&mut self.cache),
+            cache: Arc::clone(&self.working.cache),
             pool: self.pool,
             report: ExecReport::new(),
         };
         let result = Executor::run(&program, &mut ctx);
         self.crowd = ctx.crowd.take();
-        self.cache = std::mem::take(&mut ctx.cache);
         *self.shared.last_report.lock() = std::mem::take(&mut ctx.report);
         let stats = result?;
         self.dge.record(DgeEvent::PipelineRun {
@@ -409,10 +398,10 @@ impl Quarry {
             entities: stats.entities,
             questions: stats.questions_asked,
         });
-        let per_doc = if self.docs.is_empty() {
+        let per_doc = if self.working.docs.is_empty() {
             0.0
         } else {
-            stats.extractions as f64 / self.docs.len() as f64
+            stats.extractions as f64 / self.working.docs.len() as f64
         };
         self.health.heartbeat(self.tick, "pipeline", [("extractions_per_doc", per_doc)]);
         // The translator cache is keyed by snapshot LSN, so the stored
@@ -755,9 +744,15 @@ STORE INTO broken KEY name"#;
             }
             other => panic!("expected Lint rejection, got {other:?}"),
         }
-        // Nothing executed: no extraction cache, no stage report, no table.
-        assert!(q.cache.is_empty());
+        // Nothing executed: no table, and nothing cached — the first run
+        // over the same documents extracts every one of them.
         assert!(q.db.schema("broken").is_err());
+        let stats = q
+            .run_pipeline(
+                "PIPELINE p FROM corpus EXTRACT infobox RESOLVE BY name STORE INTO t KEY name",
+            )
+            .unwrap();
+        assert_eq!((stats.cache_hits, stats.extractor_runs), (0, q.docs().len()));
     }
 
     #[test]
@@ -968,9 +963,40 @@ STORE INTO companies KEY name"#,
     #[test]
     fn reingest_invalidates_extraction_cache() {
         let (mut q, corpus) = system_with_corpus();
-        q.run_pipeline(CITY_PIPELINE).unwrap();
-        assert!(!q.cache.is_empty());
+        // Both extractors survive the optimizer: each runs once a document.
+        let all = corpus.docs.len() * 2;
+        let first = q.run_pipeline(CITY_PIPELINE).unwrap();
+        assert_eq!((first.cache_hits, first.extractor_runs), (0, all));
+        let again = q.run_pipeline(CITY_PIPELINE).unwrap();
+        assert_eq!((again.cache_hits, again.extractor_runs), (all, 0));
+        // The same pages, re-ingested, are a new working set: nothing of
+        // the old cache is served.
         q.ingest(corpus.docs.clone());
-        assert!(q.cache.is_empty());
+        let after = q.run_pipeline(CITY_PIPELINE).unwrap();
+        assert_eq!((after.cache_hits, after.extractor_runs), (0, all));
+        let again = q.run_pipeline(CITY_PIPELINE).unwrap();
+        assert_eq!((again.cache_hits, again.extractor_runs), (all, 0));
+    }
+
+    #[test]
+    fn each_working_set_answers_keywords_from_its_own_index_built_once() {
+        let (mut q, corpus) = system_with_corpus();
+        let old = q.snapshot();
+        let changed = Corpus::generate(&CorpusConfig {
+            noise: NoiseConfig::none(),
+            ..CorpusConfig::tiny(22)
+        });
+        q.ingest(changed.docs.clone());
+        let new = q.snapshot();
+        let term = format!("population {}", corpus.truth.cities[0].name);
+        let first = (old.keyword(&term, 5), new.keyword(&term, 5));
+        assert_ne!(first.0 .0, first.1 .0, "the two working sets must answer differently");
+        for _ in 0..3 {
+            assert_eq!(old.keyword(&term, 5), first.0);
+            assert_eq!(new.keyword(&term, 5), first.1);
+        }
+        // A snapshot captured later shares the working set's index.
+        assert_eq!(q.snapshot().keyword(&term, 5), first.1);
+        assert_eq!(q.metrics().counter("facade.keyword_index_builds"), 2);
     }
 }

@@ -112,6 +112,11 @@ impl MatchConfig {
         }
         Ok(())
     }
+
+    /// The middle of the uncertain band, where [`decide`] is least sure.
+    pub fn band_centre(&self) -> f64 {
+        (self.nonmatch_threshold + self.match_threshold) / 2.0
+    }
 }
 
 /// Trinary match decision.
@@ -200,6 +205,13 @@ pub fn decide_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_default_band_centres_on_the_constant_curation_used() {
+        // CURATE asks from this centre outwards; exact in f64, so the
+        // order of its questions is bit-identical to sorting by 0.675.
+        assert_eq!(MatchConfig::default().band_centre(), 0.675);
+    }
 
     fn rec(id: usize, name: &str, employer: &str, year: i64) -> Record {
         Record::new(

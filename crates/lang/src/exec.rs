@@ -12,6 +12,7 @@ use crate::compile::CheckedProgram;
 use crate::plan::PlanOp;
 use crate::provenance::{self, Cell, Source};
 use crate::registry::ExtractorRegistry;
+use parking_lot::Mutex;
 use quarry_corpus::{DocId, Document};
 use quarry_exec::{ExecPool, ExecReport};
 use quarry_extract::Extraction;
@@ -23,6 +24,7 @@ use quarry_integrate::UnionFind;
 use quarry_storage::{
     is_system_table, Column, DataType, Database, Row, StorageError, TableSchema, TxId, Value,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -62,6 +64,10 @@ impl From<StorageError> for ExecError {
 /// corpus knows); `None` disables curation.
 pub type TruthOracle = Arc<dyn Fn(DocId, DocId) -> bool + Send + Sync>;
 
+/// (doc, extractor) → extractions, behind a leaf lock that `EXTRACT` never
+/// holds across a pool stage, so runs sharing one cache may overlap.
+pub type ExtractionCache = Mutex<HashMap<(DocId, String), Vec<Extraction>>>;
+
 /// Everything a plan needs to run.
 pub struct ExecContext<'a> {
     /// The documents (the `FROM corpus` source).
@@ -74,10 +80,10 @@ pub struct ExecContext<'a> {
     pub crowd: Option<Crowd>,
     /// Ground truth driving the simulated users (optional).
     pub truth: Option<TruthOracle>,
-    /// Materialization cache: (doc, extractor) → extractions. Shared across
-    /// plan runs to model the blueprint's "intermediate structured data
-    /// kept around for optimization purposes".
-    pub cache: HashMap<(DocId, String), Vec<Extraction>>,
+    /// Materialization cache, shared across plan runs to model the
+    /// blueprint's "intermediate structured data kept around for
+    /// optimization purposes".
+    pub cache: Arc<ExtractionCache>,
     /// Executor pool for the data-parallel stages. Results are identical
     /// at every thread count; `ExecPool::sequential()` runs inline.
     pub pool: ExecPool,
@@ -94,7 +100,7 @@ impl<'a> ExecContext<'a> {
             db,
             crowd: None,
             truth: None,
-            cache: HashMap::new(),
+            cache: Arc::default(),
             pool: ExecPool::sequential(),
             report: ExecReport::new(),
         }
@@ -180,17 +186,18 @@ impl Executor {
                             .get(name)
                             .ok_or_else(|| ExecError::UnknownExtractor(name.clone()))?
                             .clone();
-                        // Fan the cache misses out on the pool in document
-                        // order, then walk the documents sequentially,
-                        // splicing cached and fresh results back together.
-                        // The stream therefore grows in exactly the order
-                        // the sequential per-document loop produced.
-                        let uncached: Vec<&Document> = ctx
-                            .docs
-                            .iter()
-                            .filter(|d| !ctx.cache.contains_key(&(d.id, name.clone())))
-                            .collect();
-                        let fresh: Vec<(Vec<Extraction>, std::time::Duration)> = ctx.pool.map(
+                        // Run the misses on the pool, keep each result under
+                        // its document (one the cache already holds wins, and
+                        // counts as a hit), then read the stream back in
+                        // document order, as the sequential loop produced it.
+                        let uncached: Vec<&Document> = {
+                            let cache = ctx.cache.lock();
+                            ctx.docs
+                                .iter()
+                                .filter(|d| !cache.contains_key(&(d.id, name.clone())))
+                                .collect()
+                        };
+                        let fresh = ctx.pool.map(
                             &format!("exec/extract:{name}"),
                             &uncached,
                             |_, doc| {
@@ -200,29 +207,22 @@ impl Executor {
                             },
                             &mut ctx.report,
                         );
-                        let mut fresh = fresh.into_iter();
-                        for doc in ctx.docs {
-                            let cache_key = (doc.id, name.clone());
-                            if let Some(cached) = ctx.cache.get(&cache_key) {
-                                stats.cache_hits += 1;
-                                stream.extend(cached.iter().cloned());
-                            } else {
-                                // The walk can only miss on documents the
-                                // pre-loop filter also missed (the cache
-                                // only grows), so `fresh` cannot run dry;
-                                // a typed error keeps a broken invariant
-                                // from panicking a server worker.
-                                let (exts, took) = fresh.next().ok_or_else(|| {
-                                    ExecError::InvalidPlan(format!(
-                                        "extractor {name}: fewer pooled results than uncached documents"
-                                    ))
-                                })?;
+                        let mut cache = ctx.cache.lock();
+                        let mut runs = 0;
+                        for (doc, (exts, took)) in uncached.iter().zip(fresh) {
+                            if let Entry::Vacant(slot) = cache.entry((doc.id, name.clone())) {
+                                slot.insert(exts);
                                 ctx.report.record_operator(name, took);
-                                stats.extractor_runs += 1;
                                 stats.cost_units += reg.cost;
-                                ctx.cache.insert(cache_key, exts.clone());
-                                stream.extend(exts);
+                                runs += 1;
                             }
+                        }
+                        stats.extractor_runs += runs;
+                        stats.cache_hits += ctx.docs.len() - runs;
+                        for doc in ctx.docs {
+                            stream.extend(
+                                cache.get(&(doc.id, name.clone())).into_iter().flatten().cloned(),
+                            );
                         }
                     }
                     // Parallel stable-equivalent sort + dedup: identical to
@@ -264,13 +264,6 @@ impl Executor {
                     else {
                         continue; // no HI capability wired: curation is a no-op
                     };
-                    // Most uncertain first (closest to the decision boundary).
-                    pending.sort_by(|a, b| {
-                        (a.2 - 0.675)
-                            .abs()
-                            .partial_cmp(&(b.2 - 0.675).abs())
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
                     let mut spent = 0u32;
                     for (qid, (i, j, _)) in pending.iter().enumerate() {
                         if spent >= *budget {
@@ -345,6 +338,9 @@ fn build_doc_records(stream: &[Extraction], key: &str) -> Vec<DocRecord> {
         .collect()
 }
 
+/// Resolve `records` by `key`: the union-find of confident matches, the
+/// uncertain pairs with their scores, most uncertain (closest to the band's
+/// centre) first, and the number of pairs scored.
 fn match_records(
     records: &[DocRecord],
     key: &str,
@@ -397,6 +393,8 @@ fn match_records(
             MatchDecision::NonMatch => {}
         }
     }
+    let centre = cfg.band_centre();
+    pending.sort_by(|a, b| (a.2 - centre).abs().total_cmp(&(b.2 - centre).abs()));
     (uf, pending, scored)
 }
 
@@ -800,10 +798,9 @@ STORE INTO cities KEY name"#,
 
     #[test]
     fn duplicate_document_ids_do_not_break_the_extract_splice() {
-        // Two documents with the same id: the pre-loop uncached filter
-        // counts both, but the walk consumes only one pooled result (the
-        // second occurrence hits the cache the first one populated). The
-        // splice must neither panic nor run the iterator dry.
+        // Two documents with the same id: both miss the cache and both run
+        // on the pool, but the cache keeps the first result and the second
+        // occurrence counts as a hit.
         let c = corpus();
         let mut docs = c.docs.clone();
         docs.push(docs[0].clone());
@@ -942,7 +939,7 @@ STORE INTO cities KEY name"#,
         // extractor ran, nothing was cached, no parallel stage was
         // recorded, nothing was stored.
         let ctx = ExecContext::new(&c.docs, &reg, &db);
-        assert!(ctx.cache.is_empty(), "extraction cache must stay untouched");
+        assert!(ctx.cache.lock().is_empty(), "extraction cache must stay untouched");
         assert!(ctx.report.stages.is_empty(), "no execution stage may have run");
         assert!(db.schema("cities").is_err(), "no table may have been created");
 
@@ -957,7 +954,10 @@ STORE INTO cities KEY name"#,
         };
         assert_eq!(name, "warp_drive");
         let ctx = ExecContext::new(&c.docs, &reg, &db);
-        assert!(ctx.cache.is_empty(), "infobox must not have run before the unknown-name check");
+        assert!(
+            ctx.cache.lock().is_empty(),
+            "infobox must not have run before the unknown-name check"
+        );
     }
 
     #[test]

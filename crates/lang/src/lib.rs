@@ -46,7 +46,7 @@ pub mod registry;
 
 pub use ast::{Condition, Pipeline, ProgramSpans, Step};
 pub use compile::{compile, compile_script, CheckedProgram, CompileError};
-pub use exec::{ExecContext, ExecStats, Executor};
+pub use exec::{ExecContext, ExecStats, Executor, ExtractionCache};
 pub use lint::{analyze, lint_source};
 pub use parser::{parse, parse_spanned};
 pub use plan::{optimize, LogicalPlan, PlanOp};

@@ -115,11 +115,13 @@ STORE INTO people KEY name"#,
         )
         .unwrap();
     assert!(stats.entities < stats.records, "duplicates merged");
-    // Curation only runs when there is an uncertain band.
-    if stats.uncertain_pairs > 0 {
-        assert!(stats.questions_asked > 0);
-        assert!(stats.hi_spent > 0);
-    }
+    // Seeded: the band holds 146 pairs, and the budget of 300 buys 100
+    // three-vote questions from its centre outwards.
+    assert_eq!(
+        (stats.uncertain_pairs, stats.questions_asked, stats.hi_spent),
+        (146, 100, 300),
+        "{stats:?}"
+    );
 }
 
 #[test]
