@@ -5,6 +5,7 @@
 //! | QA100 | error    | malformed `quarry-audit:` comment, or `allow` without a reason |
 //! | QA101 | error    | `unwrap()`/`expect(`/`panic!`-family on a serve-reachable path |
 //! | QA101 | warning  | indexing `[...]` with a non-literal index on a serve-reachable path |
+//! | QA101 | error    | the same indexing in the page, pager, B-tree and codec modules (`STRICT_INDEXING`) |
 //! | QA102 | error    | lock acquisitions violating `audit/lock-order.toml` (in-body and one call-graph hop) |
 //! | QA103 | error    | per-crate forbidden constructs (`Mutex<Quarry>` in serve/cluster, `serde_json` in storage, cluster and serve outside `protocol.rs`, `frame_crc` outside the two frame codecs, `std::arch`/`core::arch` outside `crates/crc`, nondeterminism in recovery/replay/replication/promotion) |
 //! | QA104 | error    | `unsafe { ... }` block without a `// SAFETY:` comment |
@@ -54,6 +55,16 @@ pub struct Finding {
     /// The caret-renderable diagnostic.
     pub diagnostic: Diagnostic,
 }
+
+/// Files where QA101's indexing advisory is an error: the modules that
+/// read every byte a page brings from disk, where a bound that "holds by
+/// construction" is a bound a damaged page can break.
+const STRICT_INDEXING: &[&str] = &[
+    "crates/storage/src/btree.rs",
+    "crates/storage/src/codec.rs",
+    "crates/storage/src/page.rs",
+    "crates/storage/src/pager.rs",
+];
 
 /// Macro names whose invocation is an unconditional (or arm-local) panic.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -205,6 +216,11 @@ fn qa101_panic_reachability(
     graph: &CallGraph,
     out: &mut Vec<Finding>,
 ) {
+    let indexing = if STRICT_INDEXING.contains(&file.path.as_str()) {
+        Severity::Error
+    } else {
+        Severity::Warning
+    };
     for (ii, item) in file.fns.iter().enumerate() {
         if item.is_test || !graph.is_reachable((fi, ii)) || item.body.1 <= item.body.0 {
             continue;
@@ -228,7 +244,7 @@ fn qa101_panic_reachability(
                                     item.qual
                                 ),
                                 "prefer `.get(..)`, or document the bounds invariant with an allow",
-                                Severity::Warning,
+                                indexing,
                             ));
                         }
                     }
@@ -776,6 +792,27 @@ mod tests {
             .collect();
         assert_eq!(idx.len(), 1, "{idx:#?}");
         assert!(idx[0].snippet.contains('i'));
+    }
+
+    #[test]
+    fn qa101_indexing_is_an_error_in_the_modules_that_read_pages() {
+        let handle = "fn handle(v: &[u8], i: usize) { let _ = v[i]; read(v, i); tail(v, i); }";
+        let read = "pub fn read(v: &[u8], i: usize) { let _ = v[i]; let _ = &v[..4]; }";
+        let mut sources = vec![("crates/serve/src/server.rs", handle)];
+        sources.extend(STRICT_INDEXING.iter().map(|path| (*path, read)));
+        sources.push(("crates/storage/src/wal.rs", "pub fn tail(v: &[u8], i: usize) { v[i]; }"));
+        let fs = run(&sources);
+        let indexing: Vec<(&str, Severity)> = fs
+            .iter()
+            .filter(|f| f.code == codes::PANIC_REACHABLE)
+            .map(|f| (f.path.as_str(), f.diagnostic.severity))
+            .collect();
+        let mut want: Vec<(&str, Severity)> =
+            STRICT_INDEXING.iter().map(|path| (*path, Severity::Error)).collect();
+        want.push(("crates/serve/src/server.rs", Severity::Warning));
+        want.push(("crates/storage/src/wal.rs", Severity::Warning));
+        want.sort_by_key(|(path, _)| *path);
+        assert_eq!(indexing, want);
     }
 
     #[test]

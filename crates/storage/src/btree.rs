@@ -18,13 +18,17 @@
 //! bytes, and a `count` the payload could actually hold, checked before
 //! anything is allocated for it — and leaves behind a table of `u16`
 //! entry offsets, which the pager caches beside the frame (it is derived,
-//! never persisted). Searches binary-search that table comparing key
-//! bytes where they lie; an insert shifts bytes inside the page and hands
-//! the pager the table shifted to match, so a resident node is validated
-//! once however often it is edited; a split copies byte ranges into two
-//! fresh pages at the cut `split_index` picks, which the next visit
-//! validates like any other new image. A [`Cursor`] holds its leaf's frame, so the
-//! pool may evict the page under it.
+//! never persisted). The pass is one loop that answers only yes or no; a
+//! node it refuses is passed again by the loop that names what is wrong.
+//! Searches binary-search that table comparing key bytes where they lie,
+//! and reads lend what they find — [`BTree::lookup_with`] the value,
+//! [`Cursor::advance`] the key and value — where it lies in the leaf. An
+//! insert shifts bytes inside the page and hands the pager the table
+//! shifted to match, so a resident node is validated once however often
+//! it is edited; a split copies byte ranges into two fresh pages at the
+//! cut `split_index` picks, which the next visit validates like any other
+//! new image. A [`Cursor`] holds its leaf's frame, so the pool may evict
+//! the page under it.
 //!
 //! Keys and values are ordinary [`crate::codec`] byte strings. Keys are
 //! compared straight off the two encodings under a [`KeyOrder`], by the
@@ -60,7 +64,7 @@
 use crate::codec;
 use crate::error::StorageError;
 use crate::page::{Page, PageType, NO_PAGE, PAGE_CAPACITY};
-use crate::pager::{read_chain, ChainWriter, Pager};
+use crate::pager::{read_chain, read_chain_into, ChainWriter, Pager};
 use crate::value::Value;
 use crate::Result;
 use std::borrow::Cow;
@@ -154,6 +158,18 @@ pub(crate) fn write_row_key(out: &mut Vec<u8>, row_id: u64) -> Result<()> {
     codec::write_u64(out, row_id)
 }
 
+/// Bytes a row-tree key takes at most: a `u64` uvarint's.
+pub(crate) const MAX_ROW_KEY: usize = MAX_UVARINT;
+
+/// [`row_key`] in `buffer`, which it returns cut to the key: the key of a
+/// point read, built on the caller's stack.
+pub(crate) fn row_key_in(buffer: &mut [u8; MAX_ROW_KEY], row_id: u64) -> Result<&[u8]> {
+    let mut rest = &mut buffer[..];
+    codec::write_u64(&mut rest, row_id)?;
+    let len = MAX_ROW_KEY - rest.len();
+    buffer.get(..len).ok_or_else(|| corrupt("row key overruns its buffer"))
+}
+
 /// Decode a row-tree key.
 pub fn decode_row_key(key: &[u8]) -> Result<u64> {
     codec::read_u64(key, &mut 0)
@@ -233,6 +249,18 @@ impl<'a> Stored<'a> {
         }
     }
 
+    /// The bytes, lent: from the page when inline, else read from the
+    /// overflow chain into `buffer`.
+    fn lend(self, pager: &mut Pager, buffer: &'a mut Vec<u8>) -> Result<&'a [u8]> {
+        match self {
+            Stored::Inline(bytes) => Ok(bytes),
+            Stored::Spilled(head) => {
+                read_chain_into(pager, head, PageType::Overflow, buffer)?;
+                Ok(buffer)
+            }
+        }
+    }
+
     /// `bytes` as an entry stores them: inline, or — when longer than
     /// `max_inline` — in a fresh overflow chain, written here.
     fn spill(pager: &mut Pager, bytes: &'a [u8], max_inline: usize) -> Result<Stored<'a>> {
@@ -305,10 +333,99 @@ fn split_entry(entry: &[u8]) -> Result<(&[u8], &[u8])> {
 /// search or an edit will rely on, and return where its entries lie —
 /// `count + 1` offsets, each entry's start and then the last one's end.
 /// Runs at most once per pool residency ([`Pager::read_indexed`]), so once
-/// per pool miss on a node: one pass that parses each entry once and
-/// writes the table as it goes, into its one allocation, sized by `count`
-/// only once `count` is known to fit the payload.
+/// per pool miss on a node. [`quick_offsets`] decides nearly every node;
+/// only one it refuses goes through [`messaged_offsets`], which decides
+/// it again and, if it is damaged, says how.
 fn entry_offsets(page: &Page) -> Result<Arc<[u16]>> {
+    match quick_offsets(page) {
+        Some(offsets) => Ok(offsets),
+        None => messaged_offsets(page),
+    }
+}
+
+/// The validating pass's fast path: the checks of [`Entries`] in one loop
+/// over the payload, with no error to build. It accepts only nodes that
+/// [`messaged_offsets`] accepts, and gives them the same table; it may
+/// refuse a valid node — one whose varints are longer than a page needs
+/// — which the messaged pass then accepts. The table is its one
+/// allocation, sized by `count` only once `count` is known to fit.
+fn quick_offsets(page: &Page) -> Option<Arc<[u16]>> {
+    let leaf = match page.ptype {
+        PageType::BtreeLeaf => true,
+        PageType::BtreeInner => false,
+        _ => return None,
+    };
+    let allowed = if leaf { FLAG_KEY_SPILLED | FLAG_VAL_SPILLED } else { FLAG_KEY_SPILLED };
+    let (data, count) = (page.payload(), usize::from(page.count));
+    if count * MIN_ENTRY > data.len() {
+        return None;
+    }
+    let mut pos = 0;
+    if !leaf {
+        quick_page_id(data, &mut pos)?;
+    }
+    let mut offsets = new_table(count + 1);
+    let (end, starts) = Arc::get_mut(&mut offsets)?.split_last_mut()?;
+    for start in starts {
+        *start = u16::try_from(pos).ok()?;
+        let flags = *data.get(pos)?;
+        pos += 1;
+        if flags & !allowed != 0 {
+            return None;
+        }
+        quick_stored(data, &mut pos, flags & FLAG_KEY_SPILLED != 0)?;
+        if leaf {
+            quick_stored(data, &mut pos, flags & FLAG_VAL_SPILLED != 0)?;
+        } else {
+            quick_page_id(data, &mut pos)?;
+        }
+    }
+    if pos != data.len() {
+        return None;
+    }
+    *end = u16::try_from(pos).ok()?;
+    Some(offsets)
+}
+
+/// A uvarint of at most five bytes — wide enough for any page id and any
+/// length a page holds — read as [`codec::read_u64`] reads it. `None` for
+/// a longer or a truncated one.
+#[inline(always)]
+fn quick_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut out = 0u64;
+    for shift in [0, 7, 14, 21, 28] {
+        let byte = *data.get(*pos)?;
+        *pos += 1;
+        out |= u64::from(byte & 0x7F) << shift;
+        if byte < 0x80 {
+            return Some(out);
+        }
+    }
+    None
+}
+
+/// A page id, as [`read_page_id`] reads one.
+#[inline(always)]
+fn quick_page_id(data: &[u8], pos: &mut usize) -> Option<u32> {
+    u32::try_from(quick_varint(data, pos)?).ok()
+}
+
+/// Step over a key or value as [`Stored::read`] does: an overflow head's
+/// page id, or an inline run that ends inside `data`.
+#[inline(always)]
+fn quick_stored(data: &[u8], pos: &mut usize, spilled: bool) -> Option<()> {
+    if spilled {
+        return quick_page_id(data, pos).map(drop);
+    }
+    let len = usize::try_from(quick_varint(data, pos)?).ok()?;
+    *pos = pos.checked_add(len).filter(|&end| end <= data.len())?;
+    Some(())
+}
+
+/// The validating pass as [`Entries`] makes it: each entry parsed once and
+/// the table written as it goes, and a refusal named. Kept for the nodes
+/// [`quick_offsets`] refuses, whose verdict and message it decides.
+fn messaged_offsets(page: &Page) -> Result<Arc<[u16]>> {
     let mut entries = Entries::of(page)?;
     let mut offsets = new_table(entries.count + 1);
     let (end, starts) = Arc::get_mut(&mut offsets)
@@ -605,12 +722,25 @@ impl BTree {
 
     /// Point lookup: the value stored under `key`, if present.
     pub fn lookup(&self, pager: &mut Pager, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.lookup_with(pager, key, |value| Ok(value.to_vec()))
+    }
+
+    /// Point lookup that lends the value to `read` instead of copying it
+    /// out: the bytes where they lie in the leaf (read from its overflow
+    /// chain if they spilled). `None`, without calling `read`, when `key`
+    /// is absent.
+    pub fn lookup_with<T>(
+        &self,
+        pager: &mut Pager,
+        key: &[u8],
+        read: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<Option<T>> {
         let leaf = self.descend_to(pager, key)?;
         let (pos, exact) = self.leaf_pos(pager, &leaf, key)?;
         if !exact {
             return Ok(None);
         }
-        Ok(Some(leaf.key_val(pos)?.1.bytes(pager)?.into_owned()))
+        read(&leaf.key_val(pos)?.1.bytes(pager)?).map(Some)
     }
 
     /// Insert `key -> val`, splitting full nodes on the way back up.
@@ -801,14 +931,14 @@ impl BTree {
     /// Cursor over the whole tree, starting at the smallest key.
     pub fn cursor_first(&self, pager: &mut Pager) -> Result<Cursor> {
         let (_, node) = Self::descend(pager, self.root, |_, _, _| Ok(0))?;
-        Ok(Cursor { node, pos: 0, hops: 0 })
+        Ok(Cursor::at(node, 0))
     }
 
     /// Cursor positioned at the first entry `>= key`.
     pub fn cursor_seek(&self, pager: &mut Pager, key: &[u8]) -> Result<Cursor> {
         let node = self.descend_to(pager, key)?;
         let (pos, _) = self.leaf_pos(pager, &node, key)?;
-        Ok(Cursor { node, pos, hops: 0 })
+        Ok(Cursor::at(node, pos))
     }
 }
 
@@ -987,21 +1117,46 @@ pub struct Cursor {
     /// Sibling links followed so far; more than the file has pages is a
     /// cycle.
     hops: u64,
+    /// Where the last key and value [`Cursor::advance`] read from an
+    /// overflow chain lie: the one place an entry is lent from that is not
+    /// the leaf. Empty, and unallocated, until an entry spills.
+    spilled: (Vec<u8>, Vec<u8>),
 }
 
 impl Cursor {
-    /// The next entry, or `None` past the last.
+    fn at(node: Node, pos: usize) -> Cursor {
+        Cursor { node, pos, hops: 0, spilled: (Vec::new(), Vec::new()) }
+    }
+
+    /// The next entry, copied out, or `None` past the last.
     pub fn next(&mut self, pager: &mut Pager) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        Ok(self.advance(pager)?.map(|(key, val)| (key.to_vec(), val.to_vec())))
+    }
+
+    /// The next entry, lent until the cursor moves again, or `None` past
+    /// the last: the key and value bytes where they lie in the leaf the
+    /// cursor holds, so a step allocates nothing unless a blob spilled.
+    /// The lent bytes borrow the cursor, not `pager`.
+    pub fn advance(&mut self, pager: &mut Pager) -> Result<Option<(&[u8], &[u8])>> {
+        if !self.stand_on_entry(pager)? {
+            return Ok(None);
+        }
+        let (key, val) = self.node.key_val(self.pos)?;
+        self.pos += 1;
+        let (key_buffer, val_buffer) = &mut self.spilled;
+        Ok(Some((key.lend(pager, key_buffer)?, val.lend(pager, val_buffer)?)))
+    }
+
+    /// Follow sibling links until the cursor stands on an entry; `false`
+    /// past the last.
+    fn stand_on_entry(&mut self, pager: &mut Pager) -> Result<bool> {
         loop {
             if self.pos < self.node.len() {
-                let (key, val) = self.node.key_val(self.pos)?;
-                let entry = (key.bytes(pager)?.into_owned(), val.bytes(pager)?.into_owned());
-                self.pos += 1;
-                return Ok(Some(entry));
+                return Ok(true);
             }
             let next = self.node.page.next;
             if next == NO_PAGE {
-                return Ok(None);
+                return Ok(false);
             }
             self.hops += 1;
             if self.hops > u64::from(pager.page_count()) {

@@ -127,10 +127,9 @@ pub fn write_str<W: Write>(w: &mut W, s: &str) -> Result<()> {
 
 /// Read `n` raw bytes, advancing `pos`.
 fn read_exact<'d>(data: &'d [u8], pos: &mut usize, n: usize) -> Result<&'d [u8]> {
-    let end = pos.checked_add(n).filter(|&e| e <= data.len());
-    let end = end.ok_or_else(|| corrupt("truncated byte run"))?;
-    let out = &data[*pos..end];
-    *pos = end;
+    let out = pos.checked_add(n).and_then(|end| data.get(*pos..end));
+    let out = out.ok_or_else(|| corrupt("truncated byte run"))?;
+    *pos += n;
     Ok(out)
 }
 
@@ -218,18 +217,46 @@ pub(crate) fn write_columns<W: Write>(w: &mut W, row: &[Value], columns: &[usize
 
 /// Read a row.
 pub fn read_row(data: &[u8], pos: &mut usize) -> Result<Row> {
-    let n = read_u64(data, pos)?;
-    let n = usize::try_from(n).map_err(|_| corrupt("row length overflows usize"))?;
-    // Every value costs at least one tag byte; reject lengths the
-    // remaining input cannot possibly satisfy before allocating.
-    if n > data.len() - (*pos).min(data.len()) {
-        return Err(corrupt("row length exceeds remaining input"));
-    }
+    let n = read_row_len(data, pos)?;
     let mut row = Vec::with_capacity(n);
     for _ in 0..n {
         row.push(read_value(data, pos)?);
     }
     Ok(row)
+}
+
+/// Read a row into `row`, replacing what it held and reusing what it can:
+/// its allocation, and the buffer of each `Text` cell that decodes to text
+/// again. A reader that decodes row after row into one `Row` allocates
+/// only when a row is wider, or a text longer, than any before it. On an
+/// error `row` holds some mix of the old and new cells.
+pub fn read_row_into(data: &[u8], pos: &mut usize, row: &mut Row) -> Result<()> {
+    let n = read_row_len(data, pos)?;
+    row.truncate(n);
+    for at in 0..n {
+        let value = read_value_ref(data, pos)?;
+        match (row.get_mut(at), value) {
+            (Some(Value::Text(text)), ValueRef::Text(new)) => {
+                text.clear();
+                text.push_str(new);
+            }
+            (Some(cell), value) => *cell = value.to_value(),
+            (None, value) => row.push(value.to_value()),
+        }
+    }
+    Ok(())
+}
+
+/// A row's value count. Every value costs at least one tag byte, so a
+/// count the rest of the input cannot hold is refused before anything is
+/// sized by it.
+fn read_row_len(data: &[u8], pos: &mut usize) -> Result<usize> {
+    let n = read_u64(data, pos)?;
+    let n = usize::try_from(n).map_err(|_| corrupt("row length overflows usize"))?;
+    if n > data.len() - (*pos).min(data.len()) {
+        return Err(corrupt("row length exceeds remaining input"));
+    }
+    Ok(n)
 }
 
 // ---------------------------------------------------------------------
@@ -357,7 +384,9 @@ pub fn read_schema(data: &[u8], pos: &mut usize) -> Result<TableSchema> {
     }
     // Re-resolve key/index names through the validating constructor so a
     // corrupt schema (dup columns, nullable key, ...) is rejected here.
-    let key_names: Vec<String> = key.iter().map(|&k| columns[k].name.clone()).collect();
+    // Every key index was checked against `columns` above.
+    let key_names: Vec<String> =
+        key.iter().filter_map(|&k| columns.get(k)).map(|c| c.name.clone()).collect();
     let key_refs: Vec<&str> = key_names.iter().map(String::as_str).collect();
     let index_refs: Vec<&str> = indexes.iter().map(String::as_str).collect();
     TableSchema::new(&name, columns, &key_refs, &index_refs)
@@ -705,6 +734,35 @@ mod tests {
                     (Err(StorageError::Corrupt(_)), Err(StorageError::Corrupt(_))) => {}
                     (got, want) => prop_assert!(false, "borrowed {got:?}, decoded {want:?}"),
                 }
+            }
+        }
+
+        /// Rows of any arity decoded one after another into one row read
+        /// exactly as `read_row` reads each alone: no cell, text byte or
+        /// trailing value of an earlier row survives into a later one.
+        #[test]
+        fn prop_read_row_into_reads_each_row_as_read_row_does(
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, any::<i64>(), 0usize..24), 0..6),
+                1..12,
+            ),
+        ) {
+            let mut scratch = Row::new();
+            for cells in rows {
+                let row: Row = cells
+                    .into_iter()
+                    .map(|(tag, i, len)| match tag {
+                        0 => Value::Null,
+                        1 => Value::Int(i),
+                        _ => Value::Text("x".repeat(len)),
+                    })
+                    .collect();
+                let mut buf = Vec::new();
+                write_row(&mut buf, &row).unwrap();
+                let (into, alone) = (&mut 0, &mut 0);
+                read_row_into(&buf, into, &mut scratch).unwrap();
+                prop_assert_eq!(&scratch, &read_row(&buf, alone).unwrap());
+                prop_assert_eq!(*into, *alone);
             }
         }
 

@@ -155,12 +155,14 @@ impl Page {
 
     /// Payload bytes currently in use.
     pub fn payload(&self) -> &[u8] {
-        &self.image[PAGE_HEADER..PAGE_HEADER + self.len as usize]
+        // `len` never exceeds `PAGE_CAPACITY`: every writer keeps it, and
+        // a read refuses an image that claims more.
+        self.image.get(PAGE_HEADER..PAGE_HEADER + usize::from(self.len)).unwrap_or_default()
     }
 
     /// All [`PAGE_CAPACITY`] payload bytes, used or not.
     fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.image[PAGE_HEADER..]
+        self.image.get_mut(PAGE_HEADER..).unwrap_or_default()
     }
 
     /// Serialize into a `PAGE_SIZE` image, computing the checksum.
@@ -238,7 +240,7 @@ impl Page {
         match header {
             Ok(header) => {
                 (self.ptype, self.count, self.len, self.next) = header;
-                self.image[..PAGE_HEADER].fill(0);
+                self.image.get_mut(..PAGE_HEADER).unwrap_or_default().fill(0);
                 Ok(())
             }
             Err(e) => {
@@ -251,9 +253,12 @@ impl Page {
 
     /// Append payload bytes; returns how many fit.
     pub fn push(&mut self, bytes: &[u8]) -> usize {
-        let len = self.len as usize;
-        let n = (PAGE_CAPACITY - len).min(bytes.len());
-        self.data_mut()[len..len + n].copy_from_slice(&bytes[..n]);
+        let len = usize::from(self.len);
+        let free = self.data_mut().get_mut(len..).unwrap_or_default();
+        let n = free.len().min(bytes.len());
+        if let Some((to, from)) = free.get_mut(..n).zip(bytes.get(..n)) {
+            to.copy_from_slice(from);
+        }
         self.len += n as u16;
         n
     }
@@ -279,9 +284,13 @@ impl Page {
         let inserted_end = range.start + bytes.len();
         let data = self.data_mut();
         data.copy_within(range.end..len, inserted_end);
-        data[range.start..inserted_end].copy_from_slice(bytes);
-        if new_len < len {
-            data[new_len..len].fill(0);
+        // Both ranges lie inside the payload's capacity, checked above; a
+        // growth vacates nothing, and `new_len..len` is then no range.
+        if let Some(inserted) = data.get_mut(range.start..inserted_end) {
+            inserted.copy_from_slice(bytes);
+        }
+        if let Some(vacated) = data.get_mut(new_len..len) {
+            vacated.fill(0);
         }
         self.len = new_len as u16;
         true

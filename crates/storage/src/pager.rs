@@ -14,10 +14,11 @@
 //! - **buffer pool**: a fixed-capacity LRU of **shared frames**. A page is
 //!   read, checksummed and decoded once, when it enters the pool;
 //!   [`Pager::read_page`] then hands out the frame itself (`Arc<Page>`),
-//!   so a hit is one hash probe, a relink at the head of the recency list
-//!   and a reference-count bump, never a copy. A miss is one positioned
-//!   read straight into the bytes of the frame it lands in, and one
-//!   checksum over them where they lie — no buffer between, no copy, and
+//!   so a hit is one hash probe (a multiply of the page id, no SipHash), a
+//!   relink at the head of the recency list and a reference-count bump,
+//!   never a copy. A miss is one positioned read straight into the bytes
+//!   of the frame it lands in, and one checksum over them where they lie
+//!   — no buffer between, no copy, and
 //!   once the pool is full no allocation: the page a victim leaves behind,
 //!   when no reader holds it, is kept as the pool's spare, and the next
 //!   miss reads into it. (Not into the victim's own frame: a read that
@@ -52,6 +53,7 @@ use crate::faultfs::{BackendFile, StorageBackend};
 use crate::page::{le_u32, Page, PageType, NO_PAGE, PAGE_CAPACITY, PAGE_SIZE};
 use crate::Result;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -107,6 +109,42 @@ struct Slot {
     older: usize,
 }
 
+/// Hashes the pool's page ids: one multiply, no per-map key. SipHash, the
+/// map's default, defends against keys chosen to collide, at a price paid
+/// on every page read. The pool does not need it: its map never holds
+/// more than `capacity` ids, so even ids a damaged image chose to collide
+/// cost a probe no more than a look at every frame. The product's high
+/// half, in which every bit of the id is mixed, is rotated down to the
+/// low bits the map picks its bucket by, and the upper bits of its low
+/// half up to the top bits it tags entries with — so ids that differ only
+/// in their high bits, multiples of a power of two, spread over the
+/// buckets too.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+/// The golden-ratio multiplier: odd, with its bits spread evenly.
+const PAGE_ID_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.write_u64(id.into());
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = value.wrapping_mul(PAGE_ID_MULTIPLIER).rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Fixed-capacity LRU cache of shared page frames with dirty tracking.
 ///
 /// Recency is exact and kept as a list threaded through a slab of slots:
@@ -121,8 +159,9 @@ struct BufferPool {
     /// An unshared page no slot holds — the last victim's — for the next
     /// miss to read over.
     spare: Option<Arc<Page>>,
-    /// Page id → its slot.
-    index: HashMap<u32, usize>,
+    /// Page id → its slot. It never holds more than `capacity` ids, so a
+    /// probe's length is bounded by the pool's size whatever the ids are.
+    index: HashMap<u32, usize, BuildHasherDefault<PageIdHasher>>,
     /// The most recently used slot.
     head: usize,
     /// The least recently used slot: the next victim.
@@ -132,7 +171,7 @@ struct BufferPool {
 impl BufferPool {
     fn new(capacity: usize) -> BufferPool {
         let capacity = capacity.max(1);
-        let (slots, index) = (Vec::new(), HashMap::new());
+        let (slots, index) = (Vec::new(), HashMap::default());
         BufferPool { capacity, slots, spare: None, index, head: NIL, tail: NIL }
     }
 
@@ -591,7 +630,7 @@ impl ChainWriter {
         self.current.count += 1; // record *starts* in this page
         loop {
             let n = self.current.push(bytes);
-            bytes = &bytes[n..];
+            bytes = bytes.get(n..).unwrap_or_default();
             if bytes.is_empty() {
                 return Ok(());
             }
@@ -622,6 +661,18 @@ impl ChainWriter {
 /// [`StorageError::Corrupt`], however valid that page's checksum.
 pub fn read_chain(pager: &mut Pager, head: u32, ptype: PageType) -> Result<Vec<u8>> {
     let mut out = Vec::new();
+    read_chain_into(pager, head, ptype, &mut out)?;
+    Ok(out)
+}
+
+/// [`read_chain`] into `out`, replacing what it held.
+pub(crate) fn read_chain_into(
+    pager: &mut Pager,
+    head: u32,
+    ptype: PageType,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    out.clear();
     let mut id = head;
     let mut visited: u64 = 0;
     while id != NO_PAGE {
@@ -639,7 +690,7 @@ pub fn read_chain(pager: &mut Pager, head: u32, ptype: PageType) -> Result<Vec<u
         out.extend_from_slice(page.payload());
         id = page.next;
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -862,6 +913,85 @@ mod tests {
         let want: [&[u8]; 6] =
             [b"step 11step 13", b"step 1", b"step 10", b"step 15", b"", b"step 2"];
         assert_eq!(payloads, want.map(<[u8]>::to_vec));
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// Page ids that differ only in their high bits — `j << k`, for every
+    /// `k` up to 10 — through pools of one to four frames: over 10 000
+    /// reads, each one hits or misses exactly when a reference LRU says it
+    /// does, and the hit, miss and eviction counts are the reference's.
+    /// The ids' hashes also spread over the bucket bits a map picks by.
+    #[test]
+    fn page_ids_that_collide_in_their_low_bits_keep_the_pool_an_exact_lru() {
+        use std::hash::BuildHasher;
+        let ids: Vec<u32> = {
+            let set: std::collections::BTreeSet<u32> =
+                (0..=10).flat_map(|k| (1..=5u32).map(move |j| j << k)).collect();
+            set.into_iter().collect()
+        };
+        // 64 random hashes fill ~50 of 128 buckets; 64 equal ones, one.
+        let hasher = BuildHasherDefault::<PageIdHasher>::default();
+        for k in 0..=24 {
+            let hashes: Vec<u64> = (1..=64u32).map(|j| hasher.hash_one(j << k)).collect();
+            for (bits, of) in [("low", 0), ("top", 57)] {
+                let seven: std::collections::HashSet<u64> =
+                    hashes.iter().map(|hash| (hash >> of) & 127).collect();
+                assert!(seven.len() >= 40, "multiples of 2^{k}: {} {bits} sevens", seven.len());
+            }
+        }
+
+        let p = tmp("colliding-ids");
+        let mut pager = Pager::create(&RealBackend, &p, 4).unwrap();
+        let last = *ids.last().unwrap();
+        while pager.page_count() <= last {
+            pager.reserve().unwrap();
+        }
+        for &id in &ids {
+            let mut page = Page::new(PageType::Heap);
+            page.push(&id.to_le_bytes());
+            pager.put_page(id, page).unwrap();
+        }
+        pager.flush().unwrap();
+        drop(pager);
+
+        for capacity in 1..=4usize {
+            let mut pager = Pager::open(&RealBackend, &p, capacity).unwrap();
+            // Most recent first.
+            let mut lru: Vec<u32> = Vec::new();
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            let mut x = 0x5EED_0000 + capacity as u64;
+            for _ in 0..10_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                // Half the reads from a working set a little wider than the
+                // pool, so that both hits and misses are common.
+                let pick = (x >> 33) as usize;
+                let id =
+                    if x >> 63 == 0 { ids[pick % (capacity + 2)] } else { ids[pick % ids.len()] };
+                let hit = match lru.iter().position(|&held| held == id) {
+                    Some(at) => {
+                        lru.remove(at);
+                        true
+                    }
+                    None => false,
+                };
+                lru.insert(0, id);
+                lru.truncate(capacity);
+                want.push(hit);
+
+                let hits = pager.pool_stats().hits;
+                let page = pager.read_page(id).unwrap();
+                assert_eq!(page.payload(), id.to_le_bytes(), "page {id}");
+                got.push(pager.pool_stats().hits == hits + 1);
+            }
+            assert_eq!(got, want, "pool of {capacity}: hits and misses in order");
+            let hits = want.iter().filter(|&&hit| hit).count() as u64;
+            let misses = want.len() as u64 - hits;
+            let stats = pager.pool_stats();
+            assert!(hits > 1_000 && misses > 1_000, "pool of {capacity}: {stats:?}");
+            let counts = (stats.hits, stats.misses, stats.evictions);
+            assert_eq!(counts, (hits, misses, misses - capacity as u64), "pool of {capacity}");
+            assert_eq!(pager.cached_pages(), capacity);
+        }
         std::fs::remove_file(&p).unwrap();
     }
 

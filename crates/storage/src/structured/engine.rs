@@ -21,7 +21,6 @@ use crate::value::Value;
 use crate::wal::{Wal, WalTail};
 use crate::Result;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -556,11 +555,12 @@ impl Database {
             return Err(StorageError::NoSuchTx(tx));
         }
         let t = st.table(table)?;
+        let mut scratch = Row::new();
         let row = match t.lookup_pk(key)? {
-            Some(row_id) => t.effective_row(row_id)?,
+            Some(row_id) => t.effective_row(row_id, &mut scratch)?,
             None => None,
         };
-        row.map(Cow::into_owned).ok_or_else(|| not_found(table, key))
+        row.cloned().ok_or_else(|| not_found(table, key))
     }
 
     /// Replace the row at `key` with `row` (which may change the key).

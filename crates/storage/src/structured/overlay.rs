@@ -14,7 +14,6 @@ use crate::btree;
 use crate::error::StorageError;
 use crate::value::Value;
 use crate::Result;
-use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -201,16 +200,27 @@ impl Table {
         self.next_row = self.next_row.max(row_id.0 + 1);
     }
 
-    /// The live row under `row_id`: overlay first (borrowed), then
-    /// (unless tombstoned) the base image.
-    pub(super) fn effective_row(&self, row_id: RowId) -> Result<Option<Cow<'_, Row>>> {
+    /// The live row under `row_id`, lent: an overlay row from the overlay,
+    /// else (unless tombstoned) the base image's, decoded into `scratch`
+    /// (see [`TableBase::get_row_into`]). A reader that fetches many rows
+    /// passes the same `scratch` each time.
+    pub(super) fn effective_row<'a>(
+        &'a self,
+        row_id: RowId,
+        scratch: &'a mut Row,
+    ) -> Result<Option<&'a Row>> {
         if let Some(r) = self.heap.get(&row_id) {
-            return Ok(Some(Cow::Borrowed(r)));
+            return Ok(Some(r));
         }
         if self.tombstones.contains_key(&row_id) {
             return Ok(None);
         }
-        Ok(self.base_row(row_id)?.map(Cow::Owned))
+        match &self.base {
+            Some(b) if row_id.0 < b.meta.next_row => {
+                Ok(b.get_row_into(row_id, scratch)?.then_some(&*scratch))
+            }
+            _ => Ok(None),
+        }
     }
 
     /// Is base row `id` hidden by the overlay — rewritten or deleted since

@@ -90,11 +90,12 @@ impl CheckpointImage {
     }
 
     /// `cursor`'s next entry, read under the pager lock for this one step
-    /// only. A merge that hands each entry to a callback steps through
-    /// here, so a checkpoint build pushing into (and writing out) the
-    /// next image never keeps readers of this one waiting.
-    fn step(&self, cursor: &mut Cursor) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        cursor.next(&mut self.pager.lock())
+    /// only and lent from the leaf the cursor holds ([`Cursor::advance`]).
+    /// A merge that hands each entry to a callback steps through here, so
+    /// a checkpoint build pushing into (and writing out) the next image
+    /// never keeps readers of this one waiting.
+    fn step<'c>(&self, cursor: &'c mut Cursor) -> Result<Option<(&'c [u8], &'c [u8])>> {
+        cursor.advance(&mut self.pager.lock())
     }
 }
 
@@ -133,15 +134,24 @@ pub(crate) struct TableBase {
 impl TableBase {
     /// Point lookup in the row tree.
     pub(crate) fn get_row(&self, id: RowId) -> Result<Option<Row>> {
+        let mut row = Row::new();
+        Ok(self.get_row_into(id, &mut row)?.then_some(row))
+    }
+
+    /// Point lookup in the row tree, decoded into `row` (see
+    /// [`codec::read_row_into`]) straight from the leaf the value lies in.
+    /// Returns whether the row exists; `row` is left as it was if not.
+    pub(crate) fn get_row_into(&self, id: RowId, row: &mut Row) -> Result<bool> {
         if self.meta.row_root == NO_PAGE {
-            return Ok(None);
+            return Ok(false);
         }
-        let mut pg = self.image.pager.lock();
+        let mut key = [0; btree::MAX_ROW_KEY];
+        let key = btree::row_key_in(&mut key, id.0)?;
         let tree = BTree::open(self.meta.row_root, KeyOrder::RowId);
-        match tree.lookup(&mut pg, &btree::row_key(id.0))? {
-            Some(bytes) => Ok(Some(decode_base_row(&bytes)?)),
-            None => Ok(None),
-        }
+        let found = tree.lookup_with(&mut self.image.pager.lock(), key, |bytes| {
+            decode_base_row_into(bytes, row)
+        })?;
+        Ok(found.is_some())
     }
 
     /// Point lookup in the primary-key tree of a key encoded as by
@@ -159,14 +169,14 @@ impl TableBase {
     }
 }
 
-/// Decode a row-tree value, rejecting trailing bytes.
-fn decode_base_row(bytes: &[u8]) -> Result<Row> {
+/// Decode a row-tree value into `row`, rejecting trailing bytes.
+fn decode_base_row_into(bytes: &[u8], row: &mut Row) -> Result<()> {
     let pos = &mut 0usize;
-    let row = codec::read_row(bytes, pos)?;
+    codec::read_row_into(bytes, pos, row)?;
     if *pos != bytes.len() {
         return Err(StorageError::Corrupt("base row value has trailing bytes".into()));
     }
-    Ok(row)
+    Ok(())
 }
 
 /// Decode a pk-tree value (a row id), rejecting trailing bytes.
@@ -274,8 +284,10 @@ pub(crate) fn decode_directory_v2(dir: &[u8]) -> Result<Vec<DirectoryEntry>> {
 /// Stream every live row in row-id order: the base image's row tree
 /// merged with the overlay, which is already in that order. Overlay rows
 /// shadow base rows with the same id; tombstoned base rows are skipped.
-/// Base pages fault through the image's buffer pool, so peak memory is
-/// one row plus the pool — never the table.
+/// Base pages fault through the image's buffer pool, and every base row is
+/// decoded into one scratch row lent to `f`, so peak memory is one row
+/// plus the pool — never the table — and a base row allocates nothing
+/// once the scratch row has grown to fit.
 pub(crate) fn for_each_live_row(
     base: Option<&TableBase>,
     overlay: &PMap<RowId, Row>,
@@ -283,11 +295,12 @@ pub(crate) fn for_each_live_row(
     f: &mut dyn FnMut(RowId, &Row) -> Result<()>,
 ) -> Result<()> {
     let mut overlay = overlay.iter().peekable();
+    let mut row = Row::new();
     if let Some(b) = base.filter(|b| b.meta.row_root != NO_PAGE) {
         let tree = BTree::open(b.meta.row_root, KeyOrder::RowId);
         let mut cur = tree.cursor_first(&mut b.image.pager.lock())?;
         while let Some((k, v)) = b.image.step(&mut cur)? {
-            let id = RowId(btree::decode_row_key(&k)?);
+            let id = RowId(btree::decode_row_key(k)?);
             while let Some((oid, row)) = overlay.next_if(|(oid, _)| **oid < id) {
                 f(*oid, row)?;
             }
@@ -298,7 +311,7 @@ pub(crate) fn for_each_live_row(
             if tombstones.contains_key(&id) {
                 continue;
             }
-            let row = decode_base_row(&v)?;
+            decode_base_row_into(v, &mut row)?;
             f(id, &row)?;
         }
     }
@@ -331,7 +344,7 @@ pub(crate) fn for_each_index_entry(
             None => tree.cursor_first(&mut b.image.pager.lock())?,
         };
         while let Some((k, _)) = b.image.step(&mut cur)? {
-            let (val, rid) = btree::decode_index_key(&k)?;
+            let (val, rid) = btree::decode_index_key(k)?;
             if hi.is_some_and(|hi| &val > hi) {
                 break;
             }
@@ -435,22 +448,26 @@ fn build_pk_tree(
         }
         None => None,
     };
+    // The next base entry still live, copied out of the image's leaf.
+    let (mut kept_key, mut kept_val) = (Vec::new(), Vec::new());
     loop {
-        // The next base entry still live, or `None` once the base is spent.
-        let mut kept = None;
+        // Whether there is one, or the base is spent.
+        let mut kept = false;
         if let Some((image, cursor)) = &mut base_entries {
             while let Some((k, v)) = image.step(cursor)? {
-                if !shadowed(decode_row_id(&v)?) {
-                    kept = Some((k, v));
+                if !shadowed(decode_row_id(v)?) {
+                    kept_key.clear();
+                    kept_key.extend_from_slice(k);
+                    kept_val.clear();
+                    kept_val.extend_from_slice(v);
+                    kept = true;
                     break;
                 }
             }
         }
         while let Some(id) = head {
-            let before_base = match &kept {
-                Some((k, _)) => KeyOrder::PkValues.compare(key, k)? == std::cmp::Ordering::Less,
-                None => true,
-            };
+            let before_base =
+                !kept || KeyOrder::PkValues.compare(key, &kept_key)? == std::cmp::Ordering::Less;
             if !before_base {
                 break;
             }
@@ -459,8 +476,10 @@ fn build_pk_tree(
             tree.push(pager, key, val)?;
             head = advance(key)?;
         }
-        let Some((k, v)) = kept else { break };
-        tree.push(pager, &k, &v)?;
+        if !kept {
+            break;
+        }
+        tree.push(pager, &kept_key, &kept_val)?;
     }
     Ok(tree.finish(pager)?.root())
 }

@@ -100,9 +100,10 @@ impl TableView {
     /// Hand every candidate row `access` reaches to `f`, borrowed, and
     /// return how many there were — the query planner's table-access
     /// primitive. Nothing is copied for the caller: an overlay row is lent
-    /// from the view, and a base row is lent from the copy decoded to read
-    /// it, which is dropped once `f` returns, so `f` must clone whatever
-    /// it keeps.
+    /// from the view, and a base row from one scratch row the walk decodes
+    /// every base row into, straight from the leaf that holds it — so `f`
+    /// must clone whatever it keeps, and a base row costs no allocation
+    /// once the scratch row has grown to fit.
     ///
     /// Rows arrive in row-id (insertion) order for every access path, so
     /// an index- or key-routed read is bit-identical — including order —
@@ -129,16 +130,17 @@ impl TableView {
                 })?;
                 // Row-id order = full-scan order.
                 row_ids.sort_unstable();
+                let mut scratch = Row::new();
                 for row_id in row_ids {
-                    if let Some(row) = self.0.effective_row(row_id)? {
-                        visit(&row)?;
+                    if let Some(row) = self.0.effective_row(row_id, &mut scratch)? {
+                        visit(row)?;
                     }
                 }
             }
             ScanAccess::Pk { key } => {
                 if let Some(row_id) = self.0.lookup_pk(key)? {
-                    if let Some(row) = self.0.effective_row(row_id)? {
-                        visit(&row)?;
+                    if let Some(row) = self.0.effective_row(row_id, &mut Row::new())? {
+                        visit(row)?;
                     }
                 }
             }
@@ -186,11 +188,11 @@ impl TableView {
             row_ids[run_start..].reverse();
             row_ids.reverse();
         }
-        let mut fetched = 0usize;
+        let (mut fetched, mut scratch) = (0usize, Row::new());
         for row_id in row_ids {
-            if let Some(row) = self.0.effective_row(row_id)? {
+            if let Some(row) = self.0.effective_row(row_id, &mut scratch)? {
                 fetched += 1;
-                if f(&row)?.is_break() {
+                if f(row)?.is_break() {
                     break;
                 }
             }

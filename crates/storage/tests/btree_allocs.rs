@@ -9,12 +9,20 @@
 //! A pool miss owes one allocation, its node's offset table: the page is
 //! read into the allocation an unshared victim left behind.
 //!
+//! Reads that lend instead of copying owe nothing else: a lending lookup
+//! (`BTree::lookup_with`) and a cursor step (`Cursor::advance`) on resident
+//! nodes allocate nothing, and a window of base rows read through a table
+//! view allocates per miss and not per row.
+//!
 //! Its own test binary because of the `#[global_allocator]`, and outside
 //! the crate because the library forbids `unsafe`.
 
-use quarry_storage::btree::{row_key, Builder};
+use quarry_storage::btree::{decode_row_key, row_key, Builder};
 use quarry_storage::page::{Page, PageType};
-use quarry_storage::{codec, BTree, KeyOrder, Pager, RealBackend, StorageError};
+use quarry_storage::{
+    codec, BTree, Column, DataType, Database, KeyOrder, Pager, RealBackend, ScanAccess,
+    StorageError, TableSchema, Value,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -235,4 +243,132 @@ fn a_build_allocates_per_page_and_nothing_per_entry() {
         "{allocations} allocations building {entries} entries into {pages} pages"
     );
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Lending reads on resident nodes allocate nothing at all: a lookup whose
+/// value is read where it lies, a lookup that misses in its leaf, and a
+/// cursor stepping across a few hundred leaves. Cold, a lending lookup owes
+/// exactly one offset table a miss.
+#[test]
+fn lending_reads_allocate_nothing_but_a_table_a_miss() {
+    let path = tmp("lending");
+    let mut pg = Pager::create(&RealBackend, &path, POOL).unwrap();
+    let mut tree = BTree::create(&mut pg, KeyOrder::RowId).unwrap();
+    for i in 0..ROWS {
+        tree.insert(&mut pg, &row_key(BASE + 2 * i), &[i as u8; 1_000]).unwrap();
+    }
+    for i in 0..ROWS {
+        assert!(tree.lookup(&mut pg, &row_key(BASE + 2 * i)).unwrap().is_some());
+    }
+    let resident = pg.pool_stats().misses;
+    let first_byte = |value: &[u8]| Ok((value.len(), value.first().copied()));
+    for i in (0..ROWS).step_by(13) {
+        let key = row_key(BASE + 2 * i);
+        let (found, allocations, _) =
+            counted(|| tree.lookup_with(&mut pg, &key, first_byte).unwrap());
+        assert_eq!((found, allocations), (Some((1_000, Some(i as u8))), 0), "row {i}");
+        let absent = row_key(BASE + 2 * i + 1);
+        let (missing, allocations, _) =
+            counted(|| tree.lookup_with(&mut pg, &absent, first_byte).unwrap());
+        assert_eq!((missing, allocations), (None, 0), "row {i} + 1");
+    }
+    let mut cursor = tree.cursor_seek(&mut pg, &row_key(BASE + 700)).unwrap();
+    for i in 350..1_350 {
+        let (entry, allocations, _) = counted(|| {
+            let entry = cursor.advance(&mut pg).unwrap();
+            entry.map(|(key, value)| (decode_row_key(key).unwrap(), value.len()))
+        });
+        assert_eq!(allocations, 0, "Cursor::advance at row {i}");
+        assert_eq!(entry, Some((BASE + 2 * i, 1_000)));
+    }
+    assert_eq!(pg.pool_stats().misses, resident, "nothing above went to the file");
+
+    pg.set_root(tree.root());
+    pg.flush().unwrap();
+    drop((pg, cursor));
+    let mut pg = Pager::open(&RealBackend, &path, 2).unwrap();
+    let tree = BTree::open(pg.root(), KeyOrder::RowId);
+    tree.lookup_with(&mut pg, &row_key(BASE), first_byte).unwrap();
+    for i in (1..ROWS).step_by(131) {
+        let (before, key) = (pg.pool_stats().misses, row_key(BASE + 2 * i));
+        let (found, allocations, _) =
+            counted(|| tree.lookup_with(&mut pg, &key, first_byte).unwrap());
+        assert!(found.is_some());
+        let misses = pg.pool_stats().misses - before;
+        assert!(misses >= 1, "a two-frame pool cannot hold a three-level path");
+        assert_eq!(allocations, misses, "{allocations} allocations for {misses} misses");
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Rows of the reopened image below: far more pages than its pool holds.
+const WINDOW_ROWS: i64 = 8_000;
+/// Width of the value window read from it.
+const WINDOW: i64 = 400;
+/// What a window may allocate besides one offset table a miss, however
+/// wide it is: the index probe's key, the doublings of the row-id list,
+/// and the scratch row growing to fit the widest row (12 measured).
+const WINDOW_BOUND: u64 = 24;
+
+/// A `cold_range`-shaped read: a reopened checkpoint image many times its
+/// buffer pool, a `readings` table indexed on `value`, and a 400-wide value
+/// window read through `TableView::for_each_row` by index range. Every
+/// base row is decoded into one scratch row straight from its leaf, so
+/// the window allocates one offset table a miss and a constant besides:
+/// ~100 allocations for ~90 misses. Materializing each row — its index
+/// key copied off the cursor, its lookup key, its value copied out of the
+/// leaf, the row and its two texts — made ~2 500.
+#[test]
+fn a_window_of_base_rows_allocates_per_miss_not_per_row() {
+    let dir = std::env::temp_dir().join("quarry-btree-allocs");
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join(format!("window-{}.wal", std::process::id()));
+    let image = wal.with_extension("ckpt");
+    let _ = (std::fs::remove_file(&wal), std::fs::remove_file(&image));
+    {
+        let db = Database::open(&wal).unwrap();
+        let columns = vec![
+            Column::new("id", DataType::Int),
+            Column::new("station", DataType::Text),
+            Column::new("value", DataType::Int),
+            Column::new("note", DataType::Text),
+        ];
+        let schema = TableSchema::new("readings", columns, &["id"], &["value"]).unwrap();
+        db.create_table(schema).unwrap();
+        let rows = (0..WINDOW_ROWS).map(|id| {
+            let station = format!("station-{}", id % 97);
+            let note = format!("{id:>48}");
+            vec![Value::Int(id), station.into(), Value::Int(id * 7_919 % WINDOW_ROWS), note.into()]
+        });
+        db.in_tx(|tx| db.insert_rows(tx, "readings", rows).map(drop)).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let db = Database::open(&wal).unwrap();
+    let snapshot = db.snapshot();
+    let view = snapshot.table("readings").unwrap();
+    // The first window fills the pool, whose first frames and map are new;
+    // the two after it read through a full one.
+    for (lo, measured) in [(3_000, false), (1_000, true), (5_000, true)] {
+        let (lo, hi) = (Value::Int(lo), Value::Int(lo + WINDOW - 1));
+        let access = ScanAccess::Index { column: "value", lo: Some(&lo), hi: Some(&hi) };
+        let mut notes = 0usize;
+        let before = db.image_pool_stats().unwrap();
+        let (read, allocations, _) = counted(|| {
+            view.for_each_row(access, &mut |row| {
+                notes += usize::from(matches!(&row[3], Value::Text(note) if note.len() == 48));
+                Ok(())
+            })
+        });
+        let after = db.image_pool_stats().unwrap();
+        assert_eq!((read.unwrap(), notes), (WINDOW as usize, WINDOW as usize), "window at {lo}");
+        let misses = after.misses - before.misses;
+        assert!(misses > 50 && after.evictions > before.evictions, "a cold read: {after:?}");
+        assert!(
+            !measured || allocations <= misses + WINDOW_BOUND,
+            "window at {lo}: {allocations} allocations for {misses} misses and {WINDOW} rows"
+        );
+    }
+    drop((snapshot, db));
+    std::fs::remove_file(&wal).unwrap();
+    std::fs::remove_file(&image).unwrap();
 }
