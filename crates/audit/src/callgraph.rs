@@ -6,7 +6,11 @@
 //! also "reaches" every workspace `get` — because for a safety audit the
 //! cheap failure mode must be a false *positive* (a finding you then
 //! `allow` with a reason or baseline), never a panic site silently
-//! considered unreachable. The under-approximations that remain are
+//! considered unreachable. A call through a type path, `Row::new(...)` or
+//! `Self::new(...)`, names its type, so it reaches only the functions
+//! qualified `Row::new`; only when the workspace has none (a std type, a
+//! trait's provided method, a type parameter) does it fall back to every
+//! `new`. The under-approximations that remain are
 //! dynamic dispatch through non-method paths (function pointers stored in
 //! collections) and macros that synthesize calls; both are rare in this
 //! workspace and covered by the rule fixtures.
@@ -25,6 +29,8 @@ pub type FnId = (usize, usize);
 pub struct CallGraph {
     /// Bare name → all functions carrying it.
     by_name: HashMap<String, Vec<FnId>>,
+    /// Impl-qualified name (`Row::new`) → all functions carrying it.
+    by_qual: HashMap<String, Vec<FnId>>,
     /// Functions reachable from the serve roots (non-test only).
     reachable: HashSet<FnId>,
 }
@@ -32,16 +38,18 @@ pub struct CallGraph {
 impl CallGraph {
     /// Build the graph and compute serve-reachability over `files`.
     pub fn build(files: &[SourceFile]) -> CallGraph {
-        let mut by_name: HashMap<String, Vec<FnId>> = HashMap::new();
+        let (mut by_name, mut by_qual) = (HashMap::new(), HashMap::new());
         for (fi, file) in files.iter().enumerate() {
             for (ii, item) in file.fns.iter().enumerate() {
                 if !item.is_test {
-                    by_name.entry(item.name.clone()).or_default().push((fi, ii));
+                    by_name.entry(item.name.clone()).or_insert_with(Vec::new).push((fi, ii));
+                    by_qual.entry(item.qual.clone()).or_insert_with(Vec::new).push((fi, ii));
                 }
             }
         }
-
+        let mut graph = CallGraph { by_name, by_qual, reachable: HashSet::new() };
         let mut reachable: HashSet<FnId> = HashSet::new();
+
         let mut queue: VecDeque<FnId> = VecDeque::new();
         for (fi, file) in files.iter().enumerate() {
             if file.crate_name != "serve" {
@@ -55,16 +63,15 @@ impl CallGraph {
         }
         while let Some((fi, ii)) = queue.pop_front() {
             for (callee, _) in &files[fi].fns[ii].calls {
-                if let Some(targets) = by_name.get(callee) {
-                    for &t in targets {
-                        if reachable.insert(t) {
-                            queue.push_back(t);
-                        }
+                for &t in graph.named(callee) {
+                    if reachable.insert(t) {
+                        queue.push_back(t);
                     }
                 }
             }
         }
-        CallGraph { by_name, reachable }
+        graph.reachable = reachable;
+        graph
     }
 
     /// True when `id` is transitively callable from the serve roots.
@@ -72,9 +79,13 @@ impl CallGraph {
         self.reachable.contains(&id)
     }
 
-    /// All functions named `name` (non-test), for one-hop rule lookups.
-    pub fn named(&self, name: &str) -> &[FnId] {
-        self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
+    /// The non-test functions a callee (as `FnItem::calls` records it) may
+    /// be: those qualified `Type::f` when the workspace has any, else every
+    /// function named `f`.
+    pub fn named(&self, callee: &str) -> &[FnId] {
+        let bare = callee.rsplit("::").next().unwrap_or(callee);
+        let ids = self.by_qual.get(callee).filter(|_| bare != callee);
+        ids.or_else(|| self.by_name.get(bare)).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Number of reachable functions (used by the CLI summary).

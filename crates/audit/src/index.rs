@@ -32,8 +32,9 @@ pub struct FnItem {
     pub body: (usize, usize),
     /// True for `#[test]` fns and anything inside a `#[cfg(test)]` mod.
     pub is_test: bool,
-    /// Callee names appearing in the body, with the code-token index of
-    /// each call site, in source order.
+    /// Callees named in the body, with the code-token index of each call
+    /// site, in source order: `Type::f` for a call through a type path
+    /// (`Self` read as the impl type), else the bare name `f`.
     pub calls: Vec<(String, usize)>,
 }
 
@@ -211,11 +212,12 @@ impl Indexer {
             j += 1;
         }
 
-        let qual = match self.impl_types.last() {
+        let self_ty = self.impl_types.last().map(String::as_str);
+        let qual = match self_ty {
             Some(ty) => format!("{ty}::{name}"),
             None => name.clone(),
         };
-        let calls = collect_calls(file, body.0, body.1);
+        let calls = collect_calls(file, body.0, body.1, self_ty);
         fns.push(FnItem { name, qual, name_span, body, is_test, calls });
 
         // Recurse into the body for nested fns / test mods.
@@ -390,10 +392,17 @@ fn match_delim(file: &SourceFile, open: usize, to: usize, od: char, cd: char) ->
     to.saturating_sub(1)
 }
 
-/// Callee names in a body: `name(...)` free calls, `.name(...)` method
-/// calls, and `Path::name(...)` — always the ident directly before the
-/// `(`. Macro bangs (`panic!(`) are *not* calls; QA101 handles them.
-fn collect_calls(file: &SourceFile, from: usize, to: usize) -> Vec<(String, usize)> {
+/// Callees in a body: `name(...)` free calls, `.name(...)` method calls,
+/// and `Path::name(...)` — always the ident directly before the `(`. A
+/// path whose last segment is a type (`Row::new(`, capitalised) or `Self`
+/// keeps that type: `Row::new`, `Self` read as `self_ty`. Macro bangs
+/// (`panic!(`) are *not* calls; QA101 handles them.
+fn collect_calls(
+    file: &SourceFile,
+    from: usize,
+    to: usize,
+    self_ty: Option<&str>,
+) -> Vec<(String, usize)> {
     let mut out = Vec::new();
     for i in from..to {
         let Some(t) = file.ct(i) else { continue };
@@ -408,7 +417,18 @@ fn collect_calls(file: &SourceFile, from: usize, to: usize) -> Vec<(String, usiz
         if i > from && file.ct(i - 1).is_some_and(|p| p.is_ident("fn")) {
             continue;
         }
-        out.push((t.text.clone(), i));
+        let path = i >= from + 3
+            && file.ct(i - 1).is_some_and(|p| p.is_punct(':'))
+            && file.ct(i - 2).is_some_and(|p| p.is_punct(':'));
+        let qualifier = if path { file.ct(i - 3) } else { None };
+        let ty = qualifier.and_then(|q| match q.text.as_str() {
+            "Self" => self_ty,
+            ty if q.kind == TokKind::Ident && ty.starts_with(|c: char| c.is_ascii_uppercase()) => {
+                Some(ty)
+            }
+            _ => None,
+        });
+        out.push((ty.map_or_else(|| t.text.clone(), |ty| format!("{ty}::{}", t.text)), i));
     }
     out
 }
@@ -460,6 +480,16 @@ mod tests {
         let alpha = f.fns.iter().find(|i| i.name == "alpha").unwrap();
         let callees: Vec<&str> = alpha.calls.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(callees, ["beta", "helper"]);
+    }
+
+    #[test]
+    fn calls_through_a_type_path_keep_the_type() {
+        let f = SourceFile::parse(
+            "crates/demo/src/lib.rs",
+            "impl Quarry { fn open() { Row::new(); Self::new(); rules::extract(); x.new(); new(); } }",
+        );
+        let callees: Vec<&str> = f.fns[0].calls.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(callees, ["Row::new", "Quarry::new", "extract", "new", "new"]);
     }
 
     #[test]

@@ -57,6 +57,25 @@ fn qa100_and_qa105_allow_hygiene_render() {
     golden("qa100_allows.rs", "crates/serve/src/session.rs", "qa100.txt");
 }
 
+/// A `Row::new()` under a `pager` guard reaches `Row::new` only, not
+/// every `new`; `Quarry::new()` and `Self::new()` inside `impl Quarry`
+/// still reach the `docs` acquisition and fail.
+#[test]
+fn qa102_resolves_type_paths_to_that_type() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(root.join("tests/fixtures/qa102_paths.rs")).unwrap();
+    let manifest = Manifest::parse("order = [\"docs\", \"pager\"]").unwrap();
+    let out = audit_sources(vec![("crates/storage/src/paged.rs".to_string(), src)], &manifest);
+    let mut found: Vec<&str> = out
+        .findings
+        .iter()
+        .filter(|f| f.code == codes::LOCK_ORDER)
+        .map(|f| f.diagnostic.message.split('`').nth(1).unwrap())
+        .collect();
+    found.sort_unstable();
+    assert_eq!(found, ["Quarry::reopen", "opens_a_facade"], "{:#?}", out.findings);
+}
+
 /// The seeded Mutex<Quarry> fixture must fail the audit the way the old
 /// `! grep` CI step failed the build — but only via real code, not the
 /// string literal bait.

@@ -2,54 +2,68 @@
 //! blueprint runs them as "Map-Reduce-like processes" on a cluster, which
 //! must also survive worker failures by re-execution.
 //!
-//! The job: full IE over every document on `quarry_exec::ExecPool`, the
-//! engine every served pipeline runs on — the `extract/fan-out` map, then
-//! the stable-equivalent sort and `dedup_sorted`, as `extract_all_with`
-//! does. Swept: worker count (NOTE: this machine's core count bounds real
-//! speedup; the fault-injection half is hardware-independent) and the
-//! share of tasks whose first attempt panics after doing its work, drawn
-//! from a seeded RNG. The pool discards that attempt and re-executes the
-//! task. Every output must equal the sequential `extract_all`.
+//! The job: full IE over every document through `quarry_lang::extract`,
+//! the driver every served `EXTRACT` runs, on `quarry_exec::ExecPool`. One
+//! registered operator runs the registry's `infobox` then `rules` over a
+//! document, so a task is a document; then the pool's stable sort and
+//! `dedup_sorted`. Swept: worker count (NOTE: this machine's core count
+//! bounds real speedup; the fault-injection half is hardware-independent)
+//! and the share of tasks whose first attempt panics after doing its
+//! work, drawn from a seeded RNG. The pool discards that attempt and
+//! re-executes the task. Every output must equal the sequential run of
+//! `infobox, rules`.
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 
 use quarry_bench::{banner, f1, timed, Table};
 use quarry_corpus::{Corpus, CorpusConfig, Document};
 use quarry_exec::{ExecPool, ExecReport};
-use quarry_extract::model::{dedup_order, dedup_sorted};
-use quarry_extract::{extract_all, Extraction, ExtractorSet};
+use quarry_extract::{infobox, rules, Extraction};
+use quarry_lang::registry::Produces;
+use quarry_lang::{extract, ExecStats, ExtractionCache, ExtractorRegistry};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Payload of an injected failure; the panic hook stays quiet for it.
 const INJECTED: &str = "e6: injected task failure";
 
-/// `extract_all_with`'s job on `pool`, where the first attempt of task `i`
-/// panics when `doomed[i]`. Returns the output, the attempts the closure
-/// saw, and the re-executions the pool reported.
-fn run(
+/// The operator one task runs: `infobox` then the standard prose `rules`,
+/// what the standard registry's two operators of those names run.
+const OPERATOR: &str = "infobox+rules";
+
+/// Run `names` from `registry` over `docs` on `pool`, with a fresh cache.
+fn extract_with(
+    registry: &ExtractorRegistry,
+    names: &[&str],
     docs: &[Document],
-    set: &ExtractorSet,
     pool: &ExecPool,
-    doomed: &[bool],
-) -> (Vec<Extraction>, usize, usize) {
-    let attempts: Vec<AtomicUsize> = docs.iter().map(|_| AtomicUsize::new(0)).collect();
+    report: &mut ExecReport,
+) -> Vec<Extraction> {
+    let (cache, mut stats) = (ExtractionCache::default(), ExecStats::default());
+    extract(registry, names, docs, pool, &cache, report, &mut stats).expect("registered operators")
+}
+
+/// The job on `pool`, where the first attempt of the task for document
+/// `i` panics when `doomed[i]`. Returns the output, the attempts the
+/// operator saw, and the re-executions the pool reported.
+fn job(docs: &[Document], pool: &ExecPool, doomed: &[bool]) -> (Vec<Extraction>, usize, usize) {
+    let attempts: Arc<Vec<AtomicUsize>> =
+        Arc::new(docs.iter().map(|_| AtomicUsize::new(0)).collect());
+    let (seen, doomed, prose) = (Arc::clone(&attempts), doomed.to_vec(), rules::standard_rules());
+    let mut registry = ExtractorRegistry::new();
+    registry.register(OPERATOR, Produces::Any, 6.0, move |doc| {
+        let mut out = infobox::extract(doc);
+        out.extend(rules::extract(doc, &prose));
+        let i = doc.id.index();
+        if seen[i].fetch_add(1, Relaxed) == 0 && doomed[i] {
+            panic::panic_any(INJECTED);
+        }
+        out
+    });
     let mut report = ExecReport::new();
-    let per_doc = pool.map(
-        "extract/fan-out",
-        docs,
-        |i, doc| {
-            let out = set.extract_doc(doc);
-            if attempts[i].fetch_add(1, Relaxed) == 0 && doomed[i] {
-                panic::panic_any(INJECTED);
-            }
-            out
-        },
-        &mut report,
-    );
-    let raw = per_doc.into_iter().flatten().collect();
-    let out = dedup_sorted(pool.sort_by("extract/dedup-sort", raw, dedup_order, &mut report));
-    let retries = report.stage("extract/fan-out").map_or(0, |s| s.retries);
+    let out = extract_with(&registry, &[OPERATOR], docs, pool, &mut report);
+    let retries = report.stage(&format!("exec/extract:{OPERATOR}")).map_or(0, |s| s.retries);
     (out, attempts.iter().map(|a| a.load(Relaxed)).sum(), retries)
 }
 
@@ -70,18 +84,20 @@ fn main() {
 
     let corpus =
         Corpus::generate(&CorpusConfig { seed: 6, n_cities: 150, ..CorpusConfig::default() });
-    let (docs, set) = (&corpus.docs, ExtractorSet::standard());
-    let reference = extract_all(&corpus, &set);
+    let docs = &corpus.docs;
+    let (standard, sequential) = (ExtractorRegistry::standard(), ExecPool::sequential());
+    let reference =
+        extract_with(&standard, &["infobox", "rules"], docs, &sequential, &mut ExecReport::new());
 
     // --- Worker sweep, no faults. ------------------------------------------
     let mut table = Table::new(&["workers", "wall ms", "map attempts", "extractions"]);
     for workers in [1usize, 2, 4, 8] {
         let pool = ExecPool::new(workers);
-        let ((out, attempts, _), ms) = timed(|| run(docs, &set, &pool, &vec![false; docs.len()]));
+        let ((out, attempts, _), ms) = timed(|| job(docs, &pool, &vec![false; docs.len()]));
         assert_eq!(out, reference, "worker count changed the answer!");
         table.row(&[workers.to_string(), f1(ms), attempts.to_string(), out.len().to_string()]);
     }
-    println!("worker sweep on ExecPool (output equal to sequential extract_all at every width):");
+    println!("worker sweep on ExecPool (output equal to the sequential run at every width):");
     table.print();
 
     // --- Fault injection sweep. --------------------------------------------
@@ -90,7 +106,7 @@ fn main() {
     for rate in [0.0, 0.1, 0.3, 0.5] {
         let mut rng = StdRng::seed_from_u64(66);
         let doomed: Vec<bool> = docs.iter().map(|_| rng.gen_bool(rate)).collect();
-        let ((out, attempts, failures), ms) = timed(|| run(docs, &set, &ExecPool::new(4), &doomed));
+        let ((out, attempts, failures), ms) = timed(|| job(docs, &ExecPool::new(4), &doomed));
         let exact = out == reference;
         table.row(&[
             format!("{:.0}%", rate * 100.0),

@@ -17,8 +17,10 @@
 use quarry_bench::{banner, f3, timed, Table};
 use quarry_core::{Quarry, QuarryConfig};
 use quarry_corpus::{Corpus, CorpusConfig};
-use quarry_extract::{eval, extract_all, ExtractorSet};
+use quarry_exec::{ExecPool, ExecReport};
+use quarry_extract::eval;
 use quarry_lang::provenance::{Source, TABLE};
+use quarry_lang::{extract, ExecStats, ExtractionCache, ExtractorRegistry};
 use quarry_storage::Value;
 use quarry_uncertainty::prob::CalibrationReport;
 
@@ -99,7 +101,12 @@ fn main() {
     println!("\nsample explanation:\n{}\n", snap.explain("cities", &[sample]).unwrap());
 
     // --- (c) confidence calibration. ----------------------------------------
-    let exts = extract_all(&corpus, &ExtractorSet::standard());
+    let (registry, pool, cache) =
+        (ExtractorRegistry::standard(), ExecPool::sequential(), ExtractionCache::default());
+    let (mut report, mut stats) = (ExecReport::new(), ExecStats::default());
+    let names = ["infobox", "rules"];
+    let exts = extract(&registry, &names, &corpus.docs, &pool, &cache, &mut report, &mut stats)
+        .expect("standard operators");
     let truth_pairs = eval::truth_pairs(&corpus.truth);
     let predictions: Vec<(f64, bool)> = exts
         .iter()

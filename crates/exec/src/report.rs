@@ -7,7 +7,7 @@ use std::time::Duration;
 /// Timing and scheduling facts for one parallel (or inlined) stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
-    /// Stage label, e.g. `"extract/fan-out"`.
+    /// Stage label, e.g. `"exec/extract:infobox"`.
     pub stage: String,
     /// Number of input items processed.
     pub items: usize,

@@ -18,7 +18,7 @@ pub const NAME: &str = "infobox";
 /// residual risk is template vandalism and parse ambiguity).
 pub const CONFIDENCE: f64 = 0.95;
 
-fn line_re() -> &'static Regex {
+pub(crate) fn line_re() -> &'static Regex {
     static RE: OnceLock<Regex> = OnceLock::new();
     RE.get_or_init(|| {
         Regex::new(r"\| *([a-zA-Z_][a-zA-Z0-9_]*) *= *([^\n]+)").expect("static pattern")

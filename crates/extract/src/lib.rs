@@ -21,6 +21,11 @@
 //! Every operator emits [`Extraction`]s: attribute-value pairs with the
 //! source span, a confidence, and the producing extractor's name — the raw
 //! material for integration, uncertainty tracking, and provenance.
+//! Operators run over a corpus through `quarry_lang::extract`, the one
+//! driver QDL's `EXTRACT` and every standalone caller use: it fans them
+//! out on the executor pool, caches per (document, operator), and keeps
+//! one witness per identity ([`model::dedup_order`],
+//! [`model::dedup_sorted`]).
 
 #![forbid(unsafe_code)]
 
@@ -31,11 +36,9 @@ pub mod infobox;
 pub mod learned;
 pub mod model;
 pub mod normalize;
-pub mod pipeline;
 pub mod regex;
 pub mod rules;
 pub mod token;
 
 pub use eval::{f1_score, PrF1};
 pub use model::{Extraction, Span};
-pub use pipeline::{extract_all, ExtractorSet};

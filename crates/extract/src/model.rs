@@ -83,7 +83,7 @@ pub fn dedup(mut extractions: Vec<Extraction>) -> Vec<Extraction> {
 /// The comparator [`dedup`] sorts by: identity ascending, then confidence
 /// descending, so the first witness of each identity is the most
 /// confident one. Exposed so a parallel sort can reproduce `dedup`
-/// exactly (see `quarry-exec`).
+/// exactly (`quarry_lang::extract` sorts by it on the executor pool).
 pub fn dedup_order(a: &Extraction, b: &Extraction) -> std::cmp::Ordering {
     a.identity()
         .cmp(&b.identity())

@@ -415,12 +415,20 @@ fn compile(ast: &Ast, prog: &mut Vec<Inst>) {
 // Backtracking VM
 // ---------------------------------------------------------------------
 
-struct Haystack<'t> {
-    chars: &'t [char],
-    offsets: &'t [usize],
+/// A text decoded once: its chars, and each char's byte offset.
+struct Haystack {
+    chars: Vec<char>,
+    offsets: Vec<usize>,
 }
 
-impl Haystack<'_> {
+impl Haystack {
+    fn new(text: &str) -> Haystack {
+        Haystack {
+            chars: text.chars().collect(),
+            offsets: text.char_indices().map(|(i, _)| i).collect(),
+        }
+    }
+
     fn byte_at(&self, sp: usize) -> usize {
         if sp < self.offsets.len() {
             self.offsets[sp]
@@ -435,7 +443,7 @@ impl Haystack<'_> {
 
 fn exec(
     prog: &[Inst],
-    hay: &Haystack<'_>,
+    hay: &Haystack,
     mut pc: usize,
     mut sp: usize,
     saves: &mut Vec<Option<usize>>,
@@ -545,24 +553,24 @@ impl Regex {
 
     /// Leftmost match with capture groups.
     pub fn captures(&self, text: &str) -> Option<Captures> {
-        self.captures_from(text, 0)
+        self.captures_from(&Haystack::new(text), 0).map(|(caps, _)| caps)
     }
 
-    fn captures_from(&self, text: &str, start_char: usize) -> Option<Captures> {
-        let chars: Vec<char> = text.chars().collect();
-        let offsets: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
-        let hay = Haystack { chars: &chars, offsets: &offsets };
-        for sp in start_char..=chars.len() {
+    /// Leftmost match starting at char `start_char` or later, with the char
+    /// position the next search starts from: the match's end, or one past
+    /// an empty match.
+    fn captures_from(&self, hay: &Haystack, start_char: usize) -> Option<(Captures, usize)> {
+        for sp in start_char..=hay.chars.len() {
             let mut saves = vec![None; self.n_groups * 2];
             let mut budget = Self::STEP_BUDGET;
-            if exec(&self.prog, &hay, 0, sp, &mut saves, &mut budget).is_some() {
+            if let Some(end) = exec(&self.prog, hay, 0, sp, &mut saves, &mut budget) {
                 let groups = (0..self.n_groups)
                     .map(|g| match (saves[g * 2], saves[g * 2 + 1]) {
                         (Some(s), Some(e)) => Some(Match { start: s, end: e }),
                         _ => None,
                     })
                     .collect();
-                return Some(Captures { groups });
+                return Some((Captures { groups }, end.max(sp + 1)));
             }
         }
         None
@@ -573,34 +581,19 @@ impl Regex {
         self.captures_iter(text).into_iter().filter_map(|c| c.get(0)).collect()
     }
 
-    /// Captures of all non-overlapping matches, left to right.
+    /// Captures of all non-overlapping matches, left to right. The text is
+    /// decoded once and each search goes on from the previous match's end,
+    /// so `^` anchors only at the text's start.
     pub fn captures_iter(&self, text: &str) -> Vec<Captures> {
+        let hay = Haystack::new(text);
         let mut out = Vec::new();
-        let mut byte_pos = 0usize;
-        // Map byte position → char position for restart.
-        while byte_pos <= text.len() {
-            let rest = &text[byte_pos..];
-            let Some(caps) = self.captures(rest) else { break };
-            let m = caps.get(0).expect("group 0 always set");
-            // Rebase capture offsets onto the full text.
-            let rebased = Captures {
-                groups: caps
-                    .groups
-                    .iter()
-                    .map(|g| g.map(|m| Match { start: m.start + byte_pos, end: m.end + byte_pos }))
-                    .collect(),
-            };
-            let advance = if m.end > m.start { m.end } else { m.end + char_len_at(rest, m.end) };
-            out.push(rebased);
-            byte_pos += advance;
+        let mut next = 0;
+        while let Some((caps, resume)) = self.captures_from(&hay, next) {
+            out.push(caps);
+            next = resume;
         }
         out
     }
-}
-
-/// Byte length of the char at `at` (1 past end-of-string, to force progress).
-fn char_len_at(text: &str, at: usize) -> usize {
-    text.get(at..).and_then(|t| t.chars().next()).map_or(1, |c| c.len_utf8())
 }
 
 fn count_groups(ast: &Ast) -> usize {
@@ -724,6 +717,84 @@ mod tests {
         let caps = re.captures("b").unwrap();
         assert_eq!(caps.get(1), None);
         assert!(caps.get(2).is_some());
+    }
+
+    /// `captures_iter` as it was: re-slice the text after each match,
+    /// search the rest from its start, and rebase the offsets.
+    fn restart_loop(re: &Regex, text: &str) -> Vec<Captures> {
+        let mut out = Vec::new();
+        let mut byte_pos = 0usize;
+        while byte_pos <= text.len() {
+            let rest = &text[byte_pos..];
+            let Some(caps) = re.captures(rest) else { break };
+            let m = caps.get(0).unwrap();
+            let rebase = |g: &Option<Match>| {
+                g.map(|m| Match { start: m.start + byte_pos, end: m.end + byte_pos })
+            };
+            out.push(Captures { groups: caps.groups.iter().map(rebase).collect() });
+            let next_char = rest.get(m.end..).and_then(|t| t.chars().next());
+            byte_pos +=
+                if m.end > m.start { m.end } else { m.end + next_char.map_or(1, char::len_utf8) };
+        }
+        out
+    }
+
+    fn spans(caps: &[Captures], group: usize) -> Vec<(usize, usize)> {
+        caps.iter().filter_map(|c| c.get(group)).map(|m| (m.start, m.end)).collect()
+    }
+
+    #[test]
+    fn a_start_anchor_matches_only_at_the_text_start() {
+        let re = Regex::new("^a").unwrap();
+        assert_eq!(spans(&re.captures_iter("aaa"), 0), [(0, 1)]);
+        // The old restart loop re-anchored at every match.
+        assert_eq!(restart_loop(&re, "aaa").len(), 3);
+        assert!(Regex::new("^b").unwrap().captures_iter("ab").is_empty());
+    }
+
+    #[test]
+    fn multi_byte_offsets_continue_on_the_same_haystack() {
+        let re = Regex::new("é(x)").unwrap();
+        let text = "aéxéx";
+        let caps = re.captures_iter(text);
+        assert_eq!(spans(&caps, 0), [(1, 4), (4, 7)]);
+        assert_eq!(spans(&caps, 1), [(3, 4), (6, 7)]);
+        let starts: Vec<_> =
+            caps.iter().map(|c| (c.get(0).unwrap().start, c.get(1).unwrap().start)).collect();
+        assert_eq!(starts, [(1, 3), (4, 6)]);
+        // Empty matches step one char, not one byte, over multi-byte text.
+        assert_eq!(
+            spans(&Regex::new("x*").unwrap().captures_iter("éx"), 0),
+            [(0, 0), (2, 3), (3, 3)]
+        );
+    }
+
+    /// Every shipped pattern over every document of the E1 and E9 corpora
+    /// finds what the old restart loop found (no shipped pattern uses `^`).
+    #[test]
+    fn shipped_patterns_match_like_the_restart_loop() {
+        use quarry_corpus::{Corpus, CorpusConfig, NoiseConfig};
+        let e1 = CorpusConfig {
+            seed: 1,
+            n_cities: 200,
+            n_people: 50,
+            n_companies: 20,
+            n_publications: 20,
+            duplicate_rate: 0.2,
+            noise: NoiseConfig::none(),
+        };
+        let e9 = CorpusConfig { seed: 9, n_cities: 150, ..CorpusConfig::default() };
+        let rules = crate::rules::standard_rules();
+        let patterns: Vec<&Regex> =
+            rules.iter().map(|r| &r.pattern).chain([crate::infobox::line_re()]).collect();
+        for cfg in [e1, e9] {
+            for doc in &Corpus::generate(&cfg).docs {
+                for re in &patterns {
+                    let (got, want) = (re.captures_iter(&doc.text), restart_loop(re, &doc.text));
+                    assert!(got == want, "{} on {}", re.pattern(), doc.id);
+                }
+            }
+        }
     }
 
     #[test]

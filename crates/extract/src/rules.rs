@@ -34,7 +34,7 @@ pub struct Binding {
 pub struct ProseRule {
     /// Rule name (diagnostics).
     pub name: &'static str,
-    pattern: Regex,
+    pub(crate) pattern: Regex,
     bindings: Vec<Binding>,
     confidence: f64,
 }

@@ -15,6 +15,7 @@ use crate::registry::ExtractorRegistry;
 use parking_lot::Mutex;
 use quarry_corpus::{DocId, Document};
 use quarry_exec::{ExecPool, ExecReport};
+use quarry_extract::model::{dedup, dedup_order, dedup_sorted};
 use quarry_extract::Extraction;
 use quarry_hi::{Answer, Crowd, Question, QuestionKind};
 use quarry_integrate::blocking;
@@ -180,60 +181,22 @@ impl Executor {
                     let State::Stream(stream) = &mut state else {
                         return Err(ExecError::InvalidPlan("EXTRACT after RESOLVE".into()));
                     };
-                    for name in extractors {
-                        let reg = ctx
-                            .registry
-                            .get(name)
-                            .ok_or_else(|| ExecError::UnknownExtractor(name.clone()))?
-                            .clone();
-                        // Run the misses on the pool, keep each result under
-                        // its document (one the cache already holds wins, and
-                        // counts as a hit), then read the stream back in
-                        // document order, as the sequential loop produced it.
-                        let uncached: Vec<&Document> = {
-                            let cache = ctx.cache.lock();
-                            ctx.docs
-                                .iter()
-                                .filter(|d| !cache.contains_key(&(d.id, name.clone())))
-                                .collect()
-                        };
-                        let fresh = ctx.pool.map(
-                            &format!("exec/extract:{name}"),
-                            &uncached,
-                            |_, doc| {
-                                let t0 = Instant::now();
-                                let exts = (reg.run)(doc);
-                                (exts, t0.elapsed())
-                            },
-                            &mut ctx.report,
-                        );
-                        let mut cache = ctx.cache.lock();
-                        let mut runs = 0;
-                        for (doc, (exts, took)) in uncached.iter().zip(fresh) {
-                            if let Entry::Vacant(slot) = cache.entry((doc.id, name.clone())) {
-                                slot.insert(exts);
-                                ctx.report.record_operator(name, took);
-                                stats.cost_units += reg.cost;
-                                runs += 1;
-                            }
-                        }
-                        stats.extractor_runs += runs;
-                        stats.cache_hits += ctx.docs.len() - runs;
-                        for doc in ctx.docs {
-                            stream.extend(
-                                cache.get(&(doc.id, name.clone())).into_iter().flatten().cloned(),
-                            );
-                        }
-                    }
-                    // Parallel stable-equivalent sort + dedup: identical to
-                    // `quarry_extract::model::dedup` (see that module).
-                    let sorted = ctx.pool.sort_by(
-                        "exec/dedup",
-                        std::mem::take(stream),
-                        quarry_extract::model::dedup_order,
+                    let fresh = extract(
+                        ctx.registry,
+                        extractors,
+                        ctx.docs,
+                        &ctx.pool,
+                        &ctx.cache,
                         &mut ctx.report,
-                    );
-                    *stream = quarry_extract::model::dedup_sorted(sorted);
+                        &mut stats,
+                    )?;
+                    // A second `EXTRACT` joins the stream the first left:
+                    // still one witness per identity.
+                    *stream = if stream.is_empty() {
+                        fresh
+                    } else {
+                        dedup([std::mem::take(stream), fresh].concat())
+                    };
                     stats.extractions = stream.len();
                 }
                 PlanOp::Filter { conditions } => {
@@ -301,6 +264,64 @@ impl Executor {
         }
         Ok(stats)
     }
+}
+
+/// Run the named registry operators over `docs` on `pool` through
+/// `cache`, and return their extractions with one witness per identity:
+/// the driver behind every `EXTRACT`. A caller with no cache to keep
+/// passes a fresh one.
+///
+/// Each operator runs on the documents the cache lacks for it (stage
+/// `exec/extract:<name>`); a result the cache already holds wins and
+/// counts as a hit. The stream is read back operator by operator, each in
+/// document order, then sorted on the pool by [`dedup_order`] (stage
+/// `exec/dedup`, stable) and cut by [`dedup_sorted`]: each identity keeps
+/// its most confident witness, the earliest on a tie. The output is the
+/// same at every thread count.
+pub fn extract(
+    registry: &ExtractorRegistry,
+    names: &[impl AsRef<str>],
+    docs: &[Document],
+    pool: &ExecPool,
+    cache: &ExtractionCache,
+    report: &mut ExecReport,
+    stats: &mut ExecStats,
+) -> Result<Vec<Extraction>, ExecError> {
+    let mut stream = Vec::new();
+    for name in names.iter().map(AsRef::as_ref) {
+        let reg = registry.get(name).ok_or_else(|| ExecError::UnknownExtractor(name.into()))?;
+        let uncached: Vec<&Document> = {
+            let cache = cache.lock();
+            docs.iter().filter(|d| !cache.contains_key(&(d.id, name.to_string()))).collect()
+        };
+        let fresh = pool.map(
+            &format!("exec/extract:{name}"),
+            &uncached,
+            |_, doc| {
+                let t0 = Instant::now();
+                let exts = (reg.run)(doc);
+                (exts, t0.elapsed())
+            },
+            report,
+        );
+        let mut cache = cache.lock();
+        let mut runs = 0;
+        for (doc, (exts, took)) in uncached.iter().zip(fresh) {
+            if let Entry::Vacant(slot) = cache.entry((doc.id, name.to_string())) {
+                slot.insert(exts);
+                report.record_operator(name, took);
+                stats.cost_units += reg.cost;
+                runs += 1;
+            }
+        }
+        stats.extractor_runs += runs;
+        stats.cache_hits += docs.len() - runs;
+        for doc in docs {
+            stream.extend(cache.get(&(doc.id, name.to_string())).into_iter().flatten().cloned());
+        }
+    }
+    let sorted = pool.sort_by("exec/dedup", stream, dedup_order, report);
+    Ok(dedup_sorted(sorted))
 }
 
 fn eval_condition(c: &Condition, e: &Extraction) -> bool {
@@ -617,6 +638,7 @@ mod tests {
     use crate::compile::{compile, CompileError};
     use crate::plan::optimize;
     use quarry_corpus::{Corpus, CorpusConfig, NoiseConfig};
+    use quarry_extract::dictionary::Gazetteer;
     use quarry_hi::oracle::panel;
 
     fn corpus() -> Corpus {
@@ -989,5 +1011,94 @@ STORE INTO cities KEY name"#;
             db2.row_count("cities").unwrap(),
             "optimization must not change the stored result"
         );
+    }
+
+    /// `names` from `registry` over `c`, inline, with a fresh cache.
+    fn extract_over(registry: &ExtractorRegistry, names: &[&str], c: &Corpus) -> Vec<Extraction> {
+        let (pool, cache) = (ExecPool::sequential(), ExtractionCache::default());
+        let (mut report, mut stats) = (ExecReport::new(), ExecStats::default());
+        extract(registry, names, &c.docs, &pool, &cache, &mut report, &mut stats).unwrap()
+    }
+
+    fn scored(noise: NoiseConfig, names: &[&str]) -> quarry_extract::PrF1 {
+        let c = Corpus::generate(&CorpusConfig { noise, ..CorpusConfig::tiny(42) });
+        quarry_extract::eval::score(
+            &extract_over(&ExtractorRegistry::standard(), names, &c),
+            &c.truth,
+        )
+    }
+
+    #[test]
+    fn clean_corpus_extraction_is_highly_accurate() {
+        let s = scored(NoiseConfig::none(), &["infobox", "rules"]);
+        assert!(s.precision > 0.95, "precision {:.3}", s.precision);
+        assert!(s.recall > 0.8, "recall {:.3}", s.recall);
+    }
+
+    #[test]
+    fn noisy_corpus_extraction_is_imperfect_but_useful() {
+        let s = scored(NoiseConfig::default(), &["infobox", "rules"]);
+        // The paper's premise: automatic IE "will not be 100% accurate".
+        assert!(s.f1 > 0.5, "f1 {:.3}", s.f1);
+        assert!(s.f1 < 1.0, "noise must cost something, f1 {:.3}", s.f1);
+    }
+
+    #[test]
+    fn infobox_only_trades_recall_for_precision() {
+        let full = scored(NoiseConfig::default(), &["infobox", "rules"]);
+        let ibx = scored(NoiseConfig::default(), &["infobox"]);
+        assert!(
+            ibx.precision >= full.precision - 0.02,
+            "ibx {:.3} vs full {:.3}",
+            ibx.precision,
+            full.precision
+        );
+        assert!(ibx.recall <= full.recall, "infobox-only cannot out-recall the full set");
+    }
+
+    #[test]
+    fn gazetteers_add_mentions() {
+        let c = Corpus::generate(&CorpusConfig {
+            noise: NoiseConfig::none(),
+            ..CorpusConfig::tiny(42)
+        });
+        let names = c.truth.cities.iter().map(|x| x.name.as_str());
+        let mut reg = ExtractorRegistry::standard();
+        reg.register_gazetteer(
+            "city_mention",
+            Gazetteer::from_names("city_mention", names, false),
+            1.0,
+        );
+        let exts = extract_over(&reg, &["infobox", "city_mention"], &c);
+        assert!(exts.iter().any(|e| e.attribute == "city_mention"));
+    }
+
+    #[test]
+    fn dedup_keeps_one_witness_per_identity() {
+        let c = Corpus::generate(&CorpusConfig {
+            noise: NoiseConfig::none(),
+            ..CorpusConfig::tiny(42)
+        });
+        let exts = extract_over(&ExtractorRegistry::standard(), &["infobox", "rules"], &c);
+        let mut ids: Vec<_> =
+            exts.iter().map(|e| (e.doc, e.attribute.clone(), e.value.clone())).collect();
+        let n = ids.len();
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), n);
+    }
+
+    #[test]
+    fn two_extract_steps_store_what_one_extract_of_both_stores() {
+        let c = corpus();
+        let run = |src: &str| {
+            let db = Database::in_memory();
+            let stats = run_src(src, &c, &db);
+            (stats, db.snapshot().scan("t").unwrap())
+        };
+        let tail = "RESOLVE BY name STORE INTO t KEY name";
+        let one = run(&format!("PIPELINE p FROM corpus EXTRACT infobox, rules {tail}"));
+        let two = run(&format!("PIPELINE p FROM corpus EXTRACT infobox EXTRACT rules {tail}"));
+        assert_eq!(two, one);
     }
 }

@@ -28,7 +28,9 @@
 //!   pruning against WHERE clauses, cost ordering), plus `EXPLAIN`;
 //! - [`exec`] — the executor: runs a checked program over documents,
 //!   resolves entities, routes uncertain decisions to an HI oracle, and
-//!   stores the result, reporting per-step statistics;
+//!   stores the result, reporting per-step statistics; its
+//!   [`extract`] is the one extraction driver, which
+//!   `EXTRACT` and every standalone caller run;
 //! - [`provenance`] — the `_provenance` system table: each stored cell's
 //!   source, written in the transaction that writes the cell.
 
@@ -46,7 +48,7 @@ pub mod registry;
 
 pub use ast::{Condition, Pipeline, ProgramSpans, Step};
 pub use compile::{compile, compile_script, CheckedProgram, CompileError};
-pub use exec::{ExecContext, ExecStats, Executor, ExtractionCache};
+pub use exec::{extract, ExecContext, ExecStats, Executor, ExtractionCache};
 pub use lint::{analyze, lint_source};
 pub use parser::{parse, parse_spanned};
 pub use plan::{optimize, LogicalPlan, PlanOp};

@@ -23,16 +23,25 @@
 //! - [`serve`] — the TCP serving layer: wire protocol, sessions,
 //!   admission control, and a blocking client (see `docs/serving.md`)
 //!
-//! The most-used entry points are re-exported at the crate root:
+//! The most-used entry points are re-exported at the crate root; the
+//! registry's operators run standalone through the driver `EXTRACT` uses:
 //!
 //! ```
-//! use quarry::{extract_all, ExtractorSet, Quarry, QuarryConfig};
+//! use quarry::corpus::{Corpus, CorpusConfig};
+//! use quarry::lang::{extract, ExecStats, ExtractionCache, ExtractorRegistry};
+//! use quarry::{ExecPool, ExecReport, Quarry, QuarryConfig};
 //!
 //! let config = QuarryConfig::builder().threads(2).build();
 //! let system = Quarry::new(config).unwrap();
 //! drop(system);
-//! let set = ExtractorSet::standard();
-//! let _ = &set;
+//!
+//! let corpus = Corpus::generate(&CorpusConfig::tiny(1));
+//! let registry = ExtractorRegistry::standard();
+//! let (pool, cache) = (ExecPool::new(2), ExtractionCache::default());
+//! let (mut report, mut stats) = (ExecReport::new(), ExecStats::default());
+//! let names = ["infobox", "rules"];
+//! let exts = extract(&registry, &names, &corpus.docs, &pool, &cache, &mut report, &mut stats);
+//! assert!(!exts.unwrap().is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,4 +65,4 @@ pub use quarry_uncertainty as uncertainty;
 
 pub use quarry_core::{Quarry, QuarryConfig, QuarryError, SharedQuarry, Snapshot};
 pub use quarry_exec::{Diagnostic, ExecPool, ExecReport, LintReport, Severity, Span};
-pub use quarry_extract::{extract_all, Extraction, ExtractorSet};
+pub use quarry_extract::Extraction;

@@ -2,13 +2,15 @@
 //! ground truth, with and without noise, blocking, and human intervention.
 
 use quarry::corpus::{Corpus, CorpusConfig, NoiseConfig};
-use quarry::extract::{eval, extract_all, ExtractorSet};
+use quarry::extract::eval;
 use quarry::hi::oracle::panel;
 use quarry::hi::{curate, Crowd, CurateConfig, SelectionPolicy, UncertainItem};
 use quarry::integrate::blocking;
 use quarry::integrate::matcher::{decide, MatchConfig, MatchDecision, Record};
 use quarry::integrate::{pairwise_score, Clustering};
+use quarry::lang::{extract, ExecStats, ExtractionCache, ExtractorRegistry};
 use quarry::storage::Value;
+use quarry::{ExecPool, ExecReport};
 use std::collections::BTreeSet;
 
 #[test]
@@ -29,7 +31,12 @@ fn extraction_f1_degrades_gracefully_with_noise() {
         ),
     ] {
         let c = Corpus::generate(&CorpusConfig { seed: 9, noise, ..CorpusConfig::default() });
-        let s = eval::score(&extract_all(&c, &ExtractorSet::standard()), &c.truth);
+        let (registry, pool, cache) =
+            (ExtractorRegistry::standard(), ExecPool::sequential(), ExtractionCache::default());
+        let (mut report, mut stats) = (ExecReport::new(), ExecStats::default());
+        let names = ["infobox", "rules"];
+        let exts = extract(&registry, &names, &c.docs, &pool, &cache, &mut report, &mut stats);
+        let s = eval::score(&exts.unwrap(), &c.truth);
         scores.push((label, s.f1));
     }
     assert!(scores[0].1 > 0.9, "clean F1 {:.3}", scores[0].1);

@@ -8,12 +8,13 @@ use std::sync::Mutex;
 use quarry::core::{Quarry, QuarryConfig};
 use quarry::corpus::{Corpus, CorpusConfig, DocId, Document, NoiseConfig};
 use quarry::exec::{ExecPool, ExecReport};
-use quarry::extract::pipeline::extract_all_with;
-use quarry::extract::{extract_all, Extraction, ExtractorSet};
+use quarry::extract::model::dedup;
+use quarry::extract::{infobox, rules, Extraction};
 use quarry::integrate::blocking::all_pairs;
 use quarry::integrate::matcher::{decide, MatchConfig, Record};
 use quarry::integrate::{score_pairs, SimCache};
 use quarry::lang::registry::Produces;
+use quarry::lang::{extract, ExecStats, ExtractionCache, ExtractorRegistry};
 use quarry::storage::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,16 +36,59 @@ fn corpus() -> Corpus {
     })
 }
 
+/// The sequential oracle: each document's `infobox` then `rules` output,
+/// concatenated in document order, then one sequential `dedup`.
+fn sequential_extraction(docs: &[Document]) -> Vec<Extraction> {
+    let prose = rules::standard_rules();
+    let per_doc = |d: &Document| {
+        let mut out = infobox::extract(d);
+        out.extend(rules::extract(d, &prose));
+        out
+    };
+    dedup(docs.iter().flat_map(per_doc).collect())
+}
+
+/// The corpora of E1, E3, E6, E9 and E13, and this file's.
+fn experiment_corpora() -> Vec<(&'static str, Corpus)> {
+    let cities = |seed, n_cities| CorpusConfig { seed, n_cities, ..CorpusConfig::default() };
+    let e1 = CorpusConfig {
+        seed: 1,
+        n_cities: 200,
+        n_people: 50,
+        n_companies: 20,
+        n_publications: 20,
+        duplicate_rate: 0.2,
+        noise: NoiseConfig::none(),
+    };
+    let e13 = CorpusConfig { noise: NoiseConfig::default(), ..cities(13, 300) };
+    [("e1", e1), ("e3", cities(3, 120)), ("e6", cities(6, 150)), ("e9", cities(9, 150))]
+        .into_iter()
+        .chain([("e13", e13)])
+        .map(|(name, cfg)| (name, Corpus::generate(&cfg)))
+        .chain([("seed 77", corpus())])
+        .collect()
+}
+
+/// The driver `EXTRACT` runs, cold and then warm on the same cache (every
+/// lookup a hit), at 1/2/4/8 threads, against the sequential oracle.
 #[test]
 fn parallel_extraction_is_bit_identical_to_sequential() {
-    let c = corpus();
-    let set = ExtractorSet::standard();
-    let expected = extract_all(&c, &set);
-    for threads in [1, 2, 4, 8] {
-        let pool = ExecPool::new(threads).with_batch_size(3);
-        let mut report = ExecReport::new();
-        let got = extract_all_with(&c, &set, &pool, &mut report);
-        assert_eq!(got, expected, "threads={threads}");
+    let registry = ExtractorRegistry::standard();
+    for (name, c) in experiment_corpora() {
+        let expected = sequential_extraction(&c.docs);
+        for threads in [1, 2, 4, 8] {
+            let (pool, cache) =
+                (ExecPool::new(threads).with_batch_size(3), ExtractionCache::default());
+            for pass in ["cold", "warm"] {
+                let (mut report, mut stats) = (ExecReport::new(), ExecStats::default());
+                let names = ["infobox", "rules"];
+                let got =
+                    extract(&registry, &names, &c.docs, &pool, &cache, &mut report, &mut stats);
+                assert!(got.unwrap() == expected, "{name}, {pass}, threads={threads}");
+                let hits = if pass == "warm" { 2 * c.docs.len() } else { 0 };
+                assert_eq!(stats.cache_hits, hits, "{name}, {pass}, threads={threads}");
+            }
+        }
     }
 }
 
