@@ -12,7 +12,7 @@
 use quarry_bench::{banner, f3, Table};
 use quarry_corpus::{Corpus, CorpusConfig, NoiseConfig};
 use quarry_hi::oracle::SimulatedUser;
-use quarry_hi::{Answer, Question};
+use quarry_hi::Question;
 use quarry_integrate::matcher::{match_score, MatchConfig, Record};
 use quarry_storage::Value;
 
@@ -101,7 +101,7 @@ fn scan(
 ) -> bool {
     for (off, cand) in candidates.enumerate() {
         let q = Question::verify_match(qbase * 64 + off, "left", "right", cand == truth_right);
-        if user.answer(&q) == Answer::Bool(true) && cand == truth_right {
+        if user.answer(&q) && cand == truth_right {
             return true;
         }
     }

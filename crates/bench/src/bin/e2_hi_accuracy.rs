@@ -107,7 +107,7 @@ fn main() {
         let mut cells = vec![format!("{}", budget / 5)];
         for policy in [
             SelectionPolicy::Random,
-            SelectionPolicy::UncertaintyFirst,
+            SelectionPolicy::UncertaintyFirst { centre: cfg.band_centre() },
             SelectionPolicy::HighestScoreFirst,
         ] {
             let mut crowd = Crowd::new(panel(5, &[0.05], 11));

@@ -38,7 +38,7 @@
 //! touching in-flight sessions on other shards.
 //!
 //! The front door is the [`Endpoint`] a shard server runs on, under
-//! [`ServeConfig`]'s defaults, with [`route`] as its handler and a metrics
+//! [`ServeConfig`]'s defaults, with `route` as its handler and a metrics
 //! registry of its own (a shard's `server.requests` counts legs only).
 
 use crate::ring::HashRing;

@@ -215,8 +215,7 @@ pub struct Quarry {
     /// Writer-local handle to the working set (also published to
     /// [`ReadState`] for snapshot capture).
     working: Arc<WorkingSet>,
-    crowd: Option<Crowd>,
-    truth: Option<TruthOracle>,
+    hi: Option<(Crowd, TruthOracle)>,
     pool: ExecPool,
     shared: Arc<ReadState>,
     day: usize,
@@ -247,8 +246,7 @@ impl Quarry {
             monitors: MonitorSet::new(),
             feedback: FeedbackQueue::new(2.0),
             working,
-            crowd: None,
-            truth: None,
+            hi: None,
             pool: ExecPool::new(config.threads),
             shared,
             day: 0,
@@ -299,8 +297,7 @@ impl Quarry {
 
     /// Wire human-intervention capability (simulated crowd + truth oracle).
     pub fn set_hi(&mut self, crowd: Crowd, truth: TruthOracle) {
-        self.crowd = Some(crowd);
-        self.truth = Some(truth);
+        self.hi = Some((crowd, truth));
     }
 
     /// The current working document set.
@@ -382,14 +379,13 @@ impl Quarry {
             docs: &self.working.docs,
             registry: &self.registry,
             db: &self.db,
-            crowd: self.crowd.take(),
-            truth: self.truth.clone(),
+            hi: self.hi.take(),
             cache: Arc::clone(&self.working.cache),
             pool: self.pool,
             report: ExecReport::new(),
         };
         let result = Executor::run(&program, &mut ctx);
-        self.crowd = ctx.crowd.take();
+        self.hi = ctx.hi.take();
         *self.shared.last_report.lock() = std::mem::take(&mut ctx.report);
         let stats = result?;
         self.dge.record(DgeEvent::PipelineRun {

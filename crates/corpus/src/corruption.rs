@@ -96,7 +96,7 @@ fn cell_rng(seed: u64, row: usize, col: usize) -> StdRng {
 /// `rows` is a mutable table of serialized cell values; `columns` names each
 /// column and says whether it is numeric. Each cell is damaged independently
 /// with probability `rate`, using an RNG derived from the seed and the
-/// cell's coordinates (see [`cell_rng`]), so the plan is a pure function of
+/// cell's coordinates (see `cell_rng`), so the plan is a pure function of
 /// `(seed, rate, original table)`. Returns the log of injected errors.
 pub fn corrupt_table(
     rows: &mut [Vec<String>],

@@ -222,7 +222,7 @@ where
 /// A batch of diagnostics for one source text, ready to render.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LintReport {
-    /// Display name of the source ("pipeline.qdl", "<query>", ...).
+    /// Display name of the source (`"pipeline.qdl"`, `"<query>"`, ...).
     pub origin: String,
     /// The text the diagnostics' spans index into.
     pub source: String,

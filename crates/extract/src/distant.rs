@@ -4,7 +4,7 @@
 //! in infobox markup *and* in prose — is also free training data: wherever
 //! an infobox value reappears verbatim in the page's prose, that prose span
 //! is a positive example for the attribute. Training the
-//! [`NaiveBayes`](crate::learned::NaiveBayes) classifier on these
+//! [`NaiveBayes`] classifier on these
 //! auto-labels yields an extractor that works on pages with *no infobox at
 //! all* — structure teaching the system to find more structure, with no
 //! human labeling.

@@ -3,18 +3,17 @@
 
 use crate::oracle::{SimulatedUser, UserId};
 use crate::reputation::ReputationTracker;
-use crate::task::{Answer, Question};
-use std::collections::HashMap;
+use crate::task::Question;
 
 /// The result of putting one question to a crowd.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VoteOutcome {
     /// The winning answer.
-    pub answer: Answer,
+    pub answer: bool,
     /// Total weight for the winner / total weight cast.
     pub agreement: f64,
     /// Individual `(user, answer)` ballots.
-    pub ballots: Vec<(UserId, Answer)>,
+    pub ballots: Vec<(UserId, bool)>,
     /// Budget units consumed.
     pub cost: u32,
 }
@@ -23,12 +22,12 @@ pub struct VoteOutcome {
 ///
 /// ```
 /// use quarry_hi::oracle::panel;
-/// use quarry_hi::{Answer, Crowd, Question};
+/// use quarry_hi::{Crowd, Question};
 ///
 /// let mut crowd = Crowd::new(panel(5, &[0.1], 42));
 /// let q = Question::verify_match(0, "David Smith", "D. Smith", true);
 /// let outcome = crowd.ask_majority(&q, 5);
-/// assert_eq!(outcome.answer, Answer::Bool(true));
+/// assert!(outcome.answer);
 /// assert_eq!(outcome.cost, 5);
 /// ```
 pub struct Crowd {
@@ -58,8 +57,8 @@ impl Crowd {
     }
 
     /// Ask `k` members and aggregate with reputation weights (or uniform
-    /// weights when `rep` is `None`). Ties break toward the answer of the
-    /// highest-weight ballot.
+    /// weights when `rep` is `None`). A tie goes to the first ballot's
+    /// answer.
     pub fn ask_weighted(
         &mut self,
         q: &Question,
@@ -78,39 +77,34 @@ impl Crowd {
             cost += u.cost_per_answer;
             ballots.push((u.id, a));
         }
-        let mut tally: HashMap<Answer, f64> = HashMap::new();
-        let mut total = 0.0;
+        let (mut yes, mut no, mut total) = (0.0, 0.0, 0.0);
         for (uid, a) in &ballots {
             let w = match rep {
                 Some(r) => r.weight(*uid).max(1e-6),
                 None => 1.0,
             };
-            *tally.entry(*a).or_insert(0.0) += w;
+            if *a {
+                yes += w
+            } else {
+                no += w
+            }
             total += w;
         }
-        let mut best: Option<(Answer, f64)> = None;
-        // Iterate ballots (not the map) so ties break deterministically by
-        // ballot order.
-        for (_, a) in &ballots {
-            let w = tally[a];
-            if best.is_none_or(|(_, bw)| w > bw) {
-                best = Some((*a, w));
-            }
-        }
-        let (answer, w) = best.expect("k >= 1 ballot");
+        // `k >= 1`, so there is a first ballot.
+        let first = ballots.first().is_some_and(|&(_, a)| a);
+        let (w_first, w_other) = if first { (yes, no) } else { (no, yes) };
+        let (answer, w) = if w_other > w_first { (!first, w_other) } else { (first, w_first) };
         VoteOutcome { answer, agreement: if total > 0.0 { w / total } else { 1.0 }, ballots, cost }
     }
 
     /// Record every ballot of an outcome against a known truth (gold
     /// question) into a reputation tracker.
-    pub fn debrief(outcome: &VoteOutcome, truth: Answer, rep: &mut ReputationTracker) {
+    pub fn debrief(outcome: &VoteOutcome, truth: bool, rep: &mut ReputationTracker) {
         for (uid, a) in &outcome.ballots {
             rep.record(*uid, *a == truth);
         }
     }
 }
-
-// `Answer` is small and `Copy`; ballots store it by value.
 
 #[cfg(test)]
 mod tests {
@@ -171,8 +165,30 @@ mod tests {
         let out = crowd.ask_majority(&q(0, true), 3);
         assert_eq!(out.cost, 3);
         assert_eq!(out.ballots.len(), 3);
-        assert_eq!(out.answer, Answer::Bool(true));
+        assert!(out.answer);
         assert_eq!(out.agreement, 1.0);
+    }
+
+    #[test]
+    fn a_tie_goes_to_the_first_ballot() {
+        // Member 0 never errs and member 1 always does; question `id`
+        // starts the round-robin, so the id picks who votes first.
+        for truth in [true, false] {
+            let mut crowd = Crowd::new(panel(2, &[0.0, 1.0], 3));
+            let out = crowd.ask_majority(&q(0, truth), 2);
+            assert_eq!(out.ballots, vec![(UserId(0), truth), (UserId(1), !truth)]);
+            assert_eq!((out.answer, out.agreement), (truth, 0.5));
+            let out = crowd.ask_majority(&q(1, truth), 2);
+            assert_eq!(out.ballots, vec![(UserId(1), !truth), (UserId(0), truth)]);
+            assert_eq!((out.answer, out.agreement), (!truth, 0.5));
+        }
+        // Weighted: equal reputations tie the same way.
+        let mut rep = ReputationTracker::new();
+        for uid in [UserId(0), UserId(1)] {
+            rep.record(uid, true);
+        }
+        let mut crowd = Crowd::new(panel(2, &[0.0, 1.0], 3));
+        assert!(!crowd.ask_weighted(&q(1, true), 2, Some(&rep)).answer);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::crowd::Crowd;
 use crate::policy::SelectionPolicy;
 use crate::reputation::ReputationTracker;
-use crate::task::{Answer, Question, QuestionKind};
+use crate::task::Question;
 
 /// One automatic decision eligible for human review.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +48,7 @@ pub struct CurateConfig {
 pub struct CurateReport {
     /// Final decision per item (same order as the input).
     pub decisions: Vec<bool>,
-    /// Which items were reviewed.
+    /// Which items were reviewed, in the order they were asked.
     pub reviewed: Vec<usize>,
     /// How many decisions changed.
     pub overrides: usize,
@@ -73,20 +73,12 @@ pub fn curate(items: &[UncertainItem], crowd: &mut Crowd, cfg: CurateConfig) -> 
             break;
         }
         let item = &items[idx];
-        let q = Question {
-            id: item.id,
-            kind: QuestionKind::VerifyMatch {
-                left: item.prompt_left.clone(),
-                right: item.prompt_right.clone(),
-            },
-            truth: Answer::Bool(item.truth),
-        };
+        let q = Question::verify_match(item.id, &item.prompt_left, &item.prompt_right, item.truth);
         let outcome = crowd.ask_weighted(&q, cfg.votes_per_question, reputation.as_ref());
         spent += outcome.cost;
         reviewed.push(idx);
-        let verdict = outcome.answer.as_bool();
-        if verdict != decisions[idx] {
-            decisions[idx] = verdict;
+        if outcome.answer != decisions[idx] {
+            decisions[idx] = outcome.answer;
             overrides += 1;
         }
         // Update reputations against the consensus (not the hidden truth:
@@ -153,7 +145,7 @@ mod tests {
 
     #[test]
     fn zero_budget_changes_nothing() {
-        let (acc, report) = run(SelectionPolicy::UncertaintyFirst, 0);
+        let (acc, report) = run(SelectionPolicy::UncertaintyFirst { centre: 0.5 }, 0);
         assert_eq!(report.spent, 0);
         assert_eq!(report.overrides, 0);
         let auto_acc = decision_accuracy(
@@ -165,8 +157,8 @@ mod tests {
 
     #[test]
     fn budget_buys_accuracy() {
-        let (acc0, _) = run(SelectionPolicy::UncertaintyFirst, 0);
-        let (acc_full, report) = run(SelectionPolicy::UncertaintyFirst, 3 * 60);
+        let (acc0, _) = run(SelectionPolicy::UncertaintyFirst { centre: 0.5 }, 0);
+        let (acc_full, report) = run(SelectionPolicy::UncertaintyFirst { centre: 0.5 }, 3 * 60);
         assert!(acc_full > acc0 + 0.2, "auto {acc0:.3} vs curated {acc_full:.3}");
         assert!(report.overrides > 0);
     }
@@ -175,7 +167,7 @@ mod tests {
     fn uncertainty_sampling_beats_random_at_small_budget() {
         // Budget covers only 1/3 of items; targeting the boundary matters.
         let budget = 60; // 20 questions at 3 votes
-        let (acc_u, _) = run(SelectionPolicy::UncertaintyFirst, budget);
+        let (acc_u, _) = run(SelectionPolicy::UncertaintyFirst { centre: 0.5 }, budget);
         let (acc_r, _) = run(SelectionPolicy::Random, budget);
         assert!(acc_u > acc_r, "uncertainty {acc_u:.3} vs random {acc_r:.3}");
     }
@@ -197,7 +189,7 @@ mod tests {
             CurateConfig {
                 budget: 90,
                 votes_per_question: 5,
-                policy: SelectionPolicy::UncertaintyFirst,
+                policy: SelectionPolicy::UncertaintyFirst { centre: 0.5 },
                 reputation: Some(ReputationTracker::new()),
             },
         );

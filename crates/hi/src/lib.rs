@@ -8,14 +8,16 @@
 //! (accuracy vs. budget, crowd size, reputation weighting, task selection)
 //! becomes measurable. The substitution is recorded in DESIGN.md §2.
 //!
-//! - [`task`] — the question types a system may route to people;
-//! - [`oracle`] — simulated users: configurable accuracy, bias, unit cost;
+//! - [`task`] — the one question a system routes to people: a yes/no
+//!   verdict on two renderings, so every answer is a `bool`;
+//! - [`oracle`] — simulated users: configurable accuracy and unit cost;
 //! - [`crowd`] — panels of users, majority and reputation-weighted voting;
 //! - [`reputation`] — Beta-posterior reliability tracking per user;
-//! - [`policy`] — which task to spend the next budget unit on (random /
-//!   uncertainty sampling / model-disagreement);
-//! - [`mod@curate`] — the generic HI repair loop: take uncertain automatic
-//!   decisions, spend budget, return curated decisions.
+//! - [`policy`] — which question to spend the next budget unit on (random /
+//!   uncertainty sampling around the caller's centre / verify-positives);
+//! - [`mod@curate`] — the one HI repair loop: take uncertain automatic
+//!   decisions, spend budget, return curated decisions. QDL's `CURATE`
+//!   step, E2 and the examples all run it.
 
 #![forbid(unsafe_code)]
 
@@ -31,4 +33,4 @@ pub use curate::{curate, CurateConfig, CurateReport, UncertainItem};
 pub use oracle::{SimulatedUser, UserId};
 pub use policy::SelectionPolicy;
 pub use reputation::ReputationTracker;
-pub use task::{Answer, Question, QuestionKind};
+pub use task::Question;

@@ -1,6 +1,6 @@
 //! Simulated users: noisy oracles with configurable reliability.
 
-use crate::task::{Answer, Question};
+use crate::task::Question;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -10,10 +10,8 @@ pub struct UserId(pub u32);
 
 /// A simulated user.
 ///
-/// Answers correctly with probability `1 − error_rate`; otherwise answers
-/// wrongly (for boolean questions, the flip; for choices, a uniformly random
-/// wrong option). An optional `yes_bias` models users who over-confirm:
-/// with that probability an erroneous boolean answer is "yes" regardless.
+/// Answers correctly with probability `1 − error_rate`; otherwise flips
+/// the truth.
 #[derive(Debug, Clone)]
 pub struct SimulatedUser {
     /// Identity.
@@ -38,23 +36,8 @@ impl SimulatedUser {
     }
 
     /// Answer a question according to the error model.
-    pub fn answer(&mut self, q: &Question) -> Answer {
-        let correct = !self.rng.gen_bool(self.error_rate);
-        match q.truth {
-            Answer::Bool(t) => Answer::Bool(if correct { t } else { !t }),
-            Answer::Choice(t) => {
-                if correct || q.n_options() < 2 {
-                    Answer::Choice(t)
-                } else {
-                    // Uniform over wrong options.
-                    let mut pick = self.rng.gen_range(0..q.n_options() - 1);
-                    if pick >= t {
-                        pick += 1;
-                    }
-                    Answer::Choice(pick)
-                }
-            }
-        }
+    pub fn answer(&mut self, q: &Question) -> bool {
+        q.truth != self.rng.gen_bool(self.error_rate)
     }
 }
 
@@ -78,7 +61,7 @@ mod tests {
     fn perfect_user_always_correct() {
         let mut u = SimulatedUser::new(0, 0.0, 1);
         for i in 0..50 {
-            assert_eq!(u.answer(&q(i, i % 2 == 0)), Answer::Bool(i % 2 == 0));
+            assert_eq!(u.answer(&q(i, i % 2 == 0)), i % 2 == 0);
         }
     }
 
@@ -86,7 +69,7 @@ mod tests {
     fn always_wrong_user_always_flips() {
         let mut u = SimulatedUser::new(0, 1.0, 1);
         for i in 0..50 {
-            assert_eq!(u.answer(&q(i, true)), Answer::Bool(false));
+            assert!(!u.answer(&q(i, true)));
         }
     }
 
@@ -94,23 +77,9 @@ mod tests {
     fn error_rate_is_approximately_realized() {
         let mut u = SimulatedUser::new(3, 0.3, 42);
         let n = 2000;
-        let wrong = (0..n).filter(|&i| u.answer(&q(i, true)) == Answer::Bool(false)).count();
+        let wrong = (0..n).filter(|&i| !u.answer(&q(i, true))).count();
         let rate = wrong as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.04, "realized {rate}");
-    }
-
-    #[test]
-    fn choice_errors_pick_wrong_options_uniformly() {
-        let mut u = SimulatedUser::new(0, 1.0, 7);
-        let q = Question::choose_form(0, vec!["a".into(), "b".into(), "c".into()], 1);
-        let mut saw = [0usize; 3];
-        for _ in 0..300 {
-            if let Answer::Choice(c) = u.answer(&q) {
-                saw[c] += 1;
-            }
-        }
-        assert_eq!(saw[1], 0, "never the correct option at error rate 1");
-        assert!(saw[0] > 100 && saw[2] > 100, "{saw:?}");
     }
 
     #[test]

@@ -5,14 +5,19 @@
 //! sure about* should buy more accuracy per unit than spending it uniformly.
 
 /// How to order candidate tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SelectionPolicy {
     /// Uniform-ish order (by a hash of the id — deterministic but unrelated
     /// to informativeness).
     Random,
-    /// Most-uncertain first: automatic score closest to the decision
-    /// boundary 0.5.
-    UncertaintyFirst,
+    /// Most-uncertain first: automatic score closest to `centre`, the
+    /// caller's decision boundary — 0.5 for a detector that decides at
+    /// 0.5, `MatchConfig::band_centre()` for the matcher's uncertain band.
+    /// Ties keep item order.
+    UncertaintyFirst {
+        /// The score the caller is least sure about.
+        centre: f64,
+    },
     /// Highest automatic score first — verify the system's positives.
     /// Wins whenever the matcher's residual errors are confident false
     /// positives (E2's measured regime); loses when errors sit at the
@@ -37,10 +42,10 @@ impl SelectionPolicy {
         let mut idx: Vec<usize> = (0..scores.len()).collect();
         match self {
             SelectionPolicy::Random => idx.sort_by_key(|&i| mix(i as u64)),
-            SelectionPolicy::UncertaintyFirst => {
+            SelectionPolicy::UncertaintyFirst { centre } => {
                 idx.sort_by(|&a, &b| {
-                    let da = (scores[a] - 0.5).abs();
-                    let db = (scores[b] - 0.5).abs();
+                    let da = (scores[a] - centre).abs();
+                    let db = (scores[b] - centre).abs();
                     da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
                 });
             }
@@ -65,10 +70,28 @@ mod tests {
 
     #[test]
     fn uncertainty_first_prefers_the_boundary() {
-        let order = SelectionPolicy::UncertaintyFirst.order(&SCORES);
+        let order = SelectionPolicy::UncertaintyFirst { centre: 0.5 }.order(&SCORES);
         assert_eq!(order[0], 1); // 0.52 — closest to 0.5
         assert_eq!(order[1], 3); // 0.45
         assert_eq!(*order.last().unwrap(), 2); // 0.1 — most certain
+    }
+
+    #[test]
+    fn uncertainty_first_orders_from_the_callers_centre() {
+        // 0.5 suits a detector deciding at 0.5; the matcher's band centres
+        // on 0.675, where 0.7 is the most uncertain score and 0.44 the
+        // least.
+        let scores = [0.44, 0.62, 0.7, 0.53];
+        let at_half = SelectionPolicy::UncertaintyFirst { centre: 0.5 }.order(&scores);
+        let at_band = SelectionPolicy::UncertaintyFirst { centre: 0.675 }.order(&scores);
+        assert_eq!(at_half, vec![3, 0, 1, 2]);
+        assert_eq!(at_band, vec![2, 1, 3, 0]);
+    }
+
+    #[test]
+    fn uncertainty_first_keeps_item_order_on_ties() {
+        let order = SelectionPolicy::UncertaintyFirst { centre: 0.5 }.order(&[0.6, 0.4, 0.6]);
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]

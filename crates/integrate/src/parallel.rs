@@ -9,7 +9,7 @@
 //! the caller in that same order.
 
 use crate::blocking::Pair;
-use crate::matcher::{decide, decide_with, MatchConfig, MatchDecision, Record};
+use crate::matcher::{decide_with, MatchConfig, MatchDecision, Record};
 use crate::similarity::name_similarity;
 use quarry_exec::{ExecPool, ExecReport, MemoCache};
 
@@ -62,25 +62,20 @@ pub fn score_pairs(
     pairs: &[Pair],
     cfg: &MatchConfig,
     pool: &ExecPool,
-    cache: Option<&SimCache>,
+    cache: &SimCache,
     report: &mut ExecReport,
 ) -> Vec<(Pair, MatchDecision, f64)> {
     let out = pool.map(
         "integrate/score-pairs",
         pairs,
         |_, &(i, j)| {
-            let (d, s) = match cache {
-                Some(c) => decide_with(&records[i], &records[j], cfg, &|a, b| c.similarity(a, b)),
-                None => decide(&records[i], &records[j], cfg),
-            };
+            let (d, s) = decide_with(&records[i], &records[j], cfg, &|a, b| cache.similarity(a, b));
             ((i, j), d, s)
         },
         report,
     );
-    if let Some(c) = cache {
-        report.incr("sim_cache_hits", c.hits());
-        report.incr("sim_cache_misses", c.misses());
-    }
+    report.incr("sim_cache_hits", cache.hits());
+    report.incr("sim_cache_misses", cache.misses());
     out
 }
 
@@ -88,6 +83,7 @@ pub fn score_pairs(
 mod tests {
     use super::*;
     use crate::blocking::all_pairs;
+    use crate::matcher::decide;
     use quarry_storage::Value;
 
     fn records() -> Vec<Record> {
@@ -116,7 +112,7 @@ mod tests {
             let pool = ExecPool::new(threads).with_batch_size(2);
             let cache = SimCache::default();
             let mut report = ExecReport::new();
-            let got = score_pairs(&recs, &pairs, &cfg, &pool, Some(&cache), &mut report);
+            let got = score_pairs(&recs, &pairs, &cfg, &pool, &cache, &mut report);
             assert_eq!(got, expected, "threads={threads}");
         }
     }
@@ -129,7 +125,7 @@ mod tests {
         let pool = ExecPool::sequential();
         let cache = SimCache::default();
         let mut report = ExecReport::new();
-        score_pairs(&recs, &pairs, &cfg, &pool, Some(&cache), &mut report);
+        score_pairs(&recs, &pairs, &cfg, &pool, &cache, &mut report);
         // Two identical "David Smith" records make several pairs share a
         // canonical key.
         assert!(report.counter("sim_cache_hits") > 0);

@@ -17,7 +17,7 @@ use quarry_corpus::{DocId, Document};
 use quarry_exec::{ExecPool, ExecReport};
 use quarry_extract::model::{dedup, dedup_order, dedup_sorted};
 use quarry_extract::Extraction;
-use quarry_hi::{Answer, Crowd, Question, QuestionKind};
+use quarry_hi::{curate, Crowd, CurateConfig, SelectionPolicy, UncertainItem};
 use quarry_integrate::blocking;
 use quarry_integrate::matcher::{MatchConfig, MatchDecision, Record};
 use quarry_integrate::parallel::{score_pairs, SimCache};
@@ -77,10 +77,9 @@ pub struct ExecContext<'a> {
     pub registry: &'a ExtractorRegistry,
     /// Target structured store.
     pub db: &'a Database,
-    /// Simulated users for `CURATE` (optional).
-    pub crowd: Option<Crowd>,
-    /// Ground truth driving the simulated users (optional).
-    pub truth: Option<TruthOracle>,
+    /// Simulated users for `CURATE` and the ground truth driving them;
+    /// `None` makes `CURATE` a no-op.
+    pub hi: Option<(Crowd, TruthOracle)>,
     /// Materialization cache, shared across plan runs to model the
     /// blueprint's "intermediate structured data kept around for
     /// optimization purposes".
@@ -99,8 +98,7 @@ impl<'a> ExecContext<'a> {
             docs,
             registry,
             db,
-            crowd: None,
-            truth: None,
+            hi: None,
             cache: Arc::default(),
             pool: ExecPool::sequential(),
             report: ExecReport::new(),
@@ -223,32 +221,47 @@ impl Executor {
                     let State::Resolved { records, uf, pending, .. } = &mut state else {
                         return Err(ExecError::InvalidPlan("CURATE before RESOLVE".into()));
                     };
-                    let (Some(crowd), Some(truth)) = (ctx.crowd.as_mut(), ctx.truth.as_ref())
-                    else {
+                    let Some((crowd, truth)) = ctx.hi.as_mut() else {
                         continue; // no HI capability wired: curation is a no-op
                     };
-                    let mut spent = 0u32;
-                    for (qid, (i, j, _)) in pending.iter().enumerate() {
-                        if spent >= *budget {
-                            break;
-                        }
-                        let (a, b) = (&records[*i], &records[*j]);
-                        let q = Question {
-                            id: qid,
-                            kind: QuestionKind::VerifyMatch {
-                                left: render_record(a),
-                                right: render_record(b),
-                            },
-                            truth: Answer::Bool(truth(a.key_source.doc, b.key_source.doc)),
-                        };
-                        let outcome = crowd.ask_majority(&q, *votes as usize);
-                        spent += outcome.cost;
-                        stats.questions_asked += 1;
-                        if outcome.answer.as_bool() {
-                            uf.union(*i, *j);
+                    // A question's id is its pair's position, and "no" is
+                    // the matcher's standing decision on every band pair.
+                    let items: Vec<UncertainItem> = pending
+                        .iter()
+                        .enumerate()
+                        .map(|(id, &(i, j, auto_score))| {
+                            let (a, b) = (&records[i], &records[j]);
+                            UncertainItem {
+                                id,
+                                prompt_left: render_record(a),
+                                prompt_right: render_record(b),
+                                auto_decision: false,
+                                auto_score,
+                                truth: truth(a.key_source.doc, b.key_source.doc),
+                            }
+                        })
+                        .collect();
+                    // Most uncertain first, from the centre of the band
+                    // `match_records` scored with.
+                    let centre = MatchConfig::default().band_centre();
+                    let cfg = CurateConfig {
+                        budget: *budget,
+                        votes_per_question: *votes as usize,
+                        policy: SelectionPolicy::UncertaintyFirst { centre },
+                        reputation: None,
+                    };
+                    let report = curate(&items, crowd, cfg);
+                    // Merge in review order: union order decides the
+                    // clusters' roots.
+                    for &k in &report.reviewed {
+                        if let (Some(true), Some(&(i, j, _))) =
+                            (report.decisions.get(k), pending.get(k))
+                        {
+                            uf.union(i, j);
                         }
                     }
-                    stats.hi_spent += spent;
+                    stats.questions_asked += report.reviewed.len();
+                    stats.hi_spent += report.spent;
                     pending.clear();
                 }
                 PlanOp::Store { table, key } => {
@@ -360,8 +373,8 @@ fn build_doc_records(stream: &[Extraction], key: &str) -> Vec<DocRecord> {
 }
 
 /// Resolve `records` by `key`: the union-find of confident matches, the
-/// uncertain pairs with their scores, most uncertain (closest to the band's
-/// centre) first, and the number of pairs scored.
+/// uncertain pairs with their scores in pair order, and the number of
+/// pairs scored.
 fn match_records(
     records: &[DocRecord],
     key: &str,
@@ -400,7 +413,7 @@ fn match_records(
     // order), then apply union-find merges sequentially in that same
     // order — the part that actually has to be serial.
     let cache = SimCache::default();
-    let decisions = score_pairs(&match_recs, &pairs, &cfg, pool, Some(&cache), report);
+    let decisions = score_pairs(&match_recs, &pairs, &cfg, pool, &cache, report);
     let mut uf = UnionFind::new(records.len());
     let mut pending = Vec::new();
     let mut scored = 0usize;
@@ -414,8 +427,6 @@ fn match_records(
             MatchDecision::NonMatch => {}
         }
     }
-    let centre = cfg.band_centre();
-    pending.sort_by(|a, b| (a.2 - centre).abs().total_cmp(&(b.2 - centre).abs()));
     (uf, pending, scored)
 }
 
@@ -916,8 +927,7 @@ STORE INTO people KEY name"#;
 
         let db = Database::in_memory();
         let mut ctx = ExecContext::new(&c.docs, &reg, &db);
-        ctx.crowd = Some(Crowd::new(panel(3, &[0.0], 5)));
-        ctx.truth = Some(truth);
+        ctx.hi = Some((Crowd::new(panel(3, &[0.0], 5)), truth));
         let with_hi = Executor::run(&plan, &mut ctx).unwrap();
         assert!(with_hi.questions_asked > 0 || with_hi.uncertain_pairs == 0);
         assert!(with_hi.hi_spent <= 500);

@@ -146,7 +146,7 @@ impl std::ops::Deref for Endpoint {
 
 impl Endpoint {
     /// Bind `addr` and run `session` on a thread of its own for every
-    /// connection, with `read_timeout` and [`WRITE_TIMEOUT`] already set.
+    /// connection, with `read_timeout` and `WRITE_TIMEOUT` already set.
     /// Threads are named `{name}-accept` and `{name}-session`.
     pub fn listen(
         name: &str,

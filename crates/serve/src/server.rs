@@ -1,5 +1,5 @@
 //! The façade behind the endpoint: [`Server`] is an [`Endpoint`] whose
-//! handler executes requests against a [`Quarry`](quarry_core::Quarry).
+//! handler executes requests against a [`Quarry`].
 //!
 //! Accepting, sessions, framing, admission, the `Shutdown` control frame
 //! and drain are [`crate::endpoint`]'s. What is left here is *execution*,

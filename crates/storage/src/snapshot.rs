@@ -3,7 +3,7 @@
 //! Daily crawl snapshots of the same pages overlap heavily, so storing each
 //! version in full wastes space roughly linear in the number of days. This
 //! store keeps a *keyframe* every `keyframe_interval` versions and a line
-//! [`Delta`](crate::delta::Delta) for every other version, reconstructing any
+//! [`Delta`] for every other version, reconstructing any
 //! requested version by replaying deltas forward from the nearest keyframe —
 //! bounding both space (diff-sized) and read cost (≤ interval replays).
 

@@ -132,7 +132,7 @@ fn main() {
         CurateConfig {
             budget: (items.len() * 3) as u32,
             votes_per_question: 3,
-            policy: SelectionPolicy::UncertaintyFirst,
+            policy: SelectionPolicy::UncertaintyFirst { centre: 0.5 },
             reputation: None,
         },
     );

@@ -74,7 +74,7 @@ fn main() {
         CurateConfig {
             budget,
             votes_per_question: 3,
-            policy: SelectionPolicy::UncertaintyFirst,
+            policy: SelectionPolicy::UncertaintyFirst { centre: cfg.band_centre() },
             reputation: None,
         },
     );
@@ -92,7 +92,7 @@ fn main() {
         CurateConfig {
             budget,
             votes_per_question: 3,
-            policy: SelectionPolicy::UncertaintyFirst,
+            policy: SelectionPolicy::UncertaintyFirst { centre: cfg.band_centre() },
             reputation: Some(ReputationTracker::new()),
         },
     );

@@ -130,7 +130,9 @@ fn hi_budget_improves_entity_resolution_f1() {
         CurateConfig {
             budget: 1000,
             votes_per_question: 5,
-            policy: SelectionPolicy::UncertaintyFirst,
+            policy: SelectionPolicy::UncertaintyFirst {
+                centre: MatchConfig::default().band_centre(),
+            },
             reputation: None,
         },
     );

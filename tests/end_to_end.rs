@@ -122,6 +122,9 @@ STORE INTO people KEY name"#,
         (146, 100, 300),
         "{stats:?}"
     );
+    // The panel answering each question follows from the question's id
+    // (its pair's position), so this pins CURATE's end-to-end result.
+    assert_eq!(stats.entities, 118, "{stats:?}");
 }
 
 #[test]

@@ -125,7 +125,7 @@ fn parallel_pair_scoring_is_bit_identical_to_sequential() {
         let pool = ExecPool::new(threads).with_batch_size(5);
         let cache = SimCache::default();
         let mut report = ExecReport::new();
-        let got = score_pairs(&records, &pairs, &cfg, &pool, Some(&cache), &mut report);
+        let got = score_pairs(&records, &pairs, &cfg, &pool, &cache, &mut report);
         assert_eq!(got, expected, "threads={threads}");
     }
 }
